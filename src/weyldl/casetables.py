@@ -888,7 +888,13 @@ class AggregateReport:
             extra = f" (skipped: {', '.join(skipped)})" if skipped else ""
             lines.append(f"{status}  {c.label}{extra}")
         n_pass = sum(1 for c in self.cases if c.passed)
-        lines.append(f"total: {n_pass}/{len(self.cases)} cases pass")
+        statuses = [v for c in self.cases for v in c.subchecks.values()]
+        n_sub_pass = statuses.count("pass")
+        n_skip = sum(1 for v in statuses if v.startswith("skipped"))
+        lines.append(
+            f"total: {n_pass}/{len(self.cases)} cases pass; subchecks: "
+            f"{n_sub_pass} pass, {n_skip} skipped, {len(statuses) - n_sub_pass - n_skip} fail"
+        )
         return lines
 
     def to_json(self) -> str:

@@ -53,6 +53,7 @@ __all__ = [
 FORM_FORWARD = "lemma-1.11"
 FORM_INVERSE = "stmt-1.13a"
 FORMAT_VERSION = 1
+MAX_RANK = 8
 
 
 class CertificateError(ValueError):
@@ -218,14 +219,14 @@ def build_star_system(
     )
 
 
-def feasible(system: IneqSystem, box: int = 2 ** 16) -> Optional[Coweight]:
+def feasible(system: IneqSystem) -> Optional[Coweight]:
     """A strict solution as a coweight on the ambient rank, or None.
 
     Coordinates off the variable set come back zero.  The rank is taken
     as max node appearing; callers embed as needed.
     """
     rows = system.combined_rows()
-    point = solve_strict(rows, len(system.varset), box=box)
+    point = solve_strict(rows, len(system.varset))
     if point is None:
         return None
     rank = max(system.varset) if system.varset else 0
@@ -311,8 +312,10 @@ def _group_context(family: str, rank: int, twist: int) -> tuple[WeylGroup, Twist
     return WeylGroup(system), build_twist(family, rank, twist)
 
 
-def check_certificate(cert: Certificate, box: int = 2 ** 16) -> CheckResult:
+def check_certificate(cert: Certificate) -> CheckResult:
     """Re-derive the certificate's system from scratch and evaluate it."""
+    if not 1 <= cert.rank <= MAX_RANK:
+        return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
     try:
         W, twist = _group_context(cert.family, cert.rank, cert.twist)
     except Exception as exc:
@@ -343,7 +346,9 @@ def check_certificate(cert: Certificate, box: int = 2 ** 16) -> CheckResult:
     slacks = system.evaluate(point)
     for label, s in zip(system.labels(), slacks):
         if s.sign() <= 0:
-            return CheckResult(False, f"violated: {label} (slack {s})", len(slacks))
+            # Never format the slack: a hostile mu can make it too long to print.
+            sign = "zero" if s.sign() == 0 else "negative"
+            return CheckResult(False, f"violated: {label} (slack {sign})", len(slacks))
     return CheckResult(True, "", len(slacks))
 
 
@@ -377,7 +382,6 @@ def certify_min_element(
     twist: Twist,
     dclass: DeltaClass,
     q: QuadExt,
-    box: int = 2 ** 16,
 ) -> Certificate:
     """Certificate for one twisted class via the forward-form search.
 
@@ -394,7 +398,7 @@ def certify_min_element(
     pi = pi_of(twist, dclass.direction)
     for w in dclass.min_elements():
         system = build_forward_system(W, w, pi, q)
-        mu = feasible(system, box=box)
+        mu = feasible(system)
         if mu is None:
             continue
         cert = Certificate(
@@ -407,7 +411,7 @@ def certify_min_element(
             form=FORM_FORWARD,
             mu=mu,
         )
-        result = check_certificate(cert, box=box)
+        result = check_certificate(cert)
         if not result:
             raise FalsificationError(
                 f"solver point rejected by the checker: {result.reason}"

@@ -11,6 +11,7 @@ floating-point evaluation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -42,6 +43,20 @@ def _as_fraction(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _parse_ratio(text) -> Fraction:
+    """Parse the wire form ``p/q``; int() enforces Python's digit limit."""
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError("malformed rational: expected 'p/q'")
+    num, den = int(match.group(1)), int(match.group(2))
+    if den == 0:
+        raise ValueError("malformed rational: zero denominator")
+    return Fraction(num, den)
 
 
 class QuadExt:
@@ -243,15 +258,14 @@ class QuadExt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadExt":
+        """Inverse of :meth:`to_json`; accepts nothing but its exact wire grammar."""
         try:
-            a = Fraction(obj["a"])
-            b = Fraction(obj["b"])
-            d = obj["d"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed QuadExt payload: {obj!r}") from exc
-        if not isinstance(d, int):
-            raise ValueError(f"malformed QuadExt radicand: {d!r}")
-        return cls(a, b, d)
+            a, b, d = obj["a"], obj["b"], obj["d"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError("malformed QuadExt payload") from exc
+        if type(d) is not int:
+            raise ValueError("malformed QuadExt radicand")
+        return cls(_parse_ratio(a), _parse_ratio(b), d)
 
 
 def qext(x: Scalar) -> QuadExt:

@@ -1,21 +1,21 @@
-"""Exact strict-inequality feasibility over Q(sqrt d).
+"""Exact strict-inequality feasibility over Q(sqrt d), with both answers from one LP.
 
-``solve_strict`` decides whether a homogeneous system  < c_r, m > > 0
-(all r) has a solution, by maximizing a slack variable t subject to
-< c_r, m > >= t, box bounds |m_i| <= M and t <= 1, with a dense simplex
-under Bland's rule.  All pivoting is exact QuadExt arithmetic; because
-the system is homogeneous, infeasibility inside the box implies
-infeasibility outright (any solution scales into the box).
+A homogeneous system  < c_r, m > > 0  (all r) either has a solution or,
+by Gordan's alternative, a witness  y >= 0, y != 0  with
+sum_r y_r c_r = 0.  Both come out of the one LP
 
-``gordan_witness`` produces the dual object for infeasible systems: a
-nonnegative, nonzero combination y with sum_r y_r c_r = 0, extracted
-from a Fourier-Motzkin elimination trace.  Intended for the small
-tabulated systems, not the large certificate systems.
+    min u   s.t.   sum_r y_r c_r = 0,   sum_r y_r + u = 1,   y, u >= 0,
+
+solved by a dense simplex under Bland's rule in exact QuadExt arithmetic
+(Schrijver, *Theory of Linear and Integer Programming*, 1986).  If the
+optimum u* is zero, the basic y values are a witness.  If u* > 0, the
+simplex multipliers give a point: m_j, the final reduced cost of the
+artificial column of equality row j, satisfies < c_r, m > >= u* for
+every r.  ``verify_gordan`` checks a witness independently of the solver.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactnum import QuadExt, qext
@@ -25,192 +25,93 @@ __all__ = ["solve_strict", "gordan_witness", "verify_gordan"]
 Row = Sequence[QuadExt]
 
 
-def _simplex_max(tableau: list[list[QuadExt]], basis: list[int]) -> None:
-    """In-place primal simplex with Bland's rule; tableau rows end in rhs.
+def _pivot(tableau: list[list[QuadExt]], basis: list[int], row: int, col: int) -> None:
+    inv = tableau[row][col].inverse()
+    rr = tableau[row] = [x * inv for x in tableau[row]]
+    for i, ri in enumerate(tableau):
+        f = ri[col]
+        if i != row and f.sign() != 0:
+            tableau[i] = [x - f * y for x, y in zip(ri, rr)]
+    basis[row] = col
 
-    The last tableau row is the objective in reduced form; entering
-    column = smallest index with negative reduced cost, leaving row =
-    min-ratio with smallest-index tie break.  Terminates by Bland.
+
+def _solve_dual(rows: Sequence[Row], nvars: int):
+    """``(point, None)`` if the strict system is feasible, else ``(None, witness)``.
+
+    Columns are y_0..y_{R-1}, u, then one artificial per equality row;
+    the last tableau row holds the reduced costs and minus the objective.
     """
-    m = len(tableau) - 1
-    width = len(tableau[0])
+    rows = [tuple(qext(c) for c in r) for r in rows]
+    if any(len(r) != nvars for r in rows):
+        raise ValueError("row width does not match variable count")
+    nrows = len(rows)
+    ucol = nrows
+    zero, one = qext(0), qext(1)
+    tableau = []
+    for j in range(nvars):
+        line = [r[j] for r in rows] + [zero] * (nvars + 2)
+        line[ucol + 1 + j] = one
+        tableau.append(line)
+    tableau.append([one] * (nrows + 1) + [zero] * nvars + [one])
+    # Cost 1 on u, in reduced form against the starting basis (u basic).
+    tableau.append([-one] * nrows + [zero] * (nvars + 1) + [-one])
+    basis = [ucol + 1 + j for j in range(nvars)] + [ucol]
+
+    # Drive every artificial out at zero level where its row allows.
+    for j in range(nvars):
+        col = next((k for k in range(nrows) if tableau[j][k].sign() != 0), None)
+        if col is not None:
+            _pivot(tableau, basis, j, col)
+
+    # Minimize u over the y and u columns, Bland's rule.
+    obj = tableau[-1]
     while True:
-        obj = tableau[m]
-        col = -1
-        for j in range(width - 1):
-            if obj[j].sign() < 0:
-                col = j
-                break
-        if col < 0:
-            return
-        row = -1
-        best: Optional[QuadExt] = None
-        for i in range(m):
+        col = next((k for k in range(ucol + 1) if obj[k].sign() < 0), None)
+        if col is None:
+            break
+        row, best = -1, None
+        for i in range(nvars + 1):
             a = tableau[i][col]
             if a.sign() > 0:
-                ratio = tableau[i][width - 1] / a
+                ratio = tableau[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best = ratio
-                    row = i
+                    row, best = i, ratio
         if row < 0:
-            raise ArithmeticError("unbounded LP; the slack formulation is always bounded")
-        piv = tableau[row][col]
-        inv = piv.inverse()
-        tableau[row] = [x * inv for x in tableau[row]]
-        rr = tableau[row]
-        for i in range(m + 1):
-            if i == row:
-                continue
-            f = tableau[i][col]
-            if f.sign() != 0:
-                ri = tableau[i]
-                tableau[i] = [ri[j] - f * rr[j] for j in range(width)]
-        basis[row] = col
+            raise ArithmeticError("unbounded LP; u >= 0 bounds it below")
+        _pivot(tableau, basis, row, col)
+        obj = tableau[-1]
+
+    if obj[-1].sign() == 0:
+        witness = [zero] * nrows
+        for i, b in enumerate(basis):
+            if b < nrows:
+                witness[b] = tableau[i][-1]
+        return None, tuple(witness)
+    return tuple(obj[ucol + 1 + j] for j in range(nvars)), None
 
 
-def solve_strict(
-    rows: Sequence[Row],
-    nvars: int,
-    box: int = 2 ** 16,
-    cap: int = 1,
-) -> Optional[tuple[QuadExt, ...]]:
+def solve_strict(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, ...]]:
     """A point with every < c_r, m > > 0, or None if there is none.
 
     Deterministic for a fixed row order.  The returned coordinates are
     exact and generally mix rationals with sqrt(d) terms when any
     coefficient does.
     """
-    if nvars == 0:
-        return () if not rows else None
-    if not rows:
-        return tuple(qext(0) for _ in range(nvars))
-    rows = [tuple(qext(c) for c in r) for r in rows]
-    for r in rows:
-        if len(r) != nvars:
-            raise ValueError("row width does not match variable count")
-
-    M = Fraction(box)
-    # At m = 0 every constraint has slack 0; t = -T0 keeps the shifted
-    # variable t' = t + T0 nonnegative for any point of the box.
-    worst = qext(0)
-    for r in rows:
-        s = qext(0)
-        for c in r:
-            s = s + abs(c)
-        if s > worst:
-            worst = s
-    T0 = worst * M + 1
-
-    # Shifted variables: x_j = m_j + M in [0, 2M]; t' = t + T0 in [0, cap+T0].
-    # Constraint rows: -<c, x> + t' <= T0 - M * sum(c)   (all rhs >= 0).
-    ncols = nvars + 1
-    cons: list[tuple[list[QuadExt], QuadExt]] = []
-    for r in rows:
-        body = [-c for c in r] + [qext(1)]
-        rhs = T0 - sum(r, qext(0)) * M
-        cons.append((body, rhs))
-    for j in range(nvars):
-        body = [qext(0)] * ncols
-        body[j] = qext(1)
-        cons.append((body, qext(2 * M)))
-    tbody = [qext(0)] * ncols
-    tbody[nvars] = qext(1)
-    cons.append((tbody, T0 + cap))
-
-    m = len(cons)
-    width = ncols + m + 1
-    tableau: list[list[QuadExt]] = []
-    for i, (body, rhs) in enumerate(cons):
-        if rhs.sign() < 0:
-            raise AssertionError("slack start must be feasible")
-        row = body + [qext(0)] * m + [rhs]
-        row[ncols + i] = qext(1)
-        tableau.append(row)
-    objective = [qext(0)] * width
-    objective[nvars] = qext(-1)  # maximize t'
-    tableau.append(objective)
-    basis = [ncols + i for i in range(m)]
-
-    _simplex_max(tableau, basis)
-
-    values = [qext(0)] * ncols
-    for i, b in enumerate(basis):
-        if b < ncols:
-            values[b] = tableau[i][width - 1]
-
-    t = values[nvars] - T0
-    if t.sign() <= 0:
+    point, _ = _solve_dual(rows, nvars)
+    if point is None:
         return None
-    point = tuple(values[j] - M for j in range(nvars))
     for r in rows:
         s = qext(0)
         for c, x in zip(r, point):
-            s = s + c * x
+            s = s + qext(c) * x
         if s.sign() <= 0:
             raise AssertionError("simplex returned a non-strict point")
     return point
 
 
 def gordan_witness(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, ...]]:
-    """Nonnegative y != 0 with sum_r y_r c_r = 0, when the system is infeasible.
-
-    Fourier-Motzkin elimination with provenance tracking.  Returns None
-    when elimination never derives the empty contradiction, i.e. when
-    the strict system is feasible.  Suitable for small systems only.
-    """
-    if not rows:
-        return None
-    nrows = len(rows)
-    work: list[tuple[tuple[QuadExt, ...], tuple[QuadExt, ...]]] = []
-    for k, r in enumerate(rows):
-        prov = tuple(qext(1 if i == k else 0) for i in range(nrows))
-        work.append((tuple(qext(c) for c in r), prov))
-
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for vec, prov in work:
-            s = vec[var].sign()
-            (pos if s > 0 else neg if s < 0 else rest).append((vec, prov))
-        new = list(rest)
-        for pv, pp in pos:
-            for nv, np_ in neg:
-                a = pv[var]
-                b = -nv[var]
-                vec = tuple(b * x + a * y for x, y in zip(pv, nv))
-                prov = tuple(b * x + a * y for x, y in zip(pp, np_))
-                new.append((vec, prov))
-        work = _dedupe(new)
-        contradiction = _find_contradiction(work)
-        if contradiction is not None:
-            return contradiction
-    return _find_contradiction(work)
-
-
-def _find_contradiction(work):
-    for vec, prov in work:
-        if all(c.sign() == 0 for c in vec):
-            return prov
-    return None
-
-
-def _dedupe(items):
-    seen = set()
-    out = []
-    for vec, prov in items:
-        key = _direction_key(vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((vec, prov))
-    return out
-
-
-def _direction_key(vec) -> tuple:
-    for c in vec:
-        if c.sign() != 0:
-            inv = c.inverse() if c.sign() > 0 else (-c).inverse()
-            return tuple((y.a, y.b, y.d) for y in ((x * inv) for x in vec))
-    return ("zero",)
+    """Nonnegative y != 0 with sum_r y_r c_r = 0, or None when the system is feasible."""
+    return _solve_dual(rows, nvars)[1]
 
 
 def verify_gordan(rows: Sequence[Row], witness) -> bool:

@@ -163,26 +163,6 @@ class RootSystem:
     def is_positive(self, coords: Root) -> bool:
         return coords in self.root_index
 
-    def component_nodes(self) -> tuple[frozenset[int], ...]:
-        """Connected components of the Dynkin diagram, as 1-based node sets."""
-        seen: set[int] = set()
-        comps: list[frozenset[int]] = []
-        for start in range(1, self.rank + 1):
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                i = stack.pop()
-                if i in comp:
-                    continue
-                comp.add(i)
-                for j in range(1, self.rank + 1):
-                    if j != i and self.cartan[i - 1][j - 1] != 0 and j not in comp:
-                        stack.append(j)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=min))
-
     def sub_n0(self, nodes: Iterable[int]) -> int:
         """Max coordinate sum over roots supported inside ``nodes``."""
         s = set(nodes)
@@ -288,10 +268,6 @@ class Coweight:
         if len(self) != len(other):
             raise ValueError("rank mismatch")
         return Coweight(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "Coweight":
-        c = qext(c)
-        return Coweight(tuple(c * x for x in self.coords))
 
     def to_json(self) -> list[dict]:
         return [x.to_json() for x in self.coords]

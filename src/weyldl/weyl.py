@@ -9,7 +9,7 @@ lexicographically smallest reduced word as the canonical form.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rootdata import Root, RootSystem, reflect
 
@@ -152,13 +152,6 @@ class WeylGroup:
         return tuple(p for p, t in enumerate(w.perm) if t < 0)
 
     # -- words ----------------------------------------------------------------
-
-    def left_descents(self, w: WeylElt) -> Iterator[int]:
-        # i is a left descent iff w^{-1}(alpha_i) < 0.
-        winv = self.invert(w)
-        for i in range(1, self.rank + 1):
-            if self.act_on_simple(winv, i) < 0:
-                yield i
 
     def canonical_word(self, w: WeylElt) -> tuple[int, ...]:
         """Lexicographically smallest reduced word, by greedy left descents."""

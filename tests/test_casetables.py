@@ -108,7 +108,7 @@ class TestAggregate:
         assert len(report.cases) == 3
         assert report.all_passed
         lines = report.summary_lines()
-        assert lines[-1] == "total: 3/3 cases pass"
+        assert lines[-1] == "total: 3/3 cases pass; subchecks: 18 pass, 0 skipped, 0 fail"
 
     def test_json_deterministic(self):
         a = verify_all(type_filter="2B2").to_json()

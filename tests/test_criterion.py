@@ -183,6 +183,56 @@ class TestCertificates:
         assert not check_certificate(flipped)
 
 
+def _set_coord(index, **fields):
+    def mutate(obj):
+        obj["mu"][index].update(fields)
+    return mutate
+
+
+def _set_group(**fields):
+    def mutate(obj):
+        obj["group"].update(fields)
+    return mutate
+
+
+def _unprintable_slack(obj):
+    # m1 - m2 = (1 - 10^4000 * 3^3000) / 3^3000: each coordinate parses,
+    # but the violated first row's slack has more digits than str() allows.
+    obj["mu"] = [
+        {"a": f"1/{3 ** 3000}", "b": "0/1", "d": 1},
+        {"a": f"1{'0' * 4000}/1", "b": "0/1", "d": 1},
+    ]
+
+
+# (id, mutation of a valid certificate, expected reject-reason prefix;
+# None means Certificate.from_json must raise CertificateError).
+HOSTILE = [
+    ("scientific_notation", _set_coord(0, a="-1e5000"), None),
+    ("zero_denominator", _set_coord(0, a="1/0"), None),
+    ("bool_radicand", _set_coord(0, b="1/1", d=True), None),
+    ("float_radicand", _set_coord(0, b="1/1", d=2.0), None),
+    ("unicode_digits", _set_coord(0, a="\u0662/1"), None),
+    ("too_many_digits", _set_coord(0, a=f"-{'9' * 5000}/1"), None),
+    ("unprintable_slack", _unprintable_slack, "violated: q-row i=1"),
+    ("rank_zero", _set_group(rank=0), "rank must be in 1..8"),
+    ("huge_rank", _set_group(rank=10 ** 9), "rank must be in 1..8"),
+]
+
+
+@pytest.mark.parametrize("mutate, reason", [h[1:] for h in HOSTILE], ids=[h[0] for h in HOSTILE])
+def test_hostile_certificate_rejected_without_crash(mutate, reason):
+    """Hostile input ends as a CertificateError or a reject, never another exception."""
+    obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
+    mutate(obj)
+    text = json.dumps(obj)
+    if reason is None:
+        with pytest.raises(CertificateError):
+            Certificate.from_json(text)
+    else:
+        result = check_certificate(Certificate.from_json(text))
+        assert not result and result.reason.startswith(reason)
+
+
 class TestCertify:
     def test_identity_class(self, A2):
         pi = pi_of(build_twist("A", 2, 1))

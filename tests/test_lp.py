@@ -80,10 +80,19 @@ def test_agrees_with_brute_force_oracle():
             assert got is not None, (trial, rows)
         if got is None:
             assert expected is None, (trial, rows)
-            witness = gordan_witness(rows, nvars)
+        # Gordan's alternative: a witness exactly when there is no point.
+        witness = gordan_witness(rows, nvars)
+        assert (got is None) == (witness is not None), (trial, rows)
+        if witness is not None:
             assert verify_gordan(rows, witness), (trial, rows)
         agree += 1
     assert agree == 300
+
+
+def test_witness_edge_cases():
+    assert gordan_witness([], 2) is None
+    assert solve_strict([(), ()], 0) is None
+    assert verify_gordan([(), ()], gordan_witness([(), ()], 0))
 
 
 def test_determinism():
