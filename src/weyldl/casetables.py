@@ -42,7 +42,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, qext
 from .lp import gordan_witness, verify_gordan
-from .rootdata import Coweight, build_root_system, build_twist, weyl_order
+from .rootdata import Coweight, build_root_system, build_twist
 from .subsystems import sub_context
 from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
 
@@ -904,12 +904,17 @@ class AggregateReport:
         )
 
 
+# Element budgets of the two oracles: class enumeration (inner options and
+# the spade search) and the shift closure that decides minimality.
+ENUM_BUDGET = 10 ** 6
+CLOSURE_BUDGET = 10 ** 7
+
+
 def _resolve_v_options(
     ctx: _TypeContext,
     record: CaseRecord,
     w1: WeylElt,
     K: frozenset[int],
-    inner_budget: int,
 ) -> tuple[list[tuple[int, ...]], Optional[str]]:
     """Ambient-label words for the inner-class options of a record.
 
@@ -929,9 +934,9 @@ def _resolve_v_options(
     sub = sub_context(W, K)
     sigma_sub = sub.pi_to_sub(sigma)
     try:
-        classes = partition_memo(sub.group, sigma_sub, direction="delta_inv", budget=inner_budget)
+        classes = partition_memo(sub.group, sigma_sub, direction="delta_inv", budget=ENUM_BUDGET)
     except EnumerationBudgetError:
-        return [], f"skipped(inner enumeration over budget {inner_budget})"
+        return [], f"skipped(inner enumeration over budget {ENUM_BUDGET})"
     cuspidal = [c for c in classes if c.cuspidal]
     if record.v_mode == "all":
         chosen = cuspidal
@@ -952,7 +957,6 @@ def _spade_certificate(
     K: frozenset[int],
     q: QuadExt,
     v_words: list[tuple[int, ...]],
-    full_budget: int,
 ) -> tuple[Optional[Certificate], str]:
     """Inverse-form certificate for a spade row, via the exact LP."""
     W = ctx.W
@@ -964,7 +968,7 @@ def _spade_certificate(
         # Search the whole minimal level of the inverse-twisted class of w1
         # when the group is small enough; else just w1.
         try:
-            cls = class_of(W, ctx.pi_inv, w1, direction="delta_inv", budget=full_budget)
+            cls = class_of(W, ctx.pi_inv, w1, direction="delta_inv", budget=ENUM_BUDGET)
             candidates.extend(cls.min_elements())
         except EnumerationBudgetError:
             candidates.append(w1)
@@ -992,9 +996,6 @@ def _run_case(
     w1_word: tuple[int, ...],
     q: Optional[QuadExt],
     slow: bool,
-    inner_budget: int,
-    full_budget: int,
-    closure_budget: int,
     checks: tuple[str, ...] = ALL_CHECKS,
 ) -> CaseReport:
     ctx = type_context(record.family, record.rank, record.twist)
@@ -1039,7 +1040,7 @@ def _run_case(
         or (record.spade and "star" in checks)
     )
     v_words, v_problem = (
-        _resolve_v_options(ctx, record, w1, K, inner_budget) if need_v else ([], None)
+        _resolve_v_options(ctx, record, w1, K) if need_v else ([], None)
     )
 
     # (iii) the reduction system
@@ -1082,7 +1083,7 @@ def _run_case(
                 witness = gordan_witness(rows, len(star.varset))
                 ok_w = verify_gordan(rows, witness)
                 report.details["infeasibility_witness"] = [str(y) for y in witness] if witness else []
-                cert, msg = _spade_certificate(ctx, record, w1, K, q, v_words, full_budget)
+                cert, msg = _spade_certificate(ctx, record, w1, K, q, v_words)
                 report.certificate = cert
                 pinned_ok = True
                 if cert is not None and record.pinned_mu is not None:
@@ -1114,6 +1115,12 @@ def _run_case(
             report.details["v_problem"] = v_problem
         return report
 
+    def closure_verdict(group: WeylGroup, pi_map: PiMap, x: WeylElt) -> str:
+        status = closure_min_check(group, pi_map, x, budget=CLOSURE_BUDGET)
+        if status == "budget":
+            return f"skipped(closure budget {CLOSURE_BUDGET} exceeded)"
+        return "pass" if status == "minimal" else "fail"
+
     iv_results, v_results, vi_results = [], [], []
     for vw in v_words:
         v = W.from_word(vw)
@@ -1124,41 +1131,18 @@ def _run_case(
         elif any(i not in K for i in W.support(v)):
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
-        elif len(K) > 6:
-            iv_results.append(
-                f"skipped(inner node set of size {len(K)} above the rank-6 enumeration tier)"
-            )
         else:
-            sigma = ad_pi_on(W, pi, w1, K)
             sub = sub_context(W, K)
-            try:
-                v_sub = sub.group.from_word(sub.word_to_sub(v.word))
-                cls = class_of(
-                    sub.group, sub.pi_to_sub(sigma), v_sub,
-                    direction="delta_inv", budget=inner_budget,
-                )
-                iv_results.append("pass" if cls.min_length == v.length else "fail")
-            except EnumerationBudgetError:
-                iv_results.append(f"skipped(inner enumeration over budget {inner_budget})")
+            sigma_sub = sub.pi_to_sub(ad_pi_on(W, pi, w1, K))
+            v_sub = sub.group.from_word(sub.word_to_sub(v.word))
+            iv_results.append(closure_verdict(sub.group, sigma_sub, v_sub))
         # (v): v w1 minimal in its full twisted class
-        if record.rank <= 6 and weyl_order(record.family, record.rank) <= full_budget:
-            cls = class_of(W, pi, w, direction="delta_inv", budget=full_budget)
-            v_results.append("pass" if cls.min_length == w.length else "fail")
-            vi_results.append(
-                "pass" if supp_delta(W, pi, cls.representative) == ctx.nodes else "fail"
-            )
-        elif slow:
-            status = closure_min_check(W, pi, w, budget=closure_budget)
-            if status == "minimal":
-                v_results.append("pass")
-            elif status == "not_minimal":
-                v_results.append("fail")
-            else:
-                v_results.append(f"skipped(closure budget {closure_budget} exceeded)")
-            vi_results.append("pass" if supp_delta(W, pi, w) == ctx.nodes else "fail")
+        if record.rank <= 6 or slow:
+            v_results.append(closure_verdict(W, pi, w))
         else:
             v_results.append("skipped(requires slow tier)")
-            vi_results.append("pass" if supp_delta(W, pi, w) == ctx.nodes else "fail")
+        # (vi): cuspidal, read off the full pi-support of v w1
+        vi_results.append("pass" if supp_delta(W, pi, w) == ctx.nodes else "fail")
 
     def fold(results: list[str]) -> str:
         if any(r == "fail" for r in results):
@@ -1195,16 +1179,13 @@ def verify_case(
     record: CaseRecord,
     q: Optional[QuadExt] = None,
     slow: bool = False,
-    inner_budget: int = 10 ** 6,
-    full_budget: int = 10 ** 6,
-    closure_budget: int = 10 ** 7,
     checks: tuple[str, ...] = ALL_CHECKS,
 ) -> CaseReport:
     """Run the selected subchecks of one record; quirky records try both readings."""
-    report = _run_case(record, record.w1, q, slow, inner_budget, full_budget, closure_budget, checks)
+    report = _run_case(record, record.w1, q, slow, checks)
     if record.alt_w1 is not None:
         if report.hard_failed:
-            alt = _run_case(record, record.alt_w1, q, slow, inner_budget, full_budget, closure_budget, checks)
+            alt = _run_case(record, record.alt_w1, q, slow, checks)
             alt.notes = record.notes
             alt.details["reading"] = "alternative (as printed)"
             if not alt.hard_failed:
@@ -1220,11 +1201,10 @@ def verify_all(
     q: Optional[QuadExt] = None,
     slow: bool = False,
     max_rank: int = 8,
-    **budgets,
 ) -> AggregateReport:
     """Verify every (filtered) record; deterministic case order."""
     records = load_case_records(max_rank=max_rank)
     if type_filter:
         records = [r for r in records if r.label.startswith(type_filter)]
-    reports = [verify_case(r, q=q, slow=slow, **budgets) for r in records]
+    reports = [verify_case(r, q=q, slow=slow) for r in records]
     return AggregateReport(cases=reports)

@@ -16,7 +16,6 @@ from .conjugacy import (
     FalsificationError,
     partition_memo,
     pi_of,
-    save_class_cache,
     shift_closure,
 )
 from .criterion import (
@@ -66,8 +65,7 @@ def cmd_enumerate(args) -> int:
             f"rep=[{word}] min_length={cls.min_length} "
             f"cuspidal={str(cls.cuspidal).lower()} size={cls.size}"
         )
-    path = save_class_cache(args.family, args.rank, args.twist, "delta", classes)
-    print(f"# {len(classes)} classes; cache written to {path}", file=sys.stderr)
+    print(f"# {len(classes)} classes", file=sys.stderr)
     return 0
 
 
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="replay the bundled case catalog")
     p.add_argument("--filter", help="label prefix, e.g. F4 or 2B2")
     p.add_argument("--q", help="override the per-type minimal q")
-    p.add_argument("--slow", action="store_true", help="include E7/E8 minimality sweeps")
+    p.add_argument("--slow", action="store_true", help="also decide E7/E8 minimality (criterion v)")
     p.add_argument("--out", help="write the aggregate JSON report here")
     p.set_defaults(func=cmd_verify_paper)
 

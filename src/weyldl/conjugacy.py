@@ -9,10 +9,8 @@ inverse permutation switches between the two twist directions.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .rootdata import Twist
 from .weyl import WeylElt, WeylGroup
@@ -31,13 +29,7 @@ __all__ = [
     "elementarily_strongly_conjugate",
     "compute_I_J_x",
     "closure_min_check",
-    "cache_path",
-    "save_class_cache",
-    "load_class_cache",
-    "CACHE_FORMAT_VERSION",
 ]
-
-CACHE_FORMAT_VERSION = 1
 
 PiMap = dict[int, int]
 
@@ -409,7 +401,7 @@ def ad_pi_on(W: WeylGroup, pi: PiMap, x: WeylElt, K: Iterable[int]) -> PiMap:
     return out
 
 
-# -- budgeted minimality certification (E7/E8 tier) --------------------------
+# -- minimality by shift closure ---------------------------------------------
 
 
 def closure_min_check(
@@ -418,12 +410,18 @@ def closure_min_check(
     w: WeylElt,
     budget: int = 10 ** 7,
 ) -> str:
-    """Certify minimality of w in its class via its shift closure.
+    """Decide minimality of w in its twisted class via its shift closure.
 
     Returns "minimal" if the non-increasing closure holds no shorter
     element, "not_minimal" on the first strict descent, "budget" if the
-    closure outgrew ``budget``.  Uses a compact encoding (images of the
-    simple roots of w and w^{-1}) so E7/E8 classes fit in memory.
+    closure outgrew ``budget``.  Complete by the descent theorem for
+    twisted classes: non-increasing cyclic shifts from any element reach
+    a minimal one.
+
+    An element is encoded by the images of the simple roots under w and
+    under w^{-1} (signed root indices); w is determined by the first half
+    alone, which keys the visited set.  Each shift is two lookups per
+    simple root in the group's reflection table.
 
     Fast path: an element whose length equals the number of pi-orbits
     of its support is minimal outright, since every element of the
@@ -443,120 +441,33 @@ def closure_min_check(
     if w.length == orbits:
         return "minimal"
 
-    rank = W.rank
-    simple_pos = [W.root_index[W.system.simple_root(i)] for i in range(1, rank + 1)]
-    cartan = W.system.cartan
-    roots = W.roots
-    root_index = W.root_index
-    srefl = [W.simple(i).perm for i in range(1, rank + 1)]
-
-    def images(u: WeylElt) -> tuple[int, ...]:
-        return tuple(u.perm[p] for p in simple_pos)
-
-    def act_table(table: tuple[int, ...], signed: int) -> int:
-        return table[signed - 1] if signed > 0 else -table[-signed - 1]
-
-    def mult_images(img: tuple[int, ...], left: Optional[int], right: Optional[int]):
-        """Images of s_left * u * s_right given images of u."""
-        out = list(img)
-        if right is not None:
-            # (u s_r)(alpha_i) = u(alpha_i) - C[r][i] u(alpha_r)
-            base = list(out)
-            for i in range(rank):
-                c = cartan[right - 1][i]
-                if i == right - 1:
-                    out[i] = -base[i]
-                elif c:
-                    v1 = W.signed_to_coords(base[i])
-                    v2 = W.signed_to_coords(base[right - 1])
-                    coords = tuple(a - c * b for a, b in zip(v1, v2))
-                    if coords in root_index:
-                        out[i] = root_index[coords] + 1
-                    else:
-                        out[i] = -(root_index[tuple(-x for x in coords)] + 1)
-        if left is not None:
-            tbl = srefl[left - 1]
-            out = [act_table(tbl, t) for t in out]
-        return tuple(out)
-
-    w0 = w
-    winv0 = W.invert(w)
-    start = (images(w0), images(winv0))
-    seen_keys = {start}
-    frontier = [(start[0], start[1], w.length)]
-    letters = sorted(pi)
+    refl = W.reflection_table()
+    simple_pos = [W.root_index[W.system.simple_root(i)] for i in range(1, W.rank + 1)]
+    srefl = [refl[p + 1] for p in simple_pos]
+    start = tuple(w.perm[p] for p in simple_pos)
+    seen_imgs = {start}
+    frontier = [(start, tuple(W.invert(w).perm[p] for p in simple_pos))]
+    moves = [(j - 1, pi[j] - 1) for j in sorted(pi)]
     while frontier:
         nxt = []
-        for img, inv_img, length in frontier:
-            for j in letters:
-                pj = pi[j]
-                # l(w s_{pi(j)}) = l(w) + sign of w(alpha_{pi(j)})
-                d1 = 1 if img[pj - 1] > 0 else -1
-                mid_inv = mult_images(inv_img, pj, None)  # (w s_pj)^-1 = s_pj w^-1
-                t = act_table(srefl[pj - 1], inv_img[j - 1])  # (s_pj w^-1)(alpha_j)
-                d2 = 1 if t > 0 else -1
-                new_len = length + d1 + d2
-                if new_len > length:
-                    continue
-                if new_len < length:
+        for img, inv in frontier:
+            for j, pj in moves:
+                # l(s_j w s_pj) - l(w) is the sum of the signs of w(alpha_pj)
+                # and of (s_pj w^-1)(alpha_j).
+                s_pj = srefl[pj]
+                up = img[pj] > 0
+                if up == (s_pj[inv[j]] > 0):
+                    if up:
+                        continue
                     return "not_minimal"
-                new_img = mult_images(img, j, pj)
-                new_inv = mult_images(mid_inv, None, j)
-                key = (new_img, new_inv)
-                if key not in seen_keys:
-                    if len(seen_keys) >= budget:
+                s_j, r = srefl[j], refl[abs(img[pj])]
+                new_img = tuple([s_j[r[t]] for t in img])
+                if new_img not in seen_imgs:
+                    if len(seen_imgs) >= budget:
                         return "budget"
-                    seen_keys.add(key)
-                    nxt.append((new_img, new_inv, new_len))
+                    seen_imgs.add(new_img)
+                    mid = [s_pj[t] for t in inv]
+                    r = refl[abs(mid[j])]
+                    nxt.append((new_img, tuple([r[t] for t in mid])))
         frontier = nxt
     return "minimal"
-
-
-# -- on-disk class cache --------------------------------------------------------
-
-
-def cache_dir() -> str:
-    return os.environ.get("WEYL_DL_CACHE", os.path.join(".", ".cache"))
-
-
-def cache_path(family: str, rank: int, twist: int, direction: str) -> str:
-    name = f"classes-{family}{rank}-t{twist}-{direction}-v{CACHE_FORMAT_VERSION}.jsonl"
-    return os.path.join(cache_dir(), name)
-
-
-def save_class_cache(
-    family: str,
-    rank: int,
-    twist: int,
-    direction: str,
-    classes: Sequence[DeltaClass],
-) -> str:
-    path = cache_path(family, rank, twist, direction)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    header = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "group": {"family": family, "rank": rank, "twist": twist},
-        "direction": direction,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for c in classes:
-            row = {
-                "rep": list(c.representative.word),
-                "min_length": c.min_length,
-                "cuspidal": c.cuspidal,
-                "size": c.size,
-            }
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-    return path
-
-
-def load_class_cache(family: str, rank: int, twist: int, direction: str) -> Optional[list[dict]]:
-    path = cache_path(family, rank, twist, direction)
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("format_version") != CACHE_FORMAT_VERSION:
-        return None
-    return lines[1:]

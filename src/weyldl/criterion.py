@@ -29,7 +29,14 @@ from typing import Iterable, Optional, Sequence
 from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
 from .exactnum import QuadExt, SQRT2, SQRT3, qext
 from .lp import solve_strict
-from .rootdata import Coweight, Twist, build_root_system, build_twist
+from .rootdata import (
+    Coweight,
+    Twist,
+    build_root_system,
+    build_twist,
+    cartan_matrix,
+    positive_root_count,
+)
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -274,11 +281,11 @@ class Certificate:
             grp = obj["group"]
             cert = cls(
                 family=grp["family"],
-                rank=int(grp["rank"]),
-                twist=int(grp["twist"]),
+                rank=_strict_int(grp["rank"]),
+                twist=_strict_int(grp["twist"]),
                 direction=obj["direction"],
                 q=QuadExt.from_json(obj["q"]),
-                w=tuple(int(x) for x in obj["w"]),
+                w=tuple(_strict_int(x) for x in obj["w"]),
                 form=obj["form"],
                 mu=Coweight.from_json(obj["mu"]),
             )
@@ -292,9 +299,16 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also Python's digit limit
             raise CertificateError(f"not JSON: {exc}") from exc
         return cls.from_json_dict(obj)
+
+
+def _strict_int(value) -> int:
+    """``value`` itself when it is exactly an int: no bool, float or numeric string."""
+    if type(value) is not int:
+        raise CertificateError(f"expected an integer, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -316,6 +330,12 @@ def check_certificate(cert: Certificate) -> CheckResult:
     """Re-derive the certificate's system from scratch and evaluate it."""
     if not 1 <= cert.rank <= MAX_RANK:
         return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
+    try:
+        cartan_matrix(cert.family, cert.rank)
+    except ValueError as exc:
+        return CheckResult(False, f"bad group descriptor: {exc}")
+    if len(cert.w) > positive_root_count(cert.family, cert.rank):
+        return CheckResult(False, "word longer than the longest element")
     try:
         W, twist = _group_context(cert.family, cert.rank, cert.twist)
     except Exception as exc:

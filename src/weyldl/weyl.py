@@ -84,6 +84,7 @@ class WeylGroup:
         self.identity = WeylElt(self, tuple(range(1, self.nroots + 1)))
         self._simples = [WeylElt(self, self._srefl[i]) for i in range(self.rank)]
         self._elements_cache: dict[frozenset[int], dict[tuple[int, ...], WeylElt]] = {}
+        self._reflections: Optional[list[list[int]]] = None
 
     # -- basic elements ------------------------------------------------------
 
@@ -142,6 +143,36 @@ class WeylGroup:
     def act_on_simple(self, w: WeylElt, i: int) -> int:
         """Signed root index of w(alpha_i)."""
         return w.perm[self.root_index[self.system.simple_root(i)]]
+
+    def reflection_table(self) -> list[list[int]]:
+        """Row p: signed action of the reflection in beta_p on signed root indices.
+
+        ``row[t]`` is the signed index of s_beta(beta_t) for t = +-1..+-N
+        (negative t by Python's negative indexing); row 0 is unused.  Built
+        once, by height: s_beta = s_j s_beta' s_j when s_j beta = beta' is lower.
+        """
+        if self._reflections is None:
+            n = self.nroots
+
+            def signed(images: Sequence[int]) -> list[int]:
+                row = [0] * (2 * n + 1)
+                for t, img in enumerate(images, 1):
+                    row[t], row[-t] = img, -img
+                return row
+
+            height = [0] + [sum(r) for r in self.roots]
+            simple_rows = [signed(col) for col in self._srefl]
+            rows: list = [None] * (n + 1)
+            for p in sorted(range(1, n + 1), key=height.__getitem__):
+                if height[p] == 1:
+                    rows[p] = simple_rows[self.roots[p - 1].index(1)]
+                    continue
+                j = next(j for j in range(self.rank) if 0 < self._srefl[j][p - 1]
+                         and height[self._srefl[j][p - 1]] < height[p])
+                s, lower = simple_rows[j], rows[self._srefl[j][p - 1]]
+                rows[p] = signed([s[lower[s[t]]] for t in range(1, n + 1)])
+            self._reflections = rows
+        return self._reflections
 
     def signed_to_coords(self, signed: int) -> Root:
         coords = self.roots[abs(signed) - 1]

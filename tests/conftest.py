@@ -10,6 +10,15 @@ if str(SRC) not in sys.path:
 from weyldl.rootdata import build_root_system, build_twist  # noqa: E402
 from weyldl.weyl import WeylGroup  # noqa: E402
 
+# The 21 twisted groups of rank <= 4: (family, rank, twist order).
+RANK_LE_4 = [
+    ("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2),
+    ("A", 4, 1), ("A", 4, 2), ("B", 2, 1), ("B", 2, 2), ("B", 3, 1),
+    ("B", 4, 1), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1), ("D", 4, 1),
+    ("D", 4, 2), ("D", 4, 3), ("F", 4, 1), ("F", 4, 2), ("G", 2, 1),
+    ("G", 2, 2),
+]
+
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
 

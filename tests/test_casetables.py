@@ -3,13 +3,17 @@ import json
 import pytest
 
 from weyldl.casetables import (
+    _resolve_v_options,
     load_case_records,
     type_context,
     verify_all,
     verify_case,
 )
+from weyldl.conjugacy import ad_pi_on, class_of, compute_I_J_x
 from weyldl.criterion import check_certificate
 from weyldl.exactnum import SQRT2, qext
+from weyldl.rootdata import weyl_order
+from weyldl.subsystems import sub_context
 
 
 def by_label(records, label):
@@ -166,6 +170,58 @@ class TestCoverage:
                     covered[cls.representative] = True
         missing = [rep.word for rep, ok in covered.items() if not ok]
         assert not missing, missing
+
+
+def _verdicts_by_enumeration(record):
+    """Criteria (iv)-(vi) of one row, read off enumerated class partitions."""
+    ctx = type_context(record.family, record.rank, record.twist)
+    W, pi = ctx.W, ctx.pi_inv
+    w1 = W.from_word(record.w1)
+    K = compute_I_J_x(W, pi, record.J, w1)
+    v_words, problem = _resolve_v_options(ctx, record, w1, K)
+    assert problem is None, problem
+    inner, full, cuspidal = [], [], []
+    for vw in v_words:
+        v = W.from_word(vw)
+        if K and W.support(v) <= K:
+            sub = sub_context(W, K)
+            sigma_sub = sub.pi_to_sub(ad_pi_on(W, pi, w1, K))
+            v_sub = sub.group.from_word(sub.word_to_sub(v.word))
+            cls = class_of(sub.group, sigma_sub, v_sub, direction="delta_inv")
+            inner.append(cls.min_length == v.length)
+        else:
+            inner.append(not K)
+        w = W.multiply(v, w1)
+        cls = class_of(W, pi, w, direction="delta_inv")
+        full.append(cls.min_length == w.length)
+        cuspidal.append(cls.cuspidal)
+    if record.v_mode == "all":
+        v_verdict = "pass" if any(full) else "skipped(row pairs with no inner class at this rank)"
+    else:
+        v_verdict = "pass" if all(full) else "fail"
+    verdicts = {
+        "v_min_inner": "pass" if all(inner) else "fail",
+        "vw1_min_full": v_verdict,
+        "cuspidal": "pass" if all(cuspidal) else "fail",
+    }
+    return verdicts, sum(full)
+
+
+SMALL_GROUP_ROWS = [
+    r.label for r in load_case_records(max_rank=8)
+    if weyl_order(r.family, r.rank) <= 10 ** 4
+]
+
+
+@pytest.mark.parametrize("label", SMALL_GROUP_ROWS)
+def test_closure_verdicts_match_enumeration(records, label):
+    """On groups of at most 10^4 elements, enumeration gives the report's (iv)-(vi)."""
+    record = by_label(records, label)
+    assert record.alt_w1 is None
+    expected, minimal_products = _verdicts_by_enumeration(record)
+    report = verify_case(record)
+    assert {k: report.subchecks[k] for k in expected} == expected
+    assert report.details["v_minimal_products"] == minimal_products
 
 
 class TestQuirkRecords:

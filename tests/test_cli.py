@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -21,29 +19,22 @@ def run_cli(*args, cwd=None):
     )
 
 
-@pytest.fixture()
-def workdir(tmp_path):
-    os.environ["WEYL_DL_CACHE"] = str(tmp_path / ".cache")
-    yield tmp_path
-    del os.environ["WEYL_DL_CACHE"]
-
-
 class TestEnumerate:
-    def test_g2(self, workdir):
-        out = run_cli("enumerate", "--family", "G", "--rank", "2", cwd=workdir)
+    def test_g2(self, tmp_path):
+        out = run_cli("enumerate", "--family", "G", "--rank", "2", cwd=tmp_path)
         assert out.returncode == 0
         lines = [l for l in out.stdout.splitlines() if l.startswith("rep=")]
         assert len(lines) == 6
         assert sum("cuspidal=true" in l for l in lines) == 3
 
-    def test_a1(self, workdir):
-        out = run_cli("enumerate", "--family", "A", "--rank", "1", cwd=workdir)
+    def test_a1(self, tmp_path):
+        out = run_cli("enumerate", "--family", "A", "--rank", "1", cwd=tmp_path)
         assert out.returncode == 0
         assert len([l for l in out.stdout.splitlines() if l.startswith("rep=")]) == 2
 
-    def test_triality_rows(self, workdir):
+    def test_triality_rows(self, tmp_path):
         out = run_cli(
-            "enumerate", "--family", "D", "--rank", "4", "--twist", "3", cwd=workdir
+            "enumerate", "--family", "D", "--rank", "4", "--twist", "3", cwd=tmp_path
         )
         assert out.returncode == 0
         lines = [l for l in out.stdout.splitlines() if l.startswith("rep=")]
@@ -57,95 +48,101 @@ class TestEnumerate:
         )
         assert lengths == [2, 4, 6, 8]
 
-    def test_cache_written(self, workdir):
-        run_cli("enumerate", "--family", "G", "--rank", "2", cwd=workdir)
-        cache = workdir / ".cache" / "classes-G2-t1-delta-v1.jsonl"
-        assert cache.exists()
-        header = json.loads(cache.read_text().splitlines()[0])
-        assert header["group"] == {"family": "G", "rank": 2, "twist": 1}
-
-    def test_usage_error(self, workdir):
-        out = run_cli("enumerate", "--family", "Z", "--rank", "2", cwd=workdir)
+    def test_usage_error(self, tmp_path):
+        out = run_cli("enumerate", "--family", "Z", "--rank", "2", cwd=tmp_path)
         assert out.returncode == 2
 
 
 class TestCertifyCheck:
-    def test_suzuki_round_trip(self, workdir):
-        cert_path = workdir / "cert.json"
+    def test_suzuki_round_trip(self, tmp_path):
+        cert_path = tmp_path / "cert.json"
         out = run_cli(
             "certify", "--family", "B", "--rank", "2", "--twist", "2",
             "--class-rep", "1", "--q", "sqrt2", "--out", str(cert_path),
-            cwd=workdir,
+            cwd=tmp_path,
         )
         assert out.returncode == 0, out.stderr
         payload = json.loads(cert_path.read_text())
         assert payload["format_version"] == 1
         assert payload["group"] == {"family": "B", "rank": 2, "twist": 2}
         assert payload["form"] == "lemma-1.11"
-        check = run_cli("check", str(cert_path), cwd=workdir)
+        check = run_cli("check", str(cert_path), cwd=tmp_path)
         assert check.returncode == 0
         assert check.stdout.startswith("accept")
 
-    def test_check_rejects_tampering(self, workdir):
-        cert_path = workdir / "cert.json"
+    def test_check_rejects_tampering(self, tmp_path):
+        cert_path = tmp_path / "cert.json"
         run_cli(
             "certify", "--family", "A", "--rank", "2", "--class-rep", "1,2",
-            "--out", str(cert_path), cwd=workdir,
+            "--out", str(cert_path), cwd=tmp_path,
         )
         payload = json.loads(cert_path.read_text())
         payload["mu"][0]["a"] = "-99/1"
-        bad = workdir / "bad.json"
+        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        out = run_cli("check", str(bad), cwd=workdir)
+        out = run_cli("check", str(bad), cwd=tmp_path)
         assert out.returncode == 1
         assert "reject" in out.stderr
 
-    def test_check_rejects_garbage(self, workdir):
-        bad = workdir / "garbage.json"
+    def test_check_rejects_garbage(self, tmp_path):
+        bad = tmp_path / "garbage.json"
         bad.write_text("{]")
-        out = run_cli("check", str(bad), cwd=workdir)
+        out = run_cli("check", str(bad), cwd=tmp_path)
         assert out.returncode == 1
 
-    def test_byte_identical_runs(self, workdir):
+    def test_byte_identical_runs(self, tmp_path):
         args = (
             "certify", "--family", "G", "--rank", "2", "--class-rep", "1,2",
         )
-        a = run_cli(*args, cwd=workdir).stdout
-        b = run_cli(*args, cwd=workdir).stdout
+        a = run_cli(*args, cwd=tmp_path).stdout
+        b = run_cli(*args, cwd=tmp_path).stdout
         assert a == b and a.strip()
 
 
 class TestVerifyPaper:
-    def test_f4_filter(self, workdir):
-        out = run_cli("verify-paper", "--filter", "F4", cwd=workdir)
+    def test_f4_filter(self, tmp_path):
+        out = run_cli("verify-paper", "--filter", "F4", cwd=tmp_path)
         assert out.returncode == 0, out.stdout + out.stderr
         assert "total: 7/7 cases pass" in out.stdout
 
-    def test_report_json(self, workdir):
-        path = workdir / "report.json"
+    def test_report_json(self, tmp_path):
+        path = tmp_path / "report.json"
         out = run_cli(
-            "verify-paper", "--filter", "2B2", "--out", str(path), cwd=workdir
+            "verify-paper", "--filter", "2B2", "--out", str(path), cwd=tmp_path
         )
         assert out.returncode == 0
         payload = json.loads(path.read_text())
         assert [c["label"] for c in payload["cases"]] == ["2B2 case 1", "2B2 case 2"]
 
+    def test_slow_decides_e7_minimality(self, tmp_path):
+        """--slow runs the shift closure on an E7 row the default tier skips."""
+        verdicts = {}
+        for flags in ((), ("--slow",)):
+            path = tmp_path / "report.json"
+            out = run_cli(
+                "verify-paper", "--filter", "E7 case 2", *flags, "--out", str(path), cwd=tmp_path
+            )
+            assert out.returncode == 0, out.stdout + out.stderr
+            (case,) = json.loads(path.read_text())["cases"]
+            verdicts[flags] = case["subchecks"]["vw1_min_full"]
+        assert verdicts == {(): "skipped(requires slow tier)", ("--slow",): "pass"}
+
 
 class TestShiftGraph:
-    def test_a2_coxeter(self, workdir):
+    def test_a2_coxeter(self, tmp_path):
         out = run_cli(
             "shift-graph", "--family", "A", "--rank", "2", "--class-rep", "1,2",
-            cwd=workdir,
+            cwd=tmp_path,
         )
         assert out.returncode == 0
         assert "# 2 nodes, 2 edges" in out.stderr
         assert '"1,2" -> "2,1"' in out.stdout
 
-    def test_dot_file(self, workdir):
-        path = workdir / "graph.dot"
+    def test_dot_file(self, tmp_path):
+        path = tmp_path / "graph.dot"
         out = run_cli(
             "shift-graph", "--family", "G", "--rank", "2", "--class-rep", "1,2",
-            "--dot", str(path), cwd=workdir,
+            "--dot", str(path), cwd=tmp_path,
         )
         assert out.returncode == 0
         assert path.read_text().startswith("digraph shifts {")

@@ -1,6 +1,3 @@
-import json
-import os
-
 import pytest
 
 from weyldl.conjugacy import (
@@ -11,10 +8,8 @@ from weyldl.conjugacy import (
     elementarily_strongly_conjugate,
     enumerate_delta_classes,
     is_cuspidal,
-    load_class_cache,
     partition_memo,
     pi_of,
-    save_class_cache,
     shift_closure,
     shift_descend_to_min,
     supp_delta,
@@ -22,7 +17,7 @@ from weyldl.conjugacy import (
 from weyldl.rootdata import build_twist
 from weyldl.weyl import WeylGroup
 
-from conftest import group, twist_of
+from conftest import RANK_LE_4, group, twist_of
 
 
 def identity_pi(W):
@@ -232,20 +227,32 @@ class TestClosureMinCheck:
         for cls in classes[:12]:
             for w in cls.min_elements()[:2]:
                 assert closure_min_check(F4, pi, w) == "minimal"
-        # A non-minimal element must be detected.
-        w0 = F4.longest_element(range(1, 5))
-        big = F4.multiply(F4.simple(1), F4.multiply(w0, F4.simple(1)))
-        cls = class_of(F4, pi, big)
-        if big.length > cls.min_length:
-            assert closure_min_check(F4, pi, big) == "not_minimal"
+        # A non-minimal element must be detected: s_1 w0 has length 23,
+        # its class minimal length 9.
+        big = F4.multiply(F4.simple(1), F4.longest_element(range(1, 5)))
+        assert big.length > class_of(F4, pi, big).min_length
+        assert closure_min_check(F4, pi, big) == "not_minimal"
 
     def test_budget(self, F4):
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
         cls = class_of(F4, pi, w)
         picked = [x for x in cls.elements if x.length == cls.min_length][0]
-        if picked.length > supp_len(F4, pi, picked):
-            assert closure_min_check(F4, pi, picked, budget=1) == "budget"
+        # Longer than its support needs, so the fast path does not answer.
+        assert picked.length > supp_len(F4, pi, picked)
+        assert closure_min_check(F4, pi, picked, budget=1) == "budget"
+
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+    def test_decides_minimality_rank_le_4(self, family, rank, order):
+        """Closure says "minimal" exactly on the minimal level of each enumerated class."""
+        W = group(family, rank)
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(build_twist(family, rank, order), direction)
+            for w in W.elements().values():
+                minimal = w.length == class_of(W, pi, w, direction=direction).min_length
+                assert closure_min_check(W, pi, w) == ("minimal" if minimal else "not_minimal"), (
+                    family, rank, order, direction, w.word,
+                )
 
 
 def supp_len(W, pi, w):
@@ -297,28 +304,3 @@ class TestBudgets:
         with pytest.raises(EnumerationBudgetError):
             enumerate_delta_classes(fresh, identity_pi(fresh), budget=10)
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path, G2):
-        os.environ["WEYL_DL_CACHE"] = str(tmp_path)
-        try:
-            pi = identity_pi(G2)
-            classes = enumerate_delta_classes(G2, pi)
-            path = save_class_cache("G", 2, 1, "delta", classes)
-            assert os.path.exists(path)
-            rows = load_class_cache("G", 2, 1, "delta")
-            assert len(rows) == len(classes)
-            assert rows[0] == {"rep": [], "min_length": 0, "cuspidal": False, "size": 1}
-            with open(path) as fh:
-                header = json.loads(fh.readline())
-            assert header["format_version"] == 1
-            assert header["group"] == {"family": "G", "rank": 2, "twist": 1}
-        finally:
-            del os.environ["WEYL_DL_CACHE"]
-
-    def test_missing_cache(self, tmp_path):
-        os.environ["WEYL_DL_CACHE"] = str(tmp_path)
-        try:
-            assert load_class_cache("E", 8, 1, "delta") is None
-        finally:
-            del os.environ["WEYL_DL_CACHE"]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyldl.conjugacy import partition_memo, pi_of
 from weyldl.criterion import (
@@ -10,6 +12,7 @@ from weyldl.criterion import (
     FORM_INVERSE,
     Certificate,
     CertificateError,
+    CheckResult,
     build_forward_system,
     build_inverse_system,
     build_star_system,
@@ -195,6 +198,12 @@ def _set_group(**fields):
     return mutate
 
 
+def _set_word(word):
+    def mutate(obj):
+        obj["w"] = word
+    return mutate
+
+
 def _unprintable_slack(obj):
     # m1 - m2 = (1 - 10^4000 * 3^3000) / 3^3000: each coordinate parses,
     # but the violated first row's slack has more digits than str() allows.
@@ -216,6 +225,15 @@ HOSTILE = [
     ("unprintable_slack", _unprintable_slack, "violated: q-row i=1"),
     ("rank_zero", _set_group(rank=0), "rank must be in 1..8"),
     ("huge_rank", _set_group(rank=10 ** 9), "rank must be in 1..8"),
+    ("string_rank", _set_group(rank="2"), None),
+    ("bool_rank", _set_group(rank=True), None),
+    ("float_twist", _set_group(twist=1.5), None),
+    ("infinite_rank", _set_group(rank=float("inf")), None),
+    ("float_letters", _set_word([1.9, 2.5]), None),
+    ("string_letter", _set_word([2, "1"]), None),
+    ("bool_letter", _set_word([2, True]), None),
+    ("word_too_long", _set_word([2, 1] * 10 ** 5), "word longer than the longest element"),
+    ("unknown_family", _set_group(family="Z"), "bad group descriptor"),
 ]
 
 
@@ -231,6 +249,52 @@ def test_hostile_certificate_rejected_without_crash(mutate, reason):
     else:
         result = check_certificate(Certificate.from_json(text))
         assert not result and result.reason.startswith(reason)
+
+
+# Arbitrary JSON values, and the places in a valid certificate they may replace.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8)
+    | st.sampled_from(["1/2", "-3/1", "0/1", "G", "E", "delta_inv", FORM_INVERSE]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_PATHS = [
+    ("format_version",), ("group",), ("group", "family"), ("group", "rank"),
+    ("group", "twist"), ("direction",), ("q",), ("q", "a"), ("q", "d"), ("w",),
+    ("w", 0), ("form",), ("mu",), ("mu", 0), ("mu", 1, "b"), ("mu", 1, "d"),
+]
+
+
+def _assert_accepts_or_rejects(text):
+    try:
+        cert = Certificate.from_json(text)
+    except CertificateError:
+        return
+    assert isinstance(check_certificate(cert), CheckResult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), _JSON), min_size=1, max_size=3))
+def test_fuzzed_certificate_fields(edits):
+    """A valid certificate with fields replaced by arbitrary JSON never crashes the checker."""
+    obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
+    for path, value in edits:
+        holder = obj
+        try:
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed this place
+    _assert_accepts_or_rejects(json.dumps(obj))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=40) | _JSON.map(json.dumps))
+def test_fuzzed_certificate_text(text):
+    """Arbitrary text or JSON ends as an accept, a reject or a CertificateError."""
+    _assert_accepts_or_rejects(text)
 
 
 class TestCertify:

@@ -142,6 +142,20 @@ class TestOrders:
         assert len(W.elements()) == weyl_order(family, rank)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_reflection_table_matches_conjugated_simple_reflections(family, rank):
+    """Row |w(alpha_i)| of the table is the action of w s_i w^-1, for every w and i."""
+    W = group(family, rank)
+    table = W.reflection_table()
+    for w in W.elements().values():
+        for i in range(1, rank + 1):
+            t = W.act_on_simple(w, i)
+            reflection = W.multiply(W.multiply(w, W.simple(i)), W.invert(w))
+            row = table[abs(t)]
+            assert [row[p] for p in range(1, W.nroots + 1)] == list(reflection.perm)
+            assert [row[-p] for p in range(1, W.nroots + 1)] == [-x for x in reflection.perm]
+
+
 @given(st.lists(st.integers(1, 3), max_size=10), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_length_changes_by_one_b3(word, i):
