@@ -10,6 +10,7 @@ inverse permutation switches between the two twist directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .rootdata import Twist
@@ -172,31 +173,15 @@ class DeltaClass:
         mins = [w for w in self.elements if w.length == self.min_length]
         return sorted(mins, key=lambda w: w.sort_key())
 
-    def contains(self, w: WeylElt) -> bool:
+    @cached_property
+    def members(self) -> frozenset[WeylElt]:
+        """The elements as a set, built on first use."""
         if self.elements is None:
             raise ValueError("class was enumerated without elements")
-        return w in set(self.elements)
+        return frozenset(self.elements)
 
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    def contains(self, w: WeylElt) -> bool:
+        return w in self.members
 
 
 def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
@@ -224,25 +209,42 @@ def enumerate_delta_classes(
 
     Classes come back sorted by (min_length, canonical word of the
     representative); the representative is the smallest minimal-length
-    element in that order.
+    element in that order.  Members keep the enumeration order.
+
+    Classes are the orbits of the shifts over element ids, each element
+    keyed by its images of the simple roots (signed root indices).  The
+    shift s_j w s_{pi(j)} equals s_j s_beta w with beta = w(alpha_{pi(j)}),
+    so its key is two lookups per simple root in the reflection table.
     """
     node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
     pi = restrict_pi(pi, node_set)
     elements = W.elements(node_set, budget=budget)
     elts = list(elements.values())
-    index = {w.perm: k for k, w in enumerate(elts)}
-    uf = _UnionFind(len(elts))
-    letters = sorted(node_set)
+    keys = list(elements)
+    refl = W.reflection_table()
+    index = {img: k for k, img in enumerate(keys)}
+    moves = [(refl[W.simple_pos[j - 1] + 1], pi[j] - 1) for j in sorted(node_set)]
+    label = [-1] * len(elts)
+    buckets: list[list[WeylElt]] = []
+    for start in range(len(elts)):
+        if label[start] >= 0:
+            continue
+        label[start] = len(buckets)
+        stack = [start]
+        while stack:
+            img = keys[stack.pop()]
+            for s_j, pj in moves:
+                r = refl[abs(img[pj])]
+                k = index[tuple([s_j[r[t]] for t in img])]
+                if label[k] < 0:
+                    label[k] = len(buckets)
+                    stack.append(k)
+        buckets.append([])
     for k, w in enumerate(elts):
-        for j in letters:
-            u = W.multiply(W.multiply(W.simple(j), w), W.simple(pi[j]))
-            uf.union(k, index[u.perm])
-    buckets: dict[int, list[WeylElt]] = {}
-    for k, w in enumerate(elts):
-        buckets.setdefault(uf.find(k), []).append(w)
+        buckets[label[k]].append(w)
 
     classes = []
-    for members in buckets.values():
+    for members in buckets:
         min_len = min(w.length for w in members)
         mins = sorted((w for w in members if w.length == min_len), key=lambda w: w.word)
         rep = mins[0]
@@ -274,7 +276,14 @@ def partition_memo(
     direction: str = "delta",
     budget: int = 10 ** 6,
 ) -> list[DeltaClass]:
-    """Memoized class partition; safe across group instances of equal type."""
+    """Memoized class partition, keyed on the group's system key.
+
+    Equal keys mean equal Cartan matrices, hence equal root orderings and
+    element encodings, so the entry is safe across group instances.  A
+    standalone parabolic (``subsystems.sub_context``) is labelled by its
+    Cartan submatrix alone, so node sets of different ambient groups with
+    equal submatrices share one group and one partition.
+    """
     node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
     key = (W.system.key, node_set, tuple(sorted(restrict_pi(pi, node_set).items())), direction)
     if key not in _PARTITION_MEMO:
@@ -442,11 +451,10 @@ def closure_min_check(
         return "minimal"
 
     refl = W.reflection_table()
-    simple_pos = [W.root_index[W.system.simple_root(i)] for i in range(1, W.rank + 1)]
-    srefl = [refl[p + 1] for p in simple_pos]
-    start = tuple(w.perm[p] for p in simple_pos)
+    srefl = [refl[p + 1] for p in W.simple_pos]
+    start = tuple(w.perm[p] for p in W.simple_pos)
     seen_imgs = {start}
-    frontier = [(start, tuple(W.invert(w).perm[p] for p in simple_pos))]
+    frontier = [(start, tuple(W.invert(w).perm[p] for p in W.simple_pos))]
     moves = [(j - 1, pi[j] - 1) for j in sorted(pi)]
     while frontier:
         nxt = []

@@ -34,7 +34,6 @@ from .rootdata import (
     Twist,
     build_root_system,
     build_twist,
-    cartan_matrix,
     positive_root_count,
 )
 from .weyl import WeylElt, WeylGroup
@@ -331,10 +330,10 @@ def check_certificate(cert: Certificate) -> CheckResult:
     if not 1 <= cert.rank <= MAX_RANK:
         return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
     try:
-        cartan_matrix(cert.family, cert.rank)
+        max_length = positive_root_count(cert.family, cert.rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
-    if len(cert.w) > positive_root_count(cert.family, cert.rank):
+    if len(cert.w) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
         W, twist = _group_context(cert.family, cert.rank, cert.twist)

@@ -53,26 +53,41 @@ def _chain_cartan(n: int) -> list[list[int]]:
     return c
 
 
+def _check_type(family: str, rank: int) -> None:
+    """Raise InvalidCartanTypeError unless (family, rank) names an irreducible type."""
+    n = rank
+    if not (
+        (family == "A" and n >= 1)
+        or (family in ("B", "C") and n >= 2)
+        or (family == "D" and n >= 3)
+        or (family == "E" and n in (6, 7, 8))
+        or (family == "F" and n == 4)
+        or (family == "G" and n == 2)
+    ):
+        raise InvalidCartanTypeError(f"no root system of type {family}{rank}")
+
+
 def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of an irreducible type, Bourbaki node order."""
+    _check_type(family, rank)
     n = rank
-    if family == "A" and n >= 1:
+    if family == "A":
         c = _chain_cartan(n)
-    elif family == "B" and n >= 2:
+    elif family == "B":
         # alpha_n is the short root.
         c = _chain_cartan(n)
         c[n - 1][n - 2] = -2
-    elif family == "C" and n >= 2:
+    elif family == "C":
         # alpha_n is the long root.
         c = _chain_cartan(n)
         c[n - 2][n - 1] = -2
-    elif family == "D" and n >= 3:
+    elif family == "D":
         c = _chain_cartan(n)
         c[n - 1][n - 2] = 0
         c[n - 2][n - 1] = 0
         c[n - 3][n - 1] = -1
         c[n - 1][n - 3] = -1
-    elif family == "E" and n in (6, 7, 8):
+    elif family == "E":
         c = [[0] * n for _ in range(n)]
         for i in range(n):
             c[i][i] = 2
@@ -80,36 +95,37 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
         for i, j in edges:
             c[i - 1][j - 1] = -1
             c[j - 1][i - 1] = -1
-    elif family == "F" and n == 4:
+    elif family == "F":
         # alpha_1, alpha_2 long; alpha_3, alpha_4 short.
         c = _chain_cartan(4)
         c[2][1] = -2
-    elif family == "G" and n == 2:
-        # alpha_1 short, alpha_2 long; highest root 3a1 + 2a2.
-        c = [[2, -3], [-1, 2]]
     else:
-        raise InvalidCartanTypeError(f"no root system of type {family}{rank}")
+        # G2: alpha_1 short, alpha_2 long; highest root 3a1 + 2a2.
+        c = [[2, -3], [-1, 2]]
     return tuple(tuple(row) for row in c)
 
 
 def positive_root_count(family: str, rank: int) -> int:
-    """Classical closed forms for |Phi^+|."""
+    """Classical closed forms for |Phi^+|; raises where ``cartan_matrix`` does."""
+    _check_type(family, rank)
     n = rank
     return {
         "A": n * (n + 1) // 2,
         "B": n * n,
         "C": n * n,
         "D": n * (n - 1),
-        "E": {6: 36, 7: 63, 8: 120}.get(n, -1),
+        "E": {6: 36, 7: 63, 8: 120}.get(n),
         "F": 24,
         "G": 6,
     }[family]
 
 
 def weyl_order(family: str, rank: int) -> int:
-    """|W| closed forms, used as enumeration oracles in tests."""
+    """|W| closed forms, used as enumeration oracles in tests; raises where
+    ``cartan_matrix`` does."""
     import math
 
+    _check_type(family, rank)
     n = rank
     if family == "A":
         return math.factorial(n + 1)
@@ -121,9 +137,7 @@ def weyl_order(family: str, rank: int) -> int:
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
     if family == "F":
         return 1152
-    if family == "G":
-        return 12
-    raise InvalidCartanTypeError(family)
+    return 12
 
 
 def reflect(cartan: Sequence[Sequence[int]], i: int, coords: Root) -> Root:

@@ -4,9 +4,11 @@ A node subset S of an ambient system spans a root subsystem whose
 simple roots are the alpha_s, s in S.  Re-rooting it as a standalone
 RootSystem (Cartan submatrix, nodes renumbered 1..|S| in sorted order)
 keeps enumeration costs proportional to the subsystem, not the ambient
-group.  ``identify_standard`` finds the Bourbaki name of an irreducible
-subsystem together with a labelling isomorphism that carries a given
-index permutation to the standard twist.
+group.  The standalone group is keyed on the Cartan submatrix, so equal
+submatrices share one group, one element encoding and one memoized
+class partition.  ``identify_standard`` finds the Bourbaki name of an
+irreducible subsystem together with a labelling isomorphism that carries
+a given index permutation to the standard twist.
 """
 
 from __future__ import annotations
@@ -21,20 +23,22 @@ __all__ = ["SubContext", "sub_context", "identify_standard", "cartan_isos"]
 
 
 class SubContext:
-    """Standalone Weyl group for a node subset of an ambient group."""
+    """Standalone Weyl group for a node subset of an ambient group.
+
+    The group is shared by every node subset, of any ambient group, with
+    the same Cartan submatrix (see ``_cartan_group``).
+    """
 
     def __init__(self, ambient: WeylGroup, nodes: frozenset[int]):
         self.ambient = ambient
         self.nodes = tuple(sorted(nodes))
         self.to_sub = {s: k + 1 for k, s in enumerate(self.nodes)}
         self.to_ambient = {k + 1: s for k, s in enumerate(self.nodes)}
-        cart = tuple(
+        self.group = _cartan_group(tuple(
             tuple(ambient.system.cartan[i - 1][j - 1] for j in self.nodes)
             for i in self.nodes
-        )
-        label = f"{ambient.system.family}{ambient.system.rank}|{'.'.join(map(str, self.nodes))}"
-        self.system = _build_from_cartan(label, len(self.nodes), cart)
-        self.group = WeylGroup(self.system)
+        ))
+        self.system = self.group.system
 
     def word_to_sub(self, word: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.to_sub[i] for i in word)
@@ -46,7 +50,20 @@ class SubContext:
         return {self.to_sub[i]: self.to_sub[pi[i]] for i in self.nodes}
 
 
+_GROUP_MEMO: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}
 _SUB_MEMO: dict[tuple, SubContext] = {}
+
+
+def _cartan_group(cartan: tuple[tuple[int, ...], ...]) -> WeylGroup:
+    """The one standalone group of a Cartan matrix.
+
+    Its label is the matrix itself, so the system key, the partition memo
+    and element equality agree exactly when the matrices do.
+    """
+    if cartan not in _GROUP_MEMO:
+        label = "cartan:" + "/".join(",".join(map(str, row)) for row in cartan)
+        _GROUP_MEMO[cartan] = WeylGroup(_build_from_cartan(label, len(cartan), cartan))
+    return _GROUP_MEMO[cartan]
 
 
 def sub_context(ambient: WeylGroup, nodes: Iterable[int]) -> SubContext:

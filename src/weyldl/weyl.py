@@ -25,10 +25,10 @@ class WeylElt:
 
     __slots__ = ("group", "perm", "length", "_word")
 
-    def __init__(self, group: "WeylGroup", perm: tuple[int, ...]):
+    def __init__(self, group: "WeylGroup", perm: tuple[int, ...], length: Optional[int] = None):
         self.group = group
         self.perm = perm
-        self.length = sum(1 for t in perm if t < 0)
+        self.length = sum(1 for t in perm if t < 0) if length is None else length
         self._word: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
@@ -70,6 +70,8 @@ class WeylGroup:
         self.roots = system.positive_roots
         self.nroots = len(self.roots)
         self.root_index = system.root_index
+        # Position in ``roots`` of each simple root alpha_1..alpha_rank.
+        self.simple_pos = tuple(self.root_index[system.simple_root(i)] for i in system.nodes)
         self._srefl: list[tuple[int, ...]] = []
         for i in range(1, self.rank + 1):
             col = []
@@ -90,10 +92,6 @@ class WeylGroup:
 
     def simple(self, i: int) -> WeylElt:
         return self._simples[i - 1]
-
-    def generators(self, nodes: Optional[Iterable[int]] = None) -> list[WeylElt]:
-        idx = sorted(nodes) if nodes is not None else range(1, self.rank + 1)
-        return [self.simple(i) for i in idx]
 
     def from_word(self, word: Sequence[int]) -> WeylElt:
         w = self.identity
@@ -142,7 +140,7 @@ class WeylGroup:
 
     def act_on_simple(self, w: WeylElt, i: int) -> int:
         """Signed root index of w(alpha_i)."""
-        return w.perm[self.root_index[self.system.simple_root(i)]]
+        return w.perm[self.simple_pos[i - 1]]
 
     def reflection_table(self) -> list[list[int]]:
         """Row p: signed action of the reflection in beta_p on signed root indices.
@@ -185,16 +183,21 @@ class WeylGroup:
     # -- words ----------------------------------------------------------------
 
     def canonical_word(self, w: WeylElt) -> tuple[int, ...]:
-        """Lexicographically smallest reduced word, by greedy left descents."""
+        """Lexicographically smallest reduced word, by greedy left descents.
+
+        Tracks the images of the simple roots under cur^{-1}: a left descent
+        i of cur is a negative image, and cur^{-1} s_i = s_beta cur^{-1} with
+        beta = cur^{-1}(alpha_i), one reflection-table row per letter.
+        """
+        refl = self.reflection_table()
+        inv = self.invert(w).perm
+        img = [inv[p] for p in self.simple_pos]
         word: list[int] = []
-        cur = w
-        while cur.length > 0:
-            winv = self.invert(cur)
-            for i in range(1, self.rank + 1):
-                if self.act_on_simple(winv, i) < 0:
-                    word.append(i)
-                    cur = self.multiply(self.simple(i), cur)
-                    break
+        for _ in range(w.length):
+            i = next(i for i, t in enumerate(img) if t < 0)
+            word.append(i + 1)
+            r = refl[-img[i]]
+            img = [r[t] for t in img]
         return tuple(word)
 
     def word_from_bracket(self, a: int, b: int, inverse: bool = False) -> tuple[int, ...]:
@@ -245,28 +248,40 @@ class WeylGroup:
     ) -> dict[tuple[int, ...], WeylElt]:
         """All elements of the standard parabolic on ``nodes`` (default: W).
 
-        Cached per node set.  Raises EnumerationBudgetError beyond
+        Keyed by the images of the simple roots (signed root indices),
+        which determine an element.  Breadth-first from the identity by
+        right multiplication with the simple reflections in ``nodes``:
+        (w s)(alpha_k) = w(s(alpha_k)) gives a product's key by lookup, the
+        product is built only when the key is new, and its length is its
+        depth.  Cached per node set.  Raises EnumerationBudgetError beyond
         ``budget`` elements.
         """
         key = frozenset(nodes) if nodes is not None else frozenset(range(1, self.rank + 1))
         cached = self._elements_cache.get(key)
         if cached is not None:
             return cached
-        gens = self.generators(key)
-        seen: dict[tuple[int, ...], WeylElt] = {self.identity.perm: self.identity}
-        frontier = [self.identity]
+        gens = [self._srefl[i - 1] for i in sorted(key)]
+        gens = [(s, [s[p] for p in self.simple_pos]) for s in gens]
+        seen = {tuple(p + 1 for p in self.simple_pos): self.identity}
+        frontier = [self.identity.perm]
+        depth = 0
         while frontier:
+            depth += 1
             nxt = []
-            for w in frontier:
-                for s in gens:
-                    u = self.multiply(w, s)
-                    if u.perm not in seen:
-                        if len(seen) >= budget:
-                            raise EnumerationBudgetError(
-                                f"parabolic enumeration exceeded budget {budget}"
-                            )
-                        seen[u.perm] = u
-                        nxt.append(u)
+            for wp in frontier:
+                # Signed images: row[t] = w(beta_t), row[-t] = -w(beta_t).
+                row = (0,) + wp + tuple([-t for t in reversed(wp)])
+                for s, s_simple in gens:
+                    img = tuple([row[t] for t in s_simple])
+                    if img in seen:
+                        continue
+                    if len(seen) >= budget:
+                        raise EnumerationBudgetError(
+                            f"parabolic enumeration exceeded budget {budget}"
+                        )
+                    up = tuple([row[t] for t in s])
+                    seen[img] = WeylElt(self, up, depth)
+                    nxt.append(up)
             frontier = nxt
         self._elements_cache[key] = seen
         return seen

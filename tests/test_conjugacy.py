@@ -15,6 +15,7 @@ from weyldl.conjugacy import (
     supp_delta,
 )
 from weyldl.rootdata import build_twist
+from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import RANK_LE_4, group, twist_of
@@ -111,6 +112,66 @@ class TestEnumeration:
             classes = enumerate_delta_classes(W, pi)
             for cls in classes:
                 assert set(cls.elements) == orbit(cls.representative)
+
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+    def test_classes_are_multiply_shift_orbits_rank_le_4(self, family, rank, order):
+        """Classes equal the orbits of w -> s_j w s_pi(j) under W.multiply, both
+        directions; members keep enumeration order; the representative is the
+        minimal-length member with the smallest canonical word."""
+        W = group(family, rank)
+        elements = list(W.elements().values())
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(build_twist(family, rank, order), direction)
+            orbits, done = set(), set()
+            for w in elements:
+                if w in done:
+                    continue
+                orbit, frontier = {w}, [w]
+                while frontier:
+                    u = frontier.pop()
+                    for j in pi:
+                        v = W.multiply(W.multiply(W.simple(j), u), W.simple(pi[j]))
+                        if v not in orbit:
+                            orbit.add(v)
+                            frontier.append(v)
+                done |= orbit
+                orbits.add(frozenset(orbit))
+            classes = enumerate_delta_classes(W, pi, direction=direction)
+            assert {frozenset(c.elements) for c in classes} == orbits
+            for cls in classes:
+                assert list(cls.elements) == [w for w in elements if w in cls.members]
+                assert cls.size == len(cls.elements)
+                assert cls.min_length == min(w.length for w in cls.elements)
+                mins = [w for w in cls.elements if w.length == cls.min_length]
+                assert cls.representative == min(mins, key=lambda w: w.word)
+
+
+class TestSharedSubGroups:
+    """Node sets with equal Cartan submatrices share one standalone group."""
+
+    def test_c7_and_c8_tails_share_group_and_partition(self):
+        low = sub_context(group("C", 7), range(3, 8))
+        high = sub_context(group("C", 8), range(4, 9))
+        assert low.group is high.group
+        assert low.nodes != high.nodes
+        pi_low = low.pi_to_sub({i: i for i in low.nodes})
+        pi_high = high.pi_to_sub({i: i for i in high.nodes})
+        assert partition_memo(low.group, pi_low) is partition_memo(high.group, pi_high)
+
+    def test_same_word_gives_equal_elements(self):
+        low = sub_context(group("C", 7), range(3, 8))
+        high = sub_context(group("C", 8), range(4, 9))
+        word = (3, 4, 7, 6, 5, 7, 6, 3)
+        x = low.group.from_word(low.word_to_sub(word))
+        y = high.group.from_word(high.word_to_sub(tuple(i + 1 for i in word)))
+        assert x == y and hash(x) == hash(y)
+        assert tuple(i - 1 for i in high.word_to_ambient(y.word)) == low.word_to_ambient(x.word)
+
+    def test_different_submatrices_do_not_share(self):
+        c_tail = sub_context(group("C", 7), range(3, 8))
+        b_tail = sub_context(group("B", 7), range(3, 8))
+        assert c_tail.group is not b_tail.group
+        assert c_tail.system.key != b_tail.system.key
 
 
 class TestSupport:

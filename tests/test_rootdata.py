@@ -13,7 +13,9 @@ from weyldl.rootdata import (
     pairing,
     positive_root_count,
     reflect,
+    weyl_order,
 )
+from weyldl.weyl import WeylGroup
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -200,3 +202,23 @@ def test_b_vs_c_cartan_orientation():
     c = cartan_matrix("C", 3)
     assert b[2][1] == -2 and b[1][2] == -1
     assert c[2][1] == -1 and c[1][2] == -2
+
+
+@pytest.mark.parametrize("family", "ABCDEFG")
+def test_closed_forms_raise_exactly_where_cartan_matrix_does(family):
+    """Over ranks 0..9, the closed forms reject a type iff ``cartan_matrix`` does,
+    with its message, and otherwise match the built system (and, for groups of at
+    most 10^4 elements, the enumerated order)."""
+    for rank in range(10):
+        try:
+            cartan_matrix(family, rank)
+        except InvalidCartanTypeError as exc:
+            for closed_form in (positive_root_count, weyl_order):
+                with pytest.raises(InvalidCartanTypeError) as caught:
+                    closed_form(family, rank)
+                assert str(caught.value) == str(exc)
+            continue
+        system = build_root_system(family, rank)
+        assert positive_root_count(family, rank) == len(system.positive_roots)
+        if weyl_order(family, rank) <= 10 ** 4:
+            assert weyl_order(family, rank) == len(WeylGroup(system).elements())

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldl.rootdata import weyl_order
+from weyldl.weyl import EnumerationBudgetError
 
-from conftest import group
+from conftest import RANK_LE_4, group
 
 
 class TestAction:
@@ -53,7 +54,7 @@ class TestInversions:
 
 class TestWords:
     def test_canonical_word_round_trip_small(self, G2):
-        for perm, w in G2.elements().items():
+        for w in G2.elements().values():
             assert G2.from_word(w.word) == w
 
     @given(st.lists(st.integers(1, 4), max_size=14))
@@ -185,3 +186,67 @@ def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
                 for p in W.inversions(w)
             }
             assert lhs == rhs
+
+
+def _catalog_parabolics():
+    """(row label, standalone group) for each distinct group of the inner node
+    sets that the catalog's "lengths"/"all" rows partition."""
+    from weyldl.casetables import load_case_records, type_context
+    from weyldl.conjugacy import compute_I_J_x
+    from weyldl.subsystems import sub_context
+
+    out = {}
+    for rec in load_case_records(max_rank=8):
+        if rec.v_mode not in ("lengths", "all"):
+            continue
+        ctx = type_context(rec.family, rec.rank, rec.twist)
+        W = ctx.W
+        for word in (rec.w1, rec.alt_w1):
+            if word is None:
+                continue
+            w1 = W.from_word(word)
+            if not W.is_min_coset_rep(w1, {ctx.pi_inv[j] for j in rec.J}):
+                continue
+            K = compute_I_J_x(W, ctx.pi_inv, rec.J, w1)
+            if K:
+                sub = sub_context(W, K)
+                out[sub.system.key] = (rec.label, sub.group)
+    return list(out.values())
+
+
+def _negative_entries(w):
+    return sum(1 for t in w.perm if t < 0)
+
+
+def test_enumerated_lengths_count_negative_entries():
+    """Every enumerated element's length (its BFS depth) is its count of negative
+    entries: the 13 groups of rank <= 4 and the catalog's inner parabolics of at
+    most 10^4 elements."""
+    groups = [(f"{f}{r}", group(f, r)) for f, r in sorted({(f, r) for f, r, _ in RANK_LE_4})]
+    parabolics = _catalog_parabolics()
+    assert len(parabolics) >= 20
+    checked = 0
+    for label, W in groups + parabolics:
+        try:
+            elements = W.elements(budget=10 ** 4)
+        except EnumerationBudgetError:
+            continue
+        checked += 1
+        for w in elements.values():
+            assert w.length == _negative_entries(w), (label, w.perm)
+    assert checked >= len(groups) + 10
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("F", 4), ("G", 2)])
+def test_canonical_word_is_greedy_left_descent_word(family, rank):
+    """The table-driven canonical word equals the greedy left-descent word
+    computed with full products, and is reduced."""
+    W = group(family, rank)
+    for w in W.elements().values():
+        word, cur = [], w
+        while cur.length:
+            i = next(i for i in range(1, rank + 1) if W.act_on_simple(W.invert(cur), i) < 0)
+            word.append(i)
+            cur = W.multiply(W.simple(i), cur)
+        assert w.word == tuple(word)
+        assert len(w.word) == w.length and W.from_word(w.word) == w
