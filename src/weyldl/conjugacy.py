@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .rootdata import Twist
-from .weyl import WeylElt, WeylGroup
+from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
 
 __all__ = [
     "DeltaClass",
@@ -282,13 +282,20 @@ def partition_memo(
     element encodings, so the entry is safe across group instances.  A
     standalone parabolic (``subsystems.sub_context``) is labelled by its
     Cartan submatrix alone, so node sets of different ambient groups with
-    equal submatrices share one group and one partition.
+    equal submatrices share one group and one partition.  A hit holding
+    more than ``budget`` elements raises EnumerationBudgetError, as the
+    enumeration itself would.
     """
     node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
     key = (W.system.key, node_set, tuple(sorted(restrict_pi(pi, node_set).items())), direction)
-    if key not in _PARTITION_MEMO:
-        _PARTITION_MEMO[key] = enumerate_delta_classes(W, pi, node_set, direction, budget)
-    return _PARTITION_MEMO[key]
+    classes = _PARTITION_MEMO.get(key)
+    if classes is None:
+        classes = _PARTITION_MEMO[key] = enumerate_delta_classes(
+            W, pi, node_set, direction, budget
+        )
+    elif sum(c.size for c in classes) > budget:
+        raise EnumerationBudgetError(f"parabolic enumeration exceeded budget {budget}")
+    return classes
 
 
 def class_of(

@@ -383,17 +383,19 @@ def minimal_q(family: str, twist: int) -> QuadExt:
 def parse_q_literal(text: str) -> QuadExt:
     """Parse CLI q literals: '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3'."""
     s = text.strip().replace(" ", "")
-    mult = Fraction(1)
-    if "*" in s:
-        head, _, tail = s.partition("*")
-        mult = Fraction(head)
-        s = tail
-    if s in ("sqrt2", "sqrt3"):
-        d = int(s[-1])
-        return QuadExt(0, mult, d)
-    if mult != 1:
-        raise ValueError(f"bad q literal {text!r}")
-    return QuadExt(Fraction(s))
+    try:
+        mult = Fraction(1)
+        if "*" in s:
+            head, _, tail = s.partition("*")
+            mult = Fraction(head)
+            s = tail
+        if s in ("sqrt2", "sqrt3"):
+            return QuadExt(0, mult, int(s[-1]))
+        if mult == 1:
+            return QuadExt(Fraction(s))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"bad q literal {text!r}")
 
 
 def certify_min_element(

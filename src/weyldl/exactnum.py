@@ -1,18 +1,23 @@
 """Exact ordered-field arithmetic over Q and the real quadratic fields Q(sqrt 2), Q(sqrt 3).
 
 Every number that enters a strict inequality in this package is a
-``QuadExt``: a value ``a + b*sqrt(d)`` with rational ``a``, ``b`` and
-``d in {1, 2, 3}``.  Rationals are plain :class:`fractions.Fraction`
-values; a ``QuadExt`` with ``b == 0`` normalizes its radicand to 1, so
-rational and irrational values interoperate freely.  Comparison is by
-exact case analysis on signs and cross-multiplication, never by
-floating-point evaluation.
+``QuadExt``: a value ``(p + q*sqrt(d)) / r`` stored as four Python ints
+with ``d in {1, 2, 3}``.  The stored form is canonical: ``r > 0``,
+``gcd(p, q, r) == 1``, and ``q == 0`` exactly when ``d == 1``, so a
+rational value has radicand 1 and rational and irrational values
+interoperate freely.  Every ring operation is a handful of integer
+products followed by one gcd reduction (the common-denominator form of
+Bareiss, Math. Comp. 22 (1968)); no ``Fraction`` is built on the way.
+Signs and comparisons are exact case analysis on the integer numerator,
+never floating-point evaluation.  The rational parts are still available
+as the ``Fraction`` properties ``a`` and ``b``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 __all__ = [
@@ -37,14 +42,6 @@ class IncompatibleRadicandError(ValueError):
     """Raised when values over Q(sqrt 2) and Q(sqrt 3) are mixed."""
 
 
-def _as_fraction(x: RatLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
@@ -59,108 +56,161 @@ def _parse_ratio(text) -> Fraction:
     return Fraction(num, den)
 
 
-class QuadExt:
-    """The real number ``a + b*sqrt(d)`` with exact rational ``a``, ``b``.
+def _ratio(x: RatLike) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int):
+        return int(x), 1
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
-    Immutable.  ``d`` is normalized to 1 whenever ``b == 0``, so pure
-    rationals always compare and hash consistently regardless of how
-    they were produced.
+
+def _join_d(d1: int, d2: int) -> int:
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise IncompatibleRadicandError(f"cannot combine sqrt({d1}) with sqrt({d2})")
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q sqrt(d)."""
+    sp = (p > 0) - (p < 0)
+    if not q:
+        return sp
+    sq = 1 if q > 0 else -1
+    if sp == 0 or sp == sq:
+        return sq
+    # Opposite signs: the larger of p^2 and q^2 d wins.
+    t = p * p - q * q * d
+    return sp * ((t > 0) - (t < 0))
+
+
+class QuadExt:
+    """The real number ``(p + q*sqrt(d)) / r`` in canonical integer form.
+
+    Immutable.  ``d`` is 1 exactly when ``q == 0``, so pure rationals
+    compare and hash consistently regardless of how they were produced;
+    a rational value hashes like its ``Fraction``.
     """
 
-    __slots__ = ("a", "b", "d")
-
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("_p", "_q", "_r", "_d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 1):
         if d not in _VALID_D:
             raise ValueError(f"radicand must be one of {_VALID_D}, got {d!r}")
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        if b == 0:
-            d = 1
-        elif d == 1:
-            # sqrt(1) = 1: fold b into the rational part.
-            a, b = a + b, Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        p, r = _ratio(a)
+        bn, bd = _ratio(b)
+        q = 0
+        if bn:
+            p, q, r = p * bd, bn * r, r * bd
+            if d == 1:
+                # sqrt(1) = 1: fold b into the rational part.
+                p, q = p + q, 0
+            g = gcd(p, q, r)
+            p, q, r = p // g, q // g, r // g
+        self._p = p
+        self._q = q
+        self._r = r
+        self._d = int(d) if q else 1
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("QuadExt is immutable")
+    # -- read-only views ------------------------------------------------------
 
-    # -- coercion helpers -------------------------------------------------
+    @property
+    def d(self) -> int:
+        """The radicand; 1 exactly when the value is rational."""
+        return self._d
 
-    def _coerce(self, other: Scalar) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return NotImplemented  # type: ignore[return-value]
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/r."""
+        return Fraction(self._p, self._r)
 
-    def _join_d(self, other: "QuadExt") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise IncompatibleRadicandError(
-            f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-        )
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/r of sqrt(d)."""
+        return Fraction(self._q, self._r)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        if type(other) is not QuadExt:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self._d
+        if d != other._d:
+            d = _join_d(d, other._d)
+        r1, r2 = self._r, other._r
+        if r1 == r2:
+            return _make(self._p + other._p, self._q + other._q, r1, d)
+        return _make(
+            self._p * r2 + other._p * r1, self._q * r2 + other._q * r1, r1 * r2, d
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
+        return _make(-self._p, -self._q, self._r, self._d)
 
     def __sub__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not QuadExt:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self._d
+        if d != other._d:
+            d = _join_d(d, other._d)
+        r1, r2 = self._r, other._r
+        if r1 == r2:
+            return _make(self._p - other._p, self._q - other._q, r1, d)
+        return _make(
+            self._p * r2 - other._p * r1, self._q * r2 - other._q * r1, r1 * r2, d
+        )
 
     def __rsub__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._join_d(o)
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        if type(other) is not QuadExt:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self._d
+        if d != other._d:
+            d = _join_d(d, other._d)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return _make(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, self._r * other._r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero QuadExt")
-        # 1/(a + b sqrt(d)) = (a - b sqrt(d)) / (a^2 - b^2 d); the norm is
-        # nonzero because sqrt(d) is irrational for d in {2, 3}.
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        p, q, r = self._p, self._q, self._r
+        if not q:
+            if not p:
+                raise ZeroDivisionError("division by zero QuadExt")
+            # gcd(p, r) == 1 already.
+            return _make(r, 0, p, 1) if p > 0 else _make(-r, 0, -p, 1)
+        # r/(p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d); the norm is
+        # nonzero because sqrt(d) is irrational for d in {2, 3}.  Its sign
+        # moves into the numerator so the denominator stays positive.
+        norm = p * p - q * q * self._d
+        if norm < 0:
+            return _make(-r * p, r * q, -norm, self._d)
+        return _make(r * p, -r * q, norm, self._d)
 
     def __truediv__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is not QuadExt:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other: Scalar) -> "QuadExt":
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return o * self.inverse()
@@ -185,26 +235,22 @@ class QuadExt:
     # -- order -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._p and not self._q
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1} of the real value a + b sqrt(d)."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # Opposite signs: compare a^2 against b^2 d by cross-multiplication.
-        t = self.a * self.a - self.b * self.b * self.d
-        st = (t > 0) - (t < 0)
-        return sa * st if st != 0 else 0
+        """Exact sign in {-1, 0, +1} of the real value."""
+        return _sign(self._p, self._q, self._d)
 
     def _cmp(self, other: Scalar) -> int:
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
-        return (self - o).sign()
+        d = self._d
+        if d != o._d:
+            d = _join_d(d, o._d)
+        # sign(x - y) is the sign of the unreduced numerator over r1 r2 > 0.
+        r1, r2 = self._r, o._r
+        return _sign(self._p * r2 - o._p * r1, self._q * r2 - o._q * r1, d)
 
     def __lt__(self, other: Scalar) -> bool:
         return self._cmp(other) < 0
@@ -219,42 +265,42 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QuadExt, int, Fraction)):
-            o = self._coerce(other)
-            return self.a == o.a and self.b == o.b and self.d == o.d
-        return NotImplemented
+        o = _coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (
+            self._p == o._p and self._q == o._q and self._r == o._r and self._d == o._d
+        )
 
     def __hash__(self) -> int:
         # Rational values hash like their Fraction so mixed-type lookups work.
-        if self.b == 0:
+        if not self._q:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b, self._d))
 
     # -- conversions ---------------------------------------------------------
 
     def __float__(self) -> float:
         # Sanity-oracle use only; never feeds a decision.
-        return float(self.a) + float(self.b) * (self.d ** 0.5)
+        return float(self.a) + float(self.b) * (self._d ** 0.5)
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if not self._q:
             return f"QuadExt({self.a})"
-        return f"QuadExt({self.a}, {self.b}, d={self.d})"
+        return f"QuadExt({self.a}, {self.b}, d={self._d})"
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if not self._q:
             return str(self.a)
-        return f"{self.a}+{self.b}*sqrt({self.d})"
+        return f"{self.a}+{self.b}*sqrt({self._d})"
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
         """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3}."""
-        return {
-            "a": f"{self.a.numerator}/{self.a.denominator}",
-            "b": f"{self.b.numerator}/{self.b.denominator}",
-            "d": self.d,
-        }
+        p, q, r = self._p, self._q, self._r
+        ga, gb = gcd(p, r), gcd(q, r)
+        return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": self._d}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadExt":
@@ -268,11 +314,41 @@ class QuadExt:
         return cls(_parse_ratio(a), _parse_ratio(b), d)
 
 
-def qext(x: Scalar) -> QuadExt:
-    """Coerce an int, Fraction or QuadExt to a QuadExt."""
+_new = object.__new__
+
+
+def _make(p: int, q: int, r: int, d: int) -> QuadExt:
+    """A QuadExt from ``r > 0`` and any p, q: reduce by the gcd, nothing else."""
+    g = gcd(p, q, r)
+    if g != 1:
+        p //= g
+        q //= g
+        r //= g
+    x = _new(QuadExt)
+    x._p = p
+    x._q = q
+    x._r = r
+    x._d = d if q else 1
+    return x
+
+
+def _coerce(x: object):
+    """``x`` as a QuadExt, or NotImplemented when it is not an exact number."""
     if isinstance(x, QuadExt):
         return x
-    return QuadExt(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator, 1)
+    return NotImplemented
+
+
+def qext(x: Scalar) -> QuadExt:
+    """Coerce an int, Fraction or QuadExt to a QuadExt."""
+    o = _coerce(x)
+    if o is NotImplemented:
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return o
 
 
 def quad_sign(x: Scalar) -> int:
@@ -282,7 +358,7 @@ def quad_sign(x: Scalar) -> int:
 
 def quad_cmp(x: Scalar, y: Scalar) -> int:
     """Ordering of two values sharing a compatible radicand: sign(x - y)."""
-    return (qext(x) - qext(y)).sign()
+    return qext(x)._cmp(y)
 
 
 ZERO = QuadExt(0)

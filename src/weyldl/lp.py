@@ -115,14 +115,20 @@ def gordan_witness(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, .
 
 
 def verify_gordan(rows: Sequence[Row], witness) -> bool:
-    """Check sum_r y_r c_r = 0 with y >= 0 and some y_r > 0, exactly."""
-    if witness is None:
+    """Check sum_r y_r c_r = 0 with y >= 0 and some y_r > 0, exactly.
+
+    The witness must have one entry per row and the rows one width; an
+    empty system has no witness.
+    """
+    if witness is None or not rows or len(witness) != len(rows):
         return False
     rows = [tuple(qext(c) for c in r) for r in rows]
     ys = [qext(y) for y in witness]
     if any(y.sign() < 0 for y in ys) or all(y.sign() == 0 for y in ys):
         return False
     width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        return False
     for j in range(width):
         total = qext(0)
         for y, r in zip(ys, rows):

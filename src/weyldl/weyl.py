@@ -254,11 +254,15 @@ class WeylGroup:
         (w s)(alpha_k) = w(s(alpha_k)) gives a product's key by lookup, the
         product is built only when the key is new, and its length is its
         depth.  Cached per node set.  Raises EnumerationBudgetError beyond
-        ``budget`` elements.
+        ``budget`` elements, on a cache hit as on the first call.
         """
         key = frozenset(nodes) if nodes is not None else frozenset(range(1, self.rank + 1))
         cached = self._elements_cache.get(key)
         if cached is not None:
+            if len(cached) > budget:
+                raise EnumerationBudgetError(
+                    f"parabolic enumeration exceeded budget {budget}"
+                )
             return cached
         gens = [self._srefl[i - 1] for i in sorted(key)]
         gens = [(s, [s[p] for p in self.simple_pos]) for s in gens]

@@ -263,3 +263,31 @@ def test_criterion_9_full_report_digest():
     assert len(text) == 56944
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256
     _report("9", True, "213-row report digest")
+
+
+# SHA-256 of the 360 certificates of W3 (the solver and the constructive
+# certificate of every class of RANK_LE_4 at minimal q, in partition order,
+# each ``to_json()`` followed by a newline; 91337 bytes), recorded from the
+# code before the integer-backed QuadExt.  Any change to a ``mu``, a word or
+# a form changes it.
+W3_SHA256 = "6b0a9b22634844f9baf1d24fc5000324950acdee1ddefa7d2cc3cae152c6675a"
+
+
+def test_criterion_9_w3_certificate_digest():
+    """Both routes give byte-identical certificates for every class of rank <= 4."""
+    digest = hashlib.sha256()
+    count = size = 0
+    for family, rank, order in RANK_LE_4:
+        W, twist, pi, q = _ctx(family, rank, order)
+        for cls in partition_memo(W, pi):
+            for cert in (
+                certify_min_element(W, twist, cls, q),
+                constructive_certificate(W, twist, cls, q),
+            ):
+                text = (cert.to_json() + "\n").encode("utf-8")
+                digest.update(text)
+                count += 1
+                size += len(text)
+    assert (count, size) == (360, 91337)
+    assert digest.hexdigest() == W3_SHA256
+    _report("9", True, "360 W3 certificates digest")

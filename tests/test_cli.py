@@ -90,6 +90,16 @@ class TestCertifyCheck:
         out = run_cli("check", str(bad), cwd=tmp_path)
         assert out.returncode == 1
 
+    def test_zero_denominator_q_is_an_error(self, tmp_path):
+        for literal in ("1/0", "1/0*sqrt2"):
+            out = run_cli(
+                "certify", "--family", "A", "--rank", "2", "--class-rep", "1,2",
+                "--q", literal, cwd=tmp_path,
+            )
+            assert out.returncode == 1, out.stderr
+            assert out.stderr.startswith("error: bad q literal")
+            assert "Traceback" not in out.stderr
+
     def test_byte_identical_runs(self, tmp_path):
         args = (
             "certify", "--family", "G", "--rank", "2", "--class-rep", "1,2",

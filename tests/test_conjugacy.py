@@ -365,3 +365,18 @@ class TestBudgets:
         with pytest.raises(EnumerationBudgetError):
             enumerate_delta_classes(fresh, identity_pi(fresh), budget=10)
 
+    def test_budget_binds_on_cache_hits(self, F4):
+        from weyldl.weyl import EnumerationBudgetError
+
+        pi = identity_pi(F4)
+        assert len(F4.elements()) == 1152
+        assert sum(c.size for c in partition_memo(F4, pi)) == 1152
+        with pytest.raises(EnumerationBudgetError):
+            F4.elements(budget=10)
+        with pytest.raises(EnumerationBudgetError):
+            partition_memo(F4, pi, budget=10)
+        # A budget the cached set fits in, to the element, still hits.
+        assert len(F4.elements(budget=1152)) == 1152
+        assert sum(c.size for c in partition_memo(F4, pi, budget=1152)) == 1152
+        with pytest.raises(EnumerationBudgetError):
+            F4.elements(budget=1151)

@@ -382,6 +382,9 @@ class TestQLiterals:
             parse_q_literal("sqrt5")
         with pytest.raises(ValueError):
             parse_q_literal("two")
+        for literal in ("1/0", "1/0*sqrt3", "2*"):
+            with pytest.raises(ValueError):
+                parse_q_literal(literal)
 
     def test_minimal_values(self):
         assert minimal_q("A", 1) == 2

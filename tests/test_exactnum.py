@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from weyldl.exactnum import (
     quad_cmp,
     quad_sign,
 )
+
+from fraction_quadext import FractionQuadExt
 
 rationals = st.fractions(max_denominator=50)
 
@@ -173,3 +176,100 @@ class TestSerialization:
             QuadExt.from_json({"a": "1", "d": 2})
         with pytest.raises(ValueError):
             QuadExt(1, 1, 5)
+
+
+# -- differential test against the Fraction-pair reference --------------------
+
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(max_denominator=60),
+    st.fractions(min_value=-(10 ** 12), max_value=10 ** 12, max_denominator=10 ** 9),
+)
+parts = st.tuples(wide_rationals, wide_rationals, st.sampled_from((1, 2, 3)))
+scalars = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30))
+
+
+def assert_canonical(x):
+    """The invariants of the stored (p + q sqrt(d)) / r."""
+    assert type(x) is QuadExt
+    p, q, r, d = x._p, x._q, x._r, x._d
+    assert all(type(v) is int for v in (p, q, r, d))
+    assert r > 0
+    assert gcd(p, q, r) == 1
+    assert (q == 0) == (d == 1)
+    assert d in (1, 2, 3)
+
+
+def outcome(fn):
+    """A comparable record of ``fn()``: its value, or the error it raised."""
+    try:
+        value = fn()
+    except (IncompatibleRadicandError, ZeroDivisionError) as exc:
+        return ("raise", type(exc))
+    if isinstance(value, QuadExt):
+        assert_canonical(value)
+        return ("quad", value.a, value.b, value.d)
+    if isinstance(value, FractionQuadExt):
+        return ("quad", value.a, value.b, value.d)
+    return ("value", value)
+
+
+def agree(new_fn, old_fn):
+    assert outcome(new_fn) == outcome(old_fn)
+
+
+@given(parts, parts, scalars)
+@settings(max_examples=400, deadline=None)
+def test_integer_kernel_matches_fraction_pairs(xs, ys, s):
+    x, y = QuadExt(*xs), QuadExt(*ys)
+    ox, oy = FractionQuadExt(*xs), FractionQuadExt(*ys)
+    assert_canonical(x)
+    assert (x.a, x.b, x.d) == (ox.a, ox.b, ox.d)
+    agree(lambda: x + y, lambda: ox + oy)
+    agree(lambda: x - y, lambda: ox - oy)
+    agree(lambda: x * y, lambda: ox * oy)
+    agree(lambda: x / y, lambda: ox / oy)
+    agree(lambda: x.inverse(), lambda: ox.inverse())
+    agree(lambda: -x, lambda: -ox)
+    # Mixed with plain int and Fraction operands, on both sides.
+    agree(lambda: x + s, lambda: ox + s)
+    agree(lambda: s - x, lambda: s - ox)
+    agree(lambda: x * s, lambda: ox * s)
+    agree(lambda: x / s, lambda: ox / s)
+    agree(lambda: s / x, lambda: s / ox)
+    agree(lambda: x == s, lambda: ox == s)
+    # Order, equality and hashing.
+    agree(lambda: x.sign(), lambda: ox.sign())
+    agree(lambda: x < y, lambda: ox < oy)
+    agree(lambda: x <= y, lambda: ox <= oy)
+    agree(lambda: x == y, lambda: ox == oy)
+    assert hash(x) == hash(ox)
+    if x.b == 0:
+        assert hash(x) == hash(x.a)
+    # Wire form, and its round trip.
+    assert x.to_json() == ox.to_json()
+    back = QuadExt.from_json(x.to_json())
+    assert_canonical(back)
+    assert back == x and hash(back) == hash(x)
+
+
+@given(parts, st.integers(-4, 5))
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_powers_match(xs, n):
+    x, ox = QuadExt(*xs), FractionQuadExt(*xs)
+    agree(lambda: x ** n, lambda: ox ** n)
+
+
+def test_differential_error_cases():
+    assert outcome(lambda: SQRT2 + SQRT3) == ("raise", IncompatibleRadicandError)
+    assert outcome(lambda: SQRT2 < SQRT3) == ("raise", IncompatibleRadicandError)
+    assert outcome(lambda: QuadExt(0) ** -1) == ("raise", ZeroDivisionError)
+    assert outcome(lambda: 1 / QuadExt(0, 0, 2)) == ("raise", ZeroDivisionError)
+    for x, ox in ((SQRT2, FractionQuadExt(0, 1, 2)), (QuadExt(3), FractionQuadExt(3))):
+        agree(lambda: x / 0, lambda: ox / 0)
+        agree(lambda: x * SQRT3, lambda: ox * FractionQuadExt(0, 1, 3))
+    with pytest.raises(TypeError):
+        QuadExt(1.5)
+    with pytest.raises(ValueError):
+        QuadExt(1, 1, 4)

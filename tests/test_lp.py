@@ -95,6 +95,20 @@ def test_witness_edge_cases():
     assert verify_gordan([(), ()], gordan_witness([(), ()], 0))
 
 
+def test_verify_gordan_rejects_mismatched_witness():
+    # x > 0 is feasible; an extra positive entry must not pass for "some y > 0".
+    assert not verify_gordan([(qext(1),)], (qext(0), qext(1)))
+    # A short witness leaves a row unweighted.
+    assert not verify_gordan([(qext(1),), (qext(-1),)], (qext(1),))
+    # Ragged rows: the unchecked column of the longer row sums to 5, and a
+    # short row must not raise.
+    assert not verify_gordan([(qext(-1),), (qext(1), qext(5))], (qext(1), qext(1)))
+    assert not verify_gordan([(qext(1), qext(0)), (qext(-1),)], (qext(1), qext(1)))
+    # An empty system has no witness at all.
+    assert not verify_gordan([], (qext(1),))
+    assert not verify_gordan([], ())
+
+
 def test_determinism():
     rows = [
         (qext(2), qext(-1), qext(0)),
