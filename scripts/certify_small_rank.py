@@ -3,7 +3,8 @@
 
 Writes one certificate JSON per (group, class, route) under --out-dir and
 prints a summary line per group.  The two routes must both be accepted
-by the independent checker for every class.
+by the independent checker for every class: each rejection is printed
+with its group, class and route, and the script then exits 1.
 """
 
 import argparse
@@ -38,25 +39,38 @@ def main() -> int:
 
     t0 = time.time()
     total = 0
+    failed = 0
     for family, rank, order in GROUPS:
         W = WeylGroup(build_root_system(family, rank))
         twist = build_twist(family, rank, order)
         q = minimal_q(family, order)
         classes = partition_memo(W, pi_of(twist))
+        name = f"{order if order > 1 else ''}{family}{rank}"
+        failed_before = failed
         for k, cls in enumerate(classes):
             solver = certify_min_element(W, twist, cls, q)
             constructive = constructive_certificate(W, twist, cls, q)
-            assert check_certificate(solver) and check_certificate(constructive)
+            for route, cert in (("solver", solver), ("constructive", constructive)):
+                result = check_certificate(cert)
+                if not result:
+                    failed += 1
+                    print(f"{name} class {k:02d} ({cls.representative.word}): "
+                          f"{route} certificate rejected: {result.reason}")
             if out_dir:
-                tag = f"{order if order > 1 else ''}{family}{rank}-class{k:02d}"
+                tag = f"{name}-class{k:02d}"
                 (out_dir / f"{tag}-solver.json").write_text(solver.to_json() + "\n")
                 (out_dir / f"{tag}-constructive.json").write_text(
                     constructive.to_json() + "\n"
                 )
         total += len(classes)
-        name = f"{order if order > 1 else ''}{family}{rank}"
-        print(f"{name}: {len(classes)} classes certified by both routes")
+        if failed == failed_before:
+            print(f"{name}: {len(classes)} classes certified by both routes")
+        else:
+            print(f"{name}: {len(classes)} classes, {failed - failed_before} certificates rejected")
     print(f"{total} classes total in {time.time() - t0:.1f}s")
+    if failed:
+        print(f"{failed} certificates rejected by the checker")
+        return 1
     return 0
 
 

@@ -5,7 +5,6 @@ from .rootdata import (
     Coweight,
     RootSystem,
     Twist,
-    apply_twist_to_coweight,
     build_root_system,
     build_twist,
     pairing,
@@ -46,7 +45,6 @@ __all__ = [
     "Twist",
     "build_root_system",
     "build_twist",
-    "apply_twist_to_coweight",
     "pairing",
     "WeylGroup",
     "WeylElt",

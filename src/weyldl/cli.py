@@ -51,8 +51,8 @@ def _q_of(args, family: str, twist: int) -> QuadExt:
 def _parse_rep(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad word {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"bad word {text!r}") from None
 
 
 def cmd_enumerate(args) -> int:
@@ -123,14 +123,13 @@ def cmd_shift_graph(args) -> int:
     W, twist = _build(args)
     pi = pi_of(twist, "delta")
     start = W.from_word(_parse_rep(args.class_rep))
-    closure = shift_closure(W, pi, start, budget=args.budget)
-    nodes = sorted(closure, key=lambda w: w.sort_key())
+    graph = shift_closure(W, pi, start, budget=args.budget)
+    nodes = sorted(graph, key=lambda w: w.sort_key())
     name = {w: ",".join(map(str, w.word)) or "e" for w in nodes}
     edges: dict[tuple[str, str], list[int]] = {}
     for w in nodes:
-        for j in sorted(pi):
-            u = W.multiply(W.multiply(W.simple(j), w), W.simple(pi[j]))
-            if u.length <= w.length and u in closure and u != w:
+        for j, u in graph[w]:
+            if u != w:
                 edges.setdefault((name[w], name[u]), []).append(j)
     lines = ["digraph shifts {"]
     for w in nodes:

@@ -589,10 +589,12 @@ def _engine(
         # One orbit of several components: reduce to the first component.
         I1 = comps[0]
         r = len(comps)
-        members = [w for w in cls.elements if W.support(w) <= I1]
-        if not members:
+        inside = {k: n for k, n in W.elements(I1).items() if k in cls.members}
+        if not inside:
             raise FalsificationError("cyclic class misses its first component")
-        v1 = min(members, key=lambda w: w.sort_key())
+        low = min(inside.values())
+        v1 = min((WeylElt(W, k, low) for k, n in inside.items() if n == low),
+                 key=lambda w: w.word)
         pi_pow = restrict_pi(_power_pi(pi_r, r), I1)
         inner_cls = _class_in(W, pi_pow, I1, v1)
         inner = _engine(W, pi_pow, I1, qext(q) ** r, inner_cls)

@@ -174,9 +174,6 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def is_positive(self, coords: Root) -> bool:
-        return coords in self.root_index
-
     def sub_n0(self, nodes: Iterable[int]) -> int:
         """Max coordinate sum over roots supported inside ``nodes``."""
         s = set(nodes)

@@ -1,10 +1,15 @@
-"""Weyl-group elements as signed permutations of the positive roots.
+"""Weyl-group elements as the images of the simple roots.
 
-An element stores, for every positive root index p, the signed index of
-its image: ``perm[p] = +(q+1)`` if ``w(beta_p) = beta_q`` and
-``-(q+1)`` if ``w(beta_p) = -beta_q``.  Length, inversion sets and
-equality are then O(|Phi^+|); reduced words are derived views, with the
-lexicographically smallest reduced word as the canonical form.
+An element w is determined by w(alpha_1), ..., w(alpha_rank) (Casselman,
+Invent. Math. 116 (1994)).  Its key is those images as ``bytes``: byte k
+is ``t + N`` for the signed index t (``+-(q + 1)`` for +-beta_q) of
+w(alpha_k) among the N <= 120 positive roots.  Elements move only by
+``bytes.translate`` through the table of a reflection s_beta: the key of
+s_beta w is the translated key, and w s_i = s_beta w for beta = w(alpha_i),
+with l(w s_i) = l(w) + 1 exactly when beta is positive.  Products,
+inverses and the canonical (lexicographically smallest) reduced words are
+built from these moves; the signed permutation of all positive roots is
+rebuilt from the key only for callers that act on non-simple roots.
 """
 
 from __future__ import annotations
@@ -21,26 +26,24 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class WeylElt:
-    """Immutable group element; compared and hashed by its root action."""
+    """Immutable group element: a key plus its length; compared and hashed by key."""
 
-    __slots__ = ("group", "perm", "length", "_word")
+    __slots__ = ("group", "key", "length", "_word", "_perm")
 
-    def __init__(self, group: "WeylGroup", perm: tuple[int, ...], length: Optional[int] = None):
+    def __init__(self, group: "WeylGroup", key: bytes, length: int):
         self.group = group
-        self.perm = perm
-        self.length = sum(1 for t in perm if t < 0) if length is None else length
+        self.key = key
+        self.length = length
         self._word: Optional[tuple[int, ...]] = None
+        self._perm: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElt):
             return NotImplemented
-        return self.perm == other.perm and self.group.system.key == other.group.system.key
+        return self.key == other.key and self.group.system.key == other.group.system.key
 
     def __hash__(self) -> int:
-        return hash(self.perm)
-
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return self.group.multiply(self, other)
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"WeylElt({'.'.join(map(str, self.word)) or 'e'})"
@@ -51,126 +54,161 @@ class WeylElt:
             self._word = self.group.canonical_word(self)
         return self._word
 
-    def inverse(self) -> "WeylElt":
-        return self.group.invert(self)
-
-    def is_identity(self) -> bool:
-        return self.length == 0
+    @property
+    def perm(self) -> tuple[int, ...]:
+        """Signed image index of every positive root, built on first use."""
+        if self._perm is None:
+            self._perm = self.group._permutation(self.key)
+        return self._perm
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.length, self.word)
 
 
+# Translate tables and permutation steps of each root system, shared by every
+# group built on it: they depend only on the Cartan matrix and the root order.
+_TABLES: dict[tuple, tuple[list[bytes], list[tuple[int, int, int]]]] = {}
+
+
+def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int, int]]]:
+    """The reflection tables of ``system`` and the steps that rebuild a permutation.
+
+    Built by height: the table of a simple root comes from ``reflect``, and
+    s_beta = s_j s_beta' s_j when s_j beta = beta' is lower, which is two
+    translates of tables already built.  The step (p, j, p') records that
+    beta_p = s_j beta_p' with beta_p' lower.
+    """
+    roots, index = system.positive_roots, system.root_index
+    n = len(roots)
+    identity = bytes(range(256))
+    columns, simple = [], []
+    for i in system.nodes:
+        # Signed index of s_i(beta) for each positive root beta.
+        col = []
+        for r in roots:
+            img = reflect(system.cartan, i, r)
+            col.append(index[img] + 1 if img in index else -(index[tuple(-c for c in img)] + 1))
+        columns.append(col)
+        simple.append(bytes([n - t for t in reversed(col)]) + bytes([n])
+                      + bytes([n + t for t in col]) + identity[2 * n + 1:])
+    height = [sum(r) for r in roots]
+    tables = [identity] * (2 * n + 1)
+    steps = []
+    for p in sorted(range(n), key=height.__getitem__):
+        if height[p] == 1:
+            table = simple[roots[p].index(1)]
+        else:
+            j = next(j for j, col in enumerate(columns)
+                     if 0 < col[p] and height[col[p] - 1] < height[p])
+            lower = columns[j][p] - 1
+            table = simple[j].translate(tables[n + lower + 1]).translate(simple[j])
+            steps.append((p, j, lower))
+        tables[n + p + 1] = tables[n - p - 1] = table
+    return tables, steps
+
+
 class WeylGroup:
-    """Group context: caches the root action tables of a RootSystem."""
+    """Group context: a root system, its identity and simple reflections."""
 
     def __init__(self, system: RootSystem):
         self.system = system
         self.rank = system.rank
         self.roots = system.positive_roots
-        self.nroots = len(self.roots)
-        self.root_index = system.root_index
+        self.nroots = n = len(self.roots)
         # Position in ``roots`` of each simple root alpha_1..alpha_rank.
-        self.simple_pos = tuple(self.root_index[system.simple_root(i)] for i in system.nodes)
-        self._srefl: list[tuple[int, ...]] = []
-        for i in range(1, self.rank + 1):
-            col = []
-            for p, r in enumerate(self.roots):
-                img = reflect(system.cartan, i, r)
-                if img in self.root_index:
-                    col.append(self.root_index[img] + 1)
-                else:
-                    neg = tuple(-c for c in img)
-                    col.append(-(self.root_index[neg] + 1))
-            self._srefl.append(tuple(col))
-        self.identity = WeylElt(self, tuple(range(1, self.nroots + 1)))
-        self._simples = [WeylElt(self, self._srefl[i]) for i in range(self.rank)]
-        self._elements_cache: dict[frozenset[int], dict[tuple[int, ...], WeylElt]] = {}
-        self._reflections: Optional[list[list[int]]] = None
+        self.simple_pos = tuple(system.root_index[system.simple_root(i)] for i in system.nodes)
+        self.identity = WeylElt(self, bytes(p + 1 + n for p in self.simple_pos), 0)
+        # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
+        self._negative = bytes(n) + b"\x01" * (256 - n)
+        self._elements_cache: dict[frozenset[int], dict[bytes, int]] = {}
+        self._tables: Optional[list[bytes]] = None
+        self._perm_steps: list[tuple[int, int, int]] = []
+
+    # -- the move kernel ------------------------------------------------------
+
+    def reflection_table(self) -> list[bytes]:
+        """Entry b: the reflection in the root of key byte b as a translate table.
+
+        ``tables[b][c]`` is the key byte of s_beta(gamma), for beta the root
+        of byte b and gamma that of byte c; bytes b and 2N - b (a root and
+        its negative) share a table, and byte N maps to the identity.  Built
+        on first use, once per root system (``_build_tables``).
+        """
+        if self._tables is None:
+            memo_key = (self.system.cartan, self.roots)
+            if memo_key not in _TABLES:
+                _TABLES[memo_key] = _build_tables(self.system)
+            self._tables, self._perm_steps = _TABLES[memo_key]
+        return self._tables
+
+    def _extend(self, w: WeylElt, word: Iterable[int]) -> WeylElt:
+        """w s_{word[0]} s_{word[1]} ..., one translate per letter."""
+        tables, n = self.reflection_table(), self.nroots
+        key, length = w.key, w.length
+        for i in word:
+            b = key[i - 1]
+            length += 1 if b > n else -1
+            key = key.translate(tables[b])
+        return WeylElt(self, key, length)
+
+    def _peel(self, key: bytes) -> list[int]:
+        """Right descents stripped off, the smallest first, down to the identity.
+
+        Returns j_1, ..., j_m with w s_{j_1} ... s_{j_m} = e: a reduced word
+        of w^{-1}, and of w when reversed.
+        """
+        tables, negative = self.reflection_table(), self._negative
+        word = []
+        while (j := key.translate(negative).find(0)) >= 0:
+            word.append(j + 1)
+            key = key.translate(tables[key[j]])
+        return word
+
+    def _permutation(self, key: bytes) -> tuple[int, ...]:
+        """Signed image index of every positive root under the element of ``key``.
+
+        One lookup per non-simple root, by height: w(s_j beta') is
+        s_{w(alpha_j)}(w(beta')) with beta' lower.
+        """
+        tables, n = self.reflection_table(), self.nroots
+        img = [0] * n
+        for k, p in enumerate(self.simple_pos):
+            img[p] = key[k]
+        for p, j, lower in self._perm_steps:
+            img[p] = tables[key[j]][img[lower]]
+        return tuple(b - n for b in img)
 
     # -- basic elements ------------------------------------------------------
 
     def simple(self, i: int) -> WeylElt:
-        return self._simples[i - 1]
+        return self.from_word((i,))
 
     def from_word(self, word: Sequence[int]) -> WeylElt:
-        w = self.identity
+        word = tuple(word)
         for i in word:
-            w = self.multiply(w, self.simple(i))
-        return w
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"word letter {i} out of range 1..{self.rank}")
+        return self._extend(self.identity, word)
 
     # -- group operations ------------------------------------------------------
 
     def multiply(self, w: WeylElt, u: WeylElt) -> WeylElt:
-        """(w u)(beta) = w(u(beta)), by table composition."""
-        wp, up = w.perm, u.perm
-        out = []
-        for t in up:
-            if t > 0:
-                out.append(wp[t - 1])
-            else:
-                out.append(-wp[-t - 1])
-        return WeylElt(self, tuple(out))
+        """w u, as w times a reduced word of u."""
+        return self._extend(w, reversed(self._peel(u.key)))
 
     def invert(self, w: WeylElt) -> WeylElt:
-        out = [0] * self.nroots
-        for p, t in enumerate(w.perm):
-            if t > 0:
-                out[t - 1] = p + 1
-            else:
-                out[-t - 1] = -(p + 1)
-        return WeylElt(self, tuple(out))
+        return self._extend(self.identity, self._peel(w.key))
 
     # -- root actions ------------------------------------------------------------
 
-    def act_signed(self, w: WeylElt, signed: int) -> int:
-        return w.perm[signed - 1] if signed > 0 else -w.perm[-signed - 1]
-
-    def act_on_root(self, w: WeylElt, alpha: Root) -> Root:
-        """Image of a root given by coordinates; may come back negative."""
-        if alpha in self.root_index:
-            t = w.perm[self.root_index[alpha]]
-        else:
-            neg = tuple(-c for c in alpha)
-            if neg not in self.root_index:
-                raise ValueError(f"{alpha} is not a root")
-            t = -w.perm[self.root_index[neg]]
-        coords = self.roots[abs(t) - 1]
-        return coords if t > 0 else tuple(-c for c in coords)
-
     def act_on_simple(self, w: WeylElt, i: int) -> int:
         """Signed root index of w(alpha_i)."""
-        return w.perm[self.simple_pos[i - 1]]
+        return w.key[i - 1] - self.nroots
 
-    def reflection_table(self) -> list[list[int]]:
-        """Row p: signed action of the reflection in beta_p on signed root indices.
-
-        ``row[t]`` is the signed index of s_beta(beta_t) for t = +-1..+-N
-        (negative t by Python's negative indexing); row 0 is unused.  Built
-        once, by height: s_beta = s_j s_beta' s_j when s_j beta = beta' is lower.
-        """
-        if self._reflections is None:
-            n = self.nroots
-
-            def signed(images: Sequence[int]) -> list[int]:
-                row = [0] * (2 * n + 1)
-                for t, img in enumerate(images, 1):
-                    row[t], row[-t] = img, -img
-                return row
-
-            height = [0] + [sum(r) for r in self.roots]
-            simple_rows = [signed(col) for col in self._srefl]
-            rows: list = [None] * (n + 1)
-            for p in sorted(range(1, n + 1), key=height.__getitem__):
-                if height[p] == 1:
-                    rows[p] = simple_rows[self.roots[p - 1].index(1)]
-                    continue
-                j = next(j for j in range(self.rank) if 0 < self._srefl[j][p - 1]
-                         and height[self._srefl[j][p - 1]] < height[p])
-                s, lower = simple_rows[j], rows[self._srefl[j][p - 1]]
-                rows[p] = signed([s[lower[s[t]]] for t in range(1, n + 1)])
-            self._reflections = rows
-        return self._reflections
+    def simple_image(self, w: WeylElt, i: int) -> Optional[int]:
+        """m when w(alpha_i) is the simple root alpha_m, else None."""
+        m = self.identity.key.find(w.key[i - 1])
+        return m + 1 if m >= 0 else None
 
     def signed_to_coords(self, signed: int) -> Root:
         coords = self.roots[abs(signed) - 1]
@@ -185,34 +223,10 @@ class WeylGroup:
     def canonical_word(self, w: WeylElt) -> tuple[int, ...]:
         """Lexicographically smallest reduced word, by greedy left descents.
 
-        Tracks the images of the simple roots under cur^{-1}: a left descent
-        i of cur is a negative image, and cur^{-1} s_i = s_beta cur^{-1} with
-        beta = cur^{-1}(alpha_i), one reflection-table row per letter.
+        The left descents of w are the right descents of w^{-1}, so peeling
+        the smallest right descent of w^{-1} first spells the word.
         """
-        refl = self.reflection_table()
-        inv = self.invert(w).perm
-        img = [inv[p] for p in self.simple_pos]
-        word: list[int] = []
-        for _ in range(w.length):
-            i = next(i for i, t in enumerate(img) if t < 0)
-            word.append(i + 1)
-            r = refl[-img[i]]
-            img = [r[t] for t in img]
-        return tuple(word)
-
-    def word_from_bracket(self, a: int, b: int, inverse: bool = False) -> tuple[int, ...]:
-        """The descending run s_a s_{a-1} ... s_b; empty when a < b.
-
-        The empty-word reading of the a < b branch is deliberate: the
-        sources write it as a formal zero, which is not a group element.
-        """
-        for x in (a, b):
-            if not 1 <= x <= self.rank:
-                raise ValueError(f"index {x} out of range 1..{self.rank}")
-        if a < b:
-            return ()
-        word = tuple(range(a, b - 1, -1))
-        return tuple(reversed(word)) if inverse else word
+        return tuple(self._peel(self.invert(w).key))
 
     # -- parabolic structure -------------------------------------------------------
 
@@ -224,12 +238,10 @@ class WeylGroup:
                 raise ValueError(f"node {j} out of range")
         w = self.identity
         while True:
-            for j in J:
-                if self.act_on_simple(w, j) > 0:
-                    w = self.multiply(w, self.simple(j))
-                    break
-            else:
+            ascent = next((j for j in J if self.act_on_simple(w, j) > 0), None)
+            if ascent is None:
                 return w
+            w = self._extend(w, (ascent,))
 
     def is_min_coset_rep(self, w: WeylElt, nodes: Iterable[int]) -> bool:
         """True iff w alpha_j > 0 for all j in J (minimal in w W_J)."""
@@ -245,15 +257,13 @@ class WeylGroup:
         self,
         nodes: Optional[Iterable[int]] = None,
         budget: int = 10 ** 6,
-    ) -> dict[tuple[int, ...], WeylElt]:
-        """All elements of the standard parabolic on ``nodes`` (default: W).
+    ) -> dict[bytes, int]:
+        """Key -> length of every element of the standard parabolic on ``nodes``.
 
-        Keyed by the images of the simple roots (signed root indices),
-        which determine an element.  Breadth-first from the identity by
-        right multiplication with the simple reflections in ``nodes``:
-        (w s)(alpha_k) = w(s(alpha_k)) gives a product's key by lookup, the
-        product is built only when the key is new, and its length is its
-        depth.  Cached per node set.  Raises EnumerationBudgetError beyond
+        Breadth-first from the identity by left multiplication with the
+        simple reflections in ``nodes``, (s w)(alpha_k) = s(w(alpha_k)): one
+        translate per product, and each length is its BFS depth.  Default:
+        all of W.  Cached per node set.  Raises EnumerationBudgetError beyond
         ``budget`` elements, on a cache hit as on the first call.
         """
         key = frozenset(nodes) if nodes is not None else frozenset(range(1, self.rank + 1))
@@ -264,31 +274,25 @@ class WeylGroup:
                     f"parabolic enumeration exceeded budget {budget}"
                 )
             return cached
-        gens = [self._srefl[i - 1] for i in sorted(key)]
-        gens = [(s, [s[p] for p in self.simple_pos]) for s in gens]
-        seen = {tuple(p + 1 for p in self.simple_pos): self.identity}
-        frontier = [self.identity.perm]
+        tables = self.reflection_table()
+        gens = [tables[self.identity.key[i - 1]] for i in sorted(key)]
+        lengths = {self.identity.key: 0}
+        frontier = [self.identity.key]
         depth = 0
         while frontier:
             depth += 1
             nxt = []
-            for wp in frontier:
-                # Signed images: row[t] = w(beta_t), row[-t] = -w(beta_t).
-                row = (0,) + wp + tuple([-t for t in reversed(wp)])
-                for s, s_simple in gens:
-                    img = tuple([row[t] for t in s_simple])
-                    if img in seen:
+            for w in frontier:
+                for s in gens:
+                    u = w.translate(s)
+                    if u in lengths:
                         continue
-                    if len(seen) >= budget:
+                    if len(lengths) >= budget:
                         raise EnumerationBudgetError(
                             f"parabolic enumeration exceeded budget {budget}"
                         )
-                    up = tuple([row[t] for t in s])
-                    seen[img] = WeylElt(self, up, depth)
-                    nxt.append(up)
+                    lengths[u] = depth
+                    nxt.append(u)
             frontier = nxt
-        self._elements_cache[key] = seen
-        return seen
-
-    def order(self, nodes: Optional[Iterable[int]] = None) -> int:
-        return len(self.elements(nodes))
+        self._elements_cache[key] = lengths
+        return lengths

@@ -1,0 +1,185 @@
+"""Reference oracles: element moves by whole products, not by the shift kernel.
+
+``weyldl`` moves elements by translating their keys (the images of the
+simple roots) through reflection tables.  The functions here reach the
+same answers the slow, obvious way: cyclic shifts as two full products
+``W.multiply(W.multiply(s_j, w), s_pi(j))``, strong conjugacy by trying
+every x in W, cuspidality by intersecting every proper pi-stable
+parabolic, and permutations of the positive roots composed from
+``rootdata.reflect``.  They exist only so that tests can compare the
+kernel against them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap, restrict_pi
+from weyldl.rootdata import reflect
+from weyldl.weyl import WeylElt, WeylGroup
+
+
+def elements_of(W: WeylGroup, nodes: Optional[Iterable[int]] = None) -> list[WeylElt]:
+    """Every element of the parabolic on ``nodes``, in enumeration order."""
+    return [WeylElt(W, key, length) for key, length in W.elements(nodes).items()]
+
+
+def class_elements(W: WeylGroup, cls: DeltaClass) -> list[WeylElt]:
+    """The members of a class as elements, in enumeration order."""
+    lengths = W.elements({i for i, _ in cls.pi})
+    return [WeylElt(W, key, lengths[key]) for key in cls.keys]
+
+
+def perm_of_word(W: WeylGroup, word: Iterable[int]) -> tuple[int, ...]:
+    """Signed permutation of the positive roots for a word, by composing the
+    simple reflections' permutations computed with ``rootdata.reflect``."""
+    cartan = W.system.cartan
+    index = {r: p + 1 for p, r in enumerate(W.roots)}
+    index.update({tuple(-c for c in r): -(p + 1) for p, r in enumerate(W.roots)})
+    simple = {
+        i: [index[reflect(cartan, i, r)] for r in W.roots] for i in range(1, W.rank + 1)
+    }
+    perm = tuple(range(1, W.nroots + 1))
+    for i in word:
+        perm = tuple(perm[t - 1] if t > 0 else -perm[-t - 1] for t in simple[i])
+    return perm
+
+
+def twist_element(W: WeylGroup, pi: PiMap, x: WeylElt) -> WeylElt:
+    """Image of x under the group automorphism sending s_i to s_{pi(i)}."""
+    return W.from_word([pi[i] for i in x.word])
+
+
+def cyclic_shift_step(W: WeylGroup, pi: PiMap, w: WeylElt, j: int) -> Optional[WeylElt]:
+    """s_j w s_{pi(j)} when that does not increase length, else None."""
+    u = W.multiply(W.multiply(W.simple(j), w), W.simple(pi[j]))
+    return u if u.length <= w.length else None
+
+
+def multiply_shift_closure(
+    W: WeylGroup,
+    pi: PiMap,
+    w: WeylElt,
+    budget: int = 10 ** 6,
+) -> set[WeylElt]:
+    """All elements reachable by non-length-increasing cyclic shifts."""
+    seen = {w}
+    frontier = [w]
+    letters = sorted(pi)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for j in letters:
+                v = cyclic_shift_step(W, pi, u, j)
+                if v is not None and v not in seen:
+                    if len(seen) >= budget:
+                        raise ClosureBudgetError(
+                            f"shift closure exceeded budget {budget} elements"
+                        )
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def shift_descend_to_min(
+    W: WeylGroup,
+    pi: PiMap,
+    w: WeylElt,
+    stop_length: Optional[int] = None,
+    budget: int = 10 ** 6,
+) -> WeylElt:
+    """Follow non-increasing shifts, eagerly taking strict descents.
+
+    Returns an element from which no shift sequence descends further;
+    by the descent theorem for twisted classes that element is minimal.
+    ``stop_length`` short-circuits as soon as that length is reached.
+    """
+    letters = sorted(pi)
+    cur = w
+    while True:
+        if stop_length is not None and cur.length <= stop_length:
+            return cur
+        descended = False
+        seen = {cur}
+        frontier = [cur]
+        while frontier and not descended:
+            nxt = []
+            for u in frontier:
+                for j in letters:
+                    v = cyclic_shift_step(W, pi, u, j)
+                    if v is None:
+                        continue
+                    if v.length < cur.length:
+                        cur = v
+                        descended = True
+                        break
+                    if v not in seen:
+                        if len(seen) >= budget:
+                            raise ClosureBudgetError(
+                                f"descent search exceeded budget {budget}"
+                            )
+                        seen.add(v)
+                        nxt.append(v)
+                if descended:
+                    break
+            frontier = nxt
+        if not descended:
+            return cur
+
+
+def elementarily_strongly_conjugate(
+    W: WeylGroup,
+    pi: PiMap,
+    w: WeylElt,
+    wp: WeylElt,
+    budget: int = 10 ** 6,
+) -> Optional[WeylElt]:
+    """A witness x with wp = x w pi(x)^{-1} and a length-additivity side.
+
+    Requires l(w) = l(wp); searches x in canonical order, so the witness
+    is deterministic.  Returns None when no witness exists.
+    """
+    if w.length != wp.length:
+        return None
+    elements = W.elements(budget=budget)
+    candidates = sorted(
+        (WeylElt(W, key, length) for key, length in elements.items()),
+        key=lambda x: x.sort_key(),
+    )
+    for x in candidates:
+        tx = twist_element(W, pi, x)
+        if W.multiply(W.multiply(x, w), W.invert(tx)) == wp:
+            if W.multiply(x, w).length == x.length + w.length:
+                return x
+            if W.multiply(w, W.invert(tx)).length == x.length + w.length:
+                return x
+    return None
+
+
+def is_cuspidal_by_definition(
+    W: WeylGroup,
+    pi: PiMap,
+    cls: DeltaClass,
+    nodes: Optional[Iterable[int]] = None,
+) -> bool:
+    """True iff the class meets no proper pi-stable standard parabolic.
+
+    Intersects every proper pi-stable parabolic with the enumerated class,
+    rather than reading the support of the minimal representative.
+    """
+    node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
+    pi_r = restrict_pi(pi, node_set)
+    supports = {frozenset(W.support(w)) for w in class_elements(W, cls)}
+    for supp in supports:
+        # w lies in W_J for every pi-stable J containing supp(w); the class
+        # meets a proper pi-stable parabolic iff some supp_pi(w) is proper.
+        closed = set(supp)
+        while True:
+            grown = {pi_r[i] for i in closed} | closed
+            if grown == closed:
+                break
+            closed = grown
+        if frozenset(closed) != node_set:
+            return False
+    return True

@@ -14,11 +14,9 @@ import pytest
 from weyldl.casetables import load_case_records, verify_case
 from weyldl.conjugacy import (
     class_of,
-    elementarily_strongly_conjugate,
     partition_memo,
     pi_of,
     shift_closure,
-    shift_descend_to_min,
     supp_delta,
 )
 from weyldl.criterion import (
@@ -32,6 +30,13 @@ from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist
 
 from conftest import RANK_LE_4, group
+from multiply_oracles import (
+    class_elements,
+    elementarily_strongly_conjugate,
+    elements_of,
+    is_cuspidal_by_definition,
+    shift_descend_to_min,
+)
 
 RANK_LE_3 = [g for g in RANK_LE_4 if g[1] <= 3]
 
@@ -114,10 +119,10 @@ def test_criterion_4_structural_theorems():
         classes = partition_memo(W, pi)
         owner = {}
         for cls in classes:
-            for w in cls.elements:
+            for w in class_elements(W, cls):
                 owner[w] = cls.min_length
         for cls in classes:
-            for w in cls.elements:
+            for w in class_elements(W, cls):
                 down = shift_descend_to_min(W, pi, w, stop_length=cls.min_length)
                 assert down.length == owner[w], (family, rank, order, w.word)
     _report("4", True, "descent reaches the minimal level (rank <= 4)")
@@ -146,13 +151,11 @@ def test_criterion_4_structural_theorems():
 
     # Full support at the minimum is cuspidality; cuspidal minima form one
     # shift class.
-    from weyldl.conjugacy import is_cuspidal
-
     for family, rank, order in RANK_LE_4:
         W, twist, pi, _ = _ctx(family, rank, order)
         nodes = frozenset(range(1, rank + 1))
         for cls in partition_memo(W, pi):
-            by_def = is_cuspidal(W, pi, cls, definitional=True)
+            by_def = is_cuspidal_by_definition(W, pi, cls)
             by_supp = supp_delta(W, pi, cls.representative) == nodes
             assert by_def == by_supp, (family, rank, order, cls.representative.word)
             if by_def:
@@ -195,7 +198,7 @@ def test_criterion_7_transfer_identity():
         W, twist, _, q = _ctx(family, rank, order)
         fwd_pi = pi_of(twist, "delta")
         inv_pi = pi_of(twist, "delta_inv")
-        for w in W.elements().values():
+        for w in elements_of(W):
             a = build_inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
             assert sorted(a.pure_rows) == sorted(b.pure_rows)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -100,6 +103,18 @@ class TestCertifyCheck:
             assert out.stderr.startswith("error: bad q literal")
             assert "Traceback" not in out.stderr
 
+    def test_class_rep_letters_are_validated(self, tmp_path):
+        # On A2 the letters are 1 and 2: 0 and 3 are out of range, x is no letter.
+        for rep, message in (("0", "error: word letter 0 out of range 1..2"),
+                             ("3", "error: word letter 3 out of range 1..2"),
+                             ("x", "error: bad word 'x'")):
+            out = run_cli(
+                "certify", "--family", "A", "--rank", "2", "--class-rep", rep, cwd=tmp_path,
+            )
+            assert out.returncode == 1, (rep, out.stderr)
+            assert out.stderr.strip() == message
+            assert out.stdout == ""
+
     def test_byte_identical_runs(self, tmp_path):
         args = (
             "certify", "--family", "G", "--rank", "2", "--class-rep", "1,2",
@@ -156,3 +171,27 @@ class TestShiftGraph:
         )
         assert out.returncode == 0
         assert path.read_text().startswith("digraph shifts {")
+
+    @pytest.mark.parametrize("family,rank,twist,rep,counts,digest", [
+        ("A", 3, 1, "1,2,3", "# 4 nodes, 10 edges",
+         "d37bcde6c1ab7aa6e4ade735416cfe8cb324cd3b89f853b00e16255b85345164"),
+        ("F", 4, 2, "1,2,3,4,3,2", "# 21 nodes, 52 edges",
+         "6180d45cec529ab8381aeb6e87b694d471b5821395a0ac587ae387927d570339"),
+    ])
+    def test_dot_digest(self, tmp_path, family, rank, twist, rep, counts, digest):
+        """The DOT output is byte-identical to the one pinned by its SHA-256."""
+        out = run_cli(
+            "shift-graph", "--family", family, "--rank", str(rank), "--twist", str(twist),
+            "--class-rep", rep, cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip() == counts
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+    def test_class_rep_letters_are_validated(self, tmp_path):
+        for rep in ("0", "3", "x"):
+            out = run_cli(
+                "shift-graph", "--family", "A", "--rank", "2", "--class-rep", rep, cwd=tmp_path,
+            )
+            assert out.returncode == 1, (rep, out.stderr)
+            assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr

@@ -1,17 +1,15 @@
 import pytest
 
+import random
+
 from weyldl.conjugacy import (
     class_of,
     closure_min_check,
     compute_I_J_x,
-    cyclic_shift_step,
-    elementarily_strongly_conjugate,
     enumerate_delta_classes,
-    is_cuspidal,
     partition_memo,
     pi_of,
     shift_closure,
-    shift_descend_to_min,
     supp_delta,
 )
 from weyldl.rootdata import build_twist
@@ -19,6 +17,15 @@ from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import RANK_LE_4, group, twist_of
+from multiply_oracles import (
+    class_elements,
+    cyclic_shift_step,
+    elementarily_strongly_conjugate,
+    elements_of,
+    is_cuspidal_by_definition,
+    multiply_shift_closure,
+    shift_descend_to_min,
+)
 
 
 def identity_pi(W):
@@ -52,7 +59,7 @@ class TestClosure:
     def test_coxeter_closure_a2(self, A2):
         pi = identity_pi(A2)
         closure = shift_closure(A2, pi, A2.from_word([1, 2]))
-        assert closure == {A2.from_word([1, 2]), A2.from_word([2, 1])}
+        assert set(closure) == {A2.from_word([1, 2]), A2.from_word([2, 1])}
 
     def test_closure_reaches_minimum(self, A2):
         pi = identity_pi(A2)
@@ -65,6 +72,52 @@ class TestClosure:
         cls = class_of(G2, pi, w0)
         down = shift_descend_to_min(G2, pi, G2.multiply(w0, G2.identity))
         assert down.length == cls.min_length
+
+
+def _partitions(n, largest=None):
+    """Number of partitions of n into parts of size at most ``largest``."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return 1
+    return sum(_partitions(n - k, k) for k in range(1, min(n, largest) + 1))
+
+
+class TestClassCounts:
+    """Untwisted class counts against the classical cycle-type formulas."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_type_a_counts_partitions(self, n):
+        # Classes of S_n = W(A_{n-1}) are cycle types: partitions of n.
+        W = group("A", n - 1)
+        assert len(partition_memo(W, identity_pi(W))) == _partitions(n)
+
+    @pytest.mark.parametrize("family", ["B", "C"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_types_b_c_count_partition_pairs(self, family, n):
+        # Classes of the hyperoctahedral group: signed cycle types, one per
+        # pair of partitions (positive cycles, negative cycles) of total size n.
+        W = group(family, n)
+        pairs = sum(_partitions(k) * _partitions(n - k) for k in range(n + 1))
+        assert pairs == {2: 5, 3: 10, 4: 20, 5: 36, 6: 65}[n]
+        assert len(partition_memo(W, identity_pi(W))) == pairs
+
+
+class TestShiftClosureOracle:
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + [("E", 6, 2), ("B", 5, 1)])
+    def test_graph_matches_multiply_shifts(self, family, rank, order):
+        """Nodes equal the closure under W.multiply shifts; each node lists
+        exactly its non-increasing shifts, letter by letter."""
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order))
+        rng = random.Random(31 * rank + order)
+        for _ in range(6):
+            w = W.from_word([rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))])
+            graph = shift_closure(W, pi, w)
+            assert set(graph) == multiply_shift_closure(W, pi, w)
+            for u, edges in graph.items():
+                expected = [(j, cyclic_shift_step(W, pi, u, j)) for j in sorted(pi)]
+                assert edges == [(j, v) for j, v in expected if v is not None]
+                assert all(v.length == len(v.word) for _, v in edges)
 
 
 class TestEnumeration:
@@ -87,22 +140,25 @@ class TestEnumeration:
     def test_partition_is_exhaustive(self, B2):
         classes = enumerate_delta_classes(B2, identity_pi(B2))
         assert sum(c.size for c in classes) == len(B2.elements())
+        assert sorted(k for c in classes for k in c.keys) == sorted(B2.elements())
 
     def test_length_parity_constant_on_classes(self, F4, D4):
         for W, order in ((F4, 1), (F4, 2), (D4, 3)):
             pi = pi_of(twist_of(W, order))
             for cls in partition_memo(W, pi):
-                assert all(w.length % 2 == cls.min_length % 2 for w in cls.elements)
+                assert all(w.length % 2 == cls.min_length % 2 for w in class_elements(W, cls))
 
     def test_identity_closure_is_identity(self, A2):
-        assert shift_closure(A2, identity_pi(A2), A2.identity) == {A2.identity}
+        assert shift_closure(A2, identity_pi(A2), A2.identity) == {
+            A2.identity: [(1, A2.identity), (2, A2.identity)]
+        }
 
     def test_union_find_matches_brute_conjugation_rank2(self, A2, B2, G2):
         # Independent oracle: orbits of w -> x w pi(x)^{-1} over all x.
         for W, order in ((A2, 1), (A2, 2), (B2, 1), (G2, 1)):
             t = twist_of(W, order)
             pi = pi_of(t)
-            elements = list(W.elements().values())
+            elements = elements_of(W)
             def orbit(w):
                 out = set()
                 for x in elements:
@@ -111,7 +167,7 @@ class TestEnumeration:
                 return out
             classes = enumerate_delta_classes(W, pi)
             for cls in classes:
-                assert set(cls.elements) == orbit(cls.representative)
+                assert set(class_elements(W, cls)) == orbit(cls.representative)
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
     def test_classes_are_multiply_shift_orbits_rank_le_4(self, family, rank, order):
@@ -119,7 +175,7 @@ class TestEnumeration:
         directions; members keep enumeration order; the representative is the
         minimal-length member with the smallest canonical word."""
         W = group(family, rank)
-        elements = list(W.elements().values())
+        elements = elements_of(W)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
             orbits, done = set(), set()
@@ -137,13 +193,15 @@ class TestEnumeration:
                 done |= orbit
                 orbits.add(frozenset(orbit))
             classes = enumerate_delta_classes(W, pi, direction=direction)
-            assert {frozenset(c.elements) for c in classes} == orbits
+            assert {frozenset(class_elements(W, c)) for c in classes} == orbits
             for cls in classes:
-                assert list(cls.elements) == [w for w in elements if w in cls.members]
-                assert cls.size == len(cls.elements)
-                assert cls.min_length == min(w.length for w in cls.elements)
-                mins = [w for w in cls.elements if w.length == cls.min_length]
+                members = class_elements(W, cls)
+                assert cls.keys == tuple(w.key for w in elements if w.key in cls.members)
+                assert cls.size == len(members)
+                assert cls.min_length == min(w.length for w in members)
+                mins = [w for w in members if w.length == cls.min_length]
                 assert cls.representative == min(mins, key=lambda w: w.word)
+                assert cls.min_elements() == sorted(mins, key=lambda w: w.sort_key())
 
 
 class TestSharedSubGroups:
@@ -194,13 +252,13 @@ class TestCuspidality:
         classes = enumerate_delta_classes(A2, pi)
         assert classes[0].representative == A2.identity
         assert not classes[0].cuspidal
-        assert not is_cuspidal(A2, pi, classes[0], definitional=True)
+        assert not is_cuspidal_by_definition(A2, pi, classes[0])
 
     def test_coxeter_class_cuspidal(self, A2):
         pi = identity_pi(A2)
         cls = class_of(A2, pi, A2.from_word([1, 2]))
         assert cls.cuspidal
-        assert is_cuspidal(A2, pi, cls, definitional=True)
+        assert is_cuspidal_by_definition(A2, pi, cls)
 
     def test_g2_longest_cuspidal(self, G2):
         pi = identity_pi(G2)
@@ -215,7 +273,7 @@ class TestCuspidality:
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
             for cls in partition_memo(W, pi):
-                assert cls.cuspidal == is_cuspidal(W, pi, cls, definitional=True), (
+                assert cls.cuspidal == is_cuspidal_by_definition(W, pi, cls), (
                     family, rank, order, cls.representative.word,
                 )
 
@@ -298,7 +356,7 @@ class TestClosureMinCheck:
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
         cls = class_of(F4, pi, w)
-        picked = [x for x in cls.elements if x.length == cls.min_length][0]
+        picked = [x for x in class_elements(F4, cls) if x.length == cls.min_length][0]
         # Longer than its support needs, so the fast path does not answer.
         assert picked.length > supp_len(F4, pi, picked)
         assert closure_min_check(F4, pi, picked, budget=1) == "budget"
@@ -309,7 +367,7 @@ class TestClosureMinCheck:
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
-            for w in W.elements().values():
+            for w in elements_of(W):
                 minimal = w.length == class_of(W, pi, w, direction=direction).min_length
                 assert closure_min_check(W, pi, w) == ("minimal" if minimal else "not_minimal"), (
                     family, rank, order, direction, w.word,
@@ -339,7 +397,7 @@ class TestShiftsStayInClass:
             classes = partition_memo(W, pi)
             owner = {}
             for k, cls in enumerate(classes):
-                for w in cls.elements:
+                for w in class_elements(W, cls):
                     owner[w] = k
             for w, k in owner.items():
                 for j in range(1, rank + 1):

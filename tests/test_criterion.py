@@ -26,6 +26,7 @@ from weyldl.exactnum import SQRT2, SQRT3, qext
 from weyldl.rootdata import Coweight, build_twist
 
 from conftest import group
+from multiply_oracles import elements_of
 
 
 def idpi(W):
@@ -68,7 +69,7 @@ class TestTransferIdentity:
         q = minimal_q(family, order)
         fwd_pi = pi_of(twist, "delta")
         inv_pi = pi_of(twist, "delta_inv")
-        for w in W.elements().values():
+        for w in elements_of(W):
             a = build_inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
             # Same pure rows; q-rows match after re-indexing i -> delta(i).
@@ -83,7 +84,7 @@ class TestStarSystem:
         # Type A reduction: rows reduce to q m_i - m_{i-1} for i != 1.
         W = group("A", 4)
         pi = idpi(W)
-        w1 = W.from_word(W.word_from_bracket(4, 1))
+        w1 = W.from_word((4, 3, 2, 1))
         system = build_star_system(W, frozenset({2, 3, 4}), w1, pi, qext(2))
         ones = {i: qext(1) for i in range(1, 5)}
         assert system.satisfied_by(ones)
@@ -352,7 +353,7 @@ class TestSolverCheckerAgreement:
         W = group("B", 3)
         twist = build_twist("B", 3, 1)
         pi = pi_of(twist)
-        elements = list(W.elements().values())
+        elements = elements_of(W)
         accepted = 0
         for _ in range(60):
             w = rng.choice(elements)

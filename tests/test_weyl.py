@@ -8,28 +8,30 @@ from weyldl.rootdata import weyl_order
 from weyldl.weyl import EnumerationBudgetError
 
 from conftest import RANK_LE_4, group
+from multiply_oracles import elements_of, perm_of_word
+
+
+def act(w, signed):
+    """Signed index of w(beta) for beta the root of signed index ``signed``."""
+    return w.perm[signed - 1] if signed > 0 else -w.perm[-signed - 1]
 
 
 class TestAction:
     def test_simple_reflection_negates_own_root(self, A2):
         s1 = A2.simple(1)
-        assert A2.act_on_root(s1, (1, 0)) == (-1, 0)
+        assert A2.signed_to_coords(A2.act_on_simple(s1, 1)) == (-1, 0)
 
     def test_two_step_action(self, A2):
         w = A2.from_word([1, 2])
-        assert A2.act_on_root(w, (0, 1)) == (-1, -1)
+        assert A2.signed_to_coords(A2.act_on_simple(w, 2)) == (-1, -1)
 
     def test_f4_cartan_entry(self, F4):
         s2 = F4.simple(2)
-        assert F4.act_on_root(s2, (0, 0, 1, 0)) == (0, 1, 1, 0)
-
-    def test_not_a_root(self, A2):
-        with pytest.raises(ValueError):
-            A2.act_on_root(A2.identity, (2, 0))
+        assert F4.signed_to_coords(F4.act_on_simple(s2, 3)) == (0, 1, 1, 0)
 
     def test_negative_root_input(self, A2):
         w = A2.from_word([1])
-        assert A2.act_on_root(w, (-1, 0)) == (1, 0)
+        assert A2.signed_to_coords(-A2.act_on_simple(w, 1)) == (1, 0)
 
 
 class TestInversions:
@@ -54,7 +56,7 @@ class TestInversions:
 
 class TestWords:
     def test_canonical_word_round_trip_small(self, G2):
-        for w in G2.elements().values():
+        for w in elements_of(G2):
             assert G2.from_word(w.word) == w
 
     @given(st.lists(st.integers(1, 4), max_size=14))
@@ -70,21 +72,15 @@ class TestWords:
         w = A2.from_word([2, 1, 2])
         assert w.word == (1, 2, 1)
 
-    def test_bracket_words(self, F4):
-        assert F4.word_from_bracket(3, 1) == (3, 2, 1)
-        assert F4.word_from_bracket(3, 1, inverse=True) == (1, 2, 3)
-        assert F4.word_from_bracket(1, 3) == ()
-        with pytest.raises(ValueError):
-            F4.word_from_bracket(5, 1)
-
-    def test_bracket_instantiation(self):
-        W = group("A", 3)
-        assert W.word_from_bracket(3, 1) == (3, 2, 1)
+    @pytest.mark.parametrize("letter", [0, -1, 3, 7])
+    def test_from_word_rejects_letters_out_of_range(self, A2, letter):
+        with pytest.raises(ValueError, match="out of range"):
+            A2.from_word([1, letter])
 
 
 class TestGroupOps:
     def test_inverse_round_trip(self, B2):
-        for w in B2.elements().values():
+        for w in elements_of(B2):
             assert B2.multiply(w, B2.invert(w)) == B2.identity
             assert B2.invert(w).length == w.length
 
@@ -94,12 +90,12 @@ class TestGroupOps:
 
     def test_action_homomorphism(self, G2):
         rng = random.Random(999)
-        elems = list(G2.elements().values())
+        elems = elements_of(G2)
         for _ in range(50):
             a, b = rng.choice(elems), rng.choice(elems)
             ab = G2.multiply(a, b)
             for p in range(G2.nroots):
-                assert ab.perm[p] == G2.act_signed(a, b.perm[p])
+                assert ab.perm[p] == act(a, b.perm[p])
 
 
 class TestLongestAndCosets:
@@ -129,7 +125,7 @@ class TestLongestAndCosets:
         # s_{[n,1]} is a minimal coset representative for J = I - {1},
         # which is the twisted image of I - {n} under the reversal.
         W = group("A", 4)
-        w1 = W.from_word(W.word_from_bracket(4, 1))
+        w1 = W.from_word((4, 3, 2, 1))
         assert W.is_min_coset_rep(w1, {2, 3, 4})
 
 
@@ -145,16 +141,19 @@ class TestOrders:
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_reflection_table_matches_conjugated_simple_reflections(family, rank):
-    """Row |w(alpha_i)| of the table is the action of w s_i w^-1, for every w and i."""
+    """The table of key byte w(alpha_i), either sign, is the action of w s_i w^-1
+    on signed root indices (shifted by N), for every w and i."""
     W = group(family, rank)
-    table = W.reflection_table()
-    for w in W.elements().values():
+    table, n = W.reflection_table(), W.nroots
+    for w in elements_of(W):
         for i in range(1, rank + 1):
             t = W.act_on_simple(w, i)
             reflection = W.multiply(W.multiply(w, W.simple(i)), W.invert(w))
-            row = table[abs(t)]
-            assert [row[p] for p in range(1, W.nroots + 1)] == list(reflection.perm)
-            assert [row[-p] for p in range(1, W.nroots + 1)] == [-x for x in reflection.perm]
+            assert reflection.perm == perm_of_word(W, w.word + (i,) + w.word[::-1])
+            for row in (table[n + t], table[n - t]):
+                assert [row[n + p] - n for p in range(1, n + 1)] == list(reflection.perm)
+                assert [row[n - p] - n for p in range(1, n + 1)] == [-x for x in reflection.perm]
+                assert row[n] == n and row[2 * n + 1:] == bytes(range(2 * n + 1, 256))
 
 
 @given(st.lists(st.integers(1, 3), max_size=10), st.integers(1, 3))
@@ -175,16 +174,29 @@ def test_length_changes_by_one_random_e8():
         assert abs(W.multiply(w, W.simple(i)).length - w.length) == 1
 
 
+@pytest.mark.parametrize("family,rank", [("E", 8), ("B", 7), ("F", 4)])
+def test_lazy_perm_equals_composed_permutation(family, rank):
+    """The permutation rebuilt from the key equals the product of the simple
+    reflections' permutations along the word, on random words; the length
+    counts its negative entries."""
+    W = group(family, rank)
+    rng = random.Random(2024 + rank)
+    for _ in range(60):
+        word = [rng.randint(1, rank) for _ in range(rng.randint(0, 40))]
+        w = W.from_word(word)
+        perm = perm_of_word(W, word)
+        assert w.perm == perm, (family, rank, word)
+        assert w.length == sum(1 for t in perm if t < 0)
+        assert W.invert(w).perm == perm_of_word(W, word[::-1])
+
+
 def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
     # inv(w^{-1}) = { -w(beta) : beta in inv(w) }
     for W in (A2, B2, G2):
-        for w in W.elements().values():
+        for w in elements_of(W):
             winv = W.invert(w)
             lhs = {W.roots[p] for p in W.inversions(winv)}
-            rhs = {
-                tuple(-c for c in W.act_on_root(w, W.roots[p]))
-                for p in W.inversions(w)
-            }
+            rhs = {W.signed_to_coords(-w.perm[p]) for p in W.inversions(w)}
             assert lhs == rhs
 
 
@@ -232,7 +244,7 @@ def test_enumerated_lengths_count_negative_entries():
         except EnumerationBudgetError:
             continue
         checked += 1
-        for w in elements.values():
+        for w in elements_of(W):
             assert w.length == _negative_entries(w), (label, w.perm)
     assert checked >= len(groups) + 10
 
@@ -242,7 +254,7 @@ def test_canonical_word_is_greedy_left_descent_word(family, rank):
     """The table-driven canonical word equals the greedy left-descent word
     computed with full products, and is reduced."""
     W = group(family, rank)
-    for w in W.elements().values():
+    for w in elements_of(W):
         word, cur = [], w
         while cur.length:
             i = next(i for i in range(1, rank + 1) if W.act_on_simple(W.invert(cur), i) < 0)
