@@ -33,6 +33,7 @@ from .conjugacy import (
 )
 from .criterion import (
     FORM_INVERSE,
+    MAX_RANK,
     Certificate,
     build_inverse_system,
     build_star_system,
@@ -801,41 +802,38 @@ SPADE_LABELS = (
 )
 
 
-_RECORD_MEMO: dict[int, list[CaseRecord]] = {}
+_RECORD_MEMO: list[CaseRecord] = []
 
 
-def load_case_records(max_rank: int = 8) -> list[CaseRecord]:
-    """All catalog records, parametric families instantiated up to max_rank."""
-    if max_rank in _RECORD_MEMO:
-        return _RECORD_MEMO[max_rank]
+def load_case_records() -> list[CaseRecord]:
+    """All catalog records, parametric families instantiated up to the checker's MAX_RANK."""
+    if _RECORD_MEMO:
+        return _RECORD_MEMO
     out: list[CaseRecord] = []
-    for n in range(1, max_rank + 1):
+    for n in range(1, MAX_RANK + 1):
         out.extend(_records_A(n))
-    for n in range(2, max_rank + 1):
+    for n in range(2, MAX_RANK + 1):
         out.extend(_records_2A(n))
-    for n in range(2, max_rank + 1):
+    for n in range(2, MAX_RANK + 1):
         out.extend(_records_BC("B", n))
-    for n in range(2, max_rank + 1):
+    for n in range(2, MAX_RANK + 1):
         out.extend(_records_BC("C", n))
-    for n in range(4, max_rank + 1):
+    for n in range(4, MAX_RANK + 1):
         out.extend(_records_D(n, 1))
-    for n in range(4, max_rank + 1):
+    for n in range(4, MAX_RANK + 1):
         out.extend(_records_D(n, 2))
     out.extend(_records_3D4())
-    if max_rank >= 6:
-        out.extend(_records_E6())
-        out.extend(_records_2E6())
-    if max_rank >= 7:
-        out.extend(_records_E7())
-    if max_rank >= 8:
-        out.extend(_records_E8())
+    out.extend(_records_E6())
+    out.extend(_records_2E6())
+    out.extend(_records_E7())
+    out.extend(_records_E8())
     out.extend(_records_F4())
     out.extend(_records_2F4())
     out.extend(_records_G2())
     out.extend(_records_2G2())
     out.extend(_records_2B2())
-    _RECORD_MEMO[max_rank] = out
-    return out
+    _RECORD_MEMO.extend(out)
+    return _RECORD_MEMO
 
 
 # ---------------------------------------------------------------------------
@@ -1046,8 +1044,7 @@ def _run_case(
         if record.m_values is not None:
             point = {i: qext(record.m_values.get(i, 0)) for i in star.varset}
             missing = [i for i in star.varset if i not in record.m_values]
-            slacks = star.evaluate(point)
-            bad = [lbl for lbl, s in zip(star.labels(), slacks) if s.sign() <= 0]
+            bad = [label for label, _ in star.violated(point)]
             if missing:
                 report.subchecks["star"] = "fail"
                 report.details["star_missing_vars"] = missing
@@ -1057,9 +1054,12 @@ def _run_case(
             else:
                 report.subchecks["star"] = "pass"
         else:
-            # "always satisfied": every q-row's subtracted part must be
-            # coordinate-wise nonpositive, so any positive point works.
-            always = all(all(x <= 0 for x in v) for _, v in star.q_rows)
+            # "always satisfied": every positive point satisfies a row
+            # exactly when the row is coordinate-wise >= 0 and nonzero.
+            always = all(
+                all(c.sign() >= 0 for c in row) and any(c.sign() > 0 for c in row)
+                for row in star.rows
+            )
             if always:
                 report.subchecks["star"] = "pass"
                 report.details["star_note"] = "holds for every positive point"
@@ -1068,7 +1068,7 @@ def _run_case(
                 report.subchecks["star"] = "pass" if mu is not None else "fail"
                 report.details["star_note"] = "witness found by LP"
     else:
-        rows = star.combined_rows()
+        rows = star.rows
         mu = feasible(star)
         if at_min_q:
             if mu is not None:
@@ -1195,10 +1195,9 @@ def verify_all(
     type_filter: Optional[str] = None,
     q: Optional[QuadExt] = None,
     slow: bool = False,
-    max_rank: int = 8,
 ) -> AggregateReport:
     """Verify every (filtered) record; deterministic case order."""
-    records = load_case_records(max_rank=max_rank)
+    records = load_case_records()
     if type_filter:
         records = [r for r in records if r.label.startswith(type_filter)]
     reports = [verify_case(r, q=q, slow=slow) for r in records]

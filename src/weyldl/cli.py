@@ -14,6 +14,7 @@ from .casetables import verify_all
 from .conjugacy import (
     ClosureBudgetError,
     FalsificationError,
+    class_of,
     partition_memo,
     pi_of,
     shift_closure,
@@ -74,15 +75,7 @@ def cmd_certify(args) -> int:
     q = _q_of(args, args.family, args.twist)
     pi = pi_of(twist, "delta")
     rep = W.from_word(_parse_rep(args.class_rep))
-    classes = partition_memo(W, pi, direction="delta", budget=args.budget)
-    target = None
-    for cls in classes:
-        if cls.contains(rep):
-            target = cls
-            break
-    if target is None:
-        print("class representative not found", file=sys.stderr)
-        return 1
+    target = class_of(W, pi, rep, budget=args.budget)
     cert = certify_min_element(W, twist, target, q)
     text = cert.to_json()
     if args.out:

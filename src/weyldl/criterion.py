@@ -1,21 +1,26 @@
 """Strict-inequality systems behind the affineness criterion, and certificates.
 
-Two certificate forms exist, distinguished by a wire tag:
+Every verdict here is about one kind of object, an :class:`IneqSystem`:
+a homogeneous strict system  <c_r, m> > 0  over coweight coordinates,
+stored as exact ``QuadExt`` rows with a label each.  Three builders make
+its rows from signed root indices, all through one private row builder:
 
-* ``"lemma-1.11"`` (forward form): for an element w of a twisted class
-  with index map pi, the system demands  alpha(mu) > 0 on the
-  inversions of w, plus  q * mu[pi(i)] - (w^{-1} alpha_i)(mu) > 0 for
-  every node i.
+* forward form, wire tag ``"lemma-1.11"``: for an element w of a twisted
+  class with index map pi, the rows  q * mu[pi(i)] - (w^{-1} alpha_i)(mu)
+  > 0 for every node i, then  alpha(mu) > 0 on the inversions of w;
 
-* ``"stmt-1.13a"`` (inverse form): pure constraints over the inversions
-  of w^{-1}, plus  q * mu[i] - (w alpha_{pi(i)})(mu) > 0, where pi is
-  the index map of the class direction (the inverse twist for the
-  tabulated data).
+* inverse form, wire tag ``"stmt-1.13a"``: the rows
+  q * mu[i] - (w alpha_{pi(i)})(mu) > 0, where pi is the index map of the
+  class direction (the inverse twist for the tabulated data), then the
+  inversions of w^{-1};
 
-The two are exchanged by w -> w^{-1} together with re-indexing of the
-q-rows, which the test suite verifies exhaustively at small rank.
+* the reduction ("star") system of a tabulated (J, w1) row.
 
-Feasibility is decided by the exact simplex in :mod:`weyldl.lp`; the
+The two certificate forms are exchanged by w -> w^{-1} together with
+re-indexing of the q-rows, which the test suite verifies exhaustively at
+small rank.  A system either has a strict solution, found by the exact
+simplex in :mod:`weyldl.lp`, or a Gordan witness; at a given point its
+one query, :meth:`IneqSystem.violated`, names the rows that fail.  The
 checker rebuilds systems from scratch and never reuses solver state.
 """
 
@@ -24,10 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
-from .exactnum import QuadExt, SQRT2, SQRT3, qext
+from .conjugacy import DeltaClass, FalsificationError, PiMap, compute_I_J_x, pi_of, restrict_pi
+from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, qext
 from .lp import solve_strict
 from .rootdata import (
     Coweight,
@@ -68,54 +73,70 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class IneqSystem:
-    """Rows of a strict system over coweight coordinates.
+    """A homogeneous strict system  <c_r, m> > 0  over coweight coordinates.
 
-    ``q_rows`` are pairs (u, v) meaning  q*<u, m> - <v, m> > 0; pure
-    rows are single tuples c meaning <c, m> > 0.  All tuples live on
-    the variable set ``varset`` (1-based node indices, sorted); labels
-    parallel the rows for reporting.
+    ``rows`` holds one exact coefficient tuple per row on the variable set
+    ``varset`` (1-based node indices, sorted), with q already folded into
+    the q-rows; ``labels`` names each row for reporting.  Row order is
+    fixed by the builders, and the solver's pivots depend on it.
     """
 
     varset: tuple[int, ...]
-    q: QuadExt
-    q_rows: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...]
-    pure_rows: tuple[tuple[Fraction, ...], ...]
-    q_labels: tuple[str, ...] = ()
-    pure_labels: tuple[str, ...] = ()
-
-    def combined_rows(self) -> list[tuple[QuadExt, ...]]:
-        """Collapse q-rows at the fixed q; pure rows pass through."""
-        out: list[tuple[QuadExt, ...]] = []
-        for u, v in self.q_rows:
-            out.append(tuple(self.q * a - b for a, b in zip(u, v)))
-        for c in self.pure_rows:
-            out.append(tuple(qext(x) for x in c))
-        return out
-
-    def labels(self) -> list[str]:
-        return list(self.q_labels) + list(self.pure_labels)
+    rows: tuple[tuple[QuadExt, ...], ...]
+    labels: tuple[str, ...]
 
     def evaluate(self, point: dict[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
         vec = [qext(point.get(i, 0)) for i in self.varset]
         out = []
-        for row in self.combined_rows():
-            s = qext(0)
+        for row in self.rows:
+            s = ZERO
             for c, x in zip(row, vec):
-                s = s + c * x
+                if not c.is_zero():
+                    s = s + c * x
             out.append(s)
         return out
 
-    def satisfied_by(self, point: dict[int, QuadExt]) -> bool:
-        return all(s.sign() > 0 for s in self.evaluate(point))
+    def violated(self, point: dict[int, QuadExt]) -> list[tuple[str, int]]:
+        """(label, sign) of each row whose slack at ``point`` is zero or negative."""
+        return [
+            (label, sign)
+            for label, s in zip(self.labels, self.evaluate(point))
+            if (sign := s.sign()) <= 0
+        ]
 
 
-def _restrict(coords: Sequence[int], varset: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(coords[i - 1]) for i in varset)
+def _system(
+    W: WeylGroup,
+    varset: tuple[int, ...],
+    q: QuadExt,
+    q_rows: Iterable[tuple[int, int, int]],
+    pure_rows: Iterable[tuple[str, int]],
+) -> IneqSystem:
+    """Rows from signed root indices t, with beta_t the root of index t.
+
+    Each (i, u, t) in ``q_rows`` is the row  q*m_u - beta_t(m) > 0,
+    labelled by node i; each (label, t) in ``pure_rows`` is beta_t(m) > 0.
+    """
+    q = qext(q)
+    rows, labels = [], []
+    for i, u, t in q_rows:
+        v = W.signed_to_coords(t)
+        rows.append(tuple(q - v[j - 1] if j == u else qext(-v[j - 1]) for j in varset))
+        labels.append(f"q-row i={i}")
+    for label, t in pure_rows:
+        c = W.signed_to_coords(t)
+        rows.append(tuple(qext(c[j - 1]) for j in varset))
+        labels.append(label)
+    return IneqSystem(varset, tuple(rows), tuple(labels))
 
 
-def _unit(i: int, varset: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in varset)
+def _varset(W: WeylGroup, nodes: Optional[Iterable[int]]) -> tuple[int, ...]:
+    return tuple(sorted(nodes)) if nodes is not None else tuple(range(1, W.rank + 1))
+
+
+def _inversion_rows(W: WeylGroup, w: WeylElt) -> list[tuple[str, int]]:
+    return [(f"inversion {W.roots[p]}", p + 1) for p in W.inversions(w)]
 
 
 def build_forward_system(
@@ -126,28 +147,13 @@ def build_forward_system(
     nodes: Optional[Iterable[int]] = None,
 ) -> IneqSystem:
     """Forward-form system for w in a pi-twisted class on ``nodes``."""
-    varset = tuple(sorted(nodes)) if nodes is not None else tuple(range(1, W.rank + 1))
+    varset = _varset(W, nodes)
     pi = restrict_pi(pi, varset)
     winv = W.invert(w)
-    q_rows = []
-    q_labels = []
-    for i in varset:
-        u = _unit(pi[i], varset)
-        v = _restrict(W.signed_to_coords(W.act_on_simple(winv, i)), varset)
-        q_rows.append((u, v))
-        q_labels.append(f"q-row i={i}")
-    pure_rows = []
-    pure_labels = []
-    for p in W.inversions(w):
-        pure_rows.append(_restrict(W.roots[p], varset))
-        pure_labels.append(f"inversion {W.roots[p]}")
-    return IneqSystem(
-        varset=varset,
-        q=qext(q),
-        q_rows=tuple(q_rows),
-        pure_rows=tuple(pure_rows),
-        q_labels=tuple(q_labels),
-        pure_labels=tuple(pure_labels),
+    return _system(
+        W, varset, q,
+        [(i, pi[i], W.act_on_simple(winv, i)) for i in varset],
+        _inversion_rows(W, w),
     )
 
 
@@ -159,28 +165,12 @@ def build_inverse_system(
     nodes: Optional[Iterable[int]] = None,
 ) -> IneqSystem:
     """Inverse-form system for w; pi is the class-direction index map."""
-    varset = tuple(sorted(nodes)) if nodes is not None else tuple(range(1, W.rank + 1))
+    varset = _varset(W, nodes)
     pi = restrict_pi(pi, varset)
-    q_rows = []
-    q_labels = []
-    for i in varset:
-        u = _unit(i, varset)
-        v = _restrict(W.signed_to_coords(W.act_on_simple(w, pi[i])), varset)
-        q_rows.append((u, v))
-        q_labels.append(f"q-row i={i}")
-    pure_rows = []
-    pure_labels = []
-    winv = W.invert(w)
-    for p in W.inversions(winv):
-        pure_rows.append(_restrict(W.roots[p], varset))
-        pure_labels.append(f"inversion {W.roots[p]}")
-    return IneqSystem(
-        varset=varset,
-        q=qext(q),
-        q_rows=tuple(q_rows),
-        pure_rows=tuple(pure_rows),
-        q_labels=tuple(q_labels),
-        pure_labels=tuple(pure_labels),
+    return _system(
+        W, varset, q,
+        [(i, i, W.act_on_simple(w, pi[i])) for i in varset],
+        _inversion_rows(W, W.invert(w)),
     )
 
 
@@ -196,32 +186,18 @@ def build_star_system(
     """The reduction condition's system on the variables outside K.
 
     Variables are the active nodes not in K = I(J, w1, pi); rows are
-    q*m_i - (w1 alpha_{pi(i)})(m restricted) > 0 for i outside K, plus
-    positivity of every variable.
+    q*m_i - (w1 alpha_{pi(i)})(m restricted) > 0 for i outside K, then
+    positivity m_i > 0 (the row of the simple root alpha_i) of every variable.
     """
-    from .conjugacy import compute_I_J_x
-
-    active = tuple(sorted(nodes)) if nodes is not None else tuple(range(1, W.rank + 1))
+    active = _varset(W, nodes)
     pi = restrict_pi(pi, active)
     if K is None:
         K = compute_I_J_x(W, pi, J, w1)
     varset = tuple(i for i in active if i not in K)
-    q_rows = []
-    q_labels = []
-    for i in varset:
-        u = _unit(i, varset)
-        v = _restrict(W.signed_to_coords(W.act_on_simple(w1, pi[i])), varset)
-        q_rows.append((u, v))
-        q_labels.append(f"q-row i={i}")
-    pure_rows = tuple(_unit(i, varset) for i in varset)
-    pure_labels = tuple(f"positivity m_{i}" for i in varset)
-    return IneqSystem(
-        varset=varset,
-        q=qext(q),
-        q_rows=tuple(q_rows),
-        pure_rows=pure_rows,
-        q_labels=tuple(q_labels),
-        pure_labels=pure_labels,
+    return _system(
+        W, varset, q,
+        [(i, i, W.act_on_simple(w1, pi[i])) for i in varset],
+        [(f"positivity m_{i}", W.simple_pos[i - 1] + 1) for i in varset],
     )
 
 
@@ -231,8 +207,7 @@ def feasible(system: IneqSystem) -> Optional[Coweight]:
     Coordinates off the variable set come back zero.  The rank is taken
     as max node appearing; callers embed as needed.
     """
-    rows = system.combined_rows()
-    point = solve_strict(rows, len(system.varset))
+    point = solve_strict(system.rows, len(system.varset))
     if point is None:
         return None
     rank = max(system.varset) if system.varset else 0
@@ -361,14 +336,13 @@ def check_certificate(cert: Certificate) -> CheckResult:
         system = build_forward_system(W, w, pi, cert.q)
     else:
         system = build_inverse_system(W, w, pi, cert.q)
-    point = {i: cert.mu[i] for i in system.varset}
-    slacks = system.evaluate(point)
-    for label, s in zip(system.labels(), slacks):
-        if s.sign() <= 0:
-            # Never format the slack: a hostile mu can make it too long to print.
-            sign = "zero" if s.sign() == 0 else "negative"
-            return CheckResult(False, f"violated: {label} (slack {sign})", len(slacks))
-    return CheckResult(True, "", len(slacks))
+    violated = system.violated({i: cert.mu[i] for i in system.varset})
+    if violated:
+        # Only the sign is reported: a hostile mu can make a slack too long to print.
+        label, sign = violated[0]
+        reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
+        return CheckResult(False, reason, len(system.rows))
+    return CheckResult(True, "", len(system.rows))
 
 
 def minimal_q(family: str, twist: int) -> QuadExt:

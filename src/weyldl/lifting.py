@@ -23,6 +23,7 @@ from .conjugacy import (
     FalsificationError,
     PiMap,
     ad_pi_on,
+    class_of,
     compute_I_J_x,
     inverse_pi,
     partition_memo,
@@ -74,10 +75,9 @@ class EngineCert:
 
 def _validate(W: WeylGroup, pi: PiMap, cert: EngineCert, context: str) -> EngineCert:
     system = build_forward_system(W, cert.w, pi, cert.q, nodes=cert.nodes)
-    point = {i: cert.mu.get(i, qext(0)) for i in system.varset}
-    for label, s in zip(system.labels(), system.evaluate(point)):
-        if s.sign() <= 0:
-            raise ConstructionError(f"{context}: constructed witness violates {label}")
+    violated = system.violated({i: cert.mu.get(i, qext(0)) for i in system.varset})
+    if violated:
+        raise ConstructionError(f"{context}: constructed witness violates {violated[0][0]}")
     return cert
 
 
@@ -100,19 +100,8 @@ def _nudge_nonzero(W: WeylGroup, pi: PiMap, cert: EngineCert) -> EngineCert:
     if not zeros:
         return cert
     system = build_forward_system(W, cert.w, pi, cert.q, nodes=cert.nodes)
-    point = {i: cert.mu[i] for i in system.varset}
-    slacks = system.evaluate(point)
-    min_slack = qext(1) if not slacks else slacks[0]
-    for s in slacks:
-        if s < min_slack:
-            min_slack = s
-    mass = qext(1)
-    for row in system.combined_rows():
-        total = qext(0)
-        for c in row:
-            total = total + abs(c)
-        if total > mass:
-            mass = total
+    min_slack = min(system.evaluate({i: cert.mu[i] for i in system.varset}), default=qext(1))
+    mass = max([qext(1)] + [sum((abs(c) for c in row), qext(0)) for row in system.rows])
     eps = min_slack / (mass * 2 * len(zeros))
     mu = dict(cert.mu)
     for i in zeros:
@@ -280,8 +269,7 @@ def extend_via_parabolic_step(
         raise ValueError("star witness must be positive")
     star = build_star_system(W, J, w1, tau, q, K=K, nodes=nodes)
     point = {i: qext(star_m[i]) for i in star.varset}
-    slacks = star.evaluate(point)
-    if any(s.sign() <= 0 for s in slacks):
+    if star.violated(point):
         raise ConstructionError("star witness fails the derived reduction system")
 
     if K:
@@ -298,12 +286,10 @@ def extend_via_parabolic_step(
         v = W.identity
         mu_K = {}
         max_k = qext(0)
-    min_slack = None
-    for lbl, s in zip(star.labels(), slacks):
-        if lbl.startswith("q-row") and (min_slack is None or s < min_slack):
-            min_slack = s
+    # The star system lists its q-rows first, one per free node.
+    q_slacks = star.evaluate(point)[: len(V)]
     n0 = W.system.sub_n0(nodes)
-    m = qext(1) if min_slack is None else qext(n0) * max_k / min_slack + 1
+    m = qext(n0) * max_k / min(q_slacks) + 1 if q_slacks else qext(1)
     mu = dict(mu_K)
     for i in V:
         mu[i] = m * qext(star_m[i])
@@ -401,13 +387,6 @@ def _factor_element(W: WeylGroup, w: WeylElt, groups: Sequence[frozenset[int]]):
     return parts
 
 
-def _class_in(W: WeylGroup, pi: PiMap, nodes: frozenset[int], w: WeylElt) -> DeltaClass:
-    for cls in partition_memo(W, pi, nodes=nodes, direction="delta"):
-        if cls.contains(w):
-            return cls
-    raise FalsificationError("element missing from its own parabolic partition")
-
-
 def _leaf_certificate(
     W: WeylGroup,
     pi: PiMap,
@@ -431,7 +410,7 @@ def _leaf_certificate(
 
     rows = [
         r
-        for r in load_case_records(max_rank=8)
+        for r in load_case_records()
         if (r.family, r.rank, r.twist) == (family, rank, order)
     ]
     if not rows:
@@ -485,14 +464,7 @@ def _leaf_certificate(
     inner: Optional[EngineCert] = None
     if K:
         pi_K = inverse_pi(sigma)
-        inner_cls = None
-        vinv = W.invert(v)
-        for c in partition_memo(W, pi_K, nodes=K, direction="delta"):
-            if c.contains(vinv):
-                inner_cls = c
-                break
-        if inner_cls is None:
-            raise FalsificationError("inner class lookup failed")
+        inner_cls = class_of(W, pi_K, W.invert(v), nodes=K)
         inner = _engine(W, pi_K, K, q, inner_cls)
         v = W.invert(inner.w)  # any minimal inner element serves
 
@@ -500,7 +472,7 @@ def _leaf_certificate(
     star_point = None
     if row.m_values is not None:
         candidate = {phi_inv[i]: qext(val) for i, val in row.m_values.items()}
-        if set(candidate) == set(star.varset) and star.satisfied_by(candidate):
+        if set(candidate) == set(star.varset) and not star.violated(candidate):
             star_point = candidate
     if star_point is None:
         mu_star = feasible(star)
@@ -553,12 +525,7 @@ def _engine(
     supp = supp_delta(W, pi_r, w_min)
 
     if supp != nodes:
-        inner_cls = _class_in(W, pi_r, supp, w_min) if supp else _class_in(
-            W, pi_r, frozenset(), w_min
-        )
-        inner = _engine(W, pi_r, supp, q, inner_cls) if supp else EngineCert(
-            W.identity, {}, frozenset(), qext(q)
-        )
+        inner = _engine(W, pi_r, supp, q, class_of(W, pi_r, w_min, nodes=supp))
         return lift_to_full(W, pi_r, inner, nodes)
 
     comps = _components(W, nodes)
@@ -583,8 +550,7 @@ def _engine(
             factors = _factor_element(W, w_min, orbits)
             parts = []
             for orbit, felt in zip(orbits, factors):
-                sub_cls = _class_in(W, pi_r, orbit, felt)
-                parts.append(_engine(W, pi_r, orbit, q, sub_cls))
+                parts.append(_engine(W, pi_r, orbit, q, class_of(W, pi_r, felt, nodes=orbit)))
             return combine_orthogonal_factors(W, pi_r, parts)
         # One orbit of several components: reduce to the first component.
         I1 = comps[0]
@@ -596,8 +562,7 @@ def _engine(
         v1 = min((WeylElt(W, k, low) for k, n in inside.items() if n == low),
                  key=lambda w: w.word)
         pi_pow = restrict_pi(_power_pi(pi_r, r), I1)
-        inner_cls = _class_in(W, pi_pow, I1, v1)
-        inner = _engine(W, pi_pow, I1, qext(q) ** r, inner_cls)
+        inner = _engine(W, pi_pow, I1, qext(q) ** r, class_of(W, pi_pow, v1, nodes=I1))
         return combine_cyclic_factors(W, pi_r, inner, nodes, q)
 
     return _leaf_certificate(W, pi_r, nodes, q, cls)

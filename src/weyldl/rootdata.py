@@ -320,9 +320,6 @@ class Twist:
             out[img - 1] = i
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i + 1 for i in range(len(self.perm)))
-
 
 def _perm_order(perm: tuple[int, ...]) -> int:
     order = 1

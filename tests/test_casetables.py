@@ -22,7 +22,7 @@ def by_label(records, label):
 
 @pytest.fixture(scope="module")
 def records():
-    return load_case_records(max_rank=8)
+    return load_case_records()
 
 
 class TestLoad:
@@ -208,7 +208,7 @@ def _verdicts_by_enumeration(record):
 
 
 SMALL_GROUP_ROWS = [
-    r.label for r in load_case_records(max_rank=8)
+    r.label for r in load_case_records()
     if weyl_order(r.family, r.rank) <= 10 ** 4
 ]
 

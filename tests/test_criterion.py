@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.conjugacy import compute_I_J_x, partition_memo, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     FORM_INVERSE,
@@ -26,7 +26,7 @@ from weyldl.exactnum import SQRT2, SQRT3, qext
 from weyldl.rootdata import Coweight, build_twist
 
 from conftest import group
-from multiply_oracles import elements_of
+from multiply_oracles import elements_of, perm_of_word
 
 
 def idpi(W):
@@ -37,32 +37,34 @@ class TestForwardSystem:
     def test_identity_element(self, A2):
         system = build_forward_system(A2, A2.identity, idpi(A2), qext(2))
         point = {1: qext(1), 2: qext(1)}
-        assert system.satisfied_by(point)
-        assert len(system.pure_rows) == 0
-        assert len(system.q_rows) == 2
+        assert system.violated(point) == []
+        assert system.labels == ("q-row i=1", "q-row i=2")
+        assert system.rows == ((qext(1), qext(0)), (qext(0), qext(1)))
 
     def test_g2_fourth_power_row(self, G2):
         # One q-row of (s2 s1)^2 collapses to q m1 - m1 - m2 at any q.
         w = G2.from_word([2, 1, 2, 1])
         system = build_forward_system(G2, w, idpi(G2), qext(2))
-        combined = system.combined_rows()
-        assert (qext(1), qext(-1)) in combined  # q=2: 2m1 - m1 - m2
-        assert system.satisfied_by({1: qext(2), 2: qext(1)})
+        assert system.rows[0] == (qext(1), qext(-1))  # q=2: 2m1 - m1 - m2
+        assert system.labels[0] == "q-row i=1"
+        assert system.violated({1: qext(2), 2: qext(1)}) == []
+        assert system.violated({1: qext(1), 2: qext(1)}) == [("q-row i=1", 0)]
+        assert system.violated({1: qext(1), 2: qext(2)}) == [("q-row i=1", -1)]
 
     def test_a2_longest(self, A2):
         w0 = A2.longest_element([1, 2])
         system = build_forward_system(A2, w0, idpi(A2), qext(2))
-        assert len(system.pure_rows) == 3
+        assert [lbl.split()[0] for lbl in system.labels] == ["q-row"] * 2 + ["inversion"] * 3
         mu = feasible(system)
         assert mu is not None
 
 
+RANK_LE_3 = [("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("B", 2, 1), ("B", 2, 2), ("G", 2, 1),
+             ("G", 2, 2), ("A", 3, 1), ("A", 3, 2), ("B", 3, 1), ("C", 3, 1)]
+
+
 class TestTransferIdentity:
-    @pytest.mark.parametrize(
-        "family,rank,order",
-        [("A", 2, 1), ("A", 2, 2), ("B", 2, 1), ("B", 2, 2), ("G", 2, 1),
-         ("G", 2, 2), ("A", 3, 1), ("A", 3, 2), ("B", 3, 1), ("C", 3, 1)],
-    )
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_3)
     def test_exhaustive_small_rank(self, family, rank, order):
         W = group(family, rank)
         twist = build_twist(family, rank, order)
@@ -72,11 +74,83 @@ class TestTransferIdentity:
         for w in elements_of(W):
             a = build_inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
-            # Same pure rows; q-rows match after re-indexing i -> delta(i).
-            assert sorted(a.pure_rows) == sorted(b.pure_rows)
-            assert sorted(a.combined_rows()[0:len(a.q_rows)]) == sorted(
-                b.combined_rows()[0:len(b.q_rows)]
+            # The same rows, in another order: q-rows re-index by i -> delta(i).
+            assert sorted(a.rows) == sorted(b.rows)
+
+
+def _expected(q, varset, q_rows, pure_rows):
+    """Rows and labels from scratch: (i, u, root coords) is q*m_u - <root, m>."""
+    rows, labels = [], []
+    for i, u, root in q_rows:
+        rows.append(tuple(qext(q) * (1 if j == u else 0) - root[j - 1] for j in varset))
+        labels.append(f"q-row i={i}")
+    for label, root in pure_rows:
+        rows.append(tuple(qext(root[j - 1]) for j in varset))
+        labels.append(label)
+    return tuple(rows), tuple(labels)
+
+
+def _image(W, word, i):
+    """Coordinates of w(alpha_i), w given by a word, from the composed permutation."""
+    simple = tuple(int(j == i) for j in range(1, W.rank + 1))
+    return W.signed_to_coords(perm_of_word(W, word)[W.roots.index(simple)])
+
+
+def _inversion_rows(W, word):
+    perm = perm_of_word(W, word)
+    return [(f"inversion {W.roots[p]}", W.roots[p]) for p, t in enumerate(perm) if t < 0]
+
+
+class TestBuilderRows:
+    """Each builder's rows, in order, against a construction from permutations."""
+
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_3)
+    def test_forward_and_inverse(self, family, rank, order):
+        W = group(family, rank)
+        twist = build_twist(family, rank, order)
+        q = minimal_q(family, order)
+        nodes = tuple(range(1, rank + 1))
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(twist, direction)
+            for w in elements_of(W):
+                word, inv_word = w.word, tuple(reversed(w.word))
+                fwd = build_forward_system(W, w, pi, q)
+                assert fwd.varset == nodes
+                assert (fwd.rows, fwd.labels) == _expected(
+                    q, nodes,
+                    [(i, pi[i], _image(W, inv_word, i)) for i in nodes],
+                    _inversion_rows(W, word),
+                )
+                inv = build_inverse_system(W, w, pi, q)
+                assert (inv.rows, inv.labels) == _expected(
+                    q, nodes,
+                    [(i, i, _image(W, word, pi[i])) for i in nodes],
+                    _inversion_rows(W, inv_word),
+                )
+
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_3)
+    def test_star(self, family, rank, order):
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order), "delta_inv")
+        q = minimal_q(family, order)
+        nodes = tuple(range(1, rank + 1))
+        J = frozenset(nodes[1:])
+        checked = 0
+        for w1 in elements_of(W):
+            if not W.is_min_coset_rep(w1, {pi[j] for j in J}):
+                continue
+            K = compute_I_J_x(W, pi, J, w1)
+            star = build_star_system(W, J, w1, pi, q)
+            free = tuple(i for i in nodes if i not in K)
+            unit = {i: tuple(int(j == i) for j in nodes) for i in nodes}
+            assert star.varset == free
+            assert (star.rows, star.labels) == _expected(
+                q, free,
+                [(i, i, _image(W, w1.word, pi[i])) for i in free],
+                [(f"positivity m_{i}", unit[i]) for i in free],
             )
+            checked += 1
+        assert checked > 1
 
 
 class TestStarSystem:
@@ -87,13 +161,13 @@ class TestStarSystem:
         w1 = W.from_word((4, 3, 2, 1))
         system = build_star_system(W, frozenset({2, 3, 4}), w1, pi, qext(2))
         ones = {i: qext(1) for i in range(1, 5)}
-        assert system.satisfied_by(ones)
+        assert system.violated(ones) == []
 
     def test_3d4_case(self, D4):
         pi = pi_of(build_twist("D", 4, 3), "delta_inv")
         w1 = D4.from_word([2, 1])
         system = build_star_system(D4, frozenset({1, 2, 3}), w1, pi, qext(2))
-        assert system.satisfied_by({1: qext(3), 2: qext(2), 3: qext(2), 4: qext(1)})
+        assert system.violated({1: qext(3), 2: qext(2), 3: qext(2), 4: qext(1)}) == []
 
     def test_f4_case3_infeasible_at_two(self, F4):
         pi = idpi(F4)
@@ -116,7 +190,7 @@ class TestFeasibleOracle:
         pi = pi_of(build_twist("B", 2, 2), "delta_inv")
         w1 = B2.simple(1)
         system = build_star_system(B2, frozenset({1}), w1, pi, SQRT2)
-        assert system.satisfied_by({1: qext(3), 2: qext(1)})
+        assert system.violated({1: qext(3), 2: qext(1)}) == []
         assert feasible(system) is not None
 
     def test_homogeneity(self, G2):
@@ -125,7 +199,7 @@ class TestFeasibleOracle:
         mu = feasible(system)
         point = {i: mu[i] for i in system.varset}
         scaled = {i: mu[i] * Fraction(7, 3) for i in system.varset}
-        assert system.satisfied_by(point) and system.satisfied_by(scaled)
+        assert system.violated(point) == [] and system.violated(scaled) == []
 
 
 class TestCertificates:
@@ -147,7 +221,15 @@ class TestCertificates:
 
     def test_reject_bad_point(self, G2):
         result = check_certificate(self.cert(G2, (2, 1, 2, 1), [1, 2]))
-        assert not result and "violated" in result.reason
+        assert not result and result.reason == "violated: q-row i=1 (slack negative)"
+        assert result.rows_checked == 6
+
+    @pytest.mark.parametrize("mu", [[0, 0], [1, 1]])
+    def test_reject_zero_slack(self, G2, mu):
+        # The first q-row is q m1 - m1 - m2 at q = 2: zero at both points.
+        result = check_certificate(self.cert(G2, (2, 1, 2, 1), mu))
+        assert not result and result.reason == "violated: q-row i=1 (slack zero)"
+        assert result.rows_checked == 6
 
     def test_reject_malformed(self):
         with pytest.raises(CertificateError):
@@ -327,19 +409,13 @@ class TestCertify:
             certify_min_element(G2, twist, classes[0], qext(1))
 
     def test_monotone_in_q(self, G2):
-        # Certificates whose q-row u-parts evaluate nonnegatively stay
-        # valid at larger q.
+        # The q-row of node i reads q*m_pi(i) - ...: certificates with no
+        # negative coordinate stay valid at larger q.
         twist = build_twist("G", 2, 1)
         classes = partition_memo(G2, pi_of(twist))
         for cls in classes:
             cert = certify_min_element(G2, twist, cls, qext(2))
-            system = build_forward_system(G2, G2.from_word(cert.w), pi_of(twist), cert.q)
-            point = {i: cert.mu[i] for i in system.varset}
-            u_ok = all(
-                sum((qext(c) * point[i] for c, i in zip(u, system.varset)), qext(0)).sign() >= 0
-                for u, _ in system.q_rows
-            )
-            if u_ok:
+            if all(x.sign() >= 0 for x in cert.mu.coords):
                 bigger = Certificate(
                     family="G", rank=2, twist=1, direction="delta", q=qext(5),
                     w=cert.w, form=FORM_FORWARD, mu=cert.mu,

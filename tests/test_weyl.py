@@ -208,7 +208,7 @@ def _catalog_parabolics():
     from weyldl.subsystems import sub_context
 
     out = {}
-    for rec in load_case_records(max_rank=8):
+    for rec in load_case_records():
         if rec.v_mode not in ("lengths", "all"):
             continue
         ctx = type_context(rec.family, rec.rank, rec.twist)
