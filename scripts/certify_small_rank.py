@@ -17,8 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from weyldl.conjugacy import partition_memo, pi_of
 from weyldl.criterion import certify_min_element, check_certificate, minimal_q
 from weyldl.lifting import constructive_certificate
-from weyldl.rootdata import build_root_system, build_twist
-from weyldl.weyl import WeylGroup
+from weyldl.rootdata import build_twist
+from weyldl.weyl import weyl_group
 
 GROUPS = [
     ("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2),
@@ -41,7 +41,7 @@ def main() -> int:
     total = 0
     failed = 0
     for family, rank, order in GROUPS:
-        W = WeylGroup(build_root_system(family, rank))
+        W = weyl_group(family, rank)
         twist = build_twist(family, rank, order)
         q = minimal_q(family, order)
         classes = partition_memo(W, pi_of(twist))

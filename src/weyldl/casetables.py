@@ -43,9 +43,9 @@ from .criterion import (
 )
 from .exactnum import QuadExt, qext
 from .lp import gordan_witness, verify_gordan
-from .rootdata import Coweight, build_root_system, build_twist
+from .rootdata import Coweight, build_twist
 from .subsystems import sub_context
-from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
+from .weyl import EnumerationBudgetError, WeylElt, WeylGroup, weyl_group
 
 __all__ = [
     "CaseRecord",
@@ -100,8 +100,7 @@ class CaseRecord:
 class _TypeContext:
     def __init__(self, family: str, rank: int, twist: int):
         self.family, self.rank, self.twist_order = family, rank, twist
-        self.system = build_root_system(family, rank)
-        self.W = WeylGroup(self.system)
+        self.W = weyl_group(family, rank)
         self.twist = build_twist(family, rank, twist)
         self.pi_inv: PiMap = pi_of(self.twist, "delta_inv")
         self.nodes = frozenset(range(1, rank + 1))

@@ -28,8 +28,8 @@ from .criterion import (
     parse_q_literal,
 )
 from .exactnum import QuadExt
-from .rootdata import build_root_system, build_twist
-from .weyl import EnumerationBudgetError, WeylGroup
+from .rootdata import build_twist
+from .weyl import EnumerationBudgetError, WeylGroup, weyl_group
 
 
 def _group_args(p: argparse.ArgumentParser) -> None:
@@ -39,8 +39,7 @@ def _group_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build(args) -> tuple[WeylGroup, "object"]:
-    system = build_root_system(args.family, args.rank)
-    return WeylGroup(system), build_twist(args.family, args.rank, args.twist)
+    return weyl_group(args.family, args.rank), build_twist(args.family, args.rank, args.twist)
 
 
 def _q_of(args, family: str, twist: int) -> QuadExt:

@@ -20,8 +20,13 @@ The two certificate forms are exchanged by w -> w^{-1} together with
 re-indexing of the q-rows, which the test suite verifies exhaustively at
 small rank.  A system either has a strict solution, found by the exact
 simplex in :mod:`weyldl.lp`, or a Gordan witness; at a given point its
-one query, :meth:`IneqSystem.violated`, names the rows that fail.  The
-checker rebuilds systems from scratch and never reuses solver state.
+one query, :meth:`IneqSystem.violated`, names the rows that fail.
+
+The checker shares only root data with the rest of the process: the group
+of each (family, rank) from :func:`weyldl.weyl.weyl_group`, with its
+reflection tables, built once per type.  For every certificate it rebuilds
+the twist, the element, the system and its evaluation, and it never reads
+solver state.
 """
 
 from __future__ import annotations
@@ -34,14 +39,8 @@ from typing import Iterable, Optional
 from .conjugacy import DeltaClass, FalsificationError, PiMap, compute_I_J_x, pi_of, restrict_pi
 from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, qext
 from .lp import solve_strict
-from .rootdata import (
-    Coweight,
-    Twist,
-    build_root_system,
-    build_twist,
-    positive_root_count,
-)
-from .weyl import WeylElt, WeylGroup
+from .rootdata import Coweight, Twist, build_twist, positive_root_count
+from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
     "FORM_FORWARD",
@@ -295,14 +294,11 @@ class CheckResult:
         return self.accepted
 
 
-def _group_context(family: str, rank: int, twist: int) -> tuple[WeylGroup, Twist]:
-    system = build_root_system(family, rank)
-    return WeylGroup(system), build_twist(family, rank, twist)
-
-
 def check_certificate(cert: Certificate) -> CheckResult:
-    """Re-derive the certificate's system from scratch and evaluate it."""
-    if not 1 <= cert.rank <= MAX_RANK:
+    """Re-derive the certificate's system from the group data and evaluate it."""
+    # Only a validated type reaches the group memo: an int rank in range
+    # (2.0 would share the key of 2), then a (family, rank) with a root count.
+    if type(cert.rank) is not int or not 1 <= cert.rank <= MAX_RANK:
         return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
     try:
         max_length = positive_root_count(cert.family, cert.rank)
@@ -311,7 +307,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
     if len(cert.w) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
-        W, twist = _group_context(cert.family, cert.rank, cert.twist)
+        W = weyl_group(cert.family, cert.rank)
+        twist = build_twist(cert.family, cert.rank, cert.twist)
     except Exception as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if cert.direction not in ("delta", "delta_inv"):
@@ -322,11 +319,11 @@ def check_certificate(cert: Certificate) -> CheckResult:
         return CheckResult(False, "mu has wrong rank")
     if any(i < 1 or i > cert.rank for i in cert.w):
         return CheckResult(False, "word letter out of range")
-    try:
-        for x in cert.mu.coords:
-            _ = (x + cert.q)  # surfaces incompatible radicands
-    except Exception as exc:
-        return CheckResult(False, f"incompatible exact numbers: {exc}")
+    # Each coordinate is compatible with q alone; the system sums them all.
+    radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
+    if len(radicands) > 1:
+        return CheckResult(False, "incompatible exact numbers: cannot combine "
+                           + " with ".join(f"sqrt({d})" for d in radicands))
     if cert.q.sign() <= 0:
         return CheckResult(False, "q must be positive")
 

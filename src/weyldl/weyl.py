@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import Root, RootSystem, reflect
+from .rootdata import Root, RootSystem, build_root_system, reflect
 
-__all__ = ["WeylGroup", "WeylElt", "EnumerationBudgetError"]
+__all__ = ["WeylGroup", "WeylElt", "EnumerationBudgetError", "weyl_group"]
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -296,3 +296,21 @@ class WeylGroup:
             frontier = nxt
         self._elements_cache[key] = lengths
         return lengths
+
+
+# The group of each named type, built once per process: the root system, the
+# reflection tables and the element enumerations depend only on (family, rank).
+_GROUPS: dict[tuple[str, int], WeylGroup] = {}
+
+
+def weyl_group(family: str, rank: int) -> WeylGroup:
+    """The one group of the irreducible type ``family`` ``rank``, built on first use.
+
+    The first build goes through ``build_root_system``, which raises for a
+    pair that names no root system and checks the positive-root count; a
+    failed build stores nothing.
+    """
+    key = (family, rank)
+    if key not in _GROUPS:
+        _GROUPS[key] = WeylGroup(build_root_system(family, rank))
+    return _GROUPS[key]

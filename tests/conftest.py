@@ -7,8 +7,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from weyldl.rootdata import build_root_system, build_twist  # noqa: E402
-from weyldl.weyl import WeylGroup  # noqa: E402
+from weyldl.rootdata import build_twist  # noqa: E402
+from weyldl.weyl import WeylGroup, weyl_group  # noqa: E402
 
 # The 21 twisted groups of rank <= 4: (family, rank, twist order).
 RANK_LE_4 = [
@@ -19,14 +19,8 @@ RANK_LE_4 = [
     ("G", 2, 2),
 ]
 
-_GROUPS: dict[tuple[str, int], WeylGroup] = {}
-
-
-def group(family: str, rank: int) -> WeylGroup:
-    key = (family, rank)
-    if key not in _GROUPS:
-        _GROUPS[key] = WeylGroup(build_root_system(family, rank))
-    return _GROUPS[key]
+# Tests take their named groups from the production memo.
+group = weyl_group
 
 
 @pytest.fixture(scope="session")

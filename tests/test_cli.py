@@ -87,6 +87,24 @@ class TestCertifyCheck:
         assert out.returncode == 1
         assert "reject" in out.stderr
 
+    def test_check_rejects_mixed_radicands(self, tmp_path):
+        # q = 2 with mu = (1 + sqrt2, 1 + sqrt3): each coordinate adds to q,
+        # but no slack can hold both radicands.
+        payload = {
+            "format_version": 1,
+            "group": {"family": "A", "rank": 2, "twist": 1},
+            "direction": "delta", "q": {"a": "2/1", "b": "0/1", "d": 1},
+            "w": [1, 2], "form": "lemma-1.11",
+            "mu": [{"a": "1/1", "b": "1/1", "d": 2}, {"a": "1/1", "b": "1/1", "d": 3}],
+        }
+        bad = tmp_path / "mixed.json"
+        bad.write_text(json.dumps(payload))
+        out = run_cli("check", str(bad), cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.strip() == (
+            "reject: incompatible exact numbers: cannot combine sqrt(2) with sqrt(3)"
+        )
+
     def test_check_rejects_garbage(self, tmp_path):
         bad = tmp_path / "garbage.json"
         bad.write_text("{]")

@@ -24,6 +24,7 @@ from weyldl.criterion import (
 )
 from weyldl.exactnum import SQRT2, SQRT3, qext
 from weyldl.rootdata import Coweight, build_twist
+from weyldl import weyl
 
 from conftest import group
 from multiply_oracles import elements_of, perm_of_word
@@ -296,6 +297,15 @@ def _unprintable_slack(obj):
     ]
 
 
+def _mixed_radicands(obj):
+    # q = 2 is rational and each coordinate alone adds to it; together they
+    # put sqrt(2) and sqrt(3) into one slack.
+    obj["mu"] = [
+        {"a": "2/1", "b": "1/1", "d": 2},
+        {"a": "1/1", "b": "1/1", "d": 3},
+    ]
+
+
 # (id, mutation of a valid certificate, expected reject-reason prefix;
 # None means Certificate.from_json must raise CertificateError).
 HOSTILE = [
@@ -317,6 +327,8 @@ HOSTILE = [
     ("bool_letter", _set_word([2, True]), None),
     ("word_too_long", _set_word([2, 1] * 10 ** 5), "word longer than the longest element"),
     ("unknown_family", _set_group(family="Z"), "bad group descriptor"),
+    ("mixed_radicands", _mixed_radicands,
+     "incompatible exact numbers: cannot combine sqrt(2) with sqrt(3)"),
 ]
 
 
@@ -345,8 +357,32 @@ _JSON = st.recursive(
 _PATHS = [
     ("format_version",), ("group",), ("group", "family"), ("group", "rank"),
     ("group", "twist"), ("direction",), ("q",), ("q", "a"), ("q", "d"), ("w",),
-    ("w", 0), ("form",), ("mu",), ("mu", 0), ("mu", 1, "b"), ("mu", 1, "d"),
+    ("w", 0), ("form",), ("mu",), ("mu", 0), ("mu", 0, "b"), ("mu", 0, "d"),
+    ("mu", 1, "b"), ("mu", 1, "d"),
 ]
+
+
+@pytest.mark.parametrize("hostile_id", ["unknown_family", "rank_zero", "huge_rank"])
+def test_bad_group_descriptor_leaves_group_memo_unchanged(hostile_id):
+    """A rejected group descriptor builds no group and adds no memo key."""
+    mutate, reason = next(h[1:] for h in HOSTILE if h[0] == hostile_id)
+    obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
+    mutate(obj)
+    before = set(weyl._GROUPS)
+    result = check_certificate(Certificate.from_json(json.dumps(obj)))
+    assert not result and result.reason.startswith(reason)
+    assert set(weyl._GROUPS) == before
+
+
+@pytest.mark.parametrize("family, rank", [("G", 2.0), ("A", True)])
+def test_rank_that_is_not_an_int_is_rejected(family, rank):
+    """A rank equal to a valid int but of another type is rejected before
+    the memo, whose key (family, 2.0) would be the key of (family, 2)."""
+    cert = TestCertificates().cert(None, (1,), [1] * int(rank), family=family, rank=rank)
+    before = set(weyl._GROUPS)
+    result = check_certificate(cert)
+    assert not result and result.reason == "rank must be in 1..8"
+    assert set(weyl._GROUPS) == before
 
 
 def _assert_accepts_or_rejects(text):

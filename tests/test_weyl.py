@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.rootdata import weyl_order
-from weyldl.weyl import EnumerationBudgetError
+from weyldl.rootdata import build_root_system, weyl_order
+from weyldl.weyl import EnumerationBudgetError, WeylGroup, _build_tables, weyl_group
 
 from conftest import RANK_LE_4, group
 from multiply_oracles import elements_of, perm_of_word
@@ -137,6 +137,31 @@ class TestOrders:
     def test_group_orders(self, family, rank):
         W = group(family, rank)
         assert len(W.elements()) == weyl_order(family, rank)
+
+
+# Every irreducible type of rank <= 4.
+TYPES_RANK_LE_4 = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+class TestGroupMemo:
+    def test_one_group_per_type(self):
+        assert weyl_group("F", 4) is weyl_group("F", 4)
+        assert weyl_group("B", 3) is not weyl_group("C", 3)
+
+    @pytest.mark.parametrize("family,rank", TYPES_RANK_LE_4)
+    def test_memo_group_equals_fresh_group(self, family, rank):
+        """The memo's group has the root data and reflection tables of a fresh
+        build; the tables are rebuilt here without the shared table memo."""
+        W, fresh = weyl_group(family, rank), WeylGroup(build_root_system(family, rank))
+        assert W.system.key == (family, rank)
+        assert W.system.cartan == fresh.system.cartan
+        assert W.roots == fresh.roots
+        tables = b"".join(W.reflection_table())
+        assert tables == b"".join(fresh.reflection_table())
+        assert tables == b"".join(_build_tables(fresh.system)[0])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
