@@ -7,7 +7,6 @@ from .rootdata import (
     Twist,
     build_root_system,
     build_twist,
-    pairing,
 )
 from .weyl import WeylElt, WeylGroup
 from .conjugacy import (
@@ -45,7 +44,6 @@ __all__ = [
     "Twist",
     "build_root_system",
     "build_twist",
-    "pairing",
     "WeylGroup",
     "WeylElt",
     "DeltaClass",

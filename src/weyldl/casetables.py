@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .conjugacy import (
     PiMap,
@@ -51,6 +52,9 @@ __all__ = [
     "CaseRecord",
     "CaseReport",
     "AggregateReport",
+    "RowPlacement",
+    "place_row",
+    "case_records",
     "load_case_records",
     "verify_case",
     "verify_all",
@@ -801,38 +805,41 @@ SPADE_LABELS = (
 )
 
 
-_RECORD_MEMO: list[CaseRecord] = []
+# Every catalog type's row builder, in catalog order (the report's order).
+_BUILDERS: dict[tuple[str, int, int], Callable[[], list[CaseRecord]]] = {
+    **{("A", n, 1): partial(_records_A, n) for n in range(1, MAX_RANK + 1)},
+    **{("A", n, 2): partial(_records_2A, n) for n in range(2, MAX_RANK + 1)},
+    **{(f, n, 1): partial(_records_BC, f, n) for f in "BC" for n in range(2, MAX_RANK + 1)},
+    **{("D", n, t): partial(_records_D, n, t) for t in (1, 2) for n in range(4, MAX_RANK + 1)},
+    ("D", 4, 3): _records_3D4,
+    ("E", 6, 1): _records_E6,
+    ("E", 6, 2): _records_2E6,
+    ("E", 7, 1): _records_E7,
+    ("E", 8, 1): _records_E8,
+    ("F", 4, 1): _records_F4,
+    ("F", 4, 2): _records_2F4,
+    ("G", 2, 1): _records_G2,
+    ("G", 2, 2): _records_2G2,
+    ("B", 2, 2): _records_2B2,
+}
+
+_RECORD_MEMO: dict[tuple[str, int, int], list[CaseRecord]] = {}
+
+
+def case_records(family: str, rank: int, twist: int) -> list[CaseRecord]:
+    """The catalog rows of one type, built on first use by that type's builder alone.
+
+    Empty for a type the catalog has no rows for.
+    """
+    key = (family, rank, twist)
+    if key not in _RECORD_MEMO and key in _BUILDERS:
+        _RECORD_MEMO[key] = _BUILDERS[key]()
+    return _RECORD_MEMO.get(key, [])
 
 
 def load_case_records() -> list[CaseRecord]:
     """All catalog records, parametric families instantiated up to the checker's MAX_RANK."""
-    if _RECORD_MEMO:
-        return _RECORD_MEMO
-    out: list[CaseRecord] = []
-    for n in range(1, MAX_RANK + 1):
-        out.extend(_records_A(n))
-    for n in range(2, MAX_RANK + 1):
-        out.extend(_records_2A(n))
-    for n in range(2, MAX_RANK + 1):
-        out.extend(_records_BC("B", n))
-    for n in range(2, MAX_RANK + 1):
-        out.extend(_records_BC("C", n))
-    for n in range(4, MAX_RANK + 1):
-        out.extend(_records_D(n, 1))
-    for n in range(4, MAX_RANK + 1):
-        out.extend(_records_D(n, 2))
-    out.extend(_records_3D4())
-    out.extend(_records_E6())
-    out.extend(_records_2E6())
-    out.extend(_records_E7())
-    out.extend(_records_E8())
-    out.extend(_records_F4())
-    out.extend(_records_2F4())
-    out.extend(_records_G2())
-    out.extend(_records_2G2())
-    out.extend(_records_2B2())
-    _RECORD_MEMO.extend(out)
-    return _RECORD_MEMO
+    return [r for key in _BUILDERS for r in case_records(*key)]
 
 
 # ---------------------------------------------------------------------------
@@ -907,44 +914,84 @@ ENUM_BUDGET = 10 ** 6
 CLOSURE_BUDGET = 10 ** 7
 
 
+@dataclass(frozen=True)
+class RowPlacement:
+    """A reduction step (J, w1) placed in a group.
+
+    K = I(J, w1, tau) is the greatest node set of J that Ad(w1) tau keeps,
+    and sigma = Ad(w1) tau is the index map it induces on K; the inner
+    classes of the step are the sigma-classes of W_K.
+    """
+
+    W: WeylGroup
+    w1: WeylElt
+    K: frozenset[int]
+    sigma: PiMap
+
+    def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
+        """v (an element of W_K) in the standalone W_K, with sigma there."""
+        sub = sub_context(self.W, self.K)
+        return sub.group, sub.pi_to_sub(self.sigma), sub.group.from_word(sub.word_to_sub(v.word))
+
+    def inner_cuspidal(self) -> list[tuple[int, ...]]:
+        """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.
+
+        Each word is reduced, so its length is its class's minimal length.
+        Raises EnumerationBudgetError when W_K has more than ENUM_BUDGET
+        elements.
+        """
+        if not self.K:
+            return [()]  # the trivial group's one class is cuspidal
+        sub = sub_context(self.W, self.K)
+        classes = partition_memo(
+            sub.group, sub.pi_to_sub(self.sigma), direction="delta_inv", budget=ENUM_BUDGET
+        )
+        return [sub.word_to_ambient(c.representative.word) for c in classes if c.cuspidal]
+
+
+def place_row(
+    W: WeylGroup, tau: PiMap, J: frozenset[int], w1: Sequence[int]
+) -> Optional[RowPlacement]:
+    """Place the step (J, w1) in W under the class-direction map ``tau``.
+
+    None when w1 is not the minimal representative of its coset in
+    W / W_{tau(J)}.
+    """
+    x = W.from_word(w1)
+    if not W.is_min_coset_rep(x, {tau[j] for j in J}):
+        return None
+    K = compute_I_J_x(W, tau, J, x)
+    return RowPlacement(W, x, K, ad_pi_on(W, tau, x, K))
+
+
 def _resolve_v_options(
-    ctx: _TypeContext,
-    record: CaseRecord,
-    w1: WeylElt,
-    K: frozenset[int],
+    record: CaseRecord, placed: RowPlacement
 ) -> tuple[list[tuple[int, ...]], Optional[str]]:
     """Ambient-label words for the inner-class options of a record.
 
-    For "lengths"/"all" modes this enumerates the inner twisted classes
-    of W_K under Ad(w1) composed with the inverse twist, in a standalone
-    copy of the subsystem.  Returns (words, problem) where problem is a
-    skip/fail message when resolution is impossible.
+    "lengths" and "all" rows take the cuspidal inner classes of the
+    placement.  Returns (words, problem) where problem is a skip/fail
+    message when resolution is impossible.
     """
-    W = ctx.W
+    K = placed.K
     if not K or record.v_mode == "identity":
         return [()], None
     if record.v_mode == "words":
         return [tuple(w) for w in record.v_words], None
     if len(K) > 6:
         return [], f"skipped(inner node set of size {len(K)} above the rank-6 enumeration tier)"
-    sigma = ad_pi_on(W, ctx.pi_inv, w1, K)
-    sub = sub_context(W, K)
-    sigma_sub = sub.pi_to_sub(sigma)
     try:
-        classes = partition_memo(sub.group, sigma_sub, direction="delta_inv", budget=ENUM_BUDGET)
+        words = placed.inner_cuspidal()
     except EnumerationBudgetError:
         return [], f"skipped(inner enumeration over budget {ENUM_BUDGET})"
-    cuspidal = [c for c in classes if c.cuspidal]
-    if record.v_mode == "all":
-        chosen = cuspidal
-    else:
-        chosen = [c for c in cuspidal if c.min_length in record.v_lengths]
-        missing = set(record.v_lengths) - {c.min_length for c in chosen}
+    if record.v_mode == "lengths":
+        words = [w for w in words if len(w) in record.v_lengths]
+        missing = set(record.v_lengths) - {len(w) for w in words}
         if missing:
             return [], f"no cuspidal inner class of stated length(s) {sorted(missing)}"
-    if not chosen:
+    if not words:
         return [], "no cuspidal inner class found"
-    return [sub.word_to_ambient(c.representative.word) for c in chosen], None
+    return words, None
 
 
 def _spade_certificate(
@@ -985,15 +1032,11 @@ def _spade_certificate(
     return None, "no inverse-form witness found for any candidate"
 
 
-ALL_CHECKS = ("coset_rep", "K_match", "star", "v_min_inner", "vw1_min_full", "cuspidal")
-
-
 def _run_case(
     record: CaseRecord,
     w1_word: tuple[int, ...],
     q: Optional[QuadExt],
     slow: bool,
-    checks: tuple[str, ...] = ALL_CHECKS,
 ) -> CaseReport:
     ctx = type_context(record.family, record.rank, record.twist)
     W = ctx.W
@@ -1001,17 +1044,15 @@ def _run_case(
     q = ctx.min_q if q is None else qext(q)
     at_min_q = (q == ctx.min_q)
     report = CaseReport(label=record.label, notes=record.notes)
-    w1 = W.from_word(w1_word)
 
     # (i) coset representative precondition
-    piJ = {pi[j] for j in record.J}
-    ok_coset = W.is_min_coset_rep(w1, piJ)
-    report.subchecks["coset_rep"] = "pass" if ok_coset else "fail"
-    if not ok_coset:
+    placed = place_row(W, pi, record.J, w1_word)
+    report.subchecks["coset_rep"] = "pass" if placed is not None else "fail"
+    if placed is None:
         return report
 
     # (ii) fixed node set K
-    K = compute_I_J_x(W, pi, record.J, w1)
+    w1, K = placed.w1, placed.K
     report.details["K_computed"] = sorted(K)
     if record.K_expected is None:
         report.subchecks["K_match"] = "pass"
@@ -1027,19 +1068,11 @@ def _run_case(
             report.details["K_not_maximal_witness"] = j
             return report
 
-    need_v = bool(
-        {"v_min_inner", "vw1_min_full", "cuspidal"} & set(checks)
-        or (record.spade and "star" in checks)
-    )
-    v_words, v_problem = (
-        _resolve_v_options(ctx, record, w1, K) if need_v else ([], None)
-    )
+    v_words, v_problem = _resolve_v_options(record, placed)
 
     # (iii) the reduction system
     star = build_star_system(W, record.J, w1, pi, q, K=K)
-    if "star" not in checks:
-        pass
-    elif not record.spade:
+    if not record.spade:
         if record.m_values is not None:
             point = {i: qext(record.m_values.get(i, 0)) for i in star.varset}
             missing = [i for i in star.varset if i not in record.m_values]
@@ -1098,8 +1131,6 @@ def _run_case(
             report.details["star_note"] = "feasible above minimal q" if mu else "infeasible"
 
     # (iv)-(vi) inner options and the full-group class of v w1
-    if not ({"v_min_inner", "vw1_min_full", "cuspidal"} & set(checks)):
-        return report
     if v_problem is not None:
         tag = v_problem if v_problem.startswith("skipped") else "fail"
         report.subchecks["v_min_inner"] = tag
@@ -1126,10 +1157,7 @@ def _run_case(
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
         else:
-            sub = sub_context(W, K)
-            sigma_sub = sub.pi_to_sub(ad_pi_on(W, pi, w1, K))
-            v_sub = sub.group.from_word(sub.word_to_sub(v.word))
-            iv_results.append(closure_verdict(sub.group, sigma_sub, v_sub))
+            iv_results.append(closure_verdict(*placed.inner(v)))
         # (v): v w1 minimal in its full twisted class
         if record.rank <= 6 or slow:
             v_results.append(closure_verdict(W, pi, w))
@@ -1173,13 +1201,12 @@ def verify_case(
     record: CaseRecord,
     q: Optional[QuadExt] = None,
     slow: bool = False,
-    checks: tuple[str, ...] = ALL_CHECKS,
 ) -> CaseReport:
-    """Run the selected subchecks of one record; quirky records try both readings."""
-    report = _run_case(record, record.w1, q, slow, checks)
+    """Run the subchecks of one record; quirky records try both readings."""
+    report = _run_case(record, record.w1, q, slow)
     if record.alt_w1 is not None:
         if report.hard_failed:
-            alt = _run_case(record, record.alt_w1, q, slow, checks)
+            alt = _run_case(record, record.alt_w1, q, slow)
             alt.notes = record.notes
             alt.details["reading"] = "alternative (as printed)"
             if not alt.hard_failed:

@@ -149,7 +149,6 @@ class DeltaClass:
     pi: tuple[tuple[int, int], ...]
     minimal: tuple[WeylElt, ...]  # the minimal-length members, by canonical word
     cuspidal: bool
-    supp_of_min: frozenset[int]
     keys: tuple[bytes, ...]  # every member's key, in enumeration order
 
     @property
@@ -231,15 +230,13 @@ def enumerate_delta_classes(
             (WeylElt(W, key, low) for key in keys if lengths[key] == low),
             key=lambda w: w.word,
         )
-        supp = supp_delta(W, pi, minimal[0])
         classes.append(
             DeltaClass(
                 group_key=W.system.key,
                 direction=direction,
                 pi=tuple(sorted(pi.items())),
                 minimal=tuple(minimal),
-                cuspidal=(supp == node_set),
-                supp_of_min=supp,
+                cuspidal=(supp_delta(W, pi, minimal[0]) == node_set),
                 keys=tuple(keys),
             )
         )

@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .casetables import case_records, place_row
 from .conjugacy import (
     DeltaClass,
     FalsificationError,
     PiMap,
-    ad_pi_on,
     class_of,
     compute_I_J_x,
     inverse_pi,
-    partition_memo,
     pi_of,
     restrict_pi,
     supp_delta,
@@ -395,8 +394,6 @@ def _leaf_certificate(
     cls: DeltaClass,
 ) -> EngineCert:
     """Irreducible cuspidal leaf: match a catalog row and extend through it."""
-    from .casetables import load_case_records
-
     tau = inverse_pi(restrict_pi(pi, nodes))
     sub = sub_context(W, frozenset(nodes))
     sigma_sub = {sub.to_sub[i]: sub.to_sub[restrict_pi(pi, nodes)[i]] for i in nodes}
@@ -408,52 +405,31 @@ def _leaf_certificate(
     phi = {i: phi_sub[sub.to_sub[i]] for i in nodes}
     phi_inv = {v: k for k, v in phi.items()}
 
-    rows = [
-        r
-        for r in load_case_records()
-        if (r.family, r.rank, r.twist) == (family, rank, order)
-    ]
+    rows = case_records(family, rank, order)
     if not rows:
         raise FalsificationError(f"no catalog rows for type {family}{rank} twist {order}")
 
-    matches = []  # (minimality_rank, row_idx, v_idx, row, v_elt, w1_elt, K, sigma)
+    matches = []  # (minimality_rank, row_idx, v_idx, row, v_elt, placement, J)
     for row_idx, row in enumerate(rows):
         J_amb = frozenset(phi_inv[j] for j in row.J)
-        w1 = W.from_word([phi_inv[i] for i in row.w1])
-        if not W.is_min_coset_rep(w1, {tau[j] for j in J_amb}):
+        placed = place_row(W, tau, J_amb, [phi_inv[i] for i in row.w1])
+        if placed is None:
             continue
-        K = compute_I_J_x(W, tau, J_amb, w1)
-        if K:
-            sigma = ad_pi_on(W, tau, w1, K)
-            ksub = sub_context(W, K)
-            inner_classes = [
-                c
-                for c in partition_memo(
-                    ksub.group, ksub.pi_to_sub(sigma), direction="delta_inv"
-                )
-                if c.cuspidal
-            ]
-            v_opts = [
-                W.from_word(ksub.word_to_ambient(c.representative.word))
-                for c in inner_classes
-            ]
-        else:
-            sigma = {}
-            v_opts = [W.identity]
-        for v_idx, v in enumerate(v_opts):
-            u = W.multiply(v, w1)
-            uinv = W.invert(u)
-            if not cls.contains(uinv):
+        for v_idx, vw in enumerate(placed.inner_cuspidal()):
+            v = W.from_word(vw)
+            u = W.multiply(v, placed.w1)
+            if not cls.contains(W.invert(u)):
                 continue
             minimal = 0 if u.length == cls.min_length else 1
-            matches.append((minimal, row_idx, v_idx, row, v, w1, K, sigma, J_amb))
+            matches.append((minimal, row_idx, v_idx, row, v, placed, J_amb))
     if not matches:
         raise FalsificationError(
             f"no catalog row matches the class of {cls.representative.word} "
             f"in type {family}{rank} twist {order}"
         )
     matches.sort(key=lambda t: t[:3])
-    minimal, row_idx, v_idx, row, v, w1, K, sigma, J_amb = matches[0]
+    minimal, row_idx, v_idx, row, v, placed, J_amb = matches[0]
+    w1, K = placed.w1, placed.K
     if minimal != 0:
         raise FalsificationError(
             f"catalog coverage gap: class of {cls.representative.word} has no "
@@ -463,7 +439,7 @@ def _leaf_certificate(
     # Inner witness on K (forward side of the inner twisted class).
     inner: Optional[EngineCert] = None
     if K:
-        pi_K = inverse_pi(sigma)
+        pi_K = inverse_pi(placed.sigma)
         inner_cls = class_of(W, pi_K, W.invert(v), nodes=K)
         inner = _engine(W, pi_K, K, q, inner_cls)
         v = W.invert(inner.w)  # any minimal inner element serves

@@ -28,8 +28,6 @@ __all__ = [
     "build_twist",
     "identity_twist",
     "make_twist",
-    "apply_twist_to_coweight",
-    "pairing",
     "positive_root_count",
     "weyl_order",
 ]
@@ -260,14 +258,6 @@ class Coweight:
     def of(cls, values: Iterable) -> "Coweight":
         return cls(tuple(qext(v) for v in values))
 
-    @classmethod
-    def zero(cls, rank: int) -> "Coweight":
-        return cls.of([0] * rank)
-
-    @classmethod
-    def fundamental(cls, rank: int, i: int) -> "Coweight":
-        return cls.of([1 if j == i - 1 else 0 for j in range(rank)])
-
     def __getitem__(self, i: int) -> QuadExt:
         """1-based coordinate access (Bourbaki node index)."""
         return self.coords[i - 1]
@@ -275,28 +265,12 @@ class Coweight:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __add__(self, other: "Coweight") -> "Coweight":
-        if len(self) != len(other):
-            raise ValueError("rank mismatch")
-        return Coweight(tuple(x + y for x, y in zip(self.coords, other.coords)))
-
     def to_json(self) -> list[dict]:
         return [x.to_json() for x in self.coords]
 
     @classmethod
     def from_json(cls, obj: list) -> "Coweight":
         return cls(tuple(QuadExt.from_json(x) for x in obj))
-
-
-def pairing(alpha: Sequence[int], mu: Coweight) -> QuadExt:
-    """Evaluate a root (coordinate tuple) against a coweight: sum c_i m_i."""
-    if len(alpha) != len(mu):
-        raise ValueError("rank mismatch between root and coweight")
-    total = qext(0)
-    for c, m in zip(alpha, mu.coords):
-        if c:
-            total = total + m * c
-    return total
 
 
 @dataclass(frozen=True)
@@ -308,9 +282,6 @@ class Twist:
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
-
-    def inv(self, i: int) -> int:
-        return self.perm.index(i) + 1
 
     @property
     def inverse_perm(self) -> tuple[int, ...]:
@@ -389,13 +360,3 @@ def build_twist(family: str, rank: int, twist_order: int) -> Twist:
         raise ValueError(f"unsupported twist order {twist_order}")
     return Twist(perm=perm, order=twist_order)
 
-
-def apply_twist_to_coweight(delta: Twist, mu: Coweight) -> Coweight:
-    """omega_i -> omega_{delta(i)}: result[delta(i)] = mu[i]."""
-    n = len(mu)
-    if len(delta.perm) != n:
-        raise ValueError("rank mismatch")
-    out: list[QuadExt] = [qext(0)] * n
-    for i in range(1, n + 1):
-        out[delta(i) - 1] = mu[i]
-    return Coweight(tuple(out))

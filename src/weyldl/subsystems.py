@@ -30,7 +30,6 @@ class SubContext:
     """
 
     def __init__(self, ambient: WeylGroup, nodes: frozenset[int]):
-        self.ambient = ambient
         self.nodes = tuple(sorted(nodes))
         self.to_sub = {s: k + 1 for k, s in enumerate(self.nodes)}
         self.to_ambient = {k + 1: s for k, s in enumerate(self.nodes)}

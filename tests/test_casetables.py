@@ -4,16 +4,20 @@ import pytest
 
 from weyldl.casetables import (
     _resolve_v_options,
+    case_records,
     load_case_records,
+    place_row,
     type_context,
     verify_all,
     verify_case,
 )
-from weyldl.conjugacy import ad_pi_on, class_of, compute_I_J_x
-from weyldl.criterion import check_certificate
+from weyldl.conjugacy import class_of, partition_memo
+from weyldl.criterion import MAX_RANK, check_certificate
 from weyldl.exactnum import SQRT2, qext
 from weyldl.rootdata import weyl_order
-from weyldl.subsystems import sub_context
+
+# (family, rank, twist) of every catalog type, in catalog order.
+CATALOG_TYPES = list(dict.fromkeys((r.family, r.rank, r.twist) for r in load_case_records()))
 
 
 def by_label(records, label):
@@ -57,6 +61,15 @@ class TestLoad:
         assert spades == [
             "2F4 case 2", "2F4 case 4", "E8 case 12", "F4 case 3", "G2 case 1",
         ]
+
+    def test_case_records_by_type(self, records):
+        """Each type's rows carry that type, and the catalog lists them type by type."""
+        assert len(CATALOG_TYPES) == 49
+        for t in CATALOG_TYPES:
+            rows = case_records(*t)
+            assert rows and all((r.family, r.rank, r.twist) == t for r in rows), t
+        assert records == [r for t in CATALOG_TYPES for r in case_records(*t)]
+        assert case_records("A", MAX_RANK + 1, 1) == []
 
     def test_2e6_case8_rep_is_longest(self, records):
         rec = by_label(records, "2E6 case 8")
@@ -129,42 +142,28 @@ class TestAggregate:
         assert len(report.cases) == 7
 
 
-class TestCoverage:
-    @pytest.mark.parametrize(
-        "family,rank,twist",
-        [("B", 5, 1), ("C", 5, 1), ("D", 5, 1), ("D", 5, 2), ("A", 5, 2)],
-    )
-    def test_rank5_minimal_coverage(self, records, family, rank, twist):
-        """Each cuspidal class receives a minimal representative from a row."""
-        from weyldl.conjugacy import ad_pi_on, class_of, compute_I_J_x, partition_memo
-        from weyldl.subsystems import sub_context
+COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
 
+
+class TestCoverage:
+    def test_types_through_rank_6(self):
+        assert len(COVERAGE_TYPES) == 35
+
+    @pytest.mark.parametrize("family,rank,twist", COVERAGE_TYPES)
+    def test_minimal_coverage(self, family, rank, twist):
+        """Each cuspidal class receives a minimal representative from a row's
+        inner options, as the verifier resolves them."""
         ctx = type_context(family, rank, twist)
         W, pi = ctx.W, ctx.pi_inv
         cusp = [c for c in partition_memo(W, pi, direction="delta_inv") if c.cuspidal]
         covered = {c.representative: False for c in cusp}
-        for rec in records:
-            if (rec.family, rec.rank, rec.twist) != (family, rank, twist):
-                continue
-            w1 = W.from_word(rec.w1)
-            K = compute_I_J_x(W, pi, rec.J, w1)
-            if not K:
-                vws = [()]
-            elif rec.v_mode == "words":
-                vws = list(rec.v_words)
-            else:
-                sigma = ad_pi_on(W, pi, w1, K)
-                sub = sub_context(W, K)
-                inner = partition_memo(
-                    sub.group, sub.pi_to_sub(sigma), direction="delta_inv"
-                )
-                vws = [
-                    sub.word_to_ambient(c.representative.word)
-                    for c in inner
-                    if c.cuspidal
-                ]
+        for rec in case_records(family, rank, twist):
+            placed = place_row(W, pi, rec.J, rec.w1)
+            assert placed is not None, rec.label
+            vws, problem = _resolve_v_options(rec, placed)
+            assert problem is None, (rec.label, problem)
             for vw in vws:
-                w = W.multiply(W.from_word(vw), w1)
+                w = W.multiply(W.from_word(vw), placed.w1)
                 cls = class_of(W, pi, w, direction="delta_inv")
                 if cls.cuspidal and w.length == cls.min_length:
                     covered[cls.representative] = True
@@ -176,22 +175,18 @@ def _verdicts_by_enumeration(record):
     """Criteria (iv)-(vi) of one row, read off enumerated class partitions."""
     ctx = type_context(record.family, record.rank, record.twist)
     W, pi = ctx.W, ctx.pi_inv
-    w1 = W.from_word(record.w1)
-    K = compute_I_J_x(W, pi, record.J, w1)
-    v_words, problem = _resolve_v_options(ctx, record, w1, K)
+    placed = place_row(W, pi, record.J, record.w1)
+    v_words, problem = _resolve_v_options(record, placed)
     assert problem is None, problem
     inner, full, cuspidal = [], [], []
     for vw in v_words:
         v = W.from_word(vw)
-        if K and W.support(v) <= K:
-            sub = sub_context(W, K)
-            sigma_sub = sub.pi_to_sub(ad_pi_on(W, pi, w1, K))
-            v_sub = sub.group.from_word(sub.word_to_sub(v.word))
-            cls = class_of(sub.group, sigma_sub, v_sub, direction="delta_inv")
+        if placed.K and W.support(v) <= placed.K:
+            cls = class_of(*placed.inner(v), direction="delta_inv")
             inner.append(cls.min_length == v.length)
         else:
-            inner.append(not K)
-        w = W.multiply(v, w1)
+            inner.append(not placed.K)
+        w = W.multiply(v, placed.w1)
         cls = class_of(W, pi, w, direction="delta_inv")
         full.append(cls.min_length == w.length)
         cuspidal.append(cls.cuspidal)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from weyldl.conjugacy import partition_memo, pi_of
@@ -235,3 +240,38 @@ class TestDualPathAgreement:
             assert check_certificate(red_cert)
             # Both certify an element of the same minimal length.
             assert len(red_cert.w) == cls.min_length
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Certifies every class of A3 by the constructive route, then prints the
+# types of the named groups built in the process.
+_A3_PROGRAM = """
+from weyldl import weyl
+from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.criterion import check_certificate, minimal_q
+from weyldl.lifting import constructive_certificate
+from weyldl.rootdata import build_twist
+
+W = weyl.weyl_group("A", 3)
+twist = build_twist("A", 3, 1)
+for cls in partition_memo(W, pi_of(twist)):
+    assert check_certificate(constructive_certificate(W, twist, cls, minimal_q("A", 1)))
+print(" ".join(f"{f}{n}" for f, n in sorted(weyl._GROUPS)))
+"""
+
+
+def test_constructive_route_builds_only_its_own_type():
+    """Certifying A3 by the constructive route reads only the catalog rows of
+    the types it meets, so it builds no group of another family (the catalog's
+    E6, E7, E8, F4 and G2 rows each build their group).  Run in a fresh
+    interpreter: the group memo is process-global."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _A3_PROGRAM], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    built = out.stdout.split()
+    assert "A3" in built
+    assert all(name.startswith("A") for name in built), built

@@ -1,16 +1,11 @@
 import pytest
 
-from weyldl.exactnum import QuadExt
 from weyldl.rootdata import (
-    Coweight,
     InvalidCartanTypeError,
-    apply_twist_to_coweight,
     build_composite_system,
     build_root_system,
     build_twist,
     cartan_matrix,
-    identity_twist,
-    pairing,
     positive_root_count,
     reflect,
     weyl_order,
@@ -85,29 +80,6 @@ def test_highest_root_dominates(family, rank):
     hi = system.highest_root
     for r in system.positive_roots:
         assert all(h >= c for h, c in zip(hi, r))
-    mu_all = Coweight.of([1] * rank)
-    assert pairing(hi, mu_all) == sum(hi)
-
-
-class TestPairing:
-    def test_linear_form(self):
-        mu = Coweight.of([3, 1])
-        assert pairing((1, 2), mu) == 5
-
-    def test_duality(self):
-        for i in range(1, 4):
-            for j in range(1, 4):
-                mu = Coweight.fundamental(3, j)
-                a3 = build_root_system("A", 3)
-                assert pairing(a3.simple_root(i), mu) == (1 if i == j else 0)
-
-    def test_g2_highest(self):
-        g2 = build_root_system("G", 2)
-        assert pairing(g2.highest_root, Coweight.of([1, 1])) == 5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pairing((1, 0), Coweight.of([1, 1, 1]))
 
 
 class TestTwists:
@@ -115,7 +87,7 @@ class TestTwists:
         t = build_twist("D", 4, 3)
         assert (t(1), t(2), t(3), t(4)) == (4, 2, 1, 3)
         # delta^{-1}(1) = 3, delta^{-1}(3) = 4, delta^{-1}(4) = 1
-        assert t.inv(1) == 3 and t.inv(3) == 4 and t.inv(4) == 1
+        assert t.inverse_perm == (3, 2, 4, 1)
         assert t.order == 3
 
     def test_e6(self):
@@ -167,25 +139,6 @@ class TestTwists:
                 assert cur != tuple(range(1, rank + 1))
                 cur = tuple(perm[i - 1] for i in cur)
             assert cur == tuple(range(1, rank + 1))
-
-
-class TestTwistOnCoweights:
-    def test_identity(self):
-        mu = Coweight.of([1, 2, 3])
-        assert apply_twist_to_coweight(identity_twist(3), mu) == mu
-
-    def test_e6_basis_permutation(self):
-        t = build_twist("E", 6, 2)
-        mu = Coweight.fundamental(6, 1)
-        assert apply_twist_to_coweight(t, mu) == Coweight.fundamental(6, 6)
-
-    def test_triality_order_three(self):
-        t = build_twist("D", 4, 3)
-        mu = Coweight.of([QuadExt(1), QuadExt(5), QuadExt(-2), QuadExt(7)])
-        out = mu
-        for _ in range(3):
-            out = apply_twist_to_coweight(t, out)
-        assert out == mu
 
 
 def test_composite_system():

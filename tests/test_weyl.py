@@ -228,8 +228,7 @@ def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
 def _catalog_parabolics():
     """(row label, standalone group) for each distinct group of the inner node
     sets that the catalog's "lengths"/"all" rows partition."""
-    from weyldl.casetables import load_case_records, type_context
-    from weyldl.conjugacy import compute_I_J_x
+    from weyldl.casetables import load_case_records, place_row, type_context
     from weyldl.subsystems import sub_context
 
     out = {}
@@ -237,16 +236,10 @@ def _catalog_parabolics():
         if rec.v_mode not in ("lengths", "all"):
             continue
         ctx = type_context(rec.family, rec.rank, rec.twist)
-        W = ctx.W
         for word in (rec.w1, rec.alt_w1):
-            if word is None:
-                continue
-            w1 = W.from_word(word)
-            if not W.is_min_coset_rep(w1, {ctx.pi_inv[j] for j in rec.J}):
-                continue
-            K = compute_I_J_x(W, ctx.pi_inv, rec.J, w1)
-            if K:
-                sub = sub_context(W, K)
+            placed = None if word is None else place_row(ctx.W, ctx.pi_inv, rec.J, word)
+            if placed is not None and placed.K:
+                sub = sub_context(ctx.W, placed.K)
                 out[sub.system.key] = (rec.label, sub.group)
     return list(out.values())
 
