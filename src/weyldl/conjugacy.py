@@ -1,10 +1,10 @@
 """Twisted conjugacy classes, cyclic shifts and minimal-length machinery.
 
 A twist enters everywhere as a bare index permutation ``pi`` on the
-active nodes: the class of ``w`` is the orbit of the cyclic shifts
-``w -> s_i w s_{pi(i)}``, which generate conjugation by all of W
-composed with the diagram automorphism ``i -> pi(i)``.  Passing the
-inverse permutation switches between the two twist directions.
+nodes of the group in hand: the class of ``w`` is the orbit of the
+cyclic shifts ``w -> s_i w s_{pi(i)}``, which generate conjugation by
+all of W composed with the diagram automorphism ``i -> pi(i)``.  Passing
+the inverse permutation switches between the two twist directions.
 
 Elements move here only as keys, by ``bytes.translate`` through the
 group's reflection table (see ``weyl``); a class stores the keys of its
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .rootdata import Twist
 from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
@@ -186,22 +186,22 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
 def enumerate_delta_classes(
     W: WeylGroup,
     pi: PiMap,
-    nodes: Optional[Iterable[int]] = None,
     direction: str = "delta",
     budget: int = 10 ** 6,
 ) -> list[DeltaClass]:
-    """Partition of the parabolic on ``nodes`` into pi-twisted classes.
+    """Partition of the whole group W into pi-twisted classes.
 
     Classes come back sorted by (min_length, canonical word of the
     representative); the representative is the smallest minimal-length
     element in that order.  Member keys keep the enumeration order.
 
     Classes are the orbits of the shifts over the element keys, two
-    translates per shift (see ``_shift_moves``).
+    translates per shift (see ``_shift_moves``).  A parabolic W_S is
+    partitioned as its standalone group (``subsystems.sub_context``).
     """
-    node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
+    node_set = frozenset(W.system.nodes)
     pi = restrict_pi(pi, node_set)
-    lengths = W.elements(node_set, budget=budget)
+    lengths = W.elements(budget=budget)
     tables = W.reflection_table()
     moves = [(s_j, pj) for _, _, pj, s_j, _ in _shift_moves(W, pi)]
     label: dict[bytes, int] = {}
@@ -250,7 +250,6 @@ _PARTITION_MEMO: dict[tuple, list[DeltaClass]] = {}
 def partition_memo(
     W: WeylGroup,
     pi: PiMap,
-    nodes: Optional[Iterable[int]] = None,
     direction: str = "delta",
     budget: int = 10 ** 6,
 ) -> list[DeltaClass]:
@@ -264,13 +263,10 @@ def partition_memo(
     more than ``budget`` elements raises EnumerationBudgetError, as the
     enumeration itself would.
     """
-    node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
-    key = (W.system.key, node_set, tuple(sorted(restrict_pi(pi, node_set).items())), direction)
+    key = (W.system.key, tuple(sorted(restrict_pi(pi, W.system.nodes).items())), direction)
     classes = _PARTITION_MEMO.get(key)
     if classes is None:
-        classes = _PARTITION_MEMO[key] = enumerate_delta_classes(
-            W, pi, node_set, direction, budget
-        )
+        classes = _PARTITION_MEMO[key] = enumerate_delta_classes(W, pi, direction, budget)
     elif sum(c.size for c in classes) > budget:
         raise EnumerationBudgetError(f"parabolic enumeration exceeded budget {budget}")
     return classes
@@ -280,12 +276,11 @@ def class_of(
     W: WeylGroup,
     pi: PiMap,
     w: WeylElt,
-    nodes: Optional[Iterable[int]] = None,
     direction: str = "delta",
     budget: int = 10 ** 6,
 ) -> DeltaClass:
-    """The enumerated class containing ``w``."""
-    for cls in partition_memo(W, pi, nodes, direction, budget):
+    """The enumerated class of W containing ``w``."""
+    for cls in partition_memo(W, pi, direction, budget):
         if cls.contains(w):
             return cls
     raise FalsificationError("element not found in any class (corrupt enumeration)")

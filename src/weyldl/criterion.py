@@ -130,10 +130,6 @@ def _system(
     return IneqSystem(varset, tuple(rows), tuple(labels))
 
 
-def _varset(W: WeylGroup, nodes: Optional[Iterable[int]]) -> tuple[int, ...]:
-    return tuple(sorted(nodes)) if nodes is not None else tuple(range(1, W.rank + 1))
-
-
 def _inversion_rows(W: WeylGroup, w: WeylElt) -> list[tuple[str, int]]:
     return [(f"inversion {W.roots[p]}", p + 1) for p in W.inversions(w)]
 
@@ -143,10 +139,9 @@ def build_forward_system(
     w: WeylElt,
     pi: PiMap,
     q: QuadExt,
-    nodes: Optional[Iterable[int]] = None,
 ) -> IneqSystem:
-    """Forward-form system for w in a pi-twisted class on ``nodes``."""
-    varset = _varset(W, nodes)
+    """Forward-form system for w in a pi-twisted class of W."""
+    varset = W.system.nodes
     pi = restrict_pi(pi, varset)
     winv = W.invert(w)
     return _system(
@@ -161,10 +156,9 @@ def build_inverse_system(
     w: WeylElt,
     pi: PiMap,
     q: QuadExt,
-    nodes: Optional[Iterable[int]] = None,
 ) -> IneqSystem:
     """Inverse-form system for w; pi is the class-direction index map."""
-    varset = _varset(W, nodes)
+    varset = W.system.nodes
     pi = restrict_pi(pi, varset)
     return _system(
         W, varset, q,
@@ -180,19 +174,17 @@ def build_star_system(
     pi: PiMap,
     q: QuadExt,
     K: Optional[frozenset[int]] = None,
-    nodes: Optional[Iterable[int]] = None,
 ) -> IneqSystem:
     """The reduction condition's system on the variables outside K.
 
-    Variables are the active nodes not in K = I(J, w1, pi); rows are
+    Variables are the nodes of W not in K = I(J, w1, pi); rows are
     q*m_i - (w1 alpha_{pi(i)})(m restricted) > 0 for i outside K, then
     positivity m_i > 0 (the row of the simple root alpha_i) of every variable.
     """
-    active = _varset(W, nodes)
-    pi = restrict_pi(pi, active)
+    pi = restrict_pi(pi, W.system.nodes)
     if K is None:
         K = compute_I_J_x(W, pi, J, w1)
-    varset = tuple(i for i in active if i not in K)
+    varset = tuple(i for i in W.system.nodes if i not in K)
     return _system(
         W, varset, q,
         [(i, i, W.act_on_simple(w1, pi[i])) for i in varset],

@@ -7,9 +7,13 @@ a tabulated (J, w1) reduction step.  Every constructed witness is
 re-checked against the independently rebuilt inequality system before
 being returned; no bound is trusted numerically.
 
-All functions work on an ambient group with an active node set and an
-index map pi on it (the forward twist direction); tabulated data is
-consulted through a labelling isomorphism onto the standard types.
+Every step works on all nodes of the group it is handed, with an index
+map pi on them (the forward twist direction).  A smaller parabolic W_S
+(the support, an orthogonal or cyclic factor, the K of a tabulated step)
+is certified in its standalone group (``subsystems.sub_context``) and
+its witness embedded back; an ``EngineCert`` on S then feeds the step
+that lifts or combines it.  Tabulated data is consulted through a
+labelling isomorphism onto the standard types.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .conjugacy import (
     compute_I_J_x,
     inverse_pi,
     pi_of,
-    restrict_pi,
     supp_delta,
 )
 from .criterion import (
@@ -40,7 +43,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, qext
 from .rootdata import Coweight, Twist
-from .subsystems import identify_standard, sub_context
+from .subsystems import SubContext, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -54,6 +57,11 @@ __all__ = [
     "constructive_certificate",
 ]
 
+# Dyadic damping steps tried by the cyclic combination, and scale
+# doublings tried by a spade composition, before either gives up.
+MAX_EPS_STEPS = 64
+MAX_DOUBLINGS = 8
+
 
 class ConstructionError(RuntimeError):
     """A constructive step failed its own re-validation."""
@@ -61,10 +69,14 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineCert:
-    """Forward-form witness on an active node set of an ambient group."""
+    """Forward-form witness of a group: its coordinates on ``nodes``.
+
+    A step returns one on all nodes of its group; a witness on a proper
+    ``nodes`` is the embedded witness of the parabolic on those nodes.
+    """
 
     w: WeylElt
-    mu: dict[int, QuadExt]  # coordinates on the active nodes
+    mu: dict[int, QuadExt]
     nodes: frozenset[int]
     q: QuadExt
 
@@ -73,8 +85,7 @@ class EngineCert:
 
 
 def _validate(W: WeylGroup, pi: PiMap, cert: EngineCert, context: str) -> EngineCert:
-    system = build_forward_system(W, cert.w, pi, cert.q, nodes=cert.nodes)
-    violated = system.violated({i: cert.mu.get(i, qext(0)) for i in system.varset})
+    violated = build_forward_system(W, cert.w, pi, cert.q).violated(cert.mu)
     if violated:
         raise ConstructionError(f"{context}: constructed witness violates {violated[0][0]}")
     return cert
@@ -98,8 +109,8 @@ def _nudge_nonzero(W: WeylGroup, pi: PiMap, cert: EngineCert) -> EngineCert:
     zeros = [i for i in sorted(cert.nodes) if cert.mu[i].sign() == 0]
     if not zeros:
         return cert
-    system = build_forward_system(W, cert.w, pi, cert.q, nodes=cert.nodes)
-    min_slack = min(system.evaluate({i: cert.mu[i] for i in system.varset}), default=qext(1))
+    system = build_forward_system(W, cert.w, pi, cert.q)
+    min_slack = min(system.evaluate(cert.mu), default=qext(1))
     mass = max([qext(1)] + [sum((abs(c) for c in row), qext(0)) for row in system.rows])
     eps = min_slack / (mass * 2 * len(zeros))
     mu = dict(cert.mu)
@@ -113,27 +124,21 @@ def _nudge_nonzero(W: WeylGroup, pi: PiMap, cert: EngineCert) -> EngineCert:
 # ---------------------------------------------------------------------------
 
 
-def lift_to_full(
-    W: WeylGroup,
-    pi: PiMap,
-    inner: EngineCert,
-    nodes: frozenset[int],
-) -> EngineCert:
-    """Lift a witness from a pi-stable parabolic to a larger node set.
+def lift_to_full(W: WeylGroup, pi: PiMap, inner: EngineCert) -> EngineCert:
+    """Lift a witness from a pi-stable parabolic to all nodes of W.
 
     Coordinates off the inner support take the one explicit scale
     m = n0 * max |inner mu| / (q - 1) + 1, with n0 the largest
-    coordinate sum of a root supported on ``nodes``.
+    coordinate sum of a root of W.
     """
     J = inner.nodes
-    nodes = frozenset(nodes)
+    nodes = frozenset(W.system.nodes)
     if not J <= nodes:
-        raise ValueError("inner support must sit inside the target node set")
+        raise ValueError("inner support must sit inside the group's nodes")
     if J == nodes:
         return _validate(W, pi, inner, "identity lift")
-    n0 = W.system.sub_n0(nodes)
     q = inner.q
-    m = qext(n0) * _max_abs(inner.mu.values()) / (q - 1) + 1
+    m = qext(W.system.n0) * _max_abs(inner.mu.values()) / (q - 1) + 1
     mu = {i: (inner.mu[i] if i in J else m) for i in sorted(nodes)}
     return _validate(W, pi, EngineCert(inner.w, mu, nodes, q), "parabolic lift")
 
@@ -143,7 +148,7 @@ def combine_orthogonal_factors(
     pi: PiMap,
     parts: Sequence[EngineCert],
 ) -> EngineCert:
-    """Concatenate witnesses of orthogonal pi-stable factors."""
+    """Concatenate witnesses of orthogonal pi-stable factors covering W."""
     if not parts:
         raise ValueError("nothing to combine")
     nodes = frozenset().union(*(p.nodes for p in parts))
@@ -168,36 +173,30 @@ def combine_cyclic_factors(
     W: WeylGroup,
     pi: PiMap,
     inner: EngineCert,
-    nodes: frozenset[int],
     q: QuadExt,
-    max_eps_steps: int = 64,
 ) -> EngineCert:
     """Spread a witness of one component over a cycle of components.
 
     ``inner`` certifies the component I1 for the r-th power of the twist
-    at q**r; the combined coweight places epsilon-damped, q-scaled
-    copies of each coordinate around the cycle, the dyadic epsilon per
+    at q**r, with no zero coordinate (``_nudge_nonzero`` makes one so in
+    the component's own group), since the damping direction needs a
+    sign.  The combined coweight places epsilon-damped, q-scaled copies
+    of each coordinate around the cycle, the dyadic epsilon per
     coordinate chosen closest to 1 that keeps the anchor rows strict.
-    Zero inner coordinates are nudged first, since the damping direction
-    needs a sign.
     """
-    nodes = frozenset(nodes)
     I1 = inner.nodes
-    pi_full = restrict_pi(pi, nodes)
     r = 1
-    img = {pi_full[i] for i in I1}
+    img = {pi[i] for i in I1}
     while img != set(I1):
-        img = {pi_full[i] for i in img}
+        img = {pi[i] for i in img}
         r += 1
     if r == 1:
-        if I1 == nodes:
-            return _validate(W, pi, inner, "trivial cycle")
-        return lift_to_full(W, pi, inner, nodes)
+        return lift_to_full(W, pi, inner)
     if inner.q != qext(q) ** r:
         raise ValueError("inner witness must be stated at q^r")
+    if any(inner.mu[i].sign() == 0 for i in I1):
+        raise ValueError("inner witness has a zero coordinate")
     q = qext(q)
-    pi_r = restrict_pi(_power_pi(pi_full, r), I1)
-    inner = _nudge_nonzero(W, pi_r, inner)
 
     winv = W.invert(inner.w)
     anchors: dict[int, QuadExt] = {}
@@ -211,7 +210,7 @@ def combine_cyclic_factors(
 
     qr = q ** r
     eps: Optional[dict[int, QuadExt]] = None
-    for k in range(1, max_eps_steps + 1):
+    for k in range(1, MAX_EPS_STEPS + 1):
         step = Fraction(1, 2 ** k)
         trial = {
             i: qext(1 - step) if inner.mu[i].sign() > 0 else qext(1 + step)
@@ -225,24 +224,34 @@ def combine_cyclic_factors(
             break
     if eps is None:
         raise ConstructionError(
-            f"no dyadic damping factor within {max_eps_steps} steps; this points "
+            f"no dyadic damping factor within {MAX_EPS_STEPS} steps; this points "
             "at corrupted inner data, not a mathematical failure"
         )
 
-    inv = {v: k for k, v in pi_full.items()}
+    inv = inverse_pi(pi)
     mu: dict[int, QuadExt] = {}
     for i in sorted(I1):
         node = i
         for k in range(r):
             mu[node] = (eps[i] ** k) * (q ** k) * inner.mu[i]
             node = inv[node]
-    return _validate(W, pi, EngineCert(inner.w, mu, nodes, q), "cyclic combination")
+    return _validate(W, pi, EngineCert(inner.w, mu, frozenset(mu), q), "cyclic combination")
+
+
+def _inner_scale(
+    W: WeylGroup, inner: Optional[EngineCert]
+) -> tuple[WeylElt, dict[int, QuadExt], QuadExt]:
+    """(v, mu on K, max |mu|) of a dominant inner witness, v = inner.w^{-1}."""
+    if inner is None:
+        return W.identity, {}, qext(0)
+    if not inner.dominant():
+        raise ConstructionError("inner witness must be dominant")
+    return W.invert(inner.w), dict(inner.mu), _max_abs(inner.mu.values())
 
 
 def extend_via_parabolic_step(
     W: WeylGroup,
     tau: PiMap,
-    nodes: frozenset[int],
     J: frozenset[int],
     w1: WeylElt,
     star_m: dict[int, QuadExt],
@@ -251,22 +260,20 @@ def extend_via_parabolic_step(
 ) -> EngineCert:
     """Extend an inner dominant witness through a (J, w1) reduction step.
 
-    ``tau`` is the class-direction (inverse-twist) map on ``nodes`` with
-    w1 in W^{tau(J)}; ``inner`` is a forward-form witness on K for the
-    inverse of the inner twisted class, and must be dominant.  The
+    ``tau`` is the class-direction (inverse-twist) map on the nodes of W
+    with w1 in W^{tau(J)}; ``inner`` is a forward-form witness on K for
+    the inverse of the inner twisted class, and must be dominant.  The
     result is a forward-form witness whose element is (v w1)^{-1} with
     v = inner.w^{-1}.  All inequalities are re-derived and checked.
     """
-    nodes = frozenset(nodes)
-    tau = restrict_pi(tau, nodes)
     q = qext(q)
     K = compute_I_J_x(W, tau, J, w1)
-    V = sorted(set(nodes) - K)
+    V = [i for i in W.system.nodes if i not in K]
     if set(star_m) != set(V):
         raise ValueError("star witness must cover exactly the free nodes")
     if any(qext(star_m[i]).sign() <= 0 for i in V):
         raise ValueError("star witness must be positive")
-    star = build_star_system(W, J, w1, tau, q, K=K, nodes=nodes)
+    star = build_star_system(W, J, w1, tau, q, K=K)
     point = {i: qext(star_m[i]) for i in star.varset}
     if star.violated(point):
         raise ConstructionError("star witness fails the derived reduction system")
@@ -276,24 +283,14 @@ def extend_via_parabolic_step(
             raise ValueError("inner witness required when K is nonempty")
         if inner.nodes != K:
             raise ValueError("inner witness is not on K")
-        if not inner.dominant():
-            raise ConstructionError("inner witness must be dominant for the extension")
-        v = W.invert(inner.w)
-        mu_K = dict(inner.mu)
-        max_k = _max_abs(mu_K.values())
-    else:
-        v = W.identity
-        mu_K = {}
-        max_k = qext(0)
+    v, mu, max_k = _inner_scale(W, inner if K else None)
     # The star system lists its q-rows first, one per free node.
     q_slacks = star.evaluate(point)[: len(V)]
-    n0 = W.system.sub_n0(nodes)
-    m = qext(n0) * max_k / min(q_slacks) + 1 if q_slacks else qext(1)
-    mu = dict(mu_K)
+    m = qext(W.system.n0) * max_k / min(q_slacks) + 1 if q_slacks else qext(1)
     for i in V:
         mu[i] = m * qext(star_m[i])
     w = W.multiply(v, w1)
-    out = EngineCert(W.invert(w), mu, nodes, q)
+    out = EngineCert(W.invert(w), mu, frozenset(W.system.nodes), q)
     return _validate(W, inverse_pi(tau), out, "parabolic extension")
 
 
@@ -305,39 +302,27 @@ def extend_via_parabolic_step(
 def spade_witness(
     W: WeylGroup,
     tau: PiMap,
-    nodes: frozenset[int],
     w1: WeylElt,
     recipe: Sequence[tuple[int, int, int]],
     inner: Optional[EngineCert],
     q: QuadExt,
-    max_doublings: int = 8,
 ) -> EngineCert:
     """Composed witness for a row whose reduction system is infeasible.
 
     ``recipe`` lists (node, sign, level) for the free nodes: level-k
     magnitudes are successive factors of (n0 + 1) * previous / (q - 1)
     above the inner witness.  The construction is validated by the
-    rebuilt system; scales double a few times before giving up.
+    rebuilt system; scales double up to MAX_DOUBLINGS times before
+    giving up.
     """
-    nodes = frozenset(nodes)
     q = qext(q)
-    if inner is not None:
-        if not inner.dominant():
-            raise ConstructionError("inner witness must be dominant")
-        v = W.invert(inner.w)
-        mu_K = dict(inner.mu)
-        base = _max_abs(mu_K.values())
-    else:
-        v = W.identity
-        mu_K = {}
-        base = qext(0)
+    v, mu_K, base = _inner_scale(W, inner)
     if base < 1:
         base = qext(1)
-    n0 = W.system.sub_n0(nodes)
-    factor = qext(n0 + 1) / (q - 1)
+    factor = qext(W.system.n0 + 1) / (q - 1)
     w = W.multiply(v, w1)
     last_error: Optional[ConstructionError] = None
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         mags = {0: base}
         level = 1
         while level <= max(lvl for _, _, lvl in recipe):
@@ -347,8 +332,8 @@ def spade_witness(
         for node, sign, lvl in recipe:
             mu[node] = mags[lvl] if sign > 0 else -mags[lvl]
         try:
-            out = EngineCert(W.invert(w), mu, nodes, q)
-            return _validate(W, inverse_pi(restrict_pi(tau, nodes)), out, "spade composition")
+            out = EngineCert(W.invert(w), mu, frozenset(W.system.nodes), q)
+            return _validate(W, inverse_pi(tau), out, "spade composition")
         except ConstructionError as exc:
             last_error = exc
             factor = factor * 2
@@ -360,7 +345,8 @@ def spade_witness(
 # ---------------------------------------------------------------------------
 
 
-def _components(W: WeylGroup, nodes: frozenset[int]) -> list[frozenset[int]]:
+def _components(W: WeylGroup) -> list[frozenset[int]]:
+    nodes = W.system.nodes
     comps = []
     left = set(nodes)
     while left:
@@ -386,23 +372,33 @@ def _factor_element(W: WeylGroup, w: WeylElt, groups: Sequence[frozenset[int]]):
     return parts
 
 
-def _leaf_certificate(
-    W: WeylGroup,
-    pi: PiMap,
-    nodes: frozenset[int],
-    q: QuadExt,
-    cls: DeltaClass,
-) -> EngineCert:
+def _standalone(
+    W: WeylGroup, pi: PiMap, S: frozenset[int], q: QuadExt, x: WeylElt
+) -> tuple[SubContext, PiMap, EngineCert]:
+    """Certify the class of x in W_S in the standalone group of S.
+
+    ``pi`` need only be given on S.  Returns the context, the index map
+    there and the witness on all nodes of the standalone group.
+    """
+    sub = sub_context(W, S)
+    pi_sub = sub.pi_to_sub(pi)
+    cls = class_of(sub.group, pi_sub, sub.element_to_sub(x))
+    return sub, pi_sub, _engine(sub.group, pi_sub, q, cls)
+
+
+def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
+    """A standalone witness as a witness on the node set S of the ambient group."""
+    mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
+    return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(sub.nodes), cert.q)
+
+
+def _leaf_certificate(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> EngineCert:
     """Irreducible cuspidal leaf: match a catalog row and extend through it."""
-    tau = inverse_pi(restrict_pi(pi, nodes))
-    sub = sub_context(W, frozenset(nodes))
-    sigma_sub = {sub.to_sub[i]: sub.to_sub[restrict_pi(pi, nodes)[i]] for i in nodes}
-    ident = identify_standard(sub.system.cartan, sigma_sub)
+    tau = inverse_pi(pi)
+    ident = identify_standard(W.system.cartan, pi)
     if ident is None:
-        raise FalsificationError(f"cannot identify the type of node set {sorted(nodes)}")
-    family, rank, order, phi_sub = ident
-    # ambient node -> standard node, and back
-    phi = {i: phi_sub[sub.to_sub[i]] for i in nodes}
+        raise FalsificationError(f"cannot identify the type of {W.system.key[0]}")
+    family, rank, order, phi = ident  # node of W -> standard node
     phi_inv = {v: k for k, v in phi.items()}
 
     rows = case_records(family, rank, order)
@@ -411,8 +407,8 @@ def _leaf_certificate(
 
     matches = []  # (minimality_rank, row_idx, v_idx, row, v_elt, placement, J)
     for row_idx, row in enumerate(rows):
-        J_amb = frozenset(phi_inv[j] for j in row.J)
-        placed = place_row(W, tau, J_amb, [phi_inv[i] for i in row.w1])
+        J_W = frozenset(phi_inv[j] for j in row.J)
+        placed = place_row(W, tau, J_W, [phi_inv[i] for i in row.w1])
         if placed is None:
             continue
         for v_idx, vw in enumerate(placed.inner_cuspidal()):
@@ -421,14 +417,14 @@ def _leaf_certificate(
             if not cls.contains(W.invert(u)):
                 continue
             minimal = 0 if u.length == cls.min_length else 1
-            matches.append((minimal, row_idx, v_idx, row, v, placed, J_amb))
+            matches.append((minimal, row_idx, v_idx, row, v, placed, J_W))
     if not matches:
         raise FalsificationError(
             f"no catalog row matches the class of {cls.representative.word} "
             f"in type {family}{rank} twist {order}"
         )
     matches.sort(key=lambda t: t[:3])
-    minimal, row_idx, v_idx, row, v, placed, J_amb = matches[0]
+    minimal, row_idx, v_idx, row, v, placed, J_W = matches[0]
     w1, K = placed.w1, placed.K
     if minimal != 0:
         raise FalsificationError(
@@ -439,12 +435,10 @@ def _leaf_certificate(
     # Inner witness on K (forward side of the inner twisted class).
     inner: Optional[EngineCert] = None
     if K:
-        pi_K = inverse_pi(placed.sigma)
-        inner_cls = class_of(W, pi_K, W.invert(v), nodes=K)
-        inner = _engine(W, pi_K, K, q, inner_cls)
-        v = W.invert(inner.w)  # any minimal inner element serves
+        sub, _, inner_sub = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v))
+        inner = _embed(sub, inner_sub)
 
-    star = build_star_system(W, J_amb, w1, tau, q, K=K, nodes=nodes)
+    star = build_star_system(W, J_W, w1, tau, q, K=K)
     star_point = None
     if row.m_values is not None:
         candidate = {phi_inv[i]: qext(val) for i, val in row.m_values.items()}
@@ -456,9 +450,7 @@ def _leaf_certificate(
             star_point = {i: mu_star[i] for i in star.varset}
 
     if star_point is not None:
-        return extend_via_parabolic_step(
-            W, tau, nodes, J_amb, w1, star_point, inner, q
-        )
+        return extend_via_parabolic_step(W, tau, J_W, w1, star_point, inner, q)
 
     # The reduction system is infeasible: spade territory.
     if not row.spade:
@@ -467,18 +459,14 @@ def _leaf_certificate(
         )
     if row.spade_recipe:
         recipe = tuple((phi_inv[n], s, lvl) for n, s, lvl in row.spade_recipe)
-        inner_for_spade = inner
-        if K and inner_for_spade is None:
-            raise FalsificationError("spade recipe needs an inner witness")
-        return spade_witness(W, tau, nodes, w1, recipe, inner_for_spade, q)
+        return spade_witness(W, tau, w1, recipe, inner, q)
     # No composition recipe: search the class minima with the exact solver.
     for w in cls.min_elements():
-        system = build_forward_system(W, w, restrict_pi(pi, nodes), q, nodes=nodes)
-        mu = feasible(system)
+        mu = feasible(build_forward_system(W, w, pi, q))
         if mu is not None:
-            point = {i: mu[i] for i in sorted(nodes)}
+            point = {i: mu[i] for i in W.system.nodes}
             return _validate(
-                W, restrict_pi(pi, nodes), EngineCert(w, point, frozenset(nodes), q),
+                W, pi, EngineCert(w, point, frozenset(W.system.nodes), q),
                 "spade solver witness",
             )
     raise FalsificationError(
@@ -486,25 +474,19 @@ def _leaf_certificate(
     )
 
 
-def _engine(
-    W: WeylGroup,
-    pi: PiMap,
-    nodes: frozenset[int],
-    q: QuadExt,
-    cls: DeltaClass,
-) -> EngineCert:
-    nodes = frozenset(nodes)
-    if not nodes:
-        return EngineCert(W.identity, {}, nodes, qext(q))
-    pi_r = restrict_pi(pi, nodes)
+def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> EngineCert:
+    """Witness for a pi-class of W on all its nodes, recursing on smaller parabolics."""
+    nodes = frozenset(W.system.nodes)
     w_min = cls.representative
-    supp = supp_delta(W, pi_r, w_min)
+    supp = supp_delta(W, pi, w_min)
 
     if supp != nodes:
-        inner = _engine(W, pi_r, supp, q, class_of(W, pi_r, w_min, nodes=supp))
-        return lift_to_full(W, pi_r, inner, nodes)
+        if not supp:  # the identity class: no rank-0 standalone group
+            return lift_to_full(W, pi, EngineCert(W.identity, {}, frozenset(), qext(q)))
+        sub, _, inner = _standalone(W, pi, supp, q, w_min)
+        return lift_to_full(W, pi, _embed(sub, inner))
 
-    comps = _components(W, nodes)
+    comps = _components(W)
     if len(comps) > 1:
         # Group components into pi-orbits.
         orbits: list[frozenset[int]] = []
@@ -515,7 +497,7 @@ def _engine(
             changed = True
             while changed:
                 changed = False
-                img = frozenset(pi_r[i] for i in orbit)
+                img = frozenset(pi[i] for i in orbit)
                 for c in list(remaining):
                     if c & img:
                         orbit |= c
@@ -523,11 +505,11 @@ def _engine(
                         changed = True
             orbits.append(frozenset(orbit))
         if len(orbits) > 1:
-            factors = _factor_element(W, w_min, orbits)
             parts = []
-            for orbit, felt in zip(orbits, factors):
-                parts.append(_engine(W, pi_r, orbit, q, class_of(W, pi_r, felt, nodes=orbit)))
-            return combine_orthogonal_factors(W, pi_r, parts)
+            for orbit, felt in zip(orbits, _factor_element(W, w_min, orbits)):
+                sub, _, part = _standalone(W, pi, orbit, q, felt)
+                parts.append(_embed(sub, part))
+            return combine_orthogonal_factors(W, pi, parts)
         # One orbit of several components: reduce to the first component.
         I1 = comps[0]
         r = len(comps)
@@ -537,11 +519,11 @@ def _engine(
         low = min(inside.values())
         v1 = min((WeylElt(W, k, low) for k, n in inside.items() if n == low),
                  key=lambda w: w.word)
-        pi_pow = restrict_pi(_power_pi(pi_r, r), I1)
-        inner = _engine(W, pi_pow, I1, qext(q) ** r, class_of(W, pi_pow, v1, nodes=I1))
-        return combine_cyclic_factors(W, pi_r, inner, nodes, q)
+        sub, pi_sub, inner = _standalone(W, _power_pi(pi, r), I1, qext(q) ** r, v1)
+        inner = _nudge_nonzero(sub.group, pi_sub, inner)
+        return combine_cyclic_factors(W, pi, _embed(sub, inner), q)
 
-    return _leaf_certificate(W, pi_r, nodes, q, cls)
+    return _leaf_certificate(W, pi, q, cls)
 
 
 def constructive_certificate(
@@ -557,8 +539,7 @@ def constructive_certificate(
     """
     q = qext(q)
     pi = pi_of(twist, dclass.direction)
-    nodes = frozenset(range(1, W.rank + 1))
-    cert = _engine(W, pi, nodes, q, dclass)
+    cert = _engine(W, pi, q, dclass)
     coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
     family, rank = W.system.key
     out = Certificate(

@@ -172,17 +172,6 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def sub_n0(self, nodes: Iterable[int]) -> int:
-        """Max coordinate sum over roots supported inside ``nodes``."""
-        s = set(nodes)
-        if not s:
-            return 0
-        best = 0
-        for r in self.positive_roots:
-            if all(r[j] == 0 or (j + 1) in s for j in range(self.rank)):
-                best = max(best, sum(r))
-        return best
-
 
 def _close_positive_roots(cartan) -> list[Root]:
     n = len(cartan)

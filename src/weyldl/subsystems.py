@@ -4,7 +4,13 @@ A node subset S of an ambient system spans a root subsystem whose
 simple roots are the alpha_s, s in S.  Re-rooting it as a standalone
 RootSystem (Cartan submatrix, nodes renumbered 1..|S| in sorted order)
 keeps enumeration costs proportional to the subsystem, not the ambient
-group.  The standalone group is keyed on the Cartan submatrix, so equal
+group.  It is the one representation of a parabolic W_S: the catalog's
+inner classes and every smaller step of the constructive route run in
+it, and elements cross between it and the ambient group only through
+``SubContext``.  The renumbering keeps the order of the nodes, so
+canonical words, the root order and class representatives correspond.
+
+The standalone group is keyed on the Cartan submatrix, so equal
 submatrices share one group, one element encoding and one memoized
 class partition.  ``identify_standard`` finds the Bourbaki name of an
 irreducible subsystem together with a labelling isomorphism that carries
@@ -16,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .rootdata import build_twist, cartan_matrix
-from .weyl import WeylGroup
+from .weyl import WeylElt, WeylGroup
 from .rootdata import _build_from_cartan  # standalone closure builder
 
 __all__ = ["SubContext", "sub_context", "identify_standard", "cartan_isos"]
@@ -30,6 +36,7 @@ class SubContext:
     """
 
     def __init__(self, ambient: WeylGroup, nodes: frozenset[int]):
+        self.ambient = ambient
         self.nodes = tuple(sorted(nodes))
         self.to_sub = {s: k + 1 for k, s in enumerate(self.nodes)}
         self.to_ambient = {k + 1: s for k, s in enumerate(self.nodes)}
@@ -47,6 +54,14 @@ class SubContext:
 
     def pi_to_sub(self, pi: dict[int, int]) -> dict[int, int]:
         return {self.to_sub[i]: self.to_sub[pi[i]] for i in self.nodes}
+
+    def element_to_sub(self, x: WeylElt) -> WeylElt:
+        """An element of the ambient W_S as an element of the standalone group."""
+        return self.group.from_word(self.word_to_sub(x.word))
+
+    def element_to_ambient(self, y: WeylElt) -> WeylElt:
+        """An element of the standalone group as an element of the ambient W_S."""
+        return self.ambient.from_word(self.word_to_ambient(y.word))
 
 
 _GROUP_MEMO: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}

@@ -78,6 +78,7 @@ def test_criterion_1_table_replay_non_spade():
 def test_criterion_2_spade_cases():
     """Spade rows: infeasible at minimal q, with a checked inverse-form witness."""
     records = load_case_records()
+    assert set(SPADE_LABELS) == {r.label for r in records if r.spade}
     failures = []
     for label in SPADE_LABELS:
         rec = next(r for r in records if r.label == label)
@@ -293,3 +294,38 @@ def test_criterion_9_w3_certificate_digest():
     assert (count, size) == (360, 91337)
     assert digest.hexdigest() == W3_SHA256
     _report("9", True, "360 W3 certificates digest")
+
+
+# The 14 twisted groups of rank 5 and 6: (family, rank, twist order).
+RANK_5_6 = [
+    ("A", 5, 1), ("A", 5, 2), ("B", 5, 1), ("C", 5, 1), ("D", 5, 1), ("D", 5, 2),
+    ("A", 6, 1), ("A", 6, 2), ("B", 6, 1), ("C", 6, 1), ("D", 6, 1), ("D", 6, 2),
+    ("E", 6, 1), ("E", 6, 2),
+]
+
+# SHA-256 of the 816 certificates of the 408 classes of RANK_5_6, laid out
+# as for W3_SHA256 (262968 bytes), recorded from the code in which the
+# constructive route still kept every parabolic inside the ambient group.
+RANK_5_6_SHA256 = "429f55ca11a22074ee4ef54874f85bd94c0036945cf591618087af2f8bb3bb31"
+
+
+def test_criterion_9_rank_5_6_certificate_digest():
+    """Both routes certify every class of rank 5 and 6, checked and byte-identical."""
+    digest = hashlib.sha256()
+    count = size = 0
+    for family, rank, order in RANK_5_6:
+        W, twist, pi, q = _ctx(family, rank, order)
+        for cls in partition_memo(W, pi):
+            for cert in (
+                certify_min_element(W, twist, cls, q),
+                constructive_certificate(W, twist, cls, q),
+            ):
+                assert check_certificate(cert), (family, rank, order, cert.w)
+                assert len(cert.w) == cls.min_length
+                text = (cert.to_json() + "\n").encode("utf-8")
+                digest.update(text)
+                count += 1
+                size += len(text)
+    assert (count, size) == (816, 262968)
+    assert digest.hexdigest() == RANK_5_6_SHA256
+    _report("9", True, "816 rank-5/6 certificates digest")

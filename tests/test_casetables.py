@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from weyldl import casetables
 from weyldl.casetables import (
+    CaseReport,
     _resolve_v_options,
     case_records,
     load_case_records,
@@ -15,6 +21,8 @@ from weyldl.conjugacy import class_of, partition_memo
 from weyldl.criterion import MAX_RANK, check_certificate
 from weyldl.exactnum import SQRT2, qext
 from weyldl.rootdata import weyl_order
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # (family, rank, twist) of every catalog type, in catalog order.
 CATALOG_TYPES = list(dict.fromkeys((r.family, r.rank, r.twist) for r in load_case_records()))
@@ -140,6 +148,35 @@ class TestAggregate:
     def test_filter_excludes_twisted_prefix(self):
         report = verify_all(type_filter="F4")
         assert len(report.cases) == 7
+
+    def test_labels_begin_with_type_name(self, records):
+        assert all(r.label.startswith(r.type_name + " case ") for r in records)
+
+    def test_filter_selects_label_prefix(self, records, monkeypatch):
+        """For "" and every prefix of every label, the filter picks exactly the
+        rows whose label starts with it, in catalog order."""
+        monkeypatch.setattr(casetables, "verify_case", lambda r, **kw: CaseReport(r.label))
+        prefixes = {""} | {r.label[:k] for r in records for k in range(1, len(r.label) + 1)}
+        for f in sorted(prefixes):
+            selected = [c.label for c in verify_all(type_filter=f).cases]
+            assert selected == [r.label for r in records if r.label.startswith(f)], f
+
+    def test_filter_builds_only_matching_types(self):
+        """verify_all(type_filter="G2") builds the G2 group and no other named
+        group.  Run in a fresh interpreter: the group memo is process-global."""
+        program = (
+            "from weyldl import weyl\n"
+            "from weyldl.casetables import verify_all\n"
+            "assert len(verify_all(type_filter='G2').cases) == 3\n"
+            "print(sorted(weyl._GROUPS))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[('G', 2)]"
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from weyldl.conjugacy import partition_memo, pi_of
-from weyldl.criterion import build_forward_system, check_certificate, minimal_q
+from weyldl.criterion import build_forward_system, check_certificate, feasible, minimal_q
 from weyldl.exactnum import QuadExt, SQRT2, qext
 from weyldl.lifting import (
+    ConstructionError,
     EngineCert,
     combine_cyclic_factors,
     combine_orthogonal_factors,
@@ -18,6 +19,7 @@ from weyldl.lifting import (
     spade_witness,
 )
 from weyldl.rootdata import build_composite_system, build_twist, make_twist
+from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import group
@@ -27,13 +29,26 @@ def idpi(W):
     return {i: i for i in range(1, W.rank + 1)}
 
 
+def cuspidal_inner(W, pi_K, K, q):
+    """Witness of the first cuspidal pi_K-class of W_K, found in the
+    standalone group of K and embedded on K in W."""
+    from weyldl.lifting import _engine
+
+    sub = sub_context(W, K)
+    pi_sub = sub.pi_to_sub(pi_K)
+    cls = next(c for c in partition_memo(sub.group, pi_sub) if c.cuspidal)
+    cert = _engine(sub.group, pi_sub, q, cls)
+    mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
+    return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(K), q)
+
+
 class TestLift:
     def test_a2_worked_example(self, A2):
         # Inner witness on the parabolic {1}: w = s1, mu = omega_1 at q = 2;
         # the lifted scale is 2*1/1 + 1 = 3 and every row stays strict.
         pi = idpi(A2)
         inner = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
-        lifted = lift_to_full(A2, pi, inner, frozenset({1, 2}))
+        lifted = lift_to_full(A2, pi, inner)
         assert lifted.mu[1] == 1 and lifted.mu[2] == 3
         assert lifted.w == A2.simple(1)
 
@@ -42,13 +57,13 @@ class TestLift:
         inner = EngineCert(
             A2.from_word([1, 2]), {1: qext(1), 2: qext(1)}, frozenset({1, 2}), qext(2)
         )
-        assert lift_to_full(A2, pi, inner, frozenset({1, 2})) == inner
+        assert lift_to_full(A2, pi, inner) == inner
 
     def test_quadratic_scale(self, B2):
         # Rank-1 inner at q = sqrt2: the lift scale lands in Q(sqrt2).
         pi = idpi(B2)
         inner = EngineCert(B2.simple(1), {1: qext(1)}, frozenset({1}), SQRT2)
-        lifted = lift_to_full(B2, pi, inner, frozenset({1, 2}))
+        lifted = lift_to_full(B2, pi, inner)
         # m = n0 / (sqrt2 - 1) + 1 = 3 (sqrt2 + 1) + 1
         assert lifted.mu[2] == QuadExt(4, 3, 2)
 
@@ -56,17 +71,15 @@ class TestLift:
         twist = build_twist("B", 2, 2)
         pi = pi_of(twist)
         inner = EngineCert(B2.identity, {}, frozenset(), SQRT2)
-        lifted = lift_to_full(B2, pi, inner, frozenset({1, 2}))
+        lifted = lift_to_full(B2, pi, inner)
         assert lifted.mu[1] == 1 and lifted.mu[2] == 1
 
     def test_preserves_inner_coordinates(self, F4):
         pi = idpi(F4)
         inner_nodes = frozenset({1, 2})
-        sub = partition_memo(F4, pi, nodes=inner_nodes)
-        cox = next(c for c in sub if c.min_length == 2)
-        w = cox.representative
+        w = F4.from_word([1, 2])  # a Coxeter element of W_{1,2}
         inner = EngineCert(w, {1: qext(5), 2: qext(3)}, inner_nodes, qext(2))
-        lifted = lift_to_full(F4, pi, inner, frozenset({1, 2, 3, 4}))
+        lifted = lift_to_full(F4, pi, inner)
         assert lifted.mu[1] == 5 and lifted.mu[2] == 3
         assert lifted.w == w
 
@@ -86,17 +99,17 @@ class TestOrthogonal:
         comp = WeylGroup(build_composite_system([("B", 2), ("A", 2)]))
         pi = idpi(comp)
         q = qext(2)
-        # Longest elements of both factors are elliptic there.
-        wb = comp.longest_element({1, 2})
-        wa = comp.longest_element({3, 4})
-        sys_b = build_forward_system(comp, wb, pi, q, nodes={1, 2})
-        sys_a = build_forward_system(comp, wa, pi, q, nodes={3, 4})
-        from weyldl.criterion import feasible
+        # Longest elements of both factors are elliptic there; each factor's
+        # witness comes from its standalone group.
+        def factor(nodes):
+            sub = sub_context(comp, nodes)
+            w = comp.longest_element(nodes)
+            G = sub.group
+            mu = feasible(build_forward_system(G, sub.element_to_sub(w), idpi(G), q))
+            return EngineCert(w, {sub.to_ambient[i]: mu[i] for i in G.system.nodes},
+                              frozenset(nodes), q)
 
-        mb = feasible(sys_b)
-        ma = feasible(sys_a)
-        a = EngineCert(wb, {1: mb[1], 2: mb[2]}, frozenset({1, 2}), q)
-        b = EngineCert(wa, {3: ma[3], 4: ma[4]}, frozenset({3, 4}), q)
+        a, b = factor({1, 2}), factor({3, 4})
         combined = combine_orthogonal_factors(comp, pi, [a, b])
         assert combined.nodes == frozenset({1, 2, 3, 4})
 
@@ -105,6 +118,13 @@ class TestOrthogonal:
         a = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
         with pytest.raises(ValueError):
             combine_orthogonal_factors(A2, pi, [a, a])
+
+    def test_partial_cover_rejected(self, A2):
+        # A node no factor covers reads zero, and its q-row fails validation.
+        pi = idpi(A2)
+        a = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
+        with pytest.raises(ConstructionError):
+            combine_orthogonal_factors(A2, pi, [a])
 
 
 class TestCyclic:
@@ -116,7 +136,7 @@ class TestCyclic:
         # Inner: the nontrivial class of the first A1 under the squared
         # twist (plain conjugacy) at q^2 = 4.
         inner = EngineCert(comp.simple(1), {1: qext(1)}, frozenset({1}), qext(4))
-        out = combine_cyclic_factors(comp, pi, inner, frozenset({1, 2}), q)
+        out = combine_cyclic_factors(comp, pi, inner, q)
         assert out.w == comp.simple(1)
         assert out.nodes == frozenset({1, 2})
 
@@ -125,7 +145,7 @@ class TestCyclic:
         twist = make_twist(comp.system, (2, 3, 1))
         pi = pi_of(twist)
         inner = EngineCert(comp.identity, {1: qext(1)}, frozenset({1}), qext(8))
-        out = combine_cyclic_factors(comp, pi, inner, frozenset({1, 2, 3}), qext(2))
+        out = combine_cyclic_factors(comp, pi, inner, qext(2))
         assert all(out.mu[i].sign() > 0 for i in (1, 2, 3))
 
     def test_wrong_inner_q_rejected(self):
@@ -133,7 +153,15 @@ class TestCyclic:
         twist = make_twist(comp.system, (2, 1))
         inner = EngineCert(comp.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
         with pytest.raises(ValueError):
-            combine_cyclic_factors(comp, pi_of(twist), inner, frozenset({1, 2}), qext(2))
+            combine_cyclic_factors(comp, pi_of(twist), inner, qext(2))
+
+    def test_zero_inner_coordinate_rejected(self):
+        # A zero coordinate is nudged in the component's own group first.
+        comp = WeylGroup(build_composite_system([("A", 1), ("A", 1)]))
+        twist = make_twist(comp.system, (2, 1))
+        inner = EngineCert(comp.simple(1), {1: qext(0)}, frozenset({1}), qext(4))
+        with pytest.raises(ValueError):
+            combine_cyclic_factors(comp, pi_of(twist), inner, qext(2))
 
 
 class TestExtension:
@@ -147,15 +175,9 @@ class TestExtension:
         K = compute_I_J_x(D4, tau, {1, 2, 3}, w1)
         sigma = ad_pi_on(D4, tau, w1, K)
         pi_K = inverse_pi(sigma)
-        inner_classes = [
-            c for c in partition_memo(D4, pi_K, nodes=K) if c.cuspidal
-        ]
-        assert inner_classes
-        from weyldl.lifting import _engine
-
-        inner = _engine(D4, pi_K, K, qext(2), inner_classes[0])
+        inner = cuspidal_inner(D4, pi_K, K, qext(2))
         out = extend_via_parabolic_step(
-            D4, tau, frozenset({1, 2, 3, 4}), frozenset({1, 2, 3}), w1,
+            D4, tau, frozenset({1, 2, 3}), w1,
             {3: qext(2), 4: qext(1)}, inner, qext(2),
         )
         assert out.nodes == frozenset({1, 2, 3, 4})
@@ -165,8 +187,7 @@ class TestExtension:
         tau = idpi(G2)
         w1 = G2.from_word([1, 2, 1, 2])
         out = extend_via_parabolic_step(
-            G2, tau, frozenset({1, 2}), frozenset({1}), w1,
-            {1: qext(2), 2: qext(1)}, None, qext(2),
+            G2, tau, frozenset({1}), w1, {1: qext(2), 2: qext(1)}, None, qext(2),
         )
         assert out.w == G2.invert(w1)
         assert out.dominant()
@@ -176,8 +197,7 @@ class TestExtension:
         w1 = G2.from_word([1, 2, 1, 2])
         with pytest.raises(ValueError):
             extend_via_parabolic_step(
-                G2, tau, frozenset({1, 2}), frozenset({1}), w1,
-                {1: qext(2), 2: qext(-1)}, None, qext(2),
+                G2, tau, frozenset({1}), w1, {1: qext(2), 2: qext(-1)}, None, qext(2),
             )
 
     def test_2a4_middle(self):
@@ -186,15 +206,12 @@ class TestExtension:
         tau = pi_of(twist, "delta_inv")
         w1 = W.from_word([3, 2, 1])
         from weyldl.conjugacy import ad_pi_on, compute_I_J_x, inverse_pi
-        from weyldl.lifting import _engine
 
         K = compute_I_J_x(W, tau, {1, 2, 3}, w1)
         assert K == frozenset({2})
-        pi_K = inverse_pi(ad_pi_on(W, tau, w1, K))
-        inner_cls = [c for c in partition_memo(W, pi_K, nodes=K) if c.cuspidal][0]
-        inner = _engine(W, pi_K, K, qext(2), inner_cls)
+        inner = cuspidal_inner(W, inverse_pi(ad_pi_on(W, tau, w1, K)), K, qext(2))
         out = extend_via_parabolic_step(
-            W, tau, frozenset(range(1, 5)), frozenset({1, 2, 3}), w1,
+            W, tau, frozenset({1, 2, 3}), w1,
             {1: qext(2), 3: qext(2), 4: qext(1)}, inner, qext(2),
         )
         assert out.nodes == frozenset(range(1, 5))
@@ -206,17 +223,11 @@ class TestSpadeRecipe:
         tau = pi_of(twist, "delta_inv")
         w1 = F4.from_word((2, 3, 2, 4, 3, 2, 1))
         from weyldl.conjugacy import ad_pi_on, compute_I_J_x, inverse_pi
-        from weyldl.lifting import _engine
 
         K = compute_I_J_x(F4, tau, {2, 3, 4}, w1)
         assert K == frozenset({3, 4})
-        pi_K = inverse_pi(ad_pi_on(F4, tau, w1, K))
-        inner_cls = [c for c in partition_memo(F4, pi_K, nodes=K) if c.cuspidal][0]
-        inner = _engine(F4, pi_K, K, qext(2), inner_cls)
-        out = spade_witness(
-            F4, tau, frozenset(range(1, 5)), w1,
-            ((1, -1, 1), (2, 1, 2)), inner, qext(2),
-        )
+        inner = cuspidal_inner(F4, inverse_pi(ad_pi_on(F4, tau, w1, K)), K, qext(2))
+        out = spade_witness(F4, tau, w1, ((1, -1, 1), (2, 1, 2)), inner, qext(2))
         # The pattern m2 >> -m1 >> max(m3, m4) with m1 negative.
         assert out.mu[1].sign() < 0
         assert out.mu[2] > -out.mu[1] > max(out.mu[3], out.mu[4])
