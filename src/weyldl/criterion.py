@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .conjugacy import DeltaClass, FalsificationError, PiMap, compute_I_J_x, pi_of, restrict_pi
-from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, qext
+from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, dot, qext
 from .lp import solve_strict
 from .rootdata import Coweight, Twist, build_twist, positive_root_count
 from .weyl import WeylElt, WeylGroup, weyl_group
@@ -86,15 +86,8 @@ class IneqSystem:
 
     def evaluate(self, point: dict[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
-        vec = [qext(point.get(i, 0)) for i in self.varset]
-        out = []
-        for row in self.rows:
-            s = ZERO
-            for c, x in zip(row, vec):
-                if not c.is_zero():
-                    s = s + c * x
-            out.append(s)
-        return out
+        vec = [point.get(i, ZERO) for i in self.varset]
+        return [dot(row, vec) for row in self.rows]
 
     def violated(self, point: dict[int, QuadExt]) -> list[tuple[str, int]]:
         """(label, sign) of each row whose slack at ``point`` is zero or negative."""
@@ -116,16 +109,26 @@ def _system(
 
     Each (i, u, t) in ``q_rows`` is the row  q*m_u - beta_t(m) > 0,
     labelled by node i; each (label, t) in ``pure_rows`` is beta_t(m) > 0.
+    The coefficients come from the group's table of exact root
+    coordinates: on all nodes a pure row is the table's tuple itself, and
+    a q-row is the tuple of -beta_t with the one cell of m_u changed.
     """
     q = qext(q)
+    cols = None if varset == W.system.nodes else [j - 1 for j in varset]
+
+    def coords(t: int) -> tuple[QuadExt, ...]:
+        c = W.signed_to_coords(t)
+        return c if cols is None else tuple(c[k] for k in cols)
+
     rows, labels = [], []
     for i, u, t in q_rows:
-        v = W.signed_to_coords(t)
-        rows.append(tuple(q - v[j - 1] if j == u else qext(-v[j - 1]) for j in varset))
+        row = list(coords(-t))
+        k = varset.index(u)
+        row[k] = q + row[k]
+        rows.append(tuple(row))
         labels.append(f"q-row i={i}")
     for label, t in pure_rows:
-        c = W.signed_to_coords(t)
-        rows.append(tuple(qext(c[j - 1]) for j in varset))
+        rows.append(coords(t))
         labels.append(label)
     return IneqSystem(varset, tuple(rows), tuple(labels))
 

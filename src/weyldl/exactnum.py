@@ -11,6 +11,13 @@ Bareiss, Math. Comp. 22 (1968)); no ``Fraction`` is built on the way.
 Signs and comparisons are exact case analysis on the integer numerator,
 never floating-point evaluation.  The rational parts are still available
 as the ``Fraction`` properties ``a`` and ``b``.
+
+Two fused kernels serve the row arithmetic of the strict systems:
+``dot(xs, ys)`` sums the products x*y in plain ints and reduces once at
+the end, and ``sub_mul(x, f, y)`` is ``x - f*y`` with one reduction.
+Each returns exactly what the unfused operations return, or raises the
+same ``IncompatibleRadicandError``: the radicand of a product or of a
+running sum falls back to 1 once its sqrt(d) part cancels.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ __all__ = [
     "qext",
     "quad_sign",
     "quad_cmp",
+    "dot",
+    "sub_mul",
     "SQRT2",
     "SQRT3",
     "ONE",
@@ -179,11 +188,8 @@ class QuadExt:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d = self._d
-        if d != other._d:
-            d = _join_d(d, other._d)
-        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
-        return _make(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, self._r * other._r, d)
+        p, q, d = _product(self, other)
+        return _make(p, q, self._r * other._r, d)
 
     __rmul__ = __mul__
 
@@ -359,6 +365,73 @@ def quad_sign(x: Scalar) -> int:
 def quad_cmp(x: Scalar, y: Scalar) -> int:
     """Ordering of two values sharing a compatible radicand: sign(x - y)."""
     return qext(x)._cmp(y)
+
+
+def _product(x: QuadExt, y: QuadExt) -> tuple[int, int, int]:
+    """Numerator p, q and radicand of x*y over x._r * y._r, unreduced.
+
+    The radicand is 1 when the sqrt(d) part of the product is zero, so
+    sqrt(2) * sqrt(2) is rational and mixes with sqrt(3) afterwards.
+    """
+    p1, q1, p2, q2 = x._p, x._q, y._p, y._q
+    if q1 and q2:
+        d = _join_d(x._d, y._d)
+        q = p1 * q2 + q1 * p2
+        return p1 * p2 + q1 * q2 * d, q, d if q else 1
+    if q1:
+        return p1 * p2, q1 * p2, x._d if p2 else 1
+    if q2:
+        return p1 * p2, p1 * q2, y._d if p1 else 1
+    return p1 * p2, 0, 1
+
+
+def dot(xs, ys) -> QuadExt:
+    """sum of x*y over the pairs of ``xs`` and ``ys`` (as zip pairs them), exactly.
+
+    The value and the errors of the left fold ``s = s + x*y`` from zero,
+    accumulated over a common denominator in plain ints with one gcd at
+    the end.  Operands may be int, Fraction or QuadExt.
+    """
+    P = Q = 0
+    R = D = 1
+    for x, y in zip(xs, ys):
+        if type(x) is not QuadExt:
+            x = qext(x)
+        if type(y) is not QuadExt:
+            y = qext(y)
+        if x._q or y._q:
+            p, q, d = _product(x, y)
+            if q:
+                # The running sum has radicand D exactly while its Q is nonzero.
+                D = _join_d(D, d) if Q else d
+        else:
+            p, q = x._p * y._p, 0
+        if not (p or q):
+            continue
+        r = x._r * y._r
+        if r == R:
+            P += p
+            Q += q
+        else:
+            P = P * r + p * R
+            Q = Q * r + q * R
+            R *= r
+    return _make(P, Q, R, D)
+
+
+def sub_mul(x: QuadExt, f: QuadExt, y: QuadExt) -> QuadExt:
+    """``x - f*y`` for three QuadExt values, with one gcd reduction.
+
+    The value and the errors of the two-step form: f*y raises when f and y
+    mix radicands, and the difference when x and a non-rational f*y do.
+    """
+    p, q, d = _product(f, y)
+    if x._q:
+        d = _join_d(x._d, d)
+    r, rx = f._r * y._r, x._r
+    if r == rx:
+        return _make(x._p - p, x._q - q, r, d)
+    return _make(x._p * r - p * rx, x._q * r - q * rx, rx * r, d)
 
 
 ZERO = QuadExt(0)

@@ -41,7 +41,7 @@ from .criterion import (
     check_certificate,
     feasible,
 )
-from .exactnum import QuadExt, qext
+from .exactnum import QuadExt, dot, qext
 from .rootdata import Coweight, Twist
 from .subsystems import SubContext, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
@@ -199,14 +199,12 @@ def combine_cyclic_factors(
     q = qext(q)
 
     winv = W.invert(inner.w)
+    support = sorted(I1)
+    values = [inner.mu[j] for j in support]
     anchors: dict[int, QuadExt] = {}
-    for i in sorted(I1):
+    for i in support:
         coords = W.signed_to_coords(W.act_on_simple(winv, i))
-        total = qext(0)
-        for j in sorted(I1):
-            if coords[j - 1]:
-                total = total + inner.mu[j] * coords[j - 1]
-        anchors[i] = total  # (w^{-1} alpha_i)(mu)
+        anchors[i] = dot(values, [coords[j - 1] for j in support])  # (w^{-1} alpha_i)(mu)
 
     qr = q ** r
     eps: Optional[dict[int, QuadExt]] = None

@@ -6,8 +6,12 @@ sum_r y_r c_r = 0.  Both come out of the one LP
 
     min u   s.t.   sum_r y_r c_r = 0,   sum_r y_r + u = 1,   y, u >= 0,
 
-solved by a dense simplex under Bland's rule in exact QuadExt arithmetic
-(Schrijver, *Theory of Linear and Integer Programming*, 1986).  If the
+solved by the simplex method under Bland's rule in exact QuadExt
+arithmetic (Schrijver, *Theory of Linear and Integer Programming*, 1986).
+A pivot touches only the nonzero cells of the pivot row: it scales them
+and updates those columns of every other row through the fused
+``x - f*y`` kernel, so the many zero cells of the artificial block cost
+nothing and the pivot path is that of the dense tableau.  If the
 optimum u* is zero, the basic y values are a witness.  If u* > 0, the
 simplex multipliers give a point: m_j, the final reduced cost of the
 artificial column of equality row j, satisfies < c_r, m > >= u* for
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactnum import QuadExt, qext
+from .exactnum import QuadExt, dot, qext, sub_mul
 
 __all__ = ["solve_strict", "gordan_witness", "verify_gordan"]
 
@@ -26,12 +30,17 @@ Row = Sequence[QuadExt]
 
 
 def _pivot(tableau: list[list[QuadExt]], basis: list[int], row: int, col: int) -> None:
-    inv = tableau[row][col].inverse()
-    rr = tableau[row] = [x * inv for x in tableau[row]]
+    """Pivot on (row, col) in place; zero cells of the pivot row change nothing."""
+    rr = tableau[row]
+    inv = rr[col].inverse()
+    support = [k for k, x in enumerate(rr) if not x.is_zero()]
+    for k in support:
+        rr[k] = rr[k] * inv
     for i, ri in enumerate(tableau):
         f = ri[col]
-        if i != row and f.sign() != 0:
-            tableau[i] = [x - f * y for x, y in zip(ri, rr)]
+        if i != row and not f.is_zero():
+            for k in support:
+                ri[k] = sub_mul(ri[k], f, rr[k])
     basis[row] = col
 
 
@@ -100,12 +109,8 @@ def solve_strict(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, ...
     point, _ = _solve_dual(rows, nvars)
     if point is None:
         return None
-    for r in rows:
-        s = qext(0)
-        for c, x in zip(r, point):
-            s = s + qext(c) * x
-        if s.sign() <= 0:
-            raise AssertionError("simplex returned a non-strict point")
+    if any(dot(r, point).sign() <= 0 for r in rows):
+        raise AssertionError("simplex returned a non-strict point")
     return point
 
 
@@ -118,21 +123,18 @@ def verify_gordan(rows: Sequence[Row], witness) -> bool:
     """Check sum_r y_r c_r = 0 with y >= 0 and some y_r > 0, exactly.
 
     The witness must have one entry per row and the rows one width; an
-    empty system has no witness.
+    empty system has no witness.  Rows and witness together live in one
+    field, Q(sqrt 2) or Q(sqrt 3): entries that mix the two are rejected.
     """
     if witness is None or not rows or len(witness) != len(rows):
         return False
     rows = [tuple(qext(c) for c in r) for r in rows]
     ys = [qext(y) for y in witness]
+    if len(({y.d for y in ys} | {c.d for r in rows for c in r}) - {1}) > 1:
+        return False
     if any(y.sign() < 0 for y in ys) or all(y.sign() == 0 for y in ys):
         return False
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         return False
-    for j in range(width):
-        total = qext(0)
-        for y, r in zip(ys, rows):
-            total = total + y * r[j]
-        if total.sign() != 0:
-            return False
-    return True
+    return all(dot(ys, [r[j] for r in rows]).sign() == 0 for j in range(width))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import Root, RootSystem, build_root_system, reflect
+from .exactnum import QuadExt, qext
+from .rootdata import RootSystem, build_root_system, reflect
 
 __all__ = ["WeylGroup", "WeylElt", "EnumerationBudgetError", "weyl_group"]
 
@@ -123,6 +124,7 @@ class WeylGroup:
         self._elements_cache: dict[frozenset[int], dict[bytes, int]] = {}
         self._tables: Optional[list[bytes]] = None
         self._perm_steps: list[tuple[int, int, int]] = []
+        self._coords: Optional[dict[int, tuple[QuadExt, ...]]] = None
 
     # -- the move kernel ------------------------------------------------------
 
@@ -210,9 +212,19 @@ class WeylGroup:
         m = self.identity.key.find(w.key[i - 1])
         return m + 1 if m >= 0 else None
 
-    def signed_to_coords(self, signed: int) -> Root:
-        coords = self.roots[abs(signed) - 1]
-        return coords if signed > 0 else tuple(-c for c in coords)
+    def signed_to_coords(self, signed: int) -> tuple[QuadExt, ...]:
+        """Exact simple-root coordinates of the root of signed index ``signed``.
+
+        Read from one table of every signed root as ``QuadExt`` tuples,
+        built on first use, so the rows of a strict system share these
+        tuples instead of coercing an int per cell.
+        """
+        if self._coords is None:
+            self._coords = {}
+            for p, root in enumerate(self.roots, 1):
+                self._coords[p] = coords = tuple(qext(c) for c in root)
+                self._coords[-p] = tuple(-c for c in coords)
+        return self._coords[signed]
 
     def inversions(self, w: WeylElt) -> tuple[int, ...]:
         """Indices of the positive roots sent negative by w."""

@@ -11,8 +11,10 @@ from weyldl.exactnum import (
     SQRT3,
     IncompatibleRadicandError,
     QuadExt,
+    dot,
     quad_cmp,
     quad_sign,
+    sub_mul,
 )
 
 from fraction_quadext import FractionQuadExt
@@ -273,3 +275,69 @@ def test_differential_error_cases():
         QuadExt(1.5)
     with pytest.raises(ValueError):
         QuadExt(1, 1, 4)
+
+
+# -- the fused row kernels against the unfused forms ---------------------------
+
+# Zero, one and the cells that cancel (+-sqrt 2, +-sqrt 3), beside general values.
+cells = st.one_of(
+    parts,
+    st.sampled_from(
+        ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 2), (0, -1, 2), (0, 1, 3), (0, -1, 3))
+    ),
+)
+
+
+def fold_dot(xs, ys, zero):
+    """The left fold ``s = s + x*y`` from ``zero`` that ``dot`` replaces."""
+    s = zero
+    for x, y in zip(xs, ys):
+        s = s + x * y
+    return s
+
+
+@given(st.lists(st.tuples(cells, cells), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_left_fold(terms):
+    xs = [QuadExt(*a) for a, _ in terms]
+    ys = [QuadExt(*b) for _, b in terms]
+    oxs = [FractionQuadExt(*a) for a, _ in terms]
+    oys = [FractionQuadExt(*b) for _, b in terms]
+    agree(lambda: dot(xs, ys), lambda: fold_dot(xs, ys, QuadExt(0)))
+    agree(lambda: dot(xs, ys), lambda: fold_dot(oxs, oys, FractionQuadExt(0)))
+
+
+@given(st.lists(st.tuples(cells, scalars), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_dot_takes_int_and_fraction_operands(terms):
+    xs = [QuadExt(*a) for a, _ in terms]
+    ss = [s for _, s in terms]
+    agree(lambda: dot(xs, ss), lambda: fold_dot(xs, ss, QuadExt(0)))
+    agree(lambda: dot(ss, xs), lambda: fold_dot(ss, xs, QuadExt(0)))
+
+
+@given(cells, cells, cells)
+@settings(max_examples=300, deadline=None)
+def test_sub_mul_matches_two_step_form(xs, fs, ys):
+    x, f, y = QuadExt(*xs), QuadExt(*fs), QuadExt(*ys)
+    ox, of, oy = FractionQuadExt(*xs), FractionQuadExt(*fs), FractionQuadExt(*ys)
+    agree(lambda: sub_mul(x, f, y), lambda: x - f * y)
+    agree(lambda: sub_mul(x, f, y), lambda: ox - of * oy)
+
+
+def test_fused_kernels_at_cancellation():
+    # sqrt2 * sqrt2 is rational, so a sqrt3 term may follow it.
+    assert outcome(lambda: dot([SQRT2, SQRT3], [SQRT2, 1])) == outcome(lambda: 2 + SQRT3)
+    # sqrt2 - sqrt2 leaves a rational running sum before sqrt3 arrives.
+    assert outcome(lambda: dot([SQRT2, SQRT2, SQRT3], [1, -1, 1])) == outcome(lambda: SQRT3)
+    # A zero factor makes a zero product, whatever the other radicand.
+    assert outcome(lambda: dot([SQRT2, 0], [1, SQRT3])) == outcome(lambda: SQRT2)
+    assert outcome(lambda: dot([], [])) == outcome(lambda: QuadExt(0))
+    mixed = ("raise", IncompatibleRadicandError)
+    assert outcome(lambda: dot([SQRT2, SQRT3], [1, 1])) == mixed
+    assert outcome(lambda: dot([SQRT2], [SQRT3])) == mixed
+    assert outcome(lambda: sub_mul(SQRT3, SQRT2, SQRT2)) == outcome(lambda: SQRT3 - 2)
+    assert outcome(lambda: sub_mul(SQRT2, SQRT2, QuadExt(1))) == outcome(lambda: QuadExt(0))
+    assert outcome(lambda: sub_mul(SQRT3, QuadExt(0), SQRT2)) == outcome(lambda: SQRT3)
+    assert outcome(lambda: sub_mul(SQRT3, SQRT2, QuadExt(1))) == mixed
+    assert outcome(lambda: sub_mul(QuadExt(1), SQRT2, SQRT3)) == mixed

@@ -2,8 +2,22 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from weyldl.exactnum import SQRT2, qext
+import pytest
+
+from weyldl.casetables import load_case_records, place_row, type_context
+from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.criterion import (
+    build_forward_system,
+    build_inverse_system,
+    build_star_system,
+    minimal_q,
+)
+from weyldl.exactnum import SQRT2, SQRT3, qext
 from weyldl.lp import gordan_witness, solve_strict, verify_gordan
+from weyldl.rootdata import build_twist
+
+from conftest import RANK_LE_4, group
+from lp_oracle import dense_solve_dual
 
 
 def brute_feasible(rows, nvars, grid=range(-6, 7)):
@@ -85,6 +99,8 @@ def test_agrees_with_brute_force_oracle():
         assert (got is None) == (witness is not None), (trial, rows)
         if witness is not None:
             assert verify_gordan(rows, witness), (trial, rows)
+        # The sparse pivots follow the dense tableau's path exactly.
+        assert (got, witness) == dense_solve_dual(rows, nvars), (trial, rows)
         agree += 1
     assert agree == 300
 
@@ -107,6 +123,51 @@ def test_verify_gordan_rejects_mismatched_witness():
     # An empty system has no witness at all.
     assert not verify_gordan([], (qext(1),))
     assert not verify_gordan([], ())
+
+
+def test_verify_gordan_rejects_mixed_radicands():
+    # sqrt(2) and sqrt(3) share no field here: a bool, never an exception.
+    assert verify_gordan([(SQRT2,), (SQRT3,)], [1, 1]) is False
+    # Rows in Q(sqrt 2) with a witness in Q(sqrt 3), and the reverse.
+    assert verify_gordan([(SQRT2,), (-SQRT2,)], [SQRT3, SQRT3]) is False
+    assert verify_gordan([(SQRT3,), (qext(-1),)], [SQRT2, 1]) is False
+    # One radicand in all entries still verifies.
+    assert verify_gordan([(SQRT2,), (-SQRT2,)], [SQRT2, SQRT2]) is True
+
+
+def _same_as_dense(system):
+    rows, n = system.rows, len(system.varset)
+    return (solve_strict(rows, n), gordan_witness(rows, n)) == dense_solve_dual(rows, n)
+
+
+@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+def test_matches_dense_simplex_on_minimal_elements(family, rank, order):
+    """Point and witness equal the dense simplex's on the forward and inverse
+    systems of every minimal element of every class, at minimal q."""
+    W = group(family, rank)
+    pi = pi_of(build_twist(family, rank, order))
+    q = minimal_q(family, order)
+    for cls in partition_memo(W, pi):
+        for w in cls.min_elements():
+            assert _same_as_dense(build_forward_system(W, w, pi, q)), w.word
+            assert _same_as_dense(build_inverse_system(W, w, pi, q)), w.word
+
+
+def test_matches_dense_simplex_on_catalog_star_systems():
+    """The same on the star system of every placed catalog row of rank <= 6."""
+    count = 0
+    for record in load_case_records():
+        if record.rank > 6:
+            continue
+        ctx = type_context(record.family, record.rank, record.twist)
+        for w1 in filter(None, (record.w1, record.alt_w1)):
+            placed = place_row(ctx.W, ctx.pi_inv, record.J, w1)
+            if placed is None:
+                continue
+            star = build_star_system(ctx.W, record.J, placed.w1, ctx.pi_inv, ctx.min_q, placed.K)
+            assert _same_as_dense(star), (record.label, w1)
+            count += 1
+    assert count == 120
 
 
 def test_determinism():
