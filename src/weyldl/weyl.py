@@ -217,13 +217,17 @@ class WeylGroup:
 
         Read from one table of every signed root as ``QuadExt`` tuples,
         built on first use, so the rows of a strict system share these
-        tuples instead of coercing an int per cell.
+        tuples instead of coercing an int per cell.  No coefficient
+        exceeds n0, the greatest height of a root, so the table shares
+        one ``QuadExt`` per value in -n0..n0.
         """
         if self._coords is None:
+            n0 = self.system.n0
+            exact = {c: qext(c) for c in range(-n0, n0 + 1)}
             self._coords = {}
             for p, root in enumerate(self.roots, 1):
-                self._coords[p] = coords = tuple(qext(c) for c in root)
-                self._coords[-p] = tuple(-c for c in coords)
+                self._coords[p] = tuple(exact[c] for c in root)
+                self._coords[-p] = tuple(exact[-c] for c in root)
         return self._coords[signed]
 
     def inversions(self, w: WeylElt) -> tuple[int, ...]:
