@@ -160,8 +160,8 @@ def test_matches_dense_simplex_on_catalog_star_systems():
         if record.rank > 6:
             continue
         ctx = type_context(record.family, record.rank, record.twist)
-        for w1 in filter(None, (record.w1, record.alt_w1)):
-            placed = place_row(ctx.W, ctx.pi_inv, record.J, w1)
+        for w1 in (record.w1, record.alt_w1):
+            placed = None if w1 is None else place_row(ctx.W, ctx.pi_inv, record.J, w1)
             if placed is None:
                 continue
             star = build_star_system(ctx.W, record.J, placed.w1, ctx.pi_inv, ctx.min_q, placed.K)
