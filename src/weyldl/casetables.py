@@ -23,12 +23,13 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .conjugacy import (
+    FalsificationError,
     PiMap,
     ad_pi_on,
-    class_of,
     closure_min_check,
     compute_I_J_x,
-    partition_memo,
+    cuspidal_representatives,
+    minimal_level,
     pi_of,
     supp_delta,
 )
@@ -46,7 +47,7 @@ from .exactnum import QuadExt, qext
 from .lp import gordan_witness, verify_gordan
 from .rootdata import Coweight, build_twist
 from .subsystems import sub_context
-from .weyl import EnumerationBudgetError, WeylElt, WeylGroup, weyl_group
+from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
     "CaseRecord",
@@ -902,9 +903,7 @@ class AggregateReport:
         )
 
 
-# Element budgets of the two oracles: class enumeration (inner options and
-# the spade search) and the shift closure that decides minimality.
-ENUM_BUDGET = 10 ** 6
+# Element budget of the shift closure that decides minimality.
 CLOSURE_BUDGET = 10 ** 7
 
 
@@ -931,16 +930,13 @@ class RowPlacement:
         """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.
 
         Each word is reduced, so its length is its class's minimal length.
-        Raises EnumerationBudgetError when W_K has more than ENUM_BUDGET
-        elements.
+        They come from ``cuspidal_representatives``, which enumerates nothing.
         """
         if not self.K:
             return [()]  # the trivial group's one class is cuspidal
         sub = sub_context(self.W, self.K)
-        classes = partition_memo(
-            sub.group, sub.pi_to_sub(self.sigma), direction="delta_inv", budget=ENUM_BUDGET
-        )
-        return [sub.word_to_ambient(c.representative.word) for c in classes if c.cuspidal]
+        reps = cuspidal_representatives(sub.group, sub.pi_to_sub(self.sigma))
+        return [sub.word_to_ambient(v.word) for v in reps]
 
 
 def place_row(
@@ -974,10 +970,7 @@ def _resolve_v_options(
         return [tuple(w) for w in record.v_words], None
     if len(K) > 6:
         return [], f"skipped(inner node set of size {len(K)} above the rank-6 enumeration tier)"
-    try:
-        words = placed.inner_cuspidal()
-    except EnumerationBudgetError:
-        return [], f"skipped(inner enumeration over budget {ENUM_BUDGET})"
+    words = placed.inner_cuspidal()
     if record.v_mode == "lengths":
         words = [w for w in words if len(w) in record.v_lengths]
         missing = set(record.v_lengths) - {len(w) for w in words}
@@ -998,18 +991,14 @@ def _spade_certificate(
 ) -> tuple[Optional[Certificate], str]:
     """Inverse-form certificate for a spade row, via the exact LP."""
     W = ctx.W
-    candidates: list[WeylElt] = []
     if K:
-        for vw in v_words:
-            candidates.append(W.multiply(W.from_word(vw), w1))
+        candidates = [W.multiply(W.from_word(vw), w1) for vw in v_words]
     else:
-        # Search the whole minimal level of the inverse-twisted class of w1
-        # when the group is small enough; else just w1.
+        # The whole minimal level of the (cuspidal) inverse-twisted class of w1.
         try:
-            cls = class_of(W, ctx.pi_inv, w1, direction="delta_inv", budget=ENUM_BUDGET)
-            candidates.extend(cls.min_elements())
-        except EnumerationBudgetError:
-            candidates.append(w1)
+            candidates = minimal_level(W, ctx.pi_inv, w1)
+        except FalsificationError as exc:
+            return None, str(exc)
     for w in candidates:
         system = build_inverse_system(W, w, ctx.pi_inv, q)
         mu = feasible(system)

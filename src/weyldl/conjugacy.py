@@ -9,15 +9,20 @@ the inverse permutation switches between the two twist directions.
 Elements move here only as keys, by ``bytes.translate`` through the
 group's reflection table (see ``weyl``); a class stores the keys of its
 members and the minimal-length members themselves.
+
+The cuspidal classes also come without enumeration, from one minimal
+seed per class walked to its minimal level (``cuspidal_representatives``);
+the enumerated partition is then the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Twist
+from .subsystems import components, identify_standard
 from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
 
 __all__ = [
@@ -35,6 +40,8 @@ __all__ = [
     "compute_I_J_x",
     "ad_pi_on",
     "closure_min_check",
+    "minimal_level",
+    "cuspidal_representatives",
 ]
 
 PiMap = dict[int, int]
@@ -363,3 +370,229 @@ def closure_min_check(
     except ClosureBudgetError:
         return "budget"
     return "minimal"
+
+
+# -- cuspidal classes without enumeration ------------------------------------
+
+
+def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
+    """The elements reached from w by length-preserving cyclic shifts, by canonical word.
+
+    For a minimal w of a cuspidal class this is the whole minimal level of
+    the class (Geck-Pfeiffer 2000, ch. 3; the tests check it against
+    enumeration for every twisted group of rank <= 6 and the classical
+    ones of rank 7).  Raises FalsificationError when a shift descends, so
+    w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm 1.1), and
+    ClosureBudgetError beyond 10^6 elements.
+    """
+    keys = {w.key}
+    for _, _, v, change in _shift_walk(W, pi, w, 10 ** 6):
+        if change:
+            raise FalsificationError(
+                f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
+            )
+        keys.add(v)
+    return sorted((WeylElt(W, key, w.length) for key in keys), key=lambda u: u.word)
+
+
+# One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
+# in Bourbaki labels under the standard twist (delta direction): the canonical
+# representatives, generated once by enumeration.
+_SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
+    ("G", 2, 1): ("12", "1212", "121212"),
+    ("G", 2, 2): ("1", "121", "12121"),
+    ("B", 2, 2): ("1", "121"),
+    ("D", 4, 3): ("12", "1213", "121321", "12134213"),
+    ("F", 4, 1): (
+        "1234", "123234", "12132343", "1213213234", "1232343234", "121321343234",
+        "12132132343234", "1213213432132343", "121321323432132343213234",
+    ),
+    ("F", 4, 2): (
+        "12", "1232", "121321", "12132132", "1213214321", "121321324321",
+        "121321324321324321",
+    ),
+    ("E", 6, 1): (
+        "123456", "12342546", "123142345465", "12342345423456",
+        "123142314542314565423456",
+    ),
+    ("E", 6, 2): (
+        "1234", "123143", "12343543", "123142315431", "12314231435431",
+        "1231423145423143", "1231431543165431", "123142315423165431",
+        "123142314354231435426542314354265431",
+    ),
+}
+
+
+def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of n, parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _negative_blocks(n: int, parts: Sequence[int]) -> list[int]:
+    """A signed permutation with one negative cycle per part, as images of e_1..e_n.
+
+    Each cycle e_p -> e_(p+1) -> ... -> e_c -> -e_p runs over consecutive
+    coordinates, the smallest part last: a minimal element of its class in
+    B_n (Geck-Pfeiffer 2000, 3.4), and, with an even number of parts, in D_n.
+    """
+    img, c = [0] * n, n
+    for k in sorted(parts):
+        p = c - k + 1
+        img[p - 1:c - 1] = range(p + 1, c + 1)
+        img[c - 1] = -p
+        c = p - 1
+    return img
+
+
+def _zigzag(n: int, parts: Sequence[int]) -> list[int]:
+    """w in S_n, as images of 1..n, with w w0 of cycle type ``parts`` and w shortest.
+
+    w w0 is longest in its class: its cycles run along 1, n, 2, n - 1, ...,
+    one stretch per part, the largest first.
+    """
+    order = [j for pair in zip(range(1, n + 1), range(n, 0, -1)) for j in pair][:n]
+    u, pos = [0] * (n + 1), 0
+    for k in parts:
+        stretch = order[pos:pos + k]
+        pos += k
+        for a, b in zip(stretch, stretch[1:] + stretch[:1]):
+            u[a] = b
+    return [u[n + 1 - j] for j in range(1, n + 1)]
+
+
+def _negative_root(a: int, b: int) -> bool:
+    """Whether e(a) + e(b) is a negative root, for e(t) = sign(t) e_|t| and |a| != |b|."""
+    return (a if abs(a) < abs(b) else b) < 0
+
+
+def _signed_word(img: Sequence[int], family: str) -> tuple[int, ...]:
+    """A reduced word, in Bourbaki labels, of the signed permutation e_j -> img[j - 1].
+
+    s_i swaps e_i and e_(i+1) (i < n); s_n negates e_n in B_n and C_n, and
+    sends e_(n-1), e_n to -e_n, -e_(n-1) in D_n.  For "A", img permutes n
+    coordinates and the letters are 1..n-1.  Peels the smallest right
+    descent, w(alpha_i) < 0, until none is left.
+    """
+    img, n = list(img), len(img)
+    peeled = []
+    while True:
+        for i in range(1, n if family == "A" else n + 1):
+            if i < n:
+                if _negative_root(img[i - 1], -img[i]):
+                    img[i - 1], img[i] = img[i], img[i - 1]
+                    break
+            elif family == "D":
+                if _negative_root(img[n - 2], img[n - 1]):
+                    img[n - 2], img[n - 1] = -img[n - 1], -img[n - 2]
+                    break
+            elif img[n - 1] < 0:
+                img[n - 1] = -img[n - 1]
+                break
+        else:
+            return tuple(reversed(peeled))
+        peeled.append(i)
+
+
+def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]:
+    """One minimal word per cuspidal class of a named type under its standard twist.
+
+    Classical types by signed cycle type (Geck-Pfeiffer 2000, ch. 3), the
+    rest from ``_SEED_TABLE``.  A twisted class of 2A_(n-1) is the class of
+    w w0 in S_n, and one of 2D_n the class of w t_n in B_n, with t_n the
+    sign change of e_n; the cuspidal ones have odd parts, respectively all
+    cycles negative and an odd number of them.
+    """
+    if (family, rank, order) in _SEED_TABLE:
+        return [tuple(map(int, word)) for word in _SEED_TABLE[family, rank, order]]
+    if (family, order) == ("A", 1):
+        return [tuple(range(1, rank + 1))]
+    if (family, order) == ("A", 2):
+        n = rank + 1
+        return [_signed_word(_zigzag(n, p), "A")
+                for p in _partitions(n) if all(k % 2 for k in p)]
+    if family in "BC" and order == 1:
+        return [_signed_word(_negative_blocks(rank, p), "B") for p in _partitions(rank)]
+    if family == "D" and order in (1, 2):
+        seeds = []
+        for p in _partitions(rank):
+            if len(p) % 2 == order - 1:
+                img = _negative_blocks(rank, p)
+                if order == 2:
+                    img[-1] = -img[-1]  # w = y t_n
+                seeds.append(_signed_word(img, "D"))
+        return seeds
+    raise ValueError(f"no cuspidal seeds for type {'' if order == 1 else order}{family}{rank}")
+
+
+def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
+    """One minimal word per cuspidal pi-class of W, from its pi-orbits of components.
+
+    An orbit of r components contributes the pi^r-seeds of its first
+    component, with the identity on the others; the seeds of W are the
+    products over its orbits.
+    """
+    seeds: list[tuple[int, ...]] = [()]
+    done: set[int] = set()
+    for comp in components(W):
+        if comp <= done:
+            continue  # a later component of an orbit already seeded
+        nodes, r, img = sorted(comp), 1, frozenset(pi[i] for i in comp)
+        while img != comp:
+            done |= img
+            img = frozenset(pi[i] for i in img)
+            r += 1
+        power = {i: i for i in nodes}
+        for _ in range(r):
+            power = {i: pi[j] for i, j in power.items()}
+        cartan = [[W.system.cartan[i - 1][j - 1] for j in nodes] for i in nodes]
+        ident = identify_standard(
+            cartan, {k + 1: nodes.index(power[i]) + 1 for k, i in enumerate(nodes)}
+        )
+        if ident is None:
+            raise FalsificationError(f"cannot identify the component {nodes} of {W.system.key[0]}")
+        family, rank, order, phi = ident
+        back = {b: nodes[k - 1] for k, b in phi.items()}  # standard node -> node of W
+        words = [tuple(back[b] for b in word) for word in _standard_seeds(family, rank, order)]
+        seeds = [s + word for s in seeds for word in words]
+    return seeds
+
+
+_CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
+
+
+def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
+    """The canonical minimal representatives of the cuspidal pi-classes of W.
+
+    In (length, canonical word) order, as ``partition_memo`` lists the
+    cuspidal classes, but without enumerating W: each seed of
+    ``_cuspidal_seeds`` is walked to its minimal level (``minimal_level``)
+    and the level's smallest canonical word represents the class.  Raises
+    FalsificationError when a seed is not minimal, when its twisted
+    support is not all of W's nodes, or when two seeds share a level.
+    Memoized on the group's system key and pi, as ``partition_memo`` is.
+    """
+    pi = restrict_pi(pi, W.system.nodes)
+    key = (W.system.key, tuple(sorted(pi.items())))
+    if key not in _CUSPIDAL_MEMO:
+        nodes = frozenset(W.system.nodes)
+        owner: dict[bytes, tuple[int, ...]] = {}
+        reps = []
+        for word in _cuspidal_seeds(W, pi):
+            seed = W.from_word(word)
+            if supp_delta(W, pi, seed) != nodes:
+                raise FalsificationError(f"seed {word} of {W.system.key[0]} is not cuspidal")
+            level = minimal_level(W, pi, seed)
+            for u in level:
+                if u.key in owner:
+                    raise FalsificationError(
+                        f"seeds {owner[u.key]} and {word} of {W.system.key[0]} share a class"
+                    )
+                owner[u.key] = word
+            reps.append(level[0])
+        _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))
+    return _CUSPIDAL_MEMO[key]

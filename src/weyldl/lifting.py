@@ -43,7 +43,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, dot, qext
 from .rootdata import Coweight, Twist
-from .subsystems import SubContext, identify_standard, sub_context
+from .subsystems import SubContext, components, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -343,25 +343,6 @@ def spade_witness(
 # ---------------------------------------------------------------------------
 
 
-def _components(W: WeylGroup) -> list[frozenset[int]]:
-    nodes = W.system.nodes
-    comps = []
-    left = set(nodes)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in nodes:
-                if j not in comp and W.system.cartan[i - 1][j - 1] != 0:
-                    comp.add(j)
-                    stack.append(j)
-        comps.append(frozenset(comp))
-        left -= comp
-    return sorted(comps, key=min)
-
-
 def _factor_element(W: WeylGroup, w: WeylElt, groups: Sequence[frozenset[int]]):
     """Split an element of a product of commuting parabolics by letters."""
     parts = []
@@ -484,7 +465,7 @@ def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> EngineCert:
         sub, _, inner = _standalone(W, pi, supp, q, w_min)
         return lift_to_full(W, pi, _embed(sub, inner))
 
-    comps = _components(W)
+    comps = components(W)
     if len(comps) > 1:
         # Group components into pi-orbits.
         orbits: list[frozenset[int]] = []

@@ -25,7 +25,7 @@ from .rootdata import build_twist, cartan_matrix
 from .weyl import WeylElt, WeylGroup
 from .rootdata import _build_from_cartan  # standalone closure builder
 
-__all__ = ["SubContext", "sub_context", "identify_standard", "cartan_isos"]
+__all__ = ["SubContext", "sub_context", "components", "identify_standard", "cartan_isos"]
 
 
 class SubContext:
@@ -85,6 +85,26 @@ def sub_context(ambient: WeylGroup, nodes: Iterable[int]) -> SubContext:
     if key not in _SUB_MEMO:
         _SUB_MEMO[key] = SubContext(ambient, frozenset(nodes))
     return _SUB_MEMO[key]
+
+
+def components(W: WeylGroup) -> list[frozenset[int]]:
+    """The node sets of the irreducible components of W, by smallest node."""
+    nodes = W.system.nodes
+    comps = []
+    left = set(nodes)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in nodes:
+                if j not in comp and W.system.cartan[i - 1][j - 1] != 0:
+                    comp.add(j)
+                    stack.append(j)
+        comps.append(frozenset(comp))
+        left -= comp
+    return sorted(comps, key=min)
 
 
 def cartan_isos(

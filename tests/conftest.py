@@ -19,6 +19,13 @@ RANK_LE_4 = [
     ("G", 2, 2),
 ]
 
+# The 14 twisted groups of rank 5 and 6: (family, rank, twist order).
+RANK_5_6 = [
+    ("A", 5, 1), ("A", 5, 2), ("B", 5, 1), ("C", 5, 1), ("D", 5, 1), ("D", 5, 2),
+    ("A", 6, 1), ("A", 6, 2), ("B", 6, 1), ("C", 6, 1), ("D", 6, 1), ("D", 6, 2),
+    ("E", 6, 1), ("E", 6, 2),
+]
+
 # Tests take their named groups from the production memo.
 group = weyl_group
 

@@ -29,7 +29,7 @@ from weyldl.criterion import (
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist
 
-from conftest import RANK_LE_4, group
+from conftest import RANK_5_6, RANK_LE_4, group
 from multiply_oracles import (
     class_elements,
     elementarily_strongly_conjugate,
@@ -295,13 +295,6 @@ def test_criterion_9_w3_certificate_digest():
     assert digest.hexdigest() == W3_SHA256
     _report("9", True, "360 W3 certificates digest")
 
-
-# The 14 twisted groups of rank 5 and 6: (family, rank, twist order).
-RANK_5_6 = [
-    ("A", 5, 1), ("A", 5, 2), ("B", 5, 1), ("C", 5, 1), ("D", 5, 1), ("D", 5, 2),
-    ("A", 6, 1), ("A", 6, 2), ("B", 6, 1), ("C", 6, 1), ("D", 6, 1), ("D", 6, 2),
-    ("E", 6, 1), ("E", 6, 2),
-]
 
 # SHA-256 of the 816 certificates of the 408 classes of RANK_5_6, laid out
 # as for W3_SHA256 (262968 bytes), recorded from the code in which the

@@ -17,10 +17,11 @@ from weyldl.casetables import (
     verify_all,
     verify_case,
 )
-from weyldl.conjugacy import class_of, partition_memo
+from weyldl.conjugacy import class_of, cuspidal_representatives, partition_memo
 from weyldl.criterion import MAX_RANK, check_certificate
 from weyldl.exactnum import SQRT2, qext
 from weyldl.rootdata import weyl_order
+from weyldl.subsystems import sub_context
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -177,6 +178,46 @@ class TestAggregate:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[('G', 2)]"
+
+
+def test_inner_cuspidal_matches_enumeration(records):
+    """For every (K, sigma) that a catalog row places, both readings, with
+    0 < |K| <= 6, the inner options are the cuspidal representatives of the
+    enumerated partition of the standalone W_K, word for word."""
+    placements = {}
+    for rec in records:
+        ctx = type_context(rec.family, rec.rank, rec.twist)
+        for w1 in (rec.w1, rec.alt_w1):
+            placed = w1 is not None and place_row(ctx.W, ctx.pi_inv, rec.J, w1)
+            if placed and 0 < len(placed.K) <= 6:
+                sub = sub_context(ctx.W, placed.K)
+                pi = sub.pi_to_sub(placed.sigma)
+                placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
+    assert placements
+    for sub, pi, placed in placements.values():
+        expected = [c.representative.word for c in partition_memo(sub.group, pi) if c.cuspidal]
+        assert [v.word for v in cuspidal_representatives(sub.group, pi)] == expected
+        assert placed.inner_cuspidal() == [sub.word_to_ambient(w) for w in expected]
+
+
+def test_verify_all_partitions_nothing():
+    """verify_all() and verify_all(slow=True) pass without partitioning any
+    group: the partition memo stays empty.  Run in a fresh interpreter: the
+    memo is process-global."""
+    program = (
+        "from weyldl import conjugacy\n"
+        "from weyldl.casetables import verify_all\n"
+        "for slow in (False, True):\n"
+        "    assert verify_all(slow=slow).all_passed\n"
+        "    print(len(conjugacy._PARTITION_MEMO))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "0"]
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]

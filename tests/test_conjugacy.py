@@ -2,21 +2,25 @@ import pytest
 
 import random
 
+from weyldl import conjugacy
 from weyldl.conjugacy import (
+    FalsificationError,
     class_of,
     closure_min_check,
     compute_I_J_x,
+    cuspidal_representatives,
     enumerate_delta_classes,
+    minimal_level,
     partition_memo,
     pi_of,
     shift_closure,
     supp_delta,
 )
 from weyldl.rootdata import build_twist
-from weyldl.subsystems import sub_context
+from weyldl.subsystems import _cartan_group, sub_context
 from weyldl.weyl import WeylGroup
 
-from conftest import RANK_LE_4, group, twist_of
+from conftest import RANK_5_6, RANK_LE_4, group, twist_of
 from multiply_oracles import (
     class_elements,
     cyclic_shift_step,
@@ -438,3 +442,106 @@ class TestBudgets:
         assert sum(c.size for c in partition_memo(F4, pi, budget=1152)) == 1152
         with pytest.raises(EnumerationBudgetError):
             F4.elements(budget=1151)
+
+
+def cuspidal_words_by_enumeration(W, pi, direction="delta"):
+    return [c.representative.word for c in partition_memo(W, pi, direction) if c.cuspidal]
+
+
+def block_cartan(*blocks):
+    """The Cartan matrix of the orthogonal sum of the given Cartan matrices."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append((0,) * at + tuple(row) + (0,) * (n - at - len(b)))
+        at += len(b)
+    return tuple(rows)
+
+
+A1 = ((2,),)
+A2_CARTAN = ((2, -1), (-1, 2))
+D4_CARTAN = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+# Reducible groups whose twist permutes components: (Cartan matrix, pi).
+SWAPPED = {
+    "A1xA1 swapped": (block_cartan(A1, A1), {1: 2, 2: 1}),
+    "A2xA2 swapped": (block_cartan(A2_CARTAN, A2_CARTAN), {1: 3, 2: 4, 3: 1, 4: 2}),
+    "A2xA2 swapped, flipped back": (
+        block_cartan(A2_CARTAN, A2_CARTAN), {1: 4, 2: 3, 3: 2, 4: 1}),
+    "A2xA2 of order 4": (block_cartan(A2_CARTAN, A2_CARTAN), {1: 3, 2: 4, 3: 2, 4: 1}),
+    "3D4xA1": (block_cartan(D4_CARTAN, A1), {1: 4, 2: 2, 3: 1, 4: 3, 5: 5}),
+}
+
+
+class TestCuspidalRepresentatives:
+    """``cuspidal_representatives`` against the enumerated partition, word for word."""
+
+    @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
+    def test_irreducible_types(self, family, rank, order, direction):
+        """Every irreducible type and twist of rank <= 6, in both directions."""
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order), direction)
+        got = [w.word for w in cuspidal_representatives(W, pi)]
+        assert got == cuspidal_words_by_enumeration(W, pi, direction)
+
+    @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
+    @pytest.mark.parametrize("name", sorted(SWAPPED))
+    def test_swapped_components(self, name, direction):
+        """Orbits of several components: seeds of the first under pi^r."""
+        cartan, pi = SWAPPED[name]
+        W = _cartan_group(cartan)
+        if direction == "delta_inv":
+            pi = {v: k for k, v in pi.items()}
+        got = [w.word for w in cuspidal_representatives(W, pi)]
+        assert got and got == cuspidal_words_by_enumeration(W, pi)
+
+    def test_enumerates_nothing(self, monkeypatch):
+        """With a cold memo, E6 and 2E6 come out without listing any element."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration called")
+
+        monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+        monkeypatch.setattr(WeylGroup, "elements", refuse)
+        monkeypatch.setattr(conjugacy, "enumerate_delta_classes", refuse)
+        E6 = group("E", 6)
+        for order in (1, 2):
+            assert cuspidal_representatives(E6, pi_of(build_twist("E", 6, order)))
+
+    @pytest.mark.parametrize("seeds,message", [
+        (("12", "1212", "121"), "not minimal"),
+        (("12", "1212", "1"), "not cuspidal"),
+        (("12", "1212", "2121"), "share a class"),
+    ])
+    def test_bad_seed_raises(self, G2, monkeypatch, seeds, message):
+        """A non-minimal, non-cuspidal or repeated seed raises; it never passes."""
+        table = dict(conjugacy._SEED_TABLE)
+        table[("G", 2, 1)] = seeds
+        monkeypatch.setattr(conjugacy, "_SEED_TABLE", table)
+        monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+        with pytest.raises(FalsificationError, match=message):
+            cuspidal_representatives(G2, identity_pi(G2))
+
+    def test_minimal_level_is_the_class_minimum(self, F4):
+        """The walk from a minimal element lists the class's minimal elements in order."""
+        pi = identity_pi(F4)
+        for cls in partition_memo(F4, pi):
+            if cls.cuspidal:
+                assert minimal_level(F4, pi, cls.minimal[-1]) == cls.min_elements()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family,order", [
+        ("A", 1), ("A", 2), ("B", 1), ("C", 1), ("D", 1), ("D", 2),
+    ])
+    def test_classical_rank_7(self, family, order, monkeypatch):
+        """A7, 2A7, B7, C7, D7 and 2D7: signed cycle types against enumeration.
+
+        A fresh group and partition memo, so the enumeration is freed after the test."""
+        from weyldl.rootdata import build_root_system
+
+        monkeypatch.setattr(conjugacy, "_PARTITION_MEMO", {})
+        W = WeylGroup(build_root_system(family, 7))
+        pi = pi_of(build_twist(family, 7, order))
+        got = [w.word for w in cuspidal_representatives(W, pi)]
+        assert got == cuspidal_words_by_enumeration(W, pi)

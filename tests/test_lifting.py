@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.casetables import RowPlacement
+from weyldl.conjugacy import cuspidal_representatives, partition_memo, pi_of
 from weyldl.criterion import build_forward_system, check_certificate, feasible, minimal_q
 from weyldl.exactnum import QuadExt, SQRT2, qext
 from weyldl.lifting import (
@@ -22,7 +23,7 @@ from weyldl.rootdata import build_composite_system, build_twist, make_twist
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
-from conftest import group
+from conftest import RANK_5_6, RANK_LE_4, group
 
 
 def idpi(W):
@@ -252,6 +253,32 @@ class TestDualPathAgreement:
             # Both certify an element of the same minimal length.
             assert len(red_cert.w) == cls.min_length
 
+
+
+def test_inner_cuspidal_matches_enumeration(monkeypatch):
+    """Every (K, sigma) that the constructive route places, over every class
+    of every twisted group of rank <= 6, gets the cuspidal representatives of
+    the enumerated partition of the standalone W_K, word for word."""
+    placed = {}
+    inner_cuspidal = RowPlacement.inner_cuspidal
+
+    def recording(self):
+        if self.K:
+            sub = sub_context(self.W, self.K)
+            pi = sub.pi_to_sub(self.sigma)
+            placed[(sub.system.key, tuple(sorted(pi.items())))] = (sub.group, pi)
+        return inner_cuspidal(self)
+
+    monkeypatch.setattr(RowPlacement, "inner_cuspidal", recording)
+    for family, rank, order in RANK_LE_4 + RANK_5_6:
+        W = group(family, rank)
+        twist = build_twist(family, rank, order)
+        for cls in partition_memo(W, pi_of(twist)):
+            constructive_certificate(W, twist, cls, minimal_q(family, order))
+    assert placed
+    for G, pi in placed.values():
+        expected = [c.representative.word for c in partition_memo(G, pi) if c.cuspidal]
+        assert [v.word for v in cuspidal_representatives(G, pi)] == expected
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
