@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Twist
-from .subsystems import components, identify_standard
+from .subsystems import component_orbits, identify_standard
 from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "pi_of",
     "restrict_pi",
     "inverse_pi",
+    "power_pi",
     "shift_closure",
     "enumerate_delta_classes",
     "partition_memo",
@@ -76,6 +77,14 @@ def restrict_pi(pi: PiMap, nodes: Iterable[int]) -> PiMap:
 
 def inverse_pi(pi: PiMap) -> PiMap:
     return {v: k for k, v in pi.items()}
+
+
+def power_pi(pi: PiMap, r: int) -> PiMap:
+    """The r-th power of pi, r >= 0."""
+    out = {i: i for i in pi}
+    for _ in range(r):
+        out = {i: pi[j] for i, j in out.items()}
+    return out
 
 
 def _shift_moves(W: WeylGroup, pi: PiMap) -> list[tuple[int, int, int, bytes, bytes]]:
@@ -275,7 +284,7 @@ def partition_memo(
     if classes is None:
         classes = _PARTITION_MEMO[key] = enumerate_delta_classes(W, pi, direction, budget)
     elif sum(c.size for c in classes) > budget:
-        raise EnumerationBudgetError(f"parabolic enumeration exceeded budget {budget}")
+        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
     return classes
 
 
@@ -379,11 +388,13 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     """The elements reached from w by length-preserving cyclic shifts, by canonical word.
 
     For a minimal w of a cuspidal class this is the whole minimal level of
-    the class (Geck-Pfeiffer 2000, ch. 3; the tests check it against
-    enumeration for every twisted group of rank <= 6 and the classical
-    ones of rank 7).  Raises FalsificationError when a shift descends, so
-    w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm 1.1), and
-    ClosureBudgetError beyond 10^6 elements.
+    the class (Geck-Pfeiffer 2000, Thm 3.2.7).  The tests check it against
+    enumeration, walking from the last minimal element of each class, on
+    every cuspidal class, in both twist directions, of the twisted groups
+    of rank <= 6 and of five reducible twisted groups whose twist permutes
+    components (304 classes).  Raises FalsificationError when a shift
+    descends, so w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm
+    1.1), and ClosureBudgetError beyond 10^6 elements.
     """
     keys = {w.key}
     for _, _, v, change in _shift_walk(W, pi, w, 10 ** 6):
@@ -537,18 +548,8 @@ def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
     products over its orbits.
     """
     seeds: list[tuple[int, ...]] = [()]
-    done: set[int] = set()
-    for comp in components(W):
-        if comp <= done:
-            continue  # a later component of an orbit already seeded
-        nodes, r, img = sorted(comp), 1, frozenset(pi[i] for i in comp)
-        while img != comp:
-            done |= img
-            img = frozenset(pi[i] for i in img)
-            r += 1
-        power = {i: i for i in nodes}
-        for _ in range(r):
-            power = {i: pi[j] for i, j in power.items()}
+    for orbit in component_orbits(W, pi):
+        nodes, power = sorted(orbit[0]), power_pi(pi, len(orbit))
         cartan = [[W.system.cartan[i - 1][j - 1] for j in nodes] for i in nodes]
         ident = identify_standard(
             cartan, {k + 1: nodes.index(power[i]) + 1 for k, i in enumerate(nodes)}

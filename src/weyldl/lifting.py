@@ -14,6 +14,11 @@ is certified in its standalone group (``subsystems.sub_context``) and
 its witness embedded back; an ``EngineCert`` on S then feeds the step
 that lifts or combines it.  Tabulated data is consulted through a
 labelling isomorphism onto the standard types.
+
+The route enumerates no group: each step starts from one minimal element
+of its class, and a cuspidal class is read off its minimal level, which
+the length-preserving cyclic shifts connect (Geck-Pfeiffer 2000, Thm
+3.2.7; He-Nie, Duke Math. J. 161 (2012), Thm 1.1).
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from .conjugacy import (
     DeltaClass,
     FalsificationError,
     PiMap,
-    class_of,
     compute_I_J_x,
     inverse_pi,
+    minimal_level,
     pi_of,
+    power_pi,
     supp_delta,
 )
 from .criterion import (
@@ -43,7 +49,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, dot, qext
 from .rootdata import Coweight, Twist
-from .subsystems import SubContext, components, identify_standard, sub_context
+from .subsystems import SubContext, component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -160,13 +166,6 @@ def combine_orthogonal_factors(
         w = W.multiply(w, p.w)
         mu.update(p.mu)
     return _validate(W, pi, EngineCert(w, mu, nodes, parts[0].q), "orthogonal combination")
-
-
-def _power_pi(pi: PiMap, r: int) -> PiMap:
-    out = {i: i for i in pi}
-    for _ in range(r):
-        out = {i: pi[out[i]] for i in out}
-    return out
 
 
 def combine_cyclic_factors(
@@ -343,26 +342,16 @@ def spade_witness(
 # ---------------------------------------------------------------------------
 
 
-def _factor_element(W: WeylGroup, w: WeylElt, groups: Sequence[frozenset[int]]):
-    """Split an element of a product of commuting parabolics by letters."""
-    parts = []
-    for g in groups:
-        parts.append(W.from_word([i for i in w.word if i in g]))
-    return parts
-
-
 def _standalone(
     W: WeylGroup, pi: PiMap, S: frozenset[int], q: QuadExt, x: WeylElt
-) -> tuple[SubContext, PiMap, EngineCert]:
-    """Certify the class of x in W_S in the standalone group of S.
+) -> EngineCert:
+    """Certify the class of the minimal element x of W_S in the standalone group of S.
 
-    ``pi`` need only be given on S.  Returns the context, the index map
-    there and the witness on all nodes of the standalone group.
+    ``pi`` need only be given on S.  Returns the witness embedded on S.
     """
     sub = sub_context(W, S)
     pi_sub = sub.pi_to_sub(pi)
-    cls = class_of(sub.group, pi_sub, sub.element_to_sub(x))
-    return sub, pi_sub, _engine(sub.group, pi_sub, q, cls)
+    return _embed(sub, _engine(sub.group, pi_sub, q, sub.element_to_sub(x)))
 
 
 def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
@@ -371,8 +360,14 @@ def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
     return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(sub.nodes), cert.q)
 
 
-def _leaf_certificate(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> EngineCert:
-    """Irreducible cuspidal leaf: match a catalog row and extend through it."""
+def _leaf_certificate(
+    W: WeylGroup, pi: PiMap, q: QuadExt, level: Sequence[WeylElt]
+) -> EngineCert:
+    """Irreducible cuspidal leaf: match a catalog row and extend through it.
+
+    ``level`` is the minimal level of the class, by canonical word.  The
+    first (row, v) in catalog order whose (v w1)^-1 lies in it is used.
+    """
     tau = inverse_pi(pi)
     ident = identify_standard(W.system.cartan, pi)
     if ident is None:
@@ -384,38 +379,25 @@ def _leaf_certificate(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> E
     if not rows:
         raise FalsificationError(f"no catalog rows for type {family}{rank} twist {order}")
 
-    matches = []  # (minimality_rank, row_idx, v_idx, row, v_elt, placement, J)
-    for row_idx, row in enumerate(rows):
+    keys = {u.key for u in level}
+    for row in rows:
         J_W = frozenset(phi_inv[j] for j in row.J)
         placed = place_row(W, tau, J_W, [phi_inv[i] for i in row.w1])
         if placed is None:
             continue
-        for v_idx, vw in enumerate(placed.inner_cuspidal()):
-            v = W.from_word(vw)
-            u = W.multiply(v, placed.w1)
-            if not cls.contains(W.invert(u)):
-                continue
-            minimal = 0 if u.length == cls.min_length else 1
-            matches.append((minimal, row_idx, v_idx, row, v, placed, J_W))
-    if not matches:
+        v = next((v for v in map(W.from_word, placed.inner_cuspidal())
+                  if W.invert(W.multiply(v, placed.w1)).key in keys), None)
+        if v is not None:
+            break
+    else:
         raise FalsificationError(
-            f"no catalog row matches the class of {cls.representative.word} "
+            f"no catalog row matches the class of {level[0].word} "
             f"in type {family}{rank} twist {order}"
         )
-    matches.sort(key=lambda t: t[:3])
-    minimal, row_idx, v_idx, row, v, placed, J_W = matches[0]
     w1, K = placed.w1, placed.K
-    if minimal != 0:
-        raise FalsificationError(
-            f"catalog coverage gap: class of {cls.representative.word} has no "
-            f"minimal-length tabulated representative"
-        )
 
     # Inner witness on K (forward side of the inner twisted class).
-    inner: Optional[EngineCert] = None
-    if K:
-        sub, _, inner_sub = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v))
-        inner = _embed(sub, inner_sub)
+    inner = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v)) if K else None
 
     star = build_star_system(W, J_W, w1, tau, q, K=K)
     star_point = None
@@ -439,8 +421,8 @@ def _leaf_certificate(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> E
     if row.spade_recipe:
         recipe = tuple((phi_inv[n], s, lvl) for n, s, lvl in row.spade_recipe)
         return spade_witness(W, tau, w1, recipe, inner, q)
-    # No composition recipe: search the class minima with the exact solver.
-    for w in cls.min_elements():
+    # No composition recipe: search the minimal level with the exact solver.
+    for w in level:
         mu = feasible(build_forward_system(W, w, pi, q))
         if mu is not None:
             point = {i: mu[i] for i in W.system.nodes}
@@ -453,56 +435,47 @@ def _leaf_certificate(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> E
     )
 
 
-def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, cls: DeltaClass) -> EngineCert:
-    """Witness for a pi-class of W on all its nodes, recursing on smaller parabolics."""
-    nodes = frozenset(W.system.nodes)
-    w_min = cls.representative
-    supp = supp_delta(W, pi, w_min)
+def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
+    """Witness for the pi-class of the minimal element x of W, on all its nodes.
 
+    Below full twisted support, x is certified in its support parabolic
+    and lifted; over several pi-orbits of components, its factors are
+    certified one per orbit and combined.  Otherwise the class is
+    cuspidal, and one walk of length-preserving cyclic shifts from x
+    (``minimal_level``) lists its minimal elements by canonical word: a
+    cyclic orbit reduces to the first of them inside its first
+    component, and a leaf reads its membership test and spade candidates
+    from them.  Nothing is enumerated.
+    """
+    nodes = frozenset(W.system.nodes)
+    supp = supp_delta(W, pi, x)
     if supp != nodes:
         if not supp:  # the identity class: no rank-0 standalone group
             return lift_to_full(W, pi, EngineCert(W.identity, {}, frozenset(), qext(q)))
-        sub, _, inner = _standalone(W, pi, supp, q, w_min)
-        return lift_to_full(W, pi, _embed(sub, inner))
+        return lift_to_full(W, pi, _standalone(W, pi, supp, q, x))
 
-    comps = components(W)
+    orbits = component_orbits(W, pi)
+    if len(orbits) > 1:
+        factors = [frozenset().union(*orbit) for orbit in orbits]
+        return combine_orthogonal_factors(W, pi, [
+            _standalone(W, pi, S, q, W.from_word([i for i in x.word if i in S]))
+            for S in factors
+        ])
+    level = minimal_level(W, pi, x)
+    comps = orbits[0]
     if len(comps) > 1:
-        # Group components into pi-orbits.
-        orbits: list[frozenset[int]] = []
-        remaining = list(comps)
-        while remaining:
-            seed = remaining.pop(0)
-            orbit = set(seed)
-            changed = True
-            while changed:
-                changed = False
-                img = frozenset(pi[i] for i in orbit)
-                for c in list(remaining):
-                    if c & img:
-                        orbit |= c
-                        remaining.remove(c)
-                        changed = True
-            orbits.append(frozenset(orbit))
-        if len(orbits) > 1:
-            parts = []
-            for orbit, felt in zip(orbits, _factor_element(W, w_min, orbits)):
-                sub, _, part = _standalone(W, pi, orbit, q, felt)
-                parts.append(_embed(sub, part))
-            return combine_orthogonal_factors(W, pi, parts)
         # One orbit of several components: reduce to the first component.
-        I1 = comps[0]
-        r = len(comps)
-        inside = {k: n for k, n in W.elements(I1).items() if k in cls.members}
-        if not inside:
+        v1 = next((u for u in level if set(u.word) <= comps[0]), None)
+        if v1 is None:
             raise FalsificationError("cyclic class misses its first component")
-        low = min(inside.values())
-        v1 = min((WeylElt(W, k, low) for k, n in inside.items() if n == low),
-                 key=lambda w: w.word)
-        sub, pi_sub, inner = _standalone(W, _power_pi(pi, r), I1, qext(q) ** r, v1)
+        r = len(comps)
+        sub = sub_context(W, comps[0])
+        pi_sub = sub.pi_to_sub(power_pi(pi, r))
+        inner = _engine(sub.group, pi_sub, qext(q) ** r, sub.element_to_sub(v1))
         inner = _nudge_nonzero(sub.group, pi_sub, inner)
         return combine_cyclic_factors(W, pi, _embed(sub, inner), q)
 
-    return _leaf_certificate(W, pi, q, cls)
+    return _leaf_certificate(W, pi, q, level)
 
 
 def constructive_certificate(
@@ -518,7 +491,7 @@ def constructive_certificate(
     """
     q = qext(q)
     pi = pi_of(twist, dclass.direction)
-    cert = _engine(W, pi, q, dclass)
+    cert = _engine(W, pi, q, dclass.representative)
     coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
     family, rank = W.system.key
     out = Certificate(

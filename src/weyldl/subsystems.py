@@ -3,29 +3,38 @@
 A node subset S of an ambient system spans a root subsystem whose
 simple roots are the alpha_s, s in S.  Re-rooting it as a standalone
 RootSystem (Cartan submatrix, nodes renumbered 1..|S| in sorted order)
-keeps enumeration costs proportional to the subsystem, not the ambient
-group.  It is the one representation of a parabolic W_S: the catalog's
-inner classes and every smaller step of the constructive route run in
-it, and elements cross between it and the ambient group only through
-``SubContext``.  The renumbering keeps the order of the nodes, so
-canonical words, the root order and class representatives correspond.
+keeps the cost of its keys, tables and shift walks proportional to the
+subsystem, not the ambient group.  It is the one representation of a
+parabolic W_S: the catalog's inner classes and every smaller step of
+the constructive route run in it, and elements cross between it and the
+ambient group only through ``SubContext``.  The renumbering keeps the
+order of the nodes, so canonical words, the root order and class
+representatives correspond.
 
 The standalone group is keyed on the Cartan submatrix, so equal
-submatrices share one group, one element encoding and one memoized
-class partition.  ``identify_standard`` finds the Bourbaki name of an
-irreducible subsystem together with a labelling isomorphism that carries
-a given index permutation to the standard twist.
+submatrices share one group, one element encoding and one set of
+reflection tables.  ``component_orbits`` groups the irreducible
+components into the orbits of a twist, and ``identify_standard`` finds
+the Bourbaki name of an irreducible subsystem together with a labelling
+isomorphism that carries a given index permutation to the standard
+twist.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import build_twist, cartan_matrix
+from .rootdata import _build_from_cartan, build_twist, cartan_matrix
 from .weyl import WeylElt, WeylGroup
-from .rootdata import _build_from_cartan  # standalone closure builder
 
-__all__ = ["SubContext", "sub_context", "components", "identify_standard", "cartan_isos"]
+__all__ = [
+    "SubContext",
+    "sub_context",
+    "components",
+    "component_orbits",
+    "identify_standard",
+    "cartan_isos",
+]
 
 
 class SubContext:
@@ -105,6 +114,24 @@ def components(W: WeylGroup) -> list[frozenset[int]]:
         comps.append(frozenset(comp))
         left -= comp
     return sorted(comps, key=min)
+
+
+def component_orbits(W: WeylGroup, pi: dict[int, int]) -> list[list[frozenset[int]]]:
+    """The pi-orbits of the components of W, by smallest node.
+
+    Each orbit lists its components C, pi(C), pi^2(C), ..., starting with
+    the one that holds the orbit's smallest node.
+    """
+    orbits, done = [], set()
+    for comp in components(W):
+        if comp <= done:
+            continue
+        orbit = [comp]
+        while (img := frozenset(pi[i] for i in orbit[-1])) != comp:
+            orbit.append(img)
+        done.update(*orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def cartan_isos(

@@ -121,7 +121,7 @@ class WeylGroup:
         self.identity = WeylElt(self, bytes(p + 1 + n for p in self.simple_pos), 0)
         # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
         self._negative = bytes(n) + b"\x01" * (256 - n)
-        self._elements_cache: dict[frozenset[int], dict[bytes, int]] = {}
+        self._elements: Optional[dict[bytes, int]] = None
         self._tables: Optional[list[bytes]] = None
         self._perm_steps: list[tuple[int, int, int]] = []
         self._coords: Optional[dict[int, tuple[QuadExt, ...]]] = None
@@ -269,29 +269,21 @@ class WeylGroup:
 
     # -- enumeration ------------------------------------------------------------
 
-    def elements(
-        self,
-        nodes: Optional[Iterable[int]] = None,
-        budget: int = 10 ** 6,
-    ) -> dict[bytes, int]:
-        """Key -> length of every element of the standard parabolic on ``nodes``.
+    def elements(self, budget: int = 10 ** 6) -> dict[bytes, int]:
+        """Key -> length of every element of W.
 
         Breadth-first from the identity by left multiplication with the
-        simple reflections in ``nodes``, (s w)(alpha_k) = s(w(alpha_k)): one
-        translate per product, and each length is its BFS depth.  Default:
-        all of W.  Cached per node set.  Raises EnumerationBudgetError beyond
-        ``budget`` elements, on a cache hit as on the first call.
+        simple reflections, (s w)(alpha_k) = s(w(alpha_k)): one translate
+        per product, and each length is its BFS depth.  Cached.  Raises
+        EnumerationBudgetError beyond ``budget`` elements, on a cache hit
+        as on the first call.
         """
-        key = frozenset(nodes) if nodes is not None else frozenset(range(1, self.rank + 1))
-        cached = self._elements_cache.get(key)
-        if cached is not None:
-            if len(cached) > budget:
-                raise EnumerationBudgetError(
-                    f"parabolic enumeration exceeded budget {budget}"
-                )
-            return cached
+        if self._elements is not None:
+            if len(self._elements) > budget:
+                raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
+            return self._elements
         tables = self.reflection_table()
-        gens = [tables[self.identity.key[i - 1]] for i in sorted(key)]
+        gens = [tables[b] for b in self.identity.key]
         lengths = {self.identity.key: 0}
         frontier = [self.identity.key]
         depth = 0
@@ -304,13 +296,11 @@ class WeylGroup:
                     if u in lengths:
                         continue
                     if len(lengths) >= budget:
-                        raise EnumerationBudgetError(
-                            f"parabolic enumeration exceeded budget {budget}"
-                        )
+                        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
                     lengths[u] = depth
                     nxt.append(u)
             frontier = nxt
-        self._elements_cache[key] = lengths
+        self._elements = lengths
         return lengths
 
 

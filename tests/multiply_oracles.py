@@ -14,19 +14,19 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap, restrict_pi
+from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap
 from weyldl.rootdata import reflect
 from weyldl.weyl import WeylElt, WeylGroup
 
 
-def elements_of(W: WeylGroup, nodes: Optional[Iterable[int]] = None) -> list[WeylElt]:
-    """Every element of the parabolic on ``nodes``, in enumeration order."""
-    return [WeylElt(W, key, length) for key, length in W.elements(nodes).items()]
+def elements_of(W: WeylGroup) -> list[WeylElt]:
+    """Every element of W, in enumeration order."""
+    return [WeylElt(W, key, length) for key, length in W.elements().items()]
 
 
 def class_elements(W: WeylGroup, cls: DeltaClass) -> list[WeylElt]:
     """The members of a class as elements, in enumeration order."""
-    lengths = W.elements({i for i, _ in cls.pi})
+    lengths = W.elements()
     return [WeylElt(W, key, lengths[key]) for key in cls.keys]
 
 
@@ -161,22 +161,20 @@ def is_cuspidal_by_definition(
     W: WeylGroup,
     pi: PiMap,
     cls: DeltaClass,
-    nodes: Optional[Iterable[int]] = None,
 ) -> bool:
     """True iff the class meets no proper pi-stable standard parabolic.
 
     Intersects every proper pi-stable parabolic with the enumerated class,
     rather than reading the support of the minimal representative.
     """
-    node_set = frozenset(nodes) if nodes is not None else frozenset(range(1, W.rank + 1))
-    pi_r = restrict_pi(pi, node_set)
+    node_set = frozenset(W.system.nodes)
     supports = {frozenset(W.support(w)) for w in class_elements(W, cls)}
     for supp in supports:
         # w lies in W_J for every pi-stable J containing supp(w); the class
         # meets a proper pi-stable parabolic iff some supp_pi(w) is proper.
         closed = set(supp)
         while True:
-            grown = {pi_r[i] for i in closed} | closed
+            grown = {pi[i] for i in closed} | closed
             if grown == closed:
                 break
             closed = grown

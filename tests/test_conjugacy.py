@@ -497,6 +497,26 @@ class TestCuspidalRepresentatives:
         got = [w.word for w in cuspidal_representatives(W, pi)]
         assert got and got == cuspidal_words_by_enumeration(W, pi)
 
+    def test_minimal_level_is_the_class_minimum(self):
+        """The walk from the last minimal element of each cuspidal class lists the
+        class's minimal elements, by canonical word: every twisted group of rank
+        <= 6 and every SWAPPED group, in both directions."""
+        groups = []
+        for family, rank, order in RANK_LE_4 + RANK_5_6:
+            for direction in ("delta", "delta_inv"):
+                pi = pi_of(build_twist(family, rank, order), direction)
+                groups.append((group(family, rank), pi, direction))
+        for cartan, pi in SWAPPED.values():
+            for p in (pi, {v: k for k, v in pi.items()}):
+                groups.append((_cartan_group(cartan), p, "delta"))
+        checked = 0
+        for W, pi, direction in groups:
+            for cls in partition_memo(W, pi, direction):
+                if cls.cuspidal:
+                    assert minimal_level(W, pi, cls.minimal[-1]) == cls.min_elements()
+                    checked += 1
+        assert checked == 304
+
     def test_enumerates_nothing(self, monkeypatch):
         """With a cold memo, E6 and 2E6 come out without listing any element."""
         def refuse(*args, **kwargs):
@@ -522,13 +542,6 @@ class TestCuspidalRepresentatives:
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
         with pytest.raises(FalsificationError, match=message):
             cuspidal_representatives(G2, identity_pi(G2))
-
-    def test_minimal_level_is_the_class_minimum(self, F4):
-        """The walk from a minimal element lists the class's minimal elements in order."""
-        pi = identity_pi(F4)
-        for cls in partition_memo(F4, pi):
-            if cls.cuspidal:
-                assert minimal_level(F4, pi, cls.minimal[-1]) == cls.min_elements()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("family,order", [

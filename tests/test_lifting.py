@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
+from weyldl import conjugacy
 from weyldl.casetables import RowPlacement
 from weyldl.conjugacy import cuspidal_representatives, partition_memo, pi_of
-from weyldl.criterion import build_forward_system, check_certificate, feasible, minimal_q
+from weyldl.criterion import (
+    FORM_FORWARD,
+    Certificate,
+    build_forward_system,
+    check_certificate,
+    feasible,
+    minimal_q,
+)
 from weyldl.exactnum import QuadExt, SQRT2, qext
 from weyldl.lifting import (
     ConstructionError,
@@ -19,7 +27,7 @@ from weyldl.lifting import (
     lift_to_full,
     spade_witness,
 )
-from weyldl.rootdata import build_composite_system, build_twist, make_twist
+from weyldl.rootdata import Coweight, build_composite_system, build_twist, make_twist
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
@@ -37,8 +45,7 @@ def cuspidal_inner(W, pi_K, K, q):
 
     sub = sub_context(W, K)
     pi_sub = sub.pi_to_sub(pi_K)
-    cls = next(c for c in partition_memo(sub.group, pi_sub) if c.cuspidal)
-    cert = _engine(sub.group, pi_sub, q, cls)
+    cert = _engine(sub.group, pi_sub, q, cuspidal_representatives(sub.group, pi_sub)[0])
     mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
     return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(K), q)
 
@@ -279,6 +286,48 @@ def test_inner_cuspidal_matches_enumeration(monkeypatch):
     for G, pi in placed.values():
         expected = [c.representative.word for c in partition_memo(G, pi) if c.cuspidal]
         assert [v.word for v in cuspidal_representatives(G, pi)] == expected
+
+def refuse_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration called")
+
+    monkeypatch.setattr(conjugacy, "_PARTITION_MEMO", {})
+    monkeypatch.setattr(WeylGroup, "elements", refuse)
+    monkeypatch.setattr(conjugacy, "enumerate_delta_classes", refuse)
+
+
+def test_constructive_route_enumerates_nothing(monkeypatch):
+    """With the classes of every twisted group of rank <= 6 in hand, the
+    constructive route certifies each of them without listing any element
+    of any group, and partitions nothing: not even the parabolics it
+    certifies on the way."""
+    todo = []
+    for family, rank, order in RANK_LE_4 + RANK_5_6:
+        W, twist = group(family, rank), build_twist(family, rank, order)
+        todo += [(W, twist, cls, minimal_q(family, order))
+                 for cls in partition_memo(W, pi_of(twist))]
+    refuse_enumeration(monkeypatch)
+    for W, twist, cls, q in todo:
+        assert check_certificate(constructive_certificate(W, twist, cls, q))
+    assert len(todo) == 588
+    assert conjugacy._PARTITION_MEMO == {}
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_coxeter_class_without_partition(monkeypatch, rank):
+    """The engine certifies the Coxeter class of E7 and of E8 from the Coxeter
+    element alone, and the checker accepts the certificate."""
+    from weyldl.lifting import _engine
+
+    refuse_enumeration(monkeypatch)
+    W, q = group("E", rank), minimal_q("E", 1)
+    cert = _engine(W, pi_of(build_twist("E", rank, 1)), q, W.from_word(range(1, rank + 1)))
+    assert len(cert.w.word) == rank
+    assert check_certificate(Certificate(
+        family="E", rank=rank, twist=1, direction="delta", q=q, w=cert.w.word,
+        form=FORM_FORWARD, mu=Coweight(tuple(cert.mu[i] for i in range(1, rank + 1))),
+    ))
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
