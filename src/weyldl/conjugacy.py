@@ -101,13 +101,14 @@ def _shift_moves(W: WeylGroup, pi: PiMap) -> list[tuple[int, int, int, bytes, by
 
 def _shift_walk(
     W: WeylGroup, pi: PiMap, w: WeylElt, budget: int
-) -> Iterator[tuple[bytes, int, bytes, int]]:
+) -> Iterator[tuple[bytes, bytes, int, bytes, int]]:
     """Breadth-first walk of the non-length-increasing shifts from w.
 
-    Yields (u, j, v, change) for every such shift v = s_j u s_pi(j) of every
-    element u reached, as keys, with l(v) = l(u) + change (0 or -2).  Walks
-    the keys of w and of w^-1 together (see ``_shift_moves``).  Raises
-    ClosureBudgetError when the walk reaches more than ``budget`` elements.
+    Yields (u, u_inv, j, v, change) for every such shift v = s_j u s_pi(j)
+    of every element u reached, as keys, with u_inv the key of u^-1 and
+    l(v) = l(u) + change (0 or -2).  Walks the keys of w and of w^-1
+    together (see ``_shift_moves``).  Raises ClosureBudgetError when the
+    walk reaches more than ``budget`` elements.
     """
     tables, n = W.reflection_table(), W.nroots
     moves = _shift_moves(W, pi)
@@ -121,7 +122,7 @@ def _shift_walk(
                 if change > 0:
                     continue
                 new = img.translate(tables[img[pj]]).translate(s_j)
-                yield img, j, new, change
+                yield img, inv, j, new, change
                 if new not in seen:
                     if len(seen) >= budget:
                         raise ClosureBudgetError(
@@ -147,7 +148,7 @@ def shift_closure(
     """
     lengths = {w.key: w.length}
     edges: dict[bytes, list[tuple[int, bytes]]] = {w.key: []}
-    for u, j, v, change in _shift_walk(W, pi, w, budget):
+    for u, _, j, v, change in _shift_walk(W, pi, w, budget):
         edges[u].append((j, v))
         if v not in lengths:
             lengths[v] = lengths[u] + change
@@ -373,7 +374,7 @@ def closure_min_check(
         return "minimal"
 
     try:
-        for _, _, _, change in _shift_walk(W, pi, w, budget):
+        for *_, change in _shift_walk(W, pi, w, budget):
             if change:
                 return "not_minimal"
     except ClosureBudgetError:
@@ -396,14 +397,22 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     descends, so w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm
     1.1), and ClosureBudgetError beyond 10^6 elements.
     """
-    keys = {w.key}
-    for _, _, v, change in _shift_walk(W, pi, w, 10 ** 6):
+    # Every member but the identity has a left descent, hence a shift that
+    # does not lengthen it, so the walk yields each member as u, with the
+    # key of u^-1 from which its canonical word is spelled once.
+    inverse = {}
+    for u, u_inv, _, _, change in _shift_walk(W, pi, w, 10 ** 6):
         if change:
             raise FalsificationError(
                 f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
             )
-        keys.add(v)
-    return sorted((WeylElt(W, key, w.length) for key in keys), key=lambda u: u.word)
+        inverse[u] = u_inv
+    if not inverse:  # w is the identity and every shift lengthens it
+        return [w]
+    level = [WeylElt(W, key, w.length) for key in inverse]
+    for u in level:
+        u._word = tuple(W._peel(inverse[u.key]))
+    return sorted(level, key=lambda u: u._word)
 
 
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,

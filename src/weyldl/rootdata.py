@@ -7,6 +7,12 @@ all interfaces, 0-based in storage), so the simple reflection acts by
 
     s_i(alpha) = alpha - (sum_j C[i][j] c_j) alpha_i.
 
+The positive roots of a Cartan matrix are found once per process by
+going up in height through their pairings with the simple coroots,
+which also give the image of every positive root under every simple
+reflection (``RootSystem.simple_reflections``); ``weyl`` builds its
+reflection tables from those images.
+
 Coweights are coordinate vectors in the fundamental-coweight basis and
 pair with a root by the plain coordinate dot product, since
 ``alpha_i(omega_j^vee) = delta_ij``.
@@ -138,17 +144,6 @@ def weyl_order(family: str, rank: int) -> int:
     return 12
 
 
-def reflect(cartan: Sequence[Sequence[int]], i: int, coords: Root) -> Root:
-    """Apply the simple reflection s_i (1-based i) to root coordinates."""
-    row = cartan[i - 1]
-    t = sum(row[j] * coords[j] for j in range(len(coords)))
-    if t == 0:
-        return tuple(coords)
-    out = list(coords)
-    out[i - 1] -= t
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Positive roots of a (possibly reducible) crystallographic system."""
@@ -159,7 +154,9 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     highest_root: Root
     n0: int
-    root_index: dict[Root, int] = field(compare=False, repr=False, default_factory=dict)
+    root_index: dict[Root, int] = field(compare=False, repr=False)
+    # Entry q of row i - 1: the signed 1-based index of s_i(beta_{q+1}).
+    simple_reflections: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def key(self) -> tuple[str, int]:
@@ -173,41 +170,78 @@ class RootSystem:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
 
-def _close_positive_roots(cartan) -> list[Root]:
+def _close_positive_roots(cartan) -> tuple[list[Root], list[list[int]]]:
+    """The positive roots in (height, coordinates) order, and their simple reflections.
+
+    Goes up by height, keeping each root's pairings p(beta) =
+    (<beta, alpha_i^vee>)_i.  When p_i < 0, s_i beta = beta - p_i alpha_i
+    (Bourbaki, Lie VI 1.3) is a higher root, whose pairings are
+    p - p_i (column i of the Cartan matrix), so no root is found by a
+    coordinate sum.  Every positive root is reached: a non-simple beta
+    has some p_i > 0, and s_i beta is a lower positive root that goes up
+    to beta by s_i.  Entry q of the second result's list i is the signed
+    1-based index of s_i beta_q: the root that link reaches, beta_q
+    itself when p_i = 0, and -q for alpha_i.
+    """
     n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for i in range(1, n + 1):
-                img = reflect(cartan, i, r)
-                if img not in roots and all(c >= 0 for c in img):
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    # Sort by (height, coordinates) for deterministic indexing.
-    return sorted(roots, key=lambda r: (sum(r), r))
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    pending = {1: dict(zip(simples, columns))}
+    roots, links = [], []
+    height = 1
+    while pending:
+        level = pending.pop(height)
+        for beta in sorted(level):
+            p = level[beta]
+            roots.append(beta)
+            for i, p_i in enumerate(p):
+                if p_i < 0:
+                    gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1:]
+                    higher = pending.setdefault(height - p_i, {})
+                    if gamma not in higher:
+                        higher[gamma] = tuple(a - p_i * c for a, c in zip(p, columns[i]))
+                    links.append((beta, i, gamma))
+        height += 1
+    index = {r: q for q, r in enumerate(roots, 1)}
+    reflections = [list(range(1, len(roots) + 1)) for _ in range(n)]
+    for i, alpha in enumerate(simples):
+        reflections[i][index[alpha] - 1] = -index[alpha]
+    for beta, i, gamma in links:
+        reflections[i][index[beta] - 1] = index[gamma]
+        reflections[i][index[gamma] - 1] = index[beta]
+    return roots, reflections
+
+
+# The roots, root index and simple reflections of each Cartan matrix, closed
+# once per process: the named group and every standalone parabolic with the
+# same matrix share them.
+_CLOSURES: dict[tuple[tuple[int, ...], ...], tuple] = {}
 
 
 def _build_from_cartan(family: str, rank: int, cartan) -> RootSystem:
-    roots = _close_positive_roots(cartan)
-    highest = max(roots, key=lambda r: (sum(r), r))
-    system = RootSystem(
+    if cartan not in _CLOSURES:
+        roots, reflections = _close_positive_roots(cartan)
+        _CLOSURES[cartan] = (
+            tuple(roots),
+            {r: k for k, r in enumerate(roots)},
+            tuple(map(tuple, reflections)),
+        )
+    roots, index, reflections = _CLOSURES[cartan]
+    return RootSystem(
         family=family,
         rank=rank,
         cartan=cartan,
-        positive_roots=tuple(roots),
-        highest_root=highest,
-        n0=sum(highest),
+        positive_roots=roots,
+        highest_root=roots[-1],
+        n0=sum(roots[-1]),
+        root_index=index,
+        simple_reflections=reflections,
     )
-    system.root_index.update({r: k for k, r in enumerate(system.positive_roots)})
-    return system
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct an irreducible root system by reflection closure."""
+    """Construct an irreducible root system by closing its simple roots
+    upwards through their pairings (``_close_positive_roots``)."""
     cartan = cartan_matrix(family, rank)
     system = _build_from_cartan(family, rank, cartan)
     expected = positive_root_count(family, rank)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import QuadExt, qext
-from .rootdata import RootSystem, build_root_system, reflect
+from .rootdata import RootSystem, build_root_system
 
 __all__ = ["WeylGroup", "WeylElt", "EnumerationBudgetError", "weyl_group"]
 
@@ -66,36 +66,30 @@ class WeylElt:
         return (self.length, self.word)
 
 
-# Translate tables and permutation steps of each root system, shared by every
-# group built on it: they depend only on the Cartan matrix and the root order.
-_TABLES: dict[tuple, tuple[list[bytes], list[tuple[int, int, int]]]] = {}
+# Translate tables and permutation steps of each Cartan matrix, shared by every
+# group built on it: the root order and the simple reflections depend only on
+# the matrix.
+_TABLES: dict[tuple[tuple[int, ...], ...], tuple[list[bytes], list[tuple[int, int, int]]]] = {}
 
 
 def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int, int]]]:
     """The reflection tables of ``system`` and the steps that rebuild a permutation.
 
-    Built by height: the table of a simple root comes from ``reflect``, and
-    s_beta = s_j s_beta' s_j when s_j beta = beta' is lower, which is two
-    translates of tables already built.  The step (p, j, p') records that
-    beta_p = s_j beta_p' with beta_p' lower.
+    Built by height: the table of a simple root is its column of
+    ``system.simple_reflections``, and s_beta = s_j s_beta' s_j when
+    s_j beta = beta' is lower, which is two translates of tables already
+    built.  The step (p, j, p') records that beta_p = s_j beta_p' with
+    beta_p' lower.
     """
-    roots, index = system.positive_roots, system.root_index
+    roots, columns = system.positive_roots, system.simple_reflections
     n = len(roots)
     identity = bytes(range(256))
-    columns, simple = [], []
-    for i in system.nodes:
-        # Signed index of s_i(beta) for each positive root beta.
-        col = []
-        for r in roots:
-            img = reflect(system.cartan, i, r)
-            col.append(index[img] + 1 if img in index else -(index[tuple(-c for c in img)] + 1))
-        columns.append(col)
-        simple.append(bytes([n - t for t in reversed(col)]) + bytes([n])
-                      + bytes([n + t for t in col]) + identity[2 * n + 1:])
+    simple = [bytes([n - t for t in reversed(col)]) + bytes([n])
+              + bytes([n + t for t in col]) + identity[2 * n + 1:] for col in columns]
     height = [sum(r) for r in roots]
     tables = [identity] * (2 * n + 1)
     steps = []
-    for p in sorted(range(n), key=height.__getitem__):
+    for p in range(n):  # the roots are in height order
         if height[p] == 1:
             table = simple[roots[p].index(1)]
         else:
@@ -134,13 +128,13 @@ class WeylGroup:
         ``tables[b][c]`` is the key byte of s_beta(gamma), for beta the root
         of byte b and gamma that of byte c; bytes b and 2N - b (a root and
         its negative) share a table, and byte N maps to the identity.  Built
-        on first use, once per root system (``_build_tables``).
+        on first use, once per Cartan matrix (``_build_tables``).
         """
         if self._tables is None:
-            memo_key = (self.system.cartan, self.roots)
-            if memo_key not in _TABLES:
-                _TABLES[memo_key] = _build_tables(self.system)
-            self._tables, self._perm_steps = _TABLES[memo_key]
+            cartan = self.system.cartan
+            if cartan not in _TABLES:
+                _TABLES[cartan] = _build_tables(self.system)
+            self._tables, self._perm_steps = _TABLES[cartan]
         return self._tables
 
     def _extend(self, w: WeylElt, word: Iterable[int]) -> WeylElt:

@@ -6,16 +6,15 @@ same answers the slow, obvious way: cyclic shifts as two full products
 ``W.multiply(W.multiply(s_j, w), s_pi(j))``, strong conjugacy by trying
 every x in W, cuspidality by intersecting every proper pi-stable
 parabolic, and permutations of the positive roots composed from
-``rootdata.reflect``.  They exist only so that tests can compare the
-kernel against them.
+``reflect``, the simple reflection as a coordinate sum.  They exist only
+so that tests can compare the kernel against them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap
-from weyldl.rootdata import reflect
 from weyldl.weyl import WeylElt, WeylGroup
 
 
@@ -30,9 +29,21 @@ def class_elements(W: WeylGroup, cls: DeltaClass) -> list[WeylElt]:
     return [WeylElt(W, key, lengths[key]) for key in cls.keys]
 
 
+def reflect(cartan: Sequence[Sequence[int]], i: int, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply the simple reflection s_i (1-based i) to root coordinates:
+    s_i(alpha) = alpha - (sum_j C[i][j] c_j) alpha_i."""
+    row = cartan[i - 1]
+    t = sum(row[j] * coords[j] for j in range(len(coords)))
+    if t == 0:
+        return tuple(coords)
+    out = list(coords)
+    out[i - 1] -= t
+    return tuple(out)
+
+
 def perm_of_word(W: WeylGroup, word: Iterable[int]) -> tuple[int, ...]:
     """Signed permutation of the positive roots for a word, by composing the
-    simple reflections' permutations computed with ``rootdata.reflect``."""
+    simple reflections' permutations computed with ``reflect``."""
     cartan = W.system.cartan
     index = {r: p + 1 for p, r in enumerate(W.roots)}
     index.update({tuple(-c for c in r): -(p + 1) for p, r in enumerate(W.roots)})

@@ -1,5 +1,12 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from multiply_oracles import reflect
 from weyldl.rootdata import (
     InvalidCartanTypeError,
     build_composite_system,
@@ -7,10 +14,10 @@ from weyldl.rootdata import (
     build_twist,
     cartan_matrix,
     positive_root_count,
-    reflect,
     weyl_order,
 )
-from weyldl.weyl import WeylGroup
+from weyldl.subsystems import sub_context
+from weyldl.weyl import WeylGroup, weyl_group
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -141,11 +148,14 @@ class TestTwists:
             assert cur == tuple(range(1, rank + 1))
 
 
+COMPOSITES = ([("A", 1), ("A", 1)], [("B", 2), ("A", 2)])
+
+
 def test_composite_system():
-    comp = build_composite_system([("A", 1), ("A", 1)])
+    comp = build_composite_system(COMPOSITES[0])
     assert len(comp.positive_roots) == 2
     assert comp.rank == 2
-    mixed = build_composite_system([("B", 2), ("A", 2)])
+    mixed = build_composite_system(COMPOSITES[1])
     assert len(mixed.positive_roots) == 4 + 3
     assert mixed.cartan[0][2] == 0
 
@@ -175,3 +185,94 @@ def test_closed_forms_raise_exactly_where_cartan_matrix_does(family):
         assert positive_root_count(family, rank) == len(system.positive_roots)
         if weyl_order(family, rank) <= 10 ** 4:
             assert weyl_order(family, rank) == len(WeylGroup(system).elements())
+
+
+def _reference_closure(cartan):
+    """The positive roots by closing the simple roots under ``reflect``, in
+    (height, coordinates) order, and the signed 1-based index of s_i beta for
+    every node i and root beta, each image found by its coordinates."""
+    n = len(cartan)
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for i in range(1, n + 1):
+                img = reflect(cartan, i, r)
+                if img not in roots and all(c >= 0 for c in img):
+                    roots.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots = sorted(roots, key=lambda r: (sum(r), r))
+    index = {r: q for q, r in enumerate(roots, 1)}
+    index.update({tuple(-c for c in r): -q for r, q in list(index.items())})
+    columns = tuple(
+        tuple(index[reflect(cartan, i, r)] for r in roots) for i in range(1, n + 1)
+    )
+    return tuple(roots), columns
+
+
+def _assert_closure_matches_reference(system):
+    roots, columns = _reference_closure(system.cartan)
+    assert system.positive_roots == roots
+    assert system.simple_reflections == columns
+    assert system.highest_root == roots[-1]
+    assert system.root_index == {r: k for k, r in enumerate(roots)}
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_closure_matches_reflect_reference(family, rank):
+    """The closure by pairings lists the roots of ``reflect``'s closure in the
+    same order, and its simple reflections are ``reflect``'s, root by root."""
+    _assert_closure_matches_reference(build_root_system(family, rank))
+
+
+@pytest.mark.parametrize("parts", COMPOSITES, ids=str)
+def test_composite_closure_matches_reflect_reference(parts):
+    _assert_closure_matches_reference(build_composite_system(parts))
+
+
+@pytest.mark.parametrize("family,rank", [("E", 8), ("F", 4)])
+def test_parabolic_closures_match_reflect_reference(family, rank):
+    """Every node subset of E8 and F4, as the standalone system of its Cartan
+    submatrix: the reducible ones included."""
+    W = weyl_group(family, rank)
+    for k in range(1, rank + 1):
+        for nodes in itertools.combinations(range(1, rank + 1), k):
+            _assert_closure_matches_reference(sub_context(W, nodes).system)
+
+
+# Replays the default catalog, counting the closures by Cartan matrix, then
+# prints the number of matrices closed and the most closures of one matrix.
+_CATALOG_PROGRAM = """
+from collections import Counter
+from weyldl import rootdata
+from weyldl.casetables import verify_all
+
+closed = Counter()
+close = rootdata._close_positive_roots
+
+def counting(cartan):
+    closed[cartan] += 1
+    return close(cartan)
+
+rootdata._close_positive_roots = counting
+assert verify_all().cases
+print(len(closed), max(closed.values()))
+"""
+
+
+def test_catalog_replay_closes_each_cartan_matrix_once():
+    """A catalog replay from cold memos closes each Cartan matrix once: the
+    named groups and the standalone parabolics with the same matrix share one
+    closure.  Run in a fresh interpreter: the memos are process-global."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _CATALOG_PROGRAM], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    matrices, most = map(int, out.stdout.split())
+    assert matrices > 1
+    assert most == 1
