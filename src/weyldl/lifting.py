@@ -19,13 +19,23 @@ The route enumerates no group: each step starts from one minimal element
 of its class, and a cuspidal class is read off its minimal level, which
 the length-preserving cyclic shifts connect (Geck-Pfeiffer 2000, Thm
 3.2.7; He-Nie, Duke Math. J. 161 (2012), Thm 1.1).
+
+The recursion meets the same small classes again and again (A1, A2, B2,
+the K of a catalog row), so ``_engine`` keeps one process-wide memo,
+``_ENGINE_MEMO``, keyed on (system key, pi, q, element key): each
+distinct sub-problem is built and validated once per process.  A stored
+witness was validated when it was built and cannot be changed in place;
+every step around it still validates its own result, and
+``constructive_certificate`` still passes every certificate it returns
+through ``check_certificate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .casetables import case_records, place_row
 from .conjugacy import (
@@ -79,12 +89,18 @@ class EngineCert:
 
     A step returns one on all nodes of its group; a witness on a proper
     ``nodes`` is the embedded witness of the parabolic on those nodes.
+    ``mu`` is a read-only copy of the mapping it is given: ``_engine``
+    shares stored witnesses between callers, so a step that needs other
+    coordinates builds a new witness.
     """
 
     w: WeylElt
-    mu: dict[int, QuadExt]
+    mu: Mapping[int, QuadExt]
     nodes: frozenset[int]
     q: QuadExt
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", MappingProxyType(dict(self.mu)))
 
     def dominant(self) -> bool:
         return all(self.mu[i].sign() > 0 for i in self.nodes)
@@ -435,8 +451,31 @@ def _leaf_certificate(
     )
 
 
+_ENGINE_MEMO: dict[tuple, EngineCert] = {}
+
+
 def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     """Witness for the pi-class of the minimal element x of W, on all its nodes.
+
+    Memoized per process on (system key, pi, q, key of x), so each
+    sub-problem that recurs under many classes is built and validated
+    once (``_engine_cold`` on a miss).  Equal system keys mean equal root
+    orders and element encodings, as for ``partition_memo``, and a
+    standalone parabolic is labelled by its Cartan submatrix, so every
+    ambient group shares its entries.  A hit is safe: the stored witness
+    passed every ``_validate`` of its construction, its ``mu`` is
+    read-only, and each enclosing step re-validates what it builds from
+    it.  A failed construction stores nothing.
+    """
+    key = (W.system.key, tuple(sorted(pi.items())), qext(q), x.key)
+    cert = _ENGINE_MEMO.get(key)
+    if cert is None:
+        cert = _ENGINE_MEMO[key] = _engine_cold(W, pi, q, x)
+    return cert
+
+
+def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
+    """``_engine`` without the memo: one construction, every step validated.
 
     Below full twisted support, x is certified in its support parabolic
     and lifted; over several pi-orbits of components, its factors are
@@ -458,7 +497,7 @@ def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     if len(orbits) > 1:
         factors = [frozenset().union(*orbit) for orbit in orbits]
         return combine_orthogonal_factors(W, pi, [
-            _standalone(W, pi, S, q, W.from_word([i for i in x.word if i in S]))
+            _standalone(W, pi, S, q, W.from_word([i for i in W.reduced_word(x) if i in S]))
             for S in factors
         ])
     level = minimal_level(W, pi, x)

@@ -66,11 +66,11 @@ class SubContext:
 
     def element_to_sub(self, x: WeylElt) -> WeylElt:
         """An element of the ambient W_S as an element of the standalone group."""
-        return self.group.from_word(self.word_to_sub(x.word))
+        return self.group.from_word(self.word_to_sub(self.ambient.reduced_word(x)))
 
     def element_to_ambient(self, y: WeylElt) -> WeylElt:
         """An element of the standalone group as an element of the ambient W_S."""
-        return self.ambient.from_word(self.word_to_ambient(y.word))
+        return self.ambient.from_word(self.word_to_ambient(self.group.reduced_word(y)))
 
 
 _GROUP_MEMO: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}

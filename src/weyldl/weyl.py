@@ -238,6 +238,16 @@ class WeylGroup:
         """
         return tuple(self._peel(self.invert(w).key))
 
+    def reduced_word(self, w: WeylElt) -> tuple[int, ...]:
+        """Some reduced word of w: the canonical one when already spelled.
+
+        Otherwise one ``_peel`` of the key, reversed, which has the same
+        letters as every reduced word of w but needs no ``invert``.
+        """
+        if w._word is not None:
+            return w._word
+        return tuple(reversed(self._peel(w.key)))
+
     # -- parabolic structure -------------------------------------------------------
 
     def longest_element(self, nodes: Iterable[int]) -> WeylElt:
@@ -259,7 +269,7 @@ class WeylGroup:
 
     def support(self, w: WeylElt) -> frozenset[int]:
         """Letters occurring in any reduced word of w."""
-        return frozenset(w.word)
+        return frozenset(self.reduced_word(w))
 
     # -- enumeration ------------------------------------------------------------
 

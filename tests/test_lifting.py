@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from weyldl import conjugacy
+from weyldl import conjugacy, lifting
 from weyldl.casetables import RowPlacement
 from weyldl.conjugacy import cuspidal_representatives, partition_memo, pi_of
 from weyldl.criterion import (
@@ -277,6 +277,7 @@ def test_inner_cuspidal_matches_enumeration(monkeypatch):
         return inner_cuspidal(self)
 
     monkeypatch.setattr(RowPlacement, "inner_cuspidal", recording)
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
     for family, rank, order in RANK_LE_4 + RANK_5_6:
         W = group(family, rank)
         twist = build_twist(family, rank, order)
@@ -292,6 +293,7 @@ def refuse_enumeration(monkeypatch):
         raise AssertionError("enumeration called")
 
     monkeypatch.setattr(conjugacy, "_PARTITION_MEMO", {})
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
     monkeypatch.setattr(WeylGroup, "elements", refuse)
     monkeypatch.setattr(conjugacy, "enumerate_delta_classes", refuse)
 
@@ -327,6 +329,125 @@ def test_coxeter_class_without_partition(monkeypatch, rank):
         family="E", rank=rank, twist=1, direction="delta", q=q, w=cert.w.word,
         form=FORM_FORWARD, mu=Coweight(tuple(cert.mu[i] for i in range(1, rank + 1))),
     ))
+
+
+def classes_of(groups):
+    """(W, twist, class, q) for every class of each twisted group."""
+    for family, rank, order in groups:
+        W, twist = group(family, rank), build_twist(family, rank, order)
+        q = minimal_q(family, order)
+        for cls in partition_memo(W, pi_of(twist)):
+            yield W, twist, cls, q
+
+
+def count_constructions(monkeypatch):
+    """Empty the engine memo and record every construction from now on."""
+    runs = []
+    cold = lifting._engine_cold
+
+    def counting(W, pi, q, x):
+        runs.append((W.system.key, tuple(sorted(pi.items())), qext(q), x.key))
+        return cold(W, pi, q, x)
+
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_engine_cold", counting)
+    return runs
+
+
+def test_memo_hits_match_cold_runs(monkeypatch):
+    """Certifying every class of rank <= 6 from one shared memo gives, byte for
+    byte, the certificates of runs that each start from an empty memo; the
+    shared memo builds fewer sub-problems than those runs together."""
+    todo = list(classes_of(RANK_LE_4 + RANK_5_6))
+    runs = count_constructions(monkeypatch)
+    warm = [constructive_certificate(*item).to_json() for item in todo]
+    shared = len(runs)
+    cold = []
+    for item in todo:
+        lifting._ENGINE_MEMO.clear()
+        cold.append(constructive_certificate(*item).to_json())
+    assert len(todo) == 588
+    assert cold == warm
+    assert len(runs) - shared > shared
+
+
+def test_cold_certify_pass_builds_each_entry_once(monkeypatch):
+    """From an empty memo, certifying the 180 classes of rank <= 4 constructs
+    each memo entry exactly once, and the route looks up more sub-problems than
+    it constructs."""
+    todo = list(classes_of(RANK_LE_4))
+    runs = count_constructions(monkeypatch)
+    lookups = []
+    engine = lifting._engine
+
+    def looking_up(W, pi, q, x):
+        lookups.append(x)
+        return engine(W, pi, q, x)
+
+    monkeypatch.setattr(lifting, "_engine", looking_up)
+    for item in todo:
+        assert check_certificate(constructive_certificate(*item))
+    assert len(todo) == 180
+    assert sorted(runs) == sorted(lifting._ENGINE_MEMO)
+    assert len(set(runs)) == len(runs)
+    assert len(lookups) > len(runs)
+
+
+def test_memo_key_separates_q_powers_and_directions(monkeypatch):
+    """A2xA2 under a twist of order 4: the cyclic branch certifies the first
+    A2 under the squared twist at q^2, which the memo keeps apart from the same
+    class at q; and the two twist directions, which share their class
+    representatives but not their witnesses, get separate entries."""
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    W = WeylGroup(build_composite_system([("A", 2), ("A", 2)]))
+    pi, q = {1: 3, 2: 4, 3: 2, 4: 1}, qext(2)
+    certs = {}
+    for p in (pi, {v: k for k, v in pi.items()}):
+        for x in cuspidal_representatives(W, p):
+            cert = lifting._engine(W, p, q, x)
+            assert not build_forward_system(W, cert.w, p, q).violated(cert.mu)
+            certs.setdefault(x.key, []).append(cert)
+    assert all(len(pair) == 2 and pair[0].mu != pair[1].mu for pair in certs.values())
+
+    sub = sub_context(W, {1, 2})
+    pi_sub = sub.pi_to_sub(conjugacy.power_pi(pi, 2))
+    for x in cuspidal_representatives(sub.group, pi_sub):
+        key = (sub.system.key, tuple(sorted(pi_sub.items())), q ** 2, x.key)
+        assert lifting._ENGINE_MEMO[key].q == q ** 2
+        cert = lifting._engine(sub.group, pi_sub, q, x)
+        assert cert.q == q and key[:2] + (q,) + key[3:] in lifting._ENGINE_MEMO
+        assert not build_forward_system(sub.group, cert.w, pi_sub, q).violated(cert.mu)
+        assert lifting._ENGINE_MEMO[key].q == q ** 2
+
+
+def test_failed_construction_is_not_stored(monkeypatch):
+    """A construction that raises stores nothing, raises again on the next
+    call, and succeeds once its input is restored."""
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    W = group("A", 2)
+    pi, q, x = idpi(W), qext(2), W.from_word((1, 2))
+    monkeypatch.setattr(lifting, "case_records", lambda *args: [])
+    for _ in range(2):
+        with pytest.raises(conjugacy.FalsificationError, match="no catalog rows"):
+            lifting._engine(W, pi, q, x)
+        assert lifting._ENGINE_MEMO == {}
+    monkeypatch.undo()
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    cert = lifting._engine(W, pi, q, x)
+    assert not build_forward_system(W, cert.w, pi, q).violated(cert.mu)
+    assert len(lifting._ENGINE_MEMO) == 1
+
+
+def test_witness_coordinates_are_read_only():
+    """A witness keeps its own copy of the coordinates and refuses writes, so
+    one the memo shares cannot be changed by a caller."""
+    W = group("A", 2)
+    mu = {1: qext(1), 2: qext(2)}
+    cert = EngineCert(W.identity, mu, frozenset({1, 2}), qext(2))
+    mu[1] = qext(5)
+    assert cert.mu == {1: qext(1), 2: qext(2)}
+    with pytest.raises(TypeError):
+        cert.mu[1] = qext(0)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
