@@ -17,7 +17,6 @@ preconditions; every such resolution is recorded in ``notes``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -45,7 +44,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, qext
 from .lp import gordan_witness, verify_gordan
-from .rootdata import Coweight, build_twist
+from .rootdata import Coweight, Frozen, build_twist
 from .subsystems import sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
 
@@ -63,6 +62,9 @@ __all__ = [
 ]
 
 
+_setattr = object.__setattr__
+
+
 def br(a: int, b: int) -> tuple[int, ...]:
     """Descending run (a, a-1, ..., b); empty when a < b."""
     return tuple(range(a, b - 1, -1)) if a >= b else ()
@@ -73,27 +75,71 @@ def bri(a: int, b: int) -> tuple[int, ...]:
     return tuple(range(b, a + 1)) if a >= b else ()
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    label: str
-    family: str
-    rank: int
-    twist: int
-    case: int
-    spade: bool
-    J: frozenset[int]
-    w1: tuple[int, ...]
-    K_expected: frozenset[int]
-    v_mode: str  # "identity" | "words" | "lengths" | "all"
-    v_words: tuple[tuple[int, ...], ...] = ()
-    v_lengths: tuple[int, ...] = ()
-    m_values: Optional[dict[int, Fraction]] = None
-    pinned_mu: Optional[tuple[Fraction, ...]] = None
-    spade_recipe: tuple[tuple[int, int, int], ...] = ()
-    prose: str = ""
-    notes: tuple[str, ...] = ()
-    alt_w1: Optional[tuple[int, ...]] = None
-    param_a: Optional[int] = None
+class CaseRecord(Frozen):
+    """One catalog row: its type, reduction step (J, w1), expected K and inner options."""
+
+    __slots__ = (
+        "label", "family", "rank", "twist", "case", "spade", "J", "w1", "K_expected", "v_mode",
+        "v_words", "v_lengths", "m_values", "pinned_mu", "spade_recipe", "prose", "notes",
+        "alt_w1", "param_a",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        family: str,
+        rank: int,
+        twist: int,
+        case: int,
+        spade: bool,
+        J: frozenset[int],
+        w1: tuple[int, ...],
+        K_expected: frozenset[int],
+        v_mode: str,  # "identity" | "words" | "lengths" | "all"
+        v_words: tuple[tuple[int, ...], ...] = (),
+        v_lengths: tuple[int, ...] = (),
+        m_values: Optional[dict[int, Fraction]] = None,
+        pinned_mu: Optional[tuple[Fraction, ...]] = None,
+        spade_recipe: tuple[tuple[int, int, int], ...] = (),
+        prose: str = "",
+        notes: tuple[str, ...] = (),
+        alt_w1: Optional[tuple[int, ...]] = None,
+        param_a: Optional[int] = None,
+    ):
+        _setattr(self, "label", label)
+        _setattr(self, "family", family)
+        _setattr(self, "rank", rank)
+        _setattr(self, "twist", twist)
+        _setattr(self, "case", case)
+        _setattr(self, "spade", spade)
+        _setattr(self, "J", J)
+        _setattr(self, "w1", w1)
+        _setattr(self, "K_expected", K_expected)
+        _setattr(self, "v_mode", v_mode)
+        _setattr(self, "v_words", v_words)
+        _setattr(self, "v_lengths", v_lengths)
+        _setattr(self, "m_values", m_values)
+        _setattr(self, "pinned_mu", pinned_mu)
+        _setattr(self, "spade_recipe", spade_recipe)
+        _setattr(self, "prose", prose)
+        _setattr(self, "notes", notes)
+        _setattr(self, "alt_w1", alt_w1)
+        _setattr(self, "param_a", param_a)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CaseRecord({fields})"
 
     @property
     def type_name(self) -> str:
@@ -842,13 +888,38 @@ def load_case_records() -> list[CaseRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CaseReport:
-    label: str
-    subchecks: dict[str, str] = field(default_factory=dict)
-    details: dict[str, object] = field(default_factory=dict)
-    certificate: Optional[Certificate] = None
-    notes: tuple[str, ...] = ()
+    """The outcome of one catalog row, filled in subcheck by subcheck (mutable, unhashable).
+
+    ``subchecks`` and ``details`` default to a new dict per report.
+    """
+
+    __slots__ = ("label", "subchecks", "details", "certificate", "notes")
+
+    def __init__(
+        self,
+        label: str,
+        subchecks: Optional[dict[str, str]] = None,
+        details: Optional[dict[str, object]] = None,
+        certificate: Optional[Certificate] = None,
+        notes: tuple[str, ...] = (),
+    ):
+        self.label = label
+        self.subchecks = {} if subchecks is None else subchecks
+        self.details = {} if details is None else details
+        self.certificate = certificate
+        self.notes = notes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.label, self.subchecks, self.details, self.certificate, self.notes)
+                == (other.label, other.subchecks, other.details, other.certificate, other.notes))
+
+    def __repr__(self) -> str:
+        return (f"CaseReport(label={self.label!r}, subchecks={self.subchecks!r}, "
+                f"details={self.details!r}, certificate={self.certificate!r}, "
+                f"notes={self.notes!r})")
 
     @property
     def passed(self) -> bool:
@@ -871,9 +942,21 @@ class CaseReport:
         return out
 
 
-@dataclass
 class AggregateReport:
-    cases: list[CaseReport]
+    """The reports of a catalog replay, in row order (mutable, unhashable)."""
+
+    __slots__ = ("cases",)
+
+    def __init__(self, cases: list[CaseReport]):
+        self.cases = cases
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cases == other.cases
+
+    def __repr__(self) -> str:
+        return f"AggregateReport(cases={self.cases!r})"
 
     @property
     def all_passed(self) -> bool:
@@ -907,8 +990,7 @@ class AggregateReport:
 CLOSURE_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class RowPlacement:
+class RowPlacement(Frozen):
     """A reduction step (J, w1) placed in a group.
 
     K = I(J, w1, tau) is the greatest node set of J that Ad(w1) tau keeps,
@@ -916,10 +998,23 @@ class RowPlacement:
     classes of the step are the sigma-classes of W_K.
     """
 
-    W: WeylGroup
-    w1: WeylElt
-    K: frozenset[int]
-    sigma: PiMap
+    __slots__ = ("W", "w1", "K", "sigma")
+
+    def __init__(self, W: WeylGroup, w1: WeylElt, K: frozenset[int], sigma: PiMap):
+        _setattr(self, "W", W)
+        _setattr(self, "w1", w1)
+        _setattr(self, "K", K)
+        _setattr(self, "sigma", sigma)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.W, self.w1, self.K, self.sigma) == (other.W, other.w1, other.K, other.sigma)
+
+    __hash__ = None  # ``sigma`` is a dict
+
+    def __repr__(self) -> str:
+        return f"RowPlacement(W={self.W!r}, w1={self.w1!r}, K={self.K!r}, sigma={self.sigma!r})"
 
     def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
         """v (an element of W_K) in the standalone W_K, with sigma there."""

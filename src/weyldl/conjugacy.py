@@ -17,11 +17,10 @@ the enumerated partition is then the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rootdata import Twist
+from .rootdata import Frozen, Twist
 from .subsystems import component_orbits, identify_standard
 from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
 
@@ -157,16 +156,46 @@ def shift_closure(
     return {elts[key]: [(j, elts[v]) for j, v in out] for key, out in edges.items()}
 
 
-@dataclass(frozen=True)
-class DeltaClass:
-    """One twisted conjugacy class with its minimal-length data."""
+_setattr = object.__setattr__
 
-    group_key: tuple[str, int]
-    direction: str
-    pi: tuple[tuple[int, int], ...]
-    minimal: tuple[WeylElt, ...]  # the minimal-length members, by canonical word
-    cuspidal: bool
-    keys: tuple[bytes, ...]  # every member's key, in enumeration order
+
+class DeltaClass(Frozen):
+    """One twisted conjugacy class with its minimal-length data.
+
+    Not slotted: ``members`` is cached in the instance ``__dict__``.
+    """
+
+    def __init__(
+        self,
+        group_key: tuple[str, int],
+        direction: str,
+        pi: tuple[tuple[int, int], ...],
+        minimal: tuple[WeylElt, ...],  # the minimal-length members, by canonical word
+        cuspidal: bool,
+        keys: tuple[bytes, ...],  # every member's key, in enumeration order
+    ):
+        _setattr(self, "group_key", group_key)
+        _setattr(self, "direction", direction)
+        _setattr(self, "pi", pi)
+        _setattr(self, "minimal", minimal)
+        _setattr(self, "cuspidal", cuspidal)
+        _setattr(self, "keys", keys)
+
+    def _fields(self) -> tuple:
+        return (self.group_key, self.direction, self.pi, self.minimal, self.cuspidal, self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"DeltaClass(group_key={self.group_key!r}, direction={self.direction!r}, "
+                f"pi={self.pi!r}, minimal={self.minimal!r}, cuspidal={self.cuspidal!r}, "
+                f"keys={self.keys!r})")
 
     @property
     def representative(self) -> WeylElt:

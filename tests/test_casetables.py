@@ -8,6 +8,8 @@ import pytest
 
 from weyldl import casetables
 from weyldl.casetables import (
+    AggregateReport,
+    CaseRecord,
     CaseReport,
     _resolve_v_options,
     case_records,
@@ -309,3 +311,46 @@ class TestQuirkRecords:
         assert by_label(records, "2E6 case 5").notes
         assert by_label(records, "2F4 case 5").notes
         assert by_label(records, "F4 case 1").notes
+
+
+class TestRecords:
+    """The catalog's record classes keep the semantics of the dataclasses they replace."""
+
+    def test_case_record_defaults_equality_hash_and_frozen(self):
+        args = dict(label="X", family="A", rank=2, twist=1, case=1, spade=False,
+                    J=frozenset({1}), w1=(2,), K_expected=frozenset(), v_mode="identity")
+        record = CaseRecord(**args)
+        assert (record.v_words, record.m_values, record.prose, record.param_a) == ((), None, "", None)
+        assert record == CaseRecord(**args) and hash(record) == hash(CaseRecord(**args))
+        assert record != CaseRecord(**args, param_a=1)
+        assert record.type_name == "A2"
+        with pytest.raises(AttributeError):
+            record.label = "Y"
+        assert record.label == "X"
+
+    def test_row_placement_equality_and_frozen(self):
+        W = casetables.weyl_group("A", 3)
+        tau = {i: i for i in W.system.nodes}
+        placed = place_row(W, tau, frozenset({1, 3}), (2,))
+        assert placed == place_row(W, tau, frozenset({1, 3}), (2,))
+        assert placed != place_row(W, tau, frozenset({1, 3}), ())
+        with pytest.raises(AttributeError):
+            placed.K = frozenset()
+        with pytest.raises(TypeError):  # sigma is a dict
+            hash(placed)
+
+    def test_reports_are_mutable_and_unhashable(self):
+        first, second = CaseReport("a"), CaseReport("a")
+        assert first.subchecks is not second.subchecks and first.details is not second.details
+        first.subchecks["x"] = "pass"
+        assert second.subchecks == {} and first != second
+        second.subchecks["x"] = "pass"
+        assert first == second
+        first.label = "b"
+        assert first != second
+        aggregate = AggregateReport([first])
+        aggregate.cases.append(second)
+        assert aggregate == AggregateReport(cases=[first, second])
+        for report in (first, aggregate):
+            with pytest.raises(TypeError):
+                hash(report)

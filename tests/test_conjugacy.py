@@ -208,6 +208,25 @@ class TestEnumeration:
                 assert cls.min_elements() == sorted(mins, key=lambda w: w.sort_key())
 
 
+class TestDeltaClassRecord:
+    """DeltaClass keeps the semantics of the frozen dataclass it replaces."""
+
+    def test_equality_hash_and_frozen(self):
+        W, pi = group("B", 3), pi_of(build_twist("B", 3, 1))
+        fresh, again = enumerate_delta_classes(W, pi), enumerate_delta_classes(W, pi)
+        assert fresh[0] is not again[0]
+        assert fresh == again and [hash(c) for c in fresh] == [hash(c) for c in again]
+        assert fresh[0] != fresh[1]
+        cls = fresh[-1]
+        with pytest.raises(AttributeError):
+            cls.cuspidal = not cls.cuspidal
+        with pytest.raises(AttributeError):
+            del cls.keys
+        # The member set is still cached on the instance, outside the compared fields.
+        assert cls.members is cls.members and cls.contains(cls.representative)
+        assert cls == again[-1]
+
+
 class TestSharedSubGroups:
     """Node sets with equal Cartan submatrices share one standalone group."""
 

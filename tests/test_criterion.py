@@ -186,6 +186,34 @@ class TestStarSystem:
         assert mu is not None
 
 
+class TestRecords:
+    """IneqSystem and CheckResult keep the semantics of the frozen dataclasses they replace."""
+
+    def test_ineq_system_equality_hash_and_frozen(self, A2):
+        w = A2.from_word((1, 2))
+        system = build_forward_system(A2, w, idpi(A2), qext(2))
+        again = build_forward_system(A2, w, idpi(A2), qext(2))
+        assert system == again and hash(system) == hash(again)
+        assert system != build_forward_system(A2, w, idpi(A2), qext(3))
+        assert system != build_inverse_system(A2, w, idpi(A2), qext(2))
+        with pytest.raises(AttributeError):
+            system.rows = ()
+        assert system == again
+
+    def test_check_result_defaults_equality_hash_and_frozen(self):
+        result = CheckResult(False)
+        assert (result.accepted, result.reason, result.rows_checked) == (False, "", 0)
+        assert result == CheckResult(accepted=False, reason="", rows_checked=0)
+        assert hash(result) == hash(CheckResult(False, "", 0))
+        assert result != CheckResult(False, "q must be positive")
+        assert CheckResult(True, "", 3) != CheckResult(True, "", 4)
+        assert result != False  # noqa: E712 -- a record, not a bool
+        assert not result and CheckResult(True)
+        with pytest.raises(AttributeError):
+            result.accepted = True
+        assert not result
+
+
 class TestFeasibleOracle:
     def test_suzuki_point_accepted(self, B2):
         pi = pi_of(build_twist("B", 2, 2), "delta_inv")
@@ -216,6 +244,25 @@ class TestCertificates:
         again = Certificate.from_json(text)
         assert again == cert
         assert again.to_json() == text
+
+    def test_round_trip_over_quadratic_fields(self, G2):
+        for q, mu in ((SQRT2, [SQRT2 + 1, qext(Fraction(-3, 4))]),
+                      (qext(Fraction(7, 3)), [SQRT3 * Fraction(2, 9), qext(0)])):
+            cert = self.cert(G2, (1, 2), mu, q=q)
+            assert Certificate.from_json(cert.to_json()) == cert
+
+    def test_equality_hash_and_frozen(self, G2):
+        cert = self.cert(G2, (2, 1, 2, 1), [2, 1])
+        same = self.cert(G2, (2, 1, 2, 1), [2, 1])
+        assert cert == same and hash(cert) == hash(same)
+        assert cert != self.cert(G2, (2, 1, 2, 1), [2, 1], q=3)
+        assert cert != self.cert(G2, (2, 1, 2, 1), [1, 2])
+        assert cert != cert.to_json_dict()
+        with pytest.raises(AttributeError):
+            cert.q = qext(3)
+        with pytest.raises(AttributeError):
+            del cert.mu
+        assert cert == same
 
     def test_accept(self, G2):
         assert check_certificate(self.cert(G2, (2, 1, 2, 1), [2, 1]))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -122,6 +123,11 @@ def test_order_total_randomized():
         assert (x < y) + (x == y) + (x > y) == 1
 
 
+def approx_float(x: QuadExt) -> float:
+    """A float near ``x``: a sanity oracle for the tests, never a decision."""
+    return float(x.a) + float(x.b) * (x.d ** 0.5)
+
+
 def test_sign_agrees_with_float_oracle():
     # Sanity oracle only; exactness never depends on floats.
     rng = random.Random(5150)
@@ -129,7 +135,7 @@ def test_sign_agrees_with_float_oracle():
         d = rng.choice((1, 2, 3))
         x = QuadExt(Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
                     Fraction(rng.randint(-60, 60), rng.randint(1, 12)), d)
-        approx = float(x)
+        approx = approx_float(x)
         if abs(approx) > 1e-9:
             assert quad_sign(x) == (1 if approx > 0 else -1)
 
@@ -178,6 +184,57 @@ class TestSerialization:
             QuadExt.from_json({"a": "1", "d": 2})
         with pytest.raises(ValueError):
             QuadExt(1, 1, 5)
+
+
+def fraction_from_json(obj):
+    """The ``Fraction``-based wire parser that ``QuadExt.from_json`` replaced: the reference."""
+    def parse(text):
+        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
+        if match is None:
+            raise ValueError("malformed rational: expected 'p/q'")
+        num, den = int(match.group(1)), int(match.group(2))
+        if den == 0:
+            raise ValueError("malformed rational: zero denominator")
+        return Fraction(num, den)
+
+    try:
+        a, b, d = obj["a"], obj["b"], obj["d"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed QuadExt payload") from exc
+    if type(d) is not int:
+        raise ValueError("malformed QuadExt radicand")
+    return QuadExt(parse(a), parse(b), d)
+
+
+wire_ratios = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6)),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 12)),
+    st.builds("-0/{}".format, st.integers(0, 9)),
+    st.sampled_from(["1", "1/-2", "+1/2", " 1/2", "1/2 ", "1.0/2", "\u0663/4", "--1/2", "",
+                     "1" * 4400 + "/1", "1/" + "2" * 4400]),
+    st.text(alphabet="-/0123", max_size=6),
+    st.integers(-3, 3),
+    st.none(),
+)
+wire_radicands = st.one_of(st.sampled_from((1, 2, 3)), st.integers(-2, 6),
+                           st.sampled_from((True, 2.0, "2", None)))
+
+
+@given(wire_ratios, wire_ratios, wire_radicands)
+@settings(max_examples=600, deadline=None)
+def test_from_json_matches_fraction_parser(a, b, d):
+    """Same value, or the same error text raised in the same order (a, then b, then d)."""
+    obj = {"a": a, "b": b, "d": d}
+
+    def result(parse):
+        try:
+            x = parse(obj)
+        except ValueError as exc:
+            return ("error", str(exc))
+        assert_canonical(x)
+        return ("value", x._p, x._q, x._r, x._d)
+
+    assert result(QuadExt.from_json) == result(fraction_from_json)
 
 
 # -- differential test against the Fraction-pair reference --------------------

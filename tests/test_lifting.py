@@ -450,6 +450,22 @@ def test_witness_coordinates_are_read_only():
         cert.mu[1] = qext(0)
 
 
+def test_witness_equality_and_frozen():
+    """Witnesses compare by their fields and refuse assignment, as the frozen dataclass did."""
+    W = group("A", 2)
+    cert = EngineCert(W.identity, {1: qext(1), 2: qext(2)}, frozenset({1, 2}), qext(2))
+    assert cert == EngineCert(W.identity, {2: qext(2), 1: qext(1)}, frozenset({1, 2}), qext(2))
+    assert cert != EngineCert(W.identity, {1: qext(1), 2: qext(3)}, frozenset({1, 2}), qext(2))
+    assert cert != EngineCert(W.simple(1), cert.mu, cert.nodes, cert.q)
+    with pytest.raises(AttributeError):
+        cert.mu = {}
+    with pytest.raises(AttributeError):
+        cert.q = qext(3)
+    assert cert.mu == {1: qext(1), 2: qext(2)} and cert.q == 2
+    with pytest.raises(TypeError):  # its coordinates are a mapping
+        hash(cert)
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Certifies every class of A3 by the constructive route, then prints the

@@ -7,12 +7,17 @@ from pathlib import Path
 import pytest
 
 from multiply_oracles import reflect
+from weyldl.exactnum import qext
 from weyldl.rootdata import (
+    Coweight,
     InvalidCartanTypeError,
+    RootSystem,
     build_composite_system,
     build_root_system,
     build_twist,
     cartan_matrix,
+    identity_twist,
+    make_twist,
     positive_root_count,
     weyl_order,
 )
@@ -276,3 +281,42 @@ def test_catalog_replay_closes_each_cartan_matrix_once():
     matrices, most = map(int, out.stdout.split())
     assert matrices > 1
     assert most == 1
+
+
+class TestRecords:
+    """The hand-written record classes keep the semantics of the frozen dataclasses they replace."""
+
+    def test_root_system_equality_ignores_index_and_reflections(self):
+        b3 = build_root_system("B", 3)
+        bare = RootSystem(b3.family, b3.rank, b3.cartan, b3.positive_roots, b3.highest_root,
+                          b3.n0, root_index={}, simple_reflections=())
+        assert bare == b3 and hash(bare) == hash(b3)
+        assert b3 != build_root_system("C", 3)
+        assert b3 != RootSystem(b3.family, b3.rank, b3.cartan, b3.positive_roots,
+                                b3.highest_root, b3.n0 + 1, b3.root_index, b3.simple_reflections)
+        assert b3 != (b3.family, b3.rank)
+
+    def test_twist_and_coweight_equality_and_hash(self):
+        reversal = build_twist("A", 3, 2)
+        same = make_twist(build_root_system("A", 3), (3, 2, 1))
+        assert reversal == same and hash(reversal) == hash(same)
+        assert reversal != identity_twist(3)
+        mu = Coweight.of([1, 2])
+        assert mu == Coweight((qext(1), qext(2))) and hash(mu) == hash(Coweight((qext(1), qext(2))))
+        assert mu != Coweight.of([2, 1]) and mu != mu.coords
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: build_root_system("A", 2), "rank"),
+        (lambda: build_twist("D", 4, 3), "perm"),
+        (lambda: Coweight.of([1]), "coords"),
+    ])
+    def test_frozen(self, make, field):
+        record = make()
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) == before
