@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import certify_min_element, check_certificate, minimal_q
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist
@@ -44,7 +44,7 @@ def main() -> int:
         W = weyl_group(family, rank)
         twist = build_twist(family, rank, order)
         q = minimal_q(family, order)
-        classes = partition_memo(W, pi_of(twist))
+        classes = class_list(W, pi_of(twist))
         name = f"{order if order > 1 else ''}{family}{rank}"
         failed_before = failed
         for k, cls in enumerate(classes):

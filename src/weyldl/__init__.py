@@ -11,8 +11,9 @@ from .rootdata import (
 from .weyl import WeylElt, WeylGroup
 from .conjugacy import (
     DeltaClass,
+    class_list,
+    class_of,
     compute_I_J_x,
-    enumerate_delta_classes,
     shift_closure,
     supp_delta,
 )
@@ -47,7 +48,8 @@ __all__ = [
     "WeylGroup",
     "WeylElt",
     "DeltaClass",
-    "enumerate_delta_classes",
+    "class_list",
+    "class_of",
     "shift_closure",
     "supp_delta",
     "compute_I_J_x",

@@ -7,22 +7,26 @@ all of W composed with the diagram automorphism ``i -> pi(i)``.  Passing
 the inverse permutation switches between the two twist directions.
 
 Elements move here only as keys, by ``bytes.translate`` through the
-group's reflection table (see ``weyl``); a class stores the keys of its
-members and the minimal-length members themselves.
+group's reflection table (see ``weyl``); a class is its minimal-length
+members.
 
-The cuspidal classes also come without enumeration, from one minimal
-seed per class walked to its minimal level (``cuspidal_representatives``);
-the enumerated partition is then the tests' oracle.
+Nothing here enumerates a group.  The cuspidal classes come from one
+minimal seed per class walked to its minimal level
+(``cuspidal_representatives``); the class of any element from a descent
+to a minimal element and the levels joined to it (``class_of``,
+``minimal_set``); and the classes of a group from the cuspidal classes
+of its pi-stable parabolics (``class_list``).  The partition of the
+whole group is the tests' oracle.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Frozen, Twist
 from .subsystems import component_orbits, identify_standard
-from .weyl import EnumerationBudgetError, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 __all__ = [
     "DeltaClass",
@@ -33,9 +37,10 @@ __all__ = [
     "inverse_pi",
     "power_pi",
     "shift_closure",
-    "enumerate_delta_classes",
-    "partition_memo",
+    "minimal_set",
     "class_of",
+    "class_list",
+    "partition_memo",
     "supp_delta",
     "compute_I_J_x",
     "ad_pi_on",
@@ -160,10 +165,9 @@ _setattr = object.__setattr__
 
 
 class DeltaClass(Frozen):
-    """One twisted conjugacy class with its minimal-length data.
+    """One twisted conjugacy class, given by its minimal-length members."""
 
-    Not slotted: ``members`` is cached in the instance ``__dict__``.
-    """
+    __slots__ = ("group_key", "direction", "pi", "minimal", "cuspidal")
 
     def __init__(
         self,
@@ -172,17 +176,15 @@ class DeltaClass(Frozen):
         pi: tuple[tuple[int, int], ...],
         minimal: tuple[WeylElt, ...],  # the minimal-length members, by canonical word
         cuspidal: bool,
-        keys: tuple[bytes, ...],  # every member's key, in enumeration order
     ):
         _setattr(self, "group_key", group_key)
         _setattr(self, "direction", direction)
         _setattr(self, "pi", pi)
         _setattr(self, "minimal", minimal)
         _setattr(self, "cuspidal", cuspidal)
-        _setattr(self, "keys", keys)
 
     def _fields(self) -> tuple:
-        return (self.group_key, self.direction, self.pi, self.minimal, self.cuspidal, self.keys)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -193,9 +195,8 @@ class DeltaClass(Frozen):
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        return (f"DeltaClass(group_key={self.group_key!r}, direction={self.direction!r}, "
-                f"pi={self.pi!r}, minimal={self.minimal!r}, cuspidal={self.cuspidal!r}, "
-                f"keys={self.keys!r})")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"DeltaClass({fields})"
 
     @property
     def representative(self) -> WeylElt:
@@ -205,20 +206,22 @@ class DeltaClass(Frozen):
     def min_length(self) -> int:
         return self.minimal[0].length
 
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
     def min_elements(self) -> list[WeylElt]:
         return list(self.minimal)
 
-    @cached_property
-    def members(self) -> frozenset[bytes]:
-        """The member keys as a set, built on first use."""
-        return frozenset(self.keys)
 
-    def contains(self, w: WeylElt) -> bool:
-        return w.group.system.key == self.group_key and w.key in self.members
+def _pi_orbits(pi: PiMap, nodes: Iterable[int]) -> list[frozenset[int]]:
+    """The pi-orbits of a pi-stable node set, by smallest node."""
+    orbits, done = [], set()
+    for i in sorted(nodes):
+        if i not in done:
+            orbit, j = {i}, pi[i]
+            while j != i:
+                orbit.add(j)
+                j = pi[j]
+            done |= orbit
+            orbits.append(frozenset(orbit))
+    return orbits
 
 
 def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
@@ -227,109 +230,6 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
     while not {pi[i] for i in s} <= s:
         s |= {pi[i] for i in s}
     return frozenset(s)
-
-
-def enumerate_delta_classes(
-    W: WeylGroup,
-    pi: PiMap,
-    direction: str = "delta",
-    budget: int = 10 ** 6,
-) -> list[DeltaClass]:
-    """Partition of the whole group W into pi-twisted classes.
-
-    Classes come back sorted by (min_length, canonical word of the
-    representative); the representative is the smallest minimal-length
-    element in that order.  Member keys keep the enumeration order.
-
-    Classes are the orbits of the shifts over the element keys, two
-    translates per shift (see ``_shift_moves``).  A parabolic W_S is
-    partitioned as its standalone group (``subsystems.sub_context``).
-    """
-    node_set = frozenset(W.system.nodes)
-    pi = restrict_pi(pi, node_set)
-    lengths = W.elements(budget=budget)
-    tables = W.reflection_table()
-    moves = [(s_j, pj) for _, _, pj, s_j, _ in _shift_moves(W, pi)]
-    label: dict[bytes, int] = {}
-    count = 0
-    for start in lengths:
-        if start in label:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            img = stack.pop()
-            for s_j, pj in moves:
-                new = img.translate(tables[img[pj]]).translate(s_j)
-                if new not in label:
-                    label[new] = count
-                    stack.append(new)
-        count += 1
-    buckets: list[list[bytes]] = [[] for _ in range(count)]
-    for key in lengths:
-        buckets[label[key]].append(key)
-
-    classes = []
-    for keys in buckets:
-        low = min(lengths[key] for key in keys)
-        minimal = sorted(
-            (WeylElt(W, key, low) for key in keys if lengths[key] == low),
-            key=lambda w: w.word,
-        )
-        classes.append(
-            DeltaClass(
-                group_key=W.system.key,
-                direction=direction,
-                pi=tuple(sorted(pi.items())),
-                minimal=tuple(minimal),
-                cuspidal=(supp_delta(W, pi, minimal[0]) == node_set),
-                keys=tuple(keys),
-            )
-        )
-    classes.sort(key=lambda c: (c.min_length, c.representative.word))
-    return classes
-
-
-_PARTITION_MEMO: dict[tuple, list[DeltaClass]] = {}
-
-
-def partition_memo(
-    W: WeylGroup,
-    pi: PiMap,
-    direction: str = "delta",
-    budget: int = 10 ** 6,
-) -> list[DeltaClass]:
-    """Memoized class partition, keyed on the group's system key.
-
-    Equal keys mean equal Cartan matrices, hence equal root orderings and
-    element encodings, so the entry is safe across group instances.  A
-    standalone parabolic (``subsystems.sub_context``) is labelled by its
-    Cartan submatrix alone, so node sets of different ambient groups with
-    equal submatrices share one group and one partition.  A hit holding
-    more than ``budget`` elements raises EnumerationBudgetError, as the
-    enumeration itself would.
-    """
-    key = (W.system.key, tuple(sorted(restrict_pi(pi, W.system.nodes).items())), direction)
-    classes = _PARTITION_MEMO.get(key)
-    if classes is None:
-        classes = _PARTITION_MEMO[key] = enumerate_delta_classes(W, pi, direction, budget)
-    elif sum(c.size for c in classes) > budget:
-        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
-    return classes
-
-
-def class_of(
-    W: WeylGroup,
-    pi: PiMap,
-    w: WeylElt,
-    direction: str = "delta",
-    budget: int = 10 ** 6,
-) -> DeltaClass:
-    """The enumerated class of W containing ``w``."""
-    for cls in partition_memo(W, pi, direction, budget):
-        if cls.contains(w):
-            return cls
-    raise FalsificationError("element not found in any class (corrupt enumeration)")
 
 
 def compute_I_J_x(
@@ -392,14 +292,7 @@ def closure_min_check(
     of its support is minimal outright, since every element of the
     class needs at least one letter per orbit.
     """
-    orbits = set()
-    for i in supp_delta(W, pi, w):
-        orbit, j = {i}, pi[i]
-        while j != i:
-            orbit.add(j)
-            j = pi[j]
-        orbits.add(frozenset(orbit))
-    if w.length == len(orbits):
+    if w.length == len(_pi_orbits(pi, supp_delta(W, pi, w))):
         return "minimal"
 
     try:
@@ -578,25 +471,35 @@ def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]
     raise ValueError(f"no cuspidal seeds for type {'' if order == 1 else order}{family}{rank}")
 
 
-def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
-    """One minimal word per cuspidal pi-class of W, from its pi-orbits of components.
+# The seeds of each irreducible component, in its own labels 1..m, by its Cartan
+# matrix and twist permutation.
+_COMPONENT_SEEDS: dict[tuple, list[tuple[int, ...]]] = {}
 
-    An orbit of r components contributes the pi^r-seeds of its first
-    component, with the identity on the others; the seeds of W are the
-    products over its orbits.
+
+def _cuspidal_seeds(
+    W: WeylGroup, pi: PiMap, nodes: Optional[Iterable[int]] = None
+) -> list[tuple[int, ...]]:
+    """One minimal word per cuspidal pi-class of W, or of W_nodes for pi-stable nodes.
+
+    From the pi-orbits of components: an orbit of r components
+    contributes the pi^r-seeds of its first component, with the identity
+    on the others; the seeds are the products over the orbits.
     """
     seeds: list[tuple[int, ...]] = [()]
-    for orbit in component_orbits(W, pi):
-        nodes, power = sorted(orbit[0]), power_pi(pi, len(orbit))
-        cartan = [[W.system.cartan[i - 1][j - 1] for j in nodes] for i in nodes]
-        ident = identify_standard(
-            cartan, {k + 1: nodes.index(power[i]) + 1 for k, i in enumerate(nodes)}
-        )
-        if ident is None:
-            raise FalsificationError(f"cannot identify the component {nodes} of {W.system.key[0]}")
-        family, rank, order, phi = ident
-        back = {b: nodes[k - 1] for k, b in phi.items()}  # standard node -> node of W
-        words = [tuple(back[b] for b in word) for word in _standard_seeds(family, rank, order)]
+    for orbit in component_orbits(W, pi, nodes):
+        comp, power = sorted(orbit[0]), power_pi(pi, len(orbit))
+        cartan = tuple(tuple(W.system.cartan[i - 1][j - 1] for j in comp) for i in comp)
+        sigma = tuple(comp.index(power[i]) + 1 for i in comp)
+        if (cartan, sigma) not in _COMPONENT_SEEDS:
+            ident = identify_standard(cartan, dict(enumerate(sigma, 1)))
+            if ident is None:
+                raise FalsificationError(f"cannot identify the component {comp} of {W.system.key[0]}")
+            family, rank, order, phi = ident
+            back = {b: k for k, b in phi.items()}  # standard node -> component node
+            _COMPONENT_SEEDS[cartan, sigma] = [
+                tuple(back[b] for b in word) for word in _standard_seeds(family, rank, order)
+            ]
+        words = [tuple(comp[k - 1] for k in word) for word in _COMPONENT_SEEDS[cartan, sigma]]
         seeds = [s + word for s in seeds for word in words]
     return seeds
 
@@ -607,13 +510,12 @@ _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     """The canonical minimal representatives of the cuspidal pi-classes of W.
 
-    In (length, canonical word) order, as ``partition_memo`` lists the
-    cuspidal classes, but without enumerating W: each seed of
-    ``_cuspidal_seeds`` is walked to its minimal level (``minimal_level``)
-    and the level's smallest canonical word represents the class.  Raises
-    FalsificationError when a seed is not minimal, when its twisted
-    support is not all of W's nodes, or when two seeds share a level.
-    Memoized on the group's system key and pi, as ``partition_memo`` is.
+    In (length, canonical word) order, as ``class_list`` lists the
+    cuspidal classes: each seed of ``_cuspidal_seeds`` is walked to its
+    minimal level (``minimal_level``) and the level's smallest canonical
+    word represents the class.  Raises FalsificationError when a seed is
+    not minimal, when its twisted support is not all of W's nodes, or when
+    two seeds share a level.  Memoized on the group's system key and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
@@ -635,3 +537,143 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
             reps.append(level[0])
         _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
+
+
+# -- classes without enumeration ---------------------------------------------
+
+
+def _descend(W: WeylGroup, pi: PiMap, w: WeylElt) -> WeylElt:
+    """A minimal element of the pi-class of w.
+
+    Walks the non-increasing cyclic shifts from w and restarts from the
+    first element shorter than w, until a walk finds none: non-increasing
+    shifts reach a minimal element from any w (Geck-Pfeiffer 2000, Thm
+    3.2.9; He-Nie, Duke Math. J. 161 (2012), Thm 1.1).
+    """
+    while True:
+        for *_, shorter, change in _shift_walk(W, pi, w, 10 ** 6):
+            if change:
+                w = WeylElt(W, shorter, w.length - 2)
+                break
+        else:
+            return w
+
+
+_OPPOSITIONS: dict[tuple, dict[int, int]] = {}
+
+
+def _opposition(W: WeylGroup, X: frozenset[int]) -> dict[int, int]:
+    """j -> m with w_0^X(alpha_j) = -alpha_m, on the nodes j of X.
+
+    Memoized on the group's system key and X.
+    """
+    key = (W.system.key, X)
+    if key not in _OPPOSITIONS:
+        w0, n2 = W.longest_element(X), 2 * W.nroots
+        _OPPOSITIONS[key] = {j: W.identity.key.find(n2 - w0.key[j - 1]) + 1 for j in X}
+    return _OPPOSITIONS[key]
+
+
+def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
+    """The minimal-length members of the pi-class of the minimal element x, by canonical word.
+
+    Any two of them are joined by length-preserving cyclic shifts and by
+    conjugation with d = w_0^K w_0^J, for a member u with J = supp_pi(u)
+    not all of S and K = J plus one pi-orbit of S - J (Geck-Pfeiffer 2000,
+    Thm 3.2.7; Geck-Kim-Pfeiffer 2000 for the twisted case; He-Nie 2012).
+    K and J are pi-stable, so d is fixed by the twist and d u d^-1 is the
+    twisted conjugate.  w_0^J sends the simple roots of J to the negatives
+    of simple roots of J, and w_0^K those to simple roots of K, so d u d^-1
+    is u with each letter j spelled by the simple root d(alpha_j); its
+    length is checked to be that of u.  So the set is the union of the
+    levels (``minimal_level``) these conjugations reach from x.  Raises
+    FalsificationError when x is not minimal.
+    """
+    orbits = _pi_orbits(pi, W.system.nodes)
+    # (J, orbit) -> j -> the letter of d(alpha_j); None when d commutes with W_J
+    joins: dict[tuple, Optional[dict[int, int]]] = {}
+    found: dict[bytes, WeylElt] = {}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if y.key in found:
+            continue
+        level = minimal_level(W, pi, y)
+        found.update((u.key, u) for u in level)
+        for u in level:
+            J = supp_delta(W, pi, u)
+            for orbit in orbits:
+                if orbit & J:
+                    continue
+                if (J, orbit) not in joins:
+                    inner, outer = _opposition(W, J), _opposition(W, J | orbit)
+                    letters = {j: outer[inner[j]] for j in J}
+                    joins[J, orbit] = None if all(j == m for j, m in letters.items()) else letters
+                letters = joins[J, orbit]
+                if letters is None:
+                    continue
+                v = W._extend(W.identity, [letters[j] for j in u.word])
+                if v.length != u.length:
+                    raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
+                if v.key not in found:
+                    todo.append(v)
+    return sorted(found.values(), key=lambda u: u.word)
+
+
+def _delta_class(W: WeylGroup, pi: PiMap, direction: str, minimal: list[WeylElt]) -> DeltaClass:
+    return DeltaClass(
+        group_key=W.system.key,
+        direction=direction,
+        pi=tuple(sorted(pi.items())),
+        minimal=tuple(minimal),
+        cuspidal=supp_delta(W, pi, minimal[0]) == frozenset(W.system.nodes),
+    )
+
+
+def class_of(W: WeylGroup, pi: PiMap, w: WeylElt, direction: str = "delta") -> DeltaClass:
+    """The pi-class of any element w: shifts down to a minimal element, then ``minimal_set``."""
+    pi = restrict_pi(pi, W.system.nodes)
+    return _delta_class(W, pi, direction, minimal_set(W, pi, _descend(W, pi, w)))
+
+
+_CLASS_MEMO: dict[tuple, list[DeltaClass]] = {}
+
+
+def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaClass]:
+    """Every pi-class of W, by (length, canonical word) of its representative.
+
+    A class meets some pi-stable W_J in a cuspidal class of W_J, whose
+    minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  So each
+    class is the ``minimal_set`` of a seed of W_J (``_cuspidal_seeds``: one
+    minimal word per cuspidal class of W_J); over the pi-stable J, a seed
+    already in a class found is skipped, and raises FalsificationError when
+    J is all of S.  Nothing is enumerated.  Memoized
+    on the group's system key, pi and direction, as
+    ``cuspidal_representatives`` is.  Raises ValueError when some W_J has
+    no cuspidal seeds (E7 and E8 for now).
+    """
+    pi = restrict_pi(pi, W.system.nodes)
+    key = (W.system.key, tuple(sorted(pi.items())), direction)
+    if key not in _CLASS_MEMO:
+        orbits = _pi_orbits(pi, W.system.nodes)
+        found: set[bytes] = set()
+        classes = []
+        for r in range(len(orbits) + 1):
+            for chosen in combinations(orbits, r):
+                for word in _cuspidal_seeds(W, pi, frozenset().union(*chosen)):
+                    x = W.from_word(word)
+                    if x.key in found:
+                        if r == len(orbits):  # every proper W_J came before
+                            raise FalsificationError(f"seed {word} of {W.system.key[0]} is "
+                                                     "not cuspidal, or two seeds share a class")
+                        continue
+                    minimal = minimal_set(W, pi, x)
+                    found.update(u.key for u in minimal)
+                    classes.append(_delta_class(W, pi, direction, minimal))
+        classes.sort(key=lambda c: c.representative.sort_key())
+        _CLASS_MEMO[key] = classes
+    return _CLASS_MEMO[key]
+
+
+# The name the benchmark's certify worker reads.
+partition_memo = class_list

@@ -471,7 +471,7 @@ def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     Memoized per process on (system key, pi, q, key of x), so each
     sub-problem that recurs under many classes is built and validated
     once (``_engine_cold`` on a miss).  Equal system keys mean equal root
-    orders and element encodings, as for ``partition_memo``, and a
+    orders and element encodings, as for ``class_list``, and a
     standalone parabolic is labelled by its Cartan submatrix, so every
     ambient group shares its entries.  A hit is safe: the stored witness
     passed every ``_validate`` of its construction, its ``mu`` is

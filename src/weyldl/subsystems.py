@@ -96,9 +96,9 @@ def sub_context(ambient: WeylGroup, nodes: Iterable[int]) -> SubContext:
     return _SUB_MEMO[key]
 
 
-def components(W: WeylGroup) -> list[frozenset[int]]:
-    """The node sets of the irreducible components of W, by smallest node."""
-    nodes = W.system.nodes
+def components(W: WeylGroup, nodes: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
+    """The node sets of the irreducible components of W (of W_nodes), by smallest node."""
+    nodes = W.system.nodes if nodes is None else frozenset(nodes)
     comps = []
     left = set(nodes)
     while left:
@@ -116,14 +116,16 @@ def components(W: WeylGroup) -> list[frozenset[int]]:
     return sorted(comps, key=min)
 
 
-def component_orbits(W: WeylGroup, pi: dict[int, int]) -> list[list[frozenset[int]]]:
-    """The pi-orbits of the components of W, by smallest node.
+def component_orbits(
+    W: WeylGroup, pi: dict[int, int], nodes: Optional[Iterable[int]] = None
+) -> list[list[frozenset[int]]]:
+    """The pi-orbits of the components of W (of W_nodes, for pi-stable nodes), by smallest node.
 
     Each orbit lists its components C, pi(C), pi^2(C), ..., starting with
     the one that holds the orbit's smallest node.
     """
     orbits, done = [], set()
-    for comp in components(W):
+    for comp in components(W, nodes):
         if comp <= done:
             continue
         orbit = [comp]

@@ -19,11 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .exactnum import QuadExt, qext
 from .rootdata import RootSystem, build_root_system
 
-__all__ = ["WeylGroup", "WeylElt", "EnumerationBudgetError", "weyl_group"]
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when a requested enumeration would exceed its element budget."""
+__all__ = ["WeylGroup", "WeylElt", "weyl_group"]
 
 
 class WeylElt:
@@ -115,7 +111,6 @@ class WeylGroup:
         self.identity = WeylElt(self, bytes(p + 1 + n for p in self.simple_pos), 0)
         # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
         self._negative = bytes(n) + b"\x01" * (256 - n)
-        self._elements: Optional[dict[bytes, int]] = None
         self._tables: Optional[list[bytes]] = None
         self._perm_steps: list[tuple[int, int, int]] = []
         self._coords: Optional[dict[int, tuple[QuadExt, ...]]] = None
@@ -256,12 +251,12 @@ class WeylGroup:
         for j in J:
             if not 1 <= j <= self.rank:
                 raise ValueError(f"node {j} out of range")
-        w = self.identity
-        while True:
-            ascent = next((j for j in J if self.act_on_simple(w, j) > 0), None)
-            if ascent is None:
-                return w
-            w = self._extend(w, (ascent,))
+        tables, n = self.reflection_table(), self.nroots
+        key, length = self.identity.key, 0
+        while ascent := next((j for j in J if key[j - 1] > n), 0):
+            key = key.translate(tables[key[ascent - 1]])
+            length += 1
+        return WeylElt(self, key, length)
 
     def is_min_coset_rep(self, w: WeylElt, nodes: Iterable[int]) -> bool:
         """True iff w alpha_j > 0 for all j in J (minimal in w W_J)."""
@@ -271,45 +266,9 @@ class WeylGroup:
         """Letters occurring in any reduced word of w."""
         return frozenset(self.reduced_word(w))
 
-    # -- enumeration ------------------------------------------------------------
 
-    def elements(self, budget: int = 10 ** 6) -> dict[bytes, int]:
-        """Key -> length of every element of W.
-
-        Breadth-first from the identity by left multiplication with the
-        simple reflections, (s w)(alpha_k) = s(w(alpha_k)): one translate
-        per product, and each length is its BFS depth.  Cached.  Raises
-        EnumerationBudgetError beyond ``budget`` elements, on a cache hit
-        as on the first call.
-        """
-        if self._elements is not None:
-            if len(self._elements) > budget:
-                raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
-            return self._elements
-        tables = self.reflection_table()
-        gens = [tables[b] for b in self.identity.key]
-        lengths = {self.identity.key: 0}
-        frontier = [self.identity.key]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for w in frontier:
-                for s in gens:
-                    u = w.translate(s)
-                    if u in lengths:
-                        continue
-                    if len(lengths) >= budget:
-                        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
-                    lengths[u] = depth
-                    nxt.append(u)
-            frontier = nxt
-        self._elements = lengths
-        return lengths
-
-
-# The group of each named type, built once per process: the root system, the
-# reflection tables and the element enumerations depend only on (family, rank).
+# The group of each named type, built once per process: the root system and the
+# reflection tables depend only on (family, rank).
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
 

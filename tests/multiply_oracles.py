@@ -1,32 +1,155 @@
-"""Reference oracles: element moves by whole products, not by the shift kernel.
+"""Reference oracles: whole-group enumeration, and element moves by whole products.
 
-``weyldl`` moves elements by translating their keys (the images of the
-simple roots) through reflection tables.  The functions here reach the
-same answers the slow, obvious way: cyclic shifts as two full products
-``W.multiply(W.multiply(s_j, w), s_pi(j))``, strong conjugacy by trying
-every x in W, cuspidality by intersecting every proper pi-stable
-parabolic, and permutations of the positive roots composed from
-``reflect``, the simple reflection as a coordinate sum.  They exist only
-so that tests can compare the kernel against them.
+``weyldl`` enumerates no group and moves elements by translating their
+keys (the images of the simple roots) through reflection tables.  The
+functions here reach the same answers the slow, obvious way: the whole
+group breadth-first and its partition into twisted classes as orbits of
+the shifts (``group_elements``, ``enumerate_delta_classes``), cyclic
+shifts as two full products ``W.multiply(W.multiply(s_j, w), s_pi(j))``,
+strong conjugacy by trying every x in W, cuspidality by intersecting every
+proper pi-stable parabolic, and permutations of the positive roots
+composed from ``reflect``, the simple reflection as a coordinate sum.
+They exist only so that tests can compare the package against them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap
+from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap, restrict_pi, supp_delta
 from weyldl.weyl import WeylElt, WeylGroup
+
+
+class EnumerationBudgetError(RuntimeError):
+    """Raised when an enumeration would exceed its element budget."""
+
+
+# Key -> length of every element, per system key: equal keys mean equal Cartan
+# matrices, hence equal element encodings.
+_ELEMENTS: dict[object, dict[bytes, int]] = {}
+
+
+def group_elements(W: WeylGroup, budget: int = 10 ** 6) -> dict[bytes, int]:
+    """Key -> length of every element of W.
+
+    Breadth-first from the identity by left multiplication with the simple
+    reflections, (s w)(alpha_k) = s(w(alpha_k)): one translate per
+    product, and each length is its BFS depth.  Cached per system key.
+    Raises EnumerationBudgetError beyond ``budget`` elements, on a cache
+    hit as on the first call.
+    """
+    lengths = _ELEMENTS.get(W.system.key)
+    if lengths is None:
+        tables = W.reflection_table()
+        gens = [tables[b] for b in W.identity.key]
+        lengths = {W.identity.key: 0}
+        frontier = [W.identity.key]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for w in frontier:
+                for s in gens:
+                    u = w.translate(s)
+                    if u in lengths:
+                        continue
+                    if len(lengths) >= budget:
+                        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
+                    lengths[u] = depth
+                    nxt.append(u)
+            frontier = nxt
+        _ELEMENTS[W.system.key] = lengths
+    if len(lengths) > budget:
+        raise EnumerationBudgetError(f"enumeration exceeded budget {budget}")
+    return lengths
 
 
 def elements_of(W: WeylGroup) -> list[WeylElt]:
     """Every element of W, in enumeration order."""
-    return [WeylElt(W, key, length) for key, length in W.elements().items()]
+    return [WeylElt(W, key, length) for key, length in group_elements(W).items()]
+
+
+# (system key, pi, direction) -> (classes, member keys per class, class index per key).
+_PARTITIONS: dict[tuple, tuple[list[DeltaClass], list[tuple[bytes, ...]], dict[bytes, int]]] = {}
+
+
+def _partition(W: WeylGroup, pi: PiMap, direction: str):
+    pi = restrict_pi(pi, W.system.nodes)
+    key = (W.system.key, tuple(sorted(pi.items())), direction)
+    if key not in _PARTITIONS:
+        lengths = group_elements(W)
+        tables = W.reflection_table()
+        simple = [tables[b] for b in W.identity.key]
+        moves = [(simple[j - 1], pi[j] - 1) for j in sorted(pi)]
+        label: dict[bytes, int] = {}
+        count = 0
+        for start in lengths:  # orbits of s_j w s_pi(j) = s_j s_{w(alpha_pi(j))} w
+            if start in label:
+                continue
+            label[start] = count
+            stack = [start]
+            while stack:
+                img = stack.pop()
+                for s_j, pj in moves:
+                    new = img.translate(tables[img[pj]]).translate(s_j)
+                    if new not in label:
+                        label[new] = count
+                        stack.append(new)
+            count += 1
+        buckets: list[list[bytes]] = [[] for _ in range(count)]
+        for k in lengths:  # members in enumeration order
+            buckets[label[k]].append(k)
+        classes = []
+        for members in buckets:
+            low = min(lengths[k] for k in members)
+            minimal = sorted((WeylElt(W, k, low) for k in members if lengths[k] == low),
+                             key=lambda w: w.word)
+            classes.append(DeltaClass(
+                group_key=W.system.key, direction=direction, pi=tuple(sorted(pi.items())),
+                minimal=tuple(minimal),
+                cuspidal=supp_delta(W, pi, minimal[0]) == frozenset(W.system.nodes),
+            ))
+        order = sorted(range(count), key=lambda c: classes[c].representative.sort_key())
+        position = {c: r for r, c in enumerate(order)}
+        _PARTITIONS[key] = (
+            [classes[c] for c in order],
+            [tuple(buckets[c]) for c in order],
+            {k: position[c] for k, c in label.items()},
+        )
+    return _PARTITIONS[key]
+
+
+def enumerate_delta_classes(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaClass]:
+    """The partition of the whole group W into pi-twisted classes.
+
+    Classes come back sorted by (min_length, canonical word of the
+    representative), the representative being the smallest minimal-length
+    element in that order: the order of ``class_list``.  Classes are the
+    orbits of the shifts over the element keys.  Memoized on the system
+    key, pi and direction.
+    """
+    return _partition(W, pi, direction)[0]
+
+
+def oracle_class_of(W: WeylGroup, pi: PiMap, w: WeylElt, direction: str = "delta") -> DeltaClass:
+    """The enumerated class of W containing ``w``."""
+    classes, _, owner = _partition(W, pi, direction)
+    return classes[owner[w.key]]
+
+
+def class_keys(W: WeylGroup, cls: DeltaClass) -> tuple[bytes, ...]:
+    """The member keys of a class of W, in enumeration order, read off the enumeration."""
+    classes, keys, owner = _partition(W, dict(cls.pi), cls.direction)
+    k = owner[cls.representative.key]
+    if classes[k] != cls:
+        raise AssertionError(f"{cls!r} is not a class of the enumeration")
+    return keys[k]
 
 
 def class_elements(W: WeylGroup, cls: DeltaClass) -> list[WeylElt]:
     """The members of a class as elements, in enumeration order."""
-    lengths = W.elements()
-    return [WeylElt(W, key, lengths[key]) for key in cls.keys]
+    lengths = group_elements(W)
+    return [WeylElt(W, key, lengths[key]) for key in class_keys(W, cls)]
 
 
 def reflect(cartan: Sequence[Sequence[int]], i: int, coords: tuple[int, ...]) -> tuple[int, ...]:
@@ -153,7 +276,7 @@ def elementarily_strongly_conjugate(
     """
     if w.length != wp.length:
         return None
-    elements = W.elements(budget=budget)
+    elements = group_elements(W, budget=budget)
     candidates = sorted(
         (WeylElt(W, key, length) for key, length in elements.items()),
         key=lambda x: x.sort_key(),

@@ -13,8 +13,8 @@ import pytest
 
 from weyldl.casetables import load_case_records, verify_case
 from weyldl.conjugacy import (
+    class_list,
     class_of,
-    partition_memo,
     pi_of,
     shift_closure,
     supp_delta,
@@ -34,6 +34,7 @@ from multiply_oracles import (
     class_elements,
     elementarily_strongly_conjugate,
     elements_of,
+    enumerate_delta_classes,
     is_cuspidal_by_definition,
     shift_descend_to_min,
 )
@@ -103,7 +104,8 @@ def test_criterion_2_spade_cases():
 def test_criterion_3_and_6_pipeline_rank_le_4(family, rank, order):
     """Every class gets solver and constructive certificates at minimal q."""
     W, twist, pi, q = _ctx(family, rank, order)
-    classes = partition_memo(W, pi)
+    classes = class_list(W, pi)
+    assert classes == enumerate_delta_classes(W, pi)
     for cls in classes:
         lp_cert = certify_min_element(W, twist, cls, q)
         assert check_certificate(lp_cert), (family, rank, order, cls.representative.word)
@@ -120,7 +122,7 @@ def test_criterion_4_structural_theorems():
     # Descent to the minimal level, exhaustively at rank <= 4.
     for family, rank, order in RANK_LE_4:
         W, twist, pi, _ = _ctx(family, rank, order)
-        classes = partition_memo(W, pi)
+        classes = enumerate_delta_classes(W, pi)
         owner = {}
         for cls in classes:
             for w in class_elements(W, cls):
@@ -134,7 +136,7 @@ def test_criterion_4_structural_theorems():
     # Any two minimal elements are chained by elementary strong moves (rank <= 3).
     for family, rank, order in RANK_LE_3:
         W, twist, pi, _ = _ctx(family, rank, order)
-        for cls in partition_memo(W, pi):
+        for cls in enumerate_delta_classes(W, pi):
             mins = cls.min_elements()
             if len(mins) == 1:
                 continue
@@ -158,7 +160,7 @@ def test_criterion_4_structural_theorems():
     for family, rank, order in RANK_LE_4:
         W, twist, pi, _ = _ctx(family, rank, order)
         nodes = frozenset(range(1, rank + 1))
-        for cls in partition_memo(W, pi):
+        for cls in enumerate_delta_classes(W, pi):
             by_def = is_cuspidal_by_definition(W, pi, cls)
             by_supp = supp_delta(W, pi, cls.representative) == nodes
             assert by_def == by_supp, (family, rank, order, cls.representative.word)
@@ -177,7 +179,7 @@ def test_criterion_5_class_count_oracles():
     records = load_case_records()
     for (family, rank, order), count in expected.items():
         W, twist, pi, _ = _ctx(family, rank, order)
-        cuspidal = [c for c in partition_memo(W, pi) if c.cuspidal]
+        cuspidal = [c for c in enumerate_delta_classes(W, pi) if c.cuspidal]
         assert len(cuspidal) == count
         # The tabulated rows' explicit options hit the same number of
         # distinct classes.
@@ -231,7 +233,7 @@ def test_criterion_9_determinism():
     pool = []
     for family, rank, order in RANK_LE_4:
         W, twist, pi, q = _ctx(family, rank, order)
-        for cls in partition_memo(W, pi):
+        for cls in class_list(W, pi):
             pool.append((W, twist, cls, q))
     picks = [pool[rng.randrange(len(pool))] for _ in range(100)]
     for W, twist, cls, q in picks:
@@ -269,7 +271,7 @@ def test_criterion_9_full_report_digest():
 
 
 # SHA-256 of the 360 certificates of W3 (the solver and the constructive
-# certificate of every class of RANK_LE_4 at minimal q, in partition order,
+# certificate of every class of RANK_LE_4 at minimal q, in class-list order,
 # each ``to_json()`` followed by a newline; 91337 bytes), recorded from the
 # code before the integer-backed QuadExt.  Any change to a ``mu``, a word or
 # a form changes it.
@@ -282,7 +284,7 @@ def test_criterion_9_w3_certificate_digest():
     count = size = 0
     for family, rank, order in RANK_LE_4:
         W, twist, pi, q = _ctx(family, rank, order)
-        for cls in partition_memo(W, pi):
+        for cls in class_list(W, pi):
             for cert in (
                 certify_min_element(W, twist, cls, q),
                 constructive_certificate(W, twist, cls, q),
@@ -308,7 +310,7 @@ def test_criterion_9_rank_5_6_certificate_digest():
     count = size = 0
     for family, rank, order in RANK_5_6:
         W, twist, pi, q = _ctx(family, rank, order)
-        for cls in partition_memo(W, pi):
+        for cls in class_list(W, pi):
             for cert in (
                 certify_min_element(W, twist, cls, q),
                 constructive_certificate(W, twist, cls, q),

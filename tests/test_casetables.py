@@ -19,11 +19,13 @@ from weyldl.casetables import (
     verify_all,
     verify_case,
 )
-from weyldl.conjugacy import class_of, cuspidal_representatives, partition_memo
+from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, check_certificate
 from weyldl.exactnum import SQRT2, qext
 from weyldl.rootdata import weyl_order
 from weyldl.subsystems import sub_context
+
+from multiply_oracles import enumerate_delta_classes, oracle_class_of
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -197,21 +199,21 @@ def test_inner_cuspidal_matches_enumeration(records):
                 placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
     assert placements
     for sub, pi, placed in placements.values():
-        expected = [c.representative.word for c in partition_memo(sub.group, pi) if c.cuspidal]
+        expected = [c.representative.word for c in enumerate_delta_classes(sub.group, pi) if c.cuspidal]
         assert [v.word for v in cuspidal_representatives(sub.group, pi)] == expected
         assert placed.inner_cuspidal() == [sub.word_to_ambient(w) for w in expected]
 
 
 def test_verify_all_partitions_nothing():
-    """verify_all() and verify_all(slow=True) pass without partitioning any
-    group: the partition memo stays empty.  Run in a fresh interpreter: the
-    memo is process-global."""
+    """verify_all() and verify_all(slow=True) pass without listing the classes
+    of any group: the class-list memo stays empty.  Run in a fresh
+    interpreter: the memo is process-global."""
     program = (
         "from weyldl import conjugacy\n"
         "from weyldl.casetables import verify_all\n"
         "for slow in (False, True):\n"
         "    assert verify_all(slow=slow).all_passed\n"
-        "    print(len(conjugacy._PARTITION_MEMO))\n"
+        "    print(len(conjugacy._CLASS_MEMO))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -235,7 +237,7 @@ class TestCoverage:
         inner options, as the verifier resolves them."""
         ctx = type_context(family, rank, twist)
         W, pi = ctx.W, ctx.pi_inv
-        cusp = [c for c in partition_memo(W, pi, direction="delta_inv") if c.cuspidal]
+        cusp = [c for c in class_list(W, pi, direction="delta_inv") if c.cuspidal]
         covered = {c.representative: False for c in cusp}
         for rec in case_records(family, rank, twist):
             placed = place_row(W, pi, rec.J, rec.w1)
@@ -262,12 +264,12 @@ def _verdicts_by_enumeration(record):
     for vw in v_words:
         v = W.from_word(vw)
         if placed.K and W.support(v) <= placed.K:
-            cls = class_of(*placed.inner(v), direction="delta_inv")
+            cls = oracle_class_of(*placed.inner(v), direction="delta_inv")
             inner.append(cls.min_length == v.length)
         else:
             inner.append(not placed.K)
         w = W.multiply(v, placed.w1)
-        cls = class_of(W, pi, w, direction="delta_inv")
+        cls = oracle_class_of(W, pi, w, direction="delta_inv")
         full.append(cls.min_length == w.length)
         cuspidal.append(cls.cuspidal)
     if record.v_mode == "all":

@@ -55,6 +55,29 @@ class TestEnumerate:
         out = run_cli("enumerate", "--family", "Z", "--rank", "2", cwd=tmp_path)
         assert out.returncode == 2
 
+    def test_columns(self, tmp_path):
+        """Representative, minimal length and cuspidal flag; no class size."""
+        out = run_cli("enumerate", "--family", "A", "--rank", "2", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "rep=[e] min_length=0 cuspidal=false",
+            "rep=[1] min_length=1 cuspidal=false",
+            "rep=[1,2] min_length=2 cuspidal=true",
+        ]
+
+    def test_e7_has_no_seeds_yet(self, tmp_path):
+        out = run_cli("enumerate", "--family", "E", "--rank", "7", cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.strip() == "error: no cuspidal seeds for type E7"
+
+    @pytest.mark.parametrize("verb", ["enumerate", "certify"])
+    def test_no_budget_option(self, tmp_path, verb):
+        """Neither verb enumerates a group, so neither takes --budget."""
+        rep = ("--class-rep", "1") if verb == "certify" else ()
+        out = run_cli(verb, "--family", "A", "--rank", "2", *rep, "--budget", "10", cwd=tmp_path)
+        assert out.returncode == 2
+        assert out.stderr.strip().endswith("error: unrecognized arguments: --budget 10")
+
 
 class TestCertifyCheck:
     def test_suzuki_round_trip(self, tmp_path):
@@ -132,6 +155,28 @@ class TestCertifyCheck:
             assert out.returncode == 1, (rep, out.stderr)
             assert out.stderr.strip() == message
             assert out.stdout == ""
+
+    @pytest.mark.parametrize("rank,rep,length", [
+        (7, "4,1,2,3,4", 3),  # a longer word of the class of 1,2,3
+        (8, "1,2,3,4,5,6,7,8", 8),  # the Coxeter class
+        (8, "w0", 120),  # the class of w0 = -1
+    ])
+    def test_e7_e8_round_trip(self, tmp_path, rank, rep, length):
+        """certify then check, each in a fresh interpreter, on classes of groups
+        too large to enumerate; both exit 0."""
+        if rep == "w0":
+            from weyldl.weyl import weyl_group
+
+            W = weyl_group("E", rank)
+            rep = ",".join(map(str, W.longest_element(range(1, rank + 1)).word))
+        cert_path = tmp_path / "cert.json"
+        out = run_cli("certify", "--family", "E", "--rank", str(rank), "--class-rep", rep,
+                      "--out", str(cert_path), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads(cert_path.read_text())["w"]) == length
+        check = run_cli("check", str(cert_path), cwd=tmp_path)
+        assert check.returncode == 0, check.stderr
+        assert check.stdout.startswith("accept")
 
     def test_byte_identical_runs(self, tmp_path):
         args = (

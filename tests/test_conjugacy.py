@@ -2,16 +2,18 @@ import pytest
 
 import random
 
+import multiply_oracles
 from weyldl import conjugacy
 from weyldl.conjugacy import (
+    DeltaClass,
     FalsificationError,
+    class_list,
     class_of,
     closure_min_check,
     compute_I_J_x,
     cuspidal_representatives,
-    enumerate_delta_classes,
     minimal_level,
-    partition_memo,
+    minimal_set,
     pi_of,
     shift_closure,
     supp_delta,
@@ -23,11 +25,15 @@ from weyldl.weyl import WeylGroup
 from conftest import RANK_5_6, RANK_LE_4, group, twist_of
 from multiply_oracles import (
     class_elements,
+    class_keys,
     cyclic_shift_step,
     elementarily_strongly_conjugate,
     elements_of,
+    enumerate_delta_classes,
+    group_elements,
     is_cuspidal_by_definition,
     multiply_shift_closure,
+    oracle_class_of,
     shift_descend_to_min,
 )
 
@@ -93,7 +99,7 @@ class TestClassCounts:
     def test_type_a_counts_partitions(self, n):
         # Classes of S_n = W(A_{n-1}) are cycle types: partitions of n.
         W = group("A", n - 1)
-        assert len(partition_memo(W, identity_pi(W))) == _partitions(n)
+        assert len(class_list(W, identity_pi(W))) == _partitions(n)
 
     @pytest.mark.parametrize("family", ["B", "C"])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -103,7 +109,7 @@ class TestClassCounts:
         W = group(family, n)
         pairs = sum(_partitions(k) * _partitions(n - k) for k in range(n + 1))
         assert pairs == {2: 5, 3: 10, 4: 20, 5: 36, 6: 65}[n]
-        assert len(partition_memo(W, identity_pi(W))) == pairs
+        assert len(class_list(W, identity_pi(W))) == pairs
 
 
 class TestShiftClosureOracle:
@@ -129,7 +135,7 @@ class TestEnumeration:
         classes = enumerate_delta_classes(A2, identity_pi(A2))
         assert len(classes) == 3
         assert [c.min_length for c in classes] == [0, 1, 2]
-        assert [c.size for c in classes] == [1, 3, 2]
+        assert [len(class_keys(A2, c)) for c in classes] == [1, 3, 2]
 
     def test_g2_untwisted(self, G2):
         classes = enumerate_delta_classes(G2, identity_pi(G2))
@@ -137,19 +143,19 @@ class TestEnumeration:
         assert sum(1 for c in classes if c.cuspidal) == 3
 
     def test_f4_untwisted(self, F4):
-        classes = partition_memo(F4, identity_pi(F4))
+        classes = class_list(F4, identity_pi(F4))
         assert len(classes) == 25
         assert sum(1 for c in classes if c.cuspidal) == 9
 
     def test_partition_is_exhaustive(self, B2):
         classes = enumerate_delta_classes(B2, identity_pi(B2))
-        assert sum(c.size for c in classes) == len(B2.elements())
-        assert sorted(k for c in classes for k in c.keys) == sorted(B2.elements())
+        assert sum(len(class_keys(B2, c)) for c in classes) == len(group_elements(B2))
+        assert sorted(k for c in classes for k in class_keys(B2, c)) == sorted(group_elements(B2))
 
     def test_length_parity_constant_on_classes(self, F4, D4):
         for W, order in ((F4, 1), (F4, 2), (D4, 3)):
             pi = pi_of(twist_of(W, order))
-            for cls in partition_memo(W, pi):
+            for cls in enumerate_delta_classes(W, pi):
                 assert all(w.length % 2 == cls.min_length % 2 for w in class_elements(W, cls))
 
     def test_identity_closure_is_identity(self, A2):
@@ -200,8 +206,7 @@ class TestEnumeration:
             assert {frozenset(class_elements(W, c)) for c in classes} == orbits
             for cls in classes:
                 members = class_elements(W, cls)
-                assert cls.keys == tuple(w.key for w in elements if w.key in cls.members)
-                assert cls.size == len(members)
+                assert class_keys(W, cls) == tuple(w.key for w in elements if w in members)
                 assert cls.min_length == min(w.length for w in members)
                 mins = [w for w in members if w.length == cls.min_length]
                 assert cls.representative == min(mins, key=lambda w: w.word)
@@ -209,11 +214,12 @@ class TestEnumeration:
 
 
 class TestDeltaClassRecord:
-    """DeltaClass keeps the semantics of the frozen dataclass it replaces."""
+    """DeltaClass keeps the semantics of the frozen dataclass it replaces, slotted."""
 
     def test_equality_hash_and_frozen(self):
         W, pi = group("B", 3), pi_of(build_twist("B", 3, 1))
-        fresh, again = enumerate_delta_classes(W, pi), enumerate_delta_classes(W, pi)
+        again = class_list(W, pi)
+        fresh = [class_of(W, pi, c.minimal[-1]) for c in again]
         assert fresh[0] is not again[0]
         assert fresh == again and [hash(c) for c in fresh] == [hash(c) for c in again]
         assert fresh[0] != fresh[1]
@@ -221,9 +227,9 @@ class TestDeltaClassRecord:
         with pytest.raises(AttributeError):
             cls.cuspidal = not cls.cuspidal
         with pytest.raises(AttributeError):
-            del cls.keys
-        # The member set is still cached on the instance, outside the compared fields.
-        assert cls.members is cls.members and cls.contains(cls.representative)
+            del cls.minimal
+        assert not hasattr(cls, "__dict__")
+        assert DeltaClass.__slots__ == ("group_key", "direction", "pi", "minimal", "cuspidal")
         assert cls == again[-1]
 
 
@@ -237,7 +243,7 @@ class TestSharedSubGroups:
         assert low.nodes != high.nodes
         pi_low = low.pi_to_sub({i: i for i in low.nodes})
         pi_high = high.pi_to_sub({i: i for i in high.nodes})
-        assert partition_memo(low.group, pi_low) is partition_memo(high.group, pi_high)
+        assert class_list(low.group, pi_low) is class_list(high.group, pi_high)
 
     def test_same_word_gives_equal_elements(self):
         low = sub_context(group("C", 7), range(3, 8))
@@ -279,7 +285,7 @@ class TestCuspidality:
 
     def test_coxeter_class_cuspidal(self, A2):
         pi = identity_pi(A2)
-        cls = class_of(A2, pi, A2.from_word([1, 2]))
+        cls = class_of(A2, pi, A2.from_word([2, 1]))
         assert cls.cuspidal
         assert is_cuspidal_by_definition(A2, pi, cls)
 
@@ -295,7 +301,7 @@ class TestCuspidality:
         ]:
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
-            for cls in partition_memo(W, pi):
+            for cls in class_list(W, pi):
                 assert cls.cuspidal == is_cuspidal_by_definition(W, pi, cls), (
                     family, rank, order, cls.representative.word,
                 )
@@ -349,13 +355,14 @@ class TestInverseMap:
         for family, rank, order in [("A", 3, 1), ("A", 3, 2), ("B", 3, 1), ("G", 2, 2)]:
             W = group(family, rank)
             t = build_twist(family, rank, order)
-            fwd = partition_memo(W, pi_of(t, "delta"))
-            bwd = partition_memo(W, pi_of(t, "delta_inv"), direction="delta_inv")
+            fwd = class_list(W, pi_of(t, "delta"))
+            bwd = class_list(W, pi_of(t, "delta_inv"), direction="delta_inv")
             for cls in fwd:
                 winv = W.invert(cls.representative)
-                other = next(c for c in bwd if c.contains(winv))
+                other = class_of(W, pi_of(t, "delta_inv"), winv, direction="delta_inv")
+                assert other in bwd
                 assert other.min_length == cls.min_length
-                assert other.size == cls.size
+                assert len(class_keys(W, other)) == len(class_keys(W, cls))
 
 
 class TestClosureMinCheck:
@@ -365,20 +372,20 @@ class TestClosureMinCheck:
 
     def test_agrees_with_enumeration_f4(self, F4):
         pi = identity_pi(F4)
-        classes = partition_memo(F4, pi)
+        classes = enumerate_delta_classes(F4, pi)
         for cls in classes[:12]:
             for w in cls.min_elements()[:2]:
                 assert closure_min_check(F4, pi, w) == "minimal"
         # A non-minimal element must be detected: s_1 w0 has length 23,
         # its class minimal length 9.
         big = F4.multiply(F4.simple(1), F4.longest_element(range(1, 5)))
-        assert big.length > class_of(F4, pi, big).min_length
+        assert big.length > oracle_class_of(F4, pi, big).min_length
         assert closure_min_check(F4, pi, big) == "not_minimal"
 
     def test_budget(self, F4):
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
-        cls = class_of(F4, pi, w)
+        cls = oracle_class_of(F4, pi, w)
         picked = [x for x in class_elements(F4, cls) if x.length == cls.min_length][0]
         # Longer than its support needs, so the fast path does not answer.
         assert picked.length > supp_len(F4, pi, picked)
@@ -391,7 +398,7 @@ class TestClosureMinCheck:
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
             for w in elements_of(W):
-                minimal = w.length == class_of(W, pi, w, direction=direction).min_length
+                minimal = w.length == oracle_class_of(W, pi, w, direction).min_length
                 assert closure_min_check(W, pi, w) == ("minimal" if minimal else "not_minimal"), (
                     family, rank, order, direction, w.word,
                 )
@@ -417,7 +424,7 @@ class TestShiftsStayInClass:
         ]:
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
-            classes = partition_memo(W, pi)
+            classes = enumerate_delta_classes(W, pi)
             owner = {}
             for k, cls in enumerate(classes):
                 for w in class_elements(W, cls):
@@ -438,33 +445,9 @@ class TestBudgets:
             shift_closure(F4, pi, big, budget=2)
         assert "budget" in str(err.value)
 
-    def test_enumeration_budget(self):
-        from weyldl.rootdata import build_root_system
-        from weyldl.weyl import EnumerationBudgetError
-
-        fresh = WeylGroup(build_root_system("F", 4))
-        with pytest.raises(EnumerationBudgetError):
-            enumerate_delta_classes(fresh, identity_pi(fresh), budget=10)
-
-    def test_budget_binds_on_cache_hits(self, F4):
-        from weyldl.weyl import EnumerationBudgetError
-
-        pi = identity_pi(F4)
-        assert len(F4.elements()) == 1152
-        assert sum(c.size for c in partition_memo(F4, pi)) == 1152
-        with pytest.raises(EnumerationBudgetError):
-            F4.elements(budget=10)
-        with pytest.raises(EnumerationBudgetError):
-            partition_memo(F4, pi, budget=10)
-        # A budget the cached set fits in, to the element, still hits.
-        assert len(F4.elements(budget=1152)) == 1152
-        assert sum(c.size for c in partition_memo(F4, pi, budget=1152)) == 1152
-        with pytest.raises(EnumerationBudgetError):
-            F4.elements(budget=1151)
-
 
 def cuspidal_words_by_enumeration(W, pi, direction="delta"):
-    return [c.representative.word for c in partition_memo(W, pi, direction) if c.cuspidal]
+    return [c.representative.word for c in enumerate_delta_classes(W, pi, direction) if c.cuspidal]
 
 
 def block_cartan(*blocks):
@@ -530,23 +513,22 @@ class TestCuspidalRepresentatives:
                 groups.append((_cartan_group(cartan), p, "delta"))
         checked = 0
         for W, pi, direction in groups:
-            for cls in partition_memo(W, pi, direction):
+            for cls in enumerate_delta_classes(W, pi, direction):
                 if cls.cuspidal:
                     assert minimal_level(W, pi, cls.minimal[-1]) == cls.min_elements()
                     checked += 1
         assert checked == 304
 
     def test_enumerates_nothing(self, monkeypatch):
-        """With a cold memo, E6 and 2E6 come out without listing any element."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumeration called")
-
+        """With cold memos, E6 and 2E6 come out without listing any element:
+        the package has no enumeration to call (``test_no_enumeration_in_the_package``)."""
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
-        monkeypatch.setattr(WeylGroup, "elements", refuse)
-        monkeypatch.setattr(conjugacy, "enumerate_delta_classes", refuse)
+        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        monkeypatch.setattr(multiply_oracles, "_ELEMENTS", {})
         E6 = group("E", 6)
         for order in (1, 2):
             assert cuspidal_representatives(E6, pi_of(build_twist("E", 6, order)))
+        assert multiply_oracles._ELEMENTS == {}
 
     @pytest.mark.parametrize("seeds,message", [
         (("12", "1212", "121"), "not minimal"),
@@ -554,26 +536,117 @@ class TestCuspidalRepresentatives:
         (("12", "1212", "2121"), "share a class"),
     ])
     def test_bad_seed_raises(self, G2, monkeypatch, seeds, message):
-        """A non-minimal, non-cuspidal or repeated seed raises; it never passes."""
+        """A non-minimal, non-cuspidal or repeated seed raises, in the cuspidal
+        representatives and in the class list; it never passes."""
         table = dict(conjugacy._SEED_TABLE)
         table[("G", 2, 1)] = seeds
         monkeypatch.setattr(conjugacy, "_SEED_TABLE", table)
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
-        with pytest.raises(FalsificationError, match=message):
-            cuspidal_representatives(G2, identity_pi(G2))
+        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        monkeypatch.setattr(conjugacy, "_CLASS_MEMO", {})
+        for oracle in (cuspidal_representatives, class_list):
+            with pytest.raises(FalsificationError, match=message):
+                oracle(G2, identity_pi(G2))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("family,order", [
         ("A", 1), ("A", 2), ("B", 1), ("C", 1), ("D", 1), ("D", 2),
     ])
     def test_classical_rank_7(self, family, order, monkeypatch):
-        """A7, 2A7, B7, C7, D7 and 2D7: signed cycle types against enumeration.
+        """A7, 2A7, B7, C7, D7 and 2D7: signed cycle types, and the class list
+        class by class and minimal list by minimal list, against enumeration.
 
-        A fresh group and partition memo, so the enumeration is freed after the test."""
-        from weyldl.rootdata import build_root_system
-
-        monkeypatch.setattr(conjugacy, "_PARTITION_MEMO", {})
-        W = WeylGroup(build_root_system(family, 7))
+        Fresh oracle and class memos, so the enumeration is freed after the test."""
+        monkeypatch.setattr(multiply_oracles, "_ELEMENTS", {})
+        monkeypatch.setattr(multiply_oracles, "_PARTITIONS", {})
+        monkeypatch.setattr(conjugacy, "_CLASS_MEMO", {})
+        W = group(family, 7)
         pi = pi_of(build_twist(family, 7, order))
         got = [w.word for w in cuspidal_representatives(W, pi)]
         assert got == cuspidal_words_by_enumeration(W, pi)
+        assert class_list(W, pi) == enumerate_delta_classes(W, pi)
+
+
+class TestClassOracle:
+    """``class_list``, ``class_of`` and ``minimal_set`` against the enumerated partition."""
+
+    @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
+    def test_class_list_matches_enumeration(self, family, rank, order, direction):
+        """Every twisted group of rank <= 6, both directions: the same classes in
+        the same order, each with the same minimal list and cuspidal flag."""
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order), direction)
+        assert class_list(W, pi, direction) == enumerate_delta_classes(W, pi, direction)
+
+    @pytest.mark.parametrize("name", sorted(SWAPPED))
+    def test_class_list_swapped_components(self, name):
+        """Reducible groups whose twist permutes components, both directions."""
+        cartan, pi = SWAPPED[name]
+        W = _cartan_group(cartan)
+        for p in (pi, {v: k for k, v in pi.items()}):
+            assert class_list(W, p) == enumerate_delta_classes(W, p)
+
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+    def test_class_of_every_element_rank_le_4(self, family, rank, order):
+        """The class of every element, from the element alone, both directions."""
+        W = group(family, rank)
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(build_twist(family, rank, order), direction)
+            for w in elements_of(W):
+                assert class_of(W, pi, w, direction) == oracle_class_of(W, pi, w, direction), (
+                    family, rank, order, direction, w.word)
+
+    def test_minimal_set_joins_levels(self):
+        """A class whose minimal elements lie in several cyclic-shift levels: the
+        long reflections of B3, whose minimal elements s1 and s2 are each a
+        level of their own, joined by conjugation with w_0^K w_0^J."""
+        W = group("B", 3)
+        pi = identity_pi(W)
+        cls = oracle_class_of(W, pi, W.simple(1))
+        assert len(minimal_level(W, pi, W.simple(1))) < len(cls.minimal)
+        assert minimal_set(W, pi, W.simple(1)) == cls.min_elements()
+
+    def test_minimal_set_rejects_non_minimal(self, A2):
+        with pytest.raises(FalsificationError, match="not minimal"):
+            minimal_set(A2, identity_pi(A2), A2.from_word([1, 2, 1]))
+
+    @pytest.mark.parametrize("rank", [7, 8])
+    def test_e7_e8_classes_from_one_element(self, rank):
+        """Without enumeration: the Coxeter class (one element per orientation of
+        the Dynkin tree, 2^(rank - 1)), the class of w0 = -1 (central), and a
+        non-minimal word descending to the class of s1 s2 s3."""
+        W = group("E", rank)
+        pi = identity_pi(W)
+        coxeter = class_of(W, pi, W.from_word(range(1, rank + 1)))
+        assert coxeter.cuspidal and coxeter.min_length == rank
+        assert len(coxeter.minimal) == 2 ** (rank - 1)
+        w0 = W.longest_element(range(1, rank + 1))
+        assert class_of(W, pi, w0).minimal == (w0,)
+        word = W.from_word([4, 1, 2, 3, 4])
+        assert word.length == 5
+        cls = class_of(W, pi, word)
+        assert cls.representative.word == (1, 2, 3) and not cls.cuspidal
+        assert cls == class_of(W, pi, cls.minimal[-1])
+
+    def test_class_list_needs_seeds(self):
+        """E7 has no cuspidal seeds yet, so its class list raises rather than guess."""
+        with pytest.raises(ValueError, match="no cuspidal seeds for type E7"):
+            class_list(group("E", 7), identity_pi(group("E", 7)))
+
+
+def test_no_enumeration_in_the_package():
+    """No module of weyldl enumerates a group: the enumeration, its budget error
+    and the per-group element cache live only in the tests' oracle."""
+    import importlib
+    import pkgutil
+
+    import weyldl
+
+    for info in pkgutil.iter_modules(weyldl.__path__, "weyldl."):
+        if info.name == "weyldl.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name in ("enumerate_delta_classes", "EnumerationBudgetError", "_PARTITION_MEMO"):
+            assert not hasattr(module, name), (info.name, name)
+    assert not hasattr(WeylGroup, "elements") and not hasattr(WeylGroup(group("A", 1).system), "_elements")

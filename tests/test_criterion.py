@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.conjugacy import compute_I_J_x, partition_memo, pi_of
+from weyldl.conjugacy import class_list, compute_I_J_x, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     FORM_INVERSE,
@@ -466,7 +466,7 @@ def test_fuzzed_certificate_text(text):
 class TestCertify:
     def test_identity_class(self, A2):
         pi = pi_of(build_twist("A", 2, 1))
-        classes = partition_memo(A2, pi)
+        classes = class_list(A2, pi)
         cert = certify_min_element(A2, build_twist("A", 2, 1), classes[0], qext(2))
         assert cert.w == ()
         assert check_certificate(cert)
@@ -474,7 +474,7 @@ class TestCertify:
     def test_suzuki_class(self, B2):
         twist = build_twist("B", 2, 2)
         pi = pi_of(twist)
-        classes = partition_memo(B2, pi)
+        classes = class_list(B2, pi)
         target = next(c for c in classes if c.representative == B2.simple(1))
         cert = certify_min_element(B2, twist, target, SQRT2)
         assert check_certificate(cert)
@@ -487,7 +487,7 @@ class TestCertify:
 
     def test_below_minimal_q(self, G2):
         twist = build_twist("G", 2, 2)
-        classes = partition_memo(G2, pi_of(twist))
+        classes = class_list(G2, pi_of(twist))
         with pytest.raises(ValueError):
             certify_min_element(G2, twist, classes[0], qext(1))
 
@@ -495,7 +495,7 @@ class TestCertify:
         # The q-row of node i reads q*m_pi(i) - ...: certificates with no
         # negative coordinate stay valid at larger q.
         twist = build_twist("G", 2, 1)
-        classes = partition_memo(G2, pi_of(twist))
+        classes = class_list(G2, pi_of(twist))
         for cls in classes:
             cert = certify_min_element(G2, twist, cls, qext(2))
             if all(x.sign() >= 0 for x in cert.mu.coords):

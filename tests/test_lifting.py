@@ -7,7 +7,7 @@ import pytest
 
 from weyldl import conjugacy, lifting
 from weyldl.casetables import RowPlacement
-from weyldl.conjugacy import cuspidal_representatives, partition_memo, pi_of
+from weyldl.conjugacy import class_list, cuspidal_representatives, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     Certificate,
@@ -32,6 +32,7 @@ from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import RANK_5_6, RANK_LE_4, group
+from multiply_oracles import enumerate_delta_classes
 
 
 def idpi(W):
@@ -252,7 +253,7 @@ class TestDualPathAgreement:
         W = group(family, rank)
         twist = build_twist(family, rank, order)
         q = minimal_q(family, order)
-        for cls in partition_memo(W, pi_of(twist)):
+        for cls in class_list(W, pi_of(twist)):
             lp_cert = certify_min_element(W, twist, cls, q)
             red_cert = constructive_certificate(W, twist, cls, q)
             assert check_certificate(lp_cert)
@@ -281,38 +282,34 @@ def test_inner_cuspidal_matches_enumeration(monkeypatch):
     for family, rank, order in RANK_LE_4 + RANK_5_6:
         W = group(family, rank)
         twist = build_twist(family, rank, order)
-        for cls in partition_memo(W, pi_of(twist)):
+        for cls in class_list(W, pi_of(twist)):
             constructive_certificate(W, twist, cls, minimal_q(family, order))
     assert placed
     for G, pi in placed.values():
-        expected = [c.representative.word for c in partition_memo(G, pi) if c.cuspidal]
+        expected = [c.representative.word for c in enumerate_delta_classes(G, pi) if c.cuspidal]
         assert [v.word for v in cuspidal_representatives(G, pi)] == expected
 
 def refuse_enumeration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumeration called")
-
-    monkeypatch.setattr(conjugacy, "_PARTITION_MEMO", {})
+    """Cold engine and class-list memos; the package has no enumeration to refuse
+    (``test_no_enumeration_in_the_package``)."""
+    monkeypatch.setattr(conjugacy, "_CLASS_MEMO", {})
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
-    monkeypatch.setattr(WeylGroup, "elements", refuse)
-    monkeypatch.setattr(conjugacy, "enumerate_delta_classes", refuse)
 
 
 def test_constructive_route_enumerates_nothing(monkeypatch):
     """With the classes of every twisted group of rank <= 6 in hand, the
-    constructive route certifies each of them without listing any element
-    of any group, and partitions nothing: not even the parabolics it
-    certifies on the way."""
+    constructive route certifies each of them without listing the classes of
+    any group: not even of the parabolics it certifies on the way."""
     todo = []
     for family, rank, order in RANK_LE_4 + RANK_5_6:
         W, twist = group(family, rank), build_twist(family, rank, order)
         todo += [(W, twist, cls, minimal_q(family, order))
-                 for cls in partition_memo(W, pi_of(twist))]
+                 for cls in class_list(W, pi_of(twist))]
     refuse_enumeration(monkeypatch)
     for W, twist, cls, q in todo:
         assert check_certificate(constructive_certificate(W, twist, cls, q))
     assert len(todo) == 588
-    assert conjugacy._PARTITION_MEMO == {}
+    assert conjugacy._CLASS_MEMO == {}
 
 
 @pytest.mark.parametrize("rank", [7, 8])
@@ -336,7 +333,7 @@ def classes_of(groups):
     for family, rank, order in groups:
         W, twist = group(family, rank), build_twist(family, rank, order)
         q = minimal_q(family, order)
-        for cls in partition_memo(W, pi_of(twist)):
+        for cls in class_list(W, pi_of(twist)):
             yield W, twist, cls, q
 
 
@@ -472,14 +469,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # types of the named groups built in the process.
 _A3_PROGRAM = """
 from weyldl import weyl
-from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import check_certificate, minimal_q
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist
 
 W = weyl.weyl_group("A", 3)
 twist = build_twist("A", 3, 1)
-for cls in partition_memo(W, pi_of(twist)):
+for cls in class_list(W, pi_of(twist)):
     assert check_certificate(constructive_certificate(W, twist, cls, minimal_q("A", 1)))
 print(" ".join(f"{f}{n}" for f, n in sorted(weyl._GROUPS)))
 """

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from weyldl.casetables import load_case_records, place_row, type_context
-from weyldl.conjugacy import partition_memo, pi_of
+from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
     build_forward_system,
     build_inverse_system,
@@ -147,7 +147,7 @@ def test_matches_dense_simplex_on_minimal_elements(family, rank, order):
     W = group(family, rank)
     pi = pi_of(build_twist(family, rank, order))
     q = minimal_q(family, order)
-    for cls in partition_memo(W, pi):
+    for cls in class_list(W, pi):
         for w in cls.min_elements():
             assert _same_as_dense(build_forward_system(W, w, pi, q)), w.word
             assert _same_as_dense(build_inverse_system(W, w, pi, q)), w.word

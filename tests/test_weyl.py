@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldl.rootdata import build_root_system, weyl_order
-from weyldl.weyl import EnumerationBudgetError, WeylGroup, _build_tables, weyl_group
+from weyldl.weyl import WeylGroup, _build_tables, weyl_group
 
 from conftest import RANK_LE_4, group
-from multiply_oracles import elements_of, perm_of_word
+from multiply_oracles import EnumerationBudgetError, elements_of, group_elements, perm_of_word
 
 
 def act(w, signed):
@@ -136,7 +136,7 @@ class TestOrders:
     )
     def test_group_orders(self, family, rank):
         W = group(family, rank)
-        assert len(W.elements()) == weyl_order(family, rank)
+        assert len(group_elements(W)) == weyl_order(family, rank)
 
 
 # Every irreducible type of rank <= 4.
@@ -258,7 +258,7 @@ def test_enumerated_lengths_count_negative_entries():
     checked = 0
     for label, W in groups + parabolics:
         try:
-            elements = W.elements(budget=10 ** 4)
+            group_elements(W, budget=10 ** 4)
         except EnumerationBudgetError:
             continue
         checked += 1
