@@ -574,6 +574,21 @@ def _opposition(W: WeylGroup, X: frozenset[int]) -> dict[int, int]:
     return _OPPOSITIONS[key]
 
 
+def _join_letters(W: WeylGroup, J: frozenset[int], orbit: frozenset[int]) -> Optional[dict[int, int]]:
+    """j -> m with d(alpha_j) = alpha_m, on J, for d = w_0^K w_0^J and K = J plus orbit.
+
+    w_0^J sends the simple roots of J to the negatives of simple roots of
+    J, and w_0^K sends those to simple roots of K.  None when d commutes
+    with W_J: when no node of the orbit touches J (then d = w_0^orbit), or
+    when d fixes every alpha_j.
+    """
+    if not any(W.system.cartan[i - 1][j - 1] for i in orbit for j in J):
+        return None
+    inner, outer = _opposition(W, J), _opposition(W, J | orbit)
+    letters = {j: outer[inner[j]] for j in J}
+    return None if all(j == m for j, m in letters.items()) else letters
+
+
 def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     """The minimal-length members of the pi-class of the minimal element x, by canonical word.
 
@@ -582,16 +597,14 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     not all of S and K = J plus one pi-orbit of S - J (Geck-Pfeiffer 2000,
     Thm 3.2.7; Geck-Kim-Pfeiffer 2000 for the twisted case; He-Nie 2012).
     K and J are pi-stable, so d is fixed by the twist and d u d^-1 is the
-    twisted conjugate.  w_0^J sends the simple roots of J to the negatives
-    of simple roots of J, and w_0^K those to simple roots of K, so d u d^-1
-    is u with each letter j spelled by the simple root d(alpha_j); its
-    length is checked to be that of u.  So the set is the union of the
-    levels (``minimal_level``) these conjugations reach from x.  Raises
-    FalsificationError when x is not minimal.
+    twisted conjugate: u with each letter j spelled by the simple root
+    d(alpha_j) (``_join_letters``), whose length is checked to be that of
+    u.  So the set is the union of the levels (``minimal_level``) these
+    conjugations reach from x.  Raises FalsificationError when x is not
+    minimal.
     """
     orbits = _pi_orbits(pi, W.system.nodes)
-    # (J, orbit) -> j -> the letter of d(alpha_j); None when d commutes with W_J
-    joins: dict[tuple, Optional[dict[int, int]]] = {}
+    joins: dict[frozenset[int], list[dict[int, int]]] = {}  # J -> its _join_letters
     found: dict[bytes, WeylElt] = {}
     todo = [x]
     while todo:
@@ -600,18 +613,14 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
             continue
         level = minimal_level(W, pi, y)
         found.update((u.key, u) for u in level)
-        for u in level:
-            J = supp_delta(W, pi, u)
-            for orbit in orbits:
-                if orbit & J:
-                    continue
-                if (J, orbit) not in joins:
-                    inner, outer = _opposition(W, J), _opposition(W, J | orbit)
-                    letters = {j: outer[inner[j]] for j in J}
-                    joins[J, orbit] = None if all(j == m for j, m in letters.items()) else letters
-                letters = joins[J, orbit]
-                if letters is None:
-                    continue
+        # supp_pi is the same on the whole level: a length-preserving shift
+        # by a letter outside it fixes the element.
+        J = supp_delta(W, pi, y)
+        if J not in joins:
+            joins[J] = [letters for orbit in orbits if not orbit & J
+                        if (letters := _join_letters(W, J, orbit))]
+        for letters in joins[J]:
+            for u in level:
                 v = W._extend(W.identity, [letters[j] for j in u.word])
                 if v.length != u.length:
                     raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")

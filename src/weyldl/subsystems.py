@@ -205,10 +205,13 @@ def identify_standard(
     while cur != ident:
         cur = {i: sigma[cur[i]] for i in cur}
         order += 1
+    rows = sorted(map(sorted, cartan))  # equal for isomorphic matrices
     for family, rank in _candidate_types(n):
         try:
             target = cartan_matrix(family, rank)
         except Exception:
+            continue
+        if sorted(map(sorted, target)) != rows:
             continue
         try:
             std = build_twist(family, rank, order)

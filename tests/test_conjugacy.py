@@ -607,6 +607,20 @@ class TestClassOracle:
         assert len(minimal_level(W, pi, W.simple(1))) < len(cls.minimal)
         assert minimal_set(W, pi, W.simple(1)) == cls.min_elements()
 
+    def test_twisted_support_constant_on_levels(self):
+        """``minimal_set`` reads supp_pi off one member per level: every minimal
+        element of every class of rank <= 4 and of the SWAPPED groups, both
+        directions, has the twisted support of its whole level."""
+        groups = [(group(f, r), pi_of(build_twist(f, r, o), d))
+                  for f, r, o in RANK_LE_4 for d in ("delta", "delta_inv")]
+        groups += [(_cartan_group(cartan), p) for cartan, pi in SWAPPED.values()
+                   for p in (pi, {v: k for k, v in pi.items()})]
+        for W, pi in groups:
+            for cls in enumerate_delta_classes(W, pi):
+                for u in cls.minimal:
+                    J = supp_delta(W, pi, u)
+                    assert all(supp_delta(W, pi, v) == J for v in minimal_level(W, pi, u))
+
     def test_minimal_set_rejects_non_minimal(self, A2):
         with pytest.raises(FalsificationError, match="not minimal"):
             minimal_set(A2, identity_pi(A2), A2.from_word([1, 2, 1]))
