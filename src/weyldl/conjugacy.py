@@ -603,6 +603,11 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     conjugations reach from x.  Raises FalsificationError when x is not
     minimal.
     """
+    return _minimal_levels(W, pi, x)[0]
+
+
+def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt], set[frozenset[int]]]:
+    """``minimal_set`` of x, and the twisted supports of its levels."""
     orbits = _pi_orbits(pi, W.system.nodes)
     joins: dict[frozenset[int], list[dict[int, int]]] = {}  # J -> its _join_letters
     found: dict[bytes, WeylElt] = {}
@@ -615,7 +620,7 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
         found.update((u.key, u) for u in level)
         # supp_pi is the same on the whole level: a length-preserving shift
         # by a letter outside it fixes the element.
-        J = supp_delta(W, pi, y)
+        J = supp_delta(W, pi, level[0])
         if J not in joins:
             joins[J] = [letters for orbit in orbits if not orbit & J
                         if (letters := _join_letters(W, J, orbit))]
@@ -626,7 +631,7 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
                     raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
                 if v.key not in found:
                     todo.append(v)
-    return sorted(found.values(), key=lambda u: u.word)
+    return sorted(found.values(), key=lambda u: u.word), set(joins)
 
 
 def _delta_class(W: WeylGroup, pi: PiMap, direction: str, minimal: list[WeylElt]) -> DeltaClass:
@@ -656,7 +661,10 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
     class is the ``minimal_set`` of a seed of W_J (``_cuspidal_seeds``: one
     minimal word per cuspidal class of W_J); over the pi-stable J, a seed
     already in a class found is skipped, and raises FalsificationError when
-    J is all of S.  Nothing is enumerated.  Memoized
+    J is all of S.  A J that is the twisted support of a level already
+    walked is skipped whole: the joins that reached that level conjugate
+    an earlier W_J' onto W_J, twist and simple roots included, so every
+    seed of W_J lies in a class found.  Nothing is enumerated.  Memoized
     on the group's system key, pi and direction, as
     ``cuspidal_representatives`` is.  Raises ValueError when some W_J has
     no cuspidal seeds (E7 and E8 for now).
@@ -666,18 +674,23 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
     if key not in _CLASS_MEMO:
         orbits = _pi_orbits(pi, W.system.nodes)
         found: set[bytes] = set()
+        supports: set[frozenset[int]] = set()  # of the levels walked
         classes = []
         for r in range(len(orbits) + 1):
             for chosen in combinations(orbits, r):
-                for word in _cuspidal_seeds(W, pi, frozenset().union(*chosen)):
+                J = frozenset().union(*chosen)
+                if J in supports:
+                    continue
+                for word in _cuspidal_seeds(W, pi, J):
                     x = W.from_word(word)
                     if x.key in found:
                         if r == len(orbits):  # every proper W_J came before
                             raise FalsificationError(f"seed {word} of {W.system.key[0]} is "
                                                      "not cuspidal, or two seeds share a class")
                         continue
-                    minimal = minimal_set(W, pi, x)
+                    minimal, walked = _minimal_levels(W, pi, x)
                     found.update(u.key for u in minimal)
+                    supports |= walked
                     classes.append(_delta_class(W, pi, direction, minimal))
         classes.sort(key=lambda c: c.representative.sort_key())
         _CLASS_MEMO[key] = classes
