@@ -10,13 +10,9 @@ Elements move here only as keys, by ``bytes.translate`` through the
 group's reflection table (see ``weyl``); a class is its minimal-length
 members.
 
-Nothing here enumerates a group.  The cuspidal classes come from one
-minimal seed per class walked to its minimal level
-(``cuspidal_representatives``); the class of any element from a descent
-to a minimal element and the levels joined to it (``class_of``,
-``minimal_set``); and the classes of a group from the cuspidal classes
-of its pi-stable parabolics (``class_list``).  The partition of the
-whole group is the tests' oracle.
+Nothing here enumerates a group: classes come from minimal elements and
+their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
+``class_list``); the partition of the whole group is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -296,12 +292,17 @@ def closure_min_check(
         return "minimal"
 
     try:
-        for *_, change in _shift_walk(W, pi, w, budget):
-            if change:
-                return "not_minimal"
+        return "minimal" if _shorter(W, pi, w, budget) is None else "not_minimal"
     except ClosureBudgetError:
         return "budget"
-    return "minimal"
+
+
+def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt, budget: int = 10 ** 6) -> Optional[WeylElt]:
+    """The first element shorter than w on the walk of ``shift_closure`` from w, or None."""
+    for *_, v, change in _shift_walk(W, pi, w, budget):
+        if change:
+            return WeylElt(W, v, w.length - 2)
+    return None
 
 
 # -- cuspidal classes without enumeration ------------------------------------
@@ -471,8 +472,7 @@ def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]
     raise ValueError(f"no cuspidal seeds for type {'' if order == 1 else order}{family}{rank}")
 
 
-# The seeds of each irreducible component, in its own labels 1..m, by its Cartan
-# matrix and twist permutation.
+# Each irreducible component's seeds in its labels 1..m, by Cartan matrix and twist.
 _COMPONENT_SEEDS: dict[tuple, list[tuple[int, ...]]] = {}
 
 
@@ -542,31 +542,11 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
 # -- classes without enumeration ---------------------------------------------
 
 
-def _descend(W: WeylGroup, pi: PiMap, w: WeylElt) -> WeylElt:
-    """A minimal element of the pi-class of w.
-
-    Walks the non-increasing cyclic shifts from w and restarts from the
-    first element shorter than w, until a walk finds none: non-increasing
-    shifts reach a minimal element from any w (Geck-Pfeiffer 2000, Thm
-    3.2.9; He-Nie, Duke Math. J. 161 (2012), Thm 1.1).
-    """
-    while True:
-        for *_, shorter, change in _shift_walk(W, pi, w, 10 ** 6):
-            if change:
-                w = WeylElt(W, shorter, w.length - 2)
-                break
-        else:
-            return w
-
-
 _OPPOSITIONS: dict[tuple, dict[int, int]] = {}
 
 
 def _opposition(W: WeylGroup, X: frozenset[int]) -> dict[int, int]:
-    """j -> m with w_0^X(alpha_j) = -alpha_m, on the nodes j of X.
-
-    Memoized on the group's system key and X.
-    """
+    """j -> m with w_0^X(alpha_j) = -alpha_m, on X; memoized on the system key and X."""
     key = (W.system.key, X)
     if key not in _OPPOSITIONS:
         w0, n2 = W.longest_element(X), 2 * W.nroots
@@ -575,12 +555,10 @@ def _opposition(W: WeylGroup, X: frozenset[int]) -> dict[int, int]:
 
 
 def _join_letters(W: WeylGroup, J: frozenset[int], orbit: frozenset[int]) -> Optional[dict[int, int]]:
-    """j -> m with d(alpha_j) = alpha_m, on J, for d = w_0^K w_0^J and K = J plus orbit.
+    """j -> m with d(alpha_j) = alpha_m on J, for d = w_0^K w_0^J and K = J plus orbit.
 
-    w_0^J sends the simple roots of J to the negatives of simple roots of
-    J, and w_0^K sends those to simple roots of K.  None when d commutes
-    with W_J: when no node of the orbit touches J (then d = w_0^orbit), or
-    when d fixes every alpha_j.
+    None when d commutes with W_J: no node of the orbit touches J (then
+    d = w_0^orbit), or d fixes every alpha_j.
     """
     if not any(W.system.cartan[i - 1][j - 1] for i in orbit for j in J):
         return None
@@ -592,16 +570,13 @@ def _join_letters(W: WeylGroup, J: frozenset[int], orbit: frozenset[int]) -> Opt
 def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     """The minimal-length members of the pi-class of the minimal element x, by canonical word.
 
-    Any two of them are joined by length-preserving cyclic shifts and by
+    Any two are joined by length-preserving cyclic shifts and by
     conjugation with d = w_0^K w_0^J, for a member u with J = supp_pi(u)
     not all of S and K = J plus one pi-orbit of S - J (Geck-Pfeiffer 2000,
-    Thm 3.2.7; Geck-Kim-Pfeiffer 2000 for the twisted case; He-Nie 2012).
-    K and J are pi-stable, so d is fixed by the twist and d u d^-1 is the
-    twisted conjugate: u with each letter j spelled by the simple root
-    d(alpha_j) (``_join_letters``), whose length is checked to be that of
-    u.  So the set is the union of the levels (``minimal_level``) these
-    conjugations reach from x.  Raises FalsificationError when x is not
-    minimal.
+    Thm 3.2.7; Geck-Kim-Pfeiffer 2000; He-Nie 2012).  d is fixed by the
+    twist and sends the simple roots of J to simple roots of K, so d u d^-1
+    is u spelled in other letters (``_join_letters``); its length is
+    checked.  Raises FalsificationError when x is not minimal.
     """
     return _minimal_levels(W, pi, x)[0]
 
@@ -645,9 +620,12 @@ def _delta_class(W: WeylGroup, pi: PiMap, direction: str, minimal: list[WeylElt]
 
 
 def class_of(W: WeylGroup, pi: PiMap, w: WeylElt, direction: str = "delta") -> DeltaClass:
-    """The pi-class of any element w: shifts down to a minimal element, then ``minimal_set``."""
+    """The pi-class of any w: non-increasing shifts down to a minimal element
+    (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1), then ``minimal_set``."""
     pi = restrict_pi(pi, W.system.nodes)
-    return _delta_class(W, pi, direction, minimal_set(W, pi, _descend(W, pi, w)))
+    while (shorter := _shorter(W, pi, w)) is not None:
+        w = shorter
+    return _delta_class(W, pi, direction, minimal_set(W, pi, w))
 
 
 _CLASS_MEMO: dict[tuple, list[DeltaClass]] = {}
@@ -657,17 +635,12 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
     """Every pi-class of W, by (length, canonical word) of its representative.
 
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
-    minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  So each
-    class is the ``minimal_set`` of a seed of W_J (``_cuspidal_seeds``: one
-    minimal word per cuspidal class of W_J); over the pi-stable J, a seed
-    already in a class found is skipped, and raises FalsificationError when
-    J is all of S.  A J that is the twisted support of a level already
-    walked is skipped whole: the joins that reached that level conjugate
-    an earlier W_J' onto W_J, twist and simple roots included, so every
-    seed of W_J lies in a class found.  Nothing is enumerated.  Memoized
-    on the group's system key, pi and direction, as
-    ``cuspidal_representatives`` is.  Raises ValueError when some W_J has
-    no cuspidal seeds (E7 and E8 for now).
+    minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2): it is the
+    ``minimal_set`` of a seed of W_J.  A seed already found is skipped (for
+    J = S it raises FalsificationError), and so is a J that is the support
+    of a level walked: the joins to it conjugate an earlier W_J' onto W_J,
+    twist included.  Memoized on the system key, pi and direction.  Raises
+    ValueError when some W_J has no cuspidal seeds (E7 and E8 for now).
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())), direction)
