@@ -44,7 +44,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, qext
 from .lp import gordan_witness, verify_gordan
-from .rootdata import Coweight, Frozen, build_twist
+from .rootdata import Coweight, Frozen, Record, build_twist
 from .subsystems import sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
 
@@ -125,21 +125,6 @@ class CaseRecord(Frozen):
         _setattr(self, "notes", notes)
         _setattr(self, "alt_w1", alt_w1)
         _setattr(self, "param_a", param_a)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CaseRecord({fields})"
 
     @property
     def type_name(self) -> str:
@@ -888,7 +873,7 @@ def load_case_records() -> list[CaseRecord]:
 # ---------------------------------------------------------------------------
 
 
-class CaseReport:
+class CaseReport(Record):
     """The outcome of one catalog row, filled in subcheck by subcheck (mutable, unhashable).
 
     ``subchecks`` and ``details`` default to a new dict per report.
@@ -910,16 +895,7 @@ class CaseReport:
         self.certificate = certificate
         self.notes = notes
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.label, self.subchecks, self.details, self.certificate, self.notes)
-                == (other.label, other.subchecks, other.details, other.certificate, other.notes))
-
-    def __repr__(self) -> str:
-        return (f"CaseReport(label={self.label!r}, subchecks={self.subchecks!r}, "
-                f"details={self.details!r}, certificate={self.certificate!r}, "
-                f"notes={self.notes!r})")
+    __hash__ = None  # mutable
 
     @property
     def passed(self) -> bool:
@@ -942,7 +918,7 @@ class CaseReport:
         return out
 
 
-class AggregateReport:
+class AggregateReport(Record):
     """The reports of a catalog replay, in row order (mutable, unhashable)."""
 
     __slots__ = ("cases",)
@@ -950,13 +926,7 @@ class AggregateReport:
     def __init__(self, cases: list[CaseReport]):
         self.cases = cases
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cases == other.cases
-
-    def __repr__(self) -> str:
-        return f"AggregateReport(cases={self.cases!r})"
+    __hash__ = None  # mutable
 
     @property
     def all_passed(self) -> bool:
@@ -1006,15 +976,7 @@ class RowPlacement(Frozen):
         _setattr(self, "K", K)
         _setattr(self, "sigma", sigma)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.W, self.w1, self.K, self.sigma) == (other.W, other.w1, other.K, other.sigma)
-
     __hash__ = None  # ``sigma`` is a dict
-
-    def __repr__(self) -> str:
-        return f"RowPlacement(W={self.W!r}, w1={self.w1!r}, K={self.K!r}, sigma={self.sigma!r})"
 
     def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
         """v (an element of W_K) in the standalone W_K, with sigma there."""

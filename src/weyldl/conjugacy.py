@@ -179,21 +179,6 @@ class DeltaClass(Frozen):
         _setattr(self, "minimal", minimal)
         _setattr(self, "cuspidal", cuspidal)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"DeltaClass({fields})"
-
     @property
     def representative(self) -> WeylElt:
         return self.minimal[0]

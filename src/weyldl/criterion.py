@@ -29,13 +29,12 @@ the twist, the element, the system and its evaluation, and it never reads
 solver state.
 
 ``IneqSystem``, ``Certificate`` and ``CheckResult`` are plain slotted
-classes with their constructors, equality and hashing written out, not
-``dataclasses``: that module alone cost about 25 ms of each cold start
-(it imports ``inspect``, and each decorated class compiles its methods
-at import), against about 0.07 s for all 544 verdicts of the
-benchmark's ``check`` pass.  They are built once or more per verdict,
-and the written-out constructors cost no more than the generated ones.
-See :mod:`weyldl.rootdata`.
+classes with written-out constructors, and their equality, hashing and
+repr come from :class:`weyldl.rootdata.Record`, not ``dataclasses``:
+that module alone cost about 25 ms of each cold start (it imports
+``inspect``, and each decorated class compiles its methods at import),
+against about 0.07 s for all 544 verdicts of the benchmark's ``check``
+pass.  See :mod:`weyldl.rootdata`.
 """
 
 from __future__ import annotations
@@ -101,17 +100,6 @@ class IneqSystem(Frozen):
         _setattr(self, "varset", varset)
         _setattr(self, "rows", rows)
         _setattr(self, "labels", labels)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.varset, self.rows, self.labels) == (other.varset, other.rows, other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.varset, self.rows, self.labels))
-
-    def __repr__(self) -> str:
-        return f"IneqSystem(varset={self.varset!r}, rows={self.rows!r}, labels={self.labels!r})"
 
     def evaluate(self, point: dict[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
@@ -268,23 +256,6 @@ class Certificate(Frozen):
         _setattr(self, "form", form)
         _setattr(self, "mu", mu)
 
-    def _fields(self) -> tuple:
-        return (self.family, self.rank, self.twist, self.direction, self.q, self.w,
-                self.form, self.mu)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"Certificate(family={self.family!r}, rank={self.rank!r}, twist={self.twist!r}, "
-                f"direction={self.direction!r}, q={self.q!r}, w={self.w!r}, "
-                f"form={self.form!r}, mu={self.mu!r})")
-
     def to_json_dict(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
@@ -346,19 +317,6 @@ class CheckResult(Frozen):
         _setattr(self, "accepted", accepted)
         _setattr(self, "reason", reason)
         _setattr(self, "rows_checked", rows_checked)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.accepted, self.reason, self.rows_checked)
-                == (other.accepted, other.reason, other.rows_checked))
-
-    def __hash__(self) -> int:
-        return hash((self.accepted, self.reason, self.rows_checked))
-
-    def __repr__(self) -> str:
-        return (f"CheckResult(accepted={self.accepted!r}, reason={self.reason!r}, "
-                f"rows_checked={self.rows_checked!r})")
 
     def __bool__(self) -> bool:
         return self.accepted

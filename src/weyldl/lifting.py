@@ -103,15 +103,7 @@ class EngineCert(Frozen):
         _setattr(self, "nodes", nodes)
         _setattr(self, "q", q)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.w, self.mu, self.nodes, self.q) == (other.w, other.mu, other.nodes, other.q)
-
     __hash__ = None  # ``mu`` is a mapping
-
-    def __repr__(self) -> str:
-        return f"EngineCert(w={self.w!r}, mu={self.mu!r}, nodes={self.nodes!r}, q={self.q!r})"
 
     def dominant(self) -> bool:
         return all(self.mu[i].sign() > 0 for i in self.nodes)

@@ -18,8 +18,9 @@ pair with a root by the plain coordinate dot product, since
 ``alpha_i(omega_j^vee) = delta_ij``.
 
 The record classes of the package (here, in ``criterion``, ``conjugacy``,
-``lifting`` and ``casetables``) are plain classes whose constructors,
-equality, hashing and repr are written out, and the immutable ones derive
+``lifting`` and ``casetables``) are plain slotted classes with written-out
+constructors.  Their equality, hashing and repr come from :class:`Record`,
+which reads the fields off ``__slots__``, and the immutable ones derive
 from :class:`Frozen`.  They are not ``dataclasses``, for start-up cost:
 importing that module pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each decorated class compiles its methods with
@@ -57,7 +58,37 @@ _FAMILIES = "ABCDEFG"
 _setattr = object.__setattr__
 
 
-class Frozen:
+class Record:
+    """Base of the record classes: equality, hashing and repr from the fields.
+
+    The fields are the names in the subclass's ``__slots__``, in order;
+    ``_fields()`` returns their values.  A subclass may override it to
+    return the values of a leading part of ``__slots__`` only, and repr
+    then prints that part.  Two records are equal when they are of the
+    same class with equal fields.  A record class with a mutable field
+    sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields())
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen(Record):
     """Base of the immutable record classes: assigning or deleting any attribute raises.
 
     A subclass's ``__init__`` sets its fields with ``object.__setattr__``.
@@ -210,19 +241,6 @@ class RootSystem(Frozen):
         return (self.family, self.rank, self.cartan, self.positive_roots,
                 self.highest_root, self.n0)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"RootSystem(family={self.family!r}, rank={self.rank!r}, cartan={self.cartan!r}, "
-                f"positive_roots={self.positive_roots!r}, highest_root={self.highest_root!r}, "
-                f"n0={self.n0!r})")
-
     @property
     def key(self) -> tuple[str, int]:
         return (self.family, self.rank)
@@ -344,17 +362,6 @@ class Coweight(Frozen):
     def __init__(self, coords: tuple[QuadExt, ...]):
         _setattr(self, "coords", coords)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Coweight(coords={self.coords!r})"
-
     @classmethod
     def of(cls, values: Iterable) -> "Coweight":
         return cls(tuple(qext(v) for v in values))
@@ -382,17 +389,6 @@ class Twist(Frozen):
     def __init__(self, perm: tuple[int, ...], order: int):
         _setattr(self, "perm", perm)
         _setattr(self, "order", order)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.perm == other.perm and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.perm, self.order))
-
-    def __repr__(self) -> str:
-        return f"Twist(perm={self.perm!r}, order={self.order!r})"
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
