@@ -167,7 +167,7 @@ class DeltaClass(Frozen):
 
     def __init__(
         self,
-        group_key: tuple[str, int],
+        group_key: tuple[tuple[int, ...], ...],  # the system key: the Cartan matrix
         direction: str,
         pi: tuple[tuple[int, int], ...],
         minimal: tuple[WeylElt, ...],  # the minimal-length members, by canonical word
@@ -478,7 +478,7 @@ def _cuspidal_seeds(
         if (cartan, sigma) not in _COMPONENT_SEEDS:
             ident = identify_standard(cartan, dict(enumerate(sigma, 1)))
             if ident is None:
-                raise FalsificationError(f"cannot identify the component {comp} of {W.system.key[0]}")
+                raise FalsificationError(f"cannot identify the component {comp} of {W.system.family}")
             family, rank, order, phi = ident
             back = {b: k for k, b in phi.items()}  # standard node -> component node
             _COMPONENT_SEEDS[cartan, sigma] = [
@@ -500,7 +500,9 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     minimal level (``minimal_level``) and the level's smallest canonical
     word represents the class.  Raises FalsificationError when a seed is
     not minimal, when its twisted support is not all of W's nodes, or when
-    two seeds share a level.  Memoized on the group's system key and pi.
+    two seeds share a level.  Memoized on the group's system key (its
+    Cartan matrix, shared by a named group and any standalone parabolic
+    with that matrix) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
@@ -511,12 +513,12 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
         for word in _cuspidal_seeds(W, pi):
             seed = W.from_word(word)
             if supp_delta(W, pi, seed) != nodes:
-                raise FalsificationError(f"seed {word} of {W.system.key[0]} is not cuspidal")
+                raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
             level = minimal_level(W, pi, seed)
             for u in level:
                 if u.key in owner:
                     raise FalsificationError(
-                        f"seeds {owner[u.key]} and {word} of {W.system.key[0]} share a class"
+                        f"seeds {owner[u.key]} and {word} of {W.system.family} share a class"
                     )
                 owner[u.key] = word
             reps.append(level[0])
@@ -624,7 +626,8 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
     ``minimal_set`` of a seed of W_J.  A seed already found is skipped (for
     J = S it raises FalsificationError), and so is a J that is the support
     of a level walked: the joins to it conjugate an earlier W_J' onto W_J,
-    twist included.  Memoized on the system key, pi and direction.  Raises
+    twist included.  Memoized on the system key (the Cartan matrix), pi
+    and direction, like ``cuspidal_representatives``.  Raises
     ValueError when some W_J has no cuspidal seeds (E7 and E8 for now).
     """
     pi = restrict_pi(pi, W.system.nodes)
@@ -643,7 +646,7 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
                     x = W.from_word(word)
                     if x.key in found:
                         if r == len(orbits):  # every proper W_J came before
-                            raise FalsificationError(f"seed {word} of {W.system.key[0]} is "
+                            raise FalsificationError(f"seed {word} of {W.system.family} is "
                                                      "not cuspidal, or two seeds share a class")
                         continue
                     minimal, walked = _minimal_levels(W, pi, x)

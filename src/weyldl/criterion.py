@@ -411,7 +411,7 @@ def certify_min_element(
     checker.  Exhaustion contradicts the existence theorem and raises
     FalsificationError.
     """
-    family, rank = W.system.key
+    family, rank = W.system.family, W.system.rank
     q = qext(q)
     if q < minimal_q(family, twist.order):
         raise ValueError(f"q below the minimal value for {family}{rank} twist {twist.order}")

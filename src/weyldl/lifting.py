@@ -22,7 +22,7 @@ the length-preserving cyclic shifts connect (Geck-Pfeiffer 2000, Thm
 
 The recursion meets the same small classes again and again (A1, A2, B2,
 the K of a catalog row), so ``_engine`` keeps one process-wide memo,
-``_ENGINE_MEMO``, keyed on (system key, pi, q, element key): each
+``_ENGINE_MEMO``, keyed on (Cartan matrix, pi, q, element key): each
 distinct sub-problem is built and validated once per process.  A stored
 witness was validated when it was built and cannot be changed in place;
 every step around it still validates its own result, and
@@ -390,7 +390,7 @@ def _leaf_certificate(
     tau = inverse_pi(pi)
     ident = identify_standard(W.system.cartan, pi)
     if ident is None:
-        raise FalsificationError(f"cannot identify the type of {W.system.key[0]}")
+        raise FalsificationError(f"cannot identify the type of {W.system.family}")
     family, rank, order, phi = ident  # node of W -> standard node
     phi_inv = {v: k for k, v in phi.items()}
 
@@ -462,10 +462,10 @@ def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
 
     Memoized per process on (system key, pi, q, key of x), so each
     sub-problem that recurs under many classes is built and validated
-    once (``_engine_cold`` on a miss).  Equal system keys mean equal root
-    orders and element encodings, as for ``class_list``, and a
-    standalone parabolic is labelled by its Cartan submatrix, so every
-    ambient group shares its entries.  A hit is safe: the stored witness
+    once (``_engine_cold`` on a miss).  The system key is the Cartan
+    matrix, which fixes the root order and the element encoding, so a
+    named group and every standalone parabolic with its matrix share
+    their entries, as for ``class_list``.  A hit is safe: the stored witness
     passed every ``_validate`` of its construction, its ``mu`` is
     read-only, and each enclosing step re-validates what it builds from
     it.  A failed construction stores nothing.
@@ -535,7 +535,7 @@ def constructive_certificate(
     pi = pi_of(twist, dclass.direction)
     cert = _engine(W, pi, q, dclass.representative)
     coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
-    family, rank = W.system.key
+    family, rank = W.system.family, W.system.rank
     out = Certificate(
         family=family,
         rank=rank,

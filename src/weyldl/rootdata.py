@@ -242,8 +242,10 @@ class RootSystem(Frozen):
                 self.highest_root, self.n0)
 
     @property
-    def key(self) -> tuple[str, int]:
-        return (self.family, self.rank)
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The group identity: the Cartan matrix, which fixes the root order,
+        the element encoding and the reflection tables."""
+        return self.cartan
 
     @property
     def nodes(self) -> tuple[int, ...]:

@@ -78,10 +78,11 @@ _SUB_MEMO: dict[tuple, SubContext] = {}
 
 
 def _cartan_group(cartan: tuple[tuple[int, ...], ...]) -> WeylGroup:
-    """The one standalone group of a Cartan matrix.
+    """The one standalone group of a Cartan matrix, labelled by the matrix.
 
-    Its label is the matrix itself, so the system key, the partition memo
-    and element equality agree exactly when the matrices do.
+    Its system key is the matrix, as every group's is, so it shares the
+    class, cuspidal, opposition, engine and sub-context memos, and element
+    equality, with the named group of an equal matrix.
     """
     if cartan not in _GROUP_MEMO:
         label = "cartan:" + "/".join(",".join(map(str, row)) for row in cartan)

@@ -56,5 +56,5 @@ def D4():
 
 
 def twist_of(W: WeylGroup, order: int):
-    family, rank = W.system.key
+    family, rank = W.system.family, W.system.rank
     return build_twist(family, rank, order)

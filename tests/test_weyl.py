@@ -156,7 +156,7 @@ class TestGroupMemo:
         """The memo's group has the root data and reflection tables of a fresh
         build; the tables are rebuilt here without the shared table memo."""
         W, fresh = weyl_group(family, rank), WeylGroup(build_root_system(family, rank))
-        assert W.system.key == (family, rank)
+        assert (W.system.family, W.system.rank) == (family, rank)
         assert W.system.cartan == fresh.system.cartan
         assert W.roots == fresh.roots
         tables = b"".join(W.reflection_table())
