@@ -409,9 +409,12 @@ def certify_min_element(
     (length, word) order, solving the forward system for each, and
     returns the first feasible witness re-validated by the independent
     checker.  Exhaustion contradicts the existence theorem and raises
-    FalsificationError.
+    FalsificationError.  A rank outside the checker's range and a q below
+    the type's minimum raise ValueError before any solving.
     """
     family, rank = W.system.family, W.system.rank
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}")
     q = qext(q)
     if q < minimal_q(family, twist.order):
         raise ValueError(f"q below the minimal value for {family}{rank} twist {twist.order}")

@@ -134,6 +134,15 @@ class TestCertifyCheck:
         out = run_cli("check", str(bad), cwd=tmp_path)
         assert out.returncode == 1
 
+    def test_check_rejects_oversized_file(self, tmp_path):
+        """A file longer than any certificate is refused before it is parsed."""
+        big = tmp_path / "big.json"
+        big.write_text('{"pad": "' + "0" * (2 << 20) + '"}')
+        out = run_cli("check", str(big), cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.strip() == "reject: certificate longer than 1048576 characters"
+        assert out.stdout == ""
+
     def test_zero_denominator_q_is_an_error(self, tmp_path):
         for literal in ("1/0", "1/0*sqrt2"):
             out = run_cli(
@@ -155,6 +164,16 @@ class TestCertifyCheck:
             assert out.returncode == 1, (rep, out.stderr)
             assert out.stderr.strip() == message
             assert out.stdout == ""
+
+    def test_rank_beyond_the_checker_is_an_error(self, tmp_path):
+        """A rank the checker cannot read is a usage error, not a falsification."""
+        out = run_cli("certify", "--family", "A", "--rank", "9",
+                      "--class-rep", "1,2,3,4,5,6,7,8,9", cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error:")
+        assert out.stderr.strip() == "error: rank must be in 1..8"
+        assert "FALSIFICATION" not in out.stderr
+        assert out.stdout == ""
 
     @pytest.mark.parametrize("rank,rep,length", [
         (7, "4,1,2,3,4", 3),  # a longer word of the class of 1,2,3

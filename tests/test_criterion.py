@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.conjugacy import class_list, compute_I_J_x, pi_of
+from weyldl.conjugacy import class_list, class_of, compute_I_J_x, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     FORM_INVERSE,
@@ -490,6 +490,15 @@ class TestCertify:
         classes = class_list(G2, pi_of(twist))
         with pytest.raises(ValueError):
             certify_min_element(G2, twist, classes[0], qext(1))
+
+    def test_rank_beyond_the_checker(self):
+        """A rank the checker cannot read is refused before solving, not reported
+        as a checker rejection of the solver's point."""
+        A9 = group("A", 9)
+        twist = build_twist("A", 9, 1)
+        target = class_of(A9, pi_of(twist), A9.from_word(range(1, 10)))
+        with pytest.raises(ValueError, match=r"^rank must be in 1\.\.8$"):
+            certify_min_element(A9, twist, target, qext(2))
 
     def test_monotone_in_q(self, G2):
         # The q-row of node i reads q*m_pi(i) - ...: certificates with no
