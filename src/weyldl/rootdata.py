@@ -33,7 +33,7 @@ each, Python 3.11.7, shared 2-core x86-64 host).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactnum import QuadExt, qext
 
@@ -42,12 +42,9 @@ __all__ = [
     "Coweight",
     "Twist",
     "build_root_system",
-    "build_composite_system",
     "build_twist",
     "identity_twist",
-    "make_twist",
     "positive_root_count",
-    "weyl_order",
 ]
 
 Root = tuple[int, ...]
@@ -184,26 +181,6 @@ def positive_root_count(family: str, rank: int) -> int:
     }[family]
 
 
-def weyl_order(family: str, rank: int) -> int:
-    """|W| closed forms, used as enumeration oracles in tests; raises where
-    ``cartan_matrix`` does."""
-    import math
-
-    _check_type(family, rank)
-    n = rank
-    if family == "A":
-        return math.factorial(n + 1)
-    if family in ("B", "C"):
-        return (2 ** n) * math.factorial(n)
-    if family == "D":
-        return (2 ** (n - 1)) * math.factorial(n)
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if family == "F":
-        return 1152
-    return 12
-
-
 class RootSystem(Frozen):
     """Positive roots of a (possibly reducible) crystallographic system.
 
@@ -338,24 +315,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return system
 
 
-def build_composite_system(parts: Sequence[tuple[str, int]]) -> RootSystem:
-    """Orthogonal direct sum of irreducible systems (block Cartan matrix)."""
-    if not parts:
-        raise InvalidCartanTypeError("empty composite")
-    blocks = [cartan_matrix(f, r) for f, r in parts]
-    n = sum(len(b) for b in blocks)
-    cartan = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        m = len(b)
-        for i in range(m):
-            for j in range(m):
-                cartan[off + i][off + j] = b[i][j]
-        off += m
-    family = "+".join(f"{f}{r}" for f, r in parts)
-    return _build_from_cartan(family, n, tuple(tuple(row) for row in cartan))
-
-
 class Coweight(Frozen):
     """Coordinates in the fundamental-coweight basis; entries are QuadExt."""
 
@@ -402,40 +361,6 @@ class Twist(Frozen):
         for i, img in enumerate(self.perm, start=1):
             out[img - 1] = i
         return tuple(out)
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    cur = perm
-    ident = tuple(range(1, len(perm) + 1))
-    while cur != ident:
-        cur = tuple(perm[i - 1] for i in cur)
-        order += 1
-    return order
-
-
-def make_twist(system: RootSystem, perm: Sequence[int]) -> Twist:
-    """Build a twist from an explicit image tuple, checking compatibility.
-
-    A nontrivial twist must either preserve the Cartan matrix
-    (C[d(i)][d(j)] = C[i][j], the simply-laced diagram case) or reverse
-    it (C[d(i)][d(j)] = C[j][i], the B2/G2/F4 foldings behind the
-    Suzuki and Ree groups).
-    """
-    perm = tuple(perm)
-    n = system.rank
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {perm}")
-    c = system.cartan
-    preserves = all(
-        c[perm[i] - 1][perm[j] - 1] == c[i][j] for i in range(n) for j in range(n)
-    )
-    reverses = all(
-        c[perm[i] - 1][perm[j] - 1] == c[j][i] for i in range(n) for j in range(n)
-    )
-    if not (preserves or reverses):
-        raise ValueError(f"{perm} is not a diagram automorphism or folding")
-    return Twist(perm=perm, order=_perm_order(perm))
 
 
 def identity_twist(rank: int) -> Twist:

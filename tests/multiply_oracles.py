@@ -10,13 +10,26 @@ strong conjugacy by trying every x in W, cuspidality by intersecting every
 proper pi-stable parabolic, and permutations of the positive roots
 composed from ``reflect``, the simple reflection as a coordinate sum.
 They exist only so that tests can compare the package against them.
+
+The last section holds the root data only the tests build: ``weyl_order``
+(the closed forms for |W| that the enumeration is checked against),
+``build_composite_system`` (reducible systems as block Cartan matrices)
+and ``make_twist`` (a twist from an explicit image tuple).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 from weyldl.conjugacy import ClosureBudgetError, DeltaClass, PiMap, restrict_pi, supp_delta
+from weyldl.rootdata import (
+    InvalidCartanTypeError,
+    RootSystem,
+    Twist,
+    _build_from_cartan,
+    cartan_matrix,
+)
 from weyldl.weyl import WeylElt, WeylGroup
 
 
@@ -315,3 +328,75 @@ def is_cuspidal_by_definition(
         if frozenset(closed) != node_set:
             return False
     return True
+
+
+# -- root data only the tests build --------------------------------------------
+
+
+def weyl_order(family: str, rank: int) -> int:
+    """|W| closed forms; raises where ``cartan_matrix`` does."""
+    cartan_matrix(family, rank)
+    n = rank
+    if family == "A":
+        return math.factorial(n + 1)
+    if family in ("B", "C"):
+        return (2 ** n) * math.factorial(n)
+    if family == "D":
+        return (2 ** (n - 1)) * math.factorial(n)
+    if family == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+    if family == "F":
+        return 1152
+    return 12
+
+
+def build_composite_system(parts: Sequence[tuple[str, int]]) -> RootSystem:
+    """Orthogonal direct sum of irreducible systems (block Cartan matrix)."""
+    if not parts:
+        raise InvalidCartanTypeError("empty composite")
+    blocks = [cartan_matrix(f, r) for f, r in parts]
+    n = sum(len(b) for b in blocks)
+    cartan = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        m = len(b)
+        for i in range(m):
+            for j in range(m):
+                cartan[off + i][off + j] = b[i][j]
+        off += m
+    family = "+".join(f"{f}{r}" for f, r in parts)
+    return _build_from_cartan(family, n, tuple(tuple(row) for row in cartan))
+
+
+def _perm_order(perm: tuple[int, ...]) -> int:
+    order = 1
+    cur = perm
+    ident = tuple(range(1, len(perm) + 1))
+    while cur != ident:
+        cur = tuple(perm[i - 1] for i in cur)
+        order += 1
+    return order
+
+
+def make_twist(system: RootSystem, perm: Sequence[int]) -> Twist:
+    """Build a twist from an explicit image tuple, checking compatibility.
+
+    A nontrivial twist must either preserve the Cartan matrix
+    (C[d(i)][d(j)] = C[i][j], the simply-laced diagram case) or reverse
+    it (C[d(i)][d(j)] = C[j][i], the B2/G2/F4 foldings behind the
+    Suzuki and Ree groups).
+    """
+    perm = tuple(perm)
+    n = system.rank
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {perm}")
+    c = system.cartan
+    preserves = all(
+        c[perm[i] - 1][perm[j] - 1] == c[i][j] for i in range(n) for j in range(n)
+    )
+    reverses = all(
+        c[perm[i] - 1][perm[j] - 1] == c[j][i] for i in range(n) for j in range(n)
+    )
+    if not (preserves or reverses):
+        raise ValueError(f"{perm} is not a diagram automorphism or folding")
+    return Twist(perm=perm, order=_perm_order(perm))

@@ -22,10 +22,9 @@ from weyldl.casetables import (
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, check_certificate
 from weyldl.exactnum import SQRT2, qext
-from weyldl.rootdata import weyl_order
 from weyldl.subsystems import sub_context
 
-from multiply_oracles import enumerate_delta_classes, oracle_class_of
+from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -42,3 +42,36 @@ def test_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+RECORDS = {
+    "RootSystem", "Coweight", "Twist", "IneqSystem", "Certificate", "CheckResult",
+    "DeltaClass", "EngineCert", "CaseRecord", "CaseReport", "AggregateReport", "RowPlacement",
+}
+
+
+def test_records_take_their_methods_from_record():
+    """No record class writes out its own equality, hashing or repr.
+
+    They come from ``rootdata.Record``; a class may only mark itself
+    unhashable (``__hash__ = None``), and only ``RootSystem`` narrows
+    ``_fields``, to leave out the tables its other fields determine.
+    """
+    from weyldl.rootdata import Record
+
+    found, offences = set(), []
+    for name in MODULES:
+        for cls in vars(importlib.import_module(name)).values():
+            if not (isinstance(cls, type) and issubclass(cls, Record) and cls is not Record):
+                continue
+            if cls.__module__ != name:
+                continue
+            found.add(cls.__name__)
+            own = vars(cls)
+            offences += [f"{cls.__name__}.{m}" for m in ("__eq__", "__repr__") if m in own]
+            if own.get("__hash__", None) is not None:
+                offences.append(f"{cls.__name__}.__hash__")
+            if "_fields" in own and cls.__name__ != "RootSystem":
+                offences.append(f"{cls.__name__}._fields")
+    assert RECORDS <= found, RECORDS - found
+    assert not offences, offences

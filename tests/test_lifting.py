@@ -27,12 +27,12 @@ from weyldl.lifting import (
     lift_to_full,
     spade_witness,
 )
-from weyldl.rootdata import Coweight, build_composite_system, build_twist, make_twist
+from weyldl.rootdata import Coweight, build_twist
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import RANK_5_6, RANK_LE_4, group
-from multiply_oracles import enumerate_delta_classes
+from multiply_oracles import build_composite_system, enumerate_delta_classes, make_twist
 
 
 def idpi(W):

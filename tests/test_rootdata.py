@@ -6,20 +6,23 @@ from pathlib import Path
 
 import pytest
 
-from multiply_oracles import group_elements, reflect
+from multiply_oracles import (
+    build_composite_system,
+    group_elements,
+    make_twist,
+    reflect,
+    weyl_order,
+)
 from weyldl.exactnum import qext
 from weyldl.rootdata import (
     Coweight,
     InvalidCartanTypeError,
     RootSystem,
-    build_composite_system,
     build_root_system,
     build_twist,
     cartan_matrix,
     identity_twist,
-    make_twist,
     positive_root_count,
-    weyl_order,
 )
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup, weyl_group

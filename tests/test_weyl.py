@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.rootdata import build_root_system, weyl_order
+from weyldl.rootdata import build_root_system
 from weyldl.weyl import WeylGroup, _build_tables, weyl_group
 
 from conftest import RANK_LE_4, group
-from multiply_oracles import EnumerationBudgetError, elements_of, group_elements, perm_of_word
+from multiply_oracles import (
+    EnumerationBudgetError,
+    elements_of,
+    group_elements,
+    perm_of_word,
+    weyl_order,
+)
 
 
 def act(w, signed):
