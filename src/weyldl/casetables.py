@@ -36,6 +36,7 @@ from .criterion import (
     FORM_INVERSE,
     MAX_RANK,
     Certificate,
+    admissible_q,
     build_inverse_system,
     build_star_system,
     check_certificate,
@@ -58,7 +59,7 @@ __all__ = [
     "load_case_records",
     "verify_case",
     "verify_all",
-    "type_context",
+    "type_group",
 ]
 
 
@@ -136,27 +137,9 @@ def _type_name(family: str, rank: int, twist: int) -> str:
     return f"{'' if twist == 1 else twist}{family}{rank}"
 
 
-class _TypeContext:
-    def __init__(self, family: str, rank: int, twist: int):
-        self.family, self.rank, self.twist_order = family, rank, twist
-        self.W = weyl_group(family, rank)
-        self.twist = build_twist(family, rank, twist)
-        self.pi_inv: PiMap = pi_of(self.twist, "delta_inv")
-        self.nodes = frozenset(range(1, rank + 1))
-
-    @property
-    def min_q(self) -> QuadExt:
-        return minimal_q(self.family, self.twist_order)
-
-
-_TYPE_MEMO: dict[tuple[str, int, int], _TypeContext] = {}
-
-
-def type_context(family: str, rank: int, twist: int) -> _TypeContext:
-    key = (family, rank, twist)
-    if key not in _TYPE_MEMO:
-        _TYPE_MEMO[key] = _TypeContext(family, rank, twist)
-    return _TYPE_MEMO[key]
+def type_group(family: str, rank: int, twist: int) -> tuple[WeylGroup, PiMap]:
+    """The group of a catalog type and the index map of its inverse twist."""
+    return weyl_group(family, rank), pi_of(build_twist(family, rank, twist), "delta_inv")
 
 
 def _mfrac(d: dict[int, int]) -> dict[int, Fraction]:
@@ -317,8 +300,7 @@ def _records_3D4() -> list[CaseRecord]:
 
 
 def _records_E6() -> list[CaseRecord]:
-    ctx = type_context("E", 6, 1)
-    W = ctx.W
+    W = weyl_group("E", 6)
     I = frozenset(range(1, 7))
     J = I - {6}
     w0 = W.longest_element(I)
@@ -356,8 +338,7 @@ def _records_E6() -> list[CaseRecord]:
 
 
 def _records_2E6() -> list[CaseRecord]:
-    ctx = type_context("E", 6, 2)
-    W = ctx.W
+    W = weyl_group("E", 6)
     I = frozenset(range(1, 7))
     J = I - {1}
     Jp = I - {6}  # delta^{-1}(J)
@@ -435,8 +416,7 @@ def _records_2E6() -> list[CaseRecord]:
 
 
 def _records_E7() -> list[CaseRecord]:
-    ctx = type_context("E", 7, 1)
-    W = ctx.W
+    W = weyl_group("E", 7)
     I = frozenset(range(1, 8))
     J = I - {7}
     w0 = W.longest_element(I)
@@ -510,8 +490,7 @@ def _records_E7() -> list[CaseRecord]:
 
 
 def _records_E8() -> list[CaseRecord]:
-    ctx = type_context("E", 8, 1)
-    W = ctx.W
+    W = weyl_group("E", 8)
     I = frozenset(range(1, 9))
     J = I - {8}
     w0 = W.longest_element(I)
@@ -651,8 +630,7 @@ def _records_E8() -> list[CaseRecord]:
 
 
 def _records_F4() -> list[CaseRecord]:
-    ctx = type_context("F", 4, 1)
-    W = ctx.W
+    W = weyl_group("F", 4)
     I = frozenset(range(1, 5))
     # The printed type-level J = I - {4} fails the coset precondition for
     # every listed w1 and contradicts the printed inequality rows; J = I - {1}
@@ -716,8 +694,7 @@ def _records_F4() -> list[CaseRecord]:
 
 
 def _records_G2() -> list[CaseRecord]:
-    ctx = type_context("G", 2, 1)
-    W = ctx.W
+    W = weyl_group("G", 2)
     return [
         CaseRecord(
             label="G2 case 1", family="G", rank=2, twist=1, case=1, spade=True,
@@ -782,8 +759,7 @@ def _records_2G2() -> list[CaseRecord]:
 
 
 def _records_2F4() -> list[CaseRecord]:
-    ctx = type_context("F", 4, 2)
-    W = ctx.W
+    W = weyl_group("F", 4)
     I = frozenset(range(1, 5))
     J = I - {4}
     Jp = frozenset({2, 3, 4})  # delta^{-1}(J)
@@ -1039,7 +1015,8 @@ def _resolve_v_options(
 
 
 def _spade_certificate(
-    ctx: _TypeContext,
+    W: WeylGroup,
+    pi: PiMap,
     record: CaseRecord,
     w1: WeylElt,
     K: frozenset[int],
@@ -1047,22 +1024,21 @@ def _spade_certificate(
     v_words: list[tuple[int, ...]],
 ) -> tuple[Optional[Certificate], str]:
     """Inverse-form certificate for a spade row, via the exact LP."""
-    W = ctx.W
     if K:
         candidates = [W.multiply(W.from_word(vw), w1) for vw in v_words]
     else:
         # The whole minimal level of the (cuspidal) inverse-twisted class of w1.
         try:
-            candidates = minimal_level(W, ctx.pi_inv, w1)
+            candidates = minimal_level(W, pi, w1)
         except FalsificationError as exc:
             return None, str(exc)
     for w in candidates:
-        system = build_inverse_system(W, w, ctx.pi_inv, q)
+        system = build_inverse_system(W, w, pi, q)
         mu = feasible(system)
         if mu is None:
             continue
         cert = Certificate(
-            family=ctx.family, rank=ctx.rank, twist=ctx.twist_order,
+            family=record.family, rank=record.rank, twist=record.twist,
             direction="delta_inv", q=q, w=w.word, form=FORM_INVERSE, mu=mu,
         )
         res = check_certificate(cert)
@@ -1075,14 +1051,11 @@ def _spade_certificate(
 def _run_case(
     record: CaseRecord,
     w1_word: tuple[int, ...],
-    q: Optional[QuadExt],
+    q: QuadExt,
     slow: bool,
 ) -> CaseReport:
-    ctx = type_context(record.family, record.rank, record.twist)
-    W = ctx.W
-    pi = ctx.pi_inv
-    q = ctx.min_q if q is None else qext(q)
-    at_min_q = (q == ctx.min_q)
+    W, pi = type_group(record.family, record.rank, record.twist)
+    at_min_q = (q == minimal_q(record.family, record.twist))
     report = CaseReport(label=record.label, notes=record.notes)
 
     # (i) coset representative precondition
@@ -1146,12 +1119,12 @@ def _run_case(
         else:
             ok_w = verify_gordan(star.rows, witness)
             report.details["infeasibility_witness"] = [str(y) for y in witness]
-            cert, msg = _spade_certificate(ctx, record, w1, K, q, v_words)
+            cert, msg = _spade_certificate(W, pi, record, w1, K, q, v_words)
             report.certificate = cert
             pinned_ok = True
             if cert is not None and record.pinned_mu is not None:
                 pinned = Certificate(
-                    family=ctx.family, rank=ctx.rank, twist=ctx.twist_order,
+                    family=record.family, rank=record.rank, twist=record.twist,
                     direction="delta_inv", q=q, w=w1.word, form=FORM_INVERSE,
                     mu=Coweight.of(record.pinned_mu),
                 )
@@ -1201,7 +1174,7 @@ def _run_case(
         else:
             v_results.append("skipped(requires slow tier)")
         # (vi): cuspidal, read off the full pi-support of v w1
-        vi_results.append("pass" if supp_delta(W, pi, w) == ctx.nodes else "fail")
+        vi_results.append("pass" if len(supp_delta(W, pi, w)) == W.rank else "fail")
 
     def fold(results: list[str]) -> str:
         if any(r == "fail" for r in results):
@@ -1239,7 +1212,13 @@ def verify_case(
     q: Optional[QuadExt] = None,
     slow: bool = False,
 ) -> CaseReport:
-    """Run the subchecks of one record; quirky records try both readings."""
+    """Run the subchecks of one record; quirky records try both readings.
+
+    ``q`` defaults to the type's minimum; a q below it raises ValueError
+    (``admissible_q``), since no row need hold there.
+    """
+    family, twist = record.family, record.twist
+    q = minimal_q(family, twist) if q is None else admissible_q(family, record.rank, twist, q)
     report = _run_case(record, record.w1, q, slow)
     if record.alt_w1 is not None:
         if report.hard_failed:

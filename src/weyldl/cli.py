@@ -98,6 +98,9 @@ def cmd_check(args) -> int:
     except (OSError, CertificateError) as exc:
         print(f"reject: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError:
+        print("reject: certificate is not UTF-8 text", file=sys.stderr)
+        return 1
     result = check_certificate(cert)
     if result:
         print(f"accept ({result.rows_checked} rows)")

@@ -501,8 +501,7 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     word represents the class.  Raises FalsificationError when a seed is
     not minimal, when its twisted support is not all of W's nodes, or when
     two seeds share a level.  Memoized on the group's system key (its
-    Cartan matrix, shared by a named group and any standalone parabolic
-    with that matrix) and pi.
+    Cartan matrix, so every group of that matrix shares the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))

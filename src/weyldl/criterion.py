@@ -24,9 +24,9 @@ one query, :meth:`IneqSystem.violated`, names the rows that fail.
 
 The checker shares only root data with the rest of the process: the group
 of each (family, rank) from :func:`weyldl.weyl.weyl_group`, with its
-reflection tables, built once per type.  For every certificate it rebuilds
-the twist, the element, the system and its evaluation, and it never reads
-solver state.
+reflection tables, built once per Cartan matrix.  For every certificate
+it rebuilds the twist, the element, the system and its evaluation, and
+it never reads solver state.
 
 ``IneqSystem``, ``Certificate`` and ``CheckResult`` are plain slotted
 classes with written-out constructors, and their equality, hashing and
@@ -63,6 +63,7 @@ __all__ = [
     "check_certificate",
     "certify_min_element",
     "minimal_q",
+    "admissible_q",
     "parse_q_literal",
     "FORMAT_VERSION",
 ]
@@ -379,6 +380,23 @@ def minimal_q(family: str, twist: int) -> QuadExt:
     return qext(2)
 
 
+def admissible_q(family: str, rank: int, twist: int, q) -> QuadExt:
+    """``q`` as an exact number, once the type and q are in the range of the theorem.
+
+    Raises ValueError for a rank outside 1..MAX_RANK, the checker's range,
+    and for a q below the type's minimum, so that input out of range never
+    reaches a search whose failure would read as a falsification.  The
+    minimum is 2, sqrt 2 or sqrt 3, so q is compared through its square,
+    which is exact also for a q over another square root.
+    """
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}")
+    q, low = qext(q), minimal_q(family, twist)
+    if q.sign() <= 0 or q * q < low * low:
+        raise ValueError(f"q below the minimal value for {family}{rank} twist {twist}")
+    return q
+
+
 def parse_q_literal(text: str) -> QuadExt:
     """Parse CLI q literals: '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3'."""
     s = text.strip().replace(" ", "")
@@ -413,11 +431,7 @@ def certify_min_element(
     the type's minimum raise ValueError before any solving.
     """
     family, rank = W.system.family, W.system.rank
-    if not 1 <= rank <= MAX_RANK:
-        raise ValueError(f"rank must be in 1..{MAX_RANK}")
-    q = qext(q)
-    if q < minimal_q(family, twist.order):
-        raise ValueError(f"q below the minimal value for {family}{rank} twist {twist.order}")
+    q = admissible_q(family, rank, twist.order, q)
     pi = pi_of(twist, dclass.direction)
     for w in dclass.min_elements():
         system = build_forward_system(W, w, pi, q)

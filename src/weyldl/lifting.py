@@ -51,6 +51,7 @@ from .conjugacy import (
 from .criterion import (
     FORM_FORWARD,
     Certificate,
+    admissible_q,
     build_forward_system,
     build_star_system,
     check_certificate,
@@ -463,12 +464,13 @@ def _engine(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     Memoized per process on (system key, pi, q, key of x), so each
     sub-problem that recurs under many classes is built and validated
     once (``_engine_cold`` on a miss).  The system key is the Cartan
-    matrix, which fixes the root order and the element encoding, so a
-    named group and every standalone parabolic with its matrix share
-    their entries, as for ``class_list``.  A hit is safe: the stored witness
-    passed every ``_validate`` of its construction, its ``mu`` is
-    read-only, and each enclosing step re-validates what it builds from
-    it.  A failed construction stores nothing.
+    matrix, which fixes the root order and the element encoding, so every
+    group of one matrix (``weyl.group_of``'s, or a fresh ``WeylGroup`` of
+    an equal system) shares the entries, as for ``class_list``.  A hit is
+    safe: the stored witness passed every ``_validate`` of its
+    construction, its ``mu`` is read-only, and each enclosing step
+    re-validates what it builds from it.  A failed construction stores
+    nothing.
     """
     key = (W.system.key, tuple(sorted(pi.items())), qext(q), x.key)
     cert = _ENGINE_MEMO.get(key)
@@ -529,13 +531,15 @@ def constructive_certificate(
     """Certificate for a twisted class via the constructive route.
 
     The element and coweight generally differ from the solver route's;
-    both must be accepted by the same independent checker.
+    both must be accepted by the same independent checker.  A rank outside
+    the checker's range and a q below the type's minimum raise ValueError
+    before any construction (``admissible_q``).
     """
-    q = qext(q)
+    family, rank = W.system.family, W.system.rank
+    q = admissible_q(family, rank, twist.order, q)
     pi = pi_of(twist, dclass.direction)
     cert = _engine(W, pi, q, dclass.representative)
     coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
-    family, rank = W.system.family, W.system.rank
     out = Certificate(
         family=family,
         rank=rank,

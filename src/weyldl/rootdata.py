@@ -7,11 +7,11 @@ all interfaces, 0-based in storage), so the simple reflection acts by
 
     s_i(alpha) = alpha - (sum_j C[i][j] c_j) alpha_i.
 
-The positive roots of a Cartan matrix are found once per process by
-going up in height through their pairings with the simple coroots,
-which also give the image of every positive root under every simple
-reflection (``RootSystem.simple_reflections``); ``weyl`` builds its
-reflection tables from those images.
+The positive roots of a Cartan matrix are found by going up in height
+through their pairings with the simple coroots, which also give the
+image of every positive root under every simple reflection
+(``RootSystem.simple_reflections``); ``weyl`` builds its reflection
+tables from those images, once per matrix (``weyl.group_of``).
 
 Coweights are coordinate vectors in the fundamental-coweight basis and
 pair with a root by the plain coordinate dot product, since
@@ -43,14 +43,13 @@ __all__ = [
     "Twist",
     "build_root_system",
     "build_twist",
+    "candidate_types",
     "identity_twist",
     "positive_root_count",
+    "system_of",
 ]
 
 Root = tuple[int, ...]
-
-_FAMILIES = "ABCDEFG"
-
 
 _setattr = object.__setattr__
 
@@ -114,18 +113,27 @@ def _chain_cartan(n: int) -> list[list[int]]:
     return c
 
 
-def _check_type(family: str, rank: int) -> None:
-    """Raise InvalidCartanTypeError unless (family, rank) names an irreducible type."""
-    n = rank
-    if not (
+def _is_type(family: str, n: int) -> bool:
+    """True when (family, n) names an irreducible type: the one rule of types."""
+    return (
         (family == "A" and n >= 1)
         or (family in ("B", "C") and n >= 2)
         or (family == "D" and n >= 3)
         or (family == "E" and n in (6, 7, 8))
         or (family == "F" and n == 4)
         or (family == "G" and n == 2)
-    ):
+    )
+
+
+def _check_type(family: str, rank: int) -> None:
+    """Raise InvalidCartanTypeError unless (family, rank) names an irreducible type."""
+    if not _is_type(family, rank):
         raise InvalidCartanTypeError(f"no root system of type {family}{rank}")
+
+
+def candidate_types(rank: int) -> list[tuple[str, int]]:
+    """The irreducible types of the given rank, in family order."""
+    return [(family, rank) for family in "ABCDEFG" if _is_type(family, rank)]
 
 
 def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -274,30 +282,17 @@ def _close_positive_roots(cartan) -> tuple[list[Root], list[list[int]]]:
     return roots, reflections
 
 
-# The roots, root index and simple reflections of each Cartan matrix, closed
-# once per process: the named group and every standalone parabolic with the
-# same matrix share them.
-_CLOSURES: dict[tuple[tuple[int, ...], ...], tuple] = {}
-
-
 def _build_from_cartan(family: str, rank: int, cartan) -> RootSystem:
-    if cartan not in _CLOSURES:
-        roots, reflections = _close_positive_roots(cartan)
-        _CLOSURES[cartan] = (
-            tuple(roots),
-            {r: k for k, r in enumerate(roots)},
-            tuple(map(tuple, reflections)),
-        )
-    roots, index, reflections = _CLOSURES[cartan]
+    roots, reflections = _close_positive_roots(cartan)
     return RootSystem(
         family=family,
         rank=rank,
         cartan=cartan,
-        positive_roots=roots,
+        positive_roots=tuple(roots),
         highest_root=roots[-1],
         n0=sum(roots[-1]),
-        root_index=index,
-        simple_reflections=reflections,
+        root_index={r: k for k, r in enumerate(roots)},
+        simple_reflections=tuple(map(tuple, reflections)),
     )
 
 
@@ -313,6 +308,16 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"expected {expected}"
         )
     return system
+
+
+def system_of(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
+    """The root system of a Cartan matrix: a type's Bourbaki matrix is built as
+    that type, also when met as a parabolic, and any other is labelled by its rows."""
+    for family, rank in candidate_types(len(cartan)):
+        if cartan_matrix(family, rank) == cartan:
+            return build_root_system(family, rank)
+    label = "cartan:" + "/".join(",".join(map(str, row)) for row in cartan)
+    return _build_from_cartan(label, len(cartan), cartan)
 
 
 class Coweight(Frozen):

@@ -11,21 +11,21 @@ ambient group only through ``SubContext``.  The renumbering keeps the
 order of the nodes, so canonical words, the root order and class
 representatives correspond.
 
-The standalone group is keyed on the Cartan submatrix, so equal
-submatrices share one group, one element encoding and one set of
-reflection tables.  ``component_orbits`` groups the irreducible
-components into the orbits of a twist, and ``identify_standard`` finds
-the Bourbaki name of an irreducible subsystem together with a labelling
-isomorphism that carries a given index permutation to the standard
-twist.
+The standalone group is ``weyl.group_of`` the Cartan submatrix: equal
+submatrices, and a named type of that matrix, are one group, with one
+element encoding and one set of reflection tables.  ``component_orbits``
+groups the irreducible components into the orbits of a twist, and
+``identify_standard`` finds the Bourbaki name of an irreducible
+subsystem together with a labelling isomorphism that carries a given
+index permutation to the standard twist.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import _build_from_cartan, build_twist, cartan_matrix
-from .weyl import WeylElt, WeylGroup
+from .rootdata import build_twist, candidate_types, cartan_matrix
+from .weyl import WeylElt, WeylGroup, group_of
 
 __all__ = [
     "SubContext",
@@ -40,8 +40,8 @@ __all__ = [
 class SubContext:
     """Standalone Weyl group for a node subset of an ambient group.
 
-    The group is shared by every node subset, of any ambient group, with
-    the same Cartan submatrix (see ``_cartan_group``).
+    The group is ``group_of`` the Cartan submatrix: one group for every
+    node subset, of any ambient group, with that submatrix.
     """
 
     def __init__(self, ambient: WeylGroup, nodes: frozenset[int]):
@@ -49,7 +49,7 @@ class SubContext:
         self.nodes = tuple(sorted(nodes))
         self.to_sub = {s: k + 1 for k, s in enumerate(self.nodes)}
         self.to_ambient = {k + 1: s for k, s in enumerate(self.nodes)}
-        self.group = _cartan_group(tuple(
+        self.group = group_of(tuple(
             tuple(ambient.system.cartan[i - 1][j - 1] for j in self.nodes)
             for i in self.nodes
         ))
@@ -73,21 +73,7 @@ class SubContext:
         return self.ambient.from_word(self.word_to_ambient(self.group.reduced_word(y)))
 
 
-_GROUP_MEMO: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}
 _SUB_MEMO: dict[tuple, SubContext] = {}
-
-
-def _cartan_group(cartan: tuple[tuple[int, ...], ...]) -> WeylGroup:
-    """The one standalone group of a Cartan matrix, labelled by the matrix.
-
-    Its system key is the matrix, as every group's is, so it shares the
-    class, cuspidal, opposition, engine and sub-context memos, and element
-    equality, with the named group of an equal matrix.
-    """
-    if cartan not in _GROUP_MEMO:
-        label = "cartan:" + "/".join(",".join(map(str, row)) for row in cartan)
-        _GROUP_MEMO[cartan] = WeylGroup(_build_from_cartan(label, len(cartan), cartan))
-    return _GROUP_MEMO[cartan]
 
 
 def sub_context(ambient: WeylGroup, nodes: Iterable[int]) -> SubContext:
@@ -169,24 +155,6 @@ def cartan_isos(
     yield from backtrack(0, set())
 
 
-def _candidate_types(rank: int):
-    if rank == 1:
-        yield ("A", 1)
-        return
-    yield ("A", rank)
-    if rank >= 2:
-        yield ("B", rank)
-        yield ("C", rank)
-    if rank >= 3:
-        yield ("D", rank)
-    if rank in (6, 7, 8):
-        yield ("E", rank)
-    if rank == 4:
-        yield ("F", 4)
-    if rank == 2:
-        yield ("G", 2)
-
-
 def identify_standard(
     cartan: Sequence[Sequence[int]],
     sigma: dict[int, int],
@@ -207,11 +175,8 @@ def identify_standard(
         cur = {i: sigma[cur[i]] for i in cur}
         order += 1
     rows = sorted(map(sorted, cartan))  # equal for isomorphic matrices
-    for family, rank in _candidate_types(n):
-        try:
-            target = cartan_matrix(family, rank)
-        except Exception:
-            continue
+    for family, rank in candidate_types(n):
+        target = cartan_matrix(family, rank)
         if sorted(map(sorted, target)) != rows:
             continue
         try:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import QuadExt, qext
-from .rootdata import RootSystem, build_root_system
+from .rootdata import RootSystem, cartan_matrix, system_of
 
-__all__ = ["WeylGroup", "WeylElt", "weyl_group"]
+__all__ = ["WeylGroup", "WeylElt", "group_of", "weyl_group"]
 
 
 class WeylElt:
@@ -60,12 +60,6 @@ class WeylElt:
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.length, self.word)
-
-
-# Translate tables and permutation steps of each Cartan matrix, shared by every
-# group built on it: the root order and the simple reflections depend only on
-# the matrix.
-_TABLES: dict[tuple[tuple[int, ...], ...], tuple[list[bytes], list[tuple[int, int, int]]]] = {}
 
 
 def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int, int]]]:
@@ -123,13 +117,11 @@ class WeylGroup:
         ``tables[b][c]`` is the key byte of s_beta(gamma), for beta the root
         of byte b and gamma that of byte c; bytes b and 2N - b (a root and
         its negative) share a table, and byte N maps to the identity.  Built
-        on first use, once per Cartan matrix (``_build_tables``).
+        on first use (``_build_tables``), so once per Cartan matrix for the
+        groups of ``group_of``, named types and parabolics alike.
         """
         if self._tables is None:
-            cartan = self.system.cartan
-            if cartan not in _TABLES:
-                _TABLES[cartan] = _build_tables(self.system)
-            self._tables, self._perm_steps = _TABLES[cartan]
+            self._tables, self._perm_steps = _build_tables(self.system)
         return self._tables
 
     def _extend(self, w: WeylElt, word: Iterable[int]) -> WeylElt:
@@ -267,19 +259,22 @@ class WeylGroup:
         return frozenset(self.reduced_word(w))
 
 
-# The group of each named type, built once per process: the root system and the
-# reflection tables depend only on (family, rank).
+# The one group of each Cartan matrix, named type or standalone parabolic, and
+# an index of the named types, which saves ``check_certificate`` a matrix build.
+_BY_CARTAN: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
 
-def weyl_group(family: str, rank: int) -> WeylGroup:
-    """The one group of the irreducible type ``family`` ``rank``, built on first use.
+def group_of(cartan: tuple[tuple[int, ...], ...]) -> WeylGroup:
+    """The one group of a Cartan matrix, named by ``system_of``, built on first use."""
+    if cartan not in _BY_CARTAN:
+        _BY_CARTAN[cartan] = WeylGroup(system_of(cartan))
+    return _BY_CARTAN[cartan]
 
-    The first build goes through ``build_root_system``, which raises for a
-    pair that names no root system and checks the positive-root count; a
-    failed build stores nothing.
-    """
+
+def weyl_group(family: str, rank: int) -> WeylGroup:
+    """``group_of`` the matrix of ``family`` ``rank``; raises where ``cartan_matrix`` does."""
     key = (family, rank)
     if key not in _GROUPS:
-        _GROUPS[key] = WeylGroup(build_root_system(family, rank))
+        _GROUPS[key] = group_of(cartan_matrix(family, rank))
     return _GROUPS[key]

@@ -15,13 +15,13 @@ from weyldl.casetables import (
     case_records,
     load_case_records,
     place_row,
-    type_context,
+    type_group,
     verify_all,
     verify_case,
 )
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, check_certificate
-from weyldl.exactnum import SQRT2, qext
+from weyldl.exactnum import SQRT2, SQRT3, qext
 from weyldl.subsystems import sub_context
 
 from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
@@ -85,10 +85,10 @@ class TestLoad:
 
     def test_2e6_case8_rep_is_longest(self, records):
         rec = by_label(records, "2E6 case 8")
-        ctx = type_context("E", 6, 2)
-        v = ctx.W.from_word(rec.v_words[0])
-        w1 = ctx.W.from_word(rec.w1)
-        assert ctx.W.multiply(v, w1) == ctx.W.longest_element(range(1, 7))
+        W = casetables.weyl_group("E", 6)
+        v = W.from_word(rec.v_words[0])
+        w1 = W.from_word(rec.w1)
+        assert W.multiply(v, w1) == W.longest_element(range(1, 7))
 
 
 class TestVerifySmall:
@@ -124,6 +124,15 @@ class TestVerifySmall:
         # Monotone rows keep the witness valid at 2*sqrt2.
         report = verify_case(by_label(records, "2B2 case 1"), q=SQRT2 * 2)
         assert report.subchecks["star"] == "pass"
+
+    def test_below_minimal_q_is_an_error(self, records):
+        """No row need hold below the type's minimum, so no subcheck is run; a q
+        over another square root is compared with the minimum exactly."""
+        record = by_label(records, "2B2 case 1")
+        for q in (qext(1), SQRT3 / 2):
+            with pytest.raises(ValueError, match="^q below the minimal value for B2 twist 2$"):
+                verify_case(record, q=q)
+        assert verify_case(record, q=SQRT3).passed
 
     def test_spade_above_minimal_q_becomes_feasible(self, records):
         report = verify_case(by_label(records, "G2 case 1"), q=qext(4))
@@ -189,11 +198,11 @@ def test_inner_cuspidal_matches_enumeration(records):
     enumerated partition of the standalone W_K, word for word."""
     placements = {}
     for rec in records:
-        ctx = type_context(rec.family, rec.rank, rec.twist)
+        W, pi_inv = type_group(rec.family, rec.rank, rec.twist)
         for w1 in (rec.w1, rec.alt_w1):
-            placed = w1 is not None and place_row(ctx.W, ctx.pi_inv, rec.J, w1)
+            placed = w1 is not None and place_row(W, pi_inv, rec.J, w1)
             if placed and 0 < len(placed.K) <= 6:
-                sub = sub_context(ctx.W, placed.K)
+                sub = sub_context(W, placed.K)
                 pi = sub.pi_to_sub(placed.sigma)
                 placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
     assert placements
@@ -234,8 +243,7 @@ class TestCoverage:
     def test_minimal_coverage(self, family, rank, twist):
         """Each cuspidal class receives a minimal representative from a row's
         inner options, as the verifier resolves them."""
-        ctx = type_context(family, rank, twist)
-        W, pi = ctx.W, ctx.pi_inv
+        W, pi = type_group(family, rank, twist)
         cusp = [c for c in class_list(W, pi, direction="delta_inv") if c.cuspidal]
         covered = {c.representative: False for c in cusp}
         for rec in case_records(family, rank, twist):
@@ -254,8 +262,7 @@ class TestCoverage:
 
 def _verdicts_by_enumeration(record):
     """Criteria (iv)-(vi) of one row, read off enumerated class partitions."""
-    ctx = type_context(record.family, record.rank, record.twist)
-    W, pi = ctx.W, ctx.pi_inv
+    W, pi = type_group(record.family, record.rank, record.twist)
     placed = place_row(W, pi, record.J, record.w1)
     v_words, problem = _resolve_v_options(record, placed)
     assert problem is None, problem

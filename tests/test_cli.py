@@ -1,11 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weyldl import cli
+from weyldl.criterion import FORM_FORWARD, Certificate
+from weyldl.exactnum import SQRT2
+from weyldl.rootdata import Coweight
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -134,6 +144,14 @@ class TestCertifyCheck:
         out = run_cli("check", str(bad), cwd=tmp_path)
         assert out.returncode == 1
 
+    def test_check_rejects_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01]))
+        out = run_cli("check", str(bad), cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.strip() == "reject: certificate is not UTF-8 text"
+        assert out.stdout == ""
+
     def test_check_rejects_oversized_file(self, tmp_path):
         """A file longer than any certificate is refused before it is parsed."""
         big = tmp_path / "big.json"
@@ -206,6 +224,34 @@ class TestCertifyCheck:
         assert a == b and a.strip()
 
 
+# A certificate ``check`` accepts (the Suzuki class of 2B2), for splicing bytes into.
+_VALID = Certificate(
+    family="B", rank=2, twist=2, direction="delta", q=SQRT2, w=(1,),
+    form=FORM_FORWARD, mu=Coweight.of([3, 1]),
+).to_json().encode()
+_SPLICED = st.builds(
+    lambda i, j, data: _VALID[:min(i, j)] + data + _VALID[max(i, j):],
+    st.integers(0, len(_VALID)), st.integers(0, len(_VALID)), st.binary(max_size=16),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=2048) | _SPLICED)
+def test_check_gives_a_verdict_on_any_bytes(data):
+    """Any file of up to 2 KiB, raw or spliced into a valid certificate, gets a
+    verdict: exit 0 or 1, never a usage ``error:`` and never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["check", path])
+    assert code in (0, 1)
+    assert code == 0 or err.getvalue().startswith("reject: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 class TestVerifyPaper:
     def test_f4_filter(self, tmp_path):
         out = run_cli("verify-paper", "--filter", "F4", cwd=tmp_path)
@@ -220,6 +266,15 @@ class TestVerifyPaper:
         assert out.returncode == 0
         payload = json.loads(path.read_text())
         assert [c["label"] for c in payload["cases"]] == ["2B2 case 1", "2B2 case 2"]
+
+    @pytest.mark.parametrize("literal", ["1", "1/2*sqrt3"])
+    def test_q_below_the_minimum_is_an_error(self, tmp_path, literal):
+        """A q below the type's minimum sqrt 2, also one over sqrt 3, is refused
+        with a reason; no row is reported as failing."""
+        out = run_cli("verify-paper", "--filter", "2B2", "--q", literal, cwd=tmp_path)
+        assert out.returncode == 1
+        assert "FAIL" not in out.stdout
+        assert out.stderr.strip() == "error: q below the minimal value for B2 twist 2"
 
     def test_slow_decides_e7_minimality(self, tmp_path):
         """--slow runs the shift closure on an E7 row the default tier skips."""

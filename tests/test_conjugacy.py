@@ -19,8 +19,8 @@ from weyldl.conjugacy import (
     supp_delta,
 )
 from weyldl.rootdata import build_twist
-from weyldl.subsystems import _cartan_group, sub_context
-from weyldl.weyl import WeylGroup
+from weyldl.subsystems import sub_context
+from weyldl.weyl import WeylGroup, group_of
 
 from conftest import RANK_5_6, RANK_LE_4, group, twist_of
 from multiply_oracles import (
@@ -493,7 +493,7 @@ class TestCuspidalRepresentatives:
     def test_swapped_components(self, name, direction):
         """Orbits of several components: seeds of the first under pi^r."""
         cartan, pi = SWAPPED[name]
-        W = _cartan_group(cartan)
+        W = group_of(cartan)
         if direction == "delta_inv":
             pi = {v: k for k, v in pi.items()}
         got = [w.word for w in cuspidal_representatives(W, pi)]
@@ -510,7 +510,7 @@ class TestCuspidalRepresentatives:
                 groups.append((group(family, rank), pi, direction))
         for cartan, pi in SWAPPED.values():
             for p in (pi, {v: k for k, v in pi.items()}):
-                groups.append((_cartan_group(cartan), p, "delta"))
+                groups.append((group_of(cartan), p, "delta"))
         checked = 0
         for W, pi, direction in groups:
             for cls in enumerate_delta_classes(W, pi, direction):
@@ -583,7 +583,7 @@ class TestClassOracle:
     def test_class_list_swapped_components(self, name):
         """Reducible groups whose twist permutes components, both directions."""
         cartan, pi = SWAPPED[name]
-        W = _cartan_group(cartan)
+        W = group_of(cartan)
         for p in (pi, {v: k for k, v in pi.items()}):
             assert class_list(W, p) == enumerate_delta_classes(W, p)
 
@@ -613,7 +613,7 @@ class TestClassOracle:
         directions, has the twisted support of its whole level."""
         groups = [(group(f, r), pi_of(build_twist(f, r, o), d))
                   for f, r, o in RANK_LE_4 for d in ("delta", "delta_inv")]
-        groups += [(_cartan_group(cartan), p) for cartan, pi in SWAPPED.values()
+        groups += [(group_of(cartan), p) for cartan, pi in SWAPPED.values()
                    for p in (pi, {v: k for k, v in pi.items()})]
         for W, pi in groups:
             for cls in enumerate_delta_classes(W, pi):

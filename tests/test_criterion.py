@@ -415,10 +415,10 @@ def test_bad_group_descriptor_leaves_group_memo_unchanged(hostile_id):
     mutate, reason = next(h[1:] for h in HOSTILE if h[0] == hostile_id)
     obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
     mutate(obj)
-    before = set(weyl._GROUPS)
+    before = set(weyl._GROUPS), set(weyl._BY_CARTAN)
     result = check_certificate(Certificate.from_json(json.dumps(obj)))
     assert not result and result.reason.startswith(reason)
-    assert set(weyl._GROUPS) == before
+    assert (set(weyl._GROUPS), set(weyl._BY_CARTAN)) == before
 
 
 @pytest.mark.parametrize("family, rank", [("G", 2.0), ("A", True)])
@@ -426,10 +426,10 @@ def test_rank_that_is_not_an_int_is_rejected(family, rank):
     """A rank equal to a valid int but of another type is rejected before
     the memo, whose key (family, 2.0) would be the key of (family, 2)."""
     cert = TestCertificates().cert(None, (1,), [1] * int(rank), family=family, rank=rank)
-    before = set(weyl._GROUPS)
+    before = set(weyl._GROUPS), set(weyl._BY_CARTAN)
     result = check_certificate(cert)
     assert not result and result.reason == "rank must be in 1..8"
-    assert set(weyl._GROUPS) == before
+    assert (set(weyl._GROUPS), set(weyl._BY_CARTAN)) == before
 
 
 def _assert_accepts_or_rejects(text):
@@ -490,6 +490,18 @@ class TestCertify:
         classes = class_list(G2, pi_of(twist))
         with pytest.raises(ValueError):
             certify_min_element(G2, twist, classes[0], qext(1))
+
+    def test_q_over_another_square_root(self, B2, G2):
+        """The minimum is compared through squares, so a q over another square
+        root is refused only below it: sqrt 3 certifies 2B2 (minimum sqrt 2),
+        and sqrt 2 is below the minimum sqrt 3 of 2G2."""
+        twist = build_twist("B", 2, 2)
+        target = class_of(B2, pi_of(twist), B2.simple(1))
+        assert check_certificate(certify_min_element(B2, twist, target, SQRT3))
+        twist = build_twist("G", 2, 2)
+        target = class_of(G2, pi_of(twist), G2.simple(1))
+        with pytest.raises(ValueError, match="^q below the minimal value for G2 twist 2$"):
+            certify_min_element(G2, twist, target, SQRT2)
 
     def test_rank_beyond_the_checker(self):
         """A rank the checker cannot read is refused before solving, not reported

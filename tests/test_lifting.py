@@ -7,11 +7,12 @@ import pytest
 
 from weyldl import conjugacy, lifting
 from weyldl.casetables import RowPlacement
-from weyldl.conjugacy import class_list, cuspidal_representatives, pi_of
+from weyldl.conjugacy import class_list, class_of, cuspidal_representatives, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     Certificate,
     build_forward_system,
+    certify_min_element,
     check_certificate,
     feasible,
     minimal_q,
@@ -480,6 +481,26 @@ for cls in class_list(W, pi_of(twist)):
     assert check_certificate(constructive_certificate(W, twist, cls, minimal_q("A", 1)))
 print(" ".join(f"{f}{n}" for f, n in sorted(weyl._GROUPS)))
 """
+
+
+def test_both_routes_refuse_out_of_range_input():
+    """Input outside the theorem's range raises ValueError in both routes before
+    any work, never a falsification: the A9 Coxeter class (beyond the catalog
+    and the checker), and every class of G2 at q = 1, where the constructive
+    route divided by q - 1 or found no witness."""
+    A9 = group("A", 9)
+    twist = build_twist("A", 9, 1)
+    coxeter = class_of(A9, pi_of(twist), A9.from_word(range(1, 10)))
+    with pytest.raises(ValueError, match=r"^rank must be in 1\.\.8$"):
+        constructive_certificate(A9, twist, coxeter, qext(2))
+    G2 = group("G", 2)
+    twist = build_twist("G", 2, 1)
+    classes = class_list(G2, pi_of(twist))
+    assert len(classes) == 6
+    for cls in classes:
+        for route in (constructive_certificate, certify_min_element):
+            with pytest.raises(ValueError, match="^q below the minimal value for G2 twist 1$"):
+                route(G2, twist, cls, qext(1))
 
 
 def test_constructive_route_builds_only_its_own_type():

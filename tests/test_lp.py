@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from weyldl.casetables import load_case_records, place_row, type_context
+from weyldl.casetables import load_case_records, place_row, type_group
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
     build_forward_system,
@@ -159,12 +159,13 @@ def test_matches_dense_simplex_on_catalog_star_systems():
     for record in load_case_records():
         if record.rank > 6:
             continue
-        ctx = type_context(record.family, record.rank, record.twist)
+        W, pi_inv = type_group(record.family, record.rank, record.twist)
+        q = minimal_q(record.family, record.twist)
         for w1 in (record.w1, record.alt_w1):
-            placed = None if w1 is None else place_row(ctx.W, ctx.pi_inv, record.J, w1)
+            placed = None if w1 is None else place_row(W, pi_inv, record.J, w1)
             if placed is None:
                 continue
-            star = build_star_system(ctx.W, record.J, placed.w1, ctx.pi_inv, ctx.min_q, placed.K)
+            star = build_star_system(W, record.J, placed.w1, pi_inv, q, placed.K)
             assert _same_as_dense(star), (record.label, w1)
             count += 1
     assert count == 120

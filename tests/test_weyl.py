@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldl.rootdata import build_root_system
-from weyldl.weyl import WeylGroup, _build_tables, weyl_group
+from weyldl.subsystems import sub_context
+from weyldl.weyl import WeylGroup, _build_tables, group_of, weyl_group
 
 from conftest import RANK_LE_4, group
 from multiply_oracles import (
@@ -157,10 +158,27 @@ class TestGroupMemo:
         assert weyl_group("F", 4) is weyl_group("F", 4)
         assert weyl_group("B", 3) is not weyl_group("C", 3)
 
+    def test_parabolic_of_a_bourbaki_matrix_is_the_named_group(self):
+        """A standard parabolic whose submatrix is a type's Bourbaki matrix is
+        that type's group, with its name and its one reflection table."""
+        assert sub_context(weyl_group("B", 3), {1, 2}).group is weyl_group("A", 2)
+        B2 = sub_context(weyl_group("F", 4), {2, 3}).group
+        assert B2 is weyl_group("B", 2)
+        assert (B2.system.family, B2.system.rank) == ("B", 2)
+        assert B2.reflection_table() is weyl_group("B", 2).reflection_table()
+
+    def test_other_matrices_keep_a_cartan_label(self):
+        """A reducible parabolic (A1 x A1) is labelled by its matrix and is one
+        group for every ambient group that has it."""
+        A1A1 = sub_context(weyl_group("A", 3), {1, 3}).group
+        assert A1A1 is sub_context(weyl_group("C", 3), {1, 3}).group
+        assert A1A1 is group_of(((2, 0), (0, 2)))
+        assert A1A1.system.family == "cartan:2,0/0,2"
+
     @pytest.mark.parametrize("family,rank", TYPES_RANK_LE_4)
     def test_memo_group_equals_fresh_group(self, family, rank):
         """The memo's group has the root data and reflection tables of a fresh
-        build; the tables are rebuilt here without the shared table memo."""
+        build, and of the tables built here directly from the fresh system."""
         W, fresh = weyl_group(family, rank), WeylGroup(build_root_system(family, rank))
         assert (W.system.family, W.system.rank) == (family, rank)
         assert W.system.cartan == fresh.system.cartan
@@ -234,18 +252,18 @@ def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
 def _catalog_parabolics():
     """(row label, standalone group) for each distinct group of the inner node
     sets that the catalog's "lengths"/"all" rows partition."""
-    from weyldl.casetables import load_case_records, place_row, type_context
+    from weyldl.casetables import load_case_records, place_row, type_group
     from weyldl.subsystems import sub_context
 
     out = {}
     for rec in load_case_records():
         if rec.v_mode not in ("lengths", "all"):
             continue
-        ctx = type_context(rec.family, rec.rank, rec.twist)
+        W, pi_inv = type_group(rec.family, rec.rank, rec.twist)
         for word in (rec.w1, rec.alt_w1):
-            placed = None if word is None else place_row(ctx.W, ctx.pi_inv, rec.J, word)
+            placed = None if word is None else place_row(W, pi_inv, rec.J, word)
             if placed is not None and placed.K:
-                sub = sub_context(ctx.W, placed.K)
+                sub = sub_context(W, placed.K)
                 out[sub.system.key] = (rec.label, sub.group)
     return list(out.values())
 
