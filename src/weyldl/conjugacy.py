@@ -13,6 +13,10 @@ members.
 Nothing here enumerates a group: classes come from minimal elements and
 their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 ``class_list``); the partition of the whole group is the tests' oracle.
+
+Minimality is decided once per process: every level that ``minimal_level``
+walks, and every verdict that ``closure_min_check`` walks to, is kept per
+system key and pi, and ``closure_min_check`` answers from it first.
 """
 
 from __future__ import annotations
@@ -252,6 +256,16 @@ def ad_pi_on(W: WeylGroup, pi: PiMap, x: WeylElt, K: Iterable[int]) -> PiMap:
 # -- minimality by shift closure ---------------------------------------------
 
 
+# Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key ->
+# whether a finished shift walk proved the element minimal in its pi-class.
+_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool]] = {}
+
+
+def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool]:
+    """The minimality verdicts known for the pi-classes of W."""
+    return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
+
+
 def closure_min_check(
     W: WeylGroup,
     pi: PiMap,
@@ -267,19 +281,26 @@ def closure_min_check(
     a minimal one.
 
     The closure is the walk of ``shift_closure``, stopped at its first
-    strict descent.
+    strict descent.  Each walk's verdict is kept in ``_MINIMALITY_MEMO``,
+    which also holds every level ``minimal_level`` has walked, and an
+    element found there is answered without a walk, whatever the budget;
+    a "budget" answer is never kept.
 
     Fast path: an element whose length equals the number of pi-orbits
     of its support is minimal outright, since every element of the
     class needs at least one letter per orbit.
     """
+    verdicts = _verdicts(W, pi)
+    if w.key in verdicts:
+        return "minimal" if verdicts[w.key] else "not_minimal"
     if w.length == len(_pi_orbits(pi, supp_delta(W, pi, w))):
         return "minimal"
 
     try:
-        return "minimal" if _shorter(W, pi, w, budget) is None else "not_minimal"
+        verdicts[w.key] = minimal = _shorter(W, pi, w, budget) is None
     except ClosureBudgetError:
         return "budget"
+    return "minimal" if minimal else "not_minimal"
 
 
 def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt, budget: int = 10 ** 6) -> Optional[WeylElt]:
@@ -304,6 +325,10 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     components (304 classes).  Raises FalsificationError when a shift
     descends, so w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm
     1.1), and ClosureBudgetError beyond 10^6 elements.
+
+    A walk that ends without a descent proves every element of the level
+    minimal, so their keys go into ``_MINIMALITY_MEMO`` for
+    ``closure_min_check``.
     """
     # Every member but the identity has a left descent, hence a shift that
     # does not lengthen it, so the walk yields each member as u, with the
@@ -315,6 +340,7 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
                 f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
             )
         inverse[u] = u_inv
+    _verdicts(W, pi).update(dict.fromkeys(inverse or (w.key,), True))
     if not inverse:  # w is the identity and every shift lengthens it
         return [w]
     level = [WeylElt(W, key, w.length) for key in inverse]

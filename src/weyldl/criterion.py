@@ -40,6 +40,7 @@ pass.  See :mod:`weyldl.rootdata`.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -397,22 +398,27 @@ def admissible_q(family: str, rank: int, twist: int, q) -> QuadExt:
     return q
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_q_literal(text: str) -> QuadExt:
-    """Parse CLI q literals: '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3'."""
-    s = text.strip().replace(" ", "")
+    """Parse CLI q literals: p, p/q, sqrt2, sqrt3, or p or p/q times sqrt2 or sqrt3.
+
+    As in '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3', with ASCII digits
+    and spaces ignored.  Anything else, a zero denominator, or a number
+    too long for ``int`` raises ValueError before any work.
+    """
+    head, star, tail = text.strip().replace(" ", "").rpartition("*")
+    if tail in ("sqrt2", "sqrt3"):
+        rational, d = head if star else "1", int(tail[-1])
+    else:
+        rational, d = "" if star else tail, 1
+    match = _RATIONAL.fullmatch(rational)
     try:
-        mult = Fraction(1)
-        if "*" in s:
-            head, _, tail = s.partition("*")
-            mult = Fraction(head)
-            s = tail
-        if s in ("sqrt2", "sqrt3"):
-            return QuadExt(0, mult, int(s[-1]))
-        if mult == 1:
-            return QuadExt(Fraction(s))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"bad q literal {text!r}")
+        value = Fraction(int(match.group(1)), int(match.group(2) or 1))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad q literal {text!r}") from None
+    return QuadExt(value) if d == 1 else QuadExt(0, value, d)
 
 
 def certify_min_element(

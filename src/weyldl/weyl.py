@@ -3,17 +3,19 @@
 An element w is determined by w(alpha_1), ..., w(alpha_rank) (Casselman,
 Invent. Math. 116 (1994)).  Its key is those images as ``bytes``: byte k
 is ``t + N`` for the signed index t (``+-(q + 1)`` for +-beta_q) of
-w(alpha_k) among the N <= 120 positive roots.  Elements move only by
-``bytes.translate`` through the table of a reflection s_beta: the key of
-s_beta w is the translated key, and w s_i = s_beta w for beta = w(alpha_i),
-with l(w s_i) = l(w) + 1 exactly when beta is positive.  Products,
-inverses and the canonical (lexicographically smallest) reduced words are
-built from these moves; the signed permutation of all positive roots is
-rebuilt from the key only for callers that act on non-simple roots.
+w(alpha_k) among the N <= 127 positive roots (``MAX_ROOTS``, the most a
+byte holds).  Elements move only by ``bytes.translate`` through the table
+of a reflection s_beta: the key of s_beta w is the translated key, and
+w s_i = s_beta w for beta = w(alpha_i), with l(w s_i) = l(w) + 1 exactly
+when beta is positive.  Products, inverses and the canonical
+(lexicographically smallest) reduced words are built from these moves;
+the signed permutation of all positive roots is rebuilt from the key only
+for callers that act on non-simple roots.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import QuadExt, qext
@@ -92,6 +94,16 @@ def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int,
     return tables, steps
 
 
+# The byte of +-beta_q is N +- (q + 1), so 2N + 1 bytes must fit in 0..255.
+MAX_ROOTS = 127
+
+
+@cache
+def _exact(c: int) -> QuadExt:
+    """The one ``QuadExt`` of the integer c that root coordinates share."""
+    return qext(c)
+
+
 class WeylGroup:
     """Group context: a root system, its identity and simple reflections."""
 
@@ -100,6 +112,9 @@ class WeylGroup:
         self.rank = system.rank
         self.roots = system.positive_roots
         self.nroots = n = len(self.roots)
+        if n > MAX_ROOTS:
+            raise ValueError(f"{system.family}{system.rank} has {n} positive roots, "
+                             f"above the limit of {MAX_ROOTS} that element keys hold")
         # Position in ``roots`` of each simple root alpha_1..alpha_rank.
         self.simple_pos = tuple(system.root_index[system.simple_root(i)] for i in system.nodes)
         self.identity = WeylElt(self, bytes(p + 1 + n for p in self.simple_pos), 0)
@@ -107,7 +122,7 @@ class WeylGroup:
         self._negative = bytes(n) + b"\x01" * (256 - n)
         self._tables: Optional[list[bytes]] = None
         self._perm_steps: list[tuple[int, int, int]] = []
-        self._coords: Optional[dict[int, tuple[QuadExt, ...]]] = None
+        self._coords: dict[int, tuple[QuadExt, ...]] = {}
 
     # -- the move kernel ------------------------------------------------------
 
@@ -196,20 +211,18 @@ class WeylGroup:
     def signed_to_coords(self, signed: int) -> tuple[QuadExt, ...]:
         """Exact simple-root coordinates of the root of signed index ``signed``.
 
-        Read from one table of every signed root as ``QuadExt`` tuples,
-        built on first use, so the rows of a strict system share these
-        tuples instead of coercing an int per cell.  No coefficient
-        exceeds n0, the greatest height of a root, so the table shares
-        one ``QuadExt`` per value in -n0..n0.
+        A ``QuadExt`` tuple, built when the row is first asked for and
+        kept, so the rows of a strict system share these tuples instead of
+        coercing an int per cell; a system reads at most 2 * rank of the
+        2N rows.  The rows of every group share one ``QuadExt`` per
+        coefficient value.
         """
-        if self._coords is None:
-            n0 = self.system.n0
-            exact = {c: qext(c) for c in range(-n0, n0 + 1)}
-            self._coords = {}
-            for p, root in enumerate(self.roots, 1):
-                self._coords[p] = tuple(exact[c] for c in root)
-                self._coords[-p] = tuple(exact[-c] for c in root)
-        return self._coords[signed]
+        row = self._coords.get(signed)
+        if row is None:
+            sign = 1 if signed > 0 else -1
+            row = tuple(_exact(sign * c) for c in self.roots[abs(signed) - 1])
+            self._coords[signed] = row
+        return row
 
     def inversions(self, w: WeylElt) -> tuple[int, ...]:
         """Indices of the positive roots sent negative by w."""

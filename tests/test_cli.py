@@ -75,6 +75,23 @@ class TestEnumerate:
             "rep=[1,2] min_length=2 cuspidal=true",
         ]
 
+    @pytest.mark.parametrize("verb,family,rank,roots", [
+        ("enumerate", "A", 16, 136), ("enumerate", "B", 12, 144), ("shift-graph", "A", 16, 136),
+    ])
+    def test_too_many_roots_for_the_encoding(self, tmp_path, verb, family, rank, roots):
+        rep = ("--class-rep", "1") if verb == "shift-graph" else ()
+        out = run_cli(verb, "--family", family, "--rank", str(rank), *rep, cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.strip() == (f"error: {family}{rank} has {roots} positive roots, "
+                                      "above the limit of 127 that element keys hold")
+
+    def test_a15_fits_the_encoding(self, tmp_path):
+        """A15 has 120 positive roots, within the limit."""
+        out = run_cli("shift-graph", "--family", "A", "--rank", "15", "--class-rep", "1",
+                      cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip() == "# 1 nodes, 0 edges"
+
     def test_e7_has_no_seeds_yet(self, tmp_path):
         out = run_cli("enumerate", "--family", "E", "--rank", "7", cwd=tmp_path)
         assert out.returncode == 1
@@ -170,6 +187,17 @@ class TestCertifyCheck:
             assert out.returncode == 1, out.stderr
             assert out.stderr.startswith("error: bad q literal")
             assert "Traceback" not in out.stderr
+
+    def test_q_outside_the_grammar_is_an_error(self, tmp_path):
+        """1e5000 was read as a 5001-digit integer, solved with, and then failed
+        at serialization; now it is refused before any work."""
+        for literal in ("1e5000", "1e3", "1.5"):
+            out = run_cli(
+                "certify", "--family", "A", "--rank", "2", "--class-rep", "1,2",
+                "--q", literal, cwd=tmp_path,
+            )
+            assert out.returncode == 1, out.stderr
+            assert out.stderr.strip() == f"error: bad q literal {literal!r}"
 
     def test_class_rep_letters_are_validated(self, tmp_path):
         # On A2 the letters are 1 and 2: 0 and 3 are out of range, x is no letter.

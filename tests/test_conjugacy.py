@@ -382,7 +382,9 @@ class TestClosureMinCheck:
         assert big.length > oracle_class_of(F4, pi, big).min_length
         assert closure_min_check(F4, pi, big) == "not_minimal"
 
-    def test_budget(self, F4):
+    def test_budget(self, F4, monkeypatch):
+        # An empty memo, so that the walk answers and not an earlier F4 level.
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
         cls = oracle_class_of(F4, pi, w)
@@ -392,16 +394,51 @@ class TestClosureMinCheck:
         assert closure_min_check(F4, pi, picked, budget=1) == "budget"
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
-    def test_decides_minimality_rank_le_4(self, family, rank, order):
-        """Closure says "minimal" exactly on the minimal level of each enumerated class."""
+    def test_decides_minimality_rank_le_4(self, family, rank, order, monkeypatch):
+        """Closure says "minimal" exactly on the minimal level of each enumerated class,
+        from an empty memo (every answer walked) and from one warmed by ``class_list``."""
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
-            for w in elements_of(W):
-                minimal = w.length == oracle_class_of(W, pi, w, direction).min_length
-                assert closure_min_check(W, pi, w) == ("minimal" if minimal else "not_minimal"), (
-                    family, rank, order, direction, w.word,
-                )
+            expected = {
+                w: "minimal" if w.length == oracle_class_of(W, pi, w, direction).min_length
+                else "not_minimal"
+                for w in elements_of(W)
+            }
+            monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+            assert {w: closure_min_check(W, pi, w) for w in expected} == expected
+            for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+                monkeypatch.setattr(conjugacy, memo, {})
+            warmed = conjugacy._verdicts(W, pi)
+            for cls in class_list(W, pi, direction):
+                assert all(warmed[u.key] for u in cls.minimal)
+            assert {w: closure_min_check(W, pi, w) for w in expected} == expected
+
+    def test_budget_answer_is_not_kept(self, F4, monkeypatch):
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        pi = identity_pi(F4)
+        w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
+        assert closure_min_check(F4, pi, w, budget=1) == "budget"
+        assert conjugacy._verdicts(F4, pi) == {}
+        verdict = closure_min_check(F4, pi, w)
+        assert verdict != "budget"
+        assert conjugacy._verdicts(F4, pi) == {w.key: verdict == "minimal"}
+
+    def test_inner_representatives_need_no_walk(self, monkeypatch):
+        """Once ``cuspidal_representatives`` has walked the levels of a standalone
+        W_K, the oracle answers for its representatives without a walk."""
+        for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        D4 = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group  # node 3 central
+        pis = [{1: 1, 2: 2, 3: 3, 4: 4}, {1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 4, 3: 3, 4: 1}]
+        reps = [(pi, v) for pi in pis for v in cuspidal_representatives(D4, pi)]
+        assert any(v.length > supp_len(D4, pi, v) for pi, v in reps)  # no fast path
+        walks = []
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walks.append(args) or real_walk(*args))
+        assert all(closure_min_check(D4, pi, v) == "minimal" for pi, v in reps)
+        assert walks == []
 
 
 def supp_len(W, pi, w):

@@ -563,8 +563,11 @@ class TestQLiterals:
             parse_q_literal("sqrt5")
         with pytest.raises(ValueError):
             parse_q_literal("two")
-        for literal in ("1/0", "1/0*sqrt3", "2*"):
-            with pytest.raises(ValueError):
+        # Exponents, decimals, underscores, a '+' sign, non-ASCII digits and
+        # numbers beyond int's digit limit are outside the grammar too.
+        for literal in ("1/0", "1/0*sqrt3", "2*", "1e5000", "1e3", "1.5", "1_000", "+2",
+                        "\u0663", "9" * 5000):
+            with pytest.raises(ValueError, match="bad q literal"):
                 parse_q_literal(literal)
 
     def test_minimal_values(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.rootdata import build_root_system
+from weyldl.rootdata import build_root_system, candidate_types
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup, _build_tables, group_of, weyl_group
 
@@ -39,6 +39,21 @@ class TestAction:
     def test_negative_root_input(self, A2):
         w = A2.from_word([1])
         assert A2.signed_to_coords(-A2.act_on_simple(w, 1)) == (1, 0)
+
+    @pytest.mark.parametrize("family,rank", [t for r in range(1, 9) for t in candidate_types(r)])
+    def test_coords_are_the_signed_root(self, family, rank):
+        W = weyl_group(family, rank)
+        for p, root in enumerate(W.roots, 1):
+            assert W.signed_to_coords(p) == root
+            assert W.signed_to_coords(-p) == tuple(-c for c in root)
+
+    def test_coordinate_rows_are_built_on_demand(self):
+        """A fresh E8 holds no coordinate row until one is asked for, then that one."""
+        E8 = WeylGroup(build_root_system("E", 8))
+        assert E8._coords == {}
+        row = E8.signed_to_coords(-120)
+        assert row == tuple(-c for c in E8.system.highest_root)
+        assert E8._coords == {-120: row}
 
 
 class TestInversions:
