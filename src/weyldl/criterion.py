@@ -152,8 +152,9 @@ def _system(
     return IneqSystem(varset, tuple(rows), tuple(labels))
 
 
-def _inversion_rows(W: WeylGroup, w: WeylElt) -> list[tuple[str, int]]:
-    return [(f"inversion {W.roots[p]}", p + 1) for p in W.inversions(w)]
+def _inversion_rows(W: WeylGroup, u: WeylElt) -> list[tuple[str, int]]:
+    """The pure rows of the inversions of u^{-1}, in root order."""
+    return [(f"inversion {W.roots[p]}", p + 1) for p in W.inversions_of_inverse(u)]
 
 
 def build_forward_system(
@@ -169,7 +170,7 @@ def build_forward_system(
     return _system(
         W, varset, q,
         [(i, pi[i], W.act_on_simple(winv, i)) for i in varset],
-        _inversion_rows(W, w),
+        _inversion_rows(W, winv),
     )
 
 
@@ -185,7 +186,7 @@ def build_inverse_system(
     return _system(
         W, varset, q,
         [(i, i, W.act_on_simple(w, pi[i])) for i in varset],
-        _inversion_rows(W, W.invert(w)),
+        _inversion_rows(W, w),
     )
 
 

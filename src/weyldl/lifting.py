@@ -73,10 +73,8 @@ __all__ = [
     "constructive_certificate",
 ]
 
-# Dyadic damping steps tried by the cyclic combination, and scale
-# doublings tried by a spade composition, before either gives up.
+# Dyadic damping steps tried by the cyclic combination before it gives up.
 MAX_EPS_STEPS = 64
-MAX_DOUBLINGS = 8
 
 
 _setattr = object.__setattr__
@@ -124,25 +122,6 @@ def _max_abs(values: Iterable[QuadExt]) -> QuadExt:
         if a > best:
             best = a
     return best
-
-
-def _nudge_nonzero(W: WeylGroup, pi: PiMap, cert: EngineCert) -> EngineCert:
-    """Push zero coordinates off zero without losing any strict slack.
-
-    The witness set is open; the bump is sized from the smallest slack
-    against the total coefficient mass, all exactly.
-    """
-    zeros = [i for i in sorted(cert.nodes) if cert.mu[i].sign() == 0]
-    if not zeros:
-        return cert
-    system = build_forward_system(W, cert.w, pi, cert.q)
-    min_slack = min(system.evaluate(cert.mu), default=qext(1))
-    mass = max([qext(1)] + [sum((abs(c) for c in row), qext(0)) for row in system.rows])
-    eps = min_slack / (mass * 2 * len(zeros))
-    mu = dict(cert.mu)
-    for i in zeros:
-        mu[i] = eps
-    return _validate(W, pi, EngineCert(cert.w, mu, cert.nodes, cert.q), "nonzero nudge")
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +176,12 @@ def combine_cyclic_factors(
     """Spread a witness of one component over a cycle of components.
 
     ``inner`` certifies the component I1 for the r-th power of the twist
-    at q**r, with no zero coordinate (``_nudge_nonzero`` makes one so in
-    the component's own group), since the damping direction needs a
-    sign.  The combined coweight places epsilon-damped, q-scaled copies
-    of each coordinate around the cycle, the dyadic epsilon per
-    coordinate chosen closest to 1 that keeps the anchor rows strict.
+    at q**r, with no zero coordinate, since the damping direction needs a
+    sign; a zero raises ValueError.  The combined coweight places
+    epsilon-damped, q-scaled copies of each coordinate around the cycle.
+    The damping is 1 - 2^-k on positive coordinates and 1 + 2^-k on
+    negative ones, for the first k = 1, 2, ... that keeps every anchor row
+    strict: the factor farthest from 1 that holds.
     """
     I1 = inner.nodes
     r = 1
@@ -326,35 +306,21 @@ def spade_witness(
 ) -> EngineCert:
     """Composed witness for a row whose reduction system is infeasible.
 
-    ``recipe`` lists (node, sign, level) for the free nodes: level-k
-    magnitudes are successive factors of (n0 + 1) * previous / (q - 1)
-    above the inner witness.  The construction is validated by the
-    rebuilt system; scales double up to MAX_DOUBLINGS times before
-    giving up.
+    ``recipe`` lists (node, sign, level) for the free nodes: the level-k
+    magnitude is (n0 + 1) / (q - 1) times that of level k - 1, and level 0
+    is the largest inner coordinate (at least 1).  The magnitudes are built
+    once, as stated, and the rebuilt system validates the result.
     """
     q = qext(q)
-    v, mu_K, base = _inner_scale(W, inner)
-    if base < 1:
-        base = qext(1)
+    v, mu, base = _inner_scale(W, inner)
+    mags = [base if base >= 1 else qext(1)]
     factor = qext(W.system.n0 + 1) / (q - 1)
-    w = W.multiply(v, w1)
-    last_error: Optional[ConstructionError] = None
-    for _ in range(MAX_DOUBLINGS + 1):
-        mags = {0: base}
-        level = 1
-        while level <= max(lvl for _, _, lvl in recipe):
-            mags[level] = factor * mags[level - 1]
-            level += 1
-        mu = dict(mu_K)
-        for node, sign, lvl in recipe:
-            mu[node] = mags[lvl] if sign > 0 else -mags[lvl]
-        try:
-            out = EngineCert(W.invert(w), mu, frozenset(W.system.nodes), q)
-            return _validate(W, inverse_pi(tau), out, "spade composition")
-        except ConstructionError as exc:
-            last_error = exc
-            factor = factor * 2
-    raise last_error if last_error is not None else ConstructionError("spade recipe failed")
+    for _ in range(max(lvl for _, _, lvl in recipe)):
+        mags.append(factor * mags[-1])
+    for node, sign, lvl in recipe:
+        mu[node] = mags[lvl] if sign > 0 else -mags[lvl]
+    out = EngineCert(W.invert(W.multiply(v, w1)), mu, frozenset(W.system.nodes), q)
+    return _validate(W, inverse_pi(tau), out, "spade composition")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +482,6 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
         sub = sub_context(W, comps[0])
         pi_sub = sub.pi_to_sub(power_pi(pi, r))
         inner = _engine(sub.group, pi_sub, qext(q) ** r, sub.element_to_sub(v1))
-        inner = _nudge_nonzero(sub.group, pi_sub, inner)
         return combine_cyclic_factors(W, pi, _embed(sub, inner), q)
 
     return _leaf_certificate(W, pi, q, level)

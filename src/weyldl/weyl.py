@@ -7,10 +7,9 @@ w(alpha_k) among the N <= 127 positive roots (``MAX_ROOTS``, the most a
 byte holds).  Elements move only by ``bytes.translate`` through the table
 of a reflection s_beta: the key of s_beta w is the translated key, and
 w s_i = s_beta w for beta = w(alpha_i), with l(w s_i) = l(w) + 1 exactly
-when beta is positive.  Products, inverses and the canonical
-(lexicographically smallest) reduced words are built from these moves;
-the signed permutation of all positive roots is rebuilt from the key only
-for callers that act on non-simple roots.
+when beta is positive.  Products, inverses, the canonical
+(lexicographically smallest) reduced words and inversion sets are all read
+off these moves; no element carries a second encoding.
 """
 
 from __future__ import annotations
@@ -27,14 +26,13 @@ __all__ = ["WeylGroup", "WeylElt", "group_of", "weyl_group"]
 class WeylElt:
     """Immutable group element: a key plus its length; compared and hashed by key."""
 
-    __slots__ = ("group", "key", "length", "_word", "_perm")
+    __slots__ = ("group", "key", "length", "_word")
 
     def __init__(self, group: "WeylGroup", key: bytes, length: int):
         self.group = group
         self.key = key
         self.length = length
         self._word: Optional[tuple[int, ...]] = None
-        self._perm: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElt):
@@ -53,25 +51,17 @@ class WeylElt:
             self._word = self.group.canonical_word(self)
         return self._word
 
-    @property
-    def perm(self) -> tuple[int, ...]:
-        """Signed image index of every positive root, built on first use."""
-        if self._perm is None:
-            self._perm = self.group._permutation(self.key)
-        return self._perm
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.length, self.word)
 
 
-def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int, int]]]:
-    """The reflection tables of ``system`` and the steps that rebuild a permutation.
+def _build_tables(system: RootSystem) -> list[bytes]:
+    """The reflection tables of ``system``.
 
     Built by height: the table of a simple root is its column of
     ``system.simple_reflections``, and s_beta = s_j s_beta' s_j when
     s_j beta = beta' is lower, which is two translates of tables already
-    built.  The step (p, j, p') records that beta_p = s_j beta_p' with
-    beta_p' lower.
+    built.
     """
     roots, columns = system.positive_roots, system.simple_reflections
     n = len(roots)
@@ -80,7 +70,6 @@ def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int,
               + bytes([n + t for t in col]) + identity[2 * n + 1:] for col in columns]
     height = [sum(r) for r in roots]
     tables = [identity] * (2 * n + 1)
-    steps = []
     for p in range(n):  # the roots are in height order
         if height[p] == 1:
             table = simple[roots[p].index(1)]
@@ -89,9 +78,8 @@ def _build_tables(system: RootSystem) -> tuple[list[bytes], list[tuple[int, int,
                      if 0 < col[p] and height[col[p] - 1] < height[p])
             lower = columns[j][p] - 1
             table = simple[j].translate(tables[n + lower + 1]).translate(simple[j])
-            steps.append((p, j, lower))
         tables[n + p + 1] = tables[n - p - 1] = table
-    return tables, steps
+    return tables
 
 
 # The byte of +-beta_q is N +- (q + 1), so 2N + 1 bytes must fit in 0..255.
@@ -121,7 +109,6 @@ class WeylGroup:
         # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
         self._negative = bytes(n) + b"\x01" * (256 - n)
         self._tables: Optional[list[bytes]] = None
-        self._perm_steps: list[tuple[int, int, int]] = []
         self._coords: dict[int, tuple[QuadExt, ...]] = {}
 
     # -- the move kernel ------------------------------------------------------
@@ -136,7 +123,7 @@ class WeylGroup:
         groups of ``group_of``, named types and parabolics alike.
         """
         if self._tables is None:
-            self._tables, self._perm_steps = _build_tables(self.system)
+            self._tables = _build_tables(self.system)
         return self._tables
 
     def _extend(self, w: WeylElt, word: Iterable[int]) -> WeylElt:
@@ -161,20 +148,6 @@ class WeylGroup:
             word.append(j + 1)
             key = key.translate(tables[key[j]])
         return word
-
-    def _permutation(self, key: bytes) -> tuple[int, ...]:
-        """Signed image index of every positive root under the element of ``key``.
-
-        One lookup per non-simple root, by height: w(s_j beta') is
-        s_{w(alpha_j)}(w(beta')) with beta' lower.
-        """
-        tables, n = self.reflection_table(), self.nroots
-        img = [0] * n
-        for k, p in enumerate(self.simple_pos):
-            img[p] = key[k]
-        for p, j, lower in self._perm_steps:
-            img[p] = tables[key[j]][img[lower]]
-        return tuple(b - n for b in img)
 
     # -- basic elements ------------------------------------------------------
 
@@ -224,9 +197,21 @@ class WeylGroup:
             self._coords[signed] = row
         return row
 
-    def inversions(self, w: WeylElt) -> tuple[int, ...]:
-        """Indices of the positive roots sent negative by w."""
-        return tuple(p for p, t in enumerate(w.perm) if t < 0)
+    def inversions_of_inverse(self, u: WeylElt) -> list[int]:
+        """Indices of the positive roots sent negative by u^{-1}, in root order.
+
+        Read off the steps of ``_peel``: stripping a right descent j off the
+        current element u' meets u'(alpha_j) = -gamma, and the l(u) roots
+        gamma met on the way down to the identity are the inversions of
+        u^{-1}.  A caller that wants the inversions of w passes the w^{-1}
+        it holds.
+        """
+        tables, negative, n = self.reflection_table(), self._negative, self.nroots
+        key, found = u.key, []
+        while (j := key.translate(negative).find(0)) >= 0:
+            found.append(n - 1 - key[j])  # the byte of -beta_p is N - (p + 1)
+            key = key.translate(tables[key[j]])
+        return sorted(found)
 
     # -- words ----------------------------------------------------------------
 

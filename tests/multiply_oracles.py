@@ -177,15 +177,22 @@ def reflect(cartan: Sequence[Sequence[int]], i: int, coords: tuple[int, ...]) ->
     return tuple(out)
 
 
+# The simple reflections' permutations of each Cartan matrix.
+_SIMPLE_PERMS: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
+
+
 def perm_of_word(W: WeylGroup, word: Iterable[int]) -> tuple[int, ...]:
     """Signed permutation of the positive roots for a word, by composing the
-    simple reflections' permutations computed with ``reflect``."""
+    simple reflections' permutations computed with ``reflect`` (once per
+    Cartan matrix)."""
     cartan = W.system.cartan
-    index = {r: p + 1 for p, r in enumerate(W.roots)}
-    index.update({tuple(-c for c in r): -(p + 1) for p, r in enumerate(W.roots)})
-    simple = {
-        i: [index[reflect(cartan, i, r)] for r in W.roots] for i in range(1, W.rank + 1)
-    }
+    simple = _SIMPLE_PERMS.get(cartan)
+    if simple is None:
+        index = {r: p + 1 for p, r in enumerate(W.roots)}
+        index.update({tuple(-c for c in r): -(p + 1) for p, r in enumerate(W.roots)})
+        simple = _SIMPLE_PERMS[cartan] = {
+            i: [index[reflect(cartan, i, r)] for r in W.roots] for i in range(1, W.rank + 1)
+        }
     perm = tuple(range(1, W.nroots + 1))
     for i in word:
         perm = tuple(perm[t - 1] if t > 0 else -perm[-t - 1] for t in simple[i])

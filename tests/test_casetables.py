@@ -139,6 +139,26 @@ class TestVerifySmall:
         assert report.subchecks["star"] == "pass"
         assert report.details.get("star_note") == "feasible above minimal q"
 
+    def test_always_satisfied_row_fails_on_a_negative_star_row(self, records):
+        """A non-spade row without a printed witness claims that every positive
+        point satisfies its reduction system.  A2 case 1 has a star row with a
+        negative coefficient, so without its witness the row fails, although
+        the system is feasible."""
+        rec = by_label(records, "A2 case 1")
+        assert verify_case(rec).subchecks["star"] == "pass"
+        fields = {name: getattr(rec, name) for name in CaseRecord.__slots__}
+        report = verify_case(CaseRecord(**{**fields, "m_values": None}))
+        assert report.subchecks["star"] == "fail"
+        assert report.details["star_note"] == "some row fails at a positive point"
+
+
+def test_type_group_is_built_once_per_type():
+    """Every row of a type shares one group and one inverse-twist map."""
+    W, pi = pair = type_group("E", 6, 2)
+    assert type_group("E", 6, 2) is pair
+    assert W is casetables.weyl_group("E", 6)
+    assert pi == {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+
 
 class TestAggregate:
     def test_g2_filter(self):
@@ -214,14 +234,18 @@ def test_inner_cuspidal_matches_enumeration(records):
 
 def test_verify_all_partitions_nothing():
     """verify_all() and verify_all(slow=True) pass without listing the classes
-    of any group: the class-list memo stays empty.  Run in a fresh
-    interpreter: the memo is process-global."""
+    of any group: the class-list memo stays empty.  The slow tier decides the
+    size-7 inner node sets too, so only the 5 rows that pair with no inner
+    class at their rank stay skipped.  Run in a fresh interpreter: the memo
+    is process-global."""
     program = (
         "from weyldl import conjugacy\n"
         "from weyldl.casetables import verify_all\n"
         "for slow in (False, True):\n"
-        "    assert verify_all(slow=slow).all_passed\n"
+        "    report = verify_all(slow=slow)\n"
+        "    assert report.all_passed\n"
         "    print(len(conjugacy._CLASS_MEMO))\n"
+        "    print(report.summary_lines()[-1])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -229,7 +253,10 @@ def test_verify_all_partitions_nothing():
         [sys.executable, "-c", program], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.splitlines() == [
+        "0", "total: 213/213 cases pass; subchecks: 1172 pass, 106 skipped, 0 fail",
+        "0", "total: 213/213 cases pass; subchecks: 1273 pass, 5 skipped, 0 fail",
+    ]
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]

@@ -166,7 +166,8 @@ class TestCyclic:
             combine_cyclic_factors(comp, pi_of(twist), inner, qext(2))
 
     def test_zero_inner_coordinate_rejected(self):
-        # A zero coordinate is nudged in the component's own group first.
+        # The damping needs the sign of every inner coordinate, so a zero one
+        # is refused, not repaired.
         comp = WeylGroup(build_composite_system([("A", 1), ("A", 1)]))
         twist = make_twist(comp.system, (2, 1))
         inner = EngineCert(comp.simple(1), {1: qext(0)}, frozenset({1}), qext(4))

@@ -18,9 +18,15 @@ from multiply_oracles import (
 )
 
 
-def act(w, signed):
-    """Signed index of w(beta) for beta the root of signed index ``signed``."""
-    return w.perm[signed - 1] if signed > 0 else -w.perm[-signed - 1]
+def act(perm, signed):
+    """Signed index of w(beta), for w of signed permutation ``perm`` and beta
+    the root of signed index ``signed``."""
+    return perm[signed - 1] if signed > 0 else -perm[-signed - 1]
+
+
+def negative_entries(perm):
+    """Root indices p with beta_p sent negative, in root order."""
+    return [p for p, t in enumerate(perm) if t < 0]
 
 
 class TestAction:
@@ -58,22 +64,22 @@ class TestAction:
 
 class TestInversions:
     def test_identity(self, A2):
-        assert A2.inversions(A2.identity) == ()
+        assert A2.inversions_of_inverse(A2.identity) == []
 
     def test_longest(self, A2):
         w0 = A2.longest_element([1, 2])
-        assert len(A2.inversions(w0)) == 3
+        assert len(A2.inversions_of_inverse(w0)) == 3
 
     def test_a2_example(self, A2):
         w = A2.from_word([1, 2])
-        roots = {A2.roots[p] for p in A2.inversions(w)}
+        roots = {A2.roots[p] for p in A2.inversions_of_inverse(A2.invert(w))}
         assert roots == {(0, 1), (1, 1)}
 
     def test_length_equals_inversion_count(self, G2):
         for word_len in range(5):
             rng = random.Random(word_len)
             w = G2.from_word([rng.randint(1, 2) for _ in range(word_len)])
-            assert w.length == len(G2.inversions(w))
+            assert w.length == len(G2.inversions_of_inverse(w))
 
 
 class TestWords:
@@ -115,9 +121,10 @@ class TestGroupOps:
         elems = elements_of(G2)
         for _ in range(50):
             a, b = rng.choice(elems), rng.choice(elems)
-            ab = G2.multiply(a, b)
+            ab = perm_of_word(G2, G2.multiply(a, b).word)
+            pa, pb = perm_of_word(G2, a.word), perm_of_word(G2, b.word)
             for p in range(G2.nroots):
-                assert ab.perm[p] == act(a, b.perm[p])
+                assert ab[p] == act(pa, pb[p])
 
 
 class TestLongestAndCosets:
@@ -131,7 +138,7 @@ class TestLongestAndCosets:
         W = group("E", 6)
         w = W.longest_element({2, 3, 4, 5})
         assert w.length == 12  # D4 subdiagram
-        inv = {W.roots[p] for p in W.inversions(w)}
+        inv = {W.roots[p] for p in W.inversions_of_inverse(W.invert(w))}
         sub = {
             r
             for r in W.system.positive_roots
@@ -200,7 +207,7 @@ class TestGroupMemo:
         assert W.roots == fresh.roots
         tables = b"".join(W.reflection_table())
         assert tables == b"".join(fresh.reflection_table())
-        assert tables == b"".join(_build_tables(fresh.system)[0])
+        assert tables == b"".join(_build_tables(fresh.system))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -213,10 +220,11 @@ def test_reflection_table_matches_conjugated_simple_reflections(family, rank):
         for i in range(1, rank + 1):
             t = W.act_on_simple(w, i)
             reflection = W.multiply(W.multiply(w, W.simple(i)), W.invert(w))
-            assert reflection.perm == perm_of_word(W, w.word + (i,) + w.word[::-1])
+            perm = perm_of_word(W, reflection.word)
+            assert perm == perm_of_word(W, w.word + (i,) + w.word[::-1])
             for row in (table[n + t], table[n - t]):
-                assert [row[n + p] - n for p in range(1, n + 1)] == list(reflection.perm)
-                assert [row[n - p] - n for p in range(1, n + 1)] == [-x for x in reflection.perm]
+                assert [row[n + p] - n for p in range(1, n + 1)] == list(perm)
+                assert [row[n - p] - n for p in range(1, n + 1)] == [-x for x in perm]
                 assert row[n] == n and row[2 * n + 1:] == bytes(range(2 * n + 1, 256))
 
 
@@ -239,28 +247,28 @@ def test_length_changes_by_one_random_e8():
 
 
 @pytest.mark.parametrize("family,rank", [("E", 8), ("B", 7), ("F", 4)])
-def test_lazy_perm_equals_composed_permutation(family, rank):
-    """The permutation rebuilt from the key equals the product of the simple
-    reflections' permutations along the word, on random words; the length
-    counts its negative entries."""
+def test_inversions_equal_negative_entries_of_composed_permutation(family, rank):
+    """The inversions read off the peel of w^{-1} (of w) are the negative
+    entries of the product of the simple reflections' permutations along the
+    word (the reversed word), on random words; the length counts them."""
     W = group(family, rank)
     rng = random.Random(2024 + rank)
     for _ in range(60):
         word = [rng.randint(1, rank) for _ in range(rng.randint(0, 40))]
         w = W.from_word(word)
-        perm = perm_of_word(W, word)
-        assert w.perm == perm, (family, rank, word)
-        assert w.length == sum(1 for t in perm if t < 0)
-        assert W.invert(w).perm == perm_of_word(W, word[::-1])
+        inversions = negative_entries(perm_of_word(W, word))
+        assert W.inversions_of_inverse(W.invert(w)) == inversions, (family, rank, word)
+        assert w.length == len(inversions)
+        assert W.inversions_of_inverse(w) == negative_entries(perm_of_word(W, word[::-1]))
 
 
 def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
     # inv(w^{-1}) = { -w(beta) : beta in inv(w) }
     for W in (A2, B2, G2):
         for w in elements_of(W):
-            winv = W.invert(w)
-            lhs = {W.roots[p] for p in W.inversions(winv)}
-            rhs = {W.signed_to_coords(-w.perm[p]) for p in W.inversions(w)}
+            perm = perm_of_word(W, w.word)
+            lhs = {W.roots[p] for p in W.inversions_of_inverse(w)}
+            rhs = {W.signed_to_coords(-perm[p]) for p in negative_entries(perm)}
             assert lhs == rhs
 
 
@@ -283,8 +291,8 @@ def _catalog_parabolics():
     return list(out.values())
 
 
-def _negative_entries(w):
-    return sum(1 for t in w.perm if t < 0)
+def _negative_entries(W, w):
+    return len(negative_entries(perm_of_word(W, w.word)))
 
 
 def test_enumerated_lengths_count_negative_entries():
@@ -302,7 +310,7 @@ def test_enumerated_lengths_count_negative_entries():
             continue
         checked += 1
         for w in elements_of(W):
-            assert w.length == _negative_entries(w), (label, w.perm)
+            assert w.length == _negative_entries(W, w), (label, w.word)
     assert checked >= len(groups) + 10
 
 
