@@ -12,6 +12,7 @@ from typing import Optional
 
 from .casetables import verify_all
 from .conjugacy import (
+    WALK_BUDGET,
     ClosureBudgetError,
     FalsificationError,
     class_list,
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     _group_args(p)
     p.add_argument("--class-rep", required=True)
     p.add_argument("--dot", help="write DOT here instead of stdout")
-    p.add_argument("--budget", type=int, default=10 ** 6, help="largest closure to build")
+    p.add_argument("--budget", type=int, default=WALK_BUDGET, help="largest closure to build")
     p.set_defaults(func=cmd_shift_graph)
     return top
 

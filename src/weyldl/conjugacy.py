@@ -31,6 +31,7 @@ from .weyl import WeylElt, WeylGroup
 __all__ = [
     "DeltaClass",
     "ClosureBudgetError",
+    "WALK_BUDGET",
     "FalsificationError",
     "pi_of",
     "restrict_pi",
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 PiMap = dict[int, int]
+
+# Most elements any cyclic-shift walk may reach before it raises
+# ClosureBudgetError.  The largest walk the catalog and the class lists
+# through rank 8 make reaches 16,374 (E8, under ``verify_all(slow=True)``).
+WALK_BUDGET = 10 ** 6
 
 
 class ClosureBudgetError(RuntimeError):
@@ -142,7 +148,7 @@ def shift_closure(
     W: WeylGroup,
     pi: PiMap,
     w: WeylElt,
-    budget: int = 10 ** 6,
+    budget: int = WALK_BUDGET,
 ) -> dict[WeylElt, list[tuple[int, WeylElt]]]:
     """The elements reachable from w by non-length-increasing cyclic shifts.
 
@@ -227,7 +233,8 @@ def compute_I_J_x(
 
     ``pi`` is the index map of the twist direction in force (the inverse
     twist for the tabulated reductions).  Well defined because the
-    stable subsets are closed under union.
+    stable subsets are closed under union, and greatest because a pass
+    drops no node of any stable subset of K, so none is ever lost.
     """
     J = frozenset(J)
     pj = {pi[j] for j in J}
@@ -266,25 +273,20 @@ def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool]:
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
 
 
-def closure_min_check(
-    W: WeylGroup,
-    pi: PiMap,
-    w: WeylElt,
-    budget: int = 10 ** 7,
-) -> str:
+def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class via its shift closure.
 
     Returns "minimal" if the non-increasing closure holds no shorter
-    element, "not_minimal" on the first strict descent, "budget" if the
-    closure outgrew ``budget``.  Complete by the descent theorem for
-    twisted classes: non-increasing cyclic shifts from any element reach
-    a minimal one.
+    element and "not_minimal" on the first strict descent.  Complete by
+    the descent theorem for twisted classes: non-increasing cyclic shifts
+    from any element reach a minimal one.  Raises ClosureBudgetError when
+    the walk reaches more than ``WALK_BUDGET`` elements, and keeps no
+    verdict then.
 
     The closure is the walk of ``shift_closure``, stopped at its first
     strict descent.  Each walk's verdict is kept in ``_MINIMALITY_MEMO``,
     which also holds every level ``minimal_level`` has walked, and an
-    element found there is answered without a walk, whatever the budget;
-    a "budget" answer is never kept.
+    element found there is answered without a walk.
 
     Fast path: an element whose length equals the number of pi-orbits
     of its support is minimal outright, since every element of the
@@ -296,16 +298,13 @@ def closure_min_check(
     if w.length == len(_pi_orbits(pi, supp_delta(W, pi, w))):
         return "minimal"
 
-    try:
-        verdicts[w.key] = minimal = _shorter(W, pi, w, budget) is None
-    except ClosureBudgetError:
-        return "budget"
+    verdicts[w.key] = minimal = _shorter(W, pi, w) is None
     return "minimal" if minimal else "not_minimal"
 
 
-def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt, budget: int = 10 ** 6) -> Optional[WeylElt]:
+def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
     """The first element shorter than w on the walk of ``shift_closure`` from w, or None."""
-    for *_, v, change in _shift_walk(W, pi, w, budget):
+    for *_, v, change in _shift_walk(W, pi, w, WALK_BUDGET):
         if change:
             return WeylElt(W, v, w.length - 2)
     return None
@@ -324,7 +323,7 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     of rank <= 6 and of five reducible twisted groups whose twist permutes
     components (304 classes).  Raises FalsificationError when a shift
     descends, so w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm
-    1.1), and ClosureBudgetError beyond 10^6 elements.
+    1.1), and ClosureBudgetError beyond ``WALK_BUDGET`` elements.
 
     A walk that ends without a descent proves every element of the level
     minimal, so their keys go into ``_MINIMALITY_MEMO`` for
@@ -334,7 +333,7 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     # does not lengthen it, so the walk yields each member as u, with the
     # key of u^-1 from which its canonical word is spelled once.
     inverse = {}
-    for u, u_inv, _, _, change in _shift_walk(W, pi, w, 10 ** 6):
+    for u, u_inv, _, _, change in _shift_walk(W, pi, w, WALK_BUDGET):
         if change:
             raise FalsificationError(
                 f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"

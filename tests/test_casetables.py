@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,10 @@ class TestLoad:
         assert [r.param_a for r in a_cases] == [1, 2, 3]
         b_cases = [r for r in records if r.label.startswith("B5 ")]
         assert len(b_cases) == 5  # a = 1..4 plus case 2
+
+    def test_labels_are_distinct(self, records):
+        assert len(records) == 213
+        assert len({r.label for r in records}) == 213
 
     def test_spade_set(self, records):
         spades = sorted(r.label for r in records if r.spade)
@@ -334,6 +339,36 @@ def test_closure_verdicts_match_enumeration(records, label):
     assert report.details["v_minimal_products"] == minimal_products
 
 
+def test_K_is_the_greatest_stable_set(records):
+    """Under each reading of each row, K = I(J, w1, tau) is kept by Ad(w1) tau and no
+    node set strictly between K and J is: every T with K < T <= J has a node k
+    with simple_image(w1, tau(k)) outside T.  Brute force over the subsets of J - K.
+    A reading whose w1 is not a minimal coset representative places no K; only
+    the printed E7 case 7 reading is one."""
+    unplaced, checked = [], 0
+    for rec in records:
+        W, pi = type_group(rec.family, rec.rank, rec.twist)
+        for w1 in filter(None, (rec.w1, rec.alt_w1)):
+            placed = place_row(W, pi, rec.J, w1)
+            if placed is None:
+                unplaced.append((rec.label, w1 == rec.w1))
+                continue
+            if w1 == rec.w1:
+                assert placed.K == rec.K_expected, rec.label
+
+            def stable(T):
+                return all(W.simple_image(placed.w1, pi[k]) in T for k in T)
+
+            assert stable(placed.K), rec.label
+            rest = sorted(rec.J - placed.K)
+            for size in range(1, len(rest) + 1):
+                for extra in combinations(rest, size):
+                    assert not stable(placed.K | set(extra)), (rec.label, extra)
+                    checked += 1
+    assert unplaced == [("E7 case 7", False)]
+    assert checked == 3396
+
+
 class TestQuirkRecords:
     def test_e7_case7_uses_amended_reading(self, records):
         rec = by_label(records, "E7 case 7")
@@ -352,16 +387,20 @@ class TestRecords:
     """The catalog's record classes keep the semantics of the dataclasses they replace."""
 
     def test_case_record_defaults_equality_hash_and_frozen(self):
-        args = dict(label="X", family="A", rank=2, twist=1, case=1, spade=False,
-                    J=frozenset({1}), w1=(2,), K_expected=frozenset(), v_mode="identity")
+        """The label and the inner-option mode are derived, and cannot be set."""
+        args = dict(family="A", rank=2, twist=1, case=1,
+                    J=frozenset({1}), w1=(2,), K_expected=frozenset())
         record = CaseRecord(**args)
         assert (record.v_words, record.m_values, record.prose, record.param_a) == ((), None, "", None)
+        assert record.spade is False
         assert record == CaseRecord(**args) and hash(record) == hash(CaseRecord(**args))
         assert record != CaseRecord(**args, param_a=1)
         assert record.type_name == "A2"
+        assert (record.label, record.v_mode) == ("A2 case 1", "identity")
+        assert CaseRecord(**args, param_a=1).label == "A2 case 1 a=1"
         with pytest.raises(AttributeError):
             record.label = "Y"
-        assert record.label == "X"
+        assert record.label == "A2 case 1"
 
     def test_row_placement_equality_and_frozen(self):
         W = casetables.weyl_group("A", 3)

@@ -317,6 +317,17 @@ class TestVerifyPaper:
             verdicts[flags] = case["subchecks"]["vw1_min_full"]
         assert verdicts == {(): "skipped(requires slow tier)", ("--slow",): "pass"}
 
+    def test_walk_over_the_budget_is_an_error(self, monkeypatch, capsys):
+        """A minimality walk past the budget stops the replay with exit 1; it is
+        not a skipped subcheck of a passing row."""
+        from weyldl import conjugacy
+
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
+        for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        assert cli.main(["verify-paper", "--filter", "F4"]) == 1
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
 
 class TestShiftGraph:
     def test_a2_coxeter(self, tmp_path):

@@ -5,6 +5,7 @@ import random
 import multiply_oracles
 from weyldl import conjugacy
 from weyldl.conjugacy import (
+    ClosureBudgetError,
     DeltaClass,
     FalsificationError,
     class_list,
@@ -391,7 +392,10 @@ class TestClosureMinCheck:
         picked = [x for x in class_elements(F4, cls) if x.length == cls.min_length][0]
         # Longer than its support needs, so the fast path does not answer.
         assert picked.length > supp_len(F4, pi, picked)
-        assert closure_min_check(F4, pi, picked, budget=1) == "budget"
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
+        with pytest.raises(ClosureBudgetError):
+            closure_min_check(F4, pi, picked)
+        assert picked.key not in conjugacy._verdicts(F4, pi)
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
     def test_decides_minimality_rank_le_4(self, family, rank, order, monkeypatch):
@@ -415,13 +419,18 @@ class TestClosureMinCheck:
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
 
     def test_budget_answer_is_not_kept(self, F4, monkeypatch):
+        """A walk past the budget raises and keeps nothing; the next full walk answers."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
-        assert closure_min_check(F4, pi, w, budget=1) == "budget"
+        budget = conjugacy.WALK_BUDGET
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
+        with pytest.raises(ClosureBudgetError):
+            closure_min_check(F4, pi, w)
         assert conjugacy._verdicts(F4, pi) == {}
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", budget)
         verdict = closure_min_check(F4, pi, w)
-        assert verdict != "budget"
+        assert verdict in ("minimal", "not_minimal")
         assert conjugacy._verdicts(F4, pi) == {w.key: verdict == "minimal"}
 
     def test_inner_representatives_need_no_walk(self, monkeypatch):
