@@ -10,9 +10,9 @@ mode of its inner options are derived from these fields, never written.
 
 All inequality systems are derived from (J, w1, twist) by group action;
 the printed inequality strings are stored as documentation only and are
-never consulted by the verifier.  Transcription quirks in the sources
-are resolved in favor of the reading that satisfies the structural
-preconditions; every such resolution is recorded in ``notes``.
+never consulted by the verifier.  Each row carries one reading of its
+step; where the printed text fails a structural precondition, the row
+holds the amended reading and its ``notes`` say what was printed.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class CaseRecord(Frozen):
 
     __slots__ = (
         "family", "rank", "twist", "case", "spade", "J", "w1", "K_expected", "v_words",
-        "v_lengths", "m_values", "pinned_mu", "spade_recipe", "prose", "notes", "alt_w1",
-        "param_a",
+        "v_lengths", "m_values", "pinned_mu", "spade_recipe", "prose", "notes", "param_a",
     )
 
     def __init__(
@@ -106,7 +105,6 @@ class CaseRecord(Frozen):
         spade_recipe: tuple[tuple[int, int, int], ...] = (),
         prose: str = "",
         notes: tuple[str, ...] = (),
-        alt_w1: Optional[tuple[int, ...]] = None,
         param_a: Optional[int] = None,
     ):
         _setattr(self, "family", family)
@@ -124,7 +122,6 @@ class CaseRecord(Frozen):
         _setattr(self, "spade_recipe", spade_recipe)
         _setattr(self, "prose", prose)
         _setattr(self, "notes", notes)
-        _setattr(self, "alt_w1", alt_w1)
         _setattr(self, "param_a", param_a)
 
     @property
@@ -417,7 +414,6 @@ def _records_2E6() -> list[CaseRecord]:
             family="E", rank=6, twist=2, case=8,
             J=J, w1=c8w1, K_expected=frozenset({2, 3, 4, 5, 6}),
             v_words=(w0K_c8,),
-            m_values=None,
             prose="always satisfied",
             notes=("printed v = w0^{delta^{-1}(J)} lies outside W_K; realized as its "
                    "Ad(w1)-transport w0^K, giving the same product v w1 = w0",),
@@ -433,7 +429,6 @@ def _records_E7() -> list[CaseRecord]:
     w0J = W.longest_element(J)
     c9w1 = W.multiply(w0, w0J).word
     w0K_c7 = W.longest_element({3, 4, 5, 6}).word
-    head7 = (2, 4, 3, 5, 4, 2) + br(6, 3) + br(7, 4)
     return [
         CaseRecord(
             family="E", rank=7, twist=1, case=1,
@@ -472,13 +467,13 @@ def _records_E7() -> list[CaseRecord]:
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=7,
-            J=J, w1=head7 + bri(7, 1), K_expected=frozenset({3, 4, 5, 6}),
+            J=J, w1=(2, 4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(7, 1),
+            K_expected=frozenset({3, 4, 5, 6}),
             v_words=(w0K_c7,),
             m_values=_mfrac({1: 1, 2: 2, 7: 1}),
-            alt_w1=head7,
-            notes=("printed tail s_{[1,7]}^{-1} is the empty word under the bracket "
-                   "convention; the amended tail s_{[7,1]}^{-1} is tried first and "
-                   "the empty-word reading kept as the alternative",),
+            notes=("the amended tail s_{[7,1]}^{-1} is used; the printed tail "
+                   "s_{[1,7]}^{-1}, the empty word under the bracket convention, "
+                   "fails the coset precondition",),
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=8,
@@ -491,7 +486,7 @@ def _records_E7() -> list[CaseRecord]:
             family="E", rank=7, twist=1, case=9,
             J=J, w1=c9w1, K_expected=frozenset(J),
             v_words=(w0J.word,),
-            m_values=None, prose="always satisfied",
+            prose="always satisfied",
         ),
     ]
 
@@ -580,7 +575,6 @@ def _records_E8() -> list[CaseRecord]:
             J=J, w1=br(7, 1) + (4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(8, 1),
             K_expected=frozenset(range(1, 7)),
             v_lengths=(12, 14, 16, 18, 36),
-            m_values=None,
             spade_recipe=((8, -1, 1), (7, 1, 2)),
         ),
         CaseRecord(
@@ -626,7 +620,7 @@ def _records_E8() -> list[CaseRecord]:
             family="E", rank=8, twist=1, case=17,
             J=J, w1=c17w1, K_expected=frozenset(J),
             v_words=(w0J.word,),
-            m_values=None, prose="always satisfied",
+            prose="always satisfied",
         ),
     ]
 
@@ -662,7 +656,6 @@ def _records_F4() -> list[CaseRecord]:
             family="F", rank=4, twist=1, case=3, spade=True,
             J=J, w1=(2, 3, 2) + br(4, 1), K_expected=frozenset({3, 4}),
             v_words=((3,), (3, 4, 3)),
-            m_values=None,
             spade_recipe=((1, -1, 1), (2, 1, 2)),
         ),
         CaseRecord(
@@ -690,7 +683,7 @@ def _records_F4() -> list[CaseRecord]:
             family="F", rank=4, twist=1, case=7,
             J=J, w1=c7w1, K_expected=frozenset(J),
             v_words=(W.longest_element(J).word,),
-            m_values=None, prose="always satisfied",
+            prose="always satisfied",
         ),
     ]
 
@@ -701,7 +694,6 @@ def _records_G2() -> list[CaseRecord]:
         CaseRecord(
             family="G", rank=2, twist=1, case=1, spade=True,
             J=frozenset({1}), w1=(1, 2), K_expected=frozenset(),
-            m_values=None,
         ),
         CaseRecord(
             family="G", rank=2, twist=1, case=2,
@@ -712,7 +704,6 @@ def _records_G2() -> list[CaseRecord]:
         CaseRecord(
             family="G", rank=2, twist=1, case=3,
             J=frozenset(), w1=W.longest_element({1, 2}).word, K_expected=frozenset(),
-            m_values=None,
             prose="always satisfied",
             notes=("w1 = w0 forces J = {} here; the type-level J = {1} fails the "
                    "coset precondition for w0",),
@@ -776,7 +767,6 @@ def _records_2F4() -> list[CaseRecord]:
         CaseRecord(
             family="F", rank=4, twist=2, case=2, spade=True,
             J=J, w1=(2, 3, 2, 1), K_expected=frozenset(),
-            m_values=None,
         ),
         CaseRecord(
             family="F", rank=4, twist=2, case=3,
@@ -788,7 +778,6 @@ def _records_2F4() -> list[CaseRecord]:
         CaseRecord(
             family="F", rank=4, twist=2, case=4, spade=True,
             J=J, w1=(3, 2, 1, 2, 3, 2) + br(4, 1), K_expected=frozenset(),
-            m_values=None,
             pinned_mu=(Fraction(3), Fraction(1), Fraction(3), Fraction(-3)),
         ),
         CaseRecord(
@@ -878,10 +867,6 @@ class CaseReport(Record):
     @property
     def passed(self) -> bool:
         return all(v == "pass" or v.startswith("skipped") for v in self.subchecks.values())
-
-    @property
-    def hard_failed(self) -> bool:
-        return any(v == "fail" for v in self.subchecks.values())
 
     def to_json_dict(self) -> dict:
         out: dict = {"label": self.label, "subchecks": dict(self.subchecks)}
@@ -1047,18 +1032,25 @@ def _spade_certificate(
     return None, "no inverse-form witness found for any candidate"
 
 
-def _run_case(
+def verify_case(
     record: CaseRecord,
-    w1_word: tuple[int, ...],
-    q: QuadExt,
-    slow: bool,
+    q: Optional[QuadExt] = None,
+    slow: bool = False,
 ) -> CaseReport:
-    W, pi = type_group(record.family, record.rank, record.twist)
-    at_min_q = (q == minimal_q(record.family, record.twist))
+    """Run subchecks (i)-(vi) of one record; a failed (i) or (ii) ends the report.
+
+    ``q`` defaults to the type's minimum; a q below it raises ValueError
+    (``admissible_q``), since no row need hold there.
+    """
+    family, twist = record.family, record.twist
+    min_q = minimal_q(family, twist)
+    q = min_q if q is None else admissible_q(family, record.rank, twist, q)
+    W, pi = type_group(family, record.rank, twist)
+    at_min_q = (q == min_q)
     report = CaseReport(label=record.label, notes=record.notes)
 
     # (i) coset representative precondition
-    placed = place_row(W, pi, record.J, w1_word)
+    placed = place_row(W, pi, record.J, record.w1)
     report.subchecks["coset_rep"] = "pass" if placed is not None else "fail"
     if placed is None:
         return report
@@ -1073,7 +1065,7 @@ def _run_case(
     v_words, v_problem = _resolve_v_options(record, placed, slow)
 
     # (iii) the reduction system
-    star = build_star_system(W, record.J, w1, pi, q, K=K)
+    star = build_star_system(W, K, w1, pi, q)
     if not record.spade:
         if record.m_values is not None:
             point = {i: qext(record.m_values.get(i, 0)) for i in star.varset}
@@ -1191,32 +1183,6 @@ def _run_case(
         fold_any(v_results) if record.v_mode == "all" else fold(v_results)
     )
     report.subchecks["cuspidal"] = fold(vi_results)
-    return report
-
-
-def verify_case(
-    record: CaseRecord,
-    q: Optional[QuadExt] = None,
-    slow: bool = False,
-) -> CaseReport:
-    """Run the subchecks of one record; quirky records try both readings.
-
-    ``q`` defaults to the type's minimum; a q below it raises ValueError
-    (``admissible_q``), since no row need hold there.
-    """
-    family, twist = record.family, record.twist
-    q = minimal_q(family, twist) if q is None else admissible_q(family, record.rank, twist, q)
-    report = _run_case(record, record.w1, q, slow)
-    if record.alt_w1 is not None:
-        if report.hard_failed:
-            alt = _run_case(record, record.alt_w1, q, slow)
-            alt.notes = record.notes
-            alt.details["reading"] = "alternative (as printed)"
-            if not alt.hard_failed:
-                return alt
-            report.details["alt_reading"] = "also fails"
-        else:
-            report.details["reading"] = "amended"
     return report
 
 

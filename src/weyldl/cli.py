@@ -12,7 +12,6 @@ from typing import Optional
 
 from .casetables import verify_all
 from .conjugacy import (
-    WALK_BUDGET,
     ClosureBudgetError,
     FalsificationError,
     class_list,
@@ -125,7 +124,7 @@ def cmd_shift_graph(args) -> int:
     W, twist = _build(args)
     pi = pi_of(twist, "delta")
     start = W.from_word(_parse_rep(args.class_rep))
-    graph = shift_closure(W, pi, start, budget=args.budget)
+    graph = shift_closure(W, pi, start)
     nodes = sorted(graph, key=lambda w: w.sort_key())
     name = {w: ",".join(map(str, w.word)) or "e" for w in nodes}
     edges: dict[tuple[str, str], list[int]] = {}
@@ -185,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     _group_args(p)
     p.add_argument("--class-rep", required=True)
     p.add_argument("--dot", help="write DOT here instead of stdout")
-    p.add_argument("--budget", type=int, default=WALK_BUDGET, help="largest closure to build")
     p.set_defaults(func=cmd_shift_graph)
     return top
 

@@ -16,7 +16,9 @@ their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 
 Minimality is decided once per process: every level that ``minimal_level``
 walks, and every verdict that ``closure_min_check`` walks to, is kept per
-system key and pi, and ``closure_min_check`` answers from it first.
+system key and pi, and ``closure_min_check`` answers from it first.  Every
+shift walk has the one budget ``WALK_BUDGET``; a walk past it raises
+``ClosureBudgetError`` and keeps no verdict.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ WALK_BUDGET = 10 ** 6
 
 
 class ClosureBudgetError(RuntimeError):
-    """A cyclic-shift closure outgrew its configured element budget."""
+    """A cyclic-shift walk reached more than ``WALK_BUDGET`` elements."""
 
 
 class FalsificationError(RuntimeError):
@@ -110,7 +112,7 @@ def _shift_moves(W: WeylGroup, pi: PiMap) -> list[tuple[int, int, int, bytes, by
 
 
 def _shift_walk(
-    W: WeylGroup, pi: PiMap, w: WeylElt, budget: int
+    W: WeylGroup, pi: PiMap, w: WeylElt
 ) -> Iterator[tuple[bytes, bytes, int, bytes, int]]:
     """Breadth-first walk of the non-length-increasing shifts from w.
 
@@ -118,9 +120,9 @@ def _shift_walk(
     of every element u reached, as keys, with u_inv the key of u^-1 and
     l(v) = l(u) + change (0 or -2).  Walks the keys of w and of w^-1
     together (see ``_shift_moves``).  Raises ClosureBudgetError when the
-    walk reaches more than ``budget`` elements.
+    walk reaches more than ``WALK_BUDGET`` elements, read once per walk.
     """
-    tables, n = W.reflection_table(), W.nroots
+    tables, n, budget = W.reflection_table(), W.nroots, WALK_BUDGET
     moves = _shift_moves(W, pi)
     seen = {w.key}
     frontier = [(w.key, W.invert(w).key)]
@@ -148,17 +150,16 @@ def shift_closure(
     W: WeylGroup,
     pi: PiMap,
     w: WeylElt,
-    budget: int = WALK_BUDGET,
 ) -> dict[WeylElt, list[tuple[int, WeylElt]]]:
     """The elements reachable from w by non-length-increasing cyclic shifts.
 
     Returned as a graph: each element maps to its (j, s_j u s_pi(j)) for
     every letter j whose shift does not increase length, self-loops
-    included.  Raises ClosureBudgetError beyond ``budget`` elements.
+    included.  Raises ClosureBudgetError beyond ``WALK_BUDGET`` elements.
     """
     lengths = {w.key: w.length}
     edges: dict[bytes, list[tuple[int, bytes]]] = {w.key: []}
-    for u, _, j, v, change in _shift_walk(W, pi, w, budget):
+    for u, _, j, v, change in _shift_walk(W, pi, w):
         edges[u].append((j, v))
         if v not in lengths:
             lengths[v] = lengths[u] + change
@@ -196,9 +197,6 @@ class DeltaClass(Frozen):
     @property
     def min_length(self) -> int:
         return self.minimal[0].length
-
-    def min_elements(self) -> list[WeylElt]:
-        return list(self.minimal)
 
 
 def _pi_orbits(pi: PiMap, nodes: Iterable[int]) -> list[frozenset[int]]:
@@ -304,7 +302,7 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
 
 def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
     """The first element shorter than w on the walk of ``shift_closure`` from w, or None."""
-    for *_, v, change in _shift_walk(W, pi, w, WALK_BUDGET):
+    for *_, v, change in _shift_walk(W, pi, w):
         if change:
             return WeylElt(W, v, w.length - 2)
     return None
@@ -333,7 +331,7 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     # does not lengthen it, so the walk yields each member as u, with the
     # key of u^-1 from which its canonical word is spelled once.
     inverse = {}
-    for u, u_inv, _, _, change in _shift_walk(W, pi, w, WALK_BUDGET):
+    for u, u_inv, _, _, change in _shift_walk(W, pi, w):
         if change:
             raise FalsificationError(
                 f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"

@@ -44,7 +44,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .conjugacy import DeltaClass, FalsificationError, PiMap, compute_I_J_x, pi_of, restrict_pi
+from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
 from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, dot, qext
 from .lp import solve_strict
 from .rootdata import Coweight, Frozen, Twist, build_twist, positive_root_count
@@ -192,21 +192,20 @@ def build_inverse_system(
 
 def build_star_system(
     W: WeylGroup,
-    J: Iterable[int],
+    K: frozenset[int],
     w1: WeylElt,
     pi: PiMap,
     q: QuadExt,
-    K: Optional[frozenset[int]] = None,
 ) -> IneqSystem:
     """The reduction condition's system on the variables outside K.
 
-    Variables are the nodes of W not in K = I(J, w1, pi); rows are
+    K = I(J, w1, pi) is the fixed node set of the step (J, w1), as
+    ``place_row`` or ``compute_I_J_x`` gives it; the system reads J only
+    through K.  Variables are the nodes of W not in K; rows are
     q*m_i - (w1 alpha_{pi(i)})(m restricted) > 0 for i outside K, then
     positivity m_i > 0 (the row of the simple root alpha_i) of every variable.
     """
     pi = restrict_pi(pi, W.system.nodes)
-    if K is None:
-        K = compute_I_J_x(W, pi, J, w1)
     varset = tuple(i for i in W.system.nodes if i not in K)
     return _system(
         W, varset, q,
@@ -440,7 +439,7 @@ def certify_min_element(
     family, rank = W.system.family, W.system.rank
     q = admissible_q(family, rank, twist.order, q)
     pi = pi_of(twist, dclass.direction)
-    for w in dclass.min_elements():
+    for w in dclass.minimal:
         system = build_forward_system(W, w, pi, q)
         mu = feasible(system)
         if mu is None:

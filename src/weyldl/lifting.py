@@ -270,7 +270,7 @@ def extend_via_parabolic_step(
         raise ValueError("star witness must cover exactly the free nodes")
     if any(qext(star_m[i]).sign() <= 0 for i in V):
         raise ValueError("star witness must be positive")
-    star = build_star_system(W, J, w1, tau, q, K=K)
+    star = build_star_system(W, K, w1, tau, q)
     point = {i: qext(star_m[i]) for i in star.varset}
     if star.violated(point):
         raise ConstructionError("star witness fails the derived reduction system")
@@ -353,6 +353,10 @@ def _leaf_certificate(
 
     ``level`` is the minimal level of the class, by canonical word.  The
     first (row, v) in catalog order whose (v w1)^-1 lies in it is used.
+    A row that states its witness ``m_values`` is extended through that
+    witness, which ``extend_via_parabolic_step`` re-validates (a failing
+    one raises ConstructionError); only a row without one, always
+    satisfied or spade, solves its reduction system.
     """
     tau = inverse_pi(pi)
     ident = identify_standard(W.system.cartan, pi)
@@ -385,18 +389,15 @@ def _leaf_certificate(
     # Inner witness on K (forward side of the inner twisted class).
     inner = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v)) if K else None
 
-    star = build_star_system(W, J_W, w1, tau, q, K=K)
-    star_point = None
     if row.m_values is not None:
-        candidate = {phi_inv[i]: qext(val) for i, val in row.m_values.items()}
-        if set(candidate) == set(star.varset) and not star.violated(candidate):
-            star_point = candidate
-    if star_point is None:
-        mu_star = feasible(star)
-        if mu_star is not None:
-            star_point = {i: mu_star[i] for i in star.varset}
-
-    if star_point is not None:
+        star_point = {phi_inv[i]: m for i, m in row.m_values.items()}
+        return extend_via_parabolic_step(W, tau, J_W, w1, star_point, inner, q)
+    # No stated witness: an always-satisfied row, or a spade row, whose
+    # reduction system may still be feasible above the minimal q.
+    star = build_star_system(W, K, w1, tau, q)
+    mu_star = feasible(star)
+    if mu_star is not None:
+        star_point = {i: mu_star[i] for i in star.varset}
         return extend_via_parabolic_step(W, tau, J_W, w1, star_point, inner, q)
 
     # The reduction system is infeasible: spade territory.

@@ -137,7 +137,7 @@ def test_criterion_4_structural_theorems():
     for family, rank, order in RANK_LE_3:
         W, twist, pi, _ = _ctx(family, rank, order)
         for cls in enumerate_delta_classes(W, pi):
-            mins = cls.min_elements()
+            mins = cls.minimal
             if len(mins) == 1:
                 continue
             reached = {mins[0]}
@@ -167,7 +167,7 @@ def test_criterion_4_structural_theorems():
             if by_def:
                 closure = shift_closure(W, pi, cls.representative)
                 level = {w for w in closure if w.length == cls.min_length}
-                assert level == set(cls.min_elements()), (
+                assert level == set(cls.minimal), (
                     family, rank, order, cls.representative.word,
                 )
     _report("4", True, "cuspidality equivalences and single shift class (rank <= 4)")
@@ -253,10 +253,10 @@ def test_criterion_9_determinism():
     _report("9", True, "100 randomized class picks re-verified")
 
 
-# SHA-256 of ``verify_all().to_json()`` over all 213 rows (56344 bytes, 106
+# SHA-256 of ``verify_all().to_json()`` over all 213 rows (56298 bytes, 106
 # skipped subchecks, no fail).  A change to any verdict, detail or byte of the
 # report changes it.
-REPORT_SHA256 = "d5b39fb667cd670e930b1a59f63fa14458c727ba56260b5bb676d1a2fd9d6992"
+REPORT_SHA256 = "1de67e5bc677e6557bff888ab729fb88961c33a419e1172bd920326a8891d1d9"
 
 
 def test_criterion_9_full_report_digest():
@@ -264,7 +264,7 @@ def test_criterion_9_full_report_digest():
     from weyldl.casetables import verify_all
 
     text = verify_all().to_json()
-    assert len(text) == 56344
+    assert len(text) == 56298
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256
     _report("9", True, "213-row report digest")
 

@@ -13,6 +13,8 @@ from weyldl.casetables import (
     CaseRecord,
     CaseReport,
     _resolve_v_options,
+    br,
+    bri,
     case_records,
     load_case_records,
     place_row,
@@ -218,18 +220,17 @@ class TestAggregate:
 
 
 def test_inner_cuspidal_matches_enumeration(records):
-    """For every (K, sigma) that a catalog row places, both readings, with
-    0 < |K| <= 6, the inner options are the cuspidal representatives of the
-    enumerated partition of the standalone W_K, word for word."""
+    """For every (K, sigma) that a catalog row places, with 0 < |K| <= 6, the
+    inner options are the cuspidal representatives of the enumerated partition
+    of the standalone W_K, word for word."""
     placements = {}
     for rec in records:
         W, pi_inv = type_group(rec.family, rec.rank, rec.twist)
-        for w1 in (rec.w1, rec.alt_w1):
-            placed = w1 is not None and place_row(W, pi_inv, rec.J, w1)
-            if placed and 0 < len(placed.K) <= 6:
-                sub = sub_context(W, placed.K)
-                pi = sub.pi_to_sub(placed.sigma)
-                placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
+        placed = place_row(W, pi_inv, rec.J, rec.w1)
+        if placed and 0 < len(placed.K) <= 6:
+            sub = sub_context(W, placed.K)
+            pi = sub.pi_to_sub(placed.sigma)
+            placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
     assert placements
     for sub, pi, placed in placements.values():
         expected = [c.representative.word for c in enumerate_delta_classes(sub.group, pi) if c.cuspidal]
@@ -332,7 +333,6 @@ SMALL_GROUP_ROWS = [
 def test_closure_verdicts_match_enumeration(records, label):
     """On groups of at most 10^4 elements, enumeration gives the report's (iv)-(vi)."""
     record = by_label(records, label)
-    assert record.alt_w1 is None
     expected, minimal_products = _verdicts_by_enumeration(record)
     report = verify_case(record)
     assert {k: report.subchecks[k] for k in expected} == expected
@@ -340,41 +340,41 @@ def test_closure_verdicts_match_enumeration(records, label):
 
 
 def test_K_is_the_greatest_stable_set(records):
-    """Under each reading of each row, K = I(J, w1, tau) is kept by Ad(w1) tau and no
-    node set strictly between K and J is: every T with K < T <= J has a node k
-    with simple_image(w1, tau(k)) outside T.  Brute force over the subsets of J - K.
-    A reading whose w1 is not a minimal coset representative places no K; only
-    the printed E7 case 7 reading is one."""
+    """For each row, K = I(J, w1, tau) is kept by Ad(w1) tau and no node set
+    strictly between K and J is: every T with K < T <= J has a node k with
+    simple_image(w1, tau(k)) outside T.  Brute force over the subsets of J - K.
+    Every row's w1 is a minimal coset representative, so every row places."""
     unplaced, checked = [], 0
     for rec in records:
         W, pi = type_group(rec.family, rec.rank, rec.twist)
-        for w1 in filter(None, (rec.w1, rec.alt_w1)):
-            placed = place_row(W, pi, rec.J, w1)
-            if placed is None:
-                unplaced.append((rec.label, w1 == rec.w1))
-                continue
-            if w1 == rec.w1:
-                assert placed.K == rec.K_expected, rec.label
+        placed = place_row(W, pi, rec.J, rec.w1)
+        if placed is None:
+            unplaced.append(rec.label)
+            continue
+        assert placed.K == rec.K_expected, rec.label
 
-            def stable(T):
-                return all(W.simple_image(placed.w1, pi[k]) in T for k in T)
+        def stable(T):
+            return all(W.simple_image(placed.w1, pi[k]) in T for k in T)
 
-            assert stable(placed.K), rec.label
-            rest = sorted(rec.J - placed.K)
-            for size in range(1, len(rest) + 1):
-                for extra in combinations(rest, size):
-                    assert not stable(placed.K | set(extra)), (rec.label, extra)
-                    checked += 1
-    assert unplaced == [("E7 case 7", False)]
+        assert stable(placed.K), rec.label
+        rest = sorted(rec.J - placed.K)
+        for size in range(1, len(rest) + 1):
+            for extra in combinations(rest, size):
+                assert not stable(placed.K | set(extra)), (rec.label, extra)
+                checked += 1
+    assert unplaced == []
     assert checked == 3396
 
 
 class TestQuirkRecords:
-    def test_e7_case7_uses_amended_reading(self, records):
+    def test_e7_case7_printed_reading_fails_coset_precondition(self, records):
+        """The printed tail s_{[1,7]}^{-1} is the empty word, and that w1 is no
+        minimal coset representative; the row holds the amended tail s_{[7,1]}^{-1}."""
         rec = by_label(records, "E7 case 7")
-        assert rec.alt_w1 is not None
-        # The alternative (printed, empty-bracket) tail gives a shorter word.
-        assert len(rec.alt_w1) < len(rec.w1)
+        printed = (2, 4, 3, 5, 4, 2) + br(6, 3) + br(7, 4)
+        W, pi_inv = type_group(rec.family, rec.rank, rec.twist)
+        assert place_row(W, pi_inv, rec.J, printed) is None
+        assert rec.w1 == printed + bri(7, 1)
 
     def test_notes_present(self, records):
         assert by_label(records, "E8 case 1").notes

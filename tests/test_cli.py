@@ -97,10 +97,10 @@ class TestEnumerate:
         assert out.returncode == 1
         assert out.stderr.strip() == "error: no cuspidal seeds for type E7"
 
-    @pytest.mark.parametrize("verb", ["enumerate", "certify"])
+    @pytest.mark.parametrize("verb", ["enumerate", "certify", "shift-graph"])
     def test_no_budget_option(self, tmp_path, verb):
-        """Neither verb enumerates a group, so neither takes --budget."""
-        rep = ("--class-rep", "1") if verb == "certify" else ()
+        """No verb takes --budget: every shift walk has the one budget WALK_BUDGET."""
+        rep = ("--class-rep", "1") if verb != "enumerate" else ()
         out = run_cli(verb, "--family", "A", "--rank", "2", *rep, "--budget", "10", cwd=tmp_path)
         assert out.returncode == 2
         assert out.stderr.strip().endswith("error: unrecognized arguments: --budget 10")

@@ -211,7 +211,7 @@ class TestEnumeration:
                 assert cls.min_length == min(w.length for w in members)
                 mins = [w for w in members if w.length == cls.min_length]
                 assert cls.representative == min(mins, key=lambda w: w.word)
-                assert cls.min_elements() == sorted(mins, key=lambda w: w.sort_key())
+                assert list(cls.minimal) == sorted(mins, key=lambda w: w.sort_key())
 
 
 class TestDeltaClassRecord:
@@ -375,7 +375,7 @@ class TestClosureMinCheck:
         pi = identity_pi(F4)
         classes = enumerate_delta_classes(F4, pi)
         for cls in classes[:12]:
-            for w in cls.min_elements()[:2]:
+            for w in cls.minimal[:2]:
                 assert closure_min_check(F4, pi, w) == "minimal"
         # A non-minimal element must be detected: s_1 w0 has length 23,
         # its class minimal length 9.
@@ -483,12 +483,13 @@ class TestShiftsStayInClass:
 
 
 class TestBudgets:
-    def test_closure_budget_reported(self, F4):
+    def test_closure_budget_reported(self, F4, monkeypatch):
         pi = identity_pi(F4)
         w0 = F4.longest_element(range(1, 5))
         big = F4.multiply(F4.simple(1), w0)
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", 2)
         with pytest.raises(Exception) as err:
-            shift_closure(F4, pi, big, budget=2)
+            shift_closure(F4, pi, big)
         assert "budget" in str(err.value)
 
 
@@ -561,7 +562,7 @@ class TestCuspidalRepresentatives:
         for W, pi, direction in groups:
             for cls in enumerate_delta_classes(W, pi, direction):
                 if cls.cuspidal:
-                    assert minimal_level(W, pi, cls.minimal[-1]) == cls.min_elements()
+                    assert minimal_level(W, pi, cls.minimal[-1]) == list(cls.minimal)
                     checked += 1
         assert checked == 304
 
@@ -651,7 +652,7 @@ class TestClassOracle:
         pi = identity_pi(W)
         cls = oracle_class_of(W, pi, W.simple(1))
         assert len(minimal_level(W, pi, W.simple(1))) < len(cls.minimal)
-        assert minimal_set(W, pi, W.simple(1)) == cls.min_elements()
+        assert minimal_set(W, pi, W.simple(1)) == list(cls.minimal)
 
     def test_twisted_support_constant_on_levels(self):
         """``minimal_set`` reads supp_pi off one member per level: every minimal

@@ -34,6 +34,11 @@ def idpi(W):
     return {i: i for i in range(1, W.rank + 1)}
 
 
+def step_star(W, J, w1, pi, q):
+    """The star system of the step (J, w1): built on its K = I(J, w1, pi)."""
+    return build_star_system(W, compute_I_J_x(W, pi, J, w1), w1, pi, q)
+
+
 class TestForwardSystem:
     def test_identity_element(self, A2):
         system = build_forward_system(A2, A2.identity, idpi(A2), qext(2))
@@ -141,7 +146,7 @@ class TestBuilderRows:
             if not W.is_min_coset_rep(w1, {pi[j] for j in J}):
                 continue
             K = compute_I_J_x(W, pi, J, w1)
-            star = build_star_system(W, J, w1, pi, q)
+            star = build_star_system(W, K, w1, pi, q)
             free = tuple(i for i in nodes if i not in K)
             unit = {i: tuple(int(j == i) for j in nodes) for i in nodes}
             assert star.varset == free
@@ -160,28 +165,28 @@ class TestStarSystem:
         W = group("A", 4)
         pi = idpi(W)
         w1 = W.from_word((4, 3, 2, 1))
-        system = build_star_system(W, frozenset({2, 3, 4}), w1, pi, qext(2))
+        system = step_star(W, frozenset({2, 3, 4}), w1, pi, qext(2))
         ones = {i: qext(1) for i in range(1, 5)}
         assert system.violated(ones) == []
 
     def test_3d4_case(self, D4):
         pi = pi_of(build_twist("D", 4, 3), "delta_inv")
         w1 = D4.from_word([2, 1])
-        system = build_star_system(D4, frozenset({1, 2, 3}), w1, pi, qext(2))
+        system = step_star(D4, frozenset({1, 2, 3}), w1, pi, qext(2))
         assert system.violated({1: qext(3), 2: qext(2), 3: qext(2), 4: qext(1)}) == []
 
     def test_f4_case3_infeasible_at_two(self, F4):
         pi = idpi(F4)
         w1 = F4.from_word((2, 3, 2, 4, 3, 2, 1))
-        system = build_star_system(F4, frozenset({2, 3, 4}), w1, pi, qext(2))
+        system = step_star(F4, frozenset({2, 3, 4}), w1, pi, qext(2))
         assert feasible(system) is None
         # ... but feasible at q = 4.
-        system4 = build_star_system(F4, frozenset({2, 3, 4}), w1, pi, qext(4))
+        system4 = step_star(F4, frozenset({2, 3, 4}), w1, pi, qext(4))
         assert feasible(system4) is not None
 
     def test_empty_system(self, A2):
         # J = {} on the identity: no K, positivity rows only.
-        system = build_star_system(A2, frozenset(), A2.identity, idpi(A2), qext(2))
+        system = step_star(A2, frozenset(), A2.identity, idpi(A2), qext(2))
         mu = feasible(system)
         assert mu is not None
 
@@ -218,7 +223,7 @@ class TestFeasibleOracle:
     def test_suzuki_point_accepted(self, B2):
         pi = pi_of(build_twist("B", 2, 2), "delta_inv")
         w1 = B2.simple(1)
-        system = build_star_system(B2, frozenset({1}), w1, pi, SQRT2)
+        system = step_star(B2, frozenset({1}), w1, pi, SQRT2)
         assert system.violated({1: qext(3), 2: qext(1)}) == []
         assert feasible(system) is not None
 

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weyldl import conjugacy, lifting
-from weyldl.casetables import RowPlacement
+from weyldl.casetables import CaseRecord, RowPlacement, case_records
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
@@ -435,6 +436,23 @@ def test_failed_construction_is_not_stored(monkeypatch):
     cert = lifting._engine(W, pi, q, x)
     assert not build_forward_system(W, cert.w, pi, q).violated(cert.mu)
     assert len(lifting._ENGINE_MEMO) == 1
+
+
+def test_failing_stated_witness_is_an_error(monkeypatch):
+    """The leaf extends through the row's stated witness and solves nothing in
+    its place: with G2 case 2 stating m = (1, 1), its row q m_1 - m_1 - m_2 has
+    slack 0 at q = 2, and the class of (2, 1, 2, 1) fails to construct."""
+    rows = case_records("G", 2, 1)
+    case2 = rows[1]
+    assert case2.label == "G2 case 2"
+    fields = {name: getattr(case2, name) for name in CaseRecord.__slots__}
+    bad = CaseRecord(**{**fields, "m_values": {1: Fraction(1), 2: Fraction(1)}})
+    monkeypatch.setattr(lifting, "case_records", lambda *key: [rows[0], bad, *rows[2:]])
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    W, twist = group("G", 2), build_twist("G", 2, 1)
+    cls = class_of(W, pi_of(twist), W.from_word((2, 1, 2, 1)))
+    with pytest.raises(ConstructionError, match="star witness fails"):
+        constructive_certificate(W, twist, cls, qext(2))
 
 
 def test_witness_coordinates_are_read_only():

@@ -283,11 +283,10 @@ def _catalog_parabolics():
         if rec.v_mode not in ("lengths", "all"):
             continue
         W, pi_inv = type_group(rec.family, rec.rank, rec.twist)
-        for word in (rec.w1, rec.alt_w1):
-            placed = None if word is None else place_row(W, pi_inv, rec.J, word)
-            if placed is not None and placed.K:
-                sub = sub_context(W, placed.K)
-                out[sub.system.key] = (rec.label, sub.group)
+        placed = place_row(W, pi_inv, rec.J, rec.w1)
+        if placed.K:
+            sub = sub_context(W, placed.K)
+            out[sub.system.key] = (rec.label, sub.group)
     return list(out.values())
 
 
