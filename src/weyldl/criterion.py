@@ -2,8 +2,10 @@
 
 Every verdict here is about one kind of object, an :class:`IneqSystem`:
 a homogeneous strict system  <c_r, m> > 0  over coweight coordinates,
-stored as exact ``QuadExt`` rows with a label each.  Three builders make
-its rows from signed root indices, all through one private row builder:
+stored as q, the integer root-coordinate rows and the column of q in
+each q-row; labels are formatted only for the rows a report names.
+Three builders make its rows from signed root indices, all through one
+private row builder:
 
 * forward form, wire tag ``"lemma-1.11"``: for an element w of a twisted
   class with index map pi, the rows  q * mu[pi(i)] - (w^{-1} alpha_i)(mu)
@@ -18,9 +20,12 @@ its rows from signed root indices, all through one private row builder:
 
 The two certificate forms are exchanged by w -> w^{-1} together with
 re-indexing of the q-rows, which the test suite verifies exhaustively at
-small rank.  A system either has a strict solution, found by the exact
-simplex in :mod:`weyldl.lp`, or a Gordan witness; at a given point its
-one query, :meth:`IneqSystem.violated`, names the rows that fail.
+small rank.  A system either has a strict solution, found by the
+fraction-free simplex in :mod:`weyldl.lp`, which ``feasible`` feeds the
+integer rows directly, or a Gordan witness.  At a given point its one
+query, :meth:`IneqSystem.violated`, names the rows that fail: the point
+goes over one common denominator once, and each row is one integer dot
+product plus its q term, signed exactly.
 
 The checker shares only root data with the rest of the process: the group
 of each (family, rank) from :func:`weyldl.weyl.weyl_group`, with its
@@ -42,11 +47,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable, Mapping, Optional
 
 from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
-from .exactnum import QuadExt, SQRT2, SQRT3, ZERO, dot, qext
-from .lp import solve_strict
+from .exactnum import SQRT2, SQRT3, QuadExt, _join_d, _make, _sign, integer_parts, qext
+from .lp import _solve_dual
 from .rootdata import Coweight, Frozen, Twist, build_twist, positive_root_count
 from .weyl import WeylElt, WeylGroup, weyl_group
 
@@ -85,36 +91,86 @@ class CertificateError(ValueError):
 class IneqSystem(Frozen):
     """A homogeneous strict system  <c_r, m> > 0  over coweight coordinates.
 
-    ``rows`` holds one exact coefficient tuple per row on the variable set
-    ``varset`` (1-based node indices, sorted), with q already folded into
-    the q-rows; ``labels`` names each row for reporting.  Row order is
-    fixed by the builders, and the solver's pivots depend on it.
+    The variables are ``varset`` (1-based node indices, sorted).  Row r is
+    the integer tuple ``coeffs[r]`` on them, plus q*m_u when
+    ``qcols[r] = u >= 0`` (a q-row; -1 marks a pure row).  ``subjects[r]``
+    is what the row stands for, from which its label is formatted on
+    demand: the node i of a q-row, the root of an inversion row, or the
+    label itself.  Row order is fixed by the builders, and the solver's
+    pivots depend on it.
     """
 
-    __slots__ = ("varset", "rows", "labels")
+    __slots__ = ("varset", "q", "coeffs", "qcols", "subjects")
 
     def __init__(
         self,
         varset: tuple[int, ...],
-        rows: tuple[tuple[QuadExt, ...], ...],
-        labels: tuple[str, ...],
+        q: QuadExt,
+        coeffs: tuple[tuple[int, ...], ...],
+        qcols: tuple[int, ...],
+        subjects: tuple,
     ):
         _setattr(self, "varset", varset)
-        _setattr(self, "rows", rows)
-        _setattr(self, "labels", labels)
+        _setattr(self, "q", q)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "qcols", qcols)
+        _setattr(self, "subjects", subjects)
 
-    def evaluate(self, point: dict[int, QuadExt]) -> list[QuadExt]:
+    @property
+    def rows(self) -> tuple[tuple[QuadExt, ...], ...]:
+        """Every row as exact numbers, q folded into the q-rows: a derived view."""
+        out = []
+        for row, u in zip(self.coeffs, self.qcols):
+            cells = [qext(c) for c in row]
+            if u >= 0:
+                cells[u] = self.q + row[u]
+            out.append(tuple(cells))
+        return tuple(out)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(self._label, range(len(self.coeffs))))
+
+    def _label(self, r: int) -> str:
+        subject = self.subjects[r]
+        if self.qcols[r] >= 0:
+            return f"q-row i={subject}"
+        return f"inversion {subject}" if type(subject) is tuple else subject
+
+    def _slacks(self, point: Mapping[int, QuadExt]):
+        """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r.
+
+        The point goes over one common denominator once, so a row is one
+        integer dot product, plus its q term in a q-row; d is 1, and B all
+        zero, when the point and q are rational.  A point and q that mix
+        sqrt 2 with sqrt 3 raise ``IncompatibleRadicandError``.
+        """
+        ps, qs, r, dp = integer_parts([point.get(i, 0) for i in self.varset])
+        (qp,), (qq,), qr, dq = integer_parts([self.q])
+        d = _join_d(dp, dq)
+        A = [sum(map(mul, row, ps)) for row in self.coeffs]
+        B = [sum(map(mul, row, qs)) for row in self.coeffs] if dp != 1 else [0] * len(A)
+        if qr != 1:
+            A = [qr * a for a in A]
+            B = [qr * b for b in B]
+        for k, u in enumerate(self.qcols):
+            if u >= 0:
+                A[k] += qp * ps[u] + d * qq * qs[u]
+                B[k] += qp * qs[u] + qq * ps[u]
+        return A, B, r * qr, d
+
+    def evaluate(self, point: Mapping[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
-        vec = [point.get(i, ZERO) for i in self.varset]
-        return [dot(row, vec) for row in self.rows]
+        A, B, r, d = self._slacks(point)
+        return [_make(a, b, r, d) for a, b in zip(A, B)]
 
-    def violated(self, point: dict[int, QuadExt]) -> list[tuple[str, int]]:
+    def violated(self, point: Mapping[int, QuadExt]) -> list[tuple[str, int]]:
         """(label, sign) of each row whose slack at ``point`` is zero or negative."""
-        return [
-            (label, sign)
-            for label, s in zip(self.labels, self.evaluate(point))
-            if (sign := s.sign()) <= 0
-        ]
+        A, B, _, d = self._slacks(point)
+        if d == 1:
+            return [(self._label(k), (a > 0) - (a < 0)) for k, a in enumerate(A) if a <= 0]
+        return [(self._label(k), sign) for k, (a, b) in enumerate(zip(A, B))
+                if (sign := _sign(a, b, d)) <= 0]
 
 
 def _system(
@@ -122,39 +178,37 @@ def _system(
     varset: tuple[int, ...],
     q: QuadExt,
     q_rows: Iterable[tuple[int, int, int]],
-    pure_rows: Iterable[tuple[str, int]],
+    pure_rows: Iterable[tuple[object, int]],
 ) -> IneqSystem:
     """Rows from signed root indices t, with beta_t the root of index t.
 
-    Each (i, u, t) in ``q_rows`` is the row  q*m_u - beta_t(m) > 0,
-    labelled by node i; each (label, t) in ``pure_rows`` is beta_t(m) > 0.
-    The coefficients come from the group's table of exact root
-    coordinates: on all nodes a pure row is the table's tuple itself, and
-    a q-row is the tuple of -beta_t with the one cell of m_u changed.
+    Each (i, u, t) in ``q_rows`` is the row  q*m_u - beta_t(m) > 0 about
+    node i; each (subject, t) in ``pure_rows`` is beta_t(m) > 0.  The
+    coefficients are the group's integer tuples of root coordinates
+    (``signed_to_coords``), restricted to the variables: -beta_t for a
+    q-row, whose q sits in the column of m_u, and beta_t for a pure row.
     """
-    q = qext(q)
     cols = None if varset == W.system.nodes else [j - 1 for j in varset]
 
-    def coords(t: int) -> tuple[QuadExt, ...]:
+    def coords(t: int) -> tuple[int, ...]:
         c = W.signed_to_coords(t)
         return c if cols is None else tuple(c[k] for k in cols)
 
-    rows, labels = [], []
+    coeffs, qcols, subjects = [], [], []
     for i, u, t in q_rows:
-        row = list(coords(-t))
-        k = varset.index(u)
-        row[k] = q + row[k]
-        rows.append(tuple(row))
-        labels.append(f"q-row i={i}")
-    for label, t in pure_rows:
-        rows.append(coords(t))
-        labels.append(label)
-    return IneqSystem(varset, tuple(rows), tuple(labels))
+        coeffs.append(coords(-t))
+        qcols.append(varset.index(u))
+        subjects.append(i)
+    for subject, t in pure_rows:
+        coeffs.append(coords(t))
+        qcols.append(-1)
+        subjects.append(subject)
+    return IneqSystem(varset, qext(q), tuple(coeffs), tuple(qcols), tuple(subjects))
 
 
-def _inversion_rows(W: WeylGroup, u: WeylElt) -> list[tuple[str, int]]:
+def _inversion_rows(W: WeylGroup, u: WeylElt) -> list[tuple[tuple[int, ...], int]]:
     """The pure rows of the inversions of u^{-1}, in root order."""
-    return [(f"inversion {W.roots[p]}", p + 1) for p in W.inversions_of_inverse(u)]
+    return [(W.roots[p], p + 1) for p in W.inversions_of_inverse(u)]
 
 
 def build_forward_system(
@@ -217,12 +271,26 @@ def build_star_system(
 def feasible(system: IneqSystem) -> Optional[Coweight]:
     """A strict solution as a coweight on the ambient rank, or None.
 
+    The integer rows go to the simplex as they are, scaled by the
+    denominator of q, with q's numerator added in each q-row's column;
+    the point is re-checked against the system before it is returned.
     Coordinates off the variable set come back zero.  The rank is taken
     as max node appearing; callers embed as needed.
     """
-    point = solve_strict(system.rows, len(system.varset))
+    n = len(system.varset)
+    (qp,), (qq,), scale, d = integer_parts([system.q])
+    ra = [[c * scale for c in row] for row in system.coeffs]
+    rb = None if d == 1 else [[0] * n for _ in ra]
+    for k, u in enumerate(system.qcols):
+        if u >= 0:
+            ra[k][u] += qp
+            if rb is not None:
+                rb[k][u] = qq
+    point, _ = _solve_dual(ra, rb, d, scale, n)
     if point is None:
         return None
+    if system.violated(dict(zip(system.varset, point))):
+        raise AssertionError("simplex returned a non-strict point")
     rank = max(system.varset) if system.varset else 0
     coords = [qext(0)] * rank
     for i, x in zip(system.varset, point):
@@ -368,8 +436,8 @@ def check_certificate(cert: Certificate) -> CheckResult:
         # Only the sign is reported: a hostile mu can make a slack too long to print.
         label, sign = violated[0]
         reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
-        return CheckResult(False, reason, len(system.rows))
-    return CheckResult(True, "", len(system.rows))
+        return CheckResult(False, reason, len(system.coeffs))
+    return CheckResult(True, "", len(system.coeffs))
 
 
 def minimal_q(family: str, twist: int) -> QuadExt:

@@ -1,7 +1,7 @@
 """Exact ordered-field arithmetic over Q and the real quadratic fields Q(sqrt 2), Q(sqrt 3).
 
-Every number that enters a strict inequality in this package is a
-``QuadExt``: a value ``(p + q*sqrt(d)) / r`` stored as four Python ints
+Every q, witness coordinate and slack in this package is a ``QuadExt``
+(root coefficients stay plain ints): a value ``(p + q*sqrt(d)) / r`` stored as four Python ints
 with ``d in {1, 2, 3}``.  The stored form is canonical: ``r > 0``,
 ``gcd(p, q, r) == 1``, and ``q == 0`` exactly when ``d == 1``, so a
 rational value has radicand 1 and rational and irrational values
@@ -12,19 +12,23 @@ Signs and comparisons are exact case analysis on the integer numerator,
 never floating-point evaluation.  The rational parts are still available
 as the ``Fraction`` properties ``a`` and ``b``.
 
-Two fused kernels serve the row arithmetic of the strict systems:
-``dot(xs, ys)`` sums the products x*y in plain ints and reduces once at
-the end, and ``sub_mul(x, f, y)`` is ``x - f*y`` with one reduction.
-Each returns exactly what the unfused operations return, or raises the
-same ``IncompatibleRadicandError``: the radicand of a product or of a
-running sum falls back to 1 once its sqrt(d) part cancels.
+Two kernels serve the row arithmetic of the strict systems.  ``dot(xs, ys)``
+sums the products x*y in plain ints and reduces once at the end; it
+returns exactly what the unfused left fold returns, or raises the same
+``IncompatibleRadicandError``: the radicand of a product or of a running
+sum falls back to 1 once its sqrt(d) part cancels.  ``integer_parts(xs)``
+puts a list of numbers over their least common denominator r, as
+integers p_k + q_k sqrt(d) over r with one radicand d for the whole list,
+so that a row's value at a point is one integer dot product: the slacks
+in ``weyldl.criterion`` and the fraction-free simplex in ``weyldl.lp``
+never build a ``QuadExt`` per cell.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 __all__ = [
@@ -34,7 +38,7 @@ __all__ = [
     "quad_sign",
     "quad_cmp",
     "dot",
-    "sub_mul",
+    "integer_parts",
     "SQRT2",
     "SQRT3",
     "ONE",
@@ -428,19 +432,24 @@ def dot(xs, ys) -> QuadExt:
     return _make(P, Q, R, D)
 
 
-def sub_mul(x: QuadExt, f: QuadExt, y: QuadExt) -> QuadExt:
-    """``x - f*y`` for three QuadExt values, with one gcd reduction.
+def integer_parts(xs) -> tuple[list[int], list[int], int, int]:
+    """``(ps, qs, r, d)`` with x_k = (ps[k] + qs[k] sqrt(d)) / r for every x_k of ``xs``.
 
-    The value and the errors of the two-step form: f*y raises when f and y
-    mix radicands, and the difference when x and a non-rational f*y do.
+    r > 0 is the least common denominator and d the one radicand of the
+    list (1 when every value is rational); values over sqrt 2 and sqrt 3
+    together raise ``IncompatibleRadicandError``.  Entries may be int,
+    Fraction or QuadExt.
     """
-    p, q, d = _product(f, y)
-    if x._q:
-        d = _join_d(x._d, d)
-    r, rx = f._r * y._r, x._r
-    if r == rx:
-        return _make(x._p - p, x._q - q, r, d)
-    return _make(x._p * r - p * rx, x._q * r - q * rx, rx * r, d)
+    xs = [x if type(x) is QuadExt else qext(x) for x in xs]
+    r = d = 1
+    for x in xs:
+        if x._r != 1 and r % x._r:
+            r = lcm(r, x._r)
+        if x._d != d and x._d != 1:
+            d = _join_d(d, x._d)
+    if r == 1:
+        return [x._p for x in xs], [x._q for x in xs], 1, d
+    return [x._p * (r // x._r) for x in xs], [x._q * (r // x._r) for x in xs], r, d
 
 
 ZERO = QuadExt(0)

@@ -41,7 +41,6 @@ from .conjugacy import (
     DeltaClass,
     FalsificationError,
     PiMap,
-    compute_I_J_x,
     inverse_pi,
     minimal_level,
     pi_of,
@@ -51,6 +50,7 @@ from .conjugacy import (
 from .criterion import (
     FORM_FORWARD,
     Certificate,
+    IneqSystem,
     admissible_q,
     build_forward_system,
     build_star_system,
@@ -249,29 +249,30 @@ def _inner_scale(
 def extend_via_parabolic_step(
     W: WeylGroup,
     tau: PiMap,
-    J: frozenset[int],
     w1: WeylElt,
+    star: IneqSystem,
     star_m: dict[int, QuadExt],
     inner: Optional[EngineCert],
-    q: QuadExt,
 ) -> EngineCert:
     """Extend an inner dominant witness through a (J, w1) reduction step.
 
     ``tau`` is the class-direction (inverse-twist) map on the nodes of W
-    with w1 in W^{tau(J)}; ``inner`` is a forward-form witness on K for
-    the inverse of the inner twisted class, and must be dominant.  The
-    result is a forward-form witness whose element is (v w1)^{-1} with
-    v = inner.w^{-1}.  All inequalities are re-derived and checked.
+    with w1 in W^{tau(J)}; ``star`` is the step's reduction system
+    ``build_star_system(W, K, w1, tau, q)``, whose variables are the nodes
+    outside K = I(J, w1, tau) and whose q is the step's.  ``inner`` is a
+    forward-form witness on K for the inverse of the inner twisted class,
+    and must be dominant.  The result is a forward-form witness whose
+    element is (v w1)^{-1} with v = inner.w^{-1}.  The star point and the
+    result are both checked against their systems.
     """
-    q = qext(q)
-    K = compute_I_J_x(W, tau, J, w1)
-    V = [i for i in W.system.nodes if i not in K]
+    q = star.q
+    V = star.varset
+    K = frozenset(W.system.nodes).difference(V)
     if set(star_m) != set(V):
         raise ValueError("star witness must cover exactly the free nodes")
     if any(qext(star_m[i]).sign() <= 0 for i in V):
         raise ValueError("star witness must be positive")
-    star = build_star_system(W, K, w1, tau, q)
-    point = {i: qext(star_m[i]) for i in star.varset}
+    point = {i: qext(star_m[i]) for i in V}
     if star.violated(point):
         raise ConstructionError("star witness fails the derived reduction system")
 
@@ -285,7 +286,7 @@ def extend_via_parabolic_step(
     q_slacks = star.evaluate(point)[: len(V)]
     m = qext(W.system.n0) * max_k / min(q_slacks) + 1 if q_slacks else qext(1)
     for i in V:
-        mu[i] = m * qext(star_m[i])
+        mu[i] = m * point[i]
     w = W.multiply(v, w1)
     out = EngineCert(W.invert(w), mu, frozenset(W.system.nodes), q)
     return _validate(W, inverse_pi(tau), out, "parabolic extension")
@@ -353,10 +354,11 @@ def _leaf_certificate(
 
     ``level`` is the minimal level of the class, by canonical word.  The
     first (row, v) in catalog order whose (v w1)^-1 lies in it is used.
-    A row that states its witness ``m_values`` is extended through that
-    witness, which ``extend_via_parabolic_step`` re-validates (a failing
-    one raises ConstructionError); only a row without one, always
-    satisfied or spade, solves its reduction system.
+    The row's reduction system is built once, on the K that placing the
+    row gives.  A row that states its witness ``m_values`` is extended
+    through that witness, which ``extend_via_parabolic_step`` re-validates
+    against the system (a failing one raises ConstructionError); only a
+    row without one, always satisfied or spade, solves the system.
     """
     tau = inverse_pi(pi)
     ident = identify_standard(W.system.cartan, pi)
@@ -389,16 +391,16 @@ def _leaf_certificate(
     # Inner witness on K (forward side of the inner twisted class).
     inner = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v)) if K else None
 
+    star = build_star_system(W, K, w1, tau, q)
     if row.m_values is not None:
         star_point = {phi_inv[i]: m for i, m in row.m_values.items()}
-        return extend_via_parabolic_step(W, tau, J_W, w1, star_point, inner, q)
+        return extend_via_parabolic_step(W, tau, w1, star, star_point, inner)
     # No stated witness: an always-satisfied row, or a spade row, whose
     # reduction system may still be feasible above the minimal q.
-    star = build_star_system(W, K, w1, tau, q)
     mu_star = feasible(star)
     if mu_star is not None:
         star_point = {i: mu_star[i] for i in star.varset}
-        return extend_via_parabolic_step(W, tau, J_W, w1, star_point, inner, q)
+        return extend_via_parabolic_step(W, tau, w1, star, star_point, inner)
 
     # The reduction system is infeasible: spade territory.
     if not row.spade:

@@ -14,10 +14,8 @@ off these moves; no element carries a second encoding.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import QuadExt, qext
 from .rootdata import RootSystem, cartan_matrix, system_of
 
 __all__ = ["WeylGroup", "WeylElt", "group_of", "weyl_group"]
@@ -86,12 +84,6 @@ def _build_tables(system: RootSystem) -> list[bytes]:
 MAX_ROOTS = 127
 
 
-@cache
-def _exact(c: int) -> QuadExt:
-    """The one ``QuadExt`` of the integer c that root coordinates share."""
-    return qext(c)
-
-
 class WeylGroup:
     """Group context: a root system, its identity and simple reflections."""
 
@@ -109,7 +101,7 @@ class WeylGroup:
         # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
         self._negative = bytes(n) + b"\x01" * (256 - n)
         self._tables: Optional[list[bytes]] = None
-        self._coords: dict[int, tuple[QuadExt, ...]] = {}
+        self._coords: dict[int, tuple[int, ...]] = {}
 
     # -- the move kernel ------------------------------------------------------
 
@@ -181,20 +173,17 @@ class WeylGroup:
         m = self.identity.key.find(w.key[i - 1])
         return m + 1 if m >= 0 else None
 
-    def signed_to_coords(self, signed: int) -> tuple[QuadExt, ...]:
-        """Exact simple-root coordinates of the root of signed index ``signed``.
+    def signed_to_coords(self, signed: int) -> tuple[int, ...]:
+        """Simple-root coordinates of the root of signed index ``signed``, as ints.
 
-        A ``QuadExt`` tuple, built when the row is first asked for and
-        kept, so the rows of a strict system share these tuples instead of
-        coercing an int per cell; a system reads at most 2 * rank of the
-        2N rows.  The rows of every group share one ``QuadExt`` per
-        coefficient value.
+        Built when the row is first asked for and kept, so the strict
+        systems of ``weyldl.criterion`` share these tuples as their
+        coefficient rows; a system reads at most 2 * rank of the 2N rows.
         """
         row = self._coords.get(signed)
         if row is None:
-            sign = 1 if signed > 0 else -1
-            row = tuple(_exact(sign * c) for c in self.roots[abs(signed) - 1])
-            self._coords[signed] = row
+            root = self.roots[abs(signed) - 1]
+            row = self._coords[signed] = root if signed > 0 else tuple(-c for c in root)
         return row
 
     def inversions_of_inverse(self, u: WeylElt) -> list[int]:

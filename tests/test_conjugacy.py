@@ -488,7 +488,7 @@ class TestBudgets:
         w0 = F4.longest_element(range(1, 5))
         big = F4.multiply(F4.simple(1), w0)
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 2)
-        with pytest.raises(Exception) as err:
+        with pytest.raises(ClosureBudgetError) as err:
             shift_closure(F4, pi, big)
         assert "budget" in str(err.value)
 

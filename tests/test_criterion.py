@@ -22,7 +22,7 @@ from weyldl.criterion import (
     minimal_q,
     parse_q_literal,
 )
-from weyldl.exactnum import SQRT2, SQRT3, qext
+from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadExt, dot, qext
 from weyldl.rootdata import Coweight, build_twist
 from weyldl import weyl
 
@@ -217,6 +217,88 @@ class TestRecords:
         with pytest.raises(AttributeError):
             result.accepted = True
         assert not result
+
+
+def oracle_evaluate(system, point):
+    """The slacks as ``dot`` over the folded rows: the evaluation the one-pass
+    integer slacks replaced."""
+    vec = [point.get(i, ZERO) for i in system.varset]
+    return [dot(row, vec) for row in system.rows]
+
+
+def oracle_violated(system, point):
+    return [(label, s.sign()) for label, s in zip(system.labels, oracle_evaluate(system, point))
+            if s.sign() <= 0]
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except IncompatibleRadicandError:
+        return ("raise", IncompatibleRadicandError)
+
+
+def _random_coordinate(rng, kind):
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if kind == "zero":
+        return qext(0)
+    if kind == "rational":
+        return qext(a)
+    return QuadExt(a, Fraction(rng.randint(-4, 4), rng.randint(1, 4)), int(kind[-1]))
+
+
+class TestEvaluationOracle:
+    """``evaluate`` and ``violated`` against ``dot`` over the folded ``rows``."""
+
+    QS = ["2", "5/3", "sqrt2", "3/2*sqrt2", "sqrt3"]
+    KINDS = ("rational", "sqrt2", "sqrt3", "zero")
+
+    def systems(self, q):
+        out = []
+        for family, rank, order in (("B", 3, 1), ("G", 2, 2), ("A", 4, 2), ("F", 4, 1)):
+            W = group(family, rank)
+            twist = build_twist(family, rank, order)
+            for direction in ("delta", "delta_inv"):
+                pi = pi_of(twist, direction)
+                for cls in class_list(W, pi)[:6]:
+                    w = cls.minimal[-1]
+                    out.append(build_forward_system(W, w, pi, q))
+                    out.append(build_inverse_system(W, w, pi, q))
+                    K = frozenset(range(2, rank + 1)) if cls.cuspidal else frozenset()
+                    out.append(build_star_system(W, K, w, pi, q))
+        return out
+
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_dot_over_rows(self, q):
+        """Equal slacks and violations on random points of rational, sqrt 2,
+        sqrt 3 and zero coordinates; where the oracle raises, the same error.
+        A point that mixes sqrt 2 and sqrt 3 with each other or with q always
+        raises, also in the rare systems where no row of the oracle met both."""
+        q = parse_q_literal(q)
+        rng = random.Random(q.to_json()["b"] + q.to_json()["a"])
+        compared = raised = 0
+        for system in self.systems(q):
+            for _ in range(6):
+                kinds = rng.choice([self.KINDS, ("rational", "zero"), ("sqrt2", "zero"),
+                                    ("sqrt3", "rational", "zero")])
+                point = {i: _random_coordinate(rng, rng.choice(kinds)) for i in system.varset}
+                expected = _outcome(lambda: oracle_evaluate(system, point))
+                got = _outcome(lambda: system.evaluate(point))
+                one_field = len({x.d for x in (q, *point.values())} - {1}) <= 1
+                if expected[0] == "raise" or not one_field:
+                    assert got == ("raise", IncompatibleRadicandError), (system, point)
+                    assert _outcome(lambda: system.violated(point)) == got
+                    raised += 1
+                    continue
+                assert got == expected, (system, point)
+                assert system.violated(point) == oracle_violated(system, point)
+                compared += 1
+        assert compared > 100 and raised > 10
+
+    def test_point_off_the_variables_reads_zero(self, B2):
+        system = build_star_system(B2, frozenset({1}), B2.simple(1), idpi(B2), qext(2))
+        assert system.evaluate({}) == oracle_evaluate(system, {}) == [qext(0)] * 2
+        assert system.violated({}) == [("q-row i=2", 0), ("positivity m_2", 0)]
 
 
 class TestFeasibleOracle:

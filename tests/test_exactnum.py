@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +13,9 @@ from weyldl.exactnum import (
     IncompatibleRadicandError,
     QuadExt,
     dot,
+    integer_parts,
     quad_cmp,
     quad_sign,
-    sub_mul,
 )
 
 from fraction_quadext import FractionQuadExt
@@ -373,13 +373,23 @@ def test_dot_takes_int_and_fraction_operands(terms):
     agree(lambda: dot(ss, xs), lambda: fold_dot(ss, xs, QuadExt(0)))
 
 
-@given(cells, cells, cells)
+@given(st.lists(st.one_of(cells, st.tuples(scalars)), max_size=8))
 @settings(max_examples=300, deadline=None)
-def test_sub_mul_matches_two_step_form(xs, fs, ys):
-    x, f, y = QuadExt(*xs), QuadExt(*fs), QuadExt(*ys)
-    ox, of, oy = FractionQuadExt(*xs), FractionQuadExt(*fs), FractionQuadExt(*ys)
-    agree(lambda: sub_mul(x, f, y), lambda: x - f * y)
-    agree(lambda: sub_mul(x, f, y), lambda: ox - of * oy)
+def test_integer_parts_share_one_denominator(entries):
+    """Each value is (p + q sqrt d) / r over the least common denominator and
+    the one radicand of the list; a list over sqrt 2 and sqrt 3 raises."""
+    xs = [QuadExt(*e) if len(e) == 3 else e[0] for e in entries]
+    radicands = {QuadExt(*e).d for e in entries if len(e) == 3} - {1}
+    if len(radicands) > 1:
+        with pytest.raises(IncompatibleRadicandError):
+            integer_parts(xs)
+        return
+    ps, qs, r, d = integer_parts(xs)
+    assert d == (radicands.pop() if radicands else 1)
+    assert all(type(v) is int for v in (*ps, *qs, r, d))
+    assert r == lcm(*(QuadExt(x)._r if not isinstance(x, QuadExt) else x._r for x in xs))
+    for x, p, q in zip(xs, ps, qs):
+        assert QuadExt(Fraction(p, r), Fraction(q, r), d) == x
 
 
 def test_fused_kernels_at_cancellation():
@@ -393,8 +403,3 @@ def test_fused_kernels_at_cancellation():
     mixed = ("raise", IncompatibleRadicandError)
     assert outcome(lambda: dot([SQRT2, SQRT3], [1, 1])) == mixed
     assert outcome(lambda: dot([SQRT2], [SQRT3])) == mixed
-    assert outcome(lambda: sub_mul(SQRT3, SQRT2, SQRT2)) == outcome(lambda: SQRT3 - 2)
-    assert outcome(lambda: sub_mul(SQRT2, SQRT2, QuadExt(1))) == outcome(lambda: QuadExt(0))
-    assert outcome(lambda: sub_mul(SQRT3, QuadExt(0), SQRT2)) == outcome(lambda: SQRT3)
-    assert outcome(lambda: sub_mul(SQRT3, SQRT2, QuadExt(1))) == mixed
-    assert outcome(lambda: sub_mul(QuadExt(1), SQRT2, SQRT3)) == mixed

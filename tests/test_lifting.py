@@ -13,6 +13,7 @@ from weyldl.criterion import (
     FORM_FORWARD,
     Certificate,
     build_forward_system,
+    build_star_system,
     certify_min_element,
     check_certificate,
     feasible,
@@ -188,29 +189,25 @@ class TestExtension:
         sigma = ad_pi_on(D4, tau, w1, K)
         pi_K = inverse_pi(sigma)
         inner = cuspidal_inner(D4, pi_K, K, qext(2))
-        out = extend_via_parabolic_step(
-            D4, tau, frozenset({1, 2, 3}), w1,
-            {3: qext(2), 4: qext(1)}, inner, qext(2),
-        )
+        star = build_star_system(D4, K, w1, tau, qext(2))
+        out = extend_via_parabolic_step(D4, tau, w1, star, {3: qext(2), 4: qext(1)}, inner)
         assert out.nodes == frozenset({1, 2, 3, 4})
 
     def test_empty_k(self, G2):
         # K empty: the witness is the scaled star point alone.
         tau = idpi(G2)
         w1 = G2.from_word([1, 2, 1, 2])
-        out = extend_via_parabolic_step(
-            G2, tau, frozenset({1}), w1, {1: qext(2), 2: qext(1)}, None, qext(2),
-        )
+        star = build_star_system(G2, frozenset(), w1, tau, qext(2))
+        out = extend_via_parabolic_step(G2, tau, w1, star, {1: qext(2), 2: qext(1)}, None)
         assert out.w == G2.invert(w1)
         assert out.dominant()
 
     def test_star_witness_must_be_positive(self, G2):
         tau = idpi(G2)
         w1 = G2.from_word([1, 2, 1, 2])
+        star = build_star_system(G2, frozenset(), w1, tau, qext(2))
         with pytest.raises(ValueError):
-            extend_via_parabolic_step(
-                G2, tau, frozenset({1}), w1, {1: qext(2), 2: qext(-1)}, None, qext(2),
-            )
+            extend_via_parabolic_step(G2, tau, w1, star, {1: qext(2), 2: qext(-1)}, None)
 
     def test_2a4_middle(self):
         W = group("A", 4)
@@ -222,9 +219,9 @@ class TestExtension:
         K = compute_I_J_x(W, tau, {1, 2, 3}, w1)
         assert K == frozenset({2})
         inner = cuspidal_inner(W, inverse_pi(ad_pi_on(W, tau, w1, K)), K, qext(2))
+        star = build_star_system(W, K, w1, tau, qext(2))
         out = extend_via_parabolic_step(
-            W, tau, frozenset({1, 2, 3}), w1,
-            {1: qext(2), 3: qext(2), 4: qext(1)}, inner, qext(2),
+            W, tau, w1, star, {1: qext(2), 3: qext(2), 4: qext(1)}, inner,
         )
         assert out.nodes == frozenset(range(1, 5))
 

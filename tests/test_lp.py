@@ -10,9 +10,11 @@ from weyldl.criterion import (
     build_forward_system,
     build_inverse_system,
     build_star_system,
+    feasible,
     minimal_q,
+    parse_q_literal,
 )
-from weyldl.exactnum import SQRT2, SQRT3, qext
+from weyldl.exactnum import SQRT2, SQRT3, IncompatibleRadicandError, QuadExt, qext
 from weyldl.lp import gordan_witness, solve_strict, verify_gordan
 from weyldl.rootdata import build_twist
 
@@ -103,6 +105,63 @@ def test_agrees_with_brute_force_oracle():
         assert (got, witness) == dense_solve_dual(rows, nvars), (trial, rows)
         agree += 1
     assert agree == 300
+
+
+def _random_cell(rng, d):
+    """A rational with a small denominator, or over sqrt(d) half the time when d > 1."""
+    a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if d == 1 or rng.random() < 0.5:
+        return qext(a)
+    return QuadExt(a, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matches_dense_simplex_on_random_exact_rows(d):
+    """Rows of non-integer rationals, and over Q(sqrt 2) or Q(sqrt 3): point and
+    witness equal the dense simplex's tuple for tuple, and Gordan's alternative holds."""
+    rng = random.Random(2024 + d)
+    feasible_count = infeasible_count = 0
+    for trial in range(400):
+        nvars = rng.randint(0, 4)
+        rows = [tuple(_random_cell(rng, d) for _ in range(nvars))
+                for _ in range(rng.randint(0, 6))]
+        got = (solve_strict(rows, nvars), gordan_witness(rows, nvars))
+        assert got == dense_solve_dual(rows, nvars), (trial, rows)
+        point, witness = got
+        assert (point is None) != (witness is None)
+        if witness is not None:
+            assert verify_gordan(rows, witness), (trial, rows)
+            infeasible_count += 1
+        else:
+            feasible_count += 1
+    assert feasible_count > 50 and infeasible_count > 50
+
+
+@pytest.mark.parametrize("q", ["3/2*sqrt2", "5/3", "2/3*sqrt3", "7/2"])
+@pytest.mark.parametrize("family,rank,order", [("B", 3, 1), ("G", 2, 1), ("A", 3, 2)])
+def test_feasible_matches_dense_simplex_at_q_with_a_denominator(family, rank, order, q):
+    """``feasible`` feeds the integer rows, scaled by q's denominator, to the
+    simplex; its point is the dense simplex's on the folded rows."""
+    q = parse_q_literal(q)
+    W = group(family, rank)
+    pi = pi_of(build_twist(family, rank, order))
+    for cls in class_list(W, pi):
+        for w in cls.minimal:
+            for system in (build_forward_system(W, w, pi, q), build_inverse_system(W, w, pi, q)):
+                rows, n = system.rows, len(system.varset)
+                point, witness = dense_solve_dual(rows, n)
+                mu = feasible(system)
+                assert (None if mu is None else mu.coords) == point, w.word
+                assert (solve_strict(rows, n), gordan_witness(rows, n)) == (point, witness)
+
+
+def test_mixed_radicand_rows_raise():
+    """Rows over sqrt 2 and sqrt 3 at once have no field to solve in; the dense
+    simplex raises on them too."""
+    rows = [(SQRT2,), (SQRT3,)]
+    for solve in (solve_strict, gordan_witness, dense_solve_dual):
+        with pytest.raises(IncompatibleRadicandError):
+            solve(rows, 1)
 
 
 def test_witness_edge_cases():
