@@ -37,6 +37,7 @@ from .criterion import (
     FORM_INVERSE,
     MAX_RANK,
     Certificate,
+    IneqSystem,
     admissible_q,
     build_inverse_system,
     build_star_system,
@@ -44,7 +45,7 @@ from .criterion import (
     feasible,
     minimal_q,
 )
-from .exactnum import QuadExt, qext
+from .exactnum import QuadExt, _sign, integer_parts, qext
 from .lp import gordan_witness, verify_gordan
 from .rootdata import Coweight, Frozen, Record, build_twist
 from .subsystems import sub_context
@@ -1032,6 +1033,22 @@ def _spade_certificate(
     return None, "no inverse-form witness found for any candidate"
 
 
+def _always_satisfied(system: IneqSystem) -> bool:
+    """True when every positive point satisfies every row of ``system``.
+
+    A row holds at every positive point exactly when it is coordinate-wise
+    >= 0 and nonzero.  Its cell in column u = ``qcols[r]`` of a q-row is
+    q + c and every other cell c, so the integer rows and q decide it.
+    """
+    (qp,), (qq,), qr, d = integer_parts([system.q])
+
+    def signs(row, u):
+        return [_sign(qp + c * qr, qq, d) if k == u else (c > 0) - (c < 0)
+                for k, c in enumerate(row)]
+
+    return all(min(s) >= 0 and max(s) > 0 for s in map(signs, system.coeffs, system.qcols))
+
+
 def verify_case(
     record: CaseRecord,
     q: Optional[QuadExt] = None,
@@ -1080,12 +1097,7 @@ def verify_case(
             else:
                 report.subchecks["star"] = "pass"
         else:
-            # "always satisfied": every positive point satisfies a row
-            # exactly when the row is coordinate-wise >= 0 and nonzero.
-            always = all(
-                all(c.sign() >= 0 for c in row) and any(c.sign() > 0 for c in row)
-                for row in star.rows
-            )
+            always = _always_satisfied(star)
             report.subchecks["star"] = "pass" if always else "fail"
             report.details["star_note"] = (
                 "holds for every positive point" if always

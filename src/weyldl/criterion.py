@@ -27,19 +27,21 @@ query, :meth:`IneqSystem.violated`, names the rows that fail: the point
 goes over one common denominator once, and each row is one integer dot
 product plus its q term, signed exactly.
 
-The checker shares only root data with the rest of the process: the group
-of each (family, rank) from :func:`weyldl.weyl.weyl_group`, with its
-reflection tables, built once per Cartan matrix.  For every certificate
-it rebuilds the twist, the element, the system and its evaluation, and
-it never reads solver state.
+The checker, ``check_certificate``, and its verdict ``CheckResult`` live
+in :mod:`weyldl.checker` and are re-exported here.  It shares no group
+with this module: it walks the certificate's word over integer root
+coordinates from the Cartan matrix alone, and it never reads solver
+state.  Its rows are the rows of the two forms above, in the same order,
+and its slacks are those of :meth:`IneqSystem.violated` (both use
+:func:`weyldl.checker.slacks`).
 
-``IneqSystem``, ``Certificate`` and ``CheckResult`` are plain slotted
-classes with written-out constructors, and their equality, hashing and
-repr come from :class:`weyldl.rootdata.Record`, not ``dataclasses``:
-that module alone cost about 25 ms of each cold start (it imports
-``inspect``, and each decorated class compiles its methods at import),
-against about 0.07 s for all 544 verdicts of the benchmark's ``check``
-pass.  See :mod:`weyldl.rootdata`.
+``IneqSystem`` and ``Certificate`` are plain slotted classes with
+written-out constructors, and their equality, hashing and repr come from
+:class:`weyldl.rootdata.Record`, not ``dataclasses``: that module alone
+cost about 25 ms of each cold start (it imports ``inspect``, and each
+decorated class compiles its methods at import), against about 0.07 s
+for all 544 verdicts of the benchmark's ``check`` pass.  See
+:mod:`weyldl.rootdata`.
 """
 
 from __future__ import annotations
@@ -47,14 +49,21 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Mapping, Optional
 
+from .checker import (
+    FORM_FORWARD,
+    FORM_INVERSE,
+    MAX_RANK,
+    CheckResult,
+    check_certificate,
+    slacks,
+)
 from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
-from .exactnum import SQRT2, SQRT3, QuadExt, _join_d, _make, _sign, integer_parts, qext
+from .exactnum import SQRT2, SQRT3, QuadExt, _make, _sign, integer_parts, qext
 from .lp import _solve_dual
-from .rootdata import Coweight, Frozen, Twist, build_twist, positive_root_count
-from .weyl import WeylElt, WeylGroup, weyl_group
+from .rootdata import Coweight, Frozen, Twist
+from .weyl import WeylElt, WeylGroup
 
 __all__ = [
     "FORM_FORWARD",
@@ -75,10 +84,7 @@ __all__ = [
     "FORMAT_VERSION",
 ]
 
-FORM_FORWARD = "lemma-1.11"
-FORM_INVERSE = "stmt-1.13a"
 FORMAT_VERSION = 1
-MAX_RANK = 8
 
 
 _setattr = object.__setattr__
@@ -138,26 +144,9 @@ class IneqSystem(Frozen):
         return f"inversion {subject}" if type(subject) is tuple else subject
 
     def _slacks(self, point: Mapping[int, QuadExt]):
-        """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r.
-
-        The point goes over one common denominator once, so a row is one
-        integer dot product, plus its q term in a q-row; d is 1, and B all
-        zero, when the point and q are rational.  A point and q that mix
-        sqrt 2 with sqrt 3 raise ``IncompatibleRadicandError``.
-        """
-        ps, qs, r, dp = integer_parts([point.get(i, 0) for i in self.varset])
-        (qp,), (qq,), qr, dq = integer_parts([self.q])
-        d = _join_d(dp, dq)
-        A = [sum(map(mul, row, ps)) for row in self.coeffs]
-        B = [sum(map(mul, row, qs)) for row in self.coeffs] if dp != 1 else [0] * len(A)
-        if qr != 1:
-            A = [qr * a for a in A]
-            B = [qr * b for b in B]
-        for k, u in enumerate(self.qcols):
-            if u >= 0:
-                A[k] += qp * ps[u] + d * qq * qs[u]
-                B[k] += qp * qs[u] + qq * ps[u]
-        return A, B, r * qr, d
+        """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r
+        (see :func:`weyldl.checker.slacks`)."""
+        return slacks(self.coeffs, self.qcols, [point.get(i, 0) for i in self.varset], self.q)
 
     def evaluate(self, point: Mapping[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""
@@ -376,68 +365,6 @@ def _strict_int(value) -> int:
     if type(value) is not int:
         raise CertificateError(f"expected an integer, got {type(value).__name__}")
     return value
-
-
-class CheckResult(Frozen):
-    """A checker verdict: accepted, or the reason for the rejection."""
-
-    __slots__ = ("accepted", "reason", "rows_checked")
-
-    def __init__(self, accepted: bool, reason: str = "", rows_checked: int = 0):
-        _setattr(self, "accepted", accepted)
-        _setattr(self, "reason", reason)
-        _setattr(self, "rows_checked", rows_checked)
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-
-def check_certificate(cert: Certificate) -> CheckResult:
-    """Re-derive the certificate's system from the group data and evaluate it."""
-    # Only a validated type reaches the group memo: an int rank in range
-    # (2.0 would share the key of 2), then a (family, rank) with a root count.
-    if type(cert.rank) is not int or not 1 <= cert.rank <= MAX_RANK:
-        return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
-    try:
-        max_length = positive_root_count(cert.family, cert.rank)
-    except ValueError as exc:
-        return CheckResult(False, f"bad group descriptor: {exc}")
-    if len(cert.w) > max_length:
-        return CheckResult(False, "word longer than the longest element")
-    try:
-        W = weyl_group(cert.family, cert.rank)
-        twist = build_twist(cert.family, cert.rank, cert.twist)
-    except Exception as exc:
-        return CheckResult(False, f"bad group descriptor: {exc}")
-    if cert.direction not in ("delta", "delta_inv"):
-        return CheckResult(False, f"unknown direction {cert.direction!r}")
-    if cert.form not in (FORM_FORWARD, FORM_INVERSE):
-        return CheckResult(False, f"unknown form {cert.form!r}")
-    if len(cert.mu) != cert.rank:
-        return CheckResult(False, "mu has wrong rank")
-    if any(i < 1 or i > cert.rank for i in cert.w):
-        return CheckResult(False, "word letter out of range")
-    # Each coordinate is compatible with q alone; the system sums them all.
-    radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
-    if len(radicands) > 1:
-        return CheckResult(False, "incompatible exact numbers: cannot combine "
-                           + " with ".join(f"sqrt({d})" for d in radicands))
-    if cert.q.sign() <= 0:
-        return CheckResult(False, "q must be positive")
-
-    pi = pi_of(twist, cert.direction)
-    w = W.from_word(cert.w)
-    if cert.form == FORM_FORWARD:
-        system = build_forward_system(W, w, pi, cert.q)
-    else:
-        system = build_inverse_system(W, w, pi, cert.q)
-    violated = system.violated({i: cert.mu[i] for i in system.varset})
-    if violated:
-        # Only the sign is reported: a hostile mu can make a slack too long to print.
-        label, sign = violated[0]
-        reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
-        return CheckResult(False, reason, len(system.coeffs))
-    return CheckResult(True, "", len(system.coeffs))
 
 
 def minimal_q(family: str, twist: int) -> QuadExt:

@@ -4,8 +4,11 @@ This is the second, LP-light route to a certificate for every twisted
 class: lift a witness from the support parabolic, combine witnesses
 across orthogonal or cyclically permuted components, and extend through
 a tabulated (J, w1) reduction step.  Every constructed witness is
-re-checked against the independently rebuilt inequality system before
-being returned; no bound is trusted numerically.
+re-checked against its rebuilt inequality system before being returned,
+and every returned certificate against the independent checker
+(:mod:`weyldl.checker`), which re-derives the rows from the Cartan
+matrix alone and shares no group, root closure or reflection table with
+this route; no bound is trusted numerically.
 
 Every step works on all nodes of the group it is handed, with an index
 map pi on them (the forward twist direction).  A smaller parabolic W_S
@@ -27,7 +30,7 @@ distinct sub-problem is built and validated once per process.  A stored
 witness was validated when it was built and cannot be changed in place;
 every step around it still validates its own result, and
 ``constructive_certificate`` still passes every certificate it returns
-through ``check_certificate``.
+through ``check_certificate``, which reads no memo of this module.
 """
 
 from __future__ import annotations

@@ -247,7 +247,7 @@ class WeylGroup:
 
 
 # The one group of each Cartan matrix, named type or standalone parabolic, and
-# an index of the named types, which saves ``check_certificate`` a matrix build.
+# an index of the named types, which saves ``weyl_group`` a matrix build.
 _BY_CARTAN: dict[tuple[tuple[int, ...], ...], WeylGroup] = {}
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 

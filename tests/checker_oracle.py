@@ -1,0 +1,63 @@
+"""The certificate check through the Weyl group: the oracle for ``weyldl.checker``.
+
+``oracle_check`` evaluates a certificate the way the checker did before it
+moved to integer root coordinates: the element from ``WeylGroup.from_word``
+in the group of ``weyl_group``, its system from ``build_forward_system`` or
+``build_inverse_system`` (reflection tables, ``invert`` and
+``inversions_of_inverse``), and the rows that fail from
+``IneqSystem.violated``.  The prelude checks are the checker's, in its
+order, so the two must return equal ``CheckResult``s on every input.
+"""
+
+from __future__ import annotations
+
+from weyldl.checker import FORM_FORWARD, FORM_INVERSE, MAX_RANK, CheckResult
+from weyldl.conjugacy import pi_of
+from weyldl.criterion import build_forward_system, build_inverse_system
+from weyldl.exactnum import qext
+from weyldl.rootdata import build_twist, positive_root_count
+from weyldl.weyl import weyl_group
+
+
+def oracle_check(cert) -> CheckResult:
+    """Re-derive the certificate's system from the group data and evaluate it."""
+    if type(cert.rank) is not int or not 1 <= cert.rank <= MAX_RANK:
+        return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
+    try:
+        max_length = positive_root_count(cert.family, cert.rank)
+    except ValueError as exc:
+        return CheckResult(False, f"bad group descriptor: {exc}")
+    if len(cert.w) > max_length:
+        return CheckResult(False, "word longer than the longest element")
+    try:
+        W = weyl_group(cert.family, cert.rank)
+        twist = build_twist(cert.family, cert.rank, cert.twist)
+    except Exception as exc:
+        return CheckResult(False, f"bad group descriptor: {exc}")
+    if cert.direction not in ("delta", "delta_inv"):
+        return CheckResult(False, f"unknown direction {cert.direction!r}")
+    if cert.form not in (FORM_FORWARD, FORM_INVERSE):
+        return CheckResult(False, f"unknown form {cert.form!r}")
+    if len(cert.mu) != cert.rank:
+        return CheckResult(False, "mu has wrong rank")
+    if any(i < 1 or i > cert.rank for i in cert.w):
+        return CheckResult(False, "word letter out of range")
+    radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
+    if len(radicands) > 1:
+        return CheckResult(False, "incompatible exact numbers: cannot combine "
+                           + " with ".join(f"sqrt({d})" for d in radicands))
+    if cert.q.sign() <= 0:
+        return CheckResult(False, "q must be positive")
+
+    pi = pi_of(twist, cert.direction)
+    w = W.from_word(cert.w)
+    if cert.form == FORM_FORWARD:
+        system = build_forward_system(W, w, pi, cert.q)
+    else:
+        system = build_inverse_system(W, w, pi, cert.q)
+    violated = system.violated({i: cert.mu[i] for i in system.varset})
+    if violated:
+        label, sign = violated[0]
+        reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
+        return CheckResult(False, reason, len(system.coeffs))
+    return CheckResult(True, "", len(system.coeffs))

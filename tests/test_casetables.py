@@ -6,12 +6,15 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyldl import casetables
 from weyldl.casetables import (
     AggregateReport,
     CaseRecord,
     CaseReport,
+    _always_satisfied,
     _resolve_v_options,
     br,
     bri,
@@ -23,8 +26,8 @@ from weyldl.casetables import (
     verify_case,
 )
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
-from weyldl.criterion import MAX_RANK, check_certificate
-from weyldl.exactnum import SQRT2, SQRT3, qext
+from weyldl.criterion import MAX_RANK, IneqSystem, check_certificate
+from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
 from weyldl.subsystems import sub_context
 
 from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
@@ -157,6 +160,31 @@ class TestVerifySmall:
         report = verify_case(CaseRecord(**{**fields, "m_values": None}))
         assert report.subchecks["star"] == "fail"
         assert report.details["star_note"] == "some row fails at a positive point"
+
+
+def _always_by_rows(system):
+    """The rule on the exact rows with q folded in: each row >= 0 and nonzero."""
+    return all(all(c.sign() >= 0 for c in row) and any(c.sign() > 0 for c in row)
+               for row in system.rows)
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=5))
+    qcols = tuple(draw(st.integers(-1, n - 1)) for _ in rows)
+    a = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    b = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    q = QuadExt(a, b, draw(st.sampled_from([2, 3]))) if draw(st.booleans()) else qext(a)
+    return IneqSystem(tuple(range(1, n + 1)), q, tuple(rows), qcols, tuple(range(len(rows))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_always_satisfied_reads_the_integer_rows(system):
+    """The "always satisfied" decision from coeffs, qcols and q is the rule on
+    the exact rows, also where a q cell q + c is zero or negative."""
+    assert _always_satisfied(system) == _always_by_rows(system)
 
 
 def test_type_group_is_built_once_per_type():

@@ -24,7 +24,7 @@ from weyldl.criterion import (
 )
 from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadExt, dot, qext
 from weyldl.rootdata import Coweight, build_twist
-from weyldl import weyl
+from weyldl import checker, weyl
 
 from conftest import group
 from multiply_oracles import elements_of, perm_of_word
@@ -496,27 +496,32 @@ _PATHS = [
 ]
 
 
+def _memo_keys():
+    """The keys of the group memos and of the checker's descriptor memo."""
+    return set(weyl._GROUPS), set(weyl._BY_CARTAN), set(checker._DESCRIPTORS)
+
+
 @pytest.mark.parametrize("hostile_id", ["unknown_family", "rank_zero", "huge_rank"])
 def test_bad_group_descriptor_leaves_group_memo_unchanged(hostile_id):
     """A rejected group descriptor builds no group and adds no memo key."""
     mutate, reason = next(h[1:] for h in HOSTILE if h[0] == hostile_id)
     obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
     mutate(obj)
-    before = set(weyl._GROUPS), set(weyl._BY_CARTAN)
+    before = _memo_keys()
     result = check_certificate(Certificate.from_json(json.dumps(obj)))
     assert not result and result.reason.startswith(reason)
-    assert (set(weyl._GROUPS), set(weyl._BY_CARTAN)) == before
+    assert _memo_keys() == before
 
 
 @pytest.mark.parametrize("family, rank", [("G", 2.0), ("A", True)])
 def test_rank_that_is_not_an_int_is_rejected(family, rank):
     """A rank equal to a valid int but of another type is rejected before
-    the memo, whose key (family, 2.0) would be the key of (family, 2)."""
+    any memo, whose key (family, 2.0) would be the key of (family, 2)."""
     cert = TestCertificates().cert(None, (1,), [1] * int(rank), family=family, rank=rank)
-    before = set(weyl._GROUPS), set(weyl._BY_CARTAN)
+    before = _memo_keys()
     result = check_certificate(cert)
     assert not result and result.reason == "rank must be in 1..8"
-    assert (set(weyl._GROUPS), set(weyl._BY_CARTAN)) == before
+    assert _memo_keys() == before
 
 
 def _assert_accepts_or_rejects(text):
