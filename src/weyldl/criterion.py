@@ -39,7 +39,7 @@ and its slacks are those of :meth:`IneqSystem.violated` (both use
 written-out constructors, and their equality, hashing and repr come from
 :class:`weyldl.rootdata.Record`, not ``dataclasses``: that module alone
 cost about 25 ms of each cold start (it imports ``inspect``, and each
-decorated class compiles its methods at import), against about 0.07 s
+decorated class compiles its methods at import), against about 0.04 s
 for all 544 verdicts of the benchmark's ``check`` pass.  See
 :mod:`weyldl.rootdata`.
 """

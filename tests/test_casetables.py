@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -173,8 +174,8 @@ def _systems(draw):
     n = draw(st.integers(1, 4))
     rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=5))
     qcols = tuple(draw(st.integers(-1, n - 1)) for _ in rows)
-    a = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
-    b = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    a = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 3)))
+    b = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
     q = QuadExt(a, b, draw(st.sampled_from([2, 3]))) if draw(st.booleans()) else qext(a)
     return IneqSystem(tuple(range(1, n + 1)), q, tuple(rows), qcols, tuple(range(len(rows))))
 

@@ -2,8 +2,9 @@
 
 ``weyldl.checker.check_certificate`` must return the ``CheckResult`` of
 ``checker_oracle.oracle_check`` (accepted, reason and rows checked) on
-every input: the frozen benchmark corpus and variants of it, the 360
-certificates of W3, and Hypothesis-made certificates.  Its trusted base
+every input: the frozen benchmark corpus and variants of it, both routes'
+certificates through rank 6 (W3's 360 and rank 5/6's 816), and
+Hypothesis-made certificates.  Its trusted base
 is pinned too: it imports only ``exactnum`` and ``rootdata`` from weyldl,
 and it checks the corpus with the group and root-closure builders
 disabled.
@@ -33,7 +34,7 @@ from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import Coweight, build_twist, candidate_types, positive_root_count
 
 from checker_oracle import oracle_check
-from conftest import RANK_LE_4, group
+from conftest import RANK_5_6, RANK_LE_4, group
 from test_criterion import HOSTILE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,10 +129,13 @@ def test_hostile_json_agrees(mutate, reason):
         assert check_certificate(cert) == oracle_check(cert)
 
 
-def test_w3_certificates_agree():
-    """Both routes' 360 certificates of rank <= 4 are accepted, with the oracle's result."""
+@pytest.mark.parametrize("groups, expected", [(RANK_LE_4, 360), (RANK_5_6, 816)],
+                         ids=["w3_rank_le_4", "rank_5_6"])
+def test_route_certificates_agree(groups, expected):
+    """Both routes' certificates of every class (W3's 360, rank 5/6's 816) are
+    accepted, with the oracle's result."""
     count = 0
-    for family, rank, order in RANK_LE_4:
+    for family, rank, order in groups:
         W, twist = group(family, rank), build_twist(family, rank, order)
         q = minimal_q(family, order)
         for cls in class_list(W, {i: twist(i) for i in W.system.nodes}):
@@ -140,20 +144,24 @@ def test_w3_certificates_agree():
                 result = check_certificate(cert)
                 assert result.accepted and result == oracle_check(cert), cert
                 count += 1
-    assert count == 360
+    assert count == expected
 
 
 # -- Hypothesis-made certificates --------------------------------------------------
 
 TYPES = [t for rank in range(1, MAX_RANK + 1) for t in candidate_types(rank)]
-_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 4))
 
 
-@st.composite
-def _numbers(draw, radicands=(1, 2, 3)):
-    d = draw(st.sampled_from(radicands))
-    b = draw(_RATIONALS) if d != 1 else 0
-    return QuadExt(draw(_RATIONALS), b, d)
+def _numbers(radicands):
+    """Numbers a + b sqrt(d) with d drawn from ``radicands`` (b = 0 when d = 1)."""
+    return st.builds(lambda d, a, b: QuadExt(a, b if d != 1 else 0, d),
+                     st.sampled_from(radicands), _RATIONALS, _RATIONALS)
+
+
+_NUMBERS = {r: _numbers(r) for r in ((1,), (1, 2), (1, 3), (1, 2, 3))}
+_Q = _NUMBERS[1, 2, 3] | st.sampled_from([qext(2), SQRT2, SQRT3, qext(0), qext(-1)])
+_DESCRIPTORS = st.sampled_from(TYPES + [("Z", 3), ("E", 5), ("A", 0)])
 
 
 @st.composite
@@ -165,17 +173,17 @@ def certificates(draw):
     zero or negative; mu mixes radicands and may have the wrong rank; a
     few descriptors, directions and forms name nothing.
     """
-    family, rank = draw(st.sampled_from(TYPES + [("Z", 3), ("E", 5), ("A", 0)]))
+    family, rank = draw(_DESCRIPTORS)
     twist = draw(st.sampled_from([1, 1, 2, 2, 3, 4]))
     longest = positive_root_count(family, rank) if (family, rank) in TYPES else 4
     top = max(rank, 1)
     letters = st.integers(1, top) | st.sampled_from([0, top + 1])
     word = draw(st.lists(st.integers(1, top), max_size=longest + 2)
                 | st.lists(letters, max_size=8))
-    q = draw(_numbers() | st.sampled_from([qext(2), SQRT2, SQRT3, qext(0), qext(-1)]))
-    radicands = draw(st.sampled_from([(1,), (1, q.d), (1, 2, 3)]))
+    q = draw(_Q)
+    radicands = draw(st.sampled_from([(1,), tuple(sorted({1, q.d})), (1, 2, 3)]))
     size = draw(st.sampled_from([top, top, top, top - 1, top + 1]))
-    mu = draw(st.lists(_numbers(radicands), min_size=size, max_size=size))
+    mu = draw(st.lists(_NUMBERS[radicands], min_size=size, max_size=size))
     direction = draw(st.sampled_from(["delta", "delta_inv", "delta", "delta_inv", "up"]))
     form = draw(st.sampled_from([FORM_FORWARD, FORM_INVERSE] * 2 + ["other"]))
     return Certificate(family, rank, twist, direction, q, tuple(word), form, Coweight(tuple(mu)))
