@@ -198,7 +198,8 @@ def test_hypothesis_certificates_agree(cert):
 
 @st.composite
 def feasible_points(draw):
-    """Mostly accepted certificates: large positive mu on short words of forms and directions."""
+    """Certificates with large positive mu, so that many rows hold and some certificates
+    pass: words of any length up to the longest element, both forms and directions."""
     family, rank = draw(st.sampled_from([t for t in TYPES if t[1] <= 4]))
     orders = [1] + [o for o in (2, 3) if _has_twist(family, rank, o)]
     word = draw(st.lists(st.integers(1, rank), max_size=positive_root_count(family, rank)))
