@@ -45,8 +45,8 @@ from .criterion import (
     feasible,
     minimal_q,
 )
-from .exactnum import QuadExt, _sign, integer_parts, qext
-from .lp import gordan_witness, verify_gordan
+from .exactnum import QuadExt, _sign, qext
+from .lp import gordan_witness, integer_rows, verify_gordan
 from .rootdata import Coweight, Frozen, Record, build_twist
 from .subsystems import sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
@@ -1037,16 +1037,12 @@ def _always_satisfied(system: IneqSystem) -> bool:
     """True when every positive point satisfies every row of ``system``.
 
     A row holds at every positive point exactly when it is coordinate-wise
-    >= 0 and nonzero.  Its cell in column u = ``qcols[r]`` of a q-row is
-    q + c and every other cell c, so the integer rows and q decide it.
+    >= 0 and nonzero; the signs are read off ``integer_rows``.
     """
-    (qp,), (qq,), qr, d = integer_parts([system.q])
-
-    def signs(row, u):
-        return [_sign(qp + c * qr, qq, d) if k == u else (c > 0) - (c < 0)
-                for k, c in enumerate(row)]
-
-    return all(min(s) >= 0 and max(s) > 0 for s in map(signs, system.coeffs, system.qcols))
+    ra, rb, d, _ = integer_rows(system)
+    if rb is not None:
+        ra = [[_sign(a, b, d) for a, b in zip(row, brow)] for row, brow in zip(ra, rb)]
+    return all(min(row) >= 0 and max(row) > 0 for row in ra)
 
 
 def verify_case(
@@ -1106,12 +1102,12 @@ def verify_case(
     elif at_min_q:
         # One dual-simplex run: a Gordan witness proves infeasibility, and
         # its absence means the system is feasible after all.
-        witness = gordan_witness(star.rows, len(star.varset))
+        witness = gordan_witness(star)
         if witness is None:
             report.subchecks["star"] = "fail"
             report.details["star_note"] = "expected infeasible at minimal q"
         else:
-            ok_w = verify_gordan(star.rows, witness)
+            ok_w = verify_gordan(star, witness)
             report.details["infeasibility_witness"] = [str(y) for y in witness]
             cert, msg = _spade_certificate(W, pi, record, w1, K, q, v_words)
             report.certificate = cert

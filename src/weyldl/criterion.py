@@ -21,8 +21,9 @@ private row builder:
 The two certificate forms are exchanged by w -> w^{-1} together with
 re-indexing of the q-rows, which the test suite verifies exhaustively at
 small rank.  A system either has a strict solution, found by the
-fraction-free simplex in :mod:`weyldl.lp`, which ``feasible`` feeds the
-integer rows directly, or a Gordan witness.  At a given point its one
+fraction-free simplex in :mod:`weyldl.lp`, or a Gordan witness; both
+read the system through :func:`weyldl.lp.integer_rows`, the one integer
+encoding of its rows with q folded in.  At a given point its one
 query, :meth:`IneqSystem.violated`, names the rows that fail: the point
 goes over one common denominator once, and each row is one integer dot
 product plus its q term, signed exactly.
@@ -60,8 +61,8 @@ from .checker import (
     slacks,
 )
 from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
-from .exactnum import SQRT2, SQRT3, QuadExt, _make, _sign, integer_parts, qext
-from .lp import _solve_dual
+from .exactnum import SQRT2, SQRT3, QuadExt, _make, _sign, qext
+from .lp import _solve_dual, integer_rows
 from .rootdata import Coweight, Frozen, Twist
 from .weyl import WeylElt, WeylGroup
 
@@ -121,21 +122,6 @@ class IneqSystem(Frozen):
         _setattr(self, "coeffs", coeffs)
         _setattr(self, "qcols", qcols)
         _setattr(self, "subjects", subjects)
-
-    @property
-    def rows(self) -> tuple[tuple[QuadExt, ...], ...]:
-        """Every row as exact numbers, q folded into the q-rows: a derived view."""
-        out = []
-        for row, u in zip(self.coeffs, self.qcols):
-            cells = [qext(c) for c in row]
-            if u >= 0:
-                cells[u] = self.q + row[u]
-            out.append(tuple(cells))
-        return tuple(out)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(map(self._label, range(len(self.coeffs))))
 
     def _label(self, r: int) -> str:
         subject = self.subjects[r]
@@ -260,22 +246,12 @@ def build_star_system(
 def feasible(system: IneqSystem) -> Optional[Coweight]:
     """A strict solution as a coweight on the ambient rank, or None.
 
-    The integer rows go to the simplex as they are, scaled by the
-    denominator of q, with q's numerator added in each q-row's column;
-    the point is re-checked against the system before it is returned.
-    Coordinates off the variable set come back zero.  The rank is taken
-    as max node appearing; callers embed as needed.
+    The simplex reads the system's rows as :func:`weyldl.lp.integer_rows`
+    encodes them; the point is re-checked against the system before it
+    is returned.  Coordinates off the variable set come back zero.  The
+    rank is taken as max node appearing; callers embed as needed.
     """
-    n = len(system.varset)
-    (qp,), (qq,), scale, d = integer_parts([system.q])
-    ra = [[c * scale for c in row] for row in system.coeffs]
-    rb = None if d == 1 else [[0] * n for _ in ra]
-    for k, u in enumerate(system.qcols):
-        if u >= 0:
-            ra[k][u] += qp
-            if rb is not None:
-                rb[k][u] = qq
-    point, _ = _solve_dual(ra, rb, d, scale, n)
+    point, _ = _solve_dual(*integer_rows(system), len(system.varset))
     if point is None:
         return None
     if system.violated(dict(zip(system.varset, point))):

@@ -20,8 +20,8 @@ sum falls back to 1 once its sqrt(d) part cancels.  ``integer_parts(xs)``
 puts a list of numbers over their least common denominator r, as
 integers p_k + q_k sqrt(d) over r with one radicand d for the whole list,
 so that a row's value at a point is one integer dot product: the slacks
-in ``weyldl.criterion`` and the fraction-free simplex in ``weyldl.lp``
-never build a ``QuadExt`` per cell.
+of ``weyldl.checker`` and the integer rows of ``weyldl.lp`` (the simplex,
+the Gordan witness and its check) never build a ``QuadExt`` per cell.
 """
 
 from __future__ import annotations
@@ -250,9 +250,6 @@ class QuadExt:
         return -self if self.sign() < 0 else self
 
     # -- order -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._p and not self._q
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} of the real value."""

@@ -13,11 +13,12 @@ point: m_j, the final reduced cost of the artificial column of equality
 row j, satisfies < c_r, m > >= u* for every r.  ``verify_gordan`` checks
 a witness independently of the solver.
 
-The simplex is integer-preserving (Edmonds, J. Res. NBS 71B (1967);
-Bareiss, Math. Comp. 22 (1968)).  The rows are put over one common
-denominator L (``exactnum.integer_parts``), so every cell of the tableau
-is an element a + b sqrt(d) of Z[sqrt d], kept as two plain ints; the
-sqrt(d) half is absent when d = 1.  The stored tableau is delta times the
+``integer_rows`` is the one encoding of a system's rows for the simplex,
+the witness and its check: the integer root rows over the denominator L
+of q, with q folded into each q-row.  The simplex is integer-preserving
+(Edmonds, J. Res. NBS 71B (1967); Bareiss, Math. Comp. 22 (1968)), so
+every cell of the tableau is an element a + b sqrt(d) of Z[sqrt d], kept
+as two plain ints; the sqrt(d) half is absent when d = 1.  The stored tableau is delta times the
 true one, delta > 0 the last pivot.  A pivot on (r, c) with p = T[r][c]
 leaves row r as it is and sets
 
@@ -38,11 +39,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactnum import QuadExt, _make, _sign, dot, integer_parts, qext
+from .exactnum import IncompatibleRadicandError, QuadExt, _make, _sign, integer_parts
 
-__all__ = ["solve_strict", "gordan_witness", "verify_gordan"]
-
-Row = Sequence[QuadExt]
+__all__ = ["integer_rows", "gordan_witness", "verify_gordan"]
 
 
 def _mul(a: int, b: int, x: int, y: int, d: int) -> tuple[int, int]:
@@ -184,54 +183,66 @@ def _solve_dual(ra: Sequence[Sequence[int]], rb, d: int, scale: int, nvars: int)
     return tuple(value(obj, ucol + 1 + j, scale) for j in range(nvars)), None
 
 
-def _exact_rows(rows: Sequence[Row], nvars: int):
-    """Rows of exact numbers as ``_solve_dual``'s arguments before ``nvars``."""
-    cells = [c for r in rows for c in r]
-    ps, qs, scale, d = integer_parts(cells)
-    if any(len(r) != nvars for r in rows):
-        raise ValueError("row width does not match variable count")
-    ra = [ps[k * nvars:(k + 1) * nvars] for k in range(len(rows))]
-    rb = [qs[k * nvars:(k + 1) * nvars] for k in range(len(rows))] if d != 1 else None
+def integer_rows(system):
+    """``(ra, rb, d, scale)``: row r of ``system`` is (ra[r] + rb[r] sqrt d) / scale.
+
+    The one integer encoding of a strict system (a
+    :class:`weyldl.criterion.IneqSystem`, read by its ``coeffs``,
+    ``qcols``, ``q`` and ``varset``) for the simplex, the Gordan witness
+    and its check: the integer rows scaled by the denominator of q, with
+    q's numerator added in column ``qcols[r]`` of each q-row.  ``rb`` is
+    None when d = 1.
+    """
+    n = len(system.varset)
+    (qp,), (qq,), scale, d = integer_parts([system.q])
+    ra = [[c * scale for c in row] for row in system.coeffs]
+    rb = None if d == 1 else [[0] * n for _ in ra]
+    for k, u in enumerate(system.qcols):
+        if u >= 0:
+            ra[k][u] += qp
+            if rb is not None:
+                rb[k][u] = qq
     return ra, rb, d, scale
 
 
-def solve_strict(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, ...]]:
-    """A point with every < c_r, m > > 0, or None if there is none.
-
-    Deterministic for a fixed row order.  The returned coordinates are
-    exact and generally mix rationals with sqrt(d) terms when any
-    coefficient does.  Rows over both sqrt 2 and sqrt 3 raise
-    ``IncompatibleRadicandError``.
-    """
-    point, _ = _solve_dual(*_exact_rows(rows, nvars), nvars)
-    if point is None:
-        return None
-    if any(dot(r, point).sign() <= 0 for r in rows):
-        raise AssertionError("simplex returned a non-strict point")
-    return point
+def gordan_witness(system) -> Optional[tuple[QuadExt, ...]]:
+    """Nonnegative y != 0 with sum_r y_r c_r = 0 over the rows c_r of ``system``,
+    or None when the system is feasible."""
+    return _solve_dual(*integer_rows(system), len(system.varset))[1]
 
 
-def gordan_witness(rows: Sequence[Row], nvars: int) -> Optional[tuple[QuadExt, ...]]:
-    """Nonnegative y != 0 with sum_r y_r c_r = 0, or None when the system is feasible."""
-    return _solve_dual(*_exact_rows(rows, nvars), nvars)[1]
-
-
-def verify_gordan(rows: Sequence[Row], witness) -> bool:
+def verify_gordan(system, witness) -> bool:
     """Check sum_r y_r c_r = 0 with y >= 0 and some y_r > 0, exactly.
 
-    The witness must have one entry per row and the rows one width; an
-    empty system has no witness.  Rows and witness together live in one
-    field, Q(sqrt 2) or Q(sqrt 3): entries that mix the two are rejected.
+    Independent of the simplex: the witness goes over one denominator, and
+    each column of ``integer_rows(system)`` is summed against it in plain
+    ints.  The witness must have one entry per row and every row the width
+    of the variable set; a system without rows has no witness.  System and
+    witness together live in one field, Q(sqrt 2) or Q(sqrt 3): entries
+    that mix the two are rejected.
     """
-    if witness is None or not rows or len(witness) != len(rows):
+    coeffs, qcols, n = system.coeffs, system.qcols, len(system.varset)
+    if witness is None or not coeffs or len(witness) != len(coeffs):
         return False
-    rows = [tuple(qext(c) for c in r) for r in rows]
-    ys = [qext(y) for y in witness]
-    if len(({y.d for y in ys} | {c.d for r in rows for c in r}) - {1}) > 1:
+    if len(qcols) != len(coeffs) or any(len(row) != n for row in coeffs) or max(qcols) >= n:
         return False
-    if any(y.sign() < 0 for y in ys) or all(y.sign() == 0 for y in ys):
+    try:
+        ys, zs, _, e = integer_parts(witness)
+    except IncompatibleRadicandError:
         return False
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    ra, rb, d, _ = integer_rows(system)
+    if d != 1 and e != 1 and d != e:
         return False
-    return all(dot(ys, [r[j] for r in rows]).sign() == 0 for j in range(width))
+    signs = [_sign(y, z, e) for y, z in zip(ys, zs)]
+    if min(signs) < 0 or max(signs) == 0:
+        return False
+    # Over positive denominators, column j sums to a + b sqrt(d) (or sqrt(e) when d = 1).
+    for j in range(n):
+        a = sum(y * row[j] for y, row in zip(ys, ra))
+        b = sum(z * row[j] for z, row in zip(zs, ra))
+        if rb is not None:
+            a += d * sum(z * row[j] for z, row in zip(zs, rb))
+            b += sum(y * row[j] for y, row in zip(ys, rb))
+        if a or b:
+            return False
+    return True

@@ -30,6 +30,7 @@ from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types
 
 from conftest import RANK_5_6, RANK_LE_4, group
+from lp_oracle import rows_of
 from multiply_oracles import (
     class_elements,
     elementarily_strongly_conjugate,
@@ -208,7 +209,7 @@ def test_criterion_7_transfer_identity():
             a = build_inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
             # The same rows, in another order: q-rows re-index by i -> delta(i).
-            assert sorted(a.rows) == sorted(b.rows)
+            assert sorted(rows_of(a)) == sorted(rows_of(b))
     _report("7", True, "exhaustive at rank <= 3, all twists")
 
 

@@ -31,6 +31,7 @@ from weyldl.criterion import MAX_RANK, IneqSystem, check_certificate
 from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
 from weyldl.subsystems import sub_context
 
+from lp_oracle import rows_of
 from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -166,7 +167,7 @@ class TestVerifySmall:
 def _always_by_rows(system):
     """The rule on the exact rows with q folded in: each row >= 0 and nonzero."""
     return all(all(c.sign() >= 0 for c in row) and any(c.sign() > 0 for c in row)
-               for row in system.rows)
+               for row in rows_of(system))
 
 
 @st.composite

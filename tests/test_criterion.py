@@ -27,6 +27,7 @@ from weyldl.rootdata import Coweight, build_twist
 from weyldl import checker, weyl
 
 from conftest import group
+from lp_oracle import labels_of, rows_of
 from multiply_oracles import elements_of, perm_of_word
 
 
@@ -44,15 +45,15 @@ class TestForwardSystem:
         system = build_forward_system(A2, A2.identity, idpi(A2), qext(2))
         point = {1: qext(1), 2: qext(1)}
         assert system.violated(point) == []
-        assert system.labels == ("q-row i=1", "q-row i=2")
-        assert system.rows == ((qext(1), qext(0)), (qext(0), qext(1)))
+        assert labels_of(system) == ("q-row i=1", "q-row i=2")
+        assert rows_of(system) == ((qext(1), qext(0)), (qext(0), qext(1)))
 
     def test_g2_fourth_power_row(self, G2):
         # One q-row of (s2 s1)^2 collapses to q m1 - m1 - m2 at any q.
         w = G2.from_word([2, 1, 2, 1])
         system = build_forward_system(G2, w, idpi(G2), qext(2))
-        assert system.rows[0] == (qext(1), qext(-1))  # q=2: 2m1 - m1 - m2
-        assert system.labels[0] == "q-row i=1"
+        assert rows_of(system)[0] == (qext(1), qext(-1))  # q=2: 2m1 - m1 - m2
+        assert labels_of(system)[0] == "q-row i=1"
         assert system.violated({1: qext(2), 2: qext(1)}) == []
         assert system.violated({1: qext(1), 2: qext(1)}) == [("q-row i=1", 0)]
         assert system.violated({1: qext(1), 2: qext(2)}) == [("q-row i=1", -1)]
@@ -60,7 +61,7 @@ class TestForwardSystem:
     def test_a2_longest(self, A2):
         w0 = A2.longest_element([1, 2])
         system = build_forward_system(A2, w0, idpi(A2), qext(2))
-        assert [lbl.split()[0] for lbl in system.labels] == ["q-row"] * 2 + ["inversion"] * 3
+        assert [lbl.split()[0] for lbl in labels_of(system)] == ["q-row"] * 2 + ["inversion"] * 3
         mu = feasible(system)
         assert mu is not None
 
@@ -81,7 +82,7 @@ class TestTransferIdentity:
             a = build_inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
             # The same rows, in another order: q-rows re-index by i -> delta(i).
-            assert sorted(a.rows) == sorted(b.rows)
+            assert sorted(rows_of(a)) == sorted(rows_of(b))
 
 
 def _expected(q, varset, q_rows, pure_rows):
@@ -122,13 +123,13 @@ class TestBuilderRows:
                 word, inv_word = w.word, tuple(reversed(w.word))
                 fwd = build_forward_system(W, w, pi, q)
                 assert fwd.varset == nodes
-                assert (fwd.rows, fwd.labels) == _expected(
+                assert (rows_of(fwd), labels_of(fwd)) == _expected(
                     q, nodes,
                     [(i, pi[i], _image(W, inv_word, i)) for i in nodes],
                     _inversion_rows(W, word),
                 )
                 inv = build_inverse_system(W, w, pi, q)
-                assert (inv.rows, inv.labels) == _expected(
+                assert (rows_of(inv), labels_of(inv)) == _expected(
                     q, nodes,
                     [(i, i, _image(W, word, pi[i])) for i in nodes],
                     _inversion_rows(W, inv_word),
@@ -150,7 +151,7 @@ class TestBuilderRows:
             free = tuple(i for i in nodes if i not in K)
             unit = {i: tuple(int(j == i) for j in nodes) for i in nodes}
             assert star.varset == free
-            assert (star.rows, star.labels) == _expected(
+            assert (rows_of(star), labels_of(star)) == _expected(
                 q, free,
                 [(i, i, _image(W, w1.word, pi[i])) for i in free],
                 [(f"positivity m_{i}", unit[i]) for i in free],
@@ -202,7 +203,7 @@ class TestRecords:
         assert system != build_forward_system(A2, w, idpi(A2), qext(3))
         assert system != build_inverse_system(A2, w, idpi(A2), qext(2))
         with pytest.raises(AttributeError):
-            system.rows = ()
+            system.coeffs = ()
         assert system == again
 
     def test_check_result_defaults_equality_hash_and_frozen(self):
@@ -223,11 +224,11 @@ def oracle_evaluate(system, point):
     """The slacks as ``dot`` over the folded rows: the evaluation the one-pass
     integer slacks replaced."""
     vec = [point.get(i, ZERO) for i in system.varset]
-    return [dot(row, vec) for row in system.rows]
+    return [dot(row, vec) for row in rows_of(system)]
 
 
 def oracle_violated(system, point):
-    return [(label, s.sign()) for label, s in zip(system.labels, oracle_evaluate(system, point))
+    return [(label, s.sign()) for label, s in zip(labels_of(system), oracle_evaluate(system, point))
             if s.sign() <= 0]
 
 

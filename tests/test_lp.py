@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from weyldl import lp
 from weyldl.casetables import load_case_records, place_row, type_group
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
+    IneqSystem,
     build_forward_system,
     build_inverse_system,
     build_star_system,
@@ -15,11 +17,18 @@ from weyldl.criterion import (
     parse_q_literal,
 )
 from weyldl.exactnum import SQRT2, SQRT3, IncompatibleRadicandError, QuadExt, qext
-from weyldl.lp import gordan_witness, solve_strict, verify_gordan
 from weyldl.rootdata import build_twist
 
 from conftest import RANK_LE_4, group
-from lp_oracle import dense_solve_dual
+from lp_oracle import dense_solve_dual, gordan_witness, is_gordan_witness, rows_of, solve_strict
+
+
+def system_of(nvars, coeffs, q=2, qcols=None):
+    """An ``IneqSystem`` of integer rows on variables 1..nvars; row r is a
+    q-row with q in column ``qcols[r]`` when that is >= 0 (default: none)."""
+    qcols = (-1,) * len(coeffs) if qcols is None else tuple(qcols)
+    return IneqSystem(tuple(range(1, nvars + 1)), qext(q), tuple(map(tuple, coeffs)), qcols,
+                      tuple(f"row {r}" for r in range(len(coeffs))))
 
 
 def brute_feasible(rows, nvars, grid=range(-6, 7)):
@@ -50,15 +59,18 @@ def test_single_positive_row():
 def test_obviously_infeasible():
     rows = [(qext(1),), (qext(-1),)]
     assert solve_strict(rows, 1) is None
-    y = gordan_witness(rows, 1)
-    assert verify_gordan(rows, y)
+    system = system_of(1, [(1,), (-1,)])
+    assert feasible(system) is None
+    assert lp.verify_gordan(system, lp.gordan_witness(system))
 
 
 def test_marginally_infeasible():
     # x > 0, y > 0, -x - y > 0 has no solution.
     rows = [(qext(1), qext(0)), (qext(0), qext(1)), (qext(-1), qext(-1))]
     assert solve_strict(rows, 2) is None
-    assert verify_gordan(rows, gordan_witness(rows, 2))
+    system = system_of(2, [(1, 0), (0, 1), (-1, -1)])
+    assert feasible(system) is None
+    assert lp.verify_gordan(system, lp.gordan_witness(system))
 
 
 def test_sqrt2_system():
@@ -69,7 +81,12 @@ def test_sqrt2_system():
     # x > 0 with x/2 < y < (sqrt2 - 1) x is infeasible: sqrt2 - 1 < 1/2.
     rows2 = [(qext(1), qext(0)), (SQRT2 - 1, qext(-1)), (Fraction(-1, 2), qext(1))]
     assert solve_strict(rows2, 2) is None
-    assert verify_gordan(rows2, gordan_witness(rows2, 2))
+    assert is_gordan_witness(rows2, gordan_witness(rows2, 2))
+    # The same system as integer rows, with q = sqrt2 in column x of the second
+    # and the third doubled.
+    system = system_of(2, [(1, 0), (-1, -1), (-1, 2)], q=SQRT2, qcols=(-1, 0, -1))
+    assert feasible(system) is None
+    assert lp.verify_gordan(system, lp.gordan_witness(system))
 
 
 def test_suzuki_slack():
@@ -86,10 +103,12 @@ def test_agrees_with_brute_force_oracle():
     for trial in range(300):
         nvars = rng.randint(1, 3)
         nrows = rng.randint(1, 5)
-        rows = [
-            tuple(qext(rng.randint(-3, 3)) for _ in range(nvars)) for _ in range(nrows)
-        ]
+        coeffs = [tuple(rng.randint(-3, 3) for _ in range(nvars)) for _ in range(nrows)]
+        rows = [tuple(map(qext, r)) for r in coeffs]
+        system = system_of(nvars, coeffs)
         got = solve_strict(rows, nvars)
+        mu = feasible(system)
+        assert (None if mu is None else mu.coords) == got, (trial, rows)
         expected = brute_feasible(rows, nvars)
         if expected is not None:
             # Homogeneous strictness: a grid point certifies feasibility.
@@ -97,10 +116,10 @@ def test_agrees_with_brute_force_oracle():
         if got is None:
             assert expected is None, (trial, rows)
         # Gordan's alternative: a witness exactly when there is no point.
-        witness = gordan_witness(rows, nvars)
+        witness = lp.gordan_witness(system)
         assert (got is None) == (witness is not None), (trial, rows)
         if witness is not None:
-            assert verify_gordan(rows, witness), (trial, rows)
+            assert lp.verify_gordan(system, witness), (trial, rows)
         # The sparse pivots follow the dense tableau's path exactly.
         assert (got, witness) == dense_solve_dual(rows, nvars), (trial, rows)
         agree += 1
@@ -130,7 +149,7 @@ def test_matches_dense_simplex_on_random_exact_rows(d):
         point, witness = got
         assert (point is None) != (witness is None)
         if witness is not None:
-            assert verify_gordan(rows, witness), (trial, rows)
+            assert is_gordan_witness(rows, witness), (trial, rows)
             infeasible_count += 1
         else:
             feasible_count += 1
@@ -148,10 +167,11 @@ def test_feasible_matches_dense_simplex_at_q_with_a_denominator(family, rank, or
     for cls in class_list(W, pi):
         for w in cls.minimal:
             for system in (build_forward_system(W, w, pi, q), build_inverse_system(W, w, pi, q)):
-                rows, n = system.rows, len(system.varset)
+                rows, n = rows_of(system), len(system.varset)
                 point, witness = dense_solve_dual(rows, n)
                 mu = feasible(system)
                 assert (None if mu is None else mu.coords) == point, w.word
+                assert lp.gordan_witness(system) == witness, w.word
                 assert (solve_strict(rows, n), gordan_witness(rows, n)) == (point, witness)
 
 
@@ -167,36 +187,89 @@ def test_mixed_radicand_rows_raise():
 def test_witness_edge_cases():
     assert gordan_witness([], 2) is None
     assert solve_strict([(), ()], 0) is None
-    assert verify_gordan([(), ()], gordan_witness([(), ()], 0))
+    assert is_gordan_witness([(), ()], gordan_witness([(), ()], 0))
+    # The same on systems: no rows is feasible, and two rows on no variables are not.
+    assert lp.gordan_witness(system_of(2, [])) is None
+    empty = system_of(0, [(), ()])
+    assert feasible(empty) is None
+    assert lp.verify_gordan(empty, lp.gordan_witness(empty))
 
 
 def test_verify_gordan_rejects_mismatched_witness():
     # x > 0 is feasible; an extra positive entry must not pass for "some y > 0".
-    assert not verify_gordan([(qext(1),)], (qext(0), qext(1)))
+    assert not lp.verify_gordan(system_of(1, [(1,)]), (qext(0), qext(1)))
     # A short witness leaves a row unweighted.
-    assert not verify_gordan([(qext(1),), (qext(-1),)], (qext(1),))
+    assert not lp.verify_gordan(system_of(1, [(1,), (-1,)]), (qext(1),))
     # Ragged rows: the unchecked column of the longer row sums to 5, and a
-    # short row must not raise.
-    assert not verify_gordan([(qext(-1),), (qext(1), qext(5))], (qext(1), qext(1)))
-    assert not verify_gordan([(qext(1), qext(0)), (qext(-1),)], (qext(1), qext(1)))
+    # short row, also one whose q column is missing, must not raise.
+    ragged = [((1,), ((-1,), (1, 5)), (-1, -1)),
+              ((1, 2), ((1, 0), (-1,)), (-1, -1)),
+              ((1, 2), ((1, 0), (-1,)), (-1, 1)),
+              ((1,), ((1,), (-1,)), (-1, 3))]
+    for varset, coeffs, qcols in ragged:
+        system = IneqSystem(varset, qext(2), coeffs, qcols, ("a", "b"))
+        assert lp.verify_gordan(system, (qext(1), qext(1))) is False, coeffs
     # An empty system has no witness at all.
-    assert not verify_gordan([], (qext(1),))
-    assert not verify_gordan([], ())
+    assert not lp.verify_gordan(system_of(1, []), (qext(1),))
+    assert not lp.verify_gordan(system_of(1, []), ())
 
 
 def test_verify_gordan_rejects_mixed_radicands():
-    # sqrt(2) and sqrt(3) share no field here: a bool, never an exception.
-    assert verify_gordan([(SQRT2,), (SQRT3,)], [1, 1]) is False
-    # Rows in Q(sqrt 2) with a witness in Q(sqrt 3), and the reverse.
-    assert verify_gordan([(SQRT2,), (-SQRT2,)], [SQRT3, SQRT3]) is False
-    assert verify_gordan([(SQRT3,), (qext(-1),)], [SQRT2, 1]) is False
-    # One radicand in all entries still verifies.
-    assert verify_gordan([(SQRT2,), (-SQRT2,)], [SQRT2, SQRT2]) is True
+    # (sqrt2 - 1) m1 > 0 and -m1 > 0 over Q(sqrt 2): y = (1, sqrt2 - 1).
+    system = system_of(1, [(-1,), (-1,)], q=SQRT2, qcols=(0, -1))
+    assert lp.verify_gordan(system, [qext(1), SQRT2 - 1]) is True
+    # y = (1, 2 sqrt2 - 1) leaves -sqrt2: the rational half cancels, the sqrt 2 half does not.
+    assert lp.verify_gordan(system, [qext(1), 2 * SQRT2 - 1]) is False
+    # The same witness over sqrt 3: a bool, never an exception.
+    assert lp.verify_gordan(system, [qext(1), SQRT3 - 1]) is False
+    # A system over Q(sqrt 3) with a witness in Q(sqrt 2).
+    system3 = system_of(1, [(-1,), (-1,)], q=SQRT3, qcols=(0, -1))
+    assert lp.verify_gordan(system3, [qext(1), SQRT2 - 1]) is False
+    # A witness that mixes sqrt 2 and sqrt 3 itself.
+    rational = system_of(1, [(1,), (-1,)])
+    assert lp.verify_gordan(rational, [SQRT2, SQRT3]) is False
+    # A rational system takes a witness in either field, and checks both halves.
+    assert lp.verify_gordan(rational, [SQRT2, SQRT2]) is True
+    assert lp.verify_gordan(rational, [SQRT2 + 1, qext(1)]) is False
+
+
+def _spade_star_systems():
+    out = []
+    for record in load_case_records():
+        if record.spade:
+            W, pi_inv = type_group(record.family, record.rank, record.twist)
+            placed = place_row(W, pi_inv, record.J, record.w1)
+            q = minimal_q(record.family, record.twist)
+            out.append((record.label, build_star_system(W, placed.K, placed.w1, pi_inv, q)))
+    return out
+
+
+def test_verify_gordan_on_spade_star_systems():
+    """On each spade row's star system, ``verify_gordan`` accepts the solver's
+    witness and rejects it with one entry raised by 1, negated, all zero,
+    short, or with a positive entry replaced by a square root q does not use."""
+    systems = _spade_star_systems()
+    assert len(systems) == 5
+    for label, star in systems:
+        y = lp.gordan_witness(star)
+        assert lp.verify_gordan(star, y), label
+        other = SQRT3 if star.q.d == 2 else SQRT2
+        first = next(k for k, v in enumerate(y) if v.sign() > 0)
+        hostile = [y[:k] + (v + 1,) + y[k + 1:] for k, v in enumerate(y)]
+        hostile += [tuple(-v for v in y), (qext(0),) * len(y), y[:-1],
+                    y[:first] + (other,) + y[first + 1:]]
+        for bad in hostile:
+            assert lp.verify_gordan(star, bad) is False, (label, bad)
 
 
 def _same_as_dense(system):
-    rows, n = system.rows, len(system.varset)
-    return (solve_strict(rows, n), gordan_witness(rows, n)) == dense_solve_dual(rows, n)
+    """``feasible`` and ``gordan_witness`` on the system, and the exact-row
+    solver on its folded rows, give the dense simplex's point and witness."""
+    rows, n = rows_of(system), len(system.varset)
+    mu = feasible(system)
+    got = (None if mu is None else tuple(mu[i] for i in system.varset),
+           lp.gordan_witness(system))
+    return got == dense_solve_dual(rows, n) == (solve_strict(rows, n), gordan_witness(rows, n))
 
 
 @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
@@ -213,18 +286,16 @@ def test_matches_dense_simplex_on_minimal_elements(family, rank, order):
 
 
 def test_matches_dense_simplex_on_catalog_star_systems():
-    """The same on the star system of every placed catalog row of rank <= 6."""
+    """The same on the star system of every placed catalog row."""
     count = 0
     for record in load_case_records():
-        if record.rank > 6:
-            continue
         W, pi_inv = type_group(record.family, record.rank, record.twist)
         q = minimal_q(record.family, record.twist)
         placed = place_row(W, pi_inv, record.J, record.w1)
         star = build_star_system(W, placed.K, placed.w1, pi_inv, q)
         assert _same_as_dense(star), record.label
         count += 1
-    assert count == 120
+    assert count == 213
 
 
 def test_determinism():
