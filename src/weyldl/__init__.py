@@ -1,6 +1,6 @@
 """Exact certificates for the affineness criterion on twisted Weyl classes."""
 
-from .exactnum import QuadExt, quad_cmp, quad_sign
+from .exactnum import QuadExt
 from .rootdata import (
     Coweight,
     RootSystem,
@@ -38,8 +38,6 @@ from .casetables import load_case_records, verify_all, verify_case
 
 __all__ = [
     "QuadExt",
-    "quad_sign",
-    "quad_cmp",
     "RootSystem",
     "Coweight",
     "Twist",

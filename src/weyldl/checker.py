@@ -32,35 +32,181 @@ Inversion rows are sorted by (height, coordinates), the root order of
 :mod:`weyldl.rootdata`, so each row, its label and the row count agree
 with the systems that :mod:`weyldl.criterion` builds.
 
+This module also owns the certificate itself: the ``Certificate``
+record, its JSON wire format and the parser, which refuses text longer
+than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
+the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
+a + b sqrt(d) with both parts reduced, through ``number_to_json`` and
+``number_from_json``; ``_ratio`` is the one reader of the "p/q" grammar
+-?[0-9]+/[0-9]+ in the package.
+
 The trusted base is this module, the exact numbers of
 :mod:`weyldl.exactnum`, and from :mod:`weyldl.rootdata` the Cartan
-matrices, the twists, the closed forms for the number of positive roots
-and the record base.  A certificate is hostile input: every field is
-checked before it is used, and only a descriptor found valid is
+matrices, the twists, the closed forms for the number of positive roots,
+the coweight and the record base.  A certificate is hostile input: every
+field is checked before it is used, and only a descriptor found valid is
 memoized.
 """
 
 from __future__ import annotations
 
+import json
+from math import gcd
 from operator import mul, neg
 
-from .exactnum import _join_d, _sign, integer_parts, qext
-from .rootdata import Frozen, build_twist, cartan_matrix, positive_root_count
+from .exactnum import QuadExt, _check_radicand, _join_d, _make, _sign, integer_parts, qext
+from .rootdata import Coweight, Frozen, build_twist, cartan_matrix, positive_root_count
 
 __all__ = [
     "FORM_FORWARD",
     "FORM_INVERSE",
+    "FORMAT_VERSION",
+    "MAX_CERT_CHARS",
     "MAX_RANK",
+    "Certificate",
+    "CertificateError",
     "CheckResult",
     "check_certificate",
+    "number_from_json",
+    "number_to_json",
     "slacks",
 ]
 
 FORM_FORWARD = "lemma-1.11"
 FORM_INVERSE = "stmt-1.13a"
+FORMAT_VERSION = 1
 MAX_RANK = 8
+# Longest certificate text the parser reads.  ``to_json`` writes far less: at
+# most 9 exact numbers (q and 8 coordinates), each of at most 4 ints of at
+# most 4300 digits, Python's int-string limit.
+MAX_CERT_CHARS = 1 << 20
 
 _setattr = object.__setattr__
+
+
+class CertificateError(ValueError):
+    """Structurally malformed certificate data."""
+
+
+class Certificate(Frozen):
+    """Checkable witness (group, direction, q, w, form, mu)."""
+
+    __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        twist: int,
+        direction: str,
+        q: QuadExt,
+        w: tuple[int, ...],
+        form: str,
+        mu: Coweight,
+    ):
+        _setattr(self, "family", family)
+        _setattr(self, "rank", rank)
+        _setattr(self, "twist", twist)
+        _setattr(self, "direction", direction)
+        _setattr(self, "q", q)
+        _setattr(self, "w", w)
+        _setattr(self, "form", form)
+        _setattr(self, "mu", mu)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "format_version": FORMAT_VERSION,
+            "group": {"family": self.family, "rank": self.rank, "twist": self.twist},
+            "direction": self.direction,
+            "q": number_to_json(self.q),
+            "w": list(self.w),
+            "form": self.form,
+            "mu": [number_to_json(x) for x in self.mu.coords],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "Certificate":
+        try:
+            if obj["format_version"] != FORMAT_VERSION:
+                raise CertificateError(f"unsupported format_version {obj['format_version']!r}")
+            grp = obj["group"]
+            cert = cls(
+                family=grp["family"],
+                rank=_strict_int(grp["rank"]),
+                twist=_strict_int(grp["twist"]),
+                direction=obj["direction"],
+                q=number_from_json(obj["q"]),
+                w=tuple(_strict_int(x) for x in obj["w"]),
+                form=obj["form"],
+                mu=Coweight(tuple(number_from_json(x) for x in obj["mu"])),
+            )
+        except CertificateError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CertificateError(f"malformed certificate: {exc}") from exc
+        return cert
+
+    @classmethod
+    def from_json(cls, text: str) -> "Certificate":
+        if len(text) > MAX_CERT_CHARS:
+            raise CertificateError(f"certificate longer than {MAX_CERT_CHARS} characters")
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # ValueError: also Python's digit limit
+            raise CertificateError(f"not JSON: {exc}") from exc
+        return cls.from_json_dict(obj)
+
+
+def _strict_int(value) -> int:
+    """``value`` itself when it is exactly an int: no bool, float or numeric string."""
+    if type(value) is not int:
+        raise CertificateError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def number_to_json(x: QuadExt) -> dict:
+    """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3} of an exact number."""
+    p, q, r = x._p, x._q, x._r
+    ga, gb = gcd(p, r), gcd(q, r)
+    return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": x._d}
+
+
+def number_from_json(obj) -> QuadExt:
+    """Inverse of :func:`number_to_json`; accepts nothing but its exact wire grammar."""
+    try:
+        a, b, d = obj["a"], obj["b"], obj["d"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed QuadExt payload") from exc
+    if type(d) is not int:
+        raise ValueError("malformed QuadExt radicand")
+    an, ad = _ratio(a)
+    bn, bd = _ratio(b)
+    _check_radicand(d)
+    if d == 1 or not bn:
+        # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
+        return _make(an * bd + bn * ad, 0, ad * bd, 1)
+    return _make(an * bd, bn * ad, ad * bd, d)
+
+
+def _ratio(text) -> tuple[int, int]:
+    """The numerator and positive denominator of ``text`` in the grammar
+    -?[0-9]+/[0-9]+, unreduced.
+
+    Only ASCII digits pass: ``int`` alone would also take spaces,
+    underscores, a '+' and the digits of other scripts, and
+    ``str.isdigit`` superscripts.  ``int`` enforces Python's digit limit.
+    """
+    if isinstance(text, str) and text.isascii():
+        num, slash, den = text.partition("/")
+        if slash and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
+            num, den = int(num), int(den)
+            if den == 0:
+                raise ValueError("malformed rational: zero denominator")
+            return num, den
+    raise ValueError("malformed rational: expected 'p/q'")
 
 
 class CheckResult(Frozen):

@@ -11,6 +11,7 @@ import sys
 from typing import Optional
 
 from .casetables import verify_all
+from .checker import MAX_CERT_CHARS
 from .conjugacy import (
     ClosureBudgetError,
     FalsificationError,
@@ -82,18 +83,11 @@ def cmd_certify(args) -> int:
     return 0
 
 
-# Longest certificate file ``check`` reads.  ``to_json`` writes far less: at
-# most 9 exact numbers (q and 8 coordinates), each of at most 4 ints of at
-# most 4300 digits, Python's int-string limit.
-MAX_CERT_CHARS = 1 << 20
-
-
 def cmd_check(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
+            # One character past the limit is enough for the parser to refuse it.
             text = fh.read(MAX_CERT_CHARS + 1)
-        if len(text) > MAX_CERT_CHARS:
-            raise CertificateError(f"certificate longer than {MAX_CERT_CHARS} characters")
         cert = Certificate.from_json(text)
     except (OSError, CertificateError) as exc:
         print(f"reject: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Strict-inequality systems behind the affineness criterion, and certificates.
+"""Strict-inequality systems behind the affineness criterion, and certification.
 
 Every verdict here is about one kind of object, an :class:`IneqSystem`:
 a homogeneous strict system  <c_r, m> > 0  over coweight coordinates,
@@ -28,16 +28,18 @@ query, :meth:`IneqSystem.violated`, names the rows that fail: the point
 goes over one common denominator once, and each row is one integer dot
 product plus its q term, signed exactly.
 
-The checker, ``check_certificate``, and its verdict ``CheckResult`` live
-in :mod:`weyldl.checker` and are re-exported here.  It shares no group
+The certificate (``Certificate``, ``CertificateError`` and
+``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
+checker, ``check_certificate``, and its verdict ``CheckResult`` live in
+:mod:`weyldl.checker` and are re-exported here.  The checker shares no group
 with this module: it walks the certificate's word over integer root
 coordinates from the Cartan matrix alone, and it never reads solver
 state.  Its rows are the rows of the two forms above, in the same order,
 and its slacks are those of :meth:`IneqSystem.violated` (both use
 :func:`weyldl.checker.slacks`).
 
-``IneqSystem`` and ``Certificate`` are plain slotted classes with
-written-out constructors, and their equality, hashing and repr come from
+``IneqSystem`` is a plain slotted class with a written-out constructor,
+and its equality, hashing and repr come from
 :class:`weyldl.rootdata.Record`, not ``dataclasses``: that module alone
 cost about 25 ms of each cold start (it imports ``inspect``, and each
 decorated class compiles its methods at import), against about 0.04 s
@@ -47,16 +49,18 @@ for all 544 verdicts of the benchmark's ``check`` pass.  See
 
 from __future__ import annotations
 
-import json
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .checker import (
     FORM_FORWARD,
     FORM_INVERSE,
+    FORMAT_VERSION,
     MAX_RANK,
+    Certificate,
+    CertificateError,
     CheckResult,
+    _ratio,
     check_certificate,
     slacks,
 )
@@ -85,14 +89,7 @@ __all__ = [
     "FORMAT_VERSION",
 ]
 
-FORMAT_VERSION = 1
-
-
 _setattr = object.__setattr__
-
-
-class CertificateError(ValueError):
-    """Structurally malformed certificate data."""
 
 
 class IneqSystem(Frozen):
@@ -263,86 +260,6 @@ def feasible(system: IneqSystem) -> Optional[Coweight]:
     return Coweight(tuple(coords))
 
 
-# -- certificates -------------------------------------------------------------
-
-
-class Certificate(Frozen):
-    """Checkable witness (group, direction, q, w, form, mu)."""
-
-    __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
-
-    def __init__(
-        self,
-        family: str,
-        rank: int,
-        twist: int,
-        direction: str,
-        q: QuadExt,
-        w: tuple[int, ...],
-        form: str,
-        mu: Coweight,
-    ):
-        _setattr(self, "family", family)
-        _setattr(self, "rank", rank)
-        _setattr(self, "twist", twist)
-        _setattr(self, "direction", direction)
-        _setattr(self, "q", q)
-        _setattr(self, "w", w)
-        _setattr(self, "form", form)
-        _setattr(self, "mu", mu)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "group": {"family": self.family, "rank": self.rank, "twist": self.twist},
-            "direction": self.direction,
-            "q": self.q.to_json(),
-            "w": list(self.w),
-            "form": self.form,
-            "mu": self.mu.to_json(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Certificate":
-        try:
-            if obj["format_version"] != FORMAT_VERSION:
-                raise CertificateError(f"unsupported format_version {obj['format_version']!r}")
-            grp = obj["group"]
-            cert = cls(
-                family=grp["family"],
-                rank=_strict_int(grp["rank"]),
-                twist=_strict_int(grp["twist"]),
-                direction=obj["direction"],
-                q=QuadExt.from_json(obj["q"]),
-                w=tuple(_strict_int(x) for x in obj["w"]),
-                form=obj["form"],
-                mu=Coweight.from_json(obj["mu"]),
-            )
-        except CertificateError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateError(f"malformed certificate: {exc}") from exc
-        return cert
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # ValueError: also Python's digit limit
-            raise CertificateError(f"not JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
-
-
-def _strict_int(value) -> int:
-    """``value`` itself when it is exactly an int: no bool, float or numeric string."""
-    if type(value) is not int:
-        raise CertificateError(f"expected an integer, got {type(value).__name__}")
-    return value
-
-
 def minimal_q(family: str, twist: int) -> QuadExt:
     """Smallest admissible q for the type: 2, sqrt 2, or sqrt 3."""
     if twist == 2 and family in ("B", "F"):
@@ -369,25 +286,23 @@ def admissible_q(family: str, rank: int, twist: int, q) -> QuadExt:
     return q
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_q_literal(text: str) -> QuadExt:
     """Parse CLI q literals: p, p/q, sqrt2, sqrt3, or p or p/q times sqrt2 or sqrt3.
 
     As in '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3', with ASCII digits
-    and spaces ignored.  Anything else, a zero denominator, or a number
-    too long for ``int`` raises ValueError before any work.
+    and spaces ignored; the rational is read by the certificate's "p/q"
+    reader, with "/1" added when it has no slash.  Anything else, a zero
+    denominator, or a number too long for ``int`` raises ValueError before
+    any work.
     """
     head, star, tail = text.strip().replace(" ", "").rpartition("*")
     if tail in ("sqrt2", "sqrt3"):
         rational, d = head if star else "1", int(tail[-1])
     else:
         rational, d = "" if star else tail, 1
-    match = _RATIONAL.fullmatch(rational)
     try:
-        value = Fraction(int(match.group(1)), int(match.group(2) or 1))
-    except (AttributeError, ValueError, ZeroDivisionError):
+        value = Fraction(*_ratio(rational if "/" in rational else rational + "/1"))
+    except ValueError:
         raise ValueError(f"bad q literal {text!r}") from None
     return QuadExt(value) if d == 1 else QuadExt(0, value, d)
 

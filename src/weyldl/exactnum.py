@@ -12,21 +12,18 @@ Signs and comparisons are exact case analysis on the integer numerator,
 never floating-point evaluation.  The rational parts are still available
 as the ``Fraction`` properties ``a`` and ``b``.
 
-Two kernels serve the row arithmetic of the strict systems.  ``dot(xs, ys)``
-sums the products x*y in plain ints and reduces once at the end; it
-returns exactly what the unfused left fold returns, or raises the same
-``IncompatibleRadicandError``: the radicand of a product or of a running
-sum falls back to 1 once its sqrt(d) part cancels.  ``integer_parts(xs)``
-puts a list of numbers over their least common denominator r, as
-integers p_k + q_k sqrt(d) over r with one radicand d for the whole list,
-so that a row's value at a point is one integer dot product: the slacks
-of ``weyldl.checker`` and the integer rows of ``weyldl.lp`` (the simplex,
-the Gordan witness and its check) never build a ``QuadExt`` per cell.
+One kernel serves the row arithmetic of the strict systems.
+``integer_parts(xs)`` puts a list of numbers over their least common
+denominator r, as integers p_k + q_k sqrt(d) over r with one radicand d
+for the whole list, so that a row's value at a point is one integer dot
+product: the slacks of ``weyldl.checker`` and the integer rows of
+``weyldl.lp`` (the simplex, the Gordan witness and its check) never
+build a ``QuadExt`` per cell.  The wire form of these numbers belongs
+to the certificate format, and lives in :mod:`weyldl.checker`.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -35,9 +32,6 @@ __all__ = [
     "IncompatibleRadicandError",
     "QuadExt",
     "qext",
-    "quad_sign",
-    "quad_cmp",
-    "dot",
     "integer_parts",
     "SQRT2",
     "SQRT3",
@@ -53,23 +47,6 @@ _VALID_D = (1, 2, 3)
 
 class IncompatibleRadicandError(ValueError):
     """Raised when values over Q(sqrt 2) and Q(sqrt 3) are mixed."""
-
-
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
-
-
-def _parse_ratio(text) -> tuple[int, int]:
-    """The numerator and positive denominator of the wire form ``p/q``, unreduced.
-
-    int() enforces Python's digit limit.
-    """
-    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise ValueError("malformed rational: expected 'p/q'")
-    num, den = int(match.group(1)), int(match.group(2))
-    if den == 0:
-        raise ValueError("malformed rational: zero denominator")
-    return num, den
 
 
 def _check_radicand(d: int) -> None:
@@ -304,31 +281,6 @@ class QuadExt:
             return str(self.a)
         return f"{self.a}+{self.b}*sqrt({self._d})"
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3}."""
-        p, q, r = self._p, self._q, self._r
-        ga, gb = gcd(p, r), gcd(q, r)
-        return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": self._d}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadExt":
-        """Inverse of :meth:`to_json`; accepts nothing but its exact wire grammar."""
-        try:
-            a, b, d = obj["a"], obj["b"], obj["d"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed QuadExt payload") from exc
-        if type(d) is not int:
-            raise ValueError("malformed QuadExt radicand")
-        an, ad = _parse_ratio(a)
-        bn, bd = _parse_ratio(b)
-        _check_radicand(d)
-        if d == 1 or not bn:
-            # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
-            return _make(an * bd + bn * ad, 0, ad * bd, 1)
-        return _make(an * bd, bn * ad, ad * bd, d)
-
 
 _new = object.__new__
 
@@ -367,16 +319,6 @@ def qext(x: Scalar) -> QuadExt:
     return o
 
 
-def quad_sign(x: Scalar) -> int:
-    """Sign in {-1, 0, +1} of ``x``, computed exactly."""
-    return qext(x).sign()
-
-
-def quad_cmp(x: Scalar, y: Scalar) -> int:
-    """Ordering of two values sharing a compatible radicand: sign(x - y)."""
-    return qext(x)._cmp(y)
-
-
 def _product(x: QuadExt, y: QuadExt) -> tuple[int, int, int]:
     """Numerator p, q and radicand of x*y over x._r * y._r, unreduced.
 
@@ -393,40 +335,6 @@ def _product(x: QuadExt, y: QuadExt) -> tuple[int, int, int]:
     if q2:
         return p1 * p2, p1 * q2, y._d if p1 else 1
     return p1 * p2, 0, 1
-
-
-def dot(xs, ys) -> QuadExt:
-    """sum of x*y over the pairs of ``xs`` and ``ys`` (as zip pairs them), exactly.
-
-    The value and the errors of the left fold ``s = s + x*y`` from zero,
-    accumulated over a common denominator in plain ints with one gcd at
-    the end.  Operands may be int, Fraction or QuadExt.
-    """
-    P = Q = 0
-    R = D = 1
-    for x, y in zip(xs, ys):
-        if type(x) is not QuadExt:
-            x = qext(x)
-        if type(y) is not QuadExt:
-            y = qext(y)
-        if x._q or y._q:
-            p, q, d = _product(x, y)
-            if q:
-                # The running sum has radicand D exactly while its Q is nonzero.
-                D = _join_d(D, d) if Q else d
-        else:
-            p, q = x._p * y._p, 0
-        if not (p or q):
-            continue
-        r = x._r * y._r
-        if r == R:
-            P += p
-            Q += q
-        else:
-            P = P * r + p * R
-            Q = Q * r + q * R
-            R *= r
-    return _make(P, Q, R, D)
 
 
 def integer_parts(xs) -> tuple[list[int], list[int], int, int]:

@@ -60,7 +60,7 @@ from .criterion import (
     check_certificate,
     feasible,
 )
-from .exactnum import QuadExt, dot, qext
+from .exactnum import ZERO, QuadExt, qext
 from .rootdata import Coweight, Frozen, Twist
 from .subsystems import SubContext, component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
@@ -206,7 +206,8 @@ def combine_cyclic_factors(
     anchors: dict[int, QuadExt] = {}
     for i in support:
         coords = W.signed_to_coords(W.act_on_simple(winv, i))
-        anchors[i] = dot(values, [coords[j - 1] for j in support])  # (w^{-1} alpha_i)(mu)
+        # (w^{-1} alpha_i)(mu)
+        anchors[i] = sum((x * coords[j - 1] for x, j in zip(values, support)), ZERO)
 
     qr = q ** r
     eps: Optional[dict[int, QuadExt]] = None

@@ -339,13 +339,6 @@ class Coweight(Frozen):
     def __len__(self) -> int:
         return len(self.coords)
 
-    def to_json(self) -> list[dict]:
-        return [x.to_json() for x in self.coords]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "Coweight":
-        return cls(tuple(QuadExt.from_json(x) for x in obj))
-
 
 class Twist(Frozen):
     """A diagram automorphism delta, stored as the 1-based image tuple."""

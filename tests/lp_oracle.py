@@ -19,8 +19,14 @@ The dense-row forms the tests drive it with live here too:
 
 from __future__ import annotations
 
-from weyldl.exactnum import dot, integer_parts, qext
+from weyldl.exactnum import ZERO, integer_parts, qext
 from weyldl.lp import _solve_dual
+
+
+def fold_dot(xs, ys):
+    """sum of x*y over the pairs of ``xs`` and ``ys``, as the left fold
+    ``s = s + x*y`` from zero in ``QuadExt``."""
+    return sum((x * y for x, y in zip(xs, ys)), ZERO)
 
 
 def rows_of(system):
@@ -52,7 +58,7 @@ def _exact_rows(rows, nvars):
 def solve_strict(rows, nvars):
     """A point with every < c_r, m > > 0, re-checked, or None if there is none."""
     point, _ = _solve_dual(*_exact_rows(rows, nvars), nvars)
-    if point is not None and any(dot(r, point).sign() <= 0 for r in rows):
+    if point is not None and any(fold_dot(r, point).sign() <= 0 for r in rows):
         raise AssertionError("simplex returned a non-strict point")
     return point
 
@@ -69,7 +75,7 @@ def is_gordan_witness(rows, witness):
     ys = [qext(y) for y in witness]
     if any(y.sign() < 0 for y in ys) or all(y.sign() == 0 for y in ys):
         return False
-    return all(dot(ys, column).sign() == 0 for column in zip(*rows))
+    return all(fold_dot(ys, column).sign() == 0 for column in zip(*rows))
 
 
 def _pivot(tableau, basis, row, col):

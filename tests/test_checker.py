@@ -7,11 +7,13 @@ certificates through rank 6 (W3's 360 and rank 5/6's 816), and
 Hypothesis-made certificates.  Its trusted base
 is pinned too: it imports only ``exactnum`` and ``rootdata`` from weyldl,
 and it checks the corpus with the group and root-closure builders
-disabled.
+disabled.  The certificate parser it owns is checked here as well: its
+length limit, and its "p/q" reader against a regex reference.
 """
 
 import ast
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldl import checker, rootdata, weyl
-from weyldl.checker import FORM_FORWARD, FORM_INVERSE, MAX_RANK, CheckResult, check_certificate
+from weyldl.checker import (
+    FORM_FORWARD,
+    FORM_INVERSE,
+    MAX_CERT_CHARS,
+    MAX_RANK,
+    Certificate,
+    CertificateError,
+    CheckResult,
+    check_certificate,
+    number_from_json,
+)
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
-    Certificate,
     build_forward_system,
     build_inverse_system,
     certify_min_element,
@@ -36,6 +47,7 @@ from weyldl.rootdata import Coweight, build_twist, candidate_types, positive_roo
 from checker_oracle import oracle_check
 from conftest import RANK_5_6, RANK_LE_4, group
 from test_criterion import HOSTILE
+from test_exactnum import assert_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "data" / "check_corpus.jsonl"
@@ -301,6 +313,75 @@ def test_criterion_reexports_the_checker():
     """``criterion`` hands out the checker's own objects: one checker in the package."""
     from weyldl import criterion
 
-    for name in ("check_certificate", "CheckResult", "FORM_FORWARD", "FORM_INVERSE", "MAX_RANK"):
+    for name in ("check_certificate", "CheckResult", "FORM_FORWARD", "FORM_INVERSE", "MAX_RANK",
+                 "Certificate", "CertificateError", "FORMAT_VERSION"):
         assert getattr(criterion, name) is getattr(checker, name)
     assert CheckResult.__module__ == "weyldl.checker"
+    assert Certificate.__module__ == CertificateError.__module__ == "weyldl.checker"
+
+
+# -- the certificate parser ------------------------------------------------------
+
+
+def test_length_limit_at_the_boundary(corpus):
+    """Text of exactly ``MAX_CERT_CHARS`` characters is parsed; one more is refused
+    before it is read as JSON."""
+    text = corpus[0].to_json().ljust(MAX_CERT_CHARS)
+    assert len(text) == MAX_CERT_CHARS
+    assert Certificate.from_json(text) == corpus[0]
+    with pytest.raises(CertificateError, match=f"^certificate longer than {MAX_CERT_CHARS} "
+                                               "characters$"):
+        Certificate.from_json(text + " ")
+
+
+def fraction_from_json(obj):
+    """The ``Fraction``-based wire parser, on the grammar's regex: the reference."""
+    def parse(text):
+        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
+        if match is None:
+            raise ValueError("malformed rational: expected 'p/q'")
+        num, den = int(match.group(1)), int(match.group(2))
+        if den == 0:
+            raise ValueError("malformed rational: zero denominator")
+        return Fraction(num, den)
+
+    try:
+        a, b, d = obj["a"], obj["b"], obj["d"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed QuadExt payload") from exc
+    if type(d) is not int:
+        raise ValueError("malformed QuadExt radicand")
+    return QuadExt(parse(a), parse(b), d)
+
+
+wire_ratios = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6)),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 12)),
+    st.builds("-0/{}".format, st.integers(0, 9)),
+    st.sampled_from(["1", "1/-2", "+1/2", " 1/2", "1/2 ", "1.0/2", "\u0663/4", "--1/2", "",
+                     "1" * 4400 + "/1", "1/" + "2" * 4400]),
+    # Outside the grammar: halves that int() or str.isdigit() accept, and empty halves.
+    st.sampled_from(["1_0/2", "1/1_0", "\uff11/2", "\u00b2/2", "-/2", "1/"]),
+    st.text(alphabet="-/0123", max_size=6),
+    st.integers(-3, 3),
+    st.none(),
+)
+wire_radicands = st.one_of(st.sampled_from((1, 2, 3)), st.integers(-2, 6),
+                           st.sampled_from((True, 2.0, "2", None)))
+
+
+@given(wire_ratios, wire_ratios, wire_radicands)
+@settings(max_examples=600, deadline=None)
+def test_from_json_matches_fraction_parser(a, b, d):
+    """Same value, or the same error text raised in the same order (a, then b, then d)."""
+    obj = {"a": a, "b": b, "d": d}
+
+    def result(parse):
+        try:
+            x = parse(obj)
+        except ValueError as exc:
+            return ("error", str(exc))
+        assert_canonical(x)
+        return ("value", x._p, x._q, x._r, x._d)
+
+    assert result(number_from_json) == result(fraction_from_json)

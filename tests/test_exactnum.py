@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyldl.checker import number_from_json, number_to_json
 from weyldl.exactnum import (
     SQRT2,
     SQRT3,
     IncompatibleRadicandError,
     QuadExt,
-    dot,
     integer_parts,
-    quad_cmp,
-    quad_sign,
 )
 
 from fraction_quadext import FractionQuadExt
@@ -29,39 +26,39 @@ def quads(d):
 
 class TestSign:
     def test_zero(self):
-        assert quad_sign(QuadExt(0, 0, 1)) == 0
+        assert QuadExt(0, 0, 1).sign() == 0
 
     def test_cross_multiplication_positive(self):
         # 3 - 2 sqrt(2) > 0 since 9 > 8
-        assert quad_sign(QuadExt(3, -2, 2)) == 1
+        assert QuadExt(3, -2, 2).sign() == 1
 
     def test_cross_multiplication_negative_rational_part(self):
         # 3 sqrt(2) - 4 > 0 since 18 > 16
-        assert quad_sign(QuadExt(-4, 3, 2)) == 1
+        assert QuadExt(-4, 3, 2).sign() == 1
 
     def test_both_negative(self):
-        assert quad_sign(QuadExt(-1, -1, 3)) == -1
+        assert QuadExt(-1, -1, 3).sign() == -1
 
     def test_close_calls(self):
         # 7/5 < sqrt(2) < 17/12
-        assert quad_sign(SQRT2 - Fraction(7, 5)) == 1
-        assert quad_sign(SQRT2 - Fraction(17, 12)) == -1
+        assert (SQRT2 - Fraction(7, 5)).sign() == 1
+        assert (SQRT2 - Fraction(17, 12)).sign() == -1
 
 
 class TestCmp:
     def test_sqrt2_vs_one(self):
-        assert quad_cmp(SQRT2, 1) == 1
+        assert SQRT2 > 1 and not SQRT2 <= 1
 
     def test_one_plus_sqrt2_vs_two(self):
-        assert quad_cmp(QuadExt(1, 1, 2), QuadExt(2, 0, 2)) == 1
+        assert QuadExt(1, 1, 2) > QuadExt(2, 0, 2) and not QuadExt(1, 1, 2) <= QuadExt(2, 0, 2)
 
     def test_reflexive(self):
         x = QuadExt(Fraction(5, 3), Fraction(-1, 7), 3)
-        assert quad_cmp(x, x) == 0
+        assert x <= x and x >= x and not x < x and not x > x
 
     def test_incompatible_radicands(self):
         with pytest.raises(IncompatibleRadicandError):
-            quad_cmp(SQRT2, SQRT3)
+            SQRT2 < SQRT3
 
 
 class TestNormalization:
@@ -97,7 +94,7 @@ def test_inverse_round_trip(x):
 
 @given(quads(2), quads(2))
 def test_sign_multiplicative(x, y):
-    assert quad_sign(x * y) == quad_sign(x) * quad_sign(y)
+    assert (x * y).sign() == x.sign() * y.sign()
 
 
 @given(quads(3), quads(3), quads(3))
@@ -137,7 +134,7 @@ def test_sign_agrees_with_float_oracle():
                     Fraction(rng.randint(-60, 60), rng.randint(1, 12)), d)
         approx = approx_float(x)
         if abs(approx) > 1e-9:
-            assert quad_sign(x) == (1 if approx > 0 else -1)
+            assert x.sign() == (1 if approx > 0 else -1)
 
 
 class TestArithmetic:
@@ -165,13 +162,15 @@ class TestArithmetic:
 
 
 class TestSerialization:
+    """The certificate's wire form of an exact number, ``weyldl.checker``'s codec."""
+
     @given(quads(2) | quads(3) | st.builds(QuadExt, rationals))
     @settings(max_examples=200)
     def test_round_trip(self, x):
-        assert QuadExt.from_json(x.to_json()) == x
+        assert number_from_json(number_to_json(x)) == x
 
     def test_wire_form(self):
-        assert QuadExt(Fraction(3, 2), Fraction(-1, 3), 2).to_json() == {
+        assert number_to_json(QuadExt(Fraction(3, 2), Fraction(-1, 3), 2)) == {
             "a": "3/2",
             "b": "-1/3",
             "d": 2,
@@ -179,62 +178,11 @@ class TestSerialization:
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            QuadExt.from_json({"a": "1/2", "b": "x", "d": 2})
+            number_from_json({"a": "1/2", "b": "x", "d": 2})
         with pytest.raises(ValueError):
-            QuadExt.from_json({"a": "1", "d": 2})
+            number_from_json({"a": "1", "d": 2})
         with pytest.raises(ValueError):
             QuadExt(1, 1, 5)
-
-
-def fraction_from_json(obj):
-    """The ``Fraction``-based wire parser that ``QuadExt.from_json`` replaced: the reference."""
-    def parse(text):
-        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
-        if match is None:
-            raise ValueError("malformed rational: expected 'p/q'")
-        num, den = int(match.group(1)), int(match.group(2))
-        if den == 0:
-            raise ValueError("malformed rational: zero denominator")
-        return Fraction(num, den)
-
-    try:
-        a, b, d = obj["a"], obj["b"], obj["d"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("malformed QuadExt payload") from exc
-    if type(d) is not int:
-        raise ValueError("malformed QuadExt radicand")
-    return QuadExt(parse(a), parse(b), d)
-
-
-wire_ratios = st.one_of(
-    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6)),
-    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 12)),
-    st.builds("-0/{}".format, st.integers(0, 9)),
-    st.sampled_from(["1", "1/-2", "+1/2", " 1/2", "1/2 ", "1.0/2", "\u0663/4", "--1/2", "",
-                     "1" * 4400 + "/1", "1/" + "2" * 4400]),
-    st.text(alphabet="-/0123", max_size=6),
-    st.integers(-3, 3),
-    st.none(),
-)
-wire_radicands = st.one_of(st.sampled_from((1, 2, 3)), st.integers(-2, 6),
-                           st.sampled_from((True, 2.0, "2", None)))
-
-
-@given(wire_ratios, wire_ratios, wire_radicands)
-@settings(max_examples=600, deadline=None)
-def test_from_json_matches_fraction_parser(a, b, d):
-    """Same value, or the same error text raised in the same order (a, then b, then d)."""
-    obj = {"a": a, "b": b, "d": d}
-
-    def result(parse):
-        try:
-            x = parse(obj)
-        except ValueError as exc:
-            return ("error", str(exc))
-        assert_canonical(x)
-        return ("value", x._p, x._q, x._r, x._d)
-
-    assert result(QuadExt.from_json) == result(fraction_from_json)
 
 
 # -- differential test against the Fraction-pair reference --------------------
@@ -307,8 +255,8 @@ def test_integer_kernel_matches_fraction_pairs(xs, ys, s):
     if x.b == 0:
         assert hash(x) == hash(x.a)
     # Wire form, and its round trip.
-    assert x.to_json() == ox.to_json()
-    back = QuadExt.from_json(x.to_json())
+    assert number_to_json(x) == ox.to_json()
+    back = number_from_json(number_to_json(x))
     assert_canonical(back)
     assert back == x and hash(back) == hash(x)
 
@@ -334,7 +282,7 @@ def test_differential_error_cases():
         QuadExt(1, 1, 4)
 
 
-# -- the fused row kernels against the unfused forms ---------------------------
+# -- the fused row kernel against the unfused form ------------------------------
 
 # Zero, one and the cells that cancel (+-sqrt 2, +-sqrt 3), beside general values.
 cells = st.one_of(
@@ -343,34 +291,6 @@ cells = st.one_of(
         ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 2), (0, -1, 2), (0, 1, 3), (0, -1, 3))
     ),
 )
-
-
-def fold_dot(xs, ys, zero):
-    """The left fold ``s = s + x*y`` from ``zero`` that ``dot`` replaces."""
-    s = zero
-    for x, y in zip(xs, ys):
-        s = s + x * y
-    return s
-
-
-@given(st.lists(st.tuples(cells, cells), max_size=8))
-@settings(max_examples=300, deadline=None)
-def test_dot_matches_left_fold(terms):
-    xs = [QuadExt(*a) for a, _ in terms]
-    ys = [QuadExt(*b) for _, b in terms]
-    oxs = [FractionQuadExt(*a) for a, _ in terms]
-    oys = [FractionQuadExt(*b) for _, b in terms]
-    agree(lambda: dot(xs, ys), lambda: fold_dot(xs, ys, QuadExt(0)))
-    agree(lambda: dot(xs, ys), lambda: fold_dot(oxs, oys, FractionQuadExt(0)))
-
-
-@given(st.lists(st.tuples(cells, scalars), max_size=8))
-@settings(max_examples=150, deadline=None)
-def test_dot_takes_int_and_fraction_operands(terms):
-    xs = [QuadExt(*a) for a, _ in terms]
-    ss = [s for _, s in terms]
-    agree(lambda: dot(xs, ss), lambda: fold_dot(xs, ss, QuadExt(0)))
-    agree(lambda: dot(ss, xs), lambda: fold_dot(ss, xs, QuadExt(0)))
 
 
 @given(st.lists(st.one_of(cells, st.tuples(scalars)), max_size=8))
@@ -393,13 +313,9 @@ def test_integer_parts_share_one_denominator(entries):
 
 
 def test_fused_kernels_at_cancellation():
-    # sqrt2 * sqrt2 is rational, so a sqrt3 term may follow it.
-    assert outcome(lambda: dot([SQRT2, SQRT3], [SQRT2, 1])) == outcome(lambda: 2 + SQRT3)
-    # sqrt2 - sqrt2 leaves a rational running sum before sqrt3 arrives.
-    assert outcome(lambda: dot([SQRT2, SQRT2, SQRT3], [1, -1, 1])) == outcome(lambda: SQRT3)
-    # A zero factor makes a zero product, whatever the other radicand.
-    assert outcome(lambda: dot([SQRT2, 0], [1, SQRT3])) == outcome(lambda: SQRT2)
-    assert outcome(lambda: dot([], [])) == outcome(lambda: QuadExt(0))
-    mixed = ("raise", IncompatibleRadicandError)
-    assert outcome(lambda: dot([SQRT2, SQRT3], [1, 1])) == mixed
-    assert outcome(lambda: dot([SQRT2], [SQRT3])) == mixed
+    # sqrt2 * sqrt2 and sqrt2 - sqrt2 are rational, so a sqrt3 value may join them.
+    assert integer_parts([SQRT2 * SQRT2, SQRT3]) == ([2, 0], [0, 1], 1, 3)
+    assert integer_parts([SQRT2 - SQRT2, SQRT3 / 2]) == ([0, 0], [0, 1], 2, 3)
+    assert integer_parts([]) == ([], [], 1, 1)
+    with pytest.raises(IncompatibleRadicandError):
+        integer_parts([SQRT2, SQRT3])
