@@ -15,22 +15,34 @@ direction:
 The checker re-derives those rows from the Cartan matrix alone: it
 builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It walks the word once, keeping
-the columns y(alpha_i) of the running product y as int tuples of
-simple-root coordinates.  Letter a turns them into those of y s_a,
+four ints for each column y(alpha_i) of the running product y: the key
+sum_j c_j 16^(rank-1-j) of its simple-root coordinates c, its height
+sum_j c_j, and the two integer halves of its value at mu over mu's common
+denominator (``exactnum.integer_parts``).  Letter a moves all four to
+those of y s_a by the one linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
 
-which moves column a and its neighbours in the Dynkin diagram only, and
+which changes column a and its neighbours in the Dynkin diagram only, and
 meets the root y(alpha_a).  When it is positive it is the one inversion
 of (y s_a)^{-1} that y^{-1} lacks; when it is negative its negation is
 the one inversion of y^{-1} that (y s_a)^{-1} lacks, since s_a
-permutes the positive roots other than alpha_a.  So after a word x the
-columns are x(alpha_i) and the roots met are the inversions of x^{-1},
-for a word that is not reduced as well.  The forward form walks the
-reversed word (x = w^{-1}), the inverse form the word (x = w).
-Inversion rows are sorted by (height, coordinates), the root order of
-:mod:`weyldl.rootdata`, so each row, its label and the row count agree
-with the systems that :mod:`weyldl.criterion` builds.
+permutes the positive roots other than alpha_a.  So after a word x,
+reduced or not, the columns are x(alpha_i) and the roots met, kept as
+key -> (height, value), are the inversions of x^{-1}.  The forward form
+walks the reversed word (x = w^{-1}), the inverse form the word (x = w).
+
+Every column is a root, and through rank ``MAX_RANK`` = 8 no root has a
+coordinate above 6 in absolute value: the largest is the 6 of E8's
+highest root 2 3 4 6 5 4 3 2 (Bourbaki, Lie Groups and Lie Algebras,
+ch. VI, plate VII).  So in base 16 the key is injective, its sign is the
+root's, and on positive roots its order is the lexicographic order of
+the coordinates: (height, key) is the root order of
+:mod:`weyldl.rootdata`.  The q-rows come from the final columns, the
+inversion rows from the roots met, and only a rejection orders them: the
+first violated inversion is the least violated one by (height, key), and
+only its coordinates are decoded, to name it.  So the verdict, the label
+and the row count agree with the systems of :mod:`weyldl.criterion`.
 
 This module also owns the certificate itself: the ``Certificate``
 record, its JSON wire format and the parser, which refuses text longer
@@ -52,7 +64,6 @@ from __future__ import annotations
 
 import json
 from math import gcd
-from operator import mul, neg
 
 from .exactnum import QuadExt, _check_radicand, _join_d, _make, _sign, integer_parts, qext
 from .rootdata import Coweight, Frozen, build_twist, cartan_matrix, positive_root_count
@@ -69,7 +80,6 @@ __all__ = [
     "check_certificate",
     "number_from_json",
     "number_to_json",
-    "slacks",
 ]
 
 FORM_FORWARD = "lemma-1.11"
@@ -223,34 +233,8 @@ class CheckResult(Frozen):
         return self.accepted
 
 
-def slacks(coeffs, qcols, values, q):
-    """``(A, B, r, d)``: row k's slack at ``values`` is (A[k] + B[k] sqrt d) / r.
-
-    Row k is the integer tuple ``coeffs[k]`` over the variables, plus q
-    times variable u when ``qcols[k] = u >= 0``; -1 there, or a k past
-    the end of ``qcols``, marks a pure row.  The values go over one
-    common denominator once, so a row is one integer dot product, plus
-    its q term in a q-row; d is 1, and B all zero, when the values and q
-    are rational.  Values and q that mix sqrt 2 with sqrt 3 raise
-    ``IncompatibleRadicandError``.
-    """
-    ps, qs, r, dp = integer_parts(values)
-    (qp,), (qq,), qr, dq = integer_parts([q])
-    d = _join_d(dp, dq)
-    A = [sum(map(mul, row, ps)) for row in coeffs]
-    B = [sum(map(mul, row, qs)) for row in coeffs] if dp != 1 else [0] * len(A)
-    if qr != 1:
-        A = [qr * a for a in A]
-        B = [qr * b for b in B]
-    for k, u in enumerate(qcols):
-        if u >= 0:
-            A[k] += qp * ps[u] + d * qq * qs[u]
-            B[k] += qp * qs[u] + qq * ps[u]
-    return A, B, r * qr, d
-
-
-# (family, rank, twist) -> (unit columns, zero, links, index maps by direction),
-# stored once the descriptor is known valid and the twist is an int.
+# (family, rank, twist) -> (links, unit keys, index maps by direction), stored
+# once the descriptor is known valid and the twist is an int.
 _DESCRIPTORS: dict[tuple[str, int, int], tuple] = {}
 
 
@@ -258,54 +242,48 @@ def _descriptor(family: str, rank: int, twist) -> tuple:
     """The walk's data for a valid (family, rank); raises for an invalid twist.
 
     Entry a of the links lists (i, C[a][i]) for each neighbour i of node a
-    (0-based).  The index maps are the twist's image tuple for direction
-    ``"delta"`` and its inverse for ``"delta_inv"``.
+    (0-based), and entry i of the unit keys is the key of alpha_i.  The
+    index maps are the twist's image tuple for direction ``"delta"`` and
+    its inverse for ``"delta_inv"``.
     """
     key = (family, rank, twist)
     data = _DESCRIPTORS.get(key) if type(twist) is int else None
     if data is None:
         cartan = cartan_matrix(family, rank)
         delta = build_twist(family, rank, twist)
-        units = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
         links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
                       for a, row in enumerate(cartan))
-        maps = {"delta": delta.perm, "delta_inv": delta.inverse_perm}
-        data = (units, (0,) * rank, links, maps)
+        units = tuple(16 ** (rank - 1 - i) for i in range(rank))
+        data = (links, units, {"delta": delta.perm, "delta_inv": delta.inverse_perm})
         if type(twist) is int:
             _DESCRIPTORS[key] = data
     return data
 
 
-def _walk(word, units, zero, links) -> tuple[list, set]:
-    """The columns x(alpha_i) and the inversions of x^{-1}, x the product of ``word``."""
-    cols, met = list(units), set()
+def _sweep(word, links, units, ps, qs) -> tuple[list, list, list, list, dict]:
+    """The columns x(alpha_i) of the product x of ``word`` as (keys, heights, ps, qs),
+    from alpha_i with value ``ps[i]``, ``qs[i]`` at mu, and the roots met,
+    the inversions of x^{-1}: key -> (height, p, q)."""
+    keys, heights, ps, qs, met = list(units), [1] * len(units), list(ps), list(qs), {}
     for a in word:
         a -= 1
-        y = cols[a]
-        minus_y = tuple(map(neg, y))
-        if y > zero:  # a root is positive exactly when its first nonzero coordinate is
-            met.add(y)
+        k, h, p, q = keys[a], heights[a], ps[a], qs[a]
+        if k > 0:  # the sign of a key is the sign of its root
+            met[k] = (h, p, q)
         else:
-            met.remove(minus_y)
-        cols[a] = minus_y
+            del met[-k]
+        keys[a], heights[a], ps[a], qs[a] = -k, -h, -p, -q
         for i, c in links[a]:
-            cols[i] = tuple(x - c * z for x, z in zip(cols[i], y))
-    return cols, met
+            keys[i] -= c * k
+            heights[i] -= c * h
+            ps[i] -= c * p
+            qs[i] -= c * q
+    return keys, heights, ps, qs, met
 
 
-def _rows(descriptor: tuple, word, form: str, direction: str) -> tuple[list, list]:
-    """The coefficient rows of the certificate's system, and the column of q
-    in each q-row; the rows after the q-rows are the inversion roots."""
-    units, zero, links, maps = descriptor
-    pi = maps[direction]
-    if form == FORM_FORWARD:
-        cols, met = _walk(reversed(word), units, zero, links)
-        images, qcols = cols, [p - 1 for p in pi]
-    else:
-        cols, met = _walk(word, units, zero, links)
-        images, qcols = [cols[p - 1] for p in pi], list(range(len(pi)))
-    inversions = sorted(met, key=lambda root: (sum(root), root))
-    return [tuple(map(neg, col)) for col in images] + inversions, qcols
+def _coords(key: int, rank: int) -> tuple[int, ...]:
+    """The simple-root coordinates of the positive root with ``key``."""
+    return tuple(key >> 4 * j & 15 for j in reversed(range(rank)))
 
 
 def check_certificate(cert) -> CheckResult:
@@ -341,13 +319,29 @@ def check_certificate(cert) -> CheckResult:
     if cert.q.sign() <= 0:
         return CheckResult(False, "q must be positive")
 
-    coeffs, qcols = _rows(descriptor, word, cert.form, cert.direction)
-    A, B, _, d = slacks(coeffs, qcols, cert.mu.coords, cert.q)
-    for k, (a, b) in enumerate(zip(A, B)):
-        sign = _sign(a, b, d)
+    links, units, maps = descriptor
+    pi = maps[cert.direction]
+    forward = cert.form == FORM_FORWARD
+    mp, mq, _, d = integer_parts(cert.mu.coords)
+    (qp,), (qq,), qr, dq = integer_parts([cert.q])
+    d = _join_d(d, dq)
+    _, _, ps, qs, met = _sweep(reversed(word) if forward else word, links, units, mp, mq)
+    rows = rank + len(met)
+    # Row i, over the common denominator: q * mu[u] - x(alpha_v)(mu), with
+    # u = pi(i) and v = i in the forward form, u = i and v = pi(i) in the inverse.
+    for i, p in enumerate(pi):
+        u, v = (p - 1, i) if forward else (i, p - 1)
+        sign = _sign(qp * mp[u] + d * qq * mq[u] - qr * ps[v],
+                     qp * mq[u] + qq * mp[u] - qr * qs[v], d)
         if sign <= 0:
-            # Only the sign is reported: a hostile mu can make a slack too long to print.
-            label = f"q-row i={k + 1}" if k < rank else f"inversion {coeffs[k]}"
-            reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
-            return CheckResult(False, reason, len(coeffs))
-    return CheckResult(True, "", len(coeffs))
+            label = f"q-row i={i + 1}"
+            break
+    else:
+        bad = [(h, k) for k, (h, p, q) in met.items() if _sign(p, q, d) <= 0]
+        if not bad:
+            return CheckResult(True, "", rows)
+        _, k = min(bad)
+        label, sign = f"inversion {_coords(k, rank)}", _sign(met[k][1], met[k][2], d)
+    # Only the sign is reported: a hostile mu can make a slack too long to print.
+    reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
+    return CheckResult(False, reason, rows)

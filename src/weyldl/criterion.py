@@ -32,11 +32,11 @@ The certificate (``Certificate``, ``CertificateError`` and
 ``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
 checker, ``check_certificate``, and its verdict ``CheckResult`` live in
 :mod:`weyldl.checker` and are re-exported here.  The checker shares no group
-with this module: it walks the certificate's word over integer root
-coordinates from the Cartan matrix alone, and it never reads solver
-state.  Its rows are the rows of the two forms above, in the same order,
-and its slacks are those of :meth:`IneqSystem.violated` (both use
-:func:`weyldl.checker.slacks`).
+with this module: it walks the certificate's word from the Cartan matrix
+alone, carrying each root's packed coordinates, height and value at mu,
+and it never reads solver state.  Its rows are the rows of the two forms
+above, in the same order, and the signs of its slacks are those of
+:meth:`IneqSystem.violated`, which takes one dot product per row.
 
 ``IneqSystem`` is a plain slotted class with a written-out constructor,
 and its equality, hashing and repr come from
@@ -50,6 +50,7 @@ for all 544 verdicts of the benchmark's ``check`` pass.  See
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional
 
 from .checker import (
@@ -62,10 +63,9 @@ from .checker import (
     CheckResult,
     _ratio,
     check_certificate,
-    slacks,
 )
 from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
-from .exactnum import SQRT2, SQRT3, QuadExt, _make, _sign, qext
+from .exactnum import SQRT2, SQRT3, QuadExt, _join_d, _make, _sign, integer_parts, qext
 from .lp import _solve_dual, integer_rows
 from .rootdata import Coweight, Frozen, Twist
 from .weyl import WeylElt, WeylGroup
@@ -127,9 +127,26 @@ class IneqSystem(Frozen):
         return f"inversion {subject}" if type(subject) is tuple else subject
 
     def _slacks(self, point: Mapping[int, QuadExt]):
-        """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r
-        (see :func:`weyldl.checker.slacks`)."""
-        return slacks(self.coeffs, self.qcols, [point.get(i, 0) for i in self.varset], self.q)
+        """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r.
+
+        The values go over one common denominator once, so a row is one
+        integer dot product, plus its q term in a q-row; d is 1, and B all
+        zero, when the values and q are rational.  Values and q that mix
+        sqrt 2 with sqrt 3 raise ``IncompatibleRadicandError``.
+        """
+        ps, qs, r, dp = integer_parts([point.get(i, 0) for i in self.varset])
+        (qp,), (qq,), qr, dq = integer_parts([self.q])
+        d = _join_d(dp, dq)
+        A = [sum(map(mul, row, ps)) for row in self.coeffs]
+        B = [sum(map(mul, row, qs)) for row in self.coeffs] if dp != 1 else [0] * len(A)
+        if qr != 1:
+            A = [qr * a for a in A]
+            B = [qr * b for b in B]
+        for k, u in enumerate(self.qcols):
+            if u >= 0:
+                A[k] += qp * ps[u] + d * qq * qs[u]
+                B[k] += qp * qs[u] + qq * ps[u]
+        return A, B, r * qr, d
 
     def evaluate(self, point: Mapping[int, QuadExt]) -> list[QuadExt]:
         """Slack of every row at a point given on the variable set."""

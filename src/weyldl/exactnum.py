@@ -16,7 +16,8 @@ One kernel serves the row arithmetic of the strict systems.
 ``integer_parts(xs)`` puts a list of numbers over their least common
 denominator r, as integers p_k + q_k sqrt(d) over r with one radicand d
 for the whole list, so that a row's value at a point is one integer dot
-product: the slacks of ``weyldl.checker`` and the integer rows of
+product: the slacks of ``weyldl.criterion``, the root values that
+``weyldl.checker`` carries through its walk, and the integer rows of
 ``weyldl.lp`` (the simplex, the Gordan witness and its check) never
 build a ``QuadExt`` per cell.  The wire form of these numbers belongs
 to the certificate format, and lives in :mod:`weyldl.checker`.

@@ -4,10 +4,11 @@
 ``checker_oracle.oracle_check`` (accepted, reason and rows checked) on
 every input: the frozen benchmark corpus and variants of it, both routes'
 certificates through rank 6 (W3's 360 and rank 5/6's 816), and
-Hypothesis-made certificates.  Its trusted base
-is pinned too: it imports only ``exactnum`` and ``rootdata`` from weyldl,
-and it checks the corpus with the group and root-closure builders
-disabled.  The certificate parser it owns is checked here as well: its
+Hypothesis-made certificates, and a rejection on an inversion row.  The
+walk's rows are ``criterion``'s rows, and the bound its root keys rest on
+holds for every type.  Its trusted base is pinned too: it imports only
+``exactnum`` and ``rootdata`` from weyldl, and it checks the corpus with
+the group and root-closure builders disabled.  The certificate parser it owns is checked here as well: its
 length limit, and its "p/q" reader against a regex reference.
 """
 
@@ -15,6 +16,7 @@ import ast
 import json
 import re
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,7 @@ from weyldl.criterion import (
     certify_min_element,
     minimal_q,
 )
-from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
+from weyldl.exactnum import SQRT2, SQRT3, QuadExt, integer_parts, qext
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import Coweight, build_twist, candidate_types, positive_root_count
 
@@ -249,18 +251,80 @@ def _words(draw):
             draw(st.sampled_from([FORM_FORWARD, FORM_INVERSE])), tuple(word))
 
 
+def _signed_coords(key: int, rank: int) -> tuple[int, ...]:
+    """The coordinates of any root from its key: balanced base-16 digits in -8..7."""
+    coords = []
+    for _ in range(rank):
+        coords.append((key + 8) % 16 - 8)
+        key = (key - coords[-1]) // 16
+    assert key == 0
+    return tuple(reversed(coords))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_words())
-def test_rows_are_the_systems_rows(case):
-    """The walk gives the rows of ``criterion``'s system, in its order, and its q columns."""
+@given(_words(), st.data())
+def test_rows_are_the_systems_rows(case, data):
+    """The walk's q-row columns and its inversions, decoded and in (height, key) order,
+    are the rows of ``criterion``'s system with its q columns, and each row's value at
+    a random mu is the system's slack."""
     family, rank, twist, direction, form, word = case
+    q = data.draw(st.sampled_from([qext(2), qext(Fraction(7, 2)), SQRT2 * 2, SQRT3 + 1]))
+    mu = data.draw(st.lists(_NUMBERS[tuple(sorted({1, q.d}))], min_size=rank, max_size=rank))
     W = group(family, rank)
-    build = build_forward_system if form == FORM_FORWARD else build_inverse_system
-    system = build(W, W.from_word(word), pi_of(build_twist(family, rank, twist), direction), 2)
-    descriptor = checker._descriptor(family, rank, twist)
-    coeffs, qcols = checker._rows(descriptor, word, form, direction)
-    assert coeffs == list(system.coeffs)
-    assert qcols + [-1] * (len(coeffs) - rank) == list(system.qcols)
+    forward = form == FORM_FORWARD
+    build = build_forward_system if forward else build_inverse_system
+    system = build(W, W.from_word(word), pi_of(build_twist(family, rank, twist), direction), q)
+
+    links, units, maps = checker._descriptor(family, rank, twist)
+    ps, qs, r, d = integer_parts(mu)
+    keys, heights, ps_at, qs_at, met = checker._sweep(
+        tuple(reversed(word)) if forward else word, links, units, ps, qs)
+    pi = maps[direction]
+    cols = list(range(rank)) if forward else [p - 1 for p in pi]
+    qcols = [p - 1 for p in pi] if forward else list(range(rank))
+    inversions = sorted(met, key=lambda k: (met[k][0], k))
+    columns = [_signed_coords(keys[v], rank) for v in cols]
+    assert [heights[v] for v in cols] == [sum(col) for col in columns]
+    assert [met[k][0] for k in inversions] == [sum(checker._coords(k, rank)) for k in inversions]
+    coeffs = [tuple(-c for c in col) for col in columns]
+    assert coeffs + [checker._coords(k, rank) for k in inversions] == list(system.coeffs)
+    assert qcols + [-1] * len(inversions) == list(system.qcols)
+
+    def value(p, s):
+        return QuadExt(Fraction(p, r), Fraction(s, r), d)
+
+    slacks = ([q * mu[u] - value(ps_at[v], qs_at[v]) for u, v in zip(qcols, cols)]
+              + [value(*met[k][1:]) for k in inversions])
+    assert slacks == system.evaluate({i + 1: x for i, x in enumerate(mu)})
+
+
+@pytest.mark.parametrize("family, rank", TYPES, ids=[f"{f}{n}" for f, n in TYPES])
+def test_root_keys_are_injective_and_in_root_order(family, rank):
+    """Through ``MAX_RANK`` every root coordinate lies in -7..7, so the base-16 key of a
+    positive root decodes back to it, and (height, key) sorts like rootdata's
+    (height, coordinates)."""
+    roots = rootdata.build_root_system(family, rank).positive_roots
+    assert all(-7 <= c <= 7 for root in roots for c in root)
+    units = checker._descriptor(family, rank, 1)[1]
+    by_key = {sum(map(mul, root, units)): root for root in roots}
+    assert len(by_key) == len(roots)
+    assert all(checker._coords(key, rank) == root for key, root in by_key.items())
+    in_key_order = [by_key[k] for k in sorted(by_key, key=lambda k: (sum(by_key[k]), k))]
+    assert in_key_order == sorted(roots, key=lambda root: (sum(root), root)) == list(roots)
+
+
+@pytest.mark.parametrize("family, rank, word, mu, reason, rows", [
+    ("A", 4, (3, 1, 4, 2, 3, 4, 1), (-1, 6, 0, 5),
+     "violated: inversion (0, 0, 1, 0) (slack zero)", 11),
+    ("C", 3, (3, 2, 1, 2, 3), (0, 3, -1), "violated: inversion (0, 0, 1) (slack negative)", 8),
+], ids=["slack_zero", "slack_negative"])
+def test_rejects_on_an_inversion_row(family, rank, word, mu, reason, rows):
+    """Every q-row holds and two inversions fail, one with slack zero and one negative:
+    the first in root order is named, with the oracle's result.  In A4 the walk meets
+    the other one, (1, 0, 0, 0), first."""
+    cert = Certificate(family, rank, 1, "delta", qext(3), word, FORM_FORWARD,
+                       Coweight.of(list(mu)))
+    assert check_certificate(cert) == CheckResult(False, reason, rows) == oracle_check(cert)
 
 
 # -- the trusted base ------------------------------------------------------------------
