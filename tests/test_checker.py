@@ -8,8 +8,9 @@ Hypothesis-made certificates, and a rejection on an inversion row.  The
 walk's rows are ``criterion``'s rows, and the bound its root keys rest on
 holds for every type.  Its trusted base is pinned too: it imports only
 ``exactnum`` and ``rootdata`` from weyldl, and it checks the corpus with
-the group and root-closure builders disabled.  The certificate parser it owns is checked here as well: its
-length limit, and its "p/q" reader against a regex reference.
+the group and root-closure builders disabled.  The certificate parser it
+owns is checked here as well: its length limit, and its "p/q" reader
+against a regex reference.
 """
 
 import ast
