@@ -52,6 +52,7 @@ from .subsystems import sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
+    "CATALOG_DIRECTION",
     "CaseRecord",
     "CaseReport",
     "AggregateReport",
@@ -66,6 +67,10 @@ __all__ = [
 
 
 _setattr = object.__setattr__
+
+# The twist direction of every tabulated class: the inverse twist.  The
+# catalog's maps (``type_group``) and its inverse-form certificates read it.
+CATALOG_DIRECTION = "delta_inv"
 
 
 def br(a: int, b: int) -> tuple[int, ...]:
@@ -157,7 +162,7 @@ def type_group(family: str, rank: int, twist: int) -> tuple[WeylGroup, PiMap]:
     Built once per type and shared by every row of it: no caller may
     change the map.
     """
-    return weyl_group(family, rank), pi_of(build_twist(family, rank, twist), "delta_inv")
+    return weyl_group(family, rank), pi_of(build_twist(family, rank, twist), CATALOG_DIRECTION)
 
 
 def _mfrac(d: dict[int, int]) -> dict[int, Fraction]:
@@ -1024,7 +1029,7 @@ def _spade_certificate(
             continue
         cert = Certificate(
             family=record.family, rank=record.rank, twist=record.twist,
-            direction="delta_inv", q=q, w=w.word, form=FORM_INVERSE, mu=mu,
+            direction=CATALOG_DIRECTION, q=q, w=w.word, form=FORM_INVERSE, mu=mu,
         )
         res = check_certificate(cert)
         if not res:
@@ -1115,7 +1120,7 @@ def verify_case(
             if cert is not None and record.pinned_mu is not None:
                 pinned = Certificate(
                     family=record.family, rank=record.rank, twist=record.twist,
-                    direction="delta_inv", q=q, w=w1.word, form=FORM_INVERSE,
+                    direction=CATALOG_DIRECTION, q=q, w=w1.word, form=FORM_INVERSE,
                     mu=Coweight.of(record.pinned_mu),
                 )
                 pinned_ok = bool(check_certificate(pinned))

@@ -17,8 +17,9 @@ builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It walks the word once, keeping
 four ints for each column y(alpha_i) of the running product y: the key
 sum_j c_j 16^(rank-1-j) of its simple-root coordinates c, its height
-sum_j c_j, and the two integer halves of its value at mu over mu's common
-denominator (``exactnum.integer_parts``).  Letter a moves all four to
+sum_j c_j, and the two integer halves of its value at mu over the one
+common denominator that mu shares with q (``exactnum.integer_parts``, one
+call for q and every coordinate).  Letter a moves all four to
 those of y s_a by the one linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
@@ -65,7 +66,14 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .exactnum import QuadExt, _check_radicand, _join_d, _make, _sign, integer_parts, qext
+from .exactnum import (
+    IncompatibleRadicandError,
+    QuadExt,
+    _check_radicand,
+    _make,
+    _sign,
+    integer_parts,
+)
 from .rootdata import Coweight, Frozen, build_twist, cartan_matrix, positive_root_count
 
 __all__ = [
@@ -311,28 +319,27 @@ def check_certificate(cert) -> CheckResult:
         return CheckResult(False, "mu has wrong rank")
     if any(i < 1 or i > rank for i in word):
         return CheckResult(False, "word letter out of range")
-    # Each coordinate is compatible with q alone; the system sums them all.
-    radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
-    if len(radicands) > 1:
-        return CheckResult(False, "incompatible exact numbers: cannot combine "
-                           + " with ".join(f"sqrt({d})" for d in radicands))
-    if cert.q.sign() <= 0:
+    # q and every coordinate over one denominator r and one radicand d: the
+    # system sums them all, so each must be compatible with every other.
+    try:
+        (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *cert.mu.coords])
+    except IncompatibleRadicandError:
+        return CheckResult(False, "incompatible exact numbers: "
+                           "cannot combine sqrt(2) with sqrt(3)")
+    if _sign(qp, qq, d) <= 0:
         return CheckResult(False, "q must be positive")
 
     links, units, maps = descriptor
     pi = maps[cert.direction]
     forward = cert.form == FORM_FORWARD
-    mp, mq, _, d = integer_parts(cert.mu.coords)
-    (qp,), (qq,), qr, dq = integer_parts([cert.q])
-    d = _join_d(d, dq)
     _, _, ps, qs, met = _sweep(reversed(word) if forward else word, links, units, mp, mq)
     rows = rank + len(met)
-    # Row i, over the common denominator: q * mu[u] - x(alpha_v)(mu), with
-    # u = pi(i) and v = i in the forward form, u = i and v = pi(i) in the inverse.
+    # Row i, times r * r: q * mu[u] - x(alpha_v)(mu), with u = pi(i) and
+    # v = i in the forward form, u = i and v = pi(i) in the inverse.
     for i, p in enumerate(pi):
         u, v = (p - 1, i) if forward else (i, p - 1)
-        sign = _sign(qp * mp[u] + d * qq * mq[u] - qr * ps[v],
-                     qp * mq[u] + qq * mp[u] - qr * qs[v], d)
+        sign = _sign(qp * mp[u] + d * qq * mq[u] - r * ps[v],
+                     qp * mq[u] + qq * mp[u] - r * qs[v], d)
         if sign <= 0:
             label = f"q-row i={i + 1}"
             break

@@ -58,8 +58,7 @@ def _parse_rep(text: str) -> tuple[int, ...]:
 
 def cmd_enumerate(args) -> int:
     W, twist = _build(args)
-    pi = pi_of(twist, "delta")
-    classes = class_list(W, pi, direction="delta")
+    classes = class_list(W, pi_of(twist))
     for cls in classes:
         word = ",".join(map(str, cls.representative.word)) or "e"
         print(f"rep=[{word}] min_length={cls.min_length} cuspidal={str(cls.cuspidal).lower()}")
@@ -70,9 +69,8 @@ def cmd_enumerate(args) -> int:
 def cmd_certify(args) -> int:
     W, twist = _build(args)
     q = _q_of(args, args.family, args.twist)
-    pi = pi_of(twist, "delta")
     rep = W.from_word(_parse_rep(args.class_rep))
-    target = class_of(W, pi, rep)
+    target = class_of(W, pi_of(twist), rep)
     cert = certify_min_element(W, twist, target, q)
     text = cert.to_json()
     if args.out:
@@ -116,9 +114,8 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_shift_graph(args) -> int:
     W, twist = _build(args)
-    pi = pi_of(twist, "delta")
     start = W.from_word(_parse_rep(args.class_rep))
-    graph = shift_closure(W, pi, start)
+    graph = shift_closure(W, pi_of(twist), start)
     nodes = sorted(graph, key=lambda w: w.sort_key())
     name = {w: ",".join(map(str, w.word)) or "e" for w in nodes}
     edges: dict[tuple[str, str], list[int]] = {}

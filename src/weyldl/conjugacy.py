@@ -4,7 +4,9 @@ A twist enters everywhere as a bare index permutation ``pi`` on the
 nodes of the group in hand: the class of ``w`` is the orbit of the
 cyclic shifts ``w -> s_i w s_{pi(i)}``, which generate conjugation by
 all of W composed with the diagram automorphism ``i -> pi(i)``.  Passing
-the inverse permutation switches between the two twist directions.
+the inverse permutation switches between the two twist directions.  A
+class is keyed on pi alone: ``DeltaClass.pi`` is its only statement of
+the twist, and ``direction_of`` names it on a certificate's wire.
 
 Elements move here only as keys, by ``bytes.translate`` through the
 group's reflection table (see ``weyl``); a class is its minimal-length
@@ -36,6 +38,7 @@ __all__ = [
     "WALK_BUDGET",
     "FalsificationError",
     "pi_of",
+    "direction_of",
     "restrict_pi",
     "inverse_pi",
     "power_pi",
@@ -77,6 +80,19 @@ def pi_of(twist: Twist, direction: str = "delta") -> PiMap:
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return {i: perm[i - 1] for i in range(1, len(twist.perm) + 1)}
+
+
+def direction_of(twist: Twist, pi: PiMap) -> str:
+    """The direction whose ``pi_of`` map is pi: the inverse of ``pi_of``.
+
+    "delta" whenever pi is the twist's own map, so for both maps of a twist
+    of order 1 or 2; "delta_inv" for the inverse map alone (3D4).  Raises
+    ValueError for a map of neither direction.
+    """
+    for direction in ("delta", "delta_inv"):
+        if pi == pi_of(twist, direction):
+            return direction
+    raise ValueError(f"index map {sorted(pi.items())} is not a map of the twist {twist.perm}")
 
 
 def restrict_pi(pi: PiMap, nodes: Iterable[int]) -> PiMap:
@@ -174,18 +190,16 @@ _setattr = object.__setattr__
 class DeltaClass(Frozen):
     """One twisted conjugacy class, given by its minimal-length members."""
 
-    __slots__ = ("group_key", "direction", "pi", "minimal", "cuspidal")
+    __slots__ = ("group_key", "pi", "minimal", "cuspidal")
 
     def __init__(
         self,
         group_key: tuple[tuple[int, ...], ...],  # the system key: the Cartan matrix
-        direction: str,
-        pi: tuple[tuple[int, int], ...],
+        pi: tuple[tuple[int, int], ...],  # the twist's index map, as sorted items
         minimal: tuple[WeylElt, ...],  # the minimal-length members, by canonical word
         cuspidal: bool,
     ):
         _setattr(self, "group_key", group_key)
-        _setattr(self, "direction", direction)
         _setattr(self, "pi", pi)
         _setattr(self, "minimal", minimal)
         _setattr(self, "cuspidal", cuspidal)
@@ -618,29 +632,28 @@ def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt],
     return sorted(found.values(), key=lambda u: u.word), set(joins)
 
 
-def _delta_class(W: WeylGroup, pi: PiMap, direction: str, minimal: list[WeylElt]) -> DeltaClass:
+def _delta_class(W: WeylGroup, pi: PiMap, minimal: list[WeylElt]) -> DeltaClass:
     return DeltaClass(
         group_key=W.system.key,
-        direction=direction,
         pi=tuple(sorted(pi.items())),
         minimal=tuple(minimal),
         cuspidal=supp_delta(W, pi, minimal[0]) == frozenset(W.system.nodes),
     )
 
 
-def class_of(W: WeylGroup, pi: PiMap, w: WeylElt, direction: str = "delta") -> DeltaClass:
+def class_of(W: WeylGroup, pi: PiMap, w: WeylElt) -> DeltaClass:
     """The pi-class of any w: non-increasing shifts down to a minimal element
     (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1), then ``minimal_set``."""
     pi = restrict_pi(pi, W.system.nodes)
     while (shorter := _shorter(W, pi, w)) is not None:
         w = shorter
-    return _delta_class(W, pi, direction, minimal_set(W, pi, w))
+    return _delta_class(W, pi, minimal_set(W, pi, w))
 
 
 _CLASS_MEMO: dict[tuple, list[DeltaClass]] = {}
 
 
-def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaClass]:
+def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     """Every pi-class of W, by (length, canonical word) of its representative.
 
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
@@ -648,12 +661,13 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
     ``minimal_set`` of a seed of W_J.  A seed already found is skipped (for
     J = S it raises FalsificationError), and so is a J that is the support
     of a level walked: the joins to it conjugate an earlier W_J' onto W_J,
-    twist included.  Memoized on the system key (the Cartan matrix), pi
-    and direction, like ``cuspidal_representatives``.  Raises
+    twist included.  Memoized on the system key (the Cartan matrix) and
+    pi, like ``cuspidal_representatives``, so the two equal maps of a twist
+    of order 1 or 2 share one entry.  Raises
     ValueError when some W_J has no cuspidal seeds (E7 and E8 for now).
     """
     pi = restrict_pi(pi, W.system.nodes)
-    key = (W.system.key, tuple(sorted(pi.items())), direction)
+    key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CLASS_MEMO:
         orbits = _pi_orbits(pi, W.system.nodes)
         found: set[bytes] = set()
@@ -674,7 +688,7 @@ def class_list(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaC
                     minimal, walked = _minimal_levels(W, pi, x)
                     found.update(u.key for u in minimal)
                     supports |= walked
-                    classes.append(_delta_class(W, pi, direction, minimal))
+                    classes.append(_delta_class(W, pi, minimal))
         classes.sort(key=lambda c: c.representative.sort_key())
         _CLASS_MEMO[key] = classes
     return _CLASS_MEMO[key]

@@ -64,7 +64,7 @@ from .checker import (
     _ratio,
     check_certificate,
 )
-from .conjugacy import DeltaClass, FalsificationError, PiMap, pi_of, restrict_pi
+from .conjugacy import DeltaClass, FalsificationError, PiMap, direction_of, restrict_pi
 from .exactnum import SQRT2, SQRT3, QuadExt, _join_d, _make, _sign, integer_parts, qext
 from .lp import _solve_dual, integer_rows
 from .rootdata import Coweight, Frozen, Twist
@@ -85,6 +85,7 @@ __all__ = [
     "certify_min_element",
     "minimal_q",
     "admissible_q",
+    "class_map",
     "parse_q_literal",
     "FORMAT_VERSION",
 ]
@@ -324,6 +325,18 @@ def parse_q_literal(text: str) -> QuadExt:
     return QuadExt(value) if d == 1 else QuadExt(0, value, d)
 
 
+def class_map(W: WeylGroup, twist: Twist, dclass: DeltaClass) -> tuple[PiMap, str]:
+    """The index map of ``dclass`` and the direction it goes on the wire as.
+
+    Raises ValueError for a class of another group than W, or of another
+    twist than ``twist`` (``direction_of``).
+    """
+    if dclass.group_key != W.system.key:
+        raise ValueError(f"the class is not a class of {W.system.family}{W.system.rank}")
+    pi = dict(dclass.pi)
+    return pi, direction_of(twist, pi)
+
+
 def certify_min_element(
     W: WeylGroup,
     twist: Twist,
@@ -336,12 +349,14 @@ def certify_min_element(
     (length, word) order, solving the forward system for each, and
     returns the first feasible witness re-validated by the independent
     checker.  Exhaustion contradicts the existence theorem and raises
-    FalsificationError.  A rank outside the checker's range and a q below
-    the type's minimum raise ValueError before any solving.
+    FalsificationError.  A rank outside the checker's range, a q below
+    the type's minimum, and a class of another group or twist raise
+    ValueError before any solving.  The system and the certificate's
+    direction come from the class's own index map (``class_map``).
     """
     family, rank = W.system.family, W.system.rank
     q = admissible_q(family, rank, twist.order, q)
-    pi = pi_of(twist, dclass.direction)
+    pi, direction = class_map(W, twist, dclass)
     for w in dclass.minimal:
         system = build_forward_system(W, w, pi, q)
         mu = feasible(system)
@@ -351,7 +366,7 @@ def certify_min_element(
             family=family,
             rank=rank,
             twist=twist.order,
-            direction=dclass.direction,
+            direction=direction,
             q=q,
             w=w.word,
             form=FORM_FORWARD,

@@ -11,11 +11,12 @@ matrix alone and shares no group, root closure or reflection table with
 this route; no bound is trusted numerically.
 
 Every step works on all nodes of the group it is handed, with an index
-map pi on them (the forward twist direction).  A smaller parabolic W_S
-(the support, an orthogonal or cyclic factor, the K of a tabulated step)
-is certified in its standalone group (``subsystems.sub_context``) and
-its witness embedded back; an ``EngineCert`` on S then feeds the step
-that lifts or combines it.  Tabulated data is consulted through a
+map pi on them; at the top, pi is the class's own map (``DeltaClass.pi``),
+not one read off a direction label.  A smaller parabolic W_S (the
+support, an orthogonal or cyclic factor, the K of a tabulated step) is
+certified in its standalone group (``subsystems.sub_context``) and its
+witness embedded back; an ``EngineCert`` on S then feeds the step that
+lifts or combines it.  Tabulated data is consulted through a
 labelling isomorphism onto the standard types.
 
 The route enumerates no group: each step starts from one minimal element
@@ -46,7 +47,6 @@ from .conjugacy import (
     PiMap,
     inverse_pi,
     minimal_level,
-    pi_of,
     power_pi,
     supp_delta,
 )
@@ -58,6 +58,7 @@ from .criterion import (
     build_forward_system,
     build_star_system,
     check_certificate,
+    class_map,
     feasible,
 )
 from .exactnum import ZERO, QuadExt, qext
@@ -504,19 +505,21 @@ def constructive_certificate(
 
     The element and coweight generally differ from the solver route's;
     both must be accepted by the same independent checker.  A rank outside
-    the checker's range and a q below the type's minimum raise ValueError
-    before any construction (``admissible_q``).
+    the checker's range and a q below the type's minimum (``admissible_q``),
+    and a class of another group or twist (``class_map``), raise ValueError
+    before any construction.  The construction and the certificate's
+    direction come from the class's own index map.
     """
     family, rank = W.system.family, W.system.rank
     q = admissible_q(family, rank, twist.order, q)
-    pi = pi_of(twist, dclass.direction)
+    pi, direction = class_map(W, twist, dclass)
     cert = _engine(W, pi, q, dclass.representative)
     coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
     out = Certificate(
         family=family,
         rank=rank,
         twist=twist.order,
-        direction=dclass.direction,
+        direction=direction,
         q=q,
         w=cert.w.word,
         form=FORM_FORWARD,

@@ -82,13 +82,13 @@ def elements_of(W: WeylGroup) -> list[WeylElt]:
     return [WeylElt(W, key, length) for key, length in group_elements(W).items()]
 
 
-# (system key, pi, direction) -> (classes, member keys per class, class index per key).
+# (system key, pi) -> (classes, member keys per class, class index per key).
 _PARTITIONS: dict[tuple, tuple[list[DeltaClass], list[tuple[bytes, ...]], dict[bytes, int]]] = {}
 
 
-def _partition(W: WeylGroup, pi: PiMap, direction: str):
+def _partition(W: WeylGroup, pi: PiMap):
     pi = restrict_pi(pi, W.system.nodes)
-    key = (W.system.key, tuple(sorted(pi.items())), direction)
+    key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _PARTITIONS:
         lengths = group_elements(W)
         tables = W.reflection_table()
@@ -118,7 +118,7 @@ def _partition(W: WeylGroup, pi: PiMap, direction: str):
             minimal = sorted((WeylElt(W, k, low) for k in members if lengths[k] == low),
                              key=lambda w: w.word)
             classes.append(DeltaClass(
-                group_key=W.system.key, direction=direction, pi=tuple(sorted(pi.items())),
+                group_key=W.system.key, pi=tuple(sorted(pi.items())),
                 minimal=tuple(minimal),
                 cuspidal=supp_delta(W, pi, minimal[0]) == frozenset(W.system.nodes),
             ))
@@ -132,27 +132,27 @@ def _partition(W: WeylGroup, pi: PiMap, direction: str):
     return _PARTITIONS[key]
 
 
-def enumerate_delta_classes(W: WeylGroup, pi: PiMap, direction: str = "delta") -> list[DeltaClass]:
+def enumerate_delta_classes(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     """The partition of the whole group W into pi-twisted classes.
 
     Classes come back sorted by (min_length, canonical word of the
     representative), the representative being the smallest minimal-length
     element in that order: the order of ``class_list``.  Classes are the
     orbits of the shifts over the element keys.  Memoized on the system
-    key, pi and direction.
+    key and pi.
     """
-    return _partition(W, pi, direction)[0]
+    return _partition(W, pi)[0]
 
 
-def oracle_class_of(W: WeylGroup, pi: PiMap, w: WeylElt, direction: str = "delta") -> DeltaClass:
+def oracle_class_of(W: WeylGroup, pi: PiMap, w: WeylElt) -> DeltaClass:
     """The enumerated class of W containing ``w``."""
-    classes, _, owner = _partition(W, pi, direction)
+    classes, _, owner = _partition(W, pi)
     return classes[owner[w.key]]
 
 
 def class_keys(W: WeylGroup, cls: DeltaClass) -> tuple[bytes, ...]:
     """The member keys of a class of W, in enumeration order, read off the enumeration."""
-    classes, keys, owner = _partition(W, dict(cls.pi), cls.direction)
+    classes, keys, owner = _partition(W, dict(cls.pi))
     k = owner[cls.representative.key]
     if classes[k] != cls:
         raise AssertionError(f"{cls!r} is not a class of the enumeration")

@@ -193,7 +193,7 @@ def test_criterion_5_class_count_oracles():
             vws = rec.v_words if rec.v_mode == "words" else ((),)
             for vw in vws:
                 w = W.multiply(W.from_word(vw), W.from_word(rec.w1))
-                cls = class_of(W, pi_inv, w, direction="delta_inv")
+                cls = class_of(W, pi_inv, w)
                 reps.add(cls.representative)
         assert len(reps) == count, (family, rank, sorted(r.word for r in reps))
     _report("5", True, "G2 -> 3 and F4 -> 9 by enumeration and by table multiplicity")

@@ -307,7 +307,7 @@ class TestCoverage:
         """Each cuspidal class receives a minimal representative from a row's
         inner options, as the verifier resolves them."""
         W, pi = type_group(family, rank, twist)
-        cusp = [c for c in class_list(W, pi, direction="delta_inv") if c.cuspidal]
+        cusp = [c for c in class_list(W, pi) if c.cuspidal]
         covered = {c.representative: False for c in cusp}
         for rec in case_records(family, rank, twist):
             placed = place_row(W, pi, rec.J, rec.w1)
@@ -316,7 +316,7 @@ class TestCoverage:
             assert problem is None, (rec.label, problem)
             for vw in vws:
                 w = W.multiply(W.from_word(vw), placed.w1)
-                cls = class_of(W, pi, w, direction="delta_inv")
+                cls = class_of(W, pi, w)
                 if cls.cuspidal and w.length == cls.min_length:
                     covered[cls.representative] = True
         missing = [rep.word for rep, ok in covered.items() if not ok]
@@ -333,12 +333,12 @@ def _verdicts_by_enumeration(record):
     for vw in v_words:
         v = W.from_word(vw)
         if placed.K and W.support(v) <= placed.K:
-            cls = oracle_class_of(*placed.inner(v), direction="delta_inv")
+            cls = oracle_class_of(*placed.inner(v))
             inner.append(cls.min_length == v.length)
         else:
             inner.append(not placed.K)
         w = W.multiply(v, placed.w1)
-        cls = oracle_class_of(W, pi, w, direction="delta_inv")
+        cls = oracle_class_of(W, pi, w)
         full.append(cls.min_length == w.length)
         cuspidal.append(cls.cuspidal)
     if record.v_mode == "all":

@@ -13,13 +13,14 @@ from weyldl.conjugacy import (
     closure_min_check,
     compute_I_J_x,
     cuspidal_representatives,
+    direction_of,
     minimal_level,
     minimal_set,
     pi_of,
     shift_closure,
     supp_delta,
 )
-from weyldl.rootdata import build_twist
+from weyldl.rootdata import build_twist, positive_root_count
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup, group_of
 
@@ -203,7 +204,7 @@ class TestEnumeration:
                             frontier.append(v)
                 done |= orbit
                 orbits.add(frozenset(orbit))
-            classes = enumerate_delta_classes(W, pi, direction=direction)
+            classes = enumerate_delta_classes(W, pi)
             assert {frozenset(class_elements(W, c)) for c in classes} == orbits
             for cls in classes:
                 members = class_elements(W, cls)
@@ -230,8 +231,59 @@ class TestDeltaClassRecord:
         with pytest.raises(AttributeError):
             del cls.minimal
         assert not hasattr(cls, "__dict__")
-        assert DeltaClass.__slots__ == ("group_key", "direction", "pi", "minimal", "cuspidal")
+        assert DeltaClass.__slots__ == ("group_key", "pi", "minimal", "cuspidal")
         assert cls == again[-1]
+
+
+def twists_through_rank_8():
+    """(family, rank, twist) for every type of rank <= 8 and each of its twists."""
+    out = []
+    for family in "ABCDEFG":
+        for rank in range(1, 9):
+            try:
+                positive_root_count(family, rank)
+            except ValueError:
+                continue
+            for order in (1, 2, 3):
+                try:
+                    out.append((family, rank, build_twist(family, rank, order)))
+                except ValueError:
+                    pass
+    return out
+
+
+class TestDirectionOf:
+    """``direction_of`` is the inverse of ``pi_of``, with "delta" for an involution."""
+
+    def test_round_trips_pi_of(self):
+        """Both maps of every twist through rank 8: "delta" for order 1 and 2, the
+        direction itself for 3D4."""
+        twists = twists_through_rank_8()
+        assert len(twists) == 50
+        assert [(f, r) for f, r, t in twists if t.order == 3] == [("D", 4)]
+        for family, rank, twist in twists:
+            for direction in ("delta", "delta_inv"):
+                pi = pi_of(twist, direction)
+                expected = direction if twist.order == 3 else "delta"
+                assert direction_of(twist, pi) == expected, (family, rank, twist.order)
+
+    def test_rejects_other_maps(self):
+        """A map that is neither of the twist's: two images swapped, a node
+        missing, or a node too many."""
+        for family, rank, twist in twists_through_rank_8():
+            pi = pi_of(twist)
+            others = [{i: i for i in range(1, rank + 2)}, dict(list(pi.items())[:-1])]
+            if rank > 1:
+                others.append({**pi, 1: pi[2], 2: pi[1]})
+            for other in others:
+                with pytest.raises(ValueError, match="is not a map of the twist"):
+                    direction_of(twist, other)
+
+    @pytest.mark.parametrize("family,rank,order", [("A", 3, 1), ("A", 3, 2), ("E", 6, 2)])
+    def test_involution_maps_share_one_class_list(self, family, rank, order):
+        """The two equal maps of a twist of order 1 or 2 read one memo entry."""
+        W, twist = group(family, rank), build_twist(family, rank, order)
+        assert class_list(W, pi_of(twist, "delta")) is class_list(W, pi_of(twist, "delta_inv"))
 
 
 class TestSharedSubGroups:
@@ -357,10 +409,10 @@ class TestInverseMap:
             W = group(family, rank)
             t = build_twist(family, rank, order)
             fwd = class_list(W, pi_of(t, "delta"))
-            bwd = class_list(W, pi_of(t, "delta_inv"), direction="delta_inv")
+            bwd = class_list(W, pi_of(t, "delta_inv"))
             for cls in fwd:
                 winv = W.invert(cls.representative)
-                other = class_of(W, pi_of(t, "delta_inv"), winv, direction="delta_inv")
+                other = class_of(W, pi_of(t, "delta_inv"), winv)
                 assert other in bwd
                 assert other.min_length == cls.min_length
                 assert len(class_keys(W, other)) == len(class_keys(W, cls))
@@ -405,7 +457,7 @@ class TestClosureMinCheck:
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
             expected = {
-                w: "minimal" if w.length == oracle_class_of(W, pi, w, direction).min_length
+                w: "minimal" if w.length == oracle_class_of(W, pi, w).min_length
                 else "not_minimal"
                 for w in elements_of(W)
             }
@@ -414,7 +466,7 @@ class TestClosureMinCheck:
             for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
                 monkeypatch.setattr(conjugacy, memo, {})
             warmed = conjugacy._verdicts(W, pi)
-            for cls in class_list(W, pi, direction):
+            for cls in class_list(W, pi):
                 assert all(warmed[u.key] for u in cls.minimal)
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
 
@@ -493,8 +545,8 @@ class TestBudgets:
         assert "budget" in str(err.value)
 
 
-def cuspidal_words_by_enumeration(W, pi, direction="delta"):
-    return [c.representative.word for c in enumerate_delta_classes(W, pi, direction) if c.cuspidal]
+def cuspidal_words_by_enumeration(W, pi):
+    return [c.representative.word for c in enumerate_delta_classes(W, pi) if c.cuspidal]
 
 
 def block_cartan(*blocks):
@@ -533,7 +585,7 @@ class TestCuspidalRepresentatives:
         W = group(family, rank)
         pi = pi_of(build_twist(family, rank, order), direction)
         got = [w.word for w in cuspidal_representatives(W, pi)]
-        assert got == cuspidal_words_by_enumeration(W, pi, direction)
+        assert got == cuspidal_words_by_enumeration(W, pi)
 
     @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
     @pytest.mark.parametrize("name", sorted(SWAPPED))
@@ -554,13 +606,13 @@ class TestCuspidalRepresentatives:
         for family, rank, order in RANK_LE_4 + RANK_5_6:
             for direction in ("delta", "delta_inv"):
                 pi = pi_of(build_twist(family, rank, order), direction)
-                groups.append((group(family, rank), pi, direction))
+                groups.append((group(family, rank), pi))
         for cartan, pi in SWAPPED.values():
             for p in (pi, {v: k for k, v in pi.items()}):
-                groups.append((group_of(cartan), p, "delta"))
+                groups.append((group_of(cartan), p))
         checked = 0
-        for W, pi, direction in groups:
-            for cls in enumerate_delta_classes(W, pi, direction):
+        for W, pi in groups:
+            for cls in enumerate_delta_classes(W, pi):
                 if cls.cuspidal:
                     assert minimal_level(W, pi, cls.minimal[-1]) == list(cls.minimal)
                     checked += 1
@@ -624,7 +676,7 @@ class TestClassOracle:
         the same order, each with the same minimal list and cuspidal flag."""
         W = group(family, rank)
         pi = pi_of(build_twist(family, rank, order), direction)
-        assert class_list(W, pi, direction) == enumerate_delta_classes(W, pi, direction)
+        assert class_list(W, pi) == enumerate_delta_classes(W, pi)
 
     @pytest.mark.parametrize("name", sorted(SWAPPED))
     def test_class_list_swapped_components(self, name):
@@ -641,7 +693,7 @@ class TestClassOracle:
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
             for w in elements_of(W):
-                assert class_of(W, pi, w, direction) == oracle_class_of(W, pi, w, direction), (
+                assert class_of(W, pi, w) == oracle_class_of(W, pi, w), (
                     family, rank, order, direction, w.word)
 
     def test_minimal_set_joins_levels(self):

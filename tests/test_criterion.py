@@ -465,6 +465,8 @@ HOSTILE = [
     ("unknown_family", _set_group(family="Z"), "bad group descriptor"),
     ("mixed_radicands", _mixed_radicands,
      "incompatible exact numbers: cannot combine sqrt(2) with sqrt(3)"),
+    ("mixed_radicands_sqrt3_first", lambda obj: (_mixed_radicands(obj), obj["mu"].reverse()),
+     "incompatible exact numbers: cannot combine sqrt(2) with sqrt(3)"),
 ]
 
 

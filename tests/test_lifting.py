@@ -519,6 +519,46 @@ def test_both_routes_refuse_out_of_range_input():
                 route(G2, twist, cls, qext(1))
 
 
+@pytest.mark.parametrize("direction", ["delta", "delta_inv"])
+def test_both_routes_certify_from_the_class_map_on_3d4(direction):
+    """3D4 is the one twist whose two maps differ.  Under either map, every
+    class gets a certificate from both routes that the checker accepts, whose
+    direction names that map, and whose word is minimal under it: a member of
+    the class's minimal set, and "minimal" by ``closure_min_check``.  Read off
+    a direction label instead of the class's map, the classes of 1214 and
+    12132421 under the inverse map got words that are not minimal there."""
+    D4, twist, q = group("D", 4), build_twist("D", 4, 3), qext(2)
+    pi = pi_of(twist, direction)
+    classes = class_list(D4, pi)
+    assert len(classes) == 7
+    labels = set()
+    for cls in classes:
+        for route in (certify_min_element, constructive_certificate):
+            cert = route(D4, twist, cls, q)
+            assert check_certificate(cert), (cls.representative.word, route.__name__)
+            w = D4.from_word(cert.w)
+            assert conjugacy.closure_min_check(D4, pi_of(twist, cert.direction), w) == "minimal", (
+                cls.representative.word, route.__name__)
+            assert w in cls.minimal
+            labels.add(cert.direction)
+    assert labels == {direction}
+
+
+def test_both_routes_refuse_a_class_of_another_group_or_twist():
+    """A class of B3 handed over with C3, or a 3D4 class with the identity twist of
+    D4, raises ValueError before any work; a q below the minimum is still named first."""
+    B3, C3, D4 = group("B", 3), group("C", 3), group("D", 4)
+    b3_class = class_list(B3, pi_of(build_twist("B", 3, 1)))[1]
+    d4_class = class_list(D4, pi_of(build_twist("D", 4, 3)))[1]
+    for route in (certify_min_element, constructive_certificate):
+        with pytest.raises(ValueError, match="^the class is not a class of C3$"):
+            route(C3, build_twist("C", 3, 1), b3_class, qext(2))
+        with pytest.raises(ValueError, match="is not a map of the twist"):
+            route(D4, build_twist("D", 4, 1), d4_class, qext(2))
+        with pytest.raises(ValueError, match="^q below the minimal value for C3 twist 1$"):
+            route(C3, build_twist("C", 3, 1), b3_class, qext(1))
+
+
 def test_constructive_route_builds_only_its_own_type():
     """Certifying A3 by the constructive route reads only the catalog rows of
     the types it meets, so it builds no group of another family (the catalog's
