@@ -317,8 +317,9 @@ def check_certificate(cert) -> CheckResult:
         return CheckResult(False, f"unknown form {cert.form!r}")
     if len(cert.mu) != rank:
         return CheckResult(False, "mu has wrong rank")
-    if any(i < 1 or i > rank for i in word):
-        return CheckResult(False, "word letter out of range")
+    # A letter that is not an int (1.0, True) would pass the range test.
+    if any(type(i) is not int or i < 1 or i > rank for i in word):
+        return CheckResult(False, f"word letter is not an int in 1..{rank}")
     # q and every coordinate over one denominator r and one radicand d: the
     # system sums them all, so each must be compatible with every other.
     try:
@@ -326,6 +327,8 @@ def check_certificate(cert) -> CheckResult:
     except IncompatibleRadicandError:
         return CheckResult(False, "incompatible exact numbers: "
                            "cannot combine sqrt(2) with sqrt(3)")
+    except TypeError as exc:  # a value that is not an exact number
+        return CheckResult(False, f"q and mu must be exact numbers: {exc}")
     if _sign(qp, qq, d) <= 0:
         return CheckResult(False, "q must be positive")
 

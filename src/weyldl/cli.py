@@ -104,6 +104,8 @@ def cmd_check(args) -> int:
 def cmd_verify_paper(args) -> int:
     q: Optional[QuadExt] = parse_q_literal(args.q) if args.q else None
     report = verify_all(type_filter=args.filter, q=q, slow=args.slow)
+    if not report.cases:  # an empty replay would print an all-pass total
+        raise ValueError(f"no catalog row matches filter {args.filter!r}")
     for line in report.summary_lines():
         print(line)
     if args.out:

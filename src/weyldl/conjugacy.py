@@ -16,11 +16,18 @@ Nothing here enumerates a group: classes come from minimal elements and
 their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 ``class_list``); the partition of the whole group is the tests' oracle.
 
-Minimality is decided once per process: every level that ``minimal_level``
-walks, and every verdict that ``closure_min_check`` walks to, is kept per
-system key and pi, and ``closure_min_check`` answers from it first.  Every
-shift walk has the one budget ``WALK_BUDGET``; a walk past it raises
-``ClosureBudgetError`` and keeps no verdict.
+Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
+the system key (the Cartan matrix) and pi, never on a group object, so
+groups built apart share it.  It keeps every verdict that
+``closure_min_check`` walks to, and every level that ``minimal_level``
+walks: the level's elements in canonical-word order, as one tuple held
+under the key of each member.  ``closure_min_check`` answers from it
+first, and ``minimal_level`` from any member of a level walked returns
+that level without a walk.  It holds one entry per element walked and
+each level's elements once: 673 entries and 222 levels once the 180
+classes of rank <= 4 are listed.  Every shift walk has the one budget
+``WALK_BUDGET``; a walk past it raises ``ClosureBudgetError`` and keeps
+no verdict.
 """
 
 from __future__ import annotations
@@ -275,12 +282,15 @@ def ad_pi_on(W: WeylGroup, pi: PiMap, x: WeylElt, K: Iterable[int]) -> PiMap:
 # -- minimality by shift closure ---------------------------------------------
 
 
-# Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key ->
-# whether a finished shift walk proved the element minimal in its pi-class.
-_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool]] = {}
+# Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key -> False
+# when a finished shift walk found the element not minimal in its pi-class,
+# True when ``closure_min_check`` walked it to minimal, and its minimal level,
+# as ``minimal_level`` returns it, once a walk of that level has finished: one
+# tuple, shared by every member of the level.
+_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool | tuple[WeylElt, ...]]] = {}
 
 
-def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool]:
+def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool | tuple[WeylElt, ...]]:
     """The minimality verdicts known for the pi-classes of W."""
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
 
@@ -297,8 +307,9 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
 
     The closure is the walk of ``shift_closure``, stopped at its first
     strict descent.  Each walk's verdict is kept in ``_MINIMALITY_MEMO``,
-    which also holds every level ``minimal_level`` has walked, and an
-    element found there is answered without a walk.
+    which also holds every level ``minimal_level`` has walked (a level is
+    a true verdict for each of its members), and an element found there
+    is answered without a walk.
 
     Fast path: an element whose length equals the number of pi-orbits
     of its support is minimal outright, since every element of the
@@ -338,9 +349,16 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     1.1), and ClosureBudgetError beyond ``WALK_BUDGET`` elements.
 
     A walk that ends without a descent proves every element of the level
-    minimal, so their keys go into ``_MINIMALITY_MEMO`` for
-    ``closure_min_check``.
+    minimal, and the walk from any member reaches the same level, so the
+    level itself goes into ``_MINIMALITY_MEMO`` under the key of each
+    member: ``closure_min_check`` reads it as a verdict, and a later call
+    from any member, from any group of the same Cartan matrix, returns it
+    without a walk.
     """
+    verdicts = _verdicts(W, pi)
+    level = verdicts.get(w.key)
+    if type(level) is tuple:
+        return list(level)
     # Every member but the identity has a left descent, hence a shift that
     # does not lengthen it, so the walk yields each member as u, with the
     # key of u^-1 from which its canonical word is spelled once.
@@ -351,13 +369,15 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
                 f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
             )
         inverse[u] = u_inv
-    _verdicts(W, pi).update(dict.fromkeys(inverse or (w.key,), True))
-    if not inverse:  # w is the identity and every shift lengthens it
-        return [w]
-    level = [WeylElt(W, key, w.length) for key in inverse]
-    for u in level:
-        u._word = tuple(W._peel(inverse[u.key]))
-    return sorted(level, key=lambda u: u._word)
+    if inverse:
+        members = [WeylElt(W, key, w.length) for key in inverse]
+        for u in members:
+            u._word = tuple(W._peel(inverse[u.key]))
+        level = tuple(sorted(members, key=lambda u: u._word))
+    else:  # w is the identity and every shift lengthens it
+        level = (w,)
+    verdicts.update(dict.fromkeys(inverse or (w.key,), level))
+    return list(level)
 
 
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,

@@ -32,6 +32,19 @@ witness was validated when it was built and cannot be changed in place;
 every step around it still validates its own result, and
 ``constructive_certificate`` still passes every certificate it returns
 through ``check_certificate``, which reads no memo of this module.
+
+Two per-group facts on the way are also computed once per process, keyed
+on the Cartan matrix and pi and never on a group object.  A cuspidal
+class's minimal level is walked once: ``minimal_level`` keeps it in
+``conjugacy``'s minimality memo, where ``class_list`` has usually left it
+already.  A leaf reads the catalog through ``_ROW_MEMO``: per irreducible
+(Cartan matrix, pi), the identification of its type, and for each row the
+scans have reached, in catalog order, its placement and the keys of
+(v w1)^-1 for its inner options v.  That is one placement and a few keys
+per row reached: 24 types, 65 rows and 85 options for the 180 classes of
+rank <= 4.  Only the inputs of the row scan are kept, so a leaf still
+takes the first matching (row, v) in catalog order, and builds and
+validates its witness afresh.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .casetables import case_records, place_row
+from .casetables import RowPlacement, case_records, place_row
 from .conjugacy import (
     DeltaClass,
     FalsificationError,
@@ -352,45 +365,83 @@ def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
     return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(sub.nodes), cert.q)
 
 
+class _CatalogRows:
+    """The catalog rows of one irreducible (Cartan matrix, pi), placed on first use.
+
+    ``placed`` holds, for the rows scanned so far in catalog order, each
+    row's ``place_row`` (None when w1 is not a minimal coset
+    representative) and its inner options: (v, key of (v w1)^-1) for each
+    ambient word of ``inner_cuspidal``.  A scan places a row only when it
+    first reaches it, so the table grows row by row, in catalog order.
+    """
+
+    __slots__ = ("label", "phi_inv", "rows", "placed")
+
+    def __init__(self, W: WeylGroup, pi: PiMap):
+        ident = identify_standard(W.system.cartan, pi)
+        if ident is None:
+            raise FalsificationError(f"cannot identify the type of {W.system.family}")
+        family, rank, order, phi = ident  # node of W -> standard node
+        self.label = f"type {family}{rank} twist {order}"
+        self.phi_inv = {v: k for k, v in phi.items()}
+        self.rows = case_records(family, rank, order)
+        if not self.rows:
+            raise FalsificationError(f"no catalog rows for {self.label}")
+        self.placed: list[tuple[Optional[RowPlacement], list[tuple[WeylElt, bytes]]]] = []
+
+    def _place(self, W: WeylGroup, tau: PiMap, row) -> tuple:
+        phi_inv = self.phi_inv
+        placed = place_row(W, tau, frozenset(phi_inv[j] for j in row.J),
+                           [phi_inv[i] for i in row.w1])
+        if placed is None:
+            return None, []
+        return placed, [(v, W.invert(W.multiply(v, placed.w1)).key)
+                        for v in map(W.from_word, placed.inner_cuspidal())]
+
+    def match(self, W: WeylGroup, tau: PiMap, keys: set[bytes]):
+        """The first (row, placement, v) in catalog order with (v w1)^-1 in ``keys``, or None."""
+        for i, row in enumerate(self.rows):
+            if i == len(self.placed):
+                self.placed.append(self._place(W, tau, row))
+            placed, options = self.placed[i]
+            for v, key in options:
+                if key in keys:
+                    return row, placed, v
+        return None
+
+
+# (system key, pi) -> the catalog rows of that irreducible cuspidal type.
+_ROW_MEMO: dict[tuple, _CatalogRows] = {}
+
+
 def _leaf_certificate(
     W: WeylGroup, pi: PiMap, q: QuadExt, level: Sequence[WeylElt]
 ) -> EngineCert:
     """Irreducible cuspidal leaf: match a catalog row and extend through it.
 
     ``level`` is the minimal level of the class, by canonical word.  The
-    first (row, v) in catalog order whose (v w1)^-1 lies in it is used.
-    The row's reduction system is built once, on the K that placing the
-    row gives.  A row that states its witness ``m_values`` is extended
+    first (row, v) in catalog order whose (v w1)^-1 lies in it is used;
+    the identification of (W, pi), the rows' placements and the keys of
+    their (v w1)^-1 come from ``_ROW_MEMO``, filled as the scans reach
+    them.  The row's reduction system is built once, on the K that placing
+    the row gives.  A row that states its witness ``m_values`` is extended
     through that witness, which ``extend_via_parabolic_step`` re-validates
     against the system (a failing one raises ConstructionError); only a
     row without one, always satisfied or spade, solves the system.
     """
     tau = inverse_pi(pi)
-    ident = identify_standard(W.system.cartan, pi)
-    if ident is None:
-        raise FalsificationError(f"cannot identify the type of {W.system.family}")
-    family, rank, order, phi = ident  # node of W -> standard node
-    phi_inv = {v: k for k, v in phi.items()}
+    memo_key = (W.system.key, tuple(sorted(pi.items())))
+    table = _ROW_MEMO.get(memo_key)
+    if table is None:
+        table = _ROW_MEMO[memo_key] = _CatalogRows(W, pi)
+    phi_inv = table.phi_inv
 
-    rows = case_records(family, rank, order)
-    if not rows:
-        raise FalsificationError(f"no catalog rows for type {family}{rank} twist {order}")
-
-    keys = {u.key for u in level}
-    for row in rows:
-        J_W = frozenset(phi_inv[j] for j in row.J)
-        placed = place_row(W, tau, J_W, [phi_inv[i] for i in row.w1])
-        if placed is None:
-            continue
-        v = next((v for v in map(W.from_word, placed.inner_cuspidal())
-                  if W.invert(W.multiply(v, placed.w1)).key in keys), None)
-        if v is not None:
-            break
-    else:
+    found = table.match(W, tau, {u.key for u in level})
+    if found is None:
         raise FalsificationError(
-            f"no catalog row matches the class of {level[0].word} "
-            f"in type {family}{rank} twist {order}"
+            f"no catalog row matches the class of {level[0].word} in {table.label}"
         )
+    row, placed, v = found
     w1, K = placed.w1, placed.K
 
     # Inner witness on K (forward side of the inner twisted class).
@@ -460,7 +511,8 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     and lifted; over several pi-orbits of components, its factors are
     certified one per orbit and combined.  Otherwise the class is
     cuspidal, and one walk of length-preserving cyclic shifts from x
-    (``minimal_level``) lists its minimal elements by canonical word: a
+    (``minimal_level``, which returns a level walked before without a
+    walk) lists its minimal elements by canonical word: a
     cyclic orbit reduces to the first of them inside its first
     component, and a leaf reads its membership test and spade candidates
     from them.  Nothing is enumerated.

@@ -40,9 +40,12 @@ def oracle_check(cert) -> CheckResult:
         return CheckResult(False, f"unknown form {cert.form!r}")
     if len(cert.mu) != cert.rank:
         return CheckResult(False, "mu has wrong rank")
-    if any(i < 1 or i > cert.rank for i in cert.w):
-        return CheckResult(False, "word letter out of range")
-    radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
+    if any(type(i) is not int or not 1 <= i <= cert.rank for i in cert.w):
+        return CheckResult(False, f"word letter is not an int in 1..{cert.rank}")
+    try:
+        radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
+    except TypeError as exc:
+        return CheckResult(False, f"q and mu must be exact numbers: {exc}")
     if len(radicands) > 1:
         return CheckResult(False, "incompatible exact numbers: cannot combine "
                            + " with ".join(f"sqrt({d})" for d in radicands))

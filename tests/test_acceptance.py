@@ -6,7 +6,10 @@ The slow tier (criterion 8) is opt-in via ``-m slow``.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -29,7 +32,7 @@ from weyldl.criterion import (
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types
 
-from conftest import RANK_5_6, RANK_LE_4, group
+from conftest import RANK_5_6, RANK_LE_4, SRC, group
 from lp_oracle import rows_of
 from multiply_oracles import (
     class_elements,
@@ -296,6 +299,43 @@ def test_criterion_9_w3_certificate_digest():
     assert (count, size) == (360, 91337)
     assert digest.hexdigest() == W3_SHA256
     _report("9", True, "360 W3 certificates digest")
+
+
+# Certifies W3 in reverse: the groups last to first, with groups of their own
+# as the benchmark's certify worker builds them, each group's classes last to
+# first, the constructive route before the solver route.  Prints the digest of
+# the certificates put back in class-list order, and their count and size.
+_W3_REVERSED = """
+import hashlib, json, sys
+import weyldl
+from weyldl.conjugacy import class_list, pi_of
+groups = json.loads(sys.argv[1])
+texts = {}
+for g, (family, rank, order) in reversed(list(enumerate(groups))):
+    W = weyldl.WeylGroup(weyldl.build_root_system(family, rank))
+    twist = weyldl.build_twist(family, rank, order)
+    q = weyldl.minimal_q(family, order)
+    classes = class_list(W, pi_of(twist))
+    for k in reversed(range(len(classes))):
+        constructive = weyldl.constructive_certificate(W, twist, classes[k], q)
+        solver = weyldl.certify_min_element(W, twist, classes[k], q)
+        texts[g, k] = (solver.to_json() + "\\n" + constructive.to_json() + "\\n").encode()
+data = b"".join(texts[key] for key in sorted(texts))
+print(hashlib.sha256(data).hexdigest(), 2 * len(texts), len(data))
+"""
+
+
+def test_criterion_9_w3_digest_does_not_depend_on_order():
+    """In a fresh interpreter, certifying W3 in reverse group order and reverse
+    class order, constructive route first, gives the same 360 certificates:
+    no process-wide memo changes a certificate with the order it is filled in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _W3_REVERSED, json.dumps(RANK_LE_4)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [W3_SHA256, "360", "91337"]
+    _report("9", True, "360 W3 certificates in reverse order")
 
 
 # SHA-256 of the 816 certificates of the 408 classes of RANK_5_6, laid out

@@ -86,6 +86,8 @@ VARIANTS = [
     ("mu_wrong_length", lambda c: _mu(c, c.mu.coords + (qext(1),)), False),
     ("letter_out_of_range", lambda c: _with(c, w=c.w + (c.rank + 1,)), False),
     ("letter_zero", lambda c: _with(c, w=(0,) + c.w), False),
+    ("float_letter", lambda c: _with(c, w=(1.0,) + c.w), False),
+    ("string_coordinate", lambda c: _mu(c, ("1",) + c.mu.coords[1:]), False),
     ("q_nonpositive", lambda c: _with(c, q=-c.q), False),
     ("q_zero", lambda c: _with(c, q=qext(0)), False),
     ("word_too_long", lambda c: _with(c, w=(1,) * (positive_root_count(c.family, c.rank) + 1)),

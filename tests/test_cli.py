@@ -286,6 +286,15 @@ class TestVerifyPaper:
         assert out.returncode == 0, out.stdout + out.stderr
         assert "total: 7/7 cases pass" in out.stdout
 
+    @pytest.mark.parametrize("text", ["ZZ", "F5"])
+    def test_filter_matching_no_row_is_an_error(self, tmp_path, text):
+        """A filter that selects no catalog row exits 1 with a reason; it prints
+        no "0/0 cases pass" total."""
+        out = run_cli("verify-paper", "--filter", text, cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.strip() == f"error: no catalog row matches filter '{text}'"
+
     def test_report_json(self, tmp_path):
         path = tmp_path / "report.json"
         out = run_cli(

@@ -598,10 +598,12 @@ class TestCuspidalRepresentatives:
         got = [w.word for w in cuspidal_representatives(W, pi)]
         assert got and got == cuspidal_words_by_enumeration(W, pi)
 
-    def test_minimal_level_is_the_class_minimum(self):
+    def test_minimal_level_is_the_class_minimum(self, monkeypatch):
         """The walk from the last minimal element of each cuspidal class lists the
         class's minimal elements, by canonical word: every twisted group of rank
-        <= 6 and every SWAPPED group, in both directions."""
+        <= 6 and every SWAPPED group, in both directions.  From an empty
+        minimality memo, so that each level is walked and not read back."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         groups = []
         for family, rank, order in RANK_LE_4 + RANK_5_6:
             for direction in ("delta", "delta_inv"):
@@ -617,6 +619,34 @@ class TestCuspidalRepresentatives:
                     assert minimal_level(W, pi, cls.minimal[-1]) == list(cls.minimal)
                     checked += 1
         assert checked == 304
+
+    def test_level_from_the_memo_equals_a_fresh_walk(self, monkeypatch):
+        """Once ``class_list`` has walked the groups of rank <= 6 from cold memos,
+        ``minimal_level`` from any member of a cuspidal class, through a group
+        of the same Cartan matrix that is not the one that listed it, starts no
+        walk, and returns what a walk from that member with an empty memo
+        returns: the same elements, lengths and words, in the same order."""
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        members = []
+        for family, rank, order in RANK_LE_4 + RANK_5_6:
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            other = WeylGroup(W.system)
+            members += [(other, pi, u) for cls in class_list(W, pi) if cls.cuspidal
+                        for u in cls.minimal]
+        walks = []
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walks.append(args) or real_walk(*args))
+        served = [minimal_level(W, pi, u) for W, pi, u in members]
+        assert walks == []
+        for (W, pi, u), level in zip(members, served):
+            monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+            fresh = minimal_level(W, pi, u)
+            assert [(v.key, v.length, v.word) for v in level] == [
+                (v.key, v.length, v.word) for v in fresh]
+        assert len(walks) == len(members) == 3687
 
     def test_enumerates_nothing(self, monkeypatch):
         """With cold memos, E6 and 2E6 come out without listing any element:

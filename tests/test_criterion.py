@@ -528,6 +528,21 @@ def test_rank_that_is_not_an_int_is_rejected(family, rank):
     assert _memo_keys() == before
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("w", (1.0, 2), "word letter is not an int in 1..2"),
+    ("w", (2, True), "word letter is not an int in 1..2"),
+    ("mu", Coweight((qext(2), "1")), "q and mu must be exact numbers: expected int or Fraction, got str"),
+    ("q", 2.0, "q and mu must be exact numbers: expected int or Fraction, got float"),
+], ids=["float_letter", "bool_letter", "string_coordinate", "float_q"])
+def test_hand_built_field_of_the_wrong_type_is_rejected(field, value, reason):
+    """A hand-built certificate, which no parser has seen, with a letter that is
+    not an int or a number that is not exact, is rejected with a reason."""
+    values = {name: getattr(TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]), name)
+              for name in Certificate.__slots__}
+    result = check_certificate(Certificate(**{**values, field: value}))
+    assert not result and result.reason == reason
+
+
 def _assert_accepts_or_rejects(text):
     try:
         cert = Certificate.from_json(text)

@@ -279,6 +279,7 @@ def test_inner_cuspidal_matches_enumeration(monkeypatch):
 
     monkeypatch.setattr(RowPlacement, "inner_cuspidal", recording)
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
     for family, rank, order in RANK_LE_4 + RANK_5_6:
         W = group(family, rank)
         twist = build_twist(family, rank, order)
@@ -390,6 +391,36 @@ def test_cold_certify_pass_builds_each_entry_once(monkeypatch):
     assert len(lookups) > len(runs)
 
 
+def test_constructive_route_walks_no_listed_level_again(monkeypatch):
+    """Once ``class_list`` has listed the classes of rank <= 4, from cold memos,
+    the constructive route certifies them without starting a shift walk from
+    any member of a cuspidal class those lists hold: each leaf reads its level
+    from the minimality memo, through a group of the same Cartan matrix that is
+    not the one that listed it, as the benchmark's certify worker holds."""
+    for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
+    count_constructions(monkeypatch)
+    todo = list(classes_of(RANK_LE_4))
+    listed = {(cls.group_key, cls.pi, u.key) for _, _, cls, _ in todo if cls.cuspidal
+              for u in cls.minimal}
+    walks, read = [], []
+    real_walk, real_level = conjugacy._shift_walk, lifting.minimal_level
+    monkeypatch.setattr(conjugacy, "_shift_walk", lambda W, pi, w: walks.append(
+        (W.system.key, tuple(sorted(pi.items())), w.key)) or real_walk(W, pi, w))
+    monkeypatch.setattr(lifting, "minimal_level", lambda W, pi, w: read.append(
+        (W.system.key, tuple(sorted(pi.items())), w.key)) or real_level(W, pi, w))
+    for W, twist, cls, q in todo:
+        other = WeylGroup(W.system)
+        assert check_certificate(constructive_certificate(other, twist, cls, q))
+    assert len(todo) == 180
+    read = set(read)
+    assert sum(cls.cuspidal for _, _, cls, _ in todo) == 64
+    assert all(any((cls.group_key, cls.pi, u.key) in read for u in cls.minimal)
+               for _, _, cls, _ in todo if cls.cuspidal)
+    assert not listed & set(walks)
+
+
 def test_memo_key_separates_q_powers_and_directions(monkeypatch):
     """A2xA2 under a twist of order 4: the cyclic branch certifies the first
     A2 under the squared twist at q^2, which the memo keeps apart from the same
@@ -421,6 +452,7 @@ def test_failed_construction_is_not_stored(monkeypatch):
     """A construction that raises stores nothing, raises again on the next
     call, and succeeds once its input is restored."""
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
     W = group("A", 2)
     pi, q, x = idpi(W), qext(2), W.from_word((1, 2))
     monkeypatch.setattr(lifting, "case_records", lambda *args: [])
@@ -430,6 +462,7 @@ def test_failed_construction_is_not_stored(monkeypatch):
         assert lifting._ENGINE_MEMO == {}
     monkeypatch.undo()
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
     cert = lifting._engine(W, pi, q, x)
     assert not build_forward_system(W, cert.w, pi, q).violated(cert.mu)
     assert len(lifting._ENGINE_MEMO) == 1
@@ -446,6 +479,7 @@ def test_failing_stated_witness_is_an_error(monkeypatch):
     bad = CaseRecord(**{**fields, "m_values": {1: Fraction(1), 2: Fraction(1)}})
     monkeypatch.setattr(lifting, "case_records", lambda *key: [rows[0], bad, *rows[2:]])
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
     W, twist = group("G", 2), build_twist("G", 2, 1)
     cls = class_of(W, pi_of(twist), W.from_word((2, 1, 2, 1)))
     with pytest.raises(ConstructionError, match="star witness fails"):
