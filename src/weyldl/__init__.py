@@ -2,7 +2,6 @@
 
 from .exactnum import QuadExt
 from .rootdata import (
-    Coweight,
     RootSystem,
     Twist,
     build_root_system,
@@ -39,7 +38,6 @@ from .casetables import load_case_records, verify_all, verify_case
 __all__ = [
     "QuadExt",
     "RootSystem",
-    "Coweight",
     "Twist",
     "build_root_system",
     "build_twist",

@@ -18,7 +18,6 @@ holds the amended reading and its ``notes`` say what was printed.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -47,7 +46,7 @@ from .criterion import (
 )
 from .exactnum import QuadExt, _sign, qext
 from .lp import gordan_witness, integer_rows, verify_gordan
-from .rootdata import Coweight, Frozen, Record, build_twist
+from .rootdata import Frozen, Record, build_twist
 from .subsystems import sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
 
@@ -106,8 +105,8 @@ class CaseRecord(Frozen):
         spade: bool = False,
         v_words: tuple[tuple[int, ...], ...] = (),
         v_lengths: tuple[int, ...] = (),
-        m_values: Optional[dict[int, Fraction]] = None,
-        pinned_mu: Optional[tuple[Fraction, ...]] = None,
+        m_values: Optional[dict[int, int]] = None,
+        pinned_mu: Optional[tuple[int, ...]] = None,
         spade_recipe: tuple[tuple[int, int, int], ...] = (),
         prose: str = "",
         notes: tuple[str, ...] = (),
@@ -165,10 +164,6 @@ def type_group(family: str, rank: int, twist: int) -> tuple[WeylGroup, PiMap]:
     return weyl_group(family, rank), pi_of(build_twist(family, rank, twist), CATALOG_DIRECTION)
 
 
-def _mfrac(d: dict[int, int]) -> dict[int, Fraction]:
-    return {k: Fraction(v) for k, v in d.items()}
-
-
 # ---------------------------------------------------------------------------
 # record builders, one per type family
 # ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ def _records_A(n: int) -> list[CaseRecord]:
         CaseRecord(
             family="A", rank=n, twist=1, case=1,
             J=I - {1}, w1=br(n, 1), K_expected=frozenset(),
-            m_values=_mfrac({i: 1 for i in range(1, n + 1)}),
+            m_values={i: 1 for i in range(1, n + 1)},
             prose="q m_i - m_{i-1} > 0 for i != 1; take m_i = 1",
         )
     ]
@@ -192,7 +187,7 @@ def _records_2A(n: int) -> list[CaseRecord]:
     for a in range(1, n // 2 + 2):
         K = frozenset(range(a, n - a + 1))
         V = sorted(I - K)
-        m = {i: Fraction(2 if i in (a - 1, n + 1 - a) else 1) for i in V}
+        m = {i: 2 if i in (a - 1, n + 1 - a) else 1 for i in V}
         out.append(
             CaseRecord(
                 family="A", rank=n, twist=2, case=1,
@@ -212,8 +207,8 @@ def _records_BC(family: str, n: int) -> list[CaseRecord]:
     out = []
     for a in range(1, n):
         K = frozenset(range(a + 1, n + 1))
-        m = {i: Fraction(1) for i in range(1, a)}
-        m[a] = Fraction(2)
+        m = {i: 1 for i in range(1, a)}
+        m[a] = 2
         out.append(
             CaseRecord(
                 family=family, rank=n, twist=1, case=1,
@@ -222,8 +217,8 @@ def _records_BC(family: str, n: int) -> list[CaseRecord]:
                 prose="q m_i - m_{i-1} (1 < i < a); q m_a - m_{a-1} - m_a",
             )
         )
-    m2 = {i: Fraction(1) for i in range(1, n)}
-    m2[n] = Fraction(3)
+    m2 = {i: 1 for i in range(1, n)}
+    m2[n] = 3
     eps = 1 if family == "B" else 2
     out.append(
         CaseRecord(
@@ -242,8 +237,8 @@ def _records_D(n: int, twist: int) -> list[CaseRecord]:
     out = []
     for a in range(1, n - 1):
         K = frozenset(range(a + 1, n + 1))
-        m = {i: Fraction(1) for i in range(1, a)}
-        m[a] = Fraction(2)
+        m = {i: 1 for i in range(1, a)}
+        m[a] = 2
         out.append(
             CaseRecord(
                 family="D", rank=n, twist=twist, case=1,
@@ -256,9 +251,9 @@ def _records_D(n: int, twist: int) -> list[CaseRecord]:
     # The shared section's remaining two rows split by twist: the class of
     # s_{[n,1]} is cuspidal only untwisted, that of s_{[n-1,1]} only twisted.
     if twist == 1:
-        m2 = {i: Fraction(1) for i in range(1, n - 1)}
-        m2[n - 1] = Fraction(2)
-        m2[n] = Fraction(2)
+        m2 = {i: 1 for i in range(1, n - 1)}
+        m2[n - 1] = 2
+        m2[n] = 2
         out.append(
             CaseRecord(
                 family="D", rank=n, twist=twist, case=2,
@@ -271,8 +266,8 @@ def _records_D(n: int, twist: int) -> list[CaseRecord]:
             )
         )
     else:
-        m3 = {i: Fraction(1) for i in range(1, n + 1)}
-        m3[tw(n)] = Fraction(3)
+        m3 = {i: 1 for i in range(1, n + 1)}
+        m3[tw(n)] = 3
         out.append(
             CaseRecord(
                 family="D", rank=n, twist=twist, case=3,
@@ -294,19 +289,19 @@ def _records_3D4() -> list[CaseRecord]:
         CaseRecord(
             family="D", rank=4, twist=3, case=1,
             J=J, w1=(2, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 3, 2: 2, 3: 2, 4: 1}),
+            m_values={1: 3, 2: 2, 3: 2, 4: 1},
             prose="q m_1 - m_2 - m_3; q m_2 - m_1; q m_3 - m_2 - m_4",
         ),
         CaseRecord(
             family="D", rank=4, twist=3, case=2,
             J=J, w1=(3, 2, 1), K_expected=frozenset({1, 2}),
-            m_values=_mfrac({3: 2, 4: 1}),
+            m_values={3: 2, 4: 1},
             prose="q m_3 - m_3 - m_4",
         ),
         CaseRecord(
             family="D", rank=4, twist=3, case=3,
             J=J, w1=(1, 2, 4, 3, 2, 1), K_expected=frozenset({2, 3}),
-            m_values=_mfrac({1: 1, 4: 1}),
+            m_values={1: 1, 4: 1},
             prose="q m_1 - m_4",
         ),
     ]
@@ -323,28 +318,28 @@ def _records_E6() -> list[CaseRecord]:
         CaseRecord(
             family="E", rank=6, twist=1, case=1,
             J=J, w1=bri(6, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1}),
+            m_values={1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1},
             prose="q m_1 - m_3; q m_2 - m_1 - m_3 - m_4; q m_3 - m_2 - m_4; "
                   "q m_4 - m_5; q m_5 - m_6",
         ),
         CaseRecord(
             family="E", rank=6, twist=1, case=2,
             J=J, w1=(3, 4) + bri(6, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1}),
+            m_values={1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1},
             prose="q m_1 - m_4; q m_2 - m_1; q m_3 - m_2; q m_4 - m_3 - m_4 - m_5; q m_5 - m_6",
         ),
         CaseRecord(
             family="E", rank=6, twist=1, case=3,
             J=J, w1=(2, 4, 5, 3, 4) + bri(6, 1), K_expected=frozenset({3, 4}),
             v_words=((3,), (3, 4, 3)),
-            m_values=_mfrac({1: 3, 2: 2, 5: 5, 6: 1}),
+            m_values={1: 3, 2: 2, 5: 5, 6: 1},
             prose="q m_1 - m_5; q m_2 - m_1; q m_5 - m_1 - m_5 - m_6",
         ),
         CaseRecord(
             family="E", rank=6, twist=1, case=4,
             J=J, w1=c4w1, K_expected=frozenset({2, 3, 4, 5}),
             v_lengths=(8,),
-            m_values=_mfrac({1: 1, 6: 1}),
+            m_values={1: 1, 6: 1},
             prose="q m_1 - m_6",
         ),
     ]
@@ -367,34 +362,34 @@ def _records_2E6() -> list[CaseRecord]:
         CaseRecord(
             family="E", rank=6, twist=2, case=1,
             J=J, w1=(2,) + bri(6, 4), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 2, 3: 1, 4: 3, 5: 5, 6: 1}),
+            m_values={1: 1, 2: 2, 3: 1, 4: 3, 5: 5, 6: 1},
             prose="q m_2 - m_4; q m_3 - m_6; q m_4 - m_5; q m_5 - m_2 - m_3 - m_4; q m_6 - m_1",
         ),
         CaseRecord(
             family="E", rank=6, twist=2, case=2,
             J=J, w1=(4,) + bri(6, 2), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 3, 3: 5, 4: 3, 5: 2, 6: 9}),
+            m_values={1: 1, 2: 3, 3: 5, 4: 3, 5: 2, 6: 9},
             prose="q m_2 - m_3; q m_3 - m_6; q m_4 - m_4 - m_5; q m_5 - m_2; q m_6 - m_1 - m_3 - m_4",
         ),
         CaseRecord(
             family="E", rank=6, twist=2, case=3,
             J=J, w1=(5, 4) + bri(6, 2), K_expected=frozenset({4}),
             v_words=((4,),),
-            m_values=_mfrac({1: 1, 2: 3, 3: 5, 5: 2, 6: 7}),
+            m_values={1: 1, 2: 3, 3: 5, 5: 2, 6: 7},
             prose="q m_2 - m_3; q m_3 - m_5 - m_6; q m_5 - m_2; q m_6 - m_1 - m_3 - m_5",
         ),
         CaseRecord(
             family="E", rank=6, twist=2, case=4,
             J=J, w1=br(6, 4) + bri(6, 2), K_expected=frozenset({2, 3, 4, 5}),
             v_lengths=(4, 6),
-            m_values=_mfrac({1: 1, 6: 2}),
+            m_values={1: 1, 6: 2},
             prose="q m_6 - m_1 - m_6",
         ),
         CaseRecord(
             family="E", rank=6, twist=2, case=5,
             J=J, w1=br(5, 3) + br(6, 4) + bri(6, 1), K_expected=frozenset({3, 4, 6}),
             v_words=((3, 4, 3, 6),),
-            m_values=_mfrac({1: 1, 2: 1, 5: 2}),
+            m_values={1: 1, 2: 1, 5: 2},
             prose="printed: q m_2 - m_1 only, with (1,1,1)",
             notes=("the derived row q m_5 - m_2 - m_5 is not automatic and the "
                    "printed point meets it with slack zero at q = 2; the witness "
@@ -404,7 +399,7 @@ def _records_2E6() -> list[CaseRecord]:
             family="E", rank=6, twist=2, case=6,
             J=J, w1=c6w1, K_expected=frozenset({5, 6}),
             v_words=((5, 6),),
-            m_values=_mfrac({1: 1, 2: 1, 3: 1, 4: 2}),
+            m_values={1: 1, 2: 1, 3: 1, 4: 2},
             prose="q m_2 - m_1; q m_3 - m_2; q m_4 - m_3 - m_4",
             notes=(note_w0,),
         ),
@@ -412,7 +407,7 @@ def _records_2E6() -> list[CaseRecord]:
             family="E", rank=6, twist=2, case=7,
             J=J, w1=c7w1, K_expected=frozenset({4, 5, 6}),
             v_words=((6, 5, 4),),
-            m_values=_mfrac({1: 1, 2: 2, 3: 2}),
+            m_values={1: 1, 2: 2, 3: 2},
             prose="q m_2 - m_1 - m_3; q m_3 - m_2",
             notes=(note_w0,),
         ),
@@ -439,44 +434,44 @@ def _records_E7() -> list[CaseRecord]:
         CaseRecord(
             family="E", rank=7, twist=1, case=1,
             J=J, w1=bri(7, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1}),
+            m_values={1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=2,
             J=J, w1=(3, 4) + bri(7, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1, 7: 1}),
+            m_values={1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1, 7: 1},
             prose="printed row 'q m_4 - m_3 - - m_4 - m_5' carries a doubled minus",
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=3,
             J=J, w1=(4, 3, 5, 4) + bri(7, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 5, 2: 3, 3: 3, 4: 2, 5: 4, 6: 1, 7: 1}),
+            m_values={1: 5, 2: 3, 3: 3, 4: 2, 5: 4, 6: 1, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=4,
             J=J, w1=(2, 4, 3, 5, 4) + bri(7, 1), K_expected=frozenset({3, 4}),
             v_words=((3,), (3, 4, 3)),
-            m_values=_mfrac({1: 3, 2: 2, 5: 5, 6: 1, 7: 1}),
+            m_values={1: 3, 2: 2, 5: 5, 6: 1, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=5,
             J=J, w1=(3, 4, 2) + br(5, 3) + br(6, 4) + bri(7, 1), K_expected=frozenset({4}),
             v_words=((4,),),
-            m_values=_mfrac({1: 7, 2: 5, 3: 2, 5: 3, 6: 7, 7: 1}),
+            m_values={1: 7, 2: 5, 3: 2, 5: 3, 6: 7, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=6,
             J=J, w1=(1, 3, 4, 2) + br(5, 3) + br(6, 4) + bri(7, 1),
             K_expected=frozenset({2, 3, 4, 5}),
             v_lengths=(4, 6, 8),
-            m_values=_mfrac({1: 3, 6: 5, 7: 1}),
+            m_values={1: 3, 6: 5, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=7,
             J=J, w1=(2, 4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(7, 1),
             K_expected=frozenset({3, 4, 5, 6}),
             v_words=(w0K_c7,),
-            m_values=_mfrac({1: 1, 2: 2, 7: 1}),
+            m_values={1: 1, 2: 2, 7: 1},
             notes=("the amended tail s_{[7,1]}^{-1} is used; the printed tail "
                    "s_{[1,7]}^{-1}, the empty word under the bracket convention, "
                    "fails the coset precondition",),
@@ -486,7 +481,7 @@ def _records_E7() -> list[CaseRecord]:
             J=J, w1=br(6, 4) + bri(5, 2) + (1, 3, 4, 2) + br(6, 3) + br(7, 4) + bri(7, 1),
             K_expected=frozenset({2, 3, 4, 5}),
             v_words=((3, 5, 4, 3, 5, 4, 2),),
-            m_values=_mfrac({1: 2, 6: 2, 7: 1}),
+            m_values={1: 2, 6: 2, 7: 1},
         ),
         CaseRecord(
             family="E", rank=7, twist=1, case=9,
@@ -509,36 +504,36 @@ def _records_E8() -> list[CaseRecord]:
         CaseRecord(
             family="E", rank=8, twist=1, case=1,
             J=J, w1=bri(8, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}),
+            m_values={1: 2, 2: 4, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1},
             notes=("printed witness (2,3,4,1,...) violates its own printed rows at "
                    "q = 2; corrected to (2,4,3,1,...) matching the E6/E7 analogues",),
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=2,
             J=J, w1=(3, 4) + bri(8, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1, 7: 1, 8: 1}),
+            m_values={1: 5, 2: 3, 3: 2, 4: 9, 5: 1, 6: 1, 7: 1, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=3,
             J=J, w1=(4, 5, 3, 4) + bri(8, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 5, 2: 3, 3: 3, 4: 2, 5: 4, 6: 1, 7: 1, 8: 1}),
+            m_values={1: 5, 2: 3, 3: 3, 4: 2, 5: 4, 6: 1, 7: 1, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=4,
             J=J, w1=(2, 4, 3, 5, 4) + bri(8, 1), K_expected=frozenset({3, 4}),
             v_words=((3,), (3, 4, 3)),
-            m_values=_mfrac({1: 3, 2: 2, 5: 5, 6: 1, 7: 1, 8: 1}),
+            m_values={1: 3, 2: 2, 5: 5, 6: 1, 7: 1, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=5,
             J=J, w1=(4, 2) + br(5, 3) + br(6, 4) + bri(8, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 9, 2: 5, 3: 2, 4: 3, 5: 3, 6: 17, 7: 1, 8: 1}),
+            m_values={1: 9, 2: 5, 3: 2, 4: 3, 5: 3, 6: 17, 7: 1, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=6,
             J=J, w1=(3, 4, 2) + br(5, 3) + br(6, 4) + bri(8, 1), K_expected=frozenset({4}),
             v_words=((4,),),
-            m_values=_mfrac({1: 7, 2: 5, 3: 2, 5: 3, 6: 13, 7: 1, 8: 1}),
+            m_values={1: 7, 2: 5, 3: 2, 5: 3, 6: 13, 7: 1, 8: 1},
             notes=("printed 'I(J, w_1, d^{-1}) = s_4' read as the node set {4}",),
         ),
         CaseRecord(
@@ -546,35 +541,35 @@ def _records_E8() -> list[CaseRecord]:
             J=J, w1=(1, 3, 4, 2) + br(5, 3) + br(6, 4) + bri(8, 1),
             K_expected=frozenset({2, 3, 4, 5}),
             v_lengths=(2, 4, 6, 8),
-            m_values=_mfrac({1: 3, 6: 5, 7: 1, 8: 1}),
+            m_values={1: 3, 6: 5, 7: 1, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=8,
             J=J, w1=(4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(8, 1),
             K_expected=frozenset({3, 6}),
             v_words=((3,),),
-            m_values=_mfrac({1: 8, 2: 6, 4: 3, 5: 5, 7: 15, 8: 1}),
+            m_values={1: 8, 2: 6, 4: 3, 5: 5, 7: 15, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=9,
             J=J, w1=(2, 4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(8, 1),
             K_expected=frozenset({3, 4, 5, 6}),
             v_words=((3, 4), (4, 5, 4, 3), w0K_c9),
-            m_values=_mfrac({1: 4, 2: 5, 7: 7, 8: 1}),
+            m_values={1: 4, 2: 5, 7: 7, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=10,
             J=J, w1=(5, 4) + bri(7, 2) + (1, 3, 4, 2) + br(5, 3) + br(6, 4) + bri(8, 1),
             K_expected=frozenset({2, 4}),
             v_words=((2, 4),),
-            m_values=_mfrac({1: 17, 3: 7, 5: 4, 6: 9, 7: 33, 8: 1}),
+            m_values={1: 17, 3: 7, 5: 4, 6: 9, 7: 33, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=11,
             J=J, w1=br(6, 1) + (4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(8, 1),
             K_expected=frozenset({2, 3, 4, 5}),
             v_words=((2, 4, 5), (4, 5, 3, 4, 2, 5, 3)),
-            m_values=_mfrac({1: 9, 6: 5, 7: 12, 8: 1}),
+            m_values={1: 9, 6: 5, 7: 12, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=12, spade=True,
@@ -590,7 +585,7 @@ def _records_E8() -> list[CaseRecord]:
             + br(5, 3) + br(8, 4) + bri(8, 1),
             K_expected=frozenset({2, 3, 4, 5, 7}),
             v_lengths=(9,),
-            m_values=_mfrac({1: 3, 6: 4, 8: 1}),
+            m_values={1: 3, 6: 4, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=14,
@@ -599,7 +594,7 @@ def _records_E8() -> list[CaseRecord]:
             + br(4, 1) + br(5, 3) + br(6, 4) + (2,) + br(7, 3) + br(8, 4) + bri(8, 1),
             K_expected=frozenset({4, 5, 6, 7}),
             v_words=(br(7, 4),),
-            m_values=_mfrac({1: 3, 2: 3, 3: 2, 8: 1}),
+            m_values={1: 3, 2: 3, 3: 2, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=15,
@@ -611,7 +606,7 @@ def _records_E8() -> list[CaseRecord]:
                 (3, 4) + bri(5, 2) + br(6, 4) + bri(7, 2),
                 bri(4, 2) + bri(5, 2) + (4,) + bri(5, 2) + br(6, 4) + bri(7, 2),
             ),
-            m_values=_mfrac({1: 2, 8: 1}),
+            m_values={1: 2, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=16,
@@ -620,7 +615,7 @@ def _records_E8() -> list[CaseRecord]:
             + br(8, 1) + (4, 3, 5, 4, 2) + br(6, 3) + br(7, 4) + bri(8, 1),
             K_expected=frozenset(range(1, 7)),
             v_lengths=(24,),
-            m_values=_mfrac({7: 2, 8: 1}),
+            m_values={7: 2, 8: 1},
         ),
         CaseRecord(
             family="E", rank=8, twist=1, case=17,
@@ -647,7 +642,7 @@ def _records_F4() -> list[CaseRecord]:
         CaseRecord(
             family="F", rank=4, twist=1, case=1,
             J=J, w1=br(4, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 1, 3: 5, 4: 3}),
+            m_values={1: 1, 2: 1, 3: 5, 4: 3},
             prose="q m_2 - m_1; q m_3 - m_2 - m_3 - m_4; q m_4 - m_3",
             notes=("printed type-level J = I-{4} fails the coset precondition; "
                    "J = I-{1} reproduces the printed rows exactly",),
@@ -655,7 +650,7 @@ def _records_F4() -> list[CaseRecord]:
         CaseRecord(
             family="F", rank=4, twist=1, case=2,
             J=J, w1=(3, 2) + br(4, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 12, 3: 5, 4: 9}),
+            m_values={1: 1, 2: 12, 3: 5, 4: 9},
             prose="q m_2 - m_1 - m_2 - 2 m_3; q m_3 - m_4; q m_4 - m_2 - m_3",
         ),
         CaseRecord(
@@ -668,21 +663,21 @@ def _records_F4() -> list[CaseRecord]:
             family="F", rank=4, twist=1, case=4,
             J=J, w1=br(3, 1) + (3, 2) + br(4, 1), K_expected=frozenset({2}),
             v_words=((2,),),
-            m_values=_mfrac({1: 1, 3: 4, 4: 3}),
+            m_values={1: 1, 3: 4, 4: 3},
             prose="q m_3 - m_3 - m_4; q m_4 - m_1 - m_3",
         ),
         CaseRecord(
             family="F", rank=4, twist=1, case=5,
             J=J, w1=br(4, 1) + (3, 2) + br(4, 1), K_expected=frozenset({2, 3}),
             v_words=((2, 3), (2, 3, 2, 3)),
-            m_values=_mfrac({1: 1, 4: 2}),
+            m_values={1: 1, 4: 2},
             prose="q m_4 - m_1 - m_4",
         ),
         CaseRecord(
             family="F", rank=4, twist=1, case=6,
             J=J6, w1=c6w1, K_expected=frozenset({3, 4}),
             v_words=((3, 4),),
-            m_values=_mfrac({1: 1, 2: 2}),
+            m_values={1: 1, 2: 2},
             prose="q m_2 - m_1 - m_2",
         ),
         CaseRecord(
@@ -704,7 +699,7 @@ def _records_G2() -> list[CaseRecord]:
         CaseRecord(
             family="G", rank=2, twist=1, case=2,
             J=frozenset({1}), w1=(1, 2, 1, 2), K_expected=frozenset(),
-            m_values=_mfrac({1: 2, 2: 1}),
+            m_values={1: 2, 2: 1},
             prose="q m_1 - m_1 - m_2",
         ),
         CaseRecord(
@@ -722,13 +717,13 @@ def _records_2B2() -> list[CaseRecord]:
         CaseRecord(
             family="B", rank=2, twist=2, case=1,
             J=frozenset({1}), w1=(1,), K_expected=frozenset(),
-            m_values=_mfrac({1: 3, 2: 1}),
+            m_values={1: 3, 2: 1},
             prose="q m_1 - m_1 - m_2",
         ),
         CaseRecord(
             family="B", rank=2, twist=2, case=2,
             J=frozenset({1}), w1=(1, 2, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 1}),
+            m_values={1: 1, 2: 1},
             prose="q m_1 - m_2",
         ),
     ]
@@ -739,19 +734,19 @@ def _records_2G2() -> list[CaseRecord]:
         CaseRecord(
             family="G", rank=2, twist=2, case=1,
             J=frozenset({2}), w1=(2,), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 2}),
+            m_values={1: 1, 2: 2},
             prose="q m_2 - m_1 - m_2",
         ),
         CaseRecord(
             family="G", rank=2, twist=2, case=2,
             J=frozenset({2}), w1=(2, 1, 2), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 3}),
+            m_values={1: 1, 2: 3},
             prose="q m_2 - 2 m_1 - m_2",
         ),
         CaseRecord(
             family="G", rank=2, twist=2, case=3,
             J=frozenset({2}), w1=(2, 1, 2, 1, 2), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 1}),
+            m_values={1: 1, 2: 1},
             prose="q m_2 - m_1",
         ),
     ]
@@ -767,7 +762,7 @@ def _records_2F4() -> list[CaseRecord]:
         CaseRecord(
             family="F", rank=4, twist=2, case=1,
             J=J, w1=(2, 1), K_expected=frozenset(),
-            m_values=_mfrac({1: 1, 2: 3, 3: 1, 4: 1}),
+            m_values={1: 1, 2: 3, 3: 1, 4: 1},
             prose="q m_1 - m_4; q m_2 - m_2 - m_3; q m_3 - m_1",
         ),
         CaseRecord(
@@ -778,18 +773,18 @@ def _records_2F4() -> list[CaseRecord]:
             family="F", rank=4, twist=2, case=3,
             J=J, w1=(1, 2, 3, 2, 1), K_expected=frozenset({2, 3}),
             v_words=((2,), (2, 3, 2)),
-            m_values=_mfrac({1: 3, 4: 1}),
+            m_values={1: 3, 4: 1},
             prose="q m_1 - m_1 - m_4",
         ),
         CaseRecord(
             family="F", rank=4, twist=2, case=4, spade=True,
             J=J, w1=(3, 2, 1, 2, 3, 2) + br(4, 1), K_expected=frozenset(),
-            pinned_mu=(Fraction(3), Fraction(1), Fraction(3), Fraction(-3)),
+            pinned_mu=(3, 1, 3, -3),
         ),
         CaseRecord(
             family="F", rank=4, twist=2, case=5,
             J=J, w1=(2, 3, 2, 1, 2, 3, 2) + br(4, 1), K_expected=frozenset({1, 3}),
-            m_values=_mfrac({2: 3, 4: 1}),
+            m_values={2: 3, 4: 1},
             prose="q m_2 - m_2 - m_4",
             notes=("printed v = s_2 lies outside W_K = W_{1,3}; inner classes are "
                    "enumerated instead",),
@@ -798,7 +793,7 @@ def _records_2F4() -> list[CaseRecord]:
             family="F", rank=4, twist=2, case=6,
             J=J, w1=c6w1, K_expected=frozenset({2, 3}),
             v_words=((2, 3, 2),),
-            m_values=_mfrac({1: 1, 4: 1}),
+            m_values={1: 1, 4: 1},
             prose="q m_1 - m_4",
         ),
     ]
@@ -1121,7 +1116,7 @@ def verify_case(
                 pinned = Certificate(
                     family=record.family, rank=record.rank, twist=record.twist,
                     direction=CATALOG_DIRECTION, q=q, w=w1.word, form=FORM_INVERSE,
-                    mu=Coweight.of(record.pinned_mu),
+                    mu=tuple(map(qext, record.pinned_mu)),
                 )
                 pinned_ok = bool(check_certificate(pinned))
                 report.details["pinned_mu_check"] = "pass" if pinned_ok else "fail"

@@ -55,10 +55,10 @@ a + b sqrt(d) with both parts reduced, through ``number_to_json`` and
 
 The trusted base is this module, the exact numbers of
 :mod:`weyldl.exactnum`, and from :mod:`weyldl.rootdata` the Cartan
-matrices, the twists, the closed forms for the number of positive roots,
-the coweight and the record base.  A certificate is hostile input: every
-field is checked before it is used, and only a descriptor found valid is
-memoized.
+matrices, the twists, the closed forms for the number of positive roots
+and the record base.  A certificate is hostile input: every field is
+checked before it is used, w and mu for being tuples before either is
+measured, and only a descriptor found valid is memoized.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .exactnum import (
     _sign,
     integer_parts,
 )
-from .rootdata import Coweight, Frozen, build_twist, cartan_matrix, positive_root_count
+from .rootdata import Frozen, build_twist, cartan_matrix, positive_root_count
 
 __all__ = [
     "FORM_FORWARD",
@@ -107,7 +107,13 @@ class CertificateError(ValueError):
 
 
 class Certificate(Frozen):
-    """Checkable witness (group, direction, q, w, form, mu)."""
+    """Checkable witness (group, direction, q, w, form, mu).
+
+    ``w`` is the word, a tuple of 1-based node indices, and ``mu`` a tuple
+    of exact numbers: the coordinates of mu in the fundamental-coweight
+    basis, so that alpha(mu) is the dot product with the simple-root
+    coordinates of alpha.
+    """
 
     __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
 
@@ -120,7 +126,7 @@ class Certificate(Frozen):
         q: QuadExt,
         w: tuple[int, ...],
         form: str,
-        mu: Coweight,
+        mu: tuple[QuadExt, ...],
     ):
         _setattr(self, "family", family)
         _setattr(self, "rank", rank)
@@ -139,7 +145,7 @@ class Certificate(Frozen):
             "q": number_to_json(self.q),
             "w": list(self.w),
             "form": self.form,
-            "mu": [number_to_json(x) for x in self.mu.coords],
+            "mu": [number_to_json(x) for x in self.mu],
         }
 
     def to_json(self) -> str:
@@ -159,7 +165,7 @@ class Certificate(Frozen):
                 q=number_from_json(obj["q"]),
                 w=tuple(_strict_int(x) for x in obj["w"]),
                 form=obj["form"],
-                mu=Coweight(tuple(number_from_json(x) for x in obj["mu"])),
+                mu=tuple(number_from_json(x) for x in obj["mu"]),
             )
         except CertificateError:
             raise
@@ -305,6 +311,8 @@ def check_certificate(cert) -> CheckResult:
         max_length = positive_root_count(family, rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
+    if type(word) is not tuple or type(cert.mu) is not tuple:
+        return CheckResult(False, "w and mu must be tuples")
     if len(word) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
@@ -323,7 +331,7 @@ def check_certificate(cert) -> CheckResult:
     # q and every coordinate over one denominator r and one radicand d: the
     # system sums them all, so each must be compatible with every other.
     try:
-        (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *cert.mu.coords])
+        (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *cert.mu])
     except IncompatibleRadicandError:
         return CheckResult(False, "incompatible exact numbers: "
                            "cannot combine sqrt(2) with sqrt(3)")

@@ -67,7 +67,7 @@ from .checker import (
 from .conjugacy import DeltaClass, FalsificationError, PiMap, direction_of, restrict_pi
 from .exactnum import SQRT2, SQRT3, QuadExt, _join_d, _make, _sign, integer_parts, qext
 from .lp import _solve_dual, integer_rows
-from .rootdata import Coweight, Frozen, Twist
+from .rootdata import Frozen, Twist
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -258,24 +258,21 @@ def build_star_system(
     )
 
 
-def feasible(system: IneqSystem) -> Optional[Coweight]:
-    """A strict solution as a coweight on the ambient rank, or None.
+def feasible(system: IneqSystem) -> Optional[tuple[QuadExt, ...]]:
+    """A strict solution, one exact number per variable in ``varset`` order, or None.
 
     The simplex reads the system's rows as :func:`weyldl.lp.integer_rows`
     encodes them; the point is re-checked against the system before it
-    is returned.  Coordinates off the variable set come back zero.  The
-    rank is taken as max node appearing; callers embed as needed.
+    is returned.  On a system over all the nodes, as the forward and
+    inverse forms are, it is mu itself; read a star system's point with
+    ``dict(zip(system.varset, point))``.
     """
     point, _ = _solve_dual(*integer_rows(system), len(system.varset))
     if point is None:
         return None
     if system.violated(dict(zip(system.varset, point))):
         raise AssertionError("simplex returned a non-strict point")
-    rank = max(system.varset) if system.varset else 0
-    coords = [qext(0)] * rank
-    for i, x in zip(system.varset, point):
-        coords[i - 1] = x
-    return Coweight(tuple(coords))
+    return point
 
 
 def minimal_q(family: str, twist: int) -> QuadExt:

@@ -75,7 +75,7 @@ from .criterion import (
     feasible,
 )
 from .exactnum import ZERO, QuadExt, qext
-from .rootdata import Coweight, Frozen, Twist
+from .rootdata import Frozen, Twist
 from .subsystems import SubContext, component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
@@ -455,7 +455,7 @@ def _leaf_certificate(
     # reduction system may still be feasible above the minimal q.
     mu_star = feasible(star)
     if mu_star is not None:
-        star_point = {i: mu_star[i] for i in star.varset}
+        star_point = dict(zip(star.varset, mu_star))
         return extend_via_parabolic_step(W, tau, w1, star, star_point, inner)
 
     # The reduction system is infeasible: spade territory.
@@ -470,7 +470,7 @@ def _leaf_certificate(
     for w in level:
         mu = feasible(build_forward_system(W, w, pi, q))
         if mu is not None:
-            point = {i: mu[i] for i in W.system.nodes}
+            point = dict(zip(W.system.nodes, mu))
             return _validate(
                 W, pi, EngineCert(w, point, frozenset(W.system.nodes), q),
                 "spade solver witness",
@@ -566,7 +566,6 @@ def constructive_certificate(
     q = admissible_q(family, rank, twist.order, q)
     pi, direction = class_map(W, twist, dclass)
     cert = _engine(W, pi, q, dclass.representative)
-    coords = [cert.mu.get(i, qext(0)) for i in range(1, W.rank + 1)]
     out = Certificate(
         family=family,
         rank=rank,
@@ -575,7 +574,7 @@ def constructive_certificate(
         q=q,
         w=cert.w.word,
         form=FORM_FORWARD,
-        mu=Coweight(tuple(coords)),
+        mu=tuple(cert.mu.get(i, ZERO) for i in W.system.nodes),
     )
     result = check_certificate(out)
     if not result:

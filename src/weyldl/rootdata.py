@@ -1,4 +1,4 @@
-"""Root systems, coweights and diagram twists in Bourbaki labelling.
+"""Root systems and diagram twists in Bourbaki labelling.
 
 Roots are kept in simple-root coordinates: a root is a tuple of
 integers ``c`` with ``alpha = sum_i c[i] alpha_{i+1}``.  The Cartan
@@ -12,10 +12,6 @@ through their pairings with the simple coroots, which also give the
 image of every positive root under every simple reflection
 (``RootSystem.simple_reflections``); ``weyl`` builds its reflection
 tables from those images, once per matrix (``weyl.group_of``).
-
-Coweights are coordinate vectors in the fundamental-coweight basis and
-pair with a root by the plain coordinate dot product, since
-``alpha_i(omega_j^vee) = delta_ij``.
 
 The record classes of the package (here, in ``criterion``, ``checker``,
 ``conjugacy``, ``lifting`` and ``casetables``) are plain slotted classes
@@ -33,13 +29,8 @@ bytecode (ten runs each, Python 3.11.7, shared 2-core x86-64 host).
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .exactnum import QuadExt, qext
-
 __all__ = [
     "RootSystem",
-    "Coweight",
     "Twist",
     "build_root_system",
     "build_twist",
@@ -192,13 +183,13 @@ def positive_root_count(family: str, rank: int) -> int:
 class RootSystem(Frozen):
     """Positive roots of a (possibly reducible) crystallographic system.
 
-    Equality, hashing and repr leave out ``root_index`` and
-    ``simple_reflections``, which the other fields determine.
+    Equality, hashing and repr leave out ``simple_reflections``, which
+    the other fields determine.
     """
 
     __slots__ = (
         "family", "rank", "cartan", "positive_roots", "highest_root", "n0",
-        "root_index", "simple_reflections",
+        "simple_reflections",
     )
 
     def __init__(
@@ -209,7 +200,6 @@ class RootSystem(Frozen):
         positive_roots: tuple[Root, ...],
         highest_root: Root,
         n0: int,
-        root_index: dict[Root, int],
         # Entry q of row i - 1: the signed 1-based index of s_i(beta_{q+1}).
         simple_reflections: tuple[tuple[int, ...], ...],
     ):
@@ -219,7 +209,6 @@ class RootSystem(Frozen):
         _setattr(self, "positive_roots", positive_roots)
         _setattr(self, "highest_root", highest_root)
         _setattr(self, "n0", n0)
-        _setattr(self, "root_index", root_index)
         _setattr(self, "simple_reflections", simple_reflections)
 
     def _fields(self) -> tuple:
@@ -291,7 +280,6 @@ def _build_from_cartan(family: str, rank: int, cartan) -> RootSystem:
         positive_roots=tuple(roots),
         highest_root=roots[-1],
         n0=sum(roots[-1]),
-        root_index={r: k for k, r in enumerate(roots)},
         simple_reflections=tuple(map(tuple, reflections)),
     )
 
@@ -318,26 +306,6 @@ def system_of(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
             return build_root_system(family, rank)
     label = "cartan:" + "/".join(",".join(map(str, row)) for row in cartan)
     return _build_from_cartan(label, len(cartan), cartan)
-
-
-class Coweight(Frozen):
-    """Coordinates in the fundamental-coweight basis; entries are QuadExt."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[QuadExt, ...]):
-        _setattr(self, "coords", coords)
-
-    @classmethod
-    def of(cls, values: Iterable) -> "Coweight":
-        return cls(tuple(qext(v) for v in values))
-
-    def __getitem__(self, i: int) -> QuadExt:
-        """1-based coordinate access (Bourbaki node index)."""
-        return self.coords[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 class Twist(Frozen):

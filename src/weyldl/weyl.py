@@ -96,7 +96,7 @@ class WeylGroup:
             raise ValueError(f"{system.family}{system.rank} has {n} positive roots, "
                              f"above the limit of {MAX_ROOTS} that element keys hold")
         # Position in ``roots`` of each simple root alpha_1..alpha_rank.
-        self.simple_pos = tuple(system.root_index[system.simple_root(i)] for i in system.nodes)
+        self.simple_pos = tuple(self.roots.index(system.simple_root(i)) for i in system.nodes)
         self.identity = WeylElt(self, bytes(p + 1 + n for p in self.simple_pos), 0)
         # Key byte -> 0 for a negative root, 1 otherwise: finds right descents.
         self._negative = bytes(n) + b"\x01" * (256 - n)

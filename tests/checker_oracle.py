@@ -43,7 +43,7 @@ def oracle_check(cert) -> CheckResult:
     if any(type(i) is not int or not 1 <= i <= cert.rank for i in cert.w):
         return CheckResult(False, f"word letter is not an int in 1..{cert.rank}")
     try:
-        radicands = sorted({qext(x).d for x in (cert.q, *cert.mu.coords)} - {1})
+        radicands = sorted({qext(x).d for x in (cert.q, *cert.mu)} - {1})
     except TypeError as exc:
         return CheckResult(False, f"q and mu must be exact numbers: {exc}")
     if len(radicands) > 1:
@@ -58,7 +58,7 @@ def oracle_check(cert) -> CheckResult:
         system = build_forward_system(W, w, pi, cert.q)
     else:
         system = build_inverse_system(W, w, pi, cert.q)
-    violated = system.violated({i: cert.mu[i] for i in system.varset})
+    violated = system.violated(dict(zip(system.varset, cert.mu)))
     if violated:
         label, sign = violated[0]
         reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"

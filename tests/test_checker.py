@@ -7,8 +7,9 @@ certificates through rank 6 (W3's 360 and rank 5/6's 816), and
 Hypothesis-made certificates, and a rejection on an inversion row.  The
 walk's rows are ``criterion``'s rows, and the bound its root keys rest on
 holds for every type.  Its trusted base is pinned too: it imports only
-``exactnum`` and ``rootdata`` from weyldl, and it checks the corpus with
-the group and root-closure builders disabled.  The certificate parser it
+``exactnum`` and ``rootdata`` from weyldl, it checks the corpus with the
+group and root-closure builders disabled, and a hand-built w or mu that is
+not a tuple gets a reason, not an exception.  The certificate parser it
 owns is checked here as well: its length limit, and its "p/q" reader
 against a regex reference.
 """
@@ -35,6 +36,7 @@ from weyldl.checker import (
     CheckResult,
     check_certificate,
     number_from_json,
+    number_to_json,
 )
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
@@ -45,7 +47,7 @@ from weyldl.criterion import (
 )
 from weyldl.exactnum import SQRT2, SQRT3, QuadExt, integer_parts, qext
 from weyldl.lifting import constructive_certificate
-from weyldl.rootdata import Coweight, build_twist, candidate_types, positive_root_count
+from weyldl.rootdata import build_twist, candidate_types, positive_root_count
 
 from checker_oracle import oracle_check
 from conftest import RANK_5_6, RANK_LE_4, group
@@ -68,7 +70,7 @@ def _with(cert: Certificate, **fields) -> Certificate:
 
 
 def _mu(cert: Certificate, coords) -> Certificate:
-    return _with(cert, mu=Coweight(tuple(coords)))
+    return _with(cert, mu=tuple(coords))
 
 
 def _non_reduced(cert: Certificate) -> Certificate:
@@ -81,13 +83,13 @@ def _non_reduced(cert: Certificate) -> Certificate:
 
 # (name, variant of a valid certificate, whether the variant is still valid).
 VARIANTS = [
-    ("mu_negated", lambda c: _mu(c, (-x for x in c.mu.coords)), False),
+    ("mu_negated", lambda c: _mu(c, (-x for x in c.mu)), False),
     ("mu_zero", lambda c: _mu(c, [qext(0)] * c.rank), False),
-    ("mu_wrong_length", lambda c: _mu(c, c.mu.coords + (qext(1),)), False),
+    ("mu_wrong_length", lambda c: _mu(c, c.mu + (qext(1),)), False),
     ("letter_out_of_range", lambda c: _with(c, w=c.w + (c.rank + 1,)), False),
     ("letter_zero", lambda c: _with(c, w=(0,) + c.w), False),
     ("float_letter", lambda c: _with(c, w=(1.0,) + c.w), False),
-    ("string_coordinate", lambda c: _mu(c, ("1",) + c.mu.coords[1:]), False),
+    ("string_coordinate", lambda c: _mu(c, ("1",) + c.mu[1:]), False),
     ("q_nonpositive", lambda c: _with(c, q=-c.q), False),
     ("q_zero", lambda c: _with(c, q=qext(0)), False),
     ("word_too_long", lambda c: _with(c, w=(1,) * (positive_root_count(c.family, c.rank) + 1)),
@@ -103,10 +105,10 @@ VARIANTS = [
                                    else FORM_FORWARD), None),
     ("other_direction", lambda c: _with(c, direction="delta" if c.direction == "delta_inv"
                                         else "delta_inv"), None),
-    ("huge_coordinate", lambda c: _mu(c, (qext(-10 ** 4000),) + c.mu.coords[1:]), None),
-    ("tiny_coordinate", lambda c: _mu(c, (qext(Fraction(1, 3 ** 3000)),) + c.mu.coords[1:]),
+    ("huge_coordinate", lambda c: _mu(c, (qext(-10 ** 4000),) + c.mu[1:]), None),
+    ("tiny_coordinate", lambda c: _mu(c, (qext(Fraction(1, 3 ** 3000)),) + c.mu[1:]),
      None),
-    ("mixed_radicands", lambda c: _mu(c, (SQRT2 + 1, SQRT3) + c.mu.coords[2:]), None),
+    ("mixed_radicands", lambda c: _mu(c, (SQRT2 + 1, SQRT3) + c.mu[2:]), None),
 ]
 
 
@@ -139,7 +141,7 @@ def test_corpus_variants_agree(corpus, name, variant, valid):
 def test_hostile_json_agrees(mutate, reason):
     """The hostile certificates of ``test_criterion``: the oracle's result where one parses."""
     obj = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
-                      Coweight.of([2, 1])).to_json_dict()
+                      (qext(2), qext(1))).to_json_dict()
     mutate(obj)
     if reason is not None:
         cert = Certificate.from_json(json.dumps(obj))
@@ -203,7 +205,7 @@ def certificates(draw):
     mu = draw(st.lists(_NUMBERS[radicands], min_size=size, max_size=size))
     direction = draw(st.sampled_from(["delta", "delta_inv", "delta", "delta_inv", "up"]))
     form = draw(st.sampled_from([FORM_FORWARD, FORM_INVERSE] * 2 + ["other"]))
-    return Certificate(family, rank, twist, direction, q, tuple(word), form, Coweight(tuple(mu)))
+    return Certificate(family, rank, twist, direction, q, tuple(word), form, tuple(mu))
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +228,7 @@ def feasible_points(draw):
                        draw(st.sampled_from(["delta", "delta_inv"])),
                        draw(st.sampled_from([qext(2), qext(Fraction(7, 2)), SQRT2 * 2, SQRT3 * 2])),
                        tuple(word), draw(st.sampled_from([FORM_FORWARD, FORM_INVERSE])),
-                       Coweight(tuple(mu)))
+                       tuple(mu))
 
 
 def _has_twist(family: str, rank: int, order: int) -> bool:
@@ -326,7 +328,7 @@ def test_rejects_on_an_inversion_row(family, rank, word, mu, reason, rows):
     the first in root order is named, with the oracle's result.  In A4 the walk meets
     the other one, (1, 0, 0, 0), first."""
     cert = Certificate(family, rank, 1, "delta", qext(3), word, FORM_FORWARD,
-                       Coweight.of(list(mu)))
+                       tuple(map(qext, mu)))
     assert check_certificate(cert) == CheckResult(False, reason, rows) == oracle_check(cert)
 
 
@@ -370,10 +372,34 @@ def test_invalid_descriptor_is_not_memoized(family, rank, twist):
     """A rejected (family, rank, twist) leaves the descriptor memo as it was."""
     before = dict(checker._DESCRIPTORS)
     cert = Certificate(family, rank, twist, "delta", qext(2), (1,), FORM_FORWARD,
-                       Coweight.of([1] * rank))
+                       (qext(1),) * rank)
     result = check_certificate(cert)
     assert not result and result == oracle_check(cert)
     assert checker._DESCRIPTORS == before
+
+
+@pytest.mark.parametrize("fields", [{"w": None}, {"w": 5}, {"w": [2, 1, 2, 1]}, {"mu": None},
+                                    {"mu": [qext(2), qext(1)]}],
+                         ids=["w_none", "w_int", "w_list", "mu_none", "mu_list"])
+def test_w_and_mu_must_be_tuples(fields):
+    """A hand-built w or mu that is not a tuple gets a reason, not an exception."""
+    cert = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD, (qext(2), qext(1)))
+    assert check_certificate(cert).accepted
+    assert check_certificate(_with(cert, **fields)) == CheckResult(False, "w and mu must be tuples")
+
+
+def test_hand_built_tuple_mu_checks_as_parsed(corpus):
+    """A tuple mu built by hand from the wire text, equal to the parsed one, gets the parsed
+    certificate's exact result: accepted as it stands, rejected when negated."""
+    for cert in corpus:
+        obj = cert.to_json_dict()
+        for sign in (1, -1):
+            obj["mu"] = [number_to_json(sign * x) for x in cert.mu]
+            parsed = Certificate.from_json(json.dumps(obj))
+            mu = tuple(QuadExt(Fraction(x["a"]), Fraction(x["b"]), x["d"]) for x in obj["mu"])
+            built = _with(parsed, mu=mu)
+            assert built == parsed
+            assert check_certificate(built) == check_certificate(parsed), built
 
 
 def test_criterion_reexports_the_checker():

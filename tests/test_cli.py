@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from weyldl import cli
 from weyldl.criterion import FORM_FORWARD, Certificate
-from weyldl.exactnum import SQRT2
-from weyldl.rootdata import Coweight
+from weyldl.exactnum import SQRT2, qext
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -255,7 +254,7 @@ class TestCertifyCheck:
 # A certificate ``check`` accepts (the Suzuki class of 2B2), for splicing bytes into.
 _VALID = Certificate(
     family="B", rank=2, twist=2, direction="delta", q=SQRT2, w=(1,),
-    form=FORM_FORWARD, mu=Coweight.of([3, 1]),
+    form=FORM_FORWARD, mu=(qext(3), qext(1)),
 ).to_json().encode()
 _SPLICED = st.builds(
     lambda i, j, data: _VALID[:min(i, j)] + data + _VALID[max(i, j):],

@@ -23,7 +23,7 @@ from weyldl.criterion import (
     parse_q_literal,
 )
 from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadExt, qext
-from weyldl.rootdata import Coweight, build_twist
+from weyldl.rootdata import build_twist
 from weyldl import checker, weyl
 from weyldl.checker import number_to_json
 
@@ -315,8 +315,8 @@ class TestFeasibleOracle:
         w = G2.from_word([2, 1, 2, 1])
         system = build_forward_system(G2, w, idpi(G2), qext(2))
         mu = feasible(system)
-        point = {i: mu[i] for i in system.varset}
-        scaled = {i: mu[i] * Fraction(7, 3) for i in system.varset}
+        point = dict(zip(system.varset, mu))
+        scaled = {i: m * Fraction(7, 3) for i, m in zip(system.varset, mu)}
         assert system.violated(point) == [] and system.violated(scaled) == []
 
 
@@ -324,7 +324,7 @@ class TestCertificates:
     def cert(self, W, word, mu, q=2, family="G", rank=2, twist=1):
         return Certificate(
             family=family, rank=rank, twist=twist, direction="delta",
-            q=qext(q), w=word, form=FORM_FORWARD, mu=Coweight.of(mu),
+            q=qext(q), w=word, form=FORM_FORWARD, mu=tuple(map(qext, mu)),
         )
 
     def test_round_trip_bit_exact(self, G2):
@@ -386,7 +386,7 @@ class TestCertificates:
         cert = Certificate(
             family="G", rank=2, twist=1, direction="delta", q=SQRT2,
             w=(1, 2), form=FORM_FORWARD,
-            mu=Coweight.of([SQRT3, qext(1)]),
+            mu=(SQRT3, qext(1)),
         )
         assert not check_certificate(cert)
 
@@ -396,12 +396,12 @@ class TestCertificates:
             family="F", rank=4, twist=2, direction="delta_inv", q=SQRT2,
             w=tuple(F4.from_word((3, 2, 1, 2, 3, 2, 4, 3, 2, 1)).word),
             form=FORM_INVERSE,
-            mu=Coweight.of([3, 1, 3, -3]),
+            mu=tuple(map(qext, [3, 1, 3, -3])),
         )
         assert check_certificate(cert)
         flipped = Certificate(
             family="F", rank=4, twist=2, direction="delta_inv", q=SQRT2,
-            w=cert.w, form=FORM_INVERSE, mu=Coweight.of([3, 1, 3, 3]),
+            w=cert.w, form=FORM_INVERSE, mu=tuple(map(qext, [3, 1, 3, 3])),
         )
         assert not check_certificate(flipped)
 
@@ -531,7 +531,7 @@ def test_rank_that_is_not_an_int_is_rejected(family, rank):
 @pytest.mark.parametrize("field, value, reason", [
     ("w", (1.0, 2), "word letter is not an int in 1..2"),
     ("w", (2, True), "word letter is not an int in 1..2"),
-    ("mu", Coweight((qext(2), "1")), "q and mu must be exact numbers: expected int or Fraction, got str"),
+    ("mu", (qext(2), "1"), "q and mu must be exact numbers: expected int or Fraction, got str"),
     ("q", 2.0, "q and mu must be exact numbers: expected int or Fraction, got float"),
 ], ids=["float_letter", "bool_letter", "string_coordinate", "float_q"])
 def test_hand_built_field_of_the_wrong_type_is_rejected(field, value, reason):
@@ -592,7 +592,7 @@ class TestCertify:
         # The printed witness must satisfy the same rebuilt system.
         manual = Certificate(
             family="B", rank=2, twist=2, direction="delta", q=SQRT2,
-            w=(1,), form=FORM_FORWARD, mu=Coweight.of([3, 1]),
+            w=(1,), form=FORM_FORWARD, mu=(qext(3), qext(1)),
         )
         assert check_certificate(manual)
 
@@ -630,7 +630,7 @@ class TestCertify:
         classes = class_list(G2, pi_of(twist))
         for cls in classes:
             cert = certify_min_element(G2, twist, cls, qext(2))
-            if all(x.sign() >= 0 for x in cert.mu.coords):
+            if all(x.sign() >= 0 for x in cert.mu):
                 bigger = Certificate(
                     family="G", rank=2, twist=1, direction="delta", q=qext(5),
                     w=cert.w, form=FORM_FORWARD, mu=cert.mu,

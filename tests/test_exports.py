@@ -45,7 +45,7 @@ def test_import_skips_dataclasses_and_inspect():
 
 
 RECORDS = {
-    "RootSystem", "Coweight", "Twist", "IneqSystem", "Certificate", "CheckResult",
+    "RootSystem", "Twist", "IneqSystem", "Certificate", "CheckResult",
     "DeltaClass", "EngineCert", "CaseRecord", "CaseReport", "AggregateReport", "RowPlacement",
 }
 

@@ -30,7 +30,7 @@ from weyldl.lifting import (
     lift_to_full,
     spade_witness,
 )
-from weyldl.rootdata import Coweight, build_twist
+from weyldl.rootdata import build_twist
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup
 
@@ -118,7 +118,7 @@ class TestOrthogonal:
             w = comp.longest_element(nodes)
             G = sub.group
             mu = feasible(build_forward_system(G, sub.element_to_sub(w), idpi(G), q))
-            return EngineCert(w, {sub.to_ambient[i]: mu[i] for i in G.system.nodes},
+            return EngineCert(w, {sub.to_ambient[i]: m for i, m in zip(G.system.nodes, mu)},
                               frozenset(nodes), q)
 
         a, b = factor({1, 2}), factor({3, 4})
@@ -325,7 +325,7 @@ def test_coxeter_class_without_partition(monkeypatch, rank):
     assert len(cert.w.word) == rank
     assert check_certificate(Certificate(
         family="E", rank=rank, twist=1, direction="delta", q=q, w=cert.w.word,
-        form=FORM_FORWARD, mu=Coweight(tuple(cert.mu[i] for i in range(1, rank + 1))),
+        form=FORM_FORWARD, mu=tuple(cert.mu[i] for i in range(1, rank + 1)),
     ))
 
 

@@ -13,9 +13,7 @@ from multiply_oracles import (
     reflect,
     weyl_order,
 )
-from weyldl.exactnum import qext
 from weyldl.rootdata import (
-    Coweight,
     InvalidCartanTypeError,
     RootSystem,
     build_root_system,
@@ -225,7 +223,6 @@ def _assert_closure_matches_reference(system):
     assert system.positive_roots == roots
     assert system.simple_reflections == columns
     assert system.highest_root == roots[-1]
-    assert system.root_index == {r: k for k, r in enumerate(roots)}
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -289,29 +286,25 @@ def test_catalog_replay_closes_each_cartan_matrix_once():
 class TestRecords:
     """The hand-written record classes keep the semantics of the frozen dataclasses they replace."""
 
-    def test_root_system_equality_ignores_index_and_reflections(self):
+    def test_root_system_equality_ignores_reflections(self):
         b3 = build_root_system("B", 3)
         bare = RootSystem(b3.family, b3.rank, b3.cartan, b3.positive_roots, b3.highest_root,
-                          b3.n0, root_index={}, simple_reflections=())
+                          b3.n0, simple_reflections=())
         assert bare == b3 and hash(bare) == hash(b3)
         assert b3 != build_root_system("C", 3)
         assert b3 != RootSystem(b3.family, b3.rank, b3.cartan, b3.positive_roots,
-                                b3.highest_root, b3.n0 + 1, b3.root_index, b3.simple_reflections)
+                                b3.highest_root, b3.n0 + 1, b3.simple_reflections)
         assert b3 != (b3.family, b3.rank)
 
-    def test_twist_and_coweight_equality_and_hash(self):
+    def test_twist_equality_and_hash(self):
         reversal = build_twist("A", 3, 2)
         same = make_twist(build_root_system("A", 3), (3, 2, 1))
         assert reversal == same and hash(reversal) == hash(same)
         assert reversal != identity_twist(3)
-        mu = Coweight.of([1, 2])
-        assert mu == Coweight((qext(1), qext(2))) and hash(mu) == hash(Coweight((qext(1), qext(2))))
-        assert mu != Coweight.of([2, 1]) and mu != mu.coords
 
     @pytest.mark.parametrize("make, field", [
         (lambda: build_root_system("A", 2), "rank"),
         (lambda: build_twist("D", 4, 3), "perm"),
-        (lambda: Coweight.of([1]), "coords"),
     ])
     def test_frozen(self, make, field):
         record = make()
