@@ -71,6 +71,10 @@ _setattr = object.__setattr__
 # catalog's maps (``type_group``) and its inverse-form certificates read it.
 CATALOG_DIRECTION = "delta_inv"
 
+# The largest rank, of a group or an inner node set, that the default tier decides.
+_DEFAULT_TIER_RANK = 6
+_SLOW_TIER_SKIP = "skipped(requires slow tier)"
+
 
 def br(a: int, b: int) -> tuple[int, ...]:
     """Descending run (a, a-1, ..., b); empty when a < b."""
@@ -924,8 +928,9 @@ class RowPlacement(Frozen):
     """A reduction step (J, w1) placed in a group.
 
     K = I(J, w1, tau) is the greatest node set of J that Ad(w1) tau keeps,
-    and sigma = Ad(w1) tau is the index map it induces on K; the inner
-    classes of the step are the sigma-classes of W_K.
+    and sigma is the map Ad(w1) tau induces on K, in the labels of the
+    standalone W_K: the inner classes of the step live there, as the
+    sigma-classes of W_K, the cuspidal ones from ``cuspidal_representatives``.
     """
 
     __slots__ = ("W", "w1", "K", "sigma")
@@ -939,9 +944,9 @@ class RowPlacement(Frozen):
     __hash__ = None  # ``sigma`` is a dict
 
     def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
-        """v (an element of W_K) in the standalone W_K, with sigma there."""
+        """v (an element of W_K) in the standalone W_K, with sigma."""
         sub = sub_context(self.W, self.K)
-        return sub.group, sub.pi_to_sub(self.sigma), sub.element_to_sub(v)
+        return sub.group, self.sigma, sub.element_to_sub(v)
 
     def inner_cuspidal(self) -> list[tuple[int, ...]]:
         """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.
@@ -952,7 +957,7 @@ class RowPlacement(Frozen):
         if not self.K:
             return [()]  # the trivial group's one class is cuspidal
         sub = sub_context(self.W, self.K)
-        reps = cuspidal_representatives(sub.group, sub.pi_to_sub(self.sigma))
+        reps = cuspidal_representatives(sub.group, self.sigma)
         return [sub.word_to_ambient(v.word) for v in reps]
 
 
@@ -968,7 +973,8 @@ def place_row(
     if not W.is_min_coset_rep(x, {tau[j] for j in J}):
         return None
     K = compute_I_J_x(W, tau, J, x)
-    return RowPlacement(W, x, K, ad_pi_on(W, tau, x, K))
+    sigma = sub_context(W, K).pi_to_sub(ad_pi_on(W, tau, x, K)) if K else {}
+    return RowPlacement(W, x, K, sigma)
 
 
 def _resolve_v_options(
@@ -977,17 +983,17 @@ def _resolve_v_options(
     """Ambient-label words for the inner-class options of a record.
 
     "lengths" and "all" rows take the cuspidal inner classes of the
-    placement; the default tier skips an inner node set of size 7, which
-    the slow tier decides.  Returns (words, problem) where problem is a
-    skip/fail message when resolution is impossible.
+    placement; the default tier skips a K above ``_DEFAULT_TIER_RANK``,
+    which the slow tier decides.  Returns (words, problem) where problem is
+    a skip/fail message when resolution is impossible.
     """
     K = placed.K
     if not K or record.v_mode == "identity":
         return [()], None
     if record.v_mode == "words":
         return [tuple(w) for w in record.v_words], None
-    if len(K) > 6 and not slow:
-        return [], "skipped(requires slow tier)"
+    if len(K) > _DEFAULT_TIER_RANK and not slow:
+        return [], _SLOW_TIER_SKIP
     words = placed.inner_cuspidal()
     if record.v_mode == "lengths":
         words = [w for w in words if len(w) in record.v_lengths]
@@ -1156,10 +1162,10 @@ def verify_case(
         else:
             iv_results.append(closure_verdict(*placed.inner(v)))
         # (v): v w1 minimal in its full twisted class
-        if record.rank <= 6 or slow:
+        if record.rank <= _DEFAULT_TIER_RANK or slow:
             v_results.append(closure_verdict(W, pi, w))
         else:
-            v_results.append("skipped(requires slow tier)")
+            v_results.append(_SLOW_TIER_SKIP)
         # (vi): cuspidal, read off the full pi-support of v w1
         vi_results.append("pass" if len(supp_delta(W, pi, w)) == W.rank else "fail")
 

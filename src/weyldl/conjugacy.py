@@ -15,6 +15,9 @@ members.
 Nothing here enumerates a group: classes come from minimal elements and
 their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 ``class_list``); the partition of the whole group is the tests' oracle.
+A parabolic W_J's seeds and inner classes live in its standalone group
+(``subsystems.sub_context``), and cuspidal classes, of W or of a W_J,
+come from ``cuspidal_representatives`` alone.
 
 Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
 the system key (the Cartan matrix) and pi, never on a group object, so
@@ -36,7 +39,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Frozen, Twist
-from .subsystems import component_orbits, identify_standard
+from .subsystems import component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -336,7 +339,7 @@ def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
 # -- cuspidal classes without enumeration ------------------------------------
 
 
-def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
+def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     """The elements reached from w by length-preserving cyclic shifts, by canonical word.
 
     For a minimal w of a cuspidal class this is the whole minimal level of
@@ -352,13 +355,13 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     minimal, and the walk from any member reaches the same level, so the
     level itself goes into ``_MINIMALITY_MEMO`` under the key of each
     member: ``closure_min_check`` reads it as a verdict, and a later call
-    from any member, from any group of the same Cartan matrix, returns it
-    without a walk.
+    from any member, from any group of the same Cartan matrix, returns that
+    same tuple without a walk.
     """
     verdicts = _verdicts(W, pi)
     level = verdicts.get(w.key)
     if type(level) is tuple:
-        return list(level)
+        return level
     # Every member but the identity has a left descent, hence a shift that
     # does not lengthen it, so the walk yields each member as u, with the
     # key of u^-1 from which its canonical word is spelled once.
@@ -377,7 +380,7 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> list[WeylElt]:
     else:  # w is the identity and every shift lengthens it
         level = (w,)
     verdicts.update(dict.fromkeys(inverse or (w.key,), level))
-    return list(level)
+    return level
 
 
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
@@ -518,17 +521,15 @@ def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]
 _COMPONENT_SEEDS: dict[tuple, list[tuple[int, ...]]] = {}
 
 
-def _cuspidal_seeds(
-    W: WeylGroup, pi: PiMap, nodes: Optional[Iterable[int]] = None
-) -> list[tuple[int, ...]]:
-    """One minimal word per cuspidal pi-class of W, or of W_nodes for pi-stable nodes.
+def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
+    """One minimal word per cuspidal pi-class of W.
 
     From the pi-orbits of components: an orbit of r components
     contributes the pi^r-seeds of its first component, with the identity
     on the others; the seeds are the products over the orbits.
     """
     seeds: list[tuple[int, ...]] = [()]
-    for orbit in component_orbits(W, pi, nodes):
+    for orbit in component_orbits(W, pi):
         comp, power = sorted(orbit[0]), power_pi(pi, len(orbit))
         cartan = tuple(tuple(W.system.cartan[i - 1][j - 1] for j in comp) for i in comp)
         sigma = tuple(comp.index(power[i]) + 1 for i in comp)
@@ -557,28 +558,23 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     minimal level (``minimal_level``) and the level's smallest canonical
     word represents the class.  Raises FalsificationError when a seed is
     not minimal, when its twisted support is not all of W's nodes, or when
-    two seeds share a level.  Memoized on the group's system key (its
-    Cartan matrix, so every group of that matrix shares the entry) and pi.
+    two seeds share a level (``minimal_level`` gives both one tuple).
+    Memoized on the group's system key (its Cartan matrix, so every group
+    of that matrix shares the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
         nodes = frozenset(W.system.nodes)
-        owner: dict[bytes, tuple[int, ...]] = {}
-        reps = []
+        levels = []
         for word in _cuspidal_seeds(W, pi):
             seed = W.from_word(word)
             if supp_delta(W, pi, seed) != nodes:
                 raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-            level = minimal_level(W, pi, seed)
-            for u in level:
-                if u.key in owner:
-                    raise FalsificationError(
-                        f"seeds {owner[u.key]} and {word} of {W.system.family} share a class"
-                    )
-                owner[u.key] = word
-            reps.append(level[0])
-        _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))
+            levels.append(minimal_level(W, pi, seed))
+        if len(set(map(id, levels))) < len(levels):
+            raise FalsificationError(f"two seeds of {W.system.family} share a class")
+        _CUSPIDAL_MEMO[key] = tuple(sorted((level[0] for level in levels), key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
 
 
@@ -652,7 +648,7 @@ def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt],
     return sorted(found.values(), key=lambda u: u.word), set(joins)
 
 
-def _delta_class(W: WeylGroup, pi: PiMap, minimal: list[WeylElt]) -> DeltaClass:
+def _delta_class(W: WeylGroup, pi: PiMap, minimal: Sequence[WeylElt]) -> DeltaClass:
     return DeltaClass(
         group_key=W.system.key,
         pi=tuple(sorted(pi.items())),
@@ -677,14 +673,15 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     """Every pi-class of W, by (length, canonical word) of its representative.
 
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
-    minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2): it is the
-    ``minimal_set`` of a seed of W_J.  A seed already found is skipped (for
-    J = S it raises FalsificationError), and so is a J that is the support
-    of a level walked: the joins to it conjugate an earlier W_J' onto W_J,
-    twist included.  Memoized on the system key (the Cartan matrix) and
-    pi, like ``cuspidal_representatives``, so the two equal maps of a twist
-    of order 1 or 2 share one entry.  Raises
-    ValueError when some W_J has no cuspidal seeds (E7 and E8 for now).
+    minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  J = S
+    gives the levels of ``cuspidal_representatives``; a proper J, the
+    ``minimal_set`` of each seed of its standalone group (the identity for
+    J empty).  A seed already found is skipped, and so is a J that is the
+    support of a level walked: the joins to it conjugate an earlier W_J'
+    onto W_J, twist included.  Memoized on the system key (the Cartan
+    matrix) and pi, like ``cuspidal_representatives``, so the two equal
+    maps of a twist of order 1 or 2 share one entry.  Raises ValueError
+    when some W_J has no cuspidal seeds (E7 and E8 for now).
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
@@ -692,18 +689,20 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
         orbits = _pi_orbits(pi, W.system.nodes)
         found: set[bytes] = set()
         supports: set[frozenset[int]] = set()  # of the levels walked
-        classes = []
-        for r in range(len(orbits) + 1):
+        classes = [_delta_class(W, pi, minimal_level(W, pi, x))
+                   for x in cuspidal_representatives(W, pi)]
+        for r in range(len(orbits)):
             for chosen in combinations(orbits, r):
                 J = frozenset().union(*chosen)
                 if J in supports:
                     continue
-                for word in _cuspidal_seeds(W, pi, J):
+                seeds = [()]
+                if J:
+                    sub = sub_context(W, J)
+                    seeds = map(sub.word_to_ambient, _cuspidal_seeds(sub.group, sub.pi_to_sub(pi)))
+                for word in seeds:
                     x = W.from_word(word)
                     if x.key in found:
-                        if r == len(orbits):  # every proper W_J came before
-                            raise FalsificationError(f"seed {word} of {W.system.family} is "
-                                                     "not cuspidal, or two seeds share a class")
                         continue
                     minimal, walked = _minimal_levels(W, pi, x)
                     found.update(u.key for u in minimal)

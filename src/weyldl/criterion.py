@@ -37,14 +37,6 @@ alone, carrying each root's packed coordinates, height and value at mu,
 and it never reads solver state.  Its rows are the rows of the two forms
 above, in the same order, and the signs of its slacks are those of
 :meth:`IneqSystem.violated`, which takes one dot product per row.
-
-``IneqSystem`` is a plain slotted class with a written-out constructor,
-and its equality, hashing and repr come from
-:class:`weyldl.rootdata.Record`, not ``dataclasses``: that module alone
-cost about 25 ms of each cold start (it imports ``inspect``, and each
-decorated class compiles its methods at import), against about 0.04 s
-for all 544 verdicts of the benchmark's ``check`` pass.  See
-:mod:`weyldl.rootdata`.
 """
 
 from __future__ import annotations

@@ -352,11 +352,12 @@ def _standalone(
 ) -> EngineCert:
     """Certify the class of the minimal element x of W_S in the standalone group of S.
 
-    ``pi`` need only be given on S.  Returns the witness embedded on S.
+    A parabolic's classes live in its standalone group, so each parabolic
+    step is certified there.  ``pi`` is W's map, with S pi-stable; returns
+    the witness embedded on S.
     """
     sub = sub_context(W, S)
-    pi_sub = sub.pi_to_sub(pi)
-    return _embed(sub, _engine(sub.group, pi_sub, q, sub.element_to_sub(x)))
+    return _embed(sub, _engine(sub.group, sub.pi_to_sub(pi), q, sub.element_to_sub(x)))
 
 
 def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
@@ -444,8 +445,11 @@ def _leaf_certificate(
     row, placed, v = found
     w1, K = placed.w1, placed.K
 
-    # Inner witness on K (forward side of the inner twisted class).
-    inner = _standalone(W, inverse_pi(placed.sigma), K, q, W.invert(v)) if K else None
+    # Inner witness on K (forward side of the inner twisted class), in W_K.
+    inner = None
+    if K:
+        G, sigma, y = placed.inner(W.invert(v))
+        inner = _embed(sub_context(W, K), _engine(G, inverse_pi(sigma), q, y))
 
     star = build_star_system(W, K, w1, tau, q)
     if row.m_values is not None:
@@ -539,10 +543,8 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
         if v1 is None:
             raise FalsificationError("cyclic class misses its first component")
         r = len(comps)
-        sub = sub_context(W, comps[0])
-        pi_sub = sub.pi_to_sub(power_pi(pi, r))
-        inner = _engine(sub.group, pi_sub, qext(q) ** r, sub.element_to_sub(v1))
-        return combine_cyclic_factors(W, pi, _embed(sub, inner), q)
+        inner = _standalone(W, power_pi(pi, r), comps[0], qext(q) ** r, v1)
+        return combine_cyclic_factors(W, pi, inner, q)
 
     return _leaf_certificate(W, pi, q, level)
 

@@ -5,11 +5,12 @@ simple roots are the alpha_s, s in S.  Re-rooting it as a standalone
 RootSystem (Cartan submatrix, nodes renumbered 1..|S| in sorted order)
 keeps the cost of its keys, tables and shift walks proportional to the
 subsystem, not the ambient group.  It is the one representation of a
-parabolic W_S: the catalog's inner classes and every smaller step of
-the constructive route run in it, and elements cross between it and the
-ambient group only through ``SubContext``.  The renumbering keeps the
-order of the nodes, so canonical words, the root order and class
-representatives correspond.
+parabolic W_S: a class list's seeds of each proper W_S, the catalog's
+inner classes (a placed row's map sigma is stated on its nodes) and
+every smaller step of the constructive route live in it, and elements
+cross between it and the ambient group only through ``SubContext``.
+The renumbering keeps the order of the nodes, so canonical words, the
+root order and class representatives correspond.
 
 The standalone group is ``weyl.group_of`` the Cartan submatrix: equal
 submatrices, and a named type of that matrix, are one group, with one
@@ -83,9 +84,9 @@ def sub_context(ambient: WeylGroup, nodes: Iterable[int]) -> SubContext:
     return _SUB_MEMO[key]
 
 
-def components(W: WeylGroup, nodes: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-    """The node sets of the irreducible components of W (of W_nodes), by smallest node."""
-    nodes = W.system.nodes if nodes is None else frozenset(nodes)
+def components(W: WeylGroup) -> list[frozenset[int]]:
+    """The node sets of the irreducible components of W, by smallest node."""
+    nodes = W.system.nodes
     comps = []
     left = set(nodes)
     while left:
@@ -103,16 +104,14 @@ def components(W: WeylGroup, nodes: Optional[Iterable[int]] = None) -> list[froz
     return sorted(comps, key=min)
 
 
-def component_orbits(
-    W: WeylGroup, pi: dict[int, int], nodes: Optional[Iterable[int]] = None
-) -> list[list[frozenset[int]]]:
-    """The pi-orbits of the components of W (of W_nodes, for pi-stable nodes), by smallest node.
+def component_orbits(W: WeylGroup, pi: dict[int, int]) -> list[list[frozenset[int]]]:
+    """The pi-orbits of the components of W, by smallest node.
 
     Each orbit lists its components C, pi(C), pi^2(C), ..., starting with
     the one that holds the orbit's smallest node.
     """
     orbits, done = [], set()
-    for comp in components(W, nodes):
+    for comp in components(W):
         if comp <= done:
             continue
         orbit = [comp]

@@ -44,6 +44,12 @@ def by_label(records, label):
     return next(r for r in records if r.label == label)
 
 
+def tampered(record, **changes):
+    """``record`` rebuilt with the given fields changed."""
+    fields = {name: getattr(record, name) for name in CaseRecord.__slots__}
+    return CaseRecord(**{**fields, **changes})
+
+
 @pytest.fixture(scope="module")
 def records():
     return load_case_records()
@@ -158,10 +164,25 @@ class TestVerifySmall:
         the system is feasible."""
         rec = by_label(records, "A2 case 1")
         assert verify_case(rec).subchecks["star"] == "pass"
-        fields = {name: getattr(rec, name) for name in CaseRecord.__slots__}
-        report = verify_case(CaseRecord(**{**fields, "m_values": None}))
+        report = verify_case(tampered(rec, m_values=None))
         assert report.subchecks["star"] == "fail"
         assert report.details["star_note"] == "some row fails at a positive point"
+
+
+@pytest.mark.parametrize("label,changes,subcheck,detail,value", [
+    ("F4 case 1", {"m_values": {1: 1, 2: 1, 3: 1, 4: 1}}, "star", "star_violated", ["q-row i=3"]),
+    ("F4 case 1", {"m_values": {1: 1, 2: 1, 3: 5}}, "star", "star_missing_vars", [4]),
+    ("E6 case 3", {"v_words": ((3,), (1,))}, "v_min_inner", "v_outside_WK", [[1]]),
+    ("2F4 case 4", {"pinned_mu": (1, 1, 1, 1)}, "star", "pinned_mu_check", "fail"),
+    ("G2 case 2", {"spade": True, "m_values": None}, "star", "star_note",
+     "expected infeasible at minimal q"),
+])
+def test_tampered_row_fails(records, label, changes, subcheck, detail, value):
+    """A row rebuilt with one field changed fails the subcheck that reads the
+    field, and the report names what failed."""
+    report = verify_case(tampered(by_label(records, label), **changes))
+    assert report.subchecks[subcheck] == "fail"
+    assert report.details[detail] == value
 
 
 def _always_by_rows(system):
@@ -259,7 +280,7 @@ def test_inner_cuspidal_matches_enumeration(records):
         placed = place_row(W, pi_inv, rec.J, rec.w1)
         if placed and 0 < len(placed.K) <= 6:
             sub = sub_context(W, placed.K)
-            pi = sub.pi_to_sub(placed.sigma)
+            pi = placed.sigma
             placements[(sub.system.key, tuple(sorted(pi.items())))] = (sub, pi, placed)
     assert placements
     for sub, pi, placed in placements.values():

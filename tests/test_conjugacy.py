@@ -616,7 +616,7 @@ class TestCuspidalRepresentatives:
         for W, pi in groups:
             for cls in enumerate_delta_classes(W, pi):
                 if cls.cuspidal:
-                    assert minimal_level(W, pi, cls.minimal[-1]) == list(cls.minimal)
+                    assert minimal_level(W, pi, cls.minimal[-1]) == cls.minimal
                     checked += 1
         assert checked == 304
 

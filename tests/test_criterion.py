@@ -625,9 +625,13 @@ class TestCertify:
 
     def test_monotone_in_q(self, G2):
         # The q-row of node i reads q*m_pi(i) - ...: certificates with no
-        # negative coordinate stay valid at larger q.
+        # negative coordinate stay valid at larger q.  Five of G2's six
+        # certificates have none; the sixth is left to the open question of
+        # a certificate with a negative coordinate.
         twist = build_twist("G", 2, 1)
         classes = class_list(G2, pi_of(twist))
+        assert len(classes) == 6
+        rechecked = 0
         for cls in classes:
             cert = certify_min_element(G2, twist, cls, qext(2))
             if all(x.sign() >= 0 for x in cert.mu):
@@ -636,6 +640,8 @@ class TestCertify:
                     w=cert.w, form=FORM_FORWARD, mu=cert.mu,
                 )
                 assert check_certificate(bigger)
+                rechecked += 1
+        assert rechecked == 5
 
 
 class TestSolverCheckerAgreement:

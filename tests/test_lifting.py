@@ -273,7 +273,7 @@ def test_inner_cuspidal_matches_enumeration(monkeypatch):
     def recording(self):
         if self.K:
             sub = sub_context(self.W, self.K)
-            pi = sub.pi_to_sub(self.sigma)
+            pi = self.sigma
             placed[(sub.system.key, tuple(sorted(pi.items())))] = (sub.group, pi)
         return inner_cuspidal(self)
 
