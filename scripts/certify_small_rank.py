@@ -4,10 +4,14 @@
 Writes one certificate JSON per (group, class, route) under --out-dir and
 prints a summary line per group.  The two routes must both be accepted
 by the independent checker for every class: each rejection is printed
-with its group, class and route, and the script then exits 1.
+with its group, class and route, and the script then exits 1.  The total
+line ends with the SHA-256 of the certificates in class-list order, each
+``to_json()`` and a newline, solver before constructive: the bytes of the
+files that --out-dir gets, in that order.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -38,6 +42,7 @@ def main() -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
+    digest = hashlib.sha256()
     total = 0
     failed = 0
     for family, rank, order in GROUPS:
@@ -56,18 +61,16 @@ def main() -> int:
                     failed += 1
                     print(f"{name} class {k:02d} ({cls.representative.word}): "
                           f"{route} certificate rejected: {result.reason}")
-            if out_dir:
-                tag = f"{name}-class{k:02d}"
-                (out_dir / f"{tag}-solver.json").write_text(solver.to_json() + "\n")
-                (out_dir / f"{tag}-constructive.json").write_text(
-                    constructive.to_json() + "\n"
-                )
+                text = (cert.to_json() + "\n").encode("utf-8")
+                digest.update(text)
+                if out_dir:
+                    (out_dir / f"{name}-class{k:02d}-{route}.json").write_bytes(text)
         total += len(classes)
         if failed == failed_before:
             print(f"{name}: {len(classes)} classes certified by both routes")
         else:
             print(f"{name}: {len(classes)} classes, {failed - failed_before} certificates rejected")
-    print(f"{total} classes total in {time.time() - t0:.1f}s")
+    print(f"{total} classes total in {time.time() - t0:.1f}s, sha256 {digest.hexdigest()}")
     if failed:
         print(f"{failed} certificates rejected by the checker")
         return 1

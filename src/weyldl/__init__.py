@@ -12,7 +12,6 @@ from .conjugacy import (
     DeltaClass,
     class_list,
     class_of,
-    compute_I_J_x,
     shift_closure,
     supp_delta,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "class_of",
     "shift_closure",
     "supp_delta",
-    "compute_I_J_x",
     "Certificate",
     "build_forward_system",
     "build_inverse_system",

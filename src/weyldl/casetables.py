@@ -24,9 +24,7 @@ from typing import Callable, Optional, Sequence
 from .conjugacy import (
     FalsificationError,
     PiMap,
-    ad_pi_on,
     closure_min_check,
-    compute_I_J_x,
     cuspidal_representatives,
     minimal_level,
     pi_of,
@@ -927,10 +925,11 @@ class AggregateReport(Record):
 class RowPlacement(Frozen):
     """A reduction step (J, w1) placed in a group.
 
-    K = I(J, w1, tau) is the greatest node set of J that Ad(w1) tau keeps,
-    and sigma is the map Ad(w1) tau induces on K, in the labels of the
-    standalone W_K: the inner classes of the step live there, as the
-    sigma-classes of W_K, the cuspidal ones from ``cuspidal_representatives``.
+    K = I(J, w1, tau) is the greatest node set of J that Ad(w1) tau keeps:
+    w1(alpha_tau(k)) is a simple root alpha_m with m in K for each k in K.
+    sigma is the map k -> m, in the labels of the standalone W_K: the inner
+    classes of the step live there, as the sigma-classes of W_K, the
+    cuspidal ones from ``cuspidal_representatives``.
     """
 
     __slots__ = ("W", "w1", "K", "sigma")
@@ -967,13 +966,20 @@ def place_row(
     """Place the step (J, w1) in W under the class-direction map ``tau``.
 
     None when w1 is not the minimal representative of its coset in
-    W / W_{tau(J)}.
+    W / W_{tau(J)}.  Otherwise K shrinks from J, keeping each k whose image
+    w1(alpha_tau(k)) is a simple root of K, until a pass drops nothing.  The
+    kept sets are closed under union, so I(J, w1, tau) is well defined, and
+    no pass drops a node of a kept set inside K, so the fixed point is the
+    greatest.  On it k -> m is injective, so sigma permutes K.
     """
     x = W.from_word(w1)
     if not W.is_min_coset_rep(x, {tau[j] for j in J}):
         return None
-    K = compute_I_J_x(W, tau, J, x)
-    sigma = sub_context(W, K).pi_to_sub(ad_pi_on(W, tau, x, K)) if K else {}
+    image = {j: W.simple_image(x, tau[j]) for j in J}
+    K = frozenset(J)
+    while (keep := frozenset(k for k in K if image[k] in K)) != K:
+        K = keep
+    sigma = sub_context(W, K).pi_to_sub(image) if K else {}
     return RowPlacement(W, x, K, sigma)
 
 

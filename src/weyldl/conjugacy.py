@@ -17,7 +17,8 @@ their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 ``class_list``); the partition of the whole group is the tests' oracle.
 A parabolic W_J's seeds and inner classes live in its standalone group
 (``subsystems.sub_context``), and cuspidal classes, of W or of a W_J,
-come from ``cuspidal_representatives`` alone.
+come from ``cuspidal_representatives`` alone.  This module answers class
+questions only: a catalog row's reduction step is ``casetables.place_row``.
 
 Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
 the system key (the Cartan matrix) and pi, never on a group object, so
@@ -58,8 +59,6 @@ __all__ = [
     "class_list",
     "partition_memo",
     "supp_delta",
-    "compute_I_J_x",
-    "ad_pi_on",
     "closure_min_check",
     "minimal_level",
     "cuspidal_representatives",
@@ -243,43 +242,6 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
     while not {pi[i] for i in s} <= s:
         s |= {pi[i] for i in s}
     return frozenset(s)
-
-
-def compute_I_J_x(
-    W: WeylGroup,
-    pi: PiMap,
-    J: Iterable[int],
-    x: WeylElt,
-) -> frozenset[int]:
-    """Greatest K inside J with Ad(x) pi (K) = K, by fixed-point descent.
-
-    ``pi`` is the index map of the twist direction in force (the inverse
-    twist for the tabulated reductions).  Well defined because the
-    stable subsets are closed under union, and greatest because a pass
-    drops no node of any stable subset of K, so none is ever lost.
-    """
-    J = frozenset(J)
-    pj = {pi[j] for j in J}
-    if not W.is_min_coset_rep(x, pj):
-        raise ValueError("x is not a minimal coset representative for the twisted J")
-    K = set(J)
-    while True:
-        keep = {k for k in K if W.simple_image(x, pi[k]) in K}
-        if keep == K:
-            return frozenset(K)
-        K = keep
-
-
-def ad_pi_on(W: WeylGroup, pi: PiMap, x: WeylElt, K: Iterable[int]) -> PiMap:
-    """The index map k -> index of x(alpha_{pi(k)}) on a stable K."""
-    out = {}
-    for k in K:
-        out[k] = W.simple_image(x, pi[k])
-        if out[k] is None:
-            raise ValueError(f"Ad(x) pi does not stabilize node {k}")
-    if set(out.values()) != set(out):
-        raise ValueError("Ad(x) pi is not a permutation of K")
-    return out
 
 
 # -- minimality by shift closure ---------------------------------------------

@@ -236,10 +236,10 @@ def build_star_system(
     """The reduction condition's system on the variables outside K.
 
     K = I(J, w1, pi) is the fixed node set of the step (J, w1), as
-    ``place_row`` or ``compute_I_J_x`` gives it; the system reads J only
-    through K.  Variables are the nodes of W not in K; rows are
-    q*m_i - (w1 alpha_{pi(i)})(m restricted) > 0 for i outside K, then
-    positivity m_i > 0 (the row of the simple root alpha_i) of every variable.
+    ``place_row`` gives it; the system reads J only through K.  Variables
+    are the nodes of W not in K; rows are q*m_i - (w1 alpha_{pi(i)})(m
+    restricted) > 0 for i outside K, then positivity m_i > 0 (the row of
+    the simple root alpha_i) of every variable.
     """
     pi = restrict_pi(pi, W.system.nodes)
     varset = tuple(i for i in W.system.nodes if i not in K)

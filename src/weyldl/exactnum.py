@@ -313,8 +313,8 @@ def _coerce(x: object):
 
 
 def qext(x: Scalar) -> QuadExt:
-    """Coerce an int, Fraction or QuadExt to a QuadExt."""
-    o = _coerce(x)
+    """Coerce an int, Fraction or QuadExt to a QuadExt; a bool is no exact number."""
+    o = NotImplemented if type(x) is bool else _coerce(x)
     if o is NotImplemented:
         raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
     return o

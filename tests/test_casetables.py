@@ -417,6 +417,27 @@ def test_K_is_the_greatest_stable_set(records):
     assert checked == 3396
 
 
+def test_sigma_is_the_map_of_w1_tau_on_K(records):
+    """For each of the 213 rows, sigma permutes the nodes of the standalone
+    W_K, and for each k in K, w1(alpha_tau(k)) is the simple root of the
+    ambient node that sigma names: read as coordinates off the signed root
+    index, not through ``simple_image``.  K itself is checked above."""
+    assert len(records) == 213
+    for rec in records:
+        W, tau = type_group(rec.family, rec.rank, rec.twist)
+        placed = place_row(W, tau, rec.J, rec.w1)
+        sub_nodes = set(range(1, len(placed.K) + 1))
+        assert set(placed.sigma) == set(placed.sigma.values()) == sub_nodes, rec.label
+        if not placed.K:
+            continue
+        sub = sub_context(W, placed.K)
+        for i, m in placed.sigma.items():
+            k, image = sub.to_ambient[i], sub.to_ambient[m]
+            unit = tuple(int(j == image) for j in W.system.nodes)
+            coords = W.signed_to_coords(W.act_on_simple(placed.w1, tau[k]))
+            assert coords == unit, (rec.label, k)
+
+
 class TestQuirkRecords:
     def test_e7_case7_printed_reading_fails_coset_precondition(self, records):
         """The printed tail s_{[1,7]}^{-1} is the empty word, and that w1 is no

@@ -4,6 +4,7 @@ import random
 
 import multiply_oracles
 from weyldl import conjugacy
+from weyldl.casetables import place_row
 from weyldl.conjugacy import (
     ClosureBudgetError,
     DeltaClass,
@@ -11,7 +12,6 @@ from weyldl.conjugacy import (
     class_list,
     class_of,
     closure_min_check,
-    compute_I_J_x,
     cuspidal_representatives,
     direction_of,
     minimal_level,
@@ -382,25 +382,28 @@ class TestStrongConjugacy:
 
 
 class TestFixedNodeSet:
+    """K = I(J, w1, tau), as ``place_row`` places the step (J, w1)."""
+
     def test_triality_case(self, D4):
         pi = pi_of(build_twist("D", 4, 3), "delta_inv")
-        w1 = D4.from_word([3, 2, 1])
-        assert compute_I_J_x(D4, pi, {1, 2, 3}, w1) == frozenset({1, 2})
+        placed = place_row(D4, pi, frozenset({1, 2, 3}), (3, 2, 1))
+        assert (placed.K, placed.sigma) == (frozenset({1, 2}), {1: 2, 2: 1})
 
     def test_identity_fixes_everything(self, A2):
         pi = identity_pi(A2)
-        assert compute_I_J_x(A2, pi, {1}, A2.identity) == frozenset({1})
+        placed = place_row(A2, pi, frozenset({1}), ())
+        assert (placed.K, placed.sigma) == (frozenset({1}), {1: 1})
 
     def test_twisted_a4(self):
         W = group("A", 4)
         pi = pi_of(build_twist("A", 4, 2), "delta_inv")
-        w1 = W.from_word([3, 2, 1])
-        assert compute_I_J_x(W, pi, {1, 2, 3}, w1) == frozenset({2})
+        placed = place_row(W, pi, frozenset({1, 2, 3}), (3, 2, 1))
+        assert (placed.K, placed.sigma) == (frozenset({2}), {1: 1})
 
     def test_precondition(self, A2):
+        """s_1 is not minimal in its coset of W_{1}: no placement."""
         pi = identity_pi(A2)
-        with pytest.raises(ValueError):
-            compute_I_J_x(A2, pi, {1}, A2.simple(1))
+        assert place_row(A2, pi, frozenset({1}), (1,)) is None
 
 
 class TestInverseMap:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.conjugacy import class_list, class_of, compute_I_J_x, pi_of
+from weyldl.casetables import place_row
+from weyldl.conjugacy import class_list, class_of, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
     FORM_INVERSE,
@@ -38,7 +39,7 @@ def idpi(W):
 
 def step_star(W, J, w1, pi, q):
     """The star system of the step (J, w1): built on its K = I(J, w1, pi)."""
-    return build_star_system(W, compute_I_J_x(W, pi, J, w1), w1, pi, q)
+    return build_star_system(W, place_row(W, pi, J, w1.word).K, w1, pi, q)
 
 
 class TestForwardSystem:
@@ -145,9 +146,10 @@ class TestBuilderRows:
         J = frozenset(nodes[1:])
         checked = 0
         for w1 in elements_of(W):
-            if not W.is_min_coset_rep(w1, {pi[j] for j in J}):
+            placed = place_row(W, pi, J, w1.word)
+            if placed is None:
                 continue
-            K = compute_I_J_x(W, pi, J, w1)
+            K = placed.K
             star = build_star_system(W, K, w1, pi, q)
             free = tuple(i for i in nodes if i not in K)
             unit = {i: tuple(int(j == i) for j in nodes) for i in nodes}
@@ -533,10 +535,15 @@ def test_rank_that_is_not_an_int_is_rejected(family, rank):
     ("w", (2, True), "word letter is not an int in 1..2"),
     ("mu", (qext(2), "1"), "q and mu must be exact numbers: expected int or Fraction, got str"),
     ("q", 2.0, "q and mu must be exact numbers: expected int or Fraction, got float"),
-], ids=["float_letter", "bool_letter", "string_coordinate", "float_q"])
+    ("q", True, "q and mu must be exact numbers: expected int or Fraction, got bool"),
+    ("mu", (qext(2), True), "q and mu must be exact numbers: expected int or Fraction, got bool"),
+    ("mu", (True, True), "q and mu must be exact numbers: expected int or Fraction, got bool"),
+], ids=["float_letter", "bool_letter", "string_coordinate", "float_q", "bool_q",
+        "bool_coordinate", "bool_mu"])
 def test_hand_built_field_of_the_wrong_type_is_rejected(field, value, reason):
     """A hand-built certificate, which no parser has seen, with a letter that is
-    not an int or a number that is not exact, is rejected with a reason."""
+    not an int or a number that is not exact, is rejected with a reason.  A bool
+    is an int to Python, but q = True is no exact number."""
     values = {name: getattr(TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]), name)
               for name in Certificate.__slots__}
     result = check_certificate(Certificate(**{**values, field: value}))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from weyldl import conjugacy, lifting
-from weyldl.casetables import CaseRecord, RowPlacement, case_records
+from weyldl.casetables import CaseRecord, RowPlacement, case_records, place_row
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
@@ -42,16 +42,16 @@ def idpi(W):
     return {i: i for i in range(1, W.rank + 1)}
 
 
-def cuspidal_inner(W, pi_K, K, q):
-    """Witness of the first cuspidal pi_K-class of W_K, found in the
-    standalone group of K and embedded on K in W."""
+def cuspidal_inner(placed, q):
+    """Witness of the first cuspidal sigma^-1-class of the placed step's W_K,
+    found in the standalone group of K and embedded on K in W."""
     from weyldl.lifting import _engine
 
-    sub = sub_context(W, K)
-    pi_sub = sub.pi_to_sub(pi_K)
+    sub = sub_context(placed.W, placed.K)
+    pi_sub = conjugacy.inverse_pi(placed.sigma)
     cert = _engine(sub.group, pi_sub, q, cuspidal_representatives(sub.group, pi_sub)[0])
     mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
-    return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(K), q)
+    return EngineCert(sub.element_to_ambient(cert.w), mu, placed.K, q)
 
 
 class TestLift:
@@ -182,13 +182,9 @@ class TestExtension:
         # K = {1,2}; inner twisted pair on K; the free scales (2, 1).
         twist = build_twist("D", 4, 3)
         tau = pi_of(twist, "delta_inv")
-        w1 = D4.from_word([3, 2, 1])
-        from weyldl.conjugacy import ad_pi_on, compute_I_J_x, inverse_pi
-
-        K = compute_I_J_x(D4, tau, {1, 2, 3}, w1)
-        sigma = ad_pi_on(D4, tau, w1, K)
-        pi_K = inverse_pi(sigma)
-        inner = cuspidal_inner(D4, pi_K, K, qext(2))
+        placed = place_row(D4, tau, frozenset({1, 2, 3}), (3, 2, 1))
+        w1, K = placed.w1, placed.K
+        inner = cuspidal_inner(placed, qext(2))
         star = build_star_system(D4, K, w1, tau, qext(2))
         out = extend_via_parabolic_step(D4, tau, w1, star, {3: qext(2), 4: qext(1)}, inner)
         assert out.nodes == frozenset({1, 2, 3, 4})
@@ -213,12 +209,10 @@ class TestExtension:
         W = group("A", 4)
         twist = build_twist("A", 4, 2)
         tau = pi_of(twist, "delta_inv")
-        w1 = W.from_word([3, 2, 1])
-        from weyldl.conjugacy import ad_pi_on, compute_I_J_x, inverse_pi
-
-        K = compute_I_J_x(W, tau, {1, 2, 3}, w1)
+        placed = place_row(W, tau, frozenset({1, 2, 3}), (3, 2, 1))
+        w1, K = placed.w1, placed.K
         assert K == frozenset({2})
-        inner = cuspidal_inner(W, inverse_pi(ad_pi_on(W, tau, w1, K)), K, qext(2))
+        inner = cuspidal_inner(placed, qext(2))
         star = build_star_system(W, K, w1, tau, qext(2))
         out = extend_via_parabolic_step(
             W, tau, w1, star, {1: qext(2), 3: qext(2), 4: qext(1)}, inner,
@@ -230,12 +224,10 @@ class TestSpadeRecipe:
     def test_f4_case3_composition(self, F4):
         twist = build_twist("F", 4, 1)
         tau = pi_of(twist, "delta_inv")
-        w1 = F4.from_word((2, 3, 2, 4, 3, 2, 1))
-        from weyldl.conjugacy import ad_pi_on, compute_I_J_x, inverse_pi
-
-        K = compute_I_J_x(F4, tau, {2, 3, 4}, w1)
-        assert K == frozenset({3, 4})
-        inner = cuspidal_inner(F4, inverse_pi(ad_pi_on(F4, tau, w1, K)), K, qext(2))
+        placed = place_row(F4, tau, frozenset({2, 3, 4}), (2, 3, 2, 4, 3, 2, 1))
+        w1 = placed.w1
+        assert placed.K == frozenset({3, 4})
+        inner = cuspidal_inner(placed, qext(2))
         out = spade_witness(F4, tau, w1, ((1, -1, 1), (2, 1, 2)), inner, qext(2))
         # The pattern m2 >> -m1 >> max(m3, m4) with m1 negative.
         assert out.mu[1].sign() < 0
