@@ -819,18 +819,14 @@ _BUILDERS: dict[tuple[str, int, int], Callable[[], list[CaseRecord]]] = {
     ("B", 2, 2): _records_2B2,
 }
 
-_RECORD_MEMO: dict[tuple[str, int, int], list[CaseRecord]] = {}
-
-
+@cache
 def case_records(family: str, rank: int, twist: int) -> list[CaseRecord]:
     """The catalog rows of one type, built on first use by that type's builder alone.
 
     Empty for a type the catalog has no rows for.
     """
-    key = (family, rank, twist)
-    if key not in _RECORD_MEMO and key in _BUILDERS:
-        _RECORD_MEMO[key] = _BUILDERS[key]()
-    return _RECORD_MEMO.get(key, [])
+    builder = _BUILDERS.get((family, rank, twist))
+    return [] if builder is None else builder()
 
 
 def load_case_records() -> list[CaseRecord]:
@@ -846,23 +842,16 @@ def load_case_records() -> list[CaseRecord]:
 class CaseReport(Record):
     """The outcome of one catalog row, filled in subcheck by subcheck (mutable, unhashable).
 
-    ``subchecks`` and ``details`` default to a new dict per report.
+    A report starts with no subchecks, no details and no certificate.
     """
 
     __slots__ = ("label", "subchecks", "details", "certificate", "notes")
 
-    def __init__(
-        self,
-        label: str,
-        subchecks: Optional[dict[str, str]] = None,
-        details: Optional[dict[str, object]] = None,
-        certificate: Optional[Certificate] = None,
-        notes: tuple[str, ...] = (),
-    ):
+    def __init__(self, label: str, notes: tuple[str, ...] = ()):
         self.label = label
-        self.subchecks = {} if subchecks is None else subchecks
-        self.details = {} if details is None else details
-        self.certificate = certificate
+        self.subchecks: dict[str, str] = {}
+        self.details: dict[str, object] = {}
+        self.certificate: Optional[Certificate] = None
         self.notes = notes
 
     __hash__ = None  # mutable
@@ -878,9 +867,7 @@ class CaseReport(Record):
         if self.notes:
             out["notes"] = list(self.notes)
         if self.details:
-            out["details"] = {
-                k: v for k, v in sorted(self.details.items()) if isinstance(v, (str, int, list))
-            }
+            out["details"] = dict(sorted(self.details.items()))
         return out
 
 
@@ -1140,7 +1127,7 @@ def verify_case(
         # Above the minimal q the system may well be feasible.
         mu = feasible(star)
         report.subchecks["star"] = "pass" if mu is not None else "fail"
-        report.details["star_note"] = "feasible above minimal q" if mu else "infeasible"
+        report.details["star_note"] = "feasible above minimal q" if mu is not None else "infeasible"
 
     # (iv)-(vi) inner options and the full-group class of v w1
     if v_problem is not None:

@@ -275,17 +275,10 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     which also holds every level ``minimal_level`` has walked (a level is
     a true verdict for each of its members), and an element found there
     is answered without a walk.
-
-    Fast path: an element whose length equals the number of pi-orbits
-    of its support is minimal outright, since every element of the
-    class needs at least one letter per orbit.
     """
     verdicts = _verdicts(W, pi)
     if w.key in verdicts:
         return "minimal" if verdicts[w.key] else "not_minimal"
-    if w.length == len(_pi_orbits(pi, supp_delta(W, pi, w))):
-        return "minimal"
-
     verdicts[w.key] = minimal = _shorter(W, pi, w) is None
     return "minimal" if minimal else "not_minimal"
 
@@ -576,8 +569,15 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     not all of S and K = J plus one pi-orbit of S - J (Geck-Pfeiffer 2000,
     Thm 3.2.7; Geck-Kim-Pfeiffer 2000; He-Nie 2012).  d is fixed by the
     twist and sends the simple roots of J to simple roots of K, so d u d^-1
-    is u spelled in other letters (``_join_letters``); its length is
-    checked.  Raises FalsificationError when x is not minimal.
+    is u spelled in other letters (``_join_letters``).  Raises
+    FalsificationError when x is not minimal.
+
+    One member per level is conjugated: d carries the length-preserving
+    shift by s_j to the shift by s_d(j), so it maps the whole level of u
+    onto the level of d u d^-1, one to one.  The image's length is
+    checked, and so is the size of its level: a wrong letter map shows as
+    a longer image, a descent in the image's walk, or a level of another
+    size.
     """
     return _minimal_levels(W, pi, x)[0]
 
@@ -587,26 +587,27 @@ def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt],
     orbits = _pi_orbits(pi, W.system.nodes)
     joins: dict[frozenset[int], list[dict[int, int]]] = {}  # J -> its _join_letters
     found: dict[bytes, WeylElt] = {}
-    todo = [x]
+    todo = [minimal_level(W, pi, x)]
     while todo:
-        y = todo.pop()
-        if y.key in found:
+        level = todo.pop()
+        u = level[0]
+        if u.key in found:
             continue
-        level = minimal_level(W, pi, y)
-        found.update((u.key, u) for u in level)
+        found.update((y.key, y) for y in level)
         # supp_pi is the same on the whole level: a length-preserving shift
         # by a letter outside it fixes the element.
-        J = supp_delta(W, pi, level[0])
+        J = supp_delta(W, pi, u)
         if J not in joins:
             joins[J] = [letters for orbit in orbits if not orbit & J
                         if (letters := _join_letters(W, J, orbit))]
         for letters in joins[J]:
-            for u in level:
-                v = W._extend(W.identity, [letters[j] for j in u.word])
-                if v.length != u.length:
-                    raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
-                if v.key not in found:
-                    todo.append(v)
+            v = W._extend(W.identity, [letters[j] for j in u.word])
+            if v.length != u.length:
+                raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
+            image = minimal_level(W, pi, v)
+            if len(image) != len(level):
+                raise FalsificationError(f"conjugating the level of {u.word} by w_0^K w_0^J changes its size")
+            todo.append(image)
     return sorted(found.values(), key=lambda u: u.word), set(joins)
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .casetables import RowPlacement, case_records, place_row
 from .conjugacy import (
@@ -102,27 +102,30 @@ class ConstructionError(RuntimeError):
 
 
 class EngineCert(Frozen):
-    """Forward-form witness of a group: its coordinates on ``nodes``.
+    """Forward-form witness of a group: its coordinates ``mu``, keyed by node.
 
-    A step returns one on all nodes of its group; a witness on a proper
-    ``nodes`` is the embedded witness of the parabolic on those nodes.
-    ``mu`` is a read-only copy of the mapping it is given: ``_engine``
-    shares stored witnesses between callers, so a step that needs other
-    coordinates builds a new witness.
+    Its ``nodes`` are the keys of ``mu``.  A step returns one on all nodes
+    of its group; a witness on a proper node set is the embedded witness
+    of the parabolic on those nodes.  ``mu`` is a read-only copy of the
+    mapping it is given: ``_engine`` shares stored witnesses between
+    callers, so a step that needs other coordinates builds a new witness.
     """
 
-    __slots__ = ("w", "mu", "nodes", "q")
+    __slots__ = ("w", "mu", "q")
 
-    def __init__(self, w: WeylElt, mu: Mapping[int, QuadExt], nodes: frozenset[int], q: QuadExt):
+    def __init__(self, w: WeylElt, mu: Mapping[int, QuadExt], q: QuadExt):
         _setattr(self, "w", w)
         _setattr(self, "mu", MappingProxyType(dict(mu)))
-        _setattr(self, "nodes", nodes)
         _setattr(self, "q", q)
 
     __hash__ = None  # ``mu`` is a mapping
 
+    @property
+    def nodes(self) -> frozenset[int]:
+        return frozenset(self.mu)
+
     def dominant(self) -> bool:
-        return all(self.mu[i].sign() > 0 for i in self.nodes)
+        return all(m.sign() > 0 for m in self.mu.values())
 
 
 def _validate(W: WeylGroup, pi: PiMap, cert: EngineCert, context: str) -> EngineCert:
@@ -130,15 +133,6 @@ def _validate(W: WeylGroup, pi: PiMap, cert: EngineCert, context: str) -> Engine
     if violated:
         raise ConstructionError(f"{context}: constructed witness violates {violated[0][0]}")
     return cert
-
-
-def _max_abs(values: Iterable[QuadExt]) -> QuadExt:
-    best = qext(0)
-    for v in values:
-        a = abs(qext(v))
-        if a > best:
-            best = a
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +154,9 @@ def lift_to_full(W: WeylGroup, pi: PiMap, inner: EngineCert) -> EngineCert:
     if J == nodes:
         return _validate(W, pi, inner, "identity lift")
     q = inner.q
-    m = qext(W.system.n0) * _max_abs(inner.mu.values()) / (q - 1) + 1
+    m = qext(W.system.n0) * max(map(abs, inner.mu.values()), default=ZERO) / (q - 1) + 1
     mu = {i: (inner.mu[i] if i in J else m) for i in sorted(nodes)}
-    return _validate(W, pi, EngineCert(inner.w, mu, nodes, q), "parabolic lift")
+    return _validate(W, pi, EngineCert(inner.w, mu, q), "parabolic lift")
 
 
 def combine_orthogonal_factors(
@@ -181,7 +175,7 @@ def combine_orthogonal_factors(
     for p in sorted(parts, key=lambda p: min(p.nodes)):
         w = W.multiply(w, p.w)
         mu.update(p.mu)
-    return _validate(W, pi, EngineCert(w, mu, nodes, parts[0].q), "orthogonal combination")
+    return _validate(W, pi, EngineCert(w, mu, parts[0].q), "orthogonal combination")
 
 
 def combine_cyclic_factors(
@@ -250,7 +244,7 @@ def combine_cyclic_factors(
         for k in range(r):
             mu[node] = (eps[i] ** k) * (q ** k) * inner.mu[i]
             node = inv[node]
-    return _validate(W, pi, EngineCert(inner.w, mu, frozenset(mu), q), "cyclic combination")
+    return _validate(W, pi, EngineCert(inner.w, mu, q), "cyclic combination")
 
 
 def _inner_scale(
@@ -258,15 +252,15 @@ def _inner_scale(
 ) -> tuple[WeylElt, dict[int, QuadExt], QuadExt]:
     """(v, mu on K, max |mu|) of a dominant inner witness, v = inner.w^{-1}."""
     if inner is None:
-        return W.identity, {}, qext(0)
+        return W.identity, {}, ZERO
     if not inner.dominant():
         raise ConstructionError("inner witness must be dominant")
-    return W.invert(inner.w), dict(inner.mu), _max_abs(inner.mu.values())
+    return W.invert(inner.w), dict(inner.mu), max(map(abs, inner.mu.values()), default=ZERO)
 
 
 def extend_via_parabolic_step(
     W: WeylGroup,
-    tau: PiMap,
+    pi: PiMap,
     w1: WeylElt,
     star: IneqSystem,
     star_m: dict[int, QuadExt],
@@ -274,9 +268,9 @@ def extend_via_parabolic_step(
 ) -> EngineCert:
     """Extend an inner dominant witness through a (J, w1) reduction step.
 
-    ``tau`` is the class-direction (inverse-twist) map on the nodes of W
-    with w1 in W^{tau(J)}; ``star`` is the step's reduction system
-    ``build_star_system(W, K, w1, tau, q)``, whose variables are the nodes
+    ``pi`` is the class map on the nodes of W; ``star`` is the step's
+    reduction system ``build_star_system(W, K, w1, tau, q)`` for tau the
+    inverse of pi, with w1 in W^{tau(J)}, whose variables are the nodes
     outside K = I(J, w1, tau) and whose q is the step's.  ``inner`` is a
     forward-form witness on K for the inverse of the inner twisted class,
     and must be dominant.  The result is a forward-form witness whose
@@ -306,8 +300,7 @@ def extend_via_parabolic_step(
     for i in V:
         mu[i] = m * point[i]
     w = W.multiply(v, w1)
-    out = EngineCert(W.invert(w), mu, frozenset(W.system.nodes), q)
-    return _validate(W, inverse_pi(tau), out, "parabolic extension")
+    return _validate(W, pi, EngineCert(W.invert(w), mu, q), "parabolic extension")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +310,7 @@ def extend_via_parabolic_step(
 
 def spade_witness(
     W: WeylGroup,
-    tau: PiMap,
+    pi: PiMap,
     w1: WeylElt,
     recipe: Sequence[tuple[int, int, int]],
     inner: Optional[EngineCert],
@@ -328,7 +321,8 @@ def spade_witness(
     ``recipe`` lists (node, sign, level) for the free nodes: the level-k
     magnitude is (n0 + 1) / (q - 1) times that of level k - 1, and level 0
     is the largest inner coordinate (at least 1).  The magnitudes are built
-    once, as stated, and the rebuilt system validates the result.
+    once, as stated, and the forward system of the class map ``pi``
+    validates the result.
     """
     q = qext(q)
     v, mu, base = _inner_scale(W, inner)
@@ -338,8 +332,7 @@ def spade_witness(
         mags.append(factor * mags[-1])
     for node, sign, lvl in recipe:
         mu[node] = mags[lvl] if sign > 0 else -mags[lvl]
-    out = EngineCert(W.invert(W.multiply(v, w1)), mu, frozenset(W.system.nodes), q)
-    return _validate(W, inverse_pi(tau), out, "spade composition")
+    return _validate(W, pi, EngineCert(W.invert(W.multiply(v, w1)), mu, q), "spade composition")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +356,7 @@ def _standalone(
 def _embed(sub: SubContext, cert: EngineCert) -> EngineCert:
     """A standalone witness as a witness on the node set S of the ambient group."""
     mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
-    return EngineCert(sub.element_to_ambient(cert.w), mu, frozenset(sub.nodes), cert.q)
+    return EngineCert(sub.element_to_ambient(cert.w), mu, cert.q)
 
 
 class _CatalogRows:
@@ -454,13 +447,13 @@ def _leaf_certificate(
     star = build_star_system(W, K, w1, tau, q)
     if row.m_values is not None:
         star_point = {phi_inv[i]: m for i, m in row.m_values.items()}
-        return extend_via_parabolic_step(W, tau, w1, star, star_point, inner)
+        return extend_via_parabolic_step(W, pi, w1, star, star_point, inner)
     # No stated witness: an always-satisfied row, or a spade row, whose
     # reduction system may still be feasible above the minimal q.
     mu_star = feasible(star)
     if mu_star is not None:
         star_point = dict(zip(star.varset, mu_star))
-        return extend_via_parabolic_step(W, tau, w1, star, star_point, inner)
+        return extend_via_parabolic_step(W, pi, w1, star, star_point, inner)
 
     # The reduction system is infeasible: spade territory.
     if not row.spade:
@@ -469,16 +462,13 @@ def _leaf_certificate(
         )
     if row.spade_recipe:
         recipe = tuple((phi_inv[n], s, lvl) for n, s, lvl in row.spade_recipe)
-        return spade_witness(W, tau, w1, recipe, inner, q)
+        return spade_witness(W, pi, w1, recipe, inner, q)
     # No composition recipe: search the minimal level with the exact solver.
     for w in level:
         mu = feasible(build_forward_system(W, w, pi, q))
         if mu is not None:
             point = dict(zip(W.system.nodes, mu))
-            return _validate(
-                W, pi, EngineCert(w, point, frozenset(W.system.nodes), q),
-                "spade solver witness",
-            )
+            return _validate(W, pi, EngineCert(w, point, q), "spade solver witness")
     raise FalsificationError(
         f"spade row {row.label}: no witness over the class minima at q={q}"
     )
@@ -525,7 +515,7 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     supp = supp_delta(W, pi, x)
     if supp != nodes:
         if not supp:  # the identity class: no rank-0 standalone group
-            return lift_to_full(W, pi, EngineCert(W.identity, {}, frozenset(), qext(q)))
+            return lift_to_full(W, pi, EngineCert(W.identity, {}, qext(q)))
         return lift_to_full(W, pi, _standalone(W, pi, supp, q, x))
 
     orbits = component_orbits(W, pi)

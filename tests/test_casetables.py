@@ -101,6 +101,13 @@ class TestLoad:
         assert records == [r for t in CATALOG_TYPES for r in case_records(*t)]
         assert case_records("A", MAX_RANK + 1, 1) == []
 
+    def test_case_records_are_built_once(self):
+        """Each call for a type returns the one list built for it; a type without
+        rows gets an empty list."""
+        for t in CATALOG_TYPES:
+            assert case_records(*t) is case_records(*t)
+        assert case_records("G", 2, 3) == []
+
     def test_2e6_case8_rep_is_longest(self, records):
         rec = by_label(records, "2E6 case 8")
         W = casetables.weyl_group("E", 6)
@@ -156,6 +163,15 @@ class TestVerifySmall:
         report = verify_case(by_label(records, "G2 case 1"), q=qext(4))
         assert report.subchecks["star"] == "pass"
         assert report.details.get("star_note") == "feasible above minimal q"
+
+    def test_feasible_star_system_without_variables(self):
+        """With K every node, the star system has no variables, and the simplex's
+        point is the empty tuple: a feasible system, not an infeasible one."""
+        record = CaseRecord(family="G", rank=2, twist=1, case=1, J=frozenset({1, 2}), w1=(),
+                            K_expected=frozenset({1, 2}), spade=True)
+        report = verify_case(record, q=qext(4))
+        assert report.subchecks["star"] == "pass"
+        assert report.details["star_note"] == "feasible above minimal q"
 
     def test_always_satisfied_row_fails_on_a_negative_star_row(self, records):
         """A non-spade row without a printed witness claims that every positive

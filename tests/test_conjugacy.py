@@ -422,9 +422,18 @@ class TestInverseMap:
 
 
 class TestClosureMinCheck:
-    def test_support_fast_path(self, G2):
+    def test_coxeter_element_is_minimal(self, G2):
         pi = identity_pi(G2)
         assert closure_min_check(G2, pi, G2.from_word([1, 2])) == "minimal"
+
+    def test_walked_verdict_is_kept(self, G2, monkeypatch):
+        """From an empty memo, the verdict for s1 s2, one letter per pi-orbit of
+        its support, comes from a walk and is kept."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        pi = identity_pi(G2)
+        w = G2.from_word([1, 2])
+        assert closure_min_check(G2, pi, w) == "minimal"
+        assert conjugacy._verdicts(G2, pi) == {w.key: True}
 
     def test_agrees_with_enumeration_f4(self, F4):
         pi = identity_pi(F4)
@@ -445,7 +454,7 @@ class TestClosureMinCheck:
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
         cls = oracle_class_of(F4, pi, w)
         picked = [x for x in class_elements(F4, cls) if x.length == cls.min_length][0]
-        # Longer than its support needs, so the fast path does not answer.
+        # Longer than one letter per pi-orbit of its support.
         assert picked.length > supp_len(F4, pi, picked)
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         with pytest.raises(ClosureBudgetError):
@@ -496,7 +505,7 @@ class TestClosureMinCheck:
         D4 = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group  # node 3 central
         pis = [{1: 1, 2: 2, 3: 3, 4: 4}, {1: 2, 2: 1, 3: 3, 4: 4}, {1: 2, 2: 4, 3: 3, 4: 1}]
         reps = [(pi, v) for pi in pis for v in cuspidal_representatives(D4, pi)]
-        assert any(v.length > supp_len(D4, pi, v) for pi, v in reps)  # no fast path
+        assert any(v.length > supp_len(D4, pi, v) for pi, v in reps)  # not one letter per orbit
         walks = []
         real_walk = conjugacy._shift_walk
         monkeypatch.setattr(conjugacy, "_shift_walk",
@@ -699,6 +708,10 @@ class TestCuspidalRepresentatives:
         assert class_list(W, pi) == enumerate_delta_classes(W, pi)
 
 
+# Groups past rank 4 whose class lists join many levels.
+JOINED_BEYOND_RANK_4 = [("A", 5, 2), ("B", 5, 1), ("D", 5, 1), ("D", 5, 2), ("E", 6, 1), ("E", 6, 2)]
+
+
 class TestClassOracle:
     """``class_list``, ``class_of`` and ``minimal_set`` against the enumerated partition."""
 
@@ -752,6 +765,46 @@ class TestClassOracle:
                 for u in cls.minimal:
                     J = supp_delta(W, pi, u)
                     assert all(supp_delta(W, pi, v) == J for v in minimal_level(W, pi, u))
+
+    def test_a_join_carries_a_level_onto_a_level(self):
+        """``minimal_set`` conjugates one member per level: for every level of every
+        class of rank <= 4 and of 2A5, B5, D5, 2D5, E6 and 2E6, both directions,
+        and every ``_join_letters`` map of its support, the images of all its
+        members make up one ``minimal_level``, of the level's size."""
+        joins = 0
+        for family, rank, order in RANK_LE_4 + JOINED_BEYOND_RANK_4:
+            W = group(family, rank)
+            for direction in ("delta", "delta_inv"):
+                pi = pi_of(build_twist(family, rank, order), direction)
+                orbits = conjugacy._pi_orbits(pi, W.system.nodes)
+                for cls in class_list(W, pi):
+                    levels = {id(level): level for level in
+                              (minimal_level(W, pi, u) for u in cls.minimal)}
+                    for level in levels.values():
+                        J = supp_delta(W, pi, level[0])
+                        for orbit in orbits:
+                            letters = None if orbit & J else conjugacy._join_letters(W, J, orbit)
+                            if letters is None:
+                                continue
+                            images = [W.from_word([letters[j] for j in u.word]) for u in level]
+                            target = minimal_level(W, pi, images[0])
+                            assert len(target) == len(level)
+                            assert {v.key for v in images} == {u.key for u in target}
+                            joins += 1
+        assert joins == 710
+
+    @pytest.mark.parametrize("letters,match", [
+        ({1: 1, 2: 1}, "changes its length"),  # s1 s2 -> s1 s1 = 1
+        ({1: 1, 2: 3}, "changes its size"),  # level {s1 s2, s2 s1} -> level {s1 s3}
+    ])
+    def test_wrong_join_letters_are_caught(self, monkeypatch, letters, match):
+        """A letter map that is not d's, for the class of s1 s2 in A3, is caught on
+        the one member ``minimal_set`` conjugates."""
+        W = group("A", 3)
+        monkeypatch.setattr(conjugacy, "_join_letters",
+                            lambda W, J, orbit: letters if J == {1, 2} else None)
+        with pytest.raises(FalsificationError, match=match):
+            minimal_set(W, identity_pi(W), W.from_word([1, 2]))
 
     def test_minimal_set_rejects_non_minimal(self, A2):
         with pytest.raises(FalsificationError, match="not minimal"):

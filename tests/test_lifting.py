@@ -51,7 +51,7 @@ def cuspidal_inner(placed, q):
     pi_sub = conjugacy.inverse_pi(placed.sigma)
     cert = _engine(sub.group, pi_sub, q, cuspidal_representatives(sub.group, pi_sub)[0])
     mu = {sub.to_ambient[i]: m for i, m in cert.mu.items()}
-    return EngineCert(sub.element_to_ambient(cert.w), mu, placed.K, q)
+    return EngineCert(sub.element_to_ambient(cert.w), mu, q)
 
 
 class TestLift:
@@ -59,22 +59,20 @@ class TestLift:
         # Inner witness on the parabolic {1}: w = s1, mu = omega_1 at q = 2;
         # the lifted scale is 2*1/1 + 1 = 3 and every row stays strict.
         pi = idpi(A2)
-        inner = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
+        inner = EngineCert(A2.simple(1), {1: qext(1)}, qext(2))
         lifted = lift_to_full(A2, pi, inner)
         assert lifted.mu[1] == 1 and lifted.mu[2] == 3
         assert lifted.w == A2.simple(1)
 
     def test_identity_lift(self, A2):
         pi = idpi(A2)
-        inner = EngineCert(
-            A2.from_word([1, 2]), {1: qext(1), 2: qext(1)}, frozenset({1, 2}), qext(2)
-        )
+        inner = EngineCert(A2.from_word([1, 2]), {1: qext(1), 2: qext(1)}, qext(2))
         assert lift_to_full(A2, pi, inner) == inner
 
     def test_quadratic_scale(self, B2):
         # Rank-1 inner at q = sqrt2: the lift scale lands in Q(sqrt2).
         pi = idpi(B2)
-        inner = EngineCert(B2.simple(1), {1: qext(1)}, frozenset({1}), SQRT2)
+        inner = EngineCert(B2.simple(1), {1: qext(1)}, SQRT2)
         lifted = lift_to_full(B2, pi, inner)
         # m = n0 / (sqrt2 - 1) + 1 = 3 (sqrt2 + 1) + 1
         assert lifted.mu[2] == QuadExt(4, 3, 2)
@@ -82,15 +80,14 @@ class TestLift:
     def test_lift_from_empty_support(self, B2):
         twist = build_twist("B", 2, 2)
         pi = pi_of(twist)
-        inner = EngineCert(B2.identity, {}, frozenset(), SQRT2)
+        inner = EngineCert(B2.identity, {}, SQRT2)
         lifted = lift_to_full(B2, pi, inner)
         assert lifted.mu[1] == 1 and lifted.mu[2] == 1
 
     def test_preserves_inner_coordinates(self, F4):
         pi = idpi(F4)
-        inner_nodes = frozenset({1, 2})
         w = F4.from_word([1, 2])  # a Coxeter element of W_{1,2}
-        inner = EngineCert(w, {1: qext(5), 2: qext(3)}, inner_nodes, qext(2))
+        inner = EngineCert(w, {1: qext(5), 2: qext(3)}, qext(2))
         lifted = lift_to_full(F4, pi, inner)
         assert lifted.mu[1] == 5 and lifted.mu[2] == 3
         assert lifted.w == w
@@ -101,8 +98,8 @@ class TestOrthogonal:
         comp = WeylGroup(build_composite_system([("A", 1), ("A", 1)]))
         pi = idpi(comp)
         q = qext(2)
-        a = EngineCert(comp.simple(1), {1: qext(1)}, frozenset({1}), q)
-        b = EngineCert(comp.simple(2), {2: qext(1)}, frozenset({2}), q)
+        a = EngineCert(comp.simple(1), {1: qext(1)}, q)
+        b = EngineCert(comp.simple(2), {2: qext(1)}, q)
         combined = combine_orthogonal_factors(comp, pi, [a, b])
         assert combined.w == comp.from_word([1, 2])
         assert combined.mu == {1: qext(1), 2: qext(1)}
@@ -118,8 +115,7 @@ class TestOrthogonal:
             w = comp.longest_element(nodes)
             G = sub.group
             mu = feasible(build_forward_system(G, sub.element_to_sub(w), idpi(G), q))
-            return EngineCert(w, {sub.to_ambient[i]: m for i, m in zip(G.system.nodes, mu)},
-                              frozenset(nodes), q)
+            return EngineCert(w, {sub.to_ambient[i]: m for i, m in zip(G.system.nodes, mu)}, q)
 
         a, b = factor({1, 2}), factor({3, 4})
         combined = combine_orthogonal_factors(comp, pi, [a, b])
@@ -127,14 +123,14 @@ class TestOrthogonal:
 
     def test_overlap_rejected(self, A2):
         pi = idpi(A2)
-        a = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
+        a = EngineCert(A2.simple(1), {1: qext(1)}, qext(2))
         with pytest.raises(ValueError):
             combine_orthogonal_factors(A2, pi, [a, a])
 
     def test_partial_cover_rejected(self, A2):
         # A node no factor covers reads zero, and its q-row fails validation.
         pi = idpi(A2)
-        a = EngineCert(A2.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
+        a = EngineCert(A2.simple(1), {1: qext(1)}, qext(2))
         with pytest.raises(ConstructionError):
             combine_orthogonal_factors(A2, pi, [a])
 
@@ -147,7 +143,7 @@ class TestCyclic:
         q = qext(2)
         # Inner: the nontrivial class of the first A1 under the squared
         # twist (plain conjugacy) at q^2 = 4.
-        inner = EngineCert(comp.simple(1), {1: qext(1)}, frozenset({1}), qext(4))
+        inner = EngineCert(comp.simple(1), {1: qext(1)}, qext(4))
         out = combine_cyclic_factors(comp, pi, inner, q)
         assert out.w == comp.simple(1)
         assert out.nodes == frozenset({1, 2})
@@ -156,14 +152,14 @@ class TestCyclic:
         comp = WeylGroup(build_composite_system([("A", 1), ("A", 1), ("A", 1)]))
         twist = make_twist(comp.system, (2, 3, 1))
         pi = pi_of(twist)
-        inner = EngineCert(comp.identity, {1: qext(1)}, frozenset({1}), qext(8))
+        inner = EngineCert(comp.identity, {1: qext(1)}, qext(8))
         out = combine_cyclic_factors(comp, pi, inner, qext(2))
         assert all(out.mu[i].sign() > 0 for i in (1, 2, 3))
 
     def test_wrong_inner_q_rejected(self):
         comp = WeylGroup(build_composite_system([("A", 1), ("A", 1)]))
         twist = make_twist(comp.system, (2, 1))
-        inner = EngineCert(comp.simple(1), {1: qext(1)}, frozenset({1}), qext(2))
+        inner = EngineCert(comp.simple(1), {1: qext(1)}, qext(2))
         with pytest.raises(ValueError):
             combine_cyclic_factors(comp, pi_of(twist), inner, qext(2))
 
@@ -172,7 +168,7 @@ class TestCyclic:
         # is refused, not repaired.
         comp = WeylGroup(build_composite_system([("A", 1), ("A", 1)]))
         twist = make_twist(comp.system, (2, 1))
-        inner = EngineCert(comp.simple(1), {1: qext(0)}, frozenset({1}), qext(4))
+        inner = EngineCert(comp.simple(1), {1: qext(0)}, qext(4))
         with pytest.raises(ValueError):
             combine_cyclic_factors(comp, pi_of(twist), inner, qext(2))
 
@@ -186,7 +182,7 @@ class TestExtension:
         w1, K = placed.w1, placed.K
         inner = cuspidal_inner(placed, qext(2))
         star = build_star_system(D4, K, w1, tau, qext(2))
-        out = extend_via_parabolic_step(D4, tau, w1, star, {3: qext(2), 4: qext(1)}, inner)
+        out = extend_via_parabolic_step(D4, pi_of(twist), w1, star, {3: qext(2), 4: qext(1)}, inner)
         assert out.nodes == frozenset({1, 2, 3, 4})
 
     def test_empty_k(self, G2):
@@ -215,7 +211,7 @@ class TestExtension:
         inner = cuspidal_inner(placed, qext(2))
         star = build_star_system(W, K, w1, tau, qext(2))
         out = extend_via_parabolic_step(
-            W, tau, w1, star, {1: qext(2), 3: qext(2), 4: qext(1)}, inner,
+            W, pi_of(twist), w1, star, {1: qext(2), 3: qext(2), 4: qext(1)}, inner,
         )
         assert out.nodes == frozenset(range(1, 5))
 
@@ -228,7 +224,7 @@ class TestSpadeRecipe:
         w1 = placed.w1
         assert placed.K == frozenset({3, 4})
         inner = cuspidal_inner(placed, qext(2))
-        out = spade_witness(F4, tau, w1, ((1, -1, 1), (2, 1, 2)), inner, qext(2))
+        out = spade_witness(F4, pi_of(twist), w1, ((1, -1, 1), (2, 1, 2)), inner, qext(2))
         # The pattern m2 >> -m1 >> max(m3, m4) with m1 negative.
         assert out.mu[1].sign() < 0
         assert out.mu[2] > -out.mu[1] > max(out.mu[3], out.mu[4])
@@ -483,7 +479,7 @@ def test_witness_coordinates_are_read_only():
     one the memo shares cannot be changed by a caller."""
     W = group("A", 2)
     mu = {1: qext(1), 2: qext(2)}
-    cert = EngineCert(W.identity, mu, frozenset({1, 2}), qext(2))
+    cert = EngineCert(W.identity, mu, qext(2))
     mu[1] = qext(5)
     assert cert.mu == {1: qext(1), 2: qext(2)}
     with pytest.raises(TypeError):
@@ -493,10 +489,10 @@ def test_witness_coordinates_are_read_only():
 def test_witness_equality_and_frozen():
     """Witnesses compare by their fields and refuse assignment, as the frozen dataclass did."""
     W = group("A", 2)
-    cert = EngineCert(W.identity, {1: qext(1), 2: qext(2)}, frozenset({1, 2}), qext(2))
-    assert cert == EngineCert(W.identity, {2: qext(2), 1: qext(1)}, frozenset({1, 2}), qext(2))
-    assert cert != EngineCert(W.identity, {1: qext(1), 2: qext(3)}, frozenset({1, 2}), qext(2))
-    assert cert != EngineCert(W.simple(1), cert.mu, cert.nodes, cert.q)
+    cert = EngineCert(W.identity, {1: qext(1), 2: qext(2)}, qext(2))
+    assert cert == EngineCert(W.identity, {2: qext(2), 1: qext(1)}, qext(2))
+    assert cert != EngineCert(W.identity, {1: qext(1), 2: qext(3)}, qext(2))
+    assert cert != EngineCert(W.simple(1), cert.mu, cert.q)
     with pytest.raises(AttributeError):
         cert.mu = {}
     with pytest.raises(AttributeError):
@@ -504,6 +500,20 @@ def test_witness_equality_and_frozen():
     assert cert.mu == {1: qext(1), 2: qext(2)} and cert.q == 2
     with pytest.raises(TypeError):  # its coordinates are a mapping
         hash(cert)
+
+
+def test_witness_nodes_are_the_keys_of_mu(monkeypatch):
+    """A witness holds its element, coordinates and q; its nodes are read off
+    the coordinates.  After the 180 classes of rank <= 4, every witness in the
+    engine memo has a coordinate on each node of its group."""
+    assert EngineCert.__slots__ == ("w", "mu", "q")
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    todo = list(classes_of(RANK_LE_4))
+    for item in todo:
+        constructive_certificate(*item)
+    assert len(todo) == 180
+    for (cartan, *_), cert in lifting._ENGINE_MEMO.items():
+        assert cert.nodes == frozenset(cert.mu) == frozenset(range(1, len(cartan) + 1))
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
