@@ -157,7 +157,7 @@ def _type_name(family: str, rank: int, twist: int) -> str:
 
 
 @cache
-def type_group(family: str, rank: int, twist: int) -> tuple[WeylGroup, PiMap]:
+def type_group(family: str, rank: int, twist: int, /) -> tuple[WeylGroup, PiMap]:
     """The group of a catalog type and the index map of its inverse twist.
 
     Built once per type and shared by every row of it: no caller may
@@ -820,7 +820,7 @@ _BUILDERS: dict[tuple[str, int, int], Callable[[], list[CaseRecord]]] = {
 }
 
 @cache
-def case_records(family: str, rank: int, twist: int) -> list[CaseRecord]:
+def case_records(family: str, rank: int, twist: int, /) -> list[CaseRecord]:
     """The catalog rows of one type, built on first use by that type's builder alone.
 
     Empty for a type the catalog has no rows for.

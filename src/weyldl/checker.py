@@ -15,12 +15,12 @@ direction:
 The checker re-derives those rows from the Cartan matrix alone: it
 builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It walks the word once, keeping
-four ints for each column y(alpha_i) of the running product y: the key
-sum_j c_j 16^(rank-1-j) of its simple-root coordinates c, its height
-sum_j c_j, and the two integer halves of its value at mu over the one
-common denominator that mu shares with q (``exactnum.integer_parts``, one
-call for q and every coordinate).  Letter a moves all four to
-those of y s_a by the one linear rule
+three ints for each column y(alpha_i) of the running product y: the key
+sum_j c_j 16^(rank-1-j) of its simple-root coordinates c, and the two
+integer halves of its value at mu over the one common denominator that mu
+shares with q (``exactnum.integer_parts``, one call for q and every
+coordinate).  Letter a moves all three to those of y s_a by the one
+linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
 
@@ -30,20 +30,21 @@ of (y s_a)^{-1} that y^{-1} lacks; when it is negative its negation is
 the one inversion of y^{-1} that (y s_a)^{-1} lacks, since s_a
 permutes the positive roots other than alpha_a.  So after a word x,
 reduced or not, the columns are x(alpha_i) and the roots met, kept as
-key -> (height, value), are the inversions of x^{-1}.  The forward form
-walks the reversed word (x = w^{-1}), the inverse form the word (x = w).
+key -> value, are the inversions of x^{-1}.  The forward form walks the
+reversed word (x = w^{-1}), the inverse form the word (x = w).
 
 Every column is a root, and through rank ``MAX_RANK`` = 8 no root has a
 coordinate above 6 in absolute value: the largest is the 6 of E8's
 highest root 2 3 4 6 5 4 3 2 (Bourbaki, Lie Groups and Lie Algebras,
 ch. VI, plate VII).  So in base 16 the key is injective, its sign is the
-root's, and on positive roots its order is the lexicographic order of
-the coordinates: (height, key) is the root order of
-:mod:`weyldl.rootdata`.  The q-rows come from the final columns, the
-inversion rows from the roots met, and only a rejection orders them: the
-first violated inversion is the least violated one by (height, key), and
-only its coordinates are decoded, to name it.  So the verdict, the label
-and the row count agree with the systems of :mod:`weyldl.criterion`.
+root's, on positive roots its order is the lexicographic order of
+the coordinates, and the height of a positive root is the digit sum of
+its key: (height, key) is the root order of :mod:`weyldl.rootdata`.  The
+q-rows come from the final columns, the inversion rows from the roots
+met, and only a rejection orders them: it reads the heights of the
+violated inversions off their keys, and the first violated one is the
+least by (height, key).  So the verdict, the label and the row count
+agree with the systems of :mod:`weyldl.criterion`.
 
 This module also owns the certificate itself: the ``Certificate``
 record, its JSON wire format and the parser, which refuses text longer
@@ -51,14 +52,17 @@ than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
 the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
 a + b sqrt(d) with both parts reduced, through ``number_to_json`` and
 ``number_from_json``; ``_ratio`` is the one reader of the "p/q" grammar
--?[0-9]+/[0-9]+ in the package.
+-?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" that
+``number_to_json`` writes for every rational, which the reader takes as
+it is.
 
 The trusted base is this module, the exact numbers of
 :mod:`weyldl.exactnum`, and from :mod:`weyldl.rootdata` the Cartan
 matrices, the twists, the closed forms for the number of positive roots
 and the record base.  A certificate is hostile input: every field is
 checked before it is used, w and mu for being tuples before either is
-measured, and only a descriptor found valid is memoized.
+measured, and only a descriptor found valid is memoized: one probe of
+the memo then answers all three of its fields.
 """
 
 from __future__ import annotations
@@ -163,9 +167,9 @@ class Certificate(Frozen):
                 twist=_strict_int(grp["twist"]),
                 direction=obj["direction"],
                 q=number_from_json(obj["q"]),
-                w=tuple(_strict_int(x) for x in obj["w"]),
+                w=tuple(map(_strict_int, obj["w"])),
                 form=obj["form"],
-                mu=tuple(number_from_json(x) for x in obj["mu"]),
+                mu=tuple(map(number_from_json, obj["mu"])),
             )
         except CertificateError:
             raise
@@ -207,7 +211,7 @@ def number_from_json(obj) -> QuadExt:
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     an, ad = _ratio(a)
-    bn, bd = _ratio(b)
+    bn, bd = (0, 1) if b == "0/1" else _ratio(b)
     _check_radicand(d)
     if d == 1 or not bn:
         # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
@@ -224,12 +228,12 @@ def _ratio(text) -> tuple[int, int]:
     ``str.isdigit`` superscripts.  ``int`` enforces Python's digit limit.
     """
     if isinstance(text, str) and text.isascii():
-        num, slash, den = text.partition("/")
-        if slash and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
+        num, _, den = text.partition("/")
+        if den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
             num, den = int(num), int(den)
-            if den == 0:
-                raise ValueError("malformed rational: zero denominator")
-            return num, den
+            if den:
+                return num, den
+            raise ValueError("malformed rational: zero denominator")
     raise ValueError("malformed rational: expected 'p/q'")
 
 
@@ -247,52 +251,51 @@ class CheckResult(Frozen):
         return self.accepted
 
 
-# (family, rank, twist) -> (links, unit keys, index maps by direction), stored
-# once the descriptor is known valid and the twist is an int.
+# (family, rank, twist) -> (positive root count, links, unit keys, index maps by
+# direction), stored once all three fields are known valid.
 _DESCRIPTORS: dict[tuple[str, int, int], tuple] = {}
 
 
 def _descriptor(family: str, rank: int, twist) -> tuple:
-    """The walk's data for a valid (family, rank); raises for an invalid twist.
+    """The root count and walk data of a valid (family, rank), memoized; raises for an
+    invalid twist.
 
     Entry a of the links lists (i, C[a][i]) for each neighbour i of node a
     (0-based), and entry i of the unit keys is the key of alpha_i.  The
     index maps are the twist's image tuple for direction ``"delta"`` and
     its inverse for ``"delta_inv"``.
     """
-    key = (family, rank, twist)
-    data = _DESCRIPTORS.get(key) if type(twist) is int else None
-    if data is None:
-        cartan = cartan_matrix(family, rank)
-        delta = build_twist(family, rank, twist)
-        links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
-                      for a, row in enumerate(cartan))
-        units = tuple(16 ** (rank - 1 - i) for i in range(rank))
-        data = (links, units, {"delta": delta.perm, "delta_inv": delta.inverse_perm})
-        if type(twist) is int:
-            _DESCRIPTORS[key] = data
+    if type(twist) is not int:  # 2.0 and True would share the memo key of 2 and 1
+        raise ValueError(f"twist must be an int, got {type(twist).__name__}")
+    cartan = cartan_matrix(family, rank)
+    delta = build_twist(family, rank, twist)
+    links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
+                  for a, row in enumerate(cartan))
+    units = tuple(16 ** (rank - 1 - i) for i in range(rank))
+    data = (positive_root_count(family, rank), links, units,
+            {"delta": delta.perm, "delta_inv": delta.inverse_perm})
+    _DESCRIPTORS[family, rank, twist] = data
     return data
 
 
-def _sweep(word, links, units, ps, qs) -> tuple[list, list, list, list, dict]:
-    """The columns x(alpha_i) of the product x of ``word`` as (keys, heights, ps, qs),
-    from alpha_i with value ``ps[i]``, ``qs[i]`` at mu, and the roots met,
-    the inversions of x^{-1}: key -> (height, p, q)."""
-    keys, heights, ps, qs, met = list(units), [1] * len(units), list(ps), list(qs), {}
+def _sweep(word, links, units, ps, qs) -> tuple[list, list, list, dict]:
+    """The columns x(alpha_i) of the product x of ``word`` as (keys, ps, qs), from
+    alpha_i with value ``ps[i]``, ``qs[i]`` at mu, and the roots met, the
+    inversions of x^{-1}: key -> (p, q)."""
+    keys, ps, qs, met = list(units), list(ps), list(qs), {}
     for a in word:
         a -= 1
-        k, h, p, q = keys[a], heights[a], ps[a], qs[a]
+        k, p, q = keys[a], ps[a], qs[a]
         if k > 0:  # the sign of a key is the sign of its root
-            met[k] = (h, p, q)
+            met[k] = (p, q)
         else:
             del met[-k]
-        keys[a], heights[a], ps[a], qs[a] = -k, -h, -p, -q
+        keys[a], ps[a], qs[a] = -k, -p, -q
         for i, c in links[a]:
             keys[i] -= c * k
-            heights[i] -= c * h
             ps[i] -= c * p
             qs[i] -= c * q
-    return keys, heights, ps, qs, met
+    return keys, ps, qs, met
 
 
 def _coords(key: int, rank: int) -> tuple[int, ...]:
@@ -302,13 +305,16 @@ def _coords(key: int, rank: int) -> tuple[int, ...]:
 
 def check_certificate(cert) -> CheckResult:
     """Re-derive the certificate's rows from its Cartan matrix and evaluate them exactly."""
-    family, rank, word = cert.family, cert.rank, cert.w
+    family, rank, twist, word = cert.family, cert.rank, cert.twist, cert.w
     # Only a validated descriptor reaches the memo: an int rank in range (2.0
-    # would share the key of 2), a (family, rank) with a root count, a twist.
+    # would share the key of 2), a (family, rank) with a root count, an int twist.
     if type(rank) is not int or not 1 <= rank <= MAX_RANK:
         return CheckResult(False, f"rank must be in 1..{MAX_RANK}")
+    # The type tests keep an unhashable field away from the probe.  A hit was
+    # valid in all three fields, so it skips their checks.
+    hit = type(family) is str and type(twist) is int and _DESCRIPTORS.get((family, rank, twist))
     try:
-        max_length = positive_root_count(family, rank)
+        max_length = hit[0] if hit else positive_root_count(family, rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if type(word) is not tuple or type(cert.mu) is not tuple:
@@ -316,7 +322,7 @@ def check_certificate(cert) -> CheckResult:
     if len(word) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
-        descriptor = _descriptor(family, rank, cert.twist)
+        descriptor = hit or _descriptor(family, rank, twist)
     except Exception as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if cert.direction not in ("delta", "delta_inv"):
@@ -326,7 +332,7 @@ def check_certificate(cert) -> CheckResult:
     if len(cert.mu) != rank:
         return CheckResult(False, "mu has wrong rank")
     # A letter that is not an int (1.0, True) would pass the range test.
-    if any(type(i) is not int or i < 1 or i > rank for i in word):
+    if word and (not {int}.issuperset(map(type, word)) or min(word) < 1 or max(word) > rank):
         return CheckResult(False, f"word letter is not an int in 1..{rank}")
     # q and every coordinate over one denominator r and one radicand d: the
     # system sums them all, so each must be compatible with every other.
@@ -340,10 +346,10 @@ def check_certificate(cert) -> CheckResult:
     if _sign(qp, qq, d) <= 0:
         return CheckResult(False, "q must be positive")
 
-    links, units, maps = descriptor
+    _, links, units, maps = descriptor
     pi = maps[cert.direction]
     forward = cert.form == FORM_FORWARD
-    _, _, ps, qs, met = _sweep(reversed(word) if forward else word, links, units, mp, mq)
+    _, ps, qs, met = _sweep(reversed(word) if forward else word, links, units, mp, mq)
     rows = rank + len(met)
     # Row i, times r * r: q * mu[u] - x(alpha_v)(mu), with u = pi(i) and
     # v = i in the forward form, u = i and v = pi(i) in the inverse.
@@ -355,11 +361,11 @@ def check_certificate(cert) -> CheckResult:
             label = f"q-row i={i + 1}"
             break
     else:
-        bad = [(h, k) for k, (h, p, q) in met.items() if _sign(p, q, d) <= 0]
+        bad = [(sum(_coords(k, rank)), k) for k, (p, q) in met.items() if _sign(p, q, d) <= 0]
         if not bad:
             return CheckResult(True, "", rows)
         _, k = min(bad)
-        label, sign = f"inversion {_coords(k, rank)}", _sign(met[k][1], met[k][2], d)
+        label, sign = f"inversion {_coords(k, rank)}", _sign(*met[k], d)
     # Only the sign is reported: a hostile mu can make a slack too long to print.
     reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
     return CheckResult(False, reason, rows)

@@ -30,6 +30,8 @@ def oracle_check(cert) -> CheckResult:
     if len(cert.w) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
+        if type(cert.twist) is not int:
+            raise ValueError(f"twist must be an int, got {type(cert.twist).__name__}")
         W = weyl_group(cert.family, cert.rank)
         twist = build_twist(cert.family, cert.rank, cert.twist)
     except Exception as exc:

@@ -234,6 +234,15 @@ def test_type_group_is_built_once_per_type():
     assert pi == {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
 
 
+@pytest.mark.parametrize("cached", [case_records, type_group], ids=["case_records", "type_group"])
+def test_cached_type_tables_take_positional_arguments_only(cached):
+    """A cache keyed on how the arguments are passed would build a second copy for a
+    keyword call: two positional calls share one object, and a keyword call raises."""
+    assert cached("G", 2, 1) is cached("G", 2, 1)
+    with pytest.raises(TypeError):
+        cached(family="G", rank=2, twist=1)
+
+
 class TestAggregate:
     def test_g2_filter(self):
         report = verify_all(type_filter="G2")
