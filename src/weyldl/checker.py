@@ -14,13 +14,16 @@ direction:
 
 The checker re-derives those rows from the Cartan matrix alone: it
 builds no group, root closure or reflection table, and shares no state
-with the routes that make certificates.  It walks the word once, keeping
-three ints for each column y(alpha_i) of the running product y: the key
-sum_j c_j 16^(rank-1-j) of its simple-root coordinates c, and the two
-integer halves of its value at mu over the one common denominator that mu
-shares with q (``exactnum.integer_parts``, one call for q and every
-coordinate).  Letter a moves all three to those of y s_a by the one
-linear rule
+with the routes that make certificates.  It puts q and every coordinate
+of mu over one common denominator with one radicand d
+(``exactnum.integer_parts``, one call), and walks the word once, keeping
+for each column y(alpha_i) of the running product y the key
+sum_j c_j 16^(rank-1-j) of its simple-root coordinates c and its value
+at mu over that denominator.  The radicand selects the walk: when d = 1
+(q and mu rational) the value is one int, and each row's slack is an int
+compared with 0; when d is 2 or 3 it is two, the integer halves p + q
+sqrt(d), and each slack's sign is decided by ``exactnum._sign``.  Letter a
+moves the key and the value to those of y s_a by the one linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
 
@@ -52,9 +55,11 @@ than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
 the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
 a + b sqrt(d) with both parts reduced, through ``number_to_json`` and
 ``number_from_json``; ``_ratio`` is the one reader of the "p/q" grammar
--?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" that
-``number_to_json`` writes for every rational, which the reader takes as
-it is.
+-?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" with d = 1
+that ``number_to_json`` writes for every rational, which the reader takes
+as it is.  The letters of w are tested by one scan of their types, and
+only a word with a letter that is not an int is read letter by letter,
+for the message.
 
 The trusted base is this module, the exact numbers of
 :mod:`weyldl.exactnum`, and from :mod:`weyldl.rootdata` the Cartan
@@ -104,6 +109,9 @@ MAX_RANK = 8
 MAX_CERT_CHARS = 1 << 20
 
 _setattr = object.__setattr__
+# The compact writer of ``to_json``, built once: ``json.dumps`` with separators
+# builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class CertificateError(ValueError):
@@ -153,24 +161,18 @@ class Certificate(Frozen):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return _ENCODER.encode(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
         try:
-            if obj["format_version"] != FORMAT_VERSION:
-                raise CertificateError(f"unsupported format_version {obj['format_version']!r}")
+            version = obj["format_version"]
+            if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
+                raise CertificateError(f"unsupported format_version {version!r}")
             grp = obj["group"]
-            cert = cls(
-                family=grp["family"],
-                rank=_strict_int(grp["rank"]),
-                twist=_strict_int(grp["twist"]),
-                direction=obj["direction"],
-                q=number_from_json(obj["q"]),
-                w=tuple(map(_strict_int, obj["w"])),
-                form=obj["form"],
-                mu=tuple(map(number_from_json, obj["mu"])),
-            )
+            cert = cls(grp["family"], _strict_int(grp["rank"]), _strict_int(grp["twist"]),
+                       obj["direction"], number_from_json(obj["q"]), _letters(obj["w"]),
+                       obj["form"], tuple(map(number_from_json, obj["mu"])))
         except CertificateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -195,6 +197,16 @@ def _strict_int(value) -> int:
     return value
 
 
+def _letters(word) -> tuple[int, ...]:
+    """``word`` as a tuple when every letter is exactly an int; raises for the first
+    letter that is not."""
+    word = tuple(word)
+    if not {int}.issuperset(map(type, word)):
+        for letter in word:
+            _strict_int(letter)
+    return word
+
+
 def number_to_json(x: QuadExt) -> dict:
     """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3} of an exact number."""
     p, q, r = x._p, x._q, x._r
@@ -211,7 +223,9 @@ def number_from_json(obj) -> QuadExt:
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     an, ad = _ratio(a)
-    bn, bd = (0, 1) if b == "0/1" else _ratio(b)
+    if b == "0/1" and d == 1:  # how ``number_to_json`` writes every rational
+        return _make(an, 0, ad, 1)
+    bn, bd = _ratio(b)
     _check_radicand(d)
     if d == 1 or not bn:
         # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
@@ -251,19 +265,22 @@ class CheckResult(Frozen):
         return self.accepted
 
 
+# The letters 1..rank of a word, by rank.
+_LETTERS = tuple(frozenset(range(1, rank + 1)) for rank in range(MAX_RANK + 1))
+
 # (family, rank, twist) -> (positive root count, links, unit keys, index maps by
 # direction), stored once all three fields are known valid.
 _DESCRIPTORS: dict[tuple[str, int, int], tuple] = {}
 
 
-def _descriptor(family: str, rank: int, twist) -> tuple:
-    """The root count and walk data of a valid (family, rank), memoized; raises for an
-    invalid twist.
+def _descriptor(family: str, rank: int, twist, count: int) -> tuple:
+    """The root ``count`` and walk data of a valid (family, rank), memoized; raises
+    for an invalid twist.
 
     Entry a of the links lists (i, C[a][i]) for each neighbour i of node a
     (0-based), and entry i of the unit keys is the key of alpha_i.  The
-    index maps are the twist's image tuple for direction ``"delta"`` and
-    its inverse for ``"delta_inv"``.
+    index maps, 0-based, are the twist's images for direction ``"delta"``
+    and its inverse's for ``"delta_inv"``.
     """
     if type(twist) is not int:  # 2.0 and True would share the memo key of 2 and 1
         raise ValueError(f"twist must be an int, got {type(twist).__name__}")
@@ -272,8 +289,9 @@ def _descriptor(family: str, rank: int, twist) -> tuple:
     links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
                   for a, row in enumerate(cartan))
     units = tuple(16 ** (rank - 1 - i) for i in range(rank))
-    data = (positive_root_count(family, rank), links, units,
-            {"delta": delta.perm, "delta_inv": delta.inverse_perm})
+    maps = {"delta": tuple(p - 1 for p in delta.perm),
+            "delta_inv": tuple(p - 1 for p in delta.inverse_perm)}
+    data = (count, links, units, maps)
     _DESCRIPTORS[family, rank, twist] = data
     return data
 
@@ -298,6 +316,23 @@ def _sweep(word, links, units, ps, qs) -> tuple[list, list, list, dict]:
     return keys, ps, qs, met
 
 
+def _sweep_rational(word, links, units, ps) -> tuple[list, list, dict]:
+    """``_sweep`` for a rational mu, with no sqrt half: (keys, ps) and key -> p."""
+    keys, ps, met = list(units), list(ps), {}
+    for a in word:
+        a -= 1
+        k, p = keys[a], ps[a]
+        if k > 0:
+            met[k] = p
+        else:
+            del met[-k]
+        keys[a], ps[a] = -k, -p
+        for i, c in links[a]:
+            keys[i] -= c * k
+            ps[i] -= c * p
+    return keys, ps, met
+
+
 def _coords(key: int, rank: int) -> tuple[int, ...]:
     """The simple-root coordinates of the positive root with ``key``."""
     return tuple(key >> 4 * j & 15 for j in reversed(range(rank)))
@@ -314,15 +349,15 @@ def check_certificate(cert) -> CheckResult:
     # valid in all three fields, so it skips their checks.
     hit = type(family) is str and type(twist) is int and _DESCRIPTORS.get((family, rank, twist))
     try:
-        max_length = hit[0] if hit else positive_root_count(family, rank)
+        count = hit[0] if hit else positive_root_count(family, rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if type(word) is not tuple or type(cert.mu) is not tuple:
         return CheckResult(False, "w and mu must be tuples")
-    if len(word) > max_length:
+    if len(word) > count:
         return CheckResult(False, "word longer than the longest element")
     try:
-        descriptor = hit or _descriptor(family, rank, twist)
+        descriptor = hit or _descriptor(family, rank, twist, count)
     except Exception as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if cert.direction not in ("delta", "delta_inv"):
@@ -332,7 +367,7 @@ def check_certificate(cert) -> CheckResult:
     if len(cert.mu) != rank:
         return CheckResult(False, "mu has wrong rank")
     # A letter that is not an int (1.0, True) would pass the range test.
-    if word and (not {int}.issuperset(map(type, word)) or min(word) < 1 or max(word) > rank):
+    if not ({int}.issuperset(map(type, word)) and _LETTERS[rank].issuperset(word)):
         return CheckResult(False, f"word letter is not an int in 1..{rank}")
     # q and every coordinate over one denominator r and one radicand d: the
     # system sums them all, so each must be compatible with every other.
@@ -348,24 +383,34 @@ def check_certificate(cert) -> CheckResult:
 
     _, links, units, maps = descriptor
     pi = maps[cert.direction]
-    forward = cert.form == FORM_FORWARD
-    _, ps, qs, met = _sweep(reversed(word) if forward else word, links, units, mp, mq)
-    rows = rank + len(met)
-    # Row i, times r * r: q * mu[u] - x(alpha_v)(mu), with u = pi(i) and
-    # v = i in the forward form, u = i and v = pi(i) in the inverse.
-    for i, p in enumerate(pi):
-        u, v = (p - 1, i) if forward else (i, p - 1)
-        sign = _sign(qp * mp[u] + d * qq * mq[u] - r * ps[v],
-                     qp * mq[u] + qq * mp[u] - r * qs[v], d)
-        if sign <= 0:
-            label = f"q-row i={i + 1}"
-            break
+    # Row i, times r * r: q * mu[u] - x(alpha_v)(mu), with u = pi(i) and v = i
+    # in the forward form (x = w^{-1}), u = i and v = pi(i) in the inverse (x =
+    # w).  Then the inversions of x^{-1}: the roots met, with their values in
+    # the same order.  Each slack and each value is an int with the row's sign.
+    if cert.form == FORM_FORWARD:
+        x, columns = reversed(word), zip(pi, range(rank))
     else:
-        bad = [(sum(_coords(k, rank)), k) for k, (p, q) in met.items() if _sign(p, q, d) <= 0]
-        if not bad:
-            return CheckResult(True, "", rows)
-        _, k = min(bad)
-        label, sign = f"inversion {_coords(k, rank)}", _sign(*met[k], d)
+        x, columns = word, enumerate(pi)
+    if d == 1:  # no sqrt half: the walk carries key and value, and a slack is an int
+        _, ps, met = _sweep_rational(x, links, units, mp)
+        slacks = [qp * mp[u] - r * ps[v] for u, v in columns]
+        values = met.values()
+    else:
+        _, ps, qs, met = _sweep(x, links, units, mp, mq)
+        slacks = [_sign(qp * mp[u] + d * qq * mq[u] - r * ps[v],
+                        qp * mq[u] + qq * mp[u] - r * qs[v], d) for u, v in columns]
+        values = [_sign(p, q, d) for p, q in met.values()]
+    rows = rank + len(met)
+    if min(slacks) <= 0:
+        i = 0
+        while slacks[i] > 0:
+            i += 1
+        label, slack = f"q-row i={i + 1}", slacks[i]
+    elif met and min(values) <= 0:
+        _, k, slack = min((sum(_coords(k, rank)), k, v) for k, v in zip(met, values) if v <= 0)
+        label = f"inversion {_coords(k, rank)}"
+    else:
+        return CheckResult(True, "", rows)
     # Only the sign is reported: a hostile mu can make a slack too long to print.
-    reason = f"violated: {label} (slack {'zero' if sign == 0 else 'negative'})"
+    reason = f"violated: {label} (slack {'zero' if slack == 0 else 'negative'})"
     return CheckResult(False, reason, rows)

@@ -165,19 +165,22 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
+# Classical closed forms for |Phi^+| by family, as functions of the rank.
+_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
+
 def positive_root_count(family: str, rank: int) -> int:
     """Classical closed forms for |Phi^+|; raises where ``cartan_matrix`` does."""
     _check_type(family, rank)
-    n = rank
-    return {
-        "A": n * (n + 1) // 2,
-        "B": n * n,
-        "C": n * n,
-        "D": n * (n - 1),
-        "E": {6: 36, 7: 63, 8: 120}.get(n),
-        "F": 24,
-        "G": 6,
-    }[family]
+    return _ROOT_COUNTS[family](rank)
 
 
 class RootSystem(Frozen):

@@ -5,8 +5,9 @@
 every input: the frozen benchmark corpus and variants of it, both routes'
 certificates through rank 6 (W3's 360 and rank 5/6's 816), and
 Hypothesis-made certificates, and a rejection on an inversion row.  The
-walk's rows are ``criterion``'s rows, and the bound its root keys rest on
-holds for every type.  Its trusted base is pinned too: it imports only
+walk's rows are ``criterion``'s rows, the walk of a rational mu is that
+walk without its sqrt half, and the bound its root keys rest on holds for
+every type.  Its trusted base is pinned too: it imports only
 ``exactnum`` and ``rootdata`` from weyldl, it checks the corpus with the
 group and root-closure builders disabled, and a hand-built w or mu that is
 not a tuple gets a reason, not an exception.  The certificate parser it
@@ -95,6 +96,9 @@ VARIANTS = [
     ("word_too_long", lambda c: _with(c, w=(1,) * (positive_root_count(c.family, c.rank) + 1)),
      False),
     ("non_reduced", _non_reduced, True),
+    # A positive factor scales every slack; a rational certificate takes the sqrt walk.
+    ("mu_times_sqrt", lambda c: _mu(c, (x * (SQRT3 if c.q.d == 3 else SQRT2) for x in c.mu)),
+     True),
     ("bad_twist", lambda c: _with(c, twist=5), False),
     ("bad_family", lambda c: _with(c, family="Z"), False),
     ("bad_direction", lambda c: _with(c, direction="sideways"), False),
@@ -280,13 +284,14 @@ def test_rows_are_the_systems_rows(case, data):
     build = build_forward_system if forward else build_inverse_system
     system = build(W, W.from_word(word), pi_of(build_twist(family, rank, twist), direction), q)
 
-    _, links, units, maps = checker._descriptor(family, rank, twist)
+    _, links, units, maps = checker._descriptor(family, rank, twist,
+                                                positive_root_count(family, rank))
     ps, qs, r, d = integer_parts(mu)
     keys, ps_at, qs_at, met = checker._sweep(
         tuple(reversed(word)) if forward else word, links, units, ps, qs)
     pi = maps[direction]
-    cols = list(range(rank)) if forward else [p - 1 for p in pi]
-    qcols = [p - 1 for p in pi] if forward else list(range(rank))
+    cols = list(range(rank)) if forward else list(pi)
+    qcols = list(pi) if forward else list(range(rank))
     inversions = sorted(met, key=lambda k: (sum(checker._coords(k, rank)), k))
     columns = [_signed_coords(keys[v], rank) for v in cols]
     coeffs = [tuple(-c for c in col) for col in columns]
@@ -301,6 +306,21 @@ def test_rows_are_the_systems_rows(case, data):
     assert slacks == system.evaluate({i + 1: x for i, x in enumerate(mu)})
 
 
+@settings(max_examples=300, deadline=None)
+@given(_words(), st.data())
+def test_rational_walk_is_the_walk_without_sqrt_half(case, data):
+    """On a rational mu the walk with one int per value gives the keys, values and
+    roots met of the walk with two, whose sqrt halves stay zero."""
+    family, rank, twist, _, _, word = case
+    ps = data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=rank, max_size=rank))
+    _, links, units, _ = checker._descriptor(family, rank, twist,
+                                             positive_root_count(family, rank))
+    keys, ps_at, qs_at, met = checker._sweep(word, links, units, ps, [0] * rank)
+    assert not any(qs_at) and not any(q for _, q in met.values())
+    assert checker._sweep_rational(word, links, units, ps) == (
+        keys, ps_at, {k: p for k, (p, _) in met.items()})
+
+
 @pytest.mark.parametrize("family, rank", TYPES, ids=[f"{f}{n}" for f, n in TYPES])
 def test_root_keys_are_injective_and_in_root_order(family, rank):
     """Through ``MAX_RANK`` every root coordinate lies in -7..7, so the base-16 key of a
@@ -308,7 +328,7 @@ def test_root_keys_are_injective_and_in_root_order(family, rank):
     (height, coordinates)."""
     roots = rootdata.build_root_system(family, rank).positive_roots
     assert all(-7 <= c <= 7 for root in roots for c in root)
-    units = checker._descriptor(family, rank, 1)[2]
+    units = checker._descriptor(family, rank, 1, len(roots))[2]
     by_key = {sum(map(mul, root, units)): root for root in roots}
     assert len(by_key) == len(roots)
     assert all(checker._coords(key, rank) == root for key, root in by_key.items())
@@ -320,11 +340,13 @@ def test_root_keys_are_injective_and_in_root_order(family, rank):
     ("A", 4, (3, 1, 4, 2, 3, 4, 1), (-1, 6, 0, 5),
      "violated: inversion (0, 0, 1, 0) (slack zero)", 11),
     ("C", 3, (3, 2, 1, 2, 3), (0, 3, -1), "violated: inversion (0, 0, 1) (slack negative)", 8),
-], ids=["slack_zero", "slack_negative"])
+    ("A", 4, (3, 1, 4, 2, 3, 4, 1), (0, 1, 1, 1),
+     "violated: inversion (1, 0, 0, 0) (slack zero)", 11),
+], ids=["slack_zero", "slack_negative", "lone_slack_zero"])
 def test_rejects_on_an_inversion_row(family, rank, word, mu, reason, rows):
-    """Every q-row holds and two inversions fail, one with slack zero and one negative:
-    the first in root order is named, with the oracle's result.  In A4 the walk meets
-    the other one, (1, 0, 0, 0), first."""
+    """Every q-row holds and inversions fail, one with slack zero and one negative, or
+    one alone with slack zero: the first in root order is named, with the oracle's
+    result.  In A4 the walk meets the other one, (1, 0, 0, 0), first."""
     cert = Certificate(family, rank, 1, "delta", qext(3), word, FORM_FORWARD,
                        tuple(map(qext, mu)))
     assert check_certificate(cert) == CheckResult(False, reason, rows) == oracle_check(cert)

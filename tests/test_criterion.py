@@ -426,6 +426,12 @@ def _set_word(word):
     return mutate
 
 
+def _set_version(value):
+    def mutate(obj):
+        obj["format_version"] = value
+    return mutate
+
+
 def _unprintable_slack(obj):
     # m1 - m2 = (1 - 10^4000 * 3^3000) / 3^3000: each coordinate parses,
     # but the violated first row's slack has more digits than str() allows.
@@ -447,6 +453,9 @@ def _mixed_radicands(obj):
 # (id, mutation of a valid certificate, expected reject-reason prefix;
 # None means Certificate.from_json must raise CertificateError).
 HOSTILE = [
+    # Equal to the version 1 in Python, but not the int 1.
+    ("bool_format_version", _set_version(True), None),
+    ("float_format_version", _set_version(1.0), None),
     ("scientific_notation", _set_coord(0, a="-1e5000"), None),
     ("zero_denominator", _set_coord(0, a="1/0"), None),
     ("bool_radicand", _set_coord(0, b="1/1", d=True), None),
