@@ -16,14 +16,15 @@ The checker re-derives those rows from the Cartan matrix alone: it
 builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It puts q and every coordinate
 of mu over one common denominator with one radicand d
-(``exactnum.integer_parts``, one call), and walks the word once, keeping
-for each column y(alpha_i) of the running product y the key
-sum_j c_j 16^(rank-1-j) of its simple-root coordinates c and its value
-at mu over that denominator.  The radicand selects the walk: when d = 1
-(q and mu rational) the value is one int, and each row's slack is an int
-compared with 0; when d is 2 or 3 it is two, the integer halves p + q
-sqrt(d), and each slack's sign is decided by ``exactnum._sign``.  Letter a
-moves the key and the value to those of y s_a by the one linear rule
+(``exactnum.integer_parts``, one call), and walks the word, keeping for
+each column y(alpha_i) of the running product y the key
+sum_j c_j 16^(rank-1-j) of its simple-root coordinates c and one int, a
+half of its value at mu over that denominator.  The walk runs once on the
+rational halves and, only when d is 2 or 3, once more on the sqrt halves;
+the keys move the same way in both.  When d = 1 each row's slack is an int
+compared with 0, and otherwise the sign of p + q sqrt(d) is decided by
+``exactnum._sign``.  Letter a moves the key and the value to those of
+y s_a by the one linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
 
@@ -109,9 +110,6 @@ MAX_RANK = 8
 MAX_CERT_CHARS = 1 << 20
 
 _setattr = object.__setattr__
-# The compact writer of ``to_json``, built once: ``json.dumps`` with separators
-# builds a new encoder on every call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class CertificateError(ValueError):
@@ -161,7 +159,7 @@ class Certificate(Frozen):
         }
 
     def to_json(self) -> str:
-        return _ENCODER.encode(self.to_json_dict())
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -265,17 +263,14 @@ class CheckResult(Frozen):
         return self.accepted
 
 
-# The letters 1..rank of a word, by rank.
-_LETTERS = tuple(frozenset(range(1, rank + 1)) for rank in range(MAX_RANK + 1))
-
 # (family, rank, twist) -> (positive root count, links, unit keys, index maps by
 # direction), stored once all three fields are known valid.
 _DESCRIPTORS: dict[tuple[str, int, int], tuple] = {}
 
 
-def _descriptor(family: str, rank: int, twist, count: int) -> tuple:
-    """The root ``count`` and walk data of a valid (family, rank), memoized; raises
-    for an invalid twist.
+def _descriptor(family: str, rank: int, twist) -> tuple:
+    """The root count and walk data of a valid (family, rank), memoized; raises for an
+    invalid twist.
 
     Entry a of the links lists (i, C[a][i]) for each neighbour i of node a
     (0-based), and entry i of the unit keys is the key of alpha_i.  The
@@ -291,46 +286,29 @@ def _descriptor(family: str, rank: int, twist, count: int) -> tuple:
     units = tuple(16 ** (rank - 1 - i) for i in range(rank))
     maps = {"delta": tuple(p - 1 for p in delta.perm),
             "delta_inv": tuple(p - 1 for p in delta.inverse_perm)}
-    data = (count, links, units, maps)
+    data = (positive_root_count(family, rank), links, units, maps)
     _DESCRIPTORS[family, rank, twist] = data
     return data
 
 
-def _sweep(word, links, units, ps, qs) -> tuple[list, list, list, dict]:
-    """The columns x(alpha_i) of the product x of ``word`` as (keys, ps, qs), from
-    alpha_i with value ``ps[i]``, ``qs[i]`` at mu, and the roots met, the
-    inversions of x^{-1}: key -> (p, q)."""
-    keys, ps, qs, met = list(units), list(ps), list(qs), {}
+def _sweep(word, links, units, values) -> tuple[list, list, dict]:
+    """The columns x(alpha_i) of the product x of ``word`` as (keys, values), from
+    alpha_i with ``values[i]`` at mu, and the roots met, the inversions of
+    x^{-1}: key -> value.  The keys, and so the roots met and their order, do
+    not depend on the values."""
+    keys, values, met = list(units), list(values), {}
     for a in word:
         a -= 1
-        k, p, q = keys[a], ps[a], qs[a]
+        k, p = keys[a], values[a]
         if k > 0:  # the sign of a key is the sign of its root
-            met[k] = (p, q)
-        else:
-            del met[-k]
-        keys[a], ps[a], qs[a] = -k, -p, -q
-        for i, c in links[a]:
-            keys[i] -= c * k
-            ps[i] -= c * p
-            qs[i] -= c * q
-    return keys, ps, qs, met
-
-
-def _sweep_rational(word, links, units, ps) -> tuple[list, list, dict]:
-    """``_sweep`` for a rational mu, with no sqrt half: (keys, ps) and key -> p."""
-    keys, ps, met = list(units), list(ps), {}
-    for a in word:
-        a -= 1
-        k, p = keys[a], ps[a]
-        if k > 0:
             met[k] = p
         else:
             del met[-k]
-        keys[a], ps[a] = -k, -p
+        keys[a], values[a] = -k, -p
         for i, c in links[a]:
             keys[i] -= c * k
-            ps[i] -= c * p
-    return keys, ps, met
+            values[i] -= c * p
+    return keys, values, met
 
 
 def _coords(key: int, rank: int) -> tuple[int, ...]:
@@ -349,15 +327,15 @@ def check_certificate(cert) -> CheckResult:
     # valid in all three fields, so it skips their checks.
     hit = type(family) is str and type(twist) is int and _DESCRIPTORS.get((family, rank, twist))
     try:
-        count = hit[0] if hit else positive_root_count(family, rank)
+        max_length = hit[0] if hit else positive_root_count(family, rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if type(word) is not tuple or type(cert.mu) is not tuple:
         return CheckResult(False, "w and mu must be tuples")
-    if len(word) > count:
+    if len(word) > max_length:
         return CheckResult(False, "word longer than the longest element")
     try:
-        descriptor = hit or _descriptor(family, rank, twist, count)
+        descriptor = hit or _descriptor(family, rank, twist)
     except Exception as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
     if cert.direction not in ("delta", "delta_inv"):
@@ -367,7 +345,7 @@ def check_certificate(cert) -> CheckResult:
     if len(cert.mu) != rank:
         return CheckResult(False, "mu has wrong rank")
     # A letter that is not an int (1.0, True) would pass the range test.
-    if not ({int}.issuperset(map(type, word)) and _LETTERS[rank].issuperset(word)):
+    if word and (not {int}.issuperset(map(type, word)) or min(word) < 1 or max(word) > rank):
         return CheckResult(False, f"word letter is not an int in 1..{rank}")
     # q and every coordinate over one denominator r and one radicand d: the
     # system sums them all, so each must be compatible with every other.
@@ -388,18 +366,18 @@ def check_certificate(cert) -> CheckResult:
     # w).  Then the inversions of x^{-1}: the roots met, with their values in
     # the same order.  Each slack and each value is an int with the row's sign.
     if cert.form == FORM_FORWARD:
-        x, columns = reversed(word), zip(pi, range(rank))
+        x, columns = word[::-1], zip(pi, range(rank))
     else:
         x, columns = word, enumerate(pi)
-    if d == 1:  # no sqrt half: the walk carries key and value, and a slack is an int
-        _, ps, met = _sweep_rational(x, links, units, mp)
+    _, ps, met = _sweep(x, links, units, mp)
+    if d == 1:  # no sqrt half: a slack is an int
         slacks = [qp * mp[u] - r * ps[v] for u, v in columns]
         values = met.values()
-    else:
-        _, ps, qs, met = _sweep(x, links, units, mp, mq)
+    else:  # the sqrt halves take the same walk, and meet the same roots in the same order
+        _, qs, met_q = _sweep(x, links, units, mq)
         slacks = [_sign(qp * mp[u] + d * qq * mq[u] - r * ps[v],
                         qp * mq[u] + qq * mp[u] - r * qs[v], d) for u, v in columns]
-        values = [_sign(p, q, d) for p, q in met.values()]
+        values = [_sign(p, q, d) for p, q in zip(met.values(), met_q.values())]
     rows = rank + len(met)
     if min(slacks) <= 0:
         i = 0

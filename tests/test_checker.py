@@ -5,10 +5,10 @@
 every input: the frozen benchmark corpus and variants of it, both routes'
 certificates through rank 6 (W3's 360 and rank 5/6's 816), and
 Hypothesis-made certificates, and a rejection on an inversion row.  The
-walk's rows are ``criterion``'s rows, the walk of a rational mu is that
-walk without its sqrt half, and the bound its root keys rest on holds for
-every type.  Its trusted base is pinned too: it imports only
-``exactnum`` and ``rootdata`` from weyldl, it checks the corpus with the
+walk's rows are ``criterion``'s rows, its rational and sqrt halves move
+the same keys, and the bound its root keys rest on holds for every type.
+Its trusted base is pinned too: it imports only ``exactnum`` and
+``rootdata`` from weyldl, it checks the corpus with the
 group and root-closure builders disabled, and a hand-built w or mu that is
 not a tuple gets a reason, not an exception.  The certificate parser it
 owns is checked here as well: its length limit, and its "p/q" reader
@@ -284,11 +284,12 @@ def test_rows_are_the_systems_rows(case, data):
     build = build_forward_system if forward else build_inverse_system
     system = build(W, W.from_word(word), pi_of(build_twist(family, rank, twist), direction), q)
 
-    _, links, units, maps = checker._descriptor(family, rank, twist,
-                                                positive_root_count(family, rank))
+    _, links, units, maps = checker._descriptor(family, rank, twist)
     ps, qs, r, d = integer_parts(mu)
-    keys, ps_at, qs_at, met = checker._sweep(
-        tuple(reversed(word)) if forward else word, links, units, ps, qs)
+    walked = word[::-1] if forward else word
+    keys, ps_at, met = checker._sweep(walked, links, units, ps)
+    keys_q, qs_at, met_q = checker._sweep(walked, links, units, qs)
+    assert keys_q == keys and list(met_q) == list(met)
     pi = maps[direction]
     cols = list(range(rank)) if forward else list(pi)
     qcols = list(pi) if forward else list(range(rank))
@@ -302,23 +303,8 @@ def test_rows_are_the_systems_rows(case, data):
         return QuadExt(Fraction(p, r), Fraction(s, r), d)
 
     slacks = ([q * mu[u] - value(ps_at[v], qs_at[v]) for u, v in zip(qcols, cols)]
-              + [value(*met[k]) for k in inversions])
+              + [value(met[k], met_q[k]) for k in inversions])
     assert slacks == system.evaluate({i + 1: x for i, x in enumerate(mu)})
-
-
-@settings(max_examples=300, deadline=None)
-@given(_words(), st.data())
-def test_rational_walk_is_the_walk_without_sqrt_half(case, data):
-    """On a rational mu the walk with one int per value gives the keys, values and
-    roots met of the walk with two, whose sqrt halves stay zero."""
-    family, rank, twist, _, _, word = case
-    ps = data.draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=rank, max_size=rank))
-    _, links, units, _ = checker._descriptor(family, rank, twist,
-                                             positive_root_count(family, rank))
-    keys, ps_at, qs_at, met = checker._sweep(word, links, units, ps, [0] * rank)
-    assert not any(qs_at) and not any(q for _, q in met.values())
-    assert checker._sweep_rational(word, links, units, ps) == (
-        keys, ps_at, {k: p for k, (p, _) in met.items()})
 
 
 @pytest.mark.parametrize("family, rank", TYPES, ids=[f"{f}{n}" for f, n in TYPES])
@@ -328,7 +314,7 @@ def test_root_keys_are_injective_and_in_root_order(family, rank):
     (height, coordinates)."""
     roots = rootdata.build_root_system(family, rank).positive_roots
     assert all(-7 <= c <= 7 for root in roots for c in root)
-    units = checker._descriptor(family, rank, 1, len(roots))[2]
+    units = checker._descriptor(family, rank, 1)[2]
     by_key = {sum(map(mul, root, units)): root for root in roots}
     assert len(by_key) == len(roots)
     assert all(checker._coords(key, rank) == root for key, root in by_key.items())
