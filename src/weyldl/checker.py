@@ -12,19 +12,21 @@ direction:
 * inverse form, wire tag ``"stmt-1.13a"``: the q-rows
   q * mu[i] - (w alpha_{pi(i)})(mu) > 0, then the inversions of w^{-1}.
 
-The checker re-derives those rows from the Cartan matrix alone: it
+The checker re-derives those rows from the Dynkin diagram alone: it
 builds no group, root closure or reflection table, and shares no state
-with the routes that make certificates.  It puts q and every coordinate
-of mu over one common denominator with one radicand d
-(``exactnum.integer_parts``, one call), and walks the word, keeping for
-each column y(alpha_i) of the running product y the key
-sum_j c_j 16^(rank-1-j) of its simple-root coordinates c and one int, a
-half of its value at mu over that denominator.  The walk runs once on the
-rational halves and, only when d is 2 or 3, once more on the sqrt halves;
-the keys move the same way in both.  When d = 1 each row's slack is an int
-compared with 0, and otherwise the sign of p + q sqrt(d) is decided by
-``exactnum._sign``.  Letter a moves the key and the value to those of
-y s_a by the one linear rule
+with the routes that make certificates.  It reads q and every coordinate
+of mu as integers p + q' sqrt(d) over one common denominator r, with one
+radicand d for them all.  A certificate read from the wire carries them
+in that form, filled by the reader straight from the "p/q" strings; one
+built in process is put in it by one ``exactnum.integer_parts`` call, so
+both reach the same walk.  The walk keeps, for each column y(alpha_i) of
+the running product y, the key sum_j c_j 16^(rank-1-j) of its
+simple-root coordinates c and one int, a half of its value at mu over r.
+It runs once on the rational halves and, only when d is 2 or 3, once
+more on the sqrt halves; the keys move the same way in both.  When d = 1
+each row's slack is an int compared with 0, and otherwise the sign of
+p + q' sqrt(d) is decided by ``exactnum._sign``.  Letter a moves the key
+and the value to those of y s_a by the one linear rule
 
     y s_a(alpha_i) = y(alpha_i) - C[a][i] * y(alpha_a),
 
@@ -50,31 +52,45 @@ violated inversions off their keys, and the first violated one is the
 least by (height, key).  So the verdict, the label and the row count
 agree with the systems of :mod:`weyldl.criterion`.
 
+The checker keeps its own type data through rank 8, built per descriptor
+on first use: the number of positive roots in closed form, the Dynkin
+links with their Cartan entries from one edge rule per family (no n x n
+matrix), and both index maps of every standard twist.  The tests pin
+them equal to ``rootdata``'s ``positive_root_count``, ``cartan_matrix``
+and ``build_twist`` for every type through rank 8.
+
 This module also owns the certificate itself: the ``Certificate``
 record, its JSON wire format and the parser, which refuses text longer
 than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
 the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
-a + b sqrt(d) with both parts reduced, through ``number_to_json`` and
-``number_from_json``; ``_ratio`` is the one reader of the "p/q" grammar
--?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" with d = 1
-that ``number_to_json`` writes for every rational, which the reader takes
-as it is.  The letters of w are tested by one scan of their types, and
-only a word with a letter that is not an int is read letter by letter,
-for the message.
+a + b sqrt(d) with both parts reduced; ``_number`` is the one reader of
+that form and ``_ratio`` of the "p/q" grammar -?[0-9]+/[0-9]+ in the
+package, but for the zero part "0/1" with d = 1 that the writers put on
+every rational, which the reader takes as it is.  A parsed certificate
+holds q and mu as the ints the checker reads, and builds ``QuadExt``
+views of them only when ``q`` or ``mu`` is read.  Where sqrt 2 and
+sqrt 3 meet, no one radicand exists, so it holds the numbers instead and
+the checker reports the mix where it would for a certificate built in
+process.  ``to_json`` writes the text as one string, each half reduced
+as ``number_to_json`` reduces it.  The letters of w are tested by one
+scan of their types, and only a word with a letter that is not an int is
+read letter by letter, for the message.
 
-The trusted base is this module, the exact numbers of
-:mod:`weyldl.exactnum`, and from :mod:`weyldl.rootdata` the Cartan
-matrices, the twists, the closed forms for the number of positive roots
-and the record base.  A certificate is hostile input: every field is
-checked before it is used, w and mu for being tuples before either is
-measured, and only a descriptor found valid is memoized: one probe of
-the memo then answers all three of its fields.
+The trusted base is this module, from :mod:`weyldl.exactnum` the sign of
+p + q sqrt(d), the radicand test, ``QuadExt`` and ``integer_parts``, and
+the record base ``Frozen`` of :mod:`weyldl.rootdata`.  A certificate is
+hostile input: every field is checked before it is used, w and mu for
+being tuples before either is measured, and only a descriptor found
+valid is memoized: one probe of the memo then answers all three of its
+fields.
 """
 
 from __future__ import annotations
 
 import json
-from math import gcd
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 
 from .exactnum import (
     IncompatibleRadicandError,
@@ -84,7 +100,7 @@ from .exactnum import (
     _sign,
     integer_parts,
 )
-from .rootdata import Frozen, build_twist, cartan_matrix, positive_root_count
+from .rootdata import Frozen
 
 __all__ = [
     "FORM_FORWARD",
@@ -109,20 +125,38 @@ MAX_RANK = 8
 # most 4300 digits, Python's int-string limit.
 MAX_CERT_CHARS = 1 << 20
 
-_setattr = object.__setattr__
+_new = object.__new__
 
 
 class CertificateError(ValueError):
     """Structurally malformed certificate data."""
 
 
-class Certificate(Frozen):
+class _IntegerForm(Frozen):
+    """The slot of a certificate's q and mu as the checker reads them.
+
+    It sits in a base class so that the fields of ``Certificate``, which
+    :class:`Record` reads off its own ``__slots__``, are the eight of the
+    wire.
+    """
+
+    __slots__ = ("_parts",)
+
+
+class Certificate(_IntegerForm):
     """Checkable witness (group, direction, q, w, form, mu).
 
     ``w`` is the word, a tuple of 1-based node indices, and ``mu`` a tuple
     of exact numbers: the coordinates of mu in the fundamental-coweight
     basis, so that alpha(mu) is the dot product with the simple-root
     coordinates of alpha.
+
+    A certificate built in process holds q and mu as given, and ``_parts``
+    is None.  One read from the wire holds ``_parts`` instead: q's rational
+    and sqrt halves, mu's rational halves, mu's sqrt halves, the common
+    denominator and the radicand, as ``integer_parts`` gives them for
+    (q, *mu).  Its ``q`` and ``mu`` slots stay empty, and reading either
+    builds it from ``_parts``.
     """
 
     __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
@@ -138,14 +172,25 @@ class Certificate(Frozen):
         form: str,
         mu: tuple[QuadExt, ...],
     ):
-        _setattr(self, "family", family)
-        _setattr(self, "rank", rank)
-        _setattr(self, "twist", twist)
-        _setattr(self, "direction", direction)
-        _setattr(self, "q", q)
-        _setattr(self, "w", w)
-        _setattr(self, "form", form)
-        _setattr(self, "mu", mu)
+        _set_family(self, family)
+        _set_rank(self, rank)
+        _set_twist(self, twist)
+        _set_direction(self, direction)
+        _set_q(self, q)
+        _set_w(self, w)
+        _set_form(self, form)
+        _set_mu(self, mu)
+        _set_parts(self, None)
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is empty: q or mu of a certificate read from the wire.
+        if name == "q":
+            qp, qq, _, _, r, d = self._parts
+            return _make(qp, qq, r, d)
+        if name == "mu":
+            _, _, mp, mq, r, d = self._parts
+            return tuple(_make(p, s, r, d) for p, s in zip(mp, mq))
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,7 +204,29 @@ class Certificate(Frozen):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The wire text: ``json.dumps(self.to_json_dict(), separators=(",", ":"))``, written
+        as one string when every field has a type the wire holds."""
+        family, rank, twist, direction, w, form = (self.family, self.rank, self.twist,
+                                                   self.direction, self.w, self.form)
+        parts = self._parts
+        if parts is not None:
+            qp, qq, mp, mq, r, d = parts
+            q = _number_text(qp, qq, r, d)
+            mu = ",".join(map(_number_text, mp, mq, repeat(r), repeat(d)))
+        else:
+            q, mu = self.q, self.mu
+            if type(q) is QuadExt and type(mu) is tuple and {QuadExt}.issuperset(map(type, mu)):
+                q = _number_text(q._p, q._q, q._r, q._d)
+                mu = ",".join([_number_text(x._p, x._q, x._r, x._d) for x in mu])
+            else:
+                q = None
+        if (q is None or type(family) is not str or type(rank) is not int
+                or type(twist) is not int or type(direction) is not str or type(form) is not str
+                or type(w) is not tuple or not {int}.issuperset(map(type, w))):
+            return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return (f'{{"format_version":{FORMAT_VERSION},"group":{{"family":{_quote(family)},'
+                f'"rank":{rank},"twist":{twist}}},"direction":{_quote(direction)},"q":{q},'
+                f'"w":[{",".join(map(str, w))}],"form":{_quote(form)},"mu":[{mu}]}}')
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -168,14 +235,14 @@ class Certificate(Frozen):
             if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
                 raise CertificateError(f"unsupported format_version {version!r}")
             grp = obj["group"]
-            cert = cls(grp["family"], _strict_int(grp["rank"]), _strict_int(grp["twist"]),
-                       obj["direction"], number_from_json(obj["q"]), _letters(obj["w"]),
-                       obj["form"], tuple(map(number_from_json, obj["mu"])))
+            family, rank, twist = grp["family"], _strict_int(grp["rank"]), _strict_int(grp["twist"])
+            direction, q, w = obj["direction"], _number(obj["q"]), _letters(obj["w"])
+            form, mu = obj["form"], list(map(_number, obj["mu"]))
         except CertificateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc
-        return cert
+        return _parsed(family, rank, twist, direction, w, form, q, mu)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -186,6 +253,42 @@ class Certificate(Frozen):
         except (ValueError, RecursionError) as exc:  # ValueError: also Python's digit limit
             raise CertificateError(f"not JSON: {exc}") from exc
         return cls.from_json_dict(obj)
+
+
+_set_parts = _IntegerForm._parts.__set__
+(_set_family, _set_rank, _set_twist, _set_direction, _set_q, _set_w, _set_form,
+ _set_mu) = (getattr(Certificate, name).__set__ for name in Certificate.__slots__)
+
+
+def _parsed(family, rank: int, twist: int, direction, w: tuple[int, ...], form, q: tuple,
+            mu: list[tuple]) -> Certificate:
+    """The certificate of parsed fields, with q and mu as ``_number`` gives them, put over
+    their least common denominator as ``integer_parts`` would."""
+    ps, qs, dens, rads = zip(q, *mu)
+    d = max(rads)
+    if d == 3 and 2 in rads:  # no one radicand: keep the numbers for the checker to reject
+        return Certificate(family, rank, twist, direction, _make(*q), w, form,
+                           tuple(_make(*x) for x in mu))
+    r = lcm(*dens)
+    if r != 1:
+        ps = [p * (r // den) for p, den in zip(ps, dens)]
+        if d != 1:
+            qs = [s * (r // den) for s, den in zip(qs, dens)]
+        # Over any common denominator r, r / gcd(r, every numerator) is the least one.
+        g = gcd(r, *ps, *qs)
+        if g != 1:
+            r //= g
+            ps = [p // g for p in ps]
+            qs = [s // g for s in qs]
+    cert = _new(Certificate)
+    _set_family(cert, family)
+    _set_rank(cert, rank)
+    _set_twist(cert, twist)
+    _set_direction(cert, direction)
+    _set_w(cert, w)
+    _set_form(cert, form)
+    _set_parts(cert, (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d))
+    return cert
 
 
 def _strict_int(value) -> int:
@@ -212,8 +315,21 @@ def number_to_json(x: QuadExt) -> dict:
     return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": x._d}
 
 
+def _number_text(p: int, s: int, r: int, d: int) -> str:
+    """The JSON text of ``number_to_json`` for the number (p + s sqrt(d)) / r."""
+    ga, gb = gcd(p, r), gcd(s, r)
+    return f'{{"a":"{p // ga}/{r // ga}","b":"{s // gb}/{r // gb}","d":{d if s else 1}}}'
+
+
 def number_from_json(obj) -> QuadExt:
     """Inverse of :func:`number_to_json`; accepts nothing but its exact wire grammar."""
+    return _make(*_number(obj))
+
+
+def _number(obj) -> tuple[int, int, int, int]:
+    """(p, s, r, d) with the number of the wire payload ``obj`` equal to
+    (p + s sqrt(d)) / r, r > 0 and s = 0 when d = 1, not reduced; raises
+    ValueError outside the wire grammar, for a, then b, then d."""
     try:
         a, b, d = obj["a"], obj["b"], obj["d"]
     except (KeyError, TypeError) as exc:
@@ -221,14 +337,15 @@ def number_from_json(obj) -> QuadExt:
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     an, ad = _ratio(a)
-    if b == "0/1" and d == 1:  # how ``number_to_json`` writes every rational
-        return _make(an, 0, ad, 1)
+    if b == "0/1" and d == 1:  # how the writers write every rational
+        return an, 0, ad, 1
     bn, bd = _ratio(b)
     _check_radicand(d)
-    if d == 1 or not bn:
-        # A rational value: b is zero, or sqrt(1) = 1 folds it into the rational part.
-        return _make(an * bd + bn * ad, 0, ad * bd, 1)
-    return _make(an * bd, bn * ad, ad * bd, d)
+    if not bn:
+        return an, 0, ad, 1
+    if d == 1:  # sqrt(1) = 1 folds b into the rational part
+        return an * bd + bn * ad, 0, ad * bd, 1
+    return an * bd, bn * ad, ad * bd, d
 
 
 def _ratio(text) -> tuple[int, int]:
@@ -255,12 +372,88 @@ class CheckResult(Frozen):
     __slots__ = ("accepted", "reason", "rows_checked")
 
     def __init__(self, accepted: bool, reason: str = "", rows_checked: int = 0):
-        _setattr(self, "accepted", accepted)
-        _setattr(self, "reason", reason)
-        _setattr(self, "rows_checked", rows_checked)
+        _set_accepted(self, accepted)
+        _set_reason(self, reason)
+        _set_rows_checked(self, rows_checked)
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+_set_accepted, _set_reason, _set_rows_checked = (
+    getattr(CheckResult, name).__set__ for name in CheckResult.__slots__)
+
+
+# -- type data through rank 8 -------------------------------------------------------
+
+# |Phi^+| by family as a function of the rank, None where the family has no type of that
+# rank (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IX).
+_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n if n >= 2 else None,
+    "C": lambda n: n * n if n >= 2 else None,
+    "D": lambda n: n * (n - 1) if n >= 3 else None,
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": {4: 24}.get,
+    "G": {2: 6}.get,
+}
+
+
+def _root_count(family, rank: int) -> int:
+    """The number of positive roots of type (family, rank), for an int rank; raises
+    ValueError when the pair names no irreducible type."""
+    rule = _ROOT_COUNTS.get(family) if isinstance(family, str) else None
+    count = rule(rank) if rule else None
+    if count is None:
+        raise ValueError(f"no root system of type {family}{rank}")
+    return count
+
+
+def _links(family: str, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry a lists (i, C[a][i]) for each neighbour i of node a, 0-based and in order,
+    of a valid type, from its Dynkin diagram's edges (i, j, C[i][j], C[j][i])."""
+    n = rank
+    if family == "E":  # alpha_1 joins alpha_3, alpha_2 joins alpha_4, then alpha_3 ... alpha_n
+        edges = [(0, 2, -1, -1), (1, 3, -1, -1)] + [(i, i + 1, -1, -1) for i in range(2, n - 1)]
+    elif family == "G":
+        edges = [(0, 1, -3, -1)]  # alpha_1 short, alpha_2 long
+    else:  # a chain, but for the last edge of B, C and D and the middle edge of F
+        edges = [(i, i + 1, -1, -1) for i in range(n - 1)]
+        if family == "B":
+            edges[-1] = (n - 2, n - 1, -1, -2)  # alpha_n short
+        elif family == "C":
+            edges[-1] = (n - 2, n - 1, -2, -1)  # alpha_n long
+        elif family == "D":
+            edges[-1] = (n - 3, n - 1, -1, -1)  # alpha_n joins alpha_{n-2}
+        elif family == "F":
+            edges[1] = (1, 2, -1, -2)  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
+    links = [[] for _ in range(n)]
+    for i, j, cij, cji in edges:
+        links[i].append((j, cij))
+        links[j].append((i, cji))
+    return tuple(tuple(sorted(row)) for row in links)
+
+
+def _twist(family: str, rank: int, order: int) -> tuple[int, ...]:
+    """The 0-based images of the standard twist of ``order`` of a valid type; raises
+    ValueError where it has none."""
+    n = rank
+    if order == 1:
+        return tuple(range(n))
+    if order == 2:
+        if family == "A" and n >= 2:
+            return tuple(range(n - 1, -1, -1))
+        if family == "D" and n >= 4:
+            return (*range(n - 2), n - 1, n - 2)
+        perm = {("E", 6): (5, 1, 4, 3, 2, 0), ("B", 2): (1, 0), ("G", 2): (1, 0),
+                ("F", 4): (3, 2, 1, 0)}.get((family, n))
+    elif order == 3:
+        perm = (3, 1, 0, 2) if family == "D" and n == 4 else None  # 1 -> 4, 3 -> 1, 4 -> 3
+    else:
+        raise ValueError(f"unsupported twist order {order}")
+    if perm is None:
+        raise ValueError(f"type {family}{rank} has no twist of order {order}")
+    return perm
 
 
 # (family, rank, twist) -> (positive root count, links, unit keys, index maps by
@@ -279,16 +472,18 @@ def _descriptor(family: str, rank: int, twist) -> tuple:
     """
     if type(twist) is not int:  # 2.0 and True would share the memo key of 2 and 1
         raise ValueError(f"twist must be an int, got {type(twist).__name__}")
-    cartan = cartan_matrix(family, rank)
-    delta = build_twist(family, rank, twist)
-    links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
-                  for a, row in enumerate(cartan))
+    delta = _twist(family, rank, twist)
+    inverse = [0] * rank
+    for i, image in enumerate(delta):
+        inverse[image] = i
     units = tuple(16 ** (rank - 1 - i) for i in range(rank))
-    maps = {"delta": tuple(p - 1 for p in delta.perm),
-            "delta_inv": tuple(p - 1 for p in delta.inverse_perm)}
-    data = (positive_root_count(family, rank), links, units, maps)
+    data = (_root_count(family, rank), _links(family, rank), units,
+            {"delta": delta, "delta_inv": tuple(inverse)})
     _DESCRIPTORS[family, rank, twist] = data
     return data
+
+
+# -- the check ----------------------------------------------------------------------
 
 
 def _sweep(word, links, units, values) -> tuple[list, list, dict]:
@@ -317,8 +512,9 @@ def _coords(key: int, rank: int) -> tuple[int, ...]:
 
 
 def check_certificate(cert) -> CheckResult:
-    """Re-derive the certificate's rows from its Cartan matrix and evaluate them exactly."""
-    family, rank, twist, word = cert.family, cert.rank, cert.twist, cert.w
+    """Re-derive the certificate's rows from its Dynkin diagram and evaluate them exactly."""
+    family, rank, twist, word, parts = cert.family, cert.rank, cert.twist, cert.w, cert._parts
+    mu = cert.mu if parts is None else parts[2]
     # Only a validated descriptor reaches the memo: an int rank in range (2.0
     # would share the key of 2), a (family, rank) with a root count, an int twist.
     if type(rank) is not int or not 1 <= rank <= MAX_RANK:
@@ -327,10 +523,10 @@ def check_certificate(cert) -> CheckResult:
     # valid in all three fields, so it skips their checks.
     hit = type(family) is str and type(twist) is int and _DESCRIPTORS.get((family, rank, twist))
     try:
-        max_length = hit[0] if hit else positive_root_count(family, rank)
+        max_length = hit[0] if hit else _root_count(family, rank)
     except ValueError as exc:
         return CheckResult(False, f"bad group descriptor: {exc}")
-    if type(word) is not tuple or type(cert.mu) is not tuple:
+    if type(word) is not tuple or type(mu) is not tuple:
         return CheckResult(False, "w and mu must be tuples")
     if len(word) > max_length:
         return CheckResult(False, "word longer than the longest element")
@@ -342,20 +538,23 @@ def check_certificate(cert) -> CheckResult:
         return CheckResult(False, f"unknown direction {cert.direction!r}")
     if cert.form not in (FORM_FORWARD, FORM_INVERSE):
         return CheckResult(False, f"unknown form {cert.form!r}")
-    if len(cert.mu) != rank:
+    if len(mu) != rank:
         return CheckResult(False, "mu has wrong rank")
     # A letter that is not an int (1.0, True) would pass the range test.
     if word and (not {int}.issuperset(map(type, word)) or min(word) < 1 or max(word) > rank):
         return CheckResult(False, f"word letter is not an int in 1..{rank}")
-    # q and every coordinate over one denominator r and one radicand d: the
-    # system sums them all, so each must be compatible with every other.
-    try:
-        (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *cert.mu])
-    except IncompatibleRadicandError:
-        return CheckResult(False, "incompatible exact numbers: "
-                           "cannot combine sqrt(2) with sqrt(3)")
-    except TypeError as exc:  # a value that is not an exact number
-        return CheckResult(False, f"q and mu must be exact numbers: {exc}")
+    if parts is None:
+        # q and every coordinate over one denominator r and one radicand d: the
+        # system sums them all, so each must be compatible with every other.
+        try:
+            (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *mu])
+        except IncompatibleRadicandError:
+            return CheckResult(False, "incompatible exact numbers: "
+                               "cannot combine sqrt(2) with sqrt(3)")
+        except TypeError as exc:  # a value that is not an exact number
+            return CheckResult(False, f"q and mu must be exact numbers: {exc}")
+    else:
+        qp, qq, mp, mq, r, d = parts
     if _sign(qp, qq, d) <= 0:
         return CheckResult(False, "q must be positive")
 

@@ -32,9 +32,9 @@ The certificate (``Certificate``, ``CertificateError`` and
 ``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
 checker, ``check_certificate``, and its verdict ``CheckResult`` live in
 :mod:`weyldl.checker` and are re-exported here.  The checker shares no group
-with this module: it walks the certificate's word from the Cartan matrix
-alone, carrying each root's packed coordinates, height and value at mu,
-and it never reads solver state.  Its rows are the rows of the two forms
+with this module: it walks the certificate's word over its own Dynkin
+links, carrying each root's packed coordinates and value at mu, and it
+never reads solver state.  Its rows are the rows of the two forms
 above, in the same order, and the signs of its slacks are those of
 :meth:`IneqSystem.violated`, which takes one dot product per row.
 """

@@ -78,7 +78,9 @@ class Record:
 class Frozen(Record):
     """Base of the immutable record classes: assigning or deleting any attribute raises.
 
-    A subclass's ``__init__`` sets its fields with ``object.__setattr__``.
+    A subclass's ``__init__`` sets its fields with ``object.__setattr__``,
+    or, a quarter faster, with the ``__set__`` of each slot's member
+    descriptor, as the records of ``checker`` do.
     """
 
     __slots__ = ()

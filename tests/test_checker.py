@@ -7,16 +7,23 @@ certificates through rank 6 (W3's 360 and rank 5/6's 816), and
 Hypothesis-made certificates, and a rejection on an inversion row.  The
 walk's rows are ``criterion``'s rows, its rational and sqrt halves move
 the same keys, and the bound its root keys rest on holds for every type.
-Its trusted base is pinned too: it imports only ``exactnum`` and
-``rootdata`` from weyldl, it checks the corpus with the
-group and root-closure builders disabled, and a hand-built w or mu that is
-not a tuple gets a reason, not an exception.  The certificate parser it
-owns is checked here as well: its length limit, and its "p/q" reader
-against a regex reference.
+Its trusted base is pinned too: it imports from weyldl only the names
+of ``exactnum`` it reads and ``rootdata.Frozen``, its own type tables
+equal ``rootdata``'s, it checks the corpus with the group and root-closure
+builders and every ``rootdata`` function disabled, and a hand-built w or
+mu that is not a tuple gets a reason, not an exception.  The certificate
+parser it owns is checked here as well: its length limit, its "p/q" reader
+against a regex reference, and its integer reading of whole certificates
+against twins built in process from that reference (the corpus, the
+benchmark's tampered variants and the hostile certificates), with the
+writer's text.
 """
 
 import ast
+import importlib.util
+import inspect
 import json
+import random
 import re
 from fractions import Fraction
 from operator import mul
@@ -46,7 +53,7 @@ from weyldl.criterion import (
     certify_min_element,
     minimal_q,
 )
-from weyldl.exactnum import SQRT2, SQRT3, QuadExt, integer_parts, qext
+from weyldl.exactnum import SQRT2, SQRT3, IncompatibleRadicandError, QuadExt, integer_parts, qext
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types, positive_root_count
 
@@ -342,19 +349,83 @@ def test_rejects_on_an_inversion_row(family, rank, word, mu, reason, rows):
 
 
 def test_checker_imports_only_exactnum_and_rootdata():
-    """``checker.py`` imports nothing from weyldl except ``exactnum`` and ``rootdata``."""
+    """``checker.py`` imports from weyldl exactly these names: the numbers it reads from
+    ``exactnum`` and the record base from ``rootdata``, no type data."""
     tree = ast.parse(Path(checker.__file__).read_text(encoding="utf-8"))
     package = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level:
-                package.add(node.module)
+                module = node.module
             elif node.module.split(".")[0] == "weyldl":
-                package.add(node.module.partition(".")[2])
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            package.update((module, a.name) for a in node.names)
         elif isinstance(node, ast.Import):
-            package.update(a.name.partition(".")[2] for a in node.names
+            package.update((a.name, None) for a in node.names
                            if a.name.split(".")[0] == "weyldl")
-    assert package == {"exactnum", "rootdata"}
+    assert package == {("exactnum", "IncompatibleRadicandError"), ("exactnum", "QuadExt"),
+                       ("exactnum", "_check_radicand"), ("exactnum", "_make"),
+                       ("exactnum", "_sign"), ("exactnum", "integer_parts"),
+                       ("rootdata", "Frozen")}
+
+
+@pytest.mark.parametrize("family, rank", TYPES, ids=[f"{f}{n}" for f, n in TYPES])
+def test_type_tables_are_rootdatas(family, rank, monkeypatch):
+    """The checker's own root count, Dynkin links and twist maps are ``rootdata``'s:
+    ``positive_root_count``, the off-diagonal entries of ``cartan_matrix``, and
+    ``build_twist`` with its inverse for every order, or its message where the type
+    has no twist of that order."""
+    monkeypatch.setattr(checker, "_DESCRIPTORS", {})
+    cartan = rootdata.cartan_matrix(family, rank)
+    links = tuple(tuple((i, c) for i, c in enumerate(row) if c and i != a)
+                  for a, row in enumerate(cartan))
+    for order in range(5):
+        try:
+            twist = build_twist(family, rank, order)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                checker._descriptor(family, rank, order)
+            continue
+        count, walk_links, _, maps = checker._descriptor(family, rank, order)
+        assert count == positive_root_count(family, rank)
+        assert walk_links == links
+        assert maps == {"delta": tuple(p - 1 for p in twist.perm),
+                        "delta_inv": tuple(p - 1 for p in twist.inverse_perm)}
+
+
+def test_type_tables_cover_every_type():
+    """The tables above run over all 33 types of ``candidate_types`` through rank 8, and
+    every other (family, rank) gets ``positive_root_count``'s message."""
+    assert len(TYPES) == 33
+    for family, rank in [("Z", 3), ("E", 5), ("B", 1), ("C", 1), ("D", 2), ("F", 3),
+                         ("G", 4), ("AB", 2), ("", 1), ([], 2), (None, 4)]:
+        with pytest.raises(ValueError) as expected:
+            positive_root_count(family, rank)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            checker._root_count(family, rank)
+
+
+def test_cold_descriptor_build_calls_no_rootdata_function(corpus, monkeypatch):
+    """With every function and record constructor of ``rootdata`` but ``Frozen``'s
+    disabled and the descriptor memo empty, exactly the valid corpus variants pass."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the checker called into rootdata")
+
+    # Some variants read rootdata themselves, so they are made first.
+    cases = [(cert, True) for cert in corpus]
+    cases += [(variant(cert), valid) for cert in corpus for _, variant, valid in VARIANTS
+              if valid is not None]
+    for name, value in vars(rootdata).items():
+        if inspect.isfunction(value) and value.__module__ == rootdata.__name__:
+            monkeypatch.setattr(rootdata, name, forbidden)
+    for record in (rootdata.RootSystem, rootdata.Twist):
+        monkeypatch.setattr(record, "__init__", forbidden)
+    monkeypatch.setattr(checker, "_DESCRIPTORS", {})
+    for cert, valid in cases:
+        assert check_certificate(cert).accepted == valid, cert
+    assert len(checker._DESCRIPTORS) == 49
 
 
 def test_corpus_checked_without_groups_or_root_closures(corpus, monkeypatch):
@@ -489,3 +560,125 @@ def test_from_json_matches_fraction_parser(a, b, d):
         return ("value", x._p, x._q, x._r, x._d)
 
     assert result(number_from_json) == result(fraction_from_json)
+
+
+# -- the integer reader against twins built in process --------------------------------
+
+
+def _benchmark_worker():
+    """``perfbench/worker.py``, for the tamper kinds of the ``check`` workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  ROOT / "perfbench" / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unreduced(text: str, rng: random.Random) -> str:
+    """``text`` with every half of every number p/q written as (k p)/(k q), k in 1..6."""
+    def scale(half):
+        p, q = map(int, half.split("/"))
+        k = rng.randint(1, 6)
+        return f"{k * p}/{k * q}"
+
+    def number(x):
+        return {"a": scale(x["a"]), "b": scale(x["b"]), "d": x["d"]}
+
+    obj = json.loads(text)
+    obj["q"], obj["mu"] = number(obj["q"]), [number(x) for x in obj["mu"]]
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _wire_texts() -> list[tuple[str, str]]:
+    """(id, text): every corpus certificate, each tamper kind of the ``check`` benchmark
+    applied to each, each written with unreduced halves, and the hostile certificates of
+    ``test_criterion``."""
+    worker = _benchmark_worker()
+    kinds = [*worker.Check.TAMPER_COUNTS, *worker.Check.HOSTILE_COUNTS]
+    rng = random.Random(0)
+    texts = []
+    for line in CORPUS.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        texts.append((entry["id"], entry["cert"]))
+        texts += [(f"{entry['id']}~{kind}", worker._tamper(kind, entry["cert"], rng))
+                  for kind in kinds]
+        texts.append((f"{entry['id']}~unreduced", _unreduced(entry["cert"], rng)))
+    base = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
+                       (qext(2), qext(1)))
+    for name, mutate, _ in HOSTILE:
+        obj = base.to_json_dict()
+        mutate(obj)
+        texts.append((name, json.dumps(obj)))
+    return texts
+
+
+def _twin(text: str) -> Certificate:
+    """The certificate of ``text`` built in process: its fields as ``json.loads`` reads
+    them, its numbers from ``fraction_from_json``, the regex reference."""
+    obj = json.loads(text)
+    grp = obj["group"]
+    return Certificate(grp["family"], grp["rank"], grp["twist"], obj["direction"],
+                       fraction_from_json(obj["q"]), tuple(obj["w"]), obj["form"],
+                       tuple(map(fraction_from_json, obj["mu"])))
+
+
+def test_wire_certificates_check_as_their_twins():
+    """Read from the wire, a certificate equals its twin built in process and hashes
+    alike, gets the twin's and the oracle's result, holds q and mu as ``integer_parts``
+    gives them for the twin (or, where sqrt 2 meets sqrt 3, as numbers), and writes the
+    twin's text, which reads back to it; text from the benchmark comes back byte for
+    byte, and text with unreduced halves in the reduced form.  The reader refuses the
+    hostile certificates meant to be refused, and besides them only text whose twin
+    cannot be built."""
+    texts = _wire_texts()
+    assert len(texts) == 414 * 9 + len(HOSTILE)
+    hostile = {name for name, _, _ in HOSTILE}
+    refuse = {name for name, _, reason in HOSTILE if reason is None}
+    refused = mixed = 0
+    for name, text in texts:
+        try:
+            cert = Certificate.from_json(text)
+        except CertificateError:
+            refused += 1
+            if name not in refuse:
+                with pytest.raises(ValueError):
+                    _twin(text)
+            continue
+        assert name not in refuse
+        twin = _twin(text)
+        assert cert == twin and hash(cert) == hash(twin), name
+        assert check_certificate(cert) == check_certificate(twin) == oracle_check(twin), name
+        if cert._parts is None:
+            mixed += 1
+            with pytest.raises(IncompatibleRadicandError):
+                integer_parts([twin.q, *twin.mu])
+        else:
+            ps, qs, r, d = integer_parts([twin.q, *twin.mu])
+            assert cert._parts == (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d), name
+        out = cert.to_json()
+        assert out == twin.to_json() and Certificate.from_json(out) == cert, name
+        if name not in hostile and not name.endswith("~unreduced"):
+            assert out == text, name
+    # The truncated texts and the huge coordinates of the benchmark, and the hostile ones.
+    assert refused == 2 * 414 + len(refuse)
+    assert mixed == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"family": 7}, {"family": None}, {"rank": True}, {"twist": 2.0}, {"direction": ["delta"]},
+    {"form": {"x": 1}}, {"w": [2, 1, 2, 1]}, {"w": (2, True)}, {"q": 2}, {"q": Fraction(2)},
+    {"mu": [qext(2), qext(1)]}, {"mu": (qext(2), 1)}, {"mu": None},
+    {"family": "Gé\"\\\n"}, {"direction": " \U0001f600"}, {"form": "\x00"},
+], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
+def test_to_json_of_hand_built_fields_is_json_dumps(fields):
+    """A hand-built field of a type the wire lacks gets the text ``json.dumps`` writes,
+    or its error, and a string of any characters is escaped as ``json.dumps`` escapes it."""
+    cert = _with(Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
+                             (qext(2), qext(1))), **fields)
+    try:
+        expected = json.dumps(cert.to_json_dict(), separators=(",", ":"))
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cert.to_json()
+    else:
+        assert cert.to_json() == expected

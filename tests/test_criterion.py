@@ -560,17 +560,25 @@ def test_hand_built_field_of_the_wrong_type_is_rejected(field, value, reason):
 
 
 def _assert_accepts_or_rejects(text):
+    """An accept, a reject or a CertificateError; a parsed certificate gets the result of
+    the same fields built in process, and both write ``json.dumps``'s text."""
     try:
         cert = Certificate.from_json(text)
     except CertificateError:
         return
-    assert isinstance(check_certificate(cert), CheckResult)
+    result = check_certificate(cert)
+    assert isinstance(result, CheckResult)
+    twin = Certificate(*(getattr(cert, name) for name in Certificate.__slots__))
+    assert check_certificate(twin) == result
+    assert cert.to_json() == twin.to_json() == json.dumps(cert.to_json_dict(),
+                                                          separators=(",", ":"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(_PATHS), _JSON), min_size=1, max_size=3))
 def test_fuzzed_certificate_fields(edits):
-    """A valid certificate with fields replaced by arbitrary JSON never crashes the checker."""
+    """A valid certificate with fields replaced by arbitrary JSON never crashes the checker
+    or the writer, and reads as the same fields built in process."""
     obj = TestCertificates().cert(None, (2, 1, 2, 1), [2, 1]).to_json_dict()
     for path, value in edits:
         holder = obj
