@@ -17,9 +17,10 @@ builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It reads q and every coordinate
 of mu as integers p + q' sqrt(d) over one common denominator r, with one
 radicand d for them all.  A certificate read from the wire carries them
-in that form, filled by the reader straight from the "p/q" strings; one
-built in process is put in it by one ``exactnum.integer_parts`` call, so
-both reach the same walk.  The walk keeps, for each column y(alpha_i) of
+in that form, put there from the "p/q" strings by
+``exactnum.common_parts``; one built in process is put in it by one
+``exactnum.integer_parts`` call, which goes through the same function,
+so both reach the same walk.  The walk keeps, for each column y(alpha_i) of
 the running product y, the key sum_j c_j 16^(rank-1-j) of its
 simple-root coordinates c and one int, a half of its value at mu over r.
 It runs once on the rational halves and, only when d is 2 or 3, once
@@ -63,22 +64,25 @@ This module also owns the certificate itself: the ``Certificate``
 record, its JSON wire format and the parser, which refuses text longer
 than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
 the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
-a + b sqrt(d) with both parts reduced; ``_number`` is the one reader of
-that form and ``_ratio`` of the "p/q" grammar -?[0-9]+/[0-9]+ in the
-package, but for the zero part "0/1" with d = 1 that the writers put on
-every rational, which the reader takes as it is.  A parsed certificate
-holds q and mu as the ints the checker reads, and builds ``QuadExt``
-views of them only when ``q`` or ``mu`` is read.  Where sqrt 2 and
-sqrt 3 meet, no one radicand exists, so it holds the numbers instead and
-the checker reports the mix where it would for a certificate built in
-process.  ``to_json`` writes the text as one string, each half reduced
-as ``number_to_json`` reduces it.  The letters of w are tested by one
-scan of their types, and only a word with a letter that is not an int is
-read letter by letter, for the message.
+a + b sqrt(d) with both parts reduced, through ``number_to_json``;
+``_number`` is the one reader of that form and ``_ratio`` of the "p/q"
+grammar -?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" with
+d = 1 that ``number_to_json`` writes for every rational, which the
+reader takes as it is.  A parsed certificate holds q and mu as the ints
+the checker reads, put over one denominator by ``exactnum.common_parts``,
+and builds ``QuadExt`` views of them only when ``q`` or ``mu`` is first
+read.  It does so only for a rank in 1..MAX_RANK with as many
+coordinates of mu, so that work stays that of at most nine numbers
+whatever the text holds; otherwise, and where sqrt 2 and sqrt 3 meet, it
+keeps the numbers one by one, and the checker rejects them where it
+would reject a certificate built in process.  The letters of w are
+tested by one scan of their types, and only a word with a letter that is
+not an int is read letter by letter, for the message.
 
 The trusted base is this module, from :mod:`weyldl.exactnum` the sign of
-p + q sqrt(d), the radicand test, ``QuadExt`` and ``integer_parts``, and
-the record base ``Frozen`` of :mod:`weyldl.rootdata`.  A certificate is
+p + q sqrt(d), the radicand test, ``QuadExt``, ``common_parts`` and
+``integer_parts``, and the record base ``Frozen`` of
+:mod:`weyldl.rootdata`.  A certificate is
 hostile input: every field is checked before it is used, w and mu for
 being tuples before either is measured, and only a descriptor found
 valid is memoized: one probe of the memo then answers all three of its
@@ -88,9 +92,7 @@ fields.
 from __future__ import annotations
 
 import json
-from itertools import repeat
-from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, lcm
+from math import gcd
 
 from .exactnum import (
     IncompatibleRadicandError,
@@ -98,6 +100,7 @@ from .exactnum import (
     _check_radicand,
     _make,
     _sign,
+    common_parts,
     integer_parts,
 )
 from .rootdata import Frozen
@@ -155,8 +158,10 @@ class Certificate(_IntegerForm):
     is None.  One read from the wire holds ``_parts`` instead: q's rational
     and sqrt halves, mu's rational halves, mu's sqrt halves, the common
     denominator and the radicand, as ``integer_parts`` gives them for
-    (q, *mu).  Its ``q`` and ``mu`` slots stay empty, and reading either
-    builds it from ``_parts``.
+    (q, *mu).  Its ``q`` and ``mu`` slots start empty, and the first read
+    of either builds it from ``_parts`` and keeps it.  Where no such ints
+    serve the walk (a rank outside 1..MAX_RANK, a mu of another length, or
+    sqrt 2 with sqrt 3), the reader keeps the numbers as given instead.
     """
 
     __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
@@ -183,14 +188,19 @@ class Certificate(_IntegerForm):
         _set_parts(self, None)
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is empty: q or mu of a certificate read from the wire.
+        # Reached only while a slot is empty: the first read of q or mu of a
+        # certificate read from the wire, which builds the value and keeps it.
         if name == "q":
             qp, qq, _, _, r, d = self._parts
-            return _make(qp, qq, r, d)
-        if name == "mu":
+            value = _make(qp, qq, r, d)
+            _set_q(self, value)
+        elif name == "mu":
             _, _, mp, mq, r, d = self._parts
-            return tuple(_make(p, s, r, d) for p, s in zip(mp, mq))
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            value = tuple(_make(p, s, r, d) for p, s in zip(mp, mq))
+            _set_mu(self, value)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return value
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,29 +214,7 @@ class Certificate(_IntegerForm):
         }
 
     def to_json(self) -> str:
-        """The wire text: ``json.dumps(self.to_json_dict(), separators=(",", ":"))``, written
-        as one string when every field has a type the wire holds."""
-        family, rank, twist, direction, w, form = (self.family, self.rank, self.twist,
-                                                   self.direction, self.w, self.form)
-        parts = self._parts
-        if parts is not None:
-            qp, qq, mp, mq, r, d = parts
-            q = _number_text(qp, qq, r, d)
-            mu = ",".join(map(_number_text, mp, mq, repeat(r), repeat(d)))
-        else:
-            q, mu = self.q, self.mu
-            if type(q) is QuadExt and type(mu) is tuple and {QuadExt}.issuperset(map(type, mu)):
-                q = _number_text(q._p, q._q, q._r, q._d)
-                mu = ",".join([_number_text(x._p, x._q, x._r, x._d) for x in mu])
-            else:
-                q = None
-        if (q is None or type(family) is not str or type(rank) is not int
-                or type(twist) is not int or type(direction) is not str or type(form) is not str
-                or type(w) is not tuple or not {int}.issuperset(map(type, w))):
-            return json.dumps(self.to_json_dict(), separators=(",", ":"))
-        return (f'{{"format_version":{FORMAT_VERSION},"group":{{"family":{_quote(family)},'
-                f'"rank":{rank},"twist":{twist}}},"direction":{_quote(direction)},"q":{q},'
-                f'"w":[{",".join(map(str, w))}],"form":{_quote(form)},"mu":[{mu}]}}')
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -260,35 +248,29 @@ _set_parts = _IntegerForm._parts.__set__
  _set_mu) = (getattr(Certificate, name).__set__ for name in Certificate.__slots__)
 
 
-def _parsed(family, rank: int, twist: int, direction, w: tuple[int, ...], form, q: tuple,
+def _parsed(family, rank: int, twist, direction, w, form, q: tuple,
             mu: list[tuple]) -> Certificate:
-    """The certificate of parsed fields, with q and mu as ``_number`` gives them, put over
-    their least common denominator as ``integer_parts`` would."""
-    ps, qs, dens, rads = zip(q, *mu)
-    d = max(rads)
-    if d == 3 and 2 in rads:  # no one radicand: keep the numbers for the checker to reject
-        return Certificate(family, rank, twist, direction, _make(*q), w, form,
-                           tuple(_make(*x) for x in mu))
-    r = lcm(*dens)
-    if r != 1:
-        ps = [p * (r // den) for p, den in zip(ps, dens)]
-        if d != 1:
-            qs = [s * (r // den) for s, den in zip(qs, dens)]
-        # Over any common denominator r, r / gcd(r, every numerator) is the least one.
-        g = gcd(r, *ps, *qs)
-        if g != 1:
-            r //= g
-            ps = [p // g for p in ps]
-            qs = [s // g for s in qs]
-    cert = _new(Certificate)
-    _set_family(cert, family)
-    _set_rank(cert, rank)
-    _set_twist(cert, twist)
-    _set_direction(cert, direction)
-    _set_w(cert, w)
-    _set_form(cert, form)
-    _set_parts(cert, (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d))
-    return cert
+    """The certificate of parsed fields, with q and mu as ``_number`` gives them."""
+    if 1 <= rank <= MAX_RANK and len(mu) == rank:
+        try:
+            ps, qs, r, d = common_parts([q, *mu])
+        except IncompatibleRadicandError:
+            pass
+        else:
+            cert = _new(Certificate)
+            _set_family(cert, family)
+            _set_rank(cert, rank)
+            _set_twist(cert, twist)
+            _set_direction(cert, direction)
+            _set_w(cert, w)
+            _set_form(cert, form)
+            _set_parts(cert, (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d))
+            return cert
+    # No ints for the walk: a rank out of range or a mu of another length, which the
+    # checker rejects before it reads a number, or sqrt 2 with sqrt 3.  The numbers are
+    # kept one by one, as in a certificate built in process, and get its verdict.
+    return Certificate(family, rank, twist, direction, _make(*q), w, form,
+                       tuple(_make(*x) for x in mu))
 
 
 def _strict_int(value) -> int:
@@ -315,12 +297,6 @@ def number_to_json(x: QuadExt) -> dict:
     return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": x._d}
 
 
-def _number_text(p: int, s: int, r: int, d: int) -> str:
-    """The JSON text of ``number_to_json`` for the number (p + s sqrt(d)) / r."""
-    ga, gb = gcd(p, r), gcd(s, r)
-    return f'{{"a":"{p // ga}/{r // ga}","b":"{s // gb}/{r // gb}","d":{d if s else 1}}}'
-
-
 def number_from_json(obj) -> QuadExt:
     """Inverse of :func:`number_to_json`; accepts nothing but its exact wire grammar."""
     return _make(*_number(obj))
@@ -337,7 +313,7 @@ def _number(obj) -> tuple[int, int, int, int]:
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     an, ad = _ratio(a)
-    if b == "0/1" and d == 1:  # how the writers write every rational
+    if b == "0/1" and d == 1:  # how ``number_to_json`` writes every rational
         return an, 0, ad, 1
     bn, bd = _ratio(b)
     _check_radicand(d)

@@ -19,8 +19,12 @@ for the whole list, so that a row's value at a point is one integer dot
 product: the slacks of ``weyldl.criterion``, the root values that
 ``weyldl.checker`` carries through its walk, and the integer rows of
 ``weyldl.lp`` (the simplex, the Gordan witness and its check) never
-build a ``QuadExt`` per cell.  The wire form of these numbers belongs
-to the certificate format, and lives in :mod:`weyldl.checker`.
+build a ``QuadExt`` per cell.  ``common_parts`` does the same for
+numbers given as int quadruples (p, s, den, d), not necessarily in
+lowest terms, as the certificate reader holds them; ``integer_parts``
+takes its quadruples from the ``QuadExt`` values.  The wire form of
+these numbers belongs to the certificate format, and lives in
+:mod:`weyldl.checker`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "QuadExt",
     "qext",
     "integer_parts",
+    "common_parts",
     "SQRT2",
     "SQRT3",
     "ONE",
@@ -347,15 +352,32 @@ def integer_parts(xs) -> tuple[list[int], list[int], int, int]:
     Fraction or QuadExt.
     """
     xs = [x if type(x) is QuadExt else qext(x) for x in xs]
+    return common_parts([(x._p, x._q, x._r, x._d) for x in xs])
+
+
+def common_parts(nums) -> tuple[list[int], list[int], int, int]:
+    """``(ps, qs, r, d)`` as :func:`integer_parts` gives it, for the numbers
+    (p + s sqrt(e)) / den of the list ``nums`` of (p, s, den, e), den > 0 and
+    e = 1 exactly when s = 0, in lowest terms or not."""
     r = d = 1
-    for x in xs:
-        if x._r != 1 and r % x._r:
-            r = lcm(r, x._r)
-        if x._d != d and x._d != 1:
-            d = _join_d(d, x._d)
+    for _, _, den, e in nums:
+        if den != 1 and r % den:
+            r = lcm(r, den)
+        if e != d and e != 1:
+            d = _join_d(d, e)
     if r == 1:
-        return [x._p for x in xs], [x._q for x in xs], 1, d
-    return [x._p * (r // x._r) for x in xs], [x._q * (r // x._r) for x in xs], r, d
+        return [n[0] for n in nums], [n[1] for n in nums], 1, d
+    ps = [p * (r // den) for p, _, den, _ in nums]
+    qs = [s * (r // den) for _, s, den, _ in nums] if d != 1 else [0] * len(nums)
+    # Over a common denominator r, r / gcd(r, every numerator) is the least one.
+    g = gcd(r, *ps)
+    if g != 1:
+        g = gcd(g, *qs)
+        if g != 1:
+            r //= g
+            ps = [p // g for p in ps]
+            qs = [s // g for s in qs]
+    return ps, qs, r, d
 
 
 ZERO = QuadExt(0)

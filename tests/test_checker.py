@@ -23,8 +23,10 @@ import ast
 import importlib.util
 import inspect
 import json
+import math
 import random
 import re
+import time
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -367,7 +369,8 @@ def test_checker_imports_only_exactnum_and_rootdata():
                            if a.name.split(".")[0] == "weyldl")
     assert package == {("exactnum", "IncompatibleRadicandError"), ("exactnum", "QuadExt"),
                        ("exactnum", "_check_radicand"), ("exactnum", "_make"),
-                       ("exactnum", "_sign"), ("exactnum", "integer_parts"),
+                       ("exactnum", "_sign"), ("exactnum", "common_parts"),
+                       ("exactnum", "integer_parts"),
                        ("rootdata", "Frozen")}
 
 
@@ -635,6 +638,7 @@ def test_wire_certificates_check_as_their_twins():
     hostile = {name for name, _, _ in HOSTILE}
     refuse = {name for name, _, reason in HOSTILE if reason is None}
     refused = mixed = 0
+    kept = []
     for name, text in texts:
         try:
             cert = Certificate.from_json(text)
@@ -649,9 +653,12 @@ def test_wire_certificates_check_as_their_twins():
         assert cert == twin and hash(cert) == hash(twin), name
         assert check_certificate(cert) == check_certificate(twin) == oracle_check(twin), name
         if cert._parts is None:
-            mixed += 1
-            with pytest.raises(IncompatibleRadicandError):
-                integer_parts([twin.q, *twin.mu])
+            if len(twin.mu) != twin.rank:
+                kept.append(name)
+            else:
+                mixed += 1
+                with pytest.raises(IncompatibleRadicandError):
+                    integer_parts([twin.q, *twin.mu])
         else:
             ps, qs, r, d = integer_parts([twin.q, *twin.mu])
             assert cert._parts == (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d), name
@@ -662,23 +669,28 @@ def test_wire_certificates_check_as_their_twins():
     # The truncated texts and the huge coordinates of the benchmark, and the hostile ones.
     assert refused == 2 * 414 + len(refuse)
     assert mixed == 2
+    # A mu of another length: the benchmark's tamper kind, and hostile certificates.
+    assert sum(name.endswith("~mu_wrong_length") for name in kept) == 414
+    assert {name for name in kept if "~" not in name} <= hostile
 
 
-@pytest.mark.parametrize("fields", [
-    {"family": 7}, {"family": None}, {"rank": True}, {"twist": 2.0}, {"direction": ["delta"]},
-    {"form": {"x": 1}}, {"w": [2, 1, 2, 1]}, {"w": (2, True)}, {"q": 2}, {"q": Fraction(2)},
-    {"mu": [qext(2), qext(1)]}, {"mu": (qext(2), 1)}, {"mu": None},
-    {"family": "Gé\"\\\n"}, {"direction": " \U0001f600"}, {"form": "\x00"},
-], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
-def test_to_json_of_hand_built_fields_is_json_dumps(fields):
-    """A hand-built field of a type the wire lacks gets the text ``json.dumps`` writes,
-    or its error, and a string of any characters is escaped as ``json.dumps`` escapes it."""
-    cert = _with(Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
-                             (qext(2), qext(1))), **fields)
-    try:
-        expected = json.dumps(cert.to_json_dict(), separators=(",", ":"))
-    except Exception as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            cert.to_json()
-    else:
-        assert cert.to_json() == expected
+def test_long_mu_is_rejected_without_one_denominator():
+    """Text under ``MAX_CERT_CHARS`` whose mu holds 120 coordinates over pairwise coprime
+    denominators of 1000 digits is rejected for mu's rank in a small time budget: the
+    reader keeps the numbers one by one, as the checker rejects mu before it reads one.
+    Put over one denominator, the 120 would take seconds."""
+    primes = [p for p in range(2, 700) if all(p % k for k in range(2, p))][:120]
+    base = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
+                       (qext(2), qext(1)))
+    obj = base.to_json_dict()
+    obj["mu"] = [{"a": f"1/{p ** math.ceil(1000 / math.log10(p))}", "b": "0/1", "d": 1}
+                 for p in primes]
+    text = json.dumps(obj)
+    assert len(primes) == 120 and len(text) < MAX_CERT_CHARS
+    start = time.perf_counter()
+    cert = Certificate.from_json(text)
+    result = check_certificate(cert)
+    elapsed = time.perf_counter() - start
+    assert result == CheckResult(False, "mu has wrong rank")
+    assert cert._parts is None and len(cert.mu) == 120
+    assert elapsed < 1.0
