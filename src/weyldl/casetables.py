@@ -27,8 +27,8 @@ from .conjugacy import (
     closure_min_check,
     cuspidal_representatives,
     minimal_level,
+    pi_closure,
     pi_of,
-    supp_delta,
 )
 from .criterion import (
     FORM_INVERSE,
@@ -929,10 +929,18 @@ class RowPlacement(Frozen):
 
     __hash__ = None  # ``sigma`` is a dict
 
-    def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
-        """v (an element of W_K) in the standalone W_K, with sigma."""
+    def inner(
+        self, v: WeylElt, word: Optional[Sequence[int]] = None
+    ) -> tuple[WeylGroup, PiMap, WeylElt]:
+        """v (an element of W_K) in the standalone W_K, with sigma.
+
+        Built from ``word``, a word of v in the letters of K, when one is
+        given; otherwise from a reduced word of v, peeled off its key.
+        """
         sub = sub_context(self.W, self.K)
-        return sub.group, self.sigma, sub.element_to_sub(v)
+        if word is None:
+            return sub.group, self.sigma, sub.element_to_sub(v)
+        return sub.group, self.sigma, sub.group.from_word(sub.word_to_sub(word))
 
     def inner_cuspidal(self) -> list[tuple[int, ...]]:
         """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.
@@ -1009,7 +1017,7 @@ def _spade_certificate(
 ) -> tuple[Optional[Certificate], str]:
     """Inverse-form certificate for a spade row, via the exact LP."""
     if K:
-        candidates = [W.multiply(W.from_word(vw), w1) for vw in v_words]
+        candidates = [W._extend(W.from_word(vw), record.w1) for vw in v_words]  # the v w1
     else:
         # The whole minimal level of the (cuspidal) inverse-twisted class of w1.
         try:
@@ -1080,9 +1088,8 @@ def verify_case(
     star = build_star_system(W, K, w1, pi, q)
     if not record.spade:
         if record.m_values is not None:
-            point = {i: qext(record.m_values.get(i, 0)) for i in star.varset}
             missing = [i for i in star.varset if i not in record.m_values]
-            bad = [label for label, _ in star.violated(point)]
+            bad = [label for label, _ in star.violated(record.m_values)]
             if missing:
                 report.subchecks["star"] = "fail"
                 report.details["star_missing_vars"] = missing
@@ -1142,25 +1149,34 @@ def verify_case(
     def closure_verdict(group: WeylGroup, pi_map: PiMap, x: WeylElt) -> str:
         return "pass" if closure_min_check(group, pi_map, x) == "minimal" else "fail"
 
+    # Supports are read off the stated words: a word is reduced exactly when
+    # its length is its element's length, and every reduced word of an
+    # element has the same letters.  A word that is not reduced falls back
+    # to a reduced word peeled off the element's key.
     iv_results, v_results, vi_results = [], [], []
     for vw in v_words:
         v = W.from_word(vw)
-        w = W.multiply(v, w1)
+        w = W._extend(v, record.w1)  # v w1
+        v_reduced = v.length == len(vw)
         # (iv): v minimal in its inner twisted class
         if not K:
             iv_results.append("pass")
-        elif any(i not in K for i in W.support(v)):
+        elif not (set(vw) if v_reduced else W.support(v)) <= K:
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
         else:
-            iv_results.append(closure_verdict(*placed.inner(v)))
+            iv_results.append(closure_verdict(*placed.inner(v, vw if v_reduced else None)))
         # (v): v w1 minimal in its full twisted class
         if record.rank <= _DEFAULT_TIER_RANK or slow:
             v_results.append(closure_verdict(W, pi, w))
         else:
             v_results.append(_SLOW_TIER_SKIP)
         # (vi): cuspidal, read off the full pi-support of v w1
-        vi_results.append("pass" if len(supp_delta(W, pi, w)) == W.rank else "fail")
+        if w.length == len(vw) + len(record.w1):
+            supp = set(vw).union(record.w1)
+        else:
+            supp = W.support(w)
+        vi_results.append("pass" if len(pi_closure(pi, supp)) == W.rank else "fail")
 
     def fold(results: list[str]) -> str:
         if any(r == "fail" for r in results):

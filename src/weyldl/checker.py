@@ -291,10 +291,17 @@ def _letters(word) -> tuple[int, ...]:
 
 
 def number_to_json(x: QuadExt) -> dict:
-    """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3} of an exact number."""
-    p, q, r = x._p, x._q, x._r
+    """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3} of an exact number.
+
+    An int or a Fraction is written as the equal QuadExt: ``integer_parts``
+    coerces it with ``exactnum.qext``, so a bool raises TypeError.
+    """
+    if type(x) is QuadExt:
+        p, q, r, d = x._p, x._q, x._r, x._d
+    else:
+        (p,), (q,), r, d = integer_parts([x])
     ga, gb = gcd(p, r), gcd(q, r)
-    return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": x._d}
+    return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": d}
 
 
 def number_from_json(obj) -> QuadExt:

@@ -22,16 +22,21 @@ questions only: a catalog row's reduction step is ``casetables.place_row``.
 
 Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
 the system key (the Cartan matrix) and pi, never on a group object, so
-groups built apart share it.  It keeps every verdict that
-``closure_min_check`` walks to, and every level that ``minimal_level``
-walks: the level's elements in canonical-word order, as one tuple held
-under the key of each member.  ``closure_min_check`` answers from it
-first, and ``minimal_level`` from any member of a level walked returns
-that level without a walk.  It holds one entry per element walked and
-each level's elements once: 673 entries and 222 levels once the 180
-classes of rank <= 4 are listed.  Every shift walk has the one budget
-``WALK_BUDGET``; a walk past it raises ``ClosureBudgetError`` and keeps
-no verdict.
+groups built apart share it.  Its value for an element is in one of three
+states: a verdict of ``closure_min_check`` (True or False); the walked
+level of a member, each member's key mapped to the key of its inverse, as
+the walk yields them; or the spelled level, its elements in
+canonical-word order, as ``minimal_level`` returns it.  A level's dict,
+and later its tuple, is one object held under the key of each member.  A
+level is walked once per process and spelled only when asked for:
+``cuspidal_representatives`` reads a level's smallest canonical word off
+its walked level by a descent beam, and ``minimal_level`` spells a walked
+level in place.  ``closure_min_check`` answers from the memo first, and a
+level, walked or spelled, is a true verdict for each of its members.  It
+holds one entry per element walked and each level's elements once: 649
+entries and 213 levels once the 180 classes of rank <= 4 are listed.
+Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
+raises ``ClosureBudgetError`` and keeps no verdict.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "class_of",
     "class_list",
     "partition_memo",
+    "pi_closure",
     "supp_delta",
     "closure_min_check",
     "minimal_level",
@@ -236,12 +242,17 @@ def _pi_orbits(pi: PiMap, nodes: Iterable[int]) -> list[frozenset[int]]:
     return orbits
 
 
-def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
-    """Smallest pi-stable node set supporting a reduced word of w."""
-    s = set(W.support(w))
+def pi_closure(pi: PiMap, letters: Iterable[int]) -> frozenset[int]:
+    """Smallest pi-stable node set holding ``letters``."""
+    s = set(letters)
     while not {pi[i] for i in s} <= s:
         s |= {pi[i] for i in s}
     return frozenset(s)
+
+
+def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
+    """Smallest pi-stable node set supporting a reduced word of w."""
+    return pi_closure(pi, W.support(w))
 
 
 # -- minimality by shift closure ---------------------------------------------
@@ -249,13 +260,16 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
 
 # Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key -> False
 # when a finished shift walk found the element not minimal in its pi-class,
-# True when ``closure_min_check`` walked it to minimal, and its minimal level,
-# as ``minimal_level`` returns it, once a walk of that level has finished: one
-# tuple, shared by every member of the level.
-_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool | tuple[WeylElt, ...]]] = {}
+# True when ``closure_min_check`` walked it to minimal; once a walk of its
+# minimal level has finished, the walked level (member key -> key of its
+# inverse, as ``_level`` walks it); and once ``minimal_level`` has spelled
+# that level, the spelled level, as ``minimal_level`` returns it.  A level's
+# dict, and later its tuple, is one object shared by every member.
+_Level = dict[bytes, bytes] | tuple[WeylElt, ...]
+_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool | _Level]] = {}
 
 
-def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool | tuple[WeylElt, ...]]:
+def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool | _Level]:
     """The minimality verdicts known for the pi-classes of W."""
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
 
@@ -272,8 +286,8 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
 
     The closure is the walk of ``shift_closure``, stopped at its first
     strict descent.  Each walk's verdict is kept in ``_MINIMALITY_MEMO``,
-    which also holds every level ``minimal_level`` has walked (a level is
-    a true verdict for each of its members), and an element found there
+    which also holds every minimal level walked, spelled or not (a level
+    is a true verdict for each of its members), and an element found there
     is answered without a walk.
     """
     verdicts = _verdicts(W, pi)
@@ -294,6 +308,34 @@ def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
 # -- cuspidal classes without enumeration ------------------------------------
 
 
+def _level(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level:
+    """The minimal level of w as ``_MINIMALITY_MEMO`` holds it, walked first if need be.
+
+    A level spelled before comes back spelled, as ``minimal_level`` returns
+    it; otherwise the walked level: each member's key mapped to the key of
+    its inverse, one dict kept under the key of each member.  Raises as
+    ``minimal_level`` does.
+    """
+    verdicts = _verdicts(W, pi)
+    level = verdicts.get(w.key)
+    if type(level) is tuple or type(level) is dict:
+        return level
+    # Every member but the identity has a left descent, hence a shift that
+    # does not lengthen it, so the walk yields each member as u, with the
+    # key of u^-1.
+    inverse = {}
+    for u, u_inv, _, _, change in _shift_walk(W, pi, w):
+        if change:
+            raise FalsificationError(
+                f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
+            )
+        inverse[u] = u_inv
+    # An empty walk: w is the identity and every shift lengthens it.
+    inverse = inverse or {w.key: w.key}
+    verdicts.update(dict.fromkeys(inverse, inverse))
+    return inverse
+
+
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     """The elements reached from w by length-preserving cyclic shifts, by canonical word.
 
@@ -308,34 +350,50 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 
     A walk that ends without a descent proves every element of the level
     minimal, and the walk from any member reaches the same level, so the
-    level itself goes into ``_MINIMALITY_MEMO`` under the key of each
-    member: ``closure_min_check`` reads it as a verdict, and a later call
-    from any member, from any group of the same Cartan matrix, returns that
-    same tuple without a walk.
+    level goes into ``_MINIMALITY_MEMO`` under the key of each member,
+    walked once per process (``_level``).  The first call that asks for it
+    spells each member's canonical word once, off the key of its inverse,
+    and the spelled level replaces the walked one: ``closure_min_check``
+    reads either as a verdict, and a later call from any member, from any
+    group of the same Cartan matrix, returns the same tuple without a walk.
     """
-    verdicts = _verdicts(W, pi)
-    level = verdicts.get(w.key)
+    level = _level(W, pi, w)
     if type(level) is tuple:
         return level
-    # Every member but the identity has a left descent, hence a shift that
-    # does not lengthen it, so the walk yields each member as u, with the
-    # key of u^-1 from which its canonical word is spelled once.
-    inverse = {}
-    for u, u_inv, _, _, change in _shift_walk(W, pi, w):
-        if change:
-            raise FalsificationError(
-                f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
-            )
-        inverse[u] = u_inv
-    if inverse:
-        members = [WeylElt(W, key, w.length) for key in inverse]
-        for u in members:
-            u._word = tuple(W._peel(inverse[u.key]))
-        level = tuple(sorted(members, key=lambda u: u._word))
-    else:  # w is the identity and every shift lengthens it
-        level = (w,)
-    verdicts.update(dict.fromkeys(inverse or (w.key,), level))
-    return level
+    members = [WeylElt(W, key, w.length) for key in level]
+    for u in members:
+        u._word = tuple(W._peel(level[u.key]))
+    spelled = tuple(sorted(members, key=lambda u: u._word))
+    _verdicts(W, pi).update(dict.fromkeys(level, spelled))
+    return spelled
+
+
+def _level_minimum(W: WeylGroup, level: _Level) -> WeylElt:
+    """The member of a level with the smallest canonical word, spelled.
+
+    A spelled level holds it first.  On a walked level, a descent beam: the
+    canonical word of u is spelled by stripping the smallest right descent
+    of u^-1 until none is left, so at each step the beam keeps the members
+    whose inverse's smallest right descent is the smallest of the beam, and
+    strips it.  The members of a level share one length, and distinct
+    members stay distinct, so the beam narrows to one member, whose word
+    ``_peel`` finishes.
+    """
+    if type(level) is tuple:
+        return level[0]
+    tables, negative = W.reflection_table(), W._negative
+    beam, word = list(level.items()), []
+    while len(beam) > 1:
+        firsts = [inv.translate(negative).find(0) for _, inv in beam]
+        j = min(firsts)
+        beam = [(u, inv.translate(tables[inv[j]]))
+                for (u, inv), first in zip(beam, firsts) if first == j]
+        word.append(j + 1)
+    ((u, inv),) = beam
+    word += W._peel(inv)
+    least = WeylElt(W, u, len(word))
+    least._word = tuple(word)
+    return least
 
 
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
@@ -510,12 +568,15 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
 
     In (length, canonical word) order, as ``class_list`` lists the
     cuspidal classes: each seed of ``_cuspidal_seeds`` is walked to its
-    minimal level (``minimal_level``) and the level's smallest canonical
-    word represents the class.  Raises FalsificationError when a seed is
-    not minimal, when its twisted support is not all of W's nodes, or when
-    two seeds share a level (``minimal_level`` gives both one tuple).
-    Memoized on the group's system key (its Cartan matrix, so every group
-    of that matrix shares the entry) and pi.
+    minimal level, and the level's smallest canonical word represents the
+    class.  That word is read off the walked level by the descent beam of
+    ``_level_minimum``, so no other member is spelled: the level stays in
+    ``_MINIMALITY_MEMO`` walked, a true verdict for each member, and is
+    spelled only if ``minimal_level`` asks for it.  Raises
+    FalsificationError when a seed is not minimal, when its twisted support
+    is not all of W's nodes, or when two seeds share a level (the memo
+    gives both one object).  Memoized on the group's system key (its
+    Cartan matrix, so every group of that matrix shares the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
@@ -524,12 +585,15 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
         levels = []
         for word in _cuspidal_seeds(W, pi):
             seed = W.from_word(word)
-            if supp_delta(W, pi, seed) != nodes:
+            # The seed's letters, when its word is reduced, are its support.
+            letters = word if seed.length == len(word) else W.support(seed)
+            if pi_closure(pi, letters) != nodes:
                 raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-            levels.append(minimal_level(W, pi, seed))
+            levels.append(_level(W, pi, seed))
         if len(set(map(id, levels))) < len(levels):
             raise FalsificationError(f"two seeds of {W.system.family} share a class")
-        _CUSPIDAL_MEMO[key] = tuple(sorted((level[0] for level in levels), key=WeylElt.sort_key))
+        _CUSPIDAL_MEMO[key] = tuple(sorted((_level_minimum(W, level) for level in levels),
+                                           key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
 
 

@@ -42,7 +42,7 @@ above, in the same order, and the signs of its slacks are those of
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional
 
 from .checker import (
@@ -119,7 +119,7 @@ class IneqSystem(Frozen):
             return f"q-row i={subject}"
         return f"inversion {subject}" if type(subject) is tuple else subject
 
-    def _slacks(self, point: Mapping[int, QuadExt]):
+    def _slacks(self, point: Mapping[int, QuadExt | int]):
         """``(A, B, r, d)``: row k's slack at ``point`` is (A[k] + B[k] sqrt d) / r.
 
         The values go over one common denominator once, so a row is one
@@ -128,8 +128,9 @@ class IneqSystem(Frozen):
         sqrt 2 with sqrt 3 raise ``IncompatibleRadicandError``.
         """
         ps, qs, r, dp = integer_parts([point.get(i, 0) for i in self.varset])
-        (qp,), (qq,), qr, dq = integer_parts([self.q])
-        d = _join_d(dp, dq)
+        q = self.q  # in lowest terms, as every QuadExt is
+        qp, qq, qr = q._p, q._q, q._r
+        d = _join_d(dp, q._d)
         A = [sum(map(mul, row, ps)) for row in self.coeffs]
         B = [sum(map(mul, row, qs)) for row in self.coeffs] if dp != 1 else [0] * len(A)
         if qr != 1:
@@ -146,8 +147,12 @@ class IneqSystem(Frozen):
         A, B, r, d = self._slacks(point)
         return [_make(a, b, r, d) for a, b in zip(A, B)]
 
-    def violated(self, point: Mapping[int, QuadExt]) -> list[tuple[str, int]]:
-        """(label, sign) of each row whose slack at ``point`` is zero or negative."""
+    def violated(self, point: Mapping[int, QuadExt | int]) -> list[tuple[str, int]]:
+        """(label, sign) of each row whose slack at ``point`` is zero or negative.
+
+        ``point`` maps variables to exact numbers (int, Fraction or QuadExt);
+        a variable it leaves out reads 0.
+        """
         A, B, _, d = self._slacks(point)
         if d == 1:
             return [(self._label(k), (a > 0) - (a < 0)) for k, a in enumerate(A) if a <= 0]
@@ -170,11 +175,15 @@ def _system(
     (``signed_to_coords``), restricted to the variables: -beta_t for a
     q-row, whose q sits in the column of m_u, and beta_t for a pure row.
     """
-    cols = None if varset == W.system.nodes else [j - 1 for j in varset]
+    if varset == W.system.nodes:
+        coords = W.signed_to_coords
+    else:
+        cols = [j - 1 for j in varset]
+        # itemgetter of one index returns the item, not a tuple.
+        pick = itemgetter(*cols) if len(cols) > 1 else lambda c: tuple(c[k] for k in cols)
 
-    def coords(t: int) -> tuple[int, ...]:
-        c = W.signed_to_coords(t)
-        return c if cols is None else tuple(c[k] for k in cols)
+        def coords(t: int) -> tuple[int, ...]:
+            return pick(W.signed_to_coords(t))
 
     coeffs, qcols, subjects = [], [], []
     for i, u, t in q_rows:

@@ -270,9 +270,10 @@ class QuadExt:
         )
 
     def __hash__(self) -> int:
-        # Rational values hash like their Fraction so mixed-type lookups work.
+        # Rational values hash like their Fraction so mixed-type lookups work;
+        # an integer's Fraction hashes like the int.
         if not self._q:
-            return hash(self.a)
+            return hash(self._p) if self._r == 1 else hash(self.a)
         return hash((self.a, self.b, self._d))
 
     # -- conversions ---------------------------------------------------------

@@ -188,13 +188,13 @@ def positive_root_count(family: str, rank: int) -> int:
 class RootSystem(Frozen):
     """Positive roots of a (possibly reducible) crystallographic system.
 
-    Equality, hashing and repr leave out ``simple_reflections``, which
-    the other fields determine.
+    Equality, hashing and repr leave out ``simple_reflections`` and
+    ``nodes`` (1..rank), which the other fields determine.
     """
 
     __slots__ = (
         "family", "rank", "cartan", "positive_roots", "highest_root", "n0",
-        "simple_reflections",
+        "simple_reflections", "nodes",
     )
 
     def __init__(
@@ -215,6 +215,7 @@ class RootSystem(Frozen):
         _setattr(self, "highest_root", highest_root)
         _setattr(self, "n0", n0)
         _setattr(self, "simple_reflections", simple_reflections)
+        _setattr(self, "nodes", tuple(range(1, rank + 1)))
 
     def _fields(self) -> tuple:
         return (self.family, self.rank, self.cartan, self.positive_roots,
@@ -225,10 +226,6 @@ class RootSystem(Frozen):
         """The group identity: the Cartan matrix, which fixes the root order,
         the element encoding and the reflection tables."""
         return self.cartan
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.rank + 1))
 
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))

@@ -201,6 +201,40 @@ def test_tampered_row_fails(records, label, changes, subcheck, detail, value):
     assert report.details[detail] == value
 
 
+_PASSED = {"coset_rep": "pass", "K_match": "pass", "star": "pass", "v_min_inner": "pass",
+           "vw1_min_full": "pass", "cuspidal": "pass"}
+_A2_STEP = {"coset_rep": "pass", "K_match": "pass", "star": "fail", "v_min_inner": "pass",
+            "vw1_min_full": "pass", "cuspidal": "fail"}
+
+
+@pytest.mark.parametrize("label,changes,subchecks,details", [
+    # v = s2 s3 spelled with a cancelling pair outside K = {2, 3}: inside W_K.
+    ("F4 case 5", {"v_words": ((1, 1, 2, 3), (2, 3, 4, 4, 2, 3))}, _PASSED,
+     {"K_computed": [2, 3], "v_count": 2, "v_minimal_products": 2}),
+    # s1 s2 s1 s2 = s2 s1 has letter 1 in every word.
+    ("F4 case 5", {"v_words": ((2, 3), (1, 2, 1, 2))},
+     {**_PASSED, "v_min_inner": "fail", "vw1_min_full": "fail"},
+     {"K_computed": [2, 3], "v_count": 2, "v_minimal_products": 1, "v_outside_WK": [[1, 2, 1, 2]]}),
+    ("F4 case 5", {"w1": (4, 3, 2, 1, 3, 2, 4, 3, 2, 1, 3, 3)}, _PASSED,
+     {"K_computed": [2, 3], "v_count": 2, "v_minimal_products": 2}),
+    ("F4 case 5", {"w1": (4, 4, 4, 3, 2, 1, 3, 2, 4, 3, 2, 1), "v_words": ((2, 1, 1, 3),)}, _PASSED,
+     {"K_computed": [2, 3], "v_count": 1, "v_minimal_products": 1}),
+    # w1 = s1 s2 s2 = s1, whose support is {1}: not cuspidal in A2.
+    (None, {"w1": (1, 2, 2)}, _A2_STEP,
+     {"K_computed": [], "star_note": "some row fails at a positive point", "v_count": 1,
+      "v_minimal_products": 1}),
+])
+def test_words_that_are_not_reduced(records, label, changes, subchecks, details):
+    """A row whose v word or w1 word is not reduced gets the report of the
+    elements, not of the letters spelled: the supports of v and of v w1, and
+    v in W_K, come from a reduced word peeled off the element's key."""
+    row = CaseRecord("A", 2, 1, 1, frozenset(), (), frozenset()) if label is None else (
+        by_label(records, label))
+    report = verify_case(tampered(row, **changes))
+    assert report.subchecks == subchecks
+    assert report.details == details
+
+
 def _always_by_rows(system):
     """The rule on the exact rows with q folded in: each row >= 0 and nonzero."""
     return all(all(c.sign() >= 0 for c in row) and any(c.sign() > 0 for c in row)

@@ -565,6 +565,32 @@ def test_from_json_matches_fraction_parser(a, b, d):
     assert result(number_from_json) == result(fraction_from_json)
 
 
+@pytest.mark.parametrize("q,mu", [
+    (2, (qext(2), qext(1))),
+    (qext(2), (2, Fraction(1))),
+    (Fraction(5, 2), (Fraction(4, 2), 1)),
+])
+def test_plain_numbers_write_read_back_equal_and_check(q, mu):
+    """A hand-built certificate whose q or a mu coordinate is an int or a Fraction
+    writes as if it held the equal QuadExt, reads back equal, and is accepted."""
+    cert = Certificate("G", 2, 1, "delta", q, (2, 1, 2, 1), FORM_FORWARD, mu)
+    exact = Certificate("G", 2, 1, "delta", qext(q), (2, 1, 2, 1), FORM_FORWARD,
+                        tuple(map(qext, mu)))
+    assert cert.to_json() == exact.to_json()
+    back = Certificate.from_json(cert.to_json())
+    assert back == cert
+    assert check_certificate(back) == check_certificate(cert) == CheckResult(True, "", 6)
+
+
+def test_bool_q_does_not_write():
+    """True is no exact number: writing it raises TypeError."""
+    cert = Certificate("G", 2, 1, "delta", True, (2, 1, 2, 1), FORM_FORWARD, (qext(2), qext(1)))
+    with pytest.raises(TypeError):
+        cert.to_json()
+    with pytest.raises(TypeError):
+        number_to_json(False)
+
+
 # -- the integer reader against twins built in process --------------------------------
 
 

@@ -599,6 +599,50 @@ class TestCuspidalRepresentatives:
         got = [w.word for w in cuspidal_representatives(W, pi)]
         assert got == cuspidal_words_by_enumeration(W, pi)
 
+    @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
+    def test_beam_reads_walked_levels(self, family, rank, order, monkeypatch):
+        """From cold memos, in both directions, the descent beam reads each
+        representative off its walked level, the word enumeration gives, and
+        leaves the level walked, not spelled.  ``minimal_level`` then spells
+        it with no second walk, with the representative first."""
+        W = group(family, rank)
+        real_walk = conjugacy._shift_walk
+        for direction in ("delta", "delta_inv"):
+            for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
+                monkeypatch.setattr(conjugacy, memo, {})
+            pi = pi_of(build_twist(family, rank, order), direction)
+            reps = cuspidal_representatives(W, pi)
+            assert [w.word for w in reps] == cuspidal_words_by_enumeration(W, pi)
+            held = conjugacy._verdicts(W, pi)
+            assert all(type(held[w.key]) is dict for w in reps)
+            walks = []
+            monkeypatch.setattr(conjugacy, "_shift_walk",
+                                lambda *args: walks.append(args) or real_walk(*args))
+            for w in reps:
+                level = minimal_level(W, pi, w)
+                assert (level[0].key, level[0].word) == (w.key, w.word)
+                assert held[w.key] is level
+            assert walks == []
+            monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
+
+    @pytest.mark.parametrize("family,rank,order,levels", [("B", 4, 1, 24), ("A", 5, 2, 12)])
+    def test_class_list_walks_each_level_once(self, family, rank, order, levels, monkeypatch):
+        """A cold ``class_list`` starts one shift walk per level: the beam of
+        ``cuspidal_representatives`` reads a walked level, and ``minimal_level``
+        spells that level without walking it again."""
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        walks = []
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walks.append(args) or real_walk(*args))
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order))
+        assert class_list(W, pi)
+        held = list(conjugacy._verdicts(W, pi).values())
+        assert all(type(level) is tuple for level in held)
+        assert len(walks) == len({id(level) for level in held}) == levels
+
     @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
     @pytest.mark.parametrize("name", sorted(SWAPPED))
     def test_swapped_components(self, name, direction):

@@ -70,6 +70,8 @@ class TestNormalization:
 
     def test_rational_hash_matches_fraction(self):
         assert hash(QuadExt(Fraction(7, 2))) == hash(Fraction(7, 2))
+        for n in (0, 1, -1, 2, 10 ** 30, -(2 ** 61) + 1, 2 ** 61 - 1, 2 ** 61):
+            assert hash(QuadExt(n)) == hash(n) == hash(Fraction(n))
 
     def test_equality_with_int(self):
         assert SQRT2 * SQRT2 == 2

@@ -296,6 +296,14 @@ class TestRecords:
                                 b3.highest_root, b3.n0 + 1, b3.simple_reflections)
         assert b3 != (b3.family, b3.rank)
 
+    def test_root_system_nodes_are_stored_once(self):
+        """``nodes`` is 1..rank, one tuple read back on every read, and out of
+        equality, hashing and repr, which the leading six fields make."""
+        b3 = build_root_system("B", 3)
+        assert b3.nodes == (1, 2, 3) and b3.nodes is b3.nodes
+        assert "nodes" not in repr(b3) and "simple_reflections" not in repr(b3)
+        assert hash(b3) == hash(b3._fields()) and len(b3._fields()) == 6
+
     def test_twist_equality_and_hash(self):
         reversal = build_twist("A", 3, 2)
         same = make_twist(build_root_system("A", 3), (3, 2, 1))
