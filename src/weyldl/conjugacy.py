@@ -17,7 +17,8 @@ their levels (``cuspidal_representatives``, ``minimal_set``, ``class_of``,
 ``class_list``); the partition of the whole group is the tests' oracle.
 A parabolic W_J's seeds and inner classes live in its standalone group
 (``subsystems.sub_context``), and cuspidal classes, of W or of a W_J,
-come from ``cuspidal_representatives`` alone.  This module answers class
+come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
+read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
 Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
@@ -560,6 +561,27 @@ def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
     return seeds
 
 
+def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
+    """Each seed of ``_cuspidal_seeds`` with its minimal level, as ``_level`` gives it.
+
+    Raises FalsificationError when a seed is not minimal, when its twisted
+    support is not all of W's nodes, or when two seeds share a level (the
+    memo gives both one object).
+    """
+    nodes = frozenset(W.system.nodes)
+    levels = []
+    for word in _cuspidal_seeds(W, pi):
+        seed = W.from_word(word)
+        # The seed's letters, when its word is reduced, are its support.
+        letters = word if seed.length == len(word) else W.support(seed)
+        if pi_closure(pi, letters) != nodes:
+            raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
+        levels.append((seed, _level(W, pi, seed)))
+    if len({id(level) for _, level in levels}) < len(levels):
+        raise FalsificationError(f"two seeds of {W.system.family} share a class")
+    return levels
+
+
 _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 
 
@@ -567,33 +589,21 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     """The canonical minimal representatives of the cuspidal pi-classes of W.
 
     In (length, canonical word) order, as ``class_list`` lists the
-    cuspidal classes: each seed of ``_cuspidal_seeds`` is walked to its
-    minimal level, and the level's smallest canonical word represents the
-    class.  That word is read off the walked level by the descent beam of
-    ``_level_minimum``, so no other member is spelled: the level stays in
-    ``_MINIMALITY_MEMO`` walked, a true verdict for each member, and is
-    spelled only if ``minimal_level`` asks for it.  Raises
-    FalsificationError when a seed is not minimal, when its twisted support
-    is not all of W's nodes, or when two seeds share a level (the memo
-    gives both one object).  Memoized on the group's system key (its
+    cuspidal classes: each seed is walked to its minimal level
+    (``_cuspidal_levels``), and the level's smallest canonical word
+    represents the class.  That word is read off the walked level by the
+    descent beam of ``_level_minimum``, so no other member is spelled: the
+    level stays in ``_MINIMALITY_MEMO`` walked, a true verdict for each
+    member, and is spelled only if ``minimal_level`` asks for it.  Raises
+    as ``_cuspidal_levels`` does.  Memoized on the group's system key (its
     Cartan matrix, so every group of that matrix shares the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        nodes = frozenset(W.system.nodes)
-        levels = []
-        for word in _cuspidal_seeds(W, pi):
-            seed = W.from_word(word)
-            # The seed's letters, when its word is reduced, are its support.
-            letters = word if seed.length == len(word) else W.support(seed)
-            if pi_closure(pi, letters) != nodes:
-                raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-            levels.append(_level(W, pi, seed))
-        if len(set(map(id, levels))) < len(levels):
-            raise FalsificationError(f"two seeds of {W.system.family} share a class")
-        _CUSPIDAL_MEMO[key] = tuple(sorted((_level_minimum(W, level) for level in levels),
-                                           key=WeylElt.sort_key))
+        _CUSPIDAL_MEMO[key] = tuple(sorted(
+            (_level_minimum(W, level) for _, level in _cuspidal_levels(W, pi)),
+            key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
 
 
@@ -701,7 +711,9 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
 
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
     minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  J = S
-    gives the levels of ``cuspidal_representatives``; a proper J, the
+    gives the levels of the cuspidal seeds (``_cuspidal_levels``), each
+    spelled once by ``minimal_level``, with no descent beam, since a class
+    lists every member by word; a proper J, the
     ``minimal_set`` of each seed of its standalone group (the identity for
     J empty).  A seed already found is skipped, and so is a J that is the
     support of a level walked: the joins to it conjugate an earlier W_J'
@@ -716,8 +728,8 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
         orbits = _pi_orbits(pi, W.system.nodes)
         found: set[bytes] = set()
         supports: set[frozenset[int]] = set()  # of the levels walked
-        classes = [_delta_class(W, pi, minimal_level(W, pi, x))
-                   for x in cuspidal_representatives(W, pi)]
+        classes = [_delta_class(W, pi, minimal_level(W, pi, seed))
+                   for seed, _ in _cuspidal_levels(W, pi)]
         for r in range(len(orbits)):
             for chosen in combinations(orbits, r):
                 J = frozenset().union(*chosen)

@@ -626,10 +626,12 @@ class TestCuspidalRepresentatives:
             monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
 
     @pytest.mark.parametrize("family,rank,order,levels", [("B", 4, 1, 24), ("A", 5, 2, 12)])
-    def test_class_list_walks_each_level_once(self, family, rank, order, levels, monkeypatch):
-        """A cold ``class_list`` starts one shift walk per level: the beam of
-        ``cuspidal_representatives`` reads a walked level, and ``minimal_level``
-        spells that level without walking it again."""
+    @pytest.mark.parametrize("beam_first", [False, True])
+    def test_class_list_walks_each_level_once(self, family, rank, order, levels, beam_first,
+                                              monkeypatch):
+        """A cold ``class_list`` starts one shift walk per level, also after the
+        beam of ``cuspidal_representatives`` has read the cuspidal levels
+        walked: ``minimal_level`` spells a walked level without walking it again."""
         for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
         walks = []
@@ -638,6 +640,8 @@ class TestCuspidalRepresentatives:
                             lambda *args: walks.append(args) or real_walk(*args))
         W = group(family, rank)
         pi = pi_of(build_twist(family, rank, order))
+        if beam_first:
+            assert cuspidal_representatives(W, pi)
         assert class_list(W, pi)
         held = list(conjugacy._verdicts(W, pi).values())
         assert all(type(level) is tuple for level in held)
