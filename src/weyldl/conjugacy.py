@@ -263,7 +263,7 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
 # when a finished shift walk found the element not minimal in its pi-class,
 # True when ``closure_min_check`` walked it to minimal; once a walk of its
 # minimal level has finished, the walked level (member key -> key of its
-# inverse, as ``_level`` walks it); and once ``minimal_level`` has spelled
+# inverse, as ``_walk`` gives it); and once ``minimal_level`` has spelled
 # that level, the spelled level, as ``minimal_level`` returns it.  A level's
 # dict, and later its tuple, is one object shared by every member.
 _Level = dict[bytes, bytes] | tuple[WeylElt, ...]
@@ -309,18 +309,11 @@ def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
 # -- cuspidal classes without enumeration ------------------------------------
 
 
-def _level(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level:
-    """The minimal level of w as ``_MINIMALITY_MEMO`` holds it, walked first if need be.
+def _walk(W: WeylGroup, pi: PiMap, w: WeylElt) -> dict[bytes, bytes]:
+    """The walked level of w: each member's key mapped to the key of its inverse.
 
-    A level spelled before comes back spelled, as ``minimal_level`` returns
-    it; otherwise the walked level: each member's key mapped to the key of
-    its inverse, one dict kept under the key of each member.  Raises as
-    ``minimal_level`` does.
+    Raises as ``minimal_level`` does, and keeps nothing.
     """
-    verdicts = _verdicts(W, pi)
-    level = verdicts.get(w.key)
-    if type(level) is tuple or type(level) is dict:
-        return level
     # Every member but the identity has a left descent, hence a shift that
     # does not lengthen it, so the walk yields each member as u, with the
     # key of u^-1.
@@ -332,9 +325,22 @@ def _level(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level:
             )
         inverse[u] = u_inv
     # An empty walk: w is the identity and every shift lengthens it.
-    inverse = inverse or {w.key: w.key}
-    verdicts.update(dict.fromkeys(inverse, inverse))
-    return inverse
+    return inverse or {w.key: w.key}
+
+
+def _level(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level:
+    """The minimal level of w as ``_MINIMALITY_MEMO`` holds it, walked and kept first if need be.
+
+    A level spelled before comes back spelled, as ``minimal_level`` returns
+    it; otherwise the walked level (``_walk``), one dict kept under the key
+    of each member.
+    """
+    verdicts = _verdicts(W, pi)
+    level = verdicts.get(w.key)
+    if type(level) is not tuple and type(level) is not dict:
+        level = _walk(W, pi, w)
+        verdicts.update(dict.fromkeys(level, level))
+    return level
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -352,20 +358,24 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     A walk that ends without a descent proves every element of the level
     minimal, and the walk from any member reaches the same level, so the
     level goes into ``_MINIMALITY_MEMO`` under the key of each member,
-    walked once per process (``_level``).  The first call that asks for it
-    spells each member's canonical word once, off the key of its inverse,
-    and the spelled level replaces the walked one: ``closure_min_check``
-    reads either as a verdict, and a later call from any member, from any
-    group of the same Cartan matrix, returns the same tuple without a walk.
+    walked once per process.  The first call that asks for it spells each
+    member's canonical word once, off the key of its inverse, and the
+    spelled level replaces a walked one that ``_level`` kept:
+    ``closure_min_check`` reads either as a verdict, and a later call from
+    any member, from any group of the same Cartan matrix, returns the same
+    tuple without a walk.
     """
-    level = _level(W, pi, w)
+    verdicts = _verdicts(W, pi)
+    level = verdicts.get(w.key)
     if type(level) is tuple:
         return level
+    if type(level) is not dict:
+        level = _walk(W, pi, w)
     members = [WeylElt(W, key, w.length) for key in level]
     for u in members:
         u._word = tuple(W._peel(level[u.key]))
     spelled = tuple(sorted(members, key=lambda u: u._word))
-    _verdicts(W, pi).update(dict.fromkeys(level, spelled))
+    verdicts.update(dict.fromkeys(level, spelled))
     return spelled
 
 
@@ -712,8 +722,8 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
     minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  J = S
     gives the levels of the cuspidal seeds (``_cuspidal_levels``), each
-    spelled once by ``minimal_level``, with no descent beam, since a class
-    lists every member by word; a proper J, the
+    spelled once by ``minimal_level`` and read with no descent beam, since
+    a class lists every member by word; a proper J gives the
     ``minimal_set`` of each seed of its standalone group (the identity for
     J empty).  A seed already found is skipped, and so is a J that is the
     support of a level walked: the joins to it conjugate an earlier W_J'
