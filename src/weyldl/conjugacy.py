@@ -35,7 +35,8 @@ its walked level by a descent beam, and ``minimal_level`` spells a walked
 level in place.  ``closure_min_check`` answers from the memo first, and a
 level, walked or spelled, is a true verdict for each of its members.  It
 holds one entry per element walked and each level's elements once: 649
-entries and 213 levels once the 180 classes of rank <= 4 are listed.
+entries and 213 levels once the 180 classes of rank <= 4 are listed, and
+673 and 222 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
 raises ``ClosureBudgetError`` and keeps no verdict.
 """
