@@ -77,7 +77,11 @@ whatever the text holds; otherwise, and where sqrt 2 and sqrt 3 meet, it
 keeps the numbers one by one, and the checker rejects them where it
 would reject a certificate built in process.  The letters of w are
 tested by one scan of their types, and only a word with a letter that is
-not an int is read letter by letter, for the message.
+not an int is read letter by letter, for the message.  ``to_json``
+writes the text in one pass, byte for byte ``json.dumps`` of
+``to_json_dict`` with the separators (",", ":"): strings by the JSON
+library's own ASCII encoder, and a field of a type that no route writes
+by ``json.dumps`` alone.
 
 The trusted base is this module, from :mod:`weyldl.exactnum` the sign of
 p + q sqrt(d), the radicand test, ``QuadExt``, ``common_parts`` and
@@ -92,6 +96,7 @@ fields.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .exactnum import (
@@ -214,7 +219,21 @@ class Certificate(_IntegerForm):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The wire text, ``json.dumps(self.to_json_dict(), separators=(",", ":"))``.
+
+        Written in one pass: each number as ``number_to_json`` forms it,
+        each str and int field as the JSON library writes it, and a field
+        of any other type (a bool rank, a list w) by ``json.dumps`` alone.
+        """
+        w = self.w
+        if type(w) is tuple and {int}.issuperset(map(type, w)):
+            w = f"[{','.join(map(str, w))}]"
+        else:
+            w = _dumps(list(w))
+        return (f'{{"format_version":{FORMAT_VERSION},"group":{{"family":{_text(self.family)},'
+                f'"rank":{_text(self.rank)},"twist":{_text(self.twist)}}},'
+                f'"direction":{_text(self.direction)},"q":{_number_text(self.q)},"w":{w},'
+                f'"form":{_text(self.form)},"mu":[{",".join(map(_number_text, self.mu))}]}}')
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -296,12 +315,36 @@ def number_to_json(x: QuadExt) -> dict:
     An int or a Fraction is written as the equal QuadExt: ``integer_parts``
     coerces it with ``exactnum.qext``, so a bool raises TypeError.
     """
+    a, b, d = _wire_parts(x)
+    return {"a": a, "b": b, "d": d}
+
+
+def _number_text(x: QuadExt) -> str:
+    """The JSON text of ``number_to_json(x)`` with the wire's separators."""
+    a, b, d = _wire_parts(x)
+    return f'{{"a":"{a}","b":"{b}","d":{d}}}'
+
+
+def _wire_parts(x: QuadExt) -> tuple[str, str, int]:
+    """The reduced halves "p/q" and "r/s" of x = p/q + (r/s) sqrt(d), and d."""
     if type(x) is QuadExt:
         p, q, r, d = x._p, x._q, x._r, x._d
     else:
         (p,), (q,), r, d = integer_parts([x])
     ga, gb = gcd(p, r), gcd(q, r)
-    return {"a": f"{p // ga}/{r // ga}", "b": f"{q // gb}/{r // gb}", "d": d}
+    return f"{p // ga}/{r // ga}", f"{q // gb}/{r // gb}", d
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _text(value) -> str:
+    """``_dumps(value)``, written directly for a str or an int."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    return str(value) if kind is int else _dumps(value)
 
 
 def number_from_json(obj) -> QuadExt:

@@ -28,6 +28,15 @@ query, :meth:`IneqSystem.violated`, names the rows that fail: the point
 goes over one common denominator once, and each row is one integer dot
 product plus its q term, signed exactly.
 
+Forward systems are kept once per process in ``_FORWARD_MEMO``, keyed
+like ``lifting._ENGINE_MEMO`` on (Cartan matrix, pi, q, element key), so
+every group of one matrix shares them.  A system is immutable, so the
+simplex of ``certify_min_element`` and the ``_validate`` of the
+constructive route read one object when both reach the same element:
+both routes over the 180 classes of rank <= 4 call the builder 387
+times and keep 220 systems.  A miss walks once, for w^{-1} and the
+inversions of w together (``WeylGroup.invert_with_inversions``).
+
 The certificate (``Certificate``, ``CertificateError`` and
 ``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
 checker, ``check_certificate``, and its verdict ``CheckResult`` live in
@@ -202,21 +211,38 @@ def _inversion_rows(W: WeylGroup, u: WeylElt) -> list[tuple[tuple[int, ...], int
     return [(W.roots[p], p + 1) for p in W.inversions_of_inverse(u)]
 
 
+_FORWARD_MEMO: dict[tuple, IneqSystem] = {}
+
+
 def build_forward_system(
     W: WeylGroup,
     w: WeylElt,
     pi: PiMap,
     q: QuadExt,
 ) -> IneqSystem:
-    """Forward-form system for w in a pi-twisted class of W."""
+    """Forward-form system for w in a pi-twisted class of W.
+
+    Memoized per process in ``_FORWARD_MEMO`` on (system key, pi, q, key
+    of w), as ``lifting._ENGINE_MEMO`` is: every group of one Cartan
+    matrix shares the entries, and a pi that does not stabilize the nodes
+    raises ValueError before the memo is read.  A system is immutable, so
+    every caller may hold the one object.  On a miss, one walk
+    (``invert_with_inversions``) gives w^{-1} for the q-rows and the
+    inversions of w for the pure rows.
+    """
     varset = W.system.nodes
     pi = restrict_pi(pi, varset)
-    winv = W.invert(w)
-    return _system(
-        W, varset, q,
-        [(i, pi[i], W.act_on_simple(winv, i)) for i in varset],
-        _inversion_rows(W, winv),
-    )
+    q = qext(q)
+    key = (W.system.key, tuple(sorted(pi.items())), q, w.key)
+    system = _FORWARD_MEMO.get(key)
+    if system is None:
+        winv, inversions = W.invert_with_inversions(w)
+        system = _FORWARD_MEMO[key] = _system(
+            W, varset, q,
+            [(i, pi[i], W.act_on_simple(winv, i)) for i in varset],
+            [(W.roots[p], p + 1) for p in inversions],
+        )
+    return system
 
 
 def build_inverse_system(

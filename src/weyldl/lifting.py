@@ -44,7 +44,9 @@ scans have reached, in catalog order, its placement and the keys of
 per row reached: 24 types, 65 rows and 85 options for the 180 classes of
 rank <= 4.  Only the inputs of the row scan are kept, so a leaf still
 takes the first matching (row, v) in catalog order, and builds and
-validates its witness afresh.
+validates its witness afresh.  Each step validates against
+``criterion``'s forward systems, one per (Cartan matrix, pi, q, element
+key) in its ``_FORWARD_MEMO``: 220 from 387 builds at rank <= 4.
 """
 
 from __future__ import annotations

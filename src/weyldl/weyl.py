@@ -162,6 +162,23 @@ class WeylGroup:
     def invert(self, w: WeylElt) -> WeylElt:
         return self._extend(self.identity, self._peel(w.key))
 
+    def invert_with_inversions(self, w: WeylElt) -> tuple[WeylElt, list[int]]:
+        """w^{-1}, and the indices of the inversions of w in root order, from one walk.
+
+        ``invert`` extends the identity by the reduced word j_1 ... j_m of
+        w^{-1} that ``_peel`` gives; step k meets the positive root
+        s_{j_1} ... s_{j_(k-1)}(alpha_(j_k)), and the m roots met are the
+        inversions of (w^{-1})^{-1} = w.
+        """
+        tables, n = self.reflection_table(), self.nroots
+        key, met = self.identity.key, []
+        for j in self._peel(w.key):
+            b = key[j - 1]
+            met.append(b - n - 1)  # the byte of +beta_p is N + p + 1
+            key = key.translate(tables[b])
+        met.sort()
+        return WeylElt(self, key, len(met)), met
+
     # -- root actions ------------------------------------------------------------
 
     def act_on_simple(self, w: WeylElt, i: int) -> int:
@@ -192,8 +209,8 @@ class WeylGroup:
         Read off the steps of ``_peel``: stripping a right descent j off the
         current element u' meets u'(alpha_j) = -gamma, and the l(u) roots
         gamma met on the way down to the identity are the inversions of
-        u^{-1}.  A caller that wants the inversions of w passes the w^{-1}
-        it holds.
+        u^{-1}.  A caller that wants the inversions of w and holds no w^{-1}
+        asks ``invert_with_inversions``, which walks once for both.
         """
         tables, negative, n = self.reflection_table(), self._negative, self.nroots
         key, found = u.key, []

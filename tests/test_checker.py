@@ -591,6 +591,76 @@ def test_bool_q_does_not_write():
         number_to_json(False)
 
 
+def _dumps(cert: Certificate) -> str:
+    return json.dumps(cert.to_json_dict(), separators=(",", ":"))
+
+
+def test_w3_certificates_write_json_dumps_text():
+    """All 360 W3 certificates write ``json.dumps``'s text of their dict and read back equal."""
+    count = 0
+    for family, rank, order in RANK_LE_4:
+        W, twist = group(family, rank), build_twist(family, rank, order)
+        q = minimal_q(family, order)
+        for cls in class_list(W, pi_of(twist)):
+            for cert in (certify_min_element(W, twist, cls, q),
+                         constructive_certificate(W, twist, cls, q)):
+                text = cert.to_json()
+                assert text == _dumps(cert), (family, rank, order, cert.w)
+                assert Certificate.from_json(text) == cert
+                count += 1
+    assert count == 360
+
+
+_HAND_BUILT = {
+    "int_q": {"q": 2},
+    "fraction_q": {"q": Fraction(5, 2), "mu": (Fraction(4, 2), 1)},
+    "int_mu": {"mu": (2, 1)},
+    "fraction_mu": {"mu": (Fraction(7, 3), Fraction(-1, 6))},
+    "sqrt_q": {"q": SQRT2 * Fraction(3, 2), "mu": (SQRT2 + 1, Fraction(1, 3))},
+    "quote_family": {"family": 'G"2'},
+    "backslash_direction": {"direction": "delta\\inv"},
+    "non_ascii_family": {"family": "G\u00e9"},
+    "non_ascii_direction": {"direction": "\u03b4\u207b\u00b9 \U0001d53e"},
+    "control_direction": {"direction": "delta\n\t\x00"},
+    "bool_rank": {"rank": True},
+    "float_rank": {"rank": 2.0},
+    "bool_twist": {"twist": False},
+    "float_twist": {"twist": 1.5},
+    "list_w": {"w": [2, 1, 2, 1]},
+    "bool_letter": {"w": (2, 1, True, 1)},
+    "float_letter": {"w": (2.0, 1)},
+    "empty_w": {"w": ()},
+    "none_form": {"form": None},
+}
+# Fields of the wire's types: these read back as the certificate that wrote them.
+_READS_BACK = {"int_q", "fraction_q", "int_mu", "fraction_mu", "sqrt_q", "quote_family",
+               "backslash_direction", "non_ascii_family", "non_ascii_direction",
+               "control_direction", "empty_w"}
+
+
+@pytest.mark.parametrize("name", list(_HAND_BUILT))
+def test_hand_built_certificate_writes_json_dumps_text(name):
+    """A hand-built certificate writes ``json.dumps``'s text of its dict, whatever the
+    type of a field: an int or Fraction number, a string with a quote, a backslash,
+    a control or a non-ASCII character, a bool or float rank or twist, a list w or a
+    letter that is not an int.  Those of the wire's types read back equal."""
+    cert = Certificate(**{"family": "G", "rank": 2, "twist": 1, "direction": "delta",
+                          "q": qext(2), "w": (2, 1, 2, 1), "form": FORM_FORWARD,
+                          "mu": (qext(2), qext(1)), **_HAND_BUILT[name]})
+    text = cert.to_json()
+    assert text == _dumps(cert) and text.isascii()
+    if name in _READS_BACK:
+        assert Certificate.from_json(text) == cert
+
+
+@pytest.mark.parametrize("mu", [(qext(2), True), (False, qext(1))])
+def test_bool_mu_does_not_write(mu):
+    """A bool coordinate is no exact number: writing it raises TypeError."""
+    cert = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD, mu)
+    with pytest.raises(TypeError):
+        cert.to_json()
+
+
 # -- the integer reader against twins built in process --------------------------------
 
 

@@ -24,13 +24,13 @@ from weyldl.criterion import (
     parse_q_literal,
 )
 from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadExt, qext
-from weyldl.rootdata import build_twist
-from weyldl import checker, weyl
+from weyldl.rootdata import build_root_system, build_twist
+from weyldl import checker, criterion, lifting, weyl
 from weyldl.checker import number_to_json
 
-from conftest import group
+from conftest import RANK_LE_4, group
 from lp_oracle import labels_of, rows_of
-from multiply_oracles import elements_of, perm_of_word
+from multiply_oracles import elements_of, perm_of_word, weyl_order
 
 
 def idpi(W):
@@ -66,6 +66,95 @@ class TestForwardSystem:
         assert [lbl.split()[0] for lbl in labels_of(system)] == ["q-row"] * 2 + ["inversion"] * 3
         mu = feasible(system)
         assert mu is not None
+
+
+def _recording_builds(monkeypatch) -> list:
+    """Cold forward-system and engine memos, and every ``build_forward_system`` call of
+    both routes recorded as (element key, returned system)."""
+    monkeypatch.setattr(criterion, "_FORWARD_MEMO", {})
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
+    calls = []
+
+    def recording(W, w, pi, q):
+        system = build_forward_system(W, w, pi, q)
+        calls.append((w.key, system))
+        return system
+
+    monkeypatch.setattr(criterion, "build_forward_system", recording)
+    monkeypatch.setattr(lifting, "build_forward_system", recording)
+    return calls
+
+
+class TestForwardMemo:
+    def test_routes_read_one_system(self, monkeypatch):
+        """On B3's Coxeter class both routes certify w = s1 s2 s3, and every build of
+        its forward system, the simplex's and the constructive ``_validate``'s, returns
+        the one object, which is what the memo holds for (W, w, pi, q)."""
+        calls = _recording_builds(monkeypatch)
+        W, twist = group("B", 3), build_twist("B", 3, 1)
+        pi, q = pi_of(twist), minimal_q("B", 1)
+        w = W.from_word((1, 2, 3))
+        cls = class_of(W, pi, w)
+        solver = certify_min_element(W, twist, cls, q)
+        by_solver = sum(key == w.key for key, _ in calls)
+        constructive = lifting.constructive_certificate(W, twist, cls, q)
+        assert solver.w == constructive.w == w.word
+        systems = [system for key, system in calls if key == w.key]
+        assert 0 < by_solver < len(systems) and all(system is systems[0] for system in systems)
+        assert build_forward_system(W, w, pi, q) is systems[0]
+        assert len(criterion._FORWARD_MEMO) == len({id(system) for _, system in calls})
+
+    def test_groups_of_one_cartan_matrix_share_entries(self, monkeypatch):
+        """A second ``WeylGroup`` of the same Cartan matrix hits the memo."""
+        monkeypatch.setattr(criterion, "_FORWARD_MEMO", {})
+        W = group("F", 4)
+        other = weyl.WeylGroup(build_root_system("F", 4))
+        assert other is not W
+        pi, w = idpi(W), W.from_word((1, 2, 3, 4, 3, 2))
+        system = build_forward_system(W, w, pi, SQRT2)
+        assert build_forward_system(other, other.from_word(w.word), pi, SQRT2) is system
+        assert len(criterion._FORWARD_MEMO) == 1
+
+    def test_pi_off_the_nodes_stores_nothing(self, monkeypatch):
+        """A pi that does not stabilize the nodes raises ValueError and stores nothing."""
+        monkeypatch.setattr(criterion, "_FORWARD_MEMO", {})
+        W = group("B", 3)
+        with pytest.raises(ValueError, match="does not stabilize"):
+            build_forward_system(W, W.from_word((1, 2, 3)), {1: 1, 2: 1, 3: 3}, qext(2))
+        assert criterion._FORWARD_MEMO == {}
+
+    def test_w3_builds_220_systems_in_387_calls(self, monkeypatch):
+        """Both routes over the 180 classes of rank <= 4, from cold memos, call
+        ``build_forward_system`` 387 times and keep 220 systems."""
+        calls = _recording_builds(monkeypatch)
+        for family, rank, order in RANK_LE_4:
+            W, twist = group(family, rank), build_twist(family, rank, order)
+            q = minimal_q(family, order)
+            for cls in class_list(W, pi_of(twist)):
+                certify_min_element(W, twist, cls, q)
+                lifting.constructive_certificate(W, twist, cls, q)
+        assert len(calls) == 387
+        assert len(criterion._FORWARD_MEMO) == len({id(system) for _, system in calls}) == 220
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4), ("F", 4)])
+def test_forward_rows_from_one_walk(family, rank, monkeypatch):
+    """For every element w, the forward system's rows are those built from ``W.invert(w)``
+    and the inversions of w read off it (``criterion._inversion_rows``): one walk gives
+    both."""
+    monkeypatch.setattr(criterion, "_FORWARD_MEMO", {})
+    W = group(family, rank)
+    pi, nodes, q = idpi(W), W.system.nodes, qext(2)
+    for w in elements_of(W):
+        winv = W.invert(w)
+        oracle = criterion._system(
+            W, nodes, q, [(i, pi[i], W.act_on_simple(winv, i)) for i in nodes],
+            criterion._inversion_rows(W, winv))
+        system = build_forward_system(W, w, pi, q)
+        assert (system.coeffs, system.qcols, system.subjects) == \
+            (oracle.coeffs, oracle.qcols, oracle.subjects), w.word
+    assert len(criterion._FORWARD_MEMO) == weyl_order(family, rank)
 
 
 RANK_LE_3 = [("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("B", 2, 1), ("B", 2, 2), ("G", 2, 1),
