@@ -302,13 +302,21 @@ def feasible(system: IneqSystem) -> Optional[tuple[QuadExt, ...]]:
     return point
 
 
+def _minimal_square(family: str, twist: int) -> int:
+    """The square of the smallest admissible q for the type: 2, 3 or 4."""
+    if twist == 2 and family in ("B", "F"):
+        return 2
+    if twist == 2 and family == "G":
+        return 3
+    return 4
+
+
+_MINIMAL_Q = {2: SQRT2, 3: SQRT3, 4: qext(2)}
+
+
 def minimal_q(family: str, twist: int) -> QuadExt:
     """Smallest admissible q for the type: 2, sqrt 2, or sqrt 3."""
-    if twist == 2 and family in ("B", "F"):
-        return SQRT2
-    if twist == 2 and family == "G":
-        return SQRT3
-    return qext(2)
+    return _MINIMAL_Q[_minimal_square(family, twist)]
 
 
 def admissible_q(family: str, rank: int, twist: int, q) -> QuadExt:
@@ -318,12 +326,15 @@ def admissible_q(family: str, rank: int, twist: int, q) -> QuadExt:
     and for a q below the type's minimum, so that input out of range never
     reaches a search whose failure would read as a falsification.  The
     minimum is 2, sqrt 2 or sqrt 3, so q is compared through its square,
-    which is exact also for a q over another square root.
+    which is exact also for a q over another square root: for q = (p + s
+    sqrt d) / r and the minimum's square m, q^2 - m is (p^2 + d s^2 - m r^2
+    + 2 p s sqrt d) / r^2, whose sign is decided in ints.
     """
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in 1..{MAX_RANK}")
-    q, low = qext(q), minimal_q(family, twist)
-    if q.sign() <= 0 or q * q < low * low:
+    q, m = qext(q), _minimal_square(family, twist)
+    p, s, r, d = q._p, q._q, q._r, q._d
+    if _sign(p, s, d) <= 0 or _sign(p * p + d * s * s - m * r * r, 2 * p * s, d) < 0:
         raise ValueError(f"q below the minimal value for {family}{rank} twist {twist}")
     return q
 

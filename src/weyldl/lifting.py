@@ -560,13 +560,16 @@ def constructive_certificate(
     q = admissible_q(family, rank, twist.order, q)
     pi, direction = class_map(W, twist, dclass)
     cert = _engine(W, pi, q, dclass.representative)
+    # The witness's element is a minimal member of the class, which the class
+    # holds spelled already: the same key has the same canonical word.
+    w = next((u for u in dclass.minimal if u.key == cert.w.key), cert.w)
     out = Certificate(
         family=family,
         rank=rank,
         twist=twist.order,
         direction=direction,
         q=q,
-        w=cert.w.word,
+        w=w.word,
         form=FORM_FORWARD,
         mu=tuple(cert.mu.get(i, ZERO) for i in W.system.nodes),
     )

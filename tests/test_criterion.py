@@ -14,6 +14,7 @@ from weyldl.criterion import (
     Certificate,
     CertificateError,
     CheckResult,
+    admissible_q,
     build_forward_system,
     build_inverse_system,
     build_star_system,
@@ -726,6 +727,26 @@ class TestCertify:
         target = class_of(G2, pi_of(twist), G2.simple(1))
         with pytest.raises(ValueError, match="^q below the minimal value for G2 twist 2$"):
             certify_min_element(G2, twist, target, SQRT2)
+
+    @pytest.mark.parametrize("family, twist", [("A", 1), ("B", 2), ("G", 2)])
+    def test_admissible_q_is_the_exact_square_comparison(self, family, twist):
+        """``admissible_q`` accepts exactly the q > 0 with q^2 >= minimal_q^2, as
+        ``QuadExt`` arithmetic decides it, over rational and quadratic q on both
+        sides of each minimum (2, sqrt 2, sqrt 3)."""
+        low = minimal_q(family, twist)
+        values = [qext(x) for x in (2, 1, 0, -2, 3, Fraction(3, 2), Fraction(7, 4),
+                                     Fraction(17, 12), Fraction(-9, 4))]
+        for d in (2, 3):
+            root = QuadExt(0, 1, d)
+            values += [root, -root, root * Fraction(3, 2), root * Fraction(7, 10), root + 1,
+                       1 - root, root - Fraction(1, 4), 2 - root * Fraction(1, 8)]
+        for q in values:
+            expected = q.sign() > 0 and q * q >= low * low
+            try:
+                accepted = admissible_q(family, 3, twist, q) == q
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (family, twist, q)
 
     def test_rank_beyond_the_checker(self):
         """A rank the checker cannot read is refused before solving, not reported
