@@ -23,22 +23,18 @@ questions only: a catalog row's reduction step is ``casetables.place_row``.
 
 Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
 the system key (the Cartan matrix) and pi, never on a group object, so
-groups built apart share it.  Its value for an element is in one of three
-states: a verdict of ``closure_min_check`` (True or False); the walked
-level of a member, each member's key mapped to the key of its inverse, as
-the walk yields them; or the spelled level, its elements in
-canonical-word order, as ``minimal_level`` returns it.  A level's dict,
-and later its tuple, is one object held under the key of each member.  A
-level is walked once per process and spelled only when asked for:
-``cuspidal_representatives`` reads a level's smallest canonical word off
-its walked level by a descent beam, and ``minimal_level`` spells a walked
-level in place.  ``closure_min_check`` answers from the memo first, and a
-level, walked or spelled, is a true verdict for each of its members.  It
-holds one entry per element walked and each level's elements once: 649
-entries and 213 levels once the 180 classes of rank <= 4 are listed, and
-673 and 222 once both routes have certified them.
+groups built apart share it.  Every minimality question is answered by
+one memoized walk, ``_verdict``, which keeps one of two values for an
+element: its minimal level, a ``_Level`` record held under the key of
+each member, once a walk has ended without a descent; or the key of the
+first shorter element a walk from it met.  A level is walked once per
+process and spelled only when asked for: ``cuspidal_representatives``
+reads a level's smallest canonical word off the unspelled record by a
+descent beam, and ``minimal_level`` spells the record in place.  The memo
+holds 649 entries and 213 levels once the 180 classes of rank <= 4 are
+listed, and 673 and 222 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
-raises ``ClosureBudgetError`` and keeps no verdict.
+raises ``ClosureBudgetError`` and keeps nothing.
 """
 
 from __future__ import annotations
@@ -260,20 +256,61 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
 # -- minimality by shift closure ---------------------------------------------
 
 
-# Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key -> False
-# when a finished shift walk found the element not minimal in its pi-class,
-# True when ``closure_min_check`` walked it to minimal; once a walk of its
-# minimal level has finished, the walked level (member key -> key of its
-# inverse, as ``_walk`` gives it); and once ``minimal_level`` has spelled
-# that level, the spelled level, as ``minimal_level`` returns it.  A level's
-# dict, and later its tuple, is one object shared by every member.
-_Level = dict[bytes, bytes] | tuple[WeylElt, ...]
-_MINIMALITY_MEMO: dict[tuple, dict[bytes, bool | _Level]] = {}
+class _Level:
+    """A minimal level as ``_MINIMALITY_MEMO`` keeps it: one record under the key of each member.
+
+    ``inverse`` maps each member's key to the key of its inverse, as the
+    walk yields them.  ``spelled`` is None until ``minimal_level`` spells
+    the level, and then holds the members by canonical word.
+    """
+
+    __slots__ = ("inverse", "spelled")
+
+    def __init__(self, inverse: dict[bytes, bytes]):
+        self.inverse = inverse
+        self.spelled: Optional[tuple[WeylElt, ...]] = None
 
 
-def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, bool | _Level]:
+# Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key -> its
+# minimal level, one ``_Level`` shared by every member, or the key of the
+# first shorter element a walk from it met, which is 2 shorter.
+_MINIMALITY_MEMO: dict[tuple, dict[bytes, _Level | bytes]] = {}
+
+
+def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, _Level | bytes]:
     """The minimality verdicts known for the pi-classes of W."""
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
+
+
+def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
+    """The minimal level of w, or the first element shorter than w on the walk from w.
+
+    One walk of ``shift_closure`` from w, stopped at its first strict
+    descent, answers, and the answer is kept in ``_MINIMALITY_MEMO``.  A
+    walk that ends without a descent proves every element it reached
+    minimal, and the walk from any of them reaches the same level, so the
+    level goes in under the key of each member; a descent goes in under the
+    key of w alone.  A later call answers from the memo, with no walk.
+    Raises ClosureBudgetError beyond ``WALK_BUDGET`` elements, and keeps
+    nothing then.
+    """
+    verdicts = _verdicts(W, pi)
+    held = verdicts.get(w.key)
+    if held is None:
+        # Every member but the identity has a left descent, hence a shift that
+        # does not lengthen it, so a walk without a descent yields each member
+        # as u, with the key of u^-1.
+        inverse = {}
+        for u, u_inv, _, v, change in _shift_walk(W, pi, w):
+            if change:
+                held = verdicts[w.key] = v
+                break
+            inverse[u] = u_inv
+        else:
+            # An empty walk: w is the identity and every shift lengthens it.
+            held = _Level(inverse or {w.key: w.key})
+            verdicts.update(dict.fromkeys(held.inverse, held))
+    return held if type(held) is _Level else WeylElt(W, held, w.length - 2)
 
 
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
@@ -286,62 +323,11 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     the walk reaches more than ``WALK_BUDGET`` elements, and keeps no
     verdict then.
 
-    The closure is the walk of ``shift_closure``, stopped at its first
-    strict descent.  Each walk's verdict is kept in ``_MINIMALITY_MEMO``,
-    which also holds every minimal level walked, spelled or not (a level
-    is a true verdict for each of its members), and an element found there
-    is answered without a walk.
+    The answer is ``_verdict``'s: "minimal" exactly when it gives a level.
+    A walk that finds w minimal keeps w's whole level, so a later question
+    about any member, ``minimal_level``'s too, starts no walk.
     """
-    verdicts = _verdicts(W, pi)
-    if w.key in verdicts:
-        return "minimal" if verdicts[w.key] else "not_minimal"
-    verdicts[w.key] = minimal = _shorter(W, pi, w) is None
-    return "minimal" if minimal else "not_minimal"
-
-
-def _shorter(W: WeylGroup, pi: PiMap, w: WeylElt) -> Optional[WeylElt]:
-    """The first element shorter than w on the walk of ``shift_closure`` from w, or None."""
-    for *_, v, change in _shift_walk(W, pi, w):
-        if change:
-            return WeylElt(W, v, w.length - 2)
-    return None
-
-
-# -- cuspidal classes without enumeration ------------------------------------
-
-
-def _walk(W: WeylGroup, pi: PiMap, w: WeylElt) -> dict[bytes, bytes]:
-    """The walked level of w: each member's key mapped to the key of its inverse.
-
-    Raises as ``minimal_level`` does, and keeps nothing.
-    """
-    # Every member but the identity has a left descent, hence a shift that
-    # does not lengthen it, so the walk yields each member as u, with the
-    # key of u^-1.
-    inverse = {}
-    for u, u_inv, _, _, change in _shift_walk(W, pi, w):
-        if change:
-            raise FalsificationError(
-                f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
-            )
-        inverse[u] = u_inv
-    # An empty walk: w is the identity and every shift lengthens it.
-    return inverse or {w.key: w.key}
-
-
-def _level(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level:
-    """The minimal level of w as ``_MINIMALITY_MEMO`` holds it, walked and kept first if need be.
-
-    A level spelled before comes back spelled, as ``minimal_level`` returns
-    it; otherwise the walked level (``_walk``), one dict kept under the key
-    of each member.
-    """
-    verdicts = _verdicts(W, pi)
-    level = verdicts.get(w.key)
-    if type(level) is not tuple and type(level) is not dict:
-        level = _walk(W, pi, w)
-        verdicts.update(dict.fromkeys(level, level))
-    return level
+    return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -356,45 +342,43 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     descends, so w was not minimal (He-Nie, Duke Math. J. 161 (2012), Thm
     1.1), and ClosureBudgetError beyond ``WALK_BUDGET`` elements.
 
-    A walk that ends without a descent proves every element of the level
-    minimal, and the walk from any member reaches the same level, so the
-    level goes into ``_MINIMALITY_MEMO`` under the key of each member,
-    walked once per process.  The first call that asks for it spells each
-    member's canonical word once, off the key of its inverse, and the
-    spelled level replaces a walked one that ``_level`` kept:
-    ``closure_min_check`` reads either as a verdict, and a later call from
-    any member, from any group of the same Cartan matrix, returns the same
-    tuple without a walk.
+    The level is ``_verdict``'s record, walked once per process.  The
+    first call that asks for it spells each member's canonical word once,
+    off the key of its inverse, and keeps the spelled tuple on the record:
+    a later call from any member, from any group of the same Cartan
+    matrix, returns the same tuple without a walk.
     """
-    verdicts = _verdicts(W, pi)
-    level = verdicts.get(w.key)
-    if type(level) is tuple:
-        return level
-    if type(level) is not dict:
-        level = _walk(W, pi, w)
-    members = [WeylElt(W, key, w.length) for key in level]
-    for u in members:
-        u._word = tuple(W._peel(level[u.key]))
-    spelled = tuple(sorted(members, key=lambda u: u._word))
-    verdicts.update(dict.fromkeys(level, spelled))
-    return spelled
+    level = _verdict(W, pi, w)
+    if type(level) is not _Level:
+        raise FalsificationError(
+            f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
+        )
+    if level.spelled is None:
+        members = [WeylElt(W, key, w.length) for key in level.inverse]
+        for u in members:
+            u._word = tuple(W._peel(level.inverse[u.key]))
+        level.spelled = tuple(sorted(members, key=lambda u: u._word))
+    return level.spelled
+
+
+# -- cuspidal classes without enumeration ------------------------------------
 
 
 def _level_minimum(W: WeylGroup, level: _Level) -> WeylElt:
     """The member of a level with the smallest canonical word, spelled.
 
-    A spelled level holds it first.  On a walked level, a descent beam: the
-    canonical word of u is spelled by stripping the smallest right descent
-    of u^-1 until none is left, so at each step the beam keeps the members
-    whose inverse's smallest right descent is the smallest of the beam, and
-    strips it.  The members of a level share one length, and distinct
-    members stay distinct, so the beam narrows to one member, whose word
-    ``_peel`` finishes.
+    A spelled level holds it first.  On an unspelled level, a descent beam:
+    the canonical word of u is spelled by stripping the smallest right
+    descent of u^-1 until none is left, so at each step the beam keeps the
+    members whose inverse's smallest right descent is the smallest of the
+    beam, and strips it.  The members of a level share one length, and
+    distinct members stay distinct, so the beam narrows to one member,
+    whose word ``_peel`` finishes.
     """
-    if type(level) is tuple:
-        return level[0]
+    if level.spelled is not None:
+        return level.spelled[0]
     tables, negative = W.reflection_table(), W._negative
-    beam, word = list(level.items()), []
+    beam, word = list(level.inverse.items()), []
     while len(beam) > 1:
         firsts = [inv.translate(negative).find(0) for _, inv in beam]
         j = min(firsts)
@@ -573,7 +557,7 @@ def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
 
 
 def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
-    """Each seed of ``_cuspidal_seeds`` with its minimal level, as ``_level`` gives it.
+    """Each seed of ``_cuspidal_seeds`` with its minimal level, as ``_verdict`` gives it.
 
     Raises FalsificationError when a seed is not minimal, when its twisted
     support is not all of W's nodes, or when two seeds share a level (the
@@ -587,7 +571,12 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
         letters = word if seed.length == len(word) else W.support(seed)
         if pi_closure(pi, letters) != nodes:
             raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-        levels.append((seed, _level(W, pi, seed)))
+        level = _verdict(W, pi, seed)
+        if type(level) is not _Level:
+            raise FalsificationError(
+                f"{seed.word} is not minimal in its twisted class: a cyclic shift shortens it"
+            )
+        levels.append((seed, level))
     if len({id(level) for _, level in levels}) < len(levels):
         raise FalsificationError(f"two seeds of {W.system.family} share a class")
     return levels
@@ -602,9 +591,9 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     In (length, canonical word) order, as ``class_list`` lists the
     cuspidal classes: each seed is walked to its minimal level
     (``_cuspidal_levels``), and the level's smallest canonical word
-    represents the class.  That word is read off the walked level by the
+    represents the class.  That word is read off the level's record by the
     descent beam of ``_level_minimum``, so no other member is spelled: the
-    level stays in ``_MINIMALITY_MEMO`` walked, a true verdict for each
+    record stays in ``_MINIMALITY_MEMO`` unspelled, a verdict for each
     member, and is spelled only if ``minimal_level`` asks for it.  Raises
     as ``_cuspidal_levels`` does.  Memoized on the group's system key (its
     Cartan matrix, so every group of that matrix shares the entry) and pi.
@@ -707,10 +696,15 @@ def _delta_class(W: WeylGroup, pi: PiMap, minimal: Sequence[WeylElt]) -> DeltaCl
 
 def class_of(W: WeylGroup, pi: PiMap, w: WeylElt) -> DeltaClass:
     """The pi-class of any w: non-increasing shifts down to a minimal element
-    (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1), then ``minimal_set``."""
+    (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1), then ``minimal_set``.
+
+    Each step down is ``_verdict``'s, kept in ``_MINIMALITY_MEMO``, and so is
+    the minimal level it ends on, which ``minimal_set`` reads: a second call
+    from w, or from an element a first call passed, starts no walk.
+    """
     pi = restrict_pi(pi, W.system.nodes)
-    while (shorter := _shorter(W, pi, w)) is not None:
-        w = shorter
+    while type(found := _verdict(W, pi, w)) is not _Level:
+        w = found
     return _delta_class(W, pi, minimal_set(W, pi, w))
 
 

@@ -271,10 +271,11 @@ class QuadExt:
 
     def __hash__(self) -> int:
         # Rational values hash like their Fraction so mixed-type lookups work;
-        # an integer's Fraction hashes like the int.
+        # an integer's Fraction hashes like the int.  An irrational value equals
+        # no int or Fraction, and its stored form is canonical, so its ints do.
         if not self._q:
             return hash(self._p) if self._r == 1 else hash(self.a)
-        return hash((self.a, self.b, self._d))
+        return hash((self._p, self._q, self._r, self._d))
 
     # -- conversions ---------------------------------------------------------
 

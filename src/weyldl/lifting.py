@@ -35,11 +35,13 @@ through ``check_certificate``, which reads no memo of this module.
 
 Two per-group facts on the way are also computed once per process, keyed
 on the Cartan matrix and pi and never on a group object.  A cuspidal
-class's minimal level is walked once: ``minimal_level`` keeps it in
-``conjugacy``'s minimality memo, where ``class_list`` has usually left it
-already.  A leaf reads the catalog through ``_ROW_MEMO``: per irreducible
-(Cartan matrix, pi), the identification of its type, and for each row the
-scans have reached, in catalog order, its placement and the keys of
+class's minimal level is walked once: ``conjugacy``'s minimality memo
+keeps it as one record under the key of each member, where
+``class_list`` has usually left it already, and ``minimal_level`` spells
+the record once and returns the same tuple from then on.  A leaf reads
+the catalog through ``_ROW_MEMO``: per irreducible (Cartan matrix, pi),
+the identification of its type, and for each row the scans have
+reached, in catalog order, its placement and the keys of
 (v w1)^-1 for its inner options v.  That is one placement and a few keys
 per row reached: 24 types, 65 rows and 85 options for the 180 classes of
 rank <= 4.  Only the inputs of the row scan are kept, so a leaf still

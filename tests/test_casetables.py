@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl import casetables
+from weyldl import casetables, conjugacy
 from weyldl.casetables import (
     AggregateReport,
     CaseRecord,
@@ -373,6 +373,35 @@ def test_verify_all_partitions_nothing():
         "0", "total: 213/213 cases pass; subchecks: 1172 pass, 106 skipped, 0 fail",
         "0", "total: 213/213 cases pass; subchecks: 1273 pass, 5 skipped, 0 fail",
     ]
+
+
+def test_verify_all_walks_no_level_again(monkeypatch):
+    """Over a cold ``verify_all()``, no shift walk starts at an element that an
+    earlier walk met and then ended without a descent: such a walk proves its
+    whole level minimal, and the minimality memo keeps the level under the key
+    of every member."""
+    for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    real_walk = conjugacy._shift_walk
+    starts, again, levelled = [], [], set()
+
+    def walk(W, pi, w):
+        where = (W.system.key, tuple(sorted(pi.items())))
+        starts.append(w.key)
+        if (where, w.key) in levelled:
+            again.append((W.system.family, w.word))
+        met, descended = {w.key}, False
+        for shift in real_walk(W, pi, w):
+            met |= {shift[0], shift[3]}
+            descended = descended or shift[4] != 0
+            yield shift
+        if not descended:
+            levelled.update((where, key) for key in met)
+
+    monkeypatch.setattr(conjugacy, "_shift_walk", walk)
+    assert verify_all().all_passed
+    assert starts and levelled
+    assert again == []
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]

@@ -428,12 +428,18 @@ class TestClosureMinCheck:
 
     def test_walked_verdict_is_kept(self, G2, monkeypatch):
         """From an empty memo, the verdict for s1 s2, one letter per pi-orbit of
-        its support, comes from a walk and is kept."""
+        its support, comes from a walk and is kept under every member of its
+        level, s1 s2 and s2 s1: one unspelled record, which maps each member to
+        its inverse."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(G2)
-        w = G2.from_word([1, 2])
+        w, w_inv = G2.from_word([1, 2]), G2.from_word([2, 1])
         assert closure_min_check(G2, pi, w) == "minimal"
-        assert conjugacy._verdicts(G2, pi) == {w.key: True}
+        held = conjugacy._verdicts(G2, pi)
+        level = held[w.key]
+        assert type(level) is conjugacy._Level and level.spelled is None
+        assert level.inverse == {w.key: w_inv.key, w_inv.key: w.key}
+        assert held == {w.key: level, w_inv.key: level}
 
     def test_agrees_with_enumeration_f4(self, F4):
         pi = identity_pi(F4)
@@ -479,11 +485,13 @@ class TestClosureMinCheck:
                 monkeypatch.setattr(conjugacy, memo, {})
             warmed = conjugacy._verdicts(W, pi)
             for cls in class_list(W, pi):
-                assert all(warmed[u.key] for u in cls.minimal)
+                assert all(type(warmed[u.key]) is conjugacy._Level for u in cls.minimal)
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
 
     def test_budget_answer_is_not_kept(self, F4, monkeypatch):
-        """A walk past the budget raises and keeps nothing; the next full walk answers."""
+        """A walk past the budget raises and keeps nothing; the next full walk
+        answers, and keeps under the key of w alone the key of the shorter
+        element it met: a member of w's class, 2 shorter."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
         w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
@@ -493,9 +501,11 @@ class TestClosureMinCheck:
             closure_min_check(F4, pi, w)
         assert conjugacy._verdicts(F4, pi) == {}
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", budget)
-        verdict = closure_min_check(F4, pi, w)
-        assert verdict in ("minimal", "not_minimal")
-        assert conjugacy._verdicts(F4, pi) == {w.key: verdict == "minimal"}
+        assert closure_min_check(F4, pi, w) == "not_minimal"
+        ((key, shorter),) = conjugacy._verdicts(F4, pi).items()
+        assert key == w.key
+        assert shorter in class_keys(F4, oracle_class_of(F4, pi, w))
+        assert {u.key: u.length for u in elements_of(F4)}[shorter] == w.length - 2
 
     def test_inner_representatives_need_no_walk(self, monkeypatch):
         """Once ``cuspidal_representatives`` has walked the levels of a standalone
@@ -512,6 +522,32 @@ class TestClosureMinCheck:
                             lambda *args: walks.append(args) or real_walk(*args))
         assert all(closure_min_check(D4, pi, v) == "minimal" for pi, v in reps)
         assert walks == []
+
+    def test_minimal_verdict_keeps_its_level(self, monkeypatch):
+        """Once ``closure_min_check`` has said "minimal" from an empty memo, in one
+        walk, ``minimal_level`` from any member of that element's level starts
+        no walk and gives the level a walk gives: every class of the twisted
+        groups of rank <= 4, from its last minimal element."""
+        real_walk = conjugacy._shift_walk
+        walks, checked = [], 0
+        for family, rank, order in RANK_LE_4:
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            for cls in class_list(W, pi):
+                x = cls.minimal[-1]
+                level = minimal_level(W, pi, x)
+                monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+                monkeypatch.setattr(conjugacy, "_shift_walk",
+                                    lambda *args: walks.append(args) or real_walk(*args))
+                assert closure_min_check(W, pi, x) == "minimal"
+                for u in level:
+                    assert [(v.key, v.word) for v in minimal_level(W, pi, u)] == [
+                        (v.key, v.word) for v in level]
+                assert len(walks) == 1
+                walks.clear()
+                monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
+                checked += 1
+        assert checked == 180
 
 
 def supp_len(W, pi, w):
@@ -603,8 +639,8 @@ class TestCuspidalRepresentatives:
     def test_beam_reads_walked_levels(self, family, rank, order, monkeypatch):
         """From cold memos, in both directions, the descent beam reads each
         representative off its walked level, the word enumeration gives, and
-        leaves the level walked, not spelled.  ``minimal_level`` then spells
-        it with no second walk, with the representative first."""
+        leaves the level's record unspelled.  ``minimal_level`` then spells
+        it on the record with no second walk, with the representative first."""
         W = group(family, rank)
         real_walk = conjugacy._shift_walk
         for direction in ("delta", "delta_inv"):
@@ -614,14 +650,15 @@ class TestCuspidalRepresentatives:
             reps = cuspidal_representatives(W, pi)
             assert [w.word for w in reps] == cuspidal_words_by_enumeration(W, pi)
             held = conjugacy._verdicts(W, pi)
-            assert all(type(held[w.key]) is dict for w in reps)
+            assert all(type(held[w.key]) is conjugacy._Level for w in reps)
+            assert all(held[w.key].spelled is None for w in reps)
             walks = []
             monkeypatch.setattr(conjugacy, "_shift_walk",
                                 lambda *args: walks.append(args) or real_walk(*args))
             for w in reps:
                 level = minimal_level(W, pi, w)
                 assert (level[0].key, level[0].word) == (w.key, w.word)
-                assert held[w.key] is level
+                assert held[w.key].spelled is level
             assert walks == []
             monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
 
@@ -629,9 +666,10 @@ class TestCuspidalRepresentatives:
     @pytest.mark.parametrize("beam_first", [False, True])
     def test_class_list_walks_each_level_once(self, family, rank, order, levels, beam_first,
                                               monkeypatch):
-        """A cold ``class_list`` starts one shift walk per level, also after the
-        beam of ``cuspidal_representatives`` has read the cuspidal levels
-        walked: ``minimal_level`` spells a walked level without walking it again."""
+        """A cold ``class_list`` starts one shift walk per level, and spells
+        every level it keeps, also after the beam of ``cuspidal_representatives``
+        has read the cuspidal levels unspelled: ``minimal_level`` spells a
+        level's record without walking it again."""
         for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
         walks = []
@@ -644,7 +682,8 @@ class TestCuspidalRepresentatives:
             assert cuspidal_representatives(W, pi)
         assert class_list(W, pi)
         held = list(conjugacy._verdicts(W, pi).values())
-        assert all(type(level) is tuple for level in held)
+        assert all(type(level) is conjugacy._Level for level in held)
+        assert all({u.key for u in level.spelled} == set(level.inverse) for level in held)
         assert len(walks) == len({id(level) for level in held}) == levels
 
     @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
@@ -857,6 +896,33 @@ class TestClassOracle:
     def test_minimal_set_rejects_non_minimal(self, A2):
         with pytest.raises(FalsificationError, match="not minimal"):
             minimal_set(A2, identity_pi(A2), A2.from_word([1, 2, 1]))
+
+    def test_class_of_keeps_its_descent(self, monkeypatch):
+        """``class_of`` keeps each step down in the minimality memo: from cold
+        memos, a second call from 2 1 2 3 2 in B3 (length 5, class minimum 3)
+        starts no walk; and once ``class_list`` has listed B3, the descent is
+        one walk, from the word itself, since the level it reaches is kept."""
+        W = group("B", 3)
+        pi = identity_pi(W)
+        w = W.from_word([2, 1, 2, 3, 2])
+        assert w.length == 5
+        real_walk = conjugacy._shift_walk
+        walks = []
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda W, pi, u: walks.append(u.key) or real_walk(W, pi, u))
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        cls = class_of(W, pi, w)
+        assert cls.representative.word == (1, 2, 3) and walks
+        walks.clear()
+        assert class_of(W, pi, w) == cls
+        assert walks == []
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        assert cls in class_list(W, pi)
+        walks.clear()
+        assert class_of(W, pi, w) == cls
+        assert walks == [w.key]
 
     @pytest.mark.parametrize("rank", [7, 8])
     def test_e7_e8_classes_from_one_element(self, rank):

@@ -73,6 +73,13 @@ class TestNormalization:
         for n in (0, 1, -1, 2, 10 ** 30, -(2 ** 61) + 1, 2 ** 61 - 1, 2 ** 61):
             assert hash(QuadExt(n)) == hash(n) == hash(Fraction(n))
 
+    def test_irrational_hash_follows_equality(self):
+        """Equal irrational values hash alike, however they were built."""
+        half = QuadExt(0, Fraction(1, 2), 2)
+        for z in (SQRT2 / 2, SQRT2 * 3 / 6, 1 / SQRT2, (SQRT2 + 1) / 2 - Fraction(1, 2)):
+            assert z == half and hash(z) == hash(half)
+        assert {half: "found"}[SQRT2 / 2] == "found"
+
     def test_equality_with_int(self):
         assert SQRT2 * SQRT2 == 2
         assert SQRT3 * SQRT3 == 3
@@ -253,9 +260,17 @@ def test_integer_kernel_matches_fraction_pairs(xs, ys, s):
     agree(lambda: x < y, lambda: ox < oy)
     agree(lambda: x <= y, lambda: ox <= oy)
     agree(lambda: x == y, lambda: ox == oy)
-    assert hash(x) == hash(ox)
     if x.b == 0:
-        assert hash(x) == hash(x.a)
+        assert hash(x) == hash(ox) == hash(x.a)
+    # Equal values built by other operations hash alike.
+    others = [-(-x), x * 3 / 3, QuadExt(x.a, x.b, x.d)]
+    if y.d in (1, x.d):
+        others += [(x + y) - y, y + (x - y)]
+        if y != 0:
+            others.append(x * y / y)
+    for z in others + [y]:
+        if z == x:
+            assert hash(z) == hash(x)
     # Wire form, and its round trip.
     assert number_to_json(x) == ox.to_json()
     back = number_from_json(number_to_json(x))
