@@ -930,15 +930,17 @@ class RowPlacement(Frozen):
     __hash__ = None  # ``sigma`` is a dict
 
     def inner(
-        self, v: WeylElt, word: Optional[Sequence[int]] = None
+        self, v: WeylElt, word: Sequence[int] = ()
     ) -> tuple[WeylGroup, PiMap, WeylElt]:
         """v (an element of W_K) in the standalone W_K, with sigma.
 
-        Built from ``word``, a word of v in the letters of K, when one is
-        given; otherwise from a reduced word of v, peeled off its key.
+        Built from ``word``, a word of v that the caller holds, when it is
+        reduced: its length is l(v), and then its letters are v's support,
+        in K (``WeylGroup.support``).  Otherwise built from a reduced word
+        of v peeled off its key.
         """
         sub = sub_context(self.W, self.K)
-        if word is None:
+        if len(word) != v.length:
             return sub.group, self.sigma, sub.element_to_sub(v)
         return sub.group, self.sigma, sub.group.from_word(sub.word_to_sub(word))
 
@@ -1010,20 +1012,17 @@ def _spade_certificate(
     W: WeylGroup,
     pi: PiMap,
     record: CaseRecord,
-    w1: WeylElt,
-    K: frozenset[int],
     q: QuadExt,
-    v_words: list[tuple[int, ...]],
+    candidates: Sequence[WeylElt],
 ) -> tuple[Optional[Certificate], str]:
-    """Inverse-form certificate for a spade row, via the exact LP."""
-    if K:
-        candidates = [W._extend(W.from_word(vw), record.w1) for vw in v_words]  # the v w1
-    else:
-        # The whole minimal level of the (cuspidal) inverse-twisted class of w1.
-        try:
-            candidates = minimal_level(W, pi, w1)
-        except FalsificationError as exc:
-            return None, str(exc)
+    """Inverse-form certificate for a spade row, via the exact LP.
+
+    ``candidates`` are tried in order, and none is formed here: the
+    products v w1 of the row's inner options when K is non-empty, else the
+    minimal level of the (cuspidal) inverse-twisted class of w1.  The
+    first whose inverse system is feasible gives the certificate, which
+    the checker re-validates.
+    """
     for w in candidates:
         system = build_inverse_system(W, w, pi, q)
         mu = feasible(system)
@@ -1083,6 +1082,9 @@ def verify_case(
         return report
 
     v_words, v_problem = _resolve_v_options(record, placed, slow)
+    # (vw, v, v w1) for each inner option, read by the spade search and (iv)-(vi).
+    options = [(vw, v, W._extend(v, record.w1))
+               for vw, v in zip(v_words, map(W.from_word, v_words))]
 
     # (iii) the reduction system
     star = build_star_system(W, K, w1, pi, q)
@@ -1115,7 +1117,12 @@ def verify_case(
         else:
             ok_w = verify_gordan(star, witness)
             report.details["infeasibility_witness"] = [str(y) for y in witness]
-            cert, msg = _spade_certificate(W, pi, record, w1, K, q, v_words)
+            try:
+                candidates = [w for _, _, w in options] if K else minimal_level(W, pi, w1)
+            except FalsificationError as exc:
+                cert, msg = None, str(exc)
+            else:
+                cert, msg = _spade_certificate(W, pi, record, q, candidates)
             report.certificate = cert
             pinned_ok = True
             if cert is not None and record.pinned_mu is not None:
@@ -1149,33 +1156,23 @@ def verify_case(
     def closure_verdict(group: WeylGroup, pi_map: PiMap, x: WeylElt) -> str:
         return "pass" if closure_min_check(group, pi_map, x) == "minimal" else "fail"
 
-    # Supports are read off the stated words: a word is reduced exactly when
-    # its length is its element's length, and every reduced word of an
-    # element has the same letters.  A word that is not reduced falls back
-    # to a reduced word peeled off the element's key.
     iv_results, v_results, vi_results = [], [], []
-    for vw in v_words:
-        v = W.from_word(vw)
-        w = W._extend(v, record.w1)  # v w1
-        v_reduced = v.length == len(vw)
+    for vw, v, w in options:
         # (iv): v minimal in its inner twisted class
         if not K:
             iv_results.append("pass")
-        elif not (set(vw) if v_reduced else W.support(v)) <= K:
+        elif not W.support(v, vw) <= K:
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
         else:
-            iv_results.append(closure_verdict(*placed.inner(v, vw if v_reduced else None)))
+            iv_results.append(closure_verdict(*placed.inner(v, vw)))
         # (v): v w1 minimal in its full twisted class
         if record.rank <= _DEFAULT_TIER_RANK or slow:
             v_results.append(closure_verdict(W, pi, w))
         else:
             v_results.append(_SLOW_TIER_SKIP)
         # (vi): cuspidal, read off the full pi-support of v w1
-        if w.length == len(vw) + len(record.w1):
-            supp = set(vw).union(record.w1)
-        else:
-            supp = W.support(w)
+        supp = W.support(w, vw + record.w1)
         vi_results.append("pass" if len(pi_closure(pi, supp)) == W.rank else "fail")
 
     def fold(results: list[str]) -> str:

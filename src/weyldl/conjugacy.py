@@ -567,9 +567,7 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
     levels = []
     for word in _cuspidal_seeds(W, pi):
         seed = W.from_word(word)
-        # The seed's letters, when its word is reduced, are its support.
-        letters = word if seed.length == len(word) else W.support(seed)
-        if pi_closure(pi, letters) != nodes:
+        if pi_closure(pi, W.support(seed, word)) != nodes:
             raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
         level = _verdict(W, pi, seed)
         if type(level) is not _Level:

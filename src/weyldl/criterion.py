@@ -14,7 +14,7 @@ private row builder:
 * inverse form, wire tag ``"stmt-1.13a"``: the rows
   q * mu[i] - (w alpha_{pi(i)})(mu) > 0, where pi is the index map of the
   class direction (the inverse twist for the tabulated data), then the
-  inversions of w^{-1};
+  inversions of w^{-1}, read off the forward form's walk made for w^{-1};
 
 * the reduction ("star") system of a tabulated (J, w1) row.
 
@@ -35,7 +35,10 @@ simplex of ``certify_min_element`` and the ``_validate`` of the
 constructive route read one object when both reach the same element:
 both routes over the 180 classes of rank <= 4 call the builder 387
 times and keep 220 systems.  A miss walks once, for w^{-1} and the
-inversions of w together (``WeylGroup.invert_with_inversions``).
+inversions of w together (``WeylGroup.invert_with_inversions``).  That is
+the one walker of inversion sets: the inverse form, built only for the
+catalog's spade rows (5 systems in ``verify_all()``), makes the same walk
+for w^{-1}.
 
 The certificate (``Certificate``, ``CertificateError`` and
 ``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
@@ -206,11 +209,6 @@ def _system(
     return IneqSystem(varset, qext(q), tuple(coeffs), tuple(qcols), tuple(subjects))
 
 
-def _inversion_rows(W: WeylGroup, u: WeylElt) -> list[tuple[tuple[int, ...], int]]:
-    """The pure rows of the inversions of u^{-1}, in root order."""
-    return [(W.roots[p], p + 1) for p in W.inversions_of_inverse(u)]
-
-
 _FORWARD_MEMO: dict[tuple, IneqSystem] = {}
 
 
@@ -251,13 +249,18 @@ def build_inverse_system(
     pi: PiMap,
     q: QuadExt,
 ) -> IneqSystem:
-    """Inverse-form system for w; pi is the class-direction index map."""
+    """Inverse-form system for w; pi is the class-direction index map.
+
+    Its pure rows are the inversions of w^{-1}, read off the walk that
+    ``build_forward_system`` makes, ``invert_with_inversions``, here of
+    w^{-1}.  Only the catalog's spade rows build this form.
+    """
     varset = W.system.nodes
     pi = restrict_pi(pi, varset)
     return _system(
         W, varset, q,
         [(i, i, W.act_on_simple(w, pi[i])) for i in varset],
-        _inversion_rows(W, w),
+        [(W.roots[p], p + 1) for p in W.invert_with_inversions(W.invert(w))[1]],
     )
 
 

@@ -277,6 +277,10 @@ class QuadExt:
             return hash(self._p) if self._r == 1 else hash(self.a)
         return hash((self._p, self._q, self._r, self._d))
 
+    def __bool__(self) -> bool:
+        """False exactly at zero, as for int, Fraction and float."""
+        return bool(self._p or self._q)
+
     # -- conversions ---------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -389,11 +389,11 @@ class _CatalogRows:
 
     def _place(self, W: WeylGroup, tau: PiMap, row) -> tuple:
         phi_inv = self.phi_inv
-        placed = place_row(W, tau, frozenset(phi_inv[j] for j in row.J),
-                           [phi_inv[i] for i in row.w1])
+        w1_word = [phi_inv[i] for i in row.w1]
+        placed = place_row(W, tau, frozenset(phi_inv[j] for j in row.J), w1_word)
         if placed is None:
             return None, []
-        return placed, [(v, W.invert(W.multiply(v, placed.w1)).key)
+        return placed, [(v, W.invert(W._extend(v, w1_word)).key)
                         for v in map(W.from_word, placed.inner_cuspidal())]
 
     def match(self, W: WeylGroup, tau: PiMap, keys: set[bytes]):

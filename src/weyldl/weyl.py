@@ -203,22 +203,6 @@ class WeylGroup:
             row = self._coords[signed] = root if signed > 0 else tuple(-c for c in root)
         return row
 
-    def inversions_of_inverse(self, u: WeylElt) -> list[int]:
-        """Indices of the positive roots sent negative by u^{-1}, in root order.
-
-        Read off the steps of ``_peel``: stripping a right descent j off the
-        current element u' meets u'(alpha_j) = -gamma, and the l(u) roots
-        gamma met on the way down to the identity are the inversions of
-        u^{-1}.  A caller that wants the inversions of w and holds no w^{-1}
-        asks ``invert_with_inversions``, which walks once for both.
-        """
-        tables, negative, n = self.reflection_table(), self._negative, self.nroots
-        key, found = u.key, []
-        while (j := key.translate(negative).find(0)) >= 0:
-            found.append(n - 1 - key[j])  # the byte of -beta_p is N - (p + 1)
-            key = key.translate(tables[key[j]])
-        return sorted(found)
-
     # -- words ----------------------------------------------------------------
 
     def canonical_word(self, w: WeylElt) -> tuple[int, ...]:
@@ -258,9 +242,15 @@ class WeylGroup:
         """True iff w alpha_j > 0 for all j in J (minimal in w W_J)."""
         return all(self.act_on_simple(w, j) > 0 for j in nodes)
 
-    def support(self, w: WeylElt) -> frozenset[int]:
-        """Letters occurring in any reduced word of w."""
-        return frozenset(self.reduced_word(w))
+    def support(self, w: WeylElt, word: Sequence[int] = ()) -> frozenset[int]:
+        """The letters of every reduced word of w.
+
+        ``word`` is a word of w that the caller holds: it is reduced exactly
+        when its length is l(w), and every reduced word of w has the same
+        letters, so those are read off it.  Any other word falls back to a
+        reduced word peeled off the key (``reduced_word``).
+        """
+        return frozenset(word if len(word) == w.length else self.reduced_word(w))
 
 
 # The one group of each Cartan matrix, named type or standalone parabolic, and

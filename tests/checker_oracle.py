@@ -4,7 +4,7 @@
 moved to integer root coordinates: the element from ``WeylGroup.from_word``
 in the group of ``weyl_group``, its system from ``build_forward_system`` or
 ``build_inverse_system`` (reflection tables, ``invert`` and
-``inversions_of_inverse``), and the rows that fail from
+``invert_with_inversions``), and the rows that fail from
 ``IneqSystem.violated``.  The prelude checks are the checker's, in its
 order, so the two must return equal ``CheckResult``s on every input.
 """

@@ -199,6 +199,22 @@ def perm_of_word(W: WeylGroup, word: Iterable[int]) -> tuple[int, ...]:
     return perm
 
 
+def inversions_of_inverse(W: WeylGroup, u: WeylElt) -> list[int]:
+    """Indices of the positive roots sent negative by u^{-1}, in root order.
+
+    A walker of its own, which ``WeylGroup.invert_with_inversions`` does not
+    share: stripping a right descent j off the current element u' meets
+    u'(alpha_j) = -gamma, and the l(u) roots gamma met on the way down to
+    the identity are the inversions of u^{-1}.
+    """
+    tables, n = W.reflection_table(), W.nroots
+    key, found = u.key, []
+    while (j := next((k for k, b in enumerate(key) if b < n), -1)) >= 0:
+        found.append(n - 1 - key[j])  # the byte of -beta_p is N - (p + 1)
+        key = key.translate(tables[key[j]])
+    return sorted(found)
+
+
 def twist_element(W: WeylGroup, pi: PiMap, x: WeylElt) -> WeylElt:
     """Image of x under the group automorphism sending s_i to s_{pi(i)}."""
     return W.from_word([pi[i] for i in x.word])

@@ -30,6 +30,7 @@ from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, IneqSystem, check_certificate
 from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
 from weyldl.subsystems import sub_context
+from weyldl.weyl import WeylGroup
 
 from lp_oracle import rows_of
 from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
@@ -233,6 +234,38 @@ def test_words_that_are_not_reduced(records, label, changes, subchecks, details)
     report = verify_case(tampered(row, **changes))
     assert report.subchecks == subchecks
     assert report.details == details
+
+
+def test_row_placement_inner_falls_back_to_the_element(records):
+    """A word of v that is not reduced, with letters outside K, gives v by its key."""
+    row = by_label(records, "F4 case 5")
+    W, pi = type_group(row.family, row.rank, row.twist)
+    placed = place_row(W, pi, row.J, row.w1)
+    assert placed.K == {2, 3}
+    v = W.from_word((1, 1, 2, 3))  # s2 s3
+    G, sigma, y = placed.inner(v, (1, 1, 2, 3))
+    assert (G, sigma, y) == placed.inner(v)
+    assert y == G.from_word(sub_context(W, placed.K).word_to_sub((2, 3)))
+
+
+@pytest.mark.parametrize("label", ["F4 case 3", "E8 case 12"])
+def test_inner_options_become_elements_once(records, label, monkeypatch):
+    """``verify_case`` turns each inner option's word into an element of W once:
+    the spade search and subchecks (iv)-(vi) read the same (vw, v, v w1)."""
+    row = by_label(records, label)
+    W, pi = type_group(row.family, row.rank, row.twist)
+    words, problem = _resolve_v_options(row, place_row(W, pi, row.J, row.w1))
+    assert row.spade and words and problem is None
+    calls, from_word = [], WeylGroup.from_word
+
+    def counted(self, word):
+        if self is W:
+            calls.append(tuple(word))
+        return from_word(self, word)
+
+    monkeypatch.setattr(WeylGroup, "from_word", counted)
+    assert verify_case(row).passed
+    assert {vw: calls.count(vw) for vw in words} == dict.fromkeys(words, 1)
 
 
 def _always_by_rows(system):

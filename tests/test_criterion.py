@@ -31,7 +31,7 @@ from weyldl.checker import number_to_json
 
 from conftest import RANK_LE_4, group
 from lp_oracle import labels_of, rows_of
-from multiply_oracles import elements_of, perm_of_word, weyl_order
+from multiply_oracles import elements_of, inversions_of_inverse, perm_of_word, weyl_order
 
 
 def idpi(W):
@@ -142,8 +142,8 @@ class TestForwardMemo:
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4), ("F", 4)])
 def test_forward_rows_from_one_walk(family, rank, monkeypatch):
     """For every element w, the forward system's rows are those built from ``W.invert(w)``
-    and the inversions of w read off it (``criterion._inversion_rows``): one walk gives
-    both."""
+    and the inversions of w that the reference walker reads off it: one walk gives both.
+    The inverse system, whose walk starts from w^{-1}, reads the inversions of w^{-1}."""
     monkeypatch.setattr(criterion, "_FORWARD_MEMO", {})
     W = group(family, rank)
     pi, nodes, q = idpi(W), W.system.nodes, qext(2)
@@ -151,10 +151,13 @@ def test_forward_rows_from_one_walk(family, rank, monkeypatch):
         winv = W.invert(w)
         oracle = criterion._system(
             W, nodes, q, [(i, pi[i], W.act_on_simple(winv, i)) for i in nodes],
-            criterion._inversion_rows(W, winv))
+            [(W.roots[p], p + 1) for p in inversions_of_inverse(W, winv)])
         system = build_forward_system(W, w, pi, q)
         assert (system.coeffs, system.qcols, system.subjects) == \
             (oracle.coeffs, oracle.qcols, oracle.subjects), w.word
+        inverse = build_inverse_system(W, w, pi, q)
+        assert list(inverse.subjects[len(nodes):]) == \
+            [W.roots[p] for p in inversions_of_inverse(W, w)], w.word
     assert len(criterion._FORWARD_MEMO) == weyl_order(family, rank)
 
 

@@ -13,6 +13,7 @@ from weyldl.exactnum import (
     IncompatibleRadicandError,
     QuadExt,
     integer_parts,
+    qext,
 )
 
 from fraction_quadext import FractionQuadExt
@@ -92,6 +93,19 @@ def test_field_axioms_sqrt2(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
+
+
+def test_zero_is_false():
+    for zero in (QuadExt(0), SQRT2 - SQRT2, qext(1) - 1, QuadExt(0, 0, 2)):
+        assert not zero
+    for x in (QuadExt(1), QuadExt(Fraction(-1, 3)), SQRT2, -SQRT3, QuadExt(1, -1, 2)):
+        assert x
+
+
+@given(quads(2), quads(3))
+def test_truth_is_nonzero(x, y):
+    assert bool(x) == (x != 0)
+    assert bool(y) == (y != 0)
 
 
 @given(quads(3))

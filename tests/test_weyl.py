@@ -13,6 +13,7 @@ from multiply_oracles import (
     EnumerationBudgetError,
     elements_of,
     group_elements,
+    inversions_of_inverse,
     perm_of_word,
     weyl_order,
 )
@@ -63,23 +64,31 @@ class TestAction:
 
 
 class TestInversions:
+    """``invert_with_inversions`` against the reference walker of ``multiply_oracles``."""
+
     def test_identity(self, A2):
-        assert A2.inversions_of_inverse(A2.identity) == []
+        assert A2.invert_with_inversions(A2.identity)[1] == []
+        assert inversions_of_inverse(A2, A2.identity) == []
 
     def test_longest(self, A2):
         w0 = A2.longest_element([1, 2])
-        assert len(A2.inversions_of_inverse(w0)) == 3
+        inversions = A2.invert_with_inversions(w0)[1]
+        assert len(inversions) == 3
+        assert inversions == inversions_of_inverse(A2, w0)
 
     def test_a2_example(self, A2):
         w = A2.from_word([1, 2])
-        roots = {A2.roots[p] for p in A2.inversions_of_inverse(A2.invert(w))}
-        assert roots == {(0, 1), (1, 1)}
+        inversions = A2.invert_with_inversions(w)[1]
+        assert {A2.roots[p] for p in inversions} == {(0, 1), (1, 1)}
+        assert inversions == inversions_of_inverse(A2, A2.invert(w))
 
     def test_length_equals_inversion_count(self, G2):
         for word_len in range(5):
             rng = random.Random(word_len)
             w = G2.from_word([rng.randint(1, 2) for _ in range(word_len)])
-            assert w.length == len(G2.inversions_of_inverse(w))
+            inversions = G2.invert_with_inversions(G2.invert(w))[1]
+            assert w.length == len(inversions)
+            assert inversions == inversions_of_inverse(G2, w)
 
 
 class TestWords:
@@ -99,6 +108,12 @@ class TestWords:
         # s1 s2 s1 = s2 s1 s2; canonical form must be the lex-smaller word.
         w = A2.from_word([2, 1, 2])
         assert w.word == (1, 2, 1)
+
+    def test_support_reads_a_reduced_word_and_peels_any_other(self, A2):
+        # (1, 1, 2) spells s2 but is not reduced, so its letter 1 is not in the support.
+        assert A2.support(A2.from_word((1, 1, 2)), (1, 1, 2)) == {2}
+        assert A2.support(A2.identity, ()) == frozenset()
+        assert A2.support(A2.from_word((2, 1)), (2, 1)) == {1, 2}
 
     @pytest.mark.parametrize("letter", [0, -1, 3, 7])
     def test_from_word_rejects_letters_out_of_range(self, A2, letter):
@@ -138,7 +153,9 @@ class TestLongestAndCosets:
         W = group("E", 6)
         w = W.longest_element({2, 3, 4, 5})
         assert w.length == 12  # D4 subdiagram
-        inv = {W.roots[p] for p in W.inversions_of_inverse(W.invert(w))}
+        inversions = W.invert_with_inversions(w)[1]
+        assert inversions == inversions_of_inverse(W, W.invert(w))
+        inv = {W.roots[p] for p in inversions}
         sub = {
             r
             for r in W.system.positive_roots
@@ -248,26 +265,33 @@ def test_length_changes_by_one_random_e8():
 
 @pytest.mark.parametrize("family,rank", [("E", 8), ("B", 7), ("F", 4)])
 def test_inversions_equal_negative_entries_of_composed_permutation(family, rank):
-    """The inversions read off the peel of w^{-1} (of w) are the negative
-    entries of the product of the simple reflections' permutations along the
-    word (the reversed word), on random words; the length counts them."""
+    """The inversions of w (of w^{-1}) that ``invert_with_inversions`` walks from w
+    (from w^{-1}), and those of the reference walker, are the negative entries of
+    the product of the simple reflections' permutations along the word (the
+    reversed word), on random words; the length counts them."""
     W = group(family, rank)
     rng = random.Random(2024 + rank)
     for _ in range(60):
         word = [rng.randint(1, rank) for _ in range(rng.randint(0, 40))]
         w = W.from_word(word)
-        inversions = negative_entries(perm_of_word(W, word))
-        assert W.inversions_of_inverse(W.invert(w)) == inversions, (family, rank, word)
+        winv, inversions = W.invert_with_inversions(w)
+        assert inversions == negative_entries(perm_of_word(W, word)), (family, rank, word)
+        assert inversions_of_inverse(W, winv) == inversions
         assert w.length == len(inversions)
-        assert W.inversions_of_inverse(w) == negative_entries(perm_of_word(W, word[::-1]))
+        inverse_inversions = negative_entries(perm_of_word(W, word[::-1]))
+        assert W.invert_with_inversions(winv)[1] == inverse_inversions
+        assert inversions_of_inverse(W, w) == inverse_inversions
 
 
 def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
-    # inv(w^{-1}) = { -w(beta) : beta in inv(w) }
+    # inv(w^{-1}) = { -w(beta) : beta in inv(w) }, as the walk from w^{-1} reads it
+    # and as the reference walker reads it off w.
     for W in (A2, B2, G2):
         for w in elements_of(W):
             perm = perm_of_word(W, w.word)
-            lhs = {W.roots[p] for p in W.inversions_of_inverse(w)}
+            inversions = W.invert_with_inversions(W.invert(w))[1]
+            assert inversions == inversions_of_inverse(W, w)
+            lhs = {W.roots[p] for p in inversions}
             rhs = {W.signed_to_coords(-perm[p]) for p in negative_entries(perm)}
             assert lhs == rhs
 
