@@ -16,11 +16,11 @@ The checker re-derives those rows from the Dynkin diagram alone: it
 builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It reads q and every coordinate
 of mu as integers p + q' sqrt(d) over one common denominator r, with one
-radicand d for them all.  A certificate read from the wire carries them
-in that form, put there from the "p/q" strings by
-``exactnum.common_parts``; one built in process is put in it by one
-``exactnum.integer_parts`` call, which goes through the same function,
-so both reach the same walk.  The walk keeps, for each column y(alpha_i) of
+radicand d for them all, put there in one step after every structural
+check: the numbers of a certificate read from the wire, as read, by
+``exactnum.common_parts``, and those of one built in process by
+``exactnum.integer_parts``, which goes through the same function, so
+both reach the same walk.  The walk keeps, for each column y(alpha_i) of
 the running product y, the key sum_j c_j 16^(rank-1-j) of its
 simple-root coordinates c and one int, a half of its value at mu over r.
 It runs once on the rational halves and, only when d is 2 or 3, once
@@ -68,20 +68,18 @@ a + b sqrt(d) with both parts reduced, through ``number_to_json``;
 ``_number`` is the one reader of that form and ``_ratio`` of the "p/q"
 grammar -?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" with
 d = 1 that ``number_to_json`` writes for every rational, which the
-reader takes as it is.  A parsed certificate holds q and mu as the ints
-the checker reads, put over one denominator by ``exactnum.common_parts``,
-and builds ``QuadExt`` views of them only when ``q`` or ``mu`` is first
-read.  It does so only for a rank in 1..MAX_RANK with as many
-coordinates of mu, so that work stays that of at most nine numbers
-whatever the text holds; otherwise, and where sqrt 2 and sqrt 3 meet, it
-keeps the numbers one by one, and the checker rejects them where it
-would reject a certificate built in process.  The letters of w are
-tested by one scan of their types, and only a word with a letter that is
-not an int is read letter by letter, for the message.  ``to_json``
-writes the text in one pass, byte for byte ``json.dumps`` of
-``to_json_dict`` with the separators (",", ":"): strings by the JSON
-library's own ASCII encoder, and a field of a type that no route writes
-by ``json.dumps`` alone.
+reader takes as it is.  The parser keeps each number as ``_number``
+reads it, (p, s, den, d) with the number (p + s sqrt(d)) / den, and
+reduces none: the checker puts them over one denominator after it has
+checked mu's length, so a long hostile mu costs no common denominator,
+and ``q`` and ``mu`` build ``QuadExt`` views of them only when first
+read.  w and mu must be JSON arrays, and the letters of w are tested by
+one scan of their types; only a word with a letter that is not an int
+is read letter by letter, for the message.  ``to_json`` is the one
+writer of the wire layout, in one pass: numbers by ``_number_text``,
+strings by the JSON library's own ASCII encoder, and a field of a type
+that no route writes by ``json.dumps``; ``to_json_dict`` and
+``number_to_json`` read its text back.
 
 The trusted base is this module, from :mod:`weyldl.exactnum` the sign of
 p + q sqrt(d), the radicand test, ``QuadExt``, ``common_parts`` and
@@ -141,7 +139,7 @@ class CertificateError(ValueError):
 
 
 class _IntegerForm(Frozen):
-    """The slot of a certificate's q and mu as the checker reads them.
+    """The slot of a wire certificate's numbers as read.
 
     It sits in a base class so that the fields of ``Certificate``, which
     :class:`Record` reads off its own ``__slots__``, are the eight of the
@@ -160,13 +158,11 @@ class Certificate(_IntegerForm):
     coordinates of alpha.
 
     A certificate built in process holds q and mu as given, and ``_parts``
-    is None.  One read from the wire holds ``_parts`` instead: q's rational
-    and sqrt halves, mu's rational halves, mu's sqrt halves, the common
-    denominator and the radicand, as ``integer_parts`` gives them for
-    (q, *mu).  Its ``q`` and ``mu`` slots start empty, and the first read
-    of either builds it from ``_parts`` and keeps it.  Where no such ints
-    serve the walk (a rank outside 1..MAX_RANK, a mu of another length, or
-    sqrt 2 with sqrt 3), the reader keeps the numbers as given instead.
+    is None.  One read from the wire holds ``_parts`` instead: the (p, s,
+    den, d) that ``_number`` reads for q and then for each coordinate of
+    mu, unreduced and as many as the text holds.  Its ``q`` and ``mu``
+    slots start empty, and the first read of either builds it from
+    ``_parts``, one ``QuadExt`` per number, and keeps it.
     """
 
     __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
@@ -196,34 +192,25 @@ class Certificate(_IntegerForm):
         # Reached only while a slot is empty: the first read of q or mu of a
         # certificate read from the wire, which builds the value and keeps it.
         if name == "q":
-            qp, qq, _, _, r, d = self._parts
-            value = _make(qp, qq, r, d)
+            value = _make(*self._parts[0])
             _set_q(self, value)
         elif name == "mu":
-            _, _, mp, mq, r, d = self._parts
-            value = tuple(_make(p, s, r, d) for p, s in zip(mp, mq))
+            value = tuple(_make(*x) for x in self._parts[1:])
             _set_mu(self, value)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return value
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "group": {"family": self.family, "rank": self.rank, "twist": self.twist},
-            "direction": self.direction,
-            "q": number_to_json(self.q),
-            "w": list(self.w),
-            "form": self.form,
-            "mu": [number_to_json(x) for x in self.mu],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """The wire text, ``json.dumps(self.to_json_dict(), separators=(",", ":"))``.
+        """The wire text, the envelope {"format_version", "group": {"family", "rank",
+        "twist"}, "direction", "q", "w", "form", "mu"} with the separators (",", ":").
 
-        Written in one pass: each number as ``number_to_json`` forms it,
-        each str and int field as the JSON library writes it, and a field
-        of any other type (a bool rank, a list w) by ``json.dumps`` alone.
+        Written in one pass: each number as ``_number_text`` forms it, each
+        str and int field as the JSON library writes it, and a field of any
+        other type (a bool rank, a list w) by ``json.dumps``.
         """
         w = self.w
         if type(w) is tuple and {int}.issuperset(map(type, w)):
@@ -237,19 +224,25 @@ class Certificate(_IntegerForm):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
+        cert = _new(cls)
         try:
             version = obj["format_version"]
             if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
                 raise CertificateError(f"unsupported format_version {version!r}")
             grp = obj["group"]
-            family, rank, twist = grp["family"], _strict_int(grp["rank"]), _strict_int(grp["twist"])
-            direction, q, w = obj["direction"], _number(obj["q"]), _letters(obj["w"])
-            form, mu = obj["form"], list(map(_number, obj["mu"]))
+            _set_family(cert, grp["family"])
+            _set_rank(cert, _strict_int(grp["rank"]))
+            _set_twist(cert, _strict_int(grp["twist"]))
+            _set_direction(cert, obj["direction"])
+            q = _number(obj["q"])
+            _set_w(cert, _letters(obj["w"]))
+            _set_form(cert, obj["form"])
+            _set_parts(cert, (q, *map(_number, _array(obj["mu"], "mu"))))
         except CertificateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc
-        return _parsed(family, rank, twist, direction, w, form, q, mu)
+        return cert
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -267,31 +260,6 @@ _set_parts = _IntegerForm._parts.__set__
  _set_mu) = (getattr(Certificate, name).__set__ for name in Certificate.__slots__)
 
 
-def _parsed(family, rank: int, twist, direction, w, form, q: tuple,
-            mu: list[tuple]) -> Certificate:
-    """The certificate of parsed fields, with q and mu as ``_number`` gives them."""
-    if 1 <= rank <= MAX_RANK and len(mu) == rank:
-        try:
-            ps, qs, r, d = common_parts([q, *mu])
-        except IncompatibleRadicandError:
-            pass
-        else:
-            cert = _new(Certificate)
-            _set_family(cert, family)
-            _set_rank(cert, rank)
-            _set_twist(cert, twist)
-            _set_direction(cert, direction)
-            _set_w(cert, w)
-            _set_form(cert, form)
-            _set_parts(cert, (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d))
-            return cert
-    # No ints for the walk: a rank out of range or a mu of another length, which the
-    # checker rejects before it reads a number, or sqrt 2 with sqrt 3.  The numbers are
-    # kept one by one, as in a certificate built in process, and get its verdict.
-    return Certificate(family, rank, twist, direction, _make(*q), w, form,
-                       tuple(_make(*x) for x in mu))
-
-
 def _strict_int(value) -> int:
     """``value`` itself when it is exactly an int: no bool, float or numeric string."""
     if type(value) is not int:
@@ -299,10 +267,17 @@ def _strict_int(value) -> int:
     return value
 
 
+def _array(value, field: str) -> list:
+    """``value`` when it is a JSON array: a string or an object would iterate too."""
+    if type(value) is not list:
+        raise CertificateError(f"{field} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _letters(word) -> tuple[int, ...]:
-    """``word`` as a tuple when every letter is exactly an int; raises for the first
-    letter that is not."""
-    word = tuple(word)
+    """``word``, a JSON array, as a tuple when every letter is exactly an int; raises
+    for the first letter that is not."""
+    word = tuple(_array(word, "w"))
     if not {int}.issuperset(map(type, word)):
         for letter in word:
             _strict_int(letter)
@@ -315,24 +290,18 @@ def number_to_json(x: QuadExt) -> dict:
     An int or a Fraction is written as the equal QuadExt: ``integer_parts``
     coerces it with ``exactnum.qext``, so a bool raises TypeError.
     """
-    a, b, d = _wire_parts(x)
-    return {"a": a, "b": b, "d": d}
+    return json.loads(_number_text(x))
 
 
 def _number_text(x: QuadExt) -> str:
-    """The JSON text of ``number_to_json(x)`` with the wire's separators."""
-    a, b, d = _wire_parts(x)
-    return f'{{"a":"{a}","b":"{b}","d":{d}}}'
-
-
-def _wire_parts(x: QuadExt) -> tuple[str, str, int]:
-    """The reduced halves "p/q" and "r/s" of x = p/q + (r/s) sqrt(d), and d."""
+    """The wire text {"a":"p/q","b":"r/s","d":d} of x = p/q + (r/s) sqrt(d), both
+    halves reduced."""
     if type(x) is QuadExt:
         p, q, r, d = x._p, x._q, x._r, x._d
     else:
         (p,), (q,), r, d = integer_parts([x])
     ga, gb = gcd(p, r), gcd(q, r)
-    return f"{p // ga}/{r // ga}", f"{q // gb}/{r // gb}", d
+    return f'{{"a":"{p // ga}/{r // ga}","b":"{q // gb}/{r // gb}","d":{d}}}'
 
 
 def _dumps(value) -> str:
@@ -540,7 +509,7 @@ def _coords(key: int, rank: int) -> tuple[int, ...]:
 def check_certificate(cert) -> CheckResult:
     """Re-derive the certificate's rows from its Dynkin diagram and evaluate them exactly."""
     family, rank, twist, word, parts = cert.family, cert.rank, cert.twist, cert.w, cert._parts
-    mu = cert.mu if parts is None else parts[2]
+    mu = cert.mu if parts is None else parts[1:]
     # Only a validated descriptor reaches the memo: an int rank in range (2.0
     # would share the key of 2), a (family, rank) with a root count, an int twist.
     if type(rank) is not int or not 1 <= rank <= MAX_RANK:
@@ -569,18 +538,16 @@ def check_certificate(cert) -> CheckResult:
     # A letter that is not an int (1.0, True) would pass the range test.
     if word and (not {int}.issuperset(map(type, word)) or min(word) < 1 or max(word) > rank):
         return CheckResult(False, f"word letter is not an int in 1..{rank}")
-    if parts is None:
-        # q and every coordinate over one denominator r and one radicand d: the
-        # system sums them all, so each must be compatible with every other.
-        try:
-            (qp, *mp), (qq, *mq), r, d = integer_parts([cert.q, *mu])
-        except IncompatibleRadicandError:
-            return CheckResult(False, "incompatible exact numbers: "
-                               "cannot combine sqrt(2) with sqrt(3)")
-        except TypeError as exc:  # a value that is not an exact number
-            return CheckResult(False, f"q and mu must be exact numbers: {exc}")
-    else:
-        qp, qq, mp, mq, r, d = parts
+    # q and every coordinate over one denominator r and one radicand d: the
+    # system sums them all, so each must be compatible with every other.
+    try:
+        (qp, *mp), (qq, *mq), r, d = (integer_parts([cert.q, *mu]) if parts is None
+                                      else common_parts(parts))
+    except IncompatibleRadicandError:
+        return CheckResult(False, "incompatible exact numbers: "
+                           "cannot combine sqrt(2) with sqrt(3)")
+    except TypeError as exc:  # a value that is not an exact number
+        return CheckResult(False, f"q and mu must be exact numbers: {exc}")
     if _sign(qp, qq, d) <= 0:
         return CheckResult(False, "q must be positive")
 

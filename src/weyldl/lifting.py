@@ -368,9 +368,10 @@ class _CatalogRows:
 
     ``placed`` holds, for the rows scanned so far in catalog order, each
     row's ``place_row`` (None when w1 is not a minimal coset
-    representative) and its inner options: (v, key of (v w1)^-1) for each
-    ambient word of ``inner_cuspidal``.  A scan places a row only when it
-    first reaches it, so the table grows row by row, in catalog order.
+    representative) and its inner options: (vw, key of (v w1)^-1) for each
+    ambient word vw of ``inner_cuspidal``, v its element.  A scan places a
+    row only when it first reaches it, so the table grows row by row, in
+    catalog order.
     """
 
     __slots__ = ("label", "phi_inv", "rows", "placed")
@@ -385,7 +386,7 @@ class _CatalogRows:
         self.rows = case_records(family, rank, order)
         if not self.rows:
             raise FalsificationError(f"no catalog rows for {self.label}")
-        self.placed: list[tuple[Optional[RowPlacement], list[tuple[WeylElt, bytes]]]] = []
+        self.placed: list[tuple[Optional[RowPlacement], list[tuple[tuple[int, ...], bytes]]]] = []
 
     def _place(self, W: WeylGroup, tau: PiMap, row) -> tuple:
         phi_inv = self.phi_inv
@@ -393,18 +394,20 @@ class _CatalogRows:
         placed = place_row(W, tau, frozenset(phi_inv[j] for j in row.J), w1_word)
         if placed is None:
             return None, []
-        return placed, [(v, W.invert(W._extend(v, w1_word)).key)
-                        for v in map(W.from_word, placed.inner_cuspidal())]
+        # (v w1)^-1 is spelled by the reversed words of w1 and then of v.
+        return placed, [(vw, W._extend(W.identity, [*reversed(w1_word), *reversed(vw)]).key)
+                        for vw in placed.inner_cuspidal()]
 
     def match(self, W: WeylGroup, tau: PiMap, keys: set[bytes]):
-        """The first (row, placement, v) in catalog order with (v w1)^-1 in ``keys``, or None."""
+        """The first (row, placement, vw) in catalog order with (v w1)^-1 in ``keys``,
+        or None."""
         for i, row in enumerate(self.rows):
             if i == len(self.placed):
                 self.placed.append(self._place(W, tau, row))
             placed, options = self.placed[i]
-            for v, key in options:
+            for vw, key in options:
                 if key in keys:
-                    return row, placed, v
+                    return row, placed, vw
         return None
 
 
@@ -439,13 +442,15 @@ def _leaf_certificate(
         raise FalsificationError(
             f"no catalog row matches the class of {level[0].word} in {table.label}"
         )
-    row, placed, v = found
+    row, placed, vw = found
     w1, K = placed.w1, placed.K
 
-    # Inner witness on K (forward side of the inner twisted class), in W_K.
+    # Inner witness on K (forward side of the inner twisted class), in W_K,
+    # at v^-1, whose word is vw reversed.
     inner = None
     if K:
-        G, sigma, y = placed.inner(W.invert(v))
+        v_inv = vw[::-1]
+        G, sigma, y = placed.inner(W.from_word(v_inv), v_inv)
         inner = _embed(sub_context(W, K), _engine(G, inverse_pi(sigma), q, y))
 
     star = build_star_system(W, K, w1, tau, q)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from weyldl.exactnum import IncompatibleRadicandError
+from weyldl.exactnum import IncompatibleRadicandError, QuadExt
 
 _VALID_D = (1, 2, 3)
 
@@ -152,3 +152,21 @@ class FractionQuadExt:
             "b": f"{self.b.numerator}/{self.b.denominator}",
             "d": self.d,
         }
+
+
+def certificate_json(cert) -> dict:
+    """The wire object of a certificate, its envelope written out field by field, with
+    each exact number as ``FractionQuadExt.to_json`` writes it."""
+    def number(x):
+        ref = FractionQuadExt(x.a, x.b, x.d) if isinstance(x, QuadExt) else FractionQuadExt(x)
+        return ref.to_json()
+
+    return {
+        "format_version": 1,
+        "group": {"family": cert.family, "rank": cert.rank, "twist": cert.twist},
+        "direction": cert.direction,
+        "q": number(cert.q),
+        "w": list(cert.w),
+        "form": cert.form,
+        "mu": [number(x) for x in cert.mu],
+    }

@@ -55,12 +55,21 @@ from weyldl.criterion import (
     certify_min_element,
     minimal_q,
 )
-from weyldl.exactnum import SQRT2, SQRT3, IncompatibleRadicandError, QuadExt, integer_parts, qext
+from weyldl.exactnum import (
+    SQRT2,
+    SQRT3,
+    IncompatibleRadicandError,
+    QuadExt,
+    common_parts,
+    integer_parts,
+    qext,
+)
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types, positive_root_count
 
 from checker_oracle import oracle_check
 from conftest import RANK_5_6, RANK_LE_4, group
+from fraction_quadext import certificate_json
 from test_criterion import HOSTILE
 from test_exactnum import assert_canonical
 
@@ -592,11 +601,13 @@ def test_bool_q_does_not_write():
 
 
 def _dumps(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_dict(), separators=(",", ":"))
+    """The expected wire text: ``json.dumps`` of the reference's wire object."""
+    return json.dumps(certificate_json(cert), separators=(",", ":"))
 
 
 def test_w3_certificates_write_json_dumps_text():
-    """All 360 W3 certificates write ``json.dumps``'s text of their dict and read back equal."""
+    """All 360 W3 certificates write ``json.dumps``'s text of their wire object, written
+    out by the reference, and read back equal."""
     count = 0
     for family, rank, order in RANK_LE_4:
         W, twist = group(family, rank), build_twist(family, rank, order)
@@ -640,15 +651,17 @@ _READS_BACK = {"int_q", "fraction_q", "int_mu", "fraction_mu", "sqrt_q", "quote_
 
 @pytest.mark.parametrize("name", list(_HAND_BUILT))
 def test_hand_built_certificate_writes_json_dumps_text(name):
-    """A hand-built certificate writes ``json.dumps``'s text of its dict, whatever the
-    type of a field: an int or Fraction number, a string with a quote, a backslash,
-    a control or a non-ASCII character, a bool or float rank or twist, a list w or a
-    letter that is not an int.  Those of the wire's types read back equal."""
+    """A hand-built certificate writes ``json.dumps``'s text of its wire object, written
+    out by the reference, and ``to_json_dict`` gives that object, whatever the type of a
+    field: an int or Fraction number, a string with a quote, a backslash, a control or
+    a non-ASCII character, a bool or float rank or twist, a list w or a letter that is
+    not an int.  Those of the wire's types read back equal."""
     cert = Certificate(**{"family": "G", "rank": 2, "twist": 1, "direction": "delta",
                           "q": qext(2), "w": (2, 1, 2, 1), "form": FORM_FORWARD,
                           "mu": (qext(2), qext(1)), **_HAND_BUILT[name]})
     text = cert.to_json()
     assert text == _dumps(cert) and text.isascii()
+    assert cert.to_json_dict() == certificate_json(cert)
     if name in _READS_BACK:
         assert Certificate.from_json(text) == cert
 
@@ -723,9 +736,9 @@ def _twin(text: str) -> Certificate:
 
 def test_wire_certificates_check_as_their_twins():
     """Read from the wire, a certificate equals its twin built in process and hashes
-    alike, gets the twin's and the oracle's result, holds q and mu as ``integer_parts``
-    gives them for the twin (or, where sqrt 2 meets sqrt 3, as numbers), and writes the
-    twin's text, which reads back to it; text from the benchmark comes back byte for
+    alike, gets the twin's and the oracle's result, holds numbers that ``common_parts``
+    puts over the ints ``integer_parts`` gives for the twin (where sqrt 2 meets sqrt 3,
+    both raise), and writes the twin's text, which reads back to it; text from the benchmark comes back byte for
     byte, and text with unreduced halves in the reduced form.  The reader refuses the
     hostile certificates meant to be refused, and besides them only text whose twin
     cannot be built."""
@@ -748,16 +761,16 @@ def test_wire_certificates_check_as_their_twins():
         twin = _twin(text)
         assert cert == twin and hash(cert) == hash(twin), name
         assert check_certificate(cert) == check_certificate(twin) == oracle_check(twin), name
-        if cert._parts is None:
-            if len(twin.mu) != twin.rank:
-                kept.append(name)
-            else:
-                mixed += 1
-                with pytest.raises(IncompatibleRadicandError):
-                    integer_parts([twin.q, *twin.mu])
+        try:
+            parts = integer_parts([twin.q, *twin.mu])
+        except IncompatibleRadicandError:
+            mixed += 1
+            with pytest.raises(IncompatibleRadicandError):
+                common_parts(cert._parts)
         else:
-            ps, qs, r, d = integer_parts([twin.q, *twin.mu])
-            assert cert._parts == (ps[0], qs[0], tuple(ps[1:]), tuple(qs[1:]), r, d), name
+            assert common_parts(cert._parts) == parts, name
+        if len(twin.mu) != twin.rank:
+            kept.append(name)
         out = cert.to_json()
         assert out == twin.to_json() and Certificate.from_json(out) == cert, name
         if name not in hostile and not name.endswith("~unreduced"):
@@ -773,8 +786,8 @@ def test_wire_certificates_check_as_their_twins():
 def test_long_mu_is_rejected_without_one_denominator():
     """Text under ``MAX_CERT_CHARS`` whose mu holds 120 coordinates over pairwise coprime
     denominators of 1000 digits is rejected for mu's rank in a small time budget: the
-    reader keeps the numbers one by one, as the checker rejects mu before it reads one.
-    Put over one denominator, the 120 would take seconds."""
+    checker rejects mu's length before it puts the numbers over one denominator.  Put
+    over one denominator, the 120 would take seconds."""
     primes = [p for p in range(2, 700) if all(p % k for k in range(2, p))][:120]
     base = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
                        (qext(2), qext(1)))
@@ -788,5 +801,5 @@ def test_long_mu_is_rejected_without_one_denominator():
     result = check_certificate(cert)
     elapsed = time.perf_counter() - start
     assert result == CheckResult(False, "mu has wrong rank")
-    assert cert._parts is None and len(cert.mu) == 120
+    assert len(cert.mu) == 120
     assert elapsed < 1.0

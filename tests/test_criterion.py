@@ -30,6 +30,7 @@ from weyldl import checker, criterion, lifting, weyl
 from weyldl.checker import number_to_json
 
 from conftest import RANK_LE_4, group
+from fraction_quadext import certificate_json
 from lp_oracle import labels_of, rows_of
 from multiply_oracles import elements_of, inversions_of_inverse, perm_of_word, weyl_order
 
@@ -519,6 +520,12 @@ def _set_word(word):
     return mutate
 
 
+def _set_mu(mu):
+    def mutate(obj):
+        obj["mu"] = mu
+    return mutate
+
+
 def _set_version(value):
     def mutate(obj):
         obj["format_version"] = value
@@ -566,6 +573,11 @@ HOSTILE = [
     ("string_letter", _set_word([2, "1"]), None),
     ("bool_letter", _set_word([2, True]), None),
     ("word_too_long", _set_word([2, 1] * 10 ** 5), "word longer than the longest element"),
+    # Iterable, but no JSON array: read as sequences, "" and {} would be empty.
+    ("string_word", _set_word(""), None),
+    ("object_word", _set_word({}), None),
+    ("string_mu", _set_mu(""), None),
+    ("object_mu", _set_mu({}), None),
     ("unknown_family", _set_group(family="Z"), "bad group descriptor"),
     ("mixed_radicands", _mixed_radicands,
      "incompatible exact numbers: cannot combine sqrt(2) with sqrt(3)"),
@@ -654,7 +666,8 @@ def test_hand_built_field_of_the_wrong_type_is_rejected(field, value, reason):
 
 def _assert_accepts_or_rejects(text):
     """An accept, a reject or a CertificateError; a parsed certificate gets the result of
-    the same fields built in process, and both write ``json.dumps``'s text."""
+    the same fields built in process, and both write ``json.dumps``'s text of the wire
+    object that ``certificate_json`` writes out."""
     try:
         cert = Certificate.from_json(text)
     except CertificateError:
@@ -663,7 +676,7 @@ def _assert_accepts_or_rejects(text):
     assert isinstance(result, CheckResult)
     twin = Certificate(*(getattr(cert, name) for name in Certificate.__slots__))
     assert check_certificate(twin) == result
-    assert cert.to_json() == twin.to_json() == json.dumps(cert.to_json_dict(),
+    assert cert.to_json() == twin.to_json() == json.dumps(certificate_json(cert),
                                                           separators=(",", ":"))
 
 

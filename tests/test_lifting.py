@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -609,3 +610,34 @@ def test_constructive_route_builds_only_its_own_type():
     built = out.stdout.split()
     assert "A3" in built
     assert all(name.startswith("A") for name in built), built
+
+
+def test_catalog_leaf_inverts_no_element(monkeypatch):
+    """From empty engine and row memos, the constructive route over the 180 classes of
+    rank <= 4 keys each inner option and builds each leaf's inner element from the words
+    it holds: neither ``_CatalogRows._place`` nor ``_leaf_certificate`` calls
+    ``WeylGroup.invert``, although both run and the leaf reaches ``RowPlacement.inner``."""
+    callers = Counter()
+    invert, inner = WeylGroup.invert, RowPlacement.inner
+
+    def counting_invert(self, w):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return invert(self, w)
+
+    def counting_inner(self, v, word=()):
+        callers["inner"] += 1
+        return inner(self, v, word)
+
+    todo = list(classes_of(RANK_LE_4))
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
+    monkeypatch.setattr(WeylGroup, "invert", counting_invert)
+    monkeypatch.setattr(RowPlacement, "inner", counting_inner)
+    for item in todo:
+        assert check_certificate(constructive_certificate(*item))
+    assert len(todo) == 180
+    assert callers["inner"] > 0 and any(t.placed for t in lifting._ROW_MEMO.values())
+    assert callers["_place"] == callers["_leaf_certificate"] == 0
