@@ -32,7 +32,8 @@ from .lifting import (
     extend_via_parabolic_step,
     lift_to_full,
 )
-from .casetables import load_case_records, verify_all, verify_case
+from .catalog import load_case_records
+from .casetables import verify_all, verify_case
 
 __all__ = [
     "QuadExt",

@@ -141,7 +141,7 @@ def _shift_moves(W: WeylGroup, pi: PiMap) -> list[tuple[int, int, int, bytes, by
 
 
 def _shift_walk(
-    W: WeylGroup, pi: PiMap, w: WeylElt
+    W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()
 ) -> Iterator[tuple[bytes, bytes, int, bytes, int]]:
     """Breadth-first walk of the non-length-increasing shifts from w.
 
@@ -150,11 +150,17 @@ def _shift_walk(
     l(v) = l(u) + change (0 or -2).  Walks the keys of w and of w^-1
     together (see ``_shift_moves``).  Raises ClosureBudgetError when the
     walk reaches more than ``WALK_BUDGET`` elements, read once per walk.
+
+    ``word`` is a word of w that the caller holds.  When its length is
+    l(w) it is reduced (the rule of ``WeylGroup.support``), and reversed it
+    spells w^-1 in one ``_extend``; any other word leaves w^-1 to
+    ``WeylGroup.invert``, which peels a reduced word off w's key first.
     """
     tables, n, budget = W.reflection_table(), W.nroots, WALK_BUDGET
     moves = _shift_moves(W, pi)
     seen = {w.key}
-    frontier = [(w.key, W.invert(w).key)]
+    w_inv = W._extend(W.identity, reversed(word)) if len(word) == w.length else W.invert(w)
+    frontier = [(w.key, w_inv.key)]
     while frontier:
         nxt = []
         for img, inv in frontier:
@@ -282,7 +288,7 @@ def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, _Level | bytes]:
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
 
 
-def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
+def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _Level | WeylElt:
     """The minimal level of w, or the first element shorter than w on the walk from w.
 
     One walk of ``shift_closure`` from w, stopped at its first strict
@@ -292,7 +298,8 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
     level goes in under the key of each member; a descent goes in under the
     key of w alone.  A later call answers from the memo, with no walk.
     Raises ClosureBudgetError beyond ``WALK_BUDGET`` elements, and keeps
-    nothing then.
+    nothing then.  ``word``, a word of w that the caller holds, goes to
+    the walk (``_shift_walk``).
     """
     verdicts = _verdicts(W, pi)
     held = verdicts.get(w.key)
@@ -301,7 +308,7 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
         # does not lengthen it, so a walk without a descent yields each member
         # as u, with the key of u^-1.
         inverse = {}
-        for u, u_inv, _, v, change in _shift_walk(W, pi, w):
+        for u, u_inv, _, v, change in _shift_walk(W, pi, w, word):
             if change:
                 held = verdicts[w.key] = v
                 break
@@ -313,7 +320,7 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
     return held if type(held) is _Level else WeylElt(W, held, w.length - 2)
 
 
-def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
+def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> str:
     """Decide minimality of w in its twisted class via its shift closure.
 
     Returns "minimal" if the non-increasing closure holds no shorter
@@ -325,12 +332,15 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
 
     The answer is ``_verdict``'s: "minimal" exactly when it gives a level.
     A walk that finds w minimal keeps w's whole level, so a later question
-    about any member, ``minimal_level``'s too, starts no walk.
+    about any member, ``minimal_level``'s too, starts no walk.  ``word`` is
+    a word of w that the caller holds, if any (``_shift_walk``).
     """
-    return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
+    return "minimal" if type(_verdict(W, pi, w, word)) is _Level else "not_minimal"
 
 
-def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
+def minimal_level(
+    W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()
+) -> tuple[WeylElt, ...]:
     """The elements reached from w by length-preserving cyclic shifts, by canonical word.
 
     For a minimal w of a cuspidal class this is the whole minimal level of
@@ -346,9 +356,10 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     first call that asks for it spells each member's canonical word once,
     off the key of its inverse, and keeps the spelled tuple on the record:
     a later call from any member, from any group of the same Cartan
-    matrix, returns the same tuple without a walk.
+    matrix, returns the same tuple without a walk.  ``word`` is a word of w
+    that the caller holds, if any (``_shift_walk``).
     """
-    level = _verdict(W, pi, w)
+    level = _verdict(W, pi, w, word)
     if type(level) is not _Level:
         raise FalsificationError(
             f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
@@ -569,7 +580,7 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
         seed = W.from_word(word)
         if pi_closure(pi, W.support(seed, word)) != nodes:
             raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-        level = _verdict(W, pi, seed)
+        level = _verdict(W, pi, seed, word)
         if type(level) is not _Level:
             raise FalsificationError(
                 f"{seed.word} is not minimal in its twisted class: a cyclic shift shortens it"
@@ -654,12 +665,18 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
     return _minimal_levels(W, pi, x)[0]
 
 
-def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt], set[frozenset[int]]]:
-    """``minimal_set`` of x, and the twisted supports of its levels."""
+def _minimal_levels(
+    W: WeylGroup, pi: PiMap, x: WeylElt, word: Sequence[int] = ()
+) -> tuple[list[WeylElt], set[frozenset[int]]]:
+    """``minimal_set`` of x, and the twisted supports of its levels.
+
+    ``word`` is a word of x that the caller holds, if any; each conjugated
+    member is walked from the word it is built from (``_shift_walk``).
+    """
     orbits = _pi_orbits(pi, W.system.nodes)
     joins: dict[frozenset[int], list[dict[int, int]]] = {}  # J -> its _join_letters
     found: dict[bytes, WeylElt] = {}
-    todo = [minimal_level(W, pi, x)]
+    todo = [minimal_level(W, pi, x, word)]
     while todo:
         level = todo.pop()
         u = level[0]
@@ -673,10 +690,11 @@ def _minimal_levels(W: WeylGroup, pi: PiMap, x: WeylElt) -> tuple[list[WeylElt],
             joins[J] = [letters for orbit in orbits if not orbit & J
                         if (letters := _join_letters(W, J, orbit))]
         for letters in joins[J]:
-            v = W._extend(W.identity, [letters[j] for j in u.word])
+            image_word = [letters[j] for j in u.word]
+            v = W._extend(W.identity, image_word)
             if v.length != u.length:
                 raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
-            image = minimal_level(W, pi, v)
+            image = minimal_level(W, pi, v, image_word)
             if len(image) != len(level):
                 raise FalsificationError(f"conjugating the level of {u.word} by w_0^K w_0^J changes its size")
             todo.append(image)
@@ -746,7 +764,7 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
                     x = W.from_word(word)
                     if x.key in found:
                         continue
-                    minimal, walked = _minimal_levels(W, pi, x)
+                    minimal, walked = _minimal_levels(W, pi, x, word)
                     found.update(u.key for u in minimal)
                     supports |= walked
                     classes.append(_delta_class(W, pi, minimal))

@@ -57,7 +57,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .casetables import RowPlacement, case_records, place_row
+from .casetables import RowPlacement, place_row
+from .catalog import case_records
 from .conjugacy import (
     DeltaClass,
     FalsificationError,

@@ -14,14 +14,14 @@ image of every positive root under every simple reflection
 tables from those images, once per matrix (``weyl.group_of``).
 
 The record classes of the package (here, in ``criterion``, ``checker``,
-``conjugacy``, ``lifting`` and ``casetables``) are plain slotted classes
-with written-out constructors.  Their equality, hashing and repr come
-from :class:`Record`, which reads the fields off ``__slots__``, and the
-immutable ones derive from :class:`Frozen`.  They are not
-``dataclasses``, for start-up cost: importing that module pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``, and each decorated class
-compiles its methods with ``exec`` at import, together about 25 ms of
-every cold process (one ``weyldl check``, one benchmark pass).  Without
+``conjugacy``, ``lifting``, ``catalog`` and ``casetables``) are plain
+slotted classes with written-out constructors.  Their equality, hashing
+and repr come from :class:`Record`, which reads the fields off
+``__slots__``, and the immutable ones derive from :class:`Frozen`.  They
+are not ``dataclasses``, for start-up cost: importing that module pulls
+in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each decorated
+class compiles its methods with ``exec`` at import, together about 25 ms
+of every cold process (one ``weyldl check``, one benchmark pass).  Without
 it ``import weyldl`` takes 56-78 ms instead of 81-94 ms when sources are
 compiled on each start, and 8-12 ms instead of 30-40 ms from cached
 bytecode (ten runs each, Python 3.11.7, shared 2-core x86-64 host).

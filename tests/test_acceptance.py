@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from weyldl.casetables import load_case_records, place_row, verify_case
+from weyldl.casetables import place_row, verify_case
+from weyldl.catalog import load_case_records
 from weyldl.conjugacy import (
     class_list,
     class_of,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,29 +14,28 @@ from hypothesis import strategies as st
 from weyldl import casetables, conjugacy
 from weyldl.casetables import (
     AggregateReport,
-    CaseRecord,
     CaseReport,
     _always_satisfied,
     _resolve_v_options,
-    br,
-    bri,
-    case_records,
-    load_case_records,
     place_row,
-    type_group,
     verify_all,
     verify_case,
 )
+from weyldl.catalog import CaseRecord, br, bri, case_records, load_case_records, type_group
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, IneqSystem, check_certificate
 from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
 from weyldl.subsystems import sub_context
-from weyldl.weyl import WeylGroup
+from weyldl.weyl import WeylGroup, weyl_group
 
 from lp_oracle import rows_of
 from multiply_oracles import enumerate_delta_classes, oracle_class_of, weyl_order
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# sha256 of the fields of every catalog row, in catalog order (see
+# ``test_rows_are_the_pinned_catalog``).
+CATALOG_ROWS_SHA256 = "a3a188f88438fa45f224951f6709d50ebbdd608eaa20922d2a49b68cd88ff485"
 
 # (family, rank, twist) of every catalog type, in catalog order.
 CATALOG_TYPES = list(dict.fromkeys((r.family, r.rank, r.twist) for r in load_case_records()))
@@ -93,6 +93,23 @@ class TestLoad:
             "2F4 case 2", "2F4 case 4", "E8 case 12", "F4 case 3", "G2 case 1",
         ]
 
+    def test_rows_are_the_pinned_catalog(self, records):
+        """Every field of every row, in catalog order, hashes to the digest
+        pinned when the rows moved out of ``casetables`` into ``catalog``."""
+
+        def plain(value):
+            if isinstance(value, frozenset):
+                return sorted(value)
+            if isinstance(value, dict):
+                return sorted(value.items())
+            if isinstance(value, tuple):
+                return [plain(x) for x in value]
+            return value
+
+        rows = [[(name, plain(getattr(r, name))) for name in CaseRecord.__slots__] for r in records]
+        text = json.dumps(rows, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_ROWS_SHA256
+
     def test_case_records_by_type(self, records):
         """Each type's rows carry that type, and the catalog lists them type by type."""
         assert len(CATALOG_TYPES) == 49
@@ -111,7 +128,7 @@ class TestLoad:
 
     def test_2e6_case8_rep_is_longest(self, records):
         rec = by_label(records, "2E6 case 8")
-        W = casetables.weyl_group("E", 6)
+        W = weyl_group("E", 6)
         v = W.from_word(rec.v_words[0])
         w1 = W.from_word(rec.w1)
         assert W.multiply(v, w1) == W.longest_element(range(1, 7))
@@ -297,7 +314,7 @@ def test_type_group_is_built_once_per_type():
     """Every row of a type shares one group and one inverse-twist map."""
     W, pi = pair = type_group("E", 6, 2)
     assert type_group("E", 6, 2) is pair
-    assert W is casetables.weyl_group("E", 6)
+    assert W is weyl_group("E", 6)
     assert pi == {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
 
 
@@ -418,13 +435,13 @@ def test_verify_all_walks_no_level_again(monkeypatch):
     real_walk = conjugacy._shift_walk
     starts, again, levelled = [], [], set()
 
-    def walk(W, pi, w):
+    def walk(W, pi, w, word=()):
         where = (W.system.key, tuple(sorted(pi.items())))
         starts.append(w.key)
         if (where, w.key) in levelled:
             again.append((W.system.family, w.word))
         met, descended = {w.key}, False
-        for shift in real_walk(W, pi, w):
+        for shift in real_walk(W, pi, w, word):
             met |= {shift[0], shift[3]}
             descended = descended or shift[4] != 0
             yield shift
@@ -435,6 +452,32 @@ def test_verify_all_walks_no_level_again(monkeypatch):
     assert verify_all().all_passed
     assert starts and levelled
     assert again == []
+
+
+def test_verify_all_walks_start_from_held_words(monkeypatch):
+    """Over a cold ``verify_all()``, hardly any shift walk inverts its start
+    element (``WeylGroup.invert``, a full peel): subcheck (v) hands the walk
+    its word v w1, and the class machinery the words of its seeds and of
+    the members it conjugates.  The walks of subcheck (iv), in the
+    standalone W_K, are handed no word and invert: 10 of the 218 walk starts."""
+    for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    real_walk, real_invert = conjugacy._shift_walk, WeylGroup.invert
+    starts, inverted = [], []
+
+    def walk(W, pi, w, word=()):
+        starts.append(w.key)
+        return real_walk(W, pi, w, word)
+
+    def invert(self, w):
+        if sys._getframe(1).f_code is real_walk.__code__:
+            inverted.append(w.key)
+        return real_invert(self, w)
+
+    monkeypatch.setattr(conjugacy, "_shift_walk", walk)
+    monkeypatch.setattr(WeylGroup, "invert", invert)
+    assert verify_all().all_passed
+    assert len(starts) > 100 and 20 * len(inverted) < len(starts)
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
@@ -586,7 +629,9 @@ class TestRecords:
         record = CaseRecord(**args)
         assert (record.v_words, record.m_values, record.prose, record.param_a) == ((), None, "", None)
         assert record.spade is False
-        assert record == CaseRecord(**args) and hash(record) == hash(CaseRecord(**args))
+        assert record == CaseRecord(**args)
+        with pytest.raises(TypeError):
+            hash(record)
         assert record != CaseRecord(**args, param_a=1)
         assert record.type_name == "A2"
         assert (record.label, record.v_mode) == ("A2 case 1", "identity")
@@ -595,8 +640,15 @@ class TestRecords:
             record.label = "Y"
         assert record.label == "A2 case 1"
 
+    def test_every_catalog_row_is_unhashable(self, records):
+        """Rows with and without ``m_values`` alike: the record class is unhashable."""
+        assert any(r.m_values is None for r in records)
+        for record in records:
+            with pytest.raises(TypeError):
+                hash(record)
+
     def test_row_placement_equality_and_frozen(self):
-        W = casetables.weyl_group("A", 3)
+        W = weyl_group("A", 3)
         tau = {i: i for i in W.system.nodes}
         placed = place_row(W, tau, frozenset({1, 3}), (2,))
         assert placed == place_row(W, tau, frozenset({1, 3}), (2,))

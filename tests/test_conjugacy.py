@@ -78,6 +78,33 @@ class TestClosure:
         closure = shift_closure(A2, pi, A2.from_word([1, 2, 1]))
         assert A2.simple(1) in closure or A2.simple(2) in closure
 
+    @pytest.mark.parametrize("family,rank,order", [("B", 3, 1), ("D", 4, 3), ("F", 4, 2)])
+    def test_walk_from_a_held_word(self, family, rank, order, monkeypatch):
+        """A walk handed a word of its start w of length l(w) reads w^-1 off
+        the reversed word, with no ``invert``, and yields what a walk from w
+        alone yields; a word of another length leaves w^-1 to ``invert``.
+        From each minimal element u of every class, and from each s_j u s_pi(j)."""
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order))
+        starts = []
+        for cls in class_list(W, pi):
+            for u in cls.minimal:
+                starts.append(u.word)
+                starts += [(j, *u.word, pi[j]) for j in sorted(pi)]
+        real_invert, inverted = WeylGroup.invert, []
+        monkeypatch.setattr(WeylGroup, "invert",
+                            lambda self, w: inverted.append(w) or real_invert(self, w))
+        reduced = 0
+        for word in starts:
+            w = W.from_word(word)
+            alone = list(conjugacy._shift_walk(W, pi, w))
+            inverted.clear()
+            assert list(conjugacy._shift_walk(W, pi, w, word)) == alone
+            reduced += len(word) == w.length
+            assert inverted == ([] if len(word) == w.length else [w])
+            inverted.clear()
+        assert 0 < reduced < len(starts)
+
     def test_descend(self, G2):
         pi = identity_pi(G2)
         w0 = G2.longest_element([1, 2])
@@ -908,8 +935,8 @@ class TestClassOracle:
         assert w.length == 5
         real_walk = conjugacy._shift_walk
         walks = []
-        monkeypatch.setattr(conjugacy, "_shift_walk",
-                            lambda W, pi, u: walks.append(u.key) or real_walk(W, pi, u))
+        monkeypatch.setattr(conjugacy, "_shift_walk", lambda W, pi, u, *word: walks.append(u.key)
+                            or real_walk(W, pi, u, *word))
         for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
         cls = class_of(W, pi, w)

@@ -44,6 +44,38 @@ def test_import_skips_dataclasses_and_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_catalog_imports_neither_verifier_nor_lifting():
+    """The catalog's rows load without ``casetables`` and ``lifting``.
+
+    ``import weyldl.catalog`` runs the package's ``__init__`` first, which
+    imports every module, so the package is entered here by its path, with
+    no ``__init__``: what ``import weyldl.catalog`` loads then is the
+    catalog's own imports.  The rows build there, all 213 of them.
+    """
+    package = str(Path(__file__).resolve().parent.parent / "src" / "weyldl")
+    program = (
+        "import sys, types\n"
+        "package = types.ModuleType('weyldl')\n"
+        f"package.__path__ = [{package!r}]\n"
+        "sys.modules['weyldl'] = package\n"
+        "import weyldl.catalog\n"
+        "print(sorted({'weyldl.casetables', 'weyldl.lifting'} & set(sys.modules)))\n"
+        "print(len(weyldl.catalog.load_case_records()))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["[]", "213"]
+
+
+def test_package_exports_the_catalog_rows():
+    import weyldl.casetables
+    import weyldl.catalog
+
+    assert weyldl.load_case_records is weyldl.catalog.load_case_records
+    assert weyldl.catalog.CaseRecord.__module__ == "weyldl.catalog"
+    assert not hasattr(weyldl.casetables, "load_case_records")
+
+
 RECORDS = {
     "RootSystem", "Twist", "IneqSystem", "Certificate", "CheckResult",
     "DeltaClass", "EngineCert", "CaseRecord", "CaseReport", "AggregateReport", "RowPlacement",

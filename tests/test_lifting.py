@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from weyldl import conjugacy, lifting
-from weyldl.casetables import CaseRecord, RowPlacement, case_records, place_row
+from weyldl.casetables import RowPlacement, place_row
+from weyldl.catalog import CaseRecord, case_records
 from weyldl.conjugacy import class_list, class_of, cuspidal_representatives, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
@@ -395,8 +396,8 @@ def test_constructive_route_walks_no_listed_level_again(monkeypatch):
               for u in cls.minimal}
     walks, read = [], []
     real_walk, real_level = conjugacy._shift_walk, lifting.minimal_level
-    monkeypatch.setattr(conjugacy, "_shift_walk", lambda W, pi, w: walks.append(
-        (W.system.key, tuple(sorted(pi.items())), w.key)) or real_walk(W, pi, w))
+    monkeypatch.setattr(conjugacy, "_shift_walk", lambda W, pi, w, *word: walks.append(
+        (W.system.key, tuple(sorted(pi.items())), w.key)) or real_walk(W, pi, w, *word))
     monkeypatch.setattr(lifting, "minimal_level", lambda W, pi, w: read.append(
         (W.system.key, tuple(sorted(pi.items())), w.key)) or real_level(W, pi, w))
     for W, twist, cls, q in todo:

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from weyldl import lp
-from weyldl.casetables import load_case_records, place_row, type_group
+from weyldl.casetables import place_row
+from weyldl.catalog import load_case_records, type_group
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
     IneqSystem,

@@ -299,7 +299,8 @@ def test_inversions_of_inverse_exhaustive_rank2(A2, B2, G2):
 def _catalog_parabolics():
     """(row label, standalone group) for each distinct group of the inner node
     sets that the catalog's "lengths"/"all" rows partition."""
-    from weyldl.casetables import load_case_records, place_row, type_group
+    from weyldl.casetables import place_row
+    from weyldl.catalog import load_case_records, type_group
     from weyldl.subsystems import sub_context
 
     out = {}
