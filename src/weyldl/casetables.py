@@ -158,18 +158,21 @@ class RowPlacement(Frozen):
 
     def inner(
         self, v: WeylElt, word: Sequence[int] = ()
-    ) -> tuple[WeylGroup, PiMap, WeylElt]:
-        """v (an element of W_K) in the standalone W_K, with sigma.
+    ) -> tuple[WeylGroup, PiMap, WeylElt, tuple[int, ...]]:
+        """v (an element of W_K) in the standalone W_K, with sigma and a word of it
+        there: the arguments of a shift walk (``closure_min_check``).
 
         Built from ``word``, a word of v that the caller holds, when it is
         reduced: its length is l(v), and then its letters are v's support,
-        in K (``WeylGroup.support``).  Otherwise built from a reduced word
-        of v peeled off its key.
+        in K (``WeylGroup.support``), and their labels in W_K are the word
+        returned.  Otherwise built from a reduced word of v peeled off its
+        key, and the word returned is empty.
         """
         sub = sub_context(self.W, self.K)
         if len(word) != v.length:
-            return sub.group, self.sigma, sub.element_to_sub(v)
-        return sub.group, self.sigma, sub.group.from_word(sub.word_to_sub(word))
+            return sub.group, self.sigma, sub.element_to_sub(v), ()
+        word = sub.word_to_sub(word)
+        return sub.group, self.sigma, sub.group.from_word(word), word
 
     def inner_cuspidal(self) -> list[tuple[int, ...]]:
         """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.

@@ -62,24 +62,24 @@ and ``build_twist`` for every type through rank 8.
 
 This module also owns the certificate itself: the ``Certificate``
 record, its JSON wire format and the parser, which refuses text longer
-than ``MAX_CERT_CHARS`` before reading it.  Every exact number goes on
-the wire as {"a": "p/q", "b": "r/s", "d": 1|2|3}, the value
-a + b sqrt(d) with both parts reduced, through ``number_to_json``;
-``_number`` is the one reader of that form and ``_ratio`` of the "p/q"
-grammar -?[0-9]+/[0-9]+ in the package, but for the zero part "0/1" with
-d = 1 that ``number_to_json`` writes for every rational, which the
-reader takes as it is.  The parser keeps each number as ``_number``
-reads it, (p, s, den, d) with the number (p + s sqrt(d)) / den, and
-reduces none: the checker puts them over one denominator after it has
-checked mu's length, so a long hostile mu costs no common denominator,
-and ``q`` and ``mu`` build ``QuadExt`` views of them only when first
-read.  w and mu must be JSON arrays, and the letters of w are tested by
-one scan of their types; only a word with a letter that is not an int
-is read letter by letter, for the message.  ``to_json`` is the one
-writer of the wire layout, in one pass: numbers by ``_number_text``,
-strings by the JSON library's own ASCII encoder, and a field of a type
-that no route writes by ``json.dumps``; ``to_json_dict`` and
-``number_to_json`` read its text back.
+than ``MAX_CERT_CHARS`` before reading it.  In wire format 2 an exact
+number is its shortest exact text (``number_to_json``): a rational is
+the string "p" or "p/q", and a + b sqrt(d) with b nonzero is ["a", "b",
+d], d = 2 or 3, fractions reduced.  ``_number`` reads that and nothing
+else, a rational by ``_rational`` (-?[0-9]+(/[0-9]+)?).  ``_number_v1``
+reads format 1, {"a": "p/q", "b": "r/s", "d": d}, the text of the
+benchmark's check corpus; the envelope's ``format_version`` picks the
+reader.  The parser keeps each number as read, (p, s, den, d) for (p + s
+sqrt(d)) / den, and reduces none: the checker puts them over one
+denominator after it has checked mu's length, so a long hostile mu costs
+no common denominator, and ``q`` and ``mu`` build ``QuadExt`` views of
+them only when first read.  w and mu must be JSON arrays, and the
+letters of w are tested by one scan of their types; only a word with a
+letter that is not an int is read letter by letter, for the message.
+``to_json`` is the one writer of the wire layout, in one pass: numbers
+by ``_number_text``, strings by the JSON library's own ASCII encoder,
+and a field of a type that no route writes by ``json.dumps``;
+``to_json_dict`` and ``number_to_json`` read its text back.
 
 The trusted base is this module, from :mod:`weyldl.exactnum` the sign of
 p + q sqrt(d), the radicand test, ``QuadExt``, ``common_parts`` and
@@ -124,11 +124,12 @@ __all__ = [
 
 FORM_FORWARD = "lemma-1.11"
 FORM_INVERSE = "stmt-1.13a"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_RANK = 8
 # Longest certificate text the parser reads.  ``to_json`` writes far less: at
-# most 9 exact numbers (q and 8 coordinates), each of at most 4 ints of at
-# most 4300 digits, Python's int-string limit.
+# most 9 exact numbers (q and 8 coordinates), each a string of at most 2 ints
+# or an array of at most 4, of at most 4300 digits each, Python's int-string
+# limit.
 MAX_CERT_CHARS = 1 << 20
 
 _new = object.__new__
@@ -159,10 +160,11 @@ class Certificate(_IntegerForm):
 
     A certificate built in process holds q and mu as given, and ``_parts``
     is None.  One read from the wire holds ``_parts`` instead: the (p, s,
-    den, d) that ``_number`` reads for q and then for each coordinate of
-    mu, unreduced and as many as the text holds.  Its ``q`` and ``mu``
-    slots start empty, and the first read of either builds it from
-    ``_parts``, one ``QuadExt`` per number, and keeps it.
+    den, d) that the number reader of its format version reads for q and
+    then for each coordinate of mu, unreduced and as many as the text
+    holds.  Its ``q`` and ``mu`` slots start empty, and the first read of
+    either builds it from ``_parts``, one ``QuadExt`` per number, and
+    keeps it.
     """
 
     __slots__ = ("family", "rank", "twist", "direction", "q", "w", "form", "mu")
@@ -227,17 +229,18 @@ class Certificate(_IntegerForm):
         cert = _new(cls)
         try:
             version = obj["format_version"]
-            if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
+            number = type(version) is int and _NUMBER_READERS.get(version)  # True == 1.0 == 1
+            if not number:
                 raise CertificateError(f"unsupported format_version {version!r}")
             grp = obj["group"]
             _set_family(cert, grp["family"])
             _set_rank(cert, _strict_int(grp["rank"]))
             _set_twist(cert, _strict_int(grp["twist"]))
             _set_direction(cert, obj["direction"])
-            q = _number(obj["q"])
+            q = number(obj["q"])
             _set_w(cert, _letters(obj["w"]))
             _set_form(cert, obj["form"])
-            _set_parts(cert, (q, *map(_number, _array(obj["mu"], "mu"))))
+            _set_parts(cert, (q, *map(number, _array(obj["mu"], "mu"))))
         except CertificateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -284,8 +287,8 @@ def _letters(word) -> tuple[int, ...]:
     return word
 
 
-def number_to_json(x: QuadExt) -> dict:
-    """Bit-exact wire form {"a": "p/q", "b": "r/s", "d": 1|2|3} of an exact number.
+def number_to_json(x: QuadExt) -> str | list:
+    """Bit-exact wire form of an exact number: "p" or "p/q", or ["a", "b", d].
 
     An int or a Fraction is written as the equal QuadExt: ``integer_parts``
     coerces it with ``exactnum.qext``, so a bool raises TypeError.
@@ -294,14 +297,18 @@ def number_to_json(x: QuadExt) -> dict:
 
 
 def _number_text(x: QuadExt) -> str:
-    """The wire text {"a":"p/q","b":"r/s","d":d} of x = p/q + (r/s) sqrt(d), both
-    halves reduced."""
+    """The wire text of x = (p + q sqrt(d)) / r."""
     if type(x) is QuadExt:
         p, q, r, d = x._p, x._q, x._r, x._d
     else:
         (p,), (q,), r, d = integer_parts([x])
-    ga, gb = gcd(p, r), gcd(q, r)
-    return f'{{"a":"{p // ga}/{r // ga}","b":"{q // gb}/{r // gb}","d":{d}}}'
+    a = _fraction_text(p, r)
+    return f'["{a}","{_fraction_text(q, r)}",{d}]' if q else f'"{a}"'
+
+
+def _fraction_text(p: int, r: int) -> str:
+    g = gcd(p, r)
+    return str(p // g) if g == r else f"{p // g}/{r // g}"
 
 
 def _dumps(value) -> str:
@@ -317,14 +324,32 @@ def _text(value) -> str:
 
 
 def number_from_json(obj) -> QuadExt:
-    """Inverse of :func:`number_to_json`; accepts nothing but its exact wire grammar."""
+    """Inverse of :func:`number_to_json`; reads only the grammar of format 2."""
     return _make(*_number(obj))
 
 
 def _number(obj) -> tuple[int, int, int, int]:
     """(p, s, r, d) with the number of the wire payload ``obj`` equal to
     (p + s sqrt(d)) / r, r > 0 and s = 0 when d = 1, not reduced; raises
-    ValueError outside the wire grammar, for a, then b, then d."""
+    ValueError outside the grammar."""
+    if type(obj) is str:
+        p, r = _rational(obj)
+        return p, 0, r, 1
+    if type(obj) is list and len(obj) == 3 and type(obj[2]) is int and obj[2] in (2, 3):
+        return _join(*_rational(obj[0]), *_rational(obj[1]), obj[2])
+    raise ValueError("malformed number: expected 'p/q' or [a, b, d] with d 2 or 3")
+
+
+def _rational(text) -> tuple[int, int]:
+    """``_ratio`` of ``text``, with "/1" implied when it has no slash."""
+    if type(text) is str and "/" not in text:
+        text += "/1"
+    return _ratio(text)
+
+
+def _number_v1(obj) -> tuple[int, int, int, int]:
+    """``_number`` of format 1, {"a": "p/q", "b": "r/s", "d": d}; raises for a, then
+    b, then d."""
     try:
         a, b, d = obj["a"], obj["b"], obj["d"]
     except (KeyError, TypeError) as exc:
@@ -332,10 +357,14 @@ def _number(obj) -> tuple[int, int, int, int]:
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     an, ad = _ratio(a)
-    if b == "0/1" and d == 1:  # how ``number_to_json`` writes every rational
+    if b == "0/1" and d == 1:  # how format 1 wrote every rational
         return an, 0, ad, 1
     bn, bd = _ratio(b)
     _check_radicand(d)
+    return _join(an, ad, bn, bd, d)
+
+
+def _join(an: int, ad: int, bn: int, bd: int, d: int) -> tuple[int, int, int, int]:
     if not bn:
         return an, 0, ad, 1
     if d == 1:  # sqrt(1) = 1 folds b into the rational part
@@ -359,6 +388,9 @@ def _ratio(text) -> tuple[int, int]:
                 return num, den
             raise ValueError("malformed rational: zero denominator")
     raise ValueError("malformed rational: expected 'p/q'")
+
+
+_NUMBER_READERS = {1: _number_v1, FORMAT_VERSION: _number}
 
 
 class CheckResult(Frozen):

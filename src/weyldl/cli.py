@@ -82,23 +82,31 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """One verdict line per file, accepts on stdout and rejections on stderr; with more
+    than one file, each line starts with the file's name.  Exit 1 if any is rejected."""
+    named = len(args.certificate) > 1
+    status = 0
+    for path in args.certificate:
+        accepted, line = _check_file(path)
+        print(f"{path}: {line}" if named else line, file=sys.stdout if accepted else sys.stderr)
+        status |= not accepted
+    return status
+
+
+def _check_file(path: str) -> tuple[bool, str]:
     try:
-        with open(args.certificate, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             # One character past the limit is enough for the parser to refuse it.
             text = fh.read(MAX_CERT_CHARS + 1)
         cert = Certificate.from_json(text)
     except (OSError, CertificateError) as exc:
-        print(f"reject: {exc}", file=sys.stderr)
-        return 1
+        return False, f"reject: {exc}"
     except UnicodeDecodeError:
-        print("reject: certificate is not UTF-8 text", file=sys.stderr)
-        return 1
+        return False, "reject: certificate is not UTF-8 text"
     result = check_certificate(cert)
     if result:
-        print(f"accept ({result.rows_checked} rows)")
-        return 0
-    print(f"reject: {result.reason}", file=sys.stderr)
-    return 1
+        return True, f"accept ({result.rows_checked} rows)"
+    return False, f"reject: {result.reason}"
 
 
 def cmd_verify_paper(args) -> int:
@@ -162,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write certificate JSON here")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("check", help="re-validate a certificate file")
-    p.add_argument("certificate", help="path to certificate JSON")
+    p = sub.add_parser("check", help="re-validate certificate files")
+    p.add_argument("certificate", nargs="+", help="paths to certificate JSON")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify-paper", help="replay the bundled case catalog")

@@ -65,7 +65,7 @@ from .checker import (
     Certificate,
     CertificateError,
     CheckResult,
-    _ratio,
+    _rational,
     check_certificate,
 )
 from .conjugacy import DeltaClass, FalsificationError, PiMap, direction_of, restrict_pi
@@ -346,10 +346,9 @@ def parse_q_literal(text: str) -> QuadExt:
     """Parse CLI q literals: p, p/q, sqrt2, sqrt3, or p or p/q times sqrt2 or sqrt3.
 
     As in '2', '3/2', 'sqrt2', '2*sqrt2', '3/2*sqrt3', with ASCII digits
-    and spaces ignored; the rational is read by the certificate's "p/q"
-    reader, with "/1" added when it has no slash.  Anything else, a zero
-    denominator, or a number too long for ``int`` raises ValueError before
-    any work.
+    and spaces ignored; the rational is read by the certificate's reader
+    of "p" and "p/q".  Anything else, a zero denominator, or a number too
+    long for ``int`` raises ValueError before any work.
     """
     head, star, tail = text.strip().replace(" ", "").rpartition("*")
     if tail in ("sqrt2", "sqrt3"):
@@ -357,7 +356,7 @@ def parse_q_literal(text: str) -> QuadExt:
     else:
         rational, d = "" if star else tail, 1
     try:
-        value = Fraction(*_ratio(rational if "/" in rational else rational + "/1"))
+        value = Fraction(*_rational(rational))
     except ValueError:
         raise ValueError(f"bad q literal {text!r}") from None
     return QuadExt(value) if d == 1 else QuadExt(0, value, d)

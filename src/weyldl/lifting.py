@@ -451,7 +451,7 @@ def _leaf_certificate(
     inner = None
     if K:
         v_inv = vw[::-1]
-        G, sigma, y = placed.inner(W.from_word(v_inv), v_inv)
+        G, sigma, y, _ = placed.inner(W.from_word(v_inv), v_inv)
         inner = _embed(sub_context(W, K), _engine(G, inverse_pi(sigma), q, y))
 
     star = build_star_system(W, K, w1, tau, q)

@@ -146,7 +146,15 @@ class FractionQuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def to_json(self) -> dict:
+    def to_json(self):
+        """The wire form of format 2: ``str`` of the ``Fraction`` a, "p" or "p/q", when
+        b = 0, and [str(a), str(b), d] otherwise."""
+        if self.b == 0:
+            return str(self.a)
+        return [str(self.a), str(self.b), self.d]
+
+    def to_json_v1(self) -> dict:
+        """The wire form of format 1: both parts as "p/q", the denominator 1 included."""
         return {
             "a": f"{self.a.numerator}/{self.a.denominator}",
             "b": f"{self.b.numerator}/{self.b.denominator}",
@@ -154,15 +162,16 @@ class FractionQuadExt:
         }
 
 
-def certificate_json(cert) -> dict:
-    """The wire object of a certificate, its envelope written out field by field, with
-    each exact number as ``FractionQuadExt.to_json`` writes it."""
+def certificate_json(cert, version: int = 2) -> dict:
+    """The wire object of a certificate in format ``version``, 2 or 1, its envelope
+    written out field by field, with each exact number as ``FractionQuadExt.to_json``
+    or, in format 1, ``to_json_v1`` writes it."""
     def number(x):
         ref = FractionQuadExt(x.a, x.b, x.d) if isinstance(x, QuadExt) else FractionQuadExt(x)
-        return ref.to_json()
+        return ref.to_json() if version == 2 else ref.to_json_v1()
 
     return {
-        "format_version": 1,
+        "format_version": version,
         "group": {"family": cert.family, "rank": cert.rank, "twist": cert.twist},
         "direction": cert.direction,
         "q": number(cert.q),

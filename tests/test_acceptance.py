@@ -24,16 +24,19 @@ from weyldl.conjugacy import (
     supp_delta,
 )
 from weyldl.criterion import (
+    Certificate,
     build_forward_system,
     build_inverse_system,
     certify_min_element,
     check_certificate,
     minimal_q,
 )
+from weyldl.exactnum import common_parts
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types
 
 from conftest import RANK_5_6, RANK_LE_4, SRC, group
+from fraction_quadext import certificate_json
 from lp_oracle import rows_of
 from multiply_oracles import (
     class_elements,
@@ -258,10 +261,12 @@ def test_criterion_9_determinism():
     _report("9", True, "100 randomized class picks re-verified")
 
 
-# SHA-256 of ``verify_all().to_json()`` over all 213 rows (56298 bytes, 106
+# SHA-256 of ``verify_all().to_json()`` over all 213 rows (55756 bytes, 106
 # skipped subchecks, no fail).  A change to any verdict, detail or byte of the
-# report changes it.
-REPORT_SHA256 = "1de67e5bc677e6557bff888ab729fb88961c33a419e1172bd920326a8891d1d9"
+# report changes it.  Re-pinned once, when the spade certificates it embeds
+# took wire format 2; decoded, the two reports differ only in those
+# certificates' ``format_version`` and number text.
+REPORT_SHA256 = "60a85b1d47aa67c95edb6c02700b25c49ea5fa501e287b187679fb8a0db71636"
 
 
 def test_criterion_9_full_report_digest():
@@ -269,17 +274,20 @@ def test_criterion_9_full_report_digest():
     from weyldl.casetables import verify_all
 
     text = verify_all().to_json()
-    assert len(text) == 56298
+    assert len(text) == 55756
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256
     _report("9", True, "213-row report digest")
 
 
 # SHA-256 of the 360 certificates of W3 (the solver and the constructive
 # certificate of every class of RANK_LE_4 at minimal q, in class-list order,
-# each ``to_json()`` followed by a newline; 91337 bytes), recorded from the
-# code before the integer-backed QuadExt.  Any change to a ``mu``, a word or
-# a form changes it.
-W3_SHA256 = "6b0a9b22634844f9baf1d24fc5000324950acdee1ddefa7d2cc3cae152c6675a"
+# each ``to_json()`` followed by a newline; 53975 bytes).  Any change to a
+# ``mu``, a word or a form changes it.  Re-pinned once, for wire format 2;
+# W3_V1_SHA256 is the digest of the same texts in format 1 (91337 bytes),
+# recorded from the code before the integer-backed QuadExt, and
+# ``test_criterion_9_format_2_reads_as_format_1`` ties the two together.
+W3_SHA256 = "30c502f24ed2d6dbc8f52a9e67c96ccd303e0179a3268ac9258b8f97e79c78d7"
+W3_V1_SHA256 = "6b0a9b22634844f9baf1d24fc5000324950acdee1ddefa7d2cc3cae152c6675a"
 
 
 def test_criterion_9_w3_certificate_digest():
@@ -297,7 +305,7 @@ def test_criterion_9_w3_certificate_digest():
                 digest.update(text)
                 count += 1
                 size += len(text)
-    assert (count, size) == (360, 91337)
+    assert (count, size) == (360, 53975)
     assert digest.hexdigest() == W3_SHA256
     _report("9", True, "360 W3 certificates digest")
 
@@ -335,14 +343,17 @@ def test_criterion_9_w3_digest_does_not_depend_on_order():
     out = subprocess.run([sys.executable, "-c", _W3_REVERSED, json.dumps(RANK_LE_4)],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [W3_SHA256, "360", "91337"]
+    assert out.stdout.split() == [W3_SHA256, "360", "53975"]
     _report("9", True, "360 W3 certificates in reverse order")
 
 
 # SHA-256 of the 816 certificates of the 408 classes of RANK_5_6, laid out
-# as for W3_SHA256 (262968 bytes), recorded from the code in which the
-# constructive route still kept every parabolic inside the ambient group.
-RANK_5_6_SHA256 = "429f55ca11a22074ee4ef54874f85bd94c0036945cf591618087af2f8bb3bb31"
+# as for W3_SHA256 (133644 bytes).  Re-pinned once, for wire format 2;
+# RANK_5_6_V1_SHA256 is that of the same texts in format 1 (262968 bytes),
+# recorded from the code in which the constructive route still kept every
+# parabolic inside the ambient group.
+RANK_5_6_SHA256 = "a175aece83998670607aabe2c20752562e48bc3b6dfde97f0d5cdade74a35a46"
+RANK_5_6_V1_SHA256 = "429f55ca11a22074ee4ef54874f85bd94c0036945cf591618087af2f8bb3bb31"
 
 
 def test_criterion_9_rank_5_6_certificate_digest():
@@ -362,9 +373,40 @@ def test_criterion_9_rank_5_6_certificate_digest():
                 digest.update(text)
                 count += 1
                 size += len(text)
-    assert (count, size) == (816, 262968)
+    assert (count, size) == (816, 133644)
     assert digest.hexdigest() == RANK_5_6_SHA256
     _report("9", True, "816 rank-5/6 certificates digest")
+
+
+@pytest.mark.parametrize("groups, count, v1_size, v1_digest", [
+    (RANK_LE_4, 360, 91337, W3_V1_SHA256), (RANK_5_6, 816, 262968, RANK_5_6_V1_SHA256),
+], ids=["w3", "rank_5_6"])
+def test_criterion_9_format_2_reads_as_format_1(groups, count, v1_size, v1_digest):
+    """Each certificate of W3 and of rank 5/6, written in format 2 by ``to_json`` and
+    in format 1 by the reference writer, reads back from both texts to the same
+    fields and numbers, with the same verdict and row count.  The format-1 texts are
+    those pinned before format 2, byte for byte, and the format-2 texts are at most
+    60 % of their size."""
+    digest = hashlib.sha256()
+    size = new_size = n = 0
+    for family, rank, order in groups:
+        W, twist, pi, q = _ctx(family, rank, order)
+        for cls in class_list(W, pi):
+            for cert in (certify_min_element(W, twist, cls, q),
+                         constructive_certificate(W, twist, cls, q)):
+                v2 = cert.to_json()
+                v1 = json.dumps(certificate_json(cert, 1), separators=(",", ":"))
+                new, old = Certificate.from_json(v2), Certificate.from_json(v1)
+                assert new == old == cert, v2
+                assert common_parts(new._parts) == common_parts(old._parts), v2
+                result = check_certificate(new)
+                assert result.accepted and result == check_certificate(old), v2
+                digest.update((v1 + "\n").encode("utf-8"))
+                size += len(v1) + 1
+                new_size += len(v2) + 1
+                n += 1
+    assert (n, size, digest.hexdigest()) == (count, v1_size, v1_digest)
+    assert new_size <= 0.6 * size
 
 
 def _twisted_groups_through_rank_8():
@@ -399,11 +441,13 @@ def _digest_of_constructive_certificates(certify_args):
     return count, size, digest.hexdigest()
 
 
-# Digests of the two constructive sweeps below, recorded from the code that
-# still nudged zero coordinates of cyclic inner witnesses, doubled the spade
-# scale on failure, and listed inversions from a signed permutation.
-SWEEP_RANK_8_SHA256 = "bf24533923cda4a20b2b0d3e384bf7ccb86c98d0b75390c9a7e89c64b21df3f4"
-SWEEP_E8_CASE_12_SHA256 = "f27bcb1697c6d9a49186f95d8de638bf0096ff55fd82c0231572b14ba056795c"
+# Digests of the two constructive sweeps below, re-pinned once for wire
+# format 2.  In format 1 the same certificates were 562677 and 4153 bytes,
+# with the digests bf24533923cd... and f27bcb1697c6..., recorded from the
+# code that still nudged zero coordinates of cyclic inner witnesses, doubled
+# the spade scale on failure, and listed inversions from a signed permutation.
+SWEEP_RANK_8_SHA256 = "5d821ec3d9ae2de11c2082fb2134eef8b078390230145ef0e30e33330410fe0a"
+SWEEP_E8_CASE_12_SHA256 = "3c49e5290a6ccceddc9ffd915f2f06e7b4fdb9e6a9e6d3ff6a8d12b0b1f061a7"
 
 
 @pytest.mark.slow
@@ -420,7 +464,7 @@ def test_constructive_sweep_through_rank_8():
                 yield W, twist, cls, q
 
     result = _digest_of_constructive_certificates(classes())
-    assert result == (1587, 562677, SWEEP_RANK_8_SHA256)
+    assert result == (1587, 273445, SWEEP_RANK_8_SHA256)
     _report("sweep", True, "1587 classes through rank 8")
 
 
@@ -436,5 +480,5 @@ def test_constructive_e8_case_12_classes():
     result = _digest_of_constructive_certificates(
         (W, twist, class_of(W, pi, x), q) for x in xs
     )
-    assert result == (9, 4153, SWEEP_E8_CASE_12_SHA256)
+    assert result == (9, 2241, SWEEP_E8_CASE_12_SHA256)
     _report("sweep", True, "9 E8 case 12 classes")

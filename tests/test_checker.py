@@ -12,14 +12,17 @@ of ``exactnum`` it reads and ``rootdata.Frozen``, its own type tables
 equal ``rootdata``'s, it checks the corpus with the group and root-closure
 builders and every ``rootdata`` function disabled, and a hand-built w or
 mu that is not a tuple gets a reason, not an exception.  The certificate
-parser it owns is checked here as well: its length limit, its "p/q" reader
-against a regex reference, and its integer reading of whole certificates
-against twins built in process from that reference (the corpus, the
-benchmark's tampered variants and the hostile certificates), with the
-writer's text.
+parser it owns is checked here as well: its length limit, its number
+readers of wire formats 2 and 1 against a regex reference, and its integer
+reading of whole certificates against twins built in process from that
+reference (the corpus, the benchmark's tampered variants and the hostile
+certificates), with the writer's text.  Format-2 text refuses every value
+outside its number grammar with a reason, format-1 text a number of format
+2, and the format-1 corpus keeps the verdicts it had before format 2.
 """
 
 import ast
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -487,7 +490,7 @@ def test_hand_built_tuple_mu_checks_as_parsed(corpus):
         for sign in (1, -1):
             obj["mu"] = [number_to_json(sign * x) for x in cert.mu]
             parsed = Certificate.from_json(json.dumps(obj))
-            mu = tuple(QuadExt(Fraction(x["a"]), Fraction(x["b"]), x["d"]) for x in obj["mu"])
+            mu = tuple(fraction_from_json(x, 2) for x in obj["mu"])
             built = _with(parsed, mu=mu)
             assert built == parsed
             assert check_certificate(built) == check_certificate(parsed), built
@@ -518,17 +521,27 @@ def test_length_limit_at_the_boundary(corpus):
         Certificate.from_json(text + " ")
 
 
-def fraction_from_json(obj):
-    """The ``Fraction``-based wire parser, on the grammar's regex: the reference."""
-    def parse(text):
-        match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
+def fraction_from_json(obj, version: int):
+    """The ``Fraction``-based wire parser of format ``version``, 2 or 1, on the
+    grammar's regex: the reference."""
+    def parse(text, pattern=r"(-?[0-9]+)/([0-9]+)"):
+        match = re.fullmatch(pattern, text) if isinstance(text, str) else None
         if match is None:
             raise ValueError("malformed rational: expected 'p/q'")
-        num, den = int(match.group(1)), int(match.group(2))
+        num, den = int(match.group(1)), int(match.group(2) or 1)
         if den == 0:
             raise ValueError("malformed rational: zero denominator")
         return Fraction(num, den)
 
+    if version == 2:
+        rational = r"(-?[0-9]+)(?:/([0-9]+))?"
+        if isinstance(obj, str):
+            return QuadExt(parse(obj, rational))
+        if not (isinstance(obj, list) and len(obj) == 3 and type(obj[2]) is int
+                and obj[2] in (2, 3)):
+            raise ValueError("malformed number: expected 'p/q' or [a, b, d] with d 2 or 3")
+        a, b, d = obj
+        return QuadExt(parse(a, rational), parse(b, rational), d)
     try:
         a, b, d = obj["a"], obj["b"], obj["d"]
     except (KeyError, TypeError) as exc:
@@ -536,6 +549,12 @@ def fraction_from_json(obj):
     if type(d) is not int:
         raise ValueError("malformed QuadExt radicand")
     return QuadExt(parse(a), parse(b), d)
+
+
+def checker_number(obj, version: int) -> QuadExt:
+    """The checker's number reader of format ``version``: ``number_from_json`` for 2,
+    the format-1 reader that ``from_json_dict`` picks for 1."""
+    return number_from_json(obj) if version == 2 else checker._make(*checker._number_v1(obj))
 
 
 wire_ratios = st.one_of(
@@ -560,18 +579,51 @@ wire_radicands = st.one_of(st.sampled_from((1, 2, 3)), st.integers(-2, 6),
 @given(wire_ratios, wire_ratios, wire_radicands)
 @settings(max_examples=600, deadline=None)
 def test_from_json_matches_fraction_parser(a, b, d):
-    """Same value, or the same error text raised in the same order (a, then b, then d)."""
+    """Format 1: same value, or the same error text raised in the same order (a, then
+    b, then d)."""
     obj = {"a": a, "b": b, "d": d}
 
     def result(parse):
         try:
-            x = parse(obj)
+            x = parse(obj, 1)
         except ValueError as exc:
             return ("error", str(exc))
         assert_canonical(x)
         return ("value", x._p, x._q, x._r, x._d)
 
-    assert result(number_from_json) == result(fraction_from_json)
+    assert result(checker_number) == result(fraction_from_json)
+
+
+wire_rationals = st.one_of(
+    st.builds(str, st.integers(-10 ** 6, 10 ** 6)),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 12)),
+    wire_ratios,
+    st.sampled_from(["0", "-0", "00", "+1", " 1", "1 ", "1_0", "\u0663", "\uff11", "\u00b2",
+                     "-", "/2", "1e3", "1.5", "1" * 4400]),
+)
+wire_numbers = st.one_of(
+    wire_rationals,
+    st.builds(list, st.tuples(wire_rationals, wire_rationals, wire_radicands)),
+    st.lists(wire_rationals | wire_radicands, max_size=4),
+    st.fixed_dictionaries({"a": wire_rationals, "b": wire_rationals, "d": wire_radicands}),
+    st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none(),
+)
+
+
+@given(wire_numbers)
+@settings(max_examples=600, deadline=None)
+def test_format_2_reader_matches_fraction_parser(obj):
+    """Format 2: same value, or the same error text, on strings, arrays of any length
+    and every other JSON value."""
+    def result(parse):
+        try:
+            x = parse(obj, 2)
+        except ValueError as exc:
+            return ("error", str(exc))
+        assert_canonical(x)
+        return ("value", x._p, x._q, x._r, x._d)
+
+    assert result(checker_number) == result(fraction_from_json)
 
 
 @pytest.mark.parametrize("q,mu", [
@@ -600,9 +652,10 @@ def test_bool_q_does_not_write():
         number_to_json(False)
 
 
-def _dumps(cert: Certificate) -> str:
-    """The expected wire text: ``json.dumps`` of the reference's wire object."""
-    return json.dumps(certificate_json(cert), separators=(",", ":"))
+def _dumps(cert: Certificate, version: int = 2) -> str:
+    """The expected wire text: ``json.dumps`` of the reference's wire object in format
+    ``version``."""
+    return json.dumps(certificate_json(cert, version), separators=(",", ":"))
 
 
 def test_w3_certificates_write_json_dumps_text():
@@ -728,20 +781,22 @@ def _twin(text: str) -> Certificate:
     """The certificate of ``text`` built in process: its fields as ``json.loads`` reads
     them, its numbers from ``fraction_from_json``, the regex reference."""
     obj = json.loads(text)
-    grp = obj["group"]
+    grp, version = obj["group"], obj["format_version"]
     return Certificate(grp["family"], grp["rank"], grp["twist"], obj["direction"],
-                       fraction_from_json(obj["q"]), tuple(obj["w"]), obj["form"],
-                       tuple(map(fraction_from_json, obj["mu"])))
+                       fraction_from_json(obj["q"], version), tuple(obj["w"]), obj["form"],
+                       tuple(fraction_from_json(x, version) for x in obj["mu"]))
 
 
 def test_wire_certificates_check_as_their_twins():
     """Read from the wire, a certificate equals its twin built in process and hashes
     alike, gets the twin's and the oracle's result, holds numbers that ``common_parts``
     puts over the ints ``integer_parts`` gives for the twin (where sqrt 2 meets sqrt 3,
-    both raise), and writes the twin's text, which reads back to it; text from the benchmark comes back byte for
-    byte, and text with unreduced halves in the reduced form.  The reader refuses the
-    hostile certificates meant to be refused, and besides them only text whose twin
-    cannot be built."""
+    both raise), and writes the twin's text, the reference's format-2 text, which reads
+    back to it.  Text from the benchmark, in format 1, is the reference's format-1
+    text of what it reads, byte for byte, and text with unreduced halves is written
+    in the reduced form.  The reader refuses the hostile
+    certificates meant to be refused, and besides them only text whose twin cannot be
+    built."""
     texts = _wire_texts()
     assert len(texts) == 414 * 9 + len(HOSTILE)
     hostile = {name for name, _, _ in HOSTILE}
@@ -772,9 +827,9 @@ def test_wire_certificates_check_as_their_twins():
         if len(twin.mu) != twin.rank:
             kept.append(name)
         out = cert.to_json()
-        assert out == twin.to_json() and Certificate.from_json(out) == cert, name
+        assert out == twin.to_json() == _dumps(twin) and Certificate.from_json(out) == cert, name
         if name not in hostile and not name.endswith("~unreduced"):
-            assert out == text, name
+            assert _dumps(cert, 1) == text, name
     # The truncated texts and the huge coordinates of the benchmark, and the hostile ones.
     assert refused == 2 * 414 + len(refuse)
     assert mixed == 2
@@ -792,8 +847,7 @@ def test_long_mu_is_rejected_without_one_denominator():
     base = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD,
                        (qext(2), qext(1)))
     obj = base.to_json_dict()
-    obj["mu"] = [{"a": f"1/{p ** math.ceil(1000 / math.log10(p))}", "b": "0/1", "d": 1}
-                 for p in primes]
+    obj["mu"] = [f"1/{p ** math.ceil(1000 / math.log10(p))}" for p in primes]
     text = json.dumps(obj)
     assert len(primes) == 120 and len(text) < MAX_CERT_CHARS
     start = time.perf_counter()
@@ -803,3 +857,114 @@ def test_long_mu_is_rejected_without_one_denominator():
     assert result == CheckResult(False, "mu has wrong rank")
     assert len(cert.mu) == 120
     assert elapsed < 1.0
+
+
+# -- the two wire formats ------------------------------------------------------------
+
+_G2 = Certificate("G", 2, 1, "delta", qext(2), (2, 1, 2, 1), FORM_FORWARD, (qext(2), qext(1)))
+_SQRT_MU = ("-1/2", "1", 2)  # -1/2 + sqrt 2, a little under 1
+
+# (id, a value put where format 2 wants a number, the start of the reason).
+HOSTILE_NUMBERS = [
+    ("json_int", 2, "malformed number"),
+    ("json_float", 2.0, "malformed number"),
+    ("json_bool", True, "malformed number"),
+    ("json_null", None, "malformed number"),
+    ("zero_denominator", "1/0", "malformed rational: zero denominator"),
+    ("plus_sign", "+1", "malformed rational"),
+    ("underscore", "1_0", "malformed rational"),
+    ("leading_space", " 1", "malformed rational"),
+    ("trailing_slash", "1/", "malformed rational"),
+    ("arabic_indic_digit", "٢", "malformed rational"),
+    ("fullwidth_digit", "２", "malformed rational"),
+    ("superscript_digit", "²", "malformed rational"),
+    ("exponent", "1e3", "malformed rational"),
+    ("array_of_2", ["-1/2", "1"], "malformed number"),
+    ("array_of_4", [*_SQRT_MU, 2], "malformed number"),
+    ("radicand_1", ["-1/2", "1", 1], "malformed number"),
+    ("radicand_4", ["-1/2", "1", 4], "malformed number"),
+    ("radicand_true", ["-1/2", "1", True], "malformed number"),
+    ("radicand_string", ["-1/2", "1", "2"], "malformed number"),
+    ("radicand_float", ["-1/2", "1", 2.0], "malformed number"),
+    ("int_part", [1, "1", 2], "malformed rational"),
+    ("float_part", ["-1/2", 1.0, 2], "malformed rational"),
+    ("bool_part", ["-1/2", False, 2], "malformed rational"),
+    ("bad_part", ["-1/2", "+1", 2], "malformed rational"),
+    ("format_1_rational", {"a": "2/1", "b": "0/1", "d": 1}, "malformed number"),
+    ("format_1_sqrt", {"a": "1/2", "b": "3/1", "d": 2}, "malformed number"),
+]
+
+
+@pytest.mark.parametrize("field", ["q", "mu"])
+@pytest.mark.parametrize("value, reason", [h[1:] for h in HOSTILE_NUMBERS],
+                         ids=[h[0] for h in HOSTILE_NUMBERS])
+def test_format_2_refuses_what_is_no_number(field, value, reason):
+    """In format-2 text, a value outside the number grammar, put in place of q or of a
+    coordinate of mu, is refused by ``CertificateError`` with its reason: a JSON number
+    or bool for a string, a rational with a sign, space, underscore, exponent or digit
+    that is not ASCII, an array of another length or radicand, and a number of
+    format 1.  The certificate with a sqrt coordinate in its place is accepted."""
+    obj = _G2.to_json_dict()
+    obj["mu"][1] = list(_SQRT_MU)
+    assert check_certificate(Certificate.from_json(json.dumps(obj)))
+    if field == "q":
+        obj["q"] = value
+    else:
+        obj["mu"][1] = value
+    with pytest.raises(CertificateError, match=f"^malformed certificate: {re.escape(reason)}"):
+        Certificate.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", ["2", "2/1", ["0", "1", 2], 2],
+                         ids=["integer", "fraction", "sqrt", "json_int"])
+def test_format_1_refuses_a_format_2_number(value):
+    """In format-1 text, a number of format 2 is refused with the reason of format 1."""
+    obj = certificate_json(_G2, 1)
+    assert check_certificate(Certificate.from_json(json.dumps(obj)))
+    obj["mu"][0] = value
+    with pytest.raises(CertificateError, match="^malformed certificate: malformed QuadExt payload$"):
+        Certificate.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("version", [0, 3, 2.0, True, "2", None])
+def test_unknown_format_version_is_refused(version):
+    """Only the ints 1 and 2 name a format; 2.0 and True equal one of them in Python."""
+    obj = _G2.to_json_dict()
+    obj["format_version"] = version
+    with pytest.raises(CertificateError, match=f"^unsupported format_version {re.escape(repr(version))}$"):
+        Certificate.from_json(json.dumps(obj))
+
+
+# sha256 of one line "<id>\t<verdict>" per item of the ``check`` benchmark at seed 1, in
+# its order: "accept (n rows)", "reject: <reason>", or "error: <CertificateError>";
+# recorded from the code before format 2.
+CHECK_VERDICTS_SHA256 = "fc812f6f953e5b39721d2162d83f3a09be395c37af4320ac4d31d3be03c9b6a1"
+
+
+def test_format_1_corpus_keeps_its_verdicts():
+    """The ``check`` benchmark's 414 corpus certificates, all format-1 text, are
+    accepted, and its 130 tampered and hostile variants get the verdicts and reasons
+    they got before format 2.  Each corpus certificate written in format 2 is accepted
+    with the same row count, in at most 60 % of the bytes."""
+    items = _benchmark_worker().Check(random.Random(1)).items
+    lines, kinds, old_size, new_size = [], {}, 0, 0
+    for name, text, valid in items:
+        try:
+            cert = Certificate.from_json(text)
+        except CertificateError as exc:
+            verdict = f"error: {exc}"
+        else:
+            result = check_certificate(cert)
+            verdict = f"accept ({result.rows_checked} rows)" if result else f"reject: {result.reason}"
+            if valid:
+                assert json.loads(text)["format_version"] == 1
+                out = cert.to_json()
+                assert check_certificate(Certificate.from_json(out)) == result, name
+                old_size, new_size = old_size + len(text), new_size + len(out)
+        assert verdict.startswith("accept") == valid, (name, verdict)
+        kind = verdict.partition(" ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        lines.append(f"{name}\t{verdict}\n")
+    assert kinds == {"accept": 414, "reject:": 100, "error:": 30}
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CHECK_VERDICTS_SHA256
+    assert new_size <= 0.6 * old_size

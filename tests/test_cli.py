@@ -115,7 +115,8 @@ class TestCertifyCheck:
         )
         assert out.returncode == 0, out.stderr
         payload = json.loads(cert_path.read_text())
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
+        assert payload["q"] == ["0", "1", 2]
         assert payload["group"] == {"family": "B", "rank": 2, "twist": 2}
         assert payload["form"] == "lemma-1.11"
         check = run_cli("check", str(cert_path), cwd=tmp_path)
@@ -129,7 +130,7 @@ class TestCertifyCheck:
             "--out", str(cert_path), cwd=tmp_path,
         )
         payload = json.loads(cert_path.read_text())
-        payload["mu"][0]["a"] = "-99/1"
+        payload["mu"][0] = "-99"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         out = run_cli("check", str(bad), cwd=tmp_path)
@@ -176,6 +177,24 @@ class TestCertifyCheck:
         assert out.returncode == 1
         assert out.stderr.strip() == "reject: certificate longer than 1048576 characters"
         assert out.stdout == ""
+
+    def test_check_many_files_in_one_process(self, tmp_path):
+        """``check`` takes many files: one verdict line per file, in order and led by the
+        file's name, accepts on stdout and rejections on stderr; exit 1 when any file
+        is rejected.  One file alone gets the line without its name."""
+        (tmp_path / "good.json").write_bytes(_VALID)
+        (tmp_path / "bad.json").write_text("{]")
+        out = run_cli("check", "good.json", "bad.json", "missing.json", "good.json",
+                      cwd=tmp_path)
+        assert out.returncode == 1
+        assert out.stdout == "good.json: accept (3 rows)\ngood.json: accept (3 rows)\n"
+        bad, missing = out.stderr.splitlines()
+        assert bad.startswith("bad.json: reject: not JSON: ")
+        assert missing.startswith("missing.json: reject: [Errno 2] ")
+        out = run_cli("check", "good.json", "good.json", cwd=tmp_path)
+        assert (out.returncode, out.stderr) == (0, "")
+        out = run_cli("check", "good.json", cwd=tmp_path)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "accept (3 rows)\n", "")
 
     def test_zero_denominator_q_is_an_error(self, tmp_path):
         for literal in ("1/0", "1/0*sqrt2"):

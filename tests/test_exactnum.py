@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldl.checker import number_from_json, number_to_json
+from weyldl.checker import _number_v1, number_from_json, number_to_json
 from weyldl.exactnum import (
     SQRT2,
     SQRT3,
@@ -193,17 +193,20 @@ class TestSerialization:
         assert number_from_json(number_to_json(x)) == x
 
     def test_wire_form(self):
-        assert number_to_json(QuadExt(Fraction(3, 2), Fraction(-1, 3), 2)) == {
-            "a": "3/2",
-            "b": "-1/3",
-            "d": 2,
-        }
+        assert number_to_json(QuadExt(Fraction(3, 2), Fraction(-1, 3), 2)) == ["3/2", "-1/3", 2]
+        assert number_to_json(QuadExt(Fraction(-4, 6))) == "-2/3"
+        assert number_to_json(QuadExt(7)) == "7"
+        assert number_to_json(QuadExt(0, Fraction(2, 4), 3)) == ["0", "1/2", 3]
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            number_from_json({"a": "1/2", "b": "x", "d": 2})
+            _number_v1({"a": "1/2", "b": "x", "d": 2})
         with pytest.raises(ValueError):
-            number_from_json({"a": "1", "d": 2})
+            _number_v1({"a": "1", "d": 2})
+        with pytest.raises(ValueError):
+            number_from_json(["1/2", "x", 2])
+        with pytest.raises(ValueError):
+            number_from_json(["1", 2])
         with pytest.raises(ValueError):
             QuadExt(1, 1, 5)
 
