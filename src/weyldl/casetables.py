@@ -61,7 +61,8 @@ __all__ = [
 
 _setattr = object.__setattr__
 
-# The largest rank, of a group or an inner node set, that the default tier decides.
+# The largest rank of an inner node set, and of an exceptional group in (v),
+# that the default tier decides.
 _DEFAULT_TIER_RANK = 6
 _SLOW_TIER_SKIP = "skipped(requires slow tier)"
 
@@ -217,8 +218,10 @@ def _resolve_v_options(
 
     "lengths" and "all" rows take the cuspidal inner classes of the
     placement; the default tier skips a K above ``_DEFAULT_TIER_RANK``,
-    which the slow tier decides.  Returns (words, problem) where problem is
-    a skip/fail message when resolution is impossible.
+    which the slow tier decides: those inner classes come from walks of
+    the K's cuspidal levels, which the signed cycle type that decides (v)
+    does not spell.  Returns (words, problem) where problem is a skip/fail
+    message when resolution is impossible.
     """
     K = placed.K
     if not K or record.v_mode == "identity":
@@ -400,8 +403,10 @@ def verify_case(
             report.details.setdefault("v_outside_WK", []).append(list(vw))
         else:
             iv_results.append(closure_verdict(*placed.inner(v, vw)))
-        # (v): v w1 minimal in its full twisted class
-        if record.rank <= _DEFAULT_TIER_RANK or slow:
+        # (v): v w1 minimal in its full twisted class.  Classical types are
+        # decided by their signed cycle type with no walk, so only the E7 and
+        # E8 walks wait for the slow tier.
+        if record.rank <= _DEFAULT_TIER_RANK or slow or record.family in "ABCD":
             v_results.append(closure_verdict(W, pi, w, word))
         else:
             v_results.append(_SLOW_TIER_SKIP)

@@ -12,7 +12,9 @@ The printed inequality strings are stored as documentation only: the
 verifier, ``casetables``, derives every system from (J, w1, twist) by
 group action and never reads them.  Each row carries one reading of its
 step; where the printed text fails a structural precondition, the row
-holds the amended reading and its ``notes`` say what was printed.
+holds the amended reading and its ``notes`` say what was printed.  The
+tests compare each printed list of rows with the derived system, and the
+``notes`` name each difference (E6 case 3).
 
 The rows are a module of their own, apart from their verifier, for
 start-up memory: a process that starts without cached bytecode compiles
@@ -312,6 +314,9 @@ def _records_E6() -> list[CaseRecord]:
             v_words=((3,), (3, 4, 3)),
             m_values={1: 3, 2: 2, 5: 5, 6: 1},
             prose="q m_1 - m_5; q m_2 - m_1; q m_5 - m_1 - m_5 - m_6",
+            notes=("printed row q m_5 - m_1 - m_5 - m_6; the derived row is "
+                   "q m_5 - m_2 - m_5 - m_6, and the witness (m_1, m_2, m_5, m_6) = "
+                   "(3, 2, 5, 1) meets both, with slack 1 and 2 at q = 2",),
         ),
         CaseRecord(
             family="E", rank=6, twist=1, case=4,

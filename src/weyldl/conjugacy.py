@@ -21,13 +21,16 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Minimality is decided once per process, in ``_MINIMALITY_MEMO``, keyed on
-the system key (the Cartan matrix) and pi, never on a group object, so
-groups built apart share it.  Every minimality question is answered by
-one memoized walk, ``_verdict``, which keeps one of two values for an
-element: its minimal level, a ``_Level`` record held under the key of
-each member, once a walk has ended without a descent; or the key of the
-first shorter element a walk from it met.  A level is walked once per
+Whether one element is minimal is read off its signed cycle type by
+``_least_length``, with no walk, when its group is one irreducible type A,
+B, C or D under the identity or its order-2 twist (``closure_min_check``).
+Every other minimality question, and every minimal level, is decided once
+per process, in ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan
+matrix) and pi, never on a group object, so groups built apart share it.
+It is answered by one memoized walk, ``_verdict``, which keeps one of two
+values for an element: its minimal level, a ``_Level`` record held under
+the key of each member, once a walk has ended without a descent; or the
+key of the first shorter element a walk from it met.  A level is walked once per
 process and spelled only when asked for: ``cuspidal_representatives``
 reads a level's smallest canonical word off the unspelled record by a
 descent beam, and ``minimal_level`` spells the record in place.  The memo
@@ -42,7 +45,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rootdata import Frozen, Twist
+from .rootdata import Frozen, Twist, build_twist
 from .subsystems import component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
@@ -321,21 +324,85 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _
 
 
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> str:
-    """Decide minimality of w in its twisted class via its shift closure.
+    """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
-    Returns "minimal" if the non-increasing closure holds no shorter
-    element and "not_minimal" on the first strict descent.  Complete by
-    the descent theorem for twisted classes: non-increasing cyclic shifts
-    from any element reach a minimal one.  Raises ClosureBudgetError when
-    the walk reaches more than ``WALK_BUDGET`` elements, and keeps no
-    verdict then.
+    A verdict that ``_MINIMALITY_MEMO`` holds for w is read back, which
+    costs less than the signed cycle type.  Otherwise, when W is one
+    irreducible type A, B, C or D under the identity or its order-2 twist
+    (``_classical_reading``), w is minimal exactly when l(w) is the least
+    length that ``_least_length`` reads off ``word``, or off a reduced word
+    of w when the caller holds none; no walk starts and nothing is kept.  Any other W, exceptional, 3D4,
+    reducible or with a twist that permutes components, is answered by
+    ``_verdict``'s walk: "minimal" if the non-increasing closure holds no
+    shorter element, "not_minimal" on the first strict descent.  Complete
+    by the descent theorem for twisted classes: non-increasing cyclic
+    shifts from any element reach a minimal one.  Raises
+    ClosureBudgetError when the walk reaches more than ``WALK_BUDGET``
+    elements, and keeps no verdict then.
 
-    The answer is ``_verdict``'s: "minimal" exactly when it gives a level.
     A walk that finds w minimal keeps w's whole level, so a later question
     about any member, ``minimal_level``'s too, starts no walk.  ``word`` is
     a word of w that the caller holds, if any (``_shift_walk``).
     """
-    return "minimal" if type(_verdict(W, pi, w, word)) is _Level else "not_minimal"
+    where = (W.system.key, tuple(sorted(pi.items())))
+    held = _MINIMALITY_MEMO.get(where, {}).get(w.key)
+    if held is None:
+        reading = _READINGS.get(where, False)
+        if reading is False:
+            reading = _READINGS[where] = _classical_reading(W, pi)
+        if reading is not None:
+            labels, letters, n, twist = reading
+            word = word or W.reduced_word(w)
+            least = _least_length(letters, n, twist,
+                                  word if labels is None else map(labels.__getitem__, word))
+            return "minimal" if w.length == least else "not_minimal"
+        held = _verdict(W, pi, w, word)
+    return "minimal" if type(held) is _Level else "not_minimal"
+
+
+# (letter map to Bourbaki labels or None, letters, n, twist) for
+# ``_least_length``, or None, keyed like ``_MINIMALITY_MEMO`` on the system key
+# and pi.
+_READINGS: dict[tuple, Optional[tuple[Optional[tuple[int, ...]], str, int, Optional[str]]]] = {}
+
+# (family, twist order) -> how ``_least_length`` reads that type: its letters,
+# the coordinates beyond the rank, and the twist.  C_n's letters act as B_n's.
+_READ_AS = {("A", 1): ("A", 1, None), ("A", 2): ("A", 1, "w0"),
+            ("B", 1): ("B", 0, None), ("C", 1): ("B", 0, None),
+            ("D", 1): ("D", 0, None), ("D", 2): ("D", 0, "t_n")}
+
+
+def _classical_reading(
+    W: WeylGroup, pi: PiMap
+) -> Optional[tuple[Optional[tuple[int, ...]], str, int, Optional[str]]]:
+    """How ``_least_length`` reads the words of W under pi, or None.
+
+    W must be one irreducible type A, B, C or D, with pi the identity or a
+    twist of order 2 of type A or D.  A group that ``system_of`` named is
+    in Bourbaki labels, so when pi is the identity or the standard twist
+    its words are read as they are (letter map None); a named E, F or G is
+    None.  Any other W goes to ``identify_standard``, which names it and
+    maps its labels to Bourbaki labels that carry pi to the standard
+    twist.  Both shortcuts spare a search for a labelling, which costs
+    more than the whole verdict on a small group.
+    """
+    family, rank, nodes = W.system.family, W.rank, W.system.nodes
+    if family in ("E", "F", "G"):
+        return None
+    perm = tuple(pi[i] for i in nodes)
+    if family in ("A", "B", "C", "D") and (
+            perm == nodes or (family, 2) in _READ_AS and perm == build_twist(family, rank, 2).perm):
+        order, labels = (1 if perm == nodes else 2), None
+    else:
+        ident = identify_standard(W.system.cartan, pi)
+        if ident is None:
+            return None
+        family, rank, order, phi = ident
+        labels = (0,) + tuple(phi[i] for i in nodes)
+    if (family, order) not in _READ_AS:
+        return None
+    letters, extra, twist = _READ_AS[family, order]
+    return labels, letters, rank + extra, twist
 
 
 def minimal_level(
@@ -460,8 +527,11 @@ def _negative_blocks(n: int, parts: Sequence[int]) -> list[int]:
 def _zigzag(n: int, parts: Sequence[int]) -> list[int]:
     """w in S_n, as images of 1..n, with w w0 of cycle type ``parts`` and w shortest.
 
-    w w0 is longest in its class: its cycles run along 1, n, 2, n - 1, ...,
-    one stretch per part, the largest first.
+    The cycles of w w0 run along 1, n, 2, n - 1, ..., one stretch per part,
+    the largest first.  When every part is odd, as in every cuspidal
+    class, that makes w w0 longest in its class, and so w shortest in its
+    twisted class; with an even part it need not (parts (3, 2) give length
+    3, against a least length of 1).
     """
     order = [j for pair in zip(range(1, n + 1), range(n, 0, -1)) for j in pair][:n]
     u, pos = [0] * (n + 1), 0
@@ -504,6 +574,80 @@ def _signed_word(img: Sequence[int], family: str) -> tuple[int, ...]:
         else:
             return tuple(reversed(peeled))
         peeled.append(i)
+
+
+def _least_length(family: str, n: int, twist: Optional[str], word: Iterable[int]) -> int:
+    """The least length in the twisted class of the product of ``word``, from its cycle type.
+
+    ``word`` is any word, reduced or not, in the Bourbaki labels of A_(n-1)
+    ("A"), B_n = C_n ("B") or D_n ("D"), read as signed permutations of
+    e_1..e_n as ``_signed_word`` reads them; one pass over the letters
+    builds the images.  A twisted class of 2A_(n-1) (``twist`` "w0") is the
+    class of w w0 in S_n, and one of 2D_n ("t_n") the class of w t_n in B_n
+    (``_standard_seeds``).  With positive cycles lambda and negative cycles
+    b_1 <= ... <= b_k the least length is:
+
+    - A_(n-1): n minus the number of cycles;
+    - B_n = C_n: sum (lambda_i - 1) + sum over j of (b_j + 2 (b_1 + ... +
+      b_(j-1)));
+    - D_n: the B_n value minus k;
+    - 2D_n: the D_n value on the cycles of w t_n;
+    - 2A_(n-1), on the cycles of w w0: (c - 1) // 2 for each cycle c, plus
+      the smaller of the two for each pair of odd cycles.
+
+    These are the lengths of the minimal elements that Geck-Pfeiffer 2000,
+    ch. 3, build from the signed cycle type, and Geck-Kim-Pfeiffer, J.
+    Algebra 229 (2000), for the twisted classes: ``_negative_blocks`` on
+    the negative cycles, and ``_zigzag`` when every cycle of w w0 is odd.
+
+    ``closure_min_check`` decides minimality by it.  The tests check it
+    against the shift walk on every product v w1 of the classical catalog
+    rows, against enumeration on every element of every classical twisted
+    group through rank 5, and (slow) against every minimal element of every
+    class that ``class_list`` gives, for every classical twisted group
+    through ``MAX_RANK`` = 8.
+    """
+    img = list(range(1, n + 1))
+    for i in word:
+        if i < n:
+            img[i - 1], img[i] = img[i], img[i - 1]
+        elif family == "D":
+            img[n - 2], img[n - 1] = -img[n - 1], -img[n - 2]
+        else:
+            img[n - 1] = -img[n - 1]
+    if twist == "w0":
+        img.reverse()  # (w w0)(e_j) = w(e_(n+1-j))
+    elif twist == "t_n":
+        img[-1] = -img[-1]  # (w t_n)(e_n) = -w(e_n)
+    positive, negative = [], []
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        j, size, sign = start, 0, False
+        while not seen[j]:
+            seen[j] = True
+            j = img[j - 1]
+            if j < 0:
+                sign, j = not sign, -j
+            size += 1
+        (negative if sign else positive).append(size)
+    if family == "A":
+        if twist is None:
+            return n - len(positive)
+        # With the cycles in decreasing order, the r-th odd one (from 0) is
+        # the smaller of r pairs.
+        least, r = 0, 0
+        for c in sorted(positive, reverse=True):
+            least += (c - 1) // 2
+            if c % 2:
+                least, r = least + r * c, r + 1
+        return least
+    # The B_n value, summed over the negative cycles in decreasing order.
+    least = n - len(positive)
+    for r, b in enumerate(sorted(negative, reverse=True)):
+        least += 2 * r * b
+    return least - len(negative) if family == "D" else least
 
 
 def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
-import pytest
-
+import inspect
 import random
+
+import pytest
 
 import multiply_oracles
 from weyldl import conjugacy
@@ -496,8 +497,11 @@ class TestClosureMinCheck:
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
     def test_decides_minimality_rank_le_4(self, family, rank, order, monkeypatch):
-        """Closure says "minimal" exactly on the minimal level of each enumerated class,
-        from an empty memo (every answer walked) and from one warmed by ``class_list``."""
+        """Closure says "minimal" exactly on the minimal level of each enumerated
+        class, from an empty memo and from one warmed by ``class_list``.  From the
+        empty memo a classical type is answered by its signed cycle type and the
+        memo stays empty; any other type is answered by walks, and the memo keeps
+        a verdict for every element asked about."""
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
@@ -508,6 +512,10 @@ class TestClosureMinCheck:
             }
             monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
+            if (family, rank, order) in CLASSICAL_RANK_LE_4:
+                assert conjugacy._MINIMALITY_MEMO == {}
+            else:
+                assert set(conjugacy._verdicts(W, pi)) >= {w.key for w in expected}
             for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
                 monkeypatch.setattr(conjugacy, memo, {})
             warmed = conjugacy._verdicts(W, pi)
@@ -551,10 +559,13 @@ class TestClosureMinCheck:
         assert walks == []
 
     def test_minimal_verdict_keeps_its_level(self, monkeypatch):
-        """Once ``closure_min_check`` has said "minimal" from an empty memo, in one
-        walk, ``minimal_level`` from any member of that element's level starts
-        no walk and gives the level a walk gives: every class of the twisted
-        groups of rank <= 4, from its last minimal element."""
+        """From an empty memo, ``closure_min_check`` says "minimal" and one walk
+        in all keeps the element's level: ``minimal_level`` from any member of
+        it gives the level a walk gives, and starts no second walk.  Every
+        class of the twisted groups of rank <= 4, from its last minimal
+        element.  On an exceptional type the one walk is the check's; on a
+        classical type the check walks nothing and the one walk is the first
+        ``minimal_level``'s."""
         real_walk = conjugacy._shift_walk
         walks, checked = [], 0
         for family, rank, order in RANK_LE_4:
@@ -575,6 +586,121 @@ class TestClosureMinCheck:
                 monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
                 checked += 1
         assert checked == 180
+
+
+def classical_groups(ranks):
+    """The classical twisted groups of the given ranks: (family, rank, order)."""
+    out = []
+    for rank in ranks:
+        out += [("A", rank, 1)] + [("A", rank, 2), ("B", rank, 1), ("C", rank, 1)] * (rank > 1)
+        out += [("D", rank, 1), ("D", rank, 2)] * (rank > 3)
+    return out
+
+
+CLASSICAL_RANK_LE_4 = classical_groups(range(1, 5))
+
+
+def least_length(W, pi, word, oracle=conjugacy._least_length):
+    """The least length in the pi-class of the product of ``word``, as
+    ``closure_min_check`` reads it off the signed cycle type."""
+    labels, letters, n, twist = conjugacy._classical_reading(W, pi)
+    return oracle(letters, n, twist, word if labels is None else [labels[i] for i in word])
+
+
+def cycle_type_mismatches(groups, oracle=conjugacy._least_length):
+    """(group, direction, word) of each element whose class's least length, by
+    enumeration, is not the oracle's value on a reduced word of it, or on that
+    word with one letter doubled on each side (a word of the same element)."""
+    for family, rank, order in groups:
+        W = group(family, rank)
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(build_twist(family, rank, order), direction)
+            for w in elements_of(W):
+                least = oracle_class_of(W, pi, w).min_length
+                padded = (rank, rank) + w.word + (1, 1)
+                if least_length(W, pi, w.word, oracle) != least or least_length(
+                        W, pi, padded, oracle) != least:
+                    yield family, rank, order, direction, w.word
+
+
+def mutant(old, new):
+    """A copy of ``conjugacy._least_length`` with one term of its source replaced."""
+    source = inspect.getsource(conjugacy._least_length)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(conjugacy))
+    exec(source.replace(old, new), namespace)
+    return namespace["_least_length"]
+
+
+class TestLeastLength:
+    """The least length of a classical twisted class, read off its signed cycle type."""
+
+    def test_groups(self):
+        """Through rank 6 the helper lists the classical groups that conftest lists."""
+        listed = [(f, r, o) for f, r, o in RANK_LE_4 + RANK_5_6
+                  if f in "ABCD" and (f, o) not in {("B", 2), ("D", 3)}]
+        assert sorted(classical_groups(range(1, 7))) == sorted(listed)
+        assert len(classical_groups(range(1, 6))) == 21
+
+    @pytest.mark.parametrize("family,rank,order", classical_groups(range(1, 6)))
+    def test_agrees_with_enumeration_through_rank_5(self, family, rank, order):
+        """Every element of every classical twisted group through rank 5, in
+        both twist directions, on a reduced word and on a longer word of it."""
+        assert list(cycle_type_mismatches([(family, rank, order)])) == []
+
+    @pytest.mark.parametrize("old,new", [
+        ("return n - len(positive)", "return n + 1 - len(positive)"),
+        ("least += (c - 1) // 2", "least += c // 2"),
+        ("least + r * c", "least + (r + 1) * c"),
+        ("least += 2 * r * b", "least += r * b"),
+        ("least = n - len(positive)", "least = n - len(negative)"),
+        ("least - len(negative) if", "least - 1 if"),
+        ("sign, j = not sign, -j", "j = -j"),
+        ('img[-1] = -img[-1]', 'img[0] = -img[0]'),
+    ])
+    def test_a_changed_term_fails(self, old, new):
+        """Negative control: a copy of the oracle with one term changed
+        disagrees with enumeration on some element through rank 5."""
+        assert next(cycle_type_mismatches(classical_groups(range(1, 6)), mutant(old, new)), None)
+
+    def test_readings(self):
+        """Only irreducible types A, B, C and D under the identity or an order-2
+        twist are read; the D4 of E6 is read in Bourbaki labels under each of
+        its twists of order 1 and 2, not under triality."""
+        assert conjugacy._classical_reading(group("B", 2), {1: 2, 2: 1}) is None
+        assert conjugacy._classical_reading(group("D", 4), pi_of(build_twist("D", 4, 3))) is None
+        assert conjugacy._classical_reading(group("G", 2), {1: 1, 2: 2}) is None
+        assert conjugacy._classical_reading(group("E", 6), {i: i for i in range(1, 7)}) is None
+        assert conjugacy._classical_reading(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
+        # A named type under its standard twist is read as it is; D4 under
+        # another twist of order 2 is relabelled.
+        D5 = group("D", 5)
+        assert conjugacy._classical_reading(D5, pi_of(build_twist("D", 5, 2))) == (
+            None, "D", 5, "t_n")
+        labels, _, _, twist = conjugacy._classical_reading(group("D", 4), {1: 3, 2: 2, 3: 1, 4: 4})
+        assert labels is not None and twist == "t_n"
+        D4 = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group  # node 3 central
+        for pi in ({1: 1, 2: 2, 3: 3, 4: 4}, {1: 2, 2: 1, 3: 3, 4: 4}):
+            labels, letters, n, twist = conjugacy._classical_reading(D4, pi)
+            assert (letters, n, twist, labels[3]) == ("D", 4, "t_n" if pi[1] == 2 else None, 2)
+            for w in elements_of(D4):
+                least = oracle_class_of(D4, pi, w).min_length
+                assert least_length(D4, pi, w.word) == least
+
+    @pytest.mark.slow
+    def test_agrees_with_class_lists_through_rank_8(self):
+        """Every minimal element of every class that ``class_list`` gives, for
+        every classical twisted group through ``MAX_RANK`` = 8: its length is
+        the oracle's value on its canonical word."""
+        checked = 0
+        for family, rank, order in classical_groups(range(1, 9)):
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            for cls in class_list(W, pi):
+                for u in cls.minimal:
+                    assert least_length(W, pi, u.word) == u.length, (family, rank, order, u.word)
+                checked += len(cls.minimal)
+        assert checked == 68623
 
 
 def supp_len(W, pi, w):
