@@ -61,8 +61,8 @@ __all__ = [
 
 _setattr = object.__setattr__
 
-# The largest rank of an inner node set, and of an exceptional group in (v),
-# that the default tier decides.
+# The largest rank of an exceptional group whose (v) the default tier decides:
+# E7's and E8's walks wait for the slow tier.
 _DEFAULT_TIER_RANK = 6
 _SLOW_TIER_SKIP = "skipped(requires slow tier)"
 
@@ -212,24 +212,21 @@ def place_row(
 
 
 def _resolve_v_options(
-    record: CaseRecord, placed: RowPlacement, slow: bool = False
+    record: CaseRecord, placed: RowPlacement
 ) -> tuple[list[tuple[int, ...]], Optional[str]]:
     """Ambient-label words for the inner-class options of a record.
 
     "lengths" and "all" rows take the cuspidal inner classes of the
-    placement; the default tier skips a K above ``_DEFAULT_TIER_RANK``,
-    which the slow tier decides: those inner classes come from walks of
-    the K's cuspidal levels, which the signed cycle type that decides (v)
-    does not spell.  Returns (words, problem) where problem is a skip/fail
-    message when resolution is impossible.
+    placement, in both tiers: a classical K, the only kind above 6 nodes
+    in the catalog, reads them off a table with no walk
+    (``cuspidal_representatives``).  Returns (words, problem) where problem
+    is a fail message when resolution is impossible.
     """
     K = placed.K
     if not K or record.v_mode == "identity":
         return [()], None
     if record.v_mode == "words":
         return [tuple(w) for w in record.v_words], None
-    if len(K) > _DEFAULT_TIER_RANK and not slow:
-        return [], _SLOW_TIER_SKIP
     words = placed.inner_cuspidal()
     if record.v_mode == "lengths":
         words = [w for w in words if len(w) in record.v_lengths]
@@ -314,7 +311,7 @@ def verify_case(
     if K != record.K_expected:
         return report
 
-    v_words, v_problem = _resolve_v_options(record, placed, slow)
+    v_words, v_problem = _resolve_v_options(record, placed)
     # (vw, v, v w1) for each inner option, read by the spade search and (iv)-(vi).
     options = [(vw, v, W._extend(v, record.w1))
                for vw, v in zip(v_words, map(W.from_word, v_words))]
@@ -379,12 +376,10 @@ def verify_case(
 
     # (iv)-(vi) inner options and the full-group class of v w1
     if v_problem is not None:
-        tag = v_problem if v_problem.startswith("skipped") else "fail"
-        report.subchecks["v_min_inner"] = tag
-        report.subchecks["vw1_min_full"] = tag
-        report.subchecks["cuspidal"] = tag
-        if tag == "fail":
-            report.details["v_problem"] = v_problem
+        report.subchecks["v_min_inner"] = "fail"
+        report.subchecks["vw1_min_full"] = "fail"
+        report.subchecks["cuspidal"] = "fail"
+        report.details["v_problem"] = v_problem
         return report
 
     def closure_verdict(

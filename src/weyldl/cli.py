@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="replay the bundled case catalog")
     p.add_argument("--filter", help="label prefix, e.g. F4 or 2B2")
     p.add_argument("--q", help="override the per-type minimal q")
-    p.add_argument("--slow", action="store_true", help="also decide minimality of v w1 on the E7 and E8 rows (criterion v), and the inner subchecks of a 7-node K")
+    p.add_argument("--slow", action="store_true", help="also decide minimality of v w1 on the E7 and E8 rows (criterion v)")
     p.add_argument("--out", help="write the aggregate JSON report here")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -33,7 +33,9 @@ the key of each member, once a walk has ended without a descent; or the
 key of the first shorter element a walk from it met.  A level is walked once per
 process and spelled only when asked for: ``cuspidal_representatives``
 reads a level's smallest canonical word off the unspelled record by a
-descent beam, and ``minimal_level`` spells the record in place.  The memo
+descent beam, and ``minimal_level`` spells the record in place.  A
+classical group through rank 7 walks no cuspidal level: its canonical
+representatives are ``_CLASSICAL_TABLE``'s words.  The memo
 holds 649 entries and 213 levels once the 180 classes of rank <= 4 are
 listed, and 673 and 222 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
@@ -347,9 +349,7 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] =
     where = (W.system.key, tuple(sorted(pi.items())))
     held = _MINIMALITY_MEMO.get(where, {}).get(w.key)
     if held is None:
-        reading = _READINGS.get(where, False)
-        if reading is False:
-            reading = _READINGS[where] = _classical_reading(W, pi)
+        reading = _reading(W, pi, where)
         if reading is not None:
             labels, letters, n, twist = reading
             word = word or W.reduced_word(w)
@@ -360,10 +360,12 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] =
     return "minimal" if type(held) is _Level else "not_minimal"
 
 
+_Reading = tuple[Optional[tuple[int, ...]], str, int, Optional[str]]
+
 # (letter map to Bourbaki labels or None, letters, n, twist) for
 # ``_least_length``, or None, keyed like ``_MINIMALITY_MEMO`` on the system key
 # and pi.
-_READINGS: dict[tuple, Optional[tuple[Optional[tuple[int, ...]], str, int, Optional[str]]]] = {}
+_READINGS: dict[tuple, Optional[_Reading]] = {}
 
 # (family, twist order) -> how ``_least_length`` reads that type: its letters,
 # the coordinates beyond the rank, and the twist.  C_n's letters act as B_n's.
@@ -371,10 +373,19 @@ _READ_AS = {("A", 1): ("A", 1, None), ("A", 2): ("A", 1, "w0"),
             ("B", 1): ("B", 0, None), ("C", 1): ("B", 0, None),
             ("D", 1): ("D", 0, None), ("D", 2): ("D", 0, "t_n")}
 
+# The least rank at which A and D have a standard twist of order 2 (``build_twist``).
+_TWISTED_FROM = {"A": 2, "D": 4}
 
-def _classical_reading(
-    W: WeylGroup, pi: PiMap
-) -> Optional[tuple[Optional[tuple[int, ...]], str, int, Optional[str]]]:
+
+def _reading(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[_Reading]:
+    """``_classical_reading`` of W under pi, kept in ``_READINGS`` under ``where``."""
+    reading = _READINGS.get(where, False)
+    if reading is False:
+        reading = _READINGS[where] = _classical_reading(W, pi)
+    return reading
+
+
+def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[_Reading]:
     """How ``_least_length`` reads the words of W under pi, or None.
 
     W must be one irreducible type A, B, C or D, with pi the identity or a
@@ -383,15 +394,18 @@ def _classical_reading(
     its words are read as they are (letter map None); a named E, F or G is
     None.  Any other W goes to ``identify_standard``, which names it and
     maps its labels to Bourbaki labels that carry pi to the standard
-    twist.  Both shortcuts spare a search for a labelling, which costs
-    more than the whole verdict on a small group.
+    twist: so does a named D3 under a twist of order 2, which has no
+    standard twist as D3 and is named 2A3.  Both shortcuts spare a search
+    for a labelling, which costs more than the whole verdict on a small
+    group.
     """
     family, rank, nodes = W.system.family, W.rank, W.system.nodes
     if family in ("E", "F", "G"):
         return None
     perm = tuple(pi[i] for i in nodes)
-    if family in ("A", "B", "C", "D") and (
-            perm == nodes or (family, 2) in _READ_AS and perm == build_twist(family, rank, 2).perm):
+    if family in ("A", "B", "C", "D") and (perm == nodes or (
+            rank >= _TWISTED_FROM.get(family, rank + 1)
+            and perm == build_twist(family, rank, 2).perm)):
         order, labels = (1 if perm == nodes else 2), None
     else:
         ident = identify_standard(W.system.cartan, pi)
@@ -472,7 +486,10 @@ def _level_minimum(W: WeylGroup, level: _Level) -> WeylElt:
 
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
 # in Bourbaki labels under the standard twist (delta direction): the canonical
-# representatives, generated once by enumeration.
+# representatives, generated once by enumeration.  They seed the walks of
+# ``_cuspidal_levels``; the classical types' seeds are built from the signed
+# cycle type (``_standard_seeds``), and their canonical representatives through
+# rank 7 are ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
     ("G", 2, 1): ("12", "1212", "121212"),
     ("G", 2, 2): ("1", "121", "12121"),
@@ -494,6 +511,73 @@ _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
         "1234", "123143", "12343543", "123142315431", "12314231435431",
         "1231423145423143", "1231431543165431", "123142315423165431",
         "123142314354231435426542314354265431",
+    ),
+}
+
+
+# The canonical representative of each cuspidal class of A_n, 2A_n, B_n, C_n,
+# D_n and 2D_n through rank 7, the rank of the catalog's largest inner node
+# set, in Bourbaki labels under the identity or the standard twist (order 1 or
+# 2), in (length, word) order.  Keyed on the letters that ``_READ_AS`` reads,
+# so C_n reads B_n's row: the two have the same words.  Generated once by the
+# walks of ``_cuspidal_levels`` and the descent beam of ``_level_minimum``;
+# ``cuspidal_representatives`` reads them with no walk.  The tests compare them
+# with enumeration through rank 6, and (slow) with the walks and the beam.
+_CLASSICAL_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
+    ("A", 1, 1): ("1",),
+    ("A", 2, 1): ("12",),
+    ("A", 3, 1): ("123",),
+    ("A", 4, 1): ("1234",),
+    ("A", 5, 1): ("12345",),
+    ("A", 6, 1): ("123456",),
+    ("A", 7, 1): ("1234567",),
+    ("A", 2, 2): ("1", "121"),
+    ("A", 3, 2): ("12", "121321"),
+    ("A", 4, 2): ("12", "1232", "1213214321"),
+    ("A", 5, 2): ("123", "12132", "1232432", "121321432154321"),
+    ("A", 6, 2): ("123", "12343", "1213243", "12324325432", "121321432154321654321"),
+    ("A", 7, 2): (
+        "1234", "123243", "12343543", "1213243543", "1232432543265432",
+        "1213214321543216543217654321",
+    ),
+    ("B", 2, 1): ("12", "1212"),
+    ("B", 3, 1): ("123", "12323", "121321323"),
+    ("B", 4, 1): ("1234", "123434", "12132434", "1232432434", "1213214321432434"),
+    ("B", 5, 1): (
+        "12345", "1234545", "123243545", "12343543545", "1213243543545",
+        "12324325432543545", "1213214321543215432543545",
+    ),
+    ("B", 6, 1): (
+        "123456", "12345656", "1234354656", "121324354656", "123454654656",
+        "12324354654656", "121321432543654656", "123435436543654656",
+        "12132435436543654656", "12324325432654326543654656",
+        "121321432154321654321654326543654656",
+    ),
+    ("B", 7, 1): (
+        "1234567", "123456767", "12345465767", "1232435465767", "1234565765767",
+        "123435465765767", "12132435465765767", "1232432543654765767",
+        "1234546547654765767", "123243546547654765767", "1213214325436547654765767",
+        "123435436543765437654765767", "12132435436543765437654765767",
+        "1232432543265432765432765437654765767",
+        "1213214321543216543217654321765432765437654765767",
+    ),
+    ("D", 4, 1): ("1234", "121324", "121321421324"),
+    ("D", 5, 1): ("12345", "1232435", "1232432532435"),
+    ("D", 6, 1): (
+        "123456", "12343546", "1213243546", "12343543643546", "1213243543643546",
+        "121321432154321643215432643546",
+    ),
+    ("D", 7, 1): (
+        "1234567", "123454657", "12324354657", "123454654754657", "12324354654754657",
+        "121321432543654754657", "1232432543265432754326543754657",
+    ),
+    ("D", 4, 2): ("123", "1232423"),
+    ("D", 5, 2): ("1234", "12343534", "1213243534", "12132143215321432534"),
+    ("D", 6, 2): ("12345", "123454645", "12324354645", "121321432543645", "123243254326432543645"),
+    ("D", 7, 2): (
+        "123456", "1234565756", "123435465756", "12132435465756", "1232432543654756",
+        "1234354365437543654756", "121324354365437543654756",
+        "121321432154321654321754321654327543654756",
     ),
 }
 
@@ -738,25 +822,66 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
 _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 
 
+def _tabled_representatives(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[list[WeylElt]]:
+    """The ``_CLASSICAL_TABLE`` words of W under pi as spelled elements, or None.
+
+    None unless ``_classical_reading`` reads W's words as they are: a
+    classical type through rank 7 in Bourbaki labels, under the identity or
+    its standard twist.  A relabelled group is None, since a canonical word
+    depends on the labels.  Each word is checked reduced, by the length of
+    its product, cuspidal, by its letters, and minimal, by
+    ``closure_min_check``, which reads the signed cycle type: no walk
+    starts and no word is spelled.  Raises FalsificationError when a word
+    fails a check.
+    """
+    reading = _reading(W, pi, where)
+    if reading is None:
+        return None
+    labels, letters, _, twist = reading
+    words = _CLASSICAL_TABLE.get((letters, W.rank, 1 if twist is None else 2))
+    if labels is not None or words is None:
+        return None
+    nodes = frozenset(W.system.nodes)
+    reps = []
+    for text in words:
+        word = tuple(map(int, text))
+        x = W.from_word(word)
+        if x.length != len(word):
+            raise FalsificationError(f"tabled word {text} of {W.system.family} is not reduced")
+        if pi_closure(pi, word) != nodes:
+            raise FalsificationError(f"tabled word {text} of {W.system.family} is not cuspidal")
+        if closure_min_check(W, pi, x, word) != "minimal":
+            raise FalsificationError(f"tabled word {text} of {W.system.family} is not minimal")
+        x._word = word
+        reps.append(x)
+    return reps
+
+
 def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     """The canonical minimal representatives of the cuspidal pi-classes of W.
 
     In (length, canonical word) order, as ``class_list`` lists the
-    cuspidal classes: each seed is walked to its minimal level
+    cuspidal classes.  A classical type through rank 7, in Bourbaki labels
+    under the identity or its standard twist, reads them off
+    ``_CLASSICAL_TABLE``, each checked cuspidal and minimal with no walk
+    (``_tabled_representatives``).  Any other group, exceptional, reducible
+    or relabelled, walks each seed to its minimal level
     (``_cuspidal_levels``), and the level's smallest canonical word
     represents the class.  That word is read off the level's record by the
     descent beam of ``_level_minimum``, so no other member is spelled: the
     record stays in ``_MINIMALITY_MEMO`` unspelled, a verdict for each
     member, and is spelled only if ``minimal_level`` asks for it.  Raises
-    as ``_cuspidal_levels`` does.  Memoized on the group's system key (its
-    Cartan matrix, so every group of that matrix shares the entry) and pi.
+    FalsificationError when a tabled word or a seed fails its checks.
+    Memoized on the group's system key (its Cartan matrix, so every group
+    of that matrix shares the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        _CUSPIDAL_MEMO[key] = tuple(sorted(
-            (_level_minimum(W, level) for _, level in _cuspidal_levels(W, pi)),
-            key=WeylElt.sort_key))
+        reps = _tabled_representatives(W, pi, key)
+        if reps is None:
+            reps = [_level_minimum(W, level) for _, level in _cuspidal_levels(W, pi)]
+        _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
 
 

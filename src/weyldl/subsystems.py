@@ -154,6 +154,28 @@ def cartan_isos(
     yield from backtrack(0, set())
 
 
+def _arm_lengths(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The sorted lengths of the arms of the diagram's first branch node, () without one.
+
+    D_n and E_n share their sorted Cartan rows, and differ here: (1, 1, n - 3)
+    against (1, 2, n - 4).  Equal for isomorphic Dynkin diagrams, which have at
+    most one branch node.
+    """
+    n = len(cartan)
+    links = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    branch = next((i for i in range(n) if len(links[i]) > 2), None)
+    if branch is None:
+        return ()
+    arms = []
+    for start in links[branch]:
+        prev, node, length = branch, start, 1
+        while len(links[node]) == 2:
+            prev, node = node, next(j for j in links[node] if j != prev)
+            length += 1
+        arms.append(length)
+    return tuple(sorted(arms))
+
+
 def identify_standard(
     cartan: Sequence[Sequence[int]],
     sigma: dict[int, int],
@@ -164,7 +186,9 @@ def identify_standard(
     (1-based) to Bourbaki nodes so that phi . sigma . phi^{-1} is the
     standard twist of that order, or None when nothing matches.  B2 is
     preferred over the transposed C2 labelling so Suzuki twists land on
-    the standard ('B', 2, 2) name.
+    the standard ('B', 2, 2) name.  A type is searched for a labelling
+    (``cartan_isos``) only when its sorted Cartan rows and its arm lengths
+    (``_arm_lengths``) are those of the matrix.
     """
     n = len(cartan)
     order = 1
@@ -174,9 +198,14 @@ def identify_standard(
         cur = {i: sigma[cur[i]] for i in cur}
         order += 1
     rows = sorted(map(sorted, cartan))  # equal for isomorphic matrices
+    arms = None
     for family, rank in candidate_types(n):
         target = cartan_matrix(family, rank)
         if sorted(map(sorted, target)) != rows:
+            continue
+        if arms is None:
+            arms = _arm_lengths(cartan)
+        if _arm_lengths(target) != arms:
             continue
         try:
             std = build_twist(family, rank, order)

@@ -407,12 +407,11 @@ def test_inner_cuspidal_matches_enumeration(records):
 def test_verify_all_partitions_nothing():
     """verify_all() and verify_all(slow=True) pass without listing the classes
     of any group: the class-list memo stays empty.  The default tier decides
-    (v) on every classical row, so its 45 skips are the 15 subchecks of the 5
-    rows with a 7-node inner node set, (v) on the 26 E7 and E8 rows, and the
-    4 rows that pair with no inner class at their rank.  The slow tier decides
-    the first two groups too, so only the 5 rows that pair with no inner
-    class at their rank stay skipped.  Run in a fresh interpreter: the memo
-    is process-global."""
+    (v) on every classical row, and (iv)-(vi) on every row, the 5 with a
+    7-node inner node set included, so its 31 skips are (v) on the 26 E7 and
+    E8 rows and the 5 rows that pair with no inner class at their rank.  The
+    slow tier decides the first group too, so only those 5 rows stay
+    skipped.  Run in a fresh interpreter: the memo is process-global."""
     program = (
         "from weyldl import conjugacy\n"
         "from weyldl.casetables import verify_all\n"
@@ -429,7 +428,7 @@ def test_verify_all_partitions_nothing():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "0", "total: 213/213 cases pass; subchecks: 1233 pass, 45 skipped, 0 fail",
+        "0", "total: 213/213 cases pass; subchecks: 1247 pass, 31 skipped, 0 fail",
         "0", "total: 213/213 cases pass; subchecks: 1273 pass, 5 skipped, 0 fail",
     ]
 
@@ -468,7 +467,8 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     (``WeylGroup.invert``, a full peel): subcheck (v) hands the walk its word
     v w1, subcheck (iv) the word of v in the standalone W_K that
     ``RowPlacement.inner`` builds v from, and the class machinery the words
-    of its seeds and of the members it conjugates."""
+    of its seeds and of the members it conjugates.  The classical inner
+    classes come from a table with no walk, so 57 walks start in all."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_walk, real_invert = conjugacy._shift_walk, WeylGroup.invert
@@ -486,7 +486,7 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     monkeypatch.setattr(WeylGroup, "invert", invert)
     assert verify_all().all_passed
-    assert len(starts) > 100 and inverted == []
+    assert len(starts) == 57 and inverted == []
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
@@ -702,7 +702,7 @@ def test_cycle_type_agrees_with_the_walk_on_classical_products(monkeypatch):
             continue  # not classical: exceptional, 2B2 or 3D4
         W, pi = type_group(rec.family, rec.rank, rec.twist)
         placed = place_row(W, pi, rec.J, rec.w1)
-        v_words, problem = _resolve_v_options(rec, placed, slow=True)
+        v_words, problem = _resolve_v_options(rec, placed)
         assert problem is None, rec.label
         products += [(W, pi, W._extend(W.from_word(vw), rec.w1), vw + rec.w1) for vw in v_words]
     monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})

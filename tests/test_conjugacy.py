@@ -21,7 +21,7 @@ from weyldl.conjugacy import (
     shift_closure,
     supp_delta,
 )
-from weyldl.rootdata import build_twist, positive_root_count
+from weyldl.rootdata import build_twist, cartan_matrix, positive_root_count
 from weyldl.subsystems import sub_context
 from weyldl.weyl import WeylGroup, group_of
 
@@ -687,6 +687,25 @@ class TestLeastLength:
                 least = oracle_class_of(D4, pi, w).min_length
                 assert least_length(D4, pi, w.word) == least
 
+    def test_d3_under_a_twist_of_order_2(self, monkeypatch):
+        """The named D3 has no standard twist of order 2, so under the swap of
+        its nodes 2 and 3 it is relabelled as 2A3, and under the identity read
+        as D3: in both, every one of its 24 elements gets the walk's verdict."""
+        D3 = group_of(cartan_matrix("D", 3))
+        assert (D3.system.family, D3.rank) == ("D", 3)
+        for pi in ({1: 1, 2: 2, 3: 3}, {1: 1, 2: 3, 3: 2}):
+            labels, letters, n, twist = conjugacy._classical_reading(D3, pi)
+            assert (labels is None, letters, twist) == (
+                (True, "D", None) if pi[2] == 2 else (False, "A", "w0"))
+            elements = elements_of(D3)
+            assert len(elements) == 24
+            monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+            verdicts = [closure_min_check(D3, pi, w) for w in elements]
+            assert conjugacy._MINIMALITY_MEMO == {}
+            walked = ["minimal" if type(conjugacy._verdict(D3, pi, w)) is conjugacy._Level
+                      else "not_minimal" for w in elements]
+            assert verdicts == walked and "not_minimal" in verdicts
+
     @pytest.mark.slow
     def test_agrees_with_class_lists_through_rank_8(self):
         """Every minimal element of every class that ``class_list`` gives, for
@@ -776,8 +795,74 @@ SWAPPED = {
 }
 
 
+def tabled_groups():
+    """(family, rank, order) of each group that ``conjugacy._CLASSICAL_TABLE``
+    covers, C_n beside B_n, whose words it shares."""
+    return [(family, rank, order) for letters, rank, order in conjugacy._CLASSICAL_TABLE
+            for family in ("BC" if letters == "B" else letters)]
+
+
+def table_row(family, rank, order):
+    return conjugacy._CLASSICAL_TABLE["B" if family == "C" else family, rank, order]
+
+
+def walked_representatives(W, pi):
+    """The smallest canonical word of each cuspidal level, read by the descent
+    beam off the walked levels of the cuspidal seeds, in (length, word) order."""
+    levels = conjugacy._cuspidal_levels(W, pi)
+    return sorted((conjugacy._level_minimum(W, level) for _, level in levels),
+                  key=lambda u: u.sort_key())
+
+
 class TestCuspidalRepresentatives:
     """``cuspidal_representatives`` against the enumerated partition, word for word."""
+
+    def test_tabled_groups_walk_nothing(self, monkeypatch):
+        """From cold memos, every group that the classical table covers, through
+        rank 7, reads its representatives off the table: no shift walk starts,
+        no level is kept, and each representative is spelled as its row's
+        word.  The table covers the classical twisted groups through rank 7."""
+        assert sorted(tabled_groups()) == sorted(classical_groups(range(1, 8)))
+        for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        walks = []
+        monkeypatch.setattr(conjugacy, "_shift_walk", lambda *args: walks.append(args))
+        words = 0
+        for family, rank, order in tabled_groups():
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            reps = cuspidal_representatives(W, pi)
+            row = table_row(family, rank, order)
+            assert [u._word for u in reps] == [tuple(map(int, word)) for word in row]
+            words += len(reps)
+        assert walks == [] and conjugacy._MINIMALITY_MEMO == {}
+        assert words == 153
+
+    @pytest.mark.parametrize("words,message", [
+        (("12", "1"), "not cuspidal"),
+        (("12", "1211"), "not reduced"),
+        (("12", "123"), "not minimal"),
+    ])
+    def test_bad_tabled_word_raises(self, words, message, monkeypatch):
+        """In 2A3, a tabled word that is not cuspidal, not reduced or not
+        minimal raises; it never becomes a representative."""
+        table = dict(conjugacy._CLASSICAL_TABLE)
+        table["A", 3, 2] = words
+        monkeypatch.setattr(conjugacy, "_CLASSICAL_TABLE", table)
+        monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+        with pytest.raises(FalsificationError, match=message):
+            cuspidal_representatives(group("A", 3), pi_of(build_twist("A", 3, 2)))
+
+    @pytest.mark.slow
+    def test_table_regenerates_from_walks(self):
+        """Each row of the classical table, rank 7 included, is what the walks
+        of the cuspidal seeds (``_cuspidal_levels``) and the descent beam
+        (``_level_minimum``) give, in (length, word) order."""
+        for family, rank, order in tabled_groups():
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            reps = walked_representatives(W, pi)
+            assert ["".join(map(str, u.word)) for u in reps] == list(table_row(family, rank, order))
 
     @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
@@ -791,16 +876,20 @@ class TestCuspidalRepresentatives:
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
     def test_beam_reads_walked_levels(self, family, rank, order, monkeypatch):
         """From cold memos, in both directions, the descent beam reads each
-        representative off its walked level, the word enumeration gives, and
-        leaves the level's record unspelled.  ``minimal_level`` then spells
-        it on the record with no second walk, with the representative first."""
+        representative off its walked level (``_level_minimum`` over
+        ``_cuspidal_levels``), the word enumeration gives, and leaves the
+        level's record unspelled.  ``cuspidal_representatives`` then gives the
+        same words with no walk: from the held levels on the groups that still
+        walk (exceptional, 2B2 and 3D4), off the table on the classical ones.
+        ``minimal_level`` spells each level on its record with no second walk,
+        with the representative first."""
         W = group(family, rank)
         real_walk = conjugacy._shift_walk
         for direction in ("delta", "delta_inv"):
             for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
                 monkeypatch.setattr(conjugacy, memo, {})
             pi = pi_of(build_twist(family, rank, order), direction)
-            reps = cuspidal_representatives(W, pi)
+            reps = walked_representatives(W, pi)
             assert [w.word for w in reps] == cuspidal_words_by_enumeration(W, pi)
             held = conjugacy._verdicts(W, pi)
             assert all(type(held[w.key]) is conjugacy._Level for w in reps)
@@ -808,6 +897,7 @@ class TestCuspidalRepresentatives:
             walks = []
             monkeypatch.setattr(conjugacy, "_shift_walk",
                                 lambda *args: walks.append(args) or real_walk(*args))
+            assert [w.word for w in cuspidal_representatives(W, pi)] == [w.word for w in reps]
             for w in reps:
                 level = minimal_level(W, pi, w)
                 assert (level[0].key, level[0].word) == (w.key, w.word)

@@ -22,7 +22,8 @@ from weyldl.rootdata import (
     identity_twist,
     positive_root_count,
 )
-from weyldl.subsystems import sub_context
+from weyldl import subsystems
+from weyldl.subsystems import identify_standard, sub_context
 from weyldl.weyl import WeylGroup, weyl_group
 
 ALL_TYPES = (
@@ -324,3 +325,18 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.extra = 1
         assert getattr(record, field) == before
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_identify_e_searches_no_d_labelling(rank, monkeypatch):
+    """E_n and D_n share their sorted Cartan rows, but not the arm lengths of
+    their branch node, so naming E_n searches no labelling of D_n
+    (``cartan_isos``); D_n is still named D_n."""
+    targets = []
+    real_isos = subsystems.cartan_isos
+    monkeypatch.setattr(subsystems, "cartan_isos",
+                        lambda source, target: targets.append(target) or real_isos(source, target))
+    identity = {i: i for i in range(1, rank + 1)}
+    assert identify_standard(cartan_matrix("E", rank), identity)[:3] == ("E", rank, 1)
+    assert targets == [cartan_matrix("E", rank)]
+    assert identify_standard(cartan_matrix("D", rank), identity)[:3] == ("D", rank, 1)
