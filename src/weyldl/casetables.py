@@ -157,23 +157,15 @@ class RowPlacement(Frozen):
 
     __hash__ = None  # ``sigma`` is a dict
 
-    def inner(
-        self, v: WeylElt, word: Sequence[int] = ()
-    ) -> tuple[WeylGroup, PiMap, WeylElt, tuple[int, ...]]:
-        """v (an element of W_K) in the standalone W_K, with sigma and a word of it
-        there: the arguments of a shift walk (``closure_min_check``).
+    def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
+        """v (an element of W_K) in the standalone W_K, with sigma: the
+        arguments of a shift walk (``closure_min_check``).
 
-        Built from ``word``, a word of v that the caller holds, when it is
-        reduced: its length is l(v), and then its letters are v's support,
-        in K (``WeylGroup.support``), and their labels in W_K are the word
-        returned.  Otherwise built from a reduced word of v peeled off its
-        key, and the word returned is empty.
+        Built from the labels in W_K of a reduced word of v
+        (``SubContext.element_to_sub``), so the element keeps that word.
         """
         sub = sub_context(self.W, self.K)
-        if len(word) != v.length:
-            return sub.group, self.sigma, sub.element_to_sub(v), ()
-        word = sub.word_to_sub(word)
-        return sub.group, self.sigma, sub.group.from_word(word), word
+        return sub.group, self.sigma, sub.element_to_sub(v)
 
     def inner_cuspidal(self) -> list[tuple[int, ...]]:
         """Ambient words of the minimal representatives of the cuspidal sigma-classes of W_K.
@@ -313,8 +305,7 @@ def verify_case(
 
     v_words, v_problem = _resolve_v_options(record, placed)
     # (vw, v, v w1) for each inner option, read by the spade search and (iv)-(vi).
-    options = [(vw, v, W._extend(v, record.w1))
-               for vw, v in zip(v_words, map(W.from_word, v_words))]
+    options = [(vw, W.from_word(vw), W.from_word(vw + record.w1)) for vw in v_words]
 
     # (iii) the reduction system
     star = build_star_system(W, K, w1, pi, q)
@@ -349,7 +340,7 @@ def verify_case(
             report.details["infeasibility_witness"] = [str(y) for y in witness]
             try:
                 candidates = ([w for _, _, w in options] if K
-                              else minimal_level(W, pi, w1, record.w1))
+                              else minimal_level(W, pi, w1))
             except FalsificationError as exc:
                 cert, msg = None, str(exc)
             else:
@@ -382,31 +373,28 @@ def verify_case(
         report.details["v_problem"] = v_problem
         return report
 
-    def closure_verdict(
-        group: WeylGroup, pi_map: PiMap, x: WeylElt, word: Sequence[int] = ()
-    ) -> str:
-        return "pass" if closure_min_check(group, pi_map, x, word) == "minimal" else "fail"
+    def closure_verdict(group: WeylGroup, pi_map: PiMap, x: WeylElt) -> str:
+        return "pass" if closure_min_check(group, pi_map, x) == "minimal" else "fail"
 
     iv_results, v_results, vi_results = [], [], []
     for vw, v, w in options:
-        word = vw + record.w1  # a word of v w1
         # (iv): v minimal in its inner twisted class
         if not K:
             iv_results.append("pass")
-        elif not W.support(v, vw) <= K:
+        elif not W.support(v) <= K:
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
         else:
-            iv_results.append(closure_verdict(*placed.inner(v, vw)))
+            iv_results.append(closure_verdict(*placed.inner(v)))
         # (v): v w1 minimal in its full twisted class.  Classical types are
         # decided by their signed cycle type with no walk, so only the E7 and
         # E8 walks wait for the slow tier.
         if record.rank <= _DEFAULT_TIER_RANK or slow or record.family in "ABCD":
-            v_results.append(closure_verdict(W, pi, w, word))
+            v_results.append(closure_verdict(W, pi, w))
         else:
             v_results.append(_SLOW_TIER_SKIP)
         # (vi): cuspidal, read off the full pi-support of v w1
-        supp = W.support(w, word)
+        supp = W.support(w)
         vi_results.append("pass" if len(pi_closure(pi, supp)) == W.rank else "fail")
 
     def fold(results: list[str]) -> str:

@@ -146,7 +146,7 @@ def _shift_moves(W: WeylGroup, pi: PiMap) -> list[tuple[int, int, int, bytes, by
 
 
 def _shift_walk(
-    W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()
+    W: WeylGroup, pi: PiMap, w: WeylElt
 ) -> Iterator[tuple[bytes, bytes, int, bytes, int]]:
     """Breadth-first walk of the non-length-increasing shifts from w.
 
@@ -155,17 +155,13 @@ def _shift_walk(
     l(v) = l(u) + change (0 or -2).  Walks the keys of w and of w^-1
     together (see ``_shift_moves``).  Raises ClosureBudgetError when the
     walk reaches more than ``WALK_BUDGET`` elements, read once per walk.
-
-    ``word`` is a word of w that the caller holds.  When its length is
-    l(w) it is reduced (the rule of ``WeylGroup.support``), and reversed it
-    spells w^-1 in one ``_extend``; any other word leaves w^-1 to
-    ``WeylGroup.invert``, which peels a reduced word off w's key first.
+    w^-1 is ``WeylGroup.invert``'s, which reads the reduced word that w
+    keeps and peels its key only when it keeps none.
     """
     tables, n, budget = W.reflection_table(), W.nroots, WALK_BUDGET
     moves = _shift_moves(W, pi)
     seen = {w.key}
-    w_inv = W._extend(W.identity, reversed(word)) if len(word) == w.length else W.invert(w)
-    frontier = [(w.key, w_inv.key)]
+    frontier = [(w.key, W.invert(w).key)]
     while frontier:
         nxt = []
         for img, inv in frontier:
@@ -293,7 +289,7 @@ def _verdicts(W: WeylGroup, pi: PiMap) -> dict[bytes, _Level | bytes]:
     return _MINIMALITY_MEMO.setdefault((W.system.key, tuple(sorted(pi.items()))), {})
 
 
-def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _Level | WeylElt:
+def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
     """The minimal level of w, or the first element shorter than w on the walk from w.
 
     One walk of ``shift_closure`` from w, stopped at its first strict
@@ -303,8 +299,7 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _
     level goes in under the key of each member; a descent goes in under the
     key of w alone.  A later call answers from the memo, with no walk.
     Raises ClosureBudgetError beyond ``WALK_BUDGET`` elements, and keeps
-    nothing then.  ``word``, a word of w that the caller holds, goes to
-    the walk (``_shift_walk``).
+    nothing then.
     """
     verdicts = _verdicts(W, pi)
     held = verdicts.get(w.key)
@@ -313,7 +308,7 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _
         # does not lengthen it, so a walk without a descent yields each member
         # as u, with the key of u^-1.
         inverse = {}
-        for u, u_inv, _, v, change in _shift_walk(W, pi, w, word):
+        for u, u_inv, _, v, change in _shift_walk(W, pi, w):
             if change:
                 held = verdicts[w.key] = v
                 break
@@ -325,26 +320,25 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> _
     return held if type(held) is _Level else WeylElt(W, held, w.length - 2)
 
 
-def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()) -> str:
+def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
     A verdict that ``_MINIMALITY_MEMO`` holds for w is read back, which
     costs less than the signed cycle type.  Otherwise, when W is one
     irreducible type A, B, C or D under the identity or its order-2 twist
     (``_classical_reading``), w is minimal exactly when l(w) is the least
-    length that ``_least_length`` reads off ``word``, or off a reduced word
-    of w when the caller holds none; no walk starts and nothing is kept.  Any other W, exceptional, 3D4,
-    reducible or with a twist that permutes components, is answered by
-    ``_verdict``'s walk: "minimal" if the non-increasing closure holds no
-    shorter element, "not_minimal" on the first strict descent.  Complete
-    by the descent theorem for twisted classes: non-increasing cyclic
-    shifts from any element reach a minimal one.  Raises
-    ClosureBudgetError when the walk reaches more than ``WALK_BUDGET``
-    elements, and keeps no verdict then.
+    length that ``_least_length`` reads off a reduced word of w
+    (``WeylGroup.reduced_word``); no walk starts and nothing is kept.  Any
+    other W, exceptional, 3D4, reducible or with a twist that permutes
+    components, is answered by ``_verdict``'s walk: "minimal" if the
+    non-increasing closure holds no shorter element, "not_minimal" on the
+    first strict descent.  Complete by the descent theorem for twisted
+    classes: non-increasing cyclic shifts from any element reach a minimal
+    one.  Raises ClosureBudgetError when the walk reaches more than
+    ``WALK_BUDGET`` elements, and keeps no verdict then.
 
     A walk that finds w minimal keeps w's whole level, so a later question
-    about any member, ``minimal_level``'s too, starts no walk.  ``word`` is
-    a word of w that the caller holds, if any (``_shift_walk``).
+    about any member, ``minimal_level``'s too, starts no walk.
     """
     where = (W.system.key, tuple(sorted(pi.items())))
     held = _MINIMALITY_MEMO.get(where, {}).get(w.key)
@@ -352,11 +346,11 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] =
         reading = _reading(W, pi, where)
         if reading is not None:
             labels, letters, n, twist = reading
-            word = word or W.reduced_word(w)
+            word = W.reduced_word(w)
             least = _least_length(letters, n, twist,
                                   word if labels is None else map(labels.__getitem__, word))
             return "minimal" if w.length == least else "not_minimal"
-        held = _verdict(W, pi, w, word)
+        held = _verdict(W, pi, w)
     return "minimal" if type(held) is _Level else "not_minimal"
 
 
@@ -419,9 +413,7 @@ def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[_Reading]:
     return labels, letters, rank + extra, twist
 
 
-def minimal_level(
-    W: WeylGroup, pi: PiMap, w: WeylElt, word: Sequence[int] = ()
-) -> tuple[WeylElt, ...]:
+def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
     """The elements reached from w by length-preserving cyclic shifts, by canonical word.
 
     For a minimal w of a cuspidal class this is the whole minimal level of
@@ -437,10 +429,9 @@ def minimal_level(
     first call that asks for it spells each member's canonical word once,
     off the key of its inverse, and keeps the spelled tuple on the record:
     a later call from any member, from any group of the same Cartan
-    matrix, returns the same tuple without a walk.  ``word`` is a word of w
-    that the caller holds, if any (``_shift_walk``).
+    matrix, returns the same tuple without a walk.
     """
-    level = _verdict(W, pi, w, word)
+    level = _verdict(W, pi, w)
     if type(level) is not _Level:
         raise FalsificationError(
             f"{w.word} is not minimal in its twisted class: a cyclic shift shortens it"
@@ -806,9 +797,9 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
     levels = []
     for word in _cuspidal_seeds(W, pi):
         seed = W.from_word(word)
-        if pi_closure(pi, W.support(seed, word)) != nodes:
+        if pi_closure(pi, W.support(seed)) != nodes:
             raise FalsificationError(f"seed {word} of {W.system.family} is not cuspidal")
-        level = _verdict(W, pi, seed, word)
+        level = _verdict(W, pi, seed)
         if type(level) is not _Level:
             raise FalsificationError(
                 f"{seed.word} is not minimal in its twisted class: a cyclic shift shortens it"
@@ -850,7 +841,7 @@ def _tabled_representatives(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[l
             raise FalsificationError(f"tabled word {text} of {W.system.family} is not reduced")
         if pi_closure(pi, word) != nodes:
             raise FalsificationError(f"tabled word {text} of {W.system.family} is not cuspidal")
-        if closure_min_check(W, pi, x, word) != "minimal":
+        if closure_min_check(W, pi, x) != "minimal":
             raise FalsificationError(f"tabled word {text} of {W.system.family} is not minimal")
         x._word = word
         reps.append(x)
@@ -935,17 +926,13 @@ def minimal_set(W: WeylGroup, pi: PiMap, x: WeylElt) -> list[WeylElt]:
 
 
 def _minimal_levels(
-    W: WeylGroup, pi: PiMap, x: WeylElt, word: Sequence[int] = ()
+    W: WeylGroup, pi: PiMap, x: WeylElt
 ) -> tuple[list[WeylElt], set[frozenset[int]]]:
-    """``minimal_set`` of x, and the twisted supports of its levels.
-
-    ``word`` is a word of x that the caller holds, if any; each conjugated
-    member is walked from the word it is built from (``_shift_walk``).
-    """
+    """``minimal_set`` of x, and the twisted supports of its levels."""
     orbits = _pi_orbits(pi, W.system.nodes)
     joins: dict[frozenset[int], list[dict[int, int]]] = {}  # J -> its _join_letters
     found: dict[bytes, WeylElt] = {}
-    todo = [minimal_level(W, pi, x, word)]
+    todo = [minimal_level(W, pi, x)]
     while todo:
         level = todo.pop()
         u = level[0]
@@ -959,11 +946,10 @@ def _minimal_levels(
             joins[J] = [letters for orbit in orbits if not orbit & J
                         if (letters := _join_letters(W, J, orbit))]
         for letters in joins[J]:
-            image_word = [letters[j] for j in u.word]
-            v = W._extend(W.identity, image_word)
+            v = W.from_word([letters[j] for j in u.word])
             if v.length != u.length:
                 raise FalsificationError(f"conjugating {u.word} by w_0^K w_0^J changes its length")
-            image = minimal_level(W, pi, v, image_word)
+            image = minimal_level(W, pi, v)
             if len(image) != len(level):
                 raise FalsificationError(f"conjugating the level of {u.word} by w_0^K w_0^J changes its size")
             todo.append(image)
@@ -1033,7 +1019,7 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
                     x = W.from_word(word)
                     if x.key in found:
                         continue
-                    minimal, walked = _minimal_levels(W, pi, x, word)
+                    minimal, walked = _minimal_levels(W, pi, x)
                     found.update(u.key for u in minimal)
                     supports |= walked
                     classes.append(_delta_class(W, pi, minimal))

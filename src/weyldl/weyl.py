@@ -9,7 +9,10 @@ of a reflection s_beta: the key of s_beta w is the translated key, and
 w s_i = s_beta w for beta = w(alpha_i), with l(w s_i) = l(w) + 1 exactly
 when beta is positive.  Products, inverses, the canonical
 (lexicographically smallest) reduced words and inversion sets are all read
-off these moves; no element carries a second encoding.
+off these moves; no element carries a second encoding.  An element built
+from a reduced word (``WeylGroup.from_word``) keeps that word, which
+``reduced_word`` returns, so inverses, products, supports and the shift
+walks of ``conjugacy`` start from it without peeling the key.
 """
 
 from __future__ import annotations
@@ -22,15 +25,21 @@ __all__ = ["WeylGroup", "WeylElt", "group_of", "weyl_group"]
 
 
 class WeylElt:
-    """Immutable group element: a key plus its length; compared and hashed by key."""
+    """Immutable group element: a key plus its length; compared and hashed by key.
 
-    __slots__ = ("group", "key", "length", "_word")
+    ``_word`` is the canonical word once spelled.  ``_reduced`` is the
+    reduced word the element was built from (``WeylGroup.from_word``), or
+    None: an element built from a reduced word keeps that word.
+    """
+
+    __slots__ = ("group", "key", "length", "_word", "_reduced")
 
     def __init__(self, group: "WeylGroup", key: bytes, length: int):
         self.group = group
         self.key = key
         self.length = length
         self._word: Optional[tuple[int, ...]] = None
+        self._reduced: Optional[tuple[int, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElt):
@@ -147,20 +156,29 @@ class WeylGroup:
         return self.from_word((i,))
 
     def from_word(self, word: Sequence[int]) -> WeylElt:
+        """The product of ``word``, which it keeps when the word is reduced.
+
+        The one place a word is judged reduced: exactly when its length is
+        the product's length.
+        """
         word = tuple(word)
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"word letter {i} out of range 1..{self.rank}")
-        return self._extend(self.identity, word)
+        w = self._extend(self.identity, word)
+        if w.length == len(word):
+            w._reduced = word
+        return w
 
     # -- group operations ------------------------------------------------------
 
     def multiply(self, w: WeylElt, u: WeylElt) -> WeylElt:
-        """w u, as w times a reduced word of u."""
-        return self._extend(w, reversed(self._peel(u.key)))
+        """w u, as w times a reduced word of u (``reduced_word``)."""
+        return self._extend(w, self.reduced_word(u))
 
     def invert(self, w: WeylElt) -> WeylElt:
-        return self._extend(self.identity, self._peel(w.key))
+        """w^-1, as the reversed ``reduced_word`` of w."""
+        return self._extend(self.identity, reversed(self.reduced_word(w)))
 
     def invert_with_inversions(self, w: WeylElt) -> tuple[WeylElt, list[int]]:
         """w^{-1}, and the indices of the inversions of w in root order, from one walk.
@@ -216,11 +234,15 @@ class WeylGroup:
     def reduced_word(self, w: WeylElt) -> tuple[int, ...]:
         """Some reduced word of w: the canonical one when already spelled.
 
-        Otherwise one ``_peel`` of the key, reversed, which has the same
-        letters as every reduced word of w but needs no ``invert``.
+        Otherwise the reduced word w was built from, if it keeps one
+        (``from_word``), else one ``_peel`` of the key, reversed, which
+        has the same letters as every reduced word of w but needs no
+        ``invert``.
         """
         if w._word is not None:
             return w._word
+        if w._reduced is not None:
+            return w._reduced
         return tuple(reversed(self._peel(w.key)))
 
     # -- parabolic structure -------------------------------------------------------
@@ -242,15 +264,9 @@ class WeylGroup:
         """True iff w alpha_j > 0 for all j in J (minimal in w W_J)."""
         return all(self.act_on_simple(w, j) > 0 for j in nodes)
 
-    def support(self, w: WeylElt, word: Sequence[int] = ()) -> frozenset[int]:
-        """The letters of every reduced word of w.
-
-        ``word`` is a word of w that the caller holds: it is reduced exactly
-        when its length is l(w), and every reduced word of w has the same
-        letters, so those are read off it.  Any other word falls back to a
-        reduced word peeled off the key (``reduced_word``).
-        """
-        return frozenset(word if len(word) == w.length else self.reduced_word(w))
+    def support(self, w: WeylElt) -> frozenset[int]:
+        """The letters of every reduced word of w, read off ``reduced_word``."""
+        return frozenset(self.reduced_word(w))
 
 
 # The one group of each Cartan matrix, named type or standalone parabolic, and

@@ -256,19 +256,24 @@ def test_words_that_are_not_reduced(records, label, changes, subchecks, details)
     assert report.details == details
 
 
-def test_row_placement_inner_falls_back_to_the_element(records):
-    """A word of v that is not reduced, with letters outside K, gives v by its key and
-    no word; a reduced one gives v from its labels in W_K, and those labels."""
+def test_row_placement_inner_falls_back_to_the_element(records, monkeypatch):
+    """v built from a word that is not reduced, with letters outside K, holds no
+    word, so W_K gets v from a word peeled off its key; v built from a reduced
+    word holds it, and W_K gets v from its labels there with no peel.  Both give
+    the same element of W_K."""
     row = by_label(records, "F4 case 5")
     W, pi = type_group(row.family, row.rank, row.twist)
     placed = place_row(W, pi, row.J, row.w1)
     assert placed.K == {2, 3}
-    v = W.from_word((1, 1, 2, 3))  # s2 s3
-    G, sigma, y, word = placed.inner(v, (1, 1, 2, 3))
-    assert (G, sigma, y, word) == placed.inner(v)
-    assert word == ()
-    G, sigma, y, word = placed.inner(v, (2, 3))
-    assert word == sub_context(W, placed.K).word_to_sub((2, 3)) and y == G.from_word(word)
+    peeled, real_peel = [], WeylGroup._peel
+    monkeypatch.setattr(WeylGroup, "_peel",
+                        lambda self, key: peeled.append(key) or real_peel(self, key))
+    bare, held = W.from_word((1, 1, 2, 3)), W.from_word((2, 3))  # s2 s3, twice
+    assert bare == held and bare._reduced is None and held._reduced == (2, 3)
+    G, sigma, y = placed.inner(bare)
+    assert peeled == [bare.key]
+    assert placed.inner(held) == (G, sigma, y) and peeled == [bare.key]
+    assert placed.inner(held)[2]._reduced == sub_context(W, placed.K).word_to_sub((2, 3))
 
 
 @pytest.mark.parametrize("label", ["F4 case 3", "E8 case 12"])
@@ -443,13 +448,13 @@ def test_verify_all_walks_no_level_again(monkeypatch):
     real_walk = conjugacy._shift_walk
     starts, again, levelled = [], [], set()
 
-    def walk(W, pi, w, word=()):
+    def walk(W, pi, w):
         where = (W.system.key, tuple(sorted(pi.items())))
         starts.append(w.key)
         if (where, w.key) in levelled:
             again.append((W.system.family, w.word))
         met, descended = {w.key}, False
-        for shift in real_walk(W, pi, w, word):
+        for shift in real_walk(W, pi, w):
             met |= {shift[0], shift[3]}
             descended = descended or shift[4] != 0
             yield shift
@@ -463,30 +468,28 @@ def test_verify_all_walks_no_level_again(monkeypatch):
 
 
 def test_verify_all_walks_start_from_held_words(monkeypatch):
-    """Over a cold ``verify_all()``, no shift walk inverts its start element
-    (``WeylGroup.invert``, a full peel): subcheck (v) hands the walk its word
-    v w1, subcheck (iv) the word of v in the standalone W_K that
-    ``RowPlacement.inner`` builds v from, and the class machinery the words
-    of its seeds and of the members it conjugates.  The classical inner
-    classes come from a table with no walk, so 57 walks start in all."""
+    """Over a cold ``verify_all()``, no shift walk starts from an element that
+    holds no word, so no walk peels its start's key to invert it
+    (``WeylGroup.reduced_word``): subcheck (v) walks the product v w1 built
+    from the word vw + w1, subcheck (iv) the element of the standalone W_K
+    that ``RowPlacement.inner`` builds from the word v holds, and the class
+    machinery its seeds and the members it conjugates, each built from its
+    word.  The classical inner classes come from a table with no walk, so 57
+    walks start in all."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
-    real_walk, real_invert = conjugacy._shift_walk, WeylGroup.invert
-    starts, inverted = [], []
+    real_walk = conjugacy._shift_walk
+    starts, wordless = [], []
 
-    def walk(W, pi, w, word=()):
+    def walk(W, pi, w):
         starts.append(w.key)
-        return real_walk(W, pi, w, word)
-
-    def invert(self, w):
-        if sys._getframe(1).f_code is real_walk.__code__:
-            inverted.append(w.key)
-        return real_invert(self, w)
+        if w._word is None and w._reduced is None:
+            wordless.append(w.key)
+        return real_walk(W, pi, w)
 
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
-    monkeypatch.setattr(WeylGroup, "invert", invert)
     assert verify_all().all_passed
-    assert len(starts) == 57 and inverted == []
+    assert len(starts) == 57 and wordless == []
 
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
@@ -527,7 +530,7 @@ def _verdicts_by_enumeration(record):
     for vw in v_words:
         v = W.from_word(vw)
         if placed.K and W.support(v) <= placed.K:
-            cls = oracle_class_of(*placed.inner(v)[:3])
+            cls = oracle_class_of(*placed.inner(v))
             inner.append(cls.min_length == v.length)
         else:
             inner.append(not placed.K)
@@ -704,7 +707,7 @@ def test_cycle_type_agrees_with_the_walk_on_classical_products(monkeypatch):
         placed = place_row(W, pi, rec.J, rec.w1)
         v_words, problem = _resolve_v_options(rec, placed)
         assert problem is None, rec.label
-        products += [(W, pi, W._extend(W.from_word(vw), rec.w1), vw + rec.w1) for vw in v_words]
+        products += [(W, pi, W.from_word(vw + rec.w1)) for vw in v_words]
     monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
     walks = []
     real_walk = conjugacy._shift_walk

@@ -23,7 +23,7 @@ from weyldl.conjugacy import (
 )
 from weyldl.rootdata import build_twist, cartan_matrix, positive_root_count
 from weyldl.subsystems import sub_context
-from weyldl.weyl import WeylGroup, group_of
+from weyldl.weyl import WeylElt, WeylGroup, group_of
 
 from conftest import RANK_5_6, RANK_LE_4, group, twist_of
 from multiply_oracles import (
@@ -81,10 +81,11 @@ class TestClosure:
 
     @pytest.mark.parametrize("family,rank,order", [("B", 3, 1), ("D", 4, 3), ("F", 4, 2)])
     def test_walk_from_a_held_word(self, family, rank, order, monkeypatch):
-        """A walk handed a word of its start w of length l(w) reads w^-1 off
-        the reversed word, with no ``invert``, and yields what a walk from w
-        alone yields; a word of another length leaves w^-1 to ``invert``.
-        From each minimal element u of every class, and from each s_j u s_pi(j)."""
+        """A walk from an element built from a reduced word reads w^-1 off the
+        word the element keeps, with no ``_peel`` of its start, and yields
+        what a walk from the bare key yields; an element built from a word of
+        another length keeps none, and its walk peels its key once.  From
+        each minimal element u of every class, and from each s_j u s_pi(j)."""
         W = group(family, rank)
         pi = pi_of(build_twist(family, rank, order))
         starts = []
@@ -92,18 +93,17 @@ class TestClosure:
             for u in cls.minimal:
                 starts.append(u.word)
                 starts += [(j, *u.word, pi[j]) for j in sorted(pi)]
-        real_invert, inverted = WeylGroup.invert, []
-        monkeypatch.setattr(WeylGroup, "invert",
-                            lambda self, w: inverted.append(w) or real_invert(self, w))
+        real_peel, peeled = WeylGroup._peel, []
+        monkeypatch.setattr(WeylGroup, "_peel",
+                            lambda self, key: peeled.append(key) or real_peel(self, key))
         reduced = 0
         for word in starts:
             w = W.from_word(word)
-            alone = list(conjugacy._shift_walk(W, pi, w))
-            inverted.clear()
-            assert list(conjugacy._shift_walk(W, pi, w, word)) == alone
+            alone = list(conjugacy._shift_walk(W, pi, WeylElt(W, w.key, w.length)))
+            peeled.clear()
+            assert list(conjugacy._shift_walk(W, pi, w)) == alone
             reduced += len(word) == w.length
-            assert inverted == ([] if len(word) == w.length else [w])
-            inverted.clear()
+            assert peeled == ([] if len(word) == w.length else [w.key])
         assert 0 < reduced < len(starts)
 
     def test_descend(self, G2):

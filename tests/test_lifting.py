@@ -628,9 +628,9 @@ def test_catalog_leaf_inverts_no_element(monkeypatch):
         callers[frame.f_code.co_name] += 1
         return invert(self, w)
 
-    def counting_inner(self, v, word=()):
+    def counting_inner(self, v):
         callers["inner"] += 1
-        return inner(self, v, word)
+        return inner(self, v)
 
     todo = list(classes_of(RANK_LE_4))
     monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})

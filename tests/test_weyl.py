@@ -1,12 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyldl import conjugacy
 from weyldl.rootdata import build_root_system, candidate_types
 from weyldl.subsystems import sub_context
-from weyldl.weyl import WeylGroup, _build_tables, group_of, weyl_group
+from weyldl.weyl import WeylElt, WeylGroup, _build_tables, group_of, weyl_group
 
 from conftest import RANK_LE_4, group
 from multiply_oracles import (
@@ -109,11 +111,17 @@ class TestWords:
         w = A2.from_word([2, 1, 2])
         assert w.word == (1, 2, 1)
 
-    def test_support_reads_a_reduced_word_and_peels_any_other(self, A2):
-        # (1, 1, 2) spells s2 but is not reduced, so its letter 1 is not in the support.
-        assert A2.support(A2.from_word((1, 1, 2)), (1, 1, 2)) == {2}
-        assert A2.support(A2.identity, ()) == frozenset()
-        assert A2.support(A2.from_word((2, 1)), (2, 1)) == {1, 2}
+    def test_support_reads_a_reduced_word_and_peels_any_other(self, A2, monkeypatch):
+        # (1, 1, 2) spells s2 but is not reduced, so its letter 1 is not in the
+        # support: the element keeps no word, and its key is peeled.
+        peeled, real_peel = [], WeylGroup._peel
+        monkeypatch.setattr(WeylGroup, "_peel",
+                            lambda self, key: peeled.append(key) or real_peel(self, key))
+        assert A2.support(A2.identity) == frozenset()
+        peeled.clear()
+        assert A2.support(A2.from_word((1, 1, 2))) == {2}
+        assert A2.support(A2.from_word((2, 1))) == {1, 2}
+        assert len(peeled) == 1
 
     @pytest.mark.parametrize("letter", [0, -1, 3, 7])
     def test_from_word_rejects_letters_out_of_range(self, A2, letter):
@@ -351,3 +359,76 @@ def test_canonical_word_is_greedy_left_descent_word(family, rank):
             cur = W.multiply(W.simple(i), cur)
         assert w.word == tuple(word)
         assert len(w.word) == w.length and W.from_word(w.word) == w
+
+
+# The groups of the held-word tests: named types, and the standalone D4 of
+# E6's nodes 2..5, whose labels put the branch node at 3.
+HELD_WORD_GROUPS = ["A3", "B4", "D4", "F4", "G2", "E6", "E6 on 2..5"]
+
+
+def _held_word_group(name):
+    if name == "E6 on 2..5":
+        return sub_context(group("E", 6), {2, 3, 4, 5}).group
+    return group(name[0], int(name[1:]))
+
+
+def _minimality_in_every_order(W, elements):
+    """``closure_min_check`` of each element under the identity twist, from an
+    empty minimality memo, once for each order of the elements."""
+    pi = {i: i for i in W.system.nodes}
+    saved, answers = conjugacy._MINIMALITY_MEMO, set()
+    try:
+        for order in permutations(elements):
+            conjugacy._MINIMALITY_MEMO = {}
+            answers |= {(x.key, conjugacy.closure_min_check(W, pi, x)) for x in order}
+    finally:
+        conjugacy._MINIMALITY_MEMO = saved
+    return answers
+
+
+def _check_held_word(W, word, other):
+    """An element keeps the word it was built from exactly when the word is
+    reduced, and reads the same as the bare element of its key everywhere."""
+    word = tuple(word)
+    w, u = W.from_word(word), W.from_word(other)
+    # Reduced, by the oracle: the word's length counts the roots it sends negative.
+    reduced = len(negative_entries(perm_of_word(W, word))) == len(word)
+    assert w._reduced == (word if reduced else None)
+    spelled = W.reduced_word(w)
+    assert len(spelled) == w.length == len(negative_entries(perm_of_word(W, spelled)))
+    assert perm_of_word(W, spelled) == perm_of_word(W, word)
+    bare = WeylElt(W, w.key, w.length)
+    for got, expected in [
+        (W.invert(w), W.invert(bare)),
+        (W.multiply(w, u), W.multiply(bare, u)),
+        (W.multiply(u, w), W.multiply(u, bare)),
+    ]:
+        assert (got.key, got.length) == (expected.key, expected.length)
+    assert W.support(w) == W.support(bare)
+    # The same element from a reduced word, from a word that is not, and bare.
+    held, unreduced = W.from_word(spelled), W.from_word((1, 1) + spelled)
+    assert held._reduced == spelled and unreduced._reduced is None
+    answers = _minimality_in_every_order(W, [held, unreduced, bare])
+    assert len(answers) == 1
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_an_element_keeps_the_reduced_word_it_was_built_from(data):
+    W = _held_word_group(data.draw(st.sampled_from(HELD_WORD_GROUPS)))
+    letters = st.integers(1, W.rank)
+    _check_held_word(W, data.draw(st.lists(letters, max_size=16)),
+                     data.draw(st.lists(letters, max_size=16)))
+
+
+@pytest.mark.parametrize("family,rank,word", [("F", 4, (1, 2, 3, 4)), ("B", 3, (1, 2, 3))])
+def test_a_coxeter_element_is_minimal_however_it_is_built(family, rank, word):
+    """The Coxeter elements s1 s2 ... s_n of F4 and B3 are minimal in their
+    classes, from a walk (F4) and from the signed cycle type (B3), whichever
+    of their encodings is asked first."""
+    W = group(family, rank)
+    _check_held_word(W, word, (2, 1))
+    x = W.from_word(word)
+    assert _minimality_in_every_order(
+        W, [x, W.from_word((1, 2, 2, 1) + word), WeylElt(W, x.key, x.length)]
+    ) == {(x.key, "minimal")}
