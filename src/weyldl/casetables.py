@@ -384,8 +384,12 @@ def verify_case(
         elif not W.support(v) <= K:
             iv_results.append("fail")
             report.details.setdefault("v_outside_WK", []).append(list(vw))
-        else:
+        elif record.v_mode == "words":
             iv_results.append(closure_verdict(*placed.inner(v)))
+        else:
+            # A cuspidal representative, which ``cuspidal_representatives``
+            # has decided minimal in W_K under sigma or raised.
+            iv_results.append("pass")
         # (v): v w1 minimal in its full twisted class.  Classical types are
         # decided by their signed cycle type with no walk, so only the E7 and
         # E8 walks wait for the slow tier.

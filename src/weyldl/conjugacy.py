@@ -21,10 +21,13 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Whether one element is minimal is read off its signed cycle type by
-``_least_length``, with no walk, when its group is one irreducible type A,
-B, C or D under the identity or its order-2 twist (``closure_min_check``).
-Every other minimality question, and every minimal level, is decided once
+Each (group, pi) has one minimality oracle, chosen by the group's name
+(``closure_min_check``).  When ``system_of`` named the group A, B, C or D,
+so it is in Bourbaki labels, and pi is the identity or its standard
+order-2 twist, whether one element is minimal is read off its signed
+cycle type by ``_least_length``, with no walk and nothing kept.  Every
+other minimality question, relabelled classical groups included, and
+every minimal level, is decided once
 per process, in ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan
 matrix) and pi, never on a group object, so groups built apart share it.
 It is answered by one memoized walk, ``_verdict``, which keeps one of two
@@ -323,43 +326,28 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
-    A verdict that ``_MINIMALITY_MEMO`` holds for w is read back, which
-    costs less than the signed cycle type.  Otherwise, when W is one
-    irreducible type A, B, C or D under the identity or its order-2 twist
-    (``_classical_reading``), w is minimal exactly when l(w) is the least
-    length that ``_least_length`` reads off a reduced word of w
-    (``WeylGroup.reduced_word``); no walk starts and nothing is kept.  Any
-    other W, exceptional, 3D4, reducible or with a twist that permutes
-    components, is answered by ``_verdict``'s walk: "minimal" if the
-    non-increasing closure holds no shorter element, "not_minimal" on the
-    first strict descent.  Complete by the descent theorem for twisted
-    classes: non-increasing cyclic shifts from any element reach a minimal
-    one.  Raises ClosureBudgetError when the walk reaches more than
-    ``WALK_BUDGET`` elements, and keeps no verdict then.
+    One oracle answers for each (W, pi), chosen by the group's name alone.
+    When ``system_of`` named W A, B, C or D and pi is the identity or its
+    standard twist of order 2 (``_classical_reading``), w is minimal exactly
+    when l(w) is the least length that ``_least_length`` reads off a reduced
+    word of w (``WeylGroup.reduced_word``); no walk starts and nothing is
+    kept.  Any other W, exceptional, 3D4, reducible, relabelled or with a
+    twist that permutes components, is answered by ``_verdict``'s walk:
+    "minimal" if the non-increasing closure holds no shorter element,
+    "not_minimal" on the first strict descent.  Complete by the descent
+    theorem for twisted classes: non-increasing cyclic shifts from any
+    element reach a minimal one.  Raises ClosureBudgetError when the walk
+    reaches more than ``WALK_BUDGET`` elements, and keeps no verdict then.
 
     A walk that finds w minimal keeps w's whole level, so a later question
     about any member, ``minimal_level``'s too, starts no walk.
     """
-    where = (W.system.key, tuple(sorted(pi.items())))
-    held = _MINIMALITY_MEMO.get(where, {}).get(w.key)
-    if held is None:
-        reading = _reading(W, pi, where)
-        if reading is not None:
-            labels, letters, n, twist = reading
-            word = W.reduced_word(w)
-            least = _least_length(letters, n, twist,
-                                  word if labels is None else map(labels.__getitem__, word))
-            return "minimal" if w.length == least else "not_minimal"
-        held = _verdict(W, pi, w)
-    return "minimal" if type(held) is _Level else "not_minimal"
+    reading = _classical_reading(W, pi)
+    if reading is not None:
+        least = _least_length(*reading, W.reduced_word(w))
+        return "minimal" if w.length == least else "not_minimal"
+    return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
 
-
-_Reading = tuple[Optional[tuple[int, ...]], str, int, Optional[str]]
-
-# (letter map to Bourbaki labels or None, letters, n, twist) for
-# ``_least_length``, or None, keyed like ``_MINIMALITY_MEMO`` on the system key
-# and pi.
-_READINGS: dict[tuple, Optional[_Reading]] = {}
 
 # (family, twist order) -> how ``_least_length`` reads that type: its letters,
 # the coordinates beyond the rank, and the twist.  C_n's letters act as B_n's.
@@ -371,46 +359,29 @@ _READ_AS = {("A", 1): ("A", 1, None), ("A", 2): ("A", 1, "w0"),
 _TWISTED_FROM = {"A": 2, "D": 4}
 
 
-def _reading(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[_Reading]:
-    """``_classical_reading`` of W under pi, kept in ``_READINGS`` under ``where``."""
-    reading = _READINGS.get(where, False)
-    if reading is False:
-        reading = _READINGS[where] = _classical_reading(W, pi)
-    return reading
+def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[tuple[str, int, Optional[str]]]:
+    """How ``_least_length`` reads the words of W under pi: (letters, n, twist), or None.
 
-
-def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[_Reading]:
-    """How ``_least_length`` reads the words of W under pi, or None.
-
-    W must be one irreducible type A, B, C or D, with pi the identity or a
-    twist of order 2 of type A or D.  A group that ``system_of`` named is
-    in Bourbaki labels, so when pi is the identity or the standard twist
-    its words are read as they are (letter map None); a named E, F or G is
-    None.  Any other W goes to ``identify_standard``, which names it and
-    maps its labels to Bourbaki labels that carry pi to the standard
-    twist: so does a named D3 under a twist of order 2, which has no
-    standard twist as D3 and is named 2A3.  Both shortcuts spare a search
-    for a labelling, which costs more than the whole verdict on a small
-    group.
+    W must be a group that ``system_of`` named A, B, C or D, so in
+    Bourbaki labels, and pi the identity or its standard twist of order 2;
+    its words are then read as they are.  Any other W is None and goes to
+    the walk: an exceptional, reducible or relabelled group, a named type
+    under any other twist, and so a named D3 under the swap of its nodes 2
+    and 3, which has no standard twist as D3.
     """
     family, rank, nodes = W.system.family, W.rank, W.system.nodes
-    if family in ("E", "F", "G"):
+    if family not in ("A", "B", "C", "D"):
         return None
     perm = tuple(pi[i] for i in nodes)
-    if family in ("A", "B", "C", "D") and (perm == nodes or (
-            rank >= _TWISTED_FROM.get(family, rank + 1)
-            and perm == build_twist(family, rank, 2).perm)):
-        order, labels = (1 if perm == nodes else 2), None
+    if perm == nodes:
+        order = 1
+    elif (rank >= _TWISTED_FROM.get(family, rank + 1)
+          and perm == build_twist(family, rank, 2).perm):
+        order = 2
     else:
-        ident = identify_standard(W.system.cartan, pi)
-        if ident is None:
-            return None
-        family, rank, order, phi = ident
-        labels = (0,) + tuple(phi[i] for i in nodes)
-    if (family, order) not in _READ_AS:
         return None
     letters, extra, twist = _READ_AS[family, order]
-    return labels, letters, rank + extra, twist
+    return letters, rank + extra, twist
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -813,7 +784,7 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
 _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 
 
-def _tabled_representatives(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[list[WeylElt]]:
+def _tabled_representatives(W: WeylGroup, pi: PiMap) -> Optional[list[WeylElt]]:
     """The ``_CLASSICAL_TABLE`` words of W under pi as spelled elements, or None.
 
     None unless ``_classical_reading`` reads W's words as they are: a
@@ -825,12 +796,12 @@ def _tabled_representatives(W: WeylGroup, pi: PiMap, where: tuple) -> Optional[l
     starts and no word is spelled.  Raises FalsificationError when a word
     fails a check.
     """
-    reading = _reading(W, pi, where)
+    reading = _classical_reading(W, pi)
     if reading is None:
         return None
-    labels, letters, _, twist = reading
+    letters, _, twist = reading
     words = _CLASSICAL_TABLE.get((letters, W.rank, 1 if twist is None else 2))
-    if labels is not None or words is None:
+    if words is None:
         return None
     nodes = frozenset(W.system.nodes)
     reps = []
@@ -869,7 +840,7 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        reps = _tabled_representatives(W, pi, key)
+        reps = _tabled_representatives(W, pi)
         if reps is None:
             reps = [_level_minimum(W, level) for _, level in _cuspidal_levels(W, pi)]
         _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))

@@ -14,11 +14,16 @@ root order and class representatives correspond.
 
 The standalone group is ``weyl.group_of`` the Cartan submatrix: equal
 submatrices, and a named type of that matrix, are one group, with one
-element encoding and one set of reflection tables.  ``component_orbits``
-groups the irreducible components into the orbits of a twist, and
-``identify_standard`` finds the Bourbaki name of an irreducible
-subsystem together with a labelling isomorphism that carries a given
-index permutation to the standard twist.
+element encoding and one set of reflection tables.  Its name decides its
+minimality oracle (``conjugacy.closure_min_check``): a submatrix in
+Bourbaki labels is named A, B, C or D and read off the signed cycle type,
+while a relabelled one, such as the D4 of E6 on nodes 2..5, is walked.
+``component_orbits`` groups the irreducible components into the orbits
+of a twist, and ``identify_standard`` finds the Bourbaki name of an
+irreducible subsystem together with a labelling isomorphism that carries
+a given index permutation to the standard twist; the cuspidal seeds
+(``conjugacy._cuspidal_seeds``) and the catalog rows of the constructive
+route (``lifting``) read it, and no minimality decision does.
 """
 
 from __future__ import annotations

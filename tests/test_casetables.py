@@ -23,7 +23,7 @@ from weyldl.casetables import (
     verify_case,
 )
 from weyldl.catalog import CaseRecord, br, bri, case_records, load_case_records, type_group
-from weyldl.conjugacy import class_list, class_of, cuspidal_representatives
+from weyldl.conjugacy import FalsificationError, class_list, class_of, cuspidal_representatives
 from weyldl.criterion import MAX_RANK, IneqSystem, build_star_system, check_certificate, minimal_q
 from weyldl.exactnum import SQRT2, SQRT3, QuadExt, qext
 from weyldl.subsystems import sub_context
@@ -213,6 +213,8 @@ class TestVerifySmall:
     ("2F4 case 4", {"pinned_mu": (1, 1, 1, 1)}, "star", "pinned_mu_check", "fail"),
     ("G2 case 2", {"spade": True, "m_values": None}, "star", "star_note",
      "expected infeasible at minimal q"),
+    # s2 s3 s2 lies in W_K, K = {2, 3}, but is conjugate there to s3.
+    ("F4 case 5", {"v_words": ((2, 3), (2, 3, 2))}, "v_min_inner", "v_count", 2),
 ])
 def test_tampered_row_fails(records, label, changes, subcheck, detail, value):
     """A row rebuilt with one field changed fails the subcheck that reads the
@@ -474,8 +476,11 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  The classical inner classes come from a table with no walk, so 57
-    walks start in all."""
+    word.  The classical inner classes come from a table with no walk, so 63
+    walks start in all: 6 of them answer (iv) about a stated word in a
+    classical W_K whose standalone matrix is not in Bourbaki labels, which
+    the walk decides, as it does every group that ``system_of`` did not
+    name A, B, C or D."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_walk = conjugacy._shift_walk
@@ -489,8 +494,43 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
 
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     assert verify_all().all_passed
-    assert len(starts) == 57 and wordless == []
+    assert len(starts) == 63 and wordless == []
 
+
+
+def test_verify_all_asks_each_minimality_question_once(monkeypatch):
+    """A cold ``verify_all()`` calls ``closure_min_check`` 634 times: (iv)
+    asks only about the words a row states, since each cuspidal inner option
+    is a word that ``cuspidal_representatives`` has just decided minimal in
+    the same W_K under the same sigma."""
+    for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    real_check, calls = conjugacy.closure_min_check, []
+
+    def check(W, pi, w):
+        calls.append(w.key)
+        return real_check(W, pi, w)
+
+    monkeypatch.setattr(conjugacy, "closure_min_check", check)
+    monkeypatch.setattr(casetables, "closure_min_check", check)
+    assert verify_all().all_passed
+    assert len(calls) == 634
+
+
+def test_a_tampered_table_word_ends_the_row(records, monkeypatch):
+    """Negative control: with the A2 word of ``_CLASSICAL_TABLE`` replaced by
+    s1 s2 s1, reduced and cuspidal but not minimal, a row whose K is that A2
+    under the identity raises FalsificationError instead of passing (iv)."""
+    row = by_label(records, "3D4 case 3")
+    W, pi = type_group(row.family, row.rank, row.twist)
+    placed = place_row(W, pi, row.J, row.w1)
+    assert row.v_mode == "all" and placed.K == {2, 3} and placed.sigma == {1: 1, 2: 2}
+    monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+    assert verify_case(row).passed
+    monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+    monkeypatch.setitem(conjugacy._CLASSICAL_TABLE, ("A", 2, 1), ("121",))
+    with pytest.raises(FalsificationError, match="tabled word 121 .* is not minimal"):
+        verify_case(row)
 
 COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
 

@@ -588,6 +588,59 @@ class TestClosureMinCheck:
         assert checked == 180
 
 
+    @pytest.mark.parametrize("family,rank,order", [("B", 3, 1), ("A", 3, 2), ("D", 4, 1), ("D", 4, 2)])
+    def test_a_named_classical_group_has_one_oracle(self, family, rank, order, monkeypatch):
+        """After ``class_list`` has kept levels of a named classical group,
+        ``closure_min_check`` still answers by the signed cycle type alone:
+        with ``_verdict`` patched to raise, it reads ``_least_length`` once
+        per element, kept levels included, answers every element as
+        enumeration does, and agrees with every verdict the memo keeps."""
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        W = group(family, rank)
+        pi = pi_of(build_twist(family, rank, order))
+        class_list(W, pi)
+        kept = conjugacy._verdicts(W, pi)
+        assert any(type(held) is conjugacy._Level for held in kept.values())
+
+        def no_walk(*args):
+            raise AssertionError("closure_min_check asked the walk")
+
+        monkeypatch.setattr(conjugacy, "_verdict", no_walk)
+        real_least, reads = conjugacy._least_length, []
+        monkeypatch.setattr(conjugacy, "_least_length",
+                            lambda *args: reads.append(args) or real_least(*args))
+        for w in elements_of(W):
+            reads.clear()
+            answer = closure_min_check(W, pi, w)
+            assert len(reads) == 1
+            least = oracle_class_of(W, pi, w).min_length
+            assert answer == ("minimal" if w.length == least else "not_minimal")
+            if w.key in kept:
+                assert answer == ("minimal" if type(kept[w.key]) is conjugacy._Level
+                                  else "not_minimal")
+
+    @pytest.mark.parametrize("name,pi", [
+        ("D4 of E6", {1: 1, 2: 2, 3: 3, 4: 4}),
+        ("D4 of E6", {1: 2, 2: 1, 3: 3, 4: 4}),
+        ("D3", {1: 1, 2: 3, 3: 2}),
+    ])
+    def test_a_relabelled_or_swapped_group_is_walked(self, name, pi, monkeypatch):
+        """E6's D4 on nodes 2..5, in labels that are not Bourbaki's, under a
+        twist of order 1 and 2, and the named D3 under its swap, are answered
+        by the walk: each element asked gets a kept verdict, and every answer
+        is enumeration's."""
+        W = (sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group if name == "D4 of E6"
+             else group_of(cartan_matrix("D", 3)))
+        assert conjugacy._classical_reading(W, pi) is None
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        elements = elements_of(W)
+        for w in elements:
+            least = oracle_class_of(W, pi, w).min_length
+            assert closure_min_check(W, pi, w) == ("minimal" if w.length == least
+                                                   else "not_minimal")
+        assert set(conjugacy._verdicts(W, pi)) >= {w.key for w in elements}
+
 def classical_groups(ranks):
     """The classical twisted groups of the given ranks: (family, rank, order)."""
     out = []
@@ -603,8 +656,8 @@ CLASSICAL_RANK_LE_4 = classical_groups(range(1, 5))
 def least_length(W, pi, word, oracle=conjugacy._least_length):
     """The least length in the pi-class of the product of ``word``, as
     ``closure_min_check`` reads it off the signed cycle type."""
-    labels, letters, n, twist = conjugacy._classical_reading(W, pi)
-    return oracle(letters, n, twist, word if labels is None else [labels[i] for i in word])
+    letters, n, twist = conjugacy._classical_reading(W, pi)
+    return oracle(letters, n, twist, word)
 
 
 def cycle_type_mismatches(groups, oracle=conjugacy._least_length):
@@ -664,44 +717,39 @@ class TestLeastLength:
         assert next(cycle_type_mismatches(classical_groups(range(1, 6)), mutant(old, new)), None)
 
     def test_readings(self):
-        """Only irreducible types A, B, C and D under the identity or an order-2
-        twist are read; the D4 of E6 is read in Bourbaki labels under each of
-        its twists of order 1 and 2, not under triality."""
+        """Only a group that ``system_of`` named A, B, C or D, under the identity
+        or its standard twist of order 2, is read; a relabelled group, such as
+        the D4 of E6, and a named type under any other twist are not."""
         assert conjugacy._classical_reading(group("B", 2), {1: 2, 2: 1}) is None
         assert conjugacy._classical_reading(group("D", 4), pi_of(build_twist("D", 4, 3))) is None
         assert conjugacy._classical_reading(group("G", 2), {1: 1, 2: 2}) is None
         assert conjugacy._classical_reading(group("E", 6), {i: i for i in range(1, 7)}) is None
         assert conjugacy._classical_reading(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
         # A named type under its standard twist is read as it is; D4 under
-        # another twist of order 2 is relabelled.
+        # another twist of order 2 is not read.
         D5 = group("D", 5)
-        assert conjugacy._classical_reading(D5, pi_of(build_twist("D", 5, 2))) == (
-            None, "D", 5, "t_n")
-        labels, _, _, twist = conjugacy._classical_reading(group("D", 4), {1: 3, 2: 2, 3: 1, 4: 4})
-        assert labels is not None and twist == "t_n"
+        assert conjugacy._classical_reading(D5, pi_of(build_twist("D", 5, 2))) == ("D", 5, "t_n")
+        assert conjugacy._classical_reading(group("D", 4), {1: 3, 2: 2, 3: 1, 4: 4}) is None
         D4 = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group  # node 3 central
+        assert not D4.system.family.startswith("D")
         for pi in ({1: 1, 2: 2, 3: 3, 4: 4}, {1: 2, 2: 1, 3: 3, 4: 4}):
-            labels, letters, n, twist = conjugacy._classical_reading(D4, pi)
-            assert (letters, n, twist, labels[3]) == ("D", 4, "t_n" if pi[1] == 2 else None, 2)
-            for w in elements_of(D4):
-                least = oracle_class_of(D4, pi, w).min_length
-                assert least_length(D4, pi, w.word) == least
+            assert conjugacy._classical_reading(D4, pi) is None
 
     def test_d3_under_a_twist_of_order_2(self, monkeypatch):
         """The named D3 has no standard twist of order 2, so under the swap of
-        its nodes 2 and 3 it is relabelled as 2A3, and under the identity read
-        as D3: in both, every one of its 24 elements gets the walk's verdict."""
+        its nodes 2 and 3 it is walked, and under the identity read as D3: in
+        both, every one of its 24 elements gets the walk's verdict."""
         D3 = group_of(cartan_matrix("D", 3))
         assert (D3.system.family, D3.rank) == ("D", 3)
         for pi in ({1: 1, 2: 2, 3: 3}, {1: 1, 2: 3, 3: 2}):
-            labels, letters, n, twist = conjugacy._classical_reading(D3, pi)
-            assert (labels is None, letters, twist) == (
-                (True, "D", None) if pi[2] == 2 else (False, "A", "w0"))
+            swapped = pi[2] == 3
+            reading = conjugacy._classical_reading(D3, pi)
+            assert reading == (None if swapped else ("D", 3, None))
             elements = elements_of(D3)
             assert len(elements) == 24
             monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
             verdicts = [closure_min_check(D3, pi, w) for w in elements]
-            assert conjugacy._MINIMALITY_MEMO == {}
+            assert bool(conjugacy._MINIMALITY_MEMO) == swapped
             walked = ["minimal" if type(conjugacy._verdict(D3, pi, w)) is conjugacy._Level
                       else "not_minimal" for w in elements]
             assert verdicts == walked and "not_minimal" in verdicts
