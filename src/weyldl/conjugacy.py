@@ -21,7 +21,9 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Each (group, pi) has one minimality oracle, chosen by the group's name
+Each (group, pi) has one minimality oracle, chosen by
+``_standard_order``, the one answer to "is the group a named type under
+its identity or the delta map of its standard twist?"
 (``closure_min_check``).  When ``system_of`` named the group A, B, C or D,
 so it is in Bourbaki labels, and pi is the identity or its standard
 order-2 twist, whether one element is minimal is read off its signed
@@ -34,11 +36,10 @@ It is answered by one memoized walk, ``_verdict``, which keeps one of two
 values for an element: its minimal level, a ``_Level`` record held under
 the key of each member, once a walk has ended without a descent; or the
 key of the first shorter element a walk from it met.  A level is walked once per
-process and spelled only when asked for: ``cuspidal_representatives``
-reads a level's smallest canonical word off the unspelled record by a
-descent beam, and ``minimal_level`` spells the record in place.  A
-classical group through rank 7 walks no cuspidal level: its canonical
-representatives are ``_CLASSICAL_TABLE``'s words.  The memo
+process, and ``minimal_level`` spells its record in place when asked.
+A cuspidal class is named by a word of ``_CLASSICAL_TABLE`` (no walk) or
+``_SEED_TABLE`` (its level left unspelled), or else by the first member
+of its spelled level (``cuspidal_representatives``).  The memo
 holds 649 entries and 213 levels once the 180 classes of rank <= 4 are
 listed, and 673 and 222 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
@@ -349,39 +350,58 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
 
 
+# (family, rank, order) -> the node tuple of that type's standard twist of that
+# order (``build_twist``), or None when it has none.  Filled on first use.
+_STANDARD_MAPS: dict[tuple[str, int, int], Optional[tuple[int, ...]]] = {}
+
+
+def _standard_order(W: WeylGroup, pi: PiMap) -> Optional[int]:
+    """k when W is a named type and pi its identity (k = 1) or the delta map of its
+    standard twist of order k; else None.
+
+    Named means that ``system_of`` named W, so it is in Bourbaki labels.
+    3D4 under delta_inv is None, and so is D3 under the swap of its nodes 2
+    and 3, which ``build_twist`` lacks.  A type's standard map of the order
+    of pi is built once per process.
+    """
+    family, nodes = W.system.family, W.system.nodes
+    if family not in "ABCDEFG":
+        return None
+    perm = power = tuple(pi[i] for i in nodes)
+    order = 1
+    while power != nodes:
+        power, order = tuple(perm[i - 1] for i in power), order + 1
+    if order == 1:
+        return 1
+    key = (family, W.rank, order)
+    if key not in _STANDARD_MAPS:
+        try:
+            _STANDARD_MAPS[key] = build_twist(family, W.rank, order).perm
+        except ValueError:
+            _STANDARD_MAPS[key] = None
+    return order if perm == _STANDARD_MAPS[key] else None
+
+
 # (family, twist order) -> how ``_least_length`` reads that type: its letters,
 # the coordinates beyond the rank, and the twist.  C_n's letters act as B_n's.
 _READ_AS = {("A", 1): ("A", 1, None), ("A", 2): ("A", 1, "w0"),
             ("B", 1): ("B", 0, None), ("C", 1): ("B", 0, None),
             ("D", 1): ("D", 0, None), ("D", 2): ("D", 0, "t_n")}
 
-# The least rank at which A and D have a standard twist of order 2 (``build_twist``).
-_TWISTED_FROM = {"A": 2, "D": 4}
-
 
 def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[tuple[str, int, Optional[str]]]:
     """How ``_least_length`` reads the words of W under pi: (letters, n, twist), or None.
 
-    W must be a group that ``system_of`` named A, B, C or D, so in
-    Bourbaki labels, and pi the identity or its standard twist of order 2;
-    its words are then read as they are.  Any other W is None and goes to
-    the walk: an exceptional, reducible or relabelled group, a named type
-    under any other twist, and so a named D3 under the swap of its nodes 2
-    and 3, which has no standard twist as D3.
+    W must be named A, B, C or D and pi its identity or its standard twist
+    of order 2 (``_standard_order``); its words are then read as they are.
+    Any other W is None and goes to the walk: an exceptional, reducible or
+    relabelled group, and a named type under any other twist.
     """
-    family, rank, nodes = W.system.family, W.rank, W.system.nodes
-    if family not in ("A", "B", "C", "D"):
+    reading = _READ_AS.get((W.system.family, _standard_order(W, pi)))
+    if reading is None:
         return None
-    perm = tuple(pi[i] for i in nodes)
-    if perm == nodes:
-        order = 1
-    elif (rank >= _TWISTED_FROM.get(family, rank + 1)
-          and perm == build_twist(family, rank, 2).perm):
-        order = 2
-    else:
-        return None
-    letters, extra, twist = _READ_AS[family, order]
-    return letters, rank + extra, twist
+    letters, extra, twist = reading
+    return letters, W.rank + extra, twist
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -418,40 +438,13 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 # -- cuspidal classes without enumeration ------------------------------------
 
 
-def _level_minimum(W: WeylGroup, level: _Level) -> WeylElt:
-    """The member of a level with the smallest canonical word, spelled.
-
-    A spelled level holds it first.  On an unspelled level, a descent beam:
-    the canonical word of u is spelled by stripping the smallest right
-    descent of u^-1 until none is left, so at each step the beam keeps the
-    members whose inverse's smallest right descent is the smallest of the
-    beam, and strips it.  The members of a level share one length, and
-    distinct members stay distinct, so the beam narrows to one member,
-    whose word ``_peel`` finishes.
-    """
-    if level.spelled is not None:
-        return level.spelled[0]
-    tables, negative = W.reflection_table(), W._negative
-    beam, word = list(level.inverse.items()), []
-    while len(beam) > 1:
-        firsts = [inv.translate(negative).find(0) for _, inv in beam]
-        j = min(firsts)
-        beam = [(u, inv.translate(tables[inv[j]]))
-                for (u, inv), first in zip(beam, firsts) if first == j]
-        word.append(j + 1)
-    ((u, inv),) = beam
-    word += W._peel(inv)
-    least = WeylElt(W, u, len(word))
-    least._word = tuple(word)
-    return least
-
-
 # One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
 # in Bourbaki labels under the standard twist (delta direction): the canonical
 # representatives, generated once by enumeration.  They seed the walks of
-# ``_cuspidal_levels``; the classical types' seeds are built from the signed
-# cycle type (``_standard_seeds``), and their canonical representatives through
-# rank 7 are ``_CLASSICAL_TABLE``.
+# ``_cuspidal_levels`` and are ``cuspidal_representatives``' words for these
+# types; the classical types' seeds are built from the signed cycle type
+# (``_standard_seeds``), and their canonical representatives through rank 7 are
+# ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
     ("G", 2, 1): ("12", "1212", "121212"),
     ("G", 2, 2): ("1", "121", "12121"),
@@ -481,10 +474,10 @@ _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
 # D_n and 2D_n through rank 7, the rank of the catalog's largest inner node
 # set, in Bourbaki labels under the identity or the standard twist (order 1 or
 # 2), in (length, word) order.  Keyed on the letters that ``_READ_AS`` reads,
-# so C_n reads B_n's row: the two have the same words.  Generated once by the
-# walks of ``_cuspidal_levels`` and the descent beam of ``_level_minimum``;
+# so C_n reads B_n's row: the two have the same words.  Generated once as the
+# first members of the spelled levels of the seeds of ``_cuspidal_levels``;
 # ``cuspidal_representatives`` reads them with no walk.  The tests compare them
-# with enumeration through rank 6, and (slow) with the walks and the beam.
+# with enumeration through rank 6, and (slow) with the spelled levels.
 _CLASSICAL_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
     ("A", 1, 1): ("1",),
     ("A", 2, 1): ("12",),
@@ -784,23 +777,20 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
 _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 
 
-def _tabled_representatives(W: WeylGroup, pi: PiMap) -> Optional[list[WeylElt]]:
+def _tabled_representatives(W: WeylGroup, pi: PiMap, order: Optional[int]) -> Optional[list[WeylElt]]:
     """The ``_CLASSICAL_TABLE`` words of W under pi as spelled elements, or None.
 
-    None unless ``_classical_reading`` reads W's words as they are: a
-    classical type through rank 7 in Bourbaki labels, under the identity or
-    its standard twist.  A relabelled group is None, since a canonical word
-    depends on the labels.  Each word is checked reduced, by the length of
-    its product, cuspidal, by its letters, and minimal, by
-    ``closure_min_check``, which reads the signed cycle type: no walk
+    ``order`` is ``_standard_order(W, pi)``.  None unless W is a classical
+    type through rank 7, named and so in Bourbaki labels, under the
+    identity or its standard twist.  A relabelled group is None, since a
+    canonical word depends on the labels.  Each word is checked reduced,
+    by the length of its product, cuspidal, by its letters, and minimal,
+    by ``closure_min_check``, which reads the signed cycle type: no walk
     starts and no word is spelled.  Raises FalsificationError when a word
     fails a check.
     """
-    reading = _classical_reading(W, pi)
-    if reading is None:
-        return None
-    letters, _, twist = reading
-    words = _CLASSICAL_TABLE.get((letters, W.rank, 1 if twist is None else 2))
+    reading = _READ_AS.get((W.system.family, order))
+    words = reading and _CLASSICAL_TABLE.get((reading[0], W.rank, order))
     if words is None:
         return None
     nodes = frozenset(W.system.nodes)
@@ -823,26 +813,32 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     """The canonical minimal representatives of the cuspidal pi-classes of W.
 
     In (length, canonical word) order, as ``class_list`` lists the
-    cuspidal classes.  A classical type through rank 7, in Bourbaki labels
-    under the identity or its standard twist, reads them off
-    ``_CLASSICAL_TABLE``, each checked cuspidal and minimal with no walk
-    (``_tabled_representatives``).  Any other group, exceptional, reducible
-    or relabelled, walks each seed to its minimal level
-    (``_cuspidal_levels``), and the level's smallest canonical word
-    represents the class.  That word is read off the level's record by the
-    descent beam of ``_level_minimum``, so no other member is spelled: the
-    record stays in ``_MINIMALITY_MEMO`` unspelled, a verdict for each
-    member, and is spelled only if ``minimal_level`` asks for it.  Raises
-    FalsificationError when a tabled word or a seed fails its checks.
-    Memoized on the group's system key (its Cartan matrix, so every group
-    of that matrix shares the entry) and pi.
+    cuspidal classes.  A class is named by a table word, or else by the
+    first member of its spelled level.  A classical type through rank 7,
+    named and under the identity or its standard twist
+    (``_standard_order``), reads them off ``_CLASSICAL_TABLE``, each
+    checked cuspidal and minimal with no walk (``_tabled_representatives``).
+    Any other group walks each seed to its minimal level
+    (``_cuspidal_levels``, which checks that the seeds are cuspidal,
+    minimal and in classes of their own).  A named type under such a map
+    with a ``_SEED_TABLE`` row takes its seeds as they are, and leaves
+    their levels unspelled; every other group, 3D4 under delta_inv,
+    reducible or relabelled, takes the first member of each level that
+    ``minimal_level`` spells.  The tests, not this function, check that
+    the table words are canonical.  Raises FalsificationError when a
+    tabled word or a seed fails its checks.  Memoized on the group's
+    system key (its Cartan matrix, so every group of that matrix shares
+    the entry) and pi.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        reps = _tabled_representatives(W, pi)
+        order = _standard_order(W, pi)
+        reps = _tabled_representatives(W, pi, order)
         if reps is None:
-            reps = [_level_minimum(W, level) for _, level in _cuspidal_levels(W, pi)]
+            seeded = (W.system.family, W.rank, order) in _SEED_TABLE
+            reps = [seed if seeded else minimal_level(W, pi, seed)[0]
+                    for seed, _ in _cuspidal_levels(W, pi)]
         _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))
     return _CUSPIDAL_MEMO[key]
 
@@ -959,8 +955,8 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     A class meets some pi-stable W_J in a cuspidal class of W_J, whose
     minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  J = S
     gives the levels of the cuspidal seeds (``_cuspidal_levels``), each
-    spelled once by ``minimal_level`` and read with no descent beam, since
-    a class lists every member by word; a proper J gives the
+    spelled once by ``minimal_level``, since a class lists every member by
+    word; a proper J gives the
     ``minimal_set`` of each seed of its standalone group (the identity for
     J empty).  A seed already found is skipped, and so is a J that is the
     support of a level walked: the joins to it conjugate an earlier W_J'

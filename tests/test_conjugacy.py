@@ -15,6 +15,7 @@ from weyldl.conjugacy import (
     closure_min_check,
     cuspidal_representatives,
     direction_of,
+    inverse_pi,
     minimal_level,
     minimal_set,
     pi_of,
@@ -770,6 +771,57 @@ class TestLeastLength:
         assert checked == 68623
 
 
+class TestStandardOrder:
+    """``_standard_order``: is W a named type under its identity or the delta map
+    of its standard twist, and of which order?"""
+
+    def test_every_named_type_and_twist(self):
+        """Every named type through rank 8, under each of its twists: the
+        identity gives 1, and the twist's delta map gives its order."""
+        twists = twists_through_rank_8()
+        assert len(twists) == 50  # 33 types, 17 twists of order 2 or 3
+        for family, rank, twist in twists:
+            W = group(family, rank)
+            assert conjugacy._standard_order(W, identity_pi(W)) == 1
+            assert conjugacy._standard_order(W, pi_of(twist)) == twist.order
+
+    def test_other_maps_and_groups_give_none(self):
+        """3D4 under delta_inv, the D4 swaps (1 3) and (1 4), D3 under the swap of
+        nodes 2 and 3, E6's D4 on nodes 2..5 under any twist, and a reducible
+        group are None."""
+        D4 = group("D", 4)
+        assert conjugacy._standard_order(D4, pi_of(build_twist("D", 4, 3), "delta_inv")) is None
+        assert conjugacy._standard_order(D4, {1: 3, 2: 2, 3: 1, 4: 4}) is None
+        assert conjugacy._standard_order(D4, {1: 4, 2: 2, 3: 3, 4: 1}) is None
+        D3 = group_of(cartan_matrix("D", 3))
+        assert conjugacy._standard_order(D3, {1: 1, 2: 3, 3: 2}) is None
+        sub = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group
+        for pi in D4_OF_E6.values():
+            assert conjugacy._standard_order(sub, pi) is None
+        assert conjugacy._standard_order(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
+
+    def test_build_twist_once_per_type(self, monkeypatch):
+        """From a cold memo, however many ``closure_min_check`` calls every
+        classical group through rank 8 gets, under its identity and its
+        standard twist, ``build_twist`` runs at most once per (family, rank):
+        once for each type with a twist of order 2, never for the identity."""
+        monkeypatch.setattr(conjugacy, "_STANDARD_MAPS", {})
+        real_build, built = conjugacy.build_twist, []
+        monkeypatch.setattr(conjugacy, "build_twist",
+                            lambda *args: built.append(args) or real_build(*args))
+        groups = classical_groups(range(1, 9))
+        calls = 0
+        for family, rank, order in groups:
+            W = group(family, rank)
+            pi = pi_of(real_build(family, rank, order))
+            for k in range(rank + 1):
+                for _ in range(3):
+                    closure_min_check(W, pi, W.from_word(range(1, k + 1)))
+                    calls += 1
+        assert calls == 3 * sum(rank + 1 for _, rank, _ in groups)
+        assert sorted(built) == sorted((f, r, 2) for f, r, order in groups if order == 2)
+
+
 def supp_len(W, pi, w):
     supp = supp_delta(W, pi, w)
     seen, orbits = set(), 0
@@ -842,6 +894,14 @@ SWAPPED = {
     "3D4xA1": (block_cartan(D4_CARTAN, A1), {1: 4, 2: 2, 3: 1, 4: 3, 5: 5}),
 }
 
+# E6's D4 on nodes 2..5, in its standalone labels (node 3 central): twists of
+# order 1, 2 and 3.
+D4_OF_E6 = {
+    "D4 of E6": {1: 1, 2: 2, 3: 3, 4: 4},
+    "D4 of E6, leaf swap": {1: 2, 2: 1, 3: 3, 4: 4},
+    "D4 of E6, triality": {1: 2, 2: 4, 3: 3, 4: 1},
+}
+
 
 def tabled_groups():
     """(family, rank, order) of each group that ``conjugacy._CLASSICAL_TABLE``
@@ -854,12 +914,64 @@ def table_row(family, rank, order):
     return conjugacy._CLASSICAL_TABLE["B" if family == "C" else family, rank, order]
 
 
-def walked_representatives(W, pi):
-    """The smallest canonical word of each cuspidal level, read by the descent
-    beam off the walked levels of the cuspidal seeds, in (length, word) order."""
+def level_firsts(W, pi):
+    """The first member of the spelled level of each cuspidal seed
+    (``_cuspidal_levels``, then ``minimal_level``), in (length, word) order."""
     levels = conjugacy._cuspidal_levels(W, pi)
-    return sorted((conjugacy._level_minimum(W, level) for _, level in levels),
+    return sorted((minimal_level(W, pi, seed)[0] for seed, _ in levels),
                   key=lambda u: u.sort_key())
+
+
+def words_of(row):
+    return [tuple(map(int, word)) for word in row]
+
+
+def naming_rule(family, rank, order, direction):
+    """Which rule names the cuspidal classes of a named type under a twist map:
+    "classical" for a ``_CLASSICAL_TABLE`` group, "seeds" for a named type
+    under its identity or the delta map of its standard twist with a
+    ``_SEED_TABLE`` row, else "levels"."""
+    standard = direction == "delta" or order < 3
+    if standard and (family, rank, order) in tabled_groups():
+        return "classical"
+    if standard and (family, rank, order) in conjugacy._SEED_TABLE:
+        return "seeds"
+    return "levels"
+
+
+def assert_named_by(W, pi, rule, row, monkeypatch):
+    """From cold memos, ``cuspidal_representatives`` of W under pi names each
+    class by ``rule``: "classical" takes ``row``'s words with no walk and
+    keeps nothing; "seeds" takes ``row``'s words, walks each seed's level
+    once and leaves it unspelled; "levels" walks each seed's level once and
+    takes its first member, spelled.  A second call, with the representatives'
+    memo cleared and the levels held, walks nothing and gives the same words.
+    Returns the representatives' words."""
+    for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    walks = []
+    real_walk = conjugacy._shift_walk
+    monkeypatch.setattr(conjugacy, "_shift_walk",
+                        lambda *args: walks.append(args) or real_walk(*args))
+    reps = cuspidal_representatives(W, pi)
+    held = conjugacy._verdicts(W, pi)
+    if rule == "classical":
+        assert walks == [] and held == {}
+    else:
+        assert len(walks) == len(reps) == len({id(held[u.key]) for u in reps})
+        assert all(type(held[u.key]) is conjugacy._Level for u in reps)
+    if rule == "levels":
+        assert all(held[u.key].spelled[0] is u for u in reps)
+    else:
+        assert [u.word for u in reps] == words_of(row)
+    if rule == "seeds":
+        assert all(held[u.key].spelled is None for u in reps)
+    walks.clear()
+    monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+    assert [u.word for u in cuspidal_representatives(W, pi)] == [u.word for u in reps]
+    assert walks == []
+    monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
+    return [u.word for u in reps]
 
 
 class TestCuspidalRepresentatives:
@@ -903,13 +1015,13 @@ class TestCuspidalRepresentatives:
 
     @pytest.mark.slow
     def test_table_regenerates_from_walks(self):
-        """Each row of the classical table, rank 7 included, is what the walks
-        of the cuspidal seeds (``_cuspidal_levels``) and the descent beam
-        (``_level_minimum``) give, in (length, word) order."""
+        """Each row of the classical table, rank 7 included, is the first
+        members of the spelled levels that the walks of the cuspidal seeds
+        (``_cuspidal_levels``) reach, in (length, word) order."""
         for family, rank, order in tabled_groups():
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
-            reps = walked_representatives(W, pi)
+            reps = level_firsts(W, pi)
             assert ["".join(map(str, u.word)) for u in reps] == list(table_row(family, rank, order))
 
     @pytest.mark.parametrize("direction", ["delta", "delta_inv"])
@@ -922,45 +1034,82 @@ class TestCuspidalRepresentatives:
         assert got == cuspidal_words_by_enumeration(W, pi)
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5_6)
-    def test_beam_reads_walked_levels(self, family, rank, order, monkeypatch):
-        """From cold memos, in both directions, the descent beam reads each
-        representative off its walked level (``_level_minimum`` over
-        ``_cuspidal_levels``), the word enumeration gives, and leaves the
-        level's record unspelled.  ``cuspidal_representatives`` then gives the
-        same words with no walk: from the held levels on the groups that still
-        walk (exceptional, 2B2 and 3D4), off the table on the classical ones.
-        ``minimal_level`` spells each level on its record with no second walk,
-        with the representative first."""
+    def test_named_by_table_word_or_spelled_level(self, family, rank, order, monkeypatch):
+        """From cold memos, in both directions, each cuspidal class is named by
+        its table word or by the first member of its spelled level, and the
+        words are enumeration's (``assert_named_by``): the classical groups
+        by ``_CLASSICAL_TABLE``, a named type under its identity or the delta
+        map of its standard twist by its ``_SEED_TABLE`` row, and 3D4 under
+        delta_inv by its spelled levels."""
         W = group(family, rank)
-        real_walk = conjugacy._shift_walk
         for direction in ("delta", "delta_inv"):
-            for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
-                monkeypatch.setattr(conjugacy, memo, {})
             pi = pi_of(build_twist(family, rank, order), direction)
-            reps = walked_representatives(W, pi)
-            assert [w.word for w in reps] == cuspidal_words_by_enumeration(W, pi)
-            held = conjugacy._verdicts(W, pi)
-            assert all(type(held[w.key]) is conjugacy._Level for w in reps)
-            assert all(held[w.key].spelled is None for w in reps)
-            walks = []
-            monkeypatch.setattr(conjugacy, "_shift_walk",
-                                lambda *args: walks.append(args) or real_walk(*args))
-            assert [w.word for w in cuspidal_representatives(W, pi)] == [w.word for w in reps]
-            for w in reps:
-                level = minimal_level(W, pi, w)
-                assert (level[0].key, level[0].word) == (w.key, w.word)
-                assert held[w.key].spelled is level
-            assert walks == []
-            monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
+            rule = naming_rule(family, rank, order, direction)
+            row = (table_row(family, rank, order) if rule == "classical"
+                   else conjugacy._SEED_TABLE.get((family, rank, order)))
+            words = assert_named_by(W, pi, rule, row, monkeypatch)
+            assert words == cuspidal_words_by_enumeration(W, pi)
 
-    @pytest.mark.parametrize("family,rank,order,levels", [("B", 4, 1, 24), ("A", 5, 2, 12)])
-    @pytest.mark.parametrize("beam_first", [False, True])
-    def test_class_list_walks_each_level_once(self, family, rank, order, levels, beam_first,
-                                              monkeypatch):
+    @pytest.mark.parametrize("name", sorted(SWAPPED) + sorted(D4_OF_E6))
+    def test_other_groups_named_by_spelled_levels(self, name, monkeypatch):
+        """A reducible group whose twist permutes components, and E6's D4 on
+        nodes 2..5, in labels that are not Bourbaki's, under a twist of order
+        1, 2 and 3: from cold memos, in both directions, each cuspidal class
+        is named by the first member of its spelled level, as enumeration
+        names it."""
+        if name in SWAPPED:
+            cartan, pi = SWAPPED[name]
+            W = group_of(cartan)
+        else:
+            W, pi = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group, D4_OF_E6[name]
+        for p in (pi, inverse_pi(pi)):
+            assert conjugacy._standard_order(W, p) is None
+            words = assert_named_by(W, p, "levels", None, monkeypatch)
+            assert words and words == cuspidal_words_by_enumeration(W, p)
+
+    def test_seeds_are_the_table_rows(self, monkeypatch):
+        """For each type that ``_SEED_TABLE`` lists, under the delta map of its
+        standard twist, ``_cuspidal_seeds`` returns the row's words as they
+        are, in order: the words that name its cuspidal classes."""
+        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        for (family, rank, order), row in conjugacy._SEED_TABLE.items():
+            W = group(family, rank)
+            pi = pi_of(build_twist(family, rank, order))
+            assert conjugacy._standard_order(W, pi) == order
+            assert conjugacy._cuspidal_seeds(W, pi) == words_of(row)
+        assert len(conjugacy._SEED_TABLE) == 8
+
+    def test_a_seed_off_its_canonical_word_shows(self, G2, monkeypatch):
+        """Negative control: with G2's seed "12" replaced by "21", which is
+        minimal, cuspidal and in the same level, every runtime check passes,
+        and the representatives differ from enumeration's."""
+        table = dict(conjugacy._SEED_TABLE)
+        table["G", 2, 1] = ("21",) + table["G", 2, 1][1:]
+        for name, value in (("_SEED_TABLE", table), ("_CUSPIDAL_MEMO", {}),
+                            ("_COMPONENT_SEEDS", {}), ("_MINIMALITY_MEMO", {})):
+            monkeypatch.setattr(conjugacy, name, value)
+        pi = identity_pi(G2)
+        assert G2.from_word((1, 2)) in minimal_level(G2, pi, G2.from_word((2, 1)))
+        got = [u.word for u in cuspidal_representatives(G2, pi)]
+        assert got == words_of(table["G", 2, 1])
+        assert got != cuspidal_words_by_enumeration(G2, pi)
+
+    @pytest.mark.parametrize("family,rank,order,direction,levels,reps_walks", [
+        pytest.param("B", 4, 1, "delta", 24, 0, id="B-4-1-24"),
+        pytest.param("A", 5, 2, "delta", 12, 0, id="A-5-2-12"),
+        pytest.param("F", 4, 1, "delta", 29, 9, id="F-4-1-29"),
+        pytest.param("D", 4, 3, "delta_inv", 7, 4, id="D-4-3-delta_inv-7"),
+    ])
+    @pytest.mark.parametrize("reps_first", [False, True])
+    def test_class_list_walks_each_level_once(self, family, rank, order, direction, levels,
+                                              reps_walks, reps_first, monkeypatch):
         """A cold ``class_list`` starts one shift walk per level, and spells
-        every level it keeps, also after the beam of ``cuspidal_representatives``
-        has read the cuspidal levels unspelled: ``minimal_level`` spells a
-        level's record without walking it again."""
+        every level it keeps, also after ``cuspidal_representatives`` has
+        made its ``reps_walks`` walks: ``minimal_level`` spells a level's
+        record without walking it again.  B4 and 2A5 read their
+        representatives off the classical table with no walk; F4 walks its
+        seeds' levels and leaves them unspelled; 3D4 under delta_inv walks
+        them and spells them."""
         for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
         walks = []
@@ -968,9 +1117,10 @@ class TestCuspidalRepresentatives:
         monkeypatch.setattr(conjugacy, "_shift_walk",
                             lambda *args: walks.append(args) or real_walk(*args))
         W = group(family, rank)
-        pi = pi_of(build_twist(family, rank, order))
-        if beam_first:
+        pi = pi_of(build_twist(family, rank, order), direction)
+        if reps_first:
             assert cuspidal_representatives(W, pi)
+            assert len(walks) == reps_walks
         assert class_list(W, pi)
         held = list(conjugacy._verdicts(W, pi).values())
         assert all(type(level) is conjugacy._Level for level in held)
