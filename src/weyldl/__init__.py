@@ -18,7 +18,6 @@ from .conjugacy import (
 from .criterion import (
     Certificate,
     build_forward_system,
-    build_inverse_system,
     build_star_system,
     certify_min_element,
     check_certificate,
@@ -50,7 +49,6 @@ __all__ = [
     "supp_delta",
     "Certificate",
     "build_forward_system",
-    "build_inverse_system",
     "build_star_system",
     "feasible",
     "check_certificate",

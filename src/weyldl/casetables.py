@@ -6,9 +6,10 @@ subchecks, each derived from (J, w1, twist) by group action: the
 inequality systems, the inner-class options, the minimality of each
 product v w1 and its cuspidality.  The printed inequality strings of a
 row are never consulted.  Spade rows, whose reduction system is
-infeasible at the minimal q, carry an inverse-form certificate
-obligation instead, which ``_spade_certificate`` meets and the checker
-re-validates.
+infeasible at the minimal q, carry a certificate obligation instead,
+which ``_spade_certificate`` meets in the forward form and the checker
+re-validates; the checker also reads the inverse form, which no route
+writes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 
 from .catalog import (
     _BUILDERS,
-    CATALOG_DIRECTION,
     CaseRecord,
     _type_name,
     case_records,
@@ -29,18 +29,19 @@ from .conjugacy import (
     PiMap,
     closure_min_check,
     cuspidal_representatives,
+    inverse_pi,
     minimal_level,
     pi_closure,
 )
 from .criterion import (
-    FORM_INVERSE,
+    FORM_FORWARD,
     Certificate,
     IneqSystem,
     admissible_q,
-    build_inverse_system,
     build_star_system,
     check_certificate,
     feasible,
+    first_feasible,
     minimal_q,
 )
 from .exactnum import QuadExt, _sign, qext
@@ -237,28 +238,31 @@ def _spade_certificate(
     q: QuadExt,
     candidates: Sequence[WeylElt],
 ) -> tuple[Optional[Certificate], str]:
-    """Inverse-form certificate for a spade row, via the exact LP.
+    """Certificate for a spade row, via the exact LP.
 
     ``candidates`` are tried in order, and none is formed here: the
     products v w1 of the row's inner options when K is non-empty, else the
-    minimal level of the (cuspidal) inverse-twisted class of w1.  The
-    first whose inverse system is feasible gives the certificate, which
-    the checker re-validates.
+    minimal level of the (cuspidal) inverse-twisted class of w1.  Each
+    candidate w is tried as w^{-1} under pi^{-1}, whose forward system is
+    the inverse form of (w, pi) row for row; the first feasible one gives
+    the certificate, which the checker re-validates.
     """
-    for w in candidates:
-        system = build_inverse_system(W, w, pi, q)
-        mu = feasible(system)
-        if mu is None:
-            continue
-        cert = Certificate(
-            family=record.family, rank=record.rank, twist=record.twist,
-            direction=CATALOG_DIRECTION, q=q, w=w.word, form=FORM_INVERSE, mu=mu,
-        )
-        res = check_certificate(cert)
-        if not res:
-            return None, f"solver point rejected: {res.reason}"
-        return cert, "pass"
-    return None, "no inverse-form witness found for any candidate"
+    found = first_feasible(W, map(W.invert, candidates), inverse_pi(pi), q)
+    if found is None:
+        return None, "no witness found for any candidate"
+    cert = _spade_form(record, q, *found)
+    res = check_certificate(cert)
+    if not res:
+        return None, f"solver point rejected: {res.reason}"
+    return cert, "pass"
+
+
+def _spade_form(record: CaseRecord, q: QuadExt, x: WeylElt, mu) -> Certificate:
+    """The forward-form certificate of x under "delta", the catalog map's inverse."""
+    return Certificate(
+        family=record.family, rank=record.rank, twist=record.twist,
+        direction="delta", q=q, w=x.word, form=FORM_FORWARD, mu=mu,
+    )
 
 
 def _always_satisfied(system: IneqSystem) -> bool:
@@ -348,11 +352,8 @@ def verify_case(
             report.certificate = cert
             pinned_ok = True
             if cert is not None and record.pinned_mu is not None:
-                pinned = Certificate(
-                    family=record.family, rank=record.rank, twist=record.twist,
-                    direction=CATALOG_DIRECTION, q=q, w=w1.word, form=FORM_INVERSE,
-                    mu=tuple(map(qext, record.pinned_mu)),
-                )
+                pinned = _spade_form(record, q, W.invert(w1),
+                                     tuple(map(qext, record.pinned_mu)))
                 pinned_ok = bool(check_certificate(pinned))
                 report.details["pinned_mu_check"] = "pass" if pinned_ok else "fail"
             good = ok_w and cert is not None and pinned_ok

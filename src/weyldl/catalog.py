@@ -4,8 +4,8 @@ Each record holds, for one cuspidal inverse-twisted class family of one
 group type: the node set J, the coset representative w1, the expected
 fixed node set K, the inner-class options v, and (for non-spade rows) a
 positive witness for the reduction system.  Spade rows are the ones
-whose reduction system is infeasible at the minimal q; they carry an
-inverse-form certificate obligation instead.  A row's label and the
+whose reduction system is infeasible at the minimal q; they carry a
+certificate obligation instead.  A row's label and the
 mode of its inner options are derived from these fields, never written.
 
 The printed inequality strings are stored as documentation only: the
@@ -44,8 +44,9 @@ __all__ = [
 
 _setattr = object.__setattr__
 
-# The twist direction of every tabulated class: the inverse twist.  The
-# catalog's maps (``type_group``) and its inverse-form certificates read it.
+# The twist direction of every tabulated class (``type_group``).  Spade rows
+# certify in the forward form under "delta"; the checker also reads the
+# inverse form, which no route writes.
 CATALOG_DIRECTION = "delta_inv"
 
 

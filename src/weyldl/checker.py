@@ -12,6 +12,9 @@ direction:
 * inverse form, wire tag ``"stmt-1.13a"``: the q-rows
   q * mu[i] - (w alpha_{pi(i)})(mu) > 0, then the inversions of w^{-1}.
 
+The checker reads both; no route writes the inverse form, which for
+(w, pi) is the forward form of (w^{-1}, pi^{-1}).
+
 The checker re-derives those rows from the Dynkin diagram alone: it
 builds no group, root closure or reflection table, and shares no state
 with the routes that make certificates.  It reads q and every coordinate
@@ -51,7 +54,7 @@ q-rows come from the final columns, the inversion rows from the roots
 met, and only a rejection orders them: it reads the heights of the
 violated inversions off their keys, and the first violated one is the
 least by (height, key).  So the verdict, the label and the row count
-agree with the systems of :mod:`weyldl.criterion`.
+agree with the forward systems of :mod:`weyldl.criterion`.
 
 The checker keeps its own type data through rank 8, built per descriptor
 on first use: the number of positive roots in closed form, the Dynkin

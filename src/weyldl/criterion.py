@@ -4,29 +4,26 @@ Every verdict here is about one kind of object, an :class:`IneqSystem`:
 a homogeneous strict system  <c_r, m> > 0  over coweight coordinates,
 stored as q, the integer root-coordinate rows and the column of q in
 each q-row; labels are formatted only for the rows a report names.
-Three builders make its rows from signed root indices, all through one
+Two builders make its rows from signed root indices, both through one
 private row builder:
 
 * forward form, wire tag ``"lemma-1.11"``: for an element w of a twisted
   class with index map pi, the rows  q * mu[pi(i)] - (w^{-1} alpha_i)(mu)
   > 0 for every node i, then  alpha(mu) > 0 on the inversions of w;
 
-* inverse form, wire tag ``"stmt-1.13a"``: the rows
-  q * mu[i] - (w alpha_{pi(i)})(mu) > 0, where pi is the index map of the
-  class direction (the inverse twist for the tabulated data), then the
-  inversions of w^{-1}, read off the forward form's walk made for w^{-1};
-
 * the reduction ("star") system of a tabulated (J, w1) row.
 
-The two certificate forms are exchanged by w -> w^{-1} together with
-re-indexing of the q-rows, which the test suite verifies exhaustively at
-small rank.  A system either has a strict solution, found by the
-fraction-free simplex in :mod:`weyldl.lp`, or a Gordan witness; both
-read the system through :func:`weyldl.lp.integer_rows`, the one integer
-encoding of its rows with q folded in.  At a given point its one
-query, :meth:`IneqSystem.violated`, names the rows that fail: the point
-goes over one common denominator once, and each row is one integer dot
-product plus its q term, signed exactly.
+Every route writes the forward form.  The checker also reads the
+inverse form (``"stmt-1.13a"``), which no route writes: that of (w, pi)
+is the forward form of (w^{-1}, pi^{-1}) with its q-rows re-indexed.  A
+system either has a strict solution, found by the fraction-free simplex
+in :mod:`weyldl.lp`, or a Gordan witness; both read the system through
+:func:`weyldl.lp.integer_rows`, the one integer encoding of its rows
+with q folded in.  ``first_feasible`` is the one search of every route:
+the first candidate whose forward system has a strict point.  At a
+given point a system's one query, :meth:`IneqSystem.violated`, names
+the rows that fail: the point goes over one common denominator once,
+and each row is one integer dot product plus its q term, signed exactly.
 
 Forward systems are kept once per process in ``_FORWARD_MEMO``, keyed
 like ``lifting._ENGINE_MEMO`` on (Cartan matrix, pi, q, element key), so
@@ -35,10 +32,8 @@ simplex of ``certify_min_element`` and the ``_validate`` of the
 constructive route read one object when both reach the same element:
 both routes over the 180 classes of rank <= 4 call the builder 387
 times and keep 220 systems.  A miss walks once, for w^{-1} and the
-inversions of w together (``WeylGroup.invert_with_inversions``).  That is
-the one walker of inversion sets: the inverse form, built only for the
-catalog's spade rows (5 systems in ``verify_all()``), makes the same walk
-for w^{-1}.
+inversions of w together (``WeylGroup.invert_with_inversions``), the one
+walker of inversion sets.
 
 The certificate (``Certificate``, ``CertificateError`` and
 ``FORMAT_VERSION``: the record, its JSON wire format and its parser), the
@@ -46,8 +41,8 @@ checker, ``check_certificate``, and its verdict ``CheckResult`` live in
 :mod:`weyldl.checker` and are re-exported here.  The checker shares no group
 with this module: it walks the certificate's word over its own Dynkin
 links, carrying each root's packed coordinates and value at mu, and it
-never reads solver state.  Its rows are the rows of the two forms
-above, in the same order, and the signs of its slacks are those of
+never reads solver state.  Its forward rows are the rows of the forward
+form above, in the same order, and the signs of its slacks are those of
 :meth:`IneqSystem.violated`, which takes one dot product per row.
 """
 
@@ -59,7 +54,6 @@ from typing import Iterable, Mapping, Optional
 
 from .checker import (
     FORM_FORWARD,
-    FORM_INVERSE,
     FORMAT_VERSION,
     MAX_RANK,
     Certificate,
@@ -76,15 +70,14 @@ from .weyl import WeylElt, WeylGroup
 
 __all__ = [
     "FORM_FORWARD",
-    "FORM_INVERSE",
     "IneqSystem",
     "Certificate",
     "CheckResult",
     "CertificateError",
     "build_forward_system",
-    "build_inverse_system",
     "build_star_system",
     "feasible",
+    "first_feasible",
     "check_certificate",
     "certify_min_element",
     "minimal_q",
@@ -243,27 +236,6 @@ def build_forward_system(
     return system
 
 
-def build_inverse_system(
-    W: WeylGroup,
-    w: WeylElt,
-    pi: PiMap,
-    q: QuadExt,
-) -> IneqSystem:
-    """Inverse-form system for w; pi is the class-direction index map.
-
-    Its pure rows are the inversions of w^{-1}, read off the walk that
-    ``build_forward_system`` makes, ``invert_with_inversions``, here of
-    w^{-1}.  Only the catalog's spade rows build this form.
-    """
-    varset = W.system.nodes
-    pi = restrict_pi(pi, varset)
-    return _system(
-        W, varset, q,
-        [(i, i, W.act_on_simple(w, pi[i])) for i in varset],
-        [(W.roots[p], p + 1) for p in W.invert_with_inversions(W.invert(w))[1]],
-    )
-
-
 def build_star_system(
     W: WeylGroup,
     K: frozenset[int],
@@ -293,8 +265,8 @@ def feasible(system: IneqSystem) -> Optional[tuple[QuadExt, ...]]:
 
     The simplex reads the system's rows as :func:`weyldl.lp.integer_rows`
     encodes them; the point is re-checked against the system before it
-    is returned.  On a system over all the nodes, as the forward and
-    inverse forms are, it is mu itself; read a star system's point with
+    is returned.  On a system over all the nodes, as the forward form
+    is, it is mu itself; read a star system's point with
     ``dict(zip(system.varset, point))``.
     """
     point, _ = _solve_dual(*integer_rows(system), len(system.varset))
@@ -303,6 +275,24 @@ def feasible(system: IneqSystem) -> Optional[tuple[QuadExt, ...]]:
     if system.violated(dict(zip(system.varset, point))):
         raise AssertionError("simplex returned a non-strict point")
     return point
+
+
+def first_feasible(
+    W: WeylGroup,
+    candidates: Iterable[WeylElt],
+    pi: PiMap,
+    q: QuadExt,
+) -> Optional[tuple[WeylElt, tuple[QuadExt, ...]]]:
+    """The first candidate whose forward system is feasible, with its point mu.
+
+    Candidates are read in order, and only until one is feasible; None
+    when none is.  Each caller turns None into its own error.
+    """
+    for w in candidates:
+        mu = feasible(build_forward_system(W, w, pi, q))
+        if mu is not None:
+            return w, mu
+    return None
 
 
 def _minimal_square(family: str, twist: int) -> int:
@@ -382,10 +372,10 @@ def certify_min_element(
 ) -> Certificate:
     """Certificate for one twisted class via the forward-form search.
 
-    Walks the minimal-length elements of the class in canonical
-    (length, word) order, solving the forward system for each, and
-    returns the first feasible witness re-validated by the independent
-    checker.  Exhaustion contradicts the existence theorem and raises
+    Searches the minimal-length elements of the class in canonical
+    (length, word) order (``first_feasible``) and returns the first
+    feasible witness re-validated by the independent checker.
+    Exhaustion contradicts the existence theorem and raises
     FalsificationError.  A rank outside the checker's range, a q below
     the type's minimum, and a class of another group or twist raise
     ValueError before any solving.  The system and the certificate's
@@ -394,28 +384,24 @@ def certify_min_element(
     family, rank = W.system.family, W.system.rank
     q = admissible_q(family, rank, twist.order, q)
     pi, direction = class_map(W, twist, dclass)
-    for w in dclass.minimal:
-        system = build_forward_system(W, w, pi, q)
-        mu = feasible(system)
-        if mu is None:
-            continue
-        cert = Certificate(
-            family=family,
-            rank=rank,
-            twist=twist.order,
-            direction=direction,
-            q=q,
-            w=w.word,
-            form=FORM_FORWARD,
-            mu=mu,
+    found = first_feasible(W, dclass.minimal, pi, q)
+    if found is None:
+        raise FalsificationError(
+            f"no minimal element of class rep {dclass.representative.word} admits a witness "
+            f"at q={q}; this contradicts the existence theorem"
         )
-        result = check_certificate(cert)
-        if not result:
-            raise FalsificationError(
-                f"solver point rejected by the checker: {result.reason}"
-            )
-        return cert
-    raise FalsificationError(
-        f"no minimal element of class rep {dclass.representative.word} admits a witness "
-        f"at q={q}; this contradicts the existence theorem"
+    w, mu = found
+    cert = Certificate(
+        family=family,
+        rank=rank,
+        twist=twist.order,
+        direction=direction,
+        q=q,
+        w=w.word,
+        form=FORM_FORWARD,
+        mu=mu,
     )
+    result = check_certificate(cert)
+    if not result:
+        raise FalsificationError(f"solver point rejected by the checker: {result.reason}")
+    return cert

@@ -78,6 +78,7 @@ from .criterion import (
     check_certificate,
     class_map,
     feasible,
+    first_feasible,
 )
 from .exactnum import ZERO, QuadExt, qext
 from .rootdata import Frozen, Twist
@@ -473,14 +474,14 @@ def _leaf_certificate(
         recipe = tuple((phi_inv[n], s, lvl) for n, s, lvl in row.spade_recipe)
         return spade_witness(W, pi, w1, recipe, inner, q)
     # No composition recipe: search the minimal level with the exact solver.
-    for w in level:
-        mu = feasible(build_forward_system(W, w, pi, q))
-        if mu is not None:
-            point = dict(zip(W.system.nodes, mu))
-            return _validate(W, pi, EngineCert(w, point, q), "spade solver witness")
-    raise FalsificationError(
-        f"spade row {row.label}: no witness over the class minima at q={q}"
-    )
+    found = first_feasible(W, level, pi, q)
+    if found is None:
+        raise FalsificationError(
+            f"spade row {row.label}: no witness over the class minima at q={q}"
+        )
+    w, mu = found
+    point = dict(zip(W.system.nodes, mu))
+    return _validate(W, pi, EngineCert(w, point, q), "spade solver witness")
 
 
 _ENGINE_MEMO: dict[tuple, EngineCert] = {}

@@ -3,20 +3,40 @@
 ``oracle_check`` evaluates a certificate the way the checker did before it
 moved to integer root coordinates: the element from ``WeylGroup.from_word``
 in the group of ``weyl_group``, its system from ``build_forward_system`` or
-``build_inverse_system`` (reflection tables, ``invert`` and
+``inverse_system`` (reflection tables, ``invert`` and
 ``invert_with_inversions``), and the rows that fail from
 ``IneqSystem.violated``.  The prelude checks are the checker's, in its
 order, so the two must return equal ``CheckResult``s on every input.
+
+``inverse_system`` is the reference builder of the inverse form, which
+the checker reads and no route of the package writes.
 """
 
 from __future__ import annotations
 
+from weyldl import criterion
 from weyldl.checker import FORM_FORWARD, FORM_INVERSE, MAX_RANK, CheckResult
-from weyldl.conjugacy import pi_of
-from weyldl.criterion import build_forward_system, build_inverse_system
+from weyldl.conjugacy import pi_of, restrict_pi
+from weyldl.criterion import build_forward_system
 from weyldl.exactnum import qext
 from weyldl.rootdata import build_twist, positive_root_count
 from weyldl.weyl import weyl_group
+
+
+def inverse_system(W, w, pi, q):
+    """Inverse-form system of w, pi the class-direction index map.
+
+    The rows q*mu[i] - (w alpha_{pi(i)})(mu) > 0 for every node i, then
+    alpha(mu) > 0 on the inversions of w^{-1}, read off the walk that
+    ``build_forward_system`` makes (``invert_with_inversions``), here of w^{-1}.
+    """
+    nodes = W.system.nodes
+    pi = restrict_pi(pi, nodes)
+    return criterion._system(
+        W, nodes, q,
+        [(i, i, W.act_on_simple(w, pi[i])) for i in nodes],
+        [(W.roots[p], p + 1) for p in W.invert_with_inversions(W.invert(w))[1]],
+    )
 
 
 def oracle_check(cert) -> CheckResult:
@@ -59,7 +79,7 @@ def oracle_check(cert) -> CheckResult:
     if cert.form == FORM_FORWARD:
         system = build_forward_system(W, w, pi, cert.q)
     else:
-        system = build_inverse_system(W, w, pi, cert.q)
+        system = inverse_system(W, w, pi, cert.q)
     violated = system.violated(dict(zip(system.varset, cert.mu)))
     if violated:
         label, sign = violated[0]

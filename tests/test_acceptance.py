@@ -16,6 +16,7 @@ import pytest
 
 from weyldl.casetables import place_row, verify_case
 from weyldl.catalog import load_case_records
+from weyldl.checker import FORM_FORWARD, FORM_INVERSE
 from weyldl.conjugacy import (
     class_list,
     class_of,
@@ -26,7 +27,6 @@ from weyldl.conjugacy import (
 from weyldl.criterion import (
     Certificate,
     build_forward_system,
-    build_inverse_system,
     certify_min_element,
     check_certificate,
     minimal_q,
@@ -35,6 +35,7 @@ from weyldl.exactnum import common_parts
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types
 
+from checker_oracle import inverse_system
 from conftest import RANK_5_6, RANK_LE_4, SRC, group
 from fraction_quadext import certificate_json
 from lp_oracle import rows_of
@@ -85,7 +86,7 @@ def test_criterion_1_table_replay_non_spade():
 
 
 def test_criterion_2_spade_cases():
-    """Spade rows: infeasible at minimal q, with a checked inverse-form witness."""
+    """Spade rows: infeasible at minimal q, with a checked forward-form witness."""
     records = load_case_records()
     assert set(SPADE_LABELS) == {r.label for r in records if r.spade}
     failures = []
@@ -106,6 +107,31 @@ def test_criterion_2_spade_cases():
             failures.append((label, report.subchecks, report.details))
     _report("2", not failures, f"{len(SPADE_LABELS)} spade cases")
     assert not failures, failures
+
+
+def test_every_route_writes_the_forward_form():
+    """Every certificate that ``verify_all()`` and both W3 routes write is in the
+    forward form.  For each spade row, whose certificate is the forward form of
+    some x under "delta", the checker also accepts the same mu in the inverse
+    form of x's word reversed under "delta_inv", with as many rows."""
+    from weyldl.casetables import verify_all
+
+    spade = [case.certificate for case in verify_all().cases if case.certificate is not None]
+    assert len(spade) == len(SPADE_LABELS)
+    routes = []
+    for family, rank, order in RANK_LE_4:
+        W, twist, pi, q = _ctx(family, rank, order)
+        for cls in class_list(W, pi):
+            routes += [certify_min_element(W, twist, cls, q),
+                       constructive_certificate(W, twist, cls, q)]
+    assert len(routes) == 360
+    assert {cert.form for cert in spade + routes} == {FORM_FORWARD}
+    for cert in spade:
+        assert cert.direction == "delta"
+        inverse = Certificate(cert.family, cert.rank, cert.twist, "delta_inv", cert.q,
+                              cert.w[::-1], FORM_INVERSE, cert.mu)
+        accepted = check_certificate(inverse)
+        assert accepted and accepted.rows_checked == check_certificate(cert).rows_checked
 
 
 @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
@@ -213,7 +239,7 @@ def test_criterion_7_transfer_identity():
         fwd_pi = pi_of(twist, "delta")
         inv_pi = pi_of(twist, "delta_inv")
         for w in elements_of(W):
-            a = build_inverse_system(W, w, inv_pi, q)
+            a = inverse_system(W, w, inv_pi, q)
             b = build_forward_system(W, W.invert(w), fwd_pi, q)
             # The same rows, in another order: q-rows re-index by i -> delta(i).
             assert sorted(rows_of(a)) == sorted(rows_of(b))
@@ -261,7 +287,7 @@ def test_criterion_9_determinism():
     _report("9", True, "100 randomized class picks re-verified")
 
 
-# SHA-256 of ``verify_all().to_json()`` over all 213 rows (54441 bytes, 31
+# SHA-256 of ``verify_all().to_json()`` over all 213 rows (54421 bytes, 31
 # skipped subchecks, no fail).  A change to any verdict, detail or byte of the
 # report changes it.  Re-pinned when the spade certificates it embeds took
 # wire format 2 (decoded, the two reports differ only in those certificates'
@@ -275,8 +301,11 @@ def test_criterion_9_determinism():
 # only 2A8, B8, C8, D8 and 2D8 case 1 a=1 change, 14 subchecks to "pass",
 # 2D8's ``vw1_min_full`` to "skipped(row pairs with no inner class at this
 # rank)", and each gains ``v_count`` and ``v_minimal_products``; each of the
-# 5 rows then equals its ``verify_all(slow=True)`` report.
-REPORT_SHA256 = "def42b1e647a08015b114eda5accaf3daf928d585db469b8061fb7f4d73aeece"
+# 5 rows then equals its ``verify_all(slow=True)`` report.  Re-pinned again
+# when the 5 spade certificates took the forward form of w^{-1} under
+# "delta": decoded, only their ``form``, ``direction`` and ``w`` change, each
+# certificate 4 bytes shorter, and every mu is the same.
+REPORT_SHA256 = "fd9dcac88fcb3d138f9ad8177eb3211169b7feb4fd1d90a43b9b47cbcda49a77"
 
 
 def test_criterion_9_full_report_digest():
@@ -284,7 +313,7 @@ def test_criterion_9_full_report_digest():
     from weyldl.casetables import verify_all
 
     text = verify_all().to_json()
-    assert len(text) == 54441
+    assert len(text) == 54421
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256
     _report("9", True, "213-row report digest")
 

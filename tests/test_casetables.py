@@ -532,32 +532,54 @@ def test_a_tampered_table_word_ends_the_row(records, monkeypatch):
     with pytest.raises(FalsificationError, match="tabled word 121 .* is not minimal"):
         verify_case(row)
 
-COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6]
+COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6 or t[0] in "ABCD"]
+
+
+def coverage(family, rank, twist, records):
+    """Each cuspidal class's representative -> the labels of the rows among
+    ``records`` whose inner options, as the verifier resolves them, give a
+    minimal element of the class."""
+    W, pi = type_group(family, rank, twist)
+    covered = {c.representative: set() for c in class_list(W, pi) if c.cuspidal}
+    for rec in records:
+        placed = place_row(W, pi, rec.J, rec.w1)
+        assert placed is not None, rec.label
+        vws, problem = _resolve_v_options(rec, placed)
+        assert problem is None, (rec.label, problem)
+        for vw in vws:
+            w = W.multiply(W.from_word(vw), placed.w1)
+            cls = class_of(W, pi, w)
+            if cls.cuspidal and w.length == cls.min_length:
+                covered[cls.representative].add(rec.label)
+    return covered
+
+
+def uncovered(covered):
+    return [rep.word for rep, labels in covered.items() if not labels]
 
 
 class TestCoverage:
-    def test_types_through_rank_6(self):
-        assert len(COVERAGE_TYPES) == 35
+    def test_types_through_rank_6_and_classical_rank_7_and_8(self):
+        assert len(COVERAGE_TYPES) == 47
+        assert {t[0] for t in CATALOG_TYPES if t not in COVERAGE_TYPES} == {"E"}
 
     @pytest.mark.parametrize("family,rank,twist", COVERAGE_TYPES)
     def test_minimal_coverage(self, family, rank, twist):
         """Each cuspidal class receives a minimal representative from a row's
         inner options, as the verifier resolves them."""
-        W, pi = type_group(family, rank, twist)
-        cusp = [c for c in class_list(W, pi) if c.cuspidal]
-        covered = {c.representative: False for c in cusp}
-        for rec in case_records(family, rank, twist):
-            placed = place_row(W, pi, rec.J, rec.w1)
-            assert placed is not None, rec.label
-            vws, problem = _resolve_v_options(rec, placed)
-            assert problem is None, (rec.label, problem)
-            for vw in vws:
-                w = W.multiply(W.from_word(vw), placed.w1)
-                cls = class_of(W, pi, w)
-                if cls.cuspidal and w.length == cls.min_length:
-                    covered[cls.representative] = True
-        missing = [rep.word for rep, ok in covered.items() if not ok]
+        missing = uncovered(coverage(family, rank, twist, case_records(family, rank, twist)))
         assert not missing, missing
+
+    @pytest.mark.parametrize("family,rank,twist", [("F", 4, 1), ("B", 8, 1)])
+    def test_a_removed_row_leaves_its_class_missing(self, family, rank, twist):
+        """Negative control: without a row that alone covers some class, exactly
+        the classes only it covered are reported missing."""
+        records = case_records(family, rank, twist)
+        full = coverage(family, rank, twist, records)
+        label = next(next(iter(labels)) for labels in full.values() if len(labels) == 1)
+        alone = [rep.word for rep, labels in full.items() if labels == {label}]
+        kept = [r for r in records if r.label != label]
+        assert alone and uncovered(coverage(family, rank, twist, kept)) == alone
 
 
 def _verdicts_by_enumeration(record):

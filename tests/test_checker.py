@@ -54,7 +54,6 @@ from weyldl.checker import (
 from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
     build_forward_system,
-    build_inverse_system,
     certify_min_element,
     minimal_q,
 )
@@ -70,7 +69,7 @@ from weyldl.exactnum import (
 from weyldl.lifting import constructive_certificate
 from weyldl.rootdata import build_twist, candidate_types, positive_root_count
 
-from checker_oracle import oracle_check
+from checker_oracle import inverse_system, oracle_check
 from conftest import RANK_5_6, RANK_LE_4, group
 from fraction_quadext import certificate_json
 from test_criterion import HOSTILE
@@ -302,7 +301,7 @@ def test_rows_are_the_systems_rows(case, data):
     mu = data.draw(st.lists(_NUMBERS[tuple(sorted({1, q.d}))], min_size=rank, max_size=rank))
     W = group(family, rank)
     forward = form == FORM_FORWARD
-    build = build_forward_system if forward else build_inverse_system
+    build = build_forward_system if forward else inverse_system
     system = build(W, W.from_word(word), pi_of(build_twist(family, rank, twist), direction), q)
 
     _, links, units, maps = checker._descriptor(family, rank, twist)
@@ -384,6 +383,21 @@ def test_checker_imports_only_exactnum_and_rootdata():
                        ("exactnum", "_sign"), ("exactnum", "common_parts"),
                        ("exactnum", "integer_parts"),
                        ("rootdata", "Frozen")}
+
+
+def test_only_the_checker_names_the_inverse_form():
+    """No module of weyldl but ``checker`` names ``FORM_INVERSE`` or spells its wire
+    tag: the checker reads the inverse form, and no route writes it."""
+    naming = set()
+    for path in sorted(Path(checker.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name in ("FORM_INVERSE", checker.FORM_INVERSE):
+                naming.add(path.name)
+    assert naming == {"checker.py"}
 
 
 @pytest.mark.parametrize("family, rank", TYPES, ids=[f"{f}{n}" for f, n in TYPES])
@@ -497,12 +511,14 @@ def test_hand_built_tuple_mu_checks_as_parsed(corpus):
 
 
 def test_criterion_reexports_the_checker():
-    """``criterion`` hands out the checker's own objects: one checker in the package."""
+    """``criterion`` hands out the checker's own objects: one checker in the package.
+    It does not hand out ``FORM_INVERSE``, the tag of a form no route writes."""
     from weyldl import criterion
 
-    for name in ("check_certificate", "CheckResult", "FORM_FORWARD", "FORM_INVERSE", "MAX_RANK",
+    for name in ("check_certificate", "CheckResult", "FORM_FORWARD", "MAX_RANK",
                  "Certificate", "CertificateError", "FORMAT_VERSION"):
         assert getattr(criterion, name) is getattr(checker, name)
+    assert not hasattr(criterion, "FORM_INVERSE")
     assert CheckResult.__module__ == "weyldl.checker"
     assert Certificate.__module__ == CertificateError.__module__ == "weyldl.checker"
 

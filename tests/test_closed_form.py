@@ -16,11 +16,13 @@ with a predicate it does not share.  Every element of each of the 21
 twisted groups of rank <= 4 (W3) gets both forms in both directions:
 16,376 certificates at each q.  The two predicates differ on some element
 of every group but A1 and A2, so a checker that confused w with w^-1
-would fail here.
+would fail here: the negative control runs the comparison with the
+checker's walk reversed and sees it fail on those groups.
 """
 
 import pytest
 
+from weyldl import checker
 from weyldl.checker import FORM_FORWARD, FORM_INVERSE, Certificate, check_certificate
 from weyldl.conjugacy import pi_of
 from weyldl.exactnum import qext
@@ -80,36 +82,61 @@ def test_every_certificate_is_accepted_at_h(family, rank, order):
         assert result.accepted and result.rows_checked == rank + len(word), word
 
 
-@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
-def test_verdicts_at_h_minus_1_follow_theta(family, rank, order):
-    """At q = h - 1 the forward form is rejected exactly when w(theta) is a
-    simple root alpha_k, and the inverse form exactly when w^-1(theta) is.
-    The reason names the q-row with slack zero: row k in the forward form,
-    and in the inverse form the row i with pi(i) = k."""
+def theta_disagreements(family, rank, order):
+    """Compare every verdict at q = h - 1 with the theta predicate.
+
+    Returns the (word, direction, form) whose verdict or reason disagrees,
+    the number of forward-form rejections in direction "delta", and
+    whether the forward and inverse predicates differ on some element."""
     cartan = group(family, rank).system.cartan
     theta = highest_root(cartan)
     twist = build_twist(family, rank, order)
-    forward_rejected, differ = 0, False
+    bad, forward_rejected, differ = [], 0, False
     for word, direction, form, result in verdicts(family, rank, order, sum(theta)):
         forward = simple_image(cartan, word, theta)
         inverse = simple_image(cartan, word[::-1], theta)
         differ |= (forward is None) != (inverse is None)
         k = forward if form == FORM_FORWARD else inverse
         if k is None:
-            assert result.accepted, (word, direction, form)
-            continue
-        pi = pi_of(twist, direction)
-        row = k if form == FORM_FORWARD else next(i for i in pi if pi[i] == k)
-        assert not result.accepted
-        assert result.reason == f"violated: q-row i={row} (slack zero)", (word, direction, form)
-        forward_rejected += form == FORM_FORWARD and direction == "delta"
+            ok = result.accepted
+        else:
+            pi = pi_of(twist, direction)
+            row = k if form == FORM_FORWARD else next(i for i in pi if pi[i] == k)
+            ok = (not result.accepted
+                  and result.reason == f"violated: q-row i={row} (slack zero)")
+            forward_rejected += form == FORM_FORWARD and direction == "delta"
+        if not ok:
+            bad.append((word, direction, form))
+    return bad, forward_rejected, differ
+
+
+@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+def test_verdicts_at_h_minus_1_follow_theta(family, rank, order):
+    """At q = h - 1 the forward form is rejected exactly when w(theta) is a
+    simple root alpha_k, and the inverse form exactly when w^-1(theta) is.
+    The reason names the q-row with slack zero: row k in the forward form,
+    and in the inverse form the row i with pi(i) = k."""
+    bad, forward_rejected, differ = theta_disagreements(family, rank, order)
+    assert not bad, bad[:5]
     if (family, rank, order) in FORWARD_REJECTIONS:
         assert forward_rejected == FORWARD_REJECTIONS[family, rank, order]
     assert differ == ((family, rank) not in {("A", 1), ("A", 2)})
 
 
+@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+def test_a_checker_that_walks_w_for_w_inverse_is_caught(family, rank, order, monkeypatch):
+    """Negative control: with ``checker._sweep`` walking each word reversed, so
+    that the forward form walks w where it needs w^-1 (and the inverse form
+    w^-1), the theta comparison disagrees on some element of every group but
+    A1 and A2, in which no element's two predicates differ."""
+    sweep = checker._sweep
+    monkeypatch.setattr(checker, "_sweep", lambda word, *rest: sweep(word[::-1], *rest))
+    bad, _, _ = theta_disagreements(family, rank, order)
+    assert bool(bad) == ((family, rank) not in {("A", 1), ("A", 2)})
+
+
 def test_certificate_count():
-    """The two tests above check 16,376 certificates each: both forms and both
+    """Each test above checks 16,376 certificates: both forms and both
     directions of every element of the 21 twisted groups of rank <= 4."""
     assert len(RANK_LE_4) == 21
     assert sum(4 * len(elements_of(group(f, r))) for f, r, _ in RANK_LE_4) == 16376

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldl.casetables import place_row
+from weyldl.checker import FORM_INVERSE
 from weyldl.conjugacy import class_list, class_of, pi_of
 from weyldl.criterion import (
     FORM_FORWARD,
-    FORM_INVERSE,
     Certificate,
     CertificateError,
     CheckResult,
     admissible_q,
     build_forward_system,
-    build_inverse_system,
     build_star_system,
     certify_min_element,
     check_certificate,
@@ -28,6 +27,7 @@ from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadE
 from weyldl.rootdata import build_root_system, build_twist
 from weyldl import checker, criterion, lifting, weyl
 
+from checker_oracle import inverse_system
 from conftest import RANK_LE_4, group
 from fraction_quadext import FractionQuadExt, certificate_json
 from lp_oracle import labels_of, rows_of
@@ -155,7 +155,7 @@ def test_forward_rows_from_one_walk(family, rank, monkeypatch):
         system = build_forward_system(W, w, pi, q)
         assert (system.coeffs, system.qcols, system.subjects) == \
             (oracle.coeffs, oracle.qcols, oracle.subjects), w.word
-        inverse = build_inverse_system(W, w, pi, q)
+        inverse = inverse_system(W, w, pi, q)
         assert list(inverse.subjects[len(nodes):]) == \
             [W.roots[p] for p in inversions_of_inverse(W, w)], w.word
     assert len(criterion._FORWARD_MEMO) == weyl_order(family, rank)
@@ -173,11 +173,14 @@ class TestTransferIdentity:
         q = minimal_q(family, order)
         fwd_pi = pi_of(twist, "delta")
         inv_pi = pi_of(twist, "delta_inv")
+        nodes = W.system.nodes
         for w in elements_of(W):
-            a = build_inverse_system(W, w, inv_pi, q)
-            b = build_forward_system(W, W.invert(w), fwd_pi, q)
-            # The same rows, in another order: q-rows re-index by i -> delta(i).
-            assert sorted(rows_of(a)) == sorted(rows_of(b))
+            a = rows_of(inverse_system(W, w, inv_pi, q))
+            b = rows_of(build_forward_system(W, W.invert(w), fwd_pi, q))
+            # The same rows: forward q-row i is inverse q-row delta(i), and
+            # the inversion rows agree in order.
+            assert [b[i - 1] for i in nodes] == [a[fwd_pi[i] - 1] for i in nodes], w.word
+            assert a[len(nodes):] == b[len(nodes):], w.word
 
 
 def _expected(q, varset, q_rows, pure_rows):
@@ -223,7 +226,7 @@ class TestBuilderRows:
                     [(i, pi[i], _image(W, inv_word, i)) for i in nodes],
                     _inversion_rows(W, word),
                 )
-                inv = build_inverse_system(W, w, pi, q)
+                inv = inverse_system(W, w, pi, q)
                 assert (rows_of(inv), labels_of(inv)) == _expected(
                     q, nodes,
                     [(i, i, _image(W, word, pi[i])) for i in nodes],
@@ -297,7 +300,7 @@ class TestRecords:
         again = build_forward_system(A2, w, idpi(A2), qext(2))
         assert system == again and hash(system) == hash(again)
         assert system != build_forward_system(A2, w, idpi(A2), qext(3))
-        assert system != build_inverse_system(A2, w, idpi(A2), qext(2))
+        assert system != inverse_system(A2, w, idpi(A2), qext(2))
         with pytest.raises(AttributeError):
             system.coeffs = ()
         assert system == again
@@ -360,7 +363,7 @@ class TestEvaluationOracle:
                 for cls in class_list(W, pi)[:6]:
                     w = cls.minimal[-1]
                     out.append(build_forward_system(W, w, pi, q))
-                    out.append(build_inverse_system(W, w, pi, q))
+                    out.append(inverse_system(W, w, pi, q))
                     K = frozenset(range(2, rank + 1)) if cls.cuspidal else frozenset()
                     out.append(build_star_system(W, K, w, pi, q))
         return out

@@ -11,7 +11,6 @@ from weyldl.conjugacy import class_list, pi_of
 from weyldl.criterion import (
     IneqSystem,
     build_forward_system,
-    build_inverse_system,
     build_star_system,
     feasible,
     minimal_q,
@@ -20,6 +19,7 @@ from weyldl.criterion import (
 from weyldl.exactnum import SQRT2, SQRT3, IncompatibleRadicandError, QuadExt, qext
 from weyldl.rootdata import build_twist
 
+from checker_oracle import inverse_system
 from conftest import RANK_LE_4, group
 from lp_oracle import dense_solve_dual, gordan_witness, is_gordan_witness, rows_of, solve_strict
 
@@ -167,7 +167,7 @@ def test_feasible_matches_dense_simplex_at_q_with_a_denominator(family, rank, or
     pi = pi_of(build_twist(family, rank, order))
     for cls in class_list(W, pi):
         for w in cls.minimal:
-            for system in (build_forward_system(W, w, pi, q), build_inverse_system(W, w, pi, q)):
+            for system in (build_forward_system(W, w, pi, q), inverse_system(W, w, pi, q)):
                 rows, n = rows_of(system), len(system.varset)
                 point, witness = dense_solve_dual(rows, n)
                 mu = feasible(system)
@@ -281,7 +281,7 @@ def test_matches_dense_simplex_on_minimal_elements(family, rank, order):
     for cls in class_list(W, pi):
         for w in cls.minimal:
             assert _same_as_dense(build_forward_system(W, w, pi, q)), w.word
-            assert _same_as_dense(build_inverse_system(W, w, pi, q)), w.word
+            assert _same_as_dense(inverse_system(W, w, pi, q)), w.word
 
 
 def test_matches_dense_simplex_on_catalog_star_systems():
