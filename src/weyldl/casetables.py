@@ -62,11 +62,6 @@ __all__ = [
 
 _setattr = object.__setattr__
 
-# The largest rank of an exceptional group whose (v) the default tier decides:
-# E7's and E8's walks wait for the slow tier.
-_DEFAULT_TIER_RANK = 6
-_SLOW_TIER_SKIP = "skipped(requires slow tier)"
-
 
 class CaseReport(Record):
     """The outcome of one catalog row, filled in subcheck by subcheck (mutable, unhashable).
@@ -210,8 +205,8 @@ def _resolve_v_options(
     """Ambient-label words for the inner-class options of a record.
 
     "lengths" and "all" rows take the cuspidal inner classes of the
-    placement, in both tiers: a classical K, the only kind above 6 nodes
-    in the catalog, reads them off a table with no walk
+    placement: a classical K, the only kind above 6 nodes in the catalog,
+    reads them off a table with no walk
     (``cuspidal_representatives``).  Returns (words, problem) where problem
     is a fail message when resolution is impossible.
     """
@@ -280,7 +275,6 @@ def _always_satisfied(system: IneqSystem) -> bool:
 def verify_case(
     record: CaseRecord,
     q: Optional[QuadExt] = None,
-    slow: bool = False,
 ) -> CaseReport:
     """Run subchecks (i)-(vi) of one record; a failed (i) or (ii) ends the report.
 
@@ -391,24 +385,16 @@ def verify_case(
             # A cuspidal representative, which ``cuspidal_representatives``
             # has decided minimal in W_K under sigma or raised.
             iv_results.append("pass")
-        # (v): v w1 minimal in its full twisted class.  Classical types are
-        # decided by their signed cycle type with no walk, so only the E7 and
-        # E8 walks wait for the slow tier.
-        if record.rank <= _DEFAULT_TIER_RANK or slow or record.family in "ABCD":
-            v_results.append(closure_verdict(W, pi, w))
-        else:
-            v_results.append(_SLOW_TIER_SKIP)
+        # (v): v w1 minimal in its full twisted class; classical types read
+        # their signed cycle type and E7 and E8 their characteristic
+        # polynomial, with no walk.
+        v_results.append(closure_verdict(W, pi, w))
         # (vi): cuspidal, read off the full pi-support of v w1
         supp = W.support(w)
         vi_results.append("pass" if len(pi_closure(pi, supp)) == W.rank else "fail")
 
     def fold(results: list[str]) -> str:
-        if any(r == "fail" for r in results):
-            return "fail"
-        skips = [r for r in results if r.startswith("skipped")]
-        if skips:
-            return skips[0]
-        return "pass"
+        return "fail" if "fail" in results else "pass"
 
     def fold_any(results: list[str]) -> str:
         # Rows that print no inner element leave the pairing of inner
@@ -416,11 +402,8 @@ def verify_case(
         # as some enumerated inner class gives a minimal product.  A row
         # whose products are all non-minimal pairs with no class at this
         # rank (full coverage is checked separately, per type).
-        if any(r == "pass" for r in results):
+        if "pass" in results:
             return "pass"
-        skips = [r for r in results if r.startswith("skipped")]
-        if skips:
-            return skips[0]
         return "skipped(row pairs with no inner class at this rank)"
 
     report.details["v_count"] = len(v_words)
@@ -436,7 +419,6 @@ def verify_case(
 def verify_all(
     type_filter: Optional[str] = None,
     q: Optional[QuadExt] = None,
-    slow: bool = False,
 ) -> AggregateReport:
     """Verify every record whose label starts with ``type_filter``, in catalog order.
 
@@ -451,5 +433,5 @@ def verify_all(
         for r in case_records(*key)
         if r.label.startswith(f)
     ]
-    reports = [verify_case(r, q=q, slow=slow) for r in records]
+    reports = [verify_case(r, q=q) for r in records]
     return AggregateReport(cases=reports)

@@ -111,7 +111,7 @@ def _check_file(path: str) -> tuple[bool, str]:
 
 def cmd_verify_paper(args) -> int:
     q: Optional[QuadExt] = parse_q_literal(args.q) if args.q else None
-    report = verify_all(type_filter=args.filter, q=q, slow=args.slow)
+    report = verify_all(type_filter=args.filter, q=q)
     if not report.cases:  # an empty replay would print an all-pass total
         raise ValueError(f"no catalog row matches filter {args.filter!r}")
     for line in report.summary_lines():
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="replay the bundled case catalog")
     p.add_argument("--filter", help="label prefix, e.g. F4 or 2B2")
     p.add_argument("--q", help="override the per-type minimal q")
-    p.add_argument("--slow", action="store_true", help="also decide minimality of v w1 on the E7 and E8 rows (criterion v)")
     p.add_argument("--out", help="write the aggregate JSON report here")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -21,17 +21,22 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Each (group, pi) has one minimality oracle, chosen by
-``_standard_order``, the one answer to "is the group a named type under
-its identity or the delta map of its standard twist?"
-(``closure_min_check``).  When ``system_of`` named the group A, B, C or D,
-so it is in Bourbaki labels, and pi is the identity or its standard
-order-2 twist, whether one element is minimal is read off its signed
-cycle type by ``_least_length``, with no walk and nothing kept.  Every
-other minimality question, relabelled classical groups included, and
-every minimal level, is decided once
-per process, in ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan
-matrix) and pi, never on a group object, so groups built apart share it.
+Minimality (``closure_min_check``) is decided by the group's name,
+from ``_standard_order``, the one answer to "is the group a named type
+under its identity or the delta map of its standard twist?".  When
+``system_of`` named the group A, B, C or D, so it is in Bourbaki labels,
+and pi is the identity or its standard order-2 twist, whether one
+element is minimal is read off its signed cycle type by
+``_least_length``, with no walk and nothing kept.  In a named E7 or E8
+under the identity, an elliptic element, one whose characteristic
+polynomial P (``_charpoly``) has P(1) != 0, is minimal exactly when its
+length is ``_ELLIPTIC_LEAST[P]``, again with no walk; its other elements
+walk.  That split by P(1) is a second oracle in one group, which stays
+until the fixed space's parabolic reads every class off its elliptic
+part.  Every other minimality question, relabelled classical groups
+included, and every minimal level, is decided once per process, in
+``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
+pi, never on a group object, so groups built apart share it.
 It is answered by one memoized walk, ``_verdict``, which keeps one of two
 values for an element: its minimal level, a ``_Level`` record held under
 the key of each member, once a walk has ended without a descent; or the
@@ -80,8 +85,8 @@ __all__ = [
 PiMap = dict[int, int]
 
 # Most elements any cyclic-shift walk may reach before it raises
-# ClosureBudgetError.  The largest walk the catalog and the class lists
-# through rank 8 make reaches 16,374 (E8, under ``verify_all(slow=True)``).
+# ClosureBudgetError.  The catalog's largest walk reaches 180 elements (E6);
+# the tests' walks of the E8 levels reach 16,374.
 WALK_BUDGET = 10 ** 6
 
 
@@ -332,8 +337,12 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     standard twist of order 2 (``_classical_reading``), w is minimal exactly
     when l(w) is the least length that ``_least_length`` reads off a reduced
     word of w (``WeylGroup.reduced_word``); no walk starts and nothing is
-    kept.  Any other W, exceptional, 3D4, reducible, relabelled or with a
-    twist that permutes components, is answered by ``_verdict``'s walk:
+    kept.  When W is a named E7 or E8 under the identity and P(1) != 0
+    for the characteristic polynomial P of w (``_charpoly``), w is minimal
+    exactly when l(w) is ``_ELLIPTIC_LEAST[P]``, again with no walk; a P
+    missing from the table raises FalsificationError.  Any other W or w,
+    exceptional, 3D4, reducible, relabelled or with a twist that permutes
+    components, is answered by ``_verdict``'s walk:
     "minimal" if the non-increasing closure holds no shorter element,
     "not_minimal" on the first strict descent.  Complete by the descent
     theorem for twisted classes: non-increasing cyclic shifts from any
@@ -347,7 +356,55 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     if reading is not None:
         least = _least_length(*reading, W.reduced_word(w))
         return "minimal" if w.length == least else "not_minimal"
+    if W.system.family == "E" and W.rank in (7, 8) and _standard_order(W, pi) == 1:
+        P = _charpoly(W, w)
+        if 1 + sum(P):  # P(1) != 0: w is elliptic
+            if P not in _ELLIPTIC_LEAST:
+                raise FalsificationError(f"{w.word}: no elliptic class of E{W.rank} has polynomial {P}")
+            return "minimal" if w.length == _ELLIPTIC_LEAST[P] else "not_minimal"
     return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
+
+
+def _charpoly(W: WeylGroup, w: WeylElt) -> tuple[int, ...]:
+    """c_1, ..., c_n of det(t - w) = t^n + c_1 t^(n-1) + ... + c_n, w on the root lattice.
+
+    w as a translate table of root bytes takes one translate per letter of
+    a reduced word of w, and then the key of w^k is one translate of the
+    key of w^(k-1).  tr(w^k) is the sum over i of coordinate i of
+    w^k(alpha_i); Newton's identities, k c_k = -(c_(k-1) tr(w) + ... +
+    c_0 tr(w^k)), give exact ints.
+    """
+    tables, n, perm = W.reflection_table(), W.nroots, bytes(range(256))
+    for i in reversed(W.reduced_word(w)):  # the last letter acts first
+        perm = perm.translate(tables[W.identity.key[i - 1]])
+    key, traces, c = w.key, [], [1]
+    for k in range(1, W.rank + 1):
+        traces.append(sum(W.signed_to_coords(b - n)[i] for i, b in enumerate(key)))
+        c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+        key = key.translate(perm)
+    return tuple(c[1:])
+
+
+# The least length of each elliptic class of E7 (12) and E8 (30), keyed on its
+# characteristic polynomial as ``_charpoly`` spells it, which names the class:
+# Geck-Pfeiffer 2000, App. B, count 12 and 30 cuspidal classes, and the 42 tuples
+# are distinct.  Read off the catalog's E7 and E8 products, each minimal by walk.
+_ELLIPTIC_LEAST: dict[tuple[int, ...], int] = {
+    (1, 0, -1, -1, 0, 1, 1): 7, (0, 0, 0, 0, 0, 0, 1): 9, (0, -1, 1, 1, -1, 0, 1): 11,
+    (-1, 1, 0, 0, 1, -1, 1): 13, (2, 1, 0, 0, 1, 2, 1): 15, (1, 1, 1, 1, 1, 1, 1): 17,
+    (-2, 3, -1, -1, 3, -2, 1): 21, (1, 0, 2, 2, 0, 1, 1): 23, (2, 3, 3, 3, 3, 2, 1): 25,
+    (4, 6, 5, 5, 6, 4, 1): 31, (3, 5, 7, 7, 5, 3, 1): 33, (7, 21, 35, 35, 21, 7, 1): 63,
+    (1, 0, -1, -1, -1, 0, 1, 1): 8, (0, 0, 0, -1, 0, 0, 0, 1): 10, (0, -1, 0, 1, 0, -1, 0, 1): 12,
+    (-1, 1, -1, 1, -1, 1, -1, 1): 14, (-1, 0, 1, -1, 1, 0, -1, 1): 16, (2, 1, -1, -2, -1, 1, 2, 1): 16,
+    (1, 0, 0, 0, 0, 0, 1, 1): 18, (0, -2, 0, 3, 0, -2, 0, 1): 20, (-2, 2, 0, -1, 0, 2, -2, 1): 22,
+    (0, 1, 0, 0, 0, 1, 0, 1): 22, (-2, 3, -4, 5, -4, 3, -2, 1): 24, (1, -1, 0, 2, 0, -1, 1, 1): 24,
+    (0, 0, 1, 0, 1, 0, 0, 1): 26, (2, 2, 0, -1, 0, 2, 2, 1): 26, (1, 1, 1, 1, 1, 1, 1, 1): 28,
+    (0, 0, 0, 2, 0, 0, 0, 1): 30, (3, 3, 1, 0, 1, 3, 3, 1): 32, (2, 2, 2, 2, 2, 2, 2, 1): 34,
+    (-4, 10, -16, 19, -16, 10, -4, 1): 40, (-1, 1, 2, -2, 2, 1, -1, 1): 42, (0, 2, 0, 3, 0, 2, 0, 1): 44,
+    (2, 1, 2, 4, 2, 1, 2, 1): 44, (1, 2, 3, 2, 3, 2, 1, 1): 46, (3, 5, 6, 6, 6, 5, 3, 1): 46,
+    (2, 3, 4, 5, 4, 3, 2, 1): 48, (0, 4, 0, 6, 0, 4, 0, 1): 60, (5, 10, 11, 10, 11, 10, 5, 1): 64,
+    (4, 8, 12, 14, 12, 8, 4, 1): 66, (4, 10, 16, 19, 16, 10, 4, 1): 80, (8, 28, 56, 70, 56, 28, 8, 1): 120,
+}
 
 
 # (family, rank, order) -> the node tuple of that type's standard twist of that

@@ -9,18 +9,24 @@ in the group of ``weyl_group``, its system from ``build_forward_system`` or
 order, so the two must return equal ``CheckResult``s on every input.
 
 ``inverse_system`` is the reference builder of the inverse form, which
-the checker reads and no route of the package writes.
+the checker reads and no route of the package writes, and
+``transfer_mismatches`` ties it to the forward form row for row.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from weyldl import criterion
 from weyldl.checker import FORM_FORWARD, FORM_INVERSE, MAX_RANK, CheckResult
 from weyldl.conjugacy import pi_of, restrict_pi
-from weyldl.criterion import build_forward_system
+from weyldl.criterion import build_forward_system, minimal_q
 from weyldl.exactnum import qext
 from weyldl.rootdata import build_twist, positive_root_count
 from weyldl.weyl import weyl_group
+
+from lp_oracle import rows_of
+from multiply_oracles import elements_of
 
 
 def inverse_system(W, w, pi, q):
@@ -37,6 +43,35 @@ def inverse_system(W, w, pi, q):
         [(i, i, W.act_on_simple(w, pi[i])) for i in nodes],
         [(W.roots[p], p + 1) for p in W.invert_with_inversions(W.invert(w))[1]],
     )
+
+
+# The twisted groups of rank <= 3, in which the transfer identity is checked
+# on every element.
+TRANSFER_GROUPS = [
+    ("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1), ("A", 3, 2), ("B", 2, 1),
+    ("B", 2, 2), ("B", 3, 1), ("C", 2, 1), ("C", 3, 1), ("G", 2, 1), ("G", 2, 2),
+]
+
+
+@cache
+def transfer_mismatches(family: str, rank: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """The words of the elements w of the group where the inverse form of w
+    under delta_inv and the forward form of w^-1 under delta differ: forward
+    q-row i must be inverse q-row delta(i), and the inversion rows must agree
+    in order.  Kept per group, so a test run compares each group once."""
+    W = weyl_group(family, rank)
+    twist = build_twist(family, rank, order)
+    q = minimal_q(family, order)
+    fwd_pi, inv_pi = pi_of(twist, "delta"), pi_of(twist, "delta_inv")
+    nodes = W.system.nodes
+    bad = []
+    for w in elements_of(W):
+        a = rows_of(inverse_system(W, w, inv_pi, q))
+        b = rows_of(build_forward_system(W, W.invert(w), fwd_pi, q))
+        if ([b[i - 1] for i in nodes] != [a[fwd_pi[i] - 1] for i in nodes]
+                or a[len(nodes):] != b[len(nodes):]):
+            bad.append(w.word)
+    return tuple(bad)
 
 
 def oracle_check(cert) -> CheckResult:

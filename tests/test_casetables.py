@@ -412,21 +412,18 @@ def test_inner_cuspidal_matches_enumeration(records):
 
 
 def test_verify_all_partitions_nothing():
-    """verify_all() and verify_all(slow=True) pass without listing the classes
-    of any group: the class-list memo stays empty.  The default tier decides
-    (v) on every classical row, and (iv)-(vi) on every row, the 5 with a
-    7-node inner node set included, so its 31 skips are (v) on the 26 E7 and
-    E8 rows and the 5 rows that pair with no inner class at their rank.  The
-    slow tier decides the first group too, so only those 5 rows stay
-    skipped.  Run in a fresh interpreter: the memo is process-global."""
+    """verify_all() passes without listing the classes of any group: the
+    class-list memo stays empty.  It decides (iv)-(vi) on every row, so its 5
+    skips are (v) on the rows that pair with no inner class at their rank.
+    Run in a fresh interpreter: the memo is process-global."""
     program = (
         "from weyldl import conjugacy\n"
         "from weyldl.casetables import verify_all\n"
-        "for slow in (False, True):\n"
-        "    report = verify_all(slow=slow)\n"
-        "    assert report.all_passed\n"
-        "    print(len(conjugacy._CLASS_MEMO))\n"
-        "    print(report.summary_lines()[-1])\n"
+        "report = verify_all()\n"
+        "assert report.all_passed\n"
+        "print(len(conjugacy._CLASS_MEMO))\n"
+        "print(report.summary_lines()[-1])\n"
+        "print(*(c.label for c in report.cases if 'skipped' in str(c.subchecks)), sep=', ')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -435,8 +432,8 @@ def test_verify_all_partitions_nothing():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "0", "total: 213/213 cases pass; subchecks: 1247 pass, 31 skipped, 0 fail",
         "0", "total: 213/213 cases pass; subchecks: 1273 pass, 5 skipped, 0 fail",
+        "D5 case 1 a=1, D7 case 1 a=1, 2D4 case 1 a=1, 2D6 case 1 a=1, 2D8 case 1 a=1",
     ]
 
 
@@ -476,33 +473,46 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  The classical inner classes come from a table with no walk, so 63
+    word.  The classical inner classes come from a table with no walk, so 62
     walks start in all: 6 of them answer (iv) about a stated word in a
     classical W_K whose standalone matrix is not in Bourbaki labels, which
     the walk decides, as it does every group that ``system_of`` did not
-    name A, B, C or D."""
+    name A, B, C or D.  None starts in a named E7 or E8: each element asked
+    about there, every product v w1 and the w0 of E7 case 9's (iv), is
+    elliptic, P(1) != 0, and read off ``_ELLIPTIC_LEAST``."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_walk = conjugacy._shift_walk
-    starts, wordless = [], []
+    starts, wordless, e78 = [], [], []
+    real_check, elliptic = conjugacy.closure_min_check, []
 
     def walk(W, pi, w):
         starts.append(w.key)
         if w._word is None and w._reduced is None:
             wordless.append(w.key)
+        if W.system.family == "E" and W.rank > 6:
+            e78.append(w.key)
         return real_walk(W, pi, w)
 
+    def check(W, pi, w):
+        if W.system.family == "E" and W.rank > 6:
+            elliptic.append(1 + sum(conjugacy._charpoly(W, w)) != 0)
+        return real_check(W, pi, w)
+
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
+    monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert len(starts) == 63 and wordless == []
+    assert len(starts) == 62 and wordless == [] and e78 == []
+    assert elliptic == [True] * 43
 
 
 
 def test_verify_all_asks_each_minimality_question_once(monkeypatch):
-    """A cold ``verify_all()`` calls ``closure_min_check`` 634 times: (iv)
+    """A cold ``verify_all()`` calls ``closure_min_check`` 676 times: (iv)
     asks only about the words a row states, since each cuspidal inner option
     is a word that ``cuspidal_representatives`` has just decided minimal in
-    the same W_K under the same sigma."""
+    the same W_K under the same sigma, and (v) once per product v w1, the 42
+    of the E7 and E8 rows included."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_check, calls = conjugacy.closure_min_check, []
@@ -514,7 +524,7 @@ def test_verify_all_asks_each_minimality_question_once(monkeypatch):
     monkeypatch.setattr(conjugacy, "closure_min_check", check)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert len(calls) == 634
+    assert len(calls) == 676
 
 
 def test_a_tampered_table_word_ends_the_row(records, monkeypatch):
@@ -532,15 +542,22 @@ def test_a_tampered_table_word_ends_the_row(records, monkeypatch):
     with pytest.raises(FalsificationError, match="tabled word 121 .* is not minimal"):
         verify_case(row)
 
-COVERAGE_TYPES = [t for t in CATALOG_TYPES if t[1] <= 6 or t[0] in "ABCD"]
-
 
 def coverage(family, rank, twist, records):
-    """Each cuspidal class's representative -> the labels of the rows among
-    ``records`` whose inner options, as the verifier resolves them, give a
-    minimal element of the class."""
+    """Each cuspidal class -> the labels of the rows among ``records`` whose
+    inner options, as the verifier resolves them, give a minimal element of
+    the class.  A class is named by its representative's word, from
+    ``class_list``; in E7 and E8, which have no class list, by its
+    characteristic polynomial P, a key of ``_ELLIPTIC_LEAST``, whose value is
+    then the least length (the tests of ``test_conjugacy.TestEllipticLeast``
+    check each catalog product against the walk)."""
     W, pi = type_group(family, rank, twist)
-    covered = {c.representative: set() for c in class_list(W, pi) if c.cuspidal}
+    elliptic = family == "E" and rank > 6
+    if elliptic:
+        least = {P: n for P, n in conjugacy._ELLIPTIC_LEAST.items() if len(P) == rank}
+        covered = {P: set() for P in least}
+    else:
+        covered = {c.representative.word: set() for c in class_list(W, pi) if c.cuspidal}
     for rec in records:
         placed = place_row(W, pi, rec.J, rec.w1)
         assert placed is not None, rec.label
@@ -548,36 +565,38 @@ def coverage(family, rank, twist, records):
         assert problem is None, (rec.label, problem)
         for vw in vws:
             w = W.multiply(W.from_word(vw), placed.w1)
+            if elliptic:
+                P = conjugacy._charpoly(W, w)
+                if w.length == least.get(P):
+                    covered[P].add(rec.label)
+                continue
             cls = class_of(W, pi, w)
             if cls.cuspidal and w.length == cls.min_length:
-                covered[cls.representative].add(rec.label)
+                covered[cls.representative.word].add(rec.label)
     return covered
 
 
 def uncovered(covered):
-    return [rep.word for rep, labels in covered.items() if not labels]
+    return [name for name, labels in covered.items() if not labels]
 
 
 class TestCoverage:
-    def test_types_through_rank_6_and_classical_rank_7_and_8(self):
-        assert len(COVERAGE_TYPES) == 47
-        assert {t[0] for t in CATALOG_TYPES if t not in COVERAGE_TYPES} == {"E"}
-
-    @pytest.mark.parametrize("family,rank,twist", COVERAGE_TYPES)
+    @pytest.mark.parametrize("family,rank,twist", CATALOG_TYPES)
     def test_minimal_coverage(self, family, rank, twist):
         """Each cuspidal class receives a minimal representative from a row's
-        inner options, as the verifier resolves them."""
+        inner options, as the verifier resolves them: in E7 and E8 each of the
+        12 and 30 classes that ``_ELLIPTIC_LEAST`` names."""
         missing = uncovered(coverage(family, rank, twist, case_records(family, rank, twist)))
         assert not missing, missing
 
-    @pytest.mark.parametrize("family,rank,twist", [("F", 4, 1), ("B", 8, 1)])
+    @pytest.mark.parametrize("family,rank,twist", [("F", 4, 1), ("B", 8, 1), ("E", 8, 1)])
     def test_a_removed_row_leaves_its_class_missing(self, family, rank, twist):
         """Negative control: without a row that alone covers some class, exactly
         the classes only it covered are reported missing."""
         records = case_records(family, rank, twist)
         full = coverage(family, rank, twist, records)
         label = next(next(iter(labels)) for labels in full.values() if len(labels) == 1)
-        alone = [rep.word for rep, labels in full.items() if labels == {label}]
+        alone = [name for name, labels in full.items() if labels == {label}]
         kept = [r for r in records if r.label != label]
         assert alone and uncovered(coverage(family, rank, twist, kept)) == alone
 

@@ -331,18 +331,20 @@ class TestVerifyPaper:
         assert "FAIL" not in out.stdout
         assert out.stderr.strip() == "error: q below the minimal value for B2 twist 2"
 
-    def test_slow_decides_e7_minimality(self, tmp_path):
-        """--slow runs the shift closure on an E7 row the default tier skips."""
-        verdicts = {}
-        for flags in ((), ("--slow",)):
-            path = tmp_path / "report.json"
-            out = run_cli(
-                "verify-paper", "--filter", "E7 case 2", *flags, "--out", str(path), cwd=tmp_path
-            )
-            assert out.returncode == 0, out.stdout + out.stderr
-            (case,) = json.loads(path.read_text())["cases"]
-            verdicts[flags] = case["subchecks"]["vw1_min_full"]
-        assert verdicts == {(): "skipped(requires slow tier)", ("--slow",): "pass"}
+    def test_default_decides_e7_minimality(self, tmp_path):
+        """The one tier decides (v) on an E7 row as "pass"; no verb takes
+        --slow, so it is a usage error with exit 2."""
+        path = tmp_path / "report.json"
+        out = run_cli("verify-paper", "--filter", "E7 case 2", "--out", str(path), cwd=tmp_path)
+        assert out.returncode == 0, out.stdout + out.stderr
+        (case,) = json.loads(path.read_text())["cases"]
+        assert case["subchecks"]["vw1_min_full"] == "pass"
+        out = run_cli("verify-paper", "--filter", "E7 case 2", "--slow", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "unrecognized arguments: --slow" in out.stderr
+        (verbs,) = cli.build_parser()._subparsers._group_actions
+        assert len(verbs.choices) == 5
+        assert not [verb for verb, p in verbs.choices.items() if "--slow" in p._option_string_actions]
 
     def test_walk_over_the_budget_is_an_error(self, monkeypatch, capsys):
         """A minimality walk past the budget stops the replay with exit 1; it is

@@ -5,7 +5,8 @@ import pytest
 
 import multiply_oracles
 from weyldl import conjugacy
-from weyldl.casetables import place_row
+from weyldl.casetables import _resolve_v_options, place_row, verify_case
+from weyldl.catalog import case_records, type_group
 from weyldl.conjugacy import (
     ClosureBudgetError,
     DeltaClass,
@@ -769,6 +770,166 @@ class TestLeastLength:
                     assert least_length(W, pi, u.word) == u.length, (family, rank, order, u.word)
                 checked += len(cls.minimal)
         assert checked == 68623
+
+
+def e_catalog_products(rank):
+    """E{rank}, its catalog map, and (label, v w1) for each inner option of each
+    of its catalog rows, as ``verify_case`` forms the products."""
+    W, pi = type_group("E", rank, 1)
+    products = []
+    for rec in case_records("E", rank, 1):
+        placed = place_row(W, pi, rec.J, rec.w1)
+        words, problem = _resolve_v_options(rec, placed)
+        assert problem is None, (rec.label, problem)
+        products += [(rec.label, W.from_word(vw + rec.w1)) for vw in words]
+    return W, pi, products
+
+
+def longer_conjugate(W, level):
+    """s_i u s_i of length l(u) + 2, for the first member u of a minimal level,
+    in walk order, and the first letter i that give one, read off the keys of
+    u and u^-1 as ``_shift_walk`` reads them (pi the identity).  None when no
+    member and letter do: then every s_i u s_i of a member is in the level, so
+    the level is the whole class, and no element of the class is longer."""
+    tables, n = W.reflection_table(), W.nroots
+    simple = [tables[b] for b in W.identity.key]
+    for key, inv in level.inverse.items():
+        for i in W.system.nodes:
+            # l(u s_i) = l(u) + 1 and l(s_i u s_i) = l(u s_i) + 1
+            if key[i - 1] > n and simple[i - 1][inv[i - 1]] > n:
+                x = key.translate(tables[key[i - 1]]).translate(simple[i - 1])
+                return WeylElt(W, x, len(W._peel(x)))
+    return None
+
+
+def elliptic_mismatches(rank):
+    """(label, length, oracle, walk) wherever ``closure_min_check`` and
+    ``_verdict``'s walk disagree, over every product of an E{rank} catalog row
+    and the ``longer_conjugate`` of its level; and the lengths of the products
+    without one, whose class is their level."""
+    W, pi, products = e_catalog_products(rank)
+    mismatches, flat = [], []
+    for label, w in products:
+        level = conjugacy._verdict(W, pi, w)
+        x = longer_conjugate(W, level) if type(level) is conjugacy._Level else None
+        if x is None:
+            flat.append(w.length)
+        for u in (w,) if x is None else (w, x):
+            walk = "minimal" if type(conjugacy._verdict(W, pi, u)) is conjugacy._Level else "not_minimal"
+            oracle = closure_min_check(W, pi, u)
+            if oracle != walk:
+                mismatches.append((label, u.length, oracle, walk))
+    return mismatches, flat
+
+
+def faddeev_leverrier(M):
+    """c_1, ..., c_n of det(t - M) = t^n + c_1 t^(n-1) + ... + c_n for a square
+    integer matrix, by the Faddeev-LeVerrier recursion in exact ints."""
+    n = len(M)
+    Mk, c, coeffs = [[0] * n for _ in range(n)], 1, []
+    for k in range(1, n + 1):
+        Mk = [[sum(M[i][l] * Mk[l][j] for l in range(n)) + c * (i == j) for j in range(n)]
+              for i in range(n)]
+        c = -sum(M[i][l] * Mk[l][i] for i in range(n) for l in range(n)) // k
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def word_matrix(W, word):
+    """The matrix of the product of ``word`` on simple-root coordinates, from
+    the reflection s_i(alpha_j) = alpha_j - a_ij alpha_i of each letter (simply
+    laced, so the Cartan matrix is symmetric), read off no key."""
+    n, cartan = W.rank, W.system.cartan
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in word:  # M <- M s_i: column j of s_i is alpha_j - a_ij alpha_i
+        col = [M[r][i - 1] for r in range(n)]
+        for j in range(n):
+            for r in range(n):
+                M[r][j] -= cartan[i - 1][j] * col[r]
+    return M
+
+
+E7_LEAST = [7, 9, 11, 13, 15, 17, 21, 23, 25, 31, 33, 63]
+E8_LEAST = [8, 10, 12, 14, 16, 16, 18, 20, 22, 22, 24, 24, 26, 26, 28, 30, 32, 34, 40, 42,
+            44, 44, 46, 46, 48, 60, 64, 66, 80, 120]
+
+
+class TestEllipticLeast:
+    """E7 and E8 decide the minimality of an elliptic element by its
+    characteristic polynomial P, looked up in ``_ELLIPTIC_LEAST``."""
+
+    def test_table(self):
+        """12 keys of degree 7 and 30 of degree 8, each with P(1) != 0, holding
+        the least lengths of the 12 and 30 cuspidal classes."""
+        table = conjugacy._ELLIPTIC_LEAST
+        assert len(table) == 42
+        for rank, least in ((7, E7_LEAST), (8, E8_LEAST)):
+            keys = [P for P in table if len(P) == rank]
+            assert len(set(keys)) == len(least)
+            assert all(1 + sum(P) != 0 for P in keys)
+            assert sorted(table[P] for P in keys) == least
+
+    @pytest.mark.parametrize("family,rank", [("E", 6), ("E", 7), ("E", 8)])
+    def test_charpoly_is_faddeev_leverrier(self, family, rank):
+        """On random words, reduced or not, ``_charpoly`` equals Faddeev-LeVerrier
+        on the word's integer matrix."""
+        W, rng = group(family, rank), random.Random(rank)
+        for _ in range(25):
+            word = [rng.randint(1, rank) for _ in range(rng.randint(0, 60))]
+            assert conjugacy._charpoly(W, W.from_word(word)) == faddeev_leverrier(
+                word_matrix(W, word)), word
+
+    @pytest.mark.parametrize("rank,flat", [(7, [63]), (8, [40, 60, 80, 120])], ids=["E7", "E8"])
+    def test_agrees_with_the_walk(self, rank, flat, monkeypatch):
+        """On each of the 12 products of the E7 rows and the 30 of the E8 rows,
+        and on a conjugate 2 longer, the oracle answers as the walk does.  The
+        classes of the products of lengths ``flat`` are their levels, so they
+        have no longer element: w0 = -1, and in E8 three classes more."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        assert elliptic_mismatches(rank) == ([], flat)
+
+    def test_an_entry_off_by_2_fails(self, monkeypatch):
+        """Negative control: with the least length of the class of E7 case 2's
+        product raised by 2, the oracle disagrees with the walk on that product
+        and on its longer conjugate, and the row fails (v)."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        W, pi, products = e_catalog_products(7)
+        ((_, w),) = [(label, w) for label, w in products if label == "E7 case 2"]
+        P = conjugacy._charpoly(W, w)
+        monkeypatch.setitem(conjugacy._ELLIPTIC_LEAST, P, w.length + 2)
+        assert elliptic_mismatches(7)[0] == [
+            ("E7 case 2", 9, "not_minimal", "minimal"), ("E7 case 2", 11, "minimal", "not_minimal")]
+        report = verify_case(next(r for r in case_records("E", 7, 1) if r.label == "E7 case 2"))
+        assert report.subchecks["vw1_min_full"] == "fail"
+
+    def test_a_missing_key_raises(self, monkeypatch):
+        """A polynomial missing from the table raises FalsificationError, since
+        the table names every elliptic class."""
+        W, pi, products = e_catalog_products(8)
+        w = products[0][1]
+        monkeypatch.delitem(conjugacy._ELLIPTIC_LEAST, conjugacy._charpoly(W, w))
+        with pytest.raises(FalsificationError, match="no elliptic class of E8"):
+            closure_min_check(W, pi, w)
+
+    def test_only_elliptic_elements_of_named_e7_and_e8_skip_the_walk(self, monkeypatch):
+        """An elliptic element of E7 or E8 is answered with no walk; a
+        non-elliptic one, such as a Coxeter element of a maximal parabolic,
+        and every element of E6 are walked."""
+        walks = []
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walks.append(args[0].rank) or real_walk(*args))
+        for rank in (7, 8):
+            W = group("E", rank)
+            pi = identity_pi(W)
+            assert closure_min_check(W, pi, W.from_word(range(1, rank + 1))) == "minimal"
+            assert closure_min_check(W, pi, W.from_word(range(1, rank))) == "minimal"
+            assert walks == [rank]
+            walks.clear()
+        E6 = group("E", 6)
+        assert closure_min_check(E6, identity_pi(E6), E6.from_word(range(1, 7))) == "minimal"
+        assert walks == [6]
 
 
 class TestStandardOrder:

@@ -27,7 +27,7 @@ from weyldl.exactnum import SQRT2, SQRT3, ZERO, IncompatibleRadicandError, QuadE
 from weyldl.rootdata import build_root_system, build_twist
 from weyldl import checker, criterion, lifting, weyl
 
-from checker_oracle import inverse_system
+from checker_oracle import TRANSFER_GROUPS, inverse_system, transfer_mismatches
 from conftest import RANK_LE_4, group
 from fraction_quadext import FractionQuadExt, certificate_json
 from lp_oracle import labels_of, rows_of
@@ -166,21 +166,12 @@ RANK_LE_3 = [("A", 1, 1), ("A", 2, 1), ("A", 2, 2), ("B", 2, 1), ("B", 2, 2), ("
 
 
 class TestTransferIdentity:
-    @pytest.mark.parametrize("family,rank,order", RANK_LE_3)
+    @pytest.mark.parametrize("family,rank,order", TRANSFER_GROUPS)
     def test_exhaustive_small_rank(self, family, rank, order):
-        W = group(family, rank)
-        twist = build_twist(family, rank, order)
-        q = minimal_q(family, order)
-        fwd_pi = pi_of(twist, "delta")
-        inv_pi = pi_of(twist, "delta_inv")
-        nodes = W.system.nodes
-        for w in elements_of(W):
-            a = rows_of(inverse_system(W, w, inv_pi, q))
-            b = rows_of(build_forward_system(W, W.invert(w), fwd_pi, q))
-            # The same rows: forward q-row i is inverse q-row delta(i), and
-            # the inversion rows agree in order.
-            assert [b[i - 1] for i in nodes] == [a[fwd_pi[i] - 1] for i in nodes], w.word
-            assert a[len(nodes):] == b[len(nodes):], w.word
+        """On every element w, the inverse form of w under delta_inv is the
+        forward form of w^-1 under delta: forward q-row i is inverse q-row
+        delta(i), and the inversion rows agree in order."""
+        assert transfer_mismatches(family, rank, order) == ()
 
 
 def _expected(q, varset, q_rows, pure_rows):
