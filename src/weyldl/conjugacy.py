@@ -21,20 +21,23 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Minimality (``closure_min_check``) is decided by the group's name,
-from ``_standard_order``, the one answer to "is the group a named type
-under its identity or the delta map of its standard twist?".  When
-``system_of`` named the group A, B, C or D, so it is in Bourbaki labels,
-and pi is the identity or its standard order-2 twist, whether one
-element is minimal is read off its signed cycle type by
-``_least_length``, with no walk and nothing kept.  In a named E7 or E8
-under the identity, an elliptic element, one whose characteristic
-polynomial P (``_charpoly``) has P(1) != 0, is minimal exactly when its
-length is ``_ELLIPTIC_LEAST[P]``, again with no walk; its other elements
-walk.  That split by P(1) is a second oracle in one group, which stays
-until the fixed space's parabolic reads every class off its elliptic
-part.  Every other minimality question, relabelled classical groups
-included, and every minimal level, is decided once per process, in
+Minimality (``closure_min_check``) is decided by the group's type, from
+``_standard_type``: ``subsystems.identify_standard``'s one answer to
+"which standard type is (W, pi), and in which labels?", resolved once
+per group and map.  A Coxeter-system isomorphism keeps length and
+twisted classes, so the type decides in any labels.  When the resolver
+names A, B, C or D under the identity, or A or D under the standard
+twist of order 2, whether one element is minimal is read off the signed
+cycle type of a reduced word mapped into the standard labels, by
+``_least_length``, with no walk and nothing kept.  When it names E7 or
+E8, an elliptic element, one whose characteristic polynomial P
+(``_charpoly``, which no labelling changes) has P(1) != 0, is minimal
+exactly when its length is ``_ELLIPTIC_LEAST[P]``, again with no walk;
+its other elements walk.  That split by P(1) is a second oracle in one
+group, which stays until the fixed space's parabolic reads every class
+off its elliptic part.  Every other minimality question (the other
+exceptional types, 2B2, 3D4, reducible groups and twists of order 3),
+and every minimal level, is decided once per process, in
 ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
 pi, never on a group object, so groups built apart share it.
 It is answered by one memoized walk, ``_verdict``, which keeps one of two
@@ -43,8 +46,9 @@ the key of each member, once a walk has ended without a descent; or the
 key of the first shorter element a walk from it met.  A level is walked once per
 process, and ``minimal_level`` spells its record in place when asked.
 A cuspidal class is named by a word of ``_CLASSICAL_TABLE`` (no walk) or
-``_SEED_TABLE`` (its level left unspelled), or else by the first member
-of its spelled level (``cuspidal_representatives``).  The memo
+``_SEED_TABLE`` (its level left unspelled), when the resolver names the
+group in its own labels, or else by the first member of its spelled
+level (``cuspidal_representatives``).  The memo
 holds 649 entries and 213 levels once the 180 classes of rank <= 4 are
 listed, and 673 and 222 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
@@ -56,7 +60,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rootdata import Frozen, Twist, build_twist
+from .rootdata import Frozen, Twist
 from .subsystems import component_orbits, identify_standard, sub_context
 from .weyl import WeylElt, WeylGroup
 
@@ -332,17 +336,18 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
-    One oracle answers for each (W, pi), chosen by the group's name alone.
-    When ``system_of`` named W A, B, C or D and pi is the identity or its
-    standard twist of order 2 (``_classical_reading``), w is minimal exactly
-    when l(w) is the least length that ``_least_length`` reads off a reduced
-    word of w (``WeylGroup.reduced_word``); no walk starts and nothing is
-    kept.  When W is a named E7 or E8 under the identity and P(1) != 0
-    for the characteristic polynomial P of w (``_charpoly``), w is minimal
-    exactly when l(w) is ``_ELLIPTIC_LEAST[P]``, again with no walk; a P
-    missing from the table raises FalsificationError.  Any other W or w,
-    exceptional, 3D4, reducible, relabelled or with a twist that permutes
-    components, is answered by ``_verdict``'s walk:
+    One oracle answers for each (W, pi), chosen by the type that
+    ``_standard_type`` resolves, in any labels.  When it names A, B, C or
+    D with pi of order 1, or A or D with pi of order 2, w is minimal
+    exactly when l(w) is the least length that ``_least_length`` reads
+    off a reduced word of w (``WeylGroup.reduced_word``) mapped through
+    the resolver's labelling phi; no walk starts and nothing is kept.
+    When it names E7 or E8 and P(1) != 0 for the characteristic
+    polynomial P of w (``_charpoly``), w is minimal exactly when l(w) is
+    ``_ELLIPTIC_LEAST[P]``, again with no walk; a P missing from the table
+    raises FalsificationError.  Any other W or w, the other exceptional
+    types, 2B2, 3D4, a reducible group or a twist of order 3, is answered
+    by ``_verdict``'s walk:
     "minimal" if the non-increasing closure holds no shorter element,
     "not_minimal" on the first strict descent.  Complete by the descent
     theorem for twisted classes: non-increasing cyclic shifts from any
@@ -352,17 +357,42 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     A walk that finds w minimal keeps w's whole level, so a later question
     about any member, ``minimal_level``'s too, starts no walk.
     """
-    reading = _classical_reading(W, pi)
-    if reading is not None:
-        least = _least_length(*reading, W.reduced_word(w))
-        return "minimal" if w.length == least else "not_minimal"
-    if W.system.family == "E" and W.rank in (7, 8) and _standard_order(W, pi) == 1:
-        P = _charpoly(W, w)
-        if 1 + sum(P):  # P(1) != 0: w is elliptic
-            if P not in _ELLIPTIC_LEAST:
-                raise FalsificationError(f"{w.word}: no elliptic class of E{W.rank} has polynomial {P}")
-            return "minimal" if w.length == _ELLIPTIC_LEAST[P] else "not_minimal"
+    named = _standard_type(W, pi)
+    if named is not None:
+        family, rank, order, phi = named
+        if order == 1 and family in "ABCD" or order == 2 and family in "AD":
+            word = W.reduced_word(w)
+            if phi is not None:
+                word = [phi[i - 1] for i in word]
+            least = _least_length(family, rank, order, word)
+            return "minimal" if w.length == least else "not_minimal"
+        if family == "E" and rank > 6:
+            P = _charpoly(W, w)
+            if 1 + sum(P):  # P(1) != 0: w is elliptic
+                if P not in _ELLIPTIC_LEAST:
+                    raise FalsificationError(f"{w.word}: no elliptic class of E{rank} has polynomial {P}")
+                return "minimal" if w.length == _ELLIPTIC_LEAST[P] else "not_minimal"
     return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
+
+
+def _standard_type(W: WeylGroup, pi: PiMap) -> Optional[tuple[str, int, int, Optional[tuple[int, ...]]]]:
+    """(family, rank, order, phi) of ``identify_standard`` for W under pi, or None.
+
+    phi holds the standard node of each of W's nodes 1..rank, and is None
+    for the identity labelling, so that a word is read without mapping.
+    Resolved once per group and map, and kept on W as a tuple that no
+    caller can change.  None for a reducible group, and for a twist of no
+    standard order.
+    """
+    images = tuple(map(pi.__getitem__, W.system.nodes))
+    if images not in W._types:
+        named = identify_standard(W.system.cartan, pi)
+        if named is not None:
+            family, rank, order, phi = named
+            labels = tuple(map(phi.__getitem__, W.system.nodes))
+            named = family, rank, order, None if labels == W.system.nodes else labels
+        W._types[images] = named
+    return W._types[images]
 
 
 def _charpoly(W: WeylGroup, w: WeylElt) -> tuple[int, ...]:
@@ -405,60 +435,6 @@ _ELLIPTIC_LEAST: dict[tuple[int, ...], int] = {
     (2, 3, 4, 5, 4, 3, 2, 1): 48, (0, 4, 0, 6, 0, 4, 0, 1): 60, (5, 10, 11, 10, 11, 10, 5, 1): 64,
     (4, 8, 12, 14, 12, 8, 4, 1): 66, (4, 10, 16, 19, 16, 10, 4, 1): 80, (8, 28, 56, 70, 56, 28, 8, 1): 120,
 }
-
-
-# (family, rank, order) -> the node tuple of that type's standard twist of that
-# order (``build_twist``), or None when it has none.  Filled on first use.
-_STANDARD_MAPS: dict[tuple[str, int, int], Optional[tuple[int, ...]]] = {}
-
-
-def _standard_order(W: WeylGroup, pi: PiMap) -> Optional[int]:
-    """k when W is a named type and pi its identity (k = 1) or the delta map of its
-    standard twist of order k; else None.
-
-    Named means that ``system_of`` named W, so it is in Bourbaki labels.
-    3D4 under delta_inv is None, and so is D3 under the swap of its nodes 2
-    and 3, which ``build_twist`` lacks.  A type's standard map of the order
-    of pi is built once per process.
-    """
-    family, nodes = W.system.family, W.system.nodes
-    if family not in "ABCDEFG":
-        return None
-    perm = power = tuple(pi[i] for i in nodes)
-    order = 1
-    while power != nodes:
-        power, order = tuple(perm[i - 1] for i in power), order + 1
-    if order == 1:
-        return 1
-    key = (family, W.rank, order)
-    if key not in _STANDARD_MAPS:
-        try:
-            _STANDARD_MAPS[key] = build_twist(family, W.rank, order).perm
-        except ValueError:
-            _STANDARD_MAPS[key] = None
-    return order if perm == _STANDARD_MAPS[key] else None
-
-
-# (family, twist order) -> how ``_least_length`` reads that type: its letters,
-# the coordinates beyond the rank, and the twist.  C_n's letters act as B_n's.
-_READ_AS = {("A", 1): ("A", 1, None), ("A", 2): ("A", 1, "w0"),
-            ("B", 1): ("B", 0, None), ("C", 1): ("B", 0, None),
-            ("D", 1): ("D", 0, None), ("D", 2): ("D", 0, "t_n")}
-
-
-def _classical_reading(W: WeylGroup, pi: PiMap) -> Optional[tuple[str, int, Optional[str]]]:
-    """How ``_least_length`` reads the words of W under pi: (letters, n, twist), or None.
-
-    W must be named A, B, C or D and pi its identity or its standard twist
-    of order 2 (``_standard_order``); its words are then read as they are.
-    Any other W is None and goes to the walk: an exceptional, reducible or
-    relabelled group, and a named type under any other twist.
-    """
-    reading = _READ_AS.get((W.system.family, _standard_order(W, pi)))
-    if reading is None:
-        return None
-    letters, extra, twist = reading
-    return letters, W.rank + extra, twist
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -530,8 +506,8 @@ _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
 # The canonical representative of each cuspidal class of A_n, 2A_n, B_n, C_n,
 # D_n and 2D_n through rank 7, the rank of the catalog's largest inner node
 # set, in Bourbaki labels under the identity or the standard twist (order 1 or
-# 2), in (length, word) order.  Keyed on the letters that ``_READ_AS`` reads,
-# so C_n reads B_n's row: the two have the same words.  Generated once as the
+# 2), in (length, word) order.  Keyed on the letters that ``_least_length``
+# reads, so C_n reads B_n's row: the two have the same words.  Generated once as the
 # first members of the spelled levels of the seeds of ``_cuspidal_levels``;
 # ``cuspidal_representatives`` reads them with no walk.  The tests compare them
 # with enumeration through rank 6, and (slow) with the spelled levels.
@@ -672,16 +648,18 @@ def _signed_word(img: Sequence[int], family: str) -> tuple[int, ...]:
         peeled.append(i)
 
 
-def _least_length(family: str, n: int, twist: Optional[str], word: Iterable[int]) -> int:
+def _least_length(family: str, rank: int, order: int, word: Iterable[int]) -> int:
     """The least length in the twisted class of the product of ``word``, from its cycle type.
 
-    ``word`` is any word, reduced or not, in the Bourbaki labels of A_(n-1)
-    ("A"), B_n = C_n ("B") or D_n ("D"), read as signed permutations of
-    e_1..e_n as ``_signed_word`` reads them; one pass over the letters
-    builds the images.  A twisted class of 2A_(n-1) (``twist`` "w0") is the
-    class of w w0 in S_n, and one of 2D_n ("t_n") the class of w t_n in B_n
-    (``_standard_seeds``).  With positive cycles lambda and negative cycles
-    b_1 <= ... <= b_k the least length is:
+    ``family`` is A, B, C or D, ``order`` 1, or 2 for A and D, as
+    ``identify_standard`` names them.  ``word`` is any word, reduced or
+    not, in the Bourbaki labels of that type, read as a signed permutation
+    of e_1..e_n as ``_signed_word`` reads it, n = rank + 1 for A_rank and
+    n = rank otherwise; C_n reads as B_n, whose letters act alike.  One
+    pass over the letters builds the images.  A twisted class of
+    2A_(n-1) is the class of w w0 in S_n, and one of 2D_n the class of
+    w t_n in B_n (``_standard_seeds``).  With positive cycles lambda and
+    negative cycles b_1 <= ... <= b_k the least length is:
 
     - A_(n-1): n minus the number of cycles;
     - B_n = C_n: sum (lambda_i - 1) + sum over j of (b_j + 2 (b_1 + ... +
@@ -703,6 +681,7 @@ def _least_length(family: str, n: int, twist: Optional[str], word: Iterable[int]
     class that ``class_list`` gives, for every classical twisted group
     through ``MAX_RANK`` = 8.
     """
+    n = rank + 1 if family == "A" else rank
     img = list(range(1, n + 1))
     for i in word:
         if i < n:
@@ -711,9 +690,9 @@ def _least_length(family: str, n: int, twist: Optional[str], word: Iterable[int]
             img[n - 2], img[n - 1] = -img[n - 1], -img[n - 2]
         else:
             img[n - 1] = -img[n - 1]
-    if twist == "w0":
+    if order == 2 and family == "A":
         img.reverse()  # (w w0)(e_j) = w(e_(n+1-j))
-    elif twist == "t_n":
+    elif order == 2:
         img[-1] = -img[-1]  # (w t_n)(e_n) = -w(e_n)
     positive, negative = [], []
     seen = [False] * (n + 1)
@@ -729,7 +708,7 @@ def _least_length(family: str, n: int, twist: Optional[str], word: Iterable[int]
             size += 1
         (negative if sign else positive).append(size)
     if family == "A":
-        if twist is None:
+        if order == 1:
             return n - len(positive)
         # With the cycles in decreasing order, the r-th odd one (from 0) is
         # the smaller of r pairs.
@@ -834,20 +813,23 @@ def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
 _CUSPIDAL_MEMO: dict[tuple, tuple[WeylElt, ...]] = {}
 
 
-def _tabled_representatives(W: WeylGroup, pi: PiMap, order: Optional[int]) -> Optional[list[WeylElt]]:
+def _tabled_representatives(
+    W: WeylGroup, pi: PiMap, named: Optional[tuple[str, int, int]]
+) -> Optional[list[WeylElt]]:
     """The ``_CLASSICAL_TABLE`` words of W under pi as spelled elements, or None.
 
-    ``order`` is ``_standard_order(W, pi)``.  None unless W is a classical
-    type through rank 7, named and so in Bourbaki labels, under the
-    identity or its standard twist.  A relabelled group is None, since a
-    canonical word depends on the labels.  Each word is checked reduced,
+    ``named`` is the (family, rank, order) of ``_standard_type(W, pi)``
+    when its labelling is the identity, else None.  None unless that names
+    a classical type through rank 7 under the identity or its standard
+    twist.  A relabelled group is None, since a canonical word depends on
+    the labels: so is the named C2, which the resolver names B2 through
+    the swap of its nodes.  Each word is checked reduced,
     by the length of its product, cuspidal, by its letters, and minimal,
     by ``closure_min_check``, which reads the signed cycle type: no walk
     starts and no word is spelled.  Raises FalsificationError when a word
     fails a check.
     """
-    reading = _READ_AS.get((W.system.family, order))
-    words = reading and _CLASSICAL_TABLE.get((reading[0], W.rank, order))
+    words = named and _CLASSICAL_TABLE.get(("B" if named[0] == "C" else named[0], *named[1:]))
     if words is None:
         return None
     nodes = frozenset(W.system.nodes)
@@ -871,17 +853,18 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
 
     In (length, canonical word) order, as ``class_list`` lists the
     cuspidal classes.  A class is named by a table word, or else by the
-    first member of its spelled level.  A classical type through rank 7,
-    named and under the identity or its standard twist
-    (``_standard_order``), reads them off ``_CLASSICAL_TABLE``, each
-    checked cuspidal and minimal with no walk (``_tabled_representatives``).
-    Any other group walks each seed to its minimal level
-    (``_cuspidal_levels``, which checks that the seeds are cuspidal,
-    minimal and in classes of their own).  A named type under such a map
-    with a ``_SEED_TABLE`` row takes its seeds as they are, and leaves
-    their levels unspelled; every other group, 3D4 under delta_inv,
-    reducible or relabelled, takes the first member of each level that
-    ``minimal_level`` spells.  The tests, not this function, check that
+    first member of its spelled level.  The tables are read only when
+    ``_standard_type`` names W under the identity labelling, so that W's
+    words are the table's.  A classical type through rank 7 under the
+    identity or its standard twist reads them off ``_CLASSICAL_TABLE``,
+    each checked cuspidal and minimal with no walk
+    (``_tabled_representatives``).  Any other group walks each seed to its
+    minimal level (``_cuspidal_levels``, which checks that the seeds are
+    cuspidal, minimal and in classes of their own).  A type with a
+    ``_SEED_TABLE`` row takes its seeds as they are, and leaves their
+    levels unspelled; every other group, 3D4 under delta_inv, reducible
+    or in other labels (the named C2 too), takes the first member of each
+    level that ``minimal_level`` spells.  The tests, not this function, check that
     the table words are canonical.  Raises FalsificationError when a
     tabled word or a seed fails its checks.  Memoized on the group's
     system key (its Cartan matrix, so every group of that matrix shares
@@ -890,10 +873,11 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        order = _standard_order(W, pi)
-        reps = _tabled_representatives(W, pi, order)
+        named = _standard_type(W, pi)
+        named = named[:3] if named is not None and named[3] is None else None
+        reps = _tabled_representatives(W, pi, named)
         if reps is None:
-            seeded = (W.system.family, W.rank, order) in _SEED_TABLE
+            seeded = named in _SEED_TABLE
             reps = [seed if seeded else minimal_level(W, pi, seed)[0]
                     for seed, _ in _cuspidal_levels(W, pi)]
         _CUSPIDAL_MEMO[key] = tuple(sorted(reps, key=WeylElt.sort_key))

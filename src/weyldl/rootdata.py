@@ -29,6 +29,8 @@ bytecode (ten runs each, Python 3.11.7, shared 2-core x86-64 host).
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = [
     "RootSystem",
     "Twist",
@@ -129,8 +131,9 @@ def candidate_types(rank: int) -> list[tuple[str, int]]:
     return [(family, rank) for family in "ABCDEFG" if _is_type(family, rank)]
 
 
+@cache
 def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of an irreducible type, Bourbaki node order."""
+    """Cartan matrix of an irreducible type, Bourbaki node order; built once per type."""
     _check_type(family, rank)
     n = rank
     if family == "A":

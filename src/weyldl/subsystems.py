@@ -14,16 +14,17 @@ root order and class representatives correspond.
 
 The standalone group is ``weyl.group_of`` the Cartan submatrix: equal
 submatrices, and a named type of that matrix, are one group, with one
-element encoding and one set of reflection tables.  Its name decides its
-minimality oracle (``conjugacy.closure_min_check``): a submatrix in
-Bourbaki labels is named A, B, C or D and read off the signed cycle type,
-while a relabelled one, such as the D4 of E6 on nodes 2..5, is walked.
+element encoding and one set of reflection tables.
 ``component_orbits`` groups the irreducible components into the orbits
 of a twist, and ``identify_standard`` finds the Bourbaki name of an
 irreducible subsystem together with a labelling isomorphism that carries
-a given index permutation to the standard twist; the cuspidal seeds
-(``conjugacy._cuspidal_seeds``) and the catalog rows of the constructive
-route (``lifting``) read it, and no minimality decision does.
+a given index permutation to the standard twist.  It is the one answer
+to "which standard type is (W, pi), and in which labels?": the
+minimality oracle and the cuspidal tables
+(``conjugacy.closure_min_check``, ``cuspidal_representatives``), the
+cuspidal seeds (``conjugacy._cuspidal_seeds``) and the catalog rows of
+the constructive route (``lifting``) read it.  So a relabelled
+submatrix, such as the D4 of E6 on nodes 2..5, is decided as its type is.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ def identify_standard(
 
     Returns (family, rank, twist_order, phi) where phi maps source nodes
     (1-based) to Bourbaki nodes so that phi . sigma . phi^{-1} is the
-    standard twist of that order, or None when nothing matches.  B2 is
-    preferred over the transposed C2 labelling so Suzuki twists land on
-    the standard ('B', 2, 2) name.  A type is searched for a labelling
-    (``cartan_isos``) only when its sorted Cartan rows and its arm lengths
-    (``_arm_lengths``) are those of the matrix.
+    standard twist of that order, or None when nothing matches.  The
+    first type in family order that matches wins: B2 over the transposed
+    C2 labelling, so Suzuki twists land on the standard ('B', 2, 2) name
+    and the named C2 is B2 through its swap, and A3 over D3.  A type is
+    searched for a labelling (``cartan_isos``) only when its sorted Cartan
+    rows and its arm lengths (``_arm_lengths``) are those of the matrix.
     """
     n = len(cartan)
     order = 1
@@ -216,6 +218,9 @@ def identify_standard(
             std = build_twist(family, rank, order)
         except ValueError:
             continue
+        if target == cartan and all(sigma[i] == std(i) for i in sigma):
+            # The identity, the least labelling, which the search yields first.
+            return family, rank, order, {i: i for i in sigma}
         for phi_tuple in cartan_isos(cartan, target):
             phi = {i + 1: phi_tuple[i] for i in range(n)}
             if all(phi[sigma[i]] == std(phi[i]) for i in phi):

@@ -473,13 +473,15 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  The classical inner classes come from a table with no walk, so 62
-    walks start in all: 6 of them answer (iv) about a stated word in a
-    classical W_K whose standalone matrix is not in Bourbaki labels, which
-    the walk decides, as it does every group that ``system_of`` did not
-    name A, B, C or D.  None starts in a named E7 or E8: each element asked
-    about there, every product v w1 and the w0 of E7 case 9's (iv), is
-    elliptic, P(1) != 0, and read off ``_ELLIPTIC_LEAST``."""
+    word.  The classical inner classes come from a table with no walk, and
+    a classical W_K in any labels is read off the signed cycle type, so 58
+    walks start in all (62 before the one type resolver: the 6 walks on a
+    stated word of a relabelled classical W_K went, and 2 came).  The 2 are
+    the named C2's: the resolver names it B2 through the swap of its
+    nodes, so its two cuspidal classes come from spelled levels, not from
+    the table.  None starts in a named E7 or E8: each element asked about
+    there, every product v w1 and the w0 of E7 case 9's (iv), is elliptic,
+    P(1) != 0, and read off ``_ELLIPTIC_LEAST``."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_walk = conjugacy._shift_walk
@@ -502,17 +504,20 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert len(starts) == 62 and wordless == [] and e78 == []
+    assert len(starts) == 58 and wordless == [] and e78 == []
     assert elliptic == [True] * 43
 
 
 
 def test_verify_all_asks_each_minimality_question_once(monkeypatch):
-    """A cold ``verify_all()`` calls ``closure_min_check`` 676 times: (iv)
+    """A cold ``verify_all()`` calls ``closure_min_check`` 674 times: (iv)
     asks only about the words a row states, since each cuspidal inner option
     is a word that ``cuspidal_representatives`` has just decided minimal in
     the same W_K under the same sigma, and (v) once per product v w1, the 42
-    of the E7 and E8 rows included."""
+    of the E7 and E8 rows included.  The named C2's two table words are no
+    longer asked (676 before the one type resolver): the resolver names C2
+    B2 through the swap of its nodes, so its classes come from spelled
+    levels, whose walks decide them."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_check, calls = conjugacy.closure_min_check, []
@@ -524,7 +529,7 @@ def test_verify_all_asks_each_minimality_question_once(monkeypatch):
     monkeypatch.setattr(conjugacy, "closure_min_check", check)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert len(calls) == 676
+    assert len(calls) == 674
 
 
 def test_a_tampered_table_word_ends_the_row(records, monkeypatch):

@@ -13,11 +13,12 @@ inverse form (x = w) exactly when w^-1(theta) is.
 The test reads theta and w(theta) with its own reflections on root
 coordinates (``multiply_oracles.reflect``), so the checker is compared
 with a predicate it does not share.  Every element of each of the 21
-twisted groups of rank <= 4 (W3) gets both forms in both directions:
-16,376 certificates at each q.  The two predicates differ on some element
-of every group but A1 and A2, so a checker that confused w with w^-1
-would fail here: the negative control runs the comparison with the
-checker's walk reversed and sees it fail on those groups.
+twisted groups of rank <= 4 (W3) and of the six of rank 5 gets both forms
+in both directions: 16,376 and 51,840 certificates at each q.  The two
+predicates differ on some element of every group but A1 and A2, so a
+checker that confused w with w^-1 would fail here: the negative control
+runs the comparison with the checker's walk reversed, on the groups of
+rank <= 4, and sees it fail on those groups.
 """
 
 import pytest
@@ -28,14 +29,19 @@ from weyldl.conjugacy import pi_of
 from weyldl.exactnum import qext
 from weyldl.rootdata import build_twist
 
-from conftest import RANK_LE_4, group
+from conftest import RANK_5_6, RANK_LE_4, group
 from multiply_oracles import elements_of, reflect
+
+# The six twisted groups of rank 5, whose certificates the q = h and q = h - 1
+# tests check too.
+RANK_5 = [(family, rank, order) for family, rank, order in RANK_5_6 if rank == 5]
 
 # Forward-form rejections at q = h - 1 of the untwisted groups: the elements w
 # with w(theta) simple.
 FORWARD_REJECTIONS = {
     ("A", 3, 1): 6, ("B", 3, 1): 8, ("C", 3, 1): 8, ("B", 4, 1): 48,
     ("D", 4, 1): 32, ("G", 2, 1): 2, ("F", 4, 1): 96,
+    ("A", 5, 1): 120, ("B", 5, 1): 384, ("C", 5, 1): 384, ("D", 5, 1): 240,
 }
 
 
@@ -74,7 +80,7 @@ def verdicts(family, rank, order, q):
                 yield u.word, direction, form, check_certificate(cert)
 
 
-@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+@pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5)
 def test_every_certificate_is_accepted_at_h(family, rank, order):
     """At q = h every certificate is accepted, with rank + l(w) rows."""
     h = sum(highest_root(group(family, rank).system.cartan)) + 1
@@ -110,7 +116,7 @@ def theta_disagreements(family, rank, order):
     return bad, forward_rejected, differ
 
 
-@pytest.mark.parametrize("family,rank,order", RANK_LE_4)
+@pytest.mark.parametrize("family,rank,order", RANK_LE_4 + RANK_5)
 def test_verdicts_at_h_minus_1_follow_theta(family, rank, order):
     """At q = h - 1 the forward form is rejected exactly when w(theta) is a
     simple root alpha_k, and the inverse form exactly when w^-1(theta) is.
@@ -136,7 +142,10 @@ def test_a_checker_that_walks_w_for_w_inverse_is_caught(family, rank, order, mon
 
 
 def test_certificate_count():
-    """Each test above checks 16,376 certificates: both forms and both
-    directions of every element of the 21 twisted groups of rank <= 4."""
-    assert len(RANK_LE_4) == 21
+    """The q = h and q = h - 1 tests each check 16,376 certificates of the 21
+    twisted groups of rank <= 4 and 51,840 of the six of rank 5: both forms
+    and both directions of every element.  The negative control runs on the
+    groups of rank <= 4."""
+    assert len(RANK_LE_4) == 21 and len(RANK_5) == 6
     assert sum(4 * len(elements_of(group(f, r))) for f, r, _ in RANK_LE_4) == 16376
+    assert sum(4 * len(elements_of(group(f, r))) for f, r, _ in RANK_5) == 51840

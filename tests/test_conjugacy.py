@@ -4,7 +4,7 @@ import random
 import pytest
 
 import multiply_oracles
-from weyldl import conjugacy
+from weyldl import conjugacy, subsystems
 from weyldl.casetables import _resolve_v_options, place_row, verify_case
 from weyldl.catalog import case_records, type_group
 from weyldl.conjugacy import (
@@ -24,7 +24,7 @@ from weyldl.conjugacy import (
     supp_delta,
 )
 from weyldl.rootdata import build_twist, cartan_matrix, positive_root_count
-from weyldl.subsystems import sub_context
+from weyldl.subsystems import identify_standard, sub_context
 from weyldl.weyl import WeylElt, WeylGroup, group_of
 
 from conftest import RANK_5_6, RANK_LE_4, group, twist_of
@@ -451,6 +451,29 @@ class TestInverseMap:
                 assert len(class_keys(W, other)) == len(class_keys(W, cls))
 
 
+def e6_d4():
+    """E6's D4 on nodes 2..5, in its standalone labels: node 3 central, not 2."""
+    return sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group
+
+
+# Groups that ``identify_standard`` names A, B, C or D in labels other than
+# their own, or under a map that is not their standard twist: name -> (the
+# group, pi, the resolved (family, rank, order), the group's order).
+RELABELLED = {
+    "D4 of E6": (e6_d4, {1: 1, 2: 2, 3: 3, 4: 4}, ("D", 4, 1), 192),
+    "D4 of E6, leaf swap": (e6_d4, {1: 2, 2: 1, 3: 3, 4: 4}, ("D", 4, 2), 192),
+    "D3, swap": (lambda: group("D", 3), {1: 1, 2: 3, 3: 2}, ("A", 3, 2), 24),
+    "D4, (1 3)": (lambda: group("D", 4), {1: 3, 2: 2, 3: 1, 4: 4}, ("D", 4, 2), 192),
+    "C2": (lambda: group("C", 2), {1: 1, 2: 2}, ("B", 2, 1), 8),
+    "F4 nodes 2..4": (lambda: sub_context(group("F", 4), frozenset({2, 3, 4})).group,
+                      {1: 1, 2: 2, 3: 3}, ("C", 3, 1), 48),
+}
+
+
+def no_walk(*args):
+    raise AssertionError("a shift walk started")
+
+
 class TestClosureMinCheck:
     def test_coxeter_element_is_minimal(self, G2):
         pi = identity_pi(G2)
@@ -622,26 +645,44 @@ class TestClosureMinCheck:
                 assert answer == ("minimal" if type(kept[w.key]) is conjugacy._Level
                                   else "not_minimal")
 
-    @pytest.mark.parametrize("name,pi", [
-        ("D4 of E6", {1: 1, 2: 2, 3: 3, 4: 4}),
-        ("D4 of E6", {1: 2, 2: 1, 3: 3, 4: 4}),
-        ("D3", {1: 1, 2: 3, 3: 2}),
-    ])
-    def test_a_relabelled_or_swapped_group_is_walked(self, name, pi, monkeypatch):
-        """E6's D4 on nodes 2..5, in labels that are not Bourbaki's, under a
-        twist of order 1 and 2, and the named D3 under its swap, are answered
-        by the walk: each element asked gets a kept verdict, and every answer
-        is enumeration's."""
-        W = (sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group if name == "D4 of E6"
-             else group_of(cartan_matrix("D", 3)))
-        assert conjugacy._classical_reading(W, pi) is None
+    @pytest.mark.parametrize("name", sorted(RELABELLED))
+    def test_a_relabelled_group_walks_nothing(self, name, monkeypatch):
+        """A group that the resolver names A, B, C or D in labels other than
+        Bourbaki's, or under a map other than its standard twist, is read
+        off the signed cycle type through the resolver's labelling: E6's D4
+        on nodes 2..5 under the identity and the leaf swap, D3 under its
+        swap, D4 under (1 3), the named C2 (B2 through the swap) and F4's
+        nodes 2..4 (C3 reversed).  From an empty memo every element is
+        asked, no walk starts, nothing is kept, and every answer is
+        enumeration's."""
+        build, pi, named, size = RELABELLED[name]
+        W = build()
+        family, rank, order, phi = conjugacy._standard_type(W, pi)
+        assert (family, rank, order) == named and phi is not None
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
         elements = elements_of(W)
+        assert len(elements) == size
         for w in elements:
             least = oracle_class_of(W, pi, w).min_length
             assert closure_min_check(W, pi, w) == ("minimal" if w.length == least
                                                    else "not_minimal")
-        assert set(conjugacy._verdicts(W, pi)) >= {w.key for w in elements}
+        assert conjugacy._MINIMALITY_MEMO == {}
+
+    def test_a_word_read_without_its_labelling_fails(self):
+        """Negative control: E6's D4 read off its words as they are, as if its
+        labels were Bourbaki's, disagrees with enumeration on some element;
+        mapped through the resolver's labelling it agrees on all 192."""
+        build, pi, _, _ = RELABELLED["D4 of E6"]
+        W = build()
+        family, rank, order, phi = conjugacy._standard_type(W, pi)
+        unmapped = mapped = 0
+        for w in elements_of(W):
+            least, word = oracle_class_of(W, pi, w).min_length, W.reduced_word(w)
+            unmapped += conjugacy._least_length(family, rank, order, word) != least
+            mapped += conjugacy._least_length(
+                family, rank, order, [phi[i - 1] for i in word]) != least
+        assert unmapped > 0 and mapped == 0
 
 def classical_groups(ranks):
     """The classical twisted groups of the given ranks: (family, rank, order)."""
@@ -657,9 +698,10 @@ CLASSICAL_RANK_LE_4 = classical_groups(range(1, 5))
 
 def least_length(W, pi, word, oracle=conjugacy._least_length):
     """The least length in the pi-class of the product of ``word``, as
-    ``closure_min_check`` reads it off the signed cycle type."""
-    letters, n, twist = conjugacy._classical_reading(W, pi)
-    return oracle(letters, n, twist, word)
+    ``closure_min_check`` reads it off the signed cycle type: in the
+    resolver's type, through its labelling."""
+    family, rank, order, phi = conjugacy._standard_type(W, pi)
+    return oracle(family, rank, order, word if phi is None else [phi[i - 1] for i in word])
 
 
 def cycle_type_mismatches(groups, oracle=conjugacy._least_length):
@@ -718,40 +760,45 @@ class TestLeastLength:
         disagrees with enumeration on some element through rank 5."""
         assert next(cycle_type_mismatches(classical_groups(range(1, 6)), mutant(old, new)), None)
 
-    def test_readings(self):
-        """Only a group that ``system_of`` named A, B, C or D, under the identity
-        or its standard twist of order 2, is read; a relabelled group, such as
-        the D4 of E6, and a named type under any other twist are not."""
-        assert conjugacy._classical_reading(group("B", 2), {1: 2, 2: 1}) is None
-        assert conjugacy._classical_reading(group("D", 4), pi_of(build_twist("D", 4, 3))) is None
-        assert conjugacy._classical_reading(group("G", 2), {1: 1, 2: 2}) is None
-        assert conjugacy._classical_reading(group("E", 6), {i: i for i in range(1, 7)}) is None
-        assert conjugacy._classical_reading(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
-        # A named type under its standard twist is read as it is; D4 under
-        # another twist of order 2 is not read.
-        D5 = group("D", 5)
-        assert conjugacy._classical_reading(D5, pi_of(build_twist("D", 5, 2))) == ("D", 5, "t_n")
-        assert conjugacy._classical_reading(group("D", 4), {1: 3, 2: 2, 3: 1, 4: 4}) is None
-        D4 = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group  # node 3 central
-        assert not D4.system.family.startswith("D")
-        for pi in ({1: 1, 2: 2, 3: 3, 4: 4}, {1: 2, 2: 1, 3: 3, 4: 4}):
-            assert conjugacy._classical_reading(D4, pi) is None
+    def test_readings(self, monkeypatch):
+        """``closure_min_check`` reads ``_least_length`` exactly when the
+        resolver names A, B, C or D under a map of order 1, or A or D under
+        one of order 2, in any labels, and walks otherwise: 2B2, 3D4, G2, E6
+        and a reducible group walk; D5 under its standard twist, D4 under
+        (1 3), E6's D4 and the named C2 and D3 are read."""
+        real_least, reads, walks = conjugacy._least_length, [], []
+        monkeypatch.setattr(conjugacy, "_least_length",
+                            lambda *args: reads.append(args[:3]) or real_least(*args))
+        monkeypatch.setattr(conjugacy, "_verdict",
+                            lambda W, pi, w: walks.append(W.rank) or conjugacy._Level({}))
+        cases = [
+            (group("B", 2), {1: 2, 2: 1}, None),
+            (group("D", 4), pi_of(build_twist("D", 4, 3)), None),
+            (group("G", 2), {1: 1, 2: 2}, None),
+            (group("E", 6), {i: i for i in range(1, 7)}, None),
+            (group_of(block_cartan(A1, A1)), {1: 1, 2: 2}, None),
+            (group("D", 5), pi_of(build_twist("D", 5, 2)), ("D", 5, 2)),
+        ] + [(build(), pi, named) for build, pi, named, _ in RELABELLED.values()]
+        for W, pi, named in cases:
+            reads.clear()
+            walks.clear()
+            closure_min_check(W, pi, W.from_word(W.system.nodes))
+            assert (reads, walks) == (([named], []) if named else ([], [W.rank])), (W.system, pi)
 
     def test_d3_under_a_twist_of_order_2(self, monkeypatch):
-        """The named D3 has no standard twist of order 2, so under the swap of
-        its nodes 2 and 3 it is walked, and under the identity read as D3: in
-        both, every one of its 24 elements gets the walk's verdict."""
-        D3 = group_of(cartan_matrix("D", 3))
+        """The named D3 is A3 in other labels: under the identity it is read as
+        A3, and under the swap of its nodes 2 and 3 as 2A3, through the
+        labelling (2, 1, 3).  In both, every one of its 24 elements gets the
+        walk's verdict, and ``closure_min_check`` keeps none."""
+        D3 = group("D", 3)
         assert (D3.system.family, D3.rank) == ("D", 3)
-        for pi in ({1: 1, 2: 2, 3: 3}, {1: 1, 2: 3, 3: 2}):
-            swapped = pi[2] == 3
-            reading = conjugacy._classical_reading(D3, pi)
-            assert reading == (None if swapped else ("D", 3, None))
+        for pi, order in (({1: 1, 2: 2, 3: 3}, 1), ({1: 1, 2: 3, 3: 2}, 2)):
+            assert conjugacy._standard_type(D3, pi) == ("A", 3, order, (2, 1, 3))
             elements = elements_of(D3)
             assert len(elements) == 24
             monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
             verdicts = [closure_min_check(D3, pi, w) for w in elements]
-            assert bool(conjugacy._MINIMALITY_MEMO) == swapped
+            assert conjugacy._MINIMALITY_MEMO == {}
             walked = ["minimal" if type(conjugacy._verdict(D3, pi, w)) is conjugacy._Level
                       else "not_minimal" for w in elements]
             assert verdicts == walked and "not_minimal" in verdicts
@@ -772,9 +819,12 @@ class TestLeastLength:
         assert checked == 68623
 
 
-def e_catalog_products(rank):
+def e_catalog_products(rank, perm=None):
     """E{rank}, its catalog map, and (label, v w1) for each inner option of each
-    of its catalog rows, as ``verify_case`` forms the products."""
+    of its catalog rows, as ``verify_case`` forms the products.  With a
+    permutation ``perm`` of the nodes, the group is instead E{rank}'s Cartan
+    matrix relabelled so that its node i is Bourbaki's node perm[i - 1], and
+    each product is spelled in those labels."""
     W, pi = type_group("E", rank, 1)
     products = []
     for rec in case_records("E", rank, 1):
@@ -782,6 +832,10 @@ def e_catalog_products(rank):
         words, problem = _resolve_v_options(rec, placed)
         assert problem is None, (rec.label, problem)
         products += [(rec.label, W.from_word(vw + rec.w1)) for vw in words]
+    if perm is not None:
+        back = {p: i for i, p in enumerate(perm, 1)}
+        W = group_of(tuple(tuple(W.system.cartan[p - 1][q - 1] for q in perm) for p in perm))
+        products = [(label, W.from_word([back[i] for i in w.word])) for label, w in products]
     return W, pi, products
 
 
@@ -802,12 +856,13 @@ def longer_conjugate(W, level):
     return None
 
 
-def elliptic_mismatches(rank):
+def elliptic_mismatches(rank, perm=None):
     """(label, length, oracle, walk) wherever ``closure_min_check`` and
     ``_verdict``'s walk disagree, over every product of an E{rank} catalog row
     and the ``longer_conjugate`` of its level; and the lengths of the products
-    without one, whose class is their level."""
-    W, pi, products = e_catalog_products(rank)
+    without one, whose class is their level.  ``perm`` relabels the group as
+    ``e_catalog_products`` does."""
+    W, pi, products = e_catalog_products(rank, perm)
     mismatches, flat = [], []
     for label, w in products:
         level = conjugacy._verdict(W, pi, w)
@@ -849,6 +904,9 @@ def word_matrix(W, word):
     return M
 
 
+# Node i of the relabelled E7 is Bourbaki's node RELABEL_E7[i - 1].
+RELABEL_E7 = (7, 1, 6, 2, 5, 3, 4)
+
 E7_LEAST = [7, 9, 11, 13, 15, 17, 21, 23, 25, 31, 33, 63]
 E8_LEAST = [8, 10, 12, 14, 16, 16, 18, 20, 22, 22, 24, 24, 26, 26, 28, 30, 32, 34, 40, 42,
             44, 44, 46, 46, 48, 60, 64, 66, 80, 120]
@@ -887,6 +945,22 @@ class TestEllipticLeast:
         have no longer element: w0 = -1, and in E8 three classes more."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         assert elliptic_mismatches(rank) == ([], flat)
+
+    def test_a_relabelled_e7_agrees_with_the_walk(self, monkeypatch):
+        """E7's Cartan matrix with its nodes permuted is named E7 through that
+        permutation, and its elliptic elements are decided with no walk: from
+        an empty memo the 12 products of the E7 rows, spelled in the new
+        labels, are "minimal" with no walk started, and on them and their
+        longer conjugates the oracle answers as the walk does."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        W, pi, products = e_catalog_products(7, RELABEL_E7)
+        assert W.system.family.startswith("cartan:")
+        assert conjugacy._standard_type(W, pi) == ("E", 7, 1, RELABEL_E7)
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
+        assert [closure_min_check(W, pi, w) for _, w in products] == ["minimal"] * 12
+        monkeypatch.setattr(conjugacy, "_shift_walk", real_walk)
+        assert elliptic_mismatches(7, RELABEL_E7) == ([], [63])
 
     def test_an_entry_off_by_2_fails(self, monkeypatch):
         """Negative control: with the least length of the class of E7 case 2's
@@ -932,55 +1006,108 @@ class TestEllipticLeast:
         assert walks == [6]
 
 
-class TestStandardOrder:
-    """``_standard_order``: is W a named type under its identity or the delta map
-    of its standard twist, and of which order?"""
+class TestStandardType:
+    """``_standard_type``: ``identify_standard``'s answer to "which standard type
+    is (W, pi), and in which labels?", kept on W per map."""
 
     def test_every_named_type_and_twist(self):
-        """Every named type through rank 8, under each of its twists: the
-        identity gives 1, and the twist's delta map gives its order."""
+        """Every named type through rank 8, under its identity and each of its
+        twists, is its own type in its own labels (phi None), but the named C2,
+        which is B2 through the swap of its nodes, and the named D3, which is
+        A3 through (2, 1, 3).  The answer is a tuple: no caller can change
+        the kept labelling."""
         twists = twists_through_rank_8()
         assert len(twists) == 50  # 33 types, 17 twists of order 2 or 3
+        other = {("C", 2): ("B", 2, 1, (2, 1)), ("D", 3): ("A", 3, 1, (2, 1, 3))}
         for family, rank, twist in twists:
             W = group(family, rank)
-            assert conjugacy._standard_order(W, identity_pi(W)) == 1
-            assert conjugacy._standard_order(W, pi_of(twist)) == twist.order
+            for pi, order in ((identity_pi(W), 1), (pi_of(twist), twist.order)):
+                named = conjugacy._standard_type(W, pi)
+                assert named == other.get((family, rank), (family, rank, order, None))
+        named = conjugacy._standard_type(group("C", 2), {1: 1, 2: 2})
+        with pytest.raises(TypeError):
+            named[3][0] = 1
 
-    def test_other_maps_and_groups_give_none(self):
+    def test_other_maps_and_groups(self):
         """3D4 under delta_inv, the D4 swaps (1 3) and (1 4), D3 under the swap of
-        nodes 2 and 3, E6's D4 on nodes 2..5 under any twist, and a reducible
-        group are None."""
+        nodes 2 and 3, and E6's D4 on nodes 2..5 under each twist are named in
+        other labels; a reducible group is None."""
         D4 = group("D", 4)
-        assert conjugacy._standard_order(D4, pi_of(build_twist("D", 4, 3), "delta_inv")) is None
-        assert conjugacy._standard_order(D4, {1: 3, 2: 2, 3: 1, 4: 4}) is None
-        assert conjugacy._standard_order(D4, {1: 4, 2: 2, 3: 3, 4: 1}) is None
-        D3 = group_of(cartan_matrix("D", 3))
-        assert conjugacy._standard_order(D3, {1: 1, 2: 3, 3: 2}) is None
-        sub = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group
-        for pi in D4_OF_E6.values():
-            assert conjugacy._standard_order(sub, pi) is None
-        assert conjugacy._standard_order(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
+        expected = [
+            (D4, pi_of(build_twist("D", 4, 3), "delta_inv"), ("D", 4, 3)),
+            (D4, {1: 3, 2: 2, 3: 1, 4: 4}, ("D", 4, 2)),
+            (D4, {1: 4, 2: 2, 3: 3, 4: 1}, ("D", 4, 2)),
+            (group("D", 3), {1: 1, 2: 3, 3: 2}, ("A", 3, 2)),
+        ] + [(e6_d4(), pi, ("D", 4, k)) for k, pi in enumerate(D4_OF_E6.values(), 1)]
+        for W, pi, named in expected:
+            family, rank, order, phi = conjugacy._standard_type(W, pi)
+            assert (family, rank, order) == named and phi is not None
+        assert conjugacy._standard_type(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
+        for cartan, pi in SWAPPED.values():
+            assert conjugacy._standard_type(group_of(cartan), pi) is None
 
-    def test_build_twist_once_per_type(self, monkeypatch):
-        """From a cold memo, however many ``closure_min_check`` calls every
-        classical group through rank 8 gets, under its identity and its
-        standard twist, ``build_twist`` runs at most once per (family, rank):
-        once for each type with a twist of order 2, never for the identity."""
-        monkeypatch.setattr(conjugacy, "_STANDARD_MAPS", {})
-        real_build, built = conjugacy.build_twist, []
-        monkeypatch.setattr(conjugacy, "build_twist",
-                            lambda *args: built.append(args) or real_build(*args))
+    def test_resolved_once_per_group_and_map(self, monkeypatch):
+        """With every group's kept answers cleared, however many questions
+        ``closure_min_check`` and ``cuspidal_representatives`` ask of every
+        classical group through rank 8, under its identity and its standard
+        twist, ``identify_standard`` runs once per (group, map).  The seeds'
+        own reading of it, once per component (``_cuspidal_seeds``), is
+        warmed first."""
         groups = classical_groups(range(1, 9))
-        calls = 0
-        for family, rank, order in groups:
-            W = group(family, rank)
-            pi = pi_of(real_build(family, rank, order))
-            for k in range(rank + 1):
+        maps = [(group(family, rank), pi) for family, rank, order in groups
+                for pi in (identity_pi(group(family, rank)), pi_of(build_twist(family, rank, order)))]
+        for W, pi in maps:
+            if W.rank < 8:
+                cuspidal_representatives(W, pi)
+        real, asked = conjugacy.identify_standard, []
+        monkeypatch.setattr(conjugacy, "identify_standard",
+                            lambda cartan, pi: asked.append((cartan, tuple(pi.values())))
+                            or real(cartan, pi))
+        monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
+        for W, _ in maps:
+            monkeypatch.setattr(W, "_types", {})
+        pairs, calls = set(), 0
+        for W, pi in maps:
+            pairs.add((W.system.cartan, tuple(pi.values())))
+            for k in range(W.rank + 1):
                 for _ in range(3):
                     closure_min_check(W, pi, W.from_word(range(1, k + 1)))
                     calls += 1
-        assert calls == 3 * sum(rank + 1 for _, rank, _ in groups)
-        assert sorted(built) == sorted((f, r, 2) for f, r, order in groups if order == 2)
+            if W.rank < 8:
+                cuspidal_representatives(W, pi)
+        assert calls == 6 * sum(rank + 1 for _, rank, _ in groups)
+        assert sorted(asked) == sorted(pairs) and len(asked) == 39
+
+    def test_early_return_keeps_the_search_answer(self, monkeypatch):
+        """``identify_standard`` returns the identity labelling without a search
+        when the matrix is its type's own and sigma that type's standard map,
+        so of the 50 types and twists through rank 8, under their identity
+        and twist maps, only C2 and D3, named B2 and A3, and F4, whose sorted
+        Cartan rows are C4's, search a labelling.
+        With the early return disabled every answer is the same: on those
+        100 maps, and on 3D4 under delta_inv, D4 under (1 3) and (1 4), D3
+        under its swap and E6's D4 under each twist."""
+        named = []
+        for family, rank, twist in twists_through_rank_8():
+            cartan = cartan_matrix(family, rank)
+            named += [(cartan, {i: i for i in range(1, rank + 1)}), (cartan, pi_of(twist))]
+        D4 = cartan_matrix("D", 4)
+        other = [(D4, pi_of(build_twist("D", 4, 3), "delta_inv")),
+                 (D4, {1: 3, 2: 2, 3: 1, 4: 4}), (D4, {1: 4, 2: 2, 3: 3, 4: 1}),
+                 (cartan_matrix("D", 3), {1: 1, 2: 3, 3: 2})]
+        other += [(e6_d4().system.cartan, pi) for pi in D4_OF_E6.values()]
+        real_isos, searched = subsystems.cartan_isos, []
+        monkeypatch.setattr(subsystems, "cartan_isos",
+                            lambda source, target: searched.append(source) or real_isos(source, target))
+        fast = [identify_standard(cartan, pi) for cartan, pi in named]
+        assert set(searched) == {cartan_matrix(*t) for t in (("C", 2), ("D", 3), ("F", 4))}
+        fast += [identify_standard(cartan, pi) for cartan, pi in other]
+        assert None not in fast
+        # A target given as lists never equals a matrix given as tuples, so
+        # the early return never fires and every answer comes from the search.
+        monkeypatch.setattr(subsystems, "cartan_matrix",
+                            lambda family, rank: [list(row) for row in cartan_matrix(family, rank)])
+        assert [identify_standard(cartan, pi) for cartan, pi in named + other] == fast
 
 
 def supp_len(W, pi, w):
@@ -1091,8 +1218,10 @@ def naming_rule(family, rank, order, direction):
     """Which rule names the cuspidal classes of a named type under a twist map:
     "classical" for a ``_CLASSICAL_TABLE`` group, "seeds" for a named type
     under its identity or the delta map of its standard twist with a
-    ``_SEED_TABLE`` row, else "levels"."""
-    standard = direction == "delta" or order < 3
+    ``_SEED_TABLE`` row, else "levels".  The named C2 is "levels": the
+    resolver names it B2 through the swap of its nodes, and a table word
+    holds only in the labels it names."""
+    standard = (direction == "delta" or order < 3) and (family, rank) != ("C", 2)
     if standard and (family, rank, order) in tabled_groups():
         return "classical"
     if standard and (family, rank, order) in conjugacy._SEED_TABLE:
@@ -1142,14 +1271,26 @@ class TestCuspidalRepresentatives:
         """From cold memos, every group that the classical table covers, through
         rank 7, reads its representatives off the table: no shift walk starts,
         no level is kept, and each representative is spelled as its row's
-        word.  The table covers the classical twisted groups through rank 7."""
+        word.  The table covers the classical twisted groups through rank 7,
+        but for the named C2, which the resolver names B2 through the swap of
+        its nodes: it walks its two levels instead, and names its classes by
+        the same words."""
         assert sorted(tabled_groups()) == sorted(classical_groups(range(1, 8)))
         for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
-        walks = []
-        monkeypatch.setattr(conjugacy, "_shift_walk", lambda *args: walks.append(args))
+        C2, walks = group("C", 2), []
+        real_walk = conjugacy._shift_walk
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walks.append(args[0]) or real_walk(*args))
+        reps = cuspidal_representatives(C2, identity_pi(C2))
+        assert [u.word for u in reps] == words_of(table_row("C", 2, 1))
+        assert walks == [C2, C2]
+        walks.clear()
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         words = 0
         for family, rank, order in tabled_groups():
+            if (family, rank) == ("C", 2):
+                continue
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
             reps = cuspidal_representatives(W, pi)
@@ -1157,7 +1298,7 @@ class TestCuspidalRepresentatives:
             assert [u._word for u in reps] == [tuple(map(int, word)) for word in row]
             words += len(reps)
         assert walks == [] and conjugacy._MINIMALITY_MEMO == {}
-        assert words == 153
+        assert words == 151
 
     @pytest.mark.parametrize("words,message", [
         (("12", "1"), "not cuspidal"),
@@ -1201,7 +1342,8 @@ class TestCuspidalRepresentatives:
         words are enumeration's (``assert_named_by``): the classical groups
         by ``_CLASSICAL_TABLE``, a named type under its identity or the delta
         map of its standard twist by its ``_SEED_TABLE`` row, and 3D4 under
-        delta_inv by its spelled levels."""
+        delta_inv and the named C2, which the resolver names B2 through the
+        swap of its nodes, by their spelled levels."""
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
@@ -1224,7 +1366,8 @@ class TestCuspidalRepresentatives:
         else:
             W, pi = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group, D4_OF_E6[name]
         for p in (pi, inverse_pi(pi)):
-            assert conjugacy._standard_order(W, p) is None
+            named = conjugacy._standard_type(W, p)
+            assert named is None or named[3] is not None
             words = assert_named_by(W, p, "levels", None, monkeypatch)
             assert words and words == cuspidal_words_by_enumeration(W, p)
 
@@ -1236,7 +1379,7 @@ class TestCuspidalRepresentatives:
         for (family, rank, order), row in conjugacy._SEED_TABLE.items():
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
-            assert conjugacy._standard_order(W, pi) == order
+            assert conjugacy._standard_type(W, pi) == (family, rank, order, None)
             assert conjugacy._cuspidal_seeds(W, pi) == words_of(row)
         assert len(conjugacy._SEED_TABLE) == 8
 
