@@ -21,9 +21,9 @@ come from the levels of the cuspidal seeds alone (``_cuspidal_levels``,
 read by ``cuspidal_representatives`` and ``class_list``).  This module answers class
 questions only: a catalog row's reduction step is ``casetables.place_row``.
 
-Minimality (``closure_min_check``) is decided by the group's type, from
-``_standard_type``: ``subsystems.identify_standard``'s one answer to
-"which standard type is (W, pi), and in which labels?", resolved once
+Minimality (``closure_min_check``), the cuspidal tables and the seeds
+read the group's type from ``subsystems.standard_type``: the one answer
+to "which standard type is (W, pi), and in which labels?", resolved once
 per group and map.  A Coxeter-system isomorphism keeps length and
 twisted classes, so the type decides in any labels.  When the resolver
 names A, B, C or D under the identity, or A or D under the standard
@@ -57,11 +57,12 @@ raises ``ClosureBudgetError`` and keeps nothing.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Frozen, Twist
-from .subsystems import component_orbits, identify_standard, sub_context
+from .subsystems import component_orbits, standard_type, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -337,7 +338,7 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
     One oracle answers for each (W, pi), chosen by the type that
-    ``_standard_type`` resolves, in any labels.  When it names A, B, C or
+    ``standard_type`` resolves, in any labels.  When it names A, B, C or
     D with pi of order 1, or A or D with pi of order 2, w is minimal
     exactly when l(w) is the least length that ``_least_length`` reads
     off a reduced word of w (``WeylGroup.reduced_word``) mapped through
@@ -357,7 +358,7 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     A walk that finds w minimal keeps w's whole level, so a later question
     about any member, ``minimal_level``'s too, starts no walk.
     """
-    named = _standard_type(W, pi)
+    named = standard_type(W, pi)
     if named is not None:
         family, rank, order, phi = named
         if order == 1 and family in "ABCD" or order == 2 and family in "AD":
@@ -373,26 +374,6 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
                     raise FalsificationError(f"{w.word}: no elliptic class of E{rank} has polynomial {P}")
                 return "minimal" if w.length == _ELLIPTIC_LEAST[P] else "not_minimal"
     return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
-
-
-def _standard_type(W: WeylGroup, pi: PiMap) -> Optional[tuple[str, int, int, Optional[tuple[int, ...]]]]:
-    """(family, rank, order, phi) of ``identify_standard`` for W under pi, or None.
-
-    phi holds the standard node of each of W's nodes 1..rank, and is None
-    for the identity labelling, so that a word is read without mapping.
-    Resolved once per group and map, and kept on W as a tuple that no
-    caller can change.  None for a reducible group, and for a twist of no
-    standard order.
-    """
-    images = tuple(map(pi.__getitem__, W.system.nodes))
-    if images not in W._types:
-        named = identify_standard(W.system.cartan, pi)
-        if named is not None:
-            family, rank, order, phi = named
-            labels = tuple(map(phi.__getitem__, W.system.nodes))
-            named = family, rank, order, None if labels == W.system.nodes else labels
-        W._types[images] = named
-    return W._types[images]
 
 
 def _charpoly(W: WeylGroup, w: WeylElt) -> tuple[int, ...]:
@@ -652,7 +633,7 @@ def _least_length(family: str, rank: int, order: int, word: Iterable[int]) -> in
     """The least length in the twisted class of the product of ``word``, from its cycle type.
 
     ``family`` is A, B, C or D, ``order`` 1, or 2 for A and D, as
-    ``identify_standard`` names them.  ``word`` is any word, reduced or
+    ``standard_type`` names them.  ``word`` is any word, reduced or
     not, in the Bourbaki labels of that type, read as a signed permutation
     of e_1..e_n as ``_signed_word`` reads it, n = rank + 1 for A_rank and
     n = rank otherwise; C_n reads as B_n, whose letters act alike.  One
@@ -725,25 +706,26 @@ def _least_length(family: str, rank: int, order: int, word: Iterable[int]) -> in
     return least - len(negative) if family == "D" else least
 
 
-def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]:
+@cache
+def _standard_seeds(family: str, rank: int, order: int) -> tuple[tuple[int, ...], ...]:
     """One minimal word per cuspidal class of a named type under its standard twist.
 
     Classical types by signed cycle type (Geck-Pfeiffer 2000, ch. 3), the
     rest from ``_SEED_TABLE``.  A twisted class of 2A_(n-1) is the class of
     w w0 in S_n, and one of 2D_n the class of w t_n in B_n, with t_n the
     sign change of e_n; the cuspidal ones have odd parts, respectively all
-    cycles negative and an odd number of them.
+    cycles negative and an odd number of them.  Kept per type.
     """
     if (family, rank, order) in _SEED_TABLE:
-        return [tuple(map(int, word)) for word in _SEED_TABLE[family, rank, order]]
+        return tuple(tuple(map(int, word)) for word in _SEED_TABLE[family, rank, order])
     if (family, order) == ("A", 1):
-        return [tuple(range(1, rank + 1))]
+        return (tuple(range(1, rank + 1)),)
     if (family, order) == ("A", 2):
         n = rank + 1
-        return [_signed_word(_zigzag(n, p), "A")
-                for p in _partitions(n) if all(k % 2 for k in p)]
+        return tuple(_signed_word(_zigzag(n, p), "A")
+                     for p in _partitions(n) if all(k % 2 for k in p))
     if family in "BC" and order == 1:
-        return [_signed_word(_negative_blocks(rank, p), "B") for p in _partitions(rank)]
+        return tuple(_signed_word(_negative_blocks(rank, p), "B") for p in _partitions(rank))
     if family == "D" and order in (1, 2):
         seeds = []
         for p in _partitions(rank):
@@ -752,12 +734,8 @@ def _standard_seeds(family: str, rank: int, order: int) -> list[tuple[int, ...]]
                 if order == 2:
                     img[-1] = -img[-1]  # w = y t_n
                 seeds.append(_signed_word(img, "D"))
-        return seeds
+        return tuple(seeds)
     raise ValueError(f"no cuspidal seeds for type {'' if order == 1 else order}{family}{rank}")
-
-
-# Each irreducible component's seeds in its labels 1..m, by Cartan matrix and twist.
-_COMPONENT_SEEDS: dict[tuple, list[tuple[int, ...]]] = {}
 
 
 def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
@@ -765,23 +743,19 @@ def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
 
     From the pi-orbits of components: an orbit of r components
     contributes the pi^r-seeds of its first component, with the identity
-    on the others; the seeds are the products over the orbits.
+    on the others; the seeds are the products over the orbits.  A
+    component's seeds are its type's, read through ``standard_type``.
     """
     seeds: list[tuple[int, ...]] = [()]
     for orbit in component_orbits(W, pi):
-        comp, power = sorted(orbit[0]), power_pi(pi, len(orbit))
-        cartan = tuple(tuple(W.system.cartan[i - 1][j - 1] for j in comp) for i in comp)
-        sigma = tuple(comp.index(power[i]) + 1 for i in comp)
-        if (cartan, sigma) not in _COMPONENT_SEEDS:
-            ident = identify_standard(cartan, dict(enumerate(sigma, 1)))
-            if ident is None:
-                raise FalsificationError(f"cannot identify the component {comp} of {W.system.family}")
-            family, rank, order, phi = ident
-            back = {b: k for k, b in phi.items()}  # standard node -> component node
-            _COMPONENT_SEEDS[cartan, sigma] = [
-                tuple(back[b] for b in word) for word in _standard_seeds(family, rank, order)
-            ]
-        words = [tuple(comp[k - 1] for k in word) for word in _COMPONENT_SEEDS[cartan, sigma]]
+        sub = sub_context(W, orbit[0])
+        named = standard_type(sub.group, sub.pi_to_sub(power_pi(pi, len(orbit))))
+        if named is None:
+            raise FalsificationError(f"cannot identify the component {sorted(orbit[0])} of {W.system.family}")
+        family, rank, order, phi = named
+        back = {b: k for k, b in enumerate(phi or sub.system.nodes, 1)}  # standard node -> node of sub
+        words = [sub.word_to_ambient([back[b] for b in word])
+                 for word in _standard_seeds(family, rank, order)]
         seeds = [s + word for s in seeds for word in words]
     return seeds
 
@@ -818,7 +792,7 @@ def _tabled_representatives(
 ) -> Optional[list[WeylElt]]:
     """The ``_CLASSICAL_TABLE`` words of W under pi as spelled elements, or None.
 
-    ``named`` is the (family, rank, order) of ``_standard_type(W, pi)``
+    ``named`` is the (family, rank, order) of ``standard_type(W, pi)``
     when its labelling is the identity, else None.  None unless that names
     a classical type through rank 7 under the identity or its standard
     twist.  A relabelled group is None, since a canonical word depends on
@@ -854,7 +828,7 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     In (length, canonical word) order, as ``class_list`` lists the
     cuspidal classes.  A class is named by a table word, or else by the
     first member of its spelled level.  The tables are read only when
-    ``_standard_type`` names W under the identity labelling, so that W's
+    ``standard_type`` names W under the identity labelling, so that W's
     words are the table's.  A classical type through rank 7 under the
     identity or its standard twist reads them off ``_CLASSICAL_TABLE``,
     each checked cuspidal and minimal with no walk
@@ -873,7 +847,7 @@ def cuspidal_representatives(W: WeylGroup, pi: PiMap) -> tuple[WeylElt, ...]:
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CUSPIDAL_MEMO:
-        named = _standard_type(W, pi)
+        named = standard_type(W, pi)
         named = named[:3] if named is not None and named[3] is None else None
         reps = _tabled_representatives(W, pi, named)
         if reps is None:

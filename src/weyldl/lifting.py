@@ -40,8 +40,9 @@ keeps it as one record under the key of each member, where
 ``class_list`` has usually left it already, and ``minimal_level`` spells
 the record once and returns the same tuple from then on.  A leaf reads
 the catalog through ``_ROW_MEMO``: per irreducible (Cartan matrix, pi),
-the identification of its type, and for each row the scans have
-reached, in catalog order, its placement and the keys of
+its type's rows, read through the labelling that
+``subsystems.standard_type`` keeps on the group, and for each row the
+scans have reached, in catalog order, its placement and the keys of
 (v w1)^-1 for its inner options v.  That is one placement and a few keys
 per row reached: 24 types, 65 rows and 85 options for the 180 classes of
 rank <= 4.  Only the inputs of the row scan are kept, so a leaf still
@@ -82,7 +83,7 @@ from .criterion import (
 )
 from .exactnum import ZERO, QuadExt, qext
 from .rootdata import Frozen, Twist
-from .subsystems import SubContext, component_orbits, identify_standard, sub_context
+from .subsystems import SubContext, component_orbits, standard_type, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -379,12 +380,12 @@ class _CatalogRows:
     __slots__ = ("label", "phi_inv", "rows", "placed")
 
     def __init__(self, W: WeylGroup, pi: PiMap):
-        ident = identify_standard(W.system.cartan, pi)
-        if ident is None:
+        named = standard_type(W, pi)
+        if named is None:
             raise FalsificationError(f"cannot identify the type of {W.system.family}")
-        family, rank, order, phi = ident  # node of W -> standard node
+        family, rank, order, phi = named  # phi: the standard node of each node of W
         self.label = f"type {family}{rank} twist {order}"
-        self.phi_inv = {v: k for k, v in phi.items()}
+        self.phi_inv = {b: k for k, b in enumerate(phi or W.system.nodes, 1)}
         self.rows = case_records(family, rank, order)
         if not self.rows:
             raise FalsificationError(f"no catalog rows for {self.label}")

@@ -18,13 +18,14 @@ element encoding and one set of reflection tables.
 ``component_orbits`` groups the irreducible components into the orbits
 of a twist, and ``identify_standard`` finds the Bourbaki name of an
 irreducible subsystem together with a labelling isomorphism that carries
-a given index permutation to the standard twist.  It is the one answer
-to "which standard type is (W, pi), and in which labels?": the
-minimality oracle and the cuspidal tables
-(``conjugacy.closure_min_check``, ``cuspidal_representatives``), the
-cuspidal seeds (``conjugacy._cuspidal_seeds``) and the catalog rows of
-the constructive route (``lifting``) read it.  So a relabelled
-submatrix, such as the D4 of E6 on nodes 2..5, is decided as its type is.
+a given index permutation to the standard twist.  Its one caller,
+``standard_type``, is the one answer to "which standard type is (W, pi),
+and in which labels?", kept on the group per map: the minimality oracle
+and the cuspidal tables (``conjugacy.closure_min_check``,
+``cuspidal_representatives``), the seeds of each component
+(``conjugacy._cuspidal_seeds``) and the catalog rows of the
+constructive route (``lifting``) read it.  So a relabelled submatrix,
+such as the D4 of E6 on nodes 2..5, is decided as its type is.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "components",
     "component_orbits",
     "identify_standard",
+    "standard_type",
     "cartan_isos",
 ]
 
@@ -185,17 +187,18 @@ def _arm_lengths(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def identify_standard(
     cartan: Sequence[Sequence[int]],
     sigma: dict[int, int],
-) -> Optional[tuple[str, int, int, dict[int, int]]]:
+) -> Optional[tuple[str, int, int, tuple[int, ...]]]:
     """Match an irreducible Cartan matrix plus index permutation to a name.
 
-    Returns (family, rank, twist_order, phi) where phi maps source nodes
-    (1-based) to Bourbaki nodes so that phi . sigma . phi^{-1} is the
-    standard twist of that order, or None when nothing matches.  The
-    first type in family order that matches wins: B2 over the transposed
-    C2 labelling, so Suzuki twists land on the standard ('B', 2, 2) name
-    and the named C2 is B2 through its swap, and A3 over D3.  A type is
-    searched for a labelling (``cartan_isos``) only when its sorted Cartan
-    rows and its arm lengths (``_arm_lengths``) are those of the matrix.
+    Returns (family, rank, twist_order, phi) where phi, a ``cartan_isos``
+    tuple, holds the Bourbaki node of each source node so that
+    phi . sigma . phi^{-1} is the standard twist of that order, or None
+    when nothing matches.  The first type in family order that matches
+    wins: B2 over the transposed C2 labelling, so Suzuki twists land on the
+    standard ('B', 2, 2) name and the named C2 is B2 through its swap, and
+    A3 over D3.  A type is searched for a labelling only when its sorted
+    Cartan rows and columns (F4 has C4's rows and B4's columns) and its
+    arm lengths (``_arm_lengths``) are those of the matrix.
     """
     n = len(cartan)
     order = 1
@@ -204,11 +207,11 @@ def identify_standard(
     while cur != ident:
         cur = {i: sigma[cur[i]] for i in cur}
         order += 1
-    rows = sorted(map(sorted, cartan))  # equal for isomorphic matrices
+    rows, cols = sorted(map(sorted, cartan)), sorted(map(sorted, zip(*cartan)))  # kept by isomorphisms
     arms = None
     for family, rank in candidate_types(n):
         target = cartan_matrix(family, rank)
-        if sorted(map(sorted, target)) != rows:
+        if sorted(map(sorted, target)) != rows or sorted(map(sorted, zip(*target))) != cols:
             continue
         if arms is None:
             arms = _arm_lengths(cartan)
@@ -220,9 +223,26 @@ def identify_standard(
             continue
         if target == cartan and all(sigma[i] == std(i) for i in sigma):
             # The identity, the least labelling, which the search yields first.
-            return family, rank, order, {i: i for i in sigma}
-        for phi_tuple in cartan_isos(cartan, target):
-            phi = {i + 1: phi_tuple[i] for i in range(n)}
-            if all(phi[sigma[i]] == std(phi[i]) for i in phi):
+            return family, rank, order, tuple(range(1, n + 1))
+        for phi in cartan_isos(cartan, target):
+            if all(phi[sigma[i] - 1] == std(phi[i - 1]) for i in sigma):
                 return family, rank, order, phi
     return None
+
+
+def standard_type(W: WeylGroup, pi: dict[int, int]) -> Optional[tuple[str, int, int, Optional[tuple[int, ...]]]]:
+    """(family, rank, order, phi) of ``identify_standard`` for W under pi, or None.
+
+    phi holds the standard node of each of W's nodes 1..rank, and is None
+    for the identity labelling, so that a word is read without mapping.
+    Resolved once per group and map, and kept on W as a tuple that no
+    caller can change.  None for a reducible group, and for a twist of no
+    standard order.
+    """
+    images = tuple(map(pi.__getitem__, W.system.nodes))
+    if images not in W._types:
+        named = identify_standard(W.system.cartan, pi)
+        if named is not None and named[3] == W.system.nodes:
+            named = (*named[:3], None)
+        W._types[images] = named
+    return W._types[images]

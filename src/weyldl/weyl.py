@@ -112,7 +112,7 @@ class WeylGroup:
         self._tables: Optional[list[bytes]] = None
         self._coords: dict[int, tuple[int, ...]] = {}
         # Index map, as the images of nodes 1..rank -> its standard type
-        # (``conjugacy._standard_type``), resolved on first use.
+        # (``subsystems.standard_type``), resolved on first use.
         self._types: dict[tuple[int, ...], Optional[tuple]] = {}
 
     # -- the move kernel ------------------------------------------------------

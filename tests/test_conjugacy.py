@@ -1,5 +1,10 @@
+import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -657,7 +662,7 @@ class TestClosureMinCheck:
         enumeration's."""
         build, pi, named, size = RELABELLED[name]
         W = build()
-        family, rank, order, phi = conjugacy._standard_type(W, pi)
+        family, rank, order, phi = subsystems.standard_type(W, pi)
         assert (family, rank, order) == named and phi is not None
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
@@ -675,7 +680,7 @@ class TestClosureMinCheck:
         mapped through the resolver's labelling it agrees on all 192."""
         build, pi, _, _ = RELABELLED["D4 of E6"]
         W = build()
-        family, rank, order, phi = conjugacy._standard_type(W, pi)
+        family, rank, order, phi = subsystems.standard_type(W, pi)
         unmapped = mapped = 0
         for w in elements_of(W):
             least, word = oracle_class_of(W, pi, w).min_length, W.reduced_word(w)
@@ -700,7 +705,7 @@ def least_length(W, pi, word, oracle=conjugacy._least_length):
     """The least length in the pi-class of the product of ``word``, as
     ``closure_min_check`` reads it off the signed cycle type: in the
     resolver's type, through its labelling."""
-    family, rank, order, phi = conjugacy._standard_type(W, pi)
+    family, rank, order, phi = subsystems.standard_type(W, pi)
     return oracle(family, rank, order, word if phi is None else [phi[i - 1] for i in word])
 
 
@@ -793,7 +798,7 @@ class TestLeastLength:
         D3 = group("D", 3)
         assert (D3.system.family, D3.rank) == ("D", 3)
         for pi, order in (({1: 1, 2: 2, 3: 3}, 1), ({1: 1, 2: 3, 3: 2}, 2)):
-            assert conjugacy._standard_type(D3, pi) == ("A", 3, order, (2, 1, 3))
+            assert subsystems.standard_type(D3, pi) == ("A", 3, order, (2, 1, 3))
             elements = elements_of(D3)
             assert len(elements) == 24
             monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
@@ -955,7 +960,7 @@ class TestEllipticLeast:
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         W, pi, products = e_catalog_products(7, RELABEL_E7)
         assert W.system.family.startswith("cartan:")
-        assert conjugacy._standard_type(W, pi) == ("E", 7, 1, RELABEL_E7)
+        assert subsystems.standard_type(W, pi) == ("E", 7, 1, RELABEL_E7)
         real_walk = conjugacy._shift_walk
         monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
         assert [closure_min_check(W, pi, w) for _, w in products] == ["minimal"] * 12
@@ -1007,8 +1012,8 @@ class TestEllipticLeast:
 
 
 class TestStandardType:
-    """``_standard_type``: ``identify_standard``'s answer to "which standard type
-    is (W, pi), and in which labels?", kept on W per map."""
+    """``subsystems.standard_type``: ``identify_standard``'s answer to "which
+    standard type is (W, pi), and in which labels?", kept on W per map."""
 
     def test_every_named_type_and_twist(self):
         """Every named type through rank 8, under its identity and each of its
@@ -1022,9 +1027,9 @@ class TestStandardType:
         for family, rank, twist in twists:
             W = group(family, rank)
             for pi, order in ((identity_pi(W), 1), (pi_of(twist), twist.order)):
-                named = conjugacy._standard_type(W, pi)
+                named = subsystems.standard_type(W, pi)
                 assert named == other.get((family, rank), (family, rank, order, None))
-        named = conjugacy._standard_type(group("C", 2), {1: 1, 2: 2})
+        named = subsystems.standard_type(group("C", 2), {1: 1, 2: 2})
         with pytest.raises(TypeError):
             named[3][0] = 1
 
@@ -1040,27 +1045,24 @@ class TestStandardType:
             (group("D", 3), {1: 1, 2: 3, 3: 2}, ("A", 3, 2)),
         ] + [(e6_d4(), pi, ("D", 4, k)) for k, pi in enumerate(D4_OF_E6.values(), 1)]
         for W, pi, named in expected:
-            family, rank, order, phi = conjugacy._standard_type(W, pi)
+            family, rank, order, phi = subsystems.standard_type(W, pi)
             assert (family, rank, order) == named and phi is not None
-        assert conjugacy._standard_type(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
+        assert subsystems.standard_type(group_of(block_cartan(A1, A1)), {1: 1, 2: 2}) is None
         for cartan, pi in SWAPPED.values():
-            assert conjugacy._standard_type(group_of(cartan), pi) is None
+            assert subsystems.standard_type(group_of(cartan), pi) is None
 
     def test_resolved_once_per_group_and_map(self, monkeypatch):
         """With every group's kept answers cleared, however many questions
         ``closure_min_check`` and ``cuspidal_representatives`` ask of every
         classical group through rank 8, under its identity and its standard
-        twist, ``identify_standard`` runs once per (group, map).  The seeds'
-        own reading of it, once per component (``_cuspidal_seeds``), is
-        warmed first."""
+        twist, ``identify_standard`` runs once per (group, map).  The seeds
+        (``_cuspidal_seeds``) read the same kept answer, through the group of
+        each component, so they need no warming first."""
         groups = classical_groups(range(1, 9))
         maps = [(group(family, rank), pi) for family, rank, order in groups
                 for pi in (identity_pi(group(family, rank)), pi_of(build_twist(family, rank, order)))]
-        for W, pi in maps:
-            if W.rank < 8:
-                cuspidal_representatives(W, pi)
-        real, asked = conjugacy.identify_standard, []
-        monkeypatch.setattr(conjugacy, "identify_standard",
+        real, asked = subsystems.identify_standard, []
+        monkeypatch.setattr(subsystems, "identify_standard",
                             lambda cartan, pi: asked.append((cartan, tuple(pi.values())))
                             or real(cartan, pi))
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
@@ -1082,8 +1084,9 @@ class TestStandardType:
         """``identify_standard`` returns the identity labelling without a search
         when the matrix is its type's own and sigma that type's standard map,
         so of the 50 types and twists through rank 8, under their identity
-        and twist maps, only C2 and D3, named B2 and A3, and F4, whose sorted
-        Cartan rows are C4's, search a labelling.
+        and twist maps, only C2 and D3, named B2 and A3, search a labelling:
+        F4, whose sorted Cartan rows are C4's and whose sorted columns are
+        B4's, searches neither.
         With the early return disabled every answer is the same: on those
         100 maps, and on 3D4 under delta_inv, D4 under (1 3) and (1 4), D3
         under its swap and E6's D4 under each twist."""
@@ -1100,7 +1103,7 @@ class TestStandardType:
         monkeypatch.setattr(subsystems, "cartan_isos",
                             lambda source, target: searched.append(source) or real_isos(source, target))
         fast = [identify_standard(cartan, pi) for cartan, pi in named]
-        assert set(searched) == {cartan_matrix(*t) for t in (("C", 2), ("D", 3), ("F", 4))}
+        assert set(searched) == {cartan_matrix(*t) for t in (("C", 2), ("D", 3))}
         fast += [identify_standard(cartan, pi) for cartan, pi in other]
         assert None not in fast
         # A target given as lists never equals a matrix given as tuples, so
@@ -1108,6 +1111,101 @@ class TestStandardType:
         monkeypatch.setattr(subsystems, "cartan_matrix",
                             lambda family, rank: [list(row) for row in cartan_matrix(family, rank)])
         assert [identify_standard(cartan, pi) for cartan, pi in named + other] == fast
+
+    def test_only_subsystems_names_the_search(self):
+        """In the package, only ``subsystems`` names ``identify_standard``: every
+        other module reads ``standard_type``.  Negative control: lifting's own
+        source, calling the search as it once did, names it."""
+        package = Path(conjugacy.__file__).parent
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+        assert modules_naming(sources, "identify_standard") == {"subsystems"}
+        call = "standard_type(W, pi)"
+        assert call in sources["lifting"]
+        sources["lifting"] = sources["lifting"].replace(call, "identify_standard(W.system.cartan, pi)")
+        assert modules_naming(sources, "identify_standard") == {"lifting", "subsystems"}
+
+    @pytest.mark.parametrize("run,pairs", [("verify_all", 60), ("certify_small_rank", 26)])
+    def test_a_cold_run_searches_each_pair_once(self, run, pairs):
+        """In a fresh interpreter, a catalog replay (``verify_all()``) and W3
+        (``scripts/certify_small_rank.py``) call ``identify_standard`` once
+        per distinct (Cartan matrix, map): the cuspidal seeds, the minimality
+        oracle, the cuspidal tables and the catalog rows all read the answer
+        ``standard_type`` keeps on each group."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", _COUNT_SEARCHES, run, str(SCRIPTS)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-2:] == [str(pairs), str(pairs)]
+
+    def test_seeds_read_without_their_labelling_fail(self, monkeypatch):
+        """Negative control: with ``standard_type`` giving the identity
+        labelling (phi None) for E6's D4 on nodes 2..5 or for F4's nodes 2..4,
+        their seeds are read in the wrong labels.  The D4's cuspidal
+        representatives under triality then raise, since a seed is not
+        cuspidal, and F4's class list, which seeds its W_J on nodes 2..4
+        through that group, misses one of enumeration's 25 classes."""
+        D4, C3, F4 = e6_d4(), RELABELLED["F4 nodes 2..4"][0](), group("F", 4)
+        triality, identity = D4_OF_E6["D4 of E6, triality"], identity_pi(F4)
+        expected = [c.representative.word for c in enumerate_delta_classes(F4, identity)]
+        assert [c.representative.word for c in class_list(F4, identity)] == expected
+        assert cuspidal_representatives(D4, triality)
+        real = subsystems.standard_type
+
+        def unlabelled(W, pi):
+            named = real(W, pi)
+            return (*named[:3], None) if W in (D4, C3) and named is not None else named
+
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+            monkeypatch.setattr(conjugacy, memo, {})
+        monkeypatch.setattr(conjugacy, "standard_type", unlabelled)
+        with pytest.raises(FalsificationError, match="is not cuspidal"):
+            cuspidal_representatives(D4, triality)
+        got = [c.representative.word for c in class_list(F4, identity)]
+        assert len(got) == len(expected) - 1 == 24
+
+
+# Counts the calls of ``identify_standard`` in a cold run and the distinct
+# (Cartan matrix, map) pairs they ask about: argv is the run and the scripts'
+# directory.
+_COUNT_SEARCHES = """
+import importlib.util, sys
+from pathlib import Path
+from weyldl import subsystems
+real, asked = subsystems.identify_standard, []
+def counted(cartan, pi):
+    asked.append((cartan, tuple(sorted(pi.items()))))
+    return real(cartan, pi)
+subsystems.identify_standard = counted
+run, scripts = sys.argv[1:]
+if run == "verify_all":
+    from weyldl.casetables import verify_all
+    assert verify_all().all_passed
+else:
+    spec = importlib.util.spec_from_file_location(run, Path(scripts) / f"{run}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    sys.argv = [run]
+    assert script.main() == 0
+print(len(asked), len(set(asked)))
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def modules_naming(sources, name):
+    """The modules whose code, not their text, names ``name``: a definition,
+    an import, a name read or an attribute read."""
+    named = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                    or isinstance(node, ast.FunctionDef) and node.name == name):
+                named.add(module)
+    return named
 
 
 def supp_len(W, pi, w):
@@ -1366,7 +1464,7 @@ class TestCuspidalRepresentatives:
         else:
             W, pi = sub_context(group("E", 6), frozenset({2, 3, 4, 5})).group, D4_OF_E6[name]
         for p in (pi, inverse_pi(pi)):
-            named = conjugacy._standard_type(W, p)
+            named = subsystems.standard_type(W, p)
             assert named is None or named[3] is not None
             words = assert_named_by(W, p, "levels", None, monkeypatch)
             assert words and words == cuspidal_words_by_enumeration(W, p)
@@ -1375,11 +1473,11 @@ class TestCuspidalRepresentatives:
         """For each type that ``_SEED_TABLE`` lists, under the delta map of its
         standard twist, ``_cuspidal_seeds`` returns the row's words as they
         are, in order: the words that name its cuspidal classes."""
-        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        monkeypatch.setattr(conjugacy, "_standard_seeds", conjugacy._standard_seeds.__wrapped__)
         for (family, rank, order), row in conjugacy._SEED_TABLE.items():
             W = group(family, rank)
             pi = pi_of(build_twist(family, rank, order))
-            assert conjugacy._standard_type(W, pi) == (family, rank, order, None)
+            assert subsystems.standard_type(W, pi) == (family, rank, order, None)
             assert conjugacy._cuspidal_seeds(W, pi) == words_of(row)
         assert len(conjugacy._SEED_TABLE) == 8
 
@@ -1390,7 +1488,8 @@ class TestCuspidalRepresentatives:
         table = dict(conjugacy._SEED_TABLE)
         table["G", 2, 1] = ("21",) + table["G", 2, 1][1:]
         for name, value in (("_SEED_TABLE", table), ("_CUSPIDAL_MEMO", {}),
-                            ("_COMPONENT_SEEDS", {}), ("_MINIMALITY_MEMO", {})):
+                            ("_standard_seeds", conjugacy._standard_seeds.__wrapped__),
+                            ("_MINIMALITY_MEMO", {})):
             monkeypatch.setattr(conjugacy, name, value)
         pi = identity_pi(G2)
         assert G2.from_word((1, 2)) in minimal_level(G2, pi, G2.from_word((2, 1)))
@@ -1496,7 +1595,7 @@ class TestCuspidalRepresentatives:
         """With cold memos, E6 and 2E6 come out without listing any element:
         the package has no enumeration to call (``test_no_enumeration_in_the_package``)."""
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
-        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        monkeypatch.setattr(conjugacy, "_standard_seeds", conjugacy._standard_seeds.__wrapped__)
         monkeypatch.setattr(multiply_oracles, "_ELEMENTS", {})
         E6 = group("E", 6)
         for order in (1, 2):
@@ -1515,7 +1614,7 @@ class TestCuspidalRepresentatives:
         table[("G", 2, 1)] = seeds
         monkeypatch.setattr(conjugacy, "_SEED_TABLE", table)
         monkeypatch.setattr(conjugacy, "_CUSPIDAL_MEMO", {})
-        monkeypatch.setattr(conjugacy, "_COMPONENT_SEEDS", {})
+        monkeypatch.setattr(conjugacy, "_standard_seeds", conjugacy._standard_seeds.__wrapped__)
         monkeypatch.setattr(conjugacy, "_CLASS_MEMO", {})
         for oracle in (cuspidal_representatives, class_list):
             with pytest.raises(FalsificationError, match=message):
