@@ -20,7 +20,10 @@ The rows are a module of their own, apart from their verifier, for
 start-up memory: a process that starts without cached bytecode compiles
 every module it imports, and the parser's transient memory for the
 largest one sets the peak RSS of its start.  The rows import neither
-``casetables`` nor ``lifting``.
+``casetables`` nor ``lifting``, so ``import weyldl.catalog`` compiles
+neither.  A bare ``import weyldl`` does not load the rows: they come
+with the rest of the prover on its first name, and checking a
+certificate never reads them.
 """
 
 from __future__ import annotations

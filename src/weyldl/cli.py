@@ -2,6 +2,9 @@
 
 Exit codes: 0 on full pass, 1 on any failure or falsification, 2 on
 usage errors (argparse's own convention).
+
+Each subcommand imports the modules it runs when it runs, so ``weyldl
+check`` loads the checker alone and compiles none of the prover.
 """
 
 from __future__ import annotations
@@ -10,27 +13,29 @@ import argparse
 import sys
 from typing import Optional
 
-from .casetables import verify_all
-from .checker import MAX_CERT_CHARS
-from .conjugacy import (
-    ClosureBudgetError,
-    FalsificationError,
-    class_list,
-    class_of,
-    pi_of,
-    shift_closure,
-)
-from .criterion import (
-    Certificate,
-    CertificateError,
-    certify_min_element,
-    check_certificate,
-    minimal_q,
-    parse_q_literal,
-)
+from .checker import MAX_CERT_CHARS, Certificate, CertificateError, check_certificate
 from .exactnum import QuadExt
-from .rootdata import build_twist
-from .weyl import WeylGroup, weyl_group
+
+
+def _prover(command):
+    """``command``, with the prover's budget and falsification errors as exit 1.
+
+    Both are classes of ``conjugacy``, which only a prover subcommand loads.
+    """
+
+    def run(args) -> int:
+        from .conjugacy import ClosureBudgetError, FalsificationError
+
+        try:
+            return command(args)
+        except ClosureBudgetError as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return 1
+        except FalsificationError as exc:
+            print(f"FALSIFICATION: {exc}", file=sys.stderr)
+            return 1
+
+    return run
 
 
 def _group_args(p: argparse.ArgumentParser) -> None:
@@ -39,11 +44,16 @@ def _group_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--twist", type=int, default=1, choices=(1, 2, 3))
 
 
-def _build(args) -> tuple[WeylGroup, "object"]:
+def _build(args) -> tuple:
+    from .rootdata import build_twist
+    from .weyl import weyl_group
+
     return weyl_group(args.family, args.rank), build_twist(args.family, args.rank, args.twist)
 
 
 def _q_of(args, family: str, twist: int) -> QuadExt:
+    from .criterion import minimal_q, parse_q_literal
+
     if getattr(args, "q", None):
         return parse_q_literal(args.q)
     return minimal_q(family, twist)
@@ -56,7 +66,10 @@ def _parse_rep(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad word {text!r}") from None
 
 
+@_prover
 def cmd_enumerate(args) -> int:
+    from .conjugacy import class_list, pi_of
+
     W, twist = _build(args)
     classes = class_list(W, pi_of(twist))
     for cls in classes:
@@ -66,7 +79,11 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@_prover
 def cmd_certify(args) -> int:
+    from .conjugacy import class_of, pi_of
+    from .criterion import certify_min_element
+
     W, twist = _build(args)
     q = _q_of(args, args.family, args.twist)
     rep = W.from_word(_parse_rep(args.class_rep))
@@ -109,7 +126,11 @@ def _check_file(path: str) -> tuple[bool, str]:
     return False, f"reject: {result.reason}"
 
 
+@_prover
 def cmd_verify_paper(args) -> int:
+    from .casetables import verify_all
+    from .criterion import parse_q_literal
+
     q: Optional[QuadExt] = parse_q_literal(args.q) if args.q else None
     report = verify_all(type_filter=args.filter, q=q)
     if not report.cases:  # an empty replay would print an all-pass total
@@ -122,7 +143,10 @@ def cmd_verify_paper(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@_prover
 def cmd_shift_graph(args) -> int:
+    from .conjugacy import pi_of, shift_closure
+
     W, twist = _build(args)
     start = W.from_word(_parse_rep(args.class_rep))
     graph = shift_closure(W, pi_of(twist), start)
@@ -193,12 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClosureBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
-    except FalsificationError as exc:
-        print(f"FALSIFICATION: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

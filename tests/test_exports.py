@@ -1,6 +1,7 @@
 """Every name a weyldl module exports resolves."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -27,44 +28,123 @@ def test_all_names_resolve(name):
     assert not missing, missing
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHECKER = ["weyldl", "weyldl.checker", "weyldl.exactnum", "weyldl.rootdata"]
+PROVER = {f"weyldl.{m}" for m in
+          ("rootdata", "weyl", "conjugacy", "criterion", "lifting", "catalog", "casetables")}
+# One program line: the weyldl modules loaded so far, as a JSON list.
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'weyldl')))\n"
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing weyldl from this tree."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=True)
+
+
+def fresh_lines(program: str) -> list:
+    """The JSON lines that ``program`` prints, with ``json`` and ``sys`` imported for it."""
+    out = fresh("-c", "import json, sys\n" + program)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
 def test_import_skips_dataclasses_and_inspect():
-    """A cold ``import weyldl`` (and the CLI) loads neither ``dataclasses`` nor ``inspect``.
+    """A cold ``import weyldl``, the CLI and the prover load no ``dataclasses`` or ``inspect``.
 
     Together they cost about 25 ms of every cold start, against about 70 ms for
     all the verdicts of a ``check`` benchmark pass; one ``@dataclass`` brings them back.
     """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     program = (
         "import sys, weyldl, weyldl.cli\n"
+        "weyldl.WeylGroup\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh("-c", program).stdout.strip() == "[]"
+
+
+def test_import_loads_the_checker_and_the_first_prover_name_the_prover():
+    """``import weyldl`` loads the checker alone, and its three names load nothing more.
+
+    The first prover name loads all seven prover modules in that one lookup
+    (a name-by-name load would bring ``weyl`` alone) and binds every
+    exported name in the package.
+    """
+    bare, checker_names, prover, unbound = fresh_lines(
+        "import weyldl\n" + LOADED
+        + "weyldl.Certificate, weyldl.check_certificate, weyldl.QuadExt\n" + LOADED
+        + "weyldl.WeylGroup\n" + LOADED
+        + "print(json.dumps(sorted(set(weyldl.__all__) - set(vars(weyldl)))))\n"
+    )
+    assert bare == checker_names == CHECKER
+    assert PROVER <= set(prover), PROVER - set(prover)
+    assert unbound == []
+
+
+def test_unknown_name_is_an_attribute_error():
+    """An unknown name raises the standard ``AttributeError`` and loads no prover module."""
+    message, loaded = fresh_lines(
+        "import weyldl\n"
+        "try:\n"
+        "    weyldl.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))\n" + LOADED
+    )
+    assert message == "module 'weyldl' has no attribute 'no_such_name'"
+    assert loaded == CHECKER
+
+
+def test_dir_and_star_import_cover_all():
+    """``dir(weyldl)`` lists every exported name, and ``from weyldl import *`` binds each."""
+    not_listed, not_bound = fresh_lines(
+        "import weyldl\n"
+        "print(json.dumps(sorted(set(weyldl.__all__) - set(dir(weyldl)))))\n"
+        "names = {}\n"
+        "exec('from weyldl import *', names)\n"
+        "print(json.dumps(sorted(set(weyldl.__all__) - set(names))))\n"
+    )
+    assert not_listed == not_bound == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_submodule_resolves_after_a_bare_import(name):
+    """``weyldl.<module>`` resolves to the module after a bare ``import weyldl``."""
+    attribute = name.split(".")[1]
+    (same,) = fresh_lines(
+        f"import weyldl\nprint(json.dumps(weyldl.{attribute} is sys.modules[{name!r}]))\n"
+    )
+    assert same is True
+
+
+def test_check_command_loads_the_checker_alone(tmp_path):
+    """``python -m weyldl check`` imports no prover module.
+
+    ``-X importtime`` lists every module an import loads; ``-m`` runs
+    ``weyldl.__main__`` without importing it, so the list has no
+    ``weyldl.__main__``.
+    """
+    from weyldl.checker import FORM_FORWARD, Certificate
+    from weyldl.exactnum import SQRT2, qext
+
+    path = tmp_path / "c.json"
+    path.write_text(Certificate("B", 2, 2, "delta", SQRT2, (1,), FORM_FORWARD,
+                                (qext(3), qext(1))).to_json())
+    out = fresh("-X", "importtime", "-m", "weyldl", "check", str(path))
+    assert out.stdout.startswith("accept (")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert {m for m in loaded if m.split(".")[0] == "weyldl"} == set(CHECKER) | {"weyldl.cli"}
 
 
 def test_catalog_imports_neither_verifier_nor_lifting():
-    """The catalog's rows load without ``casetables`` and ``lifting``.
-
-    ``import weyldl.catalog`` runs the package's ``__init__`` first, which
-    imports every module, so the package is entered here by its path, with
-    no ``__init__``: what ``import weyldl.catalog`` loads then is the
-    catalog's own imports.  The rows build there, all 213 of them.
-    """
-    package = str(Path(__file__).resolve().parent.parent / "src" / "weyldl")
-    program = (
-        "import sys, types\n"
-        "package = types.ModuleType('weyldl')\n"
-        f"package.__path__ = [{package!r}]\n"
-        "sys.modules['weyldl'] = package\n"
+    """``import weyldl.catalog`` loads neither ``casetables`` nor ``lifting``; the rows
+    build there, all 213 of them."""
+    verifier, rows = fresh_lines(
         "import weyldl.catalog\n"
-        "print(sorted({'weyldl.casetables', 'weyldl.lifting'} & set(sys.modules)))\n"
+        "print(json.dumps(sorted({'weyldl.casetables', 'weyldl.lifting'} & set(sys.modules))))\n"
         "print(len(weyldl.catalog.load_case_records()))\n"
     )
-    out = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == ["[]", "213"]
+    assert (verifier, rows) == ([], 213)
 
 
 def test_package_exports_the_catalog_rows():
