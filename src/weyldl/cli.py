@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("enumerate", help="list the twisted classes of a group (not E7, E8 yet)")
+    p = sub.add_parser("enumerate", help="list the twisted classes of a group")
     _group_args(p)
     p.set_defaults(func=cmd_enumerate)
 

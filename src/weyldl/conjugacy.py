@@ -29,15 +29,17 @@ twisted classes, so the type decides in any labels.  When the resolver
 names A, B, C or D under the identity, or A or D under the standard
 twist of order 2, whether one element is minimal is read off the signed
 cycle type of a reduced word mapped into the standard labels, by
-``_least_length``, with no walk and nothing kept.  When it names E7 or
-E8, an elliptic element, one whose characteristic polynomial P
-(``_charpoly``, which no labelling changes) has P(1) != 0, is minimal
-exactly when its length is ``_ELLIPTIC_LEAST[P]``, again with no walk;
-its other elements walk.  That split by P(1) is a second oracle in one
-group, which stays until the fixed space's parabolic reads every class
-off its elliptic part.  Every other minimality question (the other
-exceptional types, 2B2, 3D4, reducible groups and twists of order 3),
-and every minimal level, is decided once per process, in
+``_least_length``, with no walk and nothing kept.  When it names a type
+of ``_SEED_TABLE`` whose twist keeps the Cartan matrix (G2, F4, E6, 2E6,
+3D4, E7 or E8), an elliptic element w, one for which the characteristic
+polynomial P of w sigma (``_charpoly``, which no labelling changes) has
+P(1) != 0, is minimal exactly when a seed of length l(w) has P, again
+with no walk (``_elliptic_verdict``): the seed words are the one table
+of these types.  Their other elements walk.  That split by P(1) is a
+second oracle in one group, which stays until the fixed space's
+parabolic reads every class off its elliptic part.  Every other
+minimality question (those non-elliptic elements, 2B2, 2G2, 2F4 and
+reducible groups), and every minimal level, is decided once per process, in
 ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
 pi, never on a group object, so groups built apart share it.
 It is answered by one memoized walk, ``_verdict``, which keeps one of two
@@ -61,9 +63,9 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rootdata import Frozen, Twist
+from .rootdata import Frozen, Twist, build_twist
 from .subsystems import component_orbits, standard_type, sub_context
-from .weyl import WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
     "DeltaClass",
@@ -343,12 +345,13 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     exactly when l(w) is the least length that ``_least_length`` reads
     off a reduced word of w (``WeylGroup.reduced_word``) mapped through
     the resolver's labelling phi; no walk starts and nothing is kept.
-    When it names E7 or E8 and P(1) != 0 for the characteristic
-    polynomial P of w (``_charpoly``), w is minimal exactly when l(w) is
-    ``_ELLIPTIC_LEAST[P]``, again with no walk; a P missing from the table
-    raises FalsificationError.  Any other W or w, the other exceptional
-    types, 2B2, 3D4, a reducible group or a twist of order 3, is answered
-    by ``_verdict``'s walk:
+    When it names a type with a ``_SEED_TABLE`` row whose twist keeps the
+    Cartan matrix (G2, F4, E6, 2E6, 3D4, E7 and E8), and w is elliptic,
+    P(1) != 0 for the characteristic polynomial P of w sigma
+    (``_charpoly``), the seeds decide, again with no walk
+    (``_elliptic_verdict``).  Any other W or w, a non-elliptic element of
+    those types, 2B2, 2G2, 2F4, a reducible group or a twist of no
+    standard order, is answered by ``_verdict``'s walk:
     "minimal" if the non-increasing closure holds no shorter element,
     "not_minimal" on the first strict descent.  Complete by the descent
     theorem for twisted classes: non-increasing cyclic shifts from any
@@ -367,55 +370,95 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
                 word = [phi[i - 1] for i in word]
             least = _least_length(family, rank, order, word)
             return "minimal" if w.length == least else "not_minimal"
-        if family == "E" and rank > 6:
-            P = _charpoly(W, w)
+        if (family, rank, order) in _SEED_TABLE and (order == 1 or family in "DE"):
+            P = _charpoly(W, W.reduced_word(w), pi)
             if 1 + sum(P):  # P(1) != 0: w is elliptic
-                if P not in _ELLIPTIC_LEAST:
-                    raise FalsificationError(f"{w.word}: no elliptic class of E{rank} has polynomial {P}")
-                return "minimal" if w.length == _ELLIPTIC_LEAST[P] else "not_minimal"
+                return _elliptic_verdict(family, rank, order, w.length, P)
     return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
 
 
-def _charpoly(W: WeylGroup, w: WeylElt) -> tuple[int, ...]:
-    """c_1, ..., c_n of det(t - w) = t^n + c_1 t^(n-1) + ... + c_n, w on the root lattice.
+_SIGMAS: dict[tuple, bytes] = {}
 
-    w as a translate table of root bytes takes one translate per letter of
-    a reduced word of w, and then the key of w^k is one translate of the
-    key of w^(k-1).  tr(w^k) is the sum over i of coordinate i of
-    w^k(alpha_i); Newton's identities, k c_k = -(c_(k-1) tr(w) + ... +
-    c_0 tr(w^k)), give exact ints.
+
+def _sigma(W: WeylGroup, pi: PiMap) -> bytes:
+    """sigma: alpha_j -> alpha_pi(j) on the root bytes of W, as a translate table.
+
+    pi must keep the Cartan matrix, so that sigma permutes the roots.
+    Memoized on the system key and pi; the identity map reads no root.
     """
-    tables, n, perm = W.reflection_table(), W.nroots, bytes(range(256))
-    for i in reversed(W.reduced_word(w)):  # the last letter acts first
-        perm = perm.translate(tables[W.identity.key[i - 1]])
-    key, traces, c = w.key, [], [1]
+    key = (W.system.key, tuple(sorted(pi.items())))
+    if key not in _SIGMAS:
+        table = bytearray(range(256))
+        if any(i != j for i, j in pi.items()):
+            n, index = W.nroots, {root: q for q, root in enumerate(W.roots)}
+            for p, root in enumerate(W.roots):
+                image = [0] * W.rank
+                for j, c in enumerate(root, 1):
+                    image[pi[j] - 1] = c
+                q = index[tuple(image)]
+                table[n + p + 1], table[n - p - 1] = n + q + 1, n - q - 1
+        _SIGMAS[key] = bytes(table)
+    return _SIGMAS[key]
+
+
+def _charpoly(W: WeylGroup, word: Sequence[int], pi: PiMap) -> tuple[int, ...]:
+    """c_1, ..., c_n of det(t - w sigma) = t^n + c_1 t^(n-1) + ... + c_n on the root lattice.
+
+    w is the product of ``word``, reduced or not, and sigma maps alpha_j to
+    alpha_pi(j); pi must keep the Cartan matrix.  P is a class invariant:
+    x w sigma(x)^-1 sigma = x (w sigma) x^-1, and a Cartan isomorphism,
+    such as ``standard_type``'s labelling, does not change it.  w sigma as
+    a translate table of root bytes is ``_sigma``'s table and one more
+    translate per letter, and then the key of (w sigma)^k, its images of
+    the simple roots, is one translate of the key of (w sigma)^(k-1).
+    tr((w sigma)^k) is the sum over i of coordinate i of (w sigma)^k
+    (alpha_i); Newton's identities, k c_k = -(c_(k-1) tr(w sigma) + ... +
+    c_0 tr((w sigma)^k)), give exact ints.
+    """
+    tables, n, roots, simple = W.reflection_table(), W.nroots, W.roots, W.identity.key
+    perm = _sigma(W, pi)
+    for i in reversed(word):  # the last letter acts first, after sigma
+        perm = perm.translate(tables[simple[i - 1]])
+    key, traces, c = simple.translate(perm), [], [1]
     for k in range(1, W.rank + 1):
-        traces.append(sum(W.signed_to_coords(b - n)[i] for i, b in enumerate(key)))
+        # Byte b is the root +-roots[|b - n| - 1], + when b > n.
+        traces.append(sum([roots[b - n - 1][i] if b > n else -roots[n - b - 1][i]
+                           for i, b in enumerate(key)]))
         c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         key = key.translate(perm)
     return tuple(c[1:])
 
 
-# The least length of each elliptic class of E7 (12) and E8 (30), keyed on its
-# characteristic polynomial as ``_charpoly`` spells it, which names the class:
-# Geck-Pfeiffer 2000, App. B, count 12 and 30 cuspidal classes, and the 42 tuples
-# are distinct.  Read off the catalog's E7 and E8 products, each minimal by walk.
-_ELLIPTIC_LEAST: dict[tuple[int, ...], int] = {
-    (1, 0, -1, -1, 0, 1, 1): 7, (0, 0, 0, 0, 0, 0, 1): 9, (0, -1, 1, 1, -1, 0, 1): 11,
-    (-1, 1, 0, 0, 1, -1, 1): 13, (2, 1, 0, 0, 1, 2, 1): 15, (1, 1, 1, 1, 1, 1, 1): 17,
-    (-2, 3, -1, -1, 3, -2, 1): 21, (1, 0, 2, 2, 0, 1, 1): 23, (2, 3, 3, 3, 3, 2, 1): 25,
-    (4, 6, 5, 5, 6, 4, 1): 31, (3, 5, 7, 7, 5, 3, 1): 33, (7, 21, 35, 35, 21, 7, 1): 63,
-    (1, 0, -1, -1, -1, 0, 1, 1): 8, (0, 0, 0, -1, 0, 0, 0, 1): 10, (0, -1, 0, 1, 0, -1, 0, 1): 12,
-    (-1, 1, -1, 1, -1, 1, -1, 1): 14, (-1, 0, 1, -1, 1, 0, -1, 1): 16, (2, 1, -1, -2, -1, 1, 2, 1): 16,
-    (1, 0, 0, 0, 0, 0, 1, 1): 18, (0, -2, 0, 3, 0, -2, 0, 1): 20, (-2, 2, 0, -1, 0, 2, -2, 1): 22,
-    (0, 1, 0, 0, 0, 1, 0, 1): 22, (-2, 3, -4, 5, -4, 3, -2, 1): 24, (1, -1, 0, 2, 0, -1, 1, 1): 24,
-    (0, 0, 1, 0, 1, 0, 0, 1): 26, (2, 2, 0, -1, 0, 2, 2, 1): 26, (1, 1, 1, 1, 1, 1, 1, 1): 28,
-    (0, 0, 0, 2, 0, 0, 0, 1): 30, (3, 3, 1, 0, 1, 3, 3, 1): 32, (2, 2, 2, 2, 2, 2, 2, 1): 34,
-    (-4, 10, -16, 19, -16, 10, -4, 1): 40, (-1, 1, 2, -2, 2, 1, -1, 1): 42, (0, 2, 0, 3, 0, 2, 0, 1): 44,
-    (2, 1, 2, 4, 2, 1, 2, 1): 44, (1, 2, 3, 2, 3, 2, 1, 1): 46, (3, 5, 6, 6, 6, 5, 3, 1): 46,
-    (2, 3, 4, 5, 4, 3, 2, 1): 48, (0, 4, 0, 6, 0, 4, 0, 1): 60, (5, 10, 11, 10, 11, 10, 5, 1): 64,
-    (4, 8, 12, 14, 12, 8, 4, 1): 66, (4, 10, 16, 19, 16, 10, 4, 1): 80, (8, 28, 56, 70, 56, 28, 8, 1): 120,
-}
+@cache
+def _seed_charpoly(family: str, rank: int, order: int, seed: tuple[int, ...]) -> tuple[int, ...]:
+    """``_charpoly`` of a seed of ``_standard_seeds``, in its named group under its standard twist."""
+    return _charpoly(weyl_group(family, rank), seed, pi_of(build_twist(family, rank, order)))
+
+
+def _elliptic_verdict(family: str, rank: int, order: int, length: int, P: tuple[int, ...]) -> str:
+    """Minimality of an elliptic element of a seeded type, from its length and polynomial P.
+
+    The twisted classes of (family, rank, order) with P(1) != 0 are its
+    cuspidal classes, one seed each, and a seed is a minimal word of its
+    class (``_SEED_TABLE``).  Over the seeded types whose twist keeps the
+    Cartan matrix, each P that a seed has goes with one length (the tests
+    check this), so "minimal" when a seed of ``length`` letters has P,
+    and "not_minimal" when a shorter seed has it.  Each seed's P is
+    computed once per process, on first need (``_seed_charpoly``), and
+    only seeds of at most ``length`` letters are read.  Raises
+    FalsificationError when no seed of at most ``length`` letters has P.
+    """
+    seeds = _standard_seeds(family, rank, order)
+
+    def has_p(seed: tuple[int, ...]) -> bool:
+        return _seed_charpoly(family, rank, order, seed) == P
+
+    if any(len(seed) == length and has_p(seed) for seed in seeds):
+        return "minimal"
+    if any(len(seed) < length and has_p(seed) for seed in seeds):
+        return "not_minimal"
+    name = f"{'' if order == 1 else order}{family}{rank}"
+    raise FalsificationError(f"no cuspidal seed of {name} with at most {length} letters has polynomial {P}")
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -452,11 +495,15 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 # -- cuspidal classes without enumeration ------------------------------------
 
 
-# One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6 and 2E6,
-# in Bourbaki labels under the standard twist (delta direction): the canonical
-# representatives, generated once by enumeration.  They seed the walks of
-# ``_cuspidal_levels`` and are ``cuspidal_representatives``' words for these
-# types; the classical types' seeds are built from the signed cycle type
+# One minimal word per cuspidal class of G2, 2G2, 2B2, 3D4, F4, 2F4, E6, 2E6, E7
+# and E8, in Bourbaki labels under the standard twist (delta direction): the
+# canonical representatives, in (length, word) order.  Those through rank 6 were
+# generated once by enumeration; those of E7 and E8 are the first members of the
+# spelled levels of the catalog's products v w1, one product per characteristic
+# polynomial.  They seed the walks of ``_cuspidal_levels``, are
+# ``cuspidal_representatives``' words for these types, and decide the minimality
+# of an elliptic element (``_elliptic_verdict``) where the twist keeps the Cartan
+# matrix; the classical types' seeds are built from the signed cycle type
 # (``_standard_seeds``), and their canonical representatives through rank 7 are
 # ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
@@ -480,6 +527,33 @@ _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
         "1234", "123143", "12343543", "123142315431", "12314231435431",
         "1231423145423143", "1231431543165431", "123142315423165431",
         "123142314354231435426542314354265431",
+    ),
+    ("E", 7, 1): (
+        "1234567", "123425467", "12342546547", "1231423454657", "123423454234567",
+        "12342345423456576", "123142314354234654765", "12314231435423143546576",
+        "1231423145423145654234567", "1234234542345654234567654234567",
+        "123142345423145654234567654234567",
+        "123142314354231435426542314354265431765423143542654317654234567",
+    ),
+    ("E", 8, 1): (
+        "12345678", "1234254678", "123425465478", "12314234546578", "1231423454657658",
+        "1234234542345678", "123423454234565768", "12314234542365476548", "1231423143542346547658",
+        "1234234542345654765876", "123142314354231435465768", "123142314542345654765876",
+        "12314231454231435654765876", "12314231454231456542345678", "1231423145423145654234567687",
+        "123142314354231465423476548765", "12342345423456542345676542345678",
+        "1231423454231456542345676542345678", "1231423143542314565423145676542345678765",
+        "123142314354231435426542314567654234567876",
+        "12314231435423143546542345676543187654234567",
+        "12314231435423456542314567654231435465768765",
+        "1231423143542314565423143567654231435465768765",
+        "1231423145423145654234567654234567876542345678",
+        "123142314542314565423145676542314567876542345678",
+        "123142314354231435426542345765423143548765423143542654765876",
+        "1231423143542314354265423143542654317654231435426543176542345678",
+        "123142314354231435426542314354265431765423143542654317876542345678",
+        "12314231435423143565423143542676542314354265431787654231435426543176542345678765",
+        ("12314231435423143542654231435426543176542314354265431765423456787654231435426543"
+         "1765423456787654231435426543176542345678"),
     ),
 }
 
@@ -726,16 +800,14 @@ def _standard_seeds(family: str, rank: int, order: int) -> tuple[tuple[int, ...]
                      for p in _partitions(n) if all(k % 2 for k in p))
     if family in "BC" and order == 1:
         return tuple(_signed_word(_negative_blocks(rank, p), "B") for p in _partitions(rank))
-    if family == "D" and order in (1, 2):
-        seeds = []
-        for p in _partitions(rank):
-            if len(p) % 2 == order - 1:
-                img = _negative_blocks(rank, p)
-                if order == 2:
-                    img[-1] = -img[-1]  # w = y t_n
-                seeds.append(_signed_word(img, "D"))
-        return tuple(seeds)
-    raise ValueError(f"no cuspidal seeds for type {'' if order == 1 else order}{family}{rank}")
+    seeds = []  # D_n under order 1 or 2, the one type left
+    for p in _partitions(rank):
+        if len(p) % 2 == order - 1:
+            img = _negative_blocks(rank, p)
+            if order == 2:
+                img[-1] = -img[-1]  # w = y t_n
+            seeds.append(_signed_word(img, "D"))
+    return tuple(seeds)
 
 
 def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
@@ -977,8 +1049,7 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     support of a level walked: the joins to it conjugate an earlier W_J'
     onto W_J, twist included.  Memoized on the system key (the Cartan
     matrix) and pi, like ``cuspidal_representatives``, so the two equal
-    maps of a twist of order 1 or 2 share one entry.  Raises ValueError
-    when some W_J has no cuspidal seeds (E7 and E8 for now).
+    maps of a twist of order 1 or 2 share one entry.
     """
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))

@@ -449,8 +449,8 @@ def test_criterion_9_format_2_reads_as_format_1(groups, count, v1_size, v1_diges
 
 def _twisted_groups_through_rank_8():
     """(family, rank, order) of every twisted group of rank 1..8, by rank, then
-    family, then twist order; E7 and E8 are left out, since ``class_list`` has
-    no cuspidal seeds for them."""
+    family, then twist order, but E7 and E8, whose classes both routes
+    certify in ``test_both_routes_certify_every_e7_and_e8_class``."""
     out = []
     for rank in range(1, 9):
         for family, _ in candidate_types(rank):
@@ -520,3 +520,35 @@ def test_constructive_e8_case_12_classes():
     )
     assert result == (9, 2241, SWEEP_E8_CASE_12_SHA256)
     _report("sweep", True, "9 E8 case 12 classes")
+
+
+# Digest of the certificates of every E7 and E8 class by both routes.
+E7_E8_SHA256 = "8a0daa958f62657b44d351a7a6e76162388d7723b292924c352704ee1c80609c"
+
+
+@pytest.mark.slow
+def test_both_routes_certify_every_e7_and_e8_class():
+    """The solver and constructive routes certify each of the 60 classes of E7
+    and the 112 of E8, whose class lists come from their seeds, E8's class of
+    w0 = -1 included; the checker accepts all 344 certificates.  Their count,
+    bytes and SHA-256, each ``to_json()`` and a newline, in class-list order,
+    solver first, are pinned."""
+    digest = hashlib.sha256()
+    count = size = 0
+    classes = []
+    for rank in (7, 8):
+        W, twist, pi, q = _ctx("E", rank, 1)
+        classes.append(class_list(W, pi))
+        for cls in classes[-1]:
+            for cert in (certify_min_element(W, twist, cls, q),
+                         constructive_certificate(W, twist, cls, q)):
+                assert check_certificate(cert), (rank, cert.w)
+                text = (cert.to_json() + "\n").encode("utf-8")
+                digest.update(text)
+                count += 1
+                size += len(text)
+    assert [len(c) for c in classes] == [60, 112]
+    w0 = group("E", 8).longest_element(range(1, 9))
+    assert classes[1][-1].minimal == (w0,)
+    assert (count, size, digest.hexdigest()) == (344, 67585, E7_E8_SHA256)
+    _report("sweep", True, "172 E7 and E8 classes, both routes")

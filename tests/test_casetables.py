@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -473,23 +474,23 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  The classical inner classes come from a table with no walk, and
-    a classical W_K in any labels is read off the signed cycle type, so 58
-    walks start in all (62 before the one type resolver: the 6 walks on a
-    stated word of a relabelled classical W_K went, and 2 came).  The 2 are
-    the named C2's: the resolver names it B2 through the swap of its
-    nodes, so its two cuspidal classes come from spelled levels, not from
-    the table.  None starts in a named E7 or E8: each element asked about
+    word.  43 walks start, by caller: 11 answer ``closure_min_check``, in
+    2B2, 2G2, 2F4 and one reducible W_K (A2 x A1); 29 are the seed checks of
+    ``_cuspidal_levels``; 3 are ``minimal_level``'s.  There were 58 when the
+    elliptic elements of G2, F4, E6, 2E6 and 3D4 walked (40 from
+    ``closure_min_check``, 15 seed checks): the seeds decide them now, so
+    E6's seeds, no longer met first by those walks, are walked by their own
+    checks.  None starts in a named E7 or E8: each element asked about
     there, every product v w1 and the w0 of E7 case 9's (iv), is elliptic,
-    P(1) != 0, and read off ``_ELLIPTIC_LEAST``."""
+    P(1) != 0, and decided by the seeds."""
     for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
         monkeypatch.setattr(conjugacy, memo, {})
     real_walk = conjugacy._shift_walk
-    starts, wordless, e78 = [], [], []
+    callers, wordless, e78 = Counter(), [], []
     real_check, elliptic = conjugacy.closure_min_check, []
 
     def walk(W, pi, w):
-        starts.append(w.key)
+        callers[sys._getframe(2).f_code.co_name] += 1  # the caller of _verdict
         if w._word is None and w._reduced is None:
             wordless.append(w.key)
         if W.system.family == "E" and W.rank > 6:
@@ -498,13 +499,14 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
 
     def check(W, pi, w):
         if W.system.family == "E" and W.rank > 6:
-            elliptic.append(1 + sum(conjugacy._charpoly(W, w)) != 0)
+            elliptic.append(1 + sum(conjugacy._charpoly(W, W.reduced_word(w), pi)) != 0)
         return real_check(W, pi, w)
 
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert len(starts) == 58 and wordless == [] and e78 == []
+    assert callers == {"closure_min_check": 11, "_cuspidal_levels": 29, "minimal_level": 3}
+    assert wordless == [] and e78 == []
     assert elliptic == [True] * 43
 
 
@@ -552,17 +554,10 @@ def coverage(family, rank, twist, records):
     """Each cuspidal class -> the labels of the rows among ``records`` whose
     inner options, as the verifier resolves them, give a minimal element of
     the class.  A class is named by its representative's word, from
-    ``class_list``; in E7 and E8, which have no class list, by its
-    characteristic polynomial P, a key of ``_ELLIPTIC_LEAST``, whose value is
-    then the least length (the tests of ``test_conjugacy.TestEllipticLeast``
-    check each catalog product against the walk)."""
+    ``class_list``: in the exceptional types, the seed word of
+    ``_SEED_TABLE``."""
     W, pi = type_group(family, rank, twist)
-    elliptic = family == "E" and rank > 6
-    if elliptic:
-        least = {P: n for P, n in conjugacy._ELLIPTIC_LEAST.items() if len(P) == rank}
-        covered = {P: set() for P in least}
-    else:
-        covered = {c.representative.word: set() for c in class_list(W, pi) if c.cuspidal}
+    covered = {c.representative.word: set() for c in class_list(W, pi) if c.cuspidal}
     for rec in records:
         placed = place_row(W, pi, rec.J, rec.w1)
         assert placed is not None, rec.label
@@ -570,11 +565,6 @@ def coverage(family, rank, twist, records):
         assert problem is None, (rec.label, problem)
         for vw in vws:
             w = W.multiply(W.from_word(vw), placed.w1)
-            if elliptic:
-                P = conjugacy._charpoly(W, w)
-                if w.length == least.get(P):
-                    covered[P].add(rec.label)
-                continue
             cls = class_of(W, pi, w)
             if cls.cuspidal and w.length == cls.min_length:
                 covered[cls.representative.word].add(rec.label)
@@ -590,8 +580,12 @@ class TestCoverage:
     def test_minimal_coverage(self, family, rank, twist):
         """Each cuspidal class receives a minimal representative from a row's
         inner options, as the verifier resolves them: in E7 and E8 each of the
-        12 and 30 classes that ``_ELLIPTIC_LEAST`` names."""
-        missing = uncovered(coverage(family, rank, twist, case_records(family, rank, twist)))
+        12 and 30 classes that a seed word names."""
+        covered = coverage(family, rank, twist, case_records(family, rank, twist))
+        if family == "E" and rank > 6:
+            assert list(covered) == [tuple(map(int, word)) for word in
+                                     conjugacy._SEED_TABLE["E", rank, 1]]
+        missing = uncovered(covered)
         assert not missing, missing
 
     @pytest.mark.parametrize("family,rank,twist", [("F", 4, 1), ("B", 8, 1), ("E", 8, 1)])

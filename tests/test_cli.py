@@ -91,10 +91,17 @@ class TestEnumerate:
         assert out.returncode == 0, out.stderr
         assert out.stderr.strip() == "# 1 nodes, 0 edges"
 
-    def test_e7_has_no_seeds_yet(self, tmp_path):
-        out = run_cli("enumerate", "--family", "E", "--rank", "7", cwd=tmp_path)
-        assert out.returncode == 1
-        assert out.stderr.strip() == "error: no cuspidal seeds for type E7"
+    @pytest.mark.parametrize("rank,classes,cuspidal", [
+        (7, 60, 12), pytest.param(8, 112, 30, marks=pytest.mark.slow)])
+    def test_e7_e8_class_counts(self, tmp_path, rank, classes, cuspidal):
+        """E7 and E8 list their classes from their seeds: 60 and 112, of which
+        12 and 30 are cuspidal (Geck-Pfeiffer 2000, App. B)."""
+        out = run_cli("enumerate", "--family", "E", "--rank", str(rank), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip().endswith(f"# {classes} classes")
+        lines = [l for l in out.stdout.splitlines() if l.startswith("rep=")]
+        assert len(lines) == classes
+        assert sum("cuspidal=true" in l for l in lines) == cuspidal
 
     @pytest.mark.parametrize("verb", ["enumerate", "certify", "shift-graph"])
     def test_no_budget_option(self, tmp_path, verb):
@@ -348,13 +355,14 @@ class TestVerifyPaper:
 
     def test_walk_over_the_budget_is_an_error(self, monkeypatch, capsys):
         """A minimality walk past the budget stops the replay with exit 1; it is
-        not a skipped subcheck of a passing row."""
+        not a skipped subcheck of a passing row.  2F4, whose twist swaps long
+        and short roots, decides its minimality questions by walks."""
         from weyldl import conjugacy
 
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         for memo in ("_MINIMALITY_MEMO", "_CUSPIDAL_MEMO"):
             monkeypatch.setattr(conjugacy, memo, {})
-        assert cli.main(["verify-paper", "--filter", "F4"]) == 1
+        assert cli.main(["verify-paper", "--filter", "2F4"]) == 1
         assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 

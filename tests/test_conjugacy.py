@@ -52,6 +52,16 @@ def identity_pi(W):
     return {i: i for i in range(1, W.rank + 1)}
 
 
+# The types of ``_SEED_TABLE`` whose twist keeps the Cartan matrix: their
+# elliptic elements are decided by the seeds (``_elliptic_verdict``).
+SEEDED = [("G", 2, 1), ("F", 4, 1), ("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)]
+
+
+def elliptic(W, pi, w):
+    """Whether w sigma fixes no nonzero vector: P(1) != 0."""
+    return 1 + sum(conjugacy._charpoly(W, W.reduced_word(w), pi)) != 0
+
+
 class TestCyclicShift:
     def test_identity_fixed_nodes(self, A2):
         pi = identity_pi(A2)
@@ -484,16 +494,17 @@ class TestClosureMinCheck:
         pi = identity_pi(G2)
         assert closure_min_check(G2, pi, G2.from_word([1, 2])) == "minimal"
 
-    def test_walked_verdict_is_kept(self, G2, monkeypatch):
-        """From an empty memo, the verdict for s1 s2, one letter per pi-orbit of
-        its support, comes from a walk and is kept under every member of its
-        level, s1 s2 and s2 s1: one unspelled record, which maps each member to
-        its inverse."""
+    def test_walked_verdict_is_kept(self, F4, monkeypatch):
+        """From an empty memo, the verdict for s1 s2 in F4, one letter per
+        pi-orbit of its support and not elliptic, comes from a walk and is kept
+        under every member of its level, s1 s2 and s2 s1: one unspelled record,
+        which maps each member to its inverse."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
-        pi = identity_pi(G2)
-        w, w_inv = G2.from_word([1, 2]), G2.from_word([2, 1])
-        assert closure_min_check(G2, pi, w) == "minimal"
-        held = conjugacy._verdicts(G2, pi)
+        pi = identity_pi(F4)
+        w, w_inv = F4.from_word([1, 2]), F4.from_word([2, 1])
+        assert not elliptic(F4, pi, w)
+        assert closure_min_check(F4, pi, w) == "minimal"
+        held = conjugacy._verdicts(F4, pi)
         level = held[w.key]
         assert type(level) is conjugacy._Level and level.spelled is None
         assert level.inverse == {w.key: w_inv.key, w_inv.key: w.key}
@@ -515,10 +526,11 @@ class TestClosureMinCheck:
         # An empty memo, so that the walk answers and not an earlier F4 level.
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
-        w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
-        cls = oracle_class_of(F4, pi, w)
-        picked = [x for x in class_elements(F4, cls) if x.length == cls.min_length][0]
-        # Longer than one letter per pi-orbit of its support.
+        # Minimal, not elliptic, so the walk decides it, and longer than one
+        # letter per pi-orbit of its support.
+        picked = F4.from_word([1, 2, 3, 2, 3])
+        assert picked.length == oracle_class_of(F4, pi, picked).min_length
+        assert not elliptic(F4, pi, picked)
         assert picked.length > supp_len(F4, pi, picked)
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         with pytest.raises(ClosureBudgetError):
@@ -530,8 +542,9 @@ class TestClosureMinCheck:
         """Closure says "minimal" exactly on the minimal level of each enumerated
         class, from an empty memo and from one warmed by ``class_list``.  From the
         empty memo a classical type is answered by its signed cycle type and the
-        memo stays empty; any other type is answered by walks, and the memo keeps
-        a verdict for every element asked about."""
+        memo stays empty; an elliptic element of G2, F4 or 3D4 is answered by the
+        seeds, and the memo keeps nothing for it; any other element is answered
+        by walks, and the memo keeps a verdict for it."""
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
@@ -545,7 +558,10 @@ class TestClosureMinCheck:
             if (family, rank, order) in CLASSICAL_RANK_LE_4:
                 assert conjugacy._MINIMALITY_MEMO == {}
             else:
-                assert set(conjugacy._verdicts(W, pi)) >= {w.key for w in expected}
+                seeded = (family, rank, order) in SEEDED
+                walked = {w.key for w in expected if not (seeded and elliptic(W, pi, w))}
+                assert set(conjugacy._verdicts(W, pi)) >= walked
+                assert not set(conjugacy._verdicts(W, pi)) - walked
             for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
                 monkeypatch.setattr(conjugacy, memo, {})
             warmed = conjugacy._verdicts(W, pi)
@@ -559,7 +575,8 @@ class TestClosureMinCheck:
         element it met: a member of w's class, 2 shorter."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
-        w = F4.from_word([2, 3, 2, 4, 3, 2, 1, 2])
+        w = F4.from_word([1, 2, 3, 2])  # not elliptic, class minimum 2
+        assert not elliptic(F4, pi, w)
         budget = conjugacy.WALK_BUDGET
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         with pytest.raises(ClosureBudgetError):
@@ -768,27 +785,38 @@ class TestLeastLength:
     def test_readings(self, monkeypatch):
         """``closure_min_check`` reads ``_least_length`` exactly when the
         resolver names A, B, C or D under a map of order 1, or A or D under
-        one of order 2, in any labels, and walks otherwise: 2B2, 3D4, G2, E6
-        and a reducible group walk; D5 under its standard twist, D4 under
-        (1 3), E6's D4 and the named C2 and D3 are read."""
-        real_least, reads, walks = conjugacy._least_length, [], []
+        one of order 2, in any labels; the seeds decide the elliptic elements
+        of the seeded types whose twist keeps the Cartan matrix; and it walks
+        otherwise.  On the product of the nodes: D5 under its standard twist,
+        D4 under (1 3), E6's D4 and the named C2 and D3 are read; 3D4, G2 and
+        E6 go to the seeds; 2B2 and a reducible group walk."""
+        real_least, reads, walks, seeded = conjugacy._least_length, [], [], []
         monkeypatch.setattr(conjugacy, "_least_length",
                             lambda *args: reads.append(args[:3]) or real_least(*args))
         monkeypatch.setattr(conjugacy, "_verdict",
                             lambda W, pi, w: walks.append(W.rank) or conjugacy._Level({}))
+        monkeypatch.setattr(conjugacy, "_elliptic_verdict",
+                            lambda *args: seeded.append(args[:3]) or "minimal")
         cases = [
-            (group("B", 2), {1: 2, 2: 1}, None),
-            (group("D", 4), pi_of(build_twist("D", 4, 3)), None),
-            (group("G", 2), {1: 1, 2: 2}, None),
-            (group("E", 6), {i: i for i in range(1, 7)}, None),
-            (group_of(block_cartan(A1, A1)), {1: 1, 2: 2}, None),
+            (group("B", 2), {1: 2, 2: 1}, "walk"),
+            (group("D", 4), pi_of(build_twist("D", 4, 3)), ("D", 4, 3)),
+            (group("G", 2), {1: 1, 2: 2}, ("G", 2, 1)),
+            (group("E", 6), {i: i for i in range(1, 7)}, ("E", 6, 1)),
+            (group_of(block_cartan(A1, A1)), {1: 1, 2: 2}, "walk"),
             (group("D", 5), pi_of(build_twist("D", 5, 2)), ("D", 5, 2)),
         ] + [(build(), pi, named) for build, pi, named, _ in RELABELLED.values()]
         for W, pi, named in cases:
             reads.clear()
             walks.clear()
+            seeded.clear()
             closure_min_check(W, pi, W.from_word(W.system.nodes))
-            assert (reads, walks) == (([named], []) if named else ([], [W.rank])), (W.system, pi)
+            if named == "walk":
+                expected = [], [], [W.rank]
+            elif named[0] in "ABCD" and named[2] < 3:
+                expected = [named], [], []
+            else:
+                expected = [], [named], []
+            assert (reads, seeded, walks) == expected, (W.system, pi)
 
     def test_d3_under_a_twist_of_order_2(self, monkeypatch):
         """The named D3 is A3 in other labels: under the identity it is read as
@@ -912,25 +940,126 @@ def word_matrix(W, word):
 # Node i of the relabelled E7 is Bourbaki's node RELABEL_E7[i - 1].
 RELABEL_E7 = (7, 1, 6, 2, 5, 3, 4)
 
+
+def seed_row(family, rank, order):
+    """The group, the standard twist's map and the seed words of a ``_SEED_TABLE`` row."""
+    W = group(family, rank)
+    return W, pi_of(build_twist(family, rank, order)), words_of(conjugacy._SEED_TABLE[family, rank, order])
+
+
+def seed_problems(W, pi, words, least):
+    """What is wrong with a row of E7 or E8 seeds: each word must be reduced,
+    cuspidal, elliptic, minimal by walk and the first member of its spelled
+    level, so canonical; their polynomials distinct; and their lengths,
+    sorted, ``least``, the least lengths of the cuspidal classes
+    (Geck-Pfeiffer 2000, App. B)."""
+    problems, polys = [], set()
+    for word in words:
+        x = W.from_word(word)
+        P = conjugacy._charpoly(W, word, pi)
+        if x.length != len(word):
+            problems.append((word, "not reduced"))
+        elif conjugacy.pi_closure(pi, word) != frozenset(W.system.nodes):
+            problems.append((word, "not cuspidal"))
+        elif 1 + sum(P) == 0:
+            problems.append((word, "not elliptic"))
+        elif type(conjugacy._verdict(W, pi, x)) is not conjugacy._Level:
+            problems.append((word, "not minimal"))
+        elif minimal_level(W, pi, x)[0].word != word:
+            problems.append((word, "not canonical"))
+        polys.add(P)
+    if len(polys) != len(words):
+        problems.append("a polynomial repeats")
+    if sorted(map(len, words)) != least:
+        problems.append("lengths")
+    return problems
+
+
+def polynomial_lengths(rows):
+    """P -> the lengths of the seeds with polynomial P, per type, over
+    ``rows``: {(family, rank, order): seed words}, each read in its named
+    group under its standard twist."""
+    out = {}
+    for (family, rank, order), words in rows.items():
+        W, pi, _ = seed_row(family, rank, order)
+        polys = out[family, rank, order] = {}
+        for word in words:
+            polys.setdefault(conjugacy._charpoly(W, word, pi), []).append(len(word))
+    return out
+
+
+def one_letter_off(word, position, letter):
+    return word[:position] + (letter,) + word[position + 1:]
+
+
+# Elliptic elements of E6 and 2E6: 30,115 with G2's 5, F4's 385 and 3D4's 80.
+ELLIPTIC_E6, ELLIPTIC_2E6 = 12320, 17325
+
 E7_LEAST = [7, 9, 11, 13, 15, 17, 21, 23, 25, 31, 33, 63]
 E8_LEAST = [8, 10, 12, 14, 16, 16, 18, 20, 22, 22, 24, 24, 26, 26, 28, 30, 32, 34, 40, 42,
             44, 44, 46, 46, 48, 60, 64, 66, 80, 120]
 
 
 class TestEllipticLeast:
-    """E7 and E8 decide the minimality of an elliptic element by its
-    characteristic polynomial P, looked up in ``_ELLIPTIC_LEAST``."""
+    """The seeded types whose twist keeps the Cartan matrix decide the
+    minimality of an elliptic element from its characteristic polynomial P
+    and the seeds of ``_SEED_TABLE`` (``_elliptic_verdict``)."""
 
     def test_table(self):
-        """12 keys of degree 7 and 30 of degree 8, each with P(1) != 0, holding
-        the least lengths of the 12 and 30 cuspidal classes."""
-        table = conjugacy._ELLIPTIC_LEAST
-        assert len(table) == 42
-        for rank, least in ((7, E7_LEAST), (8, E8_LEAST)):
-            keys = [P for P in table if len(P) == rank]
-            assert len(set(keys)) == len(least)
-            assert all(1 + sum(P) != 0 for P in keys)
-            assert sorted(table[P] for P in keys) == least
+        """The E7 and E8 rows: 12 and 30 words, of 268 and 1082 letters, each
+        reduced, cuspidal, elliptic, minimal by walk and canonical, with
+        distinct polynomials, and the least lengths of the 12 and 30 cuspidal
+        classes."""
+        for rank, least, size in ((7, E7_LEAST, (12, 268)), (8, E8_LEAST, (30, 1082))):
+            W, pi, words = seed_row("E", rank, 1)
+            assert (len(words), sum(map(len, words))) == size
+            assert seed_problems(W, pi, words, least) == []
+
+    @pytest.mark.parametrize("rank", [7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_rows_regenerate_from_the_catalog(self, rank):
+        """Each E7 and E8 row is the first member of the spelled level of one
+        catalog product v w1 per characteristic polynomial, in (length, word)
+        order: the canonical representatives of the cuspidal classes."""
+        W, pi, products = e_catalog_products(rank)
+        by_poly = {conjugacy._charpoly(W, w.word, pi): w for _, w in products}
+        firsts = sorted((minimal_level(W, pi, w)[0] for w in by_poly.values()),
+                        key=lambda u: u.sort_key())
+        assert [u.word for u in firsts] == seed_row("E", rank, 1)[2]
+
+    def test_a_seed_one_letter_off_fails(self):
+        """Negative control: every E7 row with one letter of its seed of length 9
+        or 13 changed to another letter fails ``seed_problems``."""
+        W, pi, words = seed_row("E", 7, 1)
+        mutants = 0
+        for k in (1, 3):
+            for position, old in enumerate(words[k]):
+                for letter in W.system.nodes:
+                    if letter != old:
+                        row = words[:k] + [one_letter_off(words[k], position, letter)] + words[k + 1:]
+                        assert seed_problems(W, pi, row, E7_LEAST), row[k]
+                        mutants += 1
+        assert mutants == 6 * (9 + 13)
+
+    def test_each_polynomial_has_one_length(self):
+        """Over every seeded type whose twist keeps the Cartan matrix, the
+        seeds with one P have one length, so P and a length decide.  The
+        polynomials number 3, 8, 4, 5, 9, 12 and 30; F4's 9 seeds have 8, since
+        two of its classes share P, and their length, 10."""
+        lengths = polynomial_lengths({name: seed_row(*name)[2] for name in SEEDED})
+        assert {name: len(polys) for name, polys in lengths.items()} == {
+            ("G", 2, 1): 3, ("F", 4, 1): 8, ("D", 4, 3): 4, ("E", 6, 1): 5, ("E", 6, 2): 9,
+            ("E", 7, 1): 12, ("E", 8, 1): 30}
+        assert all(len(set(seen)) == 1 for polys in lengths.values() for seen in polys.values())
+        assert [seen for polys in lengths.values() for seen in polys.values()
+                if len(seen) > 1] == [[10, 10]]
+
+    def test_a_colliding_row_fails(self):
+        """Negative control: an F4 row with a conjugate 2 longer of one seed
+        added, which has that seed's P, gives the P two lengths."""
+        W, pi, words = seed_row("F", 4, 1)
+        longer = longer_conjugate(W, conjugacy._verdict(W, pi, W.from_word(words[0])))
+        lengths = polynomial_lengths({("F", 4, 1): words + [longer.word]})["F", 4, 1]
+        assert [seen for seen in lengths.values() if len(set(seen)) > 1] == [[4, 6]]
 
     @pytest.mark.parametrize("family,rank", [("E", 6), ("E", 7), ("E", 8)])
     def test_charpoly_is_faddeev_leverrier(self, family, rank):
@@ -939,8 +1068,22 @@ class TestEllipticLeast:
         W, rng = group(family, rank), random.Random(rank)
         for _ in range(25):
             word = [rng.randint(1, rank) for _ in range(rng.randint(0, 60))]
-            assert conjugacy._charpoly(W, W.from_word(word)) == faddeev_leverrier(
+            assert conjugacy._charpoly(W, word, identity_pi(W)) == faddeev_leverrier(
                 word_matrix(W, word)), word
+
+    @pytest.mark.parametrize("family,rank,order", [("D", 4, 3), ("E", 6, 2)])
+    def test_twisted_charpoly_is_faddeev_leverrier(self, family, rank, order):
+        """Under a twist, in both directions, ``_charpoly`` on random words is
+        Faddeev-LeVerrier on the matrix of w sigma: column j of w's matrix is
+        w(alpha_j), so column j of w sigma's is column pi(j) of w's."""
+        W, rng = group(family, rank), random.Random(rank)
+        for direction in ("delta", "delta_inv"):
+            pi = pi_of(build_twist(family, rank, order), direction)
+            for _ in range(25):
+                word = [rng.randint(1, rank) for _ in range(rng.randint(0, 40))]
+                M = word_matrix(W, word)
+                twisted = [[row[pi[j] - 1] for j in W.system.nodes] for row in M]
+                assert conjugacy._charpoly(W, word, pi) == faddeev_leverrier(twisted), word
 
     @pytest.mark.parametrize("rank,flat", [(7, [63]), (8, [40, 60, 80, 120])], ids=["E7", "E8"])
     def test_agrees_with_the_walk(self, rank, flat, monkeypatch):
@@ -968,47 +1111,90 @@ class TestEllipticLeast:
         assert elliptic_mismatches(7, RELABEL_E7) == ([], [63])
 
     def test_an_entry_off_by_2_fails(self, monkeypatch):
-        """Negative control: with the least length of the class of E7 case 2's
-        product raised by 2, the oracle disagrees with the walk on that product
-        and on its longer conjugate, and the row fails (v)."""
+        """Negative control: with the seed of the class of E7 case 2's product
+        replaced by a conjugate 2 longer, which has the same P, the oracle calls
+        that conjugate "minimal", against the walk, and raises on the product,
+        since no seed of its length or shorter has its P; so does the row."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         W, pi, products = e_catalog_products(7)
         ((_, w),) = [(label, w) for label, w in products if label == "E7 case 2"]
-        P = conjugacy._charpoly(W, w)
-        monkeypatch.setitem(conjugacy._ELLIPTIC_LEAST, P, w.length + 2)
-        assert elliptic_mismatches(7)[0] == [
-            ("E7 case 2", 9, "not_minimal", "minimal"), ("E7 case 2", 11, "minimal", "not_minimal")]
-        report = verify_case(next(r for r in case_records("E", 7, 1) if r.label == "E7 case 2"))
-        assert report.subchecks["vw1_min_full"] == "fail"
+        words = seed_row("E", 7, 1)[2]
+        (k,) = [k for k, word in enumerate(words) if len(word) == w.length]
+        longer = longer_conjugate(W, conjugacy._verdict(W, pi, w))
+        table = dict(conjugacy._SEED_TABLE)
+        table["E", 7, 1] = tuple("".join(map(str, word)) for word in
+                                 words[:k] + [longer.word] + words[k + 1:])
+        for name, value in (("_SEED_TABLE", table), ("_CUSPIDAL_MEMO", {}),
+                            ("_standard_seeds", conjugacy._standard_seeds.__wrapped__),
+                            ("_seed_charpoly", conjugacy._seed_charpoly.__wrapped__)):
+            monkeypatch.setattr(conjugacy, name, value)
+        assert closure_min_check(W, pi, longer) == "minimal"
+        assert type(conjugacy._verdict(W, pi, longer)) is not conjugacy._Level
+        with pytest.raises(FalsificationError, match="no cuspidal seed of E7 with at most 9 letters"):
+            closure_min_check(W, pi, w)
+        with pytest.raises(FalsificationError, match="no cuspidal seed of E7"):
+            verify_case(next(r for r in case_records("E", 7, 1) if r.label == "E7 case 2"))
 
     def test_a_missing_key_raises(self, monkeypatch):
-        """A polynomial missing from the table raises FalsificationError, since
-        the table names every elliptic class."""
+        """A polynomial that no seed has raises FalsificationError, since the
+        seeds name every elliptic class: E8's row without the seed of its
+        first product's class."""
         W, pi, products = e_catalog_products(8)
         w = products[0][1]
-        monkeypatch.delitem(conjugacy._ELLIPTIC_LEAST, conjugacy._charpoly(W, w))
-        with pytest.raises(FalsificationError, match="no elliptic class of E8"):
+        P = conjugacy._charpoly(W, w.word, pi)
+        table = dict(conjugacy._SEED_TABLE)
+        table["E", 8, 1] = tuple(word for word in table["E", 8, 1]
+                                 if conjugacy._charpoly(W, tuple(map(int, word)), pi) != P)
+        assert len(table["E", 8, 1]) == 29
+        monkeypatch.setattr(conjugacy, "_SEED_TABLE", table)
+        monkeypatch.setattr(conjugacy, "_standard_seeds", conjugacy._standard_seeds.__wrapped__)
+        with pytest.raises(FalsificationError, match="no cuspidal seed of E8"):
             closure_min_check(W, pi, w)
 
-    def test_only_elliptic_elements_of_named_e7_and_e8_skip_the_walk(self, monkeypatch):
-        """An elliptic element of E7 or E8 is answered with no walk; a
-        non-elliptic one, such as a Coxeter element of a maximal parabolic,
-        and every element of E6 are walked."""
+    @pytest.mark.parametrize("name", SEEDED + [("B", 2, 2), ("G", 2, 2), ("F", 4, 2)],
+                             ids=lambda name: "".join(map(str, name)))
+    def test_only_elliptic_elements_of_seeded_types_skip_the_walk(self, name, monkeypatch):
+        """From an empty memo, the first seed of each seeded type whose twist
+        keeps the Cartan matrix is answered with no walk, and s1, which is
+        minimal (its class holds no element of even length) and not
+        elliptic, with one walk; in 2B2, 2G2 and 2F4, whose twist swaps long
+        and short roots, the first seed is walked too."""
         walks = []
         real_walk = conjugacy._shift_walk
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         monkeypatch.setattr(conjugacy, "_shift_walk",
                             lambda *args: walks.append(args[0].rank) or real_walk(*args))
-        for rank in (7, 8):
-            W = group("E", rank)
-            pi = identity_pi(W)
-            assert closure_min_check(W, pi, W.from_word(range(1, rank + 1))) == "minimal"
-            assert closure_min_check(W, pi, W.from_word(range(1, rank))) == "minimal"
-            assert walks == [rank]
-            walks.clear()
-        E6 = group("E", 6)
-        assert closure_min_check(E6, identity_pi(E6), E6.from_word(range(1, 7))) == "minimal"
-        assert walks == [6]
+        W, pi, words = seed_row(*name)
+        assert closure_min_check(W, pi, W.from_word(words[0])) == "minimal"
+        if name not in SEEDED:
+            assert walks == [W.rank]
+            return
+        assert walks == []
+        assert not elliptic(W, pi, W.simple(1))
+        assert closure_min_check(W, pi, W.simple(1)) == "minimal"
+        assert walks == [W.rank]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_agrees_with_enumeration_on_e6(self, order, monkeypatch):
+        """Every element of E6 and 2E6, from an empty memo: the oracle answers
+        as enumeration does, the elliptic ones (the seeds') with no walk."""
+        W = group("E", 6)
+        pi = pi_of(build_twist("E", 6, order))
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        real_walk, walked = conjugacy._shift_walk, []
+        monkeypatch.setattr(conjugacy, "_shift_walk",
+                            lambda *args: walked.append(args[2]) or real_walk(*args))
+        count = 0
+        for w in elements_of(W):
+            walked.clear()
+            least = oracle_class_of(W, pi, w).min_length
+            assert closure_min_check(W, pi, w) == ("minimal" if w.length == least
+                                                   else "not_minimal"), w.word
+            if elliptic(W, pi, w):
+                assert walked == []
+                count += 1
+        assert count == {1: ELLIPTIC_E6, 2: ELLIPTIC_2E6}[order]
 
 
 class TestStandardType:
@@ -1479,7 +1665,7 @@ class TestCuspidalRepresentatives:
             pi = pi_of(build_twist(family, rank, order))
             assert subsystems.standard_type(W, pi) == (family, rank, order, None)
             assert conjugacy._cuspidal_seeds(W, pi) == words_of(row)
-        assert len(conjugacy._SEED_TABLE) == 8
+        assert len(conjugacy._SEED_TABLE) == 10
 
     def test_a_seed_off_its_canonical_word_shows(self, G2, monkeypatch):
         """Negative control: with G2's seed "12" replaced by "21", which is
@@ -1786,10 +1972,15 @@ class TestClassOracle:
         assert cls.representative.word == (1, 2, 3) and not cls.cuspidal
         assert cls == class_of(W, pi, cls.minimal[-1])
 
-    def test_class_list_needs_seeds(self):
-        """E7 has no cuspidal seeds yet, so its class list raises rather than guess."""
-        with pytest.raises(ValueError, match="no cuspidal seeds for type E7"):
-            class_list(group("E", 7), identity_pi(group("E", 7)))
+    def test_e7_class_list(self):
+        """E7's class list, from its seeds: 60 classes, 12 of them cuspidal, the
+        counts of Geck-Pfeiffer 2000, App. B, and Carter, Compositio Math. 25
+        (1972); its cuspidal classes are named by the seed words."""
+        W = group("E", 7)
+        classes = class_list(W, identity_pi(W))
+        assert len(classes) == 60
+        cuspidal = [c.representative.word for c in classes if c.cuspidal]
+        assert cuspidal == words_of(conjugacy._SEED_TABLE["E", 7, 1])
 
 
 def test_no_enumeration_in_the_package():
