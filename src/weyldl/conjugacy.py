@@ -25,21 +25,23 @@ Minimality (``closure_min_check``), the cuspidal tables and the seeds
 read the group's type from ``subsystems.standard_type``: the one answer
 to "which standard type is (W, pi), and in which labels?", resolved once
 per group and map.  A Coxeter-system isomorphism keeps length and
-twisted classes, so the type decides in any labels.  When the resolver
-names A, B, C or D under the identity, or A or D under the standard
-twist of order 2, whether one element is minimal is read off the signed
-cycle type of a reduced word mapped into the standard labels, by
-``_least_length``, with no walk and nothing kept.  When it names a type
-of ``_SEED_TABLE`` whose twist keeps the Cartan matrix (G2, F4, E6, 2E6,
-3D4, E7 or E8), an elliptic element w, one for which the characteristic
-polynomial P of w sigma (``_charpoly``, which no labelling changes) has
-P(1) != 0, is minimal exactly when a seed of length l(w) has P, again
-with no walk (``_elliptic_verdict``): the seed words are the one table
-of these types.  Their other elements walk.  That split by P(1) is a
-second oracle in one group, which stays until the fixed space's
-parabolic reads every class off its elliptic part.  Every other
-minimality question (those non-elliptic elements, 2B2, 2G2, 2F4 and
-reducible groups), and every minimal level, is decided once per process, in
+twisted classes, so the type decides in any labels.  An element is
+minimal exactly when its length is the least length of its class, which
+``_closed_form`` reads off a reduced word with no walk and nothing kept:
+off the signed cycle type (``_least_length``) when the resolver names A,
+B, C or D under the identity, or A or D under the standard twist of
+order 2; and for an elliptic element w of a type of ``_SEED_TABLE``
+whose twist keeps the Cartan matrix (G2, F4, E6, 2E6, 3D4, E7 or E8),
+one for which the characteristic polynomial P of w sigma (``_charpoly``,
+which no labelling changes) has P(1) != 0, as the length of the seed
+with P (``_seed_length``): the seed words are the one table of these
+types.  A group that the resolver does not name, reducible or under a
+twist of no standard order, is read one fold per pi-orbit of components
+(``_folds``).  The non-elliptic elements of the seeded types, 2B2, 2G2
+and 2F4 walk, in a group or in a fold.  That split by P(1) is a second
+oracle in one group, which stays until the fixed space's parabolic
+reads every class off its elliptic part.  Every walked minimality
+question, and every minimal level, is decided once per process, in
 ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
 pi, never on a group object, so groups built apart share it.
 It is answered by one memoized walk, ``_verdict``, which keeps one of two
@@ -52,7 +54,7 @@ A cuspidal class is named by a word of ``_CLASSICAL_TABLE`` (no walk) or
 group in its own labels, or else by the first member of its spelled
 level (``cuspidal_representatives``).  The memo
 holds 649 entries and 213 levels once the 180 classes of rank <= 4 are
-listed, and 673 and 222 once both routes have certified them.
+listed, and 670 and 221 once both routes have certified them.
 Every shift walk has the one budget ``WALK_BUDGET``; a walk past it
 raises ``ClosureBudgetError`` and keeps nothing.
 """
@@ -61,10 +63,11 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Frozen, Twist, build_twist
-from .subsystems import component_orbits, standard_type, sub_context
+from .subsystems import SubContext, component_orbits, standard_type, sub_context
 from .weyl import WeylElt, WeylGroup, weyl_group
 
 __all__ = [
@@ -339,42 +342,131 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
-    One oracle answers for each (W, pi), chosen by the type that
-    ``standard_type`` resolves, in any labels.  When it names A, B, C or
-    D with pi of order 1, or A or D with pi of order 2, w is minimal
-    exactly when l(w) is the least length that ``_least_length`` reads
-    off a reduced word of w (``WeylGroup.reduced_word``) mapped through
-    the resolver's labelling phi; no walk starts and nothing is kept.
-    When it names a type with a ``_SEED_TABLE`` row whose twist keeps the
-    Cartan matrix (G2, F4, E6, 2E6, 3D4, E7 and E8), and w is elliptic,
-    P(1) != 0 for the characteristic polynomial P of w sigma
-    (``_charpoly``), the seeds decide, again with no walk
-    (``_elliptic_verdict``).  Any other W or w, a non-elliptic element of
-    those types, 2B2, 2G2, 2F4, a reducible group or a twist of no
-    standard order, is answered by ``_verdict``'s walk:
-    "minimal" if the non-increasing closure holds no shorter element,
-    "not_minimal" on the first strict descent.  Complete by the descent
-    theorem for twisted classes: non-increasing cyclic shifts from any
-    element reach a minimal one.  Raises ClosureBudgetError when the walk
-    reaches more than ``WALK_BUDGET`` elements, and keeps no verdict then.
+    w is minimal exactly when l(w) is the least length of its class.  When
+    ``standard_type`` names (W, pi), in any labels, ``_closed_form`` reads
+    that length off a reduced word of w (``WeylGroup.reduced_word``) with
+    no walk and nothing kept, or finds no closed form (a non-elliptic
+    element of a seeded type, 2B2, 2G2 or 2F4), and ``_verdict``'s walk
+    answers: "minimal" if the non-increasing closure holds no shorter
+    element, "not_minimal" on the first strict descent.  Complete by the
+    descent theorem for twisted classes: non-increasing cyclic shifts from
+    any element reach a minimal one.
 
-    A walk that finds w minimal keeps w's whole level, so a later question
-    about any member, ``minimal_level``'s too, starts no walk.
+    Any other group, reducible or under a twist of no standard order, sums
+    the least lengths of the folds of w, one per pi-orbit of components
+    (``_folds``; Geck-Pfeiffer 2000, 3.2; He-Nie 2012, Thm 1.1), each read
+    by ``_closed_form`` in its own type, or else walked down to a minimal
+    element (``_descend``).
+
+    A walk that finds an element minimal keeps its whole level, so a later
+    question about any member, ``minimal_level``'s too, starts no walk.
+    Raises ClosureBudgetError when a walk reaches more than
+    ``WALK_BUDGET`` elements, and keeps no verdict then.
     """
     named = standard_type(W, pi)
+    word = W.reduced_word(w)
     if named is not None:
-        family, rank, order, phi = named
-        if order == 1 and family in "ABCD" or order == 2 and family in "AD":
-            word = W.reduced_word(w)
-            if phi is not None:
-                word = [phi[i - 1] for i in word]
-            least = _least_length(family, rank, order, word)
-            return "minimal" if w.length == least else "not_minimal"
-        if (family, rank, order) in _SEED_TABLE and (order == 1 or family in "DE"):
-            P = _charpoly(W, W.reduced_word(w), pi)
-            if 1 + sum(P):  # P(1) != 0: w is elliptic
-                return _elliptic_verdict(family, rank, order, w.length, P)
-    return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
+        least = _closed_form(W, pi, named, word)
+        if least is None:
+            return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
+    else:
+        least = sum(fold.least(fold.word(word)) for fold in _folds(W, pi))
+    return "minimal" if w.length == least else "not_minimal"
+
+
+def _closed_form(W: WeylGroup, pi: PiMap, named: tuple, word: Sequence[int]) -> Optional[int]:
+    """The least length in the pi-class of the product of ``word``, read off its type, or None.
+
+    ``named`` is ``standard_type(W, pi)``.  The signed cycle type for A, B,
+    C or D with pi of order 1, or A or D with pi of order 2
+    (``_least_length``, on ``word`` mapped through the labelling).  For a
+    type of ``_SEED_TABLE`` whose twist keeps the Cartan matrix (G2, F4,
+    E6, 2E6, 3D4, E7 and E8), the length of the seed with the
+    characteristic polynomial P of w sigma (``_charpoly``) when w is
+    elliptic, P(1) != 0 (``_seed_length``).  None otherwise: a
+    non-elliptic element of those types, 2B2, 2G2 and 2F4.  ``word`` need
+    not be reduced.
+    """
+    family, rank, order, phi = named
+    if order == 1 and family in "ABCD" or order == 2 and family in "AD":
+        if phi is not None:
+            word = [phi[i - 1] for i in word]
+        return _least_length(family, rank, order, word)
+    if (family, rank, order) in _SEED_TABLE and (order == 1 or family in "DE"):
+        P = _charpoly(W, word, pi)
+        if 1 + sum(P):  # P(1) != 0: w is elliptic
+            return _seed_length(family, rank, order, P, len(word))
+    return None
+
+
+def _descend(W: WeylGroup, pi: PiMap, w: WeylElt) -> WeylElt:
+    """A minimal element of the pi-class of w: ``_verdict``'s steps down from w,
+    each kept (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1)."""
+    while type(found := _verdict(W, pi, w)) is not _Level:
+        w = found
+    return w
+
+
+class _Fold:
+    """One pi-orbit of components C, pi(C), ..., pi^(r-1)(C) of W, folded onto C.
+
+    ``sub`` is C's standalone group, ``pi`` the map pi^r on its nodes and
+    ``named`` their ``standard_type``.  ``letters`` maps each node i of the
+    orbit on pi^j(C) to (k, b): its segment k = (r - j) mod r of the fold,
+    and b, the node pi^k(i) of C in ``sub``'s labels.
+    """
+
+    __slots__ = ("sub", "pi", "named", "letters")
+
+    def __init__(self, sub: SubContext, pi: PiMap, letters: dict[int, tuple[int, int]]):
+        self.sub, self.pi, self.letters = sub, pi, letters
+        self.named = standard_type(sub.group, pi)
+
+    def word(self, word: Iterable[int]) -> list[int]:
+        """The fold f = w_1 sigma(w_r) sigma^2(w_(r-1)) ... sigma^(r-1)(w_2) of the product of ``word``.
+
+        w_j is the part of the product on pi^(j-1)(C), spelled by the
+        letters of ``word`` there, in order.  f is a word of ``sub``, reduced
+        or not, and (w sigma)^r is f sigma^r on C, so the twisted class of w
+        is read off the pi^r-class of f.
+        """
+        picked = [self.letters[i] for i in word if i in self.letters]
+        picked.sort(key=itemgetter(0))  # stable: each segment keeps its order
+        return [b for _, b in picked]
+
+    def least(self, word: Sequence[int]) -> int:
+        """The least length in the pi^r-class of the product of ``word``, a word of ``sub``."""
+        G = self.sub.group
+        least = None if self.named is None else _closed_form(G, self.pi, self.named, word)
+        return _descend(G, self.pi, G.from_word(word)).length if least is None else least
+
+
+_FOLDS: dict[tuple, tuple[_Fold, ...]] = {}
+
+
+def _folds(W: WeylGroup, pi: PiMap) -> tuple[_Fold, ...]:
+    """The pi-orbits of components of W (``component_orbits``), each folded onto its first.
+
+    Every class of W meets the elements that are 1 off the first component
+    of each orbit, and its least length is the sum over the orbits of the
+    least length of the pi^r-class of each fold.  Kept per system key (the
+    Cartan matrix) and pi, with each orbit's standalone group, pi^r and
+    their ``standard_type``.
+    """
+    key = (W.system.key, tuple(sorted(pi.items())))
+    if key not in _FOLDS:
+        folds = []
+        for orbit in component_orbits(W, pi):
+            r = len(orbit)
+            sub = sub_context(W, orbit[0])
+            letters = {}
+            for j, comp in enumerate(orbit):
+                k = (r - j) % r
+                back = power_pi(pi, k)
+                letters.update((i, (k, sub.to_sub[back[i]])) for i in comp)
+            folds.append(_Fold(sub, sub.pi_to_sub(power_pi(pi, r)), letters))
+        _FOLDS[key] = tuple(folds)
+    return _FOLDS[key]
 
 
 _SIGMAS: dict[tuple, bytes] = {}
@@ -435,30 +527,24 @@ def _seed_charpoly(family: str, rank: int, order: int, seed: tuple[int, ...]) ->
     return _charpoly(weyl_group(family, rank), seed, pi_of(build_twist(family, rank, order)))
 
 
-def _elliptic_verdict(family: str, rank: int, order: int, length: int, P: tuple[int, ...]) -> str:
-    """Minimality of an elliptic element of a seeded type, from its length and polynomial P.
+def _seed_length(family: str, rank: int, order: int, P: tuple[int, ...], most: int) -> int:
+    """The length of the seeds of a seeded type with polynomial P: the least length of their class.
 
     The twisted classes of (family, rank, order) with P(1) != 0 are its
     cuspidal classes, one seed each, and a seed is a minimal word of its
     class (``_SEED_TABLE``).  Over the seeded types whose twist keeps the
     Cartan matrix, each P that a seed has goes with one length (the tests
-    check this), so "minimal" when a seed of ``length`` letters has P,
-    and "not_minimal" when a shorter seed has it.  Each seed's P is
-    computed once per process, on first need (``_seed_charpoly``), and
-    only seeds of at most ``length`` letters are read.  Raises
-    FalsificationError when no seed of at most ``length`` letters has P.
+    check this).  Only seeds of at most ``most`` letters, the length of a
+    word of the element asked about, are read, those of ``most`` letters
+    first, and each seed's P is computed once per process, on first need
+    (``_seed_charpoly``).  Raises FalsificationError when none of them has P.
     """
     seeds = _standard_seeds(family, rank, order)
-
-    def has_p(seed: tuple[int, ...]) -> bool:
-        return _seed_charpoly(family, rank, order, seed) == P
-
-    if any(len(seed) == length and has_p(seed) for seed in seeds):
-        return "minimal"
-    if any(len(seed) < length and has_p(seed) for seed in seeds):
-        return "not_minimal"
+    for seed in [s for s in seeds if len(s) == most] + [s for s in seeds if len(s) < most]:
+        if _seed_charpoly(family, rank, order, seed) == P:
+            return len(seed)
     name = f"{'' if order == 1 else order}{family}{rank}"
-    raise FalsificationError(f"no cuspidal seed of {name} with at most {length} letters has polynomial {P}")
+    raise FalsificationError(f"no cuspidal seed of {name} with at most {most} letters has polynomial {P}")
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -501,9 +587,9 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 # generated once by enumeration; those of E7 and E8 are the first members of the
 # spelled levels of the catalog's products v w1, one product per characteristic
 # polynomial.  They seed the walks of ``_cuspidal_levels``, are
-# ``cuspidal_representatives``' words for these types, and decide the minimality
-# of an elliptic element (``_elliptic_verdict``) where the twist keeps the Cartan
-# matrix; the classical types' seeds are built from the signed cycle type
+# ``cuspidal_representatives``' words for these types, and give the least length
+# of an elliptic element's class (``_seed_length``) where the twist keeps the
+# Cartan matrix; the classical types' seeds are built from the signed cycle type
 # (``_standard_seeds``), and their canonical representatives through rank 7 are
 # ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
@@ -813,18 +899,17 @@ def _standard_seeds(family: str, rank: int, order: int) -> tuple[tuple[int, ...]
 def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
     """One minimal word per cuspidal pi-class of W.
 
-    From the pi-orbits of components: an orbit of r components
-    contributes the pi^r-seeds of its first component, with the identity
-    on the others; the seeds are the products over the orbits.  A
-    component's seeds are its type's, read through ``standard_type``.
+    From the folds of ``_folds``: an orbit of r components contributes the
+    pi^r-seeds of its first component, with the identity on the others;
+    the seeds are the products over the orbits.  A component's seeds are
+    its type's, read through ``standard_type``.
     """
     seeds: list[tuple[int, ...]] = [()]
-    for orbit in component_orbits(W, pi):
-        sub = sub_context(W, orbit[0])
-        named = standard_type(sub.group, sub.pi_to_sub(power_pi(pi, len(orbit))))
-        if named is None:
-            raise FalsificationError(f"cannot identify the component {sorted(orbit[0])} of {W.system.family}")
-        family, rank, order, phi = named
+    for fold in _folds(W, pi):
+        sub = fold.sub
+        if fold.named is None:
+            raise FalsificationError(f"cannot identify the component {list(sub.nodes)} of {W.system.family}")
+        family, rank, order, phi = fold.named
         back = {b: k for k, b in enumerate(phi or sub.system.nodes, 1)}  # standard node -> node of sub
         words = [sub.word_to_ambient([back[b] for b in word])
                  for word in _standard_seeds(family, rank, order)]
@@ -1028,9 +1113,7 @@ def class_of(W: WeylGroup, pi: PiMap, w: WeylElt) -> DeltaClass:
     from w, or from an element a first call passed, starts no walk.
     """
     pi = restrict_pi(pi, W.system.nodes)
-    while type(found := _verdict(W, pi, w)) is not _Level:
-        w = found
-    return _delta_class(W, pi, minimal_set(W, pi, w))
+    return _delta_class(W, pi, minimal_set(W, pi, _descend(W, pi, w)))
 
 
 _CLASS_MEMO: dict[tuple, list[DeltaClass]] = {}

@@ -20,7 +20,10 @@ lifts or combines it.  Tabulated data is consulted through a
 labelling isomorphism onto the standard types.
 
 The route enumerates no group: each step starts from one minimal element
-of its class, and a cuspidal class is read off its minimal level, which
+of its class.  A class on one pi-orbit of several components is read off
+the fold of that element onto the orbit's first component
+(``conjugacy._folds``), a minimal element there under the orbit's power
+of pi, and an irreducible cuspidal class off its minimal level, which
 the length-preserving cyclic shifts connect (Geck-Pfeiffer 2000, Thm
 3.2.7; He-Nie, Duke Math. J. 161 (2012), Thm 1.1).
 
@@ -64,9 +67,9 @@ from .conjugacy import (
     DeltaClass,
     FalsificationError,
     PiMap,
+    _folds,
     inverse_pi,
     minimal_level,
-    power_pi,
     supp_delta,
 )
 from .criterion import (
@@ -515,12 +518,15 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     Below full twisted support, x is certified in its support parabolic
     and lifted; over several pi-orbits of components, its factors are
     certified one per orbit and combined.  Otherwise the class is
-    cuspidal, and one walk of length-preserving cyclic shifts from x
-    (``minimal_level``, which returns a level walked before without a
-    walk) lists its minimal elements by canonical word: a
-    cyclic orbit reduces to the first of them inside its first
-    component, and a leaf reads its membership test and spade candidates
-    from them.  Nothing is enumerated.
+    cuspidal.  On one orbit of r components, x folds onto the first
+    component C (``conjugacy._folds``): the fold f is minimal in C's
+    standalone group under pi^r, since l(f) <= l(x) and the two classes
+    have one least length, so f is certified there at q^r and spread
+    over the orbit, with no walk.  A leaf, one irreducible component,
+    reads its membership test and spade candidates from the minimal
+    elements that one walk of length-preserving cyclic shifts from x
+    lists by canonical word (``minimal_level``, which returns a level
+    walked before without a walk).  Nothing is enumerated.
     """
     nodes = frozenset(W.system.nodes)
     supp = supp_delta(W, pi, x)
@@ -536,18 +542,16 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
             _standalone(W, pi, S, q, W.from_word([i for i in W.reduced_word(x) if i in S]))
             for S in factors
         ])
-    level = minimal_level(W, pi, x)
-    comps = orbits[0]
-    if len(comps) > 1:
-        # One orbit of several components: reduce to the first component.
-        v1 = next((u for u in level if set(u.word) <= comps[0]), None)
-        if v1 is None:
-            raise FalsificationError("cyclic class misses its first component")
-        r = len(comps)
-        inner = _standalone(W, power_pi(pi, r), comps[0], qext(q) ** r, v1)
+    if len(orbits[0]) > 1:
+        # One orbit of r components: x folds onto the first, a minimal element
+        # of its standalone group under pi^r, certified there at q^r.
+        (fold,) = _folds(W, pi)
+        G = fold.sub.group
+        f = G.from_word(fold.word(W.reduced_word(x)))
+        inner = _embed(fold.sub, _engine(G, fold.pi, qext(q) ** len(orbits[0]), f))
         return combine_cyclic_factors(W, pi, inner, q)
 
-    return _leaf_certificate(W, pi, q, level)
+    return _leaf_certificate(W, pi, q, minimal_level(W, pi, x))
 
 
 def constructive_certificate(

@@ -22,9 +22,10 @@ a given index permutation to the standard twist.  Its one caller,
 ``standard_type``, is the one answer to "which standard type is (W, pi),
 and in which labels?", kept on the group per map: the minimality oracle
 and the cuspidal tables (``conjugacy.closure_min_check``,
-``cuspidal_representatives``), the seeds of each component
-(``conjugacy._cuspidal_seeds``) and the catalog rows of the
-constructive route (``lifting``) read it.  So a relabelled submatrix,
+``cuspidal_representatives``), the fold of each orbit of components
+(``conjugacy._folds``, which the minimality oracle, the seeds of
+``conjugacy._cuspidal_seeds`` and the cyclic step of ``lifting`` read)
+and the catalog rows of the constructive route (``lifting``) read it.  So a relabelled submatrix,
 such as the D4 of E6 on nodes 2..5, is decided as its type is.
 """
 

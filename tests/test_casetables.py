@@ -474,9 +474,11 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  43 walks start, by caller: 11 answer ``closure_min_check``, in
-    2B2, 2G2, 2F4 and one reducible W_K (A2 x A1); 29 are the seed checks of
-    ``_cuspidal_levels``; 3 are ``minimal_level``'s.  There were 58 when the
+    word.  42 walks start, by caller: 10 answer ``closure_min_check``, in
+    2B2, 2G2 and 2F4; 29 are the seed checks of ``_cuspidal_levels``; 3 are
+    ``minimal_level``'s.  The one reducible W_K (A2 x A1) walked too (43)
+    until ``closure_min_check`` read each component's fold by its signed
+    cycle type.  There were 58 when the
     elliptic elements of G2, F4, E6, 2E6 and 3D4 walked (40 from
     ``closure_min_check``, 15 seed checks): the seeds decide them now, so
     E6's seeds, no longer met first by those walks, are walked by their own
@@ -505,7 +507,7 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert callers == {"closure_min_check": 11, "_cuspidal_levels": 29, "minimal_level": 3}
+    assert callers == {"closure_min_check": 10, "_cuspidal_levels": 29, "minimal_level": 3}
     assert wordless == [] and e78 == []
     assert elliptic == [True] * 43
 

@@ -53,7 +53,7 @@ def identity_pi(W):
 
 
 # The types of ``_SEED_TABLE`` whose twist keeps the Cartan matrix: their
-# elliptic elements are decided by the seeds (``_elliptic_verdict``).
+# elliptic elements are decided by the seeds (``_seed_length``).
 SEEDED = [("G", 2, 1), ("F", 4, 1), ("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)]
 
 
@@ -789,20 +789,21 @@ class TestLeastLength:
         of the seeded types whose twist keeps the Cartan matrix; and it walks
         otherwise.  On the product of the nodes: D5 under its standard twist,
         D4 under (1 3), E6's D4 and the named C2 and D3 are read; 3D4, G2 and
-        E6 go to the seeds; 2B2 and a reducible group walk."""
+        E6 go to the seeds; 2B2 walks; A1 x A1 is read one fold, an A1, per
+        component."""
         real_least, reads, walks, seeded = conjugacy._least_length, [], [], []
         monkeypatch.setattr(conjugacy, "_least_length",
                             lambda *args: reads.append(args[:3]) or real_least(*args))
         monkeypatch.setattr(conjugacy, "_verdict",
                             lambda W, pi, w: walks.append(W.rank) or conjugacy._Level({}))
-        monkeypatch.setattr(conjugacy, "_elliptic_verdict",
-                            lambda *args: seeded.append(args[:3]) or "minimal")
+        monkeypatch.setattr(conjugacy, "_seed_length",
+                            lambda *args: seeded.append(args[:3]) or args[4])
         cases = [
             (group("B", 2), {1: 2, 2: 1}, "walk"),
             (group("D", 4), pi_of(build_twist("D", 4, 3)), ("D", 4, 3)),
             (group("G", 2), {1: 1, 2: 2}, ("G", 2, 1)),
             (group("E", 6), {i: i for i in range(1, 7)}, ("E", 6, 1)),
-            (group_of(block_cartan(A1, A1)), {1: 1, 2: 2}, "walk"),
+            (group_of(block_cartan(A1, A1)), {1: 1, 2: 2}, [("A", 1, 1)] * 2),
             (group("D", 5), pi_of(build_twist("D", 5, 2)), ("D", 5, 2)),
         ] + [(build(), pi, named) for build, pi, named, _ in RELABELLED.values()]
         for W, pi, named in cases:
@@ -812,6 +813,8 @@ class TestLeastLength:
             closure_min_check(W, pi, W.from_word(W.system.nodes))
             if named == "walk":
                 expected = [], [], [W.rank]
+            elif type(named) is list:
+                expected = named, [], []
             elif named[0] in "ABCD" and named[2] < 3:
                 expected = [named], [], []
             else:
@@ -1003,7 +1006,7 @@ E8_LEAST = [8, 10, 12, 14, 16, 16, 18, 20, 22, 22, 24, 24, 26, 26, 28, 30, 32, 3
 class TestEllipticLeast:
     """The seeded types whose twist keeps the Cartan matrix decide the
     minimality of an elliptic element from its characteristic polynomial P
-    and the seeds of ``_SEED_TABLE`` (``_elliptic_verdict``)."""
+    and the seeds of ``_SEED_TABLE`` (``_seed_length``)."""
 
     def test_table(self):
         """The E7 and E8 rows: 12 and 30 words, of 268 and 1082 letters, each
@@ -1342,7 +1345,7 @@ class TestStandardType:
             named = real(W, pi)
             return (*named[:3], None) if W in (D4, C3) and named is not None else named
 
-        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO", "_FOLDS"):
             monkeypatch.setattr(conjugacy, memo, {})
         monkeypatch.setattr(conjugacy, "standard_type", unlabelled)
         with pytest.raises(FalsificationError, match="is not cuspidal"):
@@ -1473,6 +1476,119 @@ D4_OF_E6 = {
     "D4 of E6, leaf swap": {1: 2, 2: 1, 3: 3, 4: 4},
     "D4 of E6, triality": {1: 2, 2: 4, 3: 3, 4: 1},
 }
+
+
+B2_CARTAN, A3_CARTAN, G2_CARTAN = (cartan_matrix(f, r) for f, r in (("B", 2), ("A", 3), ("G", 2)))
+
+# Reducible groups read one fold per pi-orbit of components, with the SWAPPED
+# groups: (Cartan matrix, pi), 14 groups.  Every fold of the first eleven is
+# classical, or 3D4 (in 3D4 x A1); the last three need the walk for some folds.
+FOLDED = {
+    "A1^3 under a 3-cycle": (block_cartan(A1, A1, A1), {1: 2, 2: 3, 3: 1}),
+    "B2xB2 swapped": (block_cartan(B2_CARTAN, B2_CARTAN), {1: 3, 2: 4, 3: 1, 4: 2}),
+    "A3xA3 swapped and flipped": (
+        block_cartan(A3_CARTAN, A3_CARTAN), {1: 4, 2: 5, 3: 6, 4: 3, 5: 2, 6: 1}),
+    "A2xA1": (block_cartan(A2_CARTAN, A1), {1: 1, 2: 2, 3: 3}),
+    "A2xA1, A2 flipped": (block_cartan(A2_CARTAN, A1), {1: 2, 2: 1, 3: 3}),
+    "A2xA2xA1, mixed": (block_cartan(A2_CARTAN, A2_CARTAN, A1), {1: 4, 2: 3, 3: 1, 4: 2, 5: 5}),
+    **SWAPPED,
+    "G2xG2 swapped": (block_cartan(G2_CARTAN, G2_CARTAN), {1: 3, 2: 4, 3: 1, 4: 2}),
+    "G2xA1": (block_cartan(G2_CARTAN, A1), {1: 1, 2: 2, 3: 3}),
+    "2B2xA1": (block_cartan(B2_CARTAN, A1), {1: 2, 2: 1, 3: 3}),
+}
+
+
+def read_in_closed_form(fold, word):
+    """Whether a fold's word is classical in its type, or an elliptic element of
+    a seeded type: read with no walk."""
+    if fold.named is None:
+        return False
+    family, rank, order, _ = fold.named
+    if order == 1 and family in "ABCD" or order == 2 and family in "AD":
+        return True
+    G = fold.sub.group
+    return (family, rank, order) in SEEDED and elliptic(G, fold.pi, G.from_word(word))
+
+
+def fold_mismatches(monkeypatch, letters=None):
+    """(group, map, word, oracle, enumeration) for every element of every FOLDED
+    group, under pi and its inverse, where ``closure_min_check`` and enumeration
+    disagree, and the number of elements checked and of those read with no
+    walk.  Raises AssertionError when a walk starts for an element whose every
+    fold is read in closed form.  ``letters``, if given, rebuilds each fold's
+    letter map from (fold, pi): a mutant fold."""
+    walks = []
+    real_walk = conjugacy._shift_walk
+    monkeypatch.setattr(conjugacy, "_shift_walk",
+                        lambda *args: walks.append(args) or real_walk(*args))
+    mismatches, checked, closed = [], 0, 0
+    for name, (cartan, pi) in FOLDED.items():
+        W = group_of(cartan)
+        for p in (pi, inverse_pi(pi)):
+            for memo in ("_MINIMALITY_MEMO", "_FOLDS"):
+                monkeypatch.setattr(conjugacy, memo, {})
+            assert subsystems.standard_type(W, p) is None
+            folds = conjugacy._folds(W, p)
+            if letters is not None:
+                conjugacy._FOLDS[W.system.key, tuple(sorted(p.items()))] = tuple(
+                    conjugacy._Fold(fold.sub, fold.pi, letters(fold, p)) for fold in folds)
+            for w in elements_of(W):
+                word = W.reduced_word(w)
+                reads = all(read_in_closed_form(fold, fold.word(word)) for fold in folds)
+                before = len(walks)
+                answer = closure_min_check(W, p, w)
+                assert not (reads and len(walks) > before), (name, p, word)
+                expected = "minimal" if w.length == oracle_class_of(W, p, w).min_length else "not_minimal"
+                if answer != expected:
+                    mismatches.append((name, p, word, answer, expected))
+                checked += 1
+                closed += reads
+    return mismatches, checked, closed
+
+
+def sigma_dropped(fold, pi):
+    """The mutant letter map: a letter on pi^j(C) goes back to C by pi^-j,
+    not on by pi^(r-j), so the fold drops sigma^r."""
+    r = len({k for k, _ in fold.letters.values()})
+    back = inverse_pi(pi)
+    return {i: (k, fold.sub.to_sub[conjugacy.power_pi(back, -k % r)[i]])
+            for i, (k, _) in fold.letters.items()}
+
+
+class TestFolds:
+    """``closure_min_check`` on reducible groups: one fold per orbit of components."""
+
+    def test_agrees_with_enumeration(self, monkeypatch):
+        """Every element of the FOLDED groups, under both maps, against the
+        enumerated classes, with no walk wherever every fold is classical or an
+        elliptic element of a seeded type; the walk still answers the rest (G2
+        and 3D4 folds that are not elliptic, 2B2 folds)."""
+        mismatches, checked, closed = fold_mismatches(monkeypatch)
+        assert mismatches == []
+        assert (checked, closed) == (2848, 2172)
+
+    def test_a_fold_that_drops_sigma_fails(self, monkeypatch):
+        """Negative control: a fold that maps pi^j(C) back by pi^-j, dropping
+        sigma^r, disagrees with enumeration on 112 elements, all in the three
+        groups where pi^r is not 1 on C."""
+        mismatches, _, _ = fold_mismatches(monkeypatch, sigma_dropped)
+        assert len(mismatches) == 112
+        assert {name for name, *_ in mismatches} == {
+            "A2xA2 of order 4", "A3xA3 swapped and flipped", "A2xA2xA1, mixed"}
+
+    def test_folds_are_kept_per_matrix_and_map(self, monkeypatch):
+        """``_folds`` resolves each orbit's standalone group, pi^r and type once
+        per (Cartan matrix, map): a second group of the same matrix reads the
+        same folds, and the two orbits of A2xA2xA1 under its mixed map fold
+        to 2A2 and A1."""
+        monkeypatch.setattr(conjugacy, "_FOLDS", {})
+        cartan, pi = FOLDED["A2xA2xA1, mixed"]
+        folds = conjugacy._folds(group_of(cartan), pi)
+        assert conjugacy._folds(WeylGroup(group_of(cartan).system), pi) is folds
+        assert [fold.named for fold in folds] == [("A", 2, 2, None), ("A", 1, 1, None)]
+        assert [fold.sub.nodes for fold in folds] == [(1, 2), (5,)]
+        # w_1 = s1 s2 on the first A2 and w_2 = s3 on the second: f = s1 s2 pi(s3) = s1 s2 s1.
+        assert folds[0].word([3, 1, 2, 5]) == [1, 2, 1] and folds[1].word([3, 1, 2, 5]) == [1]
 
 
 def tabled_groups():

@@ -33,7 +33,7 @@ from weyldl.lifting import (
     spade_witness,
 )
 from weyldl.rootdata import build_twist
-from weyldl.subsystems import sub_context
+from weyldl.subsystems import components, sub_context
 from weyldl.weyl import WeylGroup
 
 from conftest import RANK_5_6, RANK_LE_4, group
@@ -409,6 +409,33 @@ def test_constructive_route_walks_no_listed_level_again(monkeypatch):
     assert all(any((cls.group_key, cls.pi, u.key) in read for u in cls.minimal)
                for _, _, cls, _ in todo if cls.cuspidal)
     assert not listed & set(walks)
+
+
+def test_w3_walks_no_cyclic_level(monkeypatch):
+    """Both routes over the 180 classes of rank <= 4 (W3), from cold memos,
+    start 221 shift walks, and leave 670 entries and 221 levels in the
+    minimality memo.  None is lifting's cyclic step: it certifies the fold of
+    its element on the first component of the orbit, and only a leaf, one
+    irreducible component, asks ``minimal_level``.  When the cyclic step
+    walked its orbit's level to find a member on that component, W3 made 222
+    walks, leaving 673 entries and 222 levels."""
+    for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
+        monkeypatch.setattr(conjugacy, memo, {})
+    monkeypatch.setattr(lifting, "_ROW_MEMO", {})
+    monkeypatch.setattr(lifting, "_ENGINE_MEMO", {})
+    walks, asked = [], []
+    real_walk, real_level = conjugacy._shift_walk, lifting.minimal_level
+    monkeypatch.setattr(conjugacy, "_shift_walk",
+                        lambda *args: walks.append(args) or real_walk(*args))
+    monkeypatch.setattr(lifting, "minimal_level", lambda W, pi, w: asked.append(
+        len(components(W))) or real_level(W, pi, w))
+    for W, twist, cls, q in classes_of(RANK_LE_4):
+        certify_min_element(W, twist, cls, q)
+        constructive_certificate(W, twist, cls, q)
+    held = [v for verdicts in conjugacy._MINIMALITY_MEMO.values() for v in verdicts.values()]
+    levels = {id(v) for v in held if type(v) is conjugacy._Level}
+    assert (len(walks), len(held), len(levels)) == (221, 670, 221)
+    assert asked and set(asked) == {1}
 
 
 def test_memo_key_separates_q_powers_and_directions(monkeypatch):
