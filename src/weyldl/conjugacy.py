@@ -31,16 +31,18 @@ minimal exactly when its length is the least length of its class, which
 off the signed cycle type (``_least_length``) when the resolver names A,
 B, C or D under the identity, or A or D under the standard twist of
 order 2; and for an elliptic element w of a type of ``_SEED_TABLE``
-whose twist keeps the Cartan matrix (G2, F4, E6, 2E6, 3D4, E7 or E8),
-one for which the characteristic polynomial P of w sigma (``_charpoly``,
-which no labelling changes) has P(1) != 0, as the length of the seed
-with P (``_seed_length``): the seed words are the one table of these
-types.  A group that the resolver does not name, reducible or under a
-twist of no standard order, is read one fold per pi-orbit of components
-(``_folds``).  The non-elliptic elements of the seeded types, 2B2, 2G2
-and 2F4 walk, in a group or in a fold.  That split by P(1) is a second
-oracle in one group, which stays until the fixed space's parabolic
-reads every class off its elliptic part.  Every walked minimality
+(G2, 2G2, 2B2, 3D4, F4, 2F4, E6, 2E6, E7 or E8), one for which the
+characteristic polynomial P of w sigma (``_charpoly``, which no
+labelling changes) has P(1) != 0 (``_elliptic``), as the length of the
+seed with P (``_seed_length``): the seed words are the one table of
+these types.  Where the twist swaps long and short roots (2B2, 2G2,
+2F4), sigma rescales them by powers of sqrt d (``_sigma``), and P is
+read in exact ints off sqrt(d) w sigma.  A group that the resolver does
+not name, reducible or under a twist of no standard order, is read one
+fold per pi-orbit of components (``_folds``).  The non-elliptic elements
+of the seeded types walk, in a group or in a fold.  That split by P(1)
+is a second oracle in one group, which stays until the fixed space's
+parabolic reads every class off its elliptic part.  Every walked minimality
 question, and every minimal level, is decided once per process, in
 ``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
 pi, never on a group object, so groups built apart share it.
@@ -346,7 +348,7 @@ def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     ``standard_type`` names (W, pi), in any labels, ``_closed_form`` reads
     that length off a reduced word of w (``WeylGroup.reduced_word``) with
     no walk and nothing kept, or finds no closed form (a non-elliptic
-    element of a seeded type, 2B2, 2G2 or 2F4), and ``_verdict``'s walk
+    element of a seeded type), and ``_verdict``'s walk
     answers: "minimal" if the non-increasing closure holds no shorter
     element, "not_minimal" on the first strict descent.  Complete by the
     descent theorem for twisted classes: non-increasing cyclic shifts from
@@ -380,21 +382,21 @@ def _closed_form(W: WeylGroup, pi: PiMap, named: tuple, word: Sequence[int]) -> 
     ``named`` is ``standard_type(W, pi)``.  The signed cycle type for A, B,
     C or D with pi of order 1, or A or D with pi of order 2
     (``_least_length``, on ``word`` mapped through the labelling).  For a
-    type of ``_SEED_TABLE`` whose twist keeps the Cartan matrix (G2, F4,
-    E6, 2E6, 3D4, E7 and E8), the length of the seed with the
-    characteristic polynomial P of w sigma (``_charpoly``) when w is
-    elliptic, P(1) != 0 (``_seed_length``).  None otherwise: a
-    non-elliptic element of those types, 2B2, 2G2 and 2F4.  ``word`` need
-    not be reduced.
+    type of ``_SEED_TABLE``, the length of the seed with the characteristic
+    polynomial P of w sigma (``_charpoly``) when w is elliptic, P(1) != 0
+    (``_elliptic``, ``_seed_length``).  None otherwise: a non-elliptic
+    element of those types, or a type with neither.  ``word`` need not be
+    reduced.
     """
     family, rank, order, phi = named
     if order == 1 and family in "ABCD" or order == 2 and family in "AD":
         if phi is not None:
             word = [phi[i - 1] for i in word]
         return _least_length(family, rank, order, word)
-    if (family, rank, order) in _SEED_TABLE and (order == 1 or family in "DE"):
-        P = _charpoly(W, word, pi)
-        if 1 + sum(P):  # P(1) != 0: w is elliptic
+    if (family, rank, order) in _SEED_TABLE:
+        sigma = _sigma(W, pi)
+        P = _charpoly(W, word, sigma)
+        if _elliptic(P, sigma[1]):
             return _seed_length(family, rank, order, P, len(word))
     return None
 
@@ -469,62 +471,113 @@ def _folds(W: WeylGroup, pi: PiMap) -> tuple[_Fold, ...]:
     return _FOLDS[key]
 
 
-_SIGMAS: dict[tuple, bytes] = {}
+_SIGMAS: dict[tuple, tuple[bytes, int, tuple[int, ...]]] = {}
 
 
-def _sigma(W: WeylGroup, pi: PiMap) -> bytes:
-    """sigma: alpha_j -> alpha_pi(j) on the root bytes of W, as a translate table.
+def _sigma(W: WeylGroup, pi: PiMap) -> tuple[bytes, int, tuple[int, ...]]:
+    """sigma(alpha_j) = lambda_j alpha_pi(j), lambda_j = |alpha_j| / |alpha_pi(j)|, on the root bytes of W.
 
-    pi must keep the Cartan matrix, so that sigma permutes the roots.
-    Memoized on the system key and pi; the identity map reads no root.
+    sigma is orthogonal, and sigma s_j sigma^-1 = s_pi(j).  Returns a
+    translate table, d and each simple root's scale: d when alpha_j is long
+    and pi swaps root lengths, else 1.  When pi keeps the Cartan matrix,
+    every lambda_j is 1 and sigma permutes the roots: the table maps the
+    byte of beta to that of sigma(beta), d is 1 and every scale is 1.
+    Otherwise W must be irreducible and pi must swap its long and short
+    roots (2B2, 2G2, 2F4): d is the ratio of their squared lengths (2, 3,
+    2), sigma(beta) is sqrt(d) beta' for a long root beta and beta' /
+    sqrt(d) for a short one, beta' a root of the other length, and the
+    table maps the byte of beta to that of beta'.  Lengths are read in
+    ints off the Cartan matrix: alpha_j is long when its column holds -d,
+    or when a simple bond joins it to a long one.  sqrt(d) sigma
+    multiplies alpha_j by its scale, so it maps a short root to a root and
+    a long one to d times a root.  Memoized on the system key and pi; the
+    identity map reads no root.
     """
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _SIGMAS:
-        table = bytearray(range(256))
-        if any(i != j for i, j in pi.items()):
-            n, index = W.nroots, {root: q for q, root in enumerate(W.roots)}
+        cartan, n, nodes = W.system.cartan, W.nroots, W.system.nodes
+        table, d, scale = bytearray(range(256)), 1, dict.fromkeys(nodes, 1)
+        if any(cartan[pi[i] - 1][pi[j] - 1] != cartan[i - 1][j - 1] for i in nodes for j in nodes):
+            d = -min(map(min, cartan))
+            long = {j for j in nodes if any(row[j - 1] == -d for row in cartan)}
+            while grown := {j for i in long for j in nodes
+                            if j not in long and cartan[i - 1][j - 1] == cartan[j - 1][i - 1] == -1}:
+                long |= grown
+            scale.update(dict.fromkeys(long, d))
+        if d > 1 or any(i != j for i, j in pi.items()):
+            index = {root: q for q, root in enumerate(W.roots)}
             for p, root in enumerate(W.roots):
                 image = [0] * W.rank
                 for j, c in enumerate(root, 1):
-                    image[pi[j] - 1] = c
-                q = index[tuple(image)]
+                    image[pi[j] - 1] = c * scale[j]
+                image = tuple(image)
+                if image not in index:  # d beta' for a long beta
+                    image = tuple(c // d for c in image)
+                q = index[image]
                 table[n + p + 1], table[n - p - 1] = n + q + 1, n - q - 1
-        _SIGMAS[key] = bytes(table)
+        _SIGMAS[key] = bytes(table), d, tuple(scale.values())
     return _SIGMAS[key]
 
 
-def _charpoly(W: WeylGroup, word: Sequence[int], pi: PiMap) -> tuple[int, ...]:
-    """c_1, ..., c_n of det(t - w sigma) = t^n + c_1 t^(n-1) + ... + c_n on the root lattice.
+def _charpoly(
+    W: WeylGroup, word: Sequence[int], sigma: tuple[bytes, int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """b_1, ..., b_n of det(t - M) = t^n + b_1 t^(n-1) + ... + b_n, for M = sqrt(d) w sigma.
 
-    w is the product of ``word``, reduced or not, and sigma maps alpha_j to
-    alpha_pi(j); pi must keep the Cartan matrix.  P is a class invariant:
-    x w sigma(x)^-1 sigma = x (w sigma) x^-1, and a Cartan isomorphism,
-    such as ``standard_type``'s labelling, does not change it.  w sigma as
-    a translate table of root bytes is ``_sigma``'s table and one more
-    translate per letter, and then the key of (w sigma)^k, its images of
-    the simple roots, is one translate of the key of (w sigma)^(k-1).
-    tr((w sigma)^k) is the sum over i of coordinate i of (w sigma)^k
-    (alpha_i); Newton's identities, k c_k = -(c_(k-1) tr(w sigma) + ... +
-    c_0 tr((w sigma)^k)), give exact ints.
+    w is the product of ``word``, reduced or not, and ``sigma`` is
+    ``_sigma(W, pi)``: its table, d and scales.  M maps alpha_j to its
+    scale times w(alpha_pi(j)), so it is an integer matrix on the root
+    lattice, and P of w sigma, det(t - w sigma), has coefficients b_k /
+    sqrt(d)^k; when pi keeps the Cartan matrix, d is 1 and M is w sigma.
+    P is a class invariant: x w sigma(x)^-1 sigma = x (w sigma) x^-1, and a
+    Cartan isomorphism, such as ``standard_type``'s labelling, does not
+    change it.  w sigma as a translate table of root bytes is ``_sigma``'s
+    table and one more translate per letter, and then the key of (w
+    sigma)^k, its images of the simple roots up to powers of sqrt d, is one
+    translate of the key of (w sigma)^(k-1).  Where sigma swaps root
+    lengths, so does each step, as w keeps them, and the powers of sqrt d
+    along the walk of alpha_i cancel in pairs: M^k (alpha_i) is sqrt(d)^k
+    times the root at byte i of the key, times sqrt d for a long alpha_i
+    and over it for a short one when k is odd.  So tr(M^k) is d^(k // 2)
+    times the sum over i of coordinate i of that root, times alpha_i's
+    scale when k is odd.  Newton's identities, k b_k = -(b_(k-1) tr(M) +
+    ... + b_0 tr(M^k)), give exact ints.
     """
     tables, n, roots, simple = W.reflection_table(), W.nroots, W.roots, W.identity.key
-    perm = _sigma(W, pi)
+    perm, d, scale = sigma
     for i in reversed(word):  # the last letter acts first, after sigma
         perm = perm.translate(tables[simple[i - 1]])
-    key, traces, c = simple.translate(perm), [], [1]
+    key, traces, c, even = simple.translate(perm), [], [1], (1,) * W.rank
     for k in range(1, W.rank + 1):
+        f = scale if k % 2 else even
         # Byte b is the root +-roots[|b - n| - 1], + when b > n.
-        traces.append(sum([roots[b - n - 1][i] if b > n else -roots[n - b - 1][i]
-                           for i, b in enumerate(key)]))
+        traces.append(d ** (k // 2) * sum([(roots[b - n - 1][i] if b > n else -roots[n - b - 1][i]) * f[i]
+                                           for i, b in enumerate(key)]))
         c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         key = key.translate(perm)
     return tuple(c[1:])
 
 
+def _elliptic(P: tuple[int, ...], d: int) -> bool:
+    """Whether w sigma fixes no nonzero vector, P(1) != 0, for P = ``_charpoly`` of w and d = ``_sigma``'s.
+
+    P(1) is the sum of b_k d^(-k/2), and d^n P(1) = A + B sqrt(d) with A
+    and B the ints summed below, over the even and the odd k; when d is not
+    1 it is not a square, so P(1) is 0 exactly when A and B both are.
+    """
+    if d == 1:
+        return 1 + sum(P) != 0
+    halves, n = [0, 0], len(P)
+    for k, b in enumerate((1, *P)):
+        halves[k % 2] += b * d ** (n - (k + 1) // 2)
+    return any(halves)
+
+
 @cache
 def _seed_charpoly(family: str, rank: int, order: int, seed: tuple[int, ...]) -> tuple[int, ...]:
     """``_charpoly`` of a seed of ``_standard_seeds``, in its named group under its standard twist."""
-    return _charpoly(weyl_group(family, rank), seed, pi_of(build_twist(family, rank, order)))
+    W = weyl_group(family, rank)
+    return _charpoly(W, seed, _sigma(W, pi_of(build_twist(family, rank, order))))
 
 
 def _seed_length(family: str, rank: int, order: int, P: tuple[int, ...], most: int) -> int:
@@ -532,12 +585,12 @@ def _seed_length(family: str, rank: int, order: int, P: tuple[int, ...], most: i
 
     The twisted classes of (family, rank, order) with P(1) != 0 are its
     cuspidal classes, one seed each, and a seed is a minimal word of its
-    class (``_SEED_TABLE``).  Over the seeded types whose twist keeps the
-    Cartan matrix, each P that a seed has goes with one length (the tests
-    check this).  Only seeds of at most ``most`` letters, the length of a
-    word of the element asked about, are read, those of ``most`` letters
-    first, and each seed's P is computed once per process, on first need
-    (``_seed_charpoly``).  Raises FalsificationError when none of them has P.
+    class (``_SEED_TABLE``).  Over every seeded type, each P that a seed
+    has goes with one length (the tests check this).  Only seeds of at
+    most ``most`` letters, the length of a word of the element asked about,
+    are read, those of ``most`` letters first, and each seed's P is
+    computed once per process, on first need (``_seed_charpoly``).  Raises
+    FalsificationError when none of them has P.
     """
     seeds = _standard_seeds(family, rank, order)
     for seed in [s for s in seeds if len(s) == most] + [s for s in seeds if len(s) < most]:
@@ -588,10 +641,10 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 # spelled levels of the catalog's products v w1, one product per characteristic
 # polynomial.  They seed the walks of ``_cuspidal_levels``, are
 # ``cuspidal_representatives``' words for these types, and give the least length
-# of an elliptic element's class (``_seed_length``) where the twist keeps the
-# Cartan matrix; the classical types' seeds are built from the signed cycle type
-# (``_standard_seeds``), and their canonical representatives through rank 7 are
-# ``_CLASSICAL_TABLE``.
+# of an elliptic element's class (``_seed_length``), in the Suzuki and Ree types
+# 2B2, 2G2 and 2F4 too; the classical types' seeds are built from the signed
+# cycle type (``_standard_seeds``), and their canonical representatives through
+# rank 7 are ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
     ("G", 2, 1): ("12", "1212", "121212"),
     ("G", 2, 2): ("1", "121", "12121"),

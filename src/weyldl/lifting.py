@@ -86,7 +86,7 @@ from .criterion import (
 )
 from .exactnum import ZERO, QuadExt, qext
 from .rootdata import Frozen, Twist
-from .subsystems import SubContext, component_orbits, standard_type, sub_context
+from .subsystems import SubContext, standard_type, sub_context
 from .weyl import WeylElt, WeylGroup
 
 __all__ = [
@@ -516,10 +516,11 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
     """``_engine`` without the memo: one construction, every step validated.
 
     Below full twisted support, x is certified in its support parabolic
-    and lifted; over several pi-orbits of components, its factors are
-    certified one per orbit and combined.  Otherwise the class is
-    cuspidal.  On one orbit of r components, x folds onto the first
-    component C (``conjugacy._folds``): the fold f is minimal in C's
+    and lifted.  The pi-orbits of components are the folds of
+    ``conjugacy._folds``: over several, the factors of x, one on the
+    letters of each fold, are certified one per orbit and combined.
+    Otherwise the class is cuspidal.  On one orbit of r components, x
+    folds onto the first component C: the fold f is minimal in C's
     standalone group under pi^r, since l(f) <= l(x) and the two classes
     have one least length, so f is certified there at q^r and spread
     over the orbit, with no walk.  A leaf, one irreducible component,
@@ -535,20 +536,21 @@ def _engine_cold(W: WeylGroup, pi: PiMap, q: QuadExt, x: WeylElt) -> EngineCert:
             return lift_to_full(W, pi, EngineCert(W.identity, {}, qext(q)))
         return lift_to_full(W, pi, _standalone(W, pi, supp, q, x))
 
-    orbits = component_orbits(W, pi)
-    if len(orbits) > 1:
-        factors = [frozenset().union(*orbit) for orbit in orbits]
+    folds = _folds(W, pi)
+    if len(folds) > 1:
+        factors = [frozenset(fold.letters) for fold in folds]
         return combine_orthogonal_factors(W, pi, [
             _standalone(W, pi, S, q, W.from_word([i for i in W.reduced_word(x) if i in S]))
             for S in factors
         ])
-    if len(orbits[0]) > 1:
+    (fold,) = folds
+    r = len(fold.letters) // len(fold.sub.nodes)
+    if r > 1:
         # One orbit of r components: x folds onto the first, a minimal element
         # of its standalone group under pi^r, certified there at q^r.
-        (fold,) = _folds(W, pi)
         G = fold.sub.group
         f = G.from_word(fold.word(W.reduced_word(x)))
-        inner = _embed(fold.sub, _engine(G, fold.pi, qext(q) ** len(orbits[0]), f))
+        inner = _embed(fold.sub, _engine(G, fold.pi, qext(q) ** r, f))
         return combine_cyclic_factors(W, pi, inner, q)
 
     return _leaf_certificate(W, pi, q, minimal_level(W, pi, x))

@@ -474,11 +474,13 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
     from the word vw + w1, subcheck (iv) the element of the standalone W_K
     that ``RowPlacement.inner`` builds from the word v holds, and the class
     machinery its seeds and the members it conjugates, each built from its
-    word.  42 walks start, by caller: 10 answer ``closure_min_check``, in
-    2B2, 2G2 and 2F4; 29 are the seed checks of ``_cuspidal_levels``; 3 are
-    ``minimal_level``'s.  The one reducible W_K (A2 x A1) walked too (43)
-    until ``closure_min_check`` read each component's fold by its signed
-    cycle type.  There were 58 when the
+    word.  32 walks start, by caller: 29 are the seed checks of
+    ``_cuspidal_levels``; 3 are ``minimal_level``'s; none answers
+    ``closure_min_check``.  10 more answered it in 2B2, 2G2 and 2F4 (42)
+    until the seeds decided their elliptic elements off P of w sigma, read
+    in exact ints where sigma rescales roots, and the one reducible W_K
+    (A2 x A1) walked too (43) until ``closure_min_check`` read each
+    component's fold by its signed cycle type.  There were 58 when the
     elliptic elements of G2, F4, E6, 2E6 and 3D4 walked (40 from
     ``closure_min_check``, 15 seed checks): the seeds decide them now, so
     E6's seeds, no longer met first by those walks, are walked by their own
@@ -501,13 +503,14 @@ def test_verify_all_walks_start_from_held_words(monkeypatch):
 
     def check(W, pi, w):
         if W.system.family == "E" and W.rank > 6:
-            elliptic.append(1 + sum(conjugacy._charpoly(W, W.reduced_word(w), pi)) != 0)
+            P = conjugacy._charpoly(W, W.reduced_word(w), conjugacy._sigma(W, pi))
+            elliptic.append(1 + sum(P) != 0)
         return real_check(W, pi, w)
 
     monkeypatch.setattr(conjugacy, "_shift_walk", walk)
     monkeypatch.setattr(casetables, "closure_min_check", check)
     assert verify_all().all_passed
-    assert callers == {"closure_min_check": 10, "_cuspidal_levels": 29, "minimal_level": 3}
+    assert callers == {"_cuspidal_levels": 29, "minimal_level": 3}
     assert wordless == [] and e78 == []
     assert elliptic == [True] * 43
 

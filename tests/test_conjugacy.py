@@ -1,9 +1,11 @@
 import ast
 import inspect
+import itertools
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from weyldl.conjugacy import (
     shift_closure,
     supp_delta,
 )
+from weyldl.exactnum import QuadExt
 from weyldl.rootdata import build_twist, cartan_matrix, positive_root_count
 from weyldl.subsystems import identify_standard, sub_context
 from weyldl.weyl import WeylElt, WeylGroup, group_of
@@ -52,14 +55,25 @@ def identity_pi(W):
     return {i: i for i in range(1, W.rank + 1)}
 
 
-# The types of ``_SEED_TABLE`` whose twist keeps the Cartan matrix: their
-# elliptic elements are decided by the seeds (``_seed_length``).
-SEEDED = [("G", 2, 1), ("F", 4, 1), ("D", 4, 3), ("E", 6, 1), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)]
+# The types of ``_SEED_TABLE``: their elliptic elements are decided by the
+# seeds (``_seed_length``).  In 2B2, 2G2 and 2F4 the twist swaps long and short
+# roots.
+SEEDED = list(conjugacy._SEED_TABLE)
+SUZUKI_REE = [("B", 2, 2), ("G", 2, 2), ("F", 4, 2)]
+
+
+def charpoly(W, word, pi):
+    """``_charpoly`` of the product of ``word`` under pi."""
+    return conjugacy._charpoly(W, word, conjugacy._sigma(W, pi))
 
 
 def elliptic(W, pi, w):
     """Whether w sigma fixes no nonzero vector: P(1) != 0."""
-    return 1 + sum(conjugacy._charpoly(W, W.reduced_word(w), pi)) != 0
+    return conjugacy._elliptic(charpoly(W, W.reduced_word(w), pi), conjugacy._sigma(W, pi)[1])
+
+
+def type_id(name):
+    return "".join(map(str, name))
 
 
 class TestCyclicShift:
@@ -542,9 +556,9 @@ class TestClosureMinCheck:
         """Closure says "minimal" exactly on the minimal level of each enumerated
         class, from an empty memo and from one warmed by ``class_list``.  From the
         empty memo a classical type is answered by its signed cycle type and the
-        memo stays empty; an elliptic element of G2, F4 or 3D4 is answered by the
-        seeds, and the memo keeps nothing for it; any other element is answered
-        by walks, and the memo keeps a verdict for it."""
+        memo stays empty; an elliptic element of G2, 2G2, 2B2, F4, 2F4 or 3D4
+        is answered by the seeds, and the memo keeps nothing for it; any other
+        element is answered by walks, and the memo keeps a verdict for it."""
         W = group(family, rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
@@ -786,11 +800,11 @@ class TestLeastLength:
         """``closure_min_check`` reads ``_least_length`` exactly when the
         resolver names A, B, C or D under a map of order 1, or A or D under
         one of order 2, in any labels; the seeds decide the elliptic elements
-        of the seeded types whose twist keeps the Cartan matrix; and it walks
-        otherwise.  On the product of the nodes: D5 under its standard twist,
-        D4 under (1 3), E6's D4 and the named C2 and D3 are read; 3D4, G2 and
-        E6 go to the seeds; 2B2 walks; A1 x A1 is read one fold, an A1, per
-        component."""
+        of the seeded types; and it walks otherwise.  On the product of the
+        nodes: D5 under its standard twist, D4 under (1 3), E6's D4 and the
+        named C2 and D3 are read; 3D4, G2 and E6 go to the seeds; in 2B2 it
+        is not elliptic (it is conjugate to the identity) and walks; A1 x A1
+        is read one fold, an A1, per component."""
         real_least, reads, walks, seeded = conjugacy._least_length, [], [], []
         monkeypatch.setattr(conjugacy, "_least_length",
                             lambda *args: reads.append(args[:3]) or real_least(*args))
@@ -928,8 +942,9 @@ def faddeev_leverrier(M):
 
 def word_matrix(W, word):
     """The matrix of the product of ``word`` on simple-root coordinates, from
-    the reflection s_i(alpha_j) = alpha_j - a_ij alpha_i of each letter (simply
-    laced, so the Cartan matrix is symmetric), read off no key."""
+    the reflection s_i(alpha_j) = alpha_j - a_ij alpha_i of each letter, with
+    a_ij = <alpha_j, alpha_i^vee> entry (i, j) of the Cartan matrix, read off
+    no key."""
     n, cartan = W.rank, W.system.cartan
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in word:  # M <- M s_i: column j of s_i is alpha_j - a_ij alpha_i
@@ -959,7 +974,7 @@ def seed_problems(W, pi, words, least):
     problems, polys = [], set()
     for word in words:
         x = W.from_word(word)
-        P = conjugacy._charpoly(W, word, pi)
+        P = charpoly(W, word, pi)
         if x.length != len(word):
             problems.append((word, "not reduced"))
         elif conjugacy.pi_closure(pi, word) != frozenset(W.system.nodes):
@@ -987,8 +1002,33 @@ def polynomial_lengths(rows):
         W, pi, _ = seed_row(family, rank, order)
         polys = out[family, rank, order] = {}
         for word in words:
-            polys.setdefault(conjugacy._charpoly(W, word, pi), []).append(len(word))
+            polys.setdefault(charpoly(W, word, pi), []).append(len(word))
     return out
+
+
+def length_ratios(W, pi):
+    """j -> |alpha_j|^2 / |alpha_pi(j)|^2, the squared lengths of the simple
+    roots read off a_ij |alpha_i|^2 = a_ji |alpha_j|^2, in Fractions, over
+    each component from its smallest node."""
+    cartan, lengths = W.system.cartan, {}
+    for j in W.system.nodes:
+        if j not in lengths:
+            lengths[j], todo = Fraction(1), [j]
+            while todo:
+                i = todo.pop()
+                for k in W.system.nodes:
+                    if k not in lengths and cartan[i - 1][k - 1]:
+                        lengths[k] = lengths[i] * Fraction(cartan[i - 1][k - 1], cartan[k - 1][i - 1])
+                        todo.append(k)
+    return {j: lengths[j] / lengths[pi[j]] for j in W.system.nodes}
+
+
+def twisted_matrix(W, pi, word, mu):
+    """The integer matrix of sqrt(d) w sigma, column j that of w(alpha_pi(j))
+    times mu_j = sqrt(d) lambda_j, for w the product of ``word`` and
+    sigma(alpha_j) = lambda_j alpha_pi(j)."""
+    M = word_matrix(W, word)
+    return [[int(row[pi[j] - 1] * mu[j]) for j in W.system.nodes] for row in M]
 
 
 def one_letter_off(word, position, letter):
@@ -1004,9 +1044,9 @@ E8_LEAST = [8, 10, 12, 14, 16, 16, 18, 20, 22, 22, 24, 24, 26, 26, 28, 30, 32, 3
 
 
 class TestEllipticLeast:
-    """The seeded types whose twist keeps the Cartan matrix decide the
-    minimality of an elliptic element from its characteristic polynomial P
-    and the seeds of ``_SEED_TABLE`` (``_seed_length``)."""
+    """The seeded types decide the minimality of an elliptic element from its
+    characteristic polynomial P and the seeds of ``_SEED_TABLE``
+    (``_seed_length``)."""
 
     def test_table(self):
         """The E7 and E8 rows: 12 and 30 words, of 268 and 1082 letters, each
@@ -1024,7 +1064,7 @@ class TestEllipticLeast:
         catalog product v w1 per characteristic polynomial, in (length, word)
         order: the canonical representatives of the cuspidal classes."""
         W, pi, products = e_catalog_products(rank)
-        by_poly = {conjugacy._charpoly(W, w.word, pi): w for _, w in products}
+        by_poly = {charpoly(W, w.word, pi): w for _, w in products}
         firsts = sorted((minimal_level(W, pi, w)[0] for w in by_poly.values()),
                         key=lambda u: u.sort_key())
         assert [u.word for u in firsts] == seed_row("E", rank, 1)[2]
@@ -1044,14 +1084,14 @@ class TestEllipticLeast:
         assert mutants == 6 * (9 + 13)
 
     def test_each_polynomial_has_one_length(self):
-        """Over every seeded type whose twist keeps the Cartan matrix, the
-        seeds with one P have one length, so P and a length decide.  The
-        polynomials number 3, 8, 4, 5, 9, 12 and 30; F4's 9 seeds have 8, since
-        two of its classes share P, and their length, 10."""
+        """Over every seeded type, the seeds with one P have one length, so P
+        and a length decide.  The polynomials number 3, 3, 2, 4, 8, 7, 5, 9, 12
+        and 30; F4's 9 seeds have 8, since two of its classes share P, and
+        their length, 10."""
         lengths = polynomial_lengths({name: seed_row(*name)[2] for name in SEEDED})
         assert {name: len(polys) for name, polys in lengths.items()} == {
-            ("G", 2, 1): 3, ("F", 4, 1): 8, ("D", 4, 3): 4, ("E", 6, 1): 5, ("E", 6, 2): 9,
-            ("E", 7, 1): 12, ("E", 8, 1): 30}
+            ("G", 2, 1): 3, ("G", 2, 2): 3, ("B", 2, 2): 2, ("D", 4, 3): 4, ("F", 4, 1): 8,
+            ("F", 4, 2): 7, ("E", 6, 1): 5, ("E", 6, 2): 9, ("E", 7, 1): 12, ("E", 8, 1): 30}
         assert all(len(set(seen)) == 1 for polys in lengths.values() for seen in polys.values())
         assert [seen for polys in lengths.values() for seen in polys.values()
                 if len(seen) > 1] == [[10, 10]]
@@ -1071,22 +1111,27 @@ class TestEllipticLeast:
         W, rng = group(family, rank), random.Random(rank)
         for _ in range(25):
             word = [rng.randint(1, rank) for _ in range(rng.randint(0, 60))]
-            assert conjugacy._charpoly(W, word, identity_pi(W)) == faddeev_leverrier(
+            assert charpoly(W, word, identity_pi(W)) == faddeev_leverrier(
                 word_matrix(W, word)), word
 
-    @pytest.mark.parametrize("family,rank,order", [("D", 4, 3), ("E", 6, 2)])
+    @pytest.mark.parametrize("family,rank,order", [("D", 4, 3), ("E", 6, 2)] + SUZUKI_REE)
     def test_twisted_charpoly_is_faddeev_leverrier(self, family, rank, order):
         """Under a twist, in both directions, ``_charpoly`` on random words is
-        Faddeev-LeVerrier on the matrix of w sigma: column j of w's matrix is
-        w(alpha_j), so column j of w sigma's is column pi(j) of w's."""
+        Faddeev-LeVerrier on the matrix of sqrt(d) w sigma: column j of w's
+        matrix is w(alpha_j), so column j of sqrt(d) w sigma's is column pi(j)
+        of w's times mu_j = sqrt(d) lambda_j, with lambda_j = |alpha_j| /
+        |alpha_pi(j)|: 1 where pi keeps the Cartan matrix, and in 2B2, 2G2
+        and 2F4 d when alpha_j is the longer, else 1."""
         W, rng = group(family, rank), random.Random(rank)
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
+            mu = {j: max(1, ratio) for j, ratio in length_ratios(W, pi).items()}
+            assert set(mu.values()) == ({1} if (family, rank, order) not in SUZUKI_REE
+                                        else {1, 3 if family == "G" else 2})
             for _ in range(25):
                 word = [rng.randint(1, rank) for _ in range(rng.randint(0, 40))]
-                M = word_matrix(W, word)
-                twisted = [[row[pi[j] - 1] for j in W.system.nodes] for row in M]
-                assert conjugacy._charpoly(W, word, pi) == faddeev_leverrier(twisted), word
+                assert charpoly(W, word, pi) == faddeev_leverrier(
+                    twisted_matrix(W, pi, word, mu)), word
 
     @pytest.mark.parametrize("rank,flat", [(7, [63]), (8, [40, 60, 80, 120])], ids=["E7", "E8"])
     def test_agrees_with_the_walk(self, rank, flat, monkeypatch):
@@ -1144,24 +1189,22 @@ class TestEllipticLeast:
         first product's class."""
         W, pi, products = e_catalog_products(8)
         w = products[0][1]
-        P = conjugacy._charpoly(W, w.word, pi)
+        P = charpoly(W, w.word, pi)
         table = dict(conjugacy._SEED_TABLE)
         table["E", 8, 1] = tuple(word for word in table["E", 8, 1]
-                                 if conjugacy._charpoly(W, tuple(map(int, word)), pi) != P)
+                                 if charpoly(W, tuple(map(int, word)), pi) != P)
         assert len(table["E", 8, 1]) == 29
         monkeypatch.setattr(conjugacy, "_SEED_TABLE", table)
         monkeypatch.setattr(conjugacy, "_standard_seeds", conjugacy._standard_seeds.__wrapped__)
         with pytest.raises(FalsificationError, match="no cuspidal seed of E8"):
             closure_min_check(W, pi, w)
 
-    @pytest.mark.parametrize("name", SEEDED + [("B", 2, 2), ("G", 2, 2), ("F", 4, 2)],
-                             ids=lambda name: "".join(map(str, name)))
+    @pytest.mark.parametrize("name", SEEDED, ids=type_id)
     def test_only_elliptic_elements_of_seeded_types_skip_the_walk(self, name, monkeypatch):
-        """From an empty memo, the first seed of each seeded type whose twist
-        keeps the Cartan matrix is answered with no walk, and s1, which is
-        minimal (its class holds no element of even length) and not
-        elliptic, with one walk; in 2B2, 2G2 and 2F4, whose twist swaps long
-        and short roots, the first seed is walked too."""
+        """From an empty memo, the first seed of each seeded type is answered
+        with no walk, and the identity, which is minimal and not elliptic (w
+        sigma is sigma, which fixes the sum of each pi-orbit of simple roots,
+        rescaled in 2B2, 2G2 and 2F4), with one walk."""
         walks = []
         real_walk = conjugacy._shift_walk
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
@@ -1169,13 +1212,52 @@ class TestEllipticLeast:
                             lambda *args: walks.append(args[0].rank) or real_walk(*args))
         W, pi, words = seed_row(*name)
         assert closure_min_check(W, pi, W.from_word(words[0])) == "minimal"
-        if name not in SEEDED:
-            assert walks == [W.rank]
-            return
         assert walks == []
-        assert not elliptic(W, pi, W.simple(1))
-        assert closure_min_check(W, pi, W.simple(1)) == "minimal"
+        assert not elliptic(W, pi, W.identity)
+        assert closure_min_check(W, pi, W.identity) == "minimal"
         assert walks == [W.rank]
+
+    @pytest.mark.parametrize("name", SUZUKI_REE, ids=type_id)
+    def test_suzuki_and_ree_types_agree_with_enumeration(self, name, monkeypatch):
+        """Every element of 2B2, 2G2 and 2F4 (8, 12 and 1152), from an empty
+        memo: the oracle answers as enumeration does, and the elliptic ones
+        with no walk and nothing kept.  P(1) != 0 exactly on the cuspidal
+        classes, and their polynomials number 2, 3 and 7, one per class,
+        each with one least length."""
+        monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+        W, pi, _ = seed_row(*name)
+        mismatches, polys, classes, walked = [], {}, set(), set()
+        for w in elements_of(W):
+            cls = oracle_class_of(W, pi, w)
+            expected = "minimal" if w.length == cls.min_length else "not_minimal"
+            if closure_min_check(W, pi, w) != expected:
+                mismatches.append(w.word)
+            if elliptic(W, pi, w):
+                polys.setdefault(charpoly(W, W.reduced_word(w), pi), set()).add(cls.min_length)
+                classes.add(cls.representative.key)
+                walked |= {w.key} & set(conjugacy._verdicts(W, pi))
+        cuspidal = {cls.representative.key for cls in enumerate_delta_classes(W, pi) if cls.cuspidal}
+        assert mismatches == [] and walked == set()
+        assert classes == cuspidal
+        assert len(polys) == len(cuspidal) == {"B": 2, "G": 3, "F": 7}[name[0]]
+        assert all(len(lengths) == 1 for lengths in polys.values())
+
+    @pytest.mark.parametrize("name", [name for name in SEEDED if name[1] <= 4], ids=type_id)
+    def test_elliptic_is_p_at_1_over_q_sqrt_d(self, name):
+        """``_elliptic`` on every tuple b of entries -2..2 is P(1) != 0 for P
+        with coefficients b_k / sqrt(d)^k, evaluated in ``QuadExt``: d is 1
+        where the twist keeps the Cartan matrix, 2 in 2B2 and 2F4 and 3 in
+        2G2, where a tuple with A = -B != 0 in d^n P(1) = A + B sqrt d, such as
+        (-1, -1) in 2B2, is elliptic."""
+        W, pi, _ = seed_row(*name)
+        d = conjugacy._sigma(W, pi)[1]
+        assert d == ({"B": 2, "G": 3, "F": 2}[name[0]] if name in SUZUKI_REE else 1)
+        step = QuadExt(0, 1, d).inverse() if d > 1 else QuadExt(1)
+        for P in itertools.product(range(-2, 3), repeat=W.rank):
+            at_1 = sum((b * step ** k for k, b in enumerate((1, *P))), QuadExt(0))
+            assert conjugacy._elliptic(P, d) == bool(at_1), P
+        if name == ("B", 2, 2):
+            assert conjugacy._elliptic((-1, -1), d)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("order", [1, 2])
@@ -1561,11 +1643,11 @@ class TestFolds:
     def test_agrees_with_enumeration(self, monkeypatch):
         """Every element of the FOLDED groups, under both maps, against the
         enumerated classes, with no walk wherever every fold is classical or an
-        elliptic element of a seeded type; the walk still answers the rest (G2
-        and 3D4 folds that are not elliptic, 2B2 folds)."""
+        elliptic element of a seeded type; the walk still answers the rest (G2,
+        2B2 and 3D4 folds that are not elliptic)."""
         mismatches, checked, closed = fold_mismatches(monkeypatch)
         assert mismatches == []
-        assert (checked, closed) == (2848, 2172)
+        assert (checked, closed) == (2848, 2188)
 
     def test_a_fold_that_drops_sigma_fails(self, monkeypatch):
         """Negative control: a fold that maps pi^j(C) back by pi^-j, dropping
