@@ -155,7 +155,7 @@ class RowPlacement(Frozen):
 
     def inner(self, v: WeylElt) -> tuple[WeylGroup, PiMap, WeylElt]:
         """v (an element of W_K) in the standalone W_K, with sigma: the
-        arguments of a shift walk (``closure_min_check``).
+        arguments of the minimality oracle (``closure_min_check``).
 
         Built from the labels in W_K of a reduced word of v
         (``SubContext.element_to_sub``), so the element keeps that word.
@@ -385,9 +385,9 @@ def verify_case(
             # A cuspidal representative, which ``cuspidal_representatives``
             # has decided minimal in W_K under sigma or raised.
             iv_results.append("pass")
-        # (v): v w1 minimal in its full twisted class; classical types read
-        # their signed cycle type and E7 and E8 their characteristic
-        # polynomial, with no walk.
+        # (v): v w1 minimal in its full twisted class, read in closed form
+        # with no walk: the signed cycle type of a classical type, the
+        # characteristic polynomial of w sigma for the rest.
         v_results.append(closure_verdict(W, pi, w))
         # (vi): cuspidal, read off the full pi-support of v w1
         supp = W.support(w)

@@ -30,27 +30,27 @@ minimal exactly when its length is the least length of its class, which
 ``_closed_form`` reads off a reduced word with no walk and nothing kept:
 off the signed cycle type (``_least_length``) when the resolver names A,
 B, C or D under the identity, or A or D under the standard twist of
-order 2; and for an elliptic element w of a type of ``_SEED_TABLE``
-(G2, 2G2, 2B2, 3D4, F4, 2F4, E6, 2E6, E7 or E8), one for which the
-characteristic polynomial P of w sigma (``_charpoly``, which no
-labelling changes) has P(1) != 0 (``_elliptic``), as the length of the
-seed with P (``_seed_length``): the seed words are the one table of
-these types.  Where the twist swaps long and short roots (2B2, 2G2,
-2F4), sigma rescales them by powers of sqrt d (``_sigma``), and P is
-read in exact ints off sqrt(d) w sigma.  A group that the resolver does
-not name, reducible or under a twist of no standard order, is read one
-fold per pi-orbit of components (``_folds``).  The non-elliptic elements
-of the seeded types walk, in a group or in a fold.  That split by P(1)
-is a second oracle in one group, which stays until the fixed space's
-parabolic reads every class off its elliptic part.  Every walked minimality
-question, and every minimal level, is decided once per process, in
-``_MINIMALITY_MEMO``, keyed on the system key (the Cartan matrix) and
-pi, never on a group object, so groups built apart share it.
-It is answered by one memoized walk, ``_verdict``, which keeps one of two
-values for an element: its minimal level, a ``_Level`` record held under
-the key of each member, once a walk has ended without a descent; or the
-key of the first shorter element a walk from it met.  A level is walked once per
-process, and ``minimal_level`` spells its record in place when asked.
+order 2; and for a type of ``_SEED_TABLE`` (G2, 2G2, 2B2, 3D4, F4, 2F4,
+E6, 2E6, E7 or E8) off the characteristic polynomial P of w sigma
+(``_charpoly``, which no labelling changes).  An elliptic w, P(1) != 0
+(``_elliptic``), has the length of the seed with P (``_seed_length``);
+any other w has the length that the seeds of the proper sigma-stable
+parabolics give P and m, the number of positive roots that w sigma
+negates (``_parabolic_lengths``, one table per type and process).  The
+seed words are the one table of these types.  Where the twist swaps long
+and short roots (2B2, 2G2, 2F4), sigma rescales them by powers of sqrt d
+(``_sigma``), and P is read in exact ints off sqrt(d) w sigma.  A group
+that the resolver does not name, reducible or under a twist of no
+standard order, is read one fold per pi-orbit of components
+(``_folds``).  Shift walks list classes, not minimality: every minimal
+level, and every step down of ``class_of``, is walked once per process
+by ``_verdict`` and kept in ``_MINIMALITY_MEMO``, keyed on the system
+key (the Cartan matrix) and pi, never on a group object, so groups built
+apart share it.  It keeps one of two values for an element: its minimal
+level, a ``_Level`` record held under the key of each member, once a
+walk has ended without a descent; or the key of the first shorter
+element a walk from it met.  ``minimal_level`` spells a level's record
+in place when asked.
 A cuspidal class is named by a word of ``_CLASSICAL_TABLE`` (no walk) or
 ``_SEED_TABLE`` (its level left unspelled), when the resolver names the
 group in its own labels, or else by the first member of its spelled
@@ -66,7 +66,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .rootdata import Frozen, Twist, build_twist
 from .subsystems import SubContext, component_orbits, standard_type, sub_context
@@ -97,8 +97,8 @@ __all__ = [
 PiMap = dict[int, int]
 
 # Most elements any cyclic-shift walk may reach before it raises
-# ClosureBudgetError.  The catalog's largest walk reaches 180 elements (E6);
-# the tests' walks of the E8 levels reach 16,374.
+# ClosureBudgetError.  The catalog replay's largest walk, a seed level of E6,
+# reaches 180 elements; the tests' walks of the E8 levels reach 16,374.
 WALK_BUDGET = 10 ** 6
 
 
@@ -281,7 +281,7 @@ def supp_delta(W: WeylGroup, pi: PiMap, w: WeylElt) -> frozenset[int]:
     return pi_closure(pi, W.support(w))
 
 
-# -- minimality by shift closure ---------------------------------------------
+# -- minimal levels by shift walks, minimality in closed form ---------------
 
 
 class _Level:
@@ -301,7 +301,9 @@ class _Level:
 
 # Keyed like ``_CUSPIDAL_MEMO`` on the system key and pi: element key -> its
 # minimal level, one ``_Level`` shared by every member, or the key of the
-# first shorter element a walk from it met, which is 2 shorter.
+# first shorter element a walk from it met, which is 2 shorter.  Read by the
+# level listing (``minimal_level``, ``_cuspidal_levels``, ``class_of``), never
+# by ``closure_min_check``.
 _MINIMALITY_MEMO: dict[tuple, dict[bytes, _Level | bytes]] = {}
 
 
@@ -344,69 +346,48 @@ def _verdict(W: WeylGroup, pi: PiMap, w: WeylElt) -> _Level | WeylElt:
 def closure_min_check(W: WeylGroup, pi: PiMap, w: WeylElt) -> str:
     """Decide minimality of w in its twisted class: "minimal" or "not_minimal".
 
-    w is minimal exactly when l(w) is the least length of its class.  When
-    ``standard_type`` names (W, pi), in any labels, ``_closed_form`` reads
-    that length off a reduced word of w (``WeylGroup.reduced_word``) with
-    no walk and nothing kept, or finds no closed form (a non-elliptic
-    element of a seeded type), and ``_verdict``'s walk
-    answers: "minimal" if the non-increasing closure holds no shorter
-    element, "not_minimal" on the first strict descent.  Complete by the
-    descent theorem for twisted classes: non-increasing cyclic shifts from
-    any element reach a minimal one.
-
-    Any other group, reducible or under a twist of no standard order, sums
-    the least lengths of the folds of w, one per pi-orbit of components
-    (``_folds``; Geck-Pfeiffer 2000, 3.2; He-Nie 2012, Thm 1.1), each read
-    by ``_closed_form`` in its own type, or else walked down to a minimal
-    element (``_descend``).
-
-    A walk that finds an element minimal keeps its whole level, so a later
-    question about any member, ``minimal_level``'s too, starts no walk.
-    Raises ClosureBudgetError when a walk reaches more than
-    ``WALK_BUDGET`` elements, and keeps no verdict then.
+    w is minimal exactly when l(w) is the least length of its class, which
+    is read off a reduced word of w (``WeylGroup.reduced_word``) with no
+    walk and nothing kept.  When ``standard_type`` names (W, pi), in any
+    labels, ``_closed_form`` reads it in that type.  Any other group,
+    reducible or under a twist of no standard order, sums the least
+    lengths of the folds of w, one per pi-orbit of components (``_folds``;
+    Geck-Pfeiffer 2000, 3.2; He-Nie 2012, Thm 1.1), each read by
+    ``_closed_form`` in its own type.
     """
     named = standard_type(W, pi)
     word = W.reduced_word(w)
     if named is not None:
         least = _closed_form(W, pi, named, word)
-        if least is None:
-            return "minimal" if type(_verdict(W, pi, w)) is _Level else "not_minimal"
     else:
         least = sum(fold.least(fold.word(word)) for fold in _folds(W, pi))
     return "minimal" if w.length == least else "not_minimal"
 
 
-def _closed_form(W: WeylGroup, pi: PiMap, named: tuple, word: Sequence[int]) -> Optional[int]:
-    """The least length in the pi-class of the product of ``word``, read off its type, or None.
+def _closed_form(W: WeylGroup, pi: PiMap, named: tuple, word: Sequence[int]) -> int:
+    """The least length in the pi-class of the product of ``word``, read off its type.
 
     ``named`` is ``standard_type(W, pi)``.  The signed cycle type for A, B,
     C or D with pi of order 1, or A or D with pi of order 2
-    (``_least_length``, on ``word`` mapped through the labelling).  For a
-    type of ``_SEED_TABLE``, the length of the seed with the characteristic
-    polynomial P of w sigma (``_charpoly``) when w is elliptic, P(1) != 0
-    (``_elliptic``, ``_seed_length``).  None otherwise: a non-elliptic
-    element of those types, or a type with neither.  ``word`` need not be
-    reduced.
+    (``_least_length``, on ``word`` mapped through the labelling).  Every
+    other named type has a ``_SEED_TABLE`` row, and reads the
+    characteristic polynomial P of w sigma (``_charpoly``): when w is
+    elliptic, P(1) != 0 (``_elliptic``), the length of the seed with P
+    (``_seed_length``); otherwise the length that the seeds of the proper
+    sigma-stable parabolics give P and m, the number of positive roots
+    that w sigma negates (``_negated``, ``_parabolic_length``).  ``word``
+    need not be reduced.
     """
     family, rank, order, phi = named
     if order == 1 and family in "ABCD" or order == 2 and family in "AD":
         if phi is not None:
             word = [phi[i - 1] for i in word]
         return _least_length(family, rank, order, word)
-    if (family, rank, order) in _SEED_TABLE:
-        sigma = _sigma(W, pi)
-        P = _charpoly(W, word, sigma)
-        if _elliptic(P, sigma[1]):
-            return _seed_length(family, rank, order, P, len(word))
-    return None
-
-
-def _descend(W: WeylGroup, pi: PiMap, w: WeylElt) -> WeylElt:
-    """A minimal element of the pi-class of w: ``_verdict``'s steps down from w,
-    each kept (Geck-Pfeiffer 2000, Thm 3.2.9; He-Nie 2012, Thm 1.1)."""
-    while type(found := _verdict(W, pi, w)) is not _Level:
-        w = found
-    return w
+    sigma = _sigma(W, pi)
+    P = _charpoly(W, word, sigma)
+    if _elliptic(P, sigma[1]):
+        return _seed_length(family, rank, order, P, len(word))
+    return _parabolic_length(family, rank, order, P, _negated(W, word, sigma))
 
 
 class _Fold:
@@ -423,6 +404,9 @@ class _Fold:
     def __init__(self, sub: SubContext, pi: PiMap, letters: dict[int, tuple[int, int]]):
         self.sub, self.pi, self.letters = sub, pi, letters
         self.named = standard_type(sub.group, pi)
+        if self.named is None:
+            raise FalsificationError(
+                f"cannot identify the component {list(sub.nodes)} of {sub.ambient.system.family}")
 
     def word(self, word: Iterable[int]) -> list[int]:
         """The fold f = w_1 sigma(w_r) sigma^2(w_(r-1)) ... sigma^(r-1)(w_2) of the product of ``word``.
@@ -437,10 +421,8 @@ class _Fold:
         return [b for _, b in picked]
 
     def least(self, word: Sequence[int]) -> int:
-        """The least length in the pi^r-class of the product of ``word``, a word of ``sub``."""
-        G = self.sub.group
-        least = None if self.named is None else _closed_form(G, self.pi, self.named, word)
-        return _descend(G, self.pi, G.from_word(word)).length if least is None else least
+        """``_closed_form``'s least length in the pi^r-class of the product of ``word``, a word of ``sub``."""
+        return _closed_form(self.sub.group, self.pi, self.named, word)
 
 
 _FOLDS: dict[tuple, tuple[_Fold, ...]] = {}
@@ -519,6 +501,18 @@ def _sigma(W: WeylGroup, pi: PiMap) -> tuple[bytes, int, tuple[int, ...]]:
     return _SIGMAS[key]
 
 
+def _root_table(W: WeylGroup, word: Sequence[int], sigma: tuple[bytes, int, tuple[int, ...]]) -> bytes:
+    """w sigma as a translate table of root bytes, up to powers of sqrt d, for w the product of ``word``.
+
+    ``_sigma``'s table and one more translate per letter; ``word`` need not
+    be reduced.
+    """
+    tables, simple, perm = W.reflection_table(), W.identity.key, sigma[0]
+    for i in reversed(word):  # the last letter acts first, after sigma
+        perm = perm.translate(tables[simple[i - 1]])
+    return perm
+
+
 def _charpoly(
     W: WeylGroup, word: Sequence[int], sigma: tuple[bytes, int, tuple[int, ...]]
 ) -> tuple[int, ...]:
@@ -531,10 +525,10 @@ def _charpoly(
     sqrt(d)^k; when pi keeps the Cartan matrix, d is 1 and M is w sigma.
     P is a class invariant: x w sigma(x)^-1 sigma = x (w sigma) x^-1, and a
     Cartan isomorphism, such as ``standard_type``'s labelling, does not
-    change it.  w sigma as a translate table of root bytes is ``_sigma``'s
-    table and one more translate per letter, and then the key of (w
-    sigma)^k, its images of the simple roots up to powers of sqrt d, is one
-    translate of the key of (w sigma)^(k-1).  Where sigma swaps root
+    change it.  With w sigma as a translate table of root bytes
+    (``_root_table``), the key of (w sigma)^k, its images of the simple
+    roots up to powers of sqrt d, is one translate of the key of (w
+    sigma)^(k-1).  Where sigma swaps root
     lengths, so does each step, as w keeps them, and the powers of sqrt d
     along the walk of alpha_i cancel in pairs: M^k (alpha_i) is sqrt(d)^k
     times the root at byte i of the key, times sqrt d for a long alpha_i
@@ -543,11 +537,9 @@ def _charpoly(
     scale when k is odd.  Newton's identities, k b_k = -(b_(k-1) tr(M) +
     ... + b_0 tr(M^k)), give exact ints.
     """
-    tables, n, roots, simple = W.reflection_table(), W.nroots, W.roots, W.identity.key
-    perm, d, scale = sigma
-    for i in reversed(word):  # the last letter acts first, after sigma
-        perm = perm.translate(tables[simple[i - 1]])
-    key, traces, c, even = simple.translate(perm), [], [1], (1,) * W.rank
+    n, roots, (_, d, scale) = W.nroots, W.roots, sigma
+    perm = _root_table(W, word, sigma)
+    key, traces, c, even = W.identity.key.translate(perm), [], [1], (1,) * W.rank
     for k in range(1, W.rank + 1):
         f = scale if k % 2 else even
         # Byte b is the root +-roots[|b - n| - 1], + when b > n.
@@ -556,6 +548,19 @@ def _charpoly(
         c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         key = key.translate(perm)
     return tuple(c[1:])
+
+
+def _negated(W: WeylGroup, word: Sequence[int], sigma: tuple[bytes, int, tuple[int, ...]]) -> int:
+    """m, the number of positive roots beta with w sigma(beta) = -beta, for w the product of ``word``.
+
+    A class invariant, like P: x w sigma x^-1 negates the images under x
+    of the roots that w sigma negates.  Read off ``_root_table``, where
+    the byte of -beta is 2n minus that of beta.  0 where sigma swaps root
+    lengths, as w sigma then maps each root to a multiple of one of the
+    other length.
+    """
+    n, perm = W.nroots, _root_table(W, word, sigma)
+    return sum(perm[n + 1 + p] == n - 1 - p for p in range(n))
 
 
 def _elliptic(P: tuple[int, ...], d: int) -> bool:
@@ -580,6 +585,10 @@ def _seed_charpoly(family: str, rank: int, order: int, seed: tuple[int, ...]) ->
     return _charpoly(W, seed, _sigma(W, pi_of(build_twist(family, rank, order))))
 
 
+def _name(family: str, rank: int, order: int) -> str:
+    return f"{'' if order == 1 else order}{family}{rank}"
+
+
 def _seed_length(family: str, rank: int, order: int, P: tuple[int, ...], most: int) -> int:
     """The length of the seeds of a seeded type with polynomial P: the least length of their class.
 
@@ -596,8 +605,48 @@ def _seed_length(family: str, rank: int, order: int, P: tuple[int, ...], most: i
     for seed in [s for s in seeds if len(s) == most] + [s for s in seeds if len(s) < most]:
         if _seed_charpoly(family, rank, order, seed) == P:
             return len(seed)
-    name = f"{'' if order == 1 else order}{family}{rank}"
-    raise FalsificationError(f"no cuspidal seed of {name} with at most {most} letters has polynomial {P}")
+    raise FalsificationError(
+        f"no cuspidal seed of {_name(family, rank, order)} with at most {most} letters has polynomial {P}")
+
+
+def _parabolic_length(family: str, rank: int, order: int, P: tuple[int, ...], m: int) -> int:
+    """The least length of the non-elliptic classes of a seeded type with polynomial P and m negated roots.
+
+    Read off ``_parabolic_lengths``.  Raises FalsificationError when no
+    parabolic seed has the key (P, m).
+    """
+    least = _parabolic_lengths(family, rank, order).get((P, m))
+    if least is None:
+        raise FalsificationError(
+            f"no parabolic seed of {_name(family, rank, order)} has polynomial {P} and {m} negated roots")
+    return least
+
+
+@cache
+def _parabolic_lengths(family: str, rank: int, order: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """(P, m) -> length, over the seeds of the proper sigma-stable parabolics of a seeded type.
+
+    Built once per process, in the named group under its standard twist,
+    from each word of ``_parabolic_seeds``: the key of its product w is P
+    of w sigma (``_charpoly``) and m, the number of positive roots that w
+    sigma negates (``_negated``), both class invariants.  A class with
+    P(1) = 0 is not cuspidal, so it meets some proper W_J in a cuspidal
+    class of W_J, whose seed is minimal in W (Geck-Pfeiffer 2000, 3.2;
+    He-Nie 2012): every such class holds a seed of its least length, and
+    when each key has one length over the seeds, the key decides.  P alone
+    does not: F4 has a P with seeds of lengths 2 and 4.  Raises
+    FalsificationError when a key has two lengths.
+    """
+    W = weyl_group(family, rank)
+    pi = pi_of(build_twist(family, rank, order))
+    sigma = _sigma(W, pi)
+    lengths: dict[tuple[tuple[int, ...], int], int] = {}
+    for word in _parabolic_seeds(W, pi):
+        key = (_charpoly(W, word, sigma), _negated(W, word, sigma))
+        if lengths.setdefault(key, len(word)) != len(word):
+            raise FalsificationError(f"parabolic seeds of {_name(family, rank, order)} of lengths "
+                                     f"{lengths[key]} and {len(word)} share the key {key}")
+    return lengths
 
 
 def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
@@ -642,7 +691,8 @@ def minimal_level(W: WeylGroup, pi: PiMap, w: WeylElt) -> tuple[WeylElt, ...]:
 # polynomial.  They seed the walks of ``_cuspidal_levels``, are
 # ``cuspidal_representatives``' words for these types, and give the least length
 # of an elliptic element's class (``_seed_length``), in the Suzuki and Ree types
-# 2B2, 2G2 and 2F4 too; the classical types' seeds are built from the signed
+# 2B2, 2G2 and 2F4 too, and, as the seeds of parabolics, that of every other
+# class (``_parabolic_lengths``); the classical types' seeds are built from the signed
 # cycle type (``_standard_seeds``), and their canonical representatives through
 # rank 7 are ``_CLASSICAL_TABLE``.
 _SEED_TABLE: dict[tuple[str, int, int], tuple[str, ...]] = {
@@ -960,14 +1010,37 @@ def _cuspidal_seeds(W: WeylGroup, pi: PiMap) -> list[tuple[int, ...]]:
     seeds: list[tuple[int, ...]] = [()]
     for fold in _folds(W, pi):
         sub = fold.sub
-        if fold.named is None:
-            raise FalsificationError(f"cannot identify the component {list(sub.nodes)} of {W.system.family}")
         family, rank, order, phi = fold.named
         back = {b: k for k, b in enumerate(phi or sub.system.nodes, 1)}  # standard node -> node of sub
         words = [sub.word_to_ambient([back[b] for b in word])
                  for word in _standard_seeds(family, rank, order)]
         seeds = [s + word for s in seeds for word in words]
     return seeds
+
+
+def _parabolic_seeds(
+    W: WeylGroup, pi: PiMap, skip: Container[frozenset[int]] = ()
+) -> Iterator[tuple[int, ...]]:
+    """One minimal word, in W's labels, per cuspidal class of each proper pi-stable W_J.
+
+    J runs over the unions of pi-orbits but the whole, by size, J empty
+    giving the identity; the seeds of W_J are ``_cuspidal_seeds`` of its
+    standalone group (``sub_context``).  A J in ``skip`` gives none;
+    ``skip`` is read as each J is reached, so a caller may grow it
+    between words.  Every class of W that is not cuspidal holds one of
+    these words among its minimal elements (Geck-Pfeiffer 2000, 3.2).
+    """
+    orbits = _pi_orbits(pi, W.system.nodes)
+    for r in range(len(orbits)):
+        for chosen in combinations(orbits, r):
+            J = frozenset().union(*chosen)
+            if J in skip:
+                continue
+            if not J:
+                yield ()
+                continue
+            sub = sub_context(W, J)
+            yield from map(sub.word_to_ambient, _cuspidal_seeds(sub.group, sub.pi_to_sub(pi)))
 
 
 def _cuspidal_levels(W: WeylGroup, pi: PiMap) -> list[tuple[WeylElt, _Level]]:
@@ -1166,7 +1239,9 @@ def class_of(W: WeylGroup, pi: PiMap, w: WeylElt) -> DeltaClass:
     from w, or from an element a first call passed, starts no walk.
     """
     pi = restrict_pi(pi, W.system.nodes)
-    return _delta_class(W, pi, minimal_set(W, pi, _descend(W, pi, w)))
+    while type(found := _verdict(W, pi, w)) is not _Level:
+        w = found
+    return _delta_class(W, pi, minimal_set(W, pi, w))
 
 
 _CLASS_MEMO: dict[tuple, list[DeltaClass]] = {}
@@ -1179,9 +1254,9 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     minimal elements are minimal in W (Geck-Pfeiffer 2000, 3.2).  J = S
     gives the levels of the cuspidal seeds (``_cuspidal_levels``), each
     spelled once by ``minimal_level``, since a class lists every member by
-    word; a proper J gives the
-    ``minimal_set`` of each seed of its standalone group (the identity for
-    J empty).  A seed already found is skipped, and so is a J that is the
+    word; a proper J gives the ``minimal_set`` of each seed of its
+    standalone group (``_parabolic_seeds``, the identity for J empty).  A
+    seed already found is skipped, and so is a J that is the
     support of a level walked: the joins to it conjugate an earlier W_J'
     onto W_J, twist included.  Memoized on the system key (the Cartan
     matrix) and pi, like ``cuspidal_representatives``, so the two equal
@@ -1190,28 +1265,18 @@ def class_list(W: WeylGroup, pi: PiMap) -> list[DeltaClass]:
     pi = restrict_pi(pi, W.system.nodes)
     key = (W.system.key, tuple(sorted(pi.items())))
     if key not in _CLASS_MEMO:
-        orbits = _pi_orbits(pi, W.system.nodes)
         found: set[bytes] = set()
         supports: set[frozenset[int]] = set()  # of the levels walked
         classes = [_delta_class(W, pi, minimal_level(W, pi, seed))
                    for seed, _ in _cuspidal_levels(W, pi)]
-        for r in range(len(orbits)):
-            for chosen in combinations(orbits, r):
-                J = frozenset().union(*chosen)
-                if J in supports:
-                    continue
-                seeds = [()]
-                if J:
-                    sub = sub_context(W, J)
-                    seeds = map(sub.word_to_ambient, _cuspidal_seeds(sub.group, sub.pi_to_sub(pi)))
-                for word in seeds:
-                    x = W.from_word(word)
-                    if x.key in found:
-                        continue
-                    minimal, walked = _minimal_levels(W, pi, x)
-                    found.update(u.key for u in minimal)
-                    supports |= walked
-                    classes.append(_delta_class(W, pi, minimal))
+        for word in _parabolic_seeds(W, pi, supports):
+            x = W.from_word(word)
+            if x.key in found:
+                continue
+            minimal, walked = _minimal_levels(W, pi, x)
+            found.update(u.key for u in minimal)
+            supports |= walked
+            classes.append(_delta_class(W, pi, minimal))
         classes.sort(key=lambda c: c.representative.sort_key())
         _CLASS_MEMO[key] = classes
     return _CLASS_MEMO[key]

@@ -354,9 +354,10 @@ class TestVerifyPaper:
         assert not [verb for verb, p in verbs.choices.items() if "--slow" in p._option_string_actions]
 
     def test_walk_over_the_budget_is_an_error(self, monkeypatch, capsys):
-        """A minimality walk past the budget stops the replay with exit 1; it is
-        not a skipped subcheck of a passing row.  2F4, whose twist swaps long
-        and short roots, decides its minimality questions by walks."""
+        """A level walk past the budget stops the replay with exit 1; it is not
+        a skipped subcheck of a passing row.  In the 2F4 rows minimality
+        starts no walk, and the budget trips in the walk of ``minimal_level``
+        that lists a row's spade candidates."""
         from weyldl import conjugacy
 
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)

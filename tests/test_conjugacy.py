@@ -509,18 +509,22 @@ class TestClosureMinCheck:
         assert closure_min_check(G2, pi, G2.from_word([1, 2])) == "minimal"
 
     def test_walked_verdict_is_kept(self, F4, monkeypatch):
-        """From an empty memo, the verdict for s1 s2 in F4, one letter per
-        pi-orbit of its support and not elliptic, comes from a walk and is kept
-        under every member of its level, s1 s2 and s2 s1: one unspelled record,
-        which maps each member to its inverse."""
+        """From an empty memo, s1 s2 in F4, one letter per pi-orbit of its
+        support and not elliptic, is "minimal" with nothing kept; then
+        ``minimal_level`` walks from it and keeps the level under every
+        member, s1 s2 and s2 s1: one record, which maps each member to its
+        inverse and holds the spelled members."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
         w, w_inv = F4.from_word([1, 2]), F4.from_word([2, 1])
         assert not elliptic(F4, pi, w)
         assert closure_min_check(F4, pi, w) == "minimal"
+        assert conjugacy._MINIMALITY_MEMO == {}
+        spelled = minimal_level(F4, pi, w)
+        assert [u.word for u in spelled] == [(1, 2), (2, 1)]
         held = conjugacy._verdicts(F4, pi)
         level = held[w.key]
-        assert type(level) is conjugacy._Level and level.spelled is None
+        assert type(level) is conjugacy._Level and level.spelled is spelled
         assert level.inverse == {w.key: w_inv.key, w_inv.key: w.key}
         assert held == {w.key: level, w_inv.key: level}
 
@@ -540,26 +544,28 @@ class TestClosureMinCheck:
         # An empty memo, so that the walk answers and not an earlier F4 level.
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
-        # Minimal, not elliptic, so the walk decides it, and longer than one
-        # letter per pi-orbit of its support.
+        # Minimal, not elliptic, and longer than one letter per pi-orbit of its
+        # support: ``minimal_level`` walks from it.
         picked = F4.from_word([1, 2, 3, 2, 3])
         assert picked.length == oracle_class_of(F4, pi, picked).min_length
         assert not elliptic(F4, pi, picked)
         assert picked.length > supp_len(F4, pi, picked)
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         with pytest.raises(ClosureBudgetError):
-            closure_min_check(F4, pi, picked)
+            minimal_level(F4, pi, picked)
         assert picked.key not in conjugacy._verdicts(F4, pi)
+        # The oracle starts no walk, so the budget does not bind it.
+        assert closure_min_check(F4, pi, picked) == "minimal"
 
     @pytest.mark.parametrize("family,rank,order", RANK_LE_4)
     def test_decides_minimality_rank_le_4(self, family, rank, order, monkeypatch):
         """Closure says "minimal" exactly on the minimal level of each enumerated
         class, from an empty memo and from one warmed by ``class_list``.  From the
-        empty memo a classical type is answered by its signed cycle type and the
-        memo stays empty; an elliptic element of G2, 2G2, 2B2, F4, 2F4 or 3D4
-        is answered by the seeds, and the memo keeps nothing for it; any other
-        element is answered by walks, and the memo keeps a verdict for it."""
+        empty memo every element is read in closed form, the signed cycle type
+        or the seeds of G2, 2G2, 2B2, F4, 2F4 and 3D4, with the walk patched to
+        raise, and the memo stays empty."""
         W = group(family, rank)
+        real_verdict = conjugacy._verdict
         for direction in ("delta", "delta_inv"):
             pi = pi_of(build_twist(family, rank, order), direction)
             expected = {
@@ -568,14 +574,10 @@ class TestClosureMinCheck:
                 for w in elements_of(W)
             }
             monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
+            monkeypatch.setattr(conjugacy, "_verdict", no_walk)
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
-            if (family, rank, order) in CLASSICAL_RANK_LE_4:
-                assert conjugacy._MINIMALITY_MEMO == {}
-            else:
-                seeded = (family, rank, order) in SEEDED
-                walked = {w.key for w in expected if not (seeded and elliptic(W, pi, w))}
-                assert set(conjugacy._verdicts(W, pi)) >= walked
-                assert not set(conjugacy._verdicts(W, pi)) - walked
+            assert conjugacy._MINIMALITY_MEMO == {}
+            monkeypatch.setattr(conjugacy, "_verdict", real_verdict)
             for memo in ("_MINIMALITY_MEMO", "_CLASS_MEMO", "_CUSPIDAL_MEMO"):
                 monkeypatch.setattr(conjugacy, memo, {})
             warmed = conjugacy._verdicts(W, pi)
@@ -584,9 +586,10 @@ class TestClosureMinCheck:
             assert {w: closure_min_check(W, pi, w) for w in expected} == expected
 
     def test_budget_answer_is_not_kept(self, F4, monkeypatch):
-        """A walk past the budget raises and keeps nothing; the next full walk
-        answers, and keeps under the key of w alone the key of the shorter
-        element it met: a member of w's class, 2 shorter."""
+        """A walk of ``class_of`` past the budget raises and keeps nothing; the
+        next full walk answers, and keeps under the key of w alone the key of
+        the shorter element it met: a member of w's class, 2 shorter.  The
+        oracle starts no walk, so the budget does not bind it."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
         pi = identity_pi(F4)
         w = F4.from_word([1, 2, 3, 2])  # not elliptic, class minimum 2
@@ -594,12 +597,13 @@ class TestClosureMinCheck:
         budget = conjugacy.WALK_BUDGET
         monkeypatch.setattr(conjugacy, "WALK_BUDGET", 1)
         with pytest.raises(ClosureBudgetError):
-            closure_min_check(F4, pi, w)
+            class_of(F4, pi, w)
         assert conjugacy._verdicts(F4, pi) == {}
-        monkeypatch.setattr(conjugacy, "WALK_BUDGET", budget)
         assert closure_min_check(F4, pi, w) == "not_minimal"
-        ((key, shorter),) = conjugacy._verdicts(F4, pi).items()
-        assert key == w.key
+        monkeypatch.setattr(conjugacy, "WALK_BUDGET", budget)
+        assert class_of(F4, pi, w).min_length == w.length - 2
+        shorter = conjugacy._verdicts(F4, pi)[w.key]
+        assert type(shorter) is bytes
         assert shorter in class_keys(F4, oracle_class_of(F4, pi, w))
         assert {u.key: u.length for u in elements_of(F4)}[shorter] == w.length - 2
 
@@ -624,8 +628,7 @@ class TestClosureMinCheck:
         in all keeps the element's level: ``minimal_level`` from any member of
         it gives the level a walk gives, and starts no second walk.  Every
         class of the twisted groups of rank <= 4, from its last minimal
-        element.  On an exceptional type the one walk is the check's; on a
-        classical type the check walks nothing and the one walk is the first
+        element.  The check walks nothing, and the one walk is the first
         ``minimal_level``'s."""
         real_walk = conjugacy._shift_walk
         walks, checked = [], 0
@@ -729,9 +732,6 @@ def classical_groups(ranks):
     return out
 
 
-CLASSICAL_RANK_LE_4 = classical_groups(range(1, 5))
-
-
 def least_length(W, pi, word, oracle=conjugacy._least_length):
     """The least length in the pi-class of the product of ``word``, as
     ``closure_min_check`` reads it off the signed cycle type: in the
@@ -800,20 +800,22 @@ class TestLeastLength:
         """``closure_min_check`` reads ``_least_length`` exactly when the
         resolver names A, B, C or D under a map of order 1, or A or D under
         one of order 2, in any labels; the seeds decide the elliptic elements
-        of the seeded types; and it walks otherwise.  On the product of the
-        nodes: D5 under its standard twist, D4 under (1 3), E6's D4 and the
-        named C2 and D3 are read; 3D4, G2 and E6 go to the seeds; in 2B2 it
-        is not elliptic (it is conjugate to the identity) and walks; A1 x A1
-        is read one fold, an A1, per component."""
-        real_least, reads, walks, seeded = conjugacy._least_length, [], [], []
+        of the seeded types, and the parabolic table the others; it never
+        walks.  On the product of the nodes: D5 under its standard twist, D4
+        under (1 3), E6's D4 and the named C2 and D3 are read; 3D4, G2 and
+        E6 go to the seeds; in 2B2 it is not elliptic (it is conjugate to
+        the identity) and goes to the parabolic table; A1 x A1 is read one
+        fold, an A1, per component."""
+        real_least, reads, seeded, parabolic = conjugacy._least_length, [], [], []
         monkeypatch.setattr(conjugacy, "_least_length",
                             lambda *args: reads.append(args[:3]) or real_least(*args))
-        monkeypatch.setattr(conjugacy, "_verdict",
-                            lambda W, pi, w: walks.append(W.rank) or conjugacy._Level({}))
+        monkeypatch.setattr(conjugacy, "_verdict", no_walk)
         monkeypatch.setattr(conjugacy, "_seed_length",
                             lambda *args: seeded.append(args[:3]) or args[4])
+        monkeypatch.setattr(conjugacy, "_parabolic_length",
+                            lambda *args: parabolic.append(args[:3]) or 0)
         cases = [
-            (group("B", 2), {1: 2, 2: 1}, "walk"),
+            (group("B", 2), {1: 2, 2: 1}, "parabolic"),
             (group("D", 4), pi_of(build_twist("D", 4, 3)), ("D", 4, 3)),
             (group("G", 2), {1: 1, 2: 2}, ("G", 2, 1)),
             (group("E", 6), {i: i for i in range(1, 7)}, ("E", 6, 1)),
@@ -822,18 +824,18 @@ class TestLeastLength:
         ] + [(build(), pi, named) for build, pi, named, _ in RELABELLED.values()]
         for W, pi, named in cases:
             reads.clear()
-            walks.clear()
             seeded.clear()
+            parabolic.clear()
             closure_min_check(W, pi, W.from_word(W.system.nodes))
-            if named == "walk":
-                expected = [], [], [W.rank]
+            if named == "parabolic":
+                expected = [], [], [("B", 2, 2)]
             elif type(named) is list:
                 expected = named, [], []
             elif named[0] in "ABCD" and named[2] < 3:
                 expected = [named], [], []
             else:
                 expected = [], [named], []
-            assert (reads, seeded, walks) == expected, (W.system, pi)
+            assert (reads, seeded, parabolic) == expected, (W.system, pi)
 
     def test_d3_under_a_twist_of_order_2(self, monkeypatch):
         """The named D3 is A3 in other labels: under the identity it is read as
@@ -1200,22 +1202,24 @@ class TestEllipticLeast:
             closure_min_check(W, pi, w)
 
     @pytest.mark.parametrize("name", SEEDED, ids=type_id)
-    def test_only_elliptic_elements_of_seeded_types_skip_the_walk(self, name, monkeypatch):
-        """From an empty memo, the first seed of each seeded type is answered
-        with no walk, and the identity, which is minimal and not elliptic (w
-        sigma is sigma, which fixes the sum of each pi-orbit of simple roots,
-        rescaled in 2B2, 2G2 and 2F4), with one walk."""
-        walks = []
-        real_walk = conjugacy._shift_walk
+    def test_every_seed_skips_the_walk(self, name, monkeypatch):
+        """From an empty memo, with the walk patched to raise, every seed of
+        each seeded type is "minimal": the cuspidal seeds, which are
+        elliptic, and the seeds of the proper parabolics, which are not,
+        the identity included (w sigma is sigma, which fixes the sum of each
+        pi-orbit of simple roots, rescaled in 2B2, 2G2 and 2F4); nothing is
+        kept."""
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
-        monkeypatch.setattr(conjugacy, "_shift_walk",
-                            lambda *args: walks.append(args[0].rank) or real_walk(*args))
+        monkeypatch.setattr(conjugacy, "_verdict", no_walk)
+        monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
         W, pi, words = seed_row(*name)
-        assert closure_min_check(W, pi, W.from_word(words[0])) == "minimal"
-        assert walks == []
-        assert not elliptic(W, pi, W.identity)
-        assert closure_min_check(W, pi, W.identity) == "minimal"
-        assert walks == [W.rank]
+        parabolic = list(conjugacy._parabolic_seeds(W, pi))
+        assert () in parabolic and not elliptic(W, pi, W.identity)
+        assert all(elliptic(W, pi, W.from_word(word)) for word in words)
+        assert not any(elliptic(W, pi, W.from_word(word)) for word in parabolic)
+        for word in words + parabolic:
+            assert closure_min_check(W, pi, W.from_word(word)) == "minimal", word
+        assert conjugacy._MINIMALITY_MEMO == {}
 
     @pytest.mark.parametrize("name", SUZUKI_REE, ids=type_id)
     def test_suzuki_and_ree_types_agree_with_enumeration(self, name, monkeypatch):
@@ -1262,24 +1266,133 @@ class TestEllipticLeast:
     @pytest.mark.slow
     @pytest.mark.parametrize("order", [1, 2])
     def test_agrees_with_enumeration_on_e6(self, order, monkeypatch):
-        """Every element of E6 and 2E6, from an empty memo: the oracle answers
-        as enumeration does, the elliptic ones (the seeds') with no walk."""
+        """Every element of E6 and 2E6, from an empty memo, with the walk
+        patched to raise: the oracle answers as enumeration does, the
+        elliptic ones off the seeds, the rest off the parabolic table."""
         W = group("E", 6)
         pi = pi_of(build_twist("E", 6, order))
         monkeypatch.setattr(conjugacy, "_MINIMALITY_MEMO", {})
-        real_walk, walked = conjugacy._shift_walk, []
-        monkeypatch.setattr(conjugacy, "_shift_walk",
-                            lambda *args: walked.append(args[2]) or real_walk(*args))
+        monkeypatch.setattr(conjugacy, "_verdict", no_walk)
+        monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
         count = 0
         for w in elements_of(W):
-            walked.clear()
             least = oracle_class_of(W, pi, w).min_length
             assert closure_min_check(W, pi, w) == ("minimal" if w.length == least
                                                    else "not_minimal"), w.word
-            if elliptic(W, pi, w):
-                assert walked == []
-                count += 1
+            count += elliptic(W, pi, w)
         assert count == {1: ELLIPTIC_E6, 2: ELLIPTIC_2E6}[order]
+        assert conjugacy._MINIMALITY_MEMO == {}
+
+
+def parabolic_keys(name, key):
+    """key -> the lengths of the seeds of the proper sigma-stable parabolics
+    (``_parabolic_seeds``) of a seeded type with that key, read in its named
+    group under its standard twist by ``key(W, word, sigma)``."""
+    W, pi, _ = seed_row(*name)
+    sigma = conjugacy._sigma(W, pi)
+    out = {}
+    for word in conjugacy._parabolic_seeds(W, pi):
+        out.setdefault(key(W, word, sigma), set()).add(len(word))
+    return out
+
+
+def p_and_m(W, word, sigma):
+    return conjugacy._charpoly(W, word, sigma), conjugacy._negated(W, word, sigma)
+
+
+def colliding(lengths):
+    return [sorted(seen) for seen in lengths.values() if len(seen) > 1]
+
+
+class TestParabolicLengths:
+    """The non-elliptic elements of the seeded types read their least length
+    off P and m, the number of positive roots that w sigma negates, over the
+    seeds of the proper sigma-stable parabolics (``_parabolic_lengths``)."""
+
+    def test_each_key_has_one_length(self):
+        """Over all ten seeded types, E8 included, each (P, m) has one length
+        over the parabolic seeds, and the table holds it: 2, 1, 1, 3, 10, 4,
+        20, 16, 45 and 82 keys.  m is 0 in 2B2, 2G2 and 2F4, where sigma
+        swaps root lengths."""
+        sizes = {}
+        for name in SEEDED:
+            lengths = parabolic_keys(name, p_and_m)
+            assert colliding(lengths) == [], name
+            assert conjugacy._parabolic_lengths(*name) == {key: min(seen) for key, seen in lengths.items()}
+            if name in SUZUKI_REE:
+                assert {m for _, m in lengths} == {0}
+            sizes[name] = len(lengths)
+        assert sizes == {
+            ("G", 2, 1): 2, ("G", 2, 2): 1, ("B", 2, 2): 1, ("D", 4, 3): 3, ("F", 4, 1): 10,
+            ("F", 4, 2): 4, ("E", 6, 1): 20, ("E", 6, 2): 16, ("E", 7, 1): 45, ("E", 8, 1): 82}
+
+    def test_p_alone_collides(self):
+        """Negative control: keyed on P alone, F4 has a key with lengths 2 and
+        4, E7 three keys of two lengths and E8 five."""
+        def P(W, word, sigma):
+            return conjugacy._charpoly(W, word, sigma)
+
+        assert colliding(parabolic_keys(("F", 4, 1), P)) == [[2, 4]]
+        assert len(colliding(parabolic_keys(("E", 7, 1), P))) == 3
+        assert len(colliding(parabolic_keys(("E", 8, 1), P))) == 5
+
+    def test_fixed_roots_collide(self):
+        """Negative control: an m that counts the positive roots that w sigma
+        fixes, not those it negates, gives E7 three keys of two lengths."""
+        def fixed(W, word, sigma):
+            n, perm = W.nroots, conjugacy._root_table(W, word, sigma)
+            return conjugacy._charpoly(W, word, sigma), sum(perm[n + 1 + p] == n + 1 + p for p in range(n))
+
+        assert len(colliding(parabolic_keys(("E", 7, 1), fixed))) == 3
+
+    def test_an_injected_collision_raises(self, monkeypatch):
+        """Negative control: the F4 seeds with s3 s1 s2 s3 added, a conjugate
+        2 longer of the seed s1 s2 with its key, raise FalsificationError."""
+        W, pi, _ = seed_row("F", 4, 1)
+        longer = (3, 1, 2, 3)
+        assert W.from_word(longer).length == 4 and (1, 2) in conjugacy._parabolic_seeds(W, pi)
+        real = conjugacy._parabolic_seeds
+        monkeypatch.setattr(conjugacy, "_parabolic_seeds", lambda W, pi: [*real(W, pi), longer])
+        with pytest.raises(FalsificationError, match="parabolic seeds of F4 of lengths 2 and 4 share the key"):
+            conjugacy._parabolic_lengths.__wrapped__("F", 4, 1)
+
+    def test_a_missing_key_raises(self, monkeypatch):
+        """A key that no parabolic seed has raises FalsificationError: F4's
+        table without the key of s1 s2."""
+        W, pi, _ = seed_row("F", 4, 1)
+        key = p_and_m(W, (1, 2), conjugacy._sigma(W, pi))
+        table = dict(conjugacy._parabolic_lengths("F", 4, 1))
+        del table[key]
+        monkeypatch.setattr(conjugacy, "_parabolic_lengths", lambda *name: table)
+        with pytest.raises(FalsificationError, match="no parabolic seed of F4"):
+            closure_min_check(W, pi, W.from_word([1, 2]))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("rank", [7, 8])
+    def test_agrees_with_the_class_lists_of_e7_and_e8(self, rank, monkeypatch):
+        """Every minimal element of every ``class_list`` class of E7 and E8
+        reads "minimal", and one conjugate s_i u s_i 2 longer per class
+        "not_minimal", with the walk patched to raise once the classes are
+        listed.  The classes with no such conjugate, the identity's and a
+        few whose minimal elements are the whole class, are counted."""
+        W = group("E", rank)
+        pi = identity_pi(W)
+        classes = class_list(W, pi)
+        monkeypatch.setattr(conjugacy, "_verdict", no_walk)
+        monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
+        checked, none_longer = 0, []
+        for cls in classes:
+            for u in cls.minimal:
+                assert closure_min_check(W, pi, u) == "minimal", u.word
+            checked += len(cls.minimal)
+            x = next((y for u in cls.minimal for i in W.system.nodes
+                      if (y := W.from_word((i, *u.word, i))).length == u.length + 2), None)
+            if x is None:
+                none_longer.append(cls.min_length)
+            else:
+                assert closure_min_check(W, pi, x) == "not_minimal", x.word
+        assert (len(classes), checked, none_longer) == {
+            7: (60, 4924, [0, 63]), 8: (112, 126948, [0, 40, 60, 80, 120])}[rank]
 
 
 class TestStandardType:
@@ -1564,7 +1677,7 @@ B2_CARTAN, A3_CARTAN, G2_CARTAN = (cartan_matrix(f, r) for f, r in (("B", 2), ("
 
 # Reducible groups read one fold per pi-orbit of components, with the SWAPPED
 # groups: (Cartan matrix, pi), 14 groups.  Every fold of the first eleven is
-# classical, or 3D4 (in 3D4 x A1); the last three need the walk for some folds.
+# classical, or 3D4 (in 3D4 x A1); the last three have a fold of G2 or 2B2.
 FOLDED = {
     "A1^3 under a 3-cycle": (block_cartan(A1, A1, A1), {1: 2, 2: 3, 3: 1}),
     "B2xB2 swapped": (block_cartan(B2_CARTAN, B2_CARTAN), {1: 3, 2: 4, 3: 1, 4: 2}),
@@ -1580,30 +1693,15 @@ FOLDED = {
 }
 
 
-def read_in_closed_form(fold, word):
-    """Whether a fold's word is classical in its type, or an elliptic element of
-    a seeded type: read with no walk."""
-    if fold.named is None:
-        return False
-    family, rank, order, _ = fold.named
-    if order == 1 and family in "ABCD" or order == 2 and family in "AD":
-        return True
-    G = fold.sub.group
-    return (family, rank, order) in SEEDED and elliptic(G, fold.pi, G.from_word(word))
-
-
 def fold_mismatches(monkeypatch, letters=None):
     """(group, map, word, oracle, enumeration) for every element of every FOLDED
     group, under pi and its inverse, where ``closure_min_check`` and enumeration
-    disagree, and the number of elements checked and of those read with no
-    walk.  Raises AssertionError when a walk starts for an element whose every
-    fold is read in closed form.  ``letters``, if given, rebuilds each fold's
-    letter map from (fold, pi): a mutant fold."""
-    walks = []
-    real_walk = conjugacy._shift_walk
-    monkeypatch.setattr(conjugacy, "_shift_walk",
-                        lambda *args: walks.append(args) or real_walk(*args))
-    mismatches, checked, closed = [], 0, 0
+    disagree, and the number of elements checked.  The walk is patched to
+    raise.  ``letters``, if given, rebuilds each fold's letter map from
+    (fold, pi): a mutant fold."""
+    monkeypatch.setattr(conjugacy, "_verdict", no_walk)
+    monkeypatch.setattr(conjugacy, "_shift_walk", no_walk)
+    mismatches, checked = [], 0
     for name, (cartan, pi) in FOLDED.items():
         W = group_of(cartan)
         for p in (pi, inverse_pi(pi)):
@@ -1615,17 +1713,13 @@ def fold_mismatches(monkeypatch, letters=None):
                 conjugacy._FOLDS[W.system.key, tuple(sorted(p.items()))] = tuple(
                     conjugacy._Fold(fold.sub, fold.pi, letters(fold, p)) for fold in folds)
             for w in elements_of(W):
-                word = W.reduced_word(w)
-                reads = all(read_in_closed_form(fold, fold.word(word)) for fold in folds)
-                before = len(walks)
                 answer = closure_min_check(W, p, w)
-                assert not (reads and len(walks) > before), (name, p, word)
                 expected = "minimal" if w.length == oracle_class_of(W, p, w).min_length else "not_minimal"
                 if answer != expected:
-                    mismatches.append((name, p, word, answer, expected))
+                    mismatches.append((name, p, W.reduced_word(w), answer, expected))
                 checked += 1
-                closed += reads
-    return mismatches, checked, closed
+            assert conjugacy._MINIMALITY_MEMO == {}
+    return mismatches, checked
 
 
 def sigma_dropped(fold, pi):
@@ -1642,18 +1736,15 @@ class TestFolds:
 
     def test_agrees_with_enumeration(self, monkeypatch):
         """Every element of the FOLDED groups, under both maps, against the
-        enumerated classes, with no walk wherever every fold is classical or an
-        elliptic element of a seeded type; the walk still answers the rest (G2,
-        2B2 and 3D4 folds that are not elliptic)."""
-        mismatches, checked, closed = fold_mismatches(monkeypatch)
-        assert mismatches == []
-        assert (checked, closed) == (2848, 2188)
+        enumerated classes, with no walk: each fold is classical, or read
+        off the seeds of G2, 2B2 and 3D4, elliptic or not."""
+        assert fold_mismatches(monkeypatch) == ([], 2848)
 
     def test_a_fold_that_drops_sigma_fails(self, monkeypatch):
         """Negative control: a fold that maps pi^j(C) back by pi^-j, dropping
         sigma^r, disagrees with enumeration on 112 elements, all in the three
         groups where pi^r is not 1 on C."""
-        mismatches, _, _ = fold_mismatches(monkeypatch, sigma_dropped)
+        mismatches, _ = fold_mismatches(monkeypatch, sigma_dropped)
         assert len(mismatches) == 112
         assert {name for name, *_ in mismatches} == {
             "A2xA2 of order 4", "A3xA3 swapped and flipped", "A2xA2xA1, mixed"}
